@@ -350,9 +350,10 @@ pub fn fig7_throughput_scaling(config: &ScalingConfig) -> ThroughputReport {
                 commit_batch: variant.batch_config(),
                 rng_seed: config.seed ^ (i as u64) << 8 ^ variant.stripes as u64,
                 // The sharded-service backend models *service-side* occupancy
-                // (no deferred latency), so every storage request holds an
-                // engine worker for its whole service time. Give the engine
-                // one worker per client: the sweep must measure the stripes'
+                // (no deferred latency), so a storage request holds a thread
+                // for its whole service time: the client's own for a single
+                // request, an engine worker's for each member of a batch.
+                // One worker per client: the sweep must measure the stripes'
                 // parallelism, never be capped by the worker pool.
                 io: IoConfig::pipelined().with_workers(clients.max(8)),
                 ..NodeConfig::default()

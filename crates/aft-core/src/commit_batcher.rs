@@ -1,33 +1,46 @@
-//! Group commit: coalescing concurrent transaction commits.
+//! The commit flush, and group commit where it buys something.
 //!
 //! The paper's commit protocol issues, per transaction, one batched write for
-//! the transaction's key versions and one write for its commit record (§3.3),
-//! and notes that batching writes to reduce storage API calls is what makes
-//! AFT cheap over services that bill per request (§6.1.1). This module takes
-//! the idea one step further, the way transactional workflow systems batch
-//! log appends: commits that *arrive concurrently* on one node are coalesced
-//! into a single storage flush — one multi-put covering every transaction's
-//! data items followed by one append covering every commit record.
+//! the transaction's key versions and one write for its commit record (§3.3):
+//! two storage round trips, and the shim must add none of its own. `flush`
+//! is that sequence — the data items submitted concurrently through
+//! [`aft_storage::io::IoEngine`], a **barrier** on their completions, then
+//! the record — and every commit on a node goes through it, on the
+//! committing thread.
 //!
-//! Flushes run through the pipelined I/O engine
-//! ([`aft_storage::io::IoEngine`]): the batch's data items are submitted
-//! concurrently, the flush barriers on their completions, and only then are
-//! the records appended — so an 8-key commit overlaps its data round trips
-//! instead of paying them one after another.
+//! The paper also notes that batching writes to reduce storage API calls is
+//! what makes AFT cheap over services that bill per request (§6.1.1).
+//! [`CommitBatcher`] takes that one step further, the way transactional
+//! workflow systems batch log appends: commits that *arrive concurrently* on
+//! one node are coalesced into a single flush — one multi-put covering every
+//! transaction's data items followed by one covering every commit record.
+//! That only saves anything where the backend has a batch API. Where it has
+//! none (Redis across shards, S3: `put_batch` is one call per key whoever
+//! issues it) a shared flush shares no API call, so there a commit simply
+//! flushes itself: no queue, no token, nothing to wait for but its own two
+//! round trips. `max_batch == 1` selects the same path anywhere.
+//!
+//! Where commits do coalesce, one **flush token** elects a leader among the
+//! queued committers. The leader holds it only until its data barrier has
+//! fired: while flush N appends its records the leader of flush N+1 is
+//! already writing its data, so a committer waits out at most the data half
+//! of the flush ahead of it, never both round trips.
 //!
 //! The protocol's write ordering is preserved for every member of a batch:
-//! all data items are durable before any commit record is written, and a
-//! transaction only becomes visible (in the caller, after `submit` returns)
-//! once its own commit record is durable. Coalescing strictly *adds* durable
-//! records between a member's data and its visibility, which the protocol
-//! already tolerates (a commit record with unreadable siblings is exactly the
-//! multicast-lag case of §4).
+//! all of a flush's data items are durable before any of its commit records
+//! is written, and a transaction only becomes visible (in the caller, after
+//! `submit` returns) once its own commit record is durable. Nothing orders
+//! the records of *different* flushes, and nothing needs to: commit records
+//! of concurrent transactions are independent (§3.3). Coalescing strictly
+//! *adds* durable records between a member's data and its visibility, which
+//! the protocol already tolerates (a commit record with unreadable siblings
+//! is exactly the multicast-lag case of §4).
 //!
 //! Batching policy, tuned by [`BatchConfig`]:
 //!
 //! * With `max_delay == 0` (the default) a committer that finds the flush
 //!   token free flushes whatever is queued at that instant — itself plus any
-//!   commits that queued while the previous flush was in flight. This
+//!   commits that queued while the previous flush's data was in flight. This
 //!   "natural" group commit adds **zero** latency for an uncontended client
 //!   and grows batches automatically as storage latency and offered load
 //!   rise.
@@ -37,11 +50,12 @@
 
 use std::time::{Duration, Instant};
 
-use aft_storage::io::{IoEngine, StorageRequest};
-use aft_types::{AftResult, Value};
+use aft_storage::io::IoEngine;
+use aft_types::{AftResult, CommitPhase, Value};
 use parking_lot::{Condvar, Mutex};
 
-/// Tuning for the commit batcher.
+/// Tuning for the commit batcher. Only consulted over backends with a batch
+/// write API; elsewhere every commit flushes alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Maximum commits coalesced into one flush (≥ 1).
@@ -104,25 +118,56 @@ impl BatchStats {
             self.submitted as f64 / self.flushes as f64
         }
     }
+
+    fn count_flush(&mut self, commits: usize) {
+        self.flushes += 1;
+        self.largest_batch = self.largest_batch.max(commits as u64);
+    }
+}
+
+/// The §3.3 commit flush, for one transaction or a coalesced batch: every
+/// data item is submitted concurrently, the flush **barriers** on all their
+/// completions (all data durable first), and only then are the commit
+/// records appended. `before` is called ahead of each [`CommitPhase`] and
+/// its error abandons the flush at exactly that point, leaving in storage
+/// what the protocol had reached — a chaos probe's "crash". Returns the
+/// charged storage latency: the data barrier's overlapped cost plus the
+/// record append's.
+pub(crate) fn flush(
+    io: &IoEngine,
+    data: Vec<(String, Value)>,
+    records: Vec<(String, Value)>,
+    mut before: impl FnMut(CommitPhase) -> AftResult<()>,
+) -> AftResult<Duration> {
+    before(CommitPhase::BeforeDataPut)?;
+    let mut cost = io.put_all(data)?;
+    before(CommitPhase::BeforeRecordAppend)?;
+    cost += io.put_all(records)?;
+    before(CommitPhase::BeforeBroadcast)?;
+    Ok(cost)
 }
 
 /// One queued commit: the transaction's data items and its commit record.
 struct Entry {
     seq: u64,
     data: Vec<(String, Value)>,
-    record_key: String,
-    record_value: Value,
+    record: (String, Value),
 }
 
 #[derive(Default)]
 struct State {
+    /// Commits not yet taken by a flush, in `seq` order.
     queue: Vec<Entry>,
     /// Results of flushed entries, keyed by sequence number, awaiting pickup
     /// by their submitting threads. A successful flush reports the simulated
     /// storage latency it charged (data barrier + record append).
     completed: std::collections::HashMap<u64, AftResult<Duration>>,
-    /// Whether some thread currently holds the flush token.
+    /// Whether some leader holds the flush token: it is collecting a batch
+    /// or its data barrier has not fired yet.
     flushing: bool,
+    /// Every entry with a smaller `seq` has been taken by some flush, whose
+    /// leader will deliver its result.
+    taken: u64,
     next_seq: u64,
     stats: BatchStats,
 }
@@ -157,11 +202,16 @@ impl CommitBatcher {
         self.state.lock().stats
     }
 
+    fn release_token(&self) {
+        self.state.lock().flushing = false;
+        self.wakeup.notify_all();
+    }
+
     /// Durably writes one transaction's `data` items and then its commit
-    /// record, possibly coalesced with concurrently submitted commits, all
-    /// through the pipelined I/O engine. Returns the flush's charged storage
-    /// latency once this transaction's commit record is durable; on a
-    /// storage error every member of the failed flush gets the error.
+    /// record, coalesced with concurrently submitted commits where the
+    /// backend can share API calls between them. Returns the flush's charged
+    /// storage latency once this transaction's commit record is durable; on
+    /// a storage error every member of the failed flush gets the error.
     pub fn submit(
         &self,
         io: &IoEngine,
@@ -169,16 +219,17 @@ impl CommitBatcher {
         record_key: String,
         record_value: Value,
     ) -> AftResult<Duration> {
+        let record = (record_key, record_value);
         let mut state = self.state.lock();
+        state.stats.submitted += 1;
+        if self.config.max_batch == 1 || !io.storage().supports_batch_put() {
+            state.stats.count_flush(1);
+            drop(state);
+            return flush(io, data, vec![record], |_| Ok(()));
+        }
         let seq = state.next_seq;
         state.next_seq += 1;
-        state.stats.submitted += 1;
-        state.queue.push(Entry {
-            seq,
-            data,
-            record_key,
-            record_value,
-        });
+        state.queue.push(Entry { seq, data, record });
         // A leader may be sleeping in its group-commit window; let it see
         // the queue grow (and possibly reach max_batch).
         self.wakeup.notify_all();
@@ -187,9 +238,9 @@ impl CommitBatcher {
             if let Some(result) = state.completed.remove(&seq) {
                 return result;
             }
-            if state.flushing {
-                // Another thread holds the flush token; it will either flush
-                // our entry or hand the token back.
+            if state.flushing || seq < state.taken {
+                // Some flush carries our entry, or a leader holds the token
+                // and will either take it or hand the token back.
                 self.wakeup.wait(&mut state);
                 continue;
             }
@@ -211,51 +262,41 @@ impl CommitBatcher {
             }
 
             let take = state.queue.len().min(self.config.max_batch);
-            let batch: Vec<Entry> = state.queue.drain(..take).collect();
-            state.stats.flushes += 1;
-            state.stats.largest_batch = state.stats.largest_batch.max(batch.len() as u64);
+            let mut seqs = Vec::with_capacity(take);
+            let mut data = Vec::new();
+            let mut records = Vec::with_capacity(take);
+            for entry in state.queue.drain(..take) {
+                seqs.push(entry.seq);
+                data.extend(entry.data);
+                records.push(entry.record);
+            }
+            state.taken = seqs.last().map_or(state.taken, |last| last + 1);
+            state.stats.count_flush(take);
             drop(state);
 
-            let result = Self::flush(io, &batch);
+            // The token goes back once the data barrier has fired, so the
+            // next flush's data overlaps this one's record append.
+            let mut holding = true;
+            let result = flush(io, data, records, |phase| {
+                if phase == CommitPhase::BeforeRecordAppend {
+                    self.release_token();
+                    holding = false;
+                }
+                Ok(())
+            });
 
             state = self.state.lock();
-            for entry in batch {
-                state.completed.insert(entry.seq, result.clone());
+            for seq in seqs {
+                state.completed.insert(seq, result.clone());
             }
-            state.flushing = false;
+            if holding {
+                // The data barrier failed before the hand-back.
+                state.flushing = false;
+            }
             // Wake waiters: batch members pick up results, queued entries
-            // beyond max_batch elect the next leader.
+            // elect the next leader.
             self.wakeup.notify_all();
         }
-    }
-
-    /// One coalesced storage flush through the I/O engine: every member's
-    /// data items are submitted concurrently, the flush **barriers** on all
-    /// their completions (§3.3's write ordering — all data durable first),
-    /// and only then are the commit records appended. Returns the flush's
-    /// charged storage latency: the data barrier's overlapped cost plus the
-    /// record append's.
-    fn flush(io: &IoEngine, batch: &[Entry]) -> AftResult<Duration> {
-        let data: Vec<(String, Value)> =
-            batch.iter().flat_map(|e| e.data.iter().cloned()).collect();
-        let mut cost = Duration::ZERO;
-        if !data.is_empty() {
-            cost += io.put_all(data)?;
-        }
-        let records: Vec<(String, Value)> = batch
-            .iter()
-            .map(|e| (e.record_key.clone(), e.record_value.clone()))
-            .collect();
-        // A single record keeps the cheaper single-put path; multi-record
-        // appends overlap like any other batch.
-        cost += if records.len() == 1 {
-            let (key, value) = records.into_iter().next().expect("len checked");
-            let outcome = io.execute(StorageRequest::Put(key, value));
-            outcome.result.map(|_| outcome.cost)?
-        } else {
-            io.put_all(records)?
-        };
-        Ok(cost)
     }
 }
 
@@ -380,34 +421,171 @@ mod tests {
     }
 
     #[test]
-    fn data_is_written_before_records() {
-        // After any successful submit, observing a commit record implies the
-        // data it references is present (the §3.3 write ordering) — the data
-        // barrier fires before the record append is even submitted.
-        let store = InMemoryStore::shared();
-        let io = engine_over(&store);
-        let batcher = Arc::new(CommitBatcher::new(BatchConfig::default().with_max_batch(4)));
-        std::thread::scope(|scope| {
-            for t in 0..16 {
-                let batcher = Arc::clone(&batcher);
-                let io = &io;
-                let store = store.clone();
-                scope.spawn(move || {
-                    batcher
-                        .submit(
-                            io,
-                            vec![(format!("data/k/{t}"), val("v"))],
-                            format!("commit/{t}"),
-                            val("r"),
-                        )
-                        .unwrap();
-                    // Immediately after our commit returns, our data must be
-                    // readable.
-                    assert!(store.get(&format!("data/k/{t}")).unwrap().is_some());
-                });
+    fn a_visible_commit_record_implies_its_data_under_concurrent_commits() {
+        // §3.3's write ordering, observed from outside while 16 committers
+        // race: whenever a commit record can be listed, the data it covers
+        // can be read. Over Redis (no batch API: every commit flushes itself)
+        // and over memory (coalesced flushes, token handed back mid-flush).
+        use aft_storage::{BackendConfig, BackendKind};
+        const COMMITTERS: usize = 16;
+        for kind in [BackendKind::Redis, BackendKind::Memory] {
+            let store: SharedStorage = aft_storage::make_backend(BackendConfig::test(kind));
+            let io = IoEngine::new(store.clone(), IoConfig::pipelined());
+            let batcher = CommitBatcher::new(BatchConfig::default().with_max_batch(4));
+            let check_visible = || {
+                let records = store.list_prefix("commit/").unwrap();
+                for record in &records {
+                    let t = record.strip_prefix("commit/").unwrap();
+                    for half in ["a", "b"] {
+                        assert!(
+                            store.get(&format!("data/{half}/{t}")).unwrap().is_some(),
+                            "{kind:?}: {record} is visible before data/{half}/{t}"
+                        );
+                    }
+                }
+                records.len()
+            };
+            std::thread::scope(|scope| {
+                for t in 0..COMMITTERS {
+                    let (batcher, io) = (&batcher, &io);
+                    scope.spawn(move || {
+                        let data = vec![
+                            (format!("data/a/{t}"), val("v")),
+                            (format!("data/b/{t}"), val("v")),
+                        ];
+                        batcher
+                            .submit(io, data, format!("commit/{t}"), val("r"))
+                            .unwrap();
+                    });
+                }
+                while check_visible() < COMMITTERS {
+                    std::thread::yield_now();
+                }
+            });
+            let stats = batcher.stats();
+            assert_eq!(stats.submitted, COMMITTERS as u64);
+            if !store.supports_batch_put() {
+                assert_eq!(stats.flushes, stats.submitted, "{kind:?}: nothing to share");
+                assert_eq!(stats.largest_batch, 1);
             }
-        });
-        assert_eq!(store.len(), 32);
+        }
+    }
+
+    /// A store whose put of `commit/A` blocks until `data/B` has been put:
+    /// satisfiable only if B's flush can start while A's is between its two
+    /// round trips. A watchdog turns the old behaviour — B queued behind the
+    /// whole of A's flush — into an error instead of a hang.
+    struct LatchStore {
+        inner: Arc<InMemoryStore>,
+        batches: bool,
+        seen: Mutex<std::collections::HashSet<String>>,
+        arrived: Condvar,
+    }
+
+    impl LatchStore {
+        fn new(batches: bool) -> Arc<Self> {
+            Arc::new(LatchStore {
+                inner: InMemoryStore::shared(),
+                batches,
+                seen: Mutex::new(Default::default()),
+                arrived: Condvar::new(),
+            })
+        }
+
+        /// Blocks until `key` has been put; false if the watchdog fired.
+        fn await_put(&self, key: &str) -> bool {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let mut seen = self.seen.lock();
+            while !seen.contains(key) {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return false;
+                }
+                let _ = self.arrived.wait_for(&mut seen, left);
+            }
+            true
+        }
+
+        fn observe(&self, key: &str) -> AftResult<()> {
+            if key == "commit/A" && !self.await_put("data/B") {
+                return Err(aft_types::AftError::Storage(
+                    "commit/A never saw data/B: flushes do not overlap".into(),
+                ));
+            }
+            self.seen.lock().insert(key.to_owned());
+            self.arrived.notify_all();
+            Ok(())
+        }
+    }
+
+    impl StorageEngine for LatchStore {
+        fn name(&self) -> &'static str {
+            "latch"
+        }
+
+        fn get(&self, key: &str) -> AftResult<Option<Value>> {
+            self.inner.get(key)
+        }
+
+        fn put(&self, key: &str, value: Value) -> AftResult<()> {
+            self.observe(key)?;
+            self.inner.put(key, value)
+        }
+
+        fn put_batch(&self, items: Vec<(String, Value)>) -> AftResult<()> {
+            for (key, _) in &items {
+                self.observe(key)?;
+            }
+            self.inner.put_batch(items)
+        }
+
+        fn delete(&self, key: &str) -> AftResult<()> {
+            self.inner.delete(key)
+        }
+
+        fn delete_batch(&self, keys: &[String]) -> AftResult<()> {
+            self.inner.delete_batch(keys)
+        }
+
+        fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
+            self.inner.list_prefix(prefix)
+        }
+
+        fn supports_batch_put(&self) -> bool {
+            self.batches
+        }
+
+        fn supports_deferred_latency(&self) -> bool {
+            true
+        }
+
+        fn stats(&self) -> Arc<aft_storage::StorageStats> {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn a_second_flush_starts_while_the_first_appends_its_record() {
+        for batches in [false, true] {
+            let store = LatchStore::new(batches);
+            let io = IoEngine::new(store.clone() as SharedStorage, IoConfig::pipelined());
+            let batcher = CommitBatcher::new(BatchConfig::default());
+            let commit = |t: &str| {
+                let data = vec![(format!("data/{t}"), val("v"))];
+                batcher.submit(&io, data, format!("commit/{t}"), val("r"))
+            };
+            std::thread::scope(|scope| {
+                let a = scope.spawn(|| commit("A"));
+                // B arrives only once A's flush is under way, so A always
+                // holds whatever there is to hold.
+                assert!(store.await_put("data/A"), "batches={batches}");
+                commit("B").unwrap();
+                a.join().unwrap().unwrap();
+            });
+            assert!(store.inner.get("commit/A").unwrap().is_some());
+            assert!(store.inner.get("commit/B").unwrap().is_some());
+            assert_eq!(batcher.stats().flushes, 2, "batches={batches}");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::commit_batcher::{BatchConfig, CommitBatcher};
+use crate::commit_batcher::{flush, BatchConfig, CommitBatcher};
 use crate::data_cache::DataCache;
 use crate::gc::{GcOutcome, LocalGcConfig};
 use crate::metadata::MetadataCache;
@@ -191,8 +191,8 @@ pub struct NodeConfig {
     /// coalesced into one storage flush, and how long a flush may wait for
     /// company. The default adds no latency for uncontended clients.
     pub commit_batch: BatchConfig,
-    /// Tuning of the node's pipelined storage I/O engine (worker count,
-    /// in-flight window, timer-wheel resolution). `IoConfig::sequential()`
+    /// Tuning of the node's storage I/O engine (in-flight window, retry
+    /// policy, pool size for blocking backends). `IoConfig::sequential()`
     /// reproduces the historical one-round-trip-at-a-time behaviour.
     pub io: IoConfig,
     /// Background checkpoint policy; disabled by default. When enabled, the
@@ -314,8 +314,8 @@ pub struct AftNode {
     /// Transactions whose metadata this node has locally garbage collected;
     /// reported to the global GC (§5.2).
     locally_deleted: Mutex<HashSet<TransactionId>>,
-    /// Chaos hook: when installed, every commit runs the unbatched protocol
-    /// with a probe call before each [`CommitPhase`].
+    /// Chaos hook: when installed, every commit flushes alone with a probe
+    /// call before each [`CommitPhase`].
     commit_probe: Mutex<Option<Arc<dyn CommitProbe>>>,
     /// Commits on this node since the last checkpoint round.
     checkpoint_commits: AtomicU64,
@@ -731,25 +731,25 @@ impl AftNode {
             .collect();
         let cached_values: Vec<(String, Value)> = items.clone();
 
-        // 2. Persist the data and then the commit record, possibly coalesced
-        //    with concurrently arriving commits (group commit), through the
-        //    pipelined I/O engine: every member's data puts are submitted
-        //    concurrently, the flush barriers on their completions (§3.3's
-        //    data-before-record ordering), then the records are appended.
-        //    The batcher returns only once *this* transaction's record is
-        //    durable, reporting the flush's charged storage latency.
-        //    An installed commit probe instead takes the unbatched path so a
-        //    chaos controller can crash this node at exact phase boundaries.
+        // 2. Persist the data and then the commit record (§3.3's flush: data
+        //    puts overlapped, a barrier, then the record), coalesced with
+        //    concurrently arriving commits where the backend can share API
+        //    calls between them. Returns the charged storage latency once
+        //    *this* transaction's record is durable. An installed commit
+        //    probe instead flushes alone and is consulted before every
+        //    phase: its error is the node's "crash", leaving exactly the
+        //    storage state the protocol had reached by that point.
         let record = TransactionRecord::new(final_id, write_set);
+        let record_key = record.storage_key();
+        let record_value = encode_commit_record(&record);
         let probe = self.commit_probe.lock().clone();
         let flush_cost = match probe {
-            Some(probe) => self.commit_probed(&probe, &final_id, items, &record)?,
-            None => self.batcher.submit(
-                &self.io,
-                items,
-                record.storage_key(),
-                encode_commit_record(&record),
-            )?,
+            Some(probe) => flush(&self.io, items, vec![(record_key, record_value)], |phase| {
+                probe.before_phase(self.node_id(), &final_id, phase)
+            })?,
+            None => self
+                .batcher
+                .submit(&self.io, items, record_key, record_value)?,
         };
         self.stats.commit_storage_latency().record(flush_cost);
 
@@ -763,33 +763,6 @@ impl AftNode {
         self.stats.record_committed();
         self.checkpoint_commits.fetch_add(1, Ordering::Relaxed);
         Ok(final_id)
-    }
-
-    /// The unbatched commit flush with a probe call before every phase: the
-    /// data barrier, the record append, and visibility (§3.3's ordering is
-    /// identical to the batched path; only coalescing is given up). A probe
-    /// error at any phase propagates as the node's "crash", leaving exactly
-    /// the storage state the protocol had reached by that point.
-    fn commit_probed(
-        &self,
-        probe: &Arc<dyn CommitProbe>,
-        final_id: &TransactionId,
-        items: Vec<(String, Value)>,
-        record: &TransactionRecord,
-    ) -> AftResult<Duration> {
-        probe.before_phase(self.node_id(), final_id, CommitPhase::BeforeDataPut)?;
-        let mut cost = Duration::ZERO;
-        if !items.is_empty() {
-            cost += self.io.put_all(items)?;
-        }
-        probe.before_phase(self.node_id(), final_id, CommitPhase::BeforeRecordAppend)?;
-        let outcome = self.io.execute(StorageRequest::Put(
-            record.storage_key(),
-            encode_commit_record(record),
-        ));
-        cost += outcome.result.map(|_| outcome.cost)?;
-        probe.before_phase(self.node_id(), final_id, CommitPhase::BeforeBroadcast)?;
-        Ok(cost)
     }
 
     /// `AbortTransaction(txid)`: discards the transaction's buffered updates.

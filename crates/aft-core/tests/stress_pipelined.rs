@@ -1,12 +1,14 @@
 //! Concurrency stress: AFT's guarantees must not bend under pipelined I/O.
 //!
 //! Barrier-started client threads hammer one AFT node over the simulated S3
-//! backend with the pipelined I/O engine active (virtual clock, full-scale
-//! latencies charged), mixing single reads, overlapped multi-reads
+//! backend (no batch API: every commit flushes itself, its data puts fanned
+//! out) and over the simulated DynamoDB (batch API: commits coalesce into
+//! shared flushes) with the pipelined I/O engine active (virtual clock,
+//! full-scale latencies charged), mixing single reads, overlapped multi-reads
 //! (`get_all`), and multi-key commits over a small contended key space.
 //! Every transaction's observed read set must remain an Atomic Readset
 //! (§3.2) — zero fractured reads, zero read-your-writes violations — no
-//! matter how the engine's workers interleave the round trips or how
+//! matter how the clients' overlapped round trips interleave or how
 //! commits coalesce inside flushes.
 
 use std::collections::HashMap;
@@ -16,7 +18,7 @@ use std::sync::{Arc, Barrier};
 use aft_core::read::is_atomic_readset;
 use aft_core::{AftNode, BatchConfig, NodeConfig};
 use aft_storage::io::IoConfig;
-use aft_storage::{BackendConfig, BackendKind, LatencyMode};
+use aft_storage::{BackendConfig, BackendKind, LatencyMode, OpKind};
 use aft_types::{AftError, Key, TransactionId, Value};
 use bytes::Bytes;
 
@@ -43,12 +45,12 @@ fn value(client: usize, txn: usize, slot: usize) -> Value {
     Bytes::from(format!("c{client}-t{txn}-s{slot}"))
 }
 
-fn pipelined_s3_node() -> Arc<AftNode> {
+fn pipelined_node(kind: BackendKind) -> Arc<AftNode> {
     // Virtual clock at full scale: latencies are charged (so the engine's
     // overlap accounting is exercised) without sleeping, keeping the stress
     // fast and deterministic in wall-clock terms.
     let storage = aft_storage::make_backend(BackendConfig {
-        kind: BackendKind::S3,
+        kind,
         mode: LatencyMode::Virtual,
         scale: 1.0,
         seed: 0x57E55 ^ test_seed().wrapping_mul(0x9E37),
@@ -63,7 +65,7 @@ fn pipelined_s3_node() -> Arc<AftNode> {
         rng_seed: 0xAF71 ^ test_seed().wrapping_mul(0xC2B2),
         ..NodeConfig::test()
     };
-    AftNode::new(config, storage).expect("node over the S3 sim")
+    AftNode::new(config, storage).expect("node over the simulated backend")
 }
 
 /// Runs the stress workload; returns (ryw, fractured) anomaly counts.
@@ -151,25 +153,53 @@ fn hammer(node: &Arc<AftNode>) -> (u64, u64) {
     )
 }
 
-#[test]
-fn read_atomicity_holds_over_the_pipelined_s3_sim() {
-    let node = pipelined_s3_node();
-    let (ryw, fractured) = hammer(&node);
+/// Hammers `node` and checks what must hold over any backend.
+fn assert_no_anomalies(node: &Arc<AftNode>) {
+    let (ryw, fractured) = hammer(node);
     assert_eq!(ryw, 0, "read-your-writes anomalies under pipelined I/O");
     assert_eq!(fractured, 0, "fractured reads under pipelined I/O");
     assert_eq!(node.in_flight(), 0, "no dangling transactions");
 
-    // The engine really pipelined: multi-key commits submit their data puts
-    // concurrently, so the in-flight window must have been exercised.
     let io_stats = node.io().stats();
     assert!(io_stats.submitted > 0);
     assert_eq!(io_stats.submitted, io_stats.completed, "nothing lost");
+    // Per-commit storage costs were recorded for every flushed commit.
+    assert!(!node.stats().commit_storage_latency().is_empty());
+}
+
+#[test]
+fn read_atomicity_holds_over_the_pipelined_s3_sim() {
+    let node = pipelined_node(BackendKind::S3);
+    assert_no_anomalies(&node);
+
+    // The engine really pipelined: multi-key commits submit their data puts
+    // concurrently, so the in-flight window must have been exercised.
+    let io_stats = node.io().stats();
     assert!(
         io_stats.peak_in_flight >= 2,
         "commit flushes must overlap their data puts: {io_stats:?}"
     );
-    // Per-commit storage costs were recorded for every flushed commit.
-    assert!(!node.stats().commit_storage_latency().is_empty());
+    // No batch API, nothing to share: every commit was its own flush.
+    let batch = node.commit_batch_stats();
+    assert_eq!(batch.flushes, batch.submitted);
+}
+
+#[test]
+fn read_atomicity_holds_over_coalesced_flushes() {
+    let node = pipelined_node(BackendKind::DynamoDb);
+    assert_no_anomalies(&node);
+
+    // Every commit went through the leader/follower queue and its data
+    // through the batch API, in no more flushes than commits.
+    let batch = node.commit_batch_stats();
+    assert!(batch.submitted > 0);
+    assert!((1..=batch.submitted).contains(&batch.flushes), "{batch:?}");
+    assert!(
+        batch.largest_batch <= 16,
+        "max_batch is respected: {batch:?}"
+    );
+    let calls = node.io().storage().stats();
+    assert!(calls.calls(OpKind::BatchPut) > 0);
 }
 
 #[test]

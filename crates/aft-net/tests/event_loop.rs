@@ -59,8 +59,31 @@ fn ping(stream: &mut TcpStream) {
     assert!(matches!(response, WireResponse::Pong));
 }
 
-fn process_threads() -> usize {
-    std::fs::read_dir("/proc/self/task").unwrap().count()
+/// Live threads spawned by `aft-net` (every one is named `aft-net-*`; a
+/// per-connection reader would be `aft-net-rd`). Counting by name keeps the
+/// test harness's own threads, which come and go as other tests in this
+/// binary start and finish, out of an exact comparison.
+fn server_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|name| name.starts_with("aft-net-"))
+        .count()
+}
+
+/// Waits until every thread of a fresh `workers`-worker server has started
+/// (a thread names itself as it starts) and returns the count: `1 + workers`.
+fn await_server_threads(workers: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server_threads() != 1 + workers {
+        assert!(
+            Instant::now() < deadline,
+            "{} server threads, expected the I/O thread and {workers} workers",
+            server_threads()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    1 + workers
 }
 
 /// Waits until the loop's open-connection gauge reaches `expected`.
@@ -84,7 +107,7 @@ fn resident_fleet_adds_no_threads_and_shuts_down_clean() {
     let _guard = serial();
     let (server, _cluster) = served(2, 512);
 
-    let threads_before = process_threads();
+    let threads_before = await_server_threads(2);
     let mut socks: Vec<TcpStream> = (0..256).map(|_| connect(&server)).collect();
     for sock in &mut socks {
         ping(sock);
@@ -93,7 +116,7 @@ fn resident_fleet_adds_no_threads_and_shuts_down_clean() {
     // Every socket is live and served, yet the thread count is exactly what
     // it was with zero connections: the loop owns all of them.
     assert_eq!(
-        process_threads(),
+        server_threads(),
         threads_before,
         "no thread may be spawned per connection"
     );
@@ -107,7 +130,7 @@ fn resident_fleet_adds_no_threads_and_shuts_down_clean() {
             ping(sock);
         }
     }
-    assert_eq!(process_threads(), threads_before);
+    assert_eq!(server_threads(), threads_before);
 
     // Shutdown with the whole fleet still connected: returns promptly and
     // every socket observes the close.

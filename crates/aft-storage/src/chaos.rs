@@ -27,8 +27,8 @@
 //!   keyspace — the degradation that health checks miss.
 //!
 //! Injected latency goes through the shared [`LatencyModel`], so it obeys
-//! the ambient mode exactly like the simulators' own latency: it defers onto
-//! the I/O engine's timer wheel inside `capture_deferred` scopes, and in
+//! the ambient mode exactly like the simulators' own latency: it is deferred
+//! to the I/O engine's waiter inside `capture_deferred` scopes, and in
 //! `Virtual` mode it is charged to the operation's cost without sleeping —
 //! the overlap accounting of the pipelined engine keeps working unchanged.
 

@@ -55,9 +55,10 @@ pub trait StorageEngine: Send + Sync {
     fn supports_batch_put(&self) -> bool;
 
     /// Whether this backend's simulated latency may be *deferred*: executed
-    /// inside [`crate::latency::capture_deferred`] so the sampled delay is
-    /// applied as a timer-wheel completion instead of blocking the calling
-    /// thread. True for the client-observed-latency simulators (S3, DynamoDB,
+    /// inside [`crate::latency::capture_deferred`] so the sampled delay
+    /// becomes a completion deadline the I/O engine's waiter sleeps out,
+    /// instead of blocking inside the call — which is what lets one thread
+    /// overlap many requests. True for the client-observed-latency simulators (S3, DynamoDB,
     /// Redis, memory), whose sleep only models a network round trip. False
     /// for backends that model *service-side occupancy* — e.g.
     /// [`crate::SimShardedService`], whose request lanes must stay busy for

@@ -1,61 +1,74 @@
-//! Pipelined storage I/O: a submission/completion engine.
+//! Overlapped storage I/O: a submission/completion engine.
 //!
 //! AFT's real implementation hides storage round trips by issuing requests
 //! concurrently — §3.3 only requires that all of a transaction's data writes
 //! are durable *before* its commit record, never that they land one after
 //! another. The blocking [`StorageEngine`] trait cannot express that: an
 //! 8-key commit over a backend without a batch API pays nine sequential
-//! round trips. This module adds the missing layer:
+//! round trips. This module adds the missing layer, and adds no latency of
+//! its own to it, by one rule: **a thread that is about to block on its own
+//! request runs it.**
 //!
 //! * [`StorageRequest`] — one storage operation as a value (get / put /
 //!   batched put / delete / batched delete / list).
-//! * [`IoEngine::submit`] — enqueue a request, get back a pollable
-//!   [`IoTicket`]; [`IoEngine::submit_all`] returns a [`CompletionSet`]
-//!   whose `wait_all` is the barrier callers place between a transaction's
-//!   data writes and its commit-record append.
-//! * A **worker pool** executes requests concurrently. For backends whose
-//!   simulated latency is client-observed network time
-//!   ([`StorageEngine::supports_deferred_latency`]), the worker runs the
-//!   operation under [`latency::capture_deferred`]: the data-plane effect
-//!   applies immediately, the sampled delay is *not* slept, and the
-//!   completion is instead scheduled on a hashed **timer wheel** — so a
-//!   handful of workers sustain hundreds of in-flight requests, exactly like
-//!   an async client over a real network. Backends that model service-side
-//!   occupancy (e.g. [`crate::SimShardedService`]'s request lanes) are
-//!   executed blocking, and overlap is bounded by the worker count.
+//! * [`IoEngine::submit`] — issue a request, get back an [`IoTicket`];
+//!   [`IoEngine::submit_all`] returns a [`CompletionSet`] whose `wait_all`
+//!   is the barrier callers place between a transaction's data writes and
+//!   its commit-record append.
+//! * **Submitter-run I/O.** For backends whose simulated latency is
+//!   client-observed network time
+//!   ([`StorageEngine::supports_deferred_latency`]) `submit` runs the
+//!   operation on the calling thread under [`capture_deferred`]: the
+//!   data-plane effect applies immediately, the sampled delay is *not*
+//!   slept, and the ticket records when the completion is due. Such an
+//!   engine owns no threads. Backends that model service-side occupancy
+//!   (e.g. [`crate::SimShardedService`]'s request lanes) must be called
+//!   blocking, so overlapping a batch there still needs a **worker pool** —
+//!   but [`IoEngine::execute`], whose caller waits for that one request
+//!   anyway, runs it on the caller rather than hand it over and sleep.
+//! * **Waiter-timed completions.** A deferred completion is only a deadline
+//!   in its ticket; [`IoTicket::wait`] sleeps out what is left of it and
+//!   [`CompletionSet::wait_all`] sleeps once, until the latest member's — so
+//!   any number of requests overlap on one thread, exactly like an async
+//!   client over a real network. [`IoConfig::max_in_flight`] still bounds
+//!   the overlap: deadlines of outstanding requests are expired lazily at
+//!   `submit`, which blocks until the earliest passes when the window is
+//!   full.
 //! * **Overlap accounting for the virtual clock**: every completion carries
 //!   the simulated latency it charged, and a [`CompletionSet`] charges the
 //!   batch one *wave* at a time — the **maximum** of each
 //!   [`IoEngine::overlap_window`]-sized chunk, summed across chunks. A batch
-//!   that fits the window costs its slowest member; a sequential engine
-//!   (window 1) charges the plain sum. This is how `LatencyMode::Virtual`
-//!   experiments observe pipelining without sleeping, without ever
-//!   undercharging a batch larger than the engine's real concurrency.
+//!   that fits the window costs its slowest member; a window of 1 charges
+//!   the plain sum. This is how `LatencyMode::Virtual` experiments observe
+//!   overlap without sleeping, without ever undercharging a batch larger
+//!   than the engine's real concurrency.
 //!
-//! [`IoConfig::sequential()`] (zero workers) executes every request inline
-//! at `submit`, reproducing the historical one-round-trip-at-a-time
-//! behaviour through the same API — the baseline every pipelined experiment
-//! compares against. [`SequentialEngine`] is the matching storage-side
-//! wrapper: it forces per-key API calls (no batching) so the baseline also
-//! pays full sequential round-trip charging inside `put_batch`.
+//! [`IoConfig::sequential()`] is the window of 1: every request waits out
+//! its predecessor, reproducing the historical one-round-trip-at-a-time
+//! behaviour through the same code — the baseline every pipelined
+//! experiment compares against. [`SequentialEngine`] is the matching
+//! storage-side wrapper: it forces per-key API calls (no batching) so the
+//! baseline also pays full sequential round-trip charging inside
+//! `put_batch`.
 //!
 //! A note on simulation fidelity: a deferred operation's data-plane effect is
-//! visible in the backend *before* its completion fires, as if the service
+//! visible in the backend *before* its completion is due, as if the service
 //! applied the write mid-flight. AFT never depends on the opposite — data
 //! is invisible until a commit record references it, and the record is only
-//! submitted after every data completion has fired.
+//! submitted after every data completion has been waited out.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use aft_types::{AftResult, Value};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::engine::{SharedStorage, StorageEngine};
-use crate::latency::{capture_deferred, measure_cost};
+use crate::latency::{capture_deferred, measure_cost, sleep_until};
 
 /// Op-level retry policy for transient storage faults.
 ///
@@ -118,17 +131,16 @@ impl RetryConfig {
 /// Tuning for an [`IoEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoConfig {
-    /// Worker threads executing submitted requests. `0` disables the pool:
-    /// every request executes inline at `submit`, fully sequentially.
+    /// Worker threads of the pool that overlaps requests to a *blocking*
+    /// backend (one without [`StorageEngine::supports_deferred_latency`]);
+    /// with `0` every such request runs on its submitter, one at a time.
+    /// Ignored for deferrable backends, whose requests always run on the
+    /// submitter and overlap by deferral.
     pub workers: usize,
-    /// Maximum requests in flight (submitted, completion not yet fired);
+    /// Maximum requests in flight (submitted, completion not yet due);
     /// `submit` blocks once the limit is reached, like a bounded device
-    /// queue.
+    /// queue. `1` makes the engine sequential.
     pub max_in_flight: usize,
-    /// Resolution of the deferred-completion timer wheel.
-    pub wheel_tick: Duration,
-    /// Slot count of the timer wheel.
-    pub wheel_slots: usize,
     /// Op-level retry policy for transient storage faults.
     pub retry: RetryConfig,
 }
@@ -140,31 +152,28 @@ impl Default for IoConfig {
 }
 
 impl IoConfig {
-    /// The standard pipelined configuration: an 8-worker pool with a deep
-    /// in-flight window and a 100 µs wheel tick.
+    /// The standard overlapped configuration: a deep in-flight window, and
+    /// an 8-worker pool should the backend turn out to be blocking.
     pub fn pipelined() -> Self {
         IoConfig {
             workers: 8,
             max_in_flight: 256,
-            wheel_tick: Duration::from_micros(100),
-            wheel_slots: 128,
             retry: RetryConfig::default(),
         }
     }
 
-    /// The explicitly-sequential configuration: no workers, requests execute
-    /// inline one at a time and a batch charges the *sum* of its members.
+    /// The explicitly-sequential configuration: a window of one, so each
+    /// request waits out its predecessor and a batch charges the *sum* of
+    /// its members.
     pub fn sequential() -> Self {
         IoConfig {
             workers: 0,
             max_in_flight: 1,
-            wheel_tick: Duration::from_micros(100),
-            wheel_slots: 1,
             retry: RetryConfig::default(),
         }
     }
 
-    /// Overrides the worker count (`0` = sequential).
+    /// Overrides the blocking-backend worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -240,59 +249,81 @@ pub struct IoOutcome {
     pub cost: Duration,
 }
 
-type Ready = (AftResult<StorageResponse>, Duration);
+/// A handle for one submitted request.
+pub struct IoTicket<'e>(Ticket<'e>);
 
-/// Shared completion slot between a submitter and the executing side.
-struct Completion {
-    state: Mutex<Option<Ready>>,
-    cond: Condvar,
+enum Ticket<'e> {
+    /// The request ran on its submitter.
+    Ran { outcome: IoOutcome, due: Due<'e> },
+    /// The request is with the blocking pool; a worker sends the outcome.
+    Queued(mpsc::Receiver<IoOutcome>),
 }
 
-impl Completion {
-    fn new() -> Arc<Self> {
-        Arc::new(Completion {
-            state: Mutex::new(None),
-            cond: Condvar::new(),
-        })
-    }
+/// When a request that ran on its submitter stops being in flight.
+enum Due<'e> {
+    /// Its latency was deferred: at this instant, whoever waits.
+    At(Instant),
+    /// Nothing was deferred (virtual clock, zero-latency backend), so its
+    /// latency passes in virtual time only, and that advances where the
+    /// ticket is collected.
+    OnCollect { _held: Uncollected<'e> },
+}
 
-    fn fire(&self, result: AftResult<StorageResponse>, cost: Duration) {
-        *self.state.lock() = Some((result, cost));
-        self.cond.notify_all();
+/// Counts one request in [`Inner::uncollected`] for as long as it lives.
+struct Uncollected<'e>(&'e AtomicUsize);
+
+impl<'e> Uncollected<'e> {
+    fn new(count: &'e AtomicUsize) -> Self {
+        count.fetch_add(1, Ordering::Relaxed);
+        Uncollected(count)
     }
 }
 
-/// A pollable handle for one submitted request.
-pub struct IoTicket {
-    completion: Arc<Completion>,
+impl Drop for Uncollected<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
-impl IoTicket {
-    /// Returns true once the request's completion has fired.
-    pub fn is_complete(&self) -> bool {
-        self.completion.state.lock().is_some()
-    }
-
-    /// Blocks until the completion fires and returns it.
-    pub fn wait(self) -> IoOutcome {
-        let mut state = self.completion.state.lock();
-        loop {
-            if let Some((result, cost)) = state.take() {
-                return IoOutcome { result, cost };
-            }
-            self.completion.cond.wait(&mut state);
+impl IoTicket<'_> {
+    /// When this request's deferred latency will have elapsed, if it has any.
+    fn ready_at(&self) -> Option<Instant> {
+        match self.0 {
+            Ticket::Ran {
+                due: Due::At(at), ..
+            } => Some(at),
+            _ => None,
         }
+    }
+
+    /// Collects the outcome, without waiting out a deferred latency (a pool
+    /// request has none and blocks here until its worker is done).
+    fn take(self) -> IoOutcome {
+        match self.0 {
+            Ticket::Ran { outcome, .. } => outcome,
+            Ticket::Queued(done) => done
+                .recv()
+                .expect("pool workers drain the queue before they exit"),
+        }
+    }
+
+    /// Blocks until the request's completion is due and returns it.
+    pub fn wait(self) -> IoOutcome {
+        if let Some(at) = self.ready_at() {
+            sleep_until(at);
+        }
+        self.take()
     }
 }
 
 /// The completions of one submitted batch.
-pub struct CompletionSet {
-    tickets: Vec<IoTicket>,
+pub struct CompletionSet<'e> {
+    tickets: Vec<IoTicket<'e>>,
     /// The engine's overlap window at submission time (1 = sequential).
     window: usize,
 }
 
-impl CompletionSet {
+impl CompletionSet<'_> {
     /// Number of requests in the batch.
     pub fn len(&self) -> usize {
         self.tickets.len()
@@ -305,10 +336,14 @@ impl CompletionSet {
 
     /// Barrier: waits for every member and returns the batch outcome.
     pub fn wait_all(self) -> BatchOutcome {
+        // One sleep covers every deferred member: the latest deadline.
+        if let Some(latest) = self.tickets.iter().filter_map(IoTicket::ready_at).max() {
+            sleep_until(latest);
+        }
         let mut results = Vec::with_capacity(self.tickets.len());
         let mut costs = Vec::with_capacity(self.tickets.len());
         for ticket in self.tickets {
-            let outcome = ticket.wait();
+            let outcome = ticket.take();
             results.push(outcome.result);
             costs.push(outcome.cost);
         }
@@ -369,13 +404,24 @@ impl BatchOutcome {
 pub struct IoStatsSnapshot {
     /// Requests submitted.
     pub submitted: u64,
-    /// Completions fired.
+    /// Requests whose backend call has returned. (A deferred completion may
+    /// still be waiting out its latency; its waiter times that.)
     pub completed: u64,
-    /// Completions that went through the timer wheel (deferred latency).
+    /// Requests whose latency was delivered after the backend call returned:
+    /// the sleep was suppressed and became a completion deadline for the
+    /// waiter. Every request to a `Sleep`-mode deferrable backend with a
+    /// non-zero sample; none in `Virtual` mode or on a zero-latency backend.
     pub deferred: u64,
-    /// Requests executed inline by the sequential path.
+    /// Requests run on the thread that submitted them — all of them on a
+    /// deferrable backend; on a blocking one with a pool, those made through
+    /// [`IoEngine::execute`].
     pub inline: u64,
-    /// Highest in-flight depth observed.
+    /// Highest in-flight depth observed. A request is in flight from
+    /// `submit` until its completion: the deadline its deferred latency set
+    /// or, with nothing deferred (virtual clock, zero-latency backend), the
+    /// collection of its ticket, where its virtual latency is charged.
+    /// Never above the window: the wave accounting puts further members of
+    /// an uncollected batch in a later wave.
     pub peak_in_flight: u64,
     /// Transient-fault retries performed by the submission path.
     pub retries: u64,
@@ -384,58 +430,56 @@ pub struct IoStatsSnapshot {
     pub retry_exhausted: u64,
 }
 
-#[derive(Debug, Default)]
-struct IoStatsInner {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    deferred: AtomicU64,
-    inline: AtomicU64,
-    peak_in_flight: AtomicU64,
-    retries: AtomicU64,
-    retry_exhausted: AtomicU64,
-}
-
+/// A request handed to the blocking pool.
 struct Job {
     request: StorageRequest,
-    completion: Arc<Completion>,
+    done: mpsc::SyncSender<IoOutcome>,
 }
 
 struct EngineState {
+    /// Requests executing on some thread or queued for the pool.
+    running: usize,
+    /// Completion deadlines of requests that ran with deferred latency,
+    /// earliest first. Expired lazily at `submit`: nothing fires them.
+    deadlines: BinaryHeap<Reverse<Instant>>,
+    /// The pool's queue (blocking backends only).
     queue: VecDeque<Job>,
-    in_flight: usize,
     shutdown: bool,
+    stats: IoStatsSnapshot,
 }
 
 struct Inner {
     storage: SharedStorage,
     config: IoConfig,
-    /// Whether the backend's latency may be deferred to the timer wheel.
+    /// Whether the backend's latency may be deferred to the waiter.
     deferrable: bool,
     state: Mutex<EngineState>,
+    /// Submitter-run requests with no deadline whose tickets are still held;
+    /// see [`Due::OnCollect`]. They count towards the observed depth, never
+    /// towards the window: nothing but their own submitter can collect them.
+    uncollected: AtomicUsize,
     /// Signals workers that the queue is non-empty (or shutdown).
     work_cond: Condvar,
-    /// Signals submitters that in-flight depth dropped below the window.
+    /// Signals submitters blocked on a full window that a request returned.
     space_cond: Condvar,
-    wheel: TimerWheel,
-    stats: IoStatsInner,
 }
 
 impl Inner {
-    fn execute_request(&self, request: StorageRequest) -> AftResult<StorageResponse> {
+    fn execute_request(&self, request: &StorageRequest) -> AftResult<StorageResponse> {
         let storage = &self.storage;
         match request {
-            StorageRequest::Get(key) => storage.get(&key).map(StorageResponse::Value),
-            StorageRequest::Put(key, value) => {
-                storage.put(&key, value).map(|()| StorageResponse::Done)
-            }
-            StorageRequest::PutBatch(items) => {
-                storage.put_batch(items).map(|()| StorageResponse::Done)
-            }
-            StorageRequest::Delete(key) => storage.delete(&key).map(|()| StorageResponse::Done),
+            StorageRequest::Get(key) => storage.get(key).map(StorageResponse::Value),
+            StorageRequest::Put(key, value) => storage
+                .put(key, value.clone())
+                .map(|()| StorageResponse::Done),
+            StorageRequest::PutBatch(items) => storage
+                .put_batch(items.clone())
+                .map(|()| StorageResponse::Done),
+            StorageRequest::Delete(key) => storage.delete(key).map(|()| StorageResponse::Done),
             StorageRequest::DeleteBatch(keys) => {
-                storage.delete_batch(&keys).map(|()| StorageResponse::Done)
+                storage.delete_batch(keys).map(|()| StorageResponse::Done)
             }
-            StorageRequest::List(prefix) => storage.list_prefix(&prefix).map(StorageResponse::Keys),
+            StorageRequest::List(prefix) => storage.list_prefix(prefix).map(StorageResponse::Keys),
         }
     }
 
@@ -445,21 +489,21 @@ impl Inner {
     /// [`measure_cost`]/[`capture_deferred`] scope like any other charge.
     fn execute_with_retry(
         &self,
-        request: StorageRequest,
+        request: &StorageRequest,
     ) -> (AftResult<StorageResponse>, Duration) {
         let retry = self.config.retry;
         let mut backoff_total = Duration::ZERO;
         let mut attempt = 1u32;
         loop {
-            let result = self.execute_request(request.clone());
+            let result = self.execute_request(request);
             match &result {
                 Err(e) if e.is_transient_storage() && attempt < retry.max_attempts => {
-                    self.stats.retries.fetch_add(1, Ordering::Relaxed);
+                    self.state.lock().stats.retries += 1;
                     backoff_total += retry.backoff_for(attempt);
                     attempt += 1;
                 }
                 Err(e) if e.is_transient_storage() => {
-                    self.stats.retry_exhausted.fetch_add(1, Ordering::Relaxed);
+                    self.state.lock().stats.retry_exhausted += 1;
                     return (result, backoff_total);
                 }
                 _ => return (result, backoff_total),
@@ -467,52 +511,78 @@ impl Inner {
         }
     }
 
-    /// Fires a completion and releases its in-flight slot. The counter and
-    /// the slot are updated *before* the completion fires: a thread that
-    /// returns from `wait()` must observe its own request as completed.
-    fn finish(&self, completion: &Completion, result: AftResult<StorageResponse>, cost: Duration) {
-        self.stats.completed.fetch_add(1, Ordering::Relaxed);
+    /// Counts a submission and takes an in-flight slot for it, blocking
+    /// while the window is full. Returns the state guard so the caller can
+    /// finish its bookkeeping under the same lock.
+    fn acquire(&self) -> MutexGuard<'_, EngineState> {
         let mut state = self.state.lock();
-        state.in_flight = state.in_flight.saturating_sub(1);
-        drop(state);
-        self.space_cond.notify_all();
-        completion.fire(result, cost);
-    }
-
-    /// One worker's execution of one job.
-    fn run_job(self: &Arc<Self>, job: Job) {
-        if self.deferrable {
-            let ((result, backoff), cost) =
-                capture_deferred(|| self.execute_with_retry(job.request));
-            // Retry backoff is part of the operation's simulated duration:
-            // charge it, and push the deferred completion out by it too.
-            let charged = cost.charged + backoff;
-            if cost.deferred.is_zero() {
-                self.finish(&job.completion, result, charged);
-            } else {
-                // The sampled network delay was suppressed; deliver the
-                // completion when it would really have arrived.
-                self.stats.deferred.fetch_add(1, Ordering::Relaxed);
-                self.wheel.schedule(
-                    cost.deferred + backoff,
-                    Fired {
-                        inner: Arc::clone(self),
-                        completion: job.completion,
-                        result,
-                        cost: charged,
-                    },
-                );
+        state.stats.submitted += 1;
+        loop {
+            if !state.deadlines.is_empty() {
+                let now = Instant::now();
+                while state.deadlines.peek().is_some_and(|due| due.0 <= now) {
+                    state.deadlines.pop();
+                }
             }
-        } else {
-            // Service-occupancy backends keep exact blocking semantics; the
-            // worker is busy for the whole service time.
-            let ((result, backoff), charged) =
-                measure_cost(|| self.execute_with_retry(job.request));
-            self.finish(&job.completion, result, charged + backoff);
+            let depth = state.running + state.deadlines.len();
+            if depth < self.config.max_in_flight {
+                state.running += 1;
+                let in_flight = (depth + 1 + self.uncollected.load(Ordering::Relaxed))
+                    .min(self.config.max_in_flight);
+                state.stats.peak_in_flight = state.stats.peak_in_flight.max(in_flight as u64);
+                return state;
+            }
+            // Full: the next slot opens when the earliest outstanding
+            // deadline passes or a running request returns, whichever first.
+            match state.deadlines.peek().map(|due| due.0) {
+                Some(earliest) => {
+                    let wait = earliest.saturating_duration_since(Instant::now());
+                    let _ = self.space_cond.wait_for(&mut state, wait);
+                }
+                None => self.space_cond.wait(&mut state),
+            }
         }
     }
 
-    fn worker_loop(self: Arc<Self>) {
+    /// Runs `request` on the calling thread, which holds a slot from
+    /// [`acquire`](Inner::acquire). Returns the outcome and, when latency
+    /// was deferred, the instant the completion is due; the slot stays taken
+    /// until then.
+    fn run(&self, request: StorageRequest) -> (IoOutcome, Option<Instant>) {
+        // Retry backoff is part of the operation's simulated duration:
+        // charge it, and push a deferred completion out by it too.
+        let (result, cost, delay) = if self.deferrable {
+            let ((result, backoff), cost) = capture_deferred(|| self.execute_with_retry(&request));
+            let delay = if cost.deferred.is_zero() {
+                Duration::ZERO
+            } else {
+                cost.deferred + backoff
+            };
+            (result, cost.charged + backoff, delay)
+        } else {
+            // Service-occupancy backends keep exact blocking semantics; this
+            // thread is busy for the whole service time.
+            let ((result, backoff), charged) = measure_cost(|| self.execute_with_retry(&request));
+            (result, charged + backoff, Duration::ZERO)
+        };
+        // The sampled network delay was suppressed; the completion is due
+        // when it would really have arrived.
+        let ready_at = (!delay.is_zero()).then(|| Instant::now() + delay);
+        let mut state = self.state.lock();
+        state.running -= 1;
+        state.stats.completed += 1;
+        if let Some(at) = ready_at {
+            state.stats.deferred += 1;
+            state.deadlines.push(Reverse(at));
+        }
+        drop(state);
+        // Submitters blocked on a full window re-plan either way: the slot is
+        // free now, or there is a (possibly earlier) deadline to sleep to.
+        self.space_cond.notify_all();
+        (IoOutcome { result, cost }, ready_at)
+    }
+
+    fn worker_loop(&self) {
         loop {
             let job = {
                 let mut state = self.state.lock();
@@ -526,208 +596,52 @@ impl Inner {
                     self.work_cond.wait(&mut state);
                 }
             };
-            self.run_job(job);
+            let (outcome, _) = self.run(job.request);
+            // A submitter that dropped its ticket no longer wants the outcome.
+            let _ = job.done.send(outcome);
         }
     }
 }
 
-/// A deferred completion waiting on the timer wheel.
-struct Fired {
-    inner: Arc<Inner>,
-    completion: Arc<Completion>,
-    result: AftResult<StorageResponse>,
-    cost: Duration,
-}
-
-impl Fired {
-    fn fire(self) {
-        self.inner.finish(&self.completion, self.result, self.cost);
-    }
-}
-
-struct Scheduled {
-    /// Absolute wheel tick at which the entry fires. Congruent to its slot
-    /// index mod the slot count, so the cursor's pass over the slot at
-    /// exactly this tick (or a later revolution, for long delays) delivers
-    /// it — an entry is never parked for a spurious extra revolution.
-    deadline_tick: u64,
-    payload: Fired,
-}
-
-struct WheelState {
-    slots: Vec<Vec<Scheduled>>,
-    /// Ticks consumed so far (cursor = current_tick % slots). Fast-forwarded
-    /// to the wall clock whenever the wheel goes from empty to non-empty, so
-    /// idle time is never replayed tick by tick.
-    current_tick: u64,
-    pending: usize,
-    shutdown: bool,
-}
-
-/// A hashed timer wheel delivering deferred completions.
-///
-/// Entries carry an absolute deadline tick and hash to `deadline_tick %
-/// slots`; delays longer than one revolution simply stay in their slot until
-/// the cursor's tick count reaches the deadline. The timer thread parks
-/// while the wheel is empty, so engines over `Virtual`-mode backends (which
-/// never defer) cost nothing at rest. Precision is one tick, biased early:
-/// the deadline is rounded *down* to a tick boundary, mirroring how the
-/// blocking path treats sub-overhead sleeps as free — firing up to one tick
-/// early compensates the timed-wait overshoot of the host.
-struct TimerWheel {
-    tick: Duration,
-    state: Mutex<WheelState>,
-    cond: Condvar,
-    epoch: Instant,
-}
-
-impl TimerWheel {
-    fn new(tick: Duration, slots: usize) -> Self {
-        let tick = tick.max(Duration::from_micros(10));
-        TimerWheel {
-            tick,
-            state: Mutex::new(WheelState {
-                slots: (0..slots.max(1)).map(|_| Vec::new()).collect(),
-                current_tick: 0,
-                pending: 0,
-                shutdown: false,
-            }),
-            cond: Condvar::new(),
-            epoch: Instant::now(),
-        }
-    }
-
-    /// The absolute tick the wall clock had reached at `at` (rounded down).
-    fn wall_tick(&self, at: Instant) -> u64 {
-        (at.saturating_duration_since(self.epoch).as_nanos() / self.tick.as_nanos()) as u64
-    }
-
-    fn schedule(&self, delay: Duration, payload: Fired) {
-        let now = Instant::now();
-        let mut state = self.state.lock();
-        if state.pending == 0 {
-            // Empty wheel: jump the cursor to the present so the timer
-            // thread's catch-up never replays the idle gap tick by tick.
-            state.current_tick = self.wall_tick(now);
-        }
-        // Rounded down, but always strictly in the future of the cursor so
-        // the next pass delivers it.
-        let deadline_tick = self.wall_tick(now + delay).max(state.current_tick + 1);
-        let slot = (deadline_tick % state.slots.len() as u64) as usize;
-        state.slots[slot].push(Scheduled {
-            deadline_tick,
-            payload,
-        });
-        state.pending += 1;
-        drop(state);
-        self.cond.notify_all();
-    }
-
-    fn timer_loop(&self) {
-        let mut state = self.state.lock();
-        loop {
-            if state.shutdown {
-                // Unblock any remaining waiters: their results are already
-                // computed, only the simulated delay is cut short.
-                let leftovers: Vec<Scheduled> =
-                    state.slots.iter_mut().flat_map(std::mem::take).collect();
-                state.pending = 0;
-                drop(state);
-                for entry in leftovers {
-                    entry.payload.fire();
-                }
-                return;
-            }
-            if state.pending == 0 {
-                self.cond.wait(&mut state);
-                continue;
-            }
-            let _ = self.cond.wait_for(&mut state, self.tick);
-            if state.shutdown {
-                continue;
-            }
-            // Advance to the tick the wall clock has reached (wait_for may
-            // overshoot; catching up keeps the wheel drift-free).
-            let target_tick = self.wall_tick(Instant::now());
-            let mut due: Vec<Fired> = Vec::new();
-            while state.current_tick < target_tick {
-                state.current_tick += 1;
-                let tick_now = state.current_tick;
-                let cursor = (tick_now % state.slots.len() as u64) as usize;
-                let slot = &mut state.slots[cursor];
-                let mut i = 0;
-                while i < slot.len() {
-                    if slot[i].deadline_tick <= tick_now {
-                        due.push(slot.swap_remove(i).payload);
-                    } else {
-                        // A later revolution's entry; leave it in place.
-                        i += 1;
-                    }
-                }
-            }
-            state.pending -= due.len().min(state.pending);
-            if !due.is_empty() {
-                drop(state);
-                for payload in due {
-                    payload.fire();
-                }
-                state = self.state.lock();
-            }
-        }
-    }
-
-    fn shutdown(&self) {
-        self.state.lock().shutdown = true;
-        self.cond.notify_all();
-    }
-}
-
-/// The pipelined storage I/O engine: a submission queue, a worker pool, and
-/// a timer wheel for deferred completions. See the module docs.
+/// The storage I/O engine: submitter-run requests with waiter-timed
+/// completions, plus a worker pool when the backend must be called blocking.
+/// See the module docs.
 pub struct IoEngine {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    timer: Option<JoinHandle<()>>,
 }
 
 impl IoEngine {
-    /// Creates an engine over `storage` and spawns its threads (none in the
-    /// sequential configuration).
+    /// Creates an engine over `storage`. Spawns `config.workers` threads if
+    /// the backend is blocking, none otherwise.
     pub fn new(storage: SharedStorage, config: IoConfig) -> Self {
         let deferrable = storage.supports_deferred_latency();
         let inner = Arc::new(Inner {
             deferrable,
-            wheel: TimerWheel::new(config.wheel_tick, config.wheel_slots),
             state: Mutex::new(EngineState {
+                running: 0,
+                deadlines: BinaryHeap::new(),
                 queue: VecDeque::new(),
-                in_flight: 0,
                 shutdown: false,
+                stats: IoStatsSnapshot::default(),
             }),
+            uncollected: AtomicUsize::new(0),
             work_cond: Condvar::new(),
             space_cond: Condvar::new(),
-            stats: IoStatsInner::default(),
             storage,
             config: IoConfig {
                 max_in_flight: config.max_in_flight.max(1),
                 ..config
             },
         });
-        let workers = (0..config.workers)
+        let pool = if deferrable { 0 } else { config.workers };
+        let workers = (0..pool)
             .map(|_| {
                 let inner = Arc::clone(&inner);
                 std::thread::spawn(move || inner.worker_loop())
             })
             .collect();
-        // The wheel only ever holds entries for deferrable backends.
-        let timer = (config.workers > 0 && deferrable).then(|| {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || inner.wheel.timer_loop())
-        });
-        IoEngine {
-            inner,
-            workers,
-            timer,
-        }
+        IoEngine { inner, workers }
     }
 
     /// The engine's storage backend.
@@ -740,86 +654,80 @@ impl IoEngine {
         self.inner.config
     }
 
-    /// Whether requests overlap (worker pool active) or run one at a time.
+    /// Whether requests can overlap at all: [`overlap_window`] above 1.
+    ///
+    /// [`overlap_window`]: IoEngine::overlap_window
     pub fn is_pipelined(&self) -> bool {
-        !self.workers.is_empty()
+        self.overlap_window() > 1
     }
 
     /// How many requests can truly be in flight together: the in-flight
-    /// window for deferrable backends (workers only shepherd requests onto
-    /// the timer wheel), the worker count for blocking backends, and 1 for
-    /// the sequential configuration. Batch cost accounting uses this so the
-    /// virtual clock never undercharges a batch larger than the overlap the
-    /// engine actually provides.
+    /// window for deferrable backends (overlap comes from deferral, one
+    /// thread sustains any depth), and for blocking backends the pool size
+    /// capped by the window — 1 without a pool. Batch cost accounting uses
+    /// this so the virtual clock never undercharges a batch larger than the
+    /// overlap the engine actually provides.
     pub fn overlap_window(&self) -> usize {
-        if self.workers.is_empty() {
-            1
-        } else if self.inner.deferrable {
+        if self.inner.deferrable {
             self.inner.config.max_in_flight
         } else {
-            self.workers.len().min(self.inner.config.max_in_flight)
+            self.workers.len().clamp(1, self.inner.config.max_in_flight)
         }
     }
 
     /// Point-in-time engine counters.
     pub fn stats(&self) -> IoStatsSnapshot {
-        let s = &self.inner.stats;
-        IoStatsSnapshot {
-            submitted: s.submitted.load(Ordering::Relaxed),
-            completed: s.completed.load(Ordering::Relaxed),
-            deferred: s.deferred.load(Ordering::Relaxed),
-            inline: s.inline.load(Ordering::Relaxed),
-            peak_in_flight: s.peak_in_flight.load(Ordering::Relaxed),
-            retries: s.retries.load(Ordering::Relaxed),
-            retry_exhausted: s.retry_exhausted.load(Ordering::Relaxed),
-        }
+        self.inner.state.lock().stats
     }
 
     /// Submits one request and returns its completion ticket. Blocks while
-    /// the in-flight window is full (bounded queue depth).
-    pub fn submit(&self, request: StorageRequest) -> IoTicket {
-        self.inner.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        let completion = Completion::new();
+    /// the in-flight window is full (bounded queue depth). On a deferrable
+    /// backend, or without a pool, the request has already run when this
+    /// returns; otherwise it is queued for a worker.
+    pub fn submit(&self, request: StorageRequest) -> IoTicket<'_> {
         if self.workers.is_empty() {
-            // Sequential path: execute inline, charging the full round trip
-            // (and any retry backoff) on the calling thread.
-            self.inner.stats.inline.fetch_add(1, Ordering::Relaxed);
-            let ((result, backoff), charged) =
-                measure_cost(|| self.inner.execute_with_retry(request));
-            self.inner.stats.completed.fetch_add(1, Ordering::Relaxed);
-            completion.fire(result, charged + backoff);
-            return IoTicket { completion };
+            let (outcome, ready_at) = self.run_here(request);
+            let due = match ready_at {
+                Some(at) => Due::At(at),
+                None => Due::OnCollect {
+                    _held: Uncollected::new(&self.inner.uncollected),
+                },
+            };
+            return IoTicket(Ticket::Ran { outcome, due });
         }
-        let mut state = self.inner.state.lock();
-        while state.in_flight >= self.inner.config.max_in_flight {
-            self.inner.space_cond.wait(&mut state);
-        }
-        state.in_flight += 1;
-        let depth = state.in_flight as u64;
-        state.queue.push_back(Job {
-            request,
-            completion: Arc::clone(&completion),
-        });
+        let (done, outcome) = mpsc::sync_channel(1);
+        let mut state = self.inner.acquire();
+        state.queue.push_back(Job { request, done });
         drop(state);
-        self.inner
-            .stats
-            .peak_in_flight
-            .fetch_max(depth, Ordering::Relaxed);
         self.inner.work_cond.notify_one();
-        IoTicket { completion }
+        IoTicket(Ticket::Queued(outcome))
+    }
+
+    /// Runs one request on the calling thread; returns its outcome and,
+    /// when latency was deferred, the instant the completion is due.
+    fn run_here(&self, request: StorageRequest) -> (IoOutcome, Option<Instant>) {
+        self.inner.acquire().stats.inline += 1;
+        self.inner.run(request)
     }
 
     /// Submits a batch of requests and returns their completion set.
-    pub fn submit_all(&self, requests: impl IntoIterator<Item = StorageRequest>) -> CompletionSet {
+    pub fn submit_all(
+        &self,
+        requests: impl IntoIterator<Item = StorageRequest>,
+    ) -> CompletionSet<'_> {
         CompletionSet {
             tickets: requests.into_iter().map(|r| self.submit(r)).collect(),
             window: self.overlap_window(),
         }
     }
 
-    /// Submits one request and waits for it.
+    /// Runs one request on the calling thread and waits out its latency.
     pub fn execute(&self, request: StorageRequest) -> IoOutcome {
-        self.submit(request).wait()
+        let (outcome, ready_at) = self.run_here(request);
+        if let Some(at) = ready_at {
+            sleep_until(at);
+        }
+        outcome
     }
 
     /// Durably writes every item, overlapping the round trips, and returns
@@ -850,24 +758,17 @@ impl IoEngine {
 
     /// Reads every key, overlapping the round trips; the responses come back
     /// in submission order.
-    pub fn get_all(&self, keys: impl IntoIterator<Item = String>) -> CompletionSet {
+    pub fn get_all(&self, keys: impl IntoIterator<Item = String>) -> CompletionSet<'_> {
         self.submit_all(keys.into_iter().map(StorageRequest::Get))
     }
 }
 
 impl Drop for IoEngine {
     fn drop(&mut self) {
-        {
-            let mut state = self.inner.state.lock();
-            state.shutdown = true;
-        }
+        self.inner.state.lock().shutdown = true;
         self.inner.work_cond.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
-        }
-        self.inner.wheel.shutdown();
-        if let Some(timer) = self.timer.take() {
-            let _ = timer.join();
         }
     }
 }
@@ -992,13 +893,14 @@ mod tests {
     }
 
     #[test]
-    fn sequential_config_executes_inline() {
+    fn sequential_config_is_a_window_of_one() {
         let engine = IoEngine::new(InMemoryStore::shared(), IoConfig::sequential());
         assert!(!engine.is_pipelined());
+        assert_eq!(engine.overlap_window(), 1);
         let ticket = engine.submit(StorageRequest::Put("k".into(), val("v")));
-        assert!(ticket.is_complete(), "inline execution completes at submit");
         assert!(ticket.wait().result.is_ok());
         assert_eq!(engine.stats().inline, 1);
+        assert_eq!(engine.stats().peak_in_flight, 1);
     }
 
     #[test]
@@ -1095,8 +997,9 @@ mod tests {
     #[test]
     fn deferred_completions_overlap_wall_clock_sleeps() {
         // Four 20ms S3 writes, pipelined: the batch completes in roughly one
-        // write's wall time because the sleeps are deferred to the wheel and
-        // overlap. Generous bounds keep this stable on loaded hosts.
+        // write's wall time because the sleeps are deferred to the waiter,
+        // who sleeps once for all four. Generous bounds keep this stable on
+        // loaded hosts.
         let profile = ServiceProfile {
             write: LatencyProfile::new(20_000.0, 20_000.0),
             ..ServiceProfile::zero()
@@ -1132,6 +1035,204 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.completed, 16);
         assert!(stats.peak_in_flight <= 2);
+    }
+
+    /// A backend double recording which thread made each call, and when.
+    struct Recording {
+        inner: SharedStorage,
+        deferrable: bool,
+        calls: Mutex<Vec<(std::thread::ThreadId, Instant)>>,
+    }
+
+    impl Recording {
+        fn new(inner: SharedStorage, deferrable: bool) -> Arc<Self> {
+            Arc::new(Recording {
+                inner,
+                deferrable,
+                calls: Mutex::new(Vec::new()),
+            })
+        }
+
+        fn record(&self) {
+            self.calls
+                .lock()
+                .push((std::thread::current().id(), Instant::now()));
+        }
+
+        fn threads(&self) -> Vec<std::thread::ThreadId> {
+            self.calls
+                .lock()
+                .iter()
+                .map(|(thread, _)| *thread)
+                .collect()
+        }
+    }
+
+    impl StorageEngine for Recording {
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+
+        fn get(&self, key: &str) -> AftResult<Option<Value>> {
+            self.record();
+            self.inner.get(key)
+        }
+
+        fn put(&self, key: &str, value: Value) -> AftResult<()> {
+            self.record();
+            self.inner.put(key, value)
+        }
+
+        fn put_batch(&self, items: Vec<(String, Value)>) -> AftResult<()> {
+            self.record();
+            self.inner.put_batch(items)
+        }
+
+        fn delete(&self, key: &str) -> AftResult<()> {
+            self.record();
+            self.inner.delete(key)
+        }
+
+        fn delete_batch(&self, keys: &[String]) -> AftResult<()> {
+            self.record();
+            self.inner.delete_batch(keys)
+        }
+
+        fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
+            self.record();
+            self.inner.list_prefix(prefix)
+        }
+
+        fn supports_batch_put(&self) -> bool {
+            self.inner.supports_batch_put()
+        }
+
+        fn supports_deferred_latency(&self) -> bool {
+            self.deferrable
+        }
+
+        fn stats(&self) -> Arc<crate::counters::StorageStats> {
+            self.inner.stats()
+        }
+    }
+
+    fn items(n: usize) -> Vec<(String, Value)> {
+        (0..n).map(|i| (format!("k{i}"), val("v"))).collect()
+    }
+
+    #[test]
+    fn deferrable_backends_run_on_the_submitter_and_own_no_threads() {
+        // Over S3 (no batch API: put_all fans out per key) and over memory
+        // (one PutBatch): every backend call is made by the submitting thread.
+        for inner in [s3_virtual(), InMemoryStore::shared() as SharedStorage] {
+            let backend = Recording::new(inner, true);
+            let engine = IoEngine::new(backend.clone(), IoConfig::pipelined());
+            assert!(
+                engine.workers.is_empty(),
+                "no pool over a deferrable backend"
+            );
+            assert!(engine.is_pipelined(), "overlap comes from deferral");
+            engine.put_all(items(4)).unwrap();
+            engine
+                .execute(StorageRequest::Get("k0".into()))
+                .result
+                .unwrap();
+            engine
+                .get_all((0..4).map(|i| format!("k{i}")))
+                .wait_all()
+                .ok()
+                .unwrap();
+            let me = std::thread::current().id();
+            let threads = backend.threads();
+            assert!(threads.len() >= 6);
+            assert!(threads.iter().all(|t| *t == me));
+            let stats = engine.stats();
+            assert_eq!(stats.inline, stats.submitted);
+            assert_eq!(stats.deferred, 0, "Virtual mode defers nothing");
+        }
+    }
+
+    #[test]
+    fn blocking_backends_keep_the_pool_but_execute_runs_on_its_caller() {
+        let backend = Recording::new(InMemoryStore::shared(), false);
+        let engine = IoEngine::new(backend.clone(), IoConfig::pipelined().with_workers(2));
+        assert_eq!(engine.workers.len(), 2);
+        assert_eq!(engine.overlap_window(), 2);
+        let me = std::thread::current().id();
+
+        engine
+            .execute(StorageRequest::Put("a".into(), val("v")))
+            .result
+            .unwrap();
+        assert_eq!(backend.threads(), vec![me], "execute never hands off");
+
+        engine
+            .submit_all((0..3).map(|i| StorageRequest::Put(format!("k{i}"), val("v"))))
+            .wait_all()
+            .ok()
+            .unwrap();
+        let threads = backend.threads();
+        assert_eq!(threads.len(), 4);
+        assert!(
+            threads[1..].iter().all(|t| *t != me),
+            "a batch overlaps on the pool"
+        );
+        let stats = engine.stats();
+        assert_eq!((stats.submitted, stats.completed, stats.inline), (4, 4, 1));
+
+        // Without a pool everything runs on the submitter, one at a time.
+        let lone = IoEngine::new(backend.clone(), IoConfig::pipelined().with_workers(0));
+        assert!(!lone.is_pipelined());
+        lone.put_all(items(3)).unwrap();
+        assert!(backend.threads()[4..].iter().all(|t| *t == me));
+    }
+
+    #[test]
+    fn undeferred_requests_stay_in_flight_until_collected() {
+        // Virtual clock: nothing is deferred, so a batch's members are in
+        // flight together (in virtual time) until the barrier collects them.
+        let engine = IoEngine::new(s3_virtual(), IoConfig::pipelined());
+        let batch = engine.submit_all((0..5).map(|i| StorageRequest::Get(format!("k{i}"))));
+        assert_eq!(engine.stats().peak_in_flight, 5);
+        batch.wait_all().ok().unwrap();
+        // Collected, waited or dropped: none of them is in flight any more.
+        engine.submit(StorageRequest::Get("k1".into())).wait();
+        drop(engine.submit(StorageRequest::Get("k2".into())));
+        assert_eq!(engine.inner.uncollected.load(Ordering::Relaxed), 0);
+        assert_eq!(engine.stats().peak_in_flight, 5);
+    }
+
+    #[test]
+    fn the_window_bounds_outstanding_deferred_completions() {
+        // A fixed 5ms Sleep-mode write and a window of 4: the backend call of
+        // request i+4 cannot be made before request i's completion was due,
+        // 5ms after its own call. The bound is one-sided and exact: deadlines
+        // only ever expire late.
+        let latency = Duration::from_millis(5);
+        let profile = ServiceProfile {
+            write: LatencyProfile::new(5_000.0, 5_000.0),
+            ..ServiceProfile::zero()
+        };
+        let s3: SharedStorage =
+            SimS3::with_profile(profile, LatencyModel::new(LatencyMode::Sleep, 1.0), 3);
+        let backend = Recording::new(s3, true);
+        let engine = IoEngine::new(backend.clone(), IoConfig::pipelined().with_max_in_flight(4));
+        engine
+            .submit_all((0..12).map(|i| StorageRequest::Put(format!("k{i}"), val("v"))))
+            .wait_all()
+            .ok()
+            .unwrap();
+        let calls: Vec<Instant> = backend.calls.lock().iter().map(|(_, at)| *at).collect();
+        assert_eq!(calls.len(), 12);
+        for i in 4..calls.len() {
+            assert!(
+                calls[i] - calls[i - 4] >= latency,
+                "request {i} was issued with four still outstanding"
+            );
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.peak_in_flight, 4);
+        assert_eq!(stats.deferred, 12);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::Rng;
 
@@ -36,7 +36,8 @@ thread_local! {
     static OP_CHARGE_NS: Cell<u64> = const { Cell::new(0) };
     /// Sleep time suppressed inside the innermost [`capture_deferred`] scope:
     /// durations that `Sleep` mode would have slept but instead handed to the
-    /// caller to apply later (the I/O engine's timer wheel).
+    /// caller to apply later (the I/O engine stamps them into the request's
+    /// ticket as a completion deadline).
     static DEFERRED_NS: Cell<u64> = const { Cell::new(0) };
     /// Whether a [`capture_deferred`] scope is active on this thread.
     static DEFER_ACTIVE: Cell<bool> = const { Cell::new(false) };
@@ -57,9 +58,9 @@ pub fn measure_cost<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 
 /// Runs `f` with sleeping suppressed: any latency that `Sleep` mode would
 /// have slept is instead returned as the *deferred* duration, for the caller
-/// to apply asynchronously (the I/O engine schedules the operation's
-/// completion that far in the future on its timer wheel). The charged
-/// duration is returned as well, exactly as [`measure_cost`] would.
+/// to apply later (the I/O engine makes the operation's completion due that
+/// far in the future, and whoever waits on it sleeps the remainder). The
+/// charged duration is returned as well, exactly as [`measure_cost`] would.
 ///
 /// In `Virtual` mode nothing sleeps anyway, so the deferred duration is zero
 /// and completions are immediate; the charge still reports the sampled cost.
@@ -236,8 +237,8 @@ impl LatencyModel {
     /// it. Returns the duration.
     ///
     /// Inside a [`capture_deferred`] scope the sleep is suppressed and the
-    /// duration is handed to the scope instead, so an I/O engine worker can
-    /// apply the latency as a deferred completion rather than by blocking.
+    /// duration is handed to the scope instead, so the I/O engine can apply
+    /// the latency as a completion deadline rather than by blocking here.
     pub fn finish(&self, duration: Duration) -> Duration {
         self.injected_ns
             .fetch_add(duration.as_nanos() as u64, Ordering::Relaxed);
@@ -247,18 +248,7 @@ impl LatencyModel {
             return duration;
         }
         if self.mode == LatencyMode::Sleep && !duration.is_zero() {
-            // Plain `thread::sleep` is used rather than spinning: the
-            // simulations run hundreds of client threads, frequently on
-            // modest hosts, and busy-waiting would distort every measurement
-            // by stealing CPU from the threads doing real work. The kernel
-            // overshoots short sleeps by a roughly constant amount, so that
-            // overhead is calibrated once and subtracted; durations below the
-            // overhead are treated as free rather than inflated to ~100 µs,
-            // which preserves the ordering between fast and slow services.
-            let overhead = sleep_overhead();
-            if duration > overhead {
-                std::thread::sleep(duration - overhead);
-            }
+            sleep_calibrated(duration);
         }
         duration
     }
@@ -363,6 +353,28 @@ impl std::fmt::Debug for StripedSampler {
             .field("stripes", &self.rngs.len())
             .finish_non_exhaustive()
     }
+}
+
+/// Sleeps for `duration` of simulated latency.
+///
+/// Plain `thread::sleep` is used rather than spinning: the simulations run
+/// hundreds of client threads, frequently on modest hosts, and busy-waiting
+/// would distort every measurement by stealing CPU from the threads doing
+/// real work. The kernel overshoots short sleeps by a roughly constant
+/// amount, so that overhead is calibrated once and subtracted; durations
+/// below the overhead are treated as free rather than inflated to ~100 µs,
+/// which preserves the ordering between fast and slow services.
+fn sleep_calibrated(duration: Duration) {
+    let overhead = sleep_overhead();
+    if duration > overhead {
+        std::thread::sleep(duration - overhead);
+    }
+}
+
+/// Sleeps out what is left of a deferred completion's latency: until
+/// `deadline`, with the calibration of a `Sleep`-mode [`LatencyModel::finish`].
+pub(crate) fn sleep_until(deadline: Instant) {
+    sleep_calibrated(deadline.saturating_duration_since(Instant::now()));
 }
 
 /// The host's `thread::sleep` overshoot for short sleeps, measured once.

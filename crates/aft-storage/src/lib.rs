@@ -22,10 +22,12 @@
 //! * [`sharded`] — N-way lock striping for the backends' shared data plane,
 //!   so multi-client experiments measure the protocol rather than contention
 //!   on a single map lock. Per-stripe counters roll up into [`counters`].
-//! * [`io`] — the pipelined I/O layer: a submission/completion engine
-//!   ([`IoEngine`]) with a worker pool and a timer wheel, so N in-flight
-//!   requests overlap their sampled latencies instead of summing them (and
-//!   the virtual clock charges a concurrent batch the max, not the sum).
+//! * [`io`] — the overlapped I/O layer: a submission/completion engine
+//!   ([`IoEngine`]) that runs each request on its submitter and lets the
+//!   waiter time the completion, so N in-flight requests overlap their
+//!   sampled latencies instead of summing them (and the virtual clock
+//!   charges a concurrent batch the max, not the sum); blocking backends
+//!   get a worker pool.
 //!   [`SequentialEngine`] is the explicitly-sequential baseline wrapper.
 //! * [`chaos`] — deterministic fault injection: [`FaultyBackend`] wraps any
 //!   engine with the storage layer of a seeded, cross-layer

@@ -232,7 +232,7 @@ impl StorageEngine for SimShardedService {
     fn supports_deferred_latency(&self) -> bool {
         // Deliberately false (the trait default, restated for emphasis): the
         // whole point of this simulator is that a request *occupies its lane*
-        // for the service time. Deferring the sleep to a timer wheel would
+        // for the service time. Deferring the sleep to the caller would
         // free the lane early and erase the queueing the scaling experiments
         // measure.
         false
