@@ -6,13 +6,14 @@
 //! combined with the fault manager because it already receives every node's
 //! commit stream, closes the loop:
 //!
-//! 1. It runs Algorithm 2 over its own commit view to find superseded
-//!    transactions.
+//! 1. It walks the superseded set of the fault manager's commit view —
+//!    Algorithm 2, decided when each record was inserted — oldest first.
 //! 2. It asks every node whether it has locally deleted those transactions'
 //!    metadata.
 //! 3. Only when *all* nodes agree does it delete the transaction's key
 //!    versions and its commit record from storage, and tell the nodes to
-//!    forget their tombstones.
+//!    forget their tombstones. The whole round is one batched delete: every
+//!    agreed transaction's key versions first, all their commit records last.
 //!
 //! §5.2.1's caveat applies: because running transactions' read sets are not
 //! globally known, deleting old versions can force a long-running transaction
@@ -21,9 +22,9 @@
 
 use std::sync::Arc;
 
-use aft_core::{is_superseded, AftNode};
-use aft_storage::io::IoEngine;
-use aft_types::{AftResult, TransactionRecord};
+use aft_core::AftNode;
+use aft_storage::io::{IoEngine, StorageRequest};
+use aft_types::{AftResult, TransactionId, TransactionRecord};
 
 use crate::fault_manager::FaultManager;
 
@@ -75,12 +76,14 @@ impl GlobalGc {
 
     /// Runs one GC round against the fault manager's commit view.
     ///
-    /// Candidate selection (Algorithm 2 plus the all-nodes-agree check) runs
-    /// first, in memory; then every agreed transaction's deletion — one
-    /// batched delete covering its key versions and its commit record — is
-    /// submitted to the pipelined I/O engine and the round barriers on all
-    /// of them, so N transactions' delete round trips overlap instead of
-    /// summing (the paper dedicates cores to deletion for the same reason).
+    /// Candidate selection (the view's superseded set plus the
+    /// all-nodes-agree check) runs first, in memory; then the round's keys go
+    /// to storage as one batched delete, which each backend bills by its own
+    /// API shape. Key versions come before commit records so that a delete
+    /// that stops part-way never leaves data whose record — the only thing
+    /// that names it — is gone. If the delete fails nothing is forgotten:
+    /// tombstones and the view keep every candidate and the next round sends
+    /// the same keys again (deletes are idempotent).
     pub fn run_round(
         &self,
         fault_manager: &FaultManager,
@@ -93,12 +96,9 @@ impl GlobalGc {
         // Oldest first (§5.2.1): the oldest superseded data is the least
         // likely to still be needed by a running transaction.
         let mut deletable: Vec<Arc<TransactionRecord>> = Vec::new();
-        for record in metadata.records_oldest_first() {
+        for record in metadata.superseded_oldest_first() {
             if deletable.len() >= self.config.max_deletions_per_round {
                 break;
-            }
-            if !is_superseded(&record, metadata) {
-                continue;
             }
             outcome.candidates += 1;
 
@@ -116,45 +116,27 @@ impl GlobalGc {
             }
             deletable.push(record);
         }
+        if deletable.is_empty() {
+            return Ok(outcome);
+        }
 
-        // One overlapped barrier of batched deletes for the whole round.
-        let groups: Vec<Vec<String>> = deletable
+        let mut keys: Vec<String> = deletable
             .iter()
-            .map(|record| {
-                let mut keys: Vec<String> =
-                    record.key_versions().map(|kv| kv.storage_key()).collect();
-                keys.push(record.storage_key());
-                keys
-            })
+            .flat_map(|record| record.key_versions().map(|kv| kv.storage_key()))
             .collect();
-        let batch = io
-            .submit_all(
-                groups
-                    .iter()
-                    .map(|keys| aft_storage::io::StorageRequest::DeleteBatch(keys.clone())),
-            )
-            .wait_all();
+        keys.extend(deletable.iter().map(|record| record.storage_key()));
+        outcome.storage_keys_deleted = keys.len();
+        io.execute(StorageRequest::DeleteBatch(keys)).result?;
 
-        let mut first_error = None;
-        for ((record, keys), result) in deletable.iter().zip(&groups).zip(batch.results) {
-            match result {
-                Ok(_) => {
-                    outcome.storage_keys_deleted += keys.len();
-                    metadata.remove(&record.id);
-                    for node in nodes {
-                        node.forget_deleted(&[record.id]);
-                    }
-                    outcome.deleted += 1;
-                }
-                Err(e) => first_error = first_error.or(Some(e)),
-            }
+        let ids: Vec<TransactionId> = deletable.iter().map(|record| record.id).collect();
+        for id in &ids {
+            metadata.remove(id);
         }
-        match first_error {
-            // A failed delete leaves the transaction's tombstones in place;
-            // the next round retries it.
-            Some(e) => Err(e),
-            None => Ok(outcome),
+        for node in nodes {
+            node.forget_deleted(&ids);
         }
+        outcome.deleted = ids.len();
+        Ok(outcome)
     }
 }
 
@@ -164,16 +146,15 @@ mod tests {
     use crate::broadcast::broadcast_round;
     use aft_core::{LocalGcConfig, NodeConfig};
     use aft_storage::io::IoConfig;
-    use aft_storage::{InMemoryStore, SharedStorage, StorageEngine};
+    use aft_storage::{InMemoryStore, OpKind, SharedStorage, StorageEngine, StorageStats};
     use aft_types::clock::TickingClock;
-    use aft_types::Key;
+    use aft_types::{AftError, Key, Value};
     use bytes::Bytes;
+    use parking_lot::Mutex;
 
-    fn cluster_of(n: usize) -> (Vec<Arc<AftNode>>, Arc<InMemoryStore>, SharedStorage) {
-        let raw = InMemoryStore::shared();
-        let storage: SharedStorage = raw.clone();
+    fn nodes_over(storage: &SharedStorage, n: usize) -> Vec<Arc<AftNode>> {
         let clock = TickingClock::shared(1, 1);
-        let nodes = (0..n)
+        (0..n)
             .map(|i| {
                 AftNode::with_clock(
                     NodeConfig::test()
@@ -184,8 +165,84 @@ mod tests {
                 )
                 .unwrap()
             })
-            .collect();
-        (nodes, raw, storage)
+            .collect()
+    }
+
+    fn cluster_of(n: usize) -> (Vec<Arc<AftNode>>, Arc<InMemoryStore>, SharedStorage) {
+        let raw = InMemoryStore::shared();
+        let storage: SharedStorage = raw.clone();
+        (nodes_over(&storage, n), raw, storage)
+    }
+
+    /// A memory store that records the keys of every `delete_batch` it is
+    /// sent and fails the first `failures` of them without deleting.
+    struct DeleteSpy {
+        inner: Arc<InMemoryStore>,
+        failures: Mutex<usize>,
+        batches: Mutex<Vec<Vec<String>>>,
+    }
+
+    impl DeleteSpy {
+        fn failing_first(failures: usize) -> Arc<Self> {
+            Arc::new(DeleteSpy {
+                inner: InMemoryStore::shared(),
+                failures: Mutex::new(failures),
+                batches: Mutex::new(Vec::new()),
+            })
+        }
+    }
+
+    impl StorageEngine for DeleteSpy {
+        fn name(&self) -> &'static str {
+            "delete-spy"
+        }
+        fn get(&self, key: &str) -> AftResult<Option<Value>> {
+            self.inner.get(key)
+        }
+        fn put(&self, key: &str, value: Value) -> AftResult<()> {
+            self.inner.put(key, value)
+        }
+        fn put_batch(&self, items: Vec<(String, Value)>) -> AftResult<()> {
+            self.inner.put_batch(items)
+        }
+        fn delete(&self, key: &str) -> AftResult<()> {
+            self.inner.delete(key)
+        }
+        fn delete_batch(&self, keys: &[String]) -> AftResult<()> {
+            self.batches.lock().push(keys.to_vec());
+            let mut failures = self.failures.lock();
+            if *failures > 0 {
+                *failures -= 1;
+                return Err(AftError::Storage("delete refused".to_owned()));
+            }
+            self.inner.delete_batch(keys)
+        }
+        fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
+            self.inner.list_prefix(prefix)
+        }
+        fn supports_batch_put(&self) -> bool {
+            self.inner.supports_batch_put()
+        }
+        fn stats(&self) -> Arc<StorageStats> {
+            self.inner.stats()
+        }
+    }
+
+    /// Commits five versions of each of two keys on node 0 of a two-node
+    /// cluster over `storage`, disseminates them and runs local GC
+    /// everywhere: eight transactions are ready for the global GC.
+    fn eight_collectable(storage: &SharedStorage) -> (Vec<Arc<AftNode>>, FaultManager) {
+        let nodes = nodes_over(storage, 2);
+        let fm = FaultManager::new();
+        for i in 0..5 {
+            commit_on(&nodes[0], "a", &format!("a{i}"));
+            commit_on(&nodes[0], "b", &format!("b{i}"));
+        }
+        broadcast_round(&nodes, Some(&fm));
+        for node in &nodes {
+            node.run_local_gc(&LocalGcConfig::aggressive());
+        }
+        (nodes, fm)
     }
 
     fn engine_over(storage: &SharedStorage) -> IoEngine {
@@ -289,5 +346,102 @@ mod tests {
         assert_eq!(outcome.deleted, 2);
         let outcome = gc.run_round(&fm, &nodes, &io).unwrap();
         assert_eq!(outcome.deleted, 1, "five superseded versions in total");
+    }
+
+    #[test]
+    fn a_round_is_one_batched_delete() {
+        let raw = InMemoryStore::shared();
+        let storage: SharedStorage = raw.clone();
+        let (nodes, fm) = eight_collectable(&storage);
+        let io = engine_over(&storage);
+
+        let before = raw.stats().calls(OpKind::BatchDelete);
+        let outcome = GlobalGc::default().run_round(&fm, &nodes, &io).unwrap();
+        assert_eq!(outcome.deleted, 8);
+        assert_eq!(
+            outcome.storage_keys_deleted,
+            8 + 8,
+            "one data key and one commit record per transaction"
+        );
+        assert_eq!(raw.stats().calls(OpKind::BatchDelete) - before, 1);
+        assert_eq!(raw.stats().calls(OpKind::Delete), 0);
+        assert_eq!(raw.list_prefix("data/").unwrap().len(), 2);
+        assert_eq!(raw.list_prefix("commit/").unwrap().len(), 2);
+
+        // Nothing left to collect: the next round makes no storage call.
+        let outcome = GlobalGc::default().run_round(&fm, &nodes, &io).unwrap();
+        assert_eq!(outcome, GlobalGcOutcome::default());
+        assert_eq!(raw.stats().calls(OpKind::BatchDelete) - before, 1);
+    }
+
+    #[test]
+    fn commit_records_are_deleted_after_every_data_key() {
+        let spy = DeleteSpy::failing_first(0);
+        let storage: SharedStorage = spy.clone();
+        let (nodes, fm) = eight_collectable(&storage);
+
+        GlobalGc::default()
+            .run_round(&fm, &nodes, &engine_over(&storage))
+            .unwrap();
+        let batches = spy.batches.lock();
+        assert_eq!(batches.len(), 1);
+        let (data, records) = batches[0].split_at(8);
+        assert!(data.iter().all(|k| k.starts_with("data/")));
+        assert_eq!(records.len(), 8);
+        assert!(records.iter().all(|k| k.starts_with("commit/")));
+    }
+
+    #[test]
+    fn a_failed_delete_forgets_nothing_and_the_next_round_retries() {
+        let spy = DeleteSpy::failing_first(1);
+        let storage: SharedStorage = spy.clone();
+        let (nodes, fm) = eight_collectable(&storage);
+        let io = engine_over(&storage);
+        let gc = GlobalGc::default();
+        let tombstones: Vec<_> = nodes.iter().map(|n| n.locally_deleted()).collect();
+        // The committing node holds all eight; its peer never learned of the
+        // superseded commits (pruned multicast) and holds none.
+        assert_eq!(tombstones[0].len(), 8);
+
+        assert!(gc.run_round(&fm, &nodes, &io).is_err());
+        assert_eq!(fm.metadata().len(), 10, "the view keeps every candidate");
+        assert_eq!(fm.metadata().superseded_oldest_first().len(), 8);
+        for (node, before) in nodes.iter().zip(&tombstones) {
+            assert_eq!(&node.locally_deleted(), before);
+        }
+        assert_eq!(spy.inner.list_prefix("commit/").unwrap().len(), 10);
+
+        let outcome = gc.run_round(&fm, &nodes, &io).unwrap();
+        assert_eq!(outcome.deleted, 8);
+        assert_eq!(spy.inner.list_prefix("data/").unwrap().len(), 2);
+        assert_eq!(spy.inner.list_prefix("commit/").unwrap().len(), 2);
+        assert_eq!(fm.metadata().len(), 2);
+        assert!(nodes.iter().all(|n| n.locally_deleted().is_empty()));
+        let batches = spy.batches.lock();
+        assert_eq!(batches.len(), 2);
+        assert_eq!(batches[0], batches[1], "the retry sends the same keys");
+    }
+
+    #[test]
+    fn candidates_count_the_superseded_set_not_the_view() {
+        let (nodes, _raw, storage) = cluster_of(1);
+        let io = engine_over(&storage);
+        let fm = FaultManager::new();
+        // 200 keys written once stay live; one key written four times leaves
+        // three superseded versions.
+        for i in 0..200 {
+            commit_on(&nodes[0], &format!("live/{i}"), "v");
+        }
+        for i in 0..4 {
+            commit_on(&nodes[0], "hot", &format!("v{i}"));
+        }
+        broadcast_round(&nodes, Some(&fm));
+        assert_eq!(fm.metadata().len(), 204);
+
+        // Not yet collected locally: all three wait for the node.
+        let outcome = GlobalGc::default().run_round(&fm, &nodes, &io).unwrap();
+        assert_eq!(outcome.candidates, 3);
+        assert_eq!(outcome.awaiting_nodes, 3);
+        assert_eq!(outcome.deleted, 0);
     }
 }

@@ -3,9 +3,9 @@
 //! Without garbage collection two things grow without bound: the commit
 //! metadata cached (and stored) for every transaction ever committed, and the
 //! key versions written to storage. Each node bounds the first locally: a
-//! background sweep walks its cached commit records oldest-first and drops
-//! every transaction that (a) is superseded (Algorithm 2) and (b) has no
-//! running transaction that read from its write set. Data in *storage* is
+//! background sweep walks the metadata cache's superseded set (Algorithm 2,
+//! kept up to date as records are inserted) oldest-first and drops every
+//! transaction that no running transaction has read from. Data in *storage* is
 //! never deleted locally — that requires the global protocol driven by the
 //! fault manager (§5.2), which `aft-cluster` implements on top of the hooks
 //! exposed here.
@@ -52,7 +52,8 @@ impl LocalGcConfig {
 /// The result of one local GC sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcOutcome {
-    /// Commit records examined.
+    /// Superseded commit records the sweep looked at — never more than the
+    /// superseded set holds, however large the cache.
     pub examined: usize,
     /// Records that were superseded but kept because a running transaction
     /// had read from them.

@@ -1,5 +1,5 @@
-//! The node-local metadata cache: the Commit Set Cache and the key version
-//! index.
+//! The node-local metadata cache: the Commit Set Cache, the key version
+//! index, and the superseded set.
 //!
 //! Every AFT node caches the IDs (and write sets) of recently committed
 //! transactions and maintains an index from each key to the committed
@@ -7,6 +7,16 @@
 //! version becomes readable on a node exactly when that node learns of the
 //! commit — either by committing locally, by receiving a multicast from a
 //! peer (§4), or by being told by the fault manager (§4.2).
+//!
+//! The cache also keeps Algorithm 2's verdict for every record it holds.
+//! Key version sets only grow (§4.1), so a cached record stops being the
+//! newest version of one of its keys exactly when a newer version of that key
+//! is inserted: each commit-set entry counts the keys its record is still
+//! newest for, and the records whose count reached zero form the superseded
+//! set that both garbage collectors sweep (§5.1, §5.2). A maintenance round
+//! therefore costs what was superseded since the last one, not what is
+//! cached. [`is_superseded`](crate::is_superseded) remains the definition:
+//! the set is `{r cached : is_superseded(r)}` at all times.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -22,11 +32,17 @@ pub struct MetadataCache {
 
 #[derive(Debug, Default)]
 struct Inner {
-    /// Commit Set Cache: every committed transaction this node knows about.
-    committed: HashMap<TransactionId, Arc<TransactionRecord>>,
+    /// Commit Set Cache: every committed transaction this node knows about,
+    /// with the number of keys in its write set for which it is the newest
+    /// cached version. The count shares the entry so it costs no memory: the
+    /// `(TransactionId, Arc)` bucket is padded past it anyway.
+    committed: HashMap<TransactionId, (Arc<TransactionRecord>, u32)>,
     /// Key version index: for each key, the committed transactions that wrote
     /// it, in transaction-ID order.
     key_index: HashMap<Key, BTreeSet<TransactionId>>,
+    /// The cached records whose count is zero — Algorithm 2's superseded
+    /// transactions — in transaction-ID order.
+    superseded: BTreeSet<TransactionId>,
 }
 
 impl MetadataCache {
@@ -36,20 +52,48 @@ impl MetadataCache {
     }
 
     /// Inserts a committed transaction record, updating the key version
-    /// index. Returns `false` if the record was already known.
+    /// index and the superseded set. Returns `false` if the record was
+    /// already known.
     pub fn insert(&self, record: Arc<TransactionRecord>) -> bool {
-        let mut inner = self.inner.write();
-        if inner.committed.contains_key(&record.id) {
+        let mut guard = self.inner.write();
+        let Inner {
+            committed,
+            key_index,
+            superseded,
+        } = &mut *guard;
+        let id = record.id;
+        if committed.contains_key(&id) {
             return false;
         }
+        // The write set is a set, so a key counts once however often the
+        // transaction wrote it.
+        let mut newest_for = 0u32;
         for key in &record.write_set {
-            inner
-                .key_index
-                .entry(key.clone())
-                .or_default()
-                .insert(record.id);
+            let versions = key_index.entry(key.clone()).or_default();
+            let previous = versions.last().copied();
+            versions.insert(id);
+            match previous {
+                // Arrived out of order: the key already has a newer version,
+                // so this record is never its newest.
+                Some(newer) if newer > id => {}
+                Some(older) => {
+                    newest_for += 1;
+                    let (_, count) = committed
+                        .get_mut(&older)
+                        .expect("every indexed version has a commit-set entry");
+                    *count -= 1;
+                    if *count == 0 {
+                        superseded.insert(older);
+                    }
+                }
+                None => newest_for += 1,
+            }
         }
-        inner.committed.insert(record.id, record);
+        // An empty write set (a read-only transaction) is superseded at once.
+        if newest_for == 0 {
+            superseded.insert(id);
+        }
+        committed.insert(id, (record, newest_for));
         true
     }
 
@@ -60,7 +104,11 @@ impl MetadataCache {
 
     /// Returns the commit record for `id`, if known.
     pub fn record(&self, id: &TransactionId) -> Option<Arc<TransactionRecord>> {
-        self.inner.read().committed.get(id).cloned()
+        self.inner
+            .read()
+            .committed
+            .get(id)
+            .map(|(record, _)| Arc::clone(record))
     }
 
     /// Returns the committed versions of `key` known to this node, oldest
@@ -89,19 +137,42 @@ impl MetadataCache {
             .is_some_and(|latest| latest > *than)
     }
 
-    /// Removes a transaction's metadata (local garbage collection, §5.1).
+    /// Removes a transaction's metadata (garbage collection, §5.1 and §5.2).
     ///
-    /// The caller is responsible for having checked supersedence and for
-    /// evicting any cached data; this method only touches metadata. Returns
-    /// the removed record, if it was present.
+    /// The collectors only remove superseded records, but any record may be
+    /// removed: taking away the newest version of a key makes its predecessor
+    /// the newest again, so the predecessor is re-credited and leaves the
+    /// superseded set. The caller is responsible for evicting any cached
+    /// data; this method only touches metadata. Returns the removed record,
+    /// if it was present.
     pub fn remove(&self, id: &TransactionId) -> Option<Arc<TransactionRecord>> {
-        let mut inner = self.inner.write();
-        let record = inner.committed.remove(id)?;
+        let mut guard = self.inner.write();
+        let Inner {
+            committed,
+            key_index,
+            superseded,
+        } = &mut *guard;
+        let (record, _) = committed.remove(id)?;
+        superseded.remove(id);
         for key in &record.write_set {
-            if let Some(set) = inner.key_index.get_mut(key) {
-                set.remove(id);
-                if set.is_empty() {
-                    inner.key_index.remove(key);
+            let Some(versions) = key_index.get_mut(key) else {
+                continue;
+            };
+            let was_newest = versions.last() == Some(id);
+            versions.remove(id);
+            match versions.last() {
+                Some(predecessor) if was_newest => {
+                    let (_, count) = committed
+                        .get_mut(predecessor)
+                        .expect("every indexed version has a commit-set entry");
+                    if *count == 0 {
+                        superseded.remove(predecessor);
+                    }
+                    *count += 1;
+                }
+                Some(_) => {}
+                None => {
+                    key_index.remove(key);
                 }
             }
         }
@@ -123,18 +194,27 @@ impl MetadataCache {
         self.inner.read().key_index.len()
     }
 
-    /// A snapshot of every cached commit record (used by garbage collection
-    /// sweeps and by tests).
+    /// A snapshot of every cached commit record (used by checkpoints and by
+    /// tests).
     pub fn all_records(&self) -> Vec<Arc<TransactionRecord>> {
-        self.inner.read().committed.values().cloned().collect()
+        self.inner
+            .read()
+            .committed
+            .values()
+            .map(|(record, _)| Arc::clone(record))
+            .collect()
     }
 
-    /// A snapshot of every cached commit record whose ID is at most `up_to`,
-    /// oldest first — the local GC sweeps oldest transactions first (§5.2.1).
-    pub fn records_oldest_first(&self) -> Vec<Arc<TransactionRecord>> {
-        let mut records = self.all_records();
-        records.sort_by_key(|r| r.id);
-        records
+    /// A snapshot of the cached records that are superseded (Algorithm 2),
+    /// oldest first — the order both garbage collectors sweep in (§5.2.1).
+    /// Costs the size of the superseded set, not of the cache.
+    pub fn superseded_oldest_first(&self) -> Vec<Arc<TransactionRecord>> {
+        let inner = self.inner.read();
+        inner
+            .superseded
+            .iter()
+            .map(|id| Arc::clone(&inner.committed[id].0))
+            .collect()
     }
 }
 
@@ -152,6 +232,14 @@ mod tests {
             tid(ts, ts as u128),
             keys.iter().map(Key::new),
         ))
+    }
+
+    fn superseded_ids(cache: &MetadataCache) -> Vec<TransactionId> {
+        cache
+            .superseded_oldest_first()
+            .iter()
+            .map(|r| r.id)
+            .collect()
     }
 
     #[test]
@@ -208,13 +296,41 @@ mod tests {
     }
 
     #[test]
-    fn records_oldest_first_is_sorted() {
+    fn a_new_newest_version_supersedes_its_predecessor() {
         let cache = MetadataCache::new();
-        cache.insert(record(30, &["x"]));
-        cache.insert(record(10, &["x"]));
-        cache.insert(record(20, &["x"]));
-        let ids: Vec<_> = cache.records_oldest_first().iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec![tid(10, 10), tid(20, 20), tid(30, 30)]);
+        cache.insert(record(10, &["a", "b"]));
+        cache.insert(record(20, &["a"]));
+        assert!(superseded_ids(&cache).is_empty(), "b is still current");
+        cache.insert(record(40, &["b"]));
+        assert_eq!(superseded_ids(&cache), vec![tid(10, 10)]);
+        // An older id arriving late is never the newest of its key.
+        cache.insert(record(30, &["b"]));
+        assert_eq!(superseded_ids(&cache), vec![tid(10, 10), tid(30, 30)]);
+        // A read-only transaction wrote nothing anyone could still need.
+        cache.insert(record(5, &[]));
+        assert_eq!(
+            superseded_ids(&cache),
+            vec![tid(5, 5), tid(10, 10), tid(30, 30)]
+        );
+    }
+
+    #[test]
+    fn removing_a_newest_version_revives_its_predecessor() {
+        let cache = MetadataCache::new();
+        cache.insert(record(1, &["a", "b"]));
+        cache.insert(record(2, &["a", "b"]));
+        cache.insert(record(3, &["a"]));
+        assert_eq!(superseded_ids(&cache), vec![tid(1, 1)]);
+
+        // T2 is still the newest "b"; without it T1 is again.
+        cache.remove(&tid(2, 2));
+        assert!(superseded_ids(&cache).is_empty());
+        // Removing a superseded record changes nobody else's verdict.
+        cache.insert(record(4, &["b"]));
+        assert_eq!(superseded_ids(&cache), vec![tid(1, 1)]);
+        cache.remove(&tid(1, 1));
+        assert!(superseded_ids(&cache).is_empty());
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

@@ -849,12 +849,14 @@ impl AftNode {
 
     /// Runs one local metadata GC sweep (§5.1): removes superseded
     /// transactions that no running transaction has read from, evicts their
-    /// cached data, and remembers them for the global GC protocol.
+    /// cached data, and remembers them for the global GC protocol. The sweep
+    /// walks the metadata cache's superseded set, so it costs what was
+    /// superseded since the last sweep, not what is cached.
     pub fn run_local_gc(&self, config: &LocalGcConfig) -> GcOutcome {
         let mut outcome = GcOutcome::default();
         let now_ms = self.clock.now();
         let min_age_ms = config.min_age.as_millis() as u64;
-        for record in self.metadata.records_oldest_first() {
+        for record in self.metadata.superseded_oldest_first() {
             if outcome.deleted >= config.max_deletions_per_sweep {
                 break;
             }
@@ -863,9 +865,6 @@ impl AftNode {
                 // Too young; and since records are visited oldest-first, every
                 // later record is younger still.
                 break;
-            }
-            if !is_superseded(&record, &self.metadata) {
-                continue;
             }
             if self.buffer.any_reader_of(&record.id) {
                 outcome.retained_for_readers += 1;

@@ -12,13 +12,24 @@
 //! Supersedence can be decided without coordination because key version sets
 //! only grow monotonically: once every key has a newer committed version on
 //! this node, that remains true forever.
+//!
+//! The same monotonicity means the verdict never has to be recomputed. For
+//! the records a [`MetadataCache`] holds it is decided at insert: the cache
+//! counts, per record, the keys it is still the newest version of, and keeps
+//! the records that reached zero in
+//! [`superseded_oldest_first`](MetadataCache::superseded_oldest_first), which
+//! is what the garbage collectors sweep. [`is_superseded`] below is
+//! Algorithm 2 as the paper writes it: the reference the tests compare that
+//! set against, and the check for a record that is *not* in the cache — one
+//! arriving from a peer, or one a sender is about to prune from a multicast.
 
 use aft_types::TransactionRecord;
 
 use crate::metadata::MetadataCache;
 
 /// Algorithm 2: returns true if every key written by `record` has a committed
-/// version newer than `record.id` in `metadata`.
+/// version newer than `record.id` in `metadata`. `record` itself need not be
+/// cached.
 ///
 /// A transaction with an empty write set (a read-only transaction) is
 /// trivially superseded — it wrote nothing anyone could still need to read.

@@ -221,13 +221,23 @@ impl StorageEngine for SimDynamo {
     }
 
     fn delete_batch(&self, keys: &[String]) -> AftResult<()> {
+        // One BatchWriteItem call per 25 keys. A pipelined client issues the
+        // chunks concurrently and waits for the slowest, so the charged
+        // latency is the max of the samples, not their sum — a GC round's
+        // batch is dozens of chunks.
+        let mut durations = Vec::with_capacity(keys.len().div_ceil(DYNAMO_BATCH_LIMIT));
         for chunk in keys.chunks(DYNAMO_BATCH_LIMIT) {
             self.stats.record_call(OpKind::BatchDelete);
-            self.inject(&self.profile.batch_write_base, &chunk[0], 0);
+            let stripe = stripe_of(&chunk[0], self.sampler.stripes());
+            durations.push(
+                self.sampler
+                    .sample(&self.profile.batch_write_base, stripe, 0),
+            );
             for k in chunk {
                 self.map.remove(k);
             }
         }
+        self.sampler.model().finish_batch(&durations);
         Ok(())
     }
 
@@ -311,6 +321,32 @@ mod tests {
         assert_eq!(d.item_count(), 60);
         // 60 items -> 3 BatchWriteItem calls (25 + 25 + 10).
         assert_eq!(d.stats().calls(OpKind::BatchPut), 3);
+    }
+
+    #[test]
+    fn batch_delete_overlaps_its_chunks() {
+        use crate::latency::{measure_cost, LatencyMode};
+        use std::time::Duration;
+        let table = || {
+            let model = LatencyModel::new(LatencyMode::Virtual, 1.0);
+            SimDynamo::with_profile(ServiceProfile::dynamodb(), model, 7)
+        };
+        let keys: Vec<String> = (0..100).map(|i| format!("k{i}")).collect();
+
+        // The same four BatchWriteItem calls one after another, on a twin
+        // with the same seed: the samples the batch will draw.
+        let twin = table();
+        let alone: Vec<Duration> = keys
+            .chunks(DYNAMO_BATCH_LIMIT)
+            .map(|chunk| measure_cost(|| twin.delete_batch(chunk).unwrap()).1)
+            .collect();
+
+        let d = table();
+        let ((), cost) = measure_cost(|| d.delete_batch(&keys).unwrap());
+        assert_eq!(d.stats().calls(OpKind::BatchDelete), 4);
+        // Issued together, the batch costs its slowest chunk, not the sum.
+        assert_eq!(Some(cost), alone.iter().copied().max());
+        assert!(cost < alone.iter().sum::<Duration>());
     }
 
     #[test]

@@ -1348,8 +1348,8 @@ mod tests {
 
     #[test]
     fn batched_deletes_overlap_via_submit_all() {
-        // The shape GlobalGc uses: one DeleteBatch request per transaction,
-        // submitted together and barriered, with per-member results.
+        // Several DeleteBatch requests submitted together and barriered, with
+        // per-member results.
         let engine = IoEngine::new(s3_virtual(), IoConfig::pipelined());
         for i in 0..6 {
             engine

@@ -22,6 +22,9 @@ use crate::memory::MemoryMap;
 use crate::profiles::ServiceProfile;
 use crate::sharded::{stripe_of, DEFAULT_STRIPES};
 
+/// The real service's `DeleteObjects` limit.
+pub const S3_DELETE_OBJECTS_LIMIT: usize = 1000;
+
 /// A simulated S3 bucket.
 pub struct SimS3 {
     map: MemoryMap,
@@ -128,17 +131,19 @@ impl StorageEngine for SimS3 {
     }
 
     fn delete_batch(&self, keys: &[String]) -> AftResult<()> {
-        // S3 does offer DeleteObjects (up to 1000 keys); garbage collection
-        // uses it, so model it as a single call.
-        self.stats.record_call(OpKind::BatchDelete);
-        self.inject(
-            &self.profile.delete,
-            keys.first().map_or("", String::as_str),
-            0,
-        );
-        for k in keys {
-            self.map.remove(k);
+        // S3 does offer DeleteObjects, up to 1000 keys per call; garbage
+        // collection uses it. Like put_batch, the calls of one batch are
+        // issued concurrently and charged as their slowest.
+        let mut durations = Vec::with_capacity(keys.len().div_ceil(S3_DELETE_OBJECTS_LIMIT));
+        for chunk in keys.chunks(S3_DELETE_OBJECTS_LIMIT) {
+            self.stats.record_call(OpKind::BatchDelete);
+            let stripe = stripe_of(&chunk[0], self.sampler.stripes());
+            durations.push(self.sampler.sample(&self.profile.delete, stripe, 0));
+            for k in chunk {
+                self.map.remove(k);
+            }
         }
+        self.sampler.model().finish_batch(&durations);
         Ok(())
     }
 
@@ -225,6 +230,11 @@ mod tests {
         s3.delete_batch(&["a".into(), "b".into()]).unwrap();
         assert_eq!(s3.object_count(), 0);
         assert_eq!(s3.stats().calls(OpKind::BatchDelete), 1);
+
+        // DeleteObjects takes at most 1000 keys: 2500 are three calls.
+        let keys: Vec<String> = (0..2_500).map(|i| format!("k{i}")).collect();
+        s3.delete_batch(&keys).unwrap();
+        assert_eq!(s3.stats().calls(OpKind::BatchDelete), 1 + 3);
     }
 
     #[test]
