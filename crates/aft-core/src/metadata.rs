@@ -22,7 +22,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use aft_types::{Key, TransactionId, TransactionRecord};
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 
 /// The committed-transaction metadata cache of one AFT node.
 #[derive(Debug, Default)]
@@ -111,15 +111,14 @@ impl MetadataCache {
             .map(|(record, _)| Arc::clone(record))
     }
 
-    /// Returns the committed versions of `key` known to this node, oldest
-    /// first.
-    pub fn versions_of(&self, key: &Key) -> Vec<TransactionId> {
-        self.inner
-            .read()
-            .key_index
-            .get(key)
-            .map(|set| set.iter().copied().collect())
-            .unwrap_or_default()
+    /// Takes the cache's read lock once and returns a view to run a whole
+    /// read-path computation against: Algorithm 1 looks at several records
+    /// and one key's versions per read, and pays for the lock and for an
+    /// `Arc` per record otherwise. Commits and GC wait while a view is alive,
+    /// so keep it for one computation and take no second view (or any other
+    /// method of the cache) on the same thread meanwhile.
+    pub fn view(&self) -> MetadataView<'_> {
+        MetadataView(self.inner.read())
     }
 
     /// Returns the newest committed version of `key` known to this node.
@@ -218,6 +217,27 @@ impl MetadataCache {
     }
 }
 
+/// A consistent view of a [`MetadataCache`], held under its read lock (see
+/// [`MetadataCache::view`]).
+pub struct MetadataView<'a>(RwLockReadGuard<'a, Inner>);
+
+impl MetadataView<'_> {
+    /// The commit record for `id`, if known.
+    pub fn record(&self, id: &TransactionId) -> Option<&TransactionRecord> {
+        self.0.committed.get(id).map(|(record, _)| &**record)
+    }
+
+    /// The committed versions of `key` known to this node, newest first —
+    /// the order Algorithm 1 tries them in.
+    pub fn versions_newest_first(&self, key: &Key) -> impl Iterator<Item = TransactionId> + '_ {
+        self.0
+            .key_index
+            .get(key)
+            .into_iter()
+            .flat_map(|versions| versions.iter().rev().copied())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,6 +252,10 @@ mod tests {
             tid(ts, ts as u128),
             keys.iter().map(Key::new),
         ))
+    }
+
+    fn versions_of(cache: &MetadataCache, key: &str) -> Vec<TransactionId> {
+        cache.view().versions_newest_first(&Key::new(key)).collect()
     }
 
     fn superseded_ids(cache: &MetadataCache) -> Vec<TransactionId> {
@@ -255,10 +279,7 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert!(cache.is_committed(&tid(1, 1)));
         assert!(!cache.is_committed(&tid(3, 3)));
-        assert_eq!(
-            cache.versions_of(&Key::new("b")),
-            vec![tid(1, 1), tid(2, 2)]
-        );
+        assert_eq!(versions_of(&cache, "b"), vec![tid(2, 2), tid(1, 1)]);
         assert_eq!(cache.latest_version_of(&Key::new("b")), Some(tid(2, 2)));
         assert_eq!(cache.latest_version_of(&Key::new("a")), Some(tid(1, 1)));
         assert_eq!(cache.latest_version_of(&Key::new("zzz")), None);
@@ -289,9 +310,9 @@ mod tests {
         );
 
         // "a" had only the removed version; its index entry disappears.
-        assert!(cache.versions_of(&Key::new("a")).is_empty());
+        assert!(versions_of(&cache, "a").is_empty());
         // "b" still has the newer version.
-        assert_eq!(cache.versions_of(&Key::new("b")), vec![tid(2, 2)]);
+        assert_eq!(versions_of(&cache, "b"), vec![tid(2, 2)]);
         assert_eq!(cache.indexed_keys(), 1);
     }
 

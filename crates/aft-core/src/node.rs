@@ -526,19 +526,19 @@ impl AftNode {
 
         // Fetch the payload: data cache first, then storage (through the I/O
         // engine, so the charged latency is observable in virtual mode).
-        let storage_key = KeyVersion::new(key.clone(), target).storage_key();
-        let value = match self.data_cache.get(&storage_key) {
+        let value = match self.data_cache.get(key, &target) {
             Some(value) => {
                 self.stats.record_read_from_data_cache();
                 value
             }
             None => {
-                let outcome = self.io.execute(StorageRequest::Get(storage_key.clone()));
+                let storage_key = KeyVersion::new(key.clone(), target).storage_key();
+                let outcome = self.io.execute(StorageRequest::Get(storage_key));
                 self.stats.read_storage_latency().record(outcome.cost);
                 match outcome.result?.into_value() {
                     Some(value) => {
                         self.stats.record_read_from_storage();
-                        self.data_cache.insert(&storage_key, value.clone());
+                        self.fill_data_cache(key, target, &value);
                         value
                     }
                     None => {
@@ -580,8 +580,8 @@ impl AftNode {
     pub fn get_all(&self, txid: &TransactionId, keys: &[Key]) -> AftResult<Vec<Option<Value>>> {
         self.rpc();
         let mut out: Vec<Option<Value>> = vec![None; keys.len()];
-        // (output index, storage key) pairs that need a storage fetch.
-        let mut fetches: Vec<(usize, String)> = Vec::new();
+        // (output index, chosen version) pairs that need a storage fetch.
+        let mut fetches: Vec<(usize, TransactionId)> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
             self.stats.record_read();
 
@@ -614,12 +614,11 @@ impl AftNode {
             self.buffer
                 .with_txn(txid, |txn| txn.reads.record(key.clone(), target))?;
 
-            let storage_key = KeyVersion::new(key.clone(), target).storage_key();
-            if let Some(value) = self.data_cache.get(&storage_key) {
+            if let Some(value) = self.data_cache.get(key, &target) {
                 self.stats.record_read_from_data_cache();
                 out[i] = Some(value);
             } else {
-                fetches.push((i, storage_key));
+                fetches.push((i, target));
             }
         }
 
@@ -628,16 +627,18 @@ impl AftNode {
         }
 
         // One overlapped fetch barrier for every cache miss.
-        let set = self
-            .io
-            .get_all(fetches.iter().map(|(_, skey)| skey.clone()));
+        let set = self.io.get_all(
+            fetches
+                .iter()
+                .map(|&(i, target)| KeyVersion::new(keys[i].clone(), target).storage_key()),
+        );
         let outcome = set.wait_all();
         self.stats.read_storage_latency().record(outcome.cost);
-        for ((i, storage_key), result) in fetches.into_iter().zip(outcome.results) {
+        for ((i, target), result) in fetches.into_iter().zip(outcome.results) {
             match result?.into_value() {
                 Some(value) => {
                     self.stats.record_read_from_storage();
-                    self.data_cache.insert(&storage_key, value.clone());
+                    self.fill_data_cache(&keys[i], target, &value);
                     out[i] = Some(value);
                 }
                 None => {
@@ -651,6 +652,20 @@ impl AftNode {
             }
         }
         Ok(out)
+    }
+
+    /// Caches a payload a read just fetched from storage. Between version
+    /// selection and this fill the read is not in any read set the local GC
+    /// can see, so a sweep may have removed the version's record and evicted
+    /// a cache entry that was not there yet; an entry inserted after that
+    /// could never be selected again nor swept. Hence insert, then look:
+    /// if the record is gone the entry goes too, and a sweep that removes
+    /// the record after the look evicts the entry itself.
+    fn fill_data_cache(&self, key: &Key, version: TransactionId, value: &Value) {
+        self.data_cache.insert(key.clone(), version, value.clone());
+        if !self.metadata.is_committed(&version) {
+            self.data_cache.evict(key, &version);
+        }
     }
 
     /// `Put(txid, key, value)`: buffers an update for transaction `txid`.
@@ -709,27 +724,15 @@ impl AftNode {
     /// returns only after both are durable in storage.
     pub fn commit(&self, txid: &TransactionId) -> AftResult<TransactionId> {
         self.rpc();
-        let txn = self.buffer.take(txid)?;
+        let mut txn = self.buffer.take(txid)?;
 
         // Assign the commit timestamp from the local clock (§3.1).
         let final_id = TransactionId::new(self.clock.now(), txid.uuid);
+        txn.id = final_id;
 
         // 1. Persist the transaction's key versions (one storage key per
         //    version, so concurrent committers never interfere).
-        let items = {
-            let mut txn = txn;
-            txn.id = final_id;
-            txn.storage_items()
-        };
-        let write_set: Vec<Key> = items
-            .iter()
-            .map(|(storage_key, _)| {
-                KeyVersion::parse_storage_key(storage_key)
-                    .map(|(key, _)| key)
-                    .expect("storage keys we just built are well-formed")
-            })
-            .collect();
-        let cached_values: Vec<(String, Value)> = items.clone();
+        let items = txn.storage_items();
 
         // 2. Persist the data and then the commit record (§3.3's flush: data
         //    puts overlapped, a barrier, then the record), coalesced with
@@ -739,7 +742,7 @@ impl AftNode {
         //    probe instead flushes alone and is consulted before every
         //    phase: its error is the node's "crash", leaving exactly the
         //    storage state the protocol had reached by that point.
-        let record = TransactionRecord::new(final_id, write_set);
+        let record = TransactionRecord::new(final_id, txn.writes.keys().cloned());
         let record_key = record.storage_key();
         let record_value = encode_commit_record(&record);
         let probe = self.commit_probe.lock().clone();
@@ -756,8 +759,8 @@ impl AftNode {
         // 3. Only now make the transaction visible to other requests.
         let record = Arc::new(record);
         self.metadata.insert(Arc::clone(&record));
-        for (storage_key, value) in cached_values {
-            self.data_cache.insert(&storage_key, value);
+        for (key, value) in txn.writes {
+            self.data_cache.insert(key, final_id, value);
         }
         self.recent_commits.lock().push(record);
         self.stats.record_committed();
@@ -871,8 +874,8 @@ impl AftNode {
                 continue;
             }
             if self.metadata.remove(&record.id).is_some() {
-                for kv in record.key_versions() {
-                    self.data_cache.evict(&kv.storage_key());
+                for key in &record.write_set {
+                    self.data_cache.evict(key, &record.id);
                 }
                 self.locally_deleted.lock().insert(record.id);
                 self.stats.record_gc_deleted();
@@ -1707,6 +1710,136 @@ mod tests {
         // were needed at all.
         assert_eq!(node.stats().reads_from_storage(), 0);
         assert!(node.stats().reads_from_data_cache() >= 2);
+    }
+
+    /// A store whose `get` of one armed key returns only once the test lets
+    /// it: the reader is held between version selection and the cache fill,
+    /// which is where a GC sweep has to land for the race below. A watchdog
+    /// turns a lost wake-up into an error instead of a hang.
+    #[derive(Default)]
+    struct GatedGet {
+        inner: Arc<InMemoryStore>,
+        gate: Mutex<Gate>,
+        changed: parking_lot::Condvar,
+    }
+
+    #[derive(Default)]
+    struct Gate {
+        armed: Option<String>,
+        arrived: bool,
+        released: bool,
+    }
+
+    impl GatedGet {
+        fn update(&self, change: impl FnOnce(&mut Gate)) {
+            change(&mut self.gate.lock());
+            self.changed.notify_all();
+        }
+
+        fn wait_until(&self, ready: impl Fn(&Gate) -> bool) -> bool {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            let mut gate = self.gate.lock();
+            while !ready(&gate) {
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                if left.is_zero() {
+                    return false;
+                }
+                let _ = self.changed.wait_for(&mut gate, left);
+            }
+            true
+        }
+    }
+
+    impl StorageEngine for GatedGet {
+        fn name(&self) -> &'static str {
+            "gated-get"
+        }
+
+        fn get(&self, key: &str) -> AftResult<Option<Value>> {
+            if self.gate.lock().armed.as_deref() == Some(key) {
+                self.update(|gate| gate.arrived = true);
+                if !self.wait_until(|gate| gate.released) {
+                    return Err(AftError::Storage("the gate was never released".into()));
+                }
+            }
+            self.inner.get(key)
+        }
+
+        fn put(&self, key: &str, value: Value) -> AftResult<()> {
+            self.inner.put(key, value)
+        }
+
+        fn put_batch(&self, items: Vec<(String, Value)>) -> AftResult<()> {
+            self.inner.put_batch(items)
+        }
+
+        fn delete(&self, key: &str) -> AftResult<()> {
+            self.inner.delete(key)
+        }
+
+        fn delete_batch(&self, keys: &[String]) -> AftResult<()> {
+            self.inner.delete_batch(keys)
+        }
+
+        fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
+            self.inner.list_prefix(prefix)
+        }
+
+        fn supports_batch_put(&self) -> bool {
+            self.inner.supports_batch_put()
+        }
+
+        fn supports_deferred_latency(&self) -> bool {
+            true
+        }
+
+        fn stats(&self) -> Arc<aft_storage::StorageStats> {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn a_fill_that_lost_a_race_with_local_gc_leaves_nothing_in_the_cache() {
+        let key = Key::new("k");
+        let store = Arc::new(GatedGet::default());
+        let node = AftNode::with_clock(
+            NodeConfig::test(),
+            store.clone() as SharedStorage,
+            aft_types::clock::TickingClock::shared(1_000, 1),
+        )
+        .unwrap();
+
+        let t1 = node.start_transaction();
+        node.put(&t1, key.clone(), val("old")).unwrap();
+        let old = node.commit(&t1).unwrap();
+        // The payload has aged out of the cache, so the read must fetch it.
+        node.data_cache().evict(&key, &old);
+        store.update(|gate| gate.armed = Some(KeyVersion::new(key.clone(), old).storage_key()));
+
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let t = node.start_transaction();
+                node.get_versioned(&t, &key)
+            });
+            // The reader has selected `old` and is inside the storage fetch:
+            // no read set names `old` yet.
+            assert!(store.wait_until(|gate| gate.arrived), "reader arrived");
+            let t2 = node.start_transaction();
+            node.put(&t2, key.clone(), val("new")).unwrap();
+            node.commit(&t2).unwrap();
+            let swept = node.run_local_gc(&LocalGcConfig::aggressive());
+            assert_eq!(swept.deleted, 1, "the sweep saw no reader of `old`");
+            assert!(!node.metadata().is_committed(&old));
+            store.update(|gate| gate.released = true);
+
+            let (value, version) = reader.join().unwrap().unwrap().unwrap();
+            assert_eq!((value, version), (val("old"), Some(old)));
+        });
+        // No transaction can select `old` any more and no sweep will visit it
+        // again, so the fill must not have left it behind.
+        let resident = node.data_cache().resident();
+        assert!(!resident.contains(&(key.clone(), old)), "{resident:?}");
+        assert_eq!(resident.len(), 1, "only the new version: {resident:?}");
     }
 
     fn commit_n(node: &Arc<AftNode>, n: usize, key: &str) {

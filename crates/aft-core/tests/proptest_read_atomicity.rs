@@ -8,15 +8,20 @@
 //! * read-your-writes and repeatable read hold,
 //! * Algorithm 2 / local GC never remove a version a later read needs for
 //!   correctness (it may force a retry, but never a fracture).
+//!
+//! The last property checks the read path's own cost trick: `select_version`
+//! and `is_atomic_readset` walk whichever of {read set, cowritten set} is
+//! smaller, and must answer exactly what the definitional loops — which walk
+//! the whole cowritten set — answer.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use aft_core::read::is_atomic_readset;
-use aft_core::{AftNode, LocalGcConfig, NodeConfig};
+use aft_core::read::{is_atomic_readset, select_version, ReadSet, VersionChoice};
+use aft_core::{AftNode, LocalGcConfig, MetadataCache, NodeConfig};
 use aft_storage::{InMemoryStore, SharedStorage};
 use aft_types::clock::TickingClock;
-use aft_types::{Key, TransactionId, Value};
+use aft_types::{Key, TransactionId, TransactionRecord, Uuid, Value};
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -63,8 +68,137 @@ fn node() -> Arc<AftNode> {
     AftNode::with_clock(NodeConfig::test(), storage, TickingClock::shared(1, 1)).unwrap()
 }
 
+/// The commit records a reference function consults, by id.
+type Records = BTreeMap<TransactionId, TransactionRecord>;
+
+/// Algorithm 1 as the paper writes it: every candidate's validity is decided
+/// by walking its whole cowritten set.
+fn definitional_select_version(key: &Key, read_set: &ReadSet, records: &Records) -> VersionChoice {
+    let mut lower = TransactionId::NULL;
+    for (read_key, read_tid) in read_set.iter() {
+        let bounds = read_key == key || records.get(read_tid).is_some_and(|r| r.wrote(key));
+        if bounds && *read_tid > lower {
+            lower = *read_tid;
+        }
+    }
+    let versions: Vec<TransactionId> = records
+        .values()
+        .filter(|r| r.wrote(key))
+        .map(|r| r.id)
+        .collect();
+    if versions.is_empty() {
+        return if lower.is_null() {
+            VersionChoice::NotFound
+        } else {
+            VersionChoice::NoValidVersion
+        };
+    }
+    for candidate in versions.iter().rev() {
+        if *candidate < lower {
+            break;
+        }
+        let valid = records[candidate].write_set.iter().all(|cowritten| {
+            match read_set.version_of(cowritten) {
+                Some(j) => j >= *candidate,
+                None => true,
+            }
+        });
+        if valid {
+            return VersionChoice::Version(*candidate);
+        }
+    }
+    VersionChoice::NoValidVersion
+}
+
+/// Definition 1 as the paper writes it.
+fn definitional_is_atomic_readset(reads: &[(Key, TransactionId)], records: &Records) -> bool {
+    let by_key: HashMap<&Key, TransactionId> = reads.iter().map(|(k, t)| (k, *t)).collect();
+    for (_, tid) in reads {
+        let Some(record) = records.get(tid) else {
+            continue;
+        };
+        for cowritten in &record.write_set {
+            if by_key.get(cowritten).is_some_and(|read| read < tid) {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+/// Keys 0..16 are ordinary; 16..20 fall inside the padding that only a wide
+/// record (a preload-sized write set) writes.
+fn universe_key(k: u8) -> Key {
+    if k < 16 {
+        Key::new(format!("k-{k:02}"))
+    } else {
+        Key::new(format!("pad-{:03}", (k as usize - 16) * 100))
+    }
+}
+
+fn record_id(n: u64) -> TransactionId {
+    TransactionId::new(n, Uuid::from_u128(n as u128))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The read path walks the smaller of {read set, cowritten set}; whatever
+    /// the sizes — a 500-key write set against three reads, twenty reads
+    /// against a one-key write set, records missing — it must decide what the
+    /// definitional loops decide.
+    #[test]
+    fn read_path_checks_agree_with_the_definitional_loops(
+        writes in proptest::collection::vec(
+            (proptest::collection::vec(0..16u8, 0..4), prop_oneof![3 => Just(false), 1 => Just(true)]),
+            1..24,
+        ),
+        reads in proptest::collection::vec((0..20u8, 0..26u64), 0..24),
+        collected in proptest::collection::vec(1..25u64, 0..4),
+        target in 0..20u8,
+    ) {
+        let metadata = MetadataCache::new();
+        let mut records = Records::new();
+        for (n, (keys, wide)) in writes.iter().enumerate() {
+            let padding = (0..if *wide { 500 } else { 0 }).map(|i| Key::new(format!("pad-{i:03}")));
+            let record = TransactionRecord::new(
+                record_id(n as u64 + 1),
+                keys.iter().map(|k| universe_key(*k)).chain(padding),
+            );
+            metadata.insert(Arc::new(record.clone()));
+            records.insert(record.id, record);
+        }
+        // Some records are gone again (GC), so reads can name a version whose
+        // record is unknown; version 0 is NULL and 25 was never committed.
+        for n in collected {
+            metadata.remove(&record_id(n));
+            records.remove(&record_id(n));
+        }
+
+        let observed: Vec<(Key, TransactionId)> = reads
+            .iter()
+            .map(|(k, n)| (universe_key(*k), record_id(*n)))
+            .collect();
+        prop_assert_eq!(
+            is_atomic_readset(&observed, &metadata),
+            definitional_is_atomic_readset(&observed, &records),
+            "is_atomic_readset on {:?}", observed
+        );
+
+        let mut read_set = ReadSet::new();
+        for (key, tid) in &observed {
+            if !tid.is_null() {
+                read_set.record(key.clone(), *tid);
+            }
+        }
+        for key in [universe_key(target), Key::new("pad-001"), Key::new("never-written")] {
+            prop_assert_eq!(
+                select_version(&key, &read_set, &metadata),
+                definitional_select_version(&key, &read_set, &records),
+                "select_version({}) after {:?}", key, read_set
+            );
+        }
+    }
 
     /// Theorem 1: after any sequence of operations, every transaction's
     /// observed (key, version) pairs form an Atomic Readset, and dirty /

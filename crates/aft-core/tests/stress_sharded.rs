@@ -6,7 +6,9 @@
 //! over a small contended key space. Every transaction's observed read set
 //! must remain an Atomic Readset (§3.2) — zero fractured reads, zero
 //! read-your-writes violations — no matter how commits interleave inside
-//! coalesced flushes.
+//! coalesced flushes. A third leg runs the same stress over a data cache of
+//! a few KiB, so that every read and commit promotes, demotes or evicts cache
+//! entries while other threads do the same.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,12 +40,14 @@ fn key(i: usize) -> Key {
     Key::new(format!("hot/{i:02}"))
 }
 
-fn value(client: usize, txn: usize, slot: usize) -> Value {
-    Bytes::from(format!("c{client}-t{txn}-s{slot}"))
+/// A value unique to its write, padded with dots to at least `bytes`.
+fn value(client: usize, txn: usize, slot: usize, bytes: usize) -> Value {
+    Bytes::from(format!("c{client}-t{txn}-s{slot}{:.<bytes$}", ""))
 }
 
-/// Runs the stress workload against `node`; returns (ryw, fractured) counts.
-fn hammer(node: &Arc<AftNode>) -> (u64, u64) {
+/// Runs the stress workload against `node` with values of at least
+/// `value_bytes`; returns (ryw, fractured) counts.
+fn hammer(node: &Arc<AftNode>, value_bytes: usize) -> (u64, u64) {
     let barrier = Arc::new(Barrier::new(CLIENTS));
     let ryw_anomalies = AtomicU64::new(0);
     let fr_anomalies = AtomicU64::new(0);
@@ -91,7 +95,7 @@ fn hammer(node: &Arc<AftNode>) -> (u64, u64) {
                                 Err(other) => panic!("unexpected read error: {other:?}"),
                             }
                         } else {
-                            let v = value(client, txn, slot);
+                            let v = value(client, txn, slot, value_bytes);
                             node.put(&txid, k.clone(), v.clone()).expect("put");
                             written.insert(k, v);
                         }
@@ -115,6 +119,10 @@ fn hammer(node: &Arc<AftNode>) -> (u64, u64) {
 }
 
 fn striped_node(batch: BatchConfig) -> Arc<AftNode> {
+    striped_node_with_cache(batch, NodeConfig::test().data_cache_bytes)
+}
+
+fn striped_node_with_cache(batch: BatchConfig, data_cache_bytes: usize) -> Arc<AftNode> {
     let storage: SharedStorage = aft_storage::make_backend(
         BackendConfig::test(BackendKind::Memory)
             .with_stripes(16)
@@ -122,6 +130,7 @@ fn striped_node(batch: BatchConfig) -> Arc<AftNode> {
     );
     let config = NodeConfig {
         commit_batch: batch,
+        data_cache_bytes,
         rng_seed: 0xAF71 ^ test_seed().wrapping_mul(0xC2B2),
         ..NodeConfig::test()
     };
@@ -135,7 +144,7 @@ fn read_atomicity_holds_under_striping_and_batched_commits() {
             .with_max_batch(16)
             .with_max_delay(Duration::from_micros(200)),
     );
-    let (ryw, fractured) = hammer(&node);
+    let (ryw, fractured) = hammer(&node, 0);
     assert_eq!(ryw, 0, "read-your-writes anomalies under striped+batched");
     assert_eq!(fractured, 0, "fractured reads under striped+batched");
     assert_eq!(node.in_flight(), 0, "no dangling transactions");
@@ -163,7 +172,7 @@ fn read_atomicity_holds_under_striping_and_batched_commits() {
 fn read_atomicity_holds_without_batching_too() {
     // Same stress with coalescing disabled: isolates the striping layer.
     let node = striped_node(BatchConfig::disabled());
-    let (ryw, fractured) = hammer(&node);
+    let (ryw, fractured) = hammer(&node, 0);
     assert_eq!(ryw, 0);
     assert_eq!(fractured, 0);
     let stats = node.commit_batch_stats();
@@ -171,4 +180,39 @@ fn read_atomicity_holds_without_batching_too() {
         stats.submitted, stats.flushes,
         "max_batch=1 never coalesces"
     );
+}
+
+#[test]
+fn read_atomicity_holds_while_a_tiny_data_cache_churns() {
+    // 200-byte values in a 2 KiB single-stripe cache: ten of the sixteen hot
+    // keys' newest versions fit at best, so reads fill and evict, re-reads
+    // promote, the protected segment (1 638 bytes) overflows back into
+    // probation and every commit demotes the version it supersedes — all of
+    // it on one stripe lock under eight threads.
+    const CACHE_BYTES: usize = 2 * 1024;
+    let node = striped_node_with_cache(
+        BatchConfig::default()
+            .with_max_batch(16)
+            .with_max_delay(Duration::from_micros(200)),
+        CACHE_BYTES,
+    );
+    let (ryw, fractured) = hammer(&node, 200);
+    assert_eq!(ryw, 0, "read-your-writes anomalies over a churning cache");
+    assert_eq!(fractured, 0, "fractured reads over a churning cache");
+    assert_eq!(node.in_flight(), 0, "no dangling transactions");
+
+    let cache = node.data_cache();
+    assert_eq!(cache.stripe_count(), 1);
+    assert!(
+        cache.bytes() <= CACHE_BYTES,
+        "{} bytes cached",
+        cache.bytes()
+    );
+    assert!(cache.protected_bytes()[0] <= CACHE_BYTES * 80 / 100);
+    assert_eq!(cache.len(), cache.resident().len());
+    assert!(cache.len() <= CACHE_BYTES / 200);
+    // The cache was both useful and too small: hits and refills happened.
+    let stats = node.stats();
+    assert!(stats.reads_from_data_cache() > 0, "no read ever hit");
+    assert!(stats.reads_from_storage() > 0, "no read ever missed");
 }
