@@ -29,7 +29,7 @@ use aft_types::codec::encode_commit_record;
 use aft_types::{Key, TransactionId, TransactionRecord, Uuid};
 
 use crate::json::Json;
-use crate::report::Table;
+use crate::report::{round2, Table};
 
 /// Configuration of the checkpoint recovery sweep.
 #[derive(Debug, Clone)]
@@ -333,10 +333,6 @@ impl CheckpointReport {
     }
 }
 
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
-}
-
 fn tid(ts: u64) -> TransactionId {
     TransactionId::new(ts, Uuid::from_u128(0xF13_0000_0000u128 | ts as u128))
 }
@@ -370,7 +366,7 @@ fn seed_commits(io: &IoEngine, first: u64, last: u64, keys: usize) {
 
 fn measure_bootstrap(io: &IoEngine) -> (BootstrapSample, MetadataCache) {
     let cache = MetadataCache::new();
-    let outcome = warm_metadata_cache_checkpointed(io, &cache, usize::MAX, "fig13-bench", None)
+    let outcome = warm_metadata_cache_checkpointed(io, &cache, "fig13-bench", None)
         .expect("bootstrap cannot fail without chaos");
     let sample = BootstrapSample {
         cost_ms: outcome.cost.as_secs_f64() * 1_000.0,

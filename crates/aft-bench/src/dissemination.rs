@@ -37,7 +37,7 @@ use aft_types::clock::MockClock;
 use aft_types::{Key, TransactionId, Value};
 
 use crate::json::Json;
-use crate::report::Table;
+use crate::report::{round2, Table};
 
 /// Configuration of the dissemination sweep.
 #[derive(Debug, Clone)]
@@ -409,10 +409,6 @@ impl DisseminationReport {
             ("partition_legs", Json::Arr(legs)),
         ])
     }
-}
-
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
 }
 
 /// An in-process virtual-clock cluster: `n` nodes on one shared

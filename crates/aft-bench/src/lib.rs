@@ -1,13 +1,8 @@
 //! The benchmark harness for the AFT reproduction.
 //!
-//! Every table and figure in the paper's evaluation (§6) has:
-//!
-//! * a **binary** under `src/bin/` (`fig2_io_latency`, `fig3_table2_e2e`, ...)
-//!   that runs the full experiment and prints the same rows/series the paper
-//!   reports, and
-//! * a **Criterion bench** under `benches/` that measures the per-request
-//!   building blocks of the same experiment, so `cargo bench` exercises every
-//!   figure's code path in a few minutes.
+//! Every table and figure in the paper's evaluation (§6) has a **binary**
+//! under `src/bin/` (`fig2_io_latency`, `fig3_table2_e2e`, ...) that runs the
+//! full experiment and prints the same rows/series the paper reports.
 //!
 //! The experiments run against the simulated substrates with latencies scaled
 //! down by a single global factor (`AFT_BENCH_SCALE`, default 0.1). Scaling

@@ -47,7 +47,7 @@ use aft_storage::{BackendConfig, BackendKind};
 use aft_types::{Key, TransactionRecord, Value};
 
 use crate::json::Json;
-use crate::report::Table;
+use crate::report::{percentile_ms, round2, Table};
 use crate::setup::{serve_cluster, ServeOptions, ServiceHandle};
 
 /// A saturated point's p999 of *successful* commits above this is
@@ -469,19 +469,6 @@ impl OverloadReport {
             ("chaos", chaos),
         ])
     }
-}
-
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
-}
-
-/// Nearest-rank percentile of an already-sorted sample.
-fn percentile_ms(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// A fresh deployment with the overload-protection stack armed and

@@ -35,7 +35,7 @@ use aft_types::clock::TickingClock;
 use aft_types::{payload_of_size, Key};
 
 use crate::json::Json;
-use crate::report::Table;
+use crate::report::{round4, Table};
 
 /// Configuration of the pipelining experiment.
 #[derive(Debug, Clone)]
@@ -242,10 +242,6 @@ impl PipelineReport {
             ("points", Json::Arr(points)),
         ])
     }
-}
-
-fn round4(v: f64) -> f64 {
-    (v * 10_000.0).round() / 10_000.0
 }
 
 /// Runs one leg: `commits` multi-key writes then `reads` multi-key reads

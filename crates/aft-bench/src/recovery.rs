@@ -48,7 +48,7 @@ use aft_types::clock::TickingClock;
 use aft_types::{AftError, Key, TransactionId, TransactionRecord, Value};
 
 use crate::json::Json;
-use crate::report::Table;
+use crate::report::{round2, Table};
 
 /// The fault modes of the matrix: three storage-side modes, one
 /// network-side mode, and one cross-layer mode that fires every layer of
@@ -507,10 +507,6 @@ impl RecoveryReport {
             ("cells", Json::Arr(cells)),
         ])
     }
-}
-
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
 }
 
 /// Checkpoint cadence for every trial node: small enough that the victim

@@ -96,6 +96,25 @@ pub fn ms(value: f64) -> String {
     }
 }
 
+/// Rounds to two decimals, the precision the JSON reports carry.
+pub(crate) fn round2(v: f64) -> f64 {
+    (v * 100.0).round() / 100.0
+}
+
+/// Rounds to four decimals (ratios and shares in the JSON reports).
+pub(crate) fn round4(v: f64) -> f64 {
+    (v * 10_000.0).round() / 10_000.0
+}
+
+/// Nearest-rank percentile of an already-sorted sample.
+pub(crate) fn percentile_ms(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

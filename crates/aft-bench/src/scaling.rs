@@ -28,7 +28,7 @@ use aft_storage::{make_backend, BackendConfig, BackendKind, IoConfig, LatencyMod
 use aft_workload::{run_closed_loop, AftDriver, RunConfig, WorkloadConfig};
 
 use crate::json::Json;
-use crate::report::Table;
+use crate::report::{round2, round4, Table};
 
 /// One hot-path configuration in the sweep.
 #[derive(Debug, Clone)]
@@ -307,14 +307,6 @@ impl ThroughputReport {
             ))
         }
     }
-}
-
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
-}
-
-fn round4(v: f64) -> f64 {
-    (v * 10_000.0).round() / 10_000.0
 }
 
 /// Runs the sweep and returns the report.

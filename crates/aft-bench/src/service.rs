@@ -47,7 +47,7 @@ use aft_types::{TransactionRecord, WireStats};
 use aft_workload::{run_closed_loop, AftDriver, RunConfig, WorkloadConfig};
 
 use crate::json::Json;
-use crate::report::Table;
+use crate::report::{percentile_ms, round2, Table};
 use crate::setup::{serve_cluster, ServeOptions, ServiceHandle};
 
 /// A scale point's ping p99 above this is a latency collapse.
@@ -490,10 +490,6 @@ impl ServiceReport {
     }
 }
 
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
-}
-
 /// A fresh 3-node deployment served on loopback. Zero simulated latency:
 /// the experiment measures the service layer itself, not the storage sims.
 /// `keep_commit_set` disables garbage collection so the durable Transaction
@@ -599,15 +595,6 @@ fn raw_ping(stream: &mut TcpStream) -> io::Result<Duration> {
         Ok((_, other)) => Err(io::Error::other(format!("expected Pong, got {other:?}"))),
         Err(e) => Err(io::Error::other(format!("undecodable response: {e}"))),
     }
-}
-
-/// Nearest-rank percentile of an already-sorted sample.
-fn percentile_ms(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// One point of the connection-scale leg: a fresh server, `connections`

@@ -25,7 +25,7 @@ use aft_storage::SharedStorage;
 use aft_types::{AftResult, SharedClock, SystemClock};
 use parking_lot::Mutex;
 
-use crate::broadcast::BroadcastStats;
+use crate::dissemination::BroadcastStats;
 use crate::dissemination::{DisseminationConfig, Disseminator};
 use crate::fault_manager::FaultManager;
 use crate::global_gc::{GlobalGc, GlobalGcConfig, GlobalGcOutcome};
@@ -91,18 +91,6 @@ impl ClusterConfig {
             replacement_delay: Duration::ZERO,
             ..ClusterConfig::default()
         }
-    }
-
-    /// Sets the number of initial nodes.
-    pub fn with_nodes(mut self, n: usize) -> Self {
-        self.initial_nodes = n;
-        self
-    }
-
-    /// Sets the dissemination configuration.
-    pub fn with_dissemination(mut self, dissemination: DisseminationConfig) -> Self {
-        self.dissemination = dissemination;
-        self
     }
 
     /// Sets every node's checkpoint policy (via the node template).

@@ -1,4 +1,17 @@
-//! Pluggable commit-metadata dissemination topologies (§4.2 at scale).
+//! Commit-set multicast between AFT nodes (§4, §4.1) and its pluggable
+//! topologies (§4.2 at scale).
+//!
+//! Nodes commit without coordinating, so each node must learn which
+//! transactions its peers have committed before it can serve their data. A
+//! background thread on every node periodically gathers the commits made
+//! locally since the last round and disseminates them to the peers; the same
+//! (unpruned) stream also goes to the fault manager, which provides the
+//! liveness backstop if a node dies between acknowledging a commit and
+//! broadcasting it (§4.2).
+//!
+//! The pruning optimisation of §4.1: a transaction that is already locally
+//! superseded (Algorithm 2) is omitted from the multicast entirely — for
+//! contended workloads this removes most of the metadata traffic.
 //!
 //! The paper's multicast hands every drained commit record to every peer —
 //! O(n²) messages per round, fine at the paper's 3 nodes and quadratic death
@@ -63,7 +76,6 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::broadcast::BroadcastStats;
 use crate::fault_manager::FaultManager;
 
 /// Salt for the gossip target stream (decorrelates target selection from
@@ -166,11 +178,46 @@ impl DisseminationConfig {
         self.batch_bytes = batch_bytes.max(1);
         self
     }
+}
 
-    /// Sets the fanout.
-    pub fn with_fanout(mut self, fanout: usize) -> Self {
-        self.fanout = fanout.max(1);
-        self
+/// Statistics from one dissemination round across all nodes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BroadcastStats {
+    /// Commit records drained from the nodes this round.
+    pub drained: usize,
+    /// Record *deliveries* to peers (records × receivers that got them).
+    pub multicast: usize,
+    /// Records omitted because the sender already considered them superseded.
+    pub pruned: usize,
+    /// Node-to-node messages sent (one coalesced batch of at most
+    /// `batch_bytes` encoded bytes per message) — the quantity that limits
+    /// cluster scale.
+    pub fanout_messages: usize,
+    /// Encoded commit-record bytes put on the wire.
+    pub bytes: u64,
+    /// Deliveries the receiver already knew and deduplicated (gossip
+    /// redundancy, retry floods).
+    pub duplicates: usize,
+    /// Deliveries dropped on a partitioned edge and parked for retry.
+    pub link_drops: usize,
+    /// Parked deliveries drained after an edge healed (or flooded to every
+    /// node when the parked receiver had been replaced).
+    pub retried: usize,
+}
+
+impl BroadcastStats {
+    /// Merges two rounds' statistics.
+    pub fn merge(self, other: BroadcastStats) -> BroadcastStats {
+        BroadcastStats {
+            drained: self.drained + other.drained,
+            multicast: self.multicast + other.multicast,
+            pruned: self.pruned + other.pruned,
+            fanout_messages: self.fanout_messages + other.fanout_messages,
+            bytes: self.bytes + other.bytes,
+            duplicates: self.duplicates + other.duplicates,
+            link_drops: self.link_drops + other.link_drops,
+            retried: self.retried + other.retried,
+        }
     }
 }
 
@@ -253,11 +300,6 @@ impl Disseminator {
             schedule,
             base_round: self.round.load(Ordering::Relaxed),
         });
-    }
-
-    /// Disarms any armed partition (parked batches still drain normally).
-    pub fn clear_partition(&self) {
-        *self.partition.lock() = None;
     }
 
     fn is_cut(&self, round: u64, a: &str, b: &str) -> bool {
@@ -638,8 +680,22 @@ impl Disseminator {
     }
 }
 
+/// Runs one flat all-to-all multicast round: every node drains its recent
+/// commits, sends the unpruned stream to the fault manager, prunes
+/// superseded records, and delivers the rest to every *other* node.
+///
+/// This is the paper's §4.2 exchange, kept as a standalone entry point for
+/// tests and small deployments; clusters route through their configured
+/// [`Disseminator`](crate::Disseminator) instead.
+pub fn broadcast_round(
+    nodes: &[Arc<AftNode>],
+    fault_manager: Option<&FaultManager>,
+) -> BroadcastStats {
+    Disseminator::new(DisseminationConfig::all_to_all(), 0).round(nodes, fault_manager)
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use aft_chaos::{ChaosSpec, PartitionChaos};
     use aft_core::NodeConfig;
@@ -648,7 +704,7 @@ mod tests {
     use aft_types::{Key, TransactionId};
     use bytes::Bytes;
 
-    fn cluster_of(n: usize) -> (Vec<Arc<AftNode>>, SharedStorage) {
+    pub(crate) fn cluster_of(n: usize) -> (Vec<Arc<AftNode>>, SharedStorage) {
         let storage: SharedStorage = InMemoryStore::shared();
         let clock = TickingClock::shared(1, 1);
         let nodes = (0..n)
@@ -666,7 +722,7 @@ mod tests {
         (nodes, storage)
     }
 
-    fn commit_on(node: &Arc<AftNode>, key: &str, value: &str) -> TransactionId {
+    pub(crate) fn commit_on(node: &Arc<AftNode>, key: &str, value: &str) -> TransactionId {
         let t = node.start_transaction();
         node.put(&t, Key::new(key), Bytes::copy_from_slice(value.as_bytes()))
             .unwrap();

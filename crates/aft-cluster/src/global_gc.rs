@@ -143,7 +143,7 @@ impl GlobalGc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::broadcast::broadcast_round;
+    use crate::dissemination::broadcast_round;
     use aft_core::{LocalGcConfig, NodeConfig};
     use aft_storage::io::IoConfig;
     use aft_storage::{InMemoryStore, OpKind, SharedStorage, StorageEngine, StorageStats};

@@ -1,8 +1,8 @@
 //! Node bootstrap and recovery.
 //!
 //! When an AFT node starts — including when a replacement node comes up after
-//! a failure (§6.7) — it warms its metadata cache by reading the latest
-//! records in the Transaction Commit Set from storage (§3.1). Nothing else
+//! a failure (§6.7) — it warms its metadata cache by reading the
+//! Transaction Commit Set from storage (§3.1). Nothing else
 //! needs to be recovered: the write-ordering protocol guarantees that any
 //! transaction with a durable commit record also has durable data (§3.3.1),
 //! and any transaction without one is simply not committed (clients retry).
@@ -12,45 +12,11 @@ use std::time::Duration;
 
 use aft_storage::checkpoint::load_latest_checkpoint;
 use aft_storage::io::{IoEngine, StorageRequest};
-use aft_storage::SharedStorage;
 use aft_types::codec::decode_commit_record;
 use aft_types::{AftResult, CommitPhase, TransactionId, TransactionRecord, Uuid};
 
 use crate::metadata::MetadataCache;
 use crate::node::CommitProbe;
-
-/// Reads commit records from storage and inserts them into `metadata`.
-///
-/// `limit` bounds how many of the *most recent* records are loaded (commit
-/// keys sort in commit-time order, so the tail of the listing is the most
-/// recent). `usize::MAX` loads everything.
-///
-/// Returns the number of records loaded. Undecodable records are skipped —
-/// a half-written commit record means the transaction never committed.
-pub fn warm_metadata_cache(
-    storage: &SharedStorage,
-    metadata: &MetadataCache,
-    limit: usize,
-) -> AftResult<usize> {
-    let keys = storage.list_prefix(&TransactionRecord::storage_prefix())?;
-    let start = keys.len().saturating_sub(limit);
-    let mut loaded = 0;
-    for key in &keys[start..] {
-        let Some(blob) = storage.get(key)? else {
-            // Deleted by the global GC between the listing and the read.
-            continue;
-        };
-        match decode_commit_record(&blob) {
-            Ok(record) => {
-                if metadata.insert(Arc::new(record)) {
-                    loaded += 1;
-                }
-            }
-            Err(_) => continue,
-        }
-    }
-    Ok(loaded)
-}
 
 /// Wave size for overlapped commit-record fetches: one engine in-flight
 /// window per wave bounds memory for huge commit sets while keeping every
@@ -85,25 +51,21 @@ pub fn fetch_commit_records(
     Ok(())
 }
 
-/// Like [`warm_metadata_cache`], but fetches the commit records through the
-/// pipelined I/O engine: the listing is one round trip, then the record
-/// reads overlap via [`fetch_commit_records`], so a replacement node's
-/// cache warm-up does not pay one round trip per record (§6.7's
-/// recovery-time concern).
+/// Full replay: reads every commit record in storage through the pipelined
+/// I/O engine and inserts it into `metadata`. The listing is one round trip,
+/// then the record reads overlap via [`fetch_commit_records`], so a warm-up
+/// does not pay one round trip per record (§6.7's recovery-time concern).
+/// Nodes bootstrap through [`warm_metadata_cache_checkpointed`]; this is the
+/// reference it is tested against.
 ///
 /// Returns the number of records loaded.
-pub fn warm_metadata_cache_pipelined(
-    io: &IoEngine,
-    metadata: &MetadataCache,
-    limit: usize,
-) -> AftResult<usize> {
+pub fn warm_metadata_cache_pipelined(io: &IoEngine, metadata: &MetadataCache) -> AftResult<usize> {
     let keys = io
         .execute(StorageRequest::List(TransactionRecord::storage_prefix()))
         .result?
         .into_keys();
-    let start = keys.len().saturating_sub(limit);
     let mut loaded = 0;
-    fetch_commit_records(io, &keys[start..], |record| {
+    fetch_commit_records(io, &keys, |record| {
         if metadata.insert(Arc::new(record)) {
             loaded += 1;
         }
@@ -143,7 +105,10 @@ impl BootstrapOutcome {
 /// CRC-rejected with clean fallback) seeds the cache, then only commit
 /// records *above* its high-water mark are replayed. With no usable
 /// checkpoint this degenerates to full replay, so recovery cost tracks the
-/// tail, not the history.
+/// tail, not the history. Every uncovered record is loaded: after GC and log
+/// compaction the commit set *is* the live set, and Algorithm 1 answers from
+/// local metadata only, so a record left out is a committed key the node
+/// cannot read.
 ///
 /// `probe`, when present, is consulted at
 /// [`CommitPhase::DuringCheckpointBootstrap`] — after the checkpoint is
@@ -152,7 +117,6 @@ impl BootstrapOutcome {
 pub fn warm_metadata_cache_checkpointed(
     io: &IoEngine,
     metadata: &MetadataCache,
-    limit: usize,
     node_id: &str,
     probe: Option<&Arc<dyn CommitProbe>>,
 ) -> AftResult<BootstrapOutcome> {
@@ -193,12 +157,12 @@ pub fn warm_metadata_cache_checkpointed(
     if !covered.is_empty() {
         keys.retain(|key| !covered.contains(key));
     }
-    let start = keys.len().saturating_sub(limit);
-    for wave in keys[start..].chunks(COMMIT_FETCH_WAVE) {
+    for wave in keys.chunks(COMMIT_FETCH_WAVE) {
         let batch = io.get_all(wave.iter().cloned()).wait_all();
         outcome.cost += batch.cost;
         for result in batch.results {
             let Some(blob) = result?.into_value() else {
+                // Deleted by the global GC between the listing and the read.
                 continue;
             };
             outcome.bytes_read += blob.len() as u64;
@@ -212,28 +176,12 @@ pub fn warm_metadata_cache_checkpointed(
     Ok(outcome)
 }
 
-/// Checks whether a transaction committed, by looking for its commit record
-/// in storage.
-///
-/// This is the recovery rule of §3.3.1: after an AFT node failure, a client
-/// that had called `CommitTransaction` but never got an acknowledgement can
-/// ask any node to consult storage; if the commit record exists the
-/// transaction is durable and successful, otherwise the client must retry.
-pub fn commit_record_exists(
-    storage: &SharedStorage,
-    id: &aft_types::TransactionId,
-) -> AftResult<bool> {
-    Ok(storage
-        .get(&TransactionRecord::storage_key_for(id))?
-        .is_some())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aft_storage::InMemoryStore;
+    use aft_storage::{InMemoryStore, SharedStorage, StorageEngine};
     use aft_types::codec::encode_commit_record;
-    use aft_types::{Key, TransactionId, Uuid};
+    use aft_types::{Key, Value};
 
     fn tid(ts: u64) -> TransactionId {
         TransactionId::new(ts, Uuid::from_u128(ts as u128))
@@ -247,6 +195,10 @@ mod tests {
         record
     }
 
+    fn engine(storage: &SharedStorage) -> IoEngine {
+        IoEngine::new(storage.clone(), IoConfig::pipelined())
+    }
+
     #[test]
     fn warm_cache_loads_all_records() {
         let storage: SharedStorage = InMemoryStore::shared();
@@ -254,24 +206,11 @@ mod tests {
             put_record(&storage, ts, &["k"]);
         }
         let metadata = MetadataCache::new();
-        let loaded = warm_metadata_cache(&storage, &metadata, usize::MAX).unwrap();
-        assert_eq!(loaded, 5);
+        let outcome =
+            warm_metadata_cache_checkpointed(&engine(&storage), &metadata, "n0", None).unwrap();
+        assert_eq!(outcome.loaded(), 5);
         assert_eq!(metadata.len(), 5);
         assert_eq!(metadata.latest_version_of(&Key::new("k")), Some(tid(5)));
-    }
-
-    #[test]
-    fn warm_cache_respects_limit_and_prefers_recent() {
-        let storage: SharedStorage = InMemoryStore::shared();
-        for ts in 1..=10 {
-            put_record(&storage, ts, &["k"]);
-        }
-        let metadata = MetadataCache::new();
-        let loaded = warm_metadata_cache(&storage, &metadata, 3).unwrap();
-        assert_eq!(loaded, 3);
-        assert!(metadata.is_committed(&tid(10)));
-        assert!(metadata.is_committed(&tid(8)));
-        assert!(!metadata.is_committed(&tid(1)));
     }
 
     #[test]
@@ -282,32 +221,81 @@ mod tests {
             .put("commit/garbage", bytes::Bytes::from_static(b"not a record"))
             .unwrap();
         let metadata = MetadataCache::new();
-        let loaded = warm_metadata_cache(&storage, &metadata, usize::MAX).unwrap();
-        assert_eq!(loaded, 1);
-    }
-
-    #[test]
-    fn commit_record_existence_check() {
-        let storage: SharedStorage = InMemoryStore::shared();
-        let record = put_record(&storage, 7, &["k"]);
-        assert!(commit_record_exists(&storage, &record.id).unwrap());
-        assert!(!commit_record_exists(&storage, &tid(8)).unwrap());
+        let outcome =
+            warm_metadata_cache_checkpointed(&engine(&storage), &metadata, "n0", None).unwrap();
+        assert_eq!(outcome.loaded(), 1);
     }
 
     #[test]
     fn empty_storage_warms_nothing() {
         let storage: SharedStorage = InMemoryStore::shared();
         let metadata = MetadataCache::new();
-        assert_eq!(
-            warm_metadata_cache(&storage, &metadata, usize::MAX).unwrap(),
-            0
-        );
+        let outcome =
+            warm_metadata_cache_checkpointed(&engine(&storage), &metadata, "n0", None).unwrap();
+        assert_eq!(outcome.loaded(), 0);
         assert!(metadata.is_empty());
+    }
+
+    /// A store whose listing still names a key that is gone by the time it is
+    /// read: `list_prefix` deletes `victim` after taking the listing, the way
+    /// a global GC round racing the bootstrap would.
+    struct VanishAfterList {
+        inner: SharedStorage,
+        victim: String,
+    }
+
+    impl StorageEngine for VanishAfterList {
+        fn name(&self) -> &'static str {
+            "vanish-after-list"
+        }
+        fn get(&self, key: &str) -> AftResult<Option<Value>> {
+            self.inner.get(key)
+        }
+        fn put(&self, key: &str, value: Value) -> AftResult<()> {
+            self.inner.put(key, value)
+        }
+        fn put_batch(&self, items: Vec<(String, Value)>) -> AftResult<()> {
+            self.inner.put_batch(items)
+        }
+        fn delete(&self, key: &str) -> AftResult<()> {
+            self.inner.delete(key)
+        }
+        fn delete_batch(&self, keys: &[String]) -> AftResult<()> {
+            self.inner.delete_batch(keys)
+        }
+        fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
+            let keys = self.inner.list_prefix(prefix)?;
+            self.inner.delete(&self.victim)?;
+            Ok(keys)
+        }
+        fn supports_batch_put(&self) -> bool {
+            self.inner.supports_batch_put()
+        }
+        fn stats(&self) -> Arc<aft_storage::StorageStats> {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn record_deleted_between_listing_and_read_is_skipped() {
+        let inner: SharedStorage = InMemoryStore::shared();
+        for ts in 1..=4 {
+            put_record(&inner, ts, &["k"]);
+        }
+        let storage: SharedStorage = Arc::new(VanishAfterList {
+            inner,
+            victim: TransactionRecord::storage_key_for(&tid(2)),
+        });
+        let metadata = MetadataCache::new();
+        let outcome =
+            warm_metadata_cache_checkpointed(&engine(&storage), &metadata, "n0", None).unwrap();
+        assert_eq!(outcome.loaded(), 3, "the vanished record is not an error");
+        assert!(!metadata.is_committed(&tid(2)));
+        assert!(metadata.is_committed(&tid(4)));
     }
 
     #[test]
     fn pipelined_warm_matches_sequential_warm() {
-        use aft_storage::io::{IoConfig, IoEngine};
         let storage: SharedStorage = InMemoryStore::shared();
         for ts in 1..=300 {
             put_record(&storage, ts, &["k"]);
@@ -316,27 +304,16 @@ mod tests {
             .put("commit/garbage", bytes::Bytes::from_static(b"junk"))
             .unwrap();
 
-        let sequential = MetadataCache::new();
-        let loaded_seq = warm_metadata_cache(&storage, &sequential, usize::MAX).unwrap();
-
-        let io = IoEngine::new(storage.clone(), IoConfig::pipelined());
         let pipelined = MetadataCache::new();
-        let loaded_pipe = warm_metadata_cache_pipelined(&io, &pipelined, usize::MAX).unwrap();
+        let loaded = warm_metadata_cache_pipelined(&engine(&storage), &pipelined).unwrap();
 
-        assert_eq!(loaded_seq, loaded_pipe);
-        assert_eq!(sequential.len(), pipelined.len());
+        assert_eq!(loaded, 300, "every record loaded, the junk key skipped");
+        assert!((1..=300).all(|ts| pipelined.is_committed(&tid(ts))));
         assert_eq!(
             pipelined.latest_version_of(&Key::new("k")),
             Some(tid(300)),
             "multi-wave overlapped warm must load every record"
         );
-
-        // The limit applies to the pipelined variant too. The garbage key
-        // sorts last, so the 5-key tail holds 4 decodable records.
-        let limited = MetadataCache::new();
-        assert_eq!(warm_metadata_cache_pipelined(&io, &limited, 5).unwrap(), 4);
-        assert!(limited.is_committed(&tid(300)));
-        assert!(!limited.is_committed(&tid(1)));
     }
 
     use aft_storage::checkpoint::publish_checkpoint;
@@ -395,11 +372,10 @@ mod tests {
         publish_checkpoint(&io, &checkpoint, || Ok(())).unwrap();
 
         let replayed = MetadataCache::new();
-        warm_metadata_cache_pipelined(&io, &replayed, usize::MAX).unwrap();
+        warm_metadata_cache_pipelined(&io, &replayed).unwrap();
 
         let warmed = MetadataCache::new();
-        let outcome =
-            warm_metadata_cache_checkpointed(&io, &warmed, usize::MAX, "n0", None).unwrap();
+        let outcome = warm_metadata_cache_checkpointed(&io, &warmed, "n0", None).unwrap();
         assert!(outcome.used_checkpoint);
         assert_eq!(outcome.from_checkpoint, 25);
         assert_eq!(outcome.from_tail, 15);
@@ -418,8 +394,7 @@ mod tests {
     fn checkpointed_bootstrap_without_checkpoint_is_full_replay() {
         let (io, _) = seeded_engine(12);
         let warmed = MetadataCache::new();
-        let outcome =
-            warm_metadata_cache_checkpointed(&io, &warmed, usize::MAX, "n0", None).unwrap();
+        let outcome = warm_metadata_cache_checkpointed(&io, &warmed, "n0", None).unwrap();
         assert!(!outcome.used_checkpoint);
         assert_eq!(outcome.from_checkpoint, 0);
         assert_eq!(outcome.from_tail, 12);
@@ -436,13 +411,11 @@ mod tests {
         let probe = RecordingProbe::new(true);
         let as_probe: Arc<dyn CommitProbe> = probe.clone();
         let warmed = MetadataCache::new();
-        let err = warm_metadata_cache_checkpointed(&io, &warmed, usize::MAX, "n0", Some(&as_probe));
+        let err = warm_metadata_cache_checkpointed(&io, &warmed, "n0", Some(&as_probe));
         assert!(err.is_err(), "armed probe must abort the first bootstrap");
 
         let retry = MetadataCache::new();
-        let outcome =
-            warm_metadata_cache_checkpointed(&io, &retry, usize::MAX, "n0", Some(&as_probe))
-                .unwrap();
+        let outcome = warm_metadata_cache_checkpointed(&io, &retry, "n0", Some(&as_probe)).unwrap();
         assert_eq!(outcome.loaded(), 10);
         assert_eq!(
             probe.seen.lock().as_slice(),
@@ -472,8 +445,7 @@ mod tests {
             .unwrap();
 
         let warmed = MetadataCache::new();
-        let outcome =
-            warm_metadata_cache_checkpointed(&io, &warmed, usize::MAX, "n0", None).unwrap();
+        let outcome = warm_metadata_cache_checkpointed(&io, &warmed, "n0", None).unwrap();
         assert!(outcome.used_checkpoint);
         assert_eq!(outcome.rejected_checkpoints, 1);
         assert_eq!(outcome.from_checkpoint, 10);

@@ -18,9 +18,6 @@ pub struct LocalGcConfig {
     /// Maximum number of transactions to delete in one sweep; bounds the time
     /// spent holding metadata locks.
     pub max_deletions_per_sweep: usize,
-    /// How often the background sweep runs when driven by a cluster
-    /// deployment.
-    pub sweep_interval: Duration,
     /// Never garbage collect a transaction until at least this much time has
     /// passed since its commit timestamp, giving in-flight readers on *other*
     /// nodes a grace period (mitigates the §5.2.1 missing-version hazard).
@@ -31,7 +28,6 @@ impl Default for LocalGcConfig {
     fn default() -> Self {
         LocalGcConfig {
             max_deletions_per_sweep: 10_000,
-            sweep_interval: Duration::from_secs(1),
             min_age: Duration::from_millis(0),
         }
     }
@@ -43,7 +39,6 @@ impl LocalGcConfig {
     pub fn aggressive() -> Self {
         LocalGcConfig {
             max_deletions_per_sweep: usize::MAX,
-            sweep_interval: Duration::from_millis(10),
             min_age: Duration::ZERO,
         }
     }
@@ -81,7 +76,6 @@ mod tests {
     fn default_config_is_sane() {
         let config = LocalGcConfig::default();
         assert!(config.max_deletions_per_sweep > 0);
-        assert!(config.sweep_interval > Duration::ZERO);
     }
 
     #[test]

@@ -63,17 +63,13 @@ pub trait CommitProbe: Send + Sync {
 /// CRC-sealed, published checkpoint-then-pointer — see
 /// [`aft_storage::checkpoint`]) so a replacement node can bootstrap from
 /// checkpoint + tail instead of replaying the whole Transaction Commit Set.
-/// Both triggers may be combined; whichever fires first wins. The default is
-/// disabled — checkpointing is a cluster-level duty, opted into per
-/// deployment.
+/// The default is disabled — checkpointing is a cluster-level duty, opted
+/// into per deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint after this many commits on the node since the last round;
-    /// `0` disables the commit-count trigger.
+    /// `0` disables checkpointing.
     pub every_commits: u64,
-    /// Checkpoint after this much clock time since the last round;
-    /// `Duration::ZERO` disables the time trigger.
-    pub every_duration: Duration,
 }
 
 impl Default for CheckpointPolicy {
@@ -85,31 +81,19 @@ impl Default for CheckpointPolicy {
 impl CheckpointPolicy {
     /// No checkpointing at all.
     pub const fn disabled() -> Self {
-        CheckpointPolicy {
-            every_commits: 0,
-            every_duration: Duration::ZERO,
-        }
+        CheckpointPolicy { every_commits: 0 }
     }
 
     /// Checkpoint every `n` commits (`n` clamped to ≥ 1).
     pub fn every_commits(n: u64) -> Self {
         CheckpointPolicy {
             every_commits: n.max(1),
-            every_duration: Duration::ZERO,
         }
     }
 
-    /// Checkpoint every `period` of clock time.
-    pub fn every_duration(period: Duration) -> Self {
-        CheckpointPolicy {
-            every_commits: 0,
-            every_duration: period,
-        }
-    }
-
-    /// True if either trigger is armed.
+    /// True if the commit-count trigger is armed.
     pub fn is_enabled(&self) -> bool {
-        self.every_commits > 0 || !self.every_duration.is_zero()
+        self.every_commits > 0
     }
 }
 
@@ -175,9 +159,6 @@ pub struct NodeConfig {
     /// Whether to warm the metadata cache from the Transaction Commit Set at
     /// startup (§3.1); replacement nodes in a cluster always do.
     pub bootstrap: bool,
-    /// How many of the most recent commit records to load when
-    /// bootstrapping.
-    pub bootstrap_limit: usize,
     /// Latency of one client→shim API call (the network hop that is part of
     /// AFT's overhead in Figure 2); zero for unit tests.
     pub rpc_profile: LatencyProfile,
@@ -213,7 +194,6 @@ impl Default for NodeConfig {
             write_buffer_spill_bytes: 16 * 1024 * 1024,
             transaction_timeout: Duration::from_secs(30),
             bootstrap: true,
-            bootstrap_limit: 100_000,
             rpc_profile: LatencyProfile::ZERO,
             latency_mode: LatencyMode::Virtual,
             latency_scale: 0.0,
@@ -252,18 +232,6 @@ impl NodeConfig {
         self
     }
 
-    /// Sets the group-commit tuning.
-    pub fn with_commit_batch(mut self, commit_batch: BatchConfig) -> Self {
-        self.commit_batch = commit_batch;
-        self
-    }
-
-    /// Sets the I/O engine tuning.
-    pub fn with_io(mut self, io: IoConfig) -> Self {
-        self.io = io;
-        self
-    }
-
     /// Sets the background checkpoint policy.
     pub fn with_checkpoint(mut self, checkpoint: CheckpointPolicy) -> Self {
         self.checkpoint = checkpoint;
@@ -289,6 +257,16 @@ impl NodeConfig {
         self.latency_scale = scale;
         self
     }
+}
+
+/// What the select step of a read decided for one key.
+enum Selected {
+    /// The transaction's own buffered write.
+    Buffered(Value),
+    /// No visible version (the NULL version of §3.2).
+    Null,
+    /// The committed version Algorithm 1 chose.
+    Version(TransactionId),
 }
 
 /// A single AFT shim node.
@@ -319,14 +297,8 @@ pub struct AftNode {
     commit_probe: Mutex<Option<Arc<dyn CommitProbe>>>,
     /// Commits on this node since the last checkpoint round.
     checkpoint_commits: AtomicU64,
-    /// The last checkpoint round's id and clock time.
-    checkpoint_last: Mutex<CheckpointTracker>,
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct CheckpointTracker {
-    id: u64,
-    at_ms: u64,
+    /// The last checkpoint round's id.
+    checkpoint_last_id: Mutex<u64>,
 }
 
 impl AftNode {
@@ -350,16 +322,11 @@ impl AftNode {
             crate::bootstrap::warm_metadata_cache_checkpointed(
                 &io,
                 &metadata,
-                config.bootstrap_limit,
                 &config.node_id,
                 config.bootstrap_probe.get(),
             )?;
         }
         let rpc_latency = LatencyModel::new(config.latency_mode, config.latency_scale);
-        let checkpoint_last = CheckpointTracker {
-            id: 0,
-            at_ms: clock.now(),
-        };
         Ok(Arc::new(AftNode {
             data_cache: DataCache::new(config.data_cache_bytes),
             buffer: WriteBuffer::new(),
@@ -370,7 +337,7 @@ impl AftNode {
             locally_deleted: Mutex::new(HashSet::new()),
             commit_probe: Mutex::new(None),
             checkpoint_commits: AtomicU64::new(0),
-            checkpoint_last: Mutex::new(checkpoint_last),
+            checkpoint_last_id: Mutex::new(0),
             rpc_latency,
             metadata,
             io,
@@ -496,32 +463,10 @@ impl AftNode {
         key: &Key,
     ) -> AftResult<Option<(Value, Option<TransactionId>)>> {
         self.rpc();
-        self.stats.record_read();
-
-        // Read-your-writes (§3.5): buffered writes win and bypass Algorithm 1.
-        let buffered = self.buffer.with_txn(txid, |txn| txn.buffered_value(key))?;
-        if let Some(value) = buffered {
-            self.stats.record_read_from_write_buffer();
-            return Ok(Some((value, None)));
-        }
-
-        // Algorithm 1 over the local committed-transaction metadata.
-        let choice = self
-            .buffer
-            .with_txn(txid, |txn| select_version(key, &txn.reads, &self.metadata))?;
-        let target = match choice {
-            VersionChoice::NotFound => {
-                self.stats.record_null_read();
-                return Ok(None);
-            }
-            VersionChoice::NoValidVersion => {
-                self.stats.record_no_valid_version();
-                return Err(AftError::NoValidVersion {
-                    key: key.clone(),
-                    txn: *txid,
-                });
-            }
-            VersionChoice::Version(tid) => tid,
+        let target = match self.select(txid, key)? {
+            Selected::Buffered(value) => return Ok(Some((value, None))),
+            Selected::Null => return Ok(None),
+            Selected::Version(tid) => tid,
         };
 
         // Fetch the payload: data cache first, then storage (through the I/O
@@ -535,23 +480,7 @@ impl AftNode {
                 let storage_key = KeyVersion::new(key.clone(), target).storage_key();
                 let outcome = self.io.execute(StorageRequest::Get(storage_key));
                 self.stats.read_storage_latency().record(outcome.cost);
-                match outcome.result?.into_value() {
-                    Some(value) => {
-                        self.stats.record_read_from_storage();
-                        self.fill_data_cache(key, target, &value);
-                        value
-                    }
-                    None => {
-                        // The version's data was deleted underneath us (global
-                        // GC racing a long transaction, §5.2.1). Treat it like
-                        // a missing valid version so the client retries.
-                        self.stats.record_no_valid_version();
-                        return Err(AftError::NoValidVersion {
-                            key: key.clone(),
-                            txn: *txid,
-                        });
-                    }
-                }
+                self.fetched(txid, key, target, outcome.result?.into_value())?
             }
         };
 
@@ -583,32 +512,13 @@ impl AftNode {
         // (output index, chosen version) pairs that need a storage fetch.
         let mut fetches: Vec<(usize, TransactionId)> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
-            self.stats.record_read();
-
-            // Read-your-writes (§3.5): buffered writes bypass Algorithm 1.
-            let buffered = self.buffer.with_txn(txid, |txn| txn.buffered_value(key))?;
-            if let Some(value) = buffered {
-                self.stats.record_read_from_write_buffer();
-                out[i] = Some(value);
-                continue;
-            }
-
-            let choice = self
-                .buffer
-                .with_txn(txid, |txn| select_version(key, &txn.reads, &self.metadata))?;
-            let target = match choice {
-                VersionChoice::NotFound => {
-                    self.stats.record_null_read();
+            let target = match self.select(txid, key)? {
+                Selected::Buffered(value) => {
+                    out[i] = Some(value);
                     continue;
                 }
-                VersionChoice::NoValidVersion => {
-                    self.stats.record_no_valid_version();
-                    return Err(AftError::NoValidVersion {
-                        key: key.clone(),
-                        txn: *txid,
-                    });
-                }
-                VersionChoice::Version(tid) => tid,
+                Selected::Null => continue,
+                Selected::Version(tid) => tid,
             };
             // Record the choice now so the next key's selection sees it.
             self.buffer
@@ -635,23 +545,58 @@ impl AftNode {
         let outcome = set.wait_all();
         self.stats.read_storage_latency().record(outcome.cost);
         for ((i, target), result) in fetches.into_iter().zip(outcome.results) {
-            match result?.into_value() {
-                Some(value) => {
-                    self.stats.record_read_from_storage();
-                    self.fill_data_cache(&keys[i], target, &value);
-                    out[i] = Some(value);
-                }
-                None => {
-                    // Deleted underneath us (§5.2.1): retry like a single get.
-                    self.stats.record_no_valid_version();
-                    return Err(AftError::NoValidVersion {
-                        key: keys[i].clone(),
-                        txn: *txid,
-                    });
-                }
-            }
+            out[i] = Some(self.fetched(txid, &keys[i], target, result?.into_value())?);
         }
         Ok(out)
+    }
+
+    /// The *select* step of a read, under one lock of the transaction's
+    /// state: read-your-writes (§3.5) — a buffered write wins and bypasses
+    /// Algorithm 1 — then Algorithm 1 over the local committed-transaction
+    /// metadata. Does not extend the read set; the caller decides when.
+    fn select(&self, txid: &TransactionId, key: &Key) -> AftResult<Selected> {
+        self.stats.record_read();
+        self.buffer.with_txn(txid, |txn| {
+            if let Some(value) = txn.buffered_value(key) {
+                self.stats.record_read_from_write_buffer();
+                return Ok(Selected::Buffered(value));
+            }
+            match select_version(key, &txn.reads, &self.metadata) {
+                VersionChoice::NotFound => {
+                    self.stats.record_null_read();
+                    Ok(Selected::Null)
+                }
+                VersionChoice::NoValidVersion => Err(self.no_valid_version(txid, key)),
+                VersionChoice::Version(tid) => Ok(Selected::Version(tid)),
+            }
+        })?
+    }
+
+    /// The *fetched* step of a read: the payload storage returned for the
+    /// selected `version` enters the data cache, or — the version's data was
+    /// deleted underneath us (global GC racing a long transaction, §5.2.1) —
+    /// is treated like a missing valid version so the client retries.
+    fn fetched(
+        &self,
+        txid: &TransactionId,
+        key: &Key,
+        version: TransactionId,
+        fetched: Option<Value>,
+    ) -> AftResult<Value> {
+        let Some(value) = fetched else {
+            return Err(self.no_valid_version(txid, key));
+        };
+        self.stats.record_read_from_storage();
+        self.fill_data_cache(key, version, &value);
+        Ok(value)
+    }
+
+    fn no_valid_version(&self, txid: &TransactionId, key: &Key) -> AftError {
+        self.stats.record_no_valid_version();
+        AftError::NoValidVersion {
+            key: key.clone(),
+            txn: *txid,
+        }
     }
 
     /// Caches a payload a read just fetched from storage. Between version
@@ -670,24 +615,7 @@ impl AftNode {
 
     /// `Put(txid, key, value)`: buffers an update for transaction `txid`.
     pub fn put(&self, txid: &TransactionId, key: Key, value: Value) -> AftResult<()> {
-        self.rpc();
-        self.stats.record_write();
-        let spill = self.buffer.with_txn(txid, |txn| {
-            txn.buffer_write(key, value);
-            if txn.buffered_bytes() >= self.config.write_buffer_spill_bytes {
-                Some(txn.mark_spilled())
-            } else {
-                None
-            }
-        })?;
-        // A saturated write buffer proactively writes intermediary data; the
-        // data stays invisible because no commit record references it yet
-        // (§3.3). Performed outside the buffer lock, with the round trips
-        // overlapped by the I/O engine.
-        if let Some(items) = spill {
-            self.io.put_all(items)?;
-        }
-        Ok(())
+        self.put_all(txid, [(key, value)])
     }
 
     /// Buffers several updates with a single client→shim request (the
@@ -709,6 +637,10 @@ impl AftNode {
                 None
             }
         })?;
+        // A saturated write buffer proactively writes intermediary data; the
+        // data stays invisible because no commit record references it yet
+        // (§3.3). Performed outside the buffer lock, with the round trips
+        // overlapped by the I/O engine.
         if let Some(items) = spill {
             self.io.put_all(items)?;
         }
@@ -903,15 +835,7 @@ impl AftNode {
         if !policy.is_enabled() || self.metadata.is_empty() {
             return Ok(None);
         }
-        let now = self.clock.now();
-        let due = {
-            let last = self.checkpoint_last.lock();
-            let commits = self.checkpoint_commits.load(Ordering::Relaxed);
-            (policy.every_commits > 0 && commits >= policy.every_commits)
-                || (!policy.every_duration.is_zero()
-                    && now.saturating_sub(last.at_ms) >= policy.every_duration.as_millis() as u64)
-        };
-        if !due {
+        if self.checkpoint_commits.load(Ordering::Relaxed) < policy.every_commits {
             return Ok(None);
         }
         self.checkpoint_now(compact).map(Some)
@@ -935,9 +859,9 @@ impl AftNode {
         // Monotonic id: clock milliseconds disambiguated by a node hash in
         // the low bits, never reusing or going below a previous id.
         let id = {
-            let last = self.checkpoint_last.lock();
+            let last_id = self.checkpoint_last_id.lock();
             let candidate = (self.clock.now() << 10) | (fnv1a(self.node_id().as_bytes()) & 0x3FF);
-            candidate.max(last.id + 1)
+            candidate.max(*last_id + 1)
         };
         let checkpoint = Checkpoint::new(id, records);
         let probe = self.commit_probe.lock().clone();
@@ -952,11 +876,7 @@ impl AftNode {
             }
             Ok(())
         })?;
-        {
-            let mut last = self.checkpoint_last.lock();
-            last.id = id;
-            last.at_ms = self.clock.now();
-        }
+        *self.checkpoint_last_id.lock() = id;
         self.checkpoint_commits.store(0, Ordering::Relaxed);
         let compaction = if compact {
             Some(compact_log(&self.io, &checkpoint, CHECKPOINT_KEEP)?)
@@ -1302,6 +1222,32 @@ mod tests {
             node2.get(&t, &Key::new("k")).unwrap().unwrap(),
             val("durable")
         );
+    }
+
+    #[test]
+    fn bootstrap_loads_every_commit_however_long_the_history() {
+        // Every commit wrote its own key, so all of them are live: a node
+        // that warmed only part of the commit set would answer `None` for a
+        // committed key, and no peer or fault manager would ever correct it.
+        const COMMITS: u64 = 100_001;
+        let storage: SharedStorage = InMemoryStore::shared();
+        let mut items = Vec::new();
+        for ts in 1..=COMMITS {
+            let id = TransactionId::new(ts, Uuid::from_u128(ts as u128));
+            let key = Key::new(format!("k{ts}"));
+            let record = TransactionRecord::new(id, [key.clone()]);
+            items.push((KeyVersion::new(key, id).storage_key(), val("v")));
+            items.push((record.storage_key(), encode_commit_record(&record)));
+        }
+        storage.put_batch(items).unwrap();
+
+        let node = AftNode::new(NodeConfig::default(), storage).unwrap();
+        assert_eq!(node.metadata().len(), COMMITS as usize);
+        let t = node.start_transaction();
+        for ts in [1, COMMITS] {
+            let key = Key::new(format!("k{ts}"));
+            assert_eq!(node.get(&t, &key).unwrap(), Some(val("v")), "{key}");
+        }
     }
 
     #[test]
@@ -1855,7 +1801,6 @@ mod tests {
         assert!(!CheckpointPolicy::disabled().is_enabled());
         assert!(!CheckpointPolicy::default().is_enabled());
         assert!(CheckpointPolicy::every_commits(10).is_enabled());
-        assert!(CheckpointPolicy::every_duration(Duration::from_secs(1)).is_enabled());
         // every_commits(0) clamps to 1: an enabled policy always fires.
         assert_eq!(CheckpointPolicy::every_commits(0).every_commits, 1);
     }

@@ -67,7 +67,7 @@ proptest! {
         // The recovering node's view: checkpoint + tail.
         let recovered = MetadataCache::new();
         let boot = warm_metadata_cache_checkpointed(
-            origin.io(), &recovered, usize::MAX, "recovering", None).unwrap();
+            origin.io(), &recovered, "recovering", None).unwrap();
         prop_assert!(boot.used_checkpoint);
         prop_assert_eq!(boot.rejected_checkpoints, 0);
 
@@ -108,7 +108,7 @@ proptest! {
         // full replay loads.
         if !compact {
             let replayed = MetadataCache::new();
-            warm_metadata_cache_pipelined(origin.io(), &replayed, usize::MAX).unwrap();
+            warm_metadata_cache_pipelined(origin.io(), &replayed).unwrap();
             let mut recovered_ids: Vec<_> =
                 recovered.all_records().iter().map(|r| r.id).collect();
             let mut replayed_ids: Vec<_> =
@@ -147,7 +147,7 @@ proptest! {
 
         let recovered = MetadataCache::new();
         let boot = warm_metadata_cache_checkpointed(
-            origin.io(), &recovered, usize::MAX, "recovering", None).unwrap();
+            origin.io(), &recovered, "recovering", None).unwrap();
         prop_assert!(boot.used_checkpoint);
         // The newest checkpoint is the one bootstrapped from.
         let latest = aft_storage::load_latest_checkpoint(origin.io()).unwrap();

@@ -9,10 +9,11 @@
 //! * Algorithm 2 / local GC never remove a version a later read needs for
 //!   correctness (it may force a retry, but never a fracture).
 //!
-//! The last property checks the read path's own cost trick: `select_version`
-//! and `is_atomic_readset` walk whichever of {read set, cowritten set} is
+//! Two more properties pin the read path itself. `select_version` and
+//! `is_atomic_readset` walk whichever of {read set, cowritten set} is
 //! smaller, and must answer exactly what the definitional loops — which walk
-//! the whole cowritten set — answer.
+//! the whole cowritten set — answer; and `get` and `get_all` must read the
+//! same values into the same read set.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -66,6 +67,44 @@ fn value_for(counter: u64) -> Value {
 fn node() -> Arc<AftNode> {
     let storage: SharedStorage = InMemoryStore::shared();
     AftNode::with_clock(NodeConfig::test(), storage, TickingClock::shared(1, 1)).unwrap()
+}
+
+/// Commits one transaction writing every key in `keys`.
+fn commit_keys(node: &AftNode, keys: &[Key], counter: &mut u64) {
+    let t = node.start_transaction();
+    for key in keys {
+        *counter += 1;
+        node.put(&t, key.clone(), value_for(*counter)).unwrap();
+    }
+    node.commit(&t).unwrap();
+}
+
+/// What one read told the caller: the value and version, or the key that had
+/// no valid version (the error's transaction id differs between readers).
+type ReadOutcome = Result<Option<(Value, Option<TransactionId>)>, Key>;
+
+fn read_outcome(node: &AftNode, txid: &TransactionId, key: &Key) -> ReadOutcome {
+    match node.get_versioned(txid, key) {
+        Ok(found) => Ok(found),
+        Err(aft_types::AftError::NoValidVersion { key, .. }) => Err(key),
+        Err(other) => panic!("unexpected error: {other}"),
+    }
+}
+
+/// An image of a transaction's read set taken through the public API, after
+/// the caller has committed `{k, probe-k}` for every key `k` of the universe.
+/// `probe-k` has that one version, and it is valid for a transaction exactly
+/// when `k` is not in its read set (buffered or not); `k` itself re-reads at
+/// exactly the version the read set holds, and at the newest one otherwise.
+fn read_set_image(node: &AftNode, txid: &TransactionId) -> Vec<(ReadOutcome, ReadOutcome)> {
+    (0..6u8)
+        .map(|k| {
+            (
+                read_outcome(node, txid, &Key::new(format!("probe-{k}"))),
+                read_outcome(node, txid, &key_name(k)),
+            )
+        })
+        .collect()
 }
 
 /// The commit records a reference function consults, by id.
@@ -302,6 +341,77 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// `get` and `get_all` are one read protocol behind two entry points: a
+    /// transaction reading k₁…kₙ by n `get`s and another reading them by one
+    /// `get_all`, over the same node state, return the same values and end
+    /// with the same read set — buffered writes included — and when the k-th
+    /// key has no valid version both fail on it holding the read set of the
+    /// first k−1.
+    #[test]
+    fn n_gets_and_one_get_all_read_the_same(
+        history in proptest::collection::vec(proptest::collection::vec(0..4u8, 1..4), 0..12),
+        buffered in proptest::collection::vec(0..6u8, 0..3),
+        earlier in proptest::collection::vec(0..4u8, 0..4),
+        concurrent in proptest::collection::vec(proptest::collection::vec(0..6u8, 2..5), 0..6),
+        keys in proptest::collection::vec(0..6u8, 1..8),
+    ) {
+        let node = node();
+        let named = |ks: &[u8]| ks.iter().map(|k| key_name(*k)).collect::<Vec<Key>>();
+        let mut counter = 0u64;
+        for write_set in &history {
+            commit_keys(&node, &named(write_set), &mut counter);
+        }
+
+        // Both readers buffer the same writes and make the same earlier
+        // reads; then writers commit while the two are in flight. Keys 4 and
+        // 5 have no version but theirs, so one cowritten with an earlier read
+        // is a key without a valid version (§3.6).
+        let by_gets = node.start_transaction();
+        let by_get_all = node.start_transaction();
+        for txid in [&by_gets, &by_get_all] {
+            for k in &buffered {
+                node.put(txid, key_name(*k), Bytes::from(format!("own-{k}"))).unwrap();
+            }
+            for k in &earlier {
+                let _ = read_outcome(&node, txid, &key_name(*k));
+            }
+        }
+        for write_set in &concurrent {
+            commit_keys(&node, &named(write_set), &mut counter);
+        }
+
+        let keys = named(&keys);
+        let mut values = Vec::new();
+        let mut failed_on = None;
+        for key in &keys {
+            match read_outcome(&node, &by_gets, key) {
+                Ok(found) => values.push(found.map(|(value, _)| value)),
+                Err(key) => {
+                    failed_on = Some(key);
+                    break;
+                }
+            }
+        }
+        match node.get_all(&by_get_all, &keys) {
+            Ok(all) => {
+                prop_assert_eq!(&failed_on, &None, "get_all read what a get could not");
+                prop_assert_eq!(all, values);
+            }
+            Err(aft_types::AftError::NoValidVersion { key, .. }) => {
+                prop_assert_eq!(Some(key), failed_on, "after reading {:?}", values);
+            }
+            Err(other) => return Err(TestCaseError::fail(format!("unexpected error: {other}"))),
+        }
+
+        for k in 0..6u8 {
+            commit_keys(&node, &[key_name(k), Key::new(format!("probe-{k}"))], &mut counter);
+        }
+        prop_assert_eq!(
+            read_set_image(&node, &by_gets),
+            read_set_image(&node, &by_get_all)
+        );
     }
 
     /// The write-ordering protocol: every version readable by a fresh

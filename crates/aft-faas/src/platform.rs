@@ -86,15 +86,6 @@ impl PlatformConfig {
         self
     }
 
-    /// Adopts the faas layer *and* the seed of a unified cross-layer spec,
-    /// so the platform draws from the same schedule as every other layer of
-    /// the trial.
-    pub fn with_chaos_spec(mut self, spec: &ChaosSpec) -> Self {
-        self.chaos = spec.faas;
-        self.seed = spec.seed;
-        self
-    }
-
     /// Sets the concurrency limit.
     pub fn with_concurrency_limit(mut self, limit: usize) -> Self {
         self.concurrency_limit = limit;

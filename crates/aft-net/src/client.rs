@@ -347,11 +347,6 @@ impl AftClient {
         Ok(client)
     }
 
-    /// The server address the client talks to.
-    pub fn server_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// Client counters so far.
     pub fn stats(&self) -> ClientStatsSnapshot {
         ClientStatsSnapshot {

@@ -20,7 +20,7 @@
 //! * **write** — workers push completions into a wakeable completion queue
 //!   ([`Poller::notify`] interrupts the wait); the loop frames each response
 //!   into a pooled buffer and flushes with *vectored* writes, so one syscall
-//!   carries up to `write_batch` pipelined responses.
+//!   carries up to `WRITE_BATCH` pipelined responses.
 //!
 //! Execution semantics (routing, affinity, commit dedup/single-flight, the
 //! `ResponseFilter` chaos hook) stay in the worker pool — the loop never
@@ -49,7 +49,7 @@ use polling::{Event, Events, Poller};
 
 use crate::buffer::BufferPool;
 use crate::frame::{frame_into, FrameDecoder};
-use crate::server::{Job, Responder, ServerShared};
+use crate::server::{Job, ServerShared};
 use crate::stats::ConnStats;
 
 /// Poller key of the listening socket (`usize::MAX` is the poller's own
@@ -59,6 +59,19 @@ const LISTENER_KEY: usize = usize::MAX - 1;
 /// Reads drained from one socket per readiness event before yielding to
 /// other connections (fairness under a firehose peer).
 const MAX_READS_PER_EVENT: usize = 16;
+
+/// Bytes read per socket syscall.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// Response frames coalesced into one vectored write syscall.
+const WRITE_BATCH: usize = 64;
+
+/// Unflushed response bytes a connection may buffer before the loop stops
+/// reading more requests from it (per-connection write throttle).
+const WRITE_BUFFER_CAP: usize = 4 * 1024 * 1024;
+
+/// OS readiness API: epoll on Linux, poll(2) elsewhere.
+const POLLER_BACKEND: polling::Backend = polling::Backend::Auto;
 
 /// The worker-visible identity of one event-loop connection.
 ///
@@ -300,18 +313,18 @@ impl EventLoop {
         listener
             .set_nonblocking(true)
             .map_err(|e| unavailable("nonblocking listener", e))?;
-        let backend = shared.config.poller_backend.to_polling();
-        let poller = Arc::new(Poller::with_backend(backend).map_err(|e| unavailable("poller", e))?);
+        let poller =
+            Arc::new(Poller::with_backend(POLLER_BACKEND).map_err(|e| unavailable("poller", e))?);
         poller
             .add(&listener, Event::readable(LISTENER_KEY))
             .map_err(|e| unavailable("register listener", e))?;
         let config = &shared.config;
         let stats = Arc::new(EventStats::default());
         let pool = Arc::new(BufferPool::new(
-            config.read_chunk.max(4096) * 4,
+            READ_CHUNK * 4,
             config.slab_capacity.min(4096),
         ));
-        let scratch = vec![0u8; config.read_chunk.max(512)];
+        let scratch = vec![0u8; READ_CHUNK];
         let slab = Slab::with_capacity(config.slab_capacity);
         Ok(EventLoop {
             shared,
@@ -542,9 +555,8 @@ impl EventLoop {
                 }
             }
         }
-        let read_chunk = self.scratch.len();
         if let Some(conn) = self.slab.get_mut(slot) {
-            conn.decoder.shed(read_chunk * 4);
+            conn.decoder.shed(READ_CHUNK * 4);
         }
         true
     }
@@ -598,12 +610,10 @@ impl EventLoop {
             return;
         }
         handle.inflight.fetch_add(1, Ordering::AcqRel);
-        let source = handle.id;
         queue.push(Job {
-            responder: Responder::Event(handle),
+            handle,
             request_id,
             request,
-            source,
             enqueued: Instant::now(),
         });
         drop(queue);
@@ -640,10 +650,9 @@ impl EventLoop {
                     }
                     handle.inflight.fetch_add(1, Ordering::AcqRel);
                     queue.push(Job {
-                        responder: Responder::Event(Arc::clone(&handle)),
+                        handle: Arc::clone(&handle),
                         request_id,
                         request,
-                        source: handle.id,
                         enqueued: Instant::now(),
                     });
                     submitted += 1;
@@ -728,9 +737,8 @@ impl EventLoop {
     }
 
     /// Flushes as much of the write queue as the socket accepts, batching
-    /// up to `write_batch` frames per vectored syscall.
+    /// up to `WRITE_BATCH` frames per vectored syscall.
     fn do_write(&mut self, slot: usize) {
-        let write_batch = self.shared.config.write_batch.max(1);
         loop {
             let Some(conn) = self.slab.get_mut(slot) else {
                 return;
@@ -738,8 +746,8 @@ impl EventLoop {
             if conn.write_queue.is_empty() {
                 break;
             }
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(write_batch.min(64));
-            for (i, frame) in conn.write_queue.iter().take(write_batch).enumerate() {
+            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(WRITE_BATCH);
+            for (i, frame) in conn.write_queue.iter().take(WRITE_BATCH).enumerate() {
                 let from = if i == 0 { conn.write_pos } else { 0 };
                 slices.push(IoSlice::new(&frame[from..]));
             }
@@ -877,7 +885,6 @@ impl EventLoop {
     /// Oneshot delivery disarms a source, so *any* event or state change
     /// requires an explicit `modify` to keep receiving readiness.
     fn rearm_dirty(&mut self) {
-        let write_buffer_cap = self.shared.config.write_buffer_cap.max(1);
         let dirty = std::mem::take(&mut self.dirty);
         for slot in dirty {
             let Some(conn) = self.slab.get_mut(slot) else {
@@ -890,7 +897,7 @@ impl EventLoop {
             let readable = conn.read_open
                 && !conn.paused
                 && !conn.close_after_flush
-                && conn.queued_bytes < write_buffer_cap;
+                && conn.queued_bytes < WRITE_BUFFER_CAP;
             let writable = !conn.write_queue.is_empty();
             let interest = Event {
                 key: slot,
