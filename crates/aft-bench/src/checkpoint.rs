@@ -24,12 +24,14 @@ use aft_core::bootstrap::warm_metadata_cache_checkpointed;
 use aft_core::MetadataCache;
 use aft_storage::checkpoint::{compact_log, publish_checkpoint, Checkpoint, CHECKPOINT_KEEP};
 use aft_storage::io::{IoConfig, IoEngine, StorageRequest};
-use aft_storage::{BackendConfig, BackendKind, LatencyMode, DEFAULT_STRIPES};
+use aft_storage::BackendKind;
 use aft_types::codec::encode_commit_record;
 use aft_types::{Key, TransactionId, TransactionRecord, Uuid};
 
+use crate::cli::{Args, Outcome};
 use crate::json::Json;
-use crate::report::{round2, Table};
+use crate::report::{percentile_ms, round2, Table};
+use crate::setup::virtual_backend;
 
 /// Configuration of the checkpoint recovery sweep.
 #[derive(Debug, Clone)]
@@ -114,12 +116,8 @@ pub struct CheckpointCell {
 
 fn percentile(samples: &[BootstrapSample], p: f64, f: impl Fn(&BootstrapSample) -> f64) -> f64 {
     let mut values: Vec<f64> = samples.iter().map(f).collect();
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let idx = ((values.len() as f64 - 1.0) * p).round() as usize;
-    values[idx.min(values.len() - 1)]
+    values.sort_by(f64::total_cmp);
+    percentile_ms(&values, p)
 }
 
 impl CheckpointCell {
@@ -381,14 +379,7 @@ fn run_cell(
     history: usize,
     config: &CheckpointBenchConfig,
 ) -> CheckpointCell {
-    let storage = aft_storage::make_backend(BackendConfig {
-        kind: backend,
-        mode: LatencyMode::Virtual,
-        scale: 1.0,
-        seed: config.seed ^ history as u64,
-        redis_shards: 2,
-        stripes: DEFAULT_STRIPES,
-    });
+    let storage = virtual_backend(backend, config.seed ^ history as u64);
     let io = IoEngine::new(storage, IoConfig::pipelined());
 
     // Phase 1: the history, and the full-replay baseline over it.
@@ -479,6 +470,23 @@ pub fn fig13_checkpoint(config: &CheckpointBenchConfig) -> CheckpointReport {
         }
     }
     CheckpointReport { cells }
+}
+
+/// The registry's entry point.
+pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
+    let mut config = args.env.sized(
+        CheckpointBenchConfig::standard(),
+        CheckpointBenchConfig::fast(),
+    );
+    config.seed = args.seed.unwrap_or(config.seed);
+    let report = fig13_checkpoint(&config);
+    Ok(Outcome::new(
+        config.seed,
+        &config,
+        vec![report.table()],
+        report.to_json(),
+        report.check_gate(),
+    ))
 }
 
 #[cfg(test)]

@@ -1,0 +1,648 @@
+//! The `aft-bench` command line: one registry of experiments, one argument
+//! parser, one driver.
+//!
+//! ```text
+//! aft-bench <experiment> [--out PATH] [--seed N] [--skip-gate] [experiment flags]
+//! aft-bench all [--seed N] [--skip-gate] [experiment flags]
+//! aft-bench list
+//! ```
+//!
+//! Every experiment of the evaluation is one [`Experiment`] in [`REGISTRY`].
+//! Nine are *figures*: they print the table(s) of one of the paper's
+//! figures and take no flags. Seven are *gated*: each also writes a
+//! `BENCH_*.json` report (`--out`, default in the registry), checks a gate
+//! over it (`--skip-gate` for exploration runs; CI keeps it on), and derives
+//! every random choice from one seed (`--seed`, default in the experiment's
+//! configuration) so that a failure replays — the driver prints the exact
+//! command. `all` runs the registry in order, forwards each experiment the
+//! flags it declares, writes every report under its default name and exits
+//! non-zero if any gate failed; because it is a loop over the registry, a
+//! gate cannot be left out of it. Exit status: 0 clean, 1 a gate failed or
+//! a report could not be written, 2 the command line was wrong.
+//!
+//! The driver stamps every report with one `run` object — `{fast, seed,
+//! clock, host_cores}` — so a number is never read without the mode, the
+//! seed, the clock kind and the core count it was measured under.
+
+use crate::json::Json;
+use crate::report::Table;
+use crate::setup::BenchEnv;
+use crate::{
+    checkpoint, dissemination, experiments, overload, pipelined, recovery, scaling, service,
+};
+
+/// The clock an experiment's latencies are measured on. Virtual-clock
+/// numbers are charged, never slept: deterministic per seed and independent
+/// of the host. Wall-clock numbers depend on the host and its load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Clock {
+    /// `LatencyMode::Virtual` (or a manually advanced `MockClock`).
+    Virtual,
+    /// Real sleeps, real sockets.
+    Wall,
+}
+
+impl Clock {
+    /// `"virtual"` / `"wall"`, as reports and `list` print it.
+    pub fn label(self) -> &'static str {
+        match self {
+            Clock::Virtual => "virtual",
+            Clock::Wall => "wall",
+        }
+    }
+}
+
+/// A flag one gated experiment declares beyond `--out`/`--seed`/
+/// `--skip-gate`. Every such flag takes a value.
+#[derive(Debug)]
+pub struct Flag {
+    /// The flag as typed, e.g. `--mode`.
+    pub name: &'static str,
+    /// The value's placeholder in usage text, e.g. `LABEL`.
+    pub value: &'static str,
+    /// One line of help.
+    pub about: &'static str,
+}
+
+/// What a gated experiment hands the driver.
+#[derive(Debug)]
+pub struct Outcome {
+    /// The seed the run derived everything from (the `--seed` override or
+    /// the configuration's default).
+    pub seed: u64,
+    /// What the run was sized to; the driver adds the experiment's name,
+    /// mode, seed and clock.
+    pub banner: String,
+    /// The result tables, in print order.
+    pub tables: Vec<Table>,
+    /// One-line results printed under the tables.
+    pub notes: Vec<String>,
+    /// The report document (the driver adds the `run` object).
+    pub json: Json,
+    /// The gate's verdict: a summary, or the first violated clause.
+    pub gate: Result<String, String>,
+    /// A second path to write the stamped report to (fig7's
+    /// `--write-baseline`).
+    pub also_write: Option<String>,
+}
+
+impl Outcome {
+    /// An outcome with no notes and no second copy of the report; the
+    /// banner is the sweep's whole configuration.
+    pub(crate) fn new(
+        seed: u64,
+        config: &dyn std::fmt::Debug,
+        tables: Vec<Table>,
+        json: Json,
+        gate: Result<String, String>,
+    ) -> Self {
+        Outcome {
+            seed,
+            banner: format!("{config:?}"),
+            tables,
+            notes: Vec::new(),
+            json,
+            gate,
+            also_write: None,
+        }
+    }
+}
+
+/// The two kinds of experiment.
+pub enum Kind {
+    /// Prints the table(s) of one of the paper's figures.
+    Figure(fn(&BenchEnv) -> Vec<Table>),
+    /// Runs a seeded sweep, writes a report, checks a gate.
+    Gated {
+        /// Default report file name.
+        report: &'static str,
+        /// The experiment's own flags.
+        flags: &'static [Flag],
+        /// Sizes the sweep from the arguments, runs it, packages the
+        /// result. `Err` means an argument's value was unusable.
+        run: fn(&Args) -> Result<Outcome, String>,
+    },
+}
+
+/// One entry of the registry.
+pub struct Experiment {
+    /// The name typed on the command line.
+    pub name: &'static str,
+    /// One line saying what it measures.
+    pub about: &'static str,
+    /// The clock its numbers are on (at the default `AFT_BENCH_SCALE`).
+    pub clock: Clock,
+    /// Figure or gated sweep.
+    pub kind: Kind,
+}
+
+impl Experiment {
+    const fn figure(
+        name: &'static str,
+        about: &'static str,
+        run: fn(&BenchEnv) -> Vec<Table>,
+    ) -> Self {
+        // The figures sleep out scaled-down service latencies.
+        Experiment {
+            name,
+            about,
+            clock: Clock::Wall,
+            kind: Kind::Figure(run),
+        }
+    }
+
+    /// The default report file, for a gated experiment.
+    pub fn report(&self) -> Option<&'static str> {
+        match self.kind {
+            Kind::Figure(_) => None,
+            Kind::Gated { report, .. } => Some(report),
+        }
+    }
+
+    /// The flags this experiment declares.
+    pub fn flags(&self) -> &'static [Flag] {
+        match self.kind {
+            Kind::Figure(_) => &[],
+            Kind::Gated { flags, .. } => flags,
+        }
+    }
+}
+
+/// Every experiment, in the order `all` runs them: the paper's figures
+/// first, then the gated sweeps.
+pub const REGISTRY: &[Experiment] = &[
+    Experiment::figure(
+        "fig2_io_latency",
+        "Figure 2: I/O latency of 1/5/10 writes, with and without AFT and batching",
+        |env| vec![experiments::fig2_io_latency(env)],
+    ),
+    Experiment::figure(
+        "fig3_table2_e2e",
+        "Figure 3 + Table 2: end-to-end latency over S3/DynamoDB/Redis, anomaly counts",
+        |env| {
+            let (latency, anomalies) = experiments::fig3_and_table2(env);
+            vec![latency, anomalies]
+        },
+    ),
+    Experiment::figure(
+        "fig4_caching_skew",
+        "Figure 4: read caching against Zipf skew",
+        |env| vec![experiments::fig4_caching_skew(env)],
+    ),
+    Experiment::figure("fig5_rw_ratio", "Figure 5: read/write ratio sweep", |env| {
+        vec![experiments::fig5_rw_ratio(env)]
+    }),
+    Experiment::figure(
+        "fig6_txn_length",
+        "Figure 6: transaction length sweep",
+        |env| vec![experiments::fig6_txn_length(env)],
+    ),
+    Experiment::figure(
+        "fig7_single_node",
+        "Figure 7: single-node throughput against clients",
+        |env| vec![experiments::fig7_single_node(env)],
+    ),
+    Experiment::figure(
+        "fig8_distributed",
+        "Figure 8: multi-node throughput against the ideal line",
+        |env| vec![experiments::fig8_distributed(env)],
+    ),
+    Experiment::figure("fig9_gc", "Figure 9: garbage-collection overhead", |env| {
+        vec![experiments::fig9_gc(env)]
+    }),
+    Experiment::figure(
+        "fig10_fault_tolerance",
+        "Figure 10: throughput timeline across a node failure and replacement",
+        |env| vec![experiments::fig10_fault_tolerance(env)],
+    ),
+    Experiment {
+        name: "fig10_recovery",
+        about: "chaos matrix: fault mode x commit-phase node kill x backend",
+        clock: Clock::Virtual,
+        kind: Kind::Gated {
+            report: "BENCH_recovery.json",
+            flags: recovery::FLAGS,
+            run: recovery::run,
+        },
+    },
+    Experiment {
+        name: "fig7_throughput_scaling",
+        about: "hot-path scaling: clients x storage stripes x commit batching",
+        clock: Clock::Wall,
+        kind: Kind::Gated {
+            report: "BENCH_throughput.json",
+            flags: scaling::FLAGS,
+            run: scaling::run,
+        },
+    },
+    Experiment {
+        name: "fig2_pipelined",
+        about: "sequential vs pipelined storage I/O per backend",
+        clock: Clock::Virtual,
+        kind: Kind::Gated {
+            report: "BENCH_pipelined.json",
+            flags: &[],
+            run: pipelined::run,
+        },
+    },
+    Experiment {
+        name: "fig8_service",
+        about: "networked service over loopback: client sweep, connection chaos, connection scale",
+        clock: Clock::Wall,
+        kind: Kind::Gated {
+            report: "BENCH_service.json",
+            flags: &[],
+            run: service::run,
+        },
+    },
+    Experiment {
+        name: "fig11_overload",
+        about: "overload protection: goodput and tail latency at 1x-8x offered load",
+        clock: Clock::Wall,
+        kind: Kind::Gated {
+            report: "BENCH_overload.json",
+            flags: &[],
+            run: overload::run,
+        },
+    },
+    Experiment {
+        name: "fig12_dissemination",
+        about: "commit-metadata dissemination: cluster size x topology, partition legs",
+        clock: Clock::Virtual,
+        kind: Kind::Gated {
+            report: "BENCH_dissemination.json",
+            flags: &[],
+            run: dissemination::run,
+        },
+    },
+    Experiment {
+        name: "fig13_checkpoint",
+        about: "recovery cost against history: full replay vs checkpoint + tail",
+        clock: Clock::Virtual,
+        kind: Kind::Gated {
+            report: "BENCH_checkpoint.json",
+            flags: &[],
+            run: checkpoint::run,
+        },
+    },
+];
+
+const USAGE: &str = "usage: aft-bench <experiment> [--out PATH] [--seed N] [--skip-gate] \
+                     [experiment flags]\n       aft-bench all [--seed N] [--skip-gate] \
+                     [experiment flags]\n       aft-bench list";
+
+/// What `aft-bench list` prints: every experiment with its clock, default
+/// report and own flags.
+pub fn list() -> String {
+    let mut out = String::new();
+    for e in REGISTRY {
+        out.push_str(&format!(
+            "{:<24} {:<8} {:<25} {}\n",
+            e.name,
+            e.clock.label(),
+            e.report().unwrap_or("-"),
+            e.about
+        ));
+        for f in e.flags() {
+            out.push_str(&format!("    {} {}: {}\n", f.name, f.value, f.about));
+        }
+    }
+    out
+}
+
+/// The parsed command line, as every gated experiment receives it.
+#[derive(Debug, Clone)]
+pub struct Args {
+    /// Mode, latency scale and sizes from the environment.
+    pub env: BenchEnv,
+    /// `--out PATH`: where to write the report instead of the default.
+    pub out: Option<String>,
+    /// `--seed N`: overrides the configuration's base seed.
+    pub seed: Option<u64>,
+    /// `--skip-gate`: report without a verdict.
+    pub skip_gate: bool,
+    flags: Vec<(&'static str, String)>,
+}
+
+impl Args {
+    /// The value given for an experiment flag (the last, if repeated).
+    pub fn flag(&self, name: &str) -> Option<&str> {
+        let given = self.flags.iter().rev().find(|(n, _)| *n == name);
+        given.map(|(_, value)| value.as_str())
+    }
+}
+
+fn declared<'a>(experiments: &'a [Experiment], flag: &str) -> Option<&'a Flag> {
+    let mut flags = experiments.iter().flat_map(|e| e.flags());
+    flags.find(|f| f.name == flag)
+}
+
+/// Parses `argv` (without the program name) into the experiments it names —
+/// one, or the whole registry for `all` — and their arguments. Errors are
+/// usage errors.
+pub fn parse(argv: &[String], env: BenchEnv) -> Result<(&'static [Experiment], Args), String> {
+    let (name, rest) = argv.split_first().ok_or("no experiment named")?;
+    let experiments = match REGISTRY.iter().find(|e| e.name == name) {
+        Some(one) => std::slice::from_ref(one),
+        None if name == "all" => REGISTRY,
+        None if name == "list" => return Err("list takes no arguments".to_owned()),
+        None => return Err(format!("unknown experiment {name} (try `aft-bench list`)")),
+    };
+    let gated = experiments.iter().any(|e| e.report().is_some());
+    let mut args = Args {
+        env,
+        out: None,
+        seed: None,
+        skip_gate: false,
+        flags: Vec::new(),
+    };
+    let mut rest = rest.iter();
+    while let Some(flag) = rest.next() {
+        let mut value = || {
+            let value = rest.next().cloned();
+            value.ok_or_else(|| format!("missing value for {flag}"))
+        };
+        match flag.as_str() {
+            // One path cannot name seven reports.
+            "--out" if gated && name != "all" => args.out = Some(value()?),
+            "--seed" if gated => {
+                let seed = value().ok().and_then(|v| v.parse().ok());
+                args.seed = Some(seed.ok_or("missing or invalid value for --seed")?);
+            }
+            "--skip-gate" if gated => args.skip_gate = true,
+            other => match declared(experiments, other) {
+                Some(declared) => args.flags.push((declared.name, value()?)),
+                None if ["--out", "--seed", "--skip-gate"].contains(&other)
+                    || declared(REGISTRY, other).is_some() =>
+                {
+                    return Err(format!("{name} does not take {other}"))
+                }
+                None => return Err(format!("unknown flag {other}")),
+            },
+        }
+    }
+    Ok((experiments, args))
+}
+
+/// `json` with the driver's `run` object appended.
+fn stamped(json: Json, env: &BenchEnv, seed: u64, clock: Clock) -> Json {
+    let Json::Obj(mut pairs) = json else {
+        return json;
+    };
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    pairs.push((
+        "run".to_owned(),
+        Json::obj(vec![
+            ("fast", Json::Bool(env.fast)),
+            // Exact up to 2^53; the replay line always prints it exactly.
+            ("seed", Json::Num(seed as f64)),
+            ("clock", Json::str(clock.label())),
+            ("host_cores", Json::Num(cores as f64)),
+        ]),
+    ));
+    Json::Obj(pairs)
+}
+
+/// Runs one experiment: prints its tables and, for a gated one, writes the
+/// report and prints the verdict. `Ok(Some(passed))` when a gate was
+/// checked; `Err((status, message))` when the run could not be done.
+fn run_one(exp: &Experiment, args: &Args) -> Result<Option<bool>, (i32, String)> {
+    let (report, run) = match exp.kind {
+        Kind::Figure(run) => {
+            run(&args.env).iter().for_each(Table::print);
+            return Ok(None);
+        }
+        Kind::Gated { report, run, .. } => (report, run),
+    };
+    let fast = args.env.fast;
+    let outcome = run(args).map_err(|e| (2, e))?;
+    println!(
+        "{} (fast={fast}, seed={:#x}): {}, {} clock\n",
+        exp.name,
+        outcome.seed,
+        outcome.banner,
+        exp.clock.label()
+    );
+    outcome.tables.iter().for_each(Table::print);
+    outcome.notes.iter().for_each(|note| println!("{note}"));
+
+    let rendered = stamped(outcome.json, &args.env, outcome.seed, exp.clock).render();
+    let out = args.out.clone().unwrap_or_else(|| report.to_owned());
+    for path in [Some(out), outcome.also_write].into_iter().flatten() {
+        std::fs::write(&path, &rendered)
+            .map_err(|e| (1, format!("failed to write {path}: {e}")))?;
+        println!("wrote {path}");
+    }
+    if args.skip_gate {
+        return Ok(None);
+    }
+    match &outcome.gate {
+        Ok(message) => println!("gate OK [{}]: {message}", exp.name),
+        Err(message) => {
+            // The failing invocation again, with the mode and the seed
+            // pinned and only the flags this experiment declares.
+            let mut replay = format!("aft-bench {} --seed {}", exp.name, outcome.seed);
+            for f in exp.flags() {
+                if let Some(value) = args.flag(f.name) {
+                    replay.push_str(&format!(" {} {value}", f.name));
+                }
+            }
+            let mode = if fast { "AFT_BENCH_FAST=1 " } else { "" };
+            eprintln!(
+                "gate FAILED [{}]: {message}\nreplay locally with: {mode}{replay}",
+                exp.name
+            );
+        }
+    }
+    Ok(Some(outcome.gate.is_ok()))
+}
+
+/// The whole program: parses `argv` (without the program name), runs what
+/// it names under `env`, and returns the exit status.
+pub fn main(argv: &[String], env: BenchEnv) -> i32 {
+    if argv == ["list"] {
+        print!("{}", list());
+        return 0;
+    }
+    let (experiments, args) = match parse(argv, env) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            return 2;
+        }
+    };
+    let mut verdicts = 0;
+    let mut failed = Vec::new();
+    for exp in experiments {
+        match run_one(exp, &args) {
+            Ok(None) => {}
+            Ok(Some(true)) => verdicts += 1,
+            Ok(Some(false)) => {
+                verdicts += 1;
+                failed.push(exp.name);
+            }
+            Err((status, message)) => {
+                eprintln!("error: {message}");
+                return status;
+            }
+        }
+    }
+    if experiments.len() > 1 {
+        println!(
+            "{} experiments run (scale={}, fast={}), {verdicts} gate verdicts, {} failed {failed:?}",
+            experiments.len(),
+            env.scale,
+            env.fast,
+            failed.len(),
+        );
+    }
+    i32::from(!failed.is_empty())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<(&'static [Experiment], Args), String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        parse(&argv, BenchEnv::test())
+    }
+
+    fn usage_error(line: &str) -> String {
+        match parse_line(line) {
+            Ok(_) => panic!("`{line}` must be rejected"),
+            Err(e) => e,
+        }
+    }
+
+    /// The experiments CI gates on: the `experiment:` input of each `*-gate`
+    /// job in the workflow itself.
+    fn ci_gates() -> Vec<&'static str> {
+        include_str!("../../../.github/workflows/ci.yml")
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix("experiment: "))
+            .collect()
+    }
+
+    #[test]
+    fn registry_names_and_reports_are_unique_and_list_prints_every_experiment() {
+        assert_eq!(REGISTRY.len(), 16);
+        let listing = list();
+        for (i, e) in REGISTRY.iter().enumerate() {
+            assert!(!["list", "all"].contains(&e.name));
+            assert!(
+                REGISTRY[..i].iter().all(|other| other.name != e.name),
+                "{} is registered twice",
+                e.name
+            );
+            let line = listing.lines().find(|l| l.starts_with(e.name));
+            assert!(line.is_some_and(|l| l.contains(e.about)), "{}", e.name);
+        }
+        let reports: Vec<&str> = REGISTRY.iter().filter_map(Experiment::report).collect();
+        for (i, report) in reports.iter().enumerate() {
+            assert!(report.starts_with("BENCH_") && report.ends_with(".json"));
+            assert_ne!(*report, "BENCH_baseline.json", "a gate's input");
+            assert!(!reports[..i].contains(report), "{report} is written twice");
+        }
+    }
+
+    #[test]
+    fn all_visits_every_gate_ci_runs() {
+        let (all, args) = parse_line("all --seed 9 --baseline b.json --mode partition").unwrap();
+        let mut gated: Vec<&str> = all
+            .iter()
+            .filter(|e| e.report().is_some())
+            .map(|e| e.name)
+            .collect();
+        let mut ci = ci_gates();
+        assert_eq!((all.len(), ci.len()), (16, 7));
+        gated.sort_unstable();
+        ci.sort_unstable();
+        assert_eq!(gated, ci, "`all` and CI must gate the same experiments");
+        // `all` takes every flag some experiment declares, and only those.
+        assert_eq!(args.seed, Some(9));
+        assert_eq!(args.flag("--baseline"), Some("b.json"));
+        assert_eq!(args.flag("--mode"), Some("partition"));
+        assert_eq!(usage_error("all --out x.json"), "all does not take --out");
+    }
+
+    #[test]
+    fn every_gated_experiment_takes_out_seed_and_skip_gate() {
+        for name in ci_gates() {
+            let line = format!("{name} --out r.json --seed 42 --skip-gate");
+            let (one, args) = parse_line(&line).unwrap();
+            assert_eq!((one.len(), one[0].name), (1, name));
+            assert_eq!(args.out.as_deref(), Some("r.json"));
+            assert_eq!(args.seed, Some(42));
+            assert!(args.skip_gate);
+        }
+    }
+
+    #[test]
+    fn wrong_command_lines_are_usage_errors() {
+        for (line, error) in [
+            ("", "no experiment named"),
+            ("fig2_pipelined --bogus", "unknown flag --bogus"),
+            (
+                "fig13_checkpoint --seed",
+                "missing or invalid value for --seed",
+            ),
+            (
+                "fig13_checkpoint --seed twelve",
+                "missing or invalid value for --seed",
+            ),
+            ("fig2_pipelined --out", "missing value for --out"),
+            // A flag another experiment declares; a gated flag on a figure.
+            (
+                "fig2_pipelined --mode cross_layer",
+                "fig2_pipelined does not take --mode",
+            ),
+            ("fig9_gc --seed 1", "fig9_gc does not take --seed"),
+            ("list --skip-gate", "list takes no arguments"),
+        ] {
+            assert_eq!(usage_error(line), error, "`{line}`");
+        }
+        assert!(usage_error("fig99_nothing").starts_with("unknown experiment fig99_nothing"));
+        let argv = ["fig9_gc".to_owned(), "--skip-gate".to_owned()];
+        assert_eq!(main(&argv, BenchEnv::test()), 2, "usage errors exit 2");
+    }
+
+    #[test]
+    fn experiment_flags_reach_their_experiment() {
+        let (_, args) = parse_line("fig10_recovery --mode cross_layer --seed 20260809").unwrap();
+        let (config, cells_only) = recovery::plan(&args).unwrap();
+        assert_eq!(config.fault_modes, [recovery::FaultMode::CrossLayer]);
+        assert_eq!(config.seed, 20260809);
+        assert!(cells_only, "--mode gates on check_gate_cells");
+        let (full, cells_only) = recovery::plan(&parse_line("fig10_recovery").unwrap().1).unwrap();
+        assert_eq!(full.fault_modes.len(), 6);
+        assert!(!cells_only, "the full matrix gates on check_gate");
+        let (_, args) = parse_line("fig10_recovery --mode sideways").unwrap();
+        assert!(recovery::plan(&args).unwrap_err().contains("cross_layer"));
+        // A bad value stops fig7 before it sweeps.
+        let (_, args) = parse_line("fig7_throughput_scaling --max-regression lots").unwrap();
+        assert!(scaling::run(&args)
+            .unwrap_err()
+            .contains("--max-regression"));
+        let (_, args) = parse_line("fig7_throughput_scaling --baseline /nonexistent").unwrap();
+        assert!(scaling::run(&args).unwrap_err().contains("/nonexistent"));
+    }
+
+    #[test]
+    fn the_run_stamp_is_appended_and_moves_no_key() {
+        let report = Json::obj(vec![
+            ("experiment", Json::str("x")),
+            ("points", Json::Arr(vec![])),
+        ]);
+        let Json::Obj(pairs) = stamped(report, &BenchEnv::test(), 0xF1610, Clock::Virtual) else {
+            panic!("a stamped report stays an object");
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["experiment", "points", "run"]);
+        let run = &pairs[2].1;
+        assert_eq!(run.get("fast"), Some(&Json::Bool(true)));
+        assert_eq!(run.get("seed").and_then(Json::as_f64), Some(988_688.0));
+        assert_eq!(run.get("clock").and_then(Json::as_str), Some("virtual"));
+        assert!(run.get("host_cores").and_then(Json::as_f64).is_some());
+    }
+}

@@ -36,6 +36,7 @@ use aft_storage::{InMemoryStore, SharedStorage};
 use aft_types::clock::MockClock;
 use aft_types::{Key, TransactionId, Value};
 
+use crate::cli::{Args, Outcome};
 use crate::json::Json;
 use crate::report::{round2, Table};
 
@@ -598,6 +599,23 @@ pub fn fig12_dissemination(config: &DisseminationBenchConfig) -> DisseminationRe
         partition_legs,
         interval_ms: config.interval_ms,
     }
+}
+
+/// The registry's entry point.
+pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
+    let mut config = args.env.sized(
+        DisseminationBenchConfig::standard(),
+        DisseminationBenchConfig::fast(),
+    );
+    config.seed = args.seed.unwrap_or(config.seed);
+    let report = fig12_dissemination(&config);
+    Ok(Outcome::new(
+        config.seed,
+        &config,
+        vec![report.table(), report.partition_table()],
+        report.to_json(),
+        report.check_gate(),
+    ))
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! One function per table/figure of the paper's evaluation (§6).
 //!
 //! Each function runs the experiment against the simulated substrates and
-//! returns the rendered result table(s). The harness binaries print them; the
-//! `run_all` binary and the integration tests call them with reduced sizes.
+//! returns the rendered result table(s). The registry ([`crate::cli`]) prints
+//! them; the unit tests below call them with reduced sizes.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -12,12 +12,12 @@ use aft_core::LocalGcConfig;
 use aft_storage::BackendKind;
 use aft_types::{payload_of_size, Key};
 use aft_workload::{
-    run_closed_loop, AftDriver, ClientMode, LatencyRecorder, RequestDriver, RunConfig, RunResult,
+    run_closed_loop, AftDriver, LatencyRecorder, RequestDriver, RunConfig, RunResult,
     WorkloadConfig,
 };
 
 use crate::report::{ms, Table};
-use crate::setup::{BenchEnv, ServeOptions};
+use crate::setup::BenchEnv;
 
 fn latency_row(table: &mut Table, config: &str, detail: &str, result: &RunResult) {
     table.add_row(vec![
@@ -27,6 +27,31 @@ fn latency_row(table: &mut Table, config: &str, detail: &str, result: &RunResult
         ms(result.latency.p99_ms()),
         result.completed.to_string(),
     ]);
+}
+
+fn anomaly_row(table: &mut Table, config: &str, level: &str, result: &RunResult) {
+    table.add_row(vec![
+        config.to_owned(),
+        level.to_owned(),
+        result.anomalies.ryw_transactions.to_string(),
+        result.anomalies.fr_transactions.to_string(),
+        result.anomalies.total_transactions.to_string(),
+    ]);
+}
+
+/// Runs `requests` closed-loop requests from each of `clients` clients.
+fn closed_loop(
+    driver: &dyn RequestDriver,
+    workload: &WorkloadConfig,
+    clients: usize,
+    requests: usize,
+    seed: u64,
+) -> RunResult {
+    let config = RunConfig::new(workload.clone())
+        .with_clients(clients)
+        .with_requests(requests)
+        .with_seed(seed);
+    run_closed_loop(driver, &config).expect("experiment run")
 }
 
 // ---------------------------------------------------------------------------
@@ -49,34 +74,37 @@ pub fn fig2_io_latency(env: &BenchEnv) -> Table {
     );
     let requests = env.sized(env.requests_per_client, 30);
     let payload = payload_of_size(4 * 1024);
+    // One row: `request(i)` issues request `i` and returns what it took.
+    let mut row = |config: &str, writes: usize, request: &mut dyn FnMut(usize) -> Duration| {
+        let mut recorder = LatencyRecorder::new();
+        (0..requests).for_each(|i| recorder.record(request(i)));
+        let stats = recorder.stats();
+        table.add_row(vec![
+            config.into(),
+            writes.to_string(),
+            ms(stats.median_ms()),
+            ms(stats.p99_ms()),
+            requests.to_string(),
+        ]);
+    };
 
     let write_counts = [1usize, 5, 10];
     for &writes in &write_counts {
         // DynamoDB Sequential: one PutItem per write.
         let storage = env.storage(BackendKind::DynamoDb, 0xF2_01 + writes as u64);
-        let mut recorder = LatencyRecorder::new();
-        for request in 0..requests {
+        row("DynamoDB Sequential", writes, &mut |request| {
             let start = Instant::now();
             for w in 0..writes {
                 storage
                     .put(&format!("fig2/{request}/{w}"), payload.clone())
                     .expect("simulated storage never fails");
             }
-            recorder.record(start.elapsed());
-        }
-        let stats = recorder.stats();
-        table.add_row(vec![
-            "DynamoDB Sequential".into(),
-            writes.to_string(),
-            ms(stats.median_ms()),
-            ms(stats.p99_ms()),
-            requests.to_string(),
-        ]);
+            start.elapsed()
+        });
 
         // DynamoDB Batch: one BatchWriteItem per request.
         let storage = env.storage(BackendKind::DynamoDb, 0xF2_02 + writes as u64);
-        let mut recorder = LatencyRecorder::new();
-        for request in 0..requests {
+        row("DynamoDB Batch", writes, &mut |request| {
             let items: Vec<(String, aft_types::Value)> = (0..writes)
                 .map(|w| (format!("fig2/{request}/{w}"), payload.clone()))
                 .collect();
@@ -84,49 +112,27 @@ pub fn fig2_io_latency(env: &BenchEnv) -> Table {
             storage
                 .put_batch(items)
                 .expect("simulated storage never fails");
-            recorder.record(start.elapsed());
-        }
-        let stats = recorder.stats();
-        table.add_row(vec![
-            "DynamoDB Batch".into(),
-            writes.to_string(),
-            ms(stats.median_ms()),
-            ms(stats.p99_ms()),
-            requests.to_string(),
-        ]);
+            start.elapsed()
+        });
 
         // AFT Sequential: one Put call to the shim per write, then commit.
         let storage = env.storage(BackendKind::DynamoDb, 0xF2_03 + writes as u64);
         let node = env.node(storage, true, 0xF2_03);
-        let mut recorder = LatencyRecorder::new();
-        for request in 0..requests {
+        row("AFT Sequential", writes, &mut |request| {
             let start = Instant::now();
             let txid = node.start_transaction();
             for w in 0..writes {
-                node.put(
-                    &txid,
-                    Key::new(format!("fig2/{request}/{w}")),
-                    payload.clone(),
-                )
-                .expect("put");
+                let key = Key::new(format!("fig2/{request}/{w}"));
+                node.put(&txid, key, payload.clone()).expect("put");
             }
             node.commit(&txid).expect("commit");
-            recorder.record(start.elapsed());
-        }
-        let stats = recorder.stats();
-        table.add_row(vec![
-            "AFT Sequential".into(),
-            writes.to_string(),
-            ms(stats.median_ms()),
-            ms(stats.p99_ms()),
-            requests.to_string(),
-        ]);
+            start.elapsed()
+        });
 
         // AFT Batch: all writes shipped to the shim in one request.
         let storage = env.storage(BackendKind::DynamoDb, 0xF2_04 + writes as u64);
         let node = env.node(storage, true, 0xF2_04);
-        let mut recorder = LatencyRecorder::new();
-        for request in 0..requests {
+        row("AFT Batch", writes, &mut |request| {
             let items: Vec<(Key, aft_types::Value)> = (0..writes)
                 .map(|w| (Key::new(format!("fig2/{request}/{w}")), payload.clone()))
                 .collect();
@@ -134,16 +140,8 @@ pub fn fig2_io_latency(env: &BenchEnv) -> Table {
             let txid = node.start_transaction();
             node.put_all(&txid, items).expect("put_all");
             node.commit(&txid).expect("commit");
-            recorder.record(start.elapsed());
-        }
-        let stats = recorder.stats();
-        table.add_row(vec![
-            "AFT Batch".into(),
-            writes.to_string(),
-            ms(stats.median_ms()),
-            ms(stats.p99_ms()),
-            requests.to_string(),
-        ]);
+            start.elapsed()
+        });
     }
     table
 }
@@ -181,17 +179,6 @@ pub fn fig3_and_table2(env: &BenchEnv) -> (Table, Table) {
         ],
     );
 
-    let run = |driver: &dyn RequestDriver, seed: u64| -> RunResult {
-        run_closed_loop(
-            driver,
-            &RunConfig::new(workload.clone())
-                .with_clients(clients)
-                .with_requests(requests)
-                .with_seed(seed),
-        )
-        .expect("experiment run")
-    };
-
     // Plain baselines over each backend.
     for (kind, consistency) in [
         (BackendKind::S3, "None"),
@@ -199,44 +186,28 @@ pub fn fig3_and_table2(env: &BenchEnv) -> (Table, Table) {
         (BackendKind::Redis, "Shard Linearizable"),
     ] {
         let driver = env.plain_driver(kind, 0xF3_10 + kind.label().len() as u64);
-        let result = run(&driver, 0xF3_11);
+        let result = closed_loop(&driver, &workload, clients, requests, 0xF3_11);
         latency_row(&mut latency, "Plain", kind.label(), &result);
-        anomalies.add_row(vec![
-            format!("{} (Plain)", kind.label()),
-            consistency.into(),
-            result.anomalies.ryw_transactions.to_string(),
-            result.anomalies.fr_transactions.to_string(),
-            result.anomalies.total_transactions.to_string(),
-        ]);
+        let config = format!("{} (Plain)", kind.label());
+        anomaly_row(&mut anomalies, &config, consistency, &result);
     }
 
     // AFT over each backend.
     for kind in BackendKind::EVALUATED {
         let driver = env.aft_driver(kind, true, 0xF3_20 + kind.label().len() as u64);
-        let result = run(&driver, 0xF3_21);
+        let result = closed_loop(&driver, &workload, clients, requests, 0xF3_21);
         latency_row(&mut latency, "AFT", kind.label(), &result);
         if kind == BackendKind::DynamoDb {
-            anomalies.add_row(vec![
-                "AFT".into(),
-                "Read Atomic".into(),
-                result.anomalies.ryw_transactions.to_string(),
-                result.anomalies.fr_transactions.to_string(),
-                result.anomalies.total_transactions.to_string(),
-            ]);
+            anomaly_row(&mut anomalies, "AFT", "Read Atomic", &result);
         }
     }
 
     // DynamoDB transaction mode.
     let driver = env.dynamo_txn_driver(0xF3_30);
-    let result = run(&driver, 0xF3_31);
+    let result = closed_loop(&driver, &workload, clients, requests, 0xF3_31);
     latency_row(&mut latency, "Transactional", "DynamoDB", &result);
-    anomalies.add_row(vec![
-        "DynamoDB (Serializable)".into(),
-        "Serializable".into(),
-        result.anomalies.ryw_transactions.to_string(),
-        result.anomalies.fr_transactions.to_string(),
-        result.anomalies.total_transactions.to_string(),
-    ]);
+    let config = "DynamoDB (Serializable)";
+    anomaly_row(&mut anomalies, config, "Serializable", &result);
 
     (latency, anomalies)
 }
@@ -266,16 +237,8 @@ pub fn fig4_caching_skew(env: &BenchEnv) -> Table {
 
     for zipf in [1.0, 1.5, 2.0] {
         let workload = WorkloadConfig::caching_skew(zipf).with_keys(keys);
-        let run = |driver: &dyn RequestDriver| -> RunResult {
-            run_closed_loop(
-                driver,
-                &RunConfig::new(workload.clone())
-                    .with_clients(clients)
-                    .with_requests(requests)
-                    .with_seed(0xF4_01),
-            )
-            .expect("experiment run")
-        };
+        let run =
+            |driver: &dyn RequestDriver| closed_loop(driver, &workload, clients, requests, 0xF4_01);
 
         let driver = env.dynamo_txn_driver(0xF4_10);
         let result = run(&driver);
@@ -336,14 +299,7 @@ pub fn fig5_rw_ratio(env: &BenchEnv) -> Table {
             let driver = AftDriver::single_node(node, env.platform(), env.retry())
                 .with_label(crate::setup::aft_label(kind, true));
             let before = storage.stats().snapshot();
-            let result = run_closed_loop(
-                &driver,
-                &RunConfig::new(workload)
-                    .with_clients(clients)
-                    .with_requests(requests)
-                    .with_seed(0xF5_03),
-            )
-            .expect("experiment run");
+            let result = closed_loop(&driver, &workload, clients, requests, 0xF5_03);
             let delta = storage.stats().snapshot().delta_since(&before);
             let calls_per_txn = if result.completed == 0 {
                 0.0
@@ -381,14 +337,7 @@ pub fn fig6_txn_length(env: &BenchEnv) -> Table {
         for &functions in &lengths {
             let workload = WorkloadConfig::transaction_length(functions);
             let driver = env.aft_driver(kind, true, 0xF6_01 + functions as u64);
-            let result = run_closed_loop(
-                &driver,
-                &RunConfig::new(workload)
-                    .with_clients(clients)
-                    .with_requests(requests)
-                    .with_seed(0xF6_02),
-            )
-            .expect("experiment run");
+            let result = closed_loop(&driver, &workload, clients, requests, 0xF6_02);
             table.add_row(vec![
                 driver.name().to_owned(),
                 functions.to_string(),
@@ -427,14 +376,7 @@ pub fn fig7_single_node(env: &BenchEnv) -> Table {
     for kind in [BackendKind::DynamoDb, BackendKind::Redis] {
         for &clients in &client_counts {
             let driver = env.aft_driver(kind, true, 0xF7_01 + clients as u64);
-            let result = run_closed_loop(
-                &driver,
-                &RunConfig::new(workload.clone())
-                    .with_clients(clients)
-                    .with_requests(requests)
-                    .with_seed(0xF7_02),
-            )
-            .expect("experiment run");
+            let result = closed_loop(&driver, &workload, clients, requests, 0xF7_02);
             table.add_row(vec![
                 driver.name().to_owned(),
                 clients.to_string(),
@@ -473,31 +415,16 @@ pub fn fig8_distributed(env: &BenchEnv) -> Table {
     let requests = env.sized(40, 10);
     let workload = WorkloadConfig::standard().with_zipf(1.5);
 
-    // In-process by default; AFT_CLIENT_MODE=net runs the same sweep
-    // through the aft-net service layer over loopback sockets.
-    let mode = ClientMode::from_env();
     for kind in [BackendKind::DynamoDb, BackendKind::Redis] {
         let mut single_node_tps = 0.0f64;
         for &nodes in &node_counts {
             let storage = env.storage(kind, 0xF8_01 + nodes as u64);
             let cluster = env.cluster(storage, nodes, true);
             cluster.start_background();
-            let (driver, service) = env.cluster_driver(&cluster, mode, &ServeOptions::default());
-            let driver = match mode {
-                ClientMode::InProcess => driver.with_label(format!("AFT ({})", kind.label())),
-                ClientMode::Networked => {
-                    driver.with_label(format!("AFT ({}, networked)", kind.label()))
-                }
-            };
-            let result = run_closed_loop(
-                &driver,
-                &RunConfig::new(workload.clone())
-                    .with_clients(clients_per_node * nodes)
-                    .with_requests(requests)
-                    .with_seed(0xF8_02),
-            )
-            .expect("experiment run");
-            drop(service);
+            let driver = AftDriver::clustered(Arc::clone(&cluster), env.platform(), env.retry())
+                .with_label(format!("AFT ({})", kind.label()));
+            let clients = clients_per_node * nodes;
+            let result = closed_loop(&driver, &workload, clients, requests, 0xF8_02);
             cluster.shutdown();
 
             let tps = result.throughput_tps();
@@ -513,7 +440,7 @@ pub fn fig8_distributed(env: &BenchEnv) -> Table {
             table.add_row(vec![
                 driver.name().to_owned(),
                 nodes.to_string(),
-                (clients_per_node * nodes).to_string(),
+                clients.to_string(),
                 format!("{tps:.0}"),
                 format!("{ideal:.0}"),
                 format!("{pct:.0}%"),
@@ -542,7 +469,7 @@ pub fn fig9_gc(env: &BenchEnv) -> Table {
         ],
     );
     let clients = env.sized(40, 8);
-    let duration = env.timed(Duration::from_secs(10), Duration::from_secs(2));
+    let duration = env.sized(Duration::from_secs(10), Duration::from_secs(2));
     let workload = WorkloadConfig::standard().with_zipf(1.5);
 
     for gc_enabled in [true, false] {
@@ -608,7 +535,7 @@ pub fn fig10_fault_tolerance(env: &BenchEnv) -> Table {
     );
 
     let clients = env.sized(100, 16);
-    let total = env.timed(Duration::from_secs(18), Duration::from_secs(6));
+    let total = env.sized(Duration::from_secs(18), Duration::from_secs(6));
     let kill_after = total / 3;
     let replacement_delay = total / 6;
     let bucket = Duration::from_secs(1);

@@ -1,24 +1,34 @@
-//! The benchmark harness for the AFT reproduction.
+//! The evaluation harness for the AFT reproduction.
 //!
-//! Every table and figure in the paper's evaluation (§6) has a **binary**
-//! under `src/bin/` (`fig2_io_latency`, `fig3_table2_e2e`, ...) that runs the
-//! full experiment and prints the same rows/series the paper reports.
+//! Every table and figure in the paper's evaluation (§6), and every sweep
+//! this repository gates itself on, is one entry of [`cli::REGISTRY`], run
+//! by the crate's one binary (`aft-bench <experiment>`, `aft-bench all`,
+//! `aft-bench list`). [`cli`] owns the command line, the report files and
+//! the gate verdicts; [`setup`] owns how a simulated deployment is built
+//! (and the lost-ack oracle every durability figure comes from);
+//! [`experiments`] holds the paper's nine figures; each gated sweep has a
+//! module of its own whose header says what it measures and what its gate
+//! enforces.
 //!
-//! The experiments run against the simulated substrates with latencies scaled
+//! The figures run against the simulated substrates with latencies scaled
 //! down by a single global factor (`AFT_BENCH_SCALE`, default 0.1). Scaling
-//! every service identically preserves the ratios, crossovers, and winners —
-//! the properties EXPERIMENTS.md compares against the paper — while letting
-//! the whole suite finish quickly.
+//! every service identically preserves the ratios, crossovers, and winners
+//! while letting the whole suite finish quickly. The gated sweeps fix their
+//! own scale: those on the virtual clock charge full-scale latencies
+//! without sleeping.
 //!
-//! Environment knobs (all optional):
+//! Environment knobs (all optional, read once by
+//! [`setup::BenchEnv::from_env`]):
 //!
-//! * `AFT_BENCH_SCALE` — latency scale factor (default `0.1`).
-//! * `AFT_BENCH_REQUESTS` — requests per client for latency experiments
-//!   (default 200).
-//! * `AFT_BENCH_FAST` — if set, shrinks every experiment (fewer requests,
-//!   fewer clients, shorter timelines) for smoke-testing.
+//! * `AFT_BENCH_FAST` — any value but empty or `0` shrinks every experiment
+//!   (fewer requests, fewer clients, shorter timelines, trimmed matrices):
+//!   the configuration CI's gates run.
+//! * `AFT_BENCH_SCALE` — latency scale factor of the figures (default `0.1`).
+//! * `AFT_BENCH_REQUESTS` — requests per client for the figures' latency
+//!   experiments (default 200).
 
 pub mod checkpoint;
+pub mod cli;
 pub mod dissemination;
 pub mod experiments;
 pub mod json;
@@ -29,16 +39,3 @@ pub mod report;
 pub mod scaling;
 pub mod service;
 pub mod setup;
-pub mod summary;
-
-pub use checkpoint::{fig13_checkpoint, CheckpointBenchConfig, CheckpointReport};
-pub use dissemination::{fig12_dissemination, DisseminationBenchConfig, DisseminationReport};
-pub use json::Json;
-pub use overload::{fig11_overload, OverloadConfig, OverloadReport};
-pub use pipelined::{fig2_pipelined, PipelineConfig, PipelineReport};
-pub use recovery::{fig10_recovery, FaultMode, RecoveryConfig, RecoveryReport};
-pub use report::Table;
-pub use scaling::{fig7_throughput_scaling, ScalingConfig, ThroughputReport};
-pub use service::{fig8_service, ServiceConfig, ServiceReport};
-pub use setup::BenchEnv;
-pub use summary::aggregate_bench_reports;

@@ -40,15 +40,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aft_chaos::{ChaosSpec, NetChaos};
-use aft_cluster::{Cluster, ClusterConfig, DisseminationConfig};
+use aft_cluster::Cluster;
 use aft_core::api::AftApi;
 use aft_storage::io::RetryConfig;
 use aft_storage::{BackendConfig, BackendKind};
-use aft_types::{Key, TransactionRecord, Value};
+use aft_types::{Key, Value};
 
+use crate::cli::{Args, Outcome};
 use crate::json::Json;
 use crate::report::{percentile_ms, round2, Table};
-use crate::setup::{serve_cluster, ServeOptions, ServiceHandle};
+use crate::setup::{lost_acked_commits, served_deployment, ServeOptions, ServiceHandle};
 
 /// A saturated point's p999 of *successful* commits above this is
 /// unbounded queueing — the protection stack failed to shed.
@@ -450,8 +451,6 @@ impl OverloadReport {
             ),
             ("shed_requests", Json::Num(self.chaos.shed_requests as f64)),
         ]);
-        // Headline metrics first: the BENCH_summary.json trajectory table
-        // shows top-level numerics in document order.
         Json::obj(vec![
             ("experiment", Json::str("fig11_overload")),
             ("capacity_rps", Json::Num(round2(self.capacity_rps))),
@@ -471,12 +470,11 @@ impl OverloadReport {
     }
 }
 
-/// A fresh deployment with the overload-protection stack armed and
-/// garbage collection off, so the durable commit set stays the complete
-/// ground truth for lost-ack verification. The backend is the simulated
-/// Redis service with *sleeping* latency: the worker pool, not the
-/// loopback socket, must be what saturates.
-fn served_deployment(
+/// A fresh deployment with garbage collection off, so the durable commit
+/// set stays the complete ground truth for lost-ack verification. The
+/// backend is the simulated Redis service with *sleeping* latency: the
+/// worker pool, not the loopback socket, must be what saturates.
+fn deployment(
     config: &OverloadConfig,
     options: &ServeOptions,
     seed: u64,
@@ -484,17 +482,11 @@ fn served_deployment(
     let storage = aft_storage::make_backend(
         BackendConfig::simulated(BackendKind::Redis, config.storage_scale).with_seed(seed),
     );
-    let cluster_config = ClusterConfig {
-        dissemination: DisseminationConfig::all_to_all().with_interval(Duration::from_millis(5)),
-        replacement_delay: Duration::ZERO,
-        local_gc_enabled: false,
-        global_gc_enabled: false,
-        ..ClusterConfig::test(config.nodes)
+    let options = ServeOptions {
+        seed,
+        ..options.clone()
     };
-    let cluster = Cluster::new(cluster_config, storage).expect("cluster construction");
-    cluster.start_background();
-    let handle = serve_cluster(&cluster, &options.clone().seed(seed)).expect("serve on loopback");
-    (cluster, handle)
+    served_deployment(storage, config.nodes, false, &options)
 }
 
 /// What one generator leg observed.
@@ -724,21 +716,6 @@ fn run_leg(
     merged
 }
 
-/// Acked commits with no durable record — must always be zero.
-fn lost_acked(cluster: &Arc<Cluster>, handle: &ServiceHandle) -> u64 {
-    handle
-        .client
-        .acked_commits()
-        .iter()
-        .filter(|id| {
-            cluster
-                .storage()
-                .get(&TransactionRecord::storage_key_for(id))
-                .map_or(true, |v| v.is_none())
-        })
-        .count() as u64
-}
-
 /// Runs the capacity phase, the paced sweep, and the chaos leg.
 pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
     let options = ServeOptions {
@@ -753,14 +730,17 @@ pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
             base_backoff: Duration::from_micros(200),
             max_backoff: Duration::from_millis(2),
         },
-        record_acks: true,
+        // The full protection stack: admission control, shedding past the
+        // queue deadline, per-client fair queuing.
+        admission_limit: config.admission_limit,
+        queue_deadline: config.queue_deadline,
+        fair_queuing: true,
         ..ServeOptions::default()
-    }
-    .overload_protection(config.admission_limit, config.queue_deadline);
+    };
 
     // Capacity phase: closed loop, self-clocked below the admission limit,
     // so the measured rate is the deployment's sustainable throughput.
-    let (cluster, handle) = served_deployment(config, &options, config.seed);
+    let (cluster, handle) = deployment(config, &options, config.seed);
     let capacity = run_leg(
         &handle,
         config.capacity_clients,
@@ -783,10 +763,9 @@ pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
         let threads = ((config.base_threads as f64 * multiplier).ceil() as usize)
             .clamp(1, config.max_threads);
         let target_rps = capacity_rps * multiplier;
-        let (cluster, handle) =
-            served_deployment(config, &options, config.seed ^ ((i as u64 + 1) << 12));
+        let (cluster, handle) = deployment(config, &options, config.seed ^ ((i as u64 + 1) << 12));
         let outcome = run_leg(&handle, threads, config.point_duration, target_rps);
-        let lost = lost_acked(&cluster, &handle);
+        let lost = lost_acked_commits(cluster.storage(), &handle.client.acked_commits());
         let stats = handle.server.stats();
         let client_stats = handle.client.stats();
         points.push(OverloadPoint {
@@ -800,7 +779,7 @@ pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
             rejected: outcome.rejected,
             failed: outcome.failed,
             anomalies: outcome.anomalies,
-            lost_acked_commits: lost,
+            lost_acked_commits: lost as u64,
             p50_ms: percentile_ms(&outcome.latencies_ms, 0.50),
             p99_ms: percentile_ms(&outcome.latencies_ms, 0.99),
             p999_ms: percentile_ms(&outcome.latencies_ms, 0.999),
@@ -824,11 +803,11 @@ pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
         ),
         ..options
     };
-    let (cluster, handle) = served_deployment(config, &chaos_options, config.seed ^ 0xC4A0);
+    let (cluster, handle) = deployment(config, &chaos_options, config.seed ^ 0xC4A0);
     let threads = ((config.base_threads as f64 * 4.0).ceil() as usize).clamp(1, config.max_threads);
     let target_rps = capacity_rps * 4.0;
     let outcome = run_leg(&handle, threads, config.point_duration, target_rps);
-    let lost = lost_acked(&cluster, &handle);
+    let lost = lost_acked_commits(cluster.storage(), &handle.client.acked_commits());
     let injector = handle.client.chaos_stats().unwrap_or_default();
     let stats = handle.server.stats();
     let chaos = OverloadChaosLeg {
@@ -836,7 +815,7 @@ pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
         rejected: outcome.rejected,
         failed: outcome.failed,
         anomalies: outcome.anomalies,
-        lost_acked_commits: lost,
+        lost_acked_commits: lost as u64,
         resets: injector.resets_before_send + injector.resets_after_send,
         delayed_acks: injector.delayed_acks,
         overload_rejections: stats.overload_rejections,
@@ -854,6 +833,22 @@ pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
         admission_limit: config.admission_limit,
         queue_deadline_ms: config.queue_deadline.as_secs_f64() * 1_000.0,
     }
+}
+
+/// The registry's entry point.
+pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
+    let mut config = args
+        .env
+        .sized(OverloadConfig::standard(), OverloadConfig::fast());
+    config.seed = args.seed.unwrap_or(config.seed);
+    let report = fig11_overload(&config);
+    Ok(Outcome::new(
+        config.seed,
+        &config,
+        vec![report.table()],
+        report.to_json(),
+        report.check_gate(),
+    ))
 }
 
 #[cfg(test)]

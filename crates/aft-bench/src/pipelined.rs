@@ -28,14 +28,14 @@
 //! p50, which CI enforces.
 
 use aft_core::{AftNode, BatchConfig, NodeConfig};
-use aft_storage::{
-    BackendConfig, BackendKind, IoConfig, LatencyMode, SequentialEngine, SharedStorage,
-};
+use aft_storage::{BackendKind, IoConfig, SequentialEngine, SharedStorage};
 use aft_types::clock::TickingClock;
 use aft_types::{payload_of_size, Key};
 
+use crate::cli::{Args, Outcome};
 use crate::json::Json;
 use crate::report::{round4, Table};
+use crate::setup::virtual_backend;
 
 /// Configuration of the pipelining experiment.
 #[derive(Debug, Clone)]
@@ -50,9 +50,6 @@ pub struct PipelineConfig {
     pub keys_per_txn: usize,
     /// Value payload size in bytes.
     pub value_size: usize,
-    /// Latency scale factor (1.0 = full calibrated scale; virtual clock
-    /// makes that free).
-    pub scale: f64,
     /// Base RNG seed.
     pub seed: u64,
 }
@@ -66,7 +63,6 @@ impl PipelineConfig {
             reads: 200,
             keys_per_txn: 8,
             value_size: 256,
-            scale: 1.0,
             seed: 0xF162,
         }
     }
@@ -114,35 +110,24 @@ impl PipelineReport {
             .find(|p| p.backend == backend && p.mode == mode)
     }
 
-    /// Sequential-over-pipelined p50 commit speedup for one backend
-    /// (>1 means pipelining helps).
-    pub fn commit_speedup(&self, backend: &str) -> f64 {
-        let seq = self
-            .point(backend, "sequential")
-            .map_or(0.0, |p| p.p50_commit_ms);
-        let pipe = self
-            .point(backend, "pipelined")
-            .map_or(0.0, |p| p.p50_commit_ms);
-        if pipe <= 0.0 {
-            0.0
-        } else {
-            seq / pipe
+    /// Sequential-over-pipelined ratio of one backend's `metric` (>1 means
+    /// pipelining helps; 0 when a leg is missing).
+    fn speedup(&self, backend: &str, metric: fn(&PipelinePoint) -> f64) -> f64 {
+        let of = |mode| self.point(backend, mode).map_or(0.0, metric);
+        match of("pipelined") {
+            pipe if pipe > 0.0 => of("sequential") / pipe,
+            _ => 0.0,
         }
+    }
+
+    /// Sequential-over-pipelined p50 commit speedup for one backend.
+    pub fn commit_speedup(&self, backend: &str) -> f64 {
+        self.speedup(backend, |p| p.p50_commit_ms)
     }
 
     /// Sequential-over-pipelined p50 read speedup for one backend.
     pub fn read_speedup(&self, backend: &str) -> f64 {
-        let seq = self
-            .point(backend, "sequential")
-            .map_or(0.0, |p| p.p50_read_ms);
-        let pipe = self
-            .point(backend, "pipelined")
-            .map_or(0.0, |p| p.p50_read_ms);
-        if pipe <= 0.0 {
-            0.0
-        } else {
-            seq / pipe
-        }
+        self.speedup(backend, |p| p.p50_read_ms)
     }
 
     /// The backends measured, in order.
@@ -247,15 +232,7 @@ impl PipelineReport {
 /// Runs one leg: `commits` multi-key writes then `reads` multi-key reads
 /// against a fresh backend, returning the measured point.
 fn run_leg(kind: BackendKind, pipelined: bool, config: &PipelineConfig) -> PipelinePoint {
-    let backend_config = BackendConfig {
-        kind,
-        mode: LatencyMode::Virtual,
-        scale: config.scale,
-        seed: config.seed ^ kind.label().len() as u64,
-        redis_shards: aft_storage::redis::DEFAULT_REDIS_SHARDS,
-        stripes: aft_storage::DEFAULT_STRIPES,
-    };
-    let raw = aft_storage::make_backend(backend_config);
+    let raw = virtual_backend(kind, config.seed ^ kind.label().len() as u64);
     let storage: SharedStorage = if pipelined {
         raw
     } else {
@@ -330,6 +307,30 @@ pub fn fig2_pipelined(config: &PipelineConfig) -> PipelineReport {
         points.push(run_leg(kind, true, config));
     }
     PipelineReport { points }
+}
+
+/// The registry's entry point.
+pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
+    let mut config = args
+        .env
+        .sized(PipelineConfig::standard(), PipelineConfig::fast());
+    config.seed = args.seed.unwrap_or(config.seed);
+    let report = fig2_pipelined(&config);
+    let mut outcome = Outcome::new(
+        config.seed,
+        &config,
+        vec![report.table()],
+        report.to_json(),
+        report.check_gate(),
+    );
+    for backend in report.backends() {
+        outcome.notes.push(format!(
+            "{backend}: commit p50 speedup {:.2}x, read p50 speedup {:.2}x",
+            report.commit_speedup(&backend),
+            report.read_speedup(&backend)
+        ));
+    }
+    Ok(outcome)
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@ use aft_faas::{FaasPlatform, PlatformConfig, RetryPolicy};
 use aft_storage::{make_backend, BackendConfig, BackendKind, IoConfig, LatencyMode};
 use aft_workload::{run_closed_loop, AftDriver, RunConfig, WorkloadConfig};
 
+use crate::cli::{Args, Flag, Outcome};
 use crate::json::Json;
 use crate::report::{round2, round4, Table};
 
@@ -271,6 +272,32 @@ impl ThroughputReport {
         ])
     }
 
+    fn check_anomalies(&self) -> Result<(), String> {
+        match self.total_anomalies() {
+            0 => Ok(()),
+            n => Err(format!(
+                "{n} read-atomicity anomalies observed; AFT must show zero"
+            )),
+        }
+    }
+
+    /// The gate: zero anomalies always; single-client throughput against
+    /// `baseline` when one is given ([`Self::check_against_baseline`]).
+    pub fn check_gate(
+        &self,
+        baseline: Option<&Json>,
+        max_regression: f64,
+    ) -> Result<String, String> {
+        let Some(baseline) = baseline else {
+            self.check_anomalies()?;
+            return Ok(format!(
+                "0 anomalies; single-client throughput {:.0} ops/s not compared (no --baseline)",
+                self.single_client_ops()
+            ));
+        };
+        self.check_against_baseline(baseline, max_regression)
+    }
+
     /// Compares this run's single-client throughput against a baseline
     /// document (same JSON schema). Returns an error describing the failure
     /// if throughput regressed by more than `max_regression` (a fraction,
@@ -280,12 +307,7 @@ impl ThroughputReport {
         baseline: &Json,
         max_regression: f64,
     ) -> Result<String, String> {
-        if self.total_anomalies() > 0 {
-            return Err(format!(
-                "{} read-atomicity anomalies observed; AFT must show zero",
-                self.total_anomalies()
-            ));
-        }
+        self.check_anomalies()?;
         let baseline_ops = baseline
             .get("summary")
             .and_then(|s| s.get("single_client_ops_per_sec"))
@@ -385,6 +407,64 @@ pub fn fig7_throughput_scaling(config: &ScalingConfig) -> ThroughputReport {
     ThroughputReport { points }
 }
 
+/// `fig7_throughput_scaling`'s own command-line flags.
+pub(crate) const FLAGS: &[Flag] = &[
+    Flag {
+        name: "--baseline",
+        value: "PATH",
+        about: "a previous report; the gate fails if single-client throughput regressed against it",
+    },
+    Flag {
+        name: "--max-regression",
+        value: "PCT",
+        about: "regression against --baseline the gate allows, percent (default 30)",
+    },
+    Flag {
+        name: "--write-baseline",
+        value: "PATH",
+        about: "also write this run's report to PATH, for deliberate re-baselining",
+    },
+];
+
+/// The registry's entry point. The flag values are checked before the
+/// sweep, so a mistyped baseline path costs nothing.
+pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
+    let max_regression = match args.flag("--max-regression") {
+        Some(pct) => pct
+            .parse::<f64>()
+            .map_err(|e| format!("invalid --max-regression {pct}: {e}"))?,
+        None => 30.0,
+    };
+    let baseline = match args.flag("--baseline") {
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("failed to read baseline {path}: {e}"))?;
+            Some(Json::parse(&text).map_err(|e| format!("failed to parse baseline {path}: {e}"))?)
+        }
+        None => None,
+    };
+    let mut config = args
+        .env
+        .sized(ScalingConfig::standard(), ScalingConfig::fast());
+    config.seed = args.seed.unwrap_or(config.seed);
+    let report = fig7_throughput_scaling(&config);
+    let mut outcome = Outcome::new(
+        config.seed,
+        &config,
+        vec![report.table()],
+        report.to_json(),
+        report.check_gate(baseline.as_ref(), max_regression / 100.0),
+    );
+    outcome.notes.push(format!(
+        "summary: single-client {:.0} ops/s, multi-client speedup {:.2}x, {} anomalies",
+        report.single_client_ops(),
+        report.multi_client_speedup(),
+        report.total_anomalies()
+    ));
+    outcome.also_write = args.flag("--write-baseline").map(str::to_owned);
+    Ok(outcome)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,6 +538,11 @@ mod tests {
         assert!(report.check_against_baseline(&impossible, 0.30).is_err());
         let malformed = Json::obj(vec![("nothing", Json::Null)]);
         assert!(report.check_against_baseline(&malformed, 0.30).is_err());
+        // The gate proper: the baseline clause when one is given, the
+        // anomaly clause alone otherwise — a verdict either way.
+        assert!(report.check_gate(Some(&impossible), 0.30).is_err());
+        let unbased = report.check_gate(None, 0.30).expect("0 anomalies");
+        assert!(unbased.contains("no --baseline"), "{unbased}");
     }
 
     #[test]

@@ -35,20 +35,21 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aft_chaos::{ChaosSpec, NetChaos};
-use aft_cluster::{Cluster, ClusterConfig, DisseminationConfig};
+use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
 use aft_faas::{FaasPlatform, PlatformConfig, RetryPolicy};
 use aft_net::frame::{read_frame, write_frame};
 use aft_net::AftServer;
 use aft_storage::io::RetryConfig;
-use aft_storage::{BackendConfig, BackendKind};
+use aft_storage::{BackendConfig, BackendKind, SharedStorage};
 use aft_types::wire::{decode_response, encode_request, WireRequest, WireResponse};
-use aft_types::{TransactionRecord, WireStats};
+use aft_types::WireStats;
 use aft_workload::{run_closed_loop, AftDriver, RunConfig, WorkloadConfig};
 
+use crate::cli::{Args, Outcome};
 use crate::json::Json;
 use crate::report::{percentile_ms, round2, Table};
-use crate::setup::{serve_cluster, ServeOptions, ServiceHandle};
+use crate::setup::{lost_acked_commits, served_deployment, ServeOptions, ServiceHandle};
 
 /// A scale point's ping p99 above this is a latency collapse.
 const CONN_P99_COLLAPSE_MS: f64 = 250.0;
@@ -107,13 +108,13 @@ impl ServiceConfig {
     }
 
     /// The CI sweep: same invariants, sub-minute runtime. Still climbs to
-    /// 256 resident connections so the scale invariants run on every push.
+    /// 512 resident connections so the scale invariants run on every push.
     pub fn fast() -> Self {
         ServiceConfig {
             client_counts: vec![1, 4, 8],
             requests_per_client: 40,
             chaos_requests: 25,
-            conn_counts: vec![64, 256],
+            conn_counts: vec![256, 512],
             conn_active: 16,
             conn_pings: 20,
             ..ServiceConfig::standard()
@@ -490,30 +491,10 @@ impl ServiceReport {
     }
 }
 
-/// A fresh 3-node deployment served on loopback. Zero simulated latency:
-/// the experiment measures the service layer itself, not the storage sims.
-/// `keep_commit_set` disables garbage collection so the durable Transaction
-/// Commit Set stays the *complete* ground truth — required by the chaos
-/// leg's lost-ack verification, which would otherwise flag legitimately
-/// GC'd superseded records as lost.
-fn served_deployment(
-    config: &ServiceConfig,
-    options: &ServeOptions,
-    seed: u64,
-    keep_commit_set: bool,
-) -> (Arc<Cluster>, ServiceHandle) {
-    let storage = aft_storage::make_backend(BackendConfig::test(BackendKind::Memory));
-    let cluster_config = ClusterConfig {
-        dissemination: DisseminationConfig::all_to_all().with_interval(Duration::from_millis(5)),
-        replacement_delay: Duration::ZERO,
-        local_gc_enabled: !keep_commit_set,
-        global_gc_enabled: !keep_commit_set,
-        ..ClusterConfig::test(config.nodes)
-    };
-    let cluster = Cluster::new(cluster_config, storage).expect("cluster construction");
-    cluster.start_background();
-    let handle = serve_cluster(&cluster, &options.clone().seed(seed)).expect("serve on loopback");
-    (cluster, handle)
+/// Zero simulated latency: the experiment measures the service layer
+/// itself, not the storage sims.
+fn memory_store() -> SharedStorage {
+    aft_storage::make_backend(BackendConfig::test(BackendKind::Memory))
 }
 
 /// The kernel's view of this process's thread count (`Threads:` in
@@ -604,8 +585,8 @@ fn raw_ping(stream: &mut TcpStream) -> io::Result<Duration> {
 fn run_conn_point(config: &ServiceConfig, connections: usize) -> ConnScalePoint {
     // One node and no background maintenance: `Ping` never reaches
     // storage, so the point measures the I/O core itself.
-    let storage = aft_storage::make_backend(BackendConfig::test(BackendKind::Memory));
-    let cluster = Cluster::new(ClusterConfig::test(1), storage).expect("cluster construction");
+    let cluster =
+        Cluster::new(ClusterConfig::test(1), memory_store()).expect("cluster construction");
     let server = AftServer::builder()
         .workers(config.workers)
         .slab_capacity(connections)
@@ -696,16 +677,22 @@ fn driver_for(handle: &ServiceHandle) -> AftDriver {
 
 /// Runs the sweep and the chaos leg.
 pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
-    let options = ServeOptions::default()
-        .workers(config.workers)
-        .pool_size(config.pool_size);
+    let options = ServeOptions {
+        workers: config.workers,
+        pool_size: config.pool_size,
+        ..ServeOptions::default()
+    };
 
     // Clean sweep: a fresh deployment per point, so points are independent.
     let mut points = Vec::new();
     let mut ping_ms = None;
     let mut server_stats = None;
     for (i, &clients) in config.client_counts.iter().enumerate() {
-        let (cluster, handle) = served_deployment(config, &options, config.seed + i as u64, false);
+        let options = ServeOptions {
+            seed: config.seed + i as u64,
+            ..options.clone()
+        };
+        let (cluster, handle) = served_deployment(memory_store(), config.nodes, true, &options);
         let driver = driver_for(&handle);
         let result = run_closed_loop(
             &driver,
@@ -733,8 +720,9 @@ pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
         cluster.shutdown();
     }
 
-    // Chaos leg: one deployment, seeded connection faults, then verify
-    // every acked commit against the durable commit set.
+    // Chaos leg: one deployment, seeded connection faults and no garbage
+    // collection, then verify every acked commit against the durable commit
+    // set.
     let chaos_options = ServeOptions {
         chaos: Some(
             ChaosSpec::new(config.seed ^ 0xC4A05).net(NetChaos::resets_and_delays(
@@ -748,9 +736,10 @@ pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
             base_backoff: Duration::from_micros(200),
             max_backoff: Duration::from_millis(2),
         },
+        seed: config.seed ^ 0xC4A1,
         ..options
     };
-    let (cluster, handle) = served_deployment(config, &chaos_options, config.seed ^ 0xC4A1, true);
+    let (cluster, handle) = served_deployment(memory_store(), config.nodes, false, &chaos_options);
     let driver = driver_for(&handle);
     let result = run_closed_loop(
         &driver,
@@ -764,15 +753,6 @@ pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
     // Ground truth: every commit the SDK ever saw acknowledged must have a
     // durable record. (Preload commits are included — they are acked too.)
     let acked = handle.client.acked_commits();
-    let lost = acked
-        .iter()
-        .filter(|id| {
-            cluster
-                .storage()
-                .get(&TransactionRecord::storage_key_for(id))
-                .map_or(true, |v| v.is_none())
-        })
-        .count() as u64;
     let injector = handle.client.chaos_stats().unwrap_or_default();
     let client_stats = handle.client.stats();
     let chaos = ChaosLegReport {
@@ -783,7 +763,7 @@ pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
         resets_after_send: injector.resets_after_send,
         delayed_acks: injector.delayed_acks,
         acked_commits: acked.len() as u64,
-        lost_acked_commits: lost,
+        lost_acked_commits: lost_acked_commits(cluster.storage(), &acked) as u64,
         duplicate_acks: client_stats.duplicate_acks,
         transport_retries: client_stats.transport_retries,
     };
@@ -807,6 +787,22 @@ pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
         nodes: config.nodes,
         workers: config.workers,
     }
+}
+
+/// The registry's entry point.
+pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
+    let mut config = args
+        .env
+        .sized(ServiceConfig::standard(), ServiceConfig::fast());
+    config.seed = args.seed.unwrap_or(config.seed);
+    let report = fig8_service(&config);
+    Ok(Outcome::new(
+        config.seed,
+        &config,
+        vec![report.table(), report.conn_table()],
+        report.to_json(),
+        report.check_gate(),
+    ))
 }
 
 #[cfg(test)]

@@ -5,15 +5,14 @@ use std::time::Duration;
 
 use aft_chaos::ChaosSpec;
 use aft_cluster::{Cluster, ClusterConfig, DisseminationConfig};
-use aft_core::api::AftApi;
 use aft_core::{AftNode, NodeConfig};
 use aft_faas::{FaasPlatform, PlatformConfig, RetryPolicy};
 use aft_net::{AftClient, AftServer};
 use aft_storage::io::RetryConfig;
 use aft_storage::latency::LatencyProfile;
 use aft_storage::{BackendConfig, BackendKind, LatencyMode, SharedStorage};
-use aft_types::AftResult;
-use aft_workload::{AftDriver, ClientMode, DynamoTxnDriver, PlainDriver};
+use aft_types::{AftResult, TransactionId, TransactionRecord};
+use aft_workload::{AftDriver, DynamoTxnDriver, PlainDriver};
 
 /// The client→AFT-shim RPC hop at full scale (microseconds): roughly one
 /// intra-AZ round trip plus request handling, the source of the ~6 ms fixed
@@ -37,15 +36,20 @@ pub struct BenchEnv {
 }
 
 impl BenchEnv {
-    /// Reads the environment variables described in the crate docs.
+    /// Reads the environment variables described in the crate docs — the
+    /// one place the harness consults the process environment.
     pub fn from_env() -> Self {
-        let fast = std::env::var("AFT_BENCH_FAST").is_ok();
-        let scale = std::env::var("AFT_BENCH_SCALE")
-            .ok()
+        Self::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// [`Self::from_env`] over any variable lookup. Fast mode is on for any
+    /// `AFT_BENCH_FAST` value except unset, empty and `0`.
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
+        let fast = var("AFT_BENCH_FAST").is_some_and(|v| !v.is_empty() && v != "0");
+        let scale = var("AFT_BENCH_SCALE")
             .and_then(|v| v.parse().ok())
             .unwrap_or(0.1);
-        let requests_per_client = std::env::var("AFT_BENCH_REQUESTS")
-            .ok()
+        let requests_per_client = var("AFT_BENCH_REQUESTS")
             .and_then(|v| v.parse().ok())
             .unwrap_or(if fast { 30 } else { 200 });
         BenchEnv {
@@ -64,17 +68,9 @@ impl BenchEnv {
         }
     }
 
-    /// Scales an experiment size down in fast mode.
-    pub fn sized(&self, normal: usize, fast: usize) -> usize {
-        if self.fast {
-            fast
-        } else {
-            normal
-        }
-    }
-
-    /// Scales a duration down in fast mode.
-    pub fn timed(&self, normal: Duration, fast: Duration) -> Duration {
+    /// Picks an experiment's size — a count, a duration, a whole sweep
+    /// configuration — by mode: `fast` in fast mode, `normal` otherwise.
+    pub fn sized<T>(&self, normal: T, fast: T) -> T {
         if self.fast {
             fast
         } else {
@@ -94,12 +90,8 @@ impl BenchEnv {
     /// Builds a storage backend of the given kind.
     pub fn storage(&self, kind: BackendKind, seed: u64) -> SharedStorage {
         aft_storage::make_backend(BackendConfig {
-            kind,
             mode: self.mode(),
-            scale: self.scale,
-            seed,
-            redis_shards: 2,
-            stripes: aft_storage::DEFAULT_STRIPES,
+            ..BackendConfig::simulated(kind, self.scale).with_seed(seed)
         })
     }
 
@@ -172,21 +164,26 @@ impl BenchEnv {
     }
 }
 
+/// A `kind` backend on the virtual clock at full scale — what the seeded
+/// sweeps run over: calibrated latencies are charged to the caller's
+/// recorders, never slept, so a sweep costs seconds and repeats exactly.
+pub fn virtual_backend(kind: BackendKind, seed: u64) -> SharedStorage {
+    aft_storage::make_backend(BackendConfig {
+        mode: LatencyMode::Virtual,
+        ..BackendConfig::simulated(kind, 1.0).with_seed(seed)
+    })
+}
+
 /// The one way experiments stand a cluster up as a networked service:
-/// every knob of the loopback endpoint — server worker pool and queue,
-/// client pool/retry/chaos — in a single options struct, so
-/// `fig8_service`, `fig10_recovery`, and future benches configure the
-/// service identically (`ServeOptions { workers: 8, ..Default::default() }`
-/// style).
+/// every knob of the loopback endpoint an experiment varies — server worker
+/// pool and overload protection, client pool/retry/chaos — in a single
+/// options struct, so `fig8_service`, `fig10_recovery` and `fig11_overload`
+/// configure the service identically (`ServeOptions { workers: 8,
+/// ..Default::default() }`).
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Server worker-pool size.
     pub workers: usize,
-    /// Connection slots preallocated in the event loop's slab (sizing hint
-    /// for high-connection sweeps; the slab grows beyond it).
-    pub slab_capacity: usize,
-    /// Server worker-queue capacity (per-socket backpressure threshold).
-    pub queue_capacity: usize,
     /// Server admission limit: queue depth beyond which new requests get a
     /// typed `Overloaded` rejection (`0` disables).
     pub admission_limit: usize,
@@ -205,17 +202,12 @@ pub struct ServeOptions {
     pub chaos: Option<ChaosSpec>,
     /// Client UUID seed.
     pub seed: u64,
-    /// Keep the client-side ack log (experiments verify acks against the
-    /// durable commit set).
-    pub record_acks: bool,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             workers: 4,
-            slab_capacity: 1_024,
-            queue_capacity: 1_024,
             admission_limit: 0,
             queue_deadline: Duration::ZERO,
             fair_queuing: false,
@@ -223,38 +215,7 @@ impl Default for ServeOptions {
             retry: RetryConfig::default(),
             chaos: None,
             seed: 0xAF7_11E7,
-            record_acks: true,
         }
-    }
-}
-
-impl ServeOptions {
-    /// Overrides the server worker-pool size.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Overrides the client connection-pool size.
-    pub fn pool_size(mut self, pool_size: usize) -> Self {
-        self.pool_size = pool_size;
-        self
-    }
-
-    /// Enables the full overload-protection stack: admission control at
-    /// `admission_limit`, shedding past `queue_deadline`, and per-client
-    /// fair queuing.
-    pub fn overload_protection(mut self, admission_limit: usize, queue_deadline: Duration) -> Self {
-        self.admission_limit = admission_limit;
-        self.queue_deadline = queue_deadline;
-        self.fair_queuing = true;
-        self
-    }
-
-    /// Overrides the client UUID seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 }
 
@@ -268,14 +229,14 @@ pub struct ServiceHandle {
 }
 
 /// Serves `cluster` on an ephemeral loopback port and connects a client —
-/// the shared construction used by `fig8_service`, the networked
-/// `fig8_distributed` variant, and the recovery matrix's network-fault
-/// trials.
+/// the shared construction behind every networked experiment. The server
+/// keeps the builder's connection-slab and worker-queue capacities (1 024
+/// each; no experiment varies them), and the client always keeps its ack
+/// log: experiments verify acks against the durable commit set
+/// ([`lost_acked_commits`]).
 pub fn serve_cluster(cluster: &Arc<Cluster>, options: &ServeOptions) -> AftResult<ServiceHandle> {
     let server = AftServer::builder()
         .workers(options.workers)
-        .slab_capacity(options.slab_capacity)
-        .queue_capacity(options.queue_capacity)
         .admission_limit(options.admission_limit)
         .queue_deadline(options.queue_deadline)
         .fair_queuing(options.fair_queuing)
@@ -284,7 +245,7 @@ pub fn serve_cluster(cluster: &Arc<Cluster>, options: &ServeOptions) -> AftResul
         .pool_size(options.pool_size)
         .retry(options.retry)
         .rng_seed(options.seed)
-        .record_acks(options.record_acks);
+        .record_acks(true);
     if let Some(chaos) = options.chaos.clone() {
         client = client.chaos_spec(chaos);
     }
@@ -292,30 +253,45 @@ pub fn serve_cluster(cluster: &Arc<Cluster>, options: &ServeOptions) -> AftResul
     Ok(ServiceHandle { server, client })
 }
 
-impl BenchEnv {
-    /// Builds the AFT driver for `cluster` in the given [`ClientMode`]:
-    /// in-process drivers call the router directly, networked drivers cross
-    /// a real loopback socket (the returned handle keeps the server alive).
-    pub fn cluster_driver(
-        &self,
-        cluster: &Arc<Cluster>,
-        mode: ClientMode,
-        options: &ServeOptions,
-    ) -> (AftDriver, Option<ServiceHandle>) {
-        match mode {
-            ClientMode::InProcess => (
-                AftDriver::clustered(Arc::clone(cluster), self.platform(), self.retry()),
-                None,
-            ),
-            ClientMode::Networked => {
-                let handle = serve_cluster(cluster, options)
-                    .expect("serving a cluster on loopback only fails when bind is refused");
-                let api: Arc<dyn AftApi> = Arc::clone(&handle.client) as Arc<dyn AftApi>;
-                let driver = AftDriver::from_api(api, self.platform(), self.retry());
-                (driver, Some(handle))
-            }
-        }
-    }
+/// A fresh `nodes`-node deployment over `storage`, maintenance running in
+/// the background, served on loopback — what `fig8_service` and
+/// `fig11_overload` measure. `gc: false` turns garbage collection off so
+/// the durable Transaction Commit Set stays the *complete* ground truth a
+/// lost-ack check needs ([`lost_acked_commits`] would otherwise flag
+/// legitimately collected superseded records as lost).
+pub fn served_deployment(
+    storage: SharedStorage,
+    nodes: usize,
+    gc: bool,
+    options: &ServeOptions,
+) -> (Arc<Cluster>, ServiceHandle) {
+    let cluster_config = ClusterConfig {
+        dissemination: DisseminationConfig::all_to_all().with_interval(Duration::from_millis(5)),
+        replacement_delay: Duration::ZERO,
+        local_gc_enabled: gc,
+        global_gc_enabled: gc,
+        ..ClusterConfig::test(nodes)
+    };
+    let cluster = Cluster::new(cluster_config, storage).expect("cluster construction");
+    cluster.start_background();
+    let handle = serve_cluster(&cluster, options).expect("serve on loopback");
+    (cluster, handle)
+}
+
+/// The lost-ack oracle behind every `lost_acked_commits` / `lost_commits`
+/// figure: how many of the `acked` commit ids have no durable commit record
+/// in `storage` (§4.2 — an acknowledgement promises durability). Must be
+/// zero; meaningful only while nothing deletes commit records (GC off) and
+/// no fault injector sits between the caller and `storage`.
+pub fn lost_acked_commits(storage: &SharedStorage, acked: &[TransactionId]) -> usize {
+    acked
+        .iter()
+        .filter(|id| {
+            storage
+                .get(&TransactionRecord::storage_key_for(id))
+                .map_or(true, |record| record.is_none())
+        })
+        .count()
 }
 
 /// The label used for AFT configurations in the figures ("AFT-D Caching" etc.).
@@ -338,6 +314,44 @@ pub fn aft_label(kind: BackendKind, caching: bool) -> String {
 mod tests {
     use super::*;
     use aft_workload::{run_closed_loop, RequestDriver, RunConfig, WorkloadConfig};
+
+    #[test]
+    fn fast_mode_is_off_for_unset_empty_and_zero() {
+        let with = |fast: Option<&str>| {
+            BenchEnv::from_vars(|name| {
+                (name == "AFT_BENCH_FAST")
+                    .then(|| fast.map(str::to_owned))
+                    .flatten()
+            })
+        };
+        for off in [None, Some(""), Some("0")] {
+            let env = with(off);
+            assert!(
+                !env.fast,
+                "AFT_BENCH_FAST={off:?} must not select fast mode"
+            );
+            assert_eq!(env.requests_per_client, 200);
+        }
+        let env = with(Some("1"));
+        assert!(env.fast);
+        assert_eq!(env.requests_per_client, 30);
+        assert_eq!(env.sized("full", "trimmed"), "trimmed");
+    }
+
+    #[test]
+    fn the_lost_ack_oracle_counts_acks_without_a_durable_record() {
+        let storage = BenchEnv::test().storage(BackendKind::Memory, 1);
+        let durable = TransactionId::new(7, aft_types::Uuid::from_u128(7));
+        let lost = TransactionId::new(8, aft_types::Uuid::from_u128(8));
+        storage
+            .put(
+                &TransactionRecord::storage_key_for(&durable),
+                aft_types::Value::from_static(b"record"),
+            )
+            .unwrap();
+        assert_eq!(lost_acked_commits(&storage, &[durable]), 0);
+        assert_eq!(lost_acked_commits(&storage, &[durable, lost]), 1);
+    }
 
     #[test]
     fn env_defaults_are_reasonable() {

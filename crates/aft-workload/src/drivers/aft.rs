@@ -26,38 +26,6 @@ use crate::generator::TransactionPlan;
 /// Selects the API endpoint each request attempt runs against.
 type ApiSelector = Arc<dyn Fn() -> AftResult<Arc<dyn AftApi>> + Send + Sync>;
 
-/// Selects between the two ways a driver can reach AFT, so experiment
-/// configuration (rather than code) decides whether a run is in-process or
-/// crosses the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClientMode {
-    /// Calls go straight into the `AftNode`/`Cluster` objects in-process.
-    #[default]
-    InProcess,
-    /// Calls go through an `aft-net` client over a socket to a served
-    /// cluster.
-    Networked,
-}
-
-impl ClientMode {
-    /// Reads `AFT_CLIENT_MODE` (`net`/`networked` vs `local`/`inprocess`;
-    /// unset means in-process).
-    pub fn from_env() -> Self {
-        match std::env::var("AFT_CLIENT_MODE").ok().as_deref() {
-            Some("net") | Some("networked") => ClientMode::Networked,
-            _ => ClientMode::InProcess,
-        }
-    }
-
-    /// A short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ClientMode::InProcess => "in-process",
-            ClientMode::Networked => "networked",
-        }
-    }
-}
-
 /// Executes logical requests through the AFT shim.
 pub struct AftDriver {
     platform: Arc<FaasPlatform>,
@@ -321,12 +289,5 @@ mod tests {
         for key in &keys {
             assert!(node.get(&t, key).unwrap().is_some());
         }
-    }
-
-    #[test]
-    fn client_mode_parses_from_env_labels() {
-        assert_eq!(ClientMode::default(), ClientMode::InProcess);
-        assert_eq!(ClientMode::InProcess.label(), "in-process");
-        assert_eq!(ClientMode::Networked.label(), "networked");
     }
 }

@@ -19,7 +19,7 @@ mod aft;
 mod dynamo_txn;
 mod plain;
 
-pub use aft::{AftDriver, ClientMode};
+pub use aft::AftDriver;
 pub use dynamo_txn::DynamoTxnDriver;
 pub use plain::PlainDriver;
 

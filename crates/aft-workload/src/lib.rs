@@ -26,7 +26,7 @@ pub mod runner;
 pub mod zipf;
 
 pub use anomaly::{AnomalyCounts, AnomalyFlags, TaggedObservation};
-pub use drivers::{AftDriver, ClientMode, DynamoTxnDriver, PlainDriver, RequestDriver};
+pub use drivers::{AftDriver, DynamoTxnDriver, PlainDriver, RequestDriver};
 pub use generator::{FunctionPlan, TransactionPlan, WorkloadConfig, WorkloadGenerator};
 pub use histogram::{LatencyRecorder, LatencyStats, ThroughputTimeline};
 pub use runner::{run_closed_loop, RunConfig, RunResult};
