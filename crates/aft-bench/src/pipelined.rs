@@ -8,7 +8,7 @@
 //! Two legs per backend, identical workload:
 //!
 //! * **sequential** — storage wrapped in
-//!   [`SequentialEngine`](aft_storage::SequentialEngine) (per-key API calls,
+//!   [`SequentialEngine`] (per-key API calls,
 //!   full round-trip charging) and a node with
 //!   [`IoConfig::sequential()`](aft_storage::IoConfig::sequential): an
 //!   N-key commit pays N+1 round trips back to back — the historical

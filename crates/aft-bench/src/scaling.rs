@@ -356,7 +356,6 @@ pub fn fig7_throughput_scaling(config: &ScalingConfig) -> ThroughputReport {
                 mode,
                 scale: config.latency_scale,
                 seed: config.seed ^ variant.stripes as u64,
-                redis_shards: aft_storage::redis::DEFAULT_REDIS_SHARDS,
                 stripes: variant.stripes,
             });
             let node_config = NodeConfig {

@@ -155,11 +155,8 @@ impl BenchEnv {
 
     /// Builds a DynamoDB-transaction-mode driver over a fresh table.
     pub fn dynamo_txn_driver(&self, seed: u64) -> DynamoTxnDriver {
-        let table = aft_storage::SimDynamo::with_profile(
-            aft_storage::ServiceProfile::dynamodb(),
-            aft_storage::LatencyModel::new(self.mode(), self.scale),
-            seed,
-        );
+        let latency = aft_storage::LatencyModel::new(self.mode(), self.scale);
+        let table = aft_storage::SimDynamo::new(latency, seed);
         DynamoTxnDriver::new(table.transaction_mode(), self.platform(), self.retry())
     }
 }

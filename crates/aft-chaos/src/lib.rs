@@ -22,10 +22,8 @@
 //!   their indices still replay bit-exactly from the seed.
 //! * [`LayerSchedule`] — a layer's stateful view: the schedule plus the
 //!   layer's own operation counter, which is all the per-layer adapters
-//!   ([`FaultyBackend`](https://docs.rs) in `aft-storage`, `ConnChaos` in
+//!   (`FaultyBackend` in `aft-storage`, `ConnChaos` in
 //!   `aft-net`, `FailureInjector` in `aft-faas`) need to hold.
-//! * [`ChaosInjector`] — the adapter trait each layer's injector implements
-//!   so trials can interrogate any injector uniformly.
 //! * [`KillPlan`] — a phase-exact node kill, armed by the cluster layer's
 //!   `ChaosController` from [`ChaosSpec::kills`].
 //!
@@ -526,11 +524,6 @@ impl FaultSchedule {
         self.faas
     }
 
-    /// The dissemination-partition pressure.
-    pub fn partition_chaos(&self) -> PartitionChaos {
-        self.partition
-    }
-
     /// Whether the dissemination edge between nodes `a` and `b` is cut in
     /// maintenance round `round`.
     ///
@@ -696,20 +689,6 @@ impl LayerSchedule {
     pub fn ops_seen(&self) -> u64 {
         self.ops.load(Ordering::Relaxed)
     }
-}
-
-/// Implemented by each layer's injector (the storage backend wrapper, the
-/// client SDK's connection injector, the platform's invocation injector) so
-/// a trial can interrogate every layer uniformly.
-pub trait ChaosInjector {
-    /// The layer this injector drives.
-    fn layer(&self) -> Layer;
-
-    /// Operations that have consumed a schedule index so far.
-    fn ops_seen(&self) -> u64;
-
-    /// Faults injected so far, of any kind.
-    fn faults_injected(&self) -> u64;
 }
 
 #[cfg(test)]

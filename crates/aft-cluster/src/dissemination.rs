@@ -404,14 +404,9 @@ impl Disseminator {
             }
             let mut next = Vec::new();
             for (sender, target, records) in sends {
-                if let Some(fresh) =
-                    self.deliver(round, sender, target, &records, &by_pos, &mut stats)
-                {
-                    next.push(CascadeItem {
-                        holder: target,
-                        from: Some(sender),
-                        records: fresh,
-                    });
+                let (from, to) = (&by_pos[sender], &by_pos[target]);
+                if let Some(fresh) = self.send(round, from, to, records, &mut stats) {
+                    self.relay(&mut next, target, Some(sender), fresh);
                 }
             }
             wave = next;
@@ -461,25 +456,11 @@ impl Disseminator {
             }
             let parent = (p - 1) / k;
             let batch = contrib[p].clone();
-            if self.is_cut(round, by_pos[p].node_id(), by_pos[parent].node_id()) {
-                stats.link_drops += batch.len();
-                self.retry.lock().push(RetryEntry {
-                    sender: by_pos[p].node_id().to_owned(),
-                    receiver: by_pos[parent].node_id().to_owned(),
-                    records: batch,
-                });
-                continue;
+            let carried = batch.iter().map(|r| r.id).collect();
+            if let Some(fresh) = self.send(round, &by_pos[p], &by_pos[parent], batch, stats) {
+                from_child[parent].insert(p, carried);
+                contrib[parent].extend(fresh);
             }
-            self.count_message(&batch, stats);
-            let fresh: Vec<Arc<TransactionRecord>> = batch
-                .iter()
-                .filter(|record| by_pos[parent].receive_peer_commit(record))
-                .cloned()
-                .collect();
-            stats.multicast += batch.len();
-            stats.duplicates += batch.len() - fresh.len();
-            from_child[parent].insert(p, batch.iter().map(|r| r.id).collect());
-            contrib[parent].extend(fresh);
         }
 
         // Downcast, root first.
@@ -505,24 +486,9 @@ impl Disseminator {
                 if payload.is_empty() {
                     continue;
                 }
-                if self.is_cut(round, by_pos[p].node_id(), by_pos[child].node_id()) {
-                    stats.link_drops += payload.len();
-                    self.retry.lock().push(RetryEntry {
-                        sender: by_pos[p].node_id().to_owned(),
-                        receiver: by_pos[child].node_id().to_owned(),
-                        records: payload,
-                    });
-                    continue;
+                if let Some(fresh) = self.send(round, &by_pos[p], &by_pos[child], payload, stats) {
+                    received_down[child] = fresh;
                 }
-                self.count_message(&payload, stats);
-                let fresh: Vec<Arc<TransactionRecord>> = payload
-                    .iter()
-                    .filter(|record| by_pos[child].receive_peer_commit(record))
-                    .cloned()
-                    .collect();
-                stats.multicast += payload.len();
-                stats.duplicates += payload.len() - fresh.len();
-                received_down[child] = fresh;
             }
         }
     }
@@ -569,31 +535,44 @@ impl Disseminator {
         }
     }
 
-    /// Delivers `records` from position `sender` to position `target`,
-    /// parking the batch on the retry queue if the edge is cut. For relay
-    /// topologies, returns the freshly applied subset the target now owes
-    /// its own neighbours (`None` when there is nothing to forward).
-    fn deliver(
+    /// Sends `records` over the edge `sender → receiver`. A cut edge parks
+    /// the whole batch on the retry queue (`None`); otherwise the batch is
+    /// delivered and the records that were new to the receiver returned.
+    fn send(
         &self,
         round: u64,
-        sender: usize,
-        target: usize,
-        records: &[Arc<TransactionRecord>],
-        by_pos: &[Arc<AftNode>],
+        sender: &AftNode,
+        receiver: &AftNode,
+        records: Vec<Arc<TransactionRecord>>,
         stats: &mut BroadcastStats,
     ) -> Option<Vec<Arc<TransactionRecord>>> {
-        let sender_id = by_pos[sender].node_id();
-        let receiver = &by_pos[target];
-        if self.is_cut(round, sender_id, receiver.node_id()) {
+        if self.is_cut(round, sender.node_id(), receiver.node_id()) {
             stats.link_drops += records.len();
             self.retry.lock().push(RetryEntry {
-                sender: sender_id.to_owned(),
+                sender: sender.node_id().to_owned(),
                 receiver: receiver.node_id().to_owned(),
-                records: records.to_vec(),
+                records,
             });
             return None;
         }
-        self.count_message(records, stats);
+        Some(self.deliver(receiver, &records, stats))
+    }
+
+    /// Delivers one edge-send: counts its encoded bytes, split into messages
+    /// of at most `batch_bytes` each, hands every record to `receiver`, and
+    /// returns the ones it did not already know.
+    fn deliver(
+        &self,
+        receiver: &AftNode,
+        records: &[Arc<TransactionRecord>],
+        stats: &mut BroadcastStats,
+    ) -> Vec<Arc<TransactionRecord>> {
+        let bytes: usize = records
+            .iter()
+            .map(|record| encode_commit_record(record).len())
+            .sum();
+        stats.bytes += bytes as u64;
+        stats.fanout_messages += bytes.div_ceil(self.config.batch_bytes.max(1)).max(1);
         let fresh: Vec<Arc<TransactionRecord>> = records
             .iter()
             .filter(|record| receiver.receive_peer_commit(record))
@@ -601,22 +580,26 @@ impl Disseminator {
             .collect();
         stats.multicast += records.len();
         stats.duplicates += records.len() - fresh.len();
-        if !fresh.is_empty() && self.config.topology != Topology::AllToAll {
-            Some(fresh)
-        } else {
-            None
-        }
+        fresh
     }
 
-    /// Counts one edge-send: the batch's encoded bytes, split into messages
-    /// of at most `batch_bytes` each.
-    fn count_message(&self, records: &[Arc<TransactionRecord>], stats: &mut BroadcastStats) {
-        let bytes: usize = records
-            .iter()
-            .map(|record| encode_commit_record(record).len())
-            .sum();
-        stats.bytes += bytes as u64;
-        stats.fanout_messages += bytes.div_ceil(self.config.batch_bytes.max(1)).max(1);
+    /// Queues what `holder` freshly applied for forwarding to its own
+    /// neighbours — relay topologies only; all-to-all senders reach everyone
+    /// themselves.
+    fn relay(
+        &self,
+        cascade: &mut Vec<CascadeItem>,
+        holder: usize,
+        from: Option<usize>,
+        records: Vec<Arc<TransactionRecord>>,
+    ) {
+        if !records.is_empty() && self.config.topology != Topology::AllToAll {
+            cascade.push(CascadeItem {
+                holder,
+                from,
+                records,
+            });
+        }
     }
 
     /// Re-attempts every parked batch: healed edges re-enter the cascade at
@@ -636,42 +619,21 @@ impl Disseminator {
         let mut still_parked = Vec::new();
         for entry in parked {
             match pos_of.get(&entry.receiver) {
+                Some(_) if self.is_cut(round, &entry.sender, &entry.receiver) => {
+                    still_parked.push(entry);
+                }
                 Some(&target) => {
-                    if self.is_cut(round, &entry.sender, &entry.receiver) {
-                        still_parked.push(entry);
-                        continue;
-                    }
                     stats.retried += entry.records.len();
-                    self.count_message(&entry.records, stats);
-                    let receiver = &by_pos[target];
-                    let fresh: Vec<Arc<TransactionRecord>> = entry
-                        .records
-                        .iter()
-                        .filter(|record| receiver.receive_peer_commit(record))
-                        .cloned()
-                        .collect();
-                    stats.multicast += entry.records.len();
-                    stats.duplicates += entry.records.len() - fresh.len();
-                    if !fresh.is_empty() && self.config.topology != Topology::AllToAll {
-                        cascade.push(CascadeItem {
-                            holder: target,
-                            from: pos_of.get(&entry.sender).copied(),
-                            records: fresh,
-                        });
-                    }
+                    let fresh = self.deliver(&by_pos[target], &entry.records, stats);
+                    let from = pos_of.get(&entry.sender).copied();
+                    self.relay(cascade, target, from, fresh);
                 }
                 None => {
                     // The receiver died holding the only copy routed its
                     // way; flood every live node instead (dedup absorbs).
                     stats.retried += entry.records.len();
                     for receiver in by_pos {
-                        self.count_message(&entry.records, stats);
-                        for record in &entry.records {
-                            stats.multicast += 1;
-                            if !receiver.receive_peer_commit(record) {
-                                stats.duplicates += 1;
-                            }
-                        }
+                        self.deliver(receiver, &entry.records, stats);
                     }
                 }
             }
@@ -686,7 +648,7 @@ impl Disseminator {
 ///
 /// This is the paper's §4.2 exchange, kept as a standalone entry point for
 /// tests and small deployments; clusters route through their configured
-/// [`Disseminator`](crate::Disseminator) instead.
+/// [`Disseminator`] instead.
 pub fn broadcast_round(
     nodes: &[Arc<AftNode>],
     fault_manager: Option<&FaultManager>,

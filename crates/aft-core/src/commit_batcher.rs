@@ -591,7 +591,9 @@ mod tests {
     #[test]
     fn flush_reports_its_charged_storage_latency() {
         use aft_storage::latency::LatencyProfile;
-        use aft_storage::{LatencyMode, LatencyModel, ServiceProfile, SimS3};
+        use aft_storage::{
+            LatencyMode, LatencyModel, Service, ServiceProfile, SimStore, DEFAULT_STRIPES,
+        };
         // A fixed 20ms write latency (no variance) makes the accounting
         // exact: an 8-key commit charges one overlapped data round trip plus
         // the record append — 40ms — where sequential charging would be
@@ -600,8 +602,12 @@ mod tests {
             write: LatencyProfile::new(20_000.0, 20_000.0),
             ..ServiceProfile::zero()
         };
-        let storage: SharedStorage =
-            SimS3::with_profile(profile, LatencyModel::new(LatencyMode::Virtual, 1.0), 5);
+        let service = Service {
+            profile,
+            ..Service::S3
+        };
+        let latency = LatencyModel::new(LatencyMode::Virtual, 1.0);
+        let storage: SharedStorage = Arc::new(SimStore::of(service, latency, 5, DEFAULT_STRIPES));
         let io = IoEngine::new(storage, IoConfig::pipelined());
         let batcher = CommitBatcher::new(BatchConfig::disabled());
         let data: Vec<(String, Value)> =

@@ -817,11 +817,6 @@ impl AftNode {
         outcome
     }
 
-    /// The node's checkpoint policy.
-    pub fn checkpoint_policy(&self) -> CheckpointPolicy {
-        self.config.checkpoint
-    }
-
     /// Runs a checkpoint round if the configured [`CheckpointPolicy`] says
     /// one is due (called periodically by the maintenance driver). Returns
     /// `Ok(None)` when no round was due or the policy is disabled.

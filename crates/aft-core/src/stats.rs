@@ -9,16 +9,27 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-/// Upper bound on retained latency samples per recorder stripe; beyond it,
-/// new samples are dropped (the percentiles of the first samples are
-/// representative, and experiments reset nodes between points anyway).
+/// Upper bound on retained latency samples per recorder stripe. Beyond it a
+/// stripe is a uniform reservoir of everything it was offered (Algorithm R),
+/// so the percentiles describe the whole run, not its first samples.
 const MAX_LATENCY_SAMPLES_PER_STRIPE: usize = 1 << 16;
 
 /// Lock stripes per recorder: recording threads spread across stripes so the
 /// hot path never funnels through one mutex (matching the striping of every
 /// other per-node structure).
 const LATENCY_RECORDER_STRIPES: usize = 16;
+
+/// One stripe's reservoir: the retained samples, how many were offered, and
+/// the RNG that picks which retained sample a late one replaces.
+#[derive(Debug)]
+struct Reservoir {
+    samples: Vec<u64>,
+    offered: u64,
+    rng: StdRng,
+}
 
 /// A bounded, lock-striped reservoir of simulated-latency samples with
 /// percentile queries.
@@ -30,21 +41,27 @@ const LATENCY_RECORDER_STRIPES: usize = 16;
 /// record without contending; queries merge all stripes.
 #[derive(Debug)]
 pub struct LatencyRecorder {
-    stripes: Box<[Mutex<Vec<u64>>]>,
+    stripes: Box<[Mutex<Reservoir>]>,
 }
 
 impl Default for LatencyRecorder {
     fn default() -> Self {
         LatencyRecorder {
-            stripes: (0..LATENCY_RECORDER_STRIPES)
-                .map(|_| Mutex::new(Vec::new()))
+            stripes: (0..LATENCY_RECORDER_STRIPES as u64)
+                .map(|stripe| {
+                    Mutex::new(Reservoir {
+                        samples: Vec::new(),
+                        offered: 0,
+                        rng: StdRng::seed_from_u64(stripe),
+                    })
+                })
                 .collect(),
         }
     }
 }
 
 impl LatencyRecorder {
-    fn stripe(&self) -> &Mutex<Vec<u64>> {
+    fn stripe(&self) -> &Mutex<Reservoir> {
         use std::sync::atomic::AtomicUsize;
         // Each thread gets a stable stripe index once; round-robin assignment
         // spreads any set of recording threads evenly.
@@ -58,26 +75,36 @@ impl LatencyRecorder {
 
     /// Records one sample.
     pub fn record(&self, latency: Duration) {
-        let mut samples = self.stripe().lock();
-        if samples.len() < MAX_LATENCY_SAMPLES_PER_STRIPE {
-            samples.push(latency.as_nanos() as u64);
+        let sample = latency.as_nanos() as u64;
+        let mut stripe = self.stripe().lock();
+        stripe.offered += 1;
+        if stripe.samples.len() < MAX_LATENCY_SAMPLES_PER_STRIPE {
+            stripe.samples.push(sample);
+            return;
+        }
+        // Algorithm R: the n-th sample offered replaces a retained one with
+        // probability capacity / n, in a uniformly chosen slot.
+        let offered = stripe.offered;
+        let slot = stripe.rng.gen_range(0..offered) as usize;
+        if let Some(retained) = stripe.samples.get_mut(slot) {
+            *retained = sample;
         }
     }
 
-    /// Number of samples recorded.
+    /// Number of samples retained.
     pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().len()).sum()
+        self.stripes.iter().map(|s| s.lock().samples.len()).sum()
     }
 
     /// Returns true if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.stripes.iter().all(|s| s.lock().is_empty())
+        self.stripes.iter().all(|s| s.lock().samples.is_empty())
     }
 
     fn merged(&self) -> Vec<u64> {
         let mut all = Vec::with_capacity(self.len());
         for stripe in &self.stripes {
-            all.extend_from_slice(&stripe.lock());
+            all.extend_from_slice(&stripe.lock().samples);
         }
         all
     }
@@ -296,5 +323,27 @@ mod tests {
         assert!((p99 - 99.0).abs() <= 1.0, "p99 = {p99}");
         let mean = recorder.mean_ms().unwrap();
         assert!((mean - 50.5).abs() < 0.01, "mean = {mean}");
+    }
+
+    #[test]
+    fn latency_recorder_keeps_describing_the_run_once_full() {
+        // One thread, so one stripe: capacity samples at 1 ms, then twice as
+        // many at 9 ms. Two thirds of what was offered is the later level; a
+        // recorder that kept only its first samples would report 1 ms forever.
+        let recorder = LatencyRecorder::default();
+        for i in 0..3 * MAX_LATENCY_SAMPLES_PER_STRIPE {
+            let ms = if i < MAX_LATENCY_SAMPLES_PER_STRIPE {
+                1
+            } else {
+                9
+            };
+            recorder.record(Duration::from_millis(ms));
+        }
+        assert_eq!(recorder.len(), MAX_LATENCY_SAMPLES_PER_STRIPE, "bounded");
+        assert_eq!(recorder.percentile_ms(0.99), Some(9.0));
+        assert_eq!(recorder.percentile_ms(0.5), Some(9.0));
+        assert_eq!(recorder.percentile_ms(0.1), Some(1.0));
+        let mean = recorder.mean_ms().unwrap();
+        assert!((mean - 19.0 / 3.0).abs() < 0.15, "mean = {mean}");
     }
 }

@@ -23,7 +23,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use aft_chaos::{ChaosInjector, ChaosSpec, FaasChaos, FaultKind, Layer, LayerSchedule};
+use aft_chaos::{ChaosSpec, FaasChaos, FaultKind, Layer, LayerSchedule};
 
 /// Where, relative to the function body, an injected failure strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,20 +102,6 @@ impl FailureInjector {
     }
 }
 
-impl ChaosInjector for FailureInjector {
-    fn layer(&self) -> Layer {
-        Layer::Faas
-    }
-
-    fn ops_seen(&self) -> u64 {
-        self.layer.ops_seen()
-    }
-
-    fn faults_injected(&self) -> u64 {
-        self.injected()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,8 +131,7 @@ mod tests {
             assert_eq!(injector.decide(), Some(FailurePoint::BeforeBody));
         }
         assert_eq!(injector.injected(), 50);
-        assert_eq!(ChaosInjector::ops_seen(&injector), 50);
-        assert_eq!(ChaosInjector::faults_injected(&injector), 50);
+        assert_eq!(injector.layer.ops_seen(), 50);
     }
 
     #[test]

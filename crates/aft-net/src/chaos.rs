@@ -23,7 +23,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use aft_chaos::{ChaosInjector, ChaosSpec, FaultKind, Layer, LayerSchedule, NetChaos};
+use aft_chaos::{ChaosSpec, FaultKind, Layer, LayerSchedule, NetChaos};
 
 /// What the injector does to one wire operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,20 +114,6 @@ impl ConnChaos {
     }
 }
 
-impl ChaosInjector for ConnChaos {
-    fn layer(&self) -> Layer {
-        Layer::Net
-    }
-
-    fn ops_seen(&self) -> u64 {
-        self.layer.ops_seen()
-    }
-
-    fn faults_injected(&self) -> u64 {
-        self.stats().total()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,8 +148,7 @@ mod tests {
                 .filter(|f| !matches!(f, NetFault::None))
                 .count() as u64
         );
-        assert_eq!(ChaosInjector::ops_seen(&chaos), 400);
-        assert_eq!(ChaosInjector::faults_injected(&chaos), stats.total());
+        assert_eq!(chaos.layer.ops_seen(), 400);
     }
 
     #[test]

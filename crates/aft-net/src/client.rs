@@ -17,7 +17,7 @@
 //!   responses complete in whatever order the server finishes them.
 //! * **Retry with backoff.** Transport failures (reset, timeout, refused)
 //!   reconnect and resend under the storage engine's
-//!   [`RetryConfig`](aft_storage::io::RetryConfig) semantics: attempt `n`
+//!   [`RetryConfig`] semantics: attempt `n`
 //!   backs off `base_backoff << (n-1)` capped at `max_backoff`. Server-side
 //!   *errors* are returned to the caller unchanged — the wire preserves
 //!   their retryability classification, and whole-request retry policy
@@ -365,7 +365,7 @@ impl AftClient {
     }
 
     /// Every commit acknowledgement this client received (final ids),
-    /// recorded only when [`ClientConfig::record_acks`] is set. The service
+    /// recorded only when [`ClientBuilder::record_acks`] is set. The service
     /// benchmarks verify each against the durable commit set: an acked
     /// commit with no durable record is a lost write.
     pub fn acked_commits(&self) -> Vec<TransactionId> {

@@ -13,7 +13,7 @@
 //!   buffered state here);
 //! * **parse** — pull complete frames, decode them into requests;
 //! * **dispatch** — enqueue jobs for the shared worker pool, tagging each
-//!   with the connection's generation-checked [`ConnHandle`]. When the queue
+//!   with the connection's generation-checked `ConnHandle`. When the queue
 //!   is full the connection *pauses*: decoded requests wait in a local
 //!   pending deque and the socket stops being read (TCP backpressure), so a
 //!   pipelining flood is bounded without ever blocking the loop;

@@ -6,7 +6,7 @@
 //! instead feeds whatever bytes the socket had into a [`FrameDecoder`],
 //! which accumulates partial frames across arbitrarily split arrivals. In
 //! both shapes the payload length is capped at
-//! [`MAX_FRAME_LEN`](aft_types::wire::MAX_FRAME_LEN) *before* allocating:
+//! [`MAX_FRAME_LEN`] *before* allocating:
 //! a corrupted or hostile prefix must fail the connection, not the process.
 
 use std::io::{self, Read, Write};

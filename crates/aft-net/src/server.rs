@@ -705,11 +705,6 @@ impl AftServer {
             .snapshot(self.shared.cluster.registry().active_count() as u64)
     }
 
-    /// The raw counters (for tests asserting single fields).
-    pub fn service_stats(&self) -> &Arc<ServiceStats> {
-        &self.shared.stats
-    }
-
     /// The event loop's I/O counters. Always `Some`; optional because
     /// callers chain on it.
     pub fn event_snapshot(&self) -> Option<EventSnapshot> {

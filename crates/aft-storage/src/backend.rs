@@ -7,13 +7,11 @@
 
 use std::sync::Arc;
 
-use crate::dynamo::SimDynamo;
 use crate::engine::SharedStorage;
 use crate::latency::{LatencyMode, LatencyModel};
-use crate::memory::InMemoryStore;
-use crate::redis::SimRedis;
-use crate::s3::SimS3;
+use crate::profiles::Service;
 use crate::service::SimShardedService;
+use crate::store::SimStore;
 
 /// The storage services the reproduction can run over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,11 +65,9 @@ pub struct BackendConfig {
     pub scale: f64,
     /// RNG seed for the backend's latency sampler.
     pub seed: u64,
-    /// Number of Redis shards (ignored by other backends).
-    pub redis_shards: usize,
-    /// Lock-stripe count for the backend's data plane and latency sampler
-    /// (`1` reproduces the historical single-global-lock behaviour; Redis
-    /// ignores this and stripes by its shard count).
+    /// Placement-stripe count: one lock and one latency RNG per stripe (`1`
+    /// reproduces the historical single-global-lock behaviour; Redis ignores
+    /// this and stripes by its [`Service::shards`]).
     pub stripes: usize,
 }
 
@@ -83,7 +79,6 @@ impl BackendConfig {
             mode: LatencyMode::Sleep,
             scale,
             seed: 0xAF7,
-            redis_shards: crate::redis::DEFAULT_REDIS_SHARDS,
             stripes: crate::sharded::DEFAULT_STRIPES,
         }
     }
@@ -91,12 +86,8 @@ impl BackendConfig {
     /// A zero-latency configuration for unit tests.
     pub fn test(kind: BackendKind) -> Self {
         BackendConfig {
-            kind,
             mode: LatencyMode::Virtual,
-            scale: 0.0,
-            seed: 0xAF7,
-            redis_shards: crate::redis::DEFAULT_REDIS_SHARDS,
-            stripes: crate::sharded::DEFAULT_STRIPES,
+            ..Self::simulated(kind, 0.0)
         }
     }
 
@@ -113,36 +104,23 @@ impl BackendConfig {
     }
 }
 
-/// Builds a storage engine according to `config`.
+/// Builds a storage engine according to `config` — the one place a
+/// [`BackendKind`] meets its [`Service`] row: the shared [`SimStore`] over
+/// that row, behind request lanes for [`BackendKind::ShardedService`].
 pub fn make_backend(config: BackendConfig) -> SharedStorage {
     let latency = LatencyModel::new(config.mode, config.scale);
-    match config.kind {
-        BackendKind::Memory => Arc::new(InMemoryStore::with_stripes(config.stripes)),
-        BackendKind::S3 => SimS3::with_stripes(
-            crate::profiles::ServiceProfile::s3(),
-            latency,
-            config.seed,
-            config.stripes,
-        ),
-        BackendKind::DynamoDb => SimDynamo::with_stripes(
-            crate::profiles::ServiceProfile::dynamodb(),
-            latency,
-            config.seed,
-            config.stripes,
-        ),
-        BackendKind::Redis => SimRedis::with_shards(
-            config.redis_shards,
-            crate::profiles::ServiceProfile::redis(),
-            latency,
-            config.seed,
-        ),
-        BackendKind::ShardedService => SimShardedService::with_stripes(
-            crate::profiles::ServiceProfile::redis(),
-            latency,
-            config.seed,
-            config.stripes,
-        ),
-    }
+    let service = match config.kind {
+        BackendKind::Memory => Service::MEMORY,
+        BackendKind::S3 => Service::S3,
+        BackendKind::DynamoDb => Service::DYNAMODB,
+        BackendKind::Redis => Service::REDIS,
+        BackendKind::ShardedService => {
+            let profile = Service::SHARDED_SERVICE.profile;
+            return SimShardedService::with_stripes(profile, latency, config.seed, config.stripes);
+        }
+    };
+    let stripes = service.shards.unwrap_or(config.stripes);
+    Arc::new(SimStore::of(service, latency, config.seed, stripes))
 }
 
 #[cfg(test)]
@@ -166,6 +144,39 @@ mod tests {
                 Bytes::from_static(b"v"),
                 "backend {kind} failed a round trip"
             );
+        }
+    }
+
+    #[test]
+    fn services_bill_batches_by_their_call_limits() {
+        use crate::counters::OpKind::{BatchDelete, BatchPut, Delete, Put};
+        // 60 puts and 2 500 deletes in one batch each, as
+        // (Put, BatchPut, Delete, BatchDelete) API calls.
+        let table = [
+            (BackendKind::Memory, [0, 1, 0, 1]),
+            (BackendKind::S3, [60, 0, 0, 3]),
+            (BackendKind::DynamoDb, [0, 3, 0, 100]),
+            (BackendKind::Redis, [60, 0, 2_500, 0]),
+        ];
+        let items: Vec<_> = (0..60)
+            .map(|i| (format!("k{i}"), Bytes::from_static(b"v")))
+            .collect();
+        let keys: Vec<String> = (0..2_500).map(|i| format!("k{i}")).collect();
+        for (kind, expected) in table {
+            let store = make_backend(BackendConfig::test(kind));
+            // An empty batch is no call at all, on every service.
+            store.put_batch(Vec::new()).unwrap();
+            store.delete_batch(&[]).unwrap();
+            assert_eq!(store.stats().total_calls(), 0, "{kind}: empty batches");
+            store.put_batch(items.clone()).unwrap();
+            store.delete_batch(&keys).unwrap();
+            let stats = store.stats();
+            assert_eq!(
+                [Put, BatchPut, Delete, BatchDelete].map(|op| stats.calls(op)),
+                expected,
+                "{kind}: (Put, BatchPut, Delete, BatchDelete)"
+            );
+            assert!(store.list_prefix("k").unwrap().is_empty(), "{kind}");
         }
     }
 

@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use aft_chaos::{ChaosInjector, ChaosSpec, FaultSchedule, Layer, LayerSchedule};
+use aft_chaos::{ChaosSpec, FaultSchedule, Layer, LayerSchedule};
 use aft_types::{AftError, AftResult, Value};
 
 use crate::counters::StorageStats;
@@ -197,20 +197,6 @@ impl FaultyBackend {
     }
 }
 
-impl ChaosInjector for FaultyBackend {
-    fn layer(&self) -> Layer {
-        Layer::Storage
-    }
-
-    fn ops_seen(&self) -> u64 {
-        self.layer.ops_seen()
-    }
-
-    fn faults_injected(&self) -> u64 {
-        self.chaos_stats().total_faults()
-    }
-}
-
 impl StorageEngine for FaultyBackend {
     fn name(&self) -> &'static str {
         "chaos"
@@ -332,9 +318,7 @@ mod tests {
         let stats = backend.chaos_stats();
         assert_eq!(stats.total_faults(), 2);
         assert_eq!(stats.passed, 0);
-        // The adapter trait reports the same counters.
-        assert_eq!(ChaosInjector::faults_injected(&*backend), 2);
-        assert_eq!(ChaosInjector::layer(&*backend), Layer::Storage);
+        assert_eq!(backend.layer.ops_seen(), 2);
     }
 
     #[test]

@@ -387,16 +387,6 @@ impl BatchOutcome {
         }
         Ok(self.cost)
     }
-
-    /// Returns every member's response if all succeeded, plus the batch
-    /// cost; or the first error.
-    pub fn into_responses(self) -> AftResult<(Vec<StorageResponse>, Duration)> {
-        let mut responses = Vec::with_capacity(self.results.len());
-        for result in self.results {
-            responses.push(result?);
-        }
-        Ok((responses, self.cost))
-    }
 }
 
 /// Point-in-time counters of an [`IoEngine`].
@@ -861,20 +851,27 @@ mod tests {
     use super::*;
     use crate::latency::{LatencyMode, LatencyModel, LatencyProfile};
     use crate::memory::InMemoryStore;
-    use crate::profiles::ServiceProfile;
-    use crate::s3::SimS3;
+    use crate::profiles::{Service, ServiceProfile};
+    use crate::sharded::DEFAULT_STRIPES;
+    use crate::store::SimStore;
     use bytes::Bytes;
 
     fn val(s: &str) -> Value {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
+    /// An S3-shaped store (no batch write) with the given single-key profile.
+    fn s3(profile: ServiceProfile, mode: LatencyMode, seed: u64) -> SharedStorage {
+        let service = Service {
+            profile,
+            ..Service::S3
+        };
+        let latency = LatencyModel::new(mode, 1.0);
+        Arc::new(SimStore::of(service, latency, seed, DEFAULT_STRIPES))
+    }
+
     fn s3_virtual() -> SharedStorage {
-        SimS3::with_profile(
-            ServiceProfile::s3(),
-            LatencyModel::new(LatencyMode::Virtual, 1.0),
-            7,
-        )
+        s3(Service::S3.profile, LatencyMode::Virtual, 7)
     }
 
     #[test]
@@ -936,9 +933,7 @@ mod tests {
             write: LatencyProfile::new(10_000.0, 10_000.0),
             ..ServiceProfile::zero()
         };
-        let fixed_s3 = |seed| -> SharedStorage {
-            SimS3::with_profile(profile, LatencyModel::new(LatencyMode::Virtual, 1.0), seed)
-        };
+        let fixed_s3 = |seed| s3(profile, LatencyMode::Virtual, seed);
         let items: Vec<(String, Value)> = (0..8).map(|i| (format!("k{i}"), val("v"))).collect();
 
         let pipelined = IoEngine::new(fixed_s3(7), IoConfig::pipelined());
@@ -968,8 +963,7 @@ mod tests {
             write: LatencyProfile::new(10_000.0, 10_000.0),
             ..ServiceProfile::zero()
         };
-        let storage: SharedStorage =
-            SimS3::with_profile(profile, LatencyModel::new(LatencyMode::Virtual, 1.0), 3);
+        let storage = s3(profile, LatencyMode::Virtual, 3);
         let engine = IoEngine::new(storage, IoConfig::pipelined().with_max_in_flight(2));
         assert_eq!(engine.overlap_window(), 2);
         let outcome = engine
@@ -1004,8 +998,7 @@ mod tests {
             write: LatencyProfile::new(20_000.0, 20_000.0),
             ..ServiceProfile::zero()
         };
-        let storage: SharedStorage =
-            SimS3::with_profile(profile, LatencyModel::new(LatencyMode::Sleep, 1.0), 3);
+        let storage = s3(profile, LatencyMode::Sleep, 3);
         let engine = IoEngine::new(storage, IoConfig::pipelined());
         let items: Vec<(String, Value)> = (0..4).map(|i| (format!("k{i}"), val("v"))).collect();
         let start = Instant::now();
@@ -1213,9 +1206,7 @@ mod tests {
             write: LatencyProfile::new(5_000.0, 5_000.0),
             ..ServiceProfile::zero()
         };
-        let s3: SharedStorage =
-            SimS3::with_profile(profile, LatencyModel::new(LatencyMode::Sleep, 1.0), 3);
-        let backend = Recording::new(s3, true);
+        let backend = Recording::new(s3(profile, LatencyMode::Sleep, 3), true);
         let engine = IoEngine::new(backend.clone(), IoConfig::pipelined().with_max_in_flight(4));
         engine
             .submit_all((0..12).map(|i| StorageRequest::Put(format!("k{i}"), val("v"))))

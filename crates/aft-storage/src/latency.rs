@@ -128,7 +128,7 @@ impl LatencyProfile {
     };
 
     /// Creates a profile from a median and p99, both in microseconds.
-    pub fn new(median_us: f64, p99_us: f64) -> Self {
+    pub const fn new(median_us: f64, p99_us: f64) -> Self {
         LatencyProfile {
             median_us,
             p99_us: p99_us.max(median_us),
@@ -137,9 +137,15 @@ impl LatencyProfile {
     }
 
     /// Adds a per-kilobyte transfer cost.
-    pub fn with_per_kb(mut self, per_kb_us: f64) -> Self {
+    pub const fn with_per_kb(mut self, per_kb_us: f64) -> Self {
         self.per_kb_us = per_kb_us;
         self
+    }
+
+    /// True if every sample is zero whatever the payload: a call with this
+    /// profile needs no RNG draw and charges nothing.
+    pub fn is_free(&self) -> bool {
+        self.median_us <= 0.0 && self.per_kb_us <= 0.0
     }
 
     /// The log-normal sigma implied by the median/p99 pair.

@@ -6,21 +6,38 @@
 //!
 //! * [`StorageEngine`] — the narrow key-value interface AFT uses
 //!   (get / put / batched put / delete / list-by-prefix).
-//! * [`InMemoryStore`] — a zero-latency reference backend used by unit tests.
-//! * [`SimS3`], [`SimDynamo`], [`SimRedis`] — simulated stand-ins for the
-//!   three backends the paper evaluates (AWS S3, AWS DynamoDB, AWS
-//!   ElastiCache/Redis in cluster mode), each reproducing the behavioural
-//!   properties the evaluation depends on: latency magnitude and variance,
-//!   batch-write support and its limits, sharding, and (for DynamoDB) a
-//!   serializable single-call transaction mode.
+//! * [`SimStore`] — the simulated key-value service, written once: a
+//!   lock-striped [`ShardedMap`] behind the call accounting and sampled
+//!   latency of one [`Service`] row. The rows (in [`profiles`]) are the
+//!   stand-ins for the backends the paper evaluates, and differ only in
+//!   facts — how slow a call is, how many keys one write or delete call may
+//!   carry, where a key is placed:
+//!
+//!   | row ([`BackendKind`]) | single-key calls | multi-key write | multi-key delete | placement |
+//!   |---|---|---|---|---|
+//!   | [`Service::MEMORY`] ([`InMemoryStore`]) | free | any number of keys, free | any number of keys, free | `stripes` |
+//!   | [`Service::S3`] | 14–40 ms median, very heavy write tail | none: one PUT per key | `DeleteObjects`, ≤ 1 000 keys, at the delete profile | `stripes` |
+//!   | [`Service::DYNAMODB`] | 2.5–6 ms | `BatchWriteItem`, ≤ 25 items, base + 350 µs/item | `BatchWriteItem`, ≤ 25 keys, at its base | `stripes` |
+//!   | [`Service::REDIS`] | 0.5–2 ms | none: one SET per key | none: one DEL per key | its 2 shards |
+//!   | [`Service::SHARDED_SERVICE`] | as Redis | one `MSET` per stripe touched | none | `stripes` |
+//!
+//!   A batch larger than its call's limit is several calls; the calls of one
+//!   batch are issued together and charged as the slowest, and each call
+//!   draws its latency from the RNG of its (first) key's placement stripe —
+//!   one lock and one RNG, seeded `seed + stripe`, per stripe.
+//!   What is genuinely a second behaviour is a thin addition over the shared
+//!   store: [`SimDynamo`] adds the serializable single-call transaction mode,
+//!   [`SimRedis`] adds `MSET` with its CROSSSLOT rule, and
+//!   [`SimShardedService`] puts a single-threaded request lane in front of
+//!   each stripe (service-side occupancy, never deferred).
 //! * [`latency`] — parameterised latency models, scaled down uniformly so
 //!   experiments finish quickly while preserving the *ratios* between
 //!   backends that determine every figure's shape.
 //! * [`counters`] — per-backend operation statistics (API calls, bytes), used
 //!   by the benchmarks to report API-call behaviour (e.g. Figure 5's analysis
 //!   of API calls per transaction).
-//! * [`sharded`] — N-way lock striping for the backends' shared data plane,
-//!   so multi-client experiments measure the protocol rather than contention
+//! * [`sharded`] — N-way lock striping for the store's data plane, so
+//!   multi-client experiments measure the protocol rather than contention
 //!   on a single map lock. Per-stripe counters roll up into [`counters`].
 //! * [`io`] — the overlapped I/O layer: a submission/completion engine
 //!   ([`IoEngine`]) that runs each request on its submitter and lets the
@@ -49,6 +66,7 @@ pub mod redis;
 pub mod s3;
 pub mod service;
 pub mod sharded;
+pub mod store;
 
 pub use backend::{make_backend, BackendConfig, BackendKind};
 pub use chaos::{ChaosStatsSnapshot, FaultKind, FaultyBackend};
@@ -65,8 +83,8 @@ pub use io::{
 };
 pub use latency::{LatencyMode, LatencyModel, LatencyProfile};
 pub use memory::InMemoryStore;
-pub use profiles::ServiceProfile;
+pub use profiles::{MultiKeyCall, Service, ServiceProfile};
 pub use redis::SimRedis;
-pub use s3::SimS3;
 pub use service::SimShardedService;
 pub use sharded::{stripe_of, ShardedMap, DEFAULT_STRIPES};
+pub use store::SimStore;

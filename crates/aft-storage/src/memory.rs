@@ -1,205 +1,22 @@
-//! In-memory blob storage.
-//!
-//! [`MemoryMap`] is the data plane shared by every simulated backend: a
-//! sorted map of string keys to opaque blobs, lock-striped N ways so that
-//! concurrent clients touching different keys never serialise on one lock
-//! (see [`sharded`](crate::sharded)). The simulators wrap it with latency
-//! models and API-shape restrictions; [`InMemoryStore`] exposes it directly
-//! as a zero-latency [`StorageEngine`] for unit tests, protocol-only
-//! benchmarks, and the throughput-scaling experiments.
+//! The memory row: [`Service::MEMORY`](crate::Service::MEMORY) — zero
+//! latency, unlimited batches — for unit tests, protocol-only benchmarks and
+//! the throughput-scaling experiments.
 
-use std::sync::Arc;
+use crate::store::SimStore;
 
-use aft_types::{AftResult, Value};
-
-use crate::counters::{OpKind, StorageStats, StripeCounters};
-use crate::engine::StorageEngine;
-use crate::sharded::{ShardedMap, DEFAULT_STRIPES};
-
-/// A thread-safe sorted map of string keys to blobs.
-///
-/// Internally lock-striped; the default stripe count is
-/// [`DEFAULT_STRIPES`]. Use [`MemoryMap::with_stripes`] to pick a specific
-/// count (`1` reproduces the historical single-global-lock behaviour, which
-/// the scaling experiments use as their baseline).
-#[derive(Debug, Default)]
-pub struct MemoryMap {
-    inner: ShardedMap,
-}
-
-impl MemoryMap {
-    /// Creates an empty map with the default stripe count.
-    pub fn new() -> Self {
-        MemoryMap::default()
-    }
-
-    /// Creates an empty map with an explicit stripe count (clamped to ≥ 1).
-    pub fn with_stripes(stripes: usize) -> Self {
-        MemoryMap {
-            inner: ShardedMap::new(stripes),
-        }
-    }
-
-    /// Number of lock stripes.
-    pub fn stripe_count(&self) -> usize {
-        self.inner.stripe_count()
-    }
-
-    /// The map's per-stripe access counters.
-    pub fn stripe_counters(&self) -> Arc<StripeCounters> {
-        self.inner.counters()
-    }
-
-    /// Returns the blob stored at `key`.
-    pub fn get(&self, key: &str) -> Option<Value> {
-        self.inner.get(key)
-    }
-
-    /// Stores `value` at `key`, returning the previous blob if any.
-    pub fn put(&self, key: &str, value: Value) -> Option<Value> {
-        self.inner.put(key, value)
-    }
-
-    /// Removes `key`, returning the previous blob if any.
-    pub fn remove(&self, key: &str) -> Option<Value> {
-        self.inner.remove(key)
-    }
-
-    /// Returns all keys starting with `prefix` in lexicographic order.
-    pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
-        self.inner.keys_with_prefix(prefix)
-    }
-
-    /// Number of keys stored.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Returns true if no keys are stored.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Total bytes of stored payloads (keys excluded).
-    pub fn payload_bytes(&self) -> usize {
-        self.inner.payload_bytes()
-    }
-}
-
-/// A zero-latency storage engine backed by [`MemoryMap`].
-#[derive(Debug)]
-pub struct InMemoryStore {
-    map: MemoryMap,
-    stats: Arc<StorageStats>,
-}
-
-impl Default for InMemoryStore {
-    fn default() -> Self {
-        Self::with_stripes(DEFAULT_STRIPES)
-    }
-}
-
-impl InMemoryStore {
-    /// Creates an empty store with the default stripe count.
-    pub fn new() -> Self {
-        InMemoryStore::default()
-    }
-
-    /// Creates an empty store with an explicit lock-stripe count.
-    pub fn with_stripes(stripes: usize) -> Self {
-        let map = MemoryMap::with_stripes(stripes);
-        let stats = StorageStats::new_shared();
-        stats.attach_stripes(map.stripe_counters());
-        InMemoryStore { map, stats }
-    }
-
-    /// Creates an empty store behind a shared handle.
-    pub fn shared() -> Arc<Self> {
-        Arc::new(Self::new())
-    }
-
-    /// Number of lock stripes in the data plane.
-    pub fn stripe_count(&self) -> usize {
-        self.map.stripe_count()
-    }
-
-    /// Number of keys stored; useful for GC assertions in tests.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Returns true if the store holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-impl StorageEngine for InMemoryStore {
-    fn name(&self) -> &'static str {
-        "memory"
-    }
-
-    fn get(&self, key: &str) -> AftResult<Option<Value>> {
-        self.stats.record_call(OpKind::Get);
-        let v = self.map.get(key);
-        if let Some(v) = &v {
-            self.stats.record_read_bytes(v.len());
-        }
-        Ok(v)
-    }
-
-    fn put(&self, key: &str, value: Value) -> AftResult<()> {
-        self.stats.record_call(OpKind::Put);
-        self.stats.record_written_bytes(value.len());
-        self.map.put(key, value);
-        Ok(())
-    }
-
-    fn put_batch(&self, items: Vec<(String, Value)>) -> AftResult<()> {
-        self.stats.record_call(OpKind::BatchPut);
-        for (k, v) in items {
-            self.stats.record_written_bytes(v.len());
-            self.map.put(&k, v);
-        }
-        Ok(())
-    }
-
-    fn delete(&self, key: &str) -> AftResult<()> {
-        self.stats.record_call(OpKind::Delete);
-        self.map.remove(key);
-        Ok(())
-    }
-
-    fn delete_batch(&self, keys: &[String]) -> AftResult<()> {
-        self.stats.record_call(OpKind::BatchDelete);
-        for k in keys {
-            self.map.remove(k);
-        }
-        Ok(())
-    }
-
-    fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
-        self.stats.record_call(OpKind::List);
-        Ok(self.map.keys_with_prefix(prefix))
-    }
-
-    fn supports_batch_put(&self) -> bool {
-        true
-    }
-
-    fn supports_deferred_latency(&self) -> bool {
-        // Zero latency: nothing to defer, but deferral is trivially safe.
-        true
-    }
-
-    fn stats(&self) -> Arc<StorageStats> {
-        Arc::clone(&self.stats)
-    }
-}
+/// A zero-latency [`SimStore`]: what `InMemoryStore::new()` and
+/// `InMemoryStore::shared()` build.
+pub type InMemoryStore = SimStore;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::OpKind;
+    use crate::engine::StorageEngine;
+    use crate::latency::LatencyModel;
+    use crate::profiles::Service;
+    use crate::sharded::ShardedMap;
+    use aft_types::Value;
     use bytes::Bytes;
 
     fn val(s: &str) -> Value {
@@ -259,7 +76,7 @@ mod tests {
 
     #[test]
     fn memory_map_prefix_scan_is_exact() {
-        let map = MemoryMap::new();
+        let map = ShardedMap::default();
         map.put("ab", val("1"));
         map.put("abc", val("2"));
         map.put("abd", val("3"));
@@ -271,8 +88,8 @@ mod tests {
 
     #[test]
     fn striped_and_single_stripe_stores_behave_identically() {
-        let striped = InMemoryStore::with_stripes(8);
-        let single = InMemoryStore::with_stripes(1);
+        let memory = |stripes| SimStore::of(Service::MEMORY, LatencyModel::disabled(), 0, stripes);
+        let (striped, single) = (memory(8), memory(1));
         assert_eq!(striped.stripe_count(), 8);
         assert_eq!(single.stripe_count(), 1);
         for store in [&striped, &single] {

@@ -1,91 +1,222 @@
-//! Calibrated latency profiles for the simulated cloud services.
+//! The simulated services, one `const` row of facts each.
 //!
-//! The absolute numbers below are taken from the magnitudes reported in the
-//! paper's evaluation (Figures 2 and 3) and from public characterisations of
-//! the services: DynamoDB single-digit-millisecond reads/writes with a
-//! moderate tail, Redis sub-millisecond operations, S3 tens-of-milliseconds
-//! object operations with a very heavy tail for small objects. What matters
-//! for reproducing the figures is not the absolute values but the ratios and
+//! AFT asks one thing of storage — an update is durable once acknowledged
+//! (§3.1) — and runs unchanged over S3, DynamoDB and Redis (§6.1.2), so the
+//! stand-ins differ only in facts: how slow each call is, how many keys one
+//! write or delete call may carry, and where a key is placed. A [`Service`]
+//! holds those facts and [`SimStore`](crate::SimStore) is the one engine
+//! that acts on them; the table itself is in the [crate docs](crate).
+//!
+//! The absolute numbers are the magnitudes reported in the paper's
+//! evaluation (Figures 2 and 3) and public characterisations of the
+//! services: DynamoDB single-digit-millisecond reads/writes with a moderate
+//! tail, Redis sub-millisecond operations, S3 tens-of-milliseconds object
+//! operations with a very heavy tail for small objects. What matters for
+//! reproducing the figures is not the absolute values but the ratios and
 //! tail shapes, which survive the global scale factor applied by
 //! [`LatencyModel`](crate::LatencyModel).
 
+use crate::counters::OpKind;
 use crate::latency::LatencyProfile;
 
-/// The full latency description of one simulated storage service.
+/// The real DynamoDB's `BatchWriteItem` limit (puts and deletes alike).
+pub const DYNAMO_BATCH_LIMIT: usize = 25;
+
+/// The real S3's `DeleteObjects` limit.
+pub const S3_DELETE_OBJECTS_LIMIT: usize = 1000;
+
+/// Redis shards, matching the paper's deployment ("cluster mode with 2
+/// shards", §6).
+pub const DEFAULT_REDIS_SHARDS: usize = 2;
+
+/// Latency of the four single-key calls every service has.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceProfile {
     /// Single-key read.
     pub read: LatencyProfile,
     /// Single-key write.
     pub write: LatencyProfile,
-    /// Base cost of a batched write API call (DynamoDB `BatchWriteItem`).
-    pub batch_write_base: LatencyProfile,
-    /// Additional cost per item inside a batched write, in microseconds.
-    pub batch_write_per_item_us: f64,
     /// Single-key delete.
     pub delete: LatencyProfile,
     /// Prefix scan / list.
     pub list: LatencyProfile,
-    /// Storage-level transactional call (only meaningful for DynamoDB).
-    pub transact: LatencyProfile,
 }
 
 impl ServiceProfile {
-    /// A profile with no latency at all — used by unit tests.
-    pub fn zero() -> Self {
+    /// A profile with no latency at all — the memory row, and unit tests.
+    pub const fn zero() -> Self {
         ServiceProfile {
             read: LatencyProfile::ZERO,
             write: LatencyProfile::ZERO,
-            batch_write_base: LatencyProfile::ZERO,
-            batch_write_per_item_us: 0.0,
             delete: LatencyProfile::ZERO,
             list: LatencyProfile::ZERO,
-            transact: LatencyProfile::ZERO,
         }
     }
+}
 
-    /// AWS DynamoDB: single-digit-millisecond KVS with a batch-write API and
-    /// a (more expensive) transactional API.
-    pub fn dynamodb() -> Self {
-        ServiceProfile {
-            read: LatencyProfile::new(2_500.0, 9_000.0).with_per_kb(15.0),
-            write: LatencyProfile::new(3_000.0, 11_000.0).with_per_kb(20.0),
-            batch_write_base: LatencyProfile::new(3_200.0, 12_000.0).with_per_kb(10.0),
-            batch_write_per_item_us: 350.0,
-            delete: LatencyProfile::new(2_800.0, 10_000.0),
-            list: LatencyProfile::new(6_000.0, 25_000.0),
-            transact: LatencyProfile::new(6_500.0, 22_000.0).with_per_kb(20.0),
-        }
-    }
+/// One multi-key API call a service offers: how many keys it may carry and
+/// what it costs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MultiKeyCall {
+    /// Most keys one call carries; a larger batch is several calls.
+    pub limit: usize,
+    /// Cost of the call itself.
+    pub base: LatencyProfile,
+    /// Additional cost per key in the call, in microseconds.
+    pub per_item_us: f64,
+}
 
-    /// AWS ElastiCache / Redis in cluster mode: memory-speed KVS.
-    pub fn redis() -> Self {
-        ServiceProfile {
-            read: LatencyProfile::new(500.0, 1_400.0).with_per_kb(4.0),
-            write: LatencyProfile::new(550.0, 1_600.0).with_per_kb(5.0),
-            // MSET within a shard: slightly more than a single SET.
-            batch_write_base: LatencyProfile::new(650.0, 1_900.0).with_per_kb(4.0),
-            batch_write_per_item_us: 60.0,
-            delete: LatencyProfile::new(500.0, 1_400.0),
-            list: LatencyProfile::new(2_000.0, 6_000.0),
-            transact: LatencyProfile::new(900.0, 2_500.0),
+impl MultiKeyCall {
+    /// A call that carries any number of keys for free (the memory row).
+    pub const FREE: MultiKeyCall = MultiKeyCall {
+        limit: usize::MAX,
+        base: LatencyProfile::ZERO,
+        per_item_us: 0.0,
+    };
+
+    /// The latency profile of one call carrying `items` keys.
+    pub fn cost(&self, items: usize) -> LatencyProfile {
+        let per_item = self.per_item_us * items as f64;
+        LatencyProfile {
+            median_us: self.base.median_us + per_item,
+            p99_us: self.base.p99_us + per_item,
+            ..self.base
         }
     }
+}
+
+/// Redis `MSET` within one shard: slightly more than a single `SET`. Arbitrary
+/// write sets span shards, so the Redis row cannot offer it as its multi-key
+/// write ([`SimRedis::mset`](crate::SimRedis::mset) enforces the rule); the
+/// sharded service issues it per stripe.
+pub const MSET: MultiKeyCall = MultiKeyCall {
+    limit: usize::MAX,
+    base: LatencyProfile::new(650.0, 1_900.0).with_per_kb(4.0),
+    per_item_us: 60.0,
+};
+
+/// S3's delete round trip, whether it carries one key or `DeleteObjects`' 1000.
+const S3_DELETE: LatencyProfile = LatencyProfile::new(18_000.0, 90_000.0);
+
+/// DynamoDB's `BatchWriteItem` round trip, before the per-item cost of puts.
+const BATCH_WRITE_ITEM: LatencyProfile = LatencyProfile::new(3_200.0, 12_000.0).with_per_kb(10.0);
+
+/// Everything that distinguishes one simulated service from another.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Service {
+    /// What [`StorageEngine::name`](crate::StorageEngine::name) reports.
+    pub name: &'static str,
+    /// Latency of the single-key calls.
+    pub profile: ServiceProfile,
+    /// The multi-key write call; `None` means one write call per key.
+    pub batch_put: Option<MultiKeyCall>,
+    /// The multi-key delete call; `None` means one delete call per key.
+    pub batch_delete: Option<MultiKeyCall>,
+    /// Placement stripes fixed by the service itself; `None` takes
+    /// [`BackendConfig::stripes`](crate::BackendConfig).
+    pub shards: Option<usize>,
+}
+
+impl Service {
+    /// Zero latency, unlimited batches (tests, protocol microbenchmarks).
+    pub const MEMORY: Service = Service {
+        name: "memory",
+        profile: ServiceProfile::zero(),
+        batch_put: Some(MultiKeyCall::FREE),
+        batch_delete: Some(MultiKeyCall::FREE),
+        shards: None,
+    };
 
     /// AWS S3: throughput-oriented object store; slow, very heavy-tailed
-    /// writes for small objects, no batch API.
-    pub fn s3() -> Self {
-        ServiceProfile {
+    /// writes for small objects, no batch write, `DeleteObjects`.
+    pub const S3: Service = Service {
+        name: "s3",
+        profile: ServiceProfile {
             read: LatencyProfile::new(14_000.0, 80_000.0).with_per_kb(8.0),
             write: LatencyProfile::new(28_000.0, 250_000.0).with_per_kb(10.0),
-            // S3 has no batch write; the simulator never uses these fields but
-            // keeps them equal to the single-write cost for completeness.
-            batch_write_base: LatencyProfile::new(28_000.0, 250_000.0).with_per_kb(10.0),
-            batch_write_per_item_us: 0.0,
-            delete: LatencyProfile::new(18_000.0, 90_000.0),
+            delete: S3_DELETE,
             list: LatencyProfile::new(40_000.0, 150_000.0),
-            transact: LatencyProfile::ZERO,
+        },
+        batch_put: None,
+        batch_delete: Some(MultiKeyCall {
+            limit: S3_DELETE_OBJECTS_LIMIT,
+            base: S3_DELETE,
+            per_item_us: 0.0,
+        }),
+        shards: None,
+    };
+
+    /// AWS DynamoDB: single-digit-millisecond KVS whose `BatchWriteItem`
+    /// carries puts and deletes.
+    pub const DYNAMODB: Service = Service {
+        name: "dynamodb",
+        profile: ServiceProfile {
+            read: LatencyProfile::new(2_500.0, 9_000.0).with_per_kb(15.0),
+            write: LatencyProfile::new(3_000.0, 11_000.0).with_per_kb(20.0),
+            delete: LatencyProfile::new(2_800.0, 10_000.0),
+            list: LatencyProfile::new(6_000.0, 25_000.0),
+        },
+        batch_put: Some(MultiKeyCall {
+            limit: DYNAMO_BATCH_LIMIT,
+            base: BATCH_WRITE_ITEM,
+            per_item_us: 350.0,
+        }),
+        batch_delete: Some(MultiKeyCall {
+            limit: DYNAMO_BATCH_LIMIT,
+            base: BATCH_WRITE_ITEM,
+            per_item_us: 0.0,
+        }),
+        shards: None,
+    };
+
+    /// AWS ElastiCache / Redis in cluster mode: memory-speed KVS, every key
+    /// on exactly one of its shards, no cross-shard multi-key call.
+    pub const REDIS: Service = Service {
+        name: "redis",
+        profile: ServiceProfile {
+            read: LatencyProfile::new(500.0, 1_400.0).with_per_kb(4.0),
+            write: LatencyProfile::new(550.0, 1_600.0).with_per_kb(5.0),
+            delete: LatencyProfile::new(500.0, 1_400.0),
+            list: LatencyProfile::new(2_000.0, 6_000.0),
+        },
+        batch_put: None,
+        batch_delete: None,
+        shards: Some(DEFAULT_REDIS_SHARDS),
+    };
+
+    /// The store behind [`SimShardedService`](crate::SimShardedService):
+    /// Redis's per-call cost, one `MSET` per stripe a batch touches.
+    pub const SHARDED_SERVICE: Service = Service {
+        name: "sharded-service",
+        batch_put: Some(MSET),
+        shards: None,
+        ..Service::REDIS
+    };
+
+    /// How a write batch is billed: as the multi-key call, or — without one
+    /// — as single writes, one key per call.
+    pub(crate) fn write_call(&self) -> (OpKind, MultiKeyCall) {
+        match self.batch_put {
+            Some(call) => (OpKind::BatchPut, call),
+            None => (OpKind::Put, single(self.profile.write)),
         }
+    }
+
+    /// How a delete batch is billed; see [`Service::write_call`].
+    pub(crate) fn delete_call(&self) -> (OpKind, MultiKeyCall) {
+        match self.batch_delete {
+            Some(call) => (OpKind::BatchDelete, call),
+            None => (OpKind::Delete, single(self.profile.delete)),
+        }
+    }
+}
+
+/// A single-key call seen as a batch call of one key.
+fn single(base: LatencyProfile) -> MultiKeyCall {
+    MultiKeyCall {
+        limit: 1,
+        base,
+        per_item_us: 0.0,
     }
 }
 
@@ -96,9 +227,9 @@ mod tests {
     #[test]
     fn service_ordering_matches_the_paper() {
         // The property every figure depends on: Redis < DynamoDB << S3.
-        let d = ServiceProfile::dynamodb();
-        let r = ServiceProfile::redis();
-        let s = ServiceProfile::s3();
+        let d = Service::DYNAMODB.profile;
+        let r = Service::REDIS.profile;
+        let s = Service::S3.profile;
         assert!(r.read.median_us < d.read.median_us);
         assert!(d.read.median_us < s.read.median_us);
         assert!(r.write.median_us < d.write.median_us);
@@ -107,8 +238,8 @@ mod tests {
 
     #[test]
     fn s3_tail_is_much_heavier_than_dynamo() {
-        let d = ServiceProfile::dynamodb();
-        let s = ServiceProfile::s3();
+        let d = Service::DYNAMODB.profile;
+        let s = Service::S3.profile;
         let d_ratio = d.write.p99_us / d.write.median_us;
         let s_ratio = s.write.p99_us / s.write.median_us;
         assert!(
@@ -119,17 +250,16 @@ mod tests {
 
     #[test]
     fn dynamo_batch_beats_sequential_for_multi_writes() {
-        let d = ServiceProfile::dynamodb();
         // 10 sequential writes vs one batch of 10.
-        let sequential = 10.0 * d.write.median_us;
-        let batched = d.batch_write_base.median_us + 10.0 * d.batch_write_per_item_us;
+        let sequential = 10.0 * Service::DYNAMODB.profile.write.median_us;
+        let batched = Service::DYNAMODB.batch_put.unwrap().cost(10).median_us;
         assert!(batched < sequential / 2.0);
     }
 
     #[test]
     fn zero_profile_is_free() {
         let z = ServiceProfile::zero();
-        assert_eq!(z.read.median_us, 0.0);
-        assert_eq!(z.batch_write_per_item_us, 0.0);
+        assert!(z.read.is_free() && z.write.is_free() && z.delete.is_free() && z.list.is_free());
+        assert!(MultiKeyCall::FREE.cost(1_000).is_free());
     }
 }

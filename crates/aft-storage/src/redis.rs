@@ -1,4 +1,4 @@
-//! A simulated Redis cluster (AWS ElastiCache).
+//! The Redis row, [`Service::REDIS`], and a cluster's `MSET`.
 //!
 //! The evaluation uses Redis in cluster mode with two shards (§6). The
 //! properties the figures depend on are:
@@ -8,232 +8,73 @@
 //! * per-shard linearizability but **no guarantees across shards** (which is
 //!   why "Redis Shard / Linearizable" still shows anomalies in Table 2), and
 //! * `MSET` can only write keys that live in a single shard, so AFT cannot
-//!   batch its commit writes over Redis (§6.1.2, §6.3).
+//!   batch its commit writes over Redis (§6.1.2, §6.3): the row has no
+//!   multi-key call, and a pipelined cluster client flushes one SET (or DEL)
+//!   per key together.
 //!
-//! `SimRedis` reproduces this with one mutex-protected map per shard and the
-//! calibrated Redis latency profile.
+//! A shard is a placement stripe of the shared [`SimStore`] — one lock, one
+//! latency RNG — and [`SimRedis`] adds `MSET` with its CROSSSLOT rule.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 use aft_types::{AftError, AftResult, Value};
-use parking_lot::Mutex;
 
-use crate::counters::{OpKind, StorageStats, StripeCounters};
+use crate::counters::OpKind;
 use crate::engine::StorageEngine;
-use crate::latency::{LatencyModel, StripedSampler};
-use crate::profiles::ServiceProfile;
+use crate::latency::LatencyModel;
+use crate::profiles::{Service, MSET};
+use crate::sharded::stripe_of;
+use crate::store::SimStore;
 
-/// Default number of shards, matching the paper's deployment ("cluster mode
-/// with 2 shards").
-pub const DEFAULT_REDIS_SHARDS: usize = 2;
-
-/// One Redis shard: a linearizable (single-lock) map.
-#[derive(Debug, Default)]
-struct Shard {
-    data: Mutex<BTreeMap<String, Value>>,
+/// A simulated Redis cluster: the [`Service::REDIS`] store (which it derefs
+/// to) plus `MSET`.
+pub struct SimRedis {
+    store: SimStore,
 }
 
-/// A simulated Redis cluster.
-pub struct SimRedis {
-    shards: Vec<Shard>,
-    profile: ServiceProfile,
-    sampler: StripedSampler,
-    stats: Arc<StorageStats>,
-    counters: Arc<StripeCounters>,
+impl Deref for SimRedis {
+    type Target = SimStore;
+
+    fn deref(&self) -> &SimStore {
+        &self.store
+    }
 }
 
 impl SimRedis {
-    /// Creates a cluster with [`DEFAULT_REDIS_SHARDS`] shards and the default
-    /// calibrated profile.
-    pub fn new(latency: Arc<LatencyModel>) -> Arc<Self> {
-        Self::with_shards(
-            DEFAULT_REDIS_SHARDS,
-            ServiceProfile::redis(),
-            latency,
-            0x0BAD_CAFE,
-        )
-    }
-
-    /// Creates a cluster with an explicit shard count, profile, and RNG seed.
-    pub fn with_shards(
-        num_shards: usize,
-        profile: ServiceProfile,
-        latency: Arc<LatencyModel>,
-        seed: u64,
-    ) -> Arc<Self> {
+    /// Creates an empty cluster of `num_shards` shards.
+    pub fn with_shards(num_shards: usize, latency: Arc<LatencyModel>, seed: u64) -> Arc<Self> {
         assert!(num_shards > 0, "a Redis cluster needs at least one shard");
-        let stats = StorageStats::new_shared();
-        let counters = StripeCounters::new(num_shards);
-        stats.attach_stripes(Arc::clone(&counters));
         Arc::new(SimRedis {
-            shards: (0..num_shards).map(|_| Shard::default()).collect(),
-            sampler: StripedSampler::new(latency, seed, num_shards),
-            profile,
-            stats,
-            counters,
+            store: SimStore::of(Service::REDIS, latency, seed, num_shards),
         })
-    }
-
-    /// Number of shards in the cluster.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shard a key hashes to (the cluster's hash-slot mapping).
     pub fn shard_of(&self, key: &str) -> usize {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() as usize) % self.shards.len()
-    }
-
-    /// Total number of keys across all shards.
-    pub fn item_count(&self) -> usize {
-        self.shards.iter().map(|s| s.data.lock().len()).sum()
-    }
-
-    /// The shard `key` hashes to, with the access recorded in the per-shard
-    /// counters that roll up into this cluster's [`StorageStats`].
-    fn touch(&self, key: &str) -> usize {
-        let shard = self.shard_of(key);
-        self.counters.record(shard);
-        shard
-    }
-
-    fn inject(&self, profile: &crate::latency::LatencyProfile, shard: usize, payload_bytes: usize) {
-        // Sample on the shard's RNG (held only for the sample), sleep outside
-        // it: concurrent requests to different shards never serialise.
-        self.sampler.apply(profile, shard, payload_bytes);
+        stripe_of(key, self.store.stripe_count())
     }
 
     /// `MSET`: writes several keys in one API call, but only if they all live
     /// in the same shard — the real cluster rejects cross-slot multi-key
     /// commands.
     pub fn mset(&self, items: Vec<(String, Value)>) -> AftResult<()> {
-        if items.is_empty() {
+        let Some((first, _)) = items.first() else {
             return Ok(());
-        }
-        let shard = self.touch(&items[0].0);
+        };
+        let shard = self.shard_of(first);
         if items.iter().any(|(k, _)| self.shard_of(k) != shard) {
             return Err(AftError::Storage(
                 "CROSSSLOT keys in request don't hash to the same slot".to_owned(),
             ));
         }
-        self.stats.record_call(OpKind::BatchPut);
-        let payload: usize = items.iter().map(|(_, v)| v.len()).sum();
-        let per_item = self.profile.batch_write_per_item_us * items.len() as f64;
-        let mut profile = self.profile.batch_write_base;
-        profile.median_us += per_item;
-        profile.p99_us += per_item;
-        self.inject(&profile, shard, payload);
-        let mut data = self.shards[shard].data.lock();
+        self.stats().record_call(OpKind::BatchPut);
+        let payload = items.iter().map(|(_, v)| v.len()).sum();
+        self.store.charge(&MSET.cost(items.len()), first, payload);
         for (k, v) in items {
-            self.stats.record_written_bytes(v.len());
-            data.insert(k, v);
+            self.store.write(&k, v);
         }
         Ok(())
-    }
-}
-
-impl StorageEngine for SimRedis {
-    fn name(&self) -> &'static str {
-        "redis"
-    }
-
-    fn get(&self, key: &str) -> AftResult<Option<Value>> {
-        self.stats.record_call(OpKind::Get);
-        let shard = self.touch(key);
-        let value = self.shards[shard].data.lock().get(key).cloned();
-        let bytes = value.as_ref().map_or(0, |v| v.len());
-        self.inject(&self.profile.read, shard, bytes);
-        if let Some(v) = &value {
-            self.stats.record_read_bytes(v.len());
-        }
-        Ok(value)
-    }
-
-    fn put(&self, key: &str, value: Value) -> AftResult<()> {
-        self.stats.record_call(OpKind::Put);
-        self.stats.record_written_bytes(value.len());
-        let shard = self.touch(key);
-        self.inject(&self.profile.write, shard, value.len());
-        self.shards[shard].data.lock().insert(key.to_owned(), value);
-        Ok(())
-    }
-
-    fn put_batch(&self, items: Vec<(String, Value)>) -> AftResult<()> {
-        // Arbitrary write sets are not guaranteed to land in one shard, so —
-        // like the paper's implementation — AFT over Redis issues one SET per
-        // key instead of relying on MSET (§6.1.2). A pipelined cluster client
-        // flushes those SETs concurrently, so the charged latency is the max
-        // of the samples, not their sum; the per-key SET call counts are
-        // unchanged. Sequential full-RTT charging survives only in
-        // [`crate::io::SequentialEngine`].
-        let mut durations = Vec::with_capacity(items.len());
-        for (k, v) in items {
-            self.stats.record_call(OpKind::Put);
-            self.stats.record_written_bytes(v.len());
-            let shard = self.touch(&k);
-            durations.push(self.sampler.sample(&self.profile.write, shard, v.len()));
-            self.shards[shard].data.lock().insert(k, v);
-        }
-        self.sampler.model().finish_batch(&durations);
-        Ok(())
-    }
-
-    fn delete(&self, key: &str) -> AftResult<()> {
-        self.stats.record_call(OpKind::Delete);
-        let shard = self.touch(key);
-        self.inject(&self.profile.delete, shard, 0);
-        self.shards[shard].data.lock().remove(key);
-        Ok(())
-    }
-
-    fn delete_batch(&self, keys: &[String]) -> AftResult<()> {
-        // One DEL per key (no cross-shard batching), issued concurrently by
-        // the pipelined client like put_batch above.
-        let mut durations = Vec::with_capacity(keys.len());
-        for k in keys {
-            self.stats.record_call(OpKind::Delete);
-            let shard = self.touch(k);
-            durations.push(self.sampler.sample(&self.profile.delete, shard, 0));
-            self.shards[shard].data.lock().remove(k);
-        }
-        self.sampler.model().finish_batch(&durations);
-        Ok(())
-    }
-
-    fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
-        // SCAN across all shards; results are merged and sorted.
-        self.stats.record_call(OpKind::List);
-        self.inject(&self.profile.list, 0, 0);
-        let mut keys = Vec::new();
-        for shard in &self.shards {
-            let data = shard.data.lock();
-            keys.extend(
-                data.range(prefix.to_owned()..)
-                    .take_while(|(k, _)| k.starts_with(prefix))
-                    .map(|(k, _)| k.clone()),
-            );
-        }
-        keys.sort();
-        Ok(keys)
-    }
-
-    fn supports_batch_put(&self) -> bool {
-        // Cross-shard batching is not available; see put_batch.
-        false
-    }
-
-    fn supports_deferred_latency(&self) -> bool {
-        // Client-observed network latency; safe to defer to a completion.
-        true
-    }
-
-    fn stats(&self) -> Arc<StorageStats> {
-        Arc::clone(&self.stats)
     }
 }
 
@@ -243,7 +84,7 @@ mod tests {
     use bytes::Bytes;
 
     fn cluster(shards: usize) -> Arc<SimRedis> {
-        SimRedis::with_shards(shards, ServiceProfile::zero(), LatencyModel::disabled(), 1)
+        SimRedis::with_shards(shards, LatencyModel::disabled(), 1)
     }
 
     fn val(s: &str) -> Value {
@@ -289,7 +130,7 @@ mod tests {
             ("c".into(), val("3")),
         ])
         .unwrap();
-        assert_eq!(r.item_count(), 3);
+        assert_eq!(r.len(), 3);
         assert_eq!(r.stats().calls(OpKind::Put), 3);
         assert_eq!(r.stats().calls(OpKind::BatchPut), 0);
     }
@@ -336,7 +177,7 @@ mod tests {
         let r = cluster(1);
         r.mset(vec![("a".into(), val("1")), ("b".into(), val("2"))])
             .unwrap();
-        assert_eq!(r.item_count(), 2);
+        assert_eq!(r.len(), 2);
     }
 
     #[test]

@@ -1,0 +1,197 @@
+//! The simulated key-value service, written once.
+//!
+//! [`SimStore`] is a [`ShardedMap`] behind the accounting and latency of one
+//! [`Service`] row. Every call is billed in [`StorageStats`], samples its
+//! latency on the RNG of its key's stripe (held only for the sample) and
+//! charges it outside every lock, so concurrent requests never serialise on
+//! the simulator. The calls of one batch are issued together and the caller
+//! waits for the slowest: a batch charges the *maximum* of its samples, not
+//! their sum (sequential charging survives only in
+//! [`SequentialEngine`](crate::SequentialEngine)). A call whose profile is
+//! free — every call of the memory row — takes no hash, no RNG lock and no
+//! latency bookkeeping.
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use aft_types::{AftResult, Value};
+
+use crate::counters::{OpKind, StorageStats};
+use crate::engine::StorageEngine;
+use crate::latency::{LatencyModel, LatencyProfile, StripedSampler};
+use crate::profiles::Service;
+use crate::sharded::{stripe_of, ShardedMap, DEFAULT_STRIPES};
+
+/// One simulated storage service: the engine behind every [`Service`] row.
+#[derive(Debug)]
+pub struct SimStore {
+    service: Service,
+    map: ShardedMap,
+    sampler: StripedSampler,
+    stats: Arc<StorageStats>,
+}
+
+impl Default for SimStore {
+    fn default() -> Self {
+        Self::of(
+            Service::MEMORY,
+            LatencyModel::disabled(),
+            0,
+            DEFAULT_STRIPES,
+        )
+    }
+}
+
+impl SimStore {
+    /// An empty zero-latency store ([`Service::MEMORY`]).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty zero-latency store behind a shared handle.
+    pub fn shared() -> Arc<Self> {
+        Arc::new(Self::new())
+    }
+
+    /// An empty store simulating `service`: `stripes` placement stripes
+    /// (clamped to ≥ 1), each with its own lock and its own latency RNG
+    /// seeded `seed + stripe`.
+    pub fn of(service: Service, latency: Arc<LatencyModel>, seed: u64, stripes: usize) -> Self {
+        let map = ShardedMap::new(stripes);
+        let stats = StorageStats::new_shared();
+        stats.attach_stripes(map.counters());
+        SimStore {
+            service,
+            sampler: StripedSampler::new(latency, seed, map.stripe_count()),
+            map,
+            stats,
+        }
+    }
+
+    /// Number of placement stripes.
+    pub fn stripe_count(&self) -> usize {
+        self.map.stripe_count()
+    }
+
+    /// Number of keys stored; useful for GC assertions in tests.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Returns true if the store holds no keys.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// Samples one call's latency on the RNG of `key`'s stripe.
+    fn sample(&self, profile: &LatencyProfile, key: &str, bytes: usize) -> Duration {
+        if profile.is_free() {
+            return Duration::ZERO;
+        }
+        let stripe = stripe_of(key, self.sampler.stripes());
+        self.sampler.sample(profile, stripe, bytes)
+    }
+
+    /// Waits out (sleeps, records or defers) the slowest of the calls issued
+    /// together.
+    fn wait(&self, slowest: Option<Duration>) {
+        if let Some(duration) = slowest.filter(|d| !d.is_zero()) {
+            self.sampler.model().finish(duration);
+        }
+    }
+
+    /// Samples and waits out one call of `profile` on `key`.
+    pub(crate) fn charge(&self, profile: &LatencyProfile, key: &str, bytes: usize) {
+        self.wait(Some(self.sample(profile, key, bytes)));
+    }
+
+    /// The blob at `key`, its bytes counted as read.
+    pub(crate) fn read(&self, key: &str) -> Option<Value> {
+        let value = self.map.get(key);
+        if let Some(v) = &value {
+            self.stats.record_read_bytes(v.len());
+        }
+        value
+    }
+
+    /// Stores `value` at `key`, its bytes counted as written.
+    pub(crate) fn write(&self, key: &str, value: Value) {
+        self.stats.record_written_bytes(value.len());
+        self.map.put(key, value);
+    }
+}
+
+impl StorageEngine for SimStore {
+    fn name(&self) -> &'static str {
+        self.service.name
+    }
+
+    fn get(&self, key: &str) -> AftResult<Option<Value>> {
+        self.stats.record_call(OpKind::Get);
+        let value = self.read(key);
+        let bytes = value.as_ref().map_or(0, |v| v.len());
+        self.charge(&self.service.profile.read, key, bytes);
+        Ok(value)
+    }
+
+    fn put(&self, key: &str, value: Value) -> AftResult<()> {
+        self.stats.record_call(OpKind::Put);
+        self.charge(&self.service.profile.write, key, value.len());
+        self.write(key, value);
+        Ok(())
+    }
+
+    fn put_batch(&self, items: Vec<(String, Value)>) -> AftResult<()> {
+        let (kind, call) = self.service.write_call();
+        let calls = items.chunks(call.limit).map(|chunk| {
+            self.stats.record_call(kind);
+            for (k, v) in chunk {
+                self.write(k, v.clone());
+            }
+            let bytes = chunk.iter().map(|(_, v)| v.len()).sum();
+            self.sample(&call.cost(chunk.len()), &chunk[0].0, bytes)
+        });
+        self.wait(calls.max());
+        Ok(())
+    }
+
+    fn delete(&self, key: &str) -> AftResult<()> {
+        self.stats.record_call(OpKind::Delete);
+        self.charge(&self.service.profile.delete, key, 0);
+        self.map.remove(key);
+        Ok(())
+    }
+
+    fn delete_batch(&self, keys: &[String]) -> AftResult<()> {
+        let (kind, call) = self.service.delete_call();
+        let calls = keys.chunks(call.limit).map(|chunk| {
+            self.stats.record_call(kind);
+            for k in chunk {
+                self.map.remove(k);
+            }
+            self.sample(&call.cost(chunk.len()), &chunk[0], 0)
+        });
+        self.wait(calls.max());
+        Ok(())
+    }
+
+    fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
+        self.stats.record_call(OpKind::List);
+        self.charge(&self.service.profile.list, prefix, 0);
+        Ok(self.map.keys_with_prefix(prefix))
+    }
+
+    fn supports_batch_put(&self) -> bool {
+        self.service.batch_put.is_some()
+    }
+
+    fn supports_deferred_latency(&self) -> bool {
+        // The sampled latency models the client-observed network round trip,
+        // so an I/O engine may apply it as a deferred completion.
+        true
+    }
+
+    fn stats(&self) -> Arc<StorageStats> {
+        Arc::clone(&self.stats)
+    }
+}

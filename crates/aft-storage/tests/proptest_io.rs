@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use aft_storage::io::{IoConfig, IoEngine, StorageRequest};
 use aft_storage::{
-    LatencyMode, LatencyModel, SequentialEngine, ServiceProfile, SharedStorage, SimS3,
+    LatencyMode, LatencyModel, SequentialEngine, Service, SharedStorage, SimStore, DEFAULT_STRIPES,
 };
 use aft_types::Value;
 use bytes::Bytes;
@@ -114,11 +114,12 @@ fn full_state(engine: &IoEngine) -> Vec<(String, Option<Value>)> {
 }
 
 fn s3_virtual(seed: u64) -> SharedStorage {
-    SimS3::with_profile(
-        ServiceProfile::s3(),
+    Arc::new(SimStore::of(
+        Service::S3,
         LatencyModel::new(LatencyMode::Virtual, 1.0),
         seed,
-    )
+        DEFAULT_STRIPES,
+    ))
 }
 
 proptest! {

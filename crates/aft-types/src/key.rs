@@ -95,8 +95,8 @@ impl<'de> Deserialize<'de> for Key {
 ///
 /// The cowritten set of a key version `k_i` is exactly the write set of
 /// transaction `T_i` (§3.2), so we never store cowritten sets per version —
-/// they are looked up from the committed [`TransactionRecord`]
-/// (crate::TransactionRecord).
+/// they are looked up from the committed
+/// [`TransactionRecord`](crate::TransactionRecord).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct KeyVersion {
     /// The client-visible key.

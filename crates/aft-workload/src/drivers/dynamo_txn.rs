@@ -14,34 +14,19 @@
 
 use std::sync::Arc;
 
-use aft_faas::{Composition, FaasPlatform, RetryPolicy};
-use aft_storage::DynamoTransactionMode;
-use aft_types::codec::{decode_tagged_value, encode_tagged_value};
-use aft_types::{
-    payload_of_size, AftError, AftResult, Key, SharedClock, SystemClock, TaggedValue,
-    TransactionId, Uuid,
-};
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use aft_faas::{FaasPlatform, RetryPolicy};
+use aft_storage::{DynamoTransactionMode, StorageEngine};
+use aft_types::{AftResult, Key, SharedClock, SystemClock};
 
-use crate::anomaly::{AnomalyFlags, TaggedObservation};
+use crate::anomaly::AnomalyFlags;
+use crate::drivers::tagged::{preload_items, TaggedBaseline};
 use crate::drivers::RequestDriver;
 use crate::generator::TransactionPlan;
 
 /// Executes logical requests using DynamoDB's transaction mode.
 pub struct DynamoTxnDriver {
-    platform: Arc<FaasPlatform>,
+    requests: TaggedBaseline,
     table: DynamoTransactionMode,
-    retry: RetryPolicy,
-    rng: Mutex<StdRng>,
-    /// Strictly increasing tag timestamps (see `PlainDriver::tag_clock`).
-    tag_clock: std::sync::atomic::AtomicU64,
-}
-
-/// Per-attempt state for a transaction-mode request.
-struct DynamoTxnCtx {
-    observation: TaggedObservation,
 }
 
 impl DynamoTxnDriver {
@@ -62,70 +47,9 @@ impl DynamoTxnDriver {
         clock: SharedClock,
     ) -> Self {
         DynamoTxnDriver {
-            platform,
+            requests: TaggedBaseline::new(platform, retry, &clock, 0xD7A0),
             table,
-            retry,
-            rng: Mutex::new(StdRng::seed_from_u64(0xD7A0)),
-            tag_clock: std::sync::atomic::AtomicU64::new(clock.now() * 1_000),
         }
-    }
-
-    fn new_tag(&self) -> TransactionId {
-        let uuid = Uuid::from_rng(&mut *self.rng.lock());
-        let timestamp = self
-            .tag_clock
-            .fetch_add(16, std::sync::atomic::Ordering::Relaxed);
-        TransactionId::new(timestamp, uuid)
-    }
-
-    fn build_composition(&self, plan: Arc<TransactionPlan>) -> Composition<DynamoTxnCtx> {
-        let table = self.table.clone();
-        let write_set: Arc<Vec<Key>> = Arc::new(plan.write_set());
-        Composition::repeated(
-            "dynamo-txn-request",
-            plan.functions.len(),
-            move |ctx: &mut DynamoTxnCtx, info| {
-                let function = &plan.functions[info.step_index];
-
-                // One read-only transaction per function.
-                if !function.reads.is_empty() {
-                    let keys: Vec<String> = function
-                        .reads
-                        .iter()
-                        .map(|k| k.as_str().to_owned())
-                        .collect();
-                    let values = table.read(&keys)?;
-                    for (key, blob) in function.reads.iter().zip(values) {
-                        let observed = match blob {
-                            Some(blob) => Some(decode_tagged_value(&blob)?),
-                            None => None,
-                        };
-                        ctx.observation.record_read(key.clone(), observed);
-                    }
-                }
-
-                // All of the request's writes go into a single write-only
-                // transaction issued by the last function.
-                if info.step_index + 1 == info.total_steps && !write_set.is_empty() {
-                    let items: Vec<(String, aft_types::Value)> = write_set
-                        .iter()
-                        .map(|key| {
-                            let value = TaggedValue::new(
-                                ctx.observation.own_tag,
-                                write_set.as_ref().clone(),
-                                payload_of_size(plan.value_size),
-                            );
-                            (key.as_str().to_owned(), encode_tagged_value(&value))
-                        })
-                        .collect();
-                    table.write(items)?;
-                    for key in write_set.iter() {
-                        ctx.observation.record_write(key.clone());
-                    }
-                }
-                Ok(())
-            },
-        )
     }
 }
 
@@ -135,40 +59,36 @@ impl RequestDriver for DynamoTxnDriver {
     }
 
     fn execute(&self, plan: &TransactionPlan) -> AftResult<AnomalyFlags> {
-        let plan = Arc::new(plan.clone());
-        let composition = self.build_composition(Arc::clone(&plan));
-        let tag = self.new_tag();
-        let (ctx, outcome) = self.platform.run_request(
-            &composition,
-            move |attempt| DynamoTxnCtx {
-                observation: TaggedObservation::new(TransactionId::new(
-                    tag.timestamp.wrapping_add(attempt as u64),
-                    tag.uuid,
-                )),
-            },
-            &self.retry,
-        );
-        match ctx {
-            Some(ctx) => Ok(ctx.observation.analyze()),
-            None => Err(outcome
-                .error
-                .unwrap_or_else(|| AftError::FunctionFailed("request failed".to_owned()))),
-        }
+        let table = self.table.clone();
+        self.requests
+            .execute("dynamo-txn-request", plan, move |step| {
+                // One read-only transaction per function.
+                let reads = &step.function.reads;
+                let keys: Vec<String> = reads.iter().map(|k| k.as_str().to_owned()).collect();
+                for (key, blob) in reads.iter().zip(table.read(&keys)?) {
+                    step.observe(key, blob)?;
+                }
+                // All of the request's writes go into a single write-only
+                // transaction issued by the last function.
+                if step.last {
+                    let write_set = step.write_set;
+                    let items = write_set
+                        .iter()
+                        .map(|key| (key.as_str().to_owned(), step.blob()))
+                        .collect();
+                    table.write(items)?;
+                    write_set.iter().for_each(|key| step.wrote(key));
+                }
+                Ok(())
+            })
     }
 
     fn preload(&self, keys: &[Key], value_size: usize) -> AftResult<()> {
-        let tag = TransactionId::new(0, Uuid::from_u128(0x9E10AD));
         // The transactional API caps items per call; preload through the
         // table's regular batch path instead.
-        let items: Vec<(String, aft_types::Value)> = keys
-            .iter()
-            .map(|key| {
-                let value = TaggedValue::new(tag, vec![key.clone()], payload_of_size(value_size));
-                (key.as_str().to_owned(), encode_tagged_value(&value))
-            })
-            .collect();
-        use aft_storage::StorageEngine;
-        self.table.table().put_batch(items)
+        self.table
+            .table()
+            .put_batch(preload_items(keys, value_size))
     }
 }
 
@@ -177,10 +97,10 @@ mod tests {
     use super::*;
     use crate::generator::{WorkloadConfig, WorkloadGenerator};
     use aft_faas::PlatformConfig;
-    use aft_storage::{LatencyModel, ServiceProfile, SimDynamo, StorageEngine};
+    use aft_storage::{LatencyModel, SimDynamo};
 
     fn make_driver() -> (DynamoTxnDriver, Arc<SimDynamo>) {
-        let table = SimDynamo::with_profile(ServiceProfile::zero(), LatencyModel::disabled(), 5);
+        let table = SimDynamo::new(LatencyModel::disabled(), 5);
         let platform = FaasPlatform::new(PlatformConfig::test());
         let driver = DynamoTxnDriver::new(
             table.transaction_mode(),

@@ -18,6 +18,7 @@
 mod aft;
 mod dynamo_txn;
 mod plain;
+mod tagged;
 
 pub use aft::AftDriver;
 pub use dynamo_txn::DynamoTxnDriver;

@@ -3,45 +3,25 @@
 //! This is what a serverless application looks like without AFT: every
 //! function reads and writes the shared store in place, so a failure between
 //! two writes exposes a fractional update, retries can double-expose partial
-//! state, and concurrent requests freely interleave. To count the resulting
-//! anomalies the driver embeds the same metadata AFT maintains — a request
-//! ID and cowritten key set — inside each stored value (§6.1.2 reports this
-//! costs about 70 extra bytes per 4 KB object).
+//! state, and concurrent requests freely interleave. The resulting
+//! anomalies are counted the way [`tagged`](super::tagged) describes.
 
 use std::sync::Arc;
 
-use aft_faas::{Composition, FaasPlatform, RetryPolicy};
+use aft_faas::{FaasPlatform, RetryPolicy};
 use aft_storage::SharedStorage;
-use aft_types::codec::{decode_tagged_value, encode_tagged_value};
-use aft_types::{
-    payload_of_size, AftError, AftResult, Key, SharedClock, SystemClock, TaggedValue,
-    TransactionId, Uuid,
-};
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use aft_types::{AftError, AftResult, Key, SharedClock, SystemClock};
 
-use crate::anomaly::{AnomalyFlags, TaggedObservation};
+use crate::anomaly::AnomalyFlags;
+use crate::drivers::tagged::{preload_items, TaggedBaseline};
 use crate::drivers::RequestDriver;
 use crate::generator::TransactionPlan;
 
 /// Executes logical requests directly against a storage engine, without AFT.
 pub struct PlainDriver {
-    platform: Arc<FaasPlatform>,
+    requests: TaggedBaseline,
     storage: SharedStorage,
-    retry: RetryPolicy,
-    rng: Mutex<StdRng>,
-    /// Strictly increasing tag timestamps. Real deployments use the wall
-    /// clock; at simulation speed many requests share a millisecond, so a
-    /// per-driver counter (seeded from the clock) keeps tag order consistent
-    /// with issue order and avoids spurious fractured-read reports.
-    tag_clock: std::sync::atomic::AtomicU64,
     label: String,
-}
-
-/// Per-attempt state for a plain request.
-struct PlainRequestCtx {
-    observation: TaggedObservation,
 }
 
 impl PlainDriver {
@@ -57,61 +37,11 @@ impl PlainDriver {
         retry: RetryPolicy,
         clock: SharedClock,
     ) -> Self {
-        let label = format!("Plain ({})", storage.name());
         PlainDriver {
-            platform,
+            requests: TaggedBaseline::new(platform, retry, &clock, 0x71A1),
+            label: format!("Plain ({})", storage.name()),
             storage,
-            retry,
-            rng: Mutex::new(StdRng::seed_from_u64(0x71A1)),
-            tag_clock: std::sync::atomic::AtomicU64::new(clock.now() * 1_000),
-            label,
         }
-    }
-
-    fn new_tag(&self) -> TransactionId {
-        let uuid = Uuid::from_rng(&mut *self.rng.lock());
-        // Reserve a window of 16 so per-attempt re-tags stay unique.
-        let timestamp = self
-            .tag_clock
-            .fetch_add(16, std::sync::atomic::Ordering::Relaxed);
-        TransactionId::new(timestamp, uuid)
-    }
-
-    fn build_composition(&self, plan: Arc<TransactionPlan>) -> Composition<PlainRequestCtx> {
-        let storage = self.storage.clone();
-        let platform = Arc::clone(&self.platform);
-        let write_set: Arc<Vec<Key>> = Arc::new(plan.write_set());
-        Composition::repeated(
-            "plain-request",
-            plan.functions.len(),
-            move |ctx: &mut PlainRequestCtx, info| {
-                let function = &plan.functions[info.step_index];
-                for key in &function.reads {
-                    let observed = match storage.get(key.as_str())? {
-                        Some(blob) => Some(decode_tagged_value(&blob)?),
-                        None => None,
-                    };
-                    ctx.observation.record_read(key.clone(), observed);
-                }
-                for key in &function.writes {
-                    let value = TaggedValue::new(
-                        ctx.observation.own_tag,
-                        write_set.as_ref().clone(),
-                        payload_of_size(plan.value_size),
-                    );
-                    storage.put(key.as_str(), encode_tagged_value(&value))?;
-                    ctx.observation.record_write(key.clone());
-                    // Without AFT, a crash here leaves the previous writes
-                    // visible to everyone — the §1 fractional-update hazard.
-                    if platform.injector().should_crash_midway() {
-                        return Err(AftError::FunctionFailed(
-                            "injected crash between writes".to_owned(),
-                        ));
-                    }
-                }
-                Ok(())
-            },
-        )
     }
 }
 
@@ -121,40 +51,30 @@ impl RequestDriver for PlainDriver {
     }
 
     fn execute(&self, plan: &TransactionPlan) -> AftResult<AnomalyFlags> {
-        let plan = Arc::new(plan.clone());
-        let composition = self.build_composition(Arc::clone(&plan));
-        let tagger = self.new_tag();
-        let (ctx, outcome) = self.platform.run_request(
-            &composition,
-            move |attempt| PlainRequestCtx {
-                // Retries re-tag so that a half-finished earlier attempt is a
-                // distinct writer — exactly what a client re-issuing a request
-                // looks like to the rest of the system.
-                observation: TaggedObservation::new(TransactionId::new(
-                    tagger.timestamp.wrapping_add(attempt as u64),
-                    tagger.uuid,
-                )),
-            },
-            &self.retry,
-        );
-        match ctx {
-            Some(ctx) => Ok(ctx.observation.analyze()),
-            None => Err(outcome
-                .error
-                .unwrap_or_else(|| AftError::FunctionFailed("request failed".to_owned()))),
-        }
+        let storage = self.storage.clone();
+        let platform = Arc::clone(self.requests.platform());
+        self.requests.execute("plain-request", plan, move |step| {
+            let function = step.function;
+            for key in &function.reads {
+                step.observe(key, storage.get(key.as_str())?)?;
+            }
+            for key in &function.writes {
+                storage.put(key.as_str(), step.blob())?;
+                step.wrote(key);
+                // Without AFT, a crash here leaves the previous writes
+                // visible to everyone — the §1 fractional-update hazard.
+                if platform.injector().should_crash_midway() {
+                    return Err(AftError::FunctionFailed(
+                        "injected crash between writes".to_owned(),
+                    ));
+                }
+            }
+            Ok(())
+        })
     }
 
     fn preload(&self, keys: &[Key], value_size: usize) -> AftResult<()> {
-        let tag = TransactionId::new(0, Uuid::from_u128(0x9E10AD));
-        let items: Vec<(String, aft_types::Value)> = keys
-            .iter()
-            .map(|key| {
-                let value = TaggedValue::new(tag, vec![key.clone()], payload_of_size(value_size));
-                (key.as_str().to_owned(), encode_tagged_value(&value))
-            })
-            .collect();
-        self.storage.put_batch(items)
+        self.storage.put_batch(preload_items(keys, value_size))
     }
 }
 
@@ -165,6 +85,8 @@ mod tests {
     use aft_chaos::FaasChaos;
     use aft_faas::PlatformConfig;
     use aft_storage::{BackendConfig, BackendKind};
+    use aft_types::codec::decode_tagged_value;
+    use aft_types::{TransactionId, Uuid};
 
     fn make_driver(kind: BackendKind) -> PlainDriver {
         let storage = aft_storage::make_backend(BackendConfig::test(kind));

@@ -185,11 +185,7 @@ fn dynamo_transaction_mode_eliminates_ryw_but_not_fractured_reads() {
     // read-your-writes anomalies by construction; reads still span two
     // transactions so fractured reads remain possible. We assert the RYW half
     // (deterministic) and merely run the FR half (statistical).
-    let table = aft::storage::SimDynamo::with_profile(
-        aft::storage::ServiceProfile::zero(),
-        aft::storage::LatencyModel::disabled(),
-        9,
-    );
+    let table = aft::storage::SimDynamo::new(aft::storage::LatencyModel::disabled(), 9);
     let driver = DynamoTxnDriver::new(
         table.transaction_mode(),
         FaasPlatform::new(PlatformConfig::test()),

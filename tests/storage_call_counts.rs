@@ -1,0 +1,88 @@
+//! Golden per-`OpKind` storage call counts for a fixed AFT script.
+//!
+//! `storage_ops_per_txn` is a gated benchmark metric; this pins what it is
+//! made of in tier-1. A one-node cluster without a data cache runs 200 seeded
+//! transactions (two reads and three writes each, every tenth one aborted, a
+//! checkpoint every 64 commits) and one maintenance round — dissemination, fault-manager
+//! scan, local and global GC, checkpoint and log compaction — over each
+//! simulated service. The counts were recorded at commit 4ca4336, before
+//! the services shared one store; a change here is a change in what AFT is
+//! billed, not a refactor.
+
+use aft::cluster::{Cluster, ClusterConfig};
+use aft::core::{CheckpointPolicy, NodeConfig};
+use aft::storage::{make_backend, BackendConfig, BackendKind, OpKind};
+use aft::types::clock::TickingClock;
+use aft::types::Key;
+use bytes::Bytes;
+
+/// SplitMix64: the script's seeded key choice.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Runs the script over `kind` and returns (Get, Put, BatchPut, Delete,
+/// BatchDelete, List) call counts.
+fn script_counts(kind: BackendKind) -> [u64; 6] {
+    let storage = make_backend(BackendConfig::test(kind));
+    let cluster = Cluster::with_clock(
+        ClusterConfig {
+            node_template: NodeConfig::test_without_cache(),
+            ..ClusterConfig::test(1)
+        }
+        .with_checkpoint_policy(CheckpointPolicy::every_commits(64)),
+        storage.clone(),
+        TickingClock::shared(1, 1),
+    )
+    .unwrap();
+    let node = cluster.route().unwrap();
+    let mut seed = 20_200_427u64;
+    let key = |seed: &mut u64| Key::new(format!("k{:02}", next(seed) % 40));
+    for i in 0..200 {
+        let txn = node.start_transaction();
+        for _ in 0..2 {
+            node.get(&txn, &key(&mut seed)).unwrap();
+        }
+        for _ in 0..3 {
+            node.put(&txn, key(&mut seed), Bytes::from(vec![b'v'; 64]))
+                .unwrap();
+        }
+        if i % 10 == 9 {
+            node.abort(&txn).unwrap();
+        } else {
+            node.commit(&txn).unwrap();
+        }
+    }
+    cluster.run_maintenance_round().unwrap();
+    let stats = storage.stats();
+    [
+        OpKind::Get,
+        OpKind::Put,
+        OpKind::BatchPut,
+        OpKind::Delete,
+        OpKind::BatchDelete,
+        OpKind::List,
+    ]
+    .map(|op| stats.calls(op))
+}
+
+#[test]
+fn aft_script_bills_the_golden_call_counts_on_every_service() {
+    let golden = [
+        (BackendKind::Memory, [369, 182, 180, 0, 2, 5]),
+        (BackendKind::S3, [369, 707, 0, 0, 2, 5]),
+        (BackendKind::DynamoDb, [369, 182, 180, 0, 26, 5]),
+        (BackendKind::Redis, [369, 707, 0, 641, 0, 5]),
+    ];
+    for (kind, expected) in golden {
+        assert_eq!(
+            script_counts(kind),
+            expected,
+            "{kind}: (Get, Put, BatchPut, Delete, BatchDelete, List)"
+        );
+    }
+}
