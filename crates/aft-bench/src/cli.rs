@@ -227,7 +227,7 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "fig7_throughput_scaling",
-        about: "hot-path scaling: clients x storage stripes x commit batching",
+        about: "hot-path scaling: clients x storage stripes",
         clock: Clock::Wall,
         kind: Kind::Gated {
             report: "BENCH_throughput.json",

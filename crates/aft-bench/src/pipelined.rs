@@ -27,7 +27,7 @@
 //! backend's pipelined p50 commit latency regresses past its sequential
 //! p50, which CI enforces.
 
-use aft_core::{AftNode, BatchConfig, NodeConfig};
+use aft_core::{AftNode, NodeConfig};
 use aft_storage::{BackendKind, IoConfig, SequentialEngine, SharedStorage};
 use aft_types::clock::TickingClock;
 use aft_types::{payload_of_size, Key};
@@ -241,9 +241,6 @@ fn run_leg(kind: BackendKind, pipelined: bool, config: &PipelineConfig) -> Pipel
     let node_config = NodeConfig {
         // No data cache: reads must exercise the storage fallback path.
         data_cache_bytes: 0,
-        // No coalescing: each commit is exactly one flush, so the recorded
-        // per-flush latency is the per-transaction commit latency.
-        commit_batch: BatchConfig::disabled(),
         io: if pipelined {
             IoConfig::pipelined()
         } else {

@@ -2,29 +2,26 @@
 //!
 //! The paper's Figure 7 sweeps closed-loop clients against a single AFT node
 //! and reports throughput. This experiment asks the same question about the
-//! *reproduction's own hot path*: it sweeps clients × storage lock stripes ×
-//! commit-batch settings over the in-memory
-//! [`SimShardedService`](aft_storage::SimShardedService) backend, whose
-//! per-stripe request lanes model a storage service's internal parallelism
-//! (one Redis-shard-style single-threaded executor per stripe). The
-//! `global-lock` variant (1 stripe, no batching) reproduces the pre-striping
-//! implementation — every storage access funneled through one lock — and is
-//! the baseline every other variant is compared against.
+//! *reproduction's own hot path*: it sweeps clients × storage lock stripes
+//! over the [`SimShardedService`](aft_storage::SimShardedService) backend,
+//! whose per-stripe request lanes model a storage service's internal
+//! parallelism (one Redis-shard-style single-threaded executor per stripe).
+//! The `global-lock` variant (1 stripe) reproduces the pre-striping
+//! implementation — every storage access funneled through one queue — and is
+//! the baseline the `striped` variant is compared against.
 //!
-//! Because lane occupancy is simulated (slept) time rather than compute, the
-//! sweep measures the *architecture's* parallelism and is meaningful even on
-//! a single-core CI host.
+//! Because lane occupancy is simulated (waited-out) time rather than compute,
+//! the sweep measures the *architecture's* parallelism and is meaningful even
+//! on a single-core CI host.
 //!
 //! The results are written as machine-readable `BENCH_throughput.json`
 //! (p50/p99 latency, ops/s, anomaly counts per point) so CI can archive a
 //! perf trajectory and gate on regressions against a checked-in
 //! `BENCH_baseline.json`.
 
-use std::time::Duration;
-
-use aft_core::{AftNode, BatchConfig, NodeConfig};
+use aft_core::{AftNode, NodeConfig};
 use aft_faas::{FaasPlatform, PlatformConfig, RetryPolicy};
-use aft_storage::{make_backend, BackendConfig, BackendKind, IoConfig, LatencyMode};
+use aft_storage::{make_backend, BackendConfig, BackendKind, LatencyMode};
 use aft_workload::{run_closed_loop, AftDriver, RunConfig, WorkloadConfig};
 
 use crate::cli::{Args, Flag, Outcome};
@@ -34,30 +31,18 @@ use crate::report::{round2, round4, Table};
 /// One hot-path configuration in the sweep.
 #[derive(Debug, Clone)]
 pub struct ScalingVariant {
-    /// Label used in tables and JSON ("global-lock", "striped", ...).
+    /// Label used in tables and JSON ("global-lock", "striped").
     pub label: String,
-    /// Lock-stripe count for the memory backend's data plane.
+    /// Stripe count of the service: its lanes and its data plane's locks.
     pub stripes: usize,
-    /// Maximum commits coalesced into one storage flush.
-    pub max_batch: usize,
-    /// Group-commit window in microseconds (0 = flush immediately).
-    pub max_delay_us: u64,
 }
 
 impl ScalingVariant {
-    fn new(label: &str, stripes: usize, max_batch: usize, max_delay_us: u64) -> Self {
+    fn new(label: &str, stripes: usize) -> Self {
         ScalingVariant {
             label: label.to_owned(),
             stripes,
-            max_batch,
-            max_delay_us,
         }
-    }
-
-    fn batch_config(&self) -> BatchConfig {
-        BatchConfig::default()
-            .with_max_batch(self.max_batch)
-            .with_max_delay(Duration::from_micros(self.max_delay_us))
     }
 }
 
@@ -72,7 +57,8 @@ pub struct ScalingConfig {
     pub keys: usize,
     /// Value payload size in bytes.
     pub value_size: usize,
-    /// The hot-path variants to compare.
+    /// The hot-path variants to compare: the baseline first, the
+    /// configuration the gate tracks last.
     pub variants: Vec<ScalingVariant>,
     /// Latency scale applied to the service profile (1.0 = calibrated
     /// Redis-like per-operation cost).
@@ -82,7 +68,7 @@ pub struct ScalingConfig {
 }
 
 impl ScalingConfig {
-    /// The full sweep: clients 1→32 across the three interesting variants.
+    /// The full sweep: clients 1→32 across the two variants.
     pub fn standard() -> Self {
         ScalingConfig {
             client_counts: vec![1, 2, 4, 8, 16, 32],
@@ -108,13 +94,12 @@ impl ScalingConfig {
         }
     }
 
-    /// The three variants every sweep compares:
-    /// the pre-striping baseline, striping alone, and striping + batching.
+    /// The two variants every sweep compares: the pre-striping baseline
+    /// and striping.
     fn default_variants() -> Vec<ScalingVariant> {
         vec![
-            ScalingVariant::new("global-lock", 1, 1, 0),
-            ScalingVariant::new("striped", 16, 1, 0),
-            ScalingVariant::new("striped+batched", 16, 32, 0),
+            ScalingVariant::new("global-lock", 1),
+            ScalingVariant::new("striped", 16),
         ]
     }
 }
@@ -126,8 +111,6 @@ pub struct ScalingPoint {
     pub variant: String,
     /// Lock stripes of the point's backend.
     pub stripes: usize,
-    /// Maximum commit batch of the point's node.
-    pub max_batch: usize,
     /// Closed-loop clients.
     pub clients: usize,
     /// Requests completed per second.
@@ -144,14 +127,15 @@ pub struct ScalingPoint {
     pub ryw_anomalies: u64,
     /// Fractured-read anomalies observed (must be 0 through AFT).
     pub fr_anomalies: u64,
-    /// Mean commits coalesced per storage flush.
-    pub mean_commit_batch: f64,
 }
 
 /// The measured sweep plus derived summary numbers.
 #[derive(Debug, Clone)]
 pub struct ThroughputReport {
-    /// Every measured point, in sweep order.
+    /// What the sweep's storage engine calls itself.
+    pub backend: &'static str,
+    /// Every measured point, in sweep order: variant by variant as
+    /// configured, client counts within each.
     pub points: Vec<ScalingPoint>,
 }
 
@@ -163,33 +147,29 @@ impl ThroughputReport {
             .find(|p| p.variant == variant && p.clients == clients)
     }
 
-    /// Throughput of the fully sharded+batched configuration at the lowest
-    /// measured client count — the number the CI regression gate tracks.
-    pub fn single_client_ops(&self) -> f64 {
-        let min_clients = self.points.iter().map(|p| p.clients).min().unwrap_or(1);
-        self.point("striped+batched", min_clients)
-            .map_or(0.0, |p| p.ops_per_sec)
+    /// Throughput of the last configured variant at the lowest measured
+    /// client count — the number the CI regression gate tracks. `None` if
+    /// the sweep measured no such point.
+    pub fn single_client_ops(&self) -> Option<f64> {
+        let tracked = &self.points.last()?.variant;
+        let min_clients = self.points.iter().map(|p| p.clients).min()?;
+        Some(self.point(tracked, min_clients)?.ops_per_sec)
     }
 
-    /// Multi-client speedup of `striped+batched` over `global-lock` at the
-    /// highest measured client count (the ISSUE's ≥2× acceptance number).
-    pub fn multi_client_speedup(&self) -> f64 {
-        let max_clients = self.points.iter().map(|p| p.clients).max().unwrap_or(1);
-        let baseline = self
-            .point("global-lock", max_clients)
-            .map_or(0.0, |p| p.ops_per_sec);
-        let sharded = self
-            .point("striped+batched", max_clients)
-            .map_or(0.0, |p| p.ops_per_sec);
-        if baseline <= 0.0 {
-            0.0
-        } else {
-            sharded / baseline
-        }
+    /// Multi-client speedup of the last configured variant over the first
+    /// (the baseline) at the highest measured client count. `None` if either
+    /// point is missing or the baseline completed nothing.
+    pub fn multi_client_speedup(&self) -> Option<f64> {
+        let baseline = &self.points.first()?.variant;
+        let tracked = &self.points.last()?.variant;
+        let max_clients = self.points.iter().map(|p| p.clients).max()?;
+        let baseline = self.point(baseline, max_clients)?.ops_per_sec;
+        let tracked = self.point(tracked, max_clients)?.ops_per_sec;
+        (baseline > 0.0).then(|| tracked / baseline)
     }
 
     /// Total anomalies across every point (must be 0: AFT's guarantees do
-    /// not bend under striping or batching).
+    /// not bend under striping).
     pub fn total_anomalies(&self) -> u64 {
         self.points
             .iter()
@@ -200,16 +180,17 @@ impl ThroughputReport {
     /// Renders the sweep as an aligned text table.
     pub fn table(&self) -> Table {
         let mut table = Table::new(
-            "fig7_throughput_scaling — memory backend, clients × stripes × batch",
+            format!(
+                "fig7_throughput_scaling — {} backend, clients × stripes",
+                self.backend
+            ),
             &[
                 "variant",
                 "stripes",
-                "max_batch",
                 "clients",
                 "ops/s",
                 "p50 (ms)",
                 "p99 (ms)",
-                "mean batch",
                 "anomalies",
             ],
         );
@@ -217,12 +198,10 @@ impl ThroughputReport {
             table.add_row(vec![
                 p.variant.clone(),
                 p.stripes.to_string(),
-                p.max_batch.to_string(),
                 p.clients.to_string(),
                 format!("{:.0}", p.ops_per_sec),
                 format!("{:.3}", p.p50_ms),
                 format!("{:.3}", p.p99_ms),
-                format!("{:.2}", p.mean_commit_batch),
                 (p.ryw_anomalies + p.fr_anomalies).to_string(),
             ]);
         }
@@ -238,7 +217,6 @@ impl ThroughputReport {
                 Json::obj(vec![
                     ("variant", Json::str(&p.variant)),
                     ("stripes", Json::Num(p.stripes as f64)),
-                    ("max_batch", Json::Num(p.max_batch as f64)),
                     ("clients", Json::Num(p.clients as f64)),
                     ("ops_per_sec", Json::Num(round2(p.ops_per_sec))),
                     ("p50_ms", Json::Num(round4(p.p50_ms))),
@@ -247,23 +225,22 @@ impl ThroughputReport {
                     ("failed", Json::Num(p.failed as f64)),
                     ("ryw_anomalies", Json::Num(p.ryw_anomalies as f64)),
                     ("fr_anomalies", Json::Num(p.fr_anomalies as f64)),
-                    ("mean_commit_batch", Json::Num(round2(p.mean_commit_batch))),
                 ])
             })
             .collect();
         Json::obj(vec![
             ("experiment", Json::str("fig7_throughput_scaling")),
-            ("backend", Json::str("memory")),
+            ("backend", Json::str(self.backend)),
             (
                 "summary",
                 Json::obj(vec![
                     (
                         "single_client_ops_per_sec",
-                        Json::Num(round2(self.single_client_ops())),
+                        num_or_null(self.single_client_ops()),
                     ),
                     (
                         "multi_client_speedup",
-                        Json::Num(round2(self.multi_client_speedup())),
+                        num_or_null(self.multi_client_speedup()),
                     ),
                     ("total_anomalies", Json::Num(self.total_anomalies() as f64)),
                 ]),
@@ -272,48 +249,34 @@ impl ThroughputReport {
         ])
     }
 
-    fn check_anomalies(&self) -> Result<(), String> {
-        match self.total_anomalies() {
-            0 => Ok(()),
-            n => Err(format!(
-                "{n} read-atomicity anomalies observed; AFT must show zero"
-            )),
-        }
-    }
-
-    /// The gate: zero anomalies always; single-client throughput against
-    /// `baseline` when one is given ([`Self::check_against_baseline`]).
+    /// The gate: zero anomalies and a measured single-client point always;
+    /// and, given a `baseline` document (same JSON schema), that point's
+    /// throughput no more than `max_regression` (a fraction, e.g. `0.30`)
+    /// below the baseline's.
     pub fn check_gate(
         &self,
         baseline: Option<&Json>,
         max_regression: f64,
     ) -> Result<String, String> {
+        let anomalies = self.total_anomalies();
+        if anomalies > 0 {
+            return Err(format!(
+                "{anomalies} read-atomicity anomalies observed; AFT must show zero"
+            ));
+        }
+        let current = self
+            .single_client_ops()
+            .ok_or("the sweep measured no single-client point to gate on")?;
         let Some(baseline) = baseline else {
-            self.check_anomalies()?;
             return Ok(format!(
-                "0 anomalies; single-client throughput {:.0} ops/s not compared (no --baseline)",
-                self.single_client_ops()
+                "0 anomalies; single-client throughput {current:.0} ops/s not compared (no --baseline)"
             ));
         };
-        self.check_against_baseline(baseline, max_regression)
-    }
-
-    /// Compares this run's single-client throughput against a baseline
-    /// document (same JSON schema). Returns an error describing the failure
-    /// if throughput regressed by more than `max_regression` (a fraction,
-    /// e.g. `0.30`), or if anomalies were observed.
-    pub fn check_against_baseline(
-        &self,
-        baseline: &Json,
-        max_regression: f64,
-    ) -> Result<String, String> {
-        self.check_anomalies()?;
         let baseline_ops = baseline
             .get("summary")
             .and_then(|s| s.get("single_client_ops_per_sec"))
             .and_then(Json::as_f64)
             .ok_or("baseline JSON lacks summary.single_client_ops_per_sec")?;
-        let current = self.single_client_ops();
         let floor = baseline_ops * (1.0 - max_regression);
         if current < floor {
             Err(format!(
@@ -346,11 +309,9 @@ pub fn fig7_throughput_scaling(config: &ScalingConfig) -> ThroughputReport {
         LatencyMode::Virtual
     };
     let mut points = Vec::new();
+    let mut backend = "";
     for variant in &config.variants {
         for (i, &clients) in config.client_counts.iter().enumerate() {
-            // Through the one shared construction path: `ShardedService` is a
-            // first-class BackendKind, so benches and tests select it exactly
-            // like the S3/DynamoDB/Redis sims.
             let storage = make_backend(BackendConfig {
                 kind: BackendKind::ShardedService,
                 mode,
@@ -360,21 +321,14 @@ pub fn fig7_throughput_scaling(config: &ScalingConfig) -> ThroughputReport {
             });
             let node_config = NodeConfig {
                 data_cache_bytes: 0,
-                commit_batch: variant.batch_config(),
                 rng_seed: config.seed ^ (i as u64) << 8 ^ variant.stripes as u64,
-                // The sharded-service backend models *service-side* occupancy
-                // (no deferred latency), so a storage request holds a thread
-                // for its whole service time: the client's own for a single
-                // request, an engine worker's for each member of a batch.
-                // One worker per client: the sweep must measure the stripes'
-                // parallelism, never be capped by the worker pool.
-                io: IoConfig::pipelined().with_workers(clients.max(8)),
                 ..NodeConfig::default()
             };
-            let node =
-                AftNode::new(node_config, storage).expect("memory backend never fails to build");
+            backend = storage.name();
+            let node = AftNode::new(node_config, storage)
+                .unwrap_or_else(|e| panic!("a node over the {backend} backend: {e}"));
             let driver = AftDriver::single_node(
-                std::sync::Arc::clone(&node),
+                node,
                 FaasPlatform::new(PlatformConfig::test()),
                 RetryPolicy::with_attempts(8),
             );
@@ -385,12 +339,10 @@ pub fn fig7_throughput_scaling(config: &ScalingConfig) -> ThroughputReport {
                     .with_requests(config.requests_per_client)
                     .with_seed(config.seed + clients as u64),
             )
-            .expect("closed-loop run over the memory backend");
-            let batch_stats = node.commit_batch_stats();
+            .unwrap_or_else(|e| panic!("closed-loop run over the {backend} backend: {e}"));
             points.push(ScalingPoint {
                 variant: variant.label.clone(),
                 stripes: variant.stripes,
-                max_batch: variant.max_batch,
                 clients,
                 ops_per_sec: run.throughput_tps(),
                 p50_ms: run.latency.median_ms(),
@@ -399,11 +351,14 @@ pub fn fig7_throughput_scaling(config: &ScalingConfig) -> ThroughputReport {
                 failed: run.failed,
                 ryw_anomalies: run.anomalies.ryw_transactions,
                 fr_anomalies: run.anomalies.fr_transactions,
-                mean_commit_batch: batch_stats.mean_batch(),
             });
         }
     }
-    ThroughputReport { points }
+    ThroughputReport { backend, points }
+}
+
+fn num_or_null(value: Option<f64>) -> Json {
+    value.map_or(Json::Null, |v| Json::Num(round2(v)))
 }
 
 /// `fig7_throughput_scaling`'s own command-line flags.
@@ -456,8 +411,8 @@ pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
     );
     outcome.notes.push(format!(
         "summary: single-client {:.0} ops/s, multi-client speedup {:.2}x, {} anomalies",
-        report.single_client_ops(),
-        report.multi_client_speedup(),
+        report.single_client_ops().unwrap_or(f64::NAN),
+        report.multi_client_speedup().unwrap_or(f64::NAN),
         report.total_anomalies()
     ));
     outcome.also_write = args.flag("--write-baseline").map(str::to_owned);
@@ -475,8 +430,8 @@ mod tests {
             keys: 100,
             value_size: 64,
             variants: vec![
-                ScalingVariant::new("global-lock", 1, 1, 0),
-                ScalingVariant::new("striped+batched", 8, 16, 0),
+                ScalingVariant::new("global-lock", 1),
+                ScalingVariant::new("striped", 8),
             ],
             // Virtual latency: unit tests must stay fast and deterministic.
             latency_scale: 0.0,
@@ -494,8 +449,12 @@ mod tests {
             assert!(p.ops_per_sec > 0.0);
         }
         assert_eq!(report.total_anomalies(), 0);
-        assert!(report.single_client_ops() > 0.0);
-        assert!(report.multi_client_speedup() > 0.0);
+        assert_eq!(report.backend, "sharded-service");
+        let tracked = report
+            .point("striped", 1)
+            .expect("the last variant's point");
+        assert_eq!(report.single_client_ops(), Some(tracked.ops_per_sec));
+        assert!(report.multi_client_speedup().unwrap() > 0.0);
     }
 
     #[test]
@@ -522,26 +481,28 @@ mod tests {
     #[test]
     fn baseline_gate_passes_and_fails_correctly() {
         let report = fig7_throughput_scaling(&tiny_config());
-        let generous = Json::obj(vec![(
-            "summary",
-            Json::obj(vec![("single_client_ops_per_sec", Json::Num(1.0))]),
-        )]);
-        assert!(report.check_against_baseline(&generous, 0.30).is_ok());
-        let impossible = Json::obj(vec![(
-            "summary",
-            Json::obj(vec![(
-                "single_client_ops_per_sec",
-                Json::Num(f64::MAX / 2.0),
-            )]),
-        )]);
-        assert!(report.check_against_baseline(&impossible, 0.30).is_err());
-        let malformed = Json::obj(vec![("nothing", Json::Null)]);
-        assert!(report.check_against_baseline(&malformed, 0.30).is_err());
-        // The gate proper: the baseline clause when one is given, the
-        // anomaly clause alone otherwise — a verdict either way.
+        let baseline = |ops: f64| {
+            let summary = Json::obj(vec![("single_client_ops_per_sec", Json::Num(ops))]);
+            Json::obj(vec![("summary", summary)])
+        };
+        let (generous, impossible) = (baseline(1.0), baseline(f64::MAX / 2.0));
+        assert!(report.check_gate(Some(&generous), 0.30).is_ok());
         assert!(report.check_gate(Some(&impossible), 0.30).is_err());
+        let malformed = Json::obj(vec![("nothing", Json::Null)]);
+        assert!(report.check_gate(Some(&malformed), 0.30).is_err());
+        // Without a baseline the other clauses still give a verdict.
         let unbased = report.check_gate(None, 0.30).expect("0 anomalies");
         assert!(unbased.contains("no --baseline"), "{unbased}");
+        // A sweep without the point the gate reads is a failure, with or
+        // without a baseline — never 0 ops/s and "gate OK".
+        let empty = ThroughputReport {
+            points: Vec::new(),
+            ..report
+        };
+        assert_eq!(empty.single_client_ops(), None);
+        let err = empty.check_gate(None, 0.30).unwrap_err();
+        assert!(err.contains("no single-client point"), "{err}");
+        assert!(empty.check_gate(Some(&generous), 0.30).is_err());
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod write_buffer;
 
 pub use api::{AftApi, CommitOutcome};
 pub use bootstrap::BootstrapOutcome;
-pub use commit_batcher::{BatchConfig, BatchStats, CommitBatcher};
+pub use commit_batcher::BatchStats;
 pub use data_cache::DataCache;
 pub use gc::{GcOutcome, LocalGcConfig};
 pub use metadata::MetadataCache;

@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::commit_batcher::{flush, BatchConfig, CommitBatcher};
+use crate::commit_batcher::{flush, BatchStats};
 use crate::data_cache::DataCache;
 use crate::gc::{GcOutcome, LocalGcConfig};
 use crate::metadata::MetadataCache;
@@ -168,13 +168,9 @@ pub struct NodeConfig {
     pub latency_scale: f64,
     /// Seed for the node's RNG (transaction UUIDs, latency sampling).
     pub rng_seed: u64,
-    /// Group-commit tuning: how many concurrently arriving commits may be
-    /// coalesced into one storage flush, and how long a flush may wait for
-    /// company. The default adds no latency for uncontended clients.
-    pub commit_batch: BatchConfig,
     /// Tuning of the node's storage I/O engine (in-flight window, retry
-    /// policy, pool size for blocking backends). `IoConfig::sequential()`
-    /// reproduces the historical one-round-trip-at-a-time behaviour.
+    /// policy). `IoConfig::sequential()` reproduces the historical
+    /// one-round-trip-at-a-time behaviour.
     pub io: IoConfig,
     /// Background checkpoint policy; disabled by default. When enabled, the
     /// maintenance driver (cluster layer or the application) calls
@@ -198,7 +194,6 @@ impl Default for NodeConfig {
             latency_mode: LatencyMode::Virtual,
             latency_scale: 0.0,
             rng_seed: 0xAF71,
-            commit_batch: BatchConfig::default(),
             io: IoConfig::pipelined(),
             checkpoint: CheckpointPolicy::disabled(),
             bootstrap_probe: BootstrapProbe::none(),
@@ -281,7 +276,8 @@ pub struct AftNode {
     io: IoEngine,
     clock: SharedClock,
     buffer: WriteBuffer,
-    batcher: CommitBatcher,
+    /// Commits that reached the storage flush.
+    commit_flushes: AtomicU64,
     metadata: MetadataCache,
     data_cache: DataCache,
     stats: Arc<NodeStats>,
@@ -292,8 +288,8 @@ pub struct AftNode {
     /// Transactions whose metadata this node has locally garbage collected;
     /// reported to the global GC (§5.2).
     locally_deleted: Mutex<HashSet<TransactionId>>,
-    /// Chaos hook: when installed, every commit flushes alone with a probe
-    /// call before each [`CommitPhase`].
+    /// Chaos hook: when installed, called before each [`CommitPhase`] of
+    /// every commit.
     commit_probe: Mutex<Option<Arc<dyn CommitProbe>>>,
     /// Commits on this node since the last checkpoint round.
     checkpoint_commits: AtomicU64,
@@ -330,7 +326,7 @@ impl AftNode {
         Ok(Arc::new(AftNode {
             data_cache: DataCache::new(config.data_cache_bytes),
             buffer: WriteBuffer::new(),
-            batcher: CommitBatcher::new(config.commit_batch),
+            commit_flushes: AtomicU64::new(0),
             stats: NodeStats::new_shared(),
             rng: Mutex::new(StdRng::seed_from_u64(config.rng_seed)),
             recent_commits: Mutex::new(Vec::new()),
@@ -382,21 +378,20 @@ impl AftNode {
         self.buffer.len()
     }
 
-    /// Group-commit counters: commits submitted, storage flushes performed,
-    /// and the largest coalesced batch.
-    pub fn commit_batch_stats(&self) -> crate::commit_batcher::BatchStats {
-        self.batcher.stats()
+    /// Commit-flush counters: every commit that reached storage is one
+    /// flush of its own.
+    pub fn commit_batch_stats(&self) -> BatchStats {
+        BatchStats::of(self.commit_flushes.load(Ordering::Relaxed))
     }
 
-    /// Installs a commit-phase probe (replacing any present). While a probe
-    /// is installed, commits bypass the group-commit batcher and run the
-    /// unbatched protocol so every phase boundary is a precise, per-
-    /// transaction injection point.
+    /// Installs a commit-phase probe (replacing any present). Commits run
+    /// the same flush with or without one, so every phase boundary it is
+    /// called at is one an unprobed commit passes through.
     pub fn install_commit_probe(&self, probe: Arc<dyn CommitProbe>) {
         *self.commit_probe.lock() = Some(probe);
     }
 
-    /// Removes the commit-phase probe, restoring the batched commit path.
+    /// Removes the commit-phase probe.
     pub fn clear_commit_probe(&self) {
         *self.commit_probe.lock() = None;
     }
@@ -667,25 +662,20 @@ impl AftNode {
         let items = txn.storage_items();
 
         // 2. Persist the data and then the commit record (§3.3's flush: data
-        //    puts overlapped, a barrier, then the record), coalesced with
-        //    concurrently arriving commits where the backend can share API
-        //    calls between them. Returns the charged storage latency once
-        //    *this* transaction's record is durable. An installed commit
-        //    probe instead flushes alone and is consulted before every
-        //    phase: its error is the node's "crash", leaving exactly the
-        //    storage state the protocol had reached by that point.
+        //    puts overlapped, a barrier, then the record), on this thread.
+        //    Returns the charged storage latency once the record is durable.
+        //    An installed commit probe is consulted before every phase: its
+        //    error is the node's "crash", leaving exactly the storage state
+        //    the protocol had reached by that point.
         let record = TransactionRecord::new(final_id, txn.writes.keys().cloned());
-        let record_key = record.storage_key();
-        let record_value = encode_commit_record(&record);
+        let record_item = (record.storage_key(), encode_commit_record(&record));
         let probe = self.commit_probe.lock().clone();
-        let flush_cost = match probe {
-            Some(probe) => flush(&self.io, items, vec![(record_key, record_value)], |phase| {
+        self.commit_flushes.fetch_add(1, Ordering::Relaxed);
+        let flush_cost = flush(&self.io, items, record_item, |phase| {
+            probe.as_ref().map_or(Ok(()), |probe| {
                 probe.before_phase(self.node_id(), &final_id, phase)
-            })?,
-            None => self
-                .batcher
-                .submit(&self.io, items, record_key, record_value)?,
-        };
+            })
+        })?;
         self.stats.commit_storage_latency().record(flush_cost);
 
         // 3. Only now make the transaction visible to other requests.
@@ -1553,15 +1543,21 @@ mod tests {
         node.put(&t, Key::new("k"), val("v")).unwrap();
         node.commit(&t).unwrap();
         assert_eq!(probe.0.lock().as_slice(), &CommitPhase::ALL);
-        // The probed path still commits durably and visibly.
+        // A probed commit is durable, visible and counted like any other:
+        // it ran the one flush there is.
         let t2 = node.start_transaction();
         assert_eq!(node.get(&t2, &Key::new("k")).unwrap().unwrap(), val("v"));
-        // Clearing the probe restores the batched path.
+        assert_eq!(node.commit_batch_stats().submitted, 1);
         node.clear_commit_probe();
         let t3 = node.start_transaction();
         node.put(&t3, Key::new("k2"), val("v2")).unwrap();
         node.commit(&t3).unwrap();
         assert_eq!(probe.0.lock().len(), 3, "no phases after clearing");
+        let stats = node.commit_batch_stats();
+        assert_eq!(
+            (stats.submitted, stats.flushes, stats.largest_batch),
+            (2, 2, 1)
+        );
     }
 
     #[test]
@@ -1728,10 +1724,6 @@ mod tests {
 
         fn supports_batch_put(&self) -> bool {
             self.inner.supports_batch_put()
-        }
-
-        fn supports_deferred_latency(&self) -> bool {
-            true
         }
 
         fn stats(&self) -> Arc<aft_storage::StorageStats> {

@@ -2,21 +2,20 @@
 //! and batched commits.
 //!
 //! Barrier-started client threads hammer one AFT node over a striped
-//! in-memory backend with group commit enabled, mixing reads and commits
-//! over a small contended key space. Every transaction's observed read set
-//! must remain an Atomic Readset (§3.2) — zero fractured reads, zero
-//! read-your-writes violations — no matter how commits interleave inside
-//! coalesced flushes. A third leg runs the same stress over a data cache of
-//! a few KiB, so that every read and commit promotes, demotes or evicts cache
-//! entries while other threads do the same.
+//! in-memory backend, mixing reads and commits (each commit's data one
+//! batched write) over a small contended key space. Every transaction's
+//! observed read set must remain an Atomic Readset (§3.2) — zero fractured
+//! reads, zero read-your-writes violations — no matter how the commits'
+//! flushes interleave. A second leg runs the same stress over a data cache
+//! of a few KiB, so that every read and commit promotes, demotes or evicts
+//! cache entries while other threads do the same.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 use aft_core::read::is_atomic_readset;
-use aft_core::{AftNode, BatchConfig, NodeConfig};
+use aft_core::{AftNode, NodeConfig};
 use aft_storage::{BackendConfig, BackendKind, SharedStorage};
 use aft_types::{AftError, Key, TransactionId, Value};
 use bytes::Bytes;
@@ -118,18 +117,13 @@ fn hammer(node: &Arc<AftNode>, value_bytes: usize) -> (u64, u64) {
     )
 }
 
-fn striped_node(batch: BatchConfig) -> Arc<AftNode> {
-    striped_node_with_cache(batch, NodeConfig::test().data_cache_bytes)
-}
-
-fn striped_node_with_cache(batch: BatchConfig, data_cache_bytes: usize) -> Arc<AftNode> {
+fn striped_node(data_cache_bytes: usize) -> Arc<AftNode> {
     let storage: SharedStorage = aft_storage::make_backend(
         BackendConfig::test(BackendKind::Memory)
             .with_stripes(16)
             .with_seed(0xAF7 ^ test_seed().wrapping_mul(0x9E37)),
     );
     let config = NodeConfig {
-        commit_batch: batch,
         data_cache_bytes,
         rng_seed: 0xAF71 ^ test_seed().wrapping_mul(0xC2B2),
         ..NodeConfig::test()
@@ -139,14 +133,10 @@ fn striped_node_with_cache(batch: BatchConfig, data_cache_bytes: usize) -> Arc<A
 
 #[test]
 fn read_atomicity_holds_under_striping_and_batched_commits() {
-    let node = striped_node(
-        BatchConfig::default()
-            .with_max_batch(16)
-            .with_max_delay(Duration::from_micros(200)),
-    );
+    let node = striped_node(NodeConfig::test().data_cache_bytes);
     let (ryw, fractured) = hammer(&node, 0);
-    assert_eq!(ryw, 0, "read-your-writes anomalies under striped+batched");
-    assert_eq!(fractured, 0, "fractured reads under striped+batched");
+    assert_eq!(ryw, 0, "read-your-writes anomalies under striping");
+    assert_eq!(fractured, 0, "fractured reads under striping");
     assert_eq!(node.in_flight(), 0, "no dangling transactions");
 
     let stats = node.commit_batch_stats();
@@ -154,31 +144,13 @@ fn read_atomicity_holds_under_striping_and_batched_commits() {
         stats.submitted >= (CLIENTS * TXNS_PER_CLIENT / 2) as u64,
         "most transactions commit (some abort on NoValidVersion): {stats:?}"
     );
-    // The group-commit window must actually coalesce under 8-way contention.
-    assert!(
-        stats.mean_batch() > 1.0,
-        "expected some coalescing, got {stats:?}"
-    );
+    assert_eq!(stats.submitted, stats.flushes, "a commit is its own flush");
     // Striping spread the storage accesses across stripes.
     let stripe_counts = node.storage().stats().stripe_counts();
     assert_eq!(stripe_counts.len(), 16);
     assert!(
         stripe_counts.iter().filter(|&&c| c > 0).count() >= 8,
         "hot keys must spread over stripes: {stripe_counts:?}"
-    );
-}
-
-#[test]
-fn read_atomicity_holds_without_batching_too() {
-    // Same stress with coalescing disabled: isolates the striping layer.
-    let node = striped_node(BatchConfig::disabled());
-    let (ryw, fractured) = hammer(&node, 0);
-    assert_eq!(ryw, 0);
-    assert_eq!(fractured, 0);
-    let stats = node.commit_batch_stats();
-    assert_eq!(
-        stats.submitted, stats.flushes,
-        "max_batch=1 never coalesces"
     );
 }
 
@@ -190,12 +162,7 @@ fn read_atomicity_holds_while_a_tiny_data_cache_churns() {
     // probation and every commit demotes the version it supersedes — all of
     // it on one stripe lock under eight threads.
     const CACHE_BYTES: usize = 2 * 1024;
-    let node = striped_node_with_cache(
-        BatchConfig::default()
-            .with_max_batch(16)
-            .with_max_delay(Duration::from_micros(200)),
-        CACHE_BYTES,
-    );
+    let node = striped_node(CACHE_BYTES);
     let (ryw, fractured) = hammer(&node, 200);
     assert_eq!(ryw, 0, "read-your-writes anomalies over a churning cache");
     assert_eq!(fractured, 0, "fractured reads over a churning cache");

@@ -196,7 +196,6 @@ mod tests {
         let svc = make_backend(BackendConfig::test(BackendKind::ShardedService).with_stripes(8));
         assert_eq!(svc.name(), "sharded-service");
         assert!(svc.supports_batch_put());
-        assert!(!svc.supports_deferred_latency(), "lanes must stay blocking");
         for i in 0..16 {
             svc.put(&format!("k{i}"), Bytes::from_static(b"v")).unwrap();
         }

@@ -234,10 +234,6 @@ impl StorageEngine for FaultyBackend {
         self.inner.supports_batch_put()
     }
 
-    fn supports_deferred_latency(&self) -> bool {
-        self.inner.supports_deferred_latency()
-    }
-
     fn stats(&self) -> Arc<StorageStats> {
         self.inner.stats()
     }
@@ -414,10 +410,6 @@ mod tests {
         assert_eq!(
             backend.supports_batch_put(),
             backend.inner().supports_batch_put()
-        );
-        assert_eq!(
-            backend.supports_deferred_latency(),
-            backend.inner().supports_deferred_latency()
         );
     }
 }

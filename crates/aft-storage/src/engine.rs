@@ -54,16 +54,11 @@ pub trait StorageEngine: Send + Sync {
     /// Whether the backend can write several keys in one API call.
     fn supports_batch_put(&self) -> bool;
 
-    /// Whether this backend's simulated latency may be *deferred*: executed
-    /// inside [`crate::latency::capture_deferred`] so the sampled delay
-    /// becomes a completion deadline the I/O engine's waiter sleeps out,
-    /// instead of blocking inside the call — which is what lets one thread
-    /// overlap many requests. True for the client-observed-latency simulators (S3, DynamoDB,
-    /// Redis, memory), whose sleep only models a network round trip. False
-    /// for backends that model *service-side occupancy* — e.g.
-    /// [`crate::SimShardedService`], whose request lanes must stay busy for
-    /// the service time — and false by default so unknown engines keep exact
-    /// blocking semantics.
+    /// Consulted by nothing: the I/O engine runs every backend's calls
+    /// inside [`crate::latency::capture_deferred`], so a latency applied
+    /// through [`crate::LatencyModel`] is always deferred to the waiter. The
+    /// method is still declared because `benchmark/`'s storage wrapper
+    /// overrides it; it goes with the next change to that workspace.
     fn supports_deferred_latency(&self) -> bool {
         false
     }

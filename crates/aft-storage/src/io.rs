@@ -15,17 +15,12 @@
 //!   [`IoEngine::submit_all`] returns a [`CompletionSet`] whose `wait_all`
 //!   is the barrier callers place between a transaction's data writes and
 //!   its commit-record append.
-//! * **Submitter-run I/O.** For backends whose simulated latency is
-//!   client-observed network time
-//!   ([`StorageEngine::supports_deferred_latency`]) `submit` runs the
-//!   operation on the calling thread under [`capture_deferred`]: the
-//!   data-plane effect applies immediately, the sampled delay is *not*
-//!   slept, and the ticket records when the completion is due. Such an
-//!   engine owns no threads. Backends that model service-side occupancy
-//!   (e.g. [`crate::SimShardedService`]'s request lanes) must be called
-//!   blocking, so overlapping a batch there still needs a **worker pool** —
-//!   but [`IoEngine::execute`], whose caller waits for that one request
-//!   anyway, runs it on the caller rather than hand it over and sleep.
+//! * **Submitter-run I/O.** `submit` runs the operation on the calling
+//!   thread under [`capture_deferred`]: the data-plane effect applies
+//!   immediately, the sampled delay is *not* slept, and the ticket records
+//!   when the completion is due. That holds for every backend —
+//!   [`crate::SimShardedService`]'s queueing for a request lane is part of
+//!   the delay it hands over — so the engine owns no thread.
 //! * **Waiter-timed completions.** A deferred completion is only a deadline
 //!   in its ticket; [`IoTicket::wait`] sleeps out what is left of it and
 //!   [`CompletionSet::wait_all`] sleeps once, until the latest member's — so
@@ -37,7 +32,7 @@
 //! * **Overlap accounting for the virtual clock**: every completion carries
 //!   the simulated latency it charged, and a [`CompletionSet`] charges the
 //!   batch one *wave* at a time — the **maximum** of each
-//!   [`IoEngine::overlap_window`]-sized chunk, summed across chunks. A batch
+//!   [`IoConfig::max_in_flight`]-sized chunk, summed across chunks. A batch
 //!   that fits the window costs its slowest member; a window of 1 charges
 //!   the plain sum. This is how `LatencyMode::Virtual` experiments observe
 //!   overlap without sleeping, without ever undercharging a batch larger
@@ -58,17 +53,16 @@
 //! submitted after every data completion has been waited out.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aft_types::{AftResult, Value};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex};
 
 use crate::engine::{SharedStorage, StorageEngine};
-use crate::latency::{capture_deferred, measure_cost, sleep_until};
+use crate::latency::{capture_deferred, sleep_until};
 
 /// Op-level retry policy for transient storage faults.
 ///
@@ -131,12 +125,6 @@ impl RetryConfig {
 /// Tuning for an [`IoEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoConfig {
-    /// Worker threads of the pool that overlaps requests to a *blocking*
-    /// backend (one without [`StorageEngine::supports_deferred_latency`]);
-    /// with `0` every such request runs on its submitter, one at a time.
-    /// Ignored for deferrable backends, whose requests always run on the
-    /// submitter and overlap by deferral.
-    pub workers: usize,
     /// Maximum requests in flight (submitted, completion not yet due);
     /// `submit` blocks once the limit is reached, like a bounded device
     /// queue. `1` makes the engine sequential.
@@ -152,11 +140,9 @@ impl Default for IoConfig {
 }
 
 impl IoConfig {
-    /// The standard overlapped configuration: a deep in-flight window, and
-    /// an 8-worker pool should the backend turn out to be blocking.
+    /// The standard overlapped configuration: a deep in-flight window.
     pub fn pipelined() -> Self {
         IoConfig {
-            workers: 8,
             max_in_flight: 256,
             retry: RetryConfig::default(),
         }
@@ -167,16 +153,9 @@ impl IoConfig {
     /// its members.
     pub fn sequential() -> Self {
         IoConfig {
-            workers: 0,
             max_in_flight: 1,
             retry: RetryConfig::default(),
         }
-    }
-
-    /// Overrides the blocking-backend worker count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
     }
 
     /// Overrides the in-flight window (clamped to ≥ 1).
@@ -249,17 +228,14 @@ pub struct IoOutcome {
     pub cost: Duration,
 }
 
-/// A handle for one submitted request.
-pub struct IoTicket<'e>(Ticket<'e>);
-
-enum Ticket<'e> {
-    /// The request ran on its submitter.
-    Ran { outcome: IoOutcome, due: Due<'e> },
-    /// The request is with the blocking pool; a worker sends the outcome.
-    Queued(mpsc::Receiver<IoOutcome>),
+/// A handle for one submitted request: it has run, on its submitter; what is
+/// outstanding is its latency.
+pub struct IoTicket<'e> {
+    outcome: IoOutcome,
+    due: Due<'e>,
 }
 
-/// When a request that ran on its submitter stops being in flight.
+/// When a request stops being in flight.
 enum Due<'e> {
     /// Its latency was deferred: at this instant, whoever waits.
     At(Instant),
@@ -269,7 +245,7 @@ enum Due<'e> {
     OnCollect { _held: Uncollected<'e> },
 }
 
-/// Counts one request in [`Inner::uncollected`] for as long as it lives.
+/// Counts one request in [`IoEngine::uncollected`] for as long as it lives.
 struct Uncollected<'e>(&'e AtomicUsize);
 
 impl<'e> Uncollected<'e> {
@@ -288,22 +264,9 @@ impl Drop for Uncollected<'_> {
 impl IoTicket<'_> {
     /// When this request's deferred latency will have elapsed, if it has any.
     fn ready_at(&self) -> Option<Instant> {
-        match self.0 {
-            Ticket::Ran {
-                due: Due::At(at), ..
-            } => Some(at),
-            _ => None,
-        }
-    }
-
-    /// Collects the outcome, without waiting out a deferred latency (a pool
-    /// request has none and blocks here until its worker is done).
-    fn take(self) -> IoOutcome {
-        match self.0 {
-            Ticket::Ran { outcome, .. } => outcome,
-            Ticket::Queued(done) => done
-                .recv()
-                .expect("pool workers drain the queue before they exit"),
+        match self.due {
+            Due::At(at) => Some(at),
+            Due::OnCollect { .. } => None,
         }
     }
 
@@ -312,7 +275,7 @@ impl IoTicket<'_> {
         if let Some(at) = self.ready_at() {
             sleep_until(at);
         }
-        self.take()
+        self.outcome
     }
 }
 
@@ -342,8 +305,7 @@ impl CompletionSet<'_> {
         }
         let mut results = Vec::with_capacity(self.tickets.len());
         let mut costs = Vec::with_capacity(self.tickets.len());
-        for ticket in self.tickets {
-            let outcome = ticket.take();
+        for IoTicket { outcome, .. } in self.tickets {
             results.push(outcome.result);
             costs.push(outcome.cost);
         }
@@ -399,13 +361,9 @@ pub struct IoStatsSnapshot {
     pub completed: u64,
     /// Requests whose latency was delivered after the backend call returned:
     /// the sleep was suppressed and became a completion deadline for the
-    /// waiter. Every request to a `Sleep`-mode deferrable backend with a
-    /// non-zero sample; none in `Virtual` mode or on a zero-latency backend.
+    /// waiter. Every request to a `Sleep`-mode backend with a non-zero
+    /// sample; none in `Virtual` mode or on a zero-latency backend.
     pub deferred: u64,
-    /// Requests run on the thread that submitted them — all of them on a
-    /// deferrable backend; on a blocking one with a pool, those made through
-    /// [`IoEngine::execute`].
-    pub inline: u64,
     /// Highest in-flight depth observed. A request is in flight from
     /// `submit` until its completion: the deadline its deferred latency set
     /// or, with nothing deferred (virtual clock, zero-latency backend), the
@@ -420,41 +378,78 @@ pub struct IoStatsSnapshot {
     pub retry_exhausted: u64,
 }
 
-/// A request handed to the blocking pool.
-struct Job {
-    request: StorageRequest,
-    done: mpsc::SyncSender<IoOutcome>,
-}
-
 struct EngineState {
-    /// Requests executing on some thread or queued for the pool.
+    /// Requests executing on some thread.
     running: usize,
     /// Completion deadlines of requests that ran with deferred latency,
     /// earliest first. Expired lazily at `submit`: nothing fires them.
     deadlines: BinaryHeap<Reverse<Instant>>,
-    /// The pool's queue (blocking backends only).
-    queue: VecDeque<Job>,
-    shutdown: bool,
     stats: IoStatsSnapshot,
 }
 
-struct Inner {
+/// The storage I/O engine: submitter-run requests with waiter-timed
+/// completions. See the module docs.
+pub struct IoEngine {
     storage: SharedStorage,
     config: IoConfig,
-    /// Whether the backend's latency may be deferred to the waiter.
-    deferrable: bool,
     state: Mutex<EngineState>,
-    /// Submitter-run requests with no deadline whose tickets are still held;
-    /// see [`Due::OnCollect`]. They count towards the observed depth, never
+    /// Requests with no deadline whose tickets are still held; see
+    /// [`Due::OnCollect`]. They count towards the observed depth, never
     /// towards the window: nothing but their own submitter can collect them.
     uncollected: AtomicUsize,
-    /// Signals workers that the queue is non-empty (or shutdown).
-    work_cond: Condvar,
     /// Signals submitters blocked on a full window that a request returned.
     space_cond: Condvar,
 }
 
-impl Inner {
+impl IoEngine {
+    /// Creates an engine over `storage`.
+    pub fn new(storage: SharedStorage, config: IoConfig) -> Self {
+        IoEngine {
+            storage,
+            config: IoConfig {
+                max_in_flight: config.max_in_flight.max(1),
+                ..config
+            },
+            state: Mutex::new(EngineState {
+                running: 0,
+                deadlines: BinaryHeap::new(),
+                stats: IoStatsSnapshot::default(),
+            }),
+            uncollected: AtomicUsize::new(0),
+            space_cond: Condvar::new(),
+        }
+    }
+
+    /// The engine's storage backend.
+    pub fn storage(&self) -> &SharedStorage {
+        &self.storage
+    }
+
+    /// The engine's tuning.
+    pub fn config(&self) -> IoConfig {
+        self.config
+    }
+
+    /// Whether requests can overlap at all: [`overlap_window`] above 1.
+    ///
+    /// [`overlap_window`]: IoEngine::overlap_window
+    pub fn is_pipelined(&self) -> bool {
+        self.overlap_window() > 1
+    }
+
+    /// How many requests can be in flight together: the in-flight window
+    /// (overlap comes from deferral, one thread sustains any depth). Batch
+    /// cost accounting uses this so the virtual clock never undercharges a
+    /// batch larger than the overlap the engine actually provides.
+    pub fn overlap_window(&self) -> usize {
+        self.config.max_in_flight
+    }
+
+    /// Point-in-time engine counters.
+    pub fn stats(&self) -> IoStatsSnapshot {
+        self.state.lock().stats
+    }
+
     fn execute_request(&self, request: &StorageRequest) -> AftResult<StorageResponse> {
         let storage = &self.storage;
         match request {
@@ -476,7 +471,7 @@ impl Inner {
     /// Executes `request`, absorbing transient storage faults per the retry
     /// policy. Returns the final result plus the total backoff charged; the
     /// failed attempts' own sampled latency accumulates in the ambient
-    /// [`measure_cost`]/[`capture_deferred`] scope like any other charge.
+    /// [`capture_deferred`] scope like any other charge.
     fn execute_with_retry(
         &self,
         request: &StorageRequest,
@@ -502,9 +497,8 @@ impl Inner {
     }
 
     /// Counts a submission and takes an in-flight slot for it, blocking
-    /// while the window is full. Returns the state guard so the caller can
-    /// finish its bookkeeping under the same lock.
-    fn acquire(&self) -> MutexGuard<'_, EngineState> {
+    /// while the window is full.
+    fn acquire(&self) {
         let mut state = self.state.lock();
         state.stats.submitted += 1;
         loop {
@@ -520,7 +514,7 @@ impl Inner {
                 let in_flight = (depth + 1 + self.uncollected.load(Ordering::Relaxed))
                     .min(self.config.max_in_flight);
                 state.stats.peak_in_flight = state.stats.peak_in_flight.max(in_flight as u64);
-                return state;
+                return;
             }
             // Full: the next slot opens when the earliest outstanding
             // deadline passes or a running request returns, whichever first.
@@ -534,30 +528,18 @@ impl Inner {
         }
     }
 
-    /// Runs `request` on the calling thread, which holds a slot from
-    /// [`acquire`](Inner::acquire). Returns the outcome and, when latency
-    /// was deferred, the instant the completion is due; the slot stays taken
-    /// until then.
-    fn run(&self, request: StorageRequest) -> (IoOutcome, Option<Instant>) {
+    /// Submits one request and returns its completion ticket. Blocks while
+    /// the in-flight window is full (bounded queue depth). The request runs
+    /// here, on the calling thread; where its latency was deferred, its
+    /// in-flight slot stays taken until the completion is due.
+    pub fn submit(&self, request: StorageRequest) -> IoTicket<'_> {
+        self.acquire();
+        let ((result, backoff), cost) = capture_deferred(|| self.execute_with_retry(&request));
         // Retry backoff is part of the operation's simulated duration:
-        // charge it, and push a deferred completion out by it too.
-        let (result, cost, delay) = if self.deferrable {
-            let ((result, backoff), cost) = capture_deferred(|| self.execute_with_retry(&request));
-            let delay = if cost.deferred.is_zero() {
-                Duration::ZERO
-            } else {
-                cost.deferred + backoff
-            };
-            (result, cost.charged + backoff, delay)
-        } else {
-            // Service-occupancy backends keep exact blocking semantics; this
-            // thread is busy for the whole service time.
-            let ((result, backoff), charged) = measure_cost(|| self.execute_with_retry(&request));
-            (result, charged + backoff, Duration::ZERO)
-        };
-        // The sampled network delay was suppressed; the completion is due
-        // when it would really have arrived.
-        let ready_at = (!delay.is_zero()).then(|| Instant::now() + delay);
+        // charge it, and push a deferred completion out by it too. The
+        // sampled delay was suppressed; the completion is due when it would
+        // really have arrived.
+        let ready_at = (!cost.deferred.is_zero()).then(|| Instant::now() + cost.deferred + backoff);
         let mut state = self.state.lock();
         state.running -= 1;
         state.stats.completed += 1;
@@ -569,135 +551,17 @@ impl Inner {
         // Submitters blocked on a full window re-plan either way: the slot is
         // free now, or there is a (possibly earlier) deadline to sleep to.
         self.space_cond.notify_all();
-        (IoOutcome { result, cost }, ready_at)
-    }
-
-    fn worker_loop(&self) {
-        loop {
-            let job = {
-                let mut state = self.state.lock();
-                loop {
-                    if let Some(job) = state.queue.pop_front() {
-                        break job;
-                    }
-                    if state.shutdown {
-                        return;
-                    }
-                    self.work_cond.wait(&mut state);
-                }
-            };
-            let (outcome, _) = self.run(job.request);
-            // A submitter that dropped its ticket no longer wants the outcome.
-            let _ = job.done.send(outcome);
-        }
-    }
-}
-
-/// The storage I/O engine: submitter-run requests with waiter-timed
-/// completions, plus a worker pool when the backend must be called blocking.
-/// See the module docs.
-pub struct IoEngine {
-    inner: Arc<Inner>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl IoEngine {
-    /// Creates an engine over `storage`. Spawns `config.workers` threads if
-    /// the backend is blocking, none otherwise.
-    pub fn new(storage: SharedStorage, config: IoConfig) -> Self {
-        let deferrable = storage.supports_deferred_latency();
-        let inner = Arc::new(Inner {
-            deferrable,
-            state: Mutex::new(EngineState {
-                running: 0,
-                deadlines: BinaryHeap::new(),
-                queue: VecDeque::new(),
-                shutdown: false,
-                stats: IoStatsSnapshot::default(),
-            }),
-            uncollected: AtomicUsize::new(0),
-            work_cond: Condvar::new(),
-            space_cond: Condvar::new(),
-            storage,
-            config: IoConfig {
-                max_in_flight: config.max_in_flight.max(1),
-                ..config
+        let due = match ready_at {
+            Some(at) => Due::At(at),
+            None => Due::OnCollect {
+                _held: Uncollected::new(&self.uncollected),
             },
-        });
-        let pool = if deferrable { 0 } else { config.workers };
-        let workers = (0..pool)
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || inner.worker_loop())
-            })
-            .collect();
-        IoEngine { inner, workers }
-    }
-
-    /// The engine's storage backend.
-    pub fn storage(&self) -> &SharedStorage {
-        &self.inner.storage
-    }
-
-    /// The engine's tuning.
-    pub fn config(&self) -> IoConfig {
-        self.inner.config
-    }
-
-    /// Whether requests can overlap at all: [`overlap_window`] above 1.
-    ///
-    /// [`overlap_window`]: IoEngine::overlap_window
-    pub fn is_pipelined(&self) -> bool {
-        self.overlap_window() > 1
-    }
-
-    /// How many requests can truly be in flight together: the in-flight
-    /// window for deferrable backends (overlap comes from deferral, one
-    /// thread sustains any depth), and for blocking backends the pool size
-    /// capped by the window — 1 without a pool. Batch cost accounting uses
-    /// this so the virtual clock never undercharges a batch larger than the
-    /// overlap the engine actually provides.
-    pub fn overlap_window(&self) -> usize {
-        if self.inner.deferrable {
-            self.inner.config.max_in_flight
-        } else {
-            self.workers.len().clamp(1, self.inner.config.max_in_flight)
+        };
+        let cost = cost.charged + backoff;
+        IoTicket {
+            outcome: IoOutcome { result, cost },
+            due,
         }
-    }
-
-    /// Point-in-time engine counters.
-    pub fn stats(&self) -> IoStatsSnapshot {
-        self.inner.state.lock().stats
-    }
-
-    /// Submits one request and returns its completion ticket. Blocks while
-    /// the in-flight window is full (bounded queue depth). On a deferrable
-    /// backend, or without a pool, the request has already run when this
-    /// returns; otherwise it is queued for a worker.
-    pub fn submit(&self, request: StorageRequest) -> IoTicket<'_> {
-        if self.workers.is_empty() {
-            let (outcome, ready_at) = self.run_here(request);
-            let due = match ready_at {
-                Some(at) => Due::At(at),
-                None => Due::OnCollect {
-                    _held: Uncollected::new(&self.inner.uncollected),
-                },
-            };
-            return IoTicket(Ticket::Ran { outcome, due });
-        }
-        let (done, outcome) = mpsc::sync_channel(1);
-        let mut state = self.inner.acquire();
-        state.queue.push_back(Job { request, done });
-        drop(state);
-        self.inner.work_cond.notify_one();
-        IoTicket(Ticket::Queued(outcome))
-    }
-
-    /// Runs one request on the calling thread; returns its outcome and,
-    /// when latency was deferred, the instant the completion is due.
-    fn run_here(&self, request: StorageRequest) -> (IoOutcome, Option<Instant>) {
-        self.inner.acquire().stats.inline += 1;
-        self.inner.run(request)
     }
 
     /// Submits a batch of requests and returns their completion set.
@@ -711,13 +575,9 @@ impl IoEngine {
         }
     }
 
-    /// Runs one request on the calling thread and waits out its latency.
+    /// Submits one request and waits out its latency.
     pub fn execute(&self, request: StorageRequest) -> IoOutcome {
-        let (outcome, ready_at) = self.run_here(request);
-        if let Some(at) = ready_at {
-            sleep_until(at);
-        }
-        outcome
+        self.submit(request).wait()
     }
 
     /// Durably writes every item, overlapping the round trips, and returns
@@ -735,7 +595,7 @@ impl IoEngine {
                 let outcome = self.execute(StorageRequest::Put(key, value));
                 outcome.result.map(|_| outcome.cost)
             }
-            _ if self.inner.storage.supports_batch_put() => {
+            _ if self.storage.supports_batch_put() => {
                 let outcome = self.execute(StorageRequest::PutBatch(items));
                 outcome.result.map(|_| outcome.cost)
             }
@@ -753,22 +613,11 @@ impl IoEngine {
     }
 }
 
-impl Drop for IoEngine {
-    fn drop(&mut self) {
-        self.inner.state.lock().shutdown = true;
-        self.inner.work_cond.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
 impl std::fmt::Debug for IoEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IoEngine")
-            .field("config", &self.inner.config)
+            .field("config", &self.config)
             .field("pipelined", &self.is_pipelined())
-            .field("deferrable", &self.inner.deferrable)
             .finish_non_exhaustive()
     }
 }
@@ -837,10 +686,6 @@ impl StorageEngine for SequentialEngine {
         false
     }
 
-    fn supports_deferred_latency(&self) -> bool {
-        self.inner.supports_deferred_latency()
-    }
-
     fn stats(&self) -> Arc<crate::counters::StorageStats> {
         self.inner.stats()
     }
@@ -896,7 +741,6 @@ mod tests {
         assert_eq!(engine.overlap_window(), 1);
         let ticket = engine.submit(StorageRequest::Put("k".into(), val("v")));
         assert!(ticket.wait().result.is_ok());
-        assert_eq!(engine.stats().inline, 1);
         assert_eq!(engine.stats().peak_in_flight, 1);
     }
 
@@ -1017,10 +861,7 @@ mod tests {
 
     #[test]
     fn in_flight_window_applies_backpressure_without_losing_requests() {
-        let engine = IoEngine::new(
-            s3_virtual(),
-            IoConfig::pipelined().with_workers(2).with_max_in_flight(2),
-        );
+        let engine = IoEngine::new(s3_virtual(), IoConfig::pipelined().with_max_in_flight(2));
         let outcome = engine
             .submit_all((0..16).map(|i| StorageRequest::Put(format!("k{i}"), val("v"))))
             .wait_all();
@@ -1033,15 +874,13 @@ mod tests {
     /// A backend double recording which thread made each call, and when.
     struct Recording {
         inner: SharedStorage,
-        deferrable: bool,
         calls: Mutex<Vec<(std::thread::ThreadId, Instant)>>,
     }
 
     impl Recording {
-        fn new(inner: SharedStorage, deferrable: bool) -> Arc<Self> {
+        fn new(inner: SharedStorage) -> Arc<Self> {
             Arc::new(Recording {
                 inner,
-                deferrable,
                 calls: Mutex::new(Vec::new()),
             })
         }
@@ -1100,10 +939,6 @@ mod tests {
             self.inner.supports_batch_put()
         }
 
-        fn supports_deferred_latency(&self) -> bool {
-            self.deferrable
-        }
-
         fn stats(&self) -> Arc<crate::counters::StorageStats> {
             self.inner.stats()
         }
@@ -1113,18 +948,35 @@ mod tests {
         (0..n).map(|i| (format!("k{i}"), val("v"))).collect()
     }
 
+    /// The kernel's count of this process's threads.
+    fn proc_threads() -> usize {
+        let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+        let line = status.lines().find(|l| l.starts_with("Threads:"));
+        line.and_then(|l| l.split_whitespace().nth(1)?.parse().ok())
+            .expect("a Threads: line")
+    }
+
     #[test]
     fn deferrable_backends_run_on_the_submitter_and_own_no_threads() {
-        // Over S3 (no batch API: put_all fans out per key) and over memory
-        // (one PutBatch): every backend call is made by the submitting thread.
-        for inner in [s3_virtual(), InMemoryStore::shared() as SharedStorage] {
-            let backend = Recording::new(inner, true);
+        use crate::backend::{make_backend, BackendConfig, BackendKind};
+        // Every service row, with a batch API (one PutBatch; the sharded
+        // service splits it over its 16 lanes) or without (put_all fans out
+        // per key): every backend call is made by the submitting thread, and
+        // neither the engine nor the backend starts one.
+        for kind in [
+            BackendKind::Memory,
+            BackendKind::S3,
+            BackendKind::DynamoDb,
+            BackendKind::Redis,
+            BackendKind::ShardedService,
+        ] {
+            let config = BackendConfig {
+                mode: LatencyMode::Virtual,
+                ..BackendConfig::simulated(kind, 1.0).with_stripes(16)
+            };
+            let backend = Recording::new(make_backend(config));
             let engine = IoEngine::new(backend.clone(), IoConfig::pipelined());
-            assert!(
-                engine.workers.is_empty(),
-                "no pool over a deferrable backend"
-            );
-            assert!(engine.is_pipelined(), "overlap comes from deferral");
+            assert!(engine.is_pipelined(), "{kind}: overlap comes from deferral");
             engine.put_all(items(4)).unwrap();
             engine
                 .execute(StorageRequest::Get("k0".into()))
@@ -1138,46 +990,22 @@ mod tests {
             let me = std::thread::current().id();
             let threads = backend.threads();
             assert!(threads.len() >= 6);
-            assert!(threads.iter().all(|t| *t == me));
+            assert!(threads.iter().all(|t| *t == me), "{kind}");
             let stats = engine.stats();
-            assert_eq!(stats.inline, stats.submitted);
+            assert_eq!(stats.completed, stats.submitted);
             assert_eq!(stats.deferred, 0, "Virtual mode defers nothing");
+
+            // The harness runs other tests beside this one, so the process's
+            // thread count is compared across a window in which they were
+            // quiet; a thread of the engine's own would show in every window.
+            let quiet = (0..50).any(|_| {
+                let before = proc_threads();
+                let engine = IoEngine::new(make_backend(config), IoConfig::pipelined());
+                engine.put_all(items(64)).unwrap();
+                proc_threads() == before
+            });
+            assert!(quiet, "{kind}: an engine over it owns threads");
         }
-    }
-
-    #[test]
-    fn blocking_backends_keep_the_pool_but_execute_runs_on_its_caller() {
-        let backend = Recording::new(InMemoryStore::shared(), false);
-        let engine = IoEngine::new(backend.clone(), IoConfig::pipelined().with_workers(2));
-        assert_eq!(engine.workers.len(), 2);
-        assert_eq!(engine.overlap_window(), 2);
-        let me = std::thread::current().id();
-
-        engine
-            .execute(StorageRequest::Put("a".into(), val("v")))
-            .result
-            .unwrap();
-        assert_eq!(backend.threads(), vec![me], "execute never hands off");
-
-        engine
-            .submit_all((0..3).map(|i| StorageRequest::Put(format!("k{i}"), val("v"))))
-            .wait_all()
-            .ok()
-            .unwrap();
-        let threads = backend.threads();
-        assert_eq!(threads.len(), 4);
-        assert!(
-            threads[1..].iter().all(|t| *t != me),
-            "a batch overlaps on the pool"
-        );
-        let stats = engine.stats();
-        assert_eq!((stats.submitted, stats.completed, stats.inline), (4, 4, 1));
-
-        // Without a pool everything runs on the submitter, one at a time.
-        let lone = IoEngine::new(backend.clone(), IoConfig::pipelined().with_workers(0));
-        assert!(!lone.is_pipelined());
-        lone.put_all(items(3)).unwrap();
-        assert!(backend.threads()[4..].iter().all(|t| *t == me));
     }
 
     #[test]
@@ -1191,7 +1019,7 @@ mod tests {
         // Collected, waited or dropped: none of them is in flight any more.
         engine.submit(StorageRequest::Get("k1".into())).wait();
         drop(engine.submit(StorageRequest::Get("k2".into())));
-        assert_eq!(engine.inner.uncollected.load(Ordering::Relaxed), 0);
+        assert_eq!(engine.uncollected.load(Ordering::Relaxed), 0);
         assert_eq!(engine.stats().peak_in_flight, 5);
     }
 
@@ -1206,7 +1034,7 @@ mod tests {
             write: LatencyProfile::new(5_000.0, 5_000.0),
             ..ServiceProfile::zero()
         };
-        let backend = Recording::new(s3(profile, LatencyMode::Sleep, 3), true);
+        let backend = Recording::new(s3(profile, LatencyMode::Sleep, 3));
         let engine = IoEngine::new(backend.clone(), IoConfig::pipelined().with_max_in_flight(4));
         engine
             .submit_all((0..12).map(|i| StorageRequest::Put(format!("k{i}"), val("v"))))
@@ -1232,7 +1060,6 @@ mod tests {
         let raw = s3_virtual();
         let wrapped = SequentialEngine::new(Arc::clone(&raw) as SharedStorage);
         assert!(!wrapped.supports_batch_put());
-        assert!(wrapped.supports_deferred_latency());
         assert_eq!(wrapped.name(), "sequential");
         wrapped
             .put_batch(vec![("a".into(), val("1")), ("b".into(), val("2"))])

@@ -19,7 +19,7 @@
 //!   | [`Service::S3`] | 14–40 ms median, very heavy write tail | none: one PUT per key | `DeleteObjects`, ≤ 1 000 keys, at the delete profile | `stripes` |
 //!   | [`Service::DYNAMODB`] | 2.5–6 ms | `BatchWriteItem`, ≤ 25 items, base + 350 µs/item | `BatchWriteItem`, ≤ 25 keys, at its base | `stripes` |
 //!   | [`Service::REDIS`] | 0.5–2 ms | none: one SET per key | none: one DEL per key | its 2 shards |
-//!   | [`Service::SHARDED_SERVICE`] | as Redis | one `MSET` per stripe touched | none | `stripes` |
+//!   | [`Service::SHARDED_SERVICE`] | as Redis | one `MSET` per stripe touched | none: one DEL per key | `stripes` |
 //!
 //!   A batch larger than its call's limit is several calls; the calls of one
 //!   batch are issued together and charged as the slowest, and each call
@@ -29,7 +29,8 @@
 //!   store: [`SimDynamo`] adds the serializable single-call transaction mode,
 //!   [`SimRedis`] adds `MSET` with its CROSSSLOT rule, and
 //!   [`SimShardedService`] puts a single-threaded request lane in front of
-//!   each stripe (service-side occupancy, never deferred).
+//!   each stripe: a timeline on which every visit books its service time, so
+//!   one stripe's requests queue and a batch waits for its latest lane.
 //! * [`latency`] — parameterised latency models, scaled down uniformly so
 //!   experiments finish quickly while preserving the *ratios* between
 //!   backends that determine every figure's shape.
@@ -43,8 +44,7 @@
 //!   ([`IoEngine`]) that runs each request on its submitter and lets the
 //!   waiter time the completion, so N in-flight requests overlap their
 //!   sampled latencies instead of summing them (and the virtual clock
-//!   charges a concurrent batch the max, not the sum); blocking backends
-//!   get a worker pool.
+//!   charges a concurrent batch the max, not the sum); it owns no thread.
 //!   [`SequentialEngine`] is the explicitly-sequential baseline wrapper.
 //! * [`chaos`] — deterministic fault injection: [`FaultyBackend`] wraps any
 //!   engine with the storage layer of a seeded, cross-layer

@@ -70,7 +70,6 @@ mod tests {
             "batch cost {batch_cost:?} looks like sequential sum charging"
         );
         assert!(batch_cost >= Duration::from_millis(5), "one RTT at least");
-        assert!(s3.supports_deferred_latency());
     }
 
     #[test]

@@ -1,33 +1,45 @@
 //! A simulated sharded storage *service* with per-stripe request lanes.
 //!
-//! A [`SimStore`] models client-observed latency: it samples a delay and
-//! waits it out *outside* any lock, so the simulated service has unbounded
-//! internal parallelism. That is right for measuring request latency, but it
-//! cannot answer the throughput question behind sharding: *what happens when
-//! the storage service itself is the bottleneck?*
+//! A [`SimStore`] models client-observed latency: every call waits out its
+//! own sampled delay, so the simulated service has unbounded internal
+//! parallelism. That is right for measuring request latency, but it cannot
+//! answer the throughput question behind sharding: *what happens when the
+//! storage service itself is the bottleneck?*
 //!
 //! [`SimShardedService`] models exactly that. It is the
 //! [`Service::SHARDED_SERVICE`] store plus a single-threaded **request lane**
-//! per stripe, like one Redis cluster shard's event loop: a request occupies
-//! its stripe's lane for the whole sampled service time, so requests to the
-//! same stripe queue while requests to different stripes proceed in
-//! parallel. With one stripe the whole service serializes — the
-//! single-global-lock baseline of the `fig7_throughput_scaling` experiment —
-//! and with N stripes the service has N-way internal parallelism, which is
-//! precisely what lock striping buys a storage backend.
+//! per stripe, like one Redis cluster shard's event loop. A lane is a
+//! *timeline* — the instant its executor is booked until. A request books
+//! the lane's next free slot, `[max(now, booked until), + its sampled
+//! service time)`, and completes when the slot ends, so requests to one
+//! stripe queue while requests to different stripes proceed in parallel.
+//! With one stripe the whole service serializes — the single-global-lock
+//! baseline of the `fig7_throughput_scaling` experiment — and with N stripes
+//! the service has N-way internal parallelism, which is precisely what lock
+//! striping buys a storage backend.
 //!
-//! Because lane occupancy is simulated (sleeping) time, the throughput
-//! effects of striping are observable even on a single-core host: the
-//! experiment measures the architecture's parallelism, not the host's.
+//! The lane's lock is held for the booking only. The wait for the slot's end
+//! is an ordinary simulated latency: slept by a direct caller, handed to the
+//! I/O engine as a completion deadline inside [`capture_deferred`], so one
+//! thread keeps any number of lanes busy and none is parked on a lane. A
+//! batch books one slot per visit — `put_batch` one `MSET` per stripe it
+//! touches, `delete_batch` one `DEL` per key — and waits for the lane that
+//! finishes last; what it is *charged* is every visit's service time.
+//!
+//! Because lane occupancy is simulated time, the throughput effects of
+//! striping are observable even on a single-core host. Under the virtual
+//! clock nothing waits: the lanes are not consulted and a visit charges what
+//! the store behind it charges.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use aft_types::{AftResult, Value};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use crate::counters::StorageStats;
 use crate::engine::StorageEngine;
-use crate::latency::LatencyModel;
+use crate::latency::{capture_deferred, wait_until, LatencyModel};
 use crate::profiles::{Service, ServiceProfile};
 use crate::sharded::stripe_of;
 use crate::store::SimStore;
@@ -35,10 +47,8 @@ use crate::store::SimStore;
 /// A simulated storage service with N single-threaded request lanes.
 pub struct SimShardedService {
     store: SimStore,
-    /// One lane per stripe, held while the store serves a request of that
-    /// stripe — the store's wait for the service time included, which is why
-    /// this engine never defers its latency.
-    lanes: Box<[Mutex<()>]>,
+    /// One lane per stripe: the instant up to which its executor is booked.
+    lanes: Box<[Mutex<Instant>]>,
 }
 
 impl SimShardedService {
@@ -54,15 +64,54 @@ impl SimShardedService {
             ..Service::SHARDED_SERVICE
         };
         let store = SimStore::of(service, latency, seed, stripes);
+        let idle = Instant::now();
         Arc::new(SimShardedService {
-            lanes: (0..store.stripe_count()).map(|_| Mutex::new(())).collect(),
+            lanes: (0..store.stripe_count())
+                .map(|_| Mutex::new(idle))
+                .collect(),
             store,
         })
     }
 
-    /// Occupies the lane of `key`'s stripe.
-    fn lane(&self, key: &str) -> MutexGuard<'_, ()> {
-        self.lanes[stripe_of(key, self.lanes.len())].lock()
+    fn stripe(&self, key: &str) -> usize {
+        stripe_of(key, self.lanes.len())
+    }
+
+    /// Makes one store call as a visit to `stripe`'s lane: the call takes
+    /// effect now, its service time is booked behind whatever the lane
+    /// already holds, and the visit ends when that slot does — now, where the
+    /// call waits for nothing (virtual clock, free profile).
+    fn visit<T>(
+        &self,
+        stripe: usize,
+        call: impl FnOnce() -> AftResult<T>,
+    ) -> AftResult<(T, Instant)> {
+        let (out, cost) = capture_deferred(call);
+        let mut end = Instant::now();
+        if !cost.deferred.is_zero() {
+            let mut booked_until = self.lanes[stripe].lock();
+            end = end.max(*booked_until) + cost.deferred;
+            *booked_until = end;
+        }
+        Ok((out?, end))
+    }
+
+    /// One single-key request: a visit to the lane of `key`, waited out.
+    fn serve<T>(&self, key: &str, call: impl FnOnce() -> AftResult<T>) -> AftResult<T> {
+        let (out, end) = self.visit(self.stripe(key), call)?;
+        wait_until(end);
+        Ok(out)
+    }
+
+    /// One batch: its visits are issued together, like a cluster client's
+    /// pipelined sub-requests, and the caller waits for the last to end.
+    fn serve_all(&self, visits: impl Iterator<Item = AftResult<((), Instant)>>) -> AftResult<()> {
+        let mut latest = Instant::now();
+        for visit in visits {
+            latest = latest.max(visit?.1);
+        }
+        wait_until(latest);
+        Ok(())
     }
 }
 
@@ -72,68 +121,51 @@ impl StorageEngine for SimShardedService {
     }
 
     fn get(&self, key: &str) -> AftResult<Option<Value>> {
-        let _busy = self.lane(key);
-        self.store.get(key)
+        self.serve(key, || self.store.get(key))
     }
 
     fn put(&self, key: &str, value: Value) -> AftResult<()> {
-        let _busy = self.lane(key);
-        self.store.put(key, value)
+        self.serve(key, || self.store.put(key, value))
     }
 
     fn put_batch(&self, items: Vec<(String, Value)>) -> AftResult<()> {
-        // One service visit per stripe the batch touches: the batch is split
-        // by the cluster client, and each stripe's sub-batch is one `MSET`
-        // (cheaper than one visit per key). Like a real cluster client,
-        // sub-batches for different stripes are issued concurrently
-        // (pipelined), so a batch occupies each lane once, not the caller for
-        // the sum of all lanes.
+        // The cluster client splits the batch by stripe; each stripe's
+        // sub-batch is one `MSET`, cheaper than one visit per key.
         let mut groups = vec![Vec::new(); self.lanes.len()];
         for (k, v) in items {
-            groups[stripe_of(&k, self.lanes.len())].push((k, v));
+            groups[self.stripe(&k)].push((k, v));
         }
-        groups.retain(|group| !group.is_empty());
-        let visit = |group: Vec<(String, Value)>| {
-            let _busy = self.lane(&group[0].0);
-            self.store.put_batch(group)
-        };
-        if groups.len() <= 1 {
-            return groups.pop().map_or(Ok(()), visit);
-        }
-        std::thread::scope(|scope| {
-            let visits: Vec<_> = groups
-                .into_iter()
-                .map(|group| scope.spawn(|| visit(group)))
-                .collect();
-            visits
-                .into_iter()
-                .try_for_each(|v| v.join().expect("a lane visit panicked"))
-        })
+        let touched = groups
+            .into_iter()
+            .enumerate()
+            .filter(|(_, g)| !g.is_empty());
+        self.serve_all(
+            touched.map(|(stripe, group)| self.visit(stripe, || self.store.put_batch(group))),
+        )
     }
 
     fn delete(&self, key: &str) -> AftResult<()> {
-        let _busy = self.lane(key);
-        self.store.delete(key)
+        self.serve(key, || self.store.delete(key))
     }
 
     fn delete_batch(&self, keys: &[String]) -> AftResult<()> {
-        keys.iter().try_for_each(|k| self.delete(k))
+        // No multi-key delete: one `DEL` per key. Keys of one stripe queue
+        // on its lane, stripes overlap.
+        self.serve_all(
+            keys.iter()
+                .map(|k| self.visit(self.stripe(k), || self.store.delete(k))),
+        )
     }
 
     fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
         // Scatter-gather scan; charged once, off the transaction hot path
         // (bootstrap, fault manager, GC only).
-        let _busy = self.lane(prefix);
-        self.store.list_prefix(prefix)
+        self.serve(prefix, || self.store.list_prefix(prefix))
     }
 
     fn supports_batch_put(&self) -> bool {
         self.store.supports_batch_put()
     }
-
-    // `supports_deferred_latency` stays at the trait's `false`: deferring the
-    // sleep to the caller would free the lane early and erase the queueing
-    // the scaling experiments measure.
 
     fn stats(&self) -> Arc<StorageStats> {
         self.store.stats()
@@ -241,6 +273,95 @@ mod tests {
             many_lanes < Duration::from_millis(36),
             "requests to different lanes must overlap, took {many_lanes:?}"
         );
+    }
+
+    /// `n` keys that land on `n` different stripes of an `n`-stripe service.
+    fn one_key_per_stripe(n: usize) -> Vec<String> {
+        let mut keys: Vec<Option<String>> = vec![None; n];
+        for i in 0.. {
+            let key = format!("key-{i}");
+            keys[stripe_of(&key, n)].get_or_insert(key);
+            if keys.iter().all(Option::is_some) {
+                break;
+            }
+        }
+        keys.into_iter().flatten().collect()
+    }
+
+    #[test]
+    fn one_thread_books_every_lane_and_waits_for_the_last() {
+        use crate::io::{IoConfig, IoEngine, StorageRequest};
+        // A fixed 5ms service time, 16 visits made by one thread through the
+        // engine, as 16 requests or inside one batch request: on one lane
+        // they queue (16 service times), on 16 lanes they overlap (one).
+        // Generous bounds keep this stable on loaded CI hosts.
+        let each = LatencyProfile::new(5_000.0, 5_000.0);
+        let profile = ServiceProfile {
+            read: each,
+            delete: each,
+            ..ServiceProfile::zero()
+        };
+        let keys = one_key_per_stripe(16);
+        let workloads: [(&str, Vec<StorageRequest>); 2] = [
+            (
+                "16 gets",
+                keys.iter().cloned().map(StorageRequest::Get).collect(),
+            ),
+            (
+                "a 16-key delete_batch",
+                vec![StorageRequest::DeleteBatch(keys)],
+            ),
+        ];
+        for (what, requests) in workloads {
+            let run = |stripes: usize| {
+                let svc = SimShardedService::with_stripes(
+                    profile,
+                    LatencyModel::new(LatencyMode::Sleep, 1.0),
+                    1,
+                    stripes,
+                );
+                let engine = IoEngine::new(svc, IoConfig::pipelined());
+                let start = Instant::now();
+                engine.submit_all(requests.clone()).wait_all().ok().unwrap();
+                start.elapsed()
+            };
+            let many_lanes = run(16);
+            assert!(
+                many_lanes < Duration::from_millis(40),
+                "{what} over 16 lanes must overlap, took {many_lanes:?}"
+            );
+            let one_lane = run(1);
+            assert!(
+                one_lane >= Duration::from_millis(72),
+                "{what} on one lane must queue, took {one_lane:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_virtual_clock_charges_what_the_store_behind_the_lanes_charges() {
+        use crate::io::{IoConfig, IoEngine, StorageRequest};
+        use crate::SharedStorage;
+        // Twin seeds: over a virtual clock the lanes are not consulted, so
+        // every request is charged exactly what the bare store charges it.
+        let model = || LatencyModel::new(LatencyMode::Virtual, 1.0);
+        let profile = Service::SHARDED_SERVICE.profile;
+        let svc = SimShardedService::with_stripes(profile, model(), 9, 4);
+        let bare = Arc::new(SimStore::of(Service::SHARDED_SERVICE, model(), 9, 4));
+        let keys = || (0..16).map(|i| format!("k{i}"));
+        let requests: Vec<StorageRequest> = keys()
+            .map(|k| StorageRequest::Put(k, val("v")))
+            .chain(keys().map(StorageRequest::Get))
+            .chain([StorageRequest::List("k".into())])
+            .chain(keys().map(StorageRequest::Delete))
+            .collect();
+        let charged = |storage: SharedStorage| {
+            let engine = IoEngine::new(storage, IoConfig::pipelined());
+            engine.submit_all(requests.clone()).wait_all().costs
+        };
+        let through_lanes = charged(svc);
+        assert!(through_lanes.iter().all(|cost| !cost.is_zero()));
+        assert_eq!(through_lanes, charged(bare));
     }
 
     #[test]

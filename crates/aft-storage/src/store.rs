@@ -185,12 +185,6 @@ impl StorageEngine for SimStore {
         self.service.batch_put.is_some()
     }
 
-    fn supports_deferred_latency(&self) -> bool {
-        // The sampled latency models the client-observed network round trip,
-        // so an I/O engine may apply it as a deferred completion.
-        true
-    }
-
     fn stats(&self) -> Arc<StorageStats> {
         Arc::clone(&self.stats)
     }

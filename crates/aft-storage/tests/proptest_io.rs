@@ -126,7 +126,7 @@ proptest! {
     #[test]
     fn pipelined_engine_reaches_the_sequential_final_state(
         batches in proptest::collection::vec(arb_batch(), 1..24),
-        workers in 2usize..12,
+        window in 2usize..12,
     ) {
         let sequential = IoEngine::new(
             SequentialEngine::new(s3_virtual(1)) as SharedStorage,
@@ -134,7 +134,7 @@ proptest! {
         );
         let pipelined = IoEngine::new(
             s3_virtual(1),
-            IoConfig::pipelined().with_workers(workers),
+            IoConfig::pipelined().with_max_in_flight(window),
         );
         for batch in &batches {
             apply(&sequential, batch);

@@ -86,3 +86,38 @@ fn aft_script_bills_the_golden_call_counts_on_every_service() {
         );
     }
 }
+
+#[test]
+fn concurrent_commits_bill_what_each_bills_alone() {
+    // Eight clients commit one-key transactions at once, over a row with a
+    // batch write call: a commit's storage calls are a function of the
+    // transaction alone, so N commits bill N data puts and N record puts
+    // however they interleave, and no call carries two transactions.
+    const CLIENTS: usize = 8;
+    const COMMITS: usize = 25;
+    for kind in [BackendKind::Memory, BackendKind::DynamoDb] {
+        let storage = make_backend(BackendConfig::test(kind));
+        let node = aft::core::AftNode::new(NodeConfig::test_without_cache(), storage.clone())
+            .expect("node over a simulated service");
+        let start = std::sync::Barrier::new(CLIENTS);
+        std::thread::scope(|scope| {
+            for client in 0..CLIENTS {
+                let (node, start) = (&node, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..COMMITS {
+                        let txn = node.start_transaction();
+                        let key = Key::new(format!("c{client}/k{i}"));
+                        node.put(&txn, key, Bytes::from_static(b"v")).unwrap();
+                        node.commit(&txn).unwrap();
+                    }
+                });
+            }
+        });
+        let stats = storage.stats();
+        let commits = (CLIENTS * COMMITS) as u64;
+        assert_eq!(stats.calls(OpKind::Put), 2 * commits, "{kind}");
+        assert_eq!(stats.calls(OpKind::BatchPut), 0, "{kind}");
+        assert_eq!(node.commit_batch_stats().flushes, commits, "{kind}");
+    }
+}
