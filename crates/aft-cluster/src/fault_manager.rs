@@ -83,13 +83,17 @@ impl FaultManager {
             .execute(StorageRequest::List(TransactionRecord::storage_prefix()))
             .result?
             .into_keys();
-        let missing: Vec<String> = keys
-            .into_iter()
-            .filter(|key| match TransactionRecord::id_from_storage_key(key) {
-                Ok(id) => !self.metadata.is_committed(&id),
-                Err(_) => false,
-            })
-            .collect();
+        // One view for the whole listing (it names every commit record in
+        // storage), dropped before the inserts below.
+        let missing: Vec<String> = {
+            let seen = self.metadata.view();
+            keys.into_iter()
+                .filter(|key| match TransactionRecord::id_from_storage_key(key) {
+                    Ok(id) => !seen.is_committed(&id),
+                    Err(_) => false,
+                })
+                .collect()
+        };
         let mut found = 0;
         fetch_commit_records(io, &missing, |record| {
             let record = Arc::new(record);

@@ -96,6 +96,9 @@ impl GlobalGc {
         // Oldest first (§5.2.1): the oldest superseded data is the least
         // likely to still be needed by a running transaction.
         let mut deletable: Vec<Arc<TransactionRecord>> = Vec::new();
+        // One view per node for the whole candidate loop; all are dropped
+        // before any storage call.
+        let node_views: Vec<_> = nodes.iter().map(|node| node.metadata().view()).collect();
         for record in metadata.superseded_oldest_first() {
             if deletable.len() >= self.config.max_deletions_per_round {
                 break;
@@ -107,8 +110,8 @@ impl GlobalGc {
             // tombstone) or it never learned of it in the first place —
             // pruned multicasts mean a superseded commit may never reach some
             // peers (§4.1), and such peers can never serve reads from it.
-            let all_deleted = nodes.iter().all(|node| {
-                node.has_locally_deleted(&record.id) || !node.metadata().is_committed(&record.id)
+            let all_deleted = nodes.iter().zip(&node_views).all(|(node, view)| {
+                node.has_locally_deleted(&record.id) || !view.is_committed(&record.id)
             });
             if !all_deleted {
                 outcome.awaiting_nodes += 1;
@@ -116,6 +119,7 @@ impl GlobalGc {
             }
             deletable.push(record);
         }
+        drop(node_views);
         if deletable.is_empty() {
             return Ok(outcome);
         }

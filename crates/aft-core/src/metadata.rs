@@ -17,7 +17,23 @@
 //! therefore costs what was superseded since the last one, not what is
 //! cached. [`is_superseded`](crate::is_superseded) remains the definition:
 //! the set is `{r cached : is_superseded(r)}` at all times.
+//!
+//! # What it costs
+//!
+//! All of this is soft state that every node holds and the fault manager
+//! holds again (its view is this same type), so a deployment pays a key's
+//! cost once per node plus once. Algorithm 2 and the collectors make one
+//! version per key the normal case, and the index is shaped for it: a key is
+//! one 48-byte bucket — the key's pointer, and its versions as a list that
+//! holds a single 24-byte id inline — so about 100 bytes resident once the
+//! table's power-of-two slack is counted. (An ordered set per key would
+//! allocate a whole 11-slot tree leaf for that one id: some 350 bytes more.)
+//! A second version moves the list to a heap `Vec` (48 bytes for two ids),
+//! and it comes back inline when GC leaves one. A record costs its 40-byte
+//! commit-set bucket, besides the record itself, which the nodes of one
+//! process share.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -34,15 +50,82 @@ pub struct MetadataCache {
 struct Inner {
     /// Commit Set Cache: every committed transaction this node knows about,
     /// with the number of keys in its write set for which it is the newest
-    /// cached version. The count shares the entry so it costs no memory: the
-    /// `(TransactionId, Arc)` bucket is padded past it anyway.
+    /// cached version. The count shares the entry so it costs no memory: a
+    /// 24-byte id and an 8-byte `Arc` make 32, and with or without the 4-byte
+    /// count the 8-aligned bucket is 40.
     committed: HashMap<TransactionId, (Arc<TransactionRecord>, u32)>,
     /// Key version index: for each key, the committed transactions that wrote
     /// it, in transaction-ID order.
-    key_index: HashMap<Key, BTreeSet<TransactionId>>,
+    key_index: HashMap<Key, Versions>,
     /// The cached records whose count is zero — Algorithm 2's superseded
     /// transactions — in transaction-ID order.
     superseded: BTreeSet<TransactionId>,
+}
+
+/// One key's committed versions in ascending id order; never empty. One
+/// version — what most keys have — is held inline, so indexing a key
+/// allocates nothing beyond its table bucket.
+#[derive(Debug)]
+enum Versions {
+    One(TransactionId),
+    /// Two or more.
+    Many(Vec<TransactionId>),
+}
+
+impl Versions {
+    fn as_slice(&self) -> &[TransactionId] {
+        match self {
+            Versions::One(id) => std::slice::from_ref(id),
+            Versions::Many(ids) => ids,
+        }
+    }
+
+    fn newest(&self) -> TransactionId {
+        *self
+            .as_slice()
+            .last()
+            .expect("a version list is never empty")
+    }
+
+    /// Adds `id` in order, shifting only the ids newer than it: none for an
+    /// in-order commit, a handful for a peer's late record. An id already
+    /// present stays once.
+    fn insert(&mut self, id: TransactionId) {
+        match self {
+            Versions::One(only) if *only == id => {}
+            Versions::One(only) => {
+                let only = *only;
+                *self = Versions::Many(vec![only.min(id), only.max(id)]);
+            }
+            Versions::Many(ids) => {
+                if let Err(at) = ids.binary_search(&id) {
+                    ids.insert(at, id);
+                }
+            }
+        }
+    }
+
+    /// Removes `id` if present and returns true if no version is left (the
+    /// caller drops the key). A hot key may gather a hundred versions between
+    /// two GC rounds and is then swept back to one: the list returns to the
+    /// inline form at one version, and on the way down gives capacity back
+    /// once three quarters of it are unused.
+    fn remove(&mut self, id: &TransactionId) -> bool {
+        match self {
+            Versions::One(only) => only == id,
+            Versions::Many(ids) => {
+                if let Ok(at) = ids.binary_search(id) {
+                    ids.remove(at);
+                }
+                if let [only] = ids[..] {
+                    *self = Versions::One(only);
+                } else if ids.len() <= ids.capacity() / 4 {
+                    ids.shrink_to(ids.len() * 2);
+                }
+                false
+            }
+        }
+    }
 }
 
 impl MetadataCache {
@@ -69,24 +152,27 @@ impl MetadataCache {
         // transaction wrote it.
         let mut newest_for = 0u32;
         for key in &record.write_set {
-            let versions = key_index.entry(key.clone()).or_default();
-            let previous = versions.last().copied();
-            versions.insert(id);
-            match previous {
-                // Arrived out of order: the key already has a newer version,
-                // so this record is never its newest.
-                Some(newer) if newer > id => {}
-                Some(older) => {
+            let versions = match key_index.entry(key.clone()) {
+                Entry::Occupied(slot) => slot.into_mut(),
+                Entry::Vacant(slot) => {
+                    slot.insert(Versions::One(id));
                     newest_for += 1;
-                    let (_, count) = committed
-                        .get_mut(&older)
-                        .expect("every indexed version has a commit-set entry");
-                    *count -= 1;
-                    if *count == 0 {
-                        superseded.insert(older);
-                    }
+                    continue;
                 }
-                None => newest_for += 1,
+            };
+            let previous = versions.newest();
+            versions.insert(id);
+            // Otherwise it arrived out of order: the key already has a newer
+            // version, so this record is never its newest.
+            if previous < id {
+                newest_for += 1;
+                let (_, count) = committed
+                    .get_mut(&previous)
+                    .expect("every indexed version has a commit-set entry");
+                *count -= 1;
+                if *count == 0 {
+                    superseded.insert(previous);
+                }
             }
         }
         // An empty write set (a read-only transaction) is superseded at once.
@@ -99,7 +185,7 @@ impl MetadataCache {
 
     /// Returns true if `id` is a committed transaction this node knows about.
     pub fn is_committed(&self, id: &TransactionId) -> bool {
-        self.inner.read().committed.contains_key(id)
+        self.view().is_committed(id)
     }
 
     /// Returns the commit record for `id`, if known.
@@ -123,11 +209,7 @@ impl MetadataCache {
 
     /// Returns the newest committed version of `key` known to this node.
     pub fn latest_version_of(&self, key: &Key) -> Option<TransactionId> {
-        self.inner
-            .read()
-            .key_index
-            .get(key)
-            .and_then(|set| set.iter().next_back().copied())
+        self.view().latest_version_of(key)
     }
 
     /// Returns true if a committed version of `key` newer than `than` exists.
@@ -157,22 +239,18 @@ impl MetadataCache {
             let Some(versions) = key_index.get_mut(key) else {
                 continue;
             };
-            let was_newest = versions.last() == Some(id);
-            versions.remove(id);
-            match versions.last() {
-                Some(predecessor) if was_newest => {
-                    let (_, count) = committed
-                        .get_mut(predecessor)
-                        .expect("every indexed version has a commit-set entry");
-                    if *count == 0 {
-                        superseded.remove(predecessor);
-                    }
-                    *count += 1;
+            let was_newest = versions.newest() == *id;
+            if versions.remove(id) {
+                key_index.remove(key);
+            } else if was_newest {
+                let predecessor = versions.newest();
+                let (_, count) = committed
+                    .get_mut(&predecessor)
+                    .expect("every indexed version has a commit-set entry");
+                if *count == 0 {
+                    superseded.remove(&predecessor);
                 }
-                Some(_) => {}
-                None => {
-                    key_index.remove(key);
-                }
+                *count += 1;
             }
         }
         Some(record)
@@ -222,9 +300,19 @@ impl MetadataCache {
 pub struct MetadataView<'a>(RwLockReadGuard<'a, Inner>);
 
 impl MetadataView<'_> {
+    /// True if `id` is a committed transaction this node knows about.
+    pub fn is_committed(&self, id: &TransactionId) -> bool {
+        self.0.committed.contains_key(id)
+    }
+
     /// The commit record for `id`, if known.
     pub fn record(&self, id: &TransactionId) -> Option<&TransactionRecord> {
         self.0.committed.get(id).map(|(record, _)| &**record)
+    }
+
+    /// The newest committed version of `key` known to this node.
+    pub fn latest_version_of(&self, key: &Key) -> Option<TransactionId> {
+        self.0.key_index.get(key).map(Versions::newest)
     }
 
     /// The committed versions of `key` known to this node, newest first —
@@ -234,7 +322,7 @@ impl MetadataView<'_> {
             .key_index
             .get(key)
             .into_iter()
-            .flat_map(|versions| versions.iter().rev().copied())
+            .flat_map(|versions| versions.as_slice().iter().rev().copied())
     }
 }
 
@@ -352,6 +440,27 @@ mod tests {
         cache.remove(&tid(1, 1));
         assert!(superseded_ids(&cache).is_empty());
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn a_version_list_gives_capacity_back_on_the_way_down() {
+        let mut versions = Versions::One(tid(0, 0));
+        for ts in (1..100).rev() {
+            versions.insert(tid(ts, u128::from(ts)));
+        }
+        versions.insert(tid(50, 50));
+        assert_eq!(versions.as_slice().len(), 100);
+        assert!(versions.as_slice().windows(2).all(|w| w[0] < w[1]));
+
+        for ts in 0..99 {
+            assert!(!versions.remove(&tid(ts, u128::from(ts))));
+            match &versions {
+                Versions::Many(ids) => assert!(ids.len() > ids.capacity() / 4, "at {ts}"),
+                Versions::One(only) => assert_eq!((ts, *only), (98, tid(99, 99))),
+            }
+        }
+        assert!(!versions.remove(&tid(7, 7)), "an absent id is not the last");
+        assert!(versions.remove(&tid(99, 99)));
     }
 
     #[test]

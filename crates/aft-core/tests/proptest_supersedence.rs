@@ -8,7 +8,13 @@
 //! `{r cached : is_superseded(r)}`, oldest first. The deterministic test below
 //! pins what the set buys — a sweep examines the superseded records, not the
 //! cache.
+//!
+//! The key version index is held to its definition in the same loop: each
+//! key's versions are a hand-kept list, not an ordered set, so ascending order
+//! and one entry per id are checked against a `BTreeSet` rebuilt from the
+//! cached records after every step.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use aft_core::{is_superseded, AftNode, LocalGcConfig, MetadataCache, NodeConfig};
@@ -57,6 +63,39 @@ fn reference(cache: &MetadataCache) -> Vec<TransactionId> {
     ids
 }
 
+/// The key version index by definition: every cached record under each key
+/// it wrote, ordered and deduplicated by the set.
+fn reference_index(cache: &MetadataCache) -> BTreeMap<Key, BTreeSet<TransactionId>> {
+    let mut index: BTreeMap<Key, BTreeSet<TransactionId>> = BTreeMap::new();
+    for record in cache.all_records() {
+        for key in &record.write_set {
+            index.entry(key.clone()).or_default().insert(record.id);
+        }
+    }
+    index
+}
+
+/// Asserts the cache's index equals [`reference_index`] on every key in
+/// `keys` (which must include every key the cache was ever given).
+fn assert_index_matches_definition(cache: &MetadataCache, keys: impl IntoIterator<Item = Key>) {
+    let expected = reference_index(cache);
+    assert_eq!(cache.indexed_keys(), expected.len());
+    for key in keys {
+        let versions: Vec<TransactionId> = cache.view().versions_newest_first(&key).collect();
+        let set = expected.get(&key).cloned().unwrap_or_default();
+        assert_eq!(
+            versions,
+            set.iter().rev().copied().collect::<Vec<_>>(),
+            "{key}"
+        );
+        assert_eq!(cache.latest_version_of(&key), set.last().copied(), "{key}");
+    }
+}
+
+fn small_key(k: u8) -> Key {
+    Key::new(format!("key-{k}"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -69,7 +108,7 @@ proptest! {
                     let known = cache.is_committed(&tid(*ts));
                     let inserted = cache.insert(record(
                         *ts,
-                        keys.iter().map(|k| Key::new(format!("key-{k}"))),
+                        keys.iter().copied().map(small_key),
                     ));
                     prop_assert_eq!(inserted, !known);
                 }
@@ -83,8 +122,81 @@ proptest! {
                 .map(|r| r.id)
                 .collect();
             prop_assert_eq!(set, reference(&cache), "after {:?}", step);
+            // Every key `arb_step` can draw.
+            assert_index_matches_definition(&cache, (0..6).map(small_key));
         }
     }
+}
+
+fn versions_of(cache: &MetadataCache, key: &Key) -> Vec<u64> {
+    cache
+        .view()
+        .versions_newest_first(key)
+        .map(|id| id.timestamp)
+        .collect()
+}
+
+#[test]
+fn a_known_id_is_indexed_once() {
+    let cache = MetadataCache::new();
+    let k = Key::new("k");
+    // Into a key with one version...
+    assert!(cache.insert(record(5, [k.clone()])));
+    assert!(!cache.insert(record(5, [k.clone()])));
+    assert_eq!(versions_of(&cache, &k), [5]);
+    // ...and, newest, oldest and in the middle, into a key with several.
+    for ts in [3, 9, 7] {
+        assert!(cache.insert(record(ts, [k.clone()])));
+    }
+    for ts in [3, 5, 7, 9] {
+        assert!(!cache.insert(record(ts, [k.clone()])));
+    }
+    assert_eq!(versions_of(&cache, &k), [9, 7, 5, 3]);
+    assert_index_matches_definition(&cache, [k]);
+}
+
+#[test]
+fn an_id_older_than_every_cached_one_goes_last() {
+    let cache = MetadataCache::new();
+    let k = Key::new("k");
+    for ts in [20, 30, 40, 10] {
+        cache.insert(record(ts, [k.clone()]));
+    }
+    assert_eq!(versions_of(&cache, &k), [40, 30, 20, 10]);
+    assert_eq!(cache.latest_version_of(&k), Some(tid(40)));
+    // Late and oldest: superseded on arrival, and nobody else's verdict moved.
+    assert_eq!(reference(&cache), [tid(10), tid(20), tid(30)]);
+    assert_index_matches_definition(&cache, [k]);
+}
+
+#[test]
+fn removing_versions_walks_the_list_back_to_nothing() {
+    let cache = MetadataCache::new();
+    let (k, other) = (Key::new("k"), Key::new("other"));
+    cache.insert(record(1, [k.clone(), other.clone()]));
+    cache.insert(record(2, [k.clone()]));
+    cache.insert(record(3, [k.clone()]));
+
+    // Three to one, from the middle then from the top: the survivor is the
+    // newest again and serves reads as a one-version key does.
+    cache.remove(&tid(2));
+    assert_eq!(versions_of(&cache, &k), [3, 1]);
+    cache.remove(&tid(3));
+    assert_eq!(versions_of(&cache, &k), [1]);
+    assert_eq!(cache.latest_version_of(&k), Some(tid(1)));
+    assert!(reference(&cache).is_empty());
+    assert_index_matches_definition(&cache, [k.clone(), other.clone()]);
+    // A one-version key takes a second version again.
+    cache.insert(record(4, [k.clone()]));
+    assert_eq!(versions_of(&cache, &k), [4, 1]);
+    cache.remove(&tid(4));
+
+    // The only version: the key leaves the index.
+    cache.remove(&tid(1));
+    assert_eq!(cache.indexed_keys(), 0);
+    assert_eq!(cache.latest_version_of(&k), None);
+    assert!(versions_of(&cache, &k).is_empty());
+    assert_index_matches_definition(&cache, [k, other]);
 }
 
 #[test]

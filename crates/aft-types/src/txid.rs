@@ -35,6 +35,12 @@ pub struct TransactionId {
     pub uuid: Uuid,
 }
 
+// Every index bucket, version-list slot, read-set entry and tombstone holds
+// one: a field added here, or a `Uuid` back on a `u128`, costs 8 bytes in each.
+const _: () = assert!(
+    std::mem::size_of::<TransactionId>() == 24 && std::mem::align_of::<TransactionId>() == 8
+);
+
 impl TransactionId {
     /// The identifier of the implicit `NULL` version every key has before any
     /// transaction writes it (§3.2). It is older than every real transaction.

@@ -17,20 +17,29 @@ use crate::error::AftError;
 /// A 128-bit random identifier with a total lexicographic order.
 ///
 /// `Uuid` is `Copy` and 16 bytes, so it is cheap to embed in every
-/// [`TransactionId`](crate::TransactionId) and key version.
+/// [`TransactionId`](crate::TransactionId) and key version. It is held as two
+/// 64-bit halves rather than one `u128`: a `u128` is 16-byte aligned, which
+/// pads a `TransactionId` from 24 bytes to 32 in every map bucket, version
+/// list and read set that holds one. The derived order compares `hi` then
+/// `lo`, which is the numeric order of [`as_u128`](Uuid::as_u128).
 #[derive(
     Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]
-pub struct Uuid(u128);
+pub struct Uuid {
+    hi: u64,
+    lo: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<Uuid>() == 16 && std::mem::align_of::<Uuid>() == 8);
 
 impl Uuid {
     /// A UUID of all zeroes, used for the implicit `NULL` version of every key
     /// (§3.2: "Each key has a NULL version").
-    pub const NIL: Uuid = Uuid(0);
+    pub const NIL: Uuid = Uuid { hi: 0, lo: 0 };
 
     /// Generates a new random UUID from the thread-local RNG.
     pub fn new_random() -> Self {
-        Uuid(rand::thread_rng().gen())
+        Uuid::from_u128(rand::thread_rng().gen())
     }
 
     /// Generates a new random UUID from a caller-supplied RNG.
@@ -38,22 +47,25 @@ impl Uuid {
     /// Deterministic tests and simulations seed their own RNGs and route all
     /// randomness through them.
     pub fn from_rng<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        Uuid(rng.gen())
+        Uuid::from_u128(rng.gen())
     }
 
     /// Builds a UUID from a raw 128-bit value.
     pub const fn from_u128(raw: u128) -> Self {
-        Uuid(raw)
+        Uuid {
+            hi: (raw >> 64) as u64,
+            lo: raw as u64,
+        }
     }
 
     /// Returns the raw 128-bit value.
     pub const fn as_u128(&self) -> u128 {
-        self.0
+        ((self.hi as u128) << 64) | self.lo as u128
     }
 
     /// Returns true if this is the [`Uuid::NIL`] identifier.
     pub const fn is_nil(&self) -> bool {
-        self.0 == 0
+        self.hi == 0 && self.lo == 0
     }
 }
 
@@ -61,7 +73,7 @@ impl fmt::Display for Uuid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Fixed-width lowercase hex so the string order matches the numeric
         // order; storage keys embed this representation.
-        write!(f, "{:032x}", self.0)
+        write!(f, "{:016x}{:016x}", self.hi, self.lo)
     }
 }
 
@@ -76,7 +88,7 @@ impl FromStr for Uuid {
             )));
         }
         u128::from_str_radix(s, 16)
-            .map(Uuid)
+            .map(Uuid::from_u128)
             .map_err(|e| AftError::Codec(format!("invalid uuid {s:?}: {e}")))
     }
 }
@@ -85,7 +97,7 @@ impl FromStr for Uuid {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn random_uuids_are_distinct() {
@@ -115,6 +127,48 @@ mod tests {
         let large = Uuid::from_u128(0xff00_0000_0000_0000_0000_0000_0000_0000);
         assert!(small < large);
         assert!(small.to_string() < large.to_string());
+    }
+
+    #[test]
+    fn order_is_the_order_of_the_128_bit_value() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut pairs: Vec<(u128, u128)> = (0..1_000)
+            .map(|_| (rng.gen::<u128>(), rng.gen::<u128>()))
+            .collect();
+        // Halves that tie: the other half alone decides.
+        for _ in 0..100 {
+            let (x, y) = (rng.gen::<u128>(), rng.gen::<u64>());
+            pairs.push((x, x ^ (u128::from(y | 1) << 64)));
+            pairs.push((x, x ^ u128::from(y | 1)));
+        }
+        pairs.push((u128::from(u64::MAX), u128::from(u64::MAX) + 1));
+        for (a, b) in pairs {
+            assert_eq!(
+                Uuid::from_u128(a).cmp(&Uuid::from_u128(b)),
+                a.cmp(&b),
+                "{a:#x} vs {b:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn raw_value_round_trips_across_the_halves() {
+        for x in [
+            0,
+            1,
+            u128::from(u64::MAX),
+            u128::from(u64::MAX) + 1,
+            u128::MAX,
+        ] {
+            assert_eq!(Uuid::from_u128(x).as_u128(), x);
+        }
+    }
+
+    #[test]
+    fn display_is_fixed_width_with_a_zero_high_half() {
+        let s = Uuid::from_u128(0xabc).to_string();
+        assert_eq!(s, format!("{:032x}", 0xabc));
+        assert_eq!(s.parse::<Uuid>().unwrap(), Uuid::from_u128(0xabc));
     }
 
     #[test]
