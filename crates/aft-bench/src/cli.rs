@@ -267,7 +267,8 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "fig12_dissemination",
-        about: "commit-metadata dissemination: cluster size x topology, partition legs",
+        about:
+            "commit-metadata dissemination: the tree sweep vs flat by cluster size, partition leg",
         clock: Clock::Virtual,
         kind: Kind::Gated {
             report: "BENCH_dissemination.json",

@@ -3,15 +3,17 @@
 //!
 //! The paper's deployments stop at a handful of nodes, where the §4.2 flat
 //! broadcast (every origin to every peer) is cheap. This experiment sweeps
-//! cluster size × [`Topology`] and measures what actually limits scale:
+//! cluster size and runs the same commits through the cluster's
+//! spanning-tree sweep ([`Disseminator`]) and through the flat reference
+//! ([`broadcast_round`]), measuring what actually limits scale:
 //!
 //! * **messages/op** and **bytes/op** — the metadata traffic each committed
 //!   transaction costs the cluster. Flat broadcast pays `origins·(n−1)`
-//!   messages per round; the tree's convergecast/broadcast sweep pays at
-//!   most `2·(n−1)` regardless of origins, and gossip lands in between.
+//!   messages per round; the convergecast/broadcast sweep pays at most
+//!   `2·(n−1)` regardless of origins.
 //! * **propagation lag p50/p99** — commit-record age at application on a
-//!   peer, from each node's [`propagation_lag`](aft_core) recorder. Every
-//!   topology relays within the round, so lag stays ≈ one dissemination
+//!   peer, from each node's [`propagation_lag`](aft_core) recorder. The
+//!   sweep relays within the round, so lag stays ≈ one dissemination
 //!   interval; the gate rejects anything beyond three.
 //! * **staleness window** — interval + lag p99: the §3.2 bound on how old a
 //!   node's view of a remote commit can be.
@@ -20,17 +22,17 @@
 //! advanced by exactly one interval per round, so lag is measured in
 //! *virtual* milliseconds — deterministic, and independent of host speed.
 //!
-//! A second leg replays the tree and gossip cells under a seeded
-//! [`PartitionChaos`] edge-cut (§4.2's "broadcast lost" window, scaled to a
-//! metadata partition): deliveries park on retry queues while the cut
-//! holds, and after the heal the leg must converge with **zero** lost
-//! commits and **zero** unaccounted records. [`DisseminationReport::check_gate`]
-//! enforces all of it in CI; results land in `BENCH_dissemination.json`.
+//! A second leg replays the sweep under a seeded [`PartitionChaos`] edge-cut
+//! (§4.2's "broadcast lost" window, scaled to a metadata partition):
+//! deliveries park on retry queues while the cut holds, and after the heal
+//! the leg must converge with **zero** lost commits and **zero**
+//! unaccounted records. [`DisseminationReport::check_gate`] enforces all of
+//! it in CI; results land in `BENCH_dissemination.json`.
 
 use std::sync::Arc;
 
 use aft_chaos::{ChaosSpec, PartitionChaos};
-use aft_cluster::{DisseminationConfig, Disseminator, Topology};
+use aft_cluster::{broadcast_round, BroadcastStats, Disseminator};
 use aft_core::{AftNode, NodeConfig};
 use aft_storage::{InMemoryStore, SharedStorage};
 use aft_types::clock::MockClock;
@@ -45,14 +47,10 @@ use crate::report::{round2, Table};
 pub struct DisseminationBenchConfig {
     /// Cluster sizes to sweep (virtual-clock in-process nodes).
     pub node_counts: Vec<usize>,
-    /// Topologies per cluster size.
-    pub topologies: Vec<Topology>,
     /// Dissemination rounds per cell.
     pub rounds: usize,
     /// Commits issued per round, spread round-robin across the nodes.
     pub commits_per_round: usize,
-    /// Tree arity / gossip fanout.
-    pub fanout: usize,
     /// Virtual milliseconds per dissemination interval.
     pub interval_ms: u64,
     /// Cluster size of the partition leg.
@@ -63,20 +61,18 @@ pub struct DisseminationBenchConfig {
     pub cut_rounds: u64,
     /// Extra rounds the partition leg may take to drain its retries.
     pub heal_budget: usize,
-    /// Base seed (gossip target selection and the edge-cut schedule).
+    /// Base seed (node uuids and the edge-cut schedule).
     pub seed: u64,
 }
 
 impl DisseminationBenchConfig {
-    /// The full sweep: 16 → 100 nodes, all three topologies, with the
-    /// partition leg on a 64-node cluster.
+    /// The full sweep: 16 → 100 nodes, with the partition leg on a 64-node
+    /// cluster.
     pub fn standard() -> Self {
         DisseminationBenchConfig {
             node_counts: vec![16, 32, 64, 100],
-            topologies: Topology::ALL.to_vec(),
             rounds: 8,
             commits_per_round: 64,
-            fanout: 3,
             interval_ms: 1_000,
             partition_nodes: 64,
             cut_fraction: 0.4,
@@ -86,8 +82,8 @@ impl DisseminationBenchConfig {
         }
     }
 
-    /// The CI configuration: the same topology coverage at 16 and 32 nodes
-    /// with a 16-node partition leg, fast enough for every PR.
+    /// The CI configuration: 16 and 32 nodes with a 16-node partition leg,
+    /// fast enough for every PR.
     pub fn fast() -> Self {
         DisseminationBenchConfig {
             node_counts: vec![16, 32],
@@ -99,13 +95,18 @@ impl DisseminationBenchConfig {
     }
 }
 
-/// One (cluster size, topology) cell of the sweep.
+/// The cluster's spanning-tree sweep.
+const SWEEP: &str = "sweep";
+/// The paper's flat exchange, the reference.
+const FLAT: &str = "flat";
+
+/// One (cluster size, path) cell of the sweep.
 #[derive(Debug, Clone)]
 pub struct DisseminationCell {
     /// Cluster size.
     pub nodes: usize,
-    /// Topology label.
-    pub topology: String,
+    /// How the cell moved its records: `"sweep"` or `"flat"`.
+    pub path: &'static str,
     /// Commits disseminated.
     pub ops: usize,
     /// Messages sent (batched edge-sends).
@@ -140,13 +141,11 @@ impl DisseminationCell {
     }
 }
 
-/// One partition-chaos leg: a seeded edge-cut over a relay topology.
+/// One partition-chaos leg: a seeded edge-cut under the sweep.
 #[derive(Debug, Clone)]
 pub struct PartitionLeg {
     /// Cluster size.
     pub nodes: usize,
-    /// Topology label.
-    pub topology: String,
     /// Commits disseminated through the cut.
     pub ops: usize,
     /// Deliveries parked on cut edges while the partition held.
@@ -164,7 +163,7 @@ pub struct PartitionLeg {
 /// The whole sweep's results.
 #[derive(Debug, Clone)]
 pub struct DisseminationReport {
-    /// Every (cluster size, topology) cell, sizes ascending.
+    /// Every (cluster size, path) cell, sizes ascending.
     pub cells: Vec<DisseminationCell>,
     /// The partition-chaos legs.
     pub partition_legs: Vec<PartitionLeg>,
@@ -173,29 +172,27 @@ pub struct DisseminationReport {
 }
 
 impl DisseminationReport {
-    fn cell(&self, nodes: usize, topology: Topology) -> Option<&DisseminationCell> {
+    fn cell(&self, nodes: usize, path: &str) -> Option<&DisseminationCell> {
         self.cells
             .iter()
-            .find(|c| c.nodes == nodes && c.topology == topology.label())
+            .find(|c| c.nodes == nodes && c.path == path)
     }
 
-    /// The messages/op ratio of the flat baseline over `topology` at one
-    /// cluster size (how many times cheaper the topology is).
-    pub fn reduction_vs_flat(&self, nodes: usize, topology: Topology) -> Option<f64> {
-        let flat = self.cell(nodes, Topology::AllToAll)?;
-        let other = self.cell(nodes, topology)?;
-        Some(flat.messages_per_op() / other.messages_per_op().max(f64::MIN_POSITIVE))
+    /// The messages/op ratio of the flat reference over the sweep at one
+    /// cluster size (how many times cheaper the sweep is).
+    pub fn reduction_vs_flat(&self, nodes: usize) -> Option<f64> {
+        let flat = self.cell(nodes, FLAT)?;
+        let sweep = self.cell(nodes, SWEEP)?;
+        Some(flat.messages_per_op() / sweep.messages_per_op().max(f64::MIN_POSITIVE))
     }
 
     /// The CI gate:
     ///
-    /// * coverage — all three topologies at ≥ 2 cluster sizes, one ≥ 16;
+    /// * coverage — both paths at ≥ 2 cluster sizes, one ≥ 16;
     /// * every cell accounts for every record on every node;
-    /// * at every size ≥ 16, tree and gossip send strictly fewer
-    ///   messages/op than the flat baseline — and the tree's sweep ≥ 10×
-    ///   fewer at ≥ 64 nodes, where the quadratic baseline actually hurts
-    ///   (gossip trades messages for redundancy, so its bar is only
-    ///   "strictly cheaper");
+    /// * at every size ≥ 16 the sweep sends strictly fewer messages/op than
+    ///   the flat reference — and ≥ 10× fewer at ≥ 64 nodes, where the
+    ///   quadratic reference actually hurts;
     /// * unpartitioned propagation lag p99 within 3 dissemination
     ///   intervals;
     /// * every partition leg converged with zero lost commits (and really
@@ -206,41 +203,35 @@ impl DisseminationReport {
             return Err(format!("sweep too small: sizes {sizes:?}"));
         }
         for &nodes in &sizes {
-            for topology in [Topology::Tree, Topology::Gossip] {
-                let (Some(flat), Some(cell)) = (
-                    self.cell(nodes, Topology::AllToAll),
-                    self.cell(nodes, topology),
-                ) else {
-                    return Err(format!("{nodes} nodes: missing a topology cell"));
-                };
-                if nodes >= 16 && cell.messages_per_op() >= flat.messages_per_op() {
-                    return Err(format!(
-                        "{nodes} nodes: {} sends {:.2} messages/op, not below all_to_all's {:.2}",
-                        topology.label(),
-                        cell.messages_per_op(),
-                        flat.messages_per_op()
-                    ));
-                }
-                let reduction = self.reduction_vs_flat(nodes, topology).unwrap_or(0.0);
-                if topology == Topology::Tree && nodes >= 64 && reduction < 10.0 {
-                    return Err(format!(
-                        "{nodes} nodes: {} reduces messages/op only {reduction:.1}x vs flat; need >= 10x",
-                        topology.label()
-                    ));
-                }
+            let (Some(flat), Some(sweep)) = (self.cell(nodes, FLAT), self.cell(nodes, SWEEP))
+            else {
+                return Err(format!("{nodes} nodes: missing a sweep or flat cell"));
+            };
+            if nodes >= 16 && sweep.messages_per_op() >= flat.messages_per_op() {
+                return Err(format!(
+                    "{nodes} nodes: the sweep sends {:.2} messages/op, not below flat's {:.2}",
+                    sweep.messages_per_op(),
+                    flat.messages_per_op()
+                ));
+            }
+            let reduction = self.reduction_vs_flat(nodes).unwrap_or(0.0);
+            if nodes >= 64 && reduction < 10.0 {
+                return Err(format!(
+                    "{nodes} nodes: the sweep reduces messages/op only {reduction:.1}x vs flat; need >= 10x"
+                ));
             }
         }
         for cell in &self.cells {
             if cell.unaccounted > 0 {
                 return Err(format!(
                     "{}/{} nodes: {} records unaccounted",
-                    cell.topology, cell.nodes, cell.unaccounted
+                    cell.path, cell.nodes, cell.unaccounted
                 ));
             }
             if cell.lag_p99_ms > (3 * self.interval_ms) as f64 {
                 return Err(format!(
                     "{}/{} nodes: lag p99 {:.0}ms exceeds 3 intervals ({}ms)",
-                    cell.topology,
+                    cell.path,
                     cell.nodes,
                     cell.lag_p99_ms,
                     3 * self.interval_ms
@@ -251,7 +242,7 @@ impl DisseminationReport {
             return Err("no partition legs ran".to_owned());
         }
         for leg in &self.partition_legs {
-            let label = format!("partition {}/{} nodes", leg.topology, leg.nodes);
+            let label = format!("partition/{} nodes", leg.nodes);
             if leg.link_drops == 0 {
                 return Err(format!("{label}: the edge-cut never dropped a delivery"));
             }
@@ -263,10 +254,10 @@ impl DisseminationReport {
             }
         }
         let best = self
-            .reduction_vs_flat(sizes.iter().max().copied().unwrap_or(16), Topology::Tree)
+            .reduction_vs_flat(sizes.iter().max().copied().unwrap_or(16))
             .unwrap_or(0.0);
         Ok(format!(
-            "{} cells clean at sizes {sizes:?}: tree {best:.1}x cheaper than flat at the top size, \
+            "{} cells clean at sizes {sizes:?}: sweep {best:.1}x cheaper than flat at the top size, \
              lag p99 within 3 intervals, {} partition legs healed with 0 lost commits",
             self.cells.len(),
             self.partition_legs.len()
@@ -276,10 +267,10 @@ impl DisseminationReport {
     /// Renders the sweep as an aligned text table.
     pub fn table(&self) -> Table {
         let mut table = Table::new(
-            "fig12_dissemination — commit-metadata dissemination: cluster size x topology",
+            "fig12_dissemination — commit-metadata dissemination: the sweep vs flat by cluster size",
             &[
                 "nodes",
-                "topology",
+                "path",
                 "msgs/op",
                 "bytes/op",
                 "lag p50 (ms)",
@@ -291,7 +282,7 @@ impl DisseminationReport {
         for cell in &self.cells {
             table.add_row(vec![
                 cell.nodes.to_string(),
-                cell.topology.clone(),
+                cell.path.to_owned(),
                 format!("{:.2}", cell.messages_per_op()),
                 format!("{:.0}", cell.bytes_per_op()),
                 format!("{:.0}", cell.lag_p50_ms),
@@ -306,10 +297,9 @@ impl DisseminationReport {
     /// Renders the partition legs as an aligned text table.
     pub fn partition_table(&self) -> Table {
         let mut table = Table::new(
-            "fig12_dissemination — partition chaos: seeded edge-cut over relay topologies",
+            "fig12_dissemination — partition chaos: seeded edge-cut under the sweep",
             &[
                 "nodes",
-                "topology",
                 "link drops",
                 "retried",
                 "rounds to converge",
@@ -320,7 +310,6 @@ impl DisseminationReport {
         for leg in &self.partition_legs {
             table.add_row(vec![
                 leg.nodes.to_string(),
-                leg.topology.clone(),
                 leg.link_drops.to_string(),
                 leg.retried.to_string(),
                 leg.rounds_to_converge.to_string(),
@@ -339,7 +328,7 @@ impl DisseminationReport {
             .map(|c| {
                 Json::obj(vec![
                     ("nodes", Json::Num(c.nodes as f64)),
-                    ("topology", Json::str(&c.topology)),
+                    ("path", Json::str(c.path)),
                     ("ops", Json::Num(c.ops as f64)),
                     ("messages", Json::Num(c.messages as f64)),
                     ("bytes", Json::Num(c.bytes as f64)),
@@ -362,7 +351,6 @@ impl DisseminationReport {
             .map(|l| {
                 Json::obj(vec![
                     ("nodes", Json::Num(l.nodes as f64)),
-                    ("topology", Json::str(&l.topology)),
                     ("ops", Json::Num(l.ops as f64)),
                     ("link_drops", Json::Num(l.link_drops as f64)),
                     ("retried", Json::Num(l.retried as f64)),
@@ -382,18 +370,8 @@ impl DisseminationReport {
                     ("interval_ms", Json::Num(self.interval_ms as f64)),
                     ("max_nodes", Json::Num(max_size as f64)),
                     (
-                        "tree_reduction_at_max",
-                        Json::Num(round2(
-                            self.reduction_vs_flat(max_size, Topology::Tree)
-                                .unwrap_or(0.0),
-                        )),
-                    ),
-                    (
-                        "gossip_reduction_at_max",
-                        Json::Num(round2(
-                            self.reduction_vs_flat(max_size, Topology::Gossip)
-                                .unwrap_or(0.0),
-                        )),
+                        "sweep_reduction_at_max",
+                        Json::Num(round2(self.reduction_vs_flat(max_size).unwrap_or(0.0))),
                     ),
                     (
                         "partition_lost_commits",
@@ -446,30 +424,32 @@ fn commit_on(node: &Arc<AftNode>, key: &str, value: &str) -> TransactionId {
 
 /// Drives `rounds` dissemination rounds: each round commits
 /// `commits_per_round` transactions round-robin across the nodes, advances
-/// the virtual clock by one interval, and runs the disseminator — so every
-/// record's application lag is measured in whole virtual intervals.
+/// the virtual clock by one interval, and runs `round` — so every record's
+/// application lag is measured in whole virtual intervals. Returns the
+/// issued ids and the rounds' merged statistics.
 fn drive_rounds(
     cluster: &VirtualCluster,
-    d: &Disseminator,
     config: &DisseminationBenchConfig,
-) -> Vec<(TransactionId, usize)> {
+    mut round: impl FnMut(&[Arc<AftNode>]) -> BroadcastStats,
+) -> (Vec<(TransactionId, usize)>, BroadcastStats) {
     let n = cluster.nodes.len();
     let mut issued = Vec::with_capacity(config.rounds * config.commits_per_round);
-    for round in 0..config.rounds {
+    let mut totals = BroadcastStats::default();
+    for r in 0..config.rounds {
         for op in 0..config.commits_per_round {
-            let origin = (round * config.commits_per_round + op) % n;
+            let origin = (r * config.commits_per_round + op) % n;
             let key = op % 48;
             let id = commit_on(
                 &cluster.nodes[origin],
                 &format!("diss/k{key:02}"),
-                &format!("r{round}-o{op}"),
+                &format!("r{r}-o{op}"),
             );
             issued.push((id, key));
         }
         cluster.clock.advance(config.interval_ms);
-        d.round(&cluster.nodes, None);
+        totals = totals.merge(round(&cluster.nodes));
     }
-    issued
+    (issued, totals)
 }
 
 /// Records some node neither applied nor saw superseded (the §4.1-aware
@@ -501,18 +481,18 @@ fn unaccounted(cluster: &VirtualCluster, issued: &[(TransactionId, usize)]) -> u
 
 fn run_cell(
     nodes: usize,
-    topology: Topology,
+    path: &'static str,
     config: &DisseminationBenchConfig,
 ) -> DisseminationCell {
     let cluster = virtual_cluster(nodes, config.seed);
-    let dissemination = DisseminationConfig {
-        topology,
-        fanout: config.fanout,
-        ..DisseminationConfig::default()
-    };
-    let d = Disseminator::new(dissemination, config.seed);
-    let issued = drive_rounds(&cluster, &d, config);
-    let totals = d.totals();
+    let d = Disseminator::default();
+    let (issued, totals) = drive_rounds(&cluster, config, |nodes| {
+        if path == SWEEP {
+            d.round(nodes, None)
+        } else {
+            broadcast_round(nodes, None)
+        }
+    });
 
     // Cluster-wide lag: p50 as the median node's median, p99 as the worst
     // node's p99 — the conservative bound the staleness window quotes.
@@ -530,7 +510,7 @@ fn run_cell(
 
     DisseminationCell {
         nodes,
-        topology: topology.label().to_owned(),
+        path,
         ops: issued.len(),
         messages: totals.fanout_messages as u64,
         bytes: totals.bytes,
@@ -541,18 +521,9 @@ fn run_cell(
     }
 }
 
-fn run_partition_leg(
-    nodes: usize,
-    topology: Topology,
-    config: &DisseminationBenchConfig,
-) -> PartitionLeg {
+fn run_partition_leg(nodes: usize, config: &DisseminationBenchConfig) -> PartitionLeg {
     let cluster = virtual_cluster(nodes, config.seed ^ 0x9A47);
-    let dissemination = DisseminationConfig {
-        topology,
-        fanout: config.fanout,
-        ..DisseminationConfig::default()
-    };
-    let d = Disseminator::new(dissemination, config.seed ^ 0x9A47);
+    let d = Disseminator::default();
     let spec = ChaosSpec::new(config.seed).partition(PartitionChaos::cut(
         config.cut_fraction,
         0,
@@ -560,7 +531,7 @@ fn run_partition_leg(
     ));
     d.arm_partition(spec.schedule());
 
-    let issued = drive_rounds(&cluster, &d, config);
+    let (issued, _) = drive_rounds(&cluster, config, |nodes| d.round(nodes, None));
     // Heal: run empty rounds until every parked delivery has drained.
     let mut extra = 0;
     while d.pending_retries() > 0 && extra < config.heal_budget {
@@ -571,7 +542,6 @@ fn run_partition_leg(
     let totals = d.totals();
     PartitionLeg {
         nodes,
-        topology: topology.label().to_owned(),
         ops: issued.len(),
         link_drops: totals.link_drops as u64,
         retried: totals.retried as u64,
@@ -583,20 +553,14 @@ fn run_partition_leg(
 
 /// Runs the full sweep and returns the report.
 pub fn fig12_dissemination(config: &DisseminationBenchConfig) -> DisseminationReport {
-    let mut cells = Vec::new();
-    for &nodes in &config.node_counts {
-        for &topology in &config.topologies {
-            cells.push(run_cell(nodes, topology, config));
-        }
-    }
-    let partition_legs = [Topology::Tree, Topology::Gossip]
-        .into_iter()
-        .filter(|t| config.topologies.contains(t))
-        .map(|topology| run_partition_leg(config.partition_nodes, topology, config))
+    let cells = config
+        .node_counts
+        .iter()
+        .flat_map(|&nodes| [FLAT, SWEEP].map(|path| run_cell(nodes, path, config)))
         .collect();
     DisseminationReport {
         cells,
-        partition_legs,
+        partition_legs: vec![run_partition_leg(config.partition_nodes, config)],
         interval_ms: config.interval_ms,
     }
 }
@@ -635,24 +599,23 @@ mod tests {
     #[test]
     fn tiny_sweep_passes_the_gate() {
         let report = fig12_dissemination(&tiny());
-        assert_eq!(report.cells.len(), 6);
-        assert_eq!(report.partition_legs.len(), 2);
+        assert_eq!(report.cells.len(), 4);
+        assert_eq!(report.partition_legs.len(), 1);
         let summary = report.check_gate().expect("gate must pass");
-        assert!(summary.contains("6 cells clean"), "{summary}");
+        assert!(summary.contains("4 cells clean"), "{summary}");
     }
 
     #[test]
     fn relay_topologies_beat_the_flat_baseline() {
         let report = fig12_dissemination(&tiny());
         for &nodes in &[16usize, 24] {
-            for topology in [Topology::Tree, Topology::Gossip] {
-                let reduction = report.reduction_vs_flat(nodes, topology).unwrap();
-                assert!(
-                    reduction > 1.0,
-                    "{} at {nodes} nodes: only {reduction:.2}x",
-                    topology.label()
-                );
-            }
+            let reduction = report.reduction_vs_flat(nodes).unwrap();
+            assert!(reduction > 1.0, "{nodes} nodes: only {reduction:.2}x");
+            let (flat, sweep) = (
+                report.cell(nodes, FLAT).unwrap(),
+                report.cell(nodes, SWEEP).unwrap(),
+            );
+            assert!(sweep.bytes_per_op() <= flat.bytes_per_op(), "{nodes} nodes");
         }
     }
 
@@ -660,13 +623,13 @@ mod tests {
     fn lag_is_one_virtual_interval_for_undisturbed_rounds() {
         let report = fig12_dissemination(&tiny());
         for cell in &report.cells {
-            assert_eq!(cell.unaccounted, 0, "{}/{}", cell.topology, cell.nodes);
+            assert_eq!(cell.unaccounted, 0, "{}/{}", cell.path, cell.nodes);
             // Every record is committed at clock T and applied after the
             // advance to T + interval; in-round relaying adds nothing.
             assert!(
                 (cell.lag_p50_ms - 1_000.0).abs() < 1.0,
                 "{}/{}: p50 {}ms",
-                cell.topology,
+                cell.path,
                 cell.nodes,
                 cell.lag_p50_ms
             );
@@ -678,10 +641,10 @@ mod tests {
     fn partition_legs_drop_then_heal_cleanly() {
         let report = fig12_dissemination(&tiny());
         for leg in &report.partition_legs {
-            assert!(leg.link_drops > 0, "{}: cut never bit", leg.topology);
-            assert!(leg.retried > 0, "{}: nothing retried", leg.topology);
+            assert!(leg.link_drops > 0, "cut never bit");
+            assert!(leg.retried > 0, "nothing retried");
             assert!(leg.converged);
-            assert_eq!(leg.lost_commits, 0, "{}", leg.topology);
+            assert_eq!(leg.lost_commits, 0);
         }
     }
 

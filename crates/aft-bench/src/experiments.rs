@@ -7,8 +7,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aft_cluster::{Cluster, DisseminationConfig};
-use aft_core::LocalGcConfig;
+use aft_cluster::Cluster;
 use aft_storage::BackendKind;
 use aft_types::{payload_of_size, Key};
 use aft_workload::{
@@ -474,18 +473,14 @@ pub fn fig9_gc(env: &BenchEnv) -> Table {
 
     for gc_enabled in [true, false] {
         let storage = env.storage(BackendKind::DynamoDb, 0xF9_01 + gc_enabled as u64);
-        let mut cluster_config = aft_cluster::ClusterConfig {
+        let cluster_config = aft_cluster::ClusterConfig {
             initial_nodes: 1,
             node_template: env.node_template(true),
-            dissemination: DisseminationConfig::all_to_all()
-                .with_interval(Duration::from_millis(200)),
-            local_gc: LocalGcConfig::default(),
-            local_gc_enabled: gc_enabled,
-            global_gc_enabled: gc_enabled,
+            dissemination_interval: Duration::from_millis(200),
+            gc_enabled,
             replacement_delay: Duration::ZERO,
             ..aft_cluster::ClusterConfig::default()
         };
-        cluster_config.global_gc = aft_cluster::GlobalGcConfig::default();
         let cluster = Cluster::new(cluster_config, storage.clone()).expect("cluster");
         cluster.start_background();
         let driver = AftDriver::clustered(Arc::clone(&cluster), env.platform(), env.retry())
@@ -544,7 +539,7 @@ pub fn fig10_fault_tolerance(env: &BenchEnv) -> Table {
     let cluster_config = aft_cluster::ClusterConfig {
         initial_nodes: 4,
         node_template: env.node_template(true),
-        dissemination: DisseminationConfig::all_to_all().with_interval(Duration::from_millis(200)),
+        dissemination_interval: Duration::from_millis(200),
         fault_scan_interval: Duration::from_millis(250),
         replacement_delay,
         ..aft_cluster::ClusterConfig::default()

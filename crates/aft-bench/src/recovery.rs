@@ -35,7 +35,7 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use aft_chaos::{ChaosSpec, FaasChaos, KillPlan, NetChaos, PartitionChaos, StorageChaos};
-use aft_cluster::{ChaosController, Cluster, ClusterConfig, DisseminationConfig};
+use aft_cluster::{ChaosController, Cluster, ClusterConfig};
 use aft_core::api::AftApi;
 use aft_core::bootstrap::fetch_commit_records;
 use aft_core::{is_superseded, CommitPhase, NodeConfig};
@@ -657,16 +657,8 @@ impl Trial {
                 checkpoint: aft_core::CheckpointPolicy::every_commits(TRIAL_CHECKPOINT_EVERY),
                 ..NodeConfig::default()
             },
-            local_gc_enabled: false,
-            global_gc_enabled: false,
+            gc_enabled: false,
             replacement_delay: Duration::ZERO,
-            // A partition cuts *relay* edges, so it disseminates over the
-            // spanning tree; every other mode keeps the flat baseline.
-            dissemination: if spec.partition.is_quiet() {
-                DisseminationConfig::default()
-            } else {
-                DisseminationConfig::tree(2)
-            },
             ..ClusterConfig::default()
         };
         let cluster = Cluster::with_clock(

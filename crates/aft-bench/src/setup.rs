@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use aft_chaos::ChaosSpec;
-use aft_cluster::{Cluster, ClusterConfig, DisseminationConfig};
+use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::{AftNode, NodeConfig};
 use aft_faas::{FaasPlatform, PlatformConfig, RetryPolicy};
 use aft_net::{AftClient, AftServer};
@@ -120,8 +120,7 @@ impl BenchEnv {
         let config = ClusterConfig {
             initial_nodes: nodes,
             node_template: self.node_template(caching),
-            dissemination: DisseminationConfig::all_to_all()
-                .with_interval(Duration::from_millis(if self.fast { 20 } else { 100 })),
+            dissemination_interval: Duration::from_millis(if self.fast { 20 } else { 100 }),
             replacement_delay: Duration::ZERO,
             ..ClusterConfig::default()
         };
@@ -263,10 +262,7 @@ pub fn served_deployment(
     options: &ServeOptions,
 ) -> (Arc<Cluster>, ServiceHandle) {
     let cluster_config = ClusterConfig {
-        dissemination: DisseminationConfig::all_to_all().with_interval(Duration::from_millis(5)),
-        replacement_delay: Duration::ZERO,
-        local_gc_enabled: gc,
-        global_gc_enabled: gc,
+        gc_enabled: gc,
         ..ClusterConfig::test(nodes)
     };
     let cluster = Cluster::new(cluster_config, storage).expect("cluster construction");

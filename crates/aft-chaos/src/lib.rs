@@ -304,9 +304,9 @@ impl FaasChaos {
     }
 }
 
-/// Dissemination-graph partition pressure: a seeded subset of broadcast
-/// edges (tree links, gossip push targets, all-to-all deliveries) is cut for
-/// a window of maintenance rounds, then heals.
+/// Dissemination-graph partition pressure: a seeded subset of the spanning
+/// tree's node-to-node edges is cut for a window of maintenance rounds, then
+/// heals.
 ///
 /// Which edges fall is a pure function of `(seed, a, b)` — symmetric in the
 /// endpoints, so a cut edge is cut in both directions — and the cut persists

@@ -25,10 +25,9 @@ use aft_storage::SharedStorage;
 use aft_types::{AftResult, SharedClock, SystemClock};
 use parking_lot::Mutex;
 
-use crate::dissemination::BroadcastStats;
-use crate::dissemination::{DisseminationConfig, Disseminator};
+use crate::dissemination::{BroadcastStats, Disseminator};
 use crate::fault_manager::FaultManager;
-use crate::global_gc::{GlobalGc, GlobalGcConfig, GlobalGcOutcome};
+use crate::global_gc::{GlobalGc, GlobalGcOutcome};
 use crate::membership::{NodeRegistry, NodeState};
 use crate::router::RoundRobinRouter;
 
@@ -39,27 +38,20 @@ pub struct ClusterConfig {
     pub initial_nodes: usize,
     /// Template for every node's configuration (node ids are filled in).
     pub node_template: NodeConfig,
-    /// How commit metadata moves between nodes — topology, fanout, batch
-    /// budget, and the round interval (paper: all-to-all every 1 s).
-    pub dissemination: DisseminationConfig,
-    /// Whether nodes run local metadata GC in the maintenance loop.
-    pub local_gc_enabled: bool,
-    /// Local GC settings.
-    pub local_gc: LocalGcConfig,
-    /// Whether the global data GC runs in the maintenance loop.
-    pub global_gc_enabled: bool,
-    /// Global GC settings.
-    pub global_gc: GlobalGcConfig,
+    /// How often the background loop runs a dissemination round (paper:
+    /// 1 s). Slept on the *cluster clock*, so virtual-clock deployments run
+    /// rounds at simulation speed.
+    pub dissemination_interval: Duration,
+    /// Whether the maintenance loop garbage collects: local metadata GC on
+    /// every node (§5.1) and the global data GC (§5.2), which also gates
+    /// checkpoint log compaction.
+    pub gc_enabled: bool,
     /// How often the fault manager scans storage for lost commits and checks
     /// for failed nodes.
     pub fault_scan_interval: Duration,
     /// Delay before a replacement node becomes active (container download +
     /// metadata cache warm-up, §6.7).
     pub replacement_delay: Duration,
-    /// Tuning of the cluster's own pipelined I/O engine, used by the fault
-    /// manager's commit-set scans and the global GC's batched deletes (the
-    /// nodes each have their own engine, configured via `node_template.io`).
-    pub io: IoConfig,
 }
 
 impl Default for ClusterConfig {
@@ -67,14 +59,10 @@ impl Default for ClusterConfig {
         ClusterConfig {
             initial_nodes: 1,
             node_template: NodeConfig::default(),
-            dissemination: DisseminationConfig::default(),
-            local_gc_enabled: true,
-            local_gc: LocalGcConfig::default(),
-            global_gc_enabled: true,
-            global_gc: GlobalGcConfig::default(),
+            dissemination_interval: Duration::from_secs(1),
+            gc_enabled: true,
             fault_scan_interval: Duration::from_secs(5),
             replacement_delay: Duration::from_secs(50),
-            io: IoConfig::pipelined(),
         }
     }
 }
@@ -86,7 +74,7 @@ impl ClusterConfig {
         ClusterConfig {
             initial_nodes,
             node_template: NodeConfig::test(),
-            dissemination: DisseminationConfig::default().with_interval(Duration::from_millis(5)),
+            dissemination_interval: Duration::from_millis(5),
             fault_scan_interval: Duration::from_millis(5),
             replacement_delay: Duration::ZERO,
             ..ClusterConfig::default()
@@ -157,14 +145,14 @@ impl Cluster {
         let registry = NodeRegistry::new();
         let cluster = Arc::new(Cluster {
             router: RoundRobinRouter::new(Arc::clone(&registry)),
-            disseminator: Disseminator::new(config.dissemination, config.node_template.rng_seed),
+            disseminator: Disseminator::default(),
             fault_manager: Arc::new(FaultManager::new()),
-            global_gc: GlobalGc::new(config.global_gc),
+            global_gc: GlobalGc::default(),
             next_node_index: AtomicUsize::new(0),
             shutdown: Arc::new(AtomicBool::new(false)),
             background: Mutex::new(Vec::new()),
             bootstrap_interrupter: Mutex::new(None),
-            io: IoEngine::new(storage.clone(), config.io),
+            io: IoEngine::new(storage.clone(), IoConfig::pipelined()),
             registry,
             storage,
             clock,
@@ -315,13 +303,11 @@ impl Cluster {
             ..MaintenanceStats::default()
         };
         stats.recovered_commits = self.fault_manager.scan_commit_set(&self.io, &nodes)?;
-        if self.config.local_gc_enabled {
+        if self.config.gc_enabled {
             for node in &nodes {
-                let outcome = node.run_local_gc(&self.config.local_gc);
+                let outcome = node.run_local_gc(&LocalGcConfig::default());
                 stats.local_gc_deleted += outcome.deleted;
             }
-        }
-        if self.config.global_gc_enabled {
             stats.global_gc = self
                 .global_gc
                 .run_round(&self.fault_manager, &nodes, &self.io)?;
@@ -338,7 +324,7 @@ impl Cluster {
                 .all_nodes()
                 .iter()
                 .all(|(_, state)| *state == NodeState::Active);
-            let compact = self.config.global_gc_enabled && membership_stable;
+            let compact = self.config.gc_enabled && membership_stable;
             for node in &nodes {
                 match node.maybe_checkpoint(compact) {
                     Ok(Some(outcome)) => {
@@ -379,7 +365,7 @@ impl Cluster {
                     let _ = cluster.run_maintenance_round();
                     cluster
                         .clock
-                        .sleep_for(cluster.config.dissemination.interval);
+                        .sleep_for(cluster.config.dissemination_interval);
                 }
             })
         };
@@ -469,6 +455,20 @@ mod tests {
             );
         }
         assert_eq!(cluster.total_committed(), 1);
+    }
+
+    #[test]
+    fn three_nodes_disseminate_over_a_four_message_star() {
+        let cluster = test_cluster(3);
+        for (i, node) in cluster.active_nodes().iter().enumerate() {
+            run_txn(node, &format!("k{i}"), "v");
+        }
+        let stats = cluster.run_maintenance_round().unwrap().broadcast;
+        // Two leaves send up to the root and the root sends each leaf what
+        // it lacks: 2·(n−1) = 4 messages where the flat exchange sends 6,
+        // for the same six deliveries.
+        assert_eq!(stats.fanout_messages, 4);
+        assert_eq!(stats.multicast, 6);
     }
 
     #[test]

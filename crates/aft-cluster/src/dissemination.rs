@@ -1,5 +1,5 @@
-//! Commit-set multicast between AFT nodes (§4, §4.1) and its pluggable
-//! topologies (§4.2 at scale).
+//! Commit-set multicast between AFT nodes (§4, §4.1), moved by one
+//! convergecast/broadcast sweep over a spanning tree.
 //!
 //! Nodes commit without coordinating, so each node must learn which
 //! transactions its peers have committed before it can serve their data. A
@@ -14,171 +14,53 @@
 //! contended workloads this removes most of the metadata traffic.
 //!
 //! The paper's multicast hands every drained commit record to every peer —
-//! O(n²) messages per round, fine at the paper's 3 nodes and quadratic death
-//! at 100. This module generalises the broadcast into a [`Disseminator`]
-//! with three interchangeable topologies behind one
-//! [`DisseminationConfig`]:
+//! origins·(n−1) messages per round, fine at the paper's 3 nodes and
+//! quadratic at 100. It stays here only as [`broadcast_round`], the
+//! reference the sweep is tested and benchmarked against. A [`Disseminator`]
+//! instead places the active nodes, sorted by id, on a 3-ary tree (heap
+//! indexing: the parent of position `p` is `(p−1)/3`) and runs one sweep per
+//! round: every node batches its own commits with its children's
+//! contributions into ONE upward message (leaves first), then the root's
+//! aggregate flows back down, each child excluded from what it contributed.
+//! A round costs at most 2·(n−1) messages however many nodes committed — at
+//! 3 nodes the tree is a star that sends 4 where the flat exchange sends 6 —
+//! and every record still reaches every node within the round, so
+//! propagation lag stays one interval. Each edge-send counts one message per
+//! started 16 KiB of encoded records.
 //!
-//! * **All-to-all** — the paper's §4.2 behaviour, kept as the baseline:
-//!   every origin sends its batch directly to every peer (n·(n−1) messages
-//!   per all-origins round).
-//! * **Tree** — a k-ary spanning tree over the deterministically sorted
-//!   active nodes (heap indexing: the parent of position `p` is `(p−1)/k`).
-//!   Each round runs one convergecast/broadcast sweep: every node batches
-//!   its own commits with its children's contributions into ONE upward
-//!   message (leaves first), then the root's aggregate flows back down,
-//!   each child excluded from what it contributed. The whole round costs
-//!   at most 2·(n−1) messages *no matter how many nodes committed* — the
-//!   flat baseline pays origins·(n−1).
-//! * **Gossip** — seeded epidemic push: every node that learns a fresh
-//!   record forwards it to its ring successor plus `fanout − 1` seeded
-//!   random peers and then goes quiet for that record (infect-and-die).
-//!   The ring edge makes coverage deterministic — the infected set is
-//!   closed under ring succession, so one round always reaches every node —
-//!   while the random edges keep path diversity under partitions.
+//! Relays forward only records that were *new* to them
+//! ([`AftNode::receive_peer_commit`] returns `false` for duplicates and
+//! locally superseded records), which drops stale versions mid-flight — safe
+//! because the newest record of a key is never superseded anywhere and
+//! therefore always reaches every node.
 //!
-//! Relays forward inside the same maintenance round (store-and-forward is
-//! microseconds against a 1 s dissemination interval), so propagation lag
-//! stays ≈ one interval for every topology while the *message* count —
-//! what actually limits cluster scale — drops from O(n²) to O(n). Each
-//! node-to-node send coalesces its records into batches of at most
-//! [`DisseminationConfig::batch_bytes`] encoded bytes, and each batch is
-//! one counted message.
-//!
-//! Two invariants survive every topology:
-//!
-//! * The fault manager still observes the *unpruned* firehose at drain time
-//!   (§4.2's liveness backstop), before any topology, pruning, or partition
-//!   can thin the stream.
-//! * A [partitioned](Disseminator::arm_partition) edge delays metadata but
-//!   never loses it: cut deliveries park in per-edge retry queues and
-//!   re-enter the cascade when the partition heals; queues whose receiver
-//!   was replaced are drained by delivering to every live node (dedup
-//!   absorbs the redundancy).
-//!
-//! Relay-side pruning is free: a relay only forwards records that were
-//! *new* to it ([`AftNode::receive_peer_commit`] returns `false` for
-//! duplicates and locally superseded records), which both terminates the
-//! flood and drops stale versions mid-flight — safe because the newest
-//! record of a key is never superseded anywhere and therefore always
-//! floods the full graph.
+//! A [partitioned](Disseminator::arm_partition) edge delays metadata but
+//! never loses it: a cut send parks its batch on a retry queue. Once the
+//! edge heals, the batch is delivered at the start of a round and the
+//! records new to its receiver join that node's contribution to the round's
+//! sweep. A batch whose receiver was replaced is delivered to every live
+//! node instead (dedup absorbs the redundancy).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use aft_chaos::FaultSchedule;
 use aft_core::{is_superseded, AftNode};
 use aft_types::codec::encode_commit_record;
 use aft_types::{TransactionId, TransactionRecord};
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::fault_manager::FaultManager;
 
-/// Salt for the gossip target stream (decorrelates target selection from
-/// every other consumer of the cluster seed).
-const GOSSIP_SALT: u64 = 0x6055_1000_7A26_E75B;
+/// Spanning-tree arity: every node relays to at most this many children.
+const TREE_ARITY: usize = 3;
 
-/// How commit metadata moves between nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Topology {
-    /// Every origin sends to every peer directly (§4.2 baseline).
-    AllToAll,
-    /// Flood along a k-ary spanning tree (k = `fanout`); n−1 edge
-    /// crossings per record.
-    Tree,
-    /// Epidemic push to the ring successor plus `fanout − 1` seeded random
-    /// peers; duplicates dedup at the receiver (infect-and-die).
-    Gossip,
-}
+/// Maximum encoded bytes one message carries; a bigger edge-send counts as
+/// one message per started batch.
+const BATCH_BYTES: usize = 16 * 1024;
 
-impl Topology {
-    /// Every topology, in report order.
-    pub const ALL: [Topology; 3] = [Topology::AllToAll, Topology::Tree, Topology::Gossip];
-
-    /// A short label for reports and CLI flags.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Topology::AllToAll => "all_to_all",
-            Topology::Tree => "tree",
-            Topology::Gossip => "gossip",
-        }
-    }
-
-    /// Parses a [`Topology::label`].
-    pub fn from_label(label: &str) -> Option<Topology> {
-        Topology::ALL.into_iter().find(|t| t.label() == label)
-    }
-}
-
-/// The one knob set for commit-metadata dissemination, selected from
-/// `ClusterConfig`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DisseminationConfig {
-    /// The dissemination topology.
-    pub topology: Topology,
-    /// Tree arity, or gossip push targets per fresh batch (ignored by
-    /// all-to-all).
-    pub fanout: usize,
-    /// Maximum encoded bytes coalesced into one message; a bigger batch is
-    /// split and each piece counted as its own message.
-    pub batch_bytes: usize,
-    /// How often the background loop runs a dissemination round (paper:
-    /// 1 s). Slept on the *cluster clock*, so virtual-clock deployments run
-    /// rounds at simulation speed.
-    pub interval: Duration,
-}
-
-impl Default for DisseminationConfig {
-    fn default() -> Self {
-        DisseminationConfig {
-            topology: Topology::AllToAll,
-            fanout: 3,
-            batch_bytes: 16 * 1024,
-            interval: Duration::from_secs(1),
-        }
-    }
-}
-
-impl DisseminationConfig {
-    /// The paper's flat broadcast (the default).
-    pub fn all_to_all() -> Self {
-        DisseminationConfig::default()
-    }
-
-    /// A k-ary spanning-tree relay.
-    pub fn tree(fanout: usize) -> Self {
-        DisseminationConfig {
-            topology: Topology::Tree,
-            fanout: fanout.max(1),
-            ..DisseminationConfig::default()
-        }
-    }
-
-    /// Epidemic gossip with `fanout` push targets.
-    pub fn gossip(fanout: usize) -> Self {
-        DisseminationConfig {
-            topology: Topology::Gossip,
-            fanout: fanout.max(1),
-            ..DisseminationConfig::default()
-        }
-    }
-
-    /// Sets the round interval.
-    pub fn with_interval(mut self, interval: Duration) -> Self {
-        self.interval = interval;
-        self
-    }
-
-    /// Sets the per-message batch budget.
-    pub fn with_batch_bytes(mut self, batch_bytes: usize) -> Self {
-        self.batch_bytes = batch_bytes.max(1);
-        self
-    }
-}
+type Records = Vec<Arc<TransactionRecord>>;
 
 /// Statistics from one dissemination round across all nodes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -189,14 +71,14 @@ pub struct BroadcastStats {
     pub multicast: usize,
     /// Records omitted because the sender already considered them superseded.
     pub pruned: usize,
-    /// Node-to-node messages sent (one coalesced batch of at most
-    /// `batch_bytes` encoded bytes per message) — the quantity that limits
-    /// cluster scale.
+    /// Node-to-node messages sent (one coalesced batch of at most 16 KiB of
+    /// encoded records per message) — the quantity that limits cluster
+    /// scale.
     pub fanout_messages: usize,
     /// Encoded commit-record bytes put on the wire.
     pub bytes: u64,
-    /// Deliveries the receiver already knew and deduplicated (gossip
-    /// redundancy, retry floods).
+    /// Deliveries the receiver already knew or saw superseded, and
+    /// deduplicated (healed retries, replaced-receiver floods).
     pub duplicates: usize,
     /// Deliveries dropped on a partitioned edge and parked for retry.
     pub link_drops: usize,
@@ -226,7 +108,7 @@ impl BroadcastStats {
 struct RetryEntry {
     sender: String,
     receiver: String,
-    records: Vec<Arc<TransactionRecord>>,
+    records: Records,
 }
 
 /// An armed partition: the seeded edge-cut schedule plus the round at which
@@ -238,21 +120,10 @@ struct ArmedPartition {
     base_round: u64,
 }
 
-/// One batch mid-flood: `holder` has applied (or originated) `records` and
-/// owes them to its topology neighbours; `from` is the tree edge the batch
-/// arrived on (excluded when forwarding).
-struct CascadeItem {
-    holder: usize,
-    from: Option<usize>,
-    records: Vec<Arc<TransactionRecord>>,
-}
-
 /// The cluster's dissemination engine: drains every node's recent commits
-/// each round and moves them through the configured [`Topology`].
-#[derive(Debug)]
+/// each round and moves them through one spanning-tree sweep.
+#[derive(Debug, Default)]
 pub struct Disseminator {
-    config: DisseminationConfig,
-    seed: u64,
     round: AtomicU64,
     partition: Mutex<Option<ArmedPartition>>,
     retry: Mutex<Vec<RetryEntry>>,
@@ -260,28 +131,6 @@ pub struct Disseminator {
 }
 
 impl Disseminator {
-    /// A disseminator over `config`; `seed` steers gossip target selection.
-    pub fn new(config: DisseminationConfig, seed: u64) -> Self {
-        Disseminator {
-            config,
-            seed,
-            round: AtomicU64::new(0),
-            partition: Mutex::new(None),
-            retry: Mutex::new(Vec::new()),
-            totals: Mutex::new(BroadcastStats::default()),
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> DisseminationConfig {
-        self.config
-    }
-
-    /// Rounds run so far.
-    pub fn rounds(&self) -> u64 {
-        self.round.load(Ordering::Relaxed)
-    }
-
     /// Statistics accumulated over every round since construction.
     pub fn totals(&self) -> BroadcastStats {
         *self.totals.lock()
@@ -312,8 +161,9 @@ impl Disseminator {
         }
     }
 
-    /// Runs one dissemination round over `nodes` and returns its statistics
-    /// (also folded into [`Disseminator::totals`]).
+    /// Runs one dissemination round over `nodes` — drain, healed retries,
+    /// sweep — and returns its statistics (also folded into
+    /// [`Disseminator::totals`]).
     pub fn round(
         &self,
         nodes: &[Arc<AftNode>],
@@ -326,128 +176,82 @@ impl Disseminator {
         }
 
         // Deterministic positions: sort by (length, id) so "aft-node-10"
-        // follows "aft-node-9" and every node computes the same tree/ring.
-        let mut order: Vec<usize> = (0..nodes.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (ida, idb) = (nodes[a].node_id(), nodes[b].node_id());
-            (ida.len(), ida).cmp(&(idb.len(), idb))
-        });
-        let by_pos: Vec<Arc<AftNode>> = order.into_iter().map(|i| Arc::clone(&nodes[i])).collect();
-        let pos_of: HashMap<String, usize> = by_pos
-            .iter()
-            .enumerate()
-            .map(|(pos, node)| (node.node_id().to_owned(), pos))
-            .collect();
-
-        let mut cascade: Vec<CascadeItem> = Vec::new();
+        // follows "aft-node-9" and every node computes the same tree.
+        let mut by_pos: Vec<&AftNode> = nodes.iter().map(Arc::as_ref).collect();
+        by_pos.sort_by_key(|node| (node.node_id().len(), node.node_id()));
 
         // Drain first so commits arriving during the round go to the next
         // one; the fault manager sees the unpruned stream before anything
         // else touches it (§4.2).
-        for (pos, node) in by_pos.iter().enumerate() {
-            let drained = node.drain_recent_commits();
-            stats.drained += drained.len();
-            if drained.is_empty() {
-                continue;
-            }
-            if let Some(fm) = fault_manager {
-                fm.observe_commits(drained.iter().cloned());
-            }
-            let outgoing: Vec<Arc<TransactionRecord>> = drained
-                .into_iter()
-                .filter(|record| {
-                    let superseded = is_superseded(record, node.metadata());
-                    if superseded {
-                        stats.pruned += 1;
-                    }
-                    !superseded
-                })
-                .collect();
-            if !outgoing.is_empty() {
-                cascade.push(CascadeItem {
-                    holder: pos,
-                    from: None,
-                    records: outgoing,
-                });
-            }
-        }
-
-        // The tree topology moves the drained seeds through one
-        // convergecast/broadcast sweep — 2·(n−1) messages total. The seeds
-        // are consumed here; what remains in `cascade` afterwards is only
-        // healed retry re-injections, which take the generic flood below.
-        if self.config.topology == Topology::Tree {
-            let seeds = std::mem::take(&mut cascade);
-            self.tree_sweep(round, &by_pos, seeds, &mut stats);
-        }
-
-        self.drain_retries(round, &by_pos, &pos_of, &mut cascade, &mut stats);
-
-        // Cascade to quiescence in waves: each wave, every holder coalesces
-        // all the batches it owes a given edge into ONE send, so a message
-        // carries every record crossing that edge this wave (this is where
-        // tree/gossip beat all-to-all on message count, not just on batch
-        // size). Relays forward only records that were new to them, so each
-        // record triggers at most one forward per node and the waves drain.
-        let mut wave = cascade;
-        while !wave.is_empty() {
-            let mut sends: Vec<(usize, usize, Vec<Arc<TransactionRecord>>)> = Vec::new();
-            let mut edge_slot: HashMap<(usize, usize), usize> = HashMap::new();
-            for item in &wave {
-                for target in self.targets(round, item.holder, item.from, by_pos.len()) {
-                    let slot = *edge_slot.entry((item.holder, target)).or_insert_with(|| {
-                        sends.push((item.holder, target, Vec::new()));
-                        sends.len() - 1
-                    });
-                    sends[slot].2.extend(item.records.iter().cloned());
-                }
-            }
-            let mut next = Vec::new();
-            for (sender, target, records) in sends {
-                let (from, to) = (&by_pos[sender], &by_pos[target]);
-                if let Some(fresh) = self.send(round, from, to, records, &mut stats) {
-                    self.relay(&mut next, target, Some(sender), fresh);
-                }
-            }
-            wave = next;
-        }
+        let mut contrib: Vec<Records> = by_pos
+            .iter()
+            .map(|node| drain(node, fault_manager, &mut stats))
+            .collect();
+        self.deliver_retries(round, &by_pos, &mut contrib, &mut stats);
+        self.tree_sweep(round, &by_pos, contrib, &mut stats);
 
         let mut totals = self.totals.lock();
         *totals = totals.merge(stats);
         stats
     }
 
-    /// One convergecast/broadcast sweep over the k-ary tree: ascending
-    /// positions are a topological order (the parent `(p−1)/k` is always
-    /// below `p`), so a reverse pass aggregates leaves-to-root — each node
-    /// sends its own drains plus its children's fresh contributions upward
-    /// in ONE message — and a forward pass distributes the root's aggregate
-    /// back down, each child excluded from exactly what it sent up. Every
-    /// record reaches every node once; cut edges park their whole batch on
-    /// the retry queue.
+    /// Re-attempts every parked batch ahead of the sweep. A healed edge
+    /// delivers to its receiver, and the records new there join that node's
+    /// contribution (`contrib`) to this round's sweep. A batch whose receiver
+    /// is gone (the node was replaced) is delivered to every live node
+    /// instead — the same role the fault manager plays for §4.2 — so a
+    /// partition can delay metadata but never lose it.
+    fn deliver_retries(
+        &self,
+        round: u64,
+        by_pos: &[&AftNode],
+        contrib: &mut [Records],
+        stats: &mut BroadcastStats,
+    ) {
+        let parked = std::mem::take(&mut *self.retry.lock());
+        let mut still_parked = Vec::new();
+        for entry in parked {
+            match by_pos.iter().position(|n| n.node_id() == entry.receiver) {
+                Some(_) if self.is_cut(round, &entry.sender, &entry.receiver) => {
+                    still_parked.push(entry);
+                }
+                Some(pos) => {
+                    stats.retried += entry.records.len();
+                    let fresh = deliver(by_pos[pos], &entry.records, stats);
+                    contrib[pos].extend(fresh);
+                }
+                None => {
+                    stats.retried += entry.records.len();
+                    for receiver in by_pos {
+                        deliver(receiver, &entry.records, stats);
+                    }
+                }
+            }
+        }
+        self.retry.lock().extend(still_parked);
+    }
+
+    /// One convergecast/broadcast sweep over the tree: ascending positions
+    /// are a topological order (the parent `(p−1)/k` is always below `p`),
+    /// so a reverse pass aggregates leaves-to-root — each node sends its own
+    /// contribution plus its children's fresh records upward in ONE message
+    /// — and a forward pass distributes the root's aggregate back down, each
+    /// child excluded from exactly what it sent up. Every record reaches
+    /// every node once; cut edges park their whole batch on the retry queue.
     fn tree_sweep(
         &self,
         round: u64,
-        by_pos: &[Arc<AftNode>],
-        seeds: Vec<CascadeItem>,
+        by_pos: &[&AftNode],
+        mut contrib: Vec<Records>,
         stats: &mut BroadcastStats,
     ) {
         let n = by_pos.len();
-        if n <= 1 {
-            return;
-        }
-        let k = self.config.fanout.max(1);
-        // What each node announces upward: its own drains, then fresh
-        // records its children pushed up.
-        let mut contrib: Vec<Vec<Arc<TransactionRecord>>> = vec![Vec::new(); n];
-        for seed in seeds {
-            contrib[seed.holder].extend(seed.records);
-        }
+        let k = TREE_ARITY;
         // Which transaction ids each child edge carried upward (attempted,
         // fresh or not) — excluded from that child's downcast payload.
         let mut from_child: Vec<HashMap<usize, HashSet<TransactionId>>> = vec![HashMap::new(); n];
         // What each node received from its parent on the way down.
-        let mut received_down: Vec<Vec<Arc<TransactionRecord>>> = vec![Vec::new(); n];
+        let mut received_down: Vec<Records> = vec![Vec::new(); n];
 
         // Upcast, leaves first.
         for p in (1..n).rev() {
@@ -457,7 +261,7 @@ impl Disseminator {
             let parent = (p - 1) / k;
             let batch = contrib[p].clone();
             let carried = batch.iter().map(|r| r.id).collect();
-            if let Some(fresh) = self.send(round, &by_pos[p], &by_pos[parent], batch, stats) {
+            if let Some(fresh) = self.send(round, by_pos[p], by_pos[parent], batch, stats) {
                 from_child[parent].insert(p, carried);
                 contrib[parent].extend(fresh);
             }
@@ -465,7 +269,7 @@ impl Disseminator {
 
         // Downcast, root first.
         for p in 0..n {
-            let known: Vec<Arc<TransactionRecord>> = contrib[p]
+            let known: Records = contrib[p]
                 .iter()
                 .chain(received_down[p].iter())
                 .cloned()
@@ -473,12 +277,9 @@ impl Disseminator {
             if known.is_empty() {
                 continue;
             }
-            for child in (k * p + 1)..=(k * p + k) {
-                if child >= n {
-                    break;
-                }
+            for child in (k * p + 1)..(k * p + k + 1).min(n) {
                 let exclude = from_child[p].get(&child);
-                let payload: Vec<Arc<TransactionRecord>> = known
+                let payload: Records = known
                     .iter()
                     .filter(|record| !exclude.is_some_and(|ids| ids.contains(&record.id)))
                     .cloned()
@@ -486,51 +287,9 @@ impl Disseminator {
                 if payload.is_empty() {
                     continue;
                 }
-                if let Some(fresh) = self.send(round, &by_pos[p], &by_pos[child], payload, stats) {
+                if let Some(fresh) = self.send(round, by_pos[p], by_pos[child], payload, stats) {
                     received_down[child] = fresh;
                 }
-            }
-        }
-    }
-
-    /// The positions `holder` owes a batch to this round.
-    fn targets(&self, round: u64, holder: usize, from: Option<usize>, n: usize) -> Vec<usize> {
-        if n <= 1 {
-            return Vec::new();
-        }
-        match self.config.topology {
-            Topology::AllToAll => (0..n).filter(|&p| p != holder).collect(),
-            Topology::Tree => {
-                let k = self.config.fanout.max(1);
-                let mut neighbours = Vec::with_capacity(k + 1);
-                if holder > 0 {
-                    neighbours.push((holder - 1) / k);
-                }
-                for child in (k * holder + 1)..=(k * holder + k) {
-                    if child < n {
-                        neighbours.push(child);
-                    }
-                }
-                neighbours.retain(|&p| Some(p) != from);
-                neighbours
-            }
-            Topology::Gossip => {
-                let fanout = self.config.fanout.max(1).min(n - 1);
-                let mut targets = vec![(holder + 1) % n];
-                let stream = (self.seed ^ GOSSIP_SALT)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(
-                        (round ^ (holder as u64).rotate_left(32))
-                            .wrapping_mul(0xBF58_476D_1CE4_E5B9),
-                    );
-                let mut rng = StdRng::seed_from_u64(stream);
-                while targets.len() < fanout {
-                    let pick = rng.gen_range(0..n);
-                    if pick != holder && !targets.contains(&pick) {
-                        targets.push(pick);
-                    }
-                }
-                targets
             }
         }
     }
@@ -543,9 +302,9 @@ impl Disseminator {
         round: u64,
         sender: &AftNode,
         receiver: &AftNode,
-        records: Vec<Arc<TransactionRecord>>,
+        records: Records,
         stats: &mut BroadcastStats,
-    ) -> Option<Vec<Arc<TransactionRecord>>> {
+    ) -> Option<Records> {
         if self.is_cut(round, sender.node_id(), receiver.node_id()) {
             stats.link_drops += records.len();
             self.retry.lock().push(RetryEntry {
@@ -555,105 +314,86 @@ impl Disseminator {
             });
             return None;
         }
-        Some(self.deliver(receiver, &records, stats))
-    }
-
-    /// Delivers one edge-send: counts its encoded bytes, split into messages
-    /// of at most `batch_bytes` each, hands every record to `receiver`, and
-    /// returns the ones it did not already know.
-    fn deliver(
-        &self,
-        receiver: &AftNode,
-        records: &[Arc<TransactionRecord>],
-        stats: &mut BroadcastStats,
-    ) -> Vec<Arc<TransactionRecord>> {
-        let bytes: usize = records
-            .iter()
-            .map(|record| encode_commit_record(record).len())
-            .sum();
-        stats.bytes += bytes as u64;
-        stats.fanout_messages += bytes.div_ceil(self.config.batch_bytes.max(1)).max(1);
-        let fresh: Vec<Arc<TransactionRecord>> = records
-            .iter()
-            .filter(|record| receiver.receive_peer_commit(record))
-            .cloned()
-            .collect();
-        stats.multicast += records.len();
-        stats.duplicates += records.len() - fresh.len();
-        fresh
-    }
-
-    /// Queues what `holder` freshly applied for forwarding to its own
-    /// neighbours — relay topologies only; all-to-all senders reach everyone
-    /// themselves.
-    fn relay(
-        &self,
-        cascade: &mut Vec<CascadeItem>,
-        holder: usize,
-        from: Option<usize>,
-        records: Vec<Arc<TransactionRecord>>,
-    ) {
-        if !records.is_empty() && self.config.topology != Topology::AllToAll {
-            cascade.push(CascadeItem {
-                holder,
-                from,
-                records,
-            });
-        }
-    }
-
-    /// Re-attempts every parked batch: healed edges re-enter the cascade at
-    /// the receiver; batches whose receiver is gone (the node was replaced)
-    /// fall back to delivering to every live node — the same role the fault
-    /// manager plays for §4.2 — so a partition can delay metadata but never
-    /// lose it.
-    fn drain_retries(
-        &self,
-        round: u64,
-        by_pos: &[Arc<AftNode>],
-        pos_of: &HashMap<String, usize>,
-        cascade: &mut Vec<CascadeItem>,
-        stats: &mut BroadcastStats,
-    ) {
-        let parked = std::mem::take(&mut *self.retry.lock());
-        let mut still_parked = Vec::new();
-        for entry in parked {
-            match pos_of.get(&entry.receiver) {
-                Some(_) if self.is_cut(round, &entry.sender, &entry.receiver) => {
-                    still_parked.push(entry);
-                }
-                Some(&target) => {
-                    stats.retried += entry.records.len();
-                    let fresh = self.deliver(&by_pos[target], &entry.records, stats);
-                    let from = pos_of.get(&entry.sender).copied();
-                    self.relay(cascade, target, from, fresh);
-                }
-                None => {
-                    // The receiver died holding the only copy routed its
-                    // way; flood every live node instead (dedup absorbs).
-                    stats.retried += entry.records.len();
-                    for receiver in by_pos {
-                        self.deliver(receiver, &entry.records, stats);
-                    }
-                }
-            }
-        }
-        self.retry.lock().extend(still_parked);
+        Some(deliver(receiver, &records, stats))
     }
 }
 
-/// Runs one flat all-to-all multicast round: every node drains its recent
-/// commits, sends the unpruned stream to the fault manager, prunes
-/// superseded records, and delivers the rest to every *other* node.
+/// Drains `node`'s recent commits, shows the unpruned stream to the fault
+/// manager (§4.2), and returns the records `node` does not already consider
+/// superseded (§4.1).
+fn drain(
+    node: &AftNode,
+    fault_manager: Option<&FaultManager>,
+    stats: &mut BroadcastStats,
+) -> Records {
+    let drained = node.drain_recent_commits();
+    stats.drained += drained.len();
+    if drained.is_empty() {
+        return drained;
+    }
+    if let Some(fm) = fault_manager {
+        fm.observe_commits(drained.iter().cloned());
+    }
+    let count = drained.len();
+    let outgoing: Records = drained
+        .into_iter()
+        .filter(|record| !is_superseded(record, node.metadata()))
+        .collect();
+    stats.pruned += count - outgoing.len();
+    outgoing
+}
+
+/// Delivers one edge-send: counts its encoded bytes, one message per started
+/// [`BATCH_BYTES`], hands every record to `receiver`, and returns the ones it
+/// did not already know.
+fn deliver(
+    receiver: &AftNode,
+    records: &[Arc<TransactionRecord>],
+    stats: &mut BroadcastStats,
+) -> Records {
+    let bytes: usize = records
+        .iter()
+        .map(|record| encode_commit_record(record).len())
+        .sum();
+    stats.bytes += bytes as u64;
+    stats.fanout_messages += bytes.div_ceil(BATCH_BYTES).max(1);
+    let fresh: Records = records
+        .iter()
+        .filter(|record| receiver.receive_peer_commit(record))
+        .cloned()
+        .collect();
+    stats.multicast += records.len();
+    stats.duplicates += records.len() - fresh.len();
+    fresh
+}
+
+/// Runs one round of the paper's flat §4.2 exchange: every node drains its
+/// recent commits, sends the unpruned stream to the fault manager, prunes
+/// superseded records, and delivers the rest straight to every *other*
+/// node — origins·(n−1) messages.
 ///
-/// This is the paper's §4.2 exchange, kept as a standalone entry point for
-/// tests and small deployments; clusters route through their configured
-/// [`Disseminator`] instead.
+/// This is the reference the sweep is measured against (no partitions, no
+/// retries); clusters run a [`Disseminator`] instead.
 pub fn broadcast_round(
     nodes: &[Arc<AftNode>],
     fault_manager: Option<&FaultManager>,
 ) -> BroadcastStats {
-    Disseminator::new(DisseminationConfig::all_to_all(), 0).round(nodes, fault_manager)
+    let mut stats = BroadcastStats::default();
+    let outgoing: Vec<Records> = nodes
+        .iter()
+        .map(|node| drain(node, fault_manager, &mut stats))
+        .collect();
+    for (origin, records) in outgoing.iter().enumerate() {
+        if records.is_empty() {
+            continue;
+        }
+        for (peer, receiver) in nodes.iter().enumerate() {
+            if peer != origin {
+                deliver(receiver, records, &mut stats);
+            }
+        }
+    }
+    stats
 }
 
 #[cfg(test)]
@@ -663,7 +403,7 @@ pub(crate) mod tests {
     use aft_core::NodeConfig;
     use aft_storage::{InMemoryStore, SharedStorage};
     use aft_types::clock::TickingClock;
-    use aft_types::{Key, TransactionId};
+    use aft_types::Key;
     use bytes::Bytes;
 
     pub(crate) fn cluster_of(n: usize) -> (Vec<Arc<AftNode>>, SharedStorage) {
@@ -691,6 +431,14 @@ pub(crate) mod tests {
         node.commit(&t).unwrap()
     }
 
+    fn commit_everywhere(nodes: &[Arc<AftNode>]) -> Vec<TransactionId> {
+        nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| commit_on(node, &format!("k{i}"), "v"))
+            .collect()
+    }
+
     fn everyone_knows(nodes: &[Arc<AftNode>], ids: &[TransactionId]) {
         for node in nodes {
             for id in ids {
@@ -707,11 +455,8 @@ pub(crate) mod tests {
     fn tree_floods_every_node_in_one_round() {
         for n in [2usize, 3, 7, 16, 33] {
             let (nodes, _s) = cluster_of(n);
-            let d = Disseminator::new(DisseminationConfig::tree(3), 7);
-            let mut ids = Vec::new();
-            for (i, node) in nodes.iter().enumerate() {
-                ids.push(commit_on(node, &format!("k{i}"), "v"));
-            }
+            let d = Disseminator::default();
+            let ids = commit_everywhere(&nodes);
             let stats = d.round(&nodes, None);
             everyone_knows(&nodes, &ids);
             // Every record reaches each of the other n−1 nodes exactly
@@ -726,54 +471,18 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn gossip_covers_every_node_and_dedups() {
-        for n in [2usize, 5, 16, 40] {
-            let (nodes, _s) = cluster_of(n);
-            let d = Disseminator::new(DisseminationConfig::gossip(3), 42);
-            let mut ids = Vec::new();
-            for (i, node) in nodes.iter().enumerate() {
-                ids.push(commit_on(node, &format!("k{i}"), "v"));
-            }
-            let stats = d.round(&nodes, None);
-            everyone_knows(&nodes, &ids);
-            // Infect-and-die: every node pushes a record at most once, so
-            // deliveries per record are at most n·fanout.
-            assert!(
-                stats.fanout_messages <= n * n * 3,
-                "n={n}: {} messages",
-                stats.fanout_messages
-            );
-            // Fresh applications are exactly n−1 per record; the rest dedup.
-            assert_eq!(stats.multicast - stats.duplicates, n * (n - 1), "n={n}");
-        }
-    }
-
-    #[test]
-    fn tree_and_gossip_send_fewer_messages_than_all_to_all() {
+    fn sweep_sends_fewer_messages_than_all_to_all() {
         let n = 24;
-        let mut per_topology = Vec::new();
-        for config in [
-            DisseminationConfig::all_to_all(),
-            DisseminationConfig::tree(3),
-            DisseminationConfig::gossip(2),
-        ] {
-            let (nodes, _s) = cluster_of(n);
-            let d = Disseminator::new(config, 5);
-            for (i, node) in nodes.iter().enumerate() {
-                commit_on(node, &format!("k{i}"), "v");
-            }
-            let stats = d.round(&nodes, None);
-            per_topology.push((config.topology, stats.fanout_messages));
-        }
-        let flat = per_topology[0].1;
-        assert_eq!(flat, n * (n - 1));
-        for &(topology, messages) in &per_topology[1..] {
-            assert!(
-                messages < flat,
-                "{} sent {messages}, not below all-to-all's {flat}",
-                topology.label()
-            );
-        }
+        let (flat_nodes, _s) = cluster_of(n);
+        commit_everywhere(&flat_nodes);
+        let flat = broadcast_round(&flat_nodes, None);
+        let (nodes, _t) = cluster_of(n);
+        commit_everywhere(&nodes);
+        let sweep = Disseminator::default().round(&nodes, None);
+        assert_eq!(flat.fanout_messages, n * (n - 1));
+        assert_eq!(sweep.fanout_messages, 2 * (n - 1));
+        // Same deliveries, far fewer messages.
+        assert_eq!(sweep.multicast, flat.multicast);
     }
 
     #[test]
@@ -782,12 +491,8 @@ pub(crate) mod tests {
         for i in 0..20 {
             commit_on(&nodes[0], &format!("k{i}"), "v");
         }
-        // A generous batch budget coalesces all 20 records into one message
-        // per edge; a 1-byte budget degenerates to one message per record's
-        // bytes.
-        let coalesced =
-            Disseminator::new(DisseminationConfig::tree(2).with_batch_bytes(1 << 20), 0)
-                .round(&nodes, None);
+        // All 20 small records fit one 16 KiB batch: one message.
+        let coalesced = Disseminator::default().round(&nodes, None);
         assert_eq!(coalesced.multicast, 20);
         assert_eq!(coalesced.fanout_messages, 1);
         assert!(coalesced.bytes > 0);
@@ -797,22 +502,21 @@ pub(crate) mod tests {
     fn partition_parks_deliveries_and_heals_with_zero_loss() {
         let n = 9;
         let (nodes, _s) = cluster_of(n);
-        let d = Disseminator::new(DisseminationConfig::tree(2), 3);
+        let d = Disseminator::default();
         // Cut 60% of edges for rounds [0, 3) relative to arming.
         let spec = ChaosSpec::new(0xBEEF).partition(PartitionChaos::cut(0.6, 0, 3));
         d.arm_partition(spec.schedule());
 
-        let mut ids = Vec::new();
-        for (i, node) in nodes.iter().enumerate() {
-            ids.push(commit_on(node, &format!("k{i}"), "v"));
-        }
+        let ids = commit_everywhere(&nodes);
         let cut_round = d.round(&nodes, None);
         assert!(cut_round.link_drops > 0, "a 60% cut must drop something");
         assert!(d.pending_retries() > 0);
 
-        // Run past the heal; parked batches drain and re-flood.
+        // Rounds 1 and 2 stay cut; round 3 is the first past the window.
+        // Its parked batches are delivered first and ride that round's
+        // sweep, so one healed round is enough.
         let mut healed = BroadcastStats::default();
-        for _ in 0..6 {
+        for _ in 1..=3 {
             healed = healed.merge(d.round(&nodes, None));
         }
         assert_eq!(d.pending_retries(), 0, "heal must drain the retry queues");
@@ -823,16 +527,16 @@ pub(crate) mod tests {
     #[test]
     fn parked_batches_for_a_replaced_node_flood_everyone() {
         let (nodes, storage) = cluster_of(4);
-        let d = Disseminator::new(DisseminationConfig::tree(1), 1);
-        // Arity-1 tree is a chain: node-0 → node-1 → node-2 → node-3. Cut
-        // everything for one round so the chain parks its deliveries.
+        let d = Disseminator::default();
+        // Four nodes are a star: node-0 → node-1, node-2, node-3. Cut
+        // everything for one round so the root parks its downcasts.
         let spec = ChaosSpec::new(1).partition(PartitionChaos::cut(1.0, 0, 1));
         d.arm_partition(spec.schedule());
         let id = commit_on(&nodes[0], "k", "v");
         d.round(&nodes, None);
         assert!(d.pending_retries() > 0);
 
-        // Replace node-1 (the parked receiver) with a fresh identity before
+        // Replace node-1 (a parked receiver) with a fresh identity before
         // the heal: the orphaned batch must flood the survivors instead.
         let clock = TickingClock::shared(1, 1);
         let replacement = AftNode::with_clock(
@@ -857,7 +561,7 @@ pub(crate) mod tests {
     #[test]
     fn relays_prune_superseded_records_mid_flight() {
         let (nodes, _s) = cluster_of(8);
-        let d = Disseminator::new(DisseminationConfig::tree(2), 0);
+        let d = Disseminator::default();
         // Two versions of one key from different origins: after the flood,
         // every node agrees on the newer version, and the superseded one is
         // not re-flooded by relays that already saw the newer.
@@ -876,17 +580,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn topology_labels_round_trip() {
-        for topology in Topology::ALL {
-            assert_eq!(Topology::from_label(topology.label()), Some(topology));
-        }
-        assert_eq!(Topology::from_label("ring"), None);
-    }
-
-    #[test]
     fn totals_accumulate_across_rounds() {
         let (nodes, _s) = cluster_of(3);
-        let d = Disseminator::new(DisseminationConfig::all_to_all(), 0);
+        let d = Disseminator::default();
         commit_on(&nodes[0], "a", "1");
         d.round(&nodes, None);
         commit_on(&nodes[1], "b", "2");
@@ -894,6 +590,5 @@ pub(crate) mod tests {
         let totals = d.totals();
         assert_eq!(totals.drained, 2);
         assert_eq!(totals.multicast, 4);
-        assert_eq!(d.rounds(), 2);
     }
 }

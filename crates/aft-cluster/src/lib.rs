@@ -11,10 +11,10 @@
 //! * [`router`] — the stateless round-robin load balancer that assigns each
 //!   logical request to one AFT node (§6).
 //! * [`dissemination`] — the periodic commit-set multicast between nodes,
-//!   with supersedence pruning (§4, §4.1), and its pluggable topologies: the
-//!   flat all-to-all baseline, a batched k-ary spanning-tree relay, and seeded
-//!   epidemic gossip, so metadata traffic scales O(n) instead of O(n²) on
-//!   large clusters, with seeded edge-cut (partition) injection.
+//!   with supersedence pruning (§4, §4.1), moved by one batched
+//!   convergecast/broadcast sweep over a spanning tree so metadata traffic
+//!   scales O(n) instead of the flat exchange's O(n²), with seeded edge-cut
+//!   (partition) injection.
 //! * [`fault_manager`] — the out-of-band process that receives the unpruned
 //!   commit stream, scans the Transaction Commit Set for commits whose
 //!   broadcast was lost (liveness, §4.2), detects failed nodes and brings up
@@ -39,9 +39,7 @@ pub mod router;
 
 pub use chaos::{ChaosController, KillPlan, RecoveryOutcome};
 pub use cluster::{Cluster, ClusterConfig};
-pub use dissemination::{
-    broadcast_round, BroadcastStats, DisseminationConfig, Disseminator, Topology,
-};
+pub use dissemination::{broadcast_round, BroadcastStats, Disseminator};
 pub use fault_manager::FaultManager;
 pub use global_gc::{GlobalGc, GlobalGcConfig, GlobalGcOutcome};
 pub use membership::{NodeRegistry, NodeState};
@@ -120,7 +118,7 @@ mod broadcast {
         fn all_to_all_messages_grow_quadratically() {
             // Every one of the n origins delivers its record to n−1 peers: the
             // flat exchange costs n·(n−1) messages per round — the quadratic
-            // cost the tree/gossip topologies exist to remove.
+            // cost the spanning-tree sweep exists to remove.
             let (nodes, _storage) = cluster_of(6);
             for (i, node) in nodes.iter().enumerate() {
                 commit_on(node, &format!("k{i}"), "v");

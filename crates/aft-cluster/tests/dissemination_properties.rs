@@ -1,16 +1,15 @@
 //! Property tests for commit-metadata dissemination.
 //!
-//! The claim the topologies make: tree and gossip are *pure transports* —
-//! for any interleaving of commits and rounds, every node converges to the
-//! same committed state the flat all-to-all broadcast produces (modulo
-//! §4.1 supersedence, which is a property of the metadata cache, not the
-//! transport), and the receiver-side dedup keeps redundant gossip
-//! deliveries idempotent.
+//! The claim the spanning-tree sweep makes: it is a *pure transport* — for
+//! any interleaving of commits and rounds, every node converges to the same
+//! committed state the paper's flat exchange (`broadcast_round`) produces
+//! (modulo §4.1 supersedence, which is a property of the metadata cache, not
+//! the transport), and receiver-side dedup keeps re-deliveries idempotent.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use aft_cluster::{DisseminationConfig, Disseminator};
+use aft_cluster::{broadcast_round, Disseminator};
 use aft_core::{AftNode, NodeConfig};
 use aft_storage::{InMemoryStore, SharedStorage};
 use aft_types::clock::TickingClock;
@@ -46,68 +45,64 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// For an arbitrary script of commits interleaved with dissemination
-    /// rounds, every topology leaves every node knowing every commit —
-    /// either directly committed, or legitimately superseded by a newer
-    /// version of the same key (§4.1) — and every node resolves each key
-    /// to the id of its last writer, exactly like all-to-all does.
+    /// rounds, run once through the sweep and once through the flat
+    /// reference on two clusters: every node resolves every key to the same
+    /// script commit in both, and knows every commit — either directly
+    /// committed, or legitimately superseded by a newer version of the same
+    /// key (§4.1).
     #[test]
-    fn every_topology_converges_like_all_to_all(
+    fn sweep_converges_like_broadcast_round(
         n in 2usize..12,
-        fanout in 1usize..5,
-        seed in any::<u64>(),
         script in proptest::collection::vec(
             proptest::collection::vec((any::<usize>(), 0usize..6), 0..5),
             1..4,
         ),
     ) {
-        for config in [
-            DisseminationConfig::all_to_all(),
-            DisseminationConfig::tree(fanout),
-            DisseminationConfig::gossip(fanout),
-        ] {
-            let nodes = cluster_of(n);
-            let d = Disseminator::new(config, seed);
-            let mut issued: Vec<(TransactionId, usize)> = Vec::new();
-            for batch in &script {
-                for &(node_pick, key_pick) in batch {
-                    let node = &nodes[node_pick % n];
-                    issued.push((commit_on(node, &format!("k{key_pick}")), key_pick));
+        let clusters = [cluster_of(n), cluster_of(n)];
+        let d = Disseminator::default();
+        // Per cluster, the ids in script order, and each id's key.
+        let mut issued: [Vec<(TransactionId, usize)>; 2] = [Vec::new(), Vec::new()];
+        for batch in &script {
+            for &(node_pick, key_pick) in batch {
+                for (nodes, ids) in clusters.iter().zip(&mut issued) {
+                    ids.push((commit_on(&nodes[node_pick % n], &format!("k{key_pick}")), key_pick));
                 }
-                d.round(&nodes, None);
             }
-            // The winner of each key is its last writer in script order
-            // (single-threaded commits on a ticking clock are strictly
-            // ordered), identical no matter how the records travelled.
-            let mut winner: std::collections::HashMap<usize, TransactionId> =
-                std::collections::HashMap::new();
-            for &(id, key_pick) in &issued {
-                winner.insert(key_pick, id);
+            d.round(&clusters[0], None);
+            broadcast_round(&clusters[1], None);
+        }
+        let mut resolved: [Vec<Option<usize>>; 2] = [Vec::new(), Vec::new()];
+        for ((nodes, ids), resolved) in clusters.iter().zip(&issued).zip(&mut resolved) {
+            let position: HashMap<TransactionId, usize> =
+                ids.iter().enumerate().map(|(i, &(id, _))| (id, i)).collect();
+            // The winner of each key is its newest id.
+            let mut winner: HashMap<usize, TransactionId> = HashMap::new();
+            for &(id, key_pick) in ids {
+                winner.entry(key_pick).and_modify(|w| *w = (*w).max(id)).or_insert(id);
             }
-            for node in &nodes {
-                for (&key_pick, &won) in &winner {
-                    prop_assert_eq!(
-                        node.metadata().latest_version_of(&Key::new(format!("k{key_pick}"))),
-                        Some(won),
-                        "{} ({}): key k{} must resolve to its last writer",
-                        node.node_id(), config.topology.label(), key_pick
-                    );
+            for node in nodes {
+                for key_pick in 0..6 {
+                    let latest = node.metadata().latest_version_of(&Key::new(format!("k{key_pick}")));
+                    prop_assert_eq!(latest, winner.get(&key_pick).copied(), "{}", node.node_id());
+                    resolved.push(latest.map(|id| position[&id]));
                 }
-                for &(id, key_pick) in &issued {
+                for &(id, key_pick) in ids {
                     prop_assert!(
                         node.metadata().is_committed(&id) || winner[&key_pick] > id,
-                        "{} ({}): commit {:?} neither applied nor superseded",
-                        node.node_id(), config.topology.label(), id
+                        "{}: commit {:?} neither applied nor superseded",
+                        node.node_id(), id
                     );
                 }
             }
         }
+        prop_assert_eq!(&resolved[0], &resolved[1], "the sweep must resolve keys like the flat reference");
     }
 
     /// Receiver-side dedup is idempotent: across an arbitrary sequence of
     /// (possibly repeated, possibly partial) deliveries of the same record
     /// set, each node fresh-applies a record exactly once — the fresh count
     /// equals the first-seen count, and everything else lands in the
-    /// duplicate counter. This is what lets gossip over-deliver safely.
+    /// duplicate counter. This is what lets retry floods over-deliver safely.
     #[test]
     fn repeated_deliveries_never_double_apply(
         n in 2usize..8,
@@ -151,25 +146,6 @@ proptest! {
             if i > 0 {
                 prop_assert_eq!(stats.commits_received_from_peers as usize, records.len());
             }
-        }
-    }
-
-    /// Gossip's ring edge makes one round sufficient for full coverage for
-    /// any seed and fanout: the infected set is closed under ring
-    /// succession, so it can only be everyone.
-    #[test]
-    fn gossip_one_round_coverage_for_any_seed(
-        n in 2usize..24,
-        fanout in 1usize..6,
-        seed in any::<u64>(),
-        origin in any::<usize>(),
-    ) {
-        let nodes = cluster_of(n);
-        let id = commit_on(&nodes[origin % n], "k");
-        let d = Disseminator::new(DisseminationConfig::gossip(fanout), seed);
-        d.round(&nodes, None);
-        for node in &nodes {
-            prop_assert!(node.metadata().is_committed(&id), "{}", node.node_id());
         }
     }
 }

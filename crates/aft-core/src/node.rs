@@ -731,13 +731,14 @@ impl AftNode {
         std::mem::take(&mut *self.recent_commits.lock())
     }
 
-    /// Merges one commit record learned from a peer (dissemination relay,
-    /// gossip push, or the fault manager) into the local metadata cache.
+    /// Merges one commit record learned from a peer (a dissemination sweep,
+    /// a healed partition retry, or the fault manager) into the local
+    /// metadata cache.
     ///
     /// Returns `true` only when the record was *new* to this node — already
     /// superseded or already-known records are deduplicated (counted in
     /// `duplicate_peer_commits`) instead of re-applied, which is what makes
-    /// redundant delivery paths (gossip fanout, the fault-manager firehose)
+    /// redundant delivery paths (retry floods, the fault-manager firehose)
     /// idempotent. Fresh records charge the commit-timestamp → now gap to the
     /// `propagation_lag` recorder (§4.2 RYW-staleness window).
     pub fn receive_peer_commit(&self, record: &Arc<TransactionRecord>) -> bool {

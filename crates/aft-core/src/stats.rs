@@ -263,7 +263,8 @@ pub struct NodeStatsSnapshot {
     /// Commit records learned from peers (multicast or fault manager).
     pub commits_received_from_peers: u64,
     /// Peer deliveries that were already known locally and deduplicated
-    /// (gossip duplicates, fault-manager re-pushes) instead of re-applied.
+    /// (partition retry floods, fault-manager re-pushes) instead of
+    /// re-applied.
     pub duplicate_peer_commits: u64,
 }
 

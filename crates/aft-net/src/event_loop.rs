@@ -50,7 +50,6 @@ use polling::{Event, Events, Poller};
 use crate::buffer::BufferPool;
 use crate::frame::{frame_into, FrameDecoder};
 use crate::server::{Job, ServerShared};
-use crate::stats::ConnStats;
 
 /// Poller key of the listening socket (`usize::MAX` is the poller's own
 /// notifier); connection keys are their slab slots.
@@ -85,7 +84,6 @@ pub(crate) struct ConnHandle {
     pub(crate) generation: u64,
     /// Server-wide connection id — the fair-queuing lane key.
     pub(crate) id: u64,
-    pub(crate) stats: ConnStats,
     /// Guarded close transition: whoever swaps this to `false` does the
     /// `record_close`, so churn can never double-count.
     pub(crate) open: AtomicBool,
@@ -419,7 +417,6 @@ impl EventLoop {
             slot,
             generation,
             id: self.shared.next_conn_id.fetch_add(1, Ordering::Relaxed),
-            stats: ConnStats::default(),
             open: AtomicBool::new(true),
             inflight: AtomicUsize::new(0),
         });
@@ -527,7 +524,6 @@ impl EventLoop {
             match conn.decoder.next_frame() {
                 Ok(Some(payload)) => match decode_request(&payload) {
                     Ok((request_id, request)) => {
-                        conn.handle.stats.requests.fetch_add(1, Ordering::Relaxed);
                         self.stats.frames_read.fetch_add(1, Ordering::Relaxed);
                         self.submit(slot, request_id, request);
                     }
@@ -705,7 +701,6 @@ impl EventLoop {
         }
         match completion.action {
             CompletionAction::Respond(payload) => {
-                handle.stats.responses.fetch_add(1, Ordering::Relaxed);
                 self.queue_response(slot, &payload);
                 self.do_write(slot);
             }
@@ -928,7 +923,6 @@ mod tests {
                     slot,
                     generation,
                     id: 0,
-                    stats: ConnStats::default(),
                     open: AtomicBool::new(true),
                     inflight: AtomicUsize::new(0),
                 }),

@@ -758,7 +758,6 @@ impl std::fmt::Debug for AftServer {
 mod tests {
     use super::*;
     use crate::frame::{read_frame, write_frame};
-    use crate::stats::ConnStats;
     use aft_cluster::ClusterConfig;
     use aft_storage::InMemoryStore;
     use aft_types::clock::TickingClock;
@@ -818,7 +817,6 @@ mod tests {
                 slot: 0,
                 generation: 0,
                 id: source,
-                stats: ConnStats::default(),
                 open: AtomicBool::new(true),
                 inflight: AtomicUsize::new(0),
             }),

@@ -1,4 +1,4 @@
-//! Server and per-connection counters, in the `NodeStats` atomic style.
+//! Server counters, in the `NodeStats` atomic style.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -89,15 +89,6 @@ impl ServiceStats {
             active_nodes,
         }
     }
-}
-
-/// Per-connection counters.
-#[derive(Debug, Default)]
-pub struct ConnStats {
-    /// Requests decoded on this connection.
-    pub requests: AtomicU64,
-    /// Responses written to this connection.
-    pub responses: AtomicU64,
 }
 
 #[cfg(test)]
