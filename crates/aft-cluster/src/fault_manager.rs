@@ -75,9 +75,10 @@ impl FaultManager {
     /// missing commits were found in this scan.
     ///
     /// The scan goes through the pipelined I/O engine: one list round trip,
-    /// then the unseen records are fetched in overlapped waves instead of one
-    /// storage round trip per record — the scan is off the critical path, but
-    /// its wall-clock time bounds how stale a recovered commit can be.
+    /// then the unseen records are fetched in waves, each one multi-key read
+    /// ([`fetch_commit_records`]), instead of one storage round trip per
+    /// record — the scan is off the critical path, but its wall-clock time
+    /// bounds how stale a recovered commit can be.
     pub fn scan_commit_set(&self, io: &IoEngine, nodes: &[Arc<AftNode>]) -> AftResult<usize> {
         let keys = io
             .execute(StorageRequest::List(TransactionRecord::storage_prefix()))
@@ -216,8 +217,8 @@ mod tests {
 
     #[test]
     fn large_scan_recovers_every_orphan_across_waves() {
-        // More orphaned commits than one 256-request wave: the overlapped
-        // scan must still recover all of them.
+        // More orphaned commits than one 256-key wave: the scan must still
+        // recover all of them.
         let (nodes, storage) = cluster_of(2);
         for i in 0..300 {
             let t = nodes[0].start_transaction();

@@ -18,43 +18,45 @@ use aft_types::{AftResult, CommitPhase, TransactionId, TransactionRecord, Uuid};
 use crate::metadata::MetadataCache;
 use crate::node::CommitProbe;
 
-/// Wave size for overlapped commit-record fetches: one engine in-flight
-/// window per wave bounds memory for huge commit sets while keeping every
-/// fetch in a wave concurrent.
+/// Wave size for commit-record fetches: one engine in-flight window per
+/// wave bounds memory for huge commit sets while keeping every read in a
+/// wave concurrent.
 pub const COMMIT_FETCH_WAVE: usize = 256;
 
-/// Fetches and decodes the commit records stored under `keys` through the
-/// pipelined I/O engine, in overlapped waves of [`COMMIT_FETCH_WAVE`], and
-/// calls `on_record` for each record found. Keys deleted between listing
-/// and read are skipped (a racing global GC); undecodable blobs are skipped
-/// (a half-written record means the transaction never committed).
+/// Fetches and decodes the commit records stored under `keys`, one
+/// [`IoEngine::get_all`] per wave of [`COMMIT_FETCH_WAVE`] keys, and calls
+/// `on_record` for each record found. Keys deleted between listing and read
+/// are skipped (a racing global GC); undecodable blobs are skipped (a
+/// half-written record means the transaction never committed). Returns the
+/// bytes read and the charged latency.
 ///
-/// Shared by node bootstrap (below) and the cluster fault manager's
-/// commit-set scan — the two places that bulk-read the Transaction Commit
-/// Set.
+/// The one commit-record fetch loop: node bootstrap and full replay (below)
+/// and the cluster fault manager's commit-set scan all bulk-read the
+/// Transaction Commit Set through it.
 pub fn fetch_commit_records(
     io: &IoEngine,
     keys: &[String],
     mut on_record: impl FnMut(TransactionRecord),
-) -> AftResult<()> {
+) -> AftResult<(u64, Duration)> {
+    let (mut bytes_read, mut cost) = (0, Duration::ZERO);
     for wave in keys.chunks(COMMIT_FETCH_WAVE) {
-        let outcome = io.get_all(wave.iter().cloned()).wait_all();
-        for result in outcome.results {
-            let Some(blob) = result?.into_value() else {
-                continue;
-            };
+        let (blobs, wave_cost) = io.get_all(wave.to_vec())?;
+        cost += wave_cost;
+        for blob in blobs.into_iter().flatten() {
+            bytes_read += blob.len() as u64;
             if let Ok(record) = decode_commit_record(&blob) {
                 on_record(record);
             }
         }
     }
-    Ok(())
+    Ok((bytes_read, cost))
 }
 
 /// Full replay: reads every commit record in storage through the pipelined
 /// I/O engine and inserts it into `metadata`. The listing is one round trip,
-/// then the record reads overlap via [`fetch_commit_records`], so a warm-up
-/// does not pay one round trip per record (§6.7's recovery-time concern).
+/// then the record reads go out in waves via [`fetch_commit_records`], so a
+/// warm-up does not pay one round trip per record (§6.7's recovery-time
+/// concern).
 /// Nodes bootstrap through [`warm_metadata_cache_checkpointed`]; this is the
 /// reference it is tested against.
 ///
@@ -157,22 +159,13 @@ pub fn warm_metadata_cache_checkpointed(
     if !covered.is_empty() {
         keys.retain(|key| !covered.contains(key));
     }
-    for wave in keys.chunks(COMMIT_FETCH_WAVE) {
-        let batch = io.get_all(wave.iter().cloned()).wait_all();
-        outcome.cost += batch.cost;
-        for result in batch.results {
-            let Some(blob) = result?.into_value() else {
-                // Deleted by the global GC between the listing and the read.
-                continue;
-            };
-            outcome.bytes_read += blob.len() as u64;
-            if let Ok(record) = decode_commit_record(&blob) {
-                if metadata.insert(Arc::new(record)) {
-                    outcome.from_tail += 1;
-                }
-            }
+    let (bytes_read, cost) = fetch_commit_records(io, &keys, |record| {
+        if metadata.insert(Arc::new(record)) {
+            outcome.from_tail += 1;
         }
-    }
+    })?;
+    outcome.bytes_read += bytes_read;
+    outcome.cost += cost;
     Ok(outcome)
 }
 

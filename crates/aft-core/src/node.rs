@@ -485,20 +485,24 @@ impl AftNode {
         Ok(Some((value, Some(target))))
     }
 
-    /// Reads several keys in one request, overlapping the storage fetches.
+    /// Reads several keys in one request; its data-cache misses go to
+    /// storage together, as one read.
     ///
-    /// Algorithm 1 itself stays sequential — each key's version selection
-    /// must see the versions already chosen for the keys before it, so the
-    /// combined read set remains an Atomic Readset — but it is pure
-    /// in-memory work. The expensive part, fetching the chosen versions'
-    /// payloads on data-cache misses, is submitted as one batch to the I/O
-    /// engine and barriered: the fallback round trips overlap instead of
+    /// Algorithm 1 stays sequential: each key's version selection must see
+    /// the versions already chosen for the keys before it, so the combined
+    /// read set remains an Atomic Readset. Each choice is recorded in the
+    /// read set as it is made, before any payload is fetched. Selection is
+    /// in-memory work; the expensive part is fetching the chosen versions'
+    /// payloads that the data cache does not hold. Those storage keys go out
+    /// as one [`IoEngine::get_all`]. A service with a multi-key read call
+    /// serves them in one call (memory) or one per 100 keys (DynamoDB's
+    /// `BatchGetItem`). One without it (S3, Redis) gets one `Get` per miss,
+    /// issued together. Either way the round trips overlap instead of
     /// summing.
     ///
-    /// Chosen versions are recorded into the read set at selection time
-    /// (before the payload fetch). If a fetch then fails (global GC racing a
-    /// long transaction, §5.2.1) the whole call returns
-    /// [`AftError::NoValidVersion`] and the client aborts; until then the
+    /// If a chosen version is gone by the time it is fetched (global GC
+    /// racing a long transaction, §5.2.1), the whole call returns
+    /// [`AftError::NoValidVersion`] and the client aborts. Until then, the
     /// extra read-set entries only make later selections *more*
     /// conservative, never unsound.
     pub fn get_all(&self, txid: &TransactionId, keys: &[Key]) -> AftResult<Vec<Option<Value>>> {
@@ -531,16 +535,15 @@ impl AftNode {
             return Ok(out);
         }
 
-        // One overlapped fetch barrier for every cache miss.
-        let set = self.io.get_all(
-            fetches
-                .iter()
-                .map(|&(i, target)| KeyVersion::new(keys[i].clone(), target).storage_key()),
-        );
-        let outcome = set.wait_all();
-        self.stats.read_storage_latency().record(outcome.cost);
-        for ((i, target), result) in fetches.into_iter().zip(outcome.results) {
-            out[i] = Some(self.fetched(txid, &keys[i], target, result?.into_value())?);
+        // One storage read for every cache miss.
+        let storage_keys = fetches
+            .iter()
+            .map(|&(i, target)| KeyVersion::new(keys[i].clone(), target).storage_key())
+            .collect();
+        let (values, cost) = self.io.get_all(storage_keys)?;
+        self.stats.read_storage_latency().record(cost);
+        for ((i, target), value) in fetches.into_iter().zip(values) {
+            out[i] = Some(self.fetched(txid, &keys[i], target, value)?);
         }
         Ok(out)
     }
@@ -941,8 +944,8 @@ impl TransactionHandle {
         self.node.get(&self.id, &key.into())
     }
 
-    /// Reads several keys within this transaction, overlapping the storage
-    /// fetches (see [`AftNode::get_all`]).
+    /// Reads several keys within this transaction, its data-cache misses in
+    /// one storage read (see [`AftNode::get_all`]).
     pub fn get_all(&self, keys: &[Key]) -> AftResult<Vec<Option<Value>>> {
         self.node.get_all(&self.id, keys)
     }
@@ -1650,10 +1653,11 @@ mod tests {
         assert!(node.stats().reads_from_data_cache() >= 2);
     }
 
-    /// A store whose `get` of one armed key returns only once the test lets
-    /// it: the reader is held between version selection and the cache fill,
-    /// which is where a GC sweep has to land for the race below. A watchdog
-    /// turns a lost wake-up into an error instead of a hang.
+    /// A store whose read of one armed key — alone or inside a batch —
+    /// returns only once the test lets it: the reader is held between version
+    /// selection and the cache fill, which is where a GC sweep has to land
+    /// for the races below. A watchdog turns a lost wake-up into an error
+    /// instead of a hang.
     #[derive(Default)]
     struct GatedGet {
         inner: Arc<InMemoryStore>,
@@ -1672,6 +1676,18 @@ mod tests {
         fn update(&self, change: impl FnOnce(&mut Gate)) {
             change(&mut self.gate.lock());
             self.changed.notify_all();
+        }
+
+        /// Holds a read naming the armed key until the test releases it.
+        fn hold<'k>(&self, mut keys: impl Iterator<Item = &'k str>) -> AftResult<()> {
+            let armed = self.gate.lock().armed.clone();
+            if armed.is_some_and(|armed| keys.any(|key| key == armed)) {
+                self.update(|gate| gate.arrived = true);
+                if !self.wait_until(|gate| gate.released) {
+                    return Err(AftError::Storage("the gate was never released".into()));
+                }
+            }
+            Ok(())
         }
 
         fn wait_until(&self, ready: impl Fn(&Gate) -> bool) -> bool {
@@ -1694,13 +1710,17 @@ mod tests {
         }
 
         fn get(&self, key: &str) -> AftResult<Option<Value>> {
-            if self.gate.lock().armed.as_deref() == Some(key) {
-                self.update(|gate| gate.arrived = true);
-                if !self.wait_until(|gate| gate.released) {
-                    return Err(AftError::Storage("the gate was never released".into()));
-                }
-            }
+            self.hold(std::iter::once(key))?;
             self.inner.get(key)
+        }
+
+        fn get_batch(&self, keys: &[String]) -> AftResult<Vec<Option<Value>>> {
+            self.hold(keys.iter().map(String::as_str))?;
+            self.inner.get_batch(keys)
+        }
+
+        fn supports_batch_get(&self) -> bool {
+            self.inner.supports_batch_get()
         }
 
         fn put(&self, key: &str, value: Value) -> AftResult<()> {
@@ -1774,6 +1794,46 @@ mod tests {
         let resident = node.data_cache().resident();
         assert!(!resident.contains(&(key.clone(), old)), "{resident:?}");
         assert_eq!(resident.len(), 1, "only the new version: {resident:?}");
+    }
+
+    #[test]
+    fn get_all_fails_cleanly_when_global_gc_deletes_a_batched_version() {
+        // The batched form of the race above: both versions are selected and
+        // recorded, and the one multi-key read carrying them is in flight when
+        // a global GC round deletes `l`'s version. The read must abort with
+        // NoValidVersion, never return `k` beside a hole where `l` was.
+        let (k, l) = (Key::new("k"), Key::new("l"));
+        let store = Arc::new(GatedGet::default());
+        let node = AftNode::with_clock(
+            NodeConfig::test_without_cache(),
+            store.clone() as SharedStorage,
+            aft_types::clock::TickingClock::shared(1_000, 1),
+        )
+        .unwrap();
+        let t1 = node.start_transaction();
+        node.put(&t1, k.clone(), val("k1")).unwrap();
+        node.put(&t1, l.clone(), val("l1")).unwrap();
+        let written = node.commit(&t1).unwrap();
+        store.update(|gate| gate.armed = Some(KeyVersion::new(k.clone(), written).storage_key()));
+
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let t = node.start_transaction();
+                node.get_all(&t, &[k.clone(), l.clone()])
+            });
+            assert!(store.wait_until(|gate| gate.arrived), "reader arrived");
+            let l_version = KeyVersion::new(l.clone(), written).storage_key();
+            store.inner.delete(&l_version).unwrap();
+            store.update(|gate| gate.released = true);
+            match reader.join().unwrap() {
+                Err(AftError::NoValidVersion { key, .. }) => assert_eq!(key, l),
+                other => panic!("expected NoValidVersion for l, got {other:?}"),
+            }
+        });
+        assert_eq!(node.stats().no_valid_version_aborts(), 1);
+        let calls = store.stats();
+        assert_eq!(calls.calls(aft_storage::OpKind::BatchGet), 1, "one read");
+        assert_eq!(calls.calls(aft_storage::OpKind::Get), 0);
     }
 
     fn commit_n(node: &Arc<AftNode>, n: usize, key: &str) {

@@ -1,11 +1,12 @@
 //! Concurrency stress: AFT's guarantees must not bend under pipelined I/O.
 //!
 //! Barrier-started client threads hammer one AFT node over the simulated S3
-//! backend (no batch API: a commit's data puts are fanned out) and over the
-//! simulated DynamoDB (batch API: a commit's data is one `BatchWriteItem`)
-//! with the pipelined I/O engine active (virtual clock, full-scale latencies
-//! charged), mixing single reads, overlapped multi-reads (`get_all`), and
-//! multi-key commits over a small contended key space. Every transaction's
+//! backend (no batch API: a commit's data puts and a multi-read's gets are
+//! fanned out) and over the simulated DynamoDB (batch API: a commit's data is
+//! one `BatchWriteItem`, a multi-read's misses one `BatchGetItem`) with the
+//! pipelined I/O engine active (virtual clock, full-scale latencies
+//! charged), mixing single reads, multi-reads (`get_all`), and multi-key
+//! commits over a small contended key space. Every transaction's
 //! observed read set must remain an Atomic Readset (§3.2) — zero fractured
 //! reads, zero read-your-writes violations — no matter how the clients'
 //! overlapped round trips and flushes interleave.
@@ -178,19 +179,24 @@ fn read_atomicity_holds_over_the_pipelined_s3_sim() {
     );
     let batch = node.commit_batch_stats();
     assert_eq!(batch.flushes, batch.submitted);
+    // S3 has no multi-key read: a multi-read's misses are single gets.
+    let calls = node.io().storage().stats();
+    assert_eq!(calls.calls(OpKind::BatchGet), 0);
 }
 
 #[test]
-fn read_atomicity_holds_over_coalesced_flushes() {
+fn read_atomicity_holds_over_dynamodb_batch_calls() {
     let node = pipelined_node(BackendKind::DynamoDb);
     assert_no_anomalies(&node);
 
-    // Every commit was its own flush, its data through the batch API.
+    // Every commit was its own flush, its data through the batch API, and
+    // multi-reads fetched their misses through it too.
     let batch = node.commit_batch_stats();
     assert!(batch.submitted > 0);
     assert_eq!(batch.flushes, batch.submitted);
     let calls = node.io().storage().stats();
     assert!(calls.calls(OpKind::BatchPut) > 0);
+    assert!(calls.calls(OpKind::BatchGet) > 0);
 }
 
 #[test]

@@ -206,6 +206,12 @@ impl StorageEngine for FaultyBackend {
         self.run("get", key, || self.inner.get(key))
     }
 
+    fn get_batch(&self, keys: &[String]) -> AftResult<Vec<Option<Value>>> {
+        // One decision per batch, keyed by its first key, like put_batch.
+        let key = keys.first().map_or("", String::as_str);
+        self.run("get_batch", key, || self.inner.get_batch(keys))
+    }
+
     fn put(&self, key: &str, value: Value) -> AftResult<()> {
         self.run("put", key, || self.inner.put(key, value))
     }
@@ -228,6 +234,10 @@ impl StorageEngine for FaultyBackend {
 
     fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
         self.run("list", prefix, || self.inner.list_prefix(prefix))
+    }
+
+    fn supports_batch_get(&self) -> bool {
+        self.inner.supports_batch_get()
     }
 
     fn supports_batch_put(&self) -> bool {
@@ -410,6 +420,53 @@ mod tests {
         assert_eq!(
             backend.supports_batch_put(),
             backend.inner().supports_batch_put()
+        );
+        assert_eq!(
+            backend.supports_batch_get(),
+            backend.inner().supports_batch_get()
+        );
+    }
+
+    #[test]
+    fn a_get_batch_is_one_decision_and_the_engine_retries_it_whole() {
+        use crate::counters::OpKind;
+        use crate::io::{IoConfig, IoEngine};
+        let keys: Vec<String> = (0..8).map(|i| format!("k{i}")).collect();
+        // A seed whose first storage decision is a transient fault and whose
+        // second is not: the batch fails once, as a unit, and its retry lands.
+        let seed = (0..64u64)
+            .find(|&seed| {
+                let schedule = spec(seed, StorageChaos::transient_errors(0.5)).schedule();
+                let decisions = schedule.materialize(Layer::Storage, 2, &keys[0]);
+                matches!(decisions[0], FaultKind::TransientError { .. })
+                    && decisions[1] == FaultKind::None
+            })
+            .expect("some seed faults once then passes");
+        let backend = faulty(&spec(seed, StorageChaos::transient_errors(0.5)));
+        for key in &keys[..6] {
+            backend.inner().put(key, val(key)).unwrap();
+        }
+        let engine = IoEngine::new(backend.clone(), IoConfig::pipelined());
+        let (values, _) = engine.get_all(keys.clone()).unwrap();
+        let expected: Vec<Option<Value>> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| (i < 6).then(|| val(k)))
+            .collect();
+        assert_eq!(values, expected);
+        assert_eq!(
+            backend.ops_seen(),
+            2,
+            "one decision per attempt, not per key"
+        );
+        assert_eq!(backend.chaos_stats().total_faults(), 1);
+        assert_eq!(engine.stats().retries, 1, "the whole batch was retried");
+        let calls = backend.stats();
+        assert_eq!(calls.calls(OpKind::Get), 0);
+        let attempts_that_reached_the_store = 1 + backend.chaos_stats().errors_applied;
+        assert_eq!(
+            calls.calls(OpKind::BatchGet),
+            attempts_that_reached_the_store
         );
     }
 }

@@ -471,16 +471,15 @@ fn try_load_checkpoint(
         )));
     }
 
-    let chunk_keys = (0..manifest.chunk_crcs.len()).map(|i| chunk_key(manifest.id, i as u32));
-    let batch = io
-        .submit_all(chunk_keys.map(StorageRequest::Get))
-        .wait_all();
-    *cost += batch.cost;
+    let chunk_keys = (0..manifest.chunk_crcs.len())
+        .map(|i| chunk_key(manifest.id, i as u32))
+        .collect();
+    let (blobs, chunks_cost) = io.get_all(chunk_keys)?;
+    *cost += chunks_cost;
     let mut records = Vec::new();
-    for (index, result) in batch.results.into_iter().enumerate() {
-        let blob = result?
-            .into_value()
-            .ok_or_else(|| AftError::Codec(format!("checkpoint chunk {index} is missing")))?;
+    for (index, blob) in blobs.into_iter().enumerate() {
+        let blob =
+            blob.ok_or_else(|| AftError::Codec(format!("checkpoint chunk {index} is missing")))?;
         *bytes_read += blob.len() as u64;
         if crc32(&blob) != manifest.chunk_crcs[index] {
             return Err(AftError::Codec(format!(
@@ -564,27 +563,23 @@ pub fn compact_log(
 
         // A record below the mark that the checkpoint does not contain is
         // only deletable if the checkpoint's index supersedes it; fetch and
-        // check rather than guess.
+        // check rather than guess. A failed read retains them all.
         if !unknown.is_empty() {
-            let batch = io
-                .submit_all(unknown.iter().cloned().map(StorageRequest::Get))
-                .wait_all();
-            outcome.cost += batch.cost;
-            for (key, result) in unknown.into_iter().zip(batch.results) {
-                let superseded = match result {
-                    Ok(response) => match response.into_value() {
-                        Some(blob) => decode_commit_record(&blob).is_ok_and(|record| {
-                            !record.write_set.is_empty()
-                                && record
-                                    .write_set
-                                    .iter()
-                                    .all(|k| newest.get(k).is_some_and(|newer| *newer > record.id))
-                        }),
-                        // Already gone (concurrent GC) — nothing to delete.
-                        None => false,
-                    },
-                    Err(_) => false,
-                };
+            let (blobs, read_cost) = io
+                .get_all(unknown.clone())
+                .unwrap_or_else(|_| (vec![None; unknown.len()], Duration::ZERO));
+            outcome.cost += read_cost;
+            for (key, blob) in unknown.into_iter().zip(blobs) {
+                // A blob already gone (concurrent GC) leaves nothing to delete.
+                let superseded = blob.is_some_and(|blob| {
+                    decode_commit_record(&blob).is_ok_and(|record| {
+                        !record.write_set.is_empty()
+                            && record
+                                .write_set
+                                .iter()
+                                .all(|k| newest.get(k).is_some_and(|newer| *newer > record.id))
+                    })
+                });
                 if superseded {
                     outcome.deleted_superseded += 1;
                     deletable.push(key);

@@ -13,6 +13,8 @@ use std::sync::{Arc, OnceLock};
 pub enum OpKind {
     /// A single-key read.
     Get,
+    /// A batched multi-key read (one API call).
+    BatchGet,
     /// A single-key write.
     Put,
     /// A batched multi-key write (one API call).
@@ -31,8 +33,9 @@ pub enum OpKind {
 
 impl OpKind {
     /// All operation kinds, for iteration in reports.
-    pub const ALL: [OpKind; 8] = [
+    pub const ALL: [OpKind; 9] = [
         OpKind::Get,
+        OpKind::BatchGet,
         OpKind::Put,
         OpKind::BatchPut,
         OpKind::Delete,
@@ -52,6 +55,7 @@ impl OpKind {
             OpKind::List => 5,
             OpKind::TransactWrite => 6,
             OpKind::TransactRead => 7,
+            OpKind::BatchGet => 8,
         }
     }
 
@@ -59,6 +63,7 @@ impl OpKind {
     pub fn name(self) -> &'static str {
         match self {
             OpKind::Get => "get",
+            OpKind::BatchGet => "batch_get",
             OpKind::Put => "put",
             OpKind::BatchPut => "batch_put",
             OpKind::Delete => "delete",
@@ -110,10 +115,13 @@ impl StripeCounters {
     }
 }
 
+/// Number of [`OpKind`]s: one counter each.
+const KINDS: usize = OpKind::ALL.len();
+
 /// Thread-safe operation counters shared by a backend and its observers.
 #[derive(Debug, Default)]
 pub struct StorageStats {
-    calls: [AtomicU64; 8],
+    calls: [AtomicU64; KINDS],
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
     conflicts: AtomicU64,
@@ -172,7 +180,7 @@ impl StorageStats {
 
     /// Takes a point-in-time snapshot of all counters.
     pub fn snapshot(&self) -> StorageStatsSnapshot {
-        let mut calls = [0u64; 8];
+        let mut calls = [0u64; KINDS];
         for (i, c) in self.calls.iter().enumerate() {
             calls[i] = c.load(Ordering::Relaxed);
         }
@@ -203,7 +211,7 @@ impl StorageStats {
 /// An immutable snapshot of [`StorageStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageStatsSnapshot {
-    calls: [u64; 8],
+    calls: [u64; KINDS],
     /// Bytes returned by reads.
     pub bytes_read: u64,
     /// Bytes accepted by writes.
@@ -225,7 +233,7 @@ impl StorageStatsSnapshot {
 
     /// The per-kind difference between two snapshots (`self - earlier`).
     pub fn delta_since(&self, earlier: &StorageStatsSnapshot) -> StorageStatsSnapshot {
-        let mut calls = [0u64; 8];
+        let mut calls = [0u64; KINDS];
         for i in 0..calls.len() {
             calls[i] = self.calls[i].saturating_sub(earlier.calls[i]);
         }

@@ -4,9 +4,9 @@
 //! durable once acknowledged (§3.1). It does not require consistency
 //! guarantees, visibility ordering, partitioning, or fixed membership. The
 //! [`StorageEngine`] trait is therefore deliberately narrow: opaque blobs
-//! keyed by strings, single and batched writes, deletes, and a prefix scan
-//! (used only by bootstrap, the fault manager, and garbage collection — never
-//! on the transaction critical path).
+//! keyed by strings, single and batched reads, writes and deletes, and a
+//! prefix scan (used only by bootstrap, the fault manager, and garbage
+//! collection — never on the transaction critical path).
 
 use std::sync::Arc;
 
@@ -26,6 +26,17 @@ pub trait StorageEngine: Send + Sync {
 
     /// Reads the blob stored at `key`, or `None` if the key does not exist.
     fn get(&self, key: &str) -> AftResult<Option<Value>>;
+
+    /// Reads the blobs stored at `keys`, in request order (`None` for a
+    /// missing key).
+    ///
+    /// Backends with a multi-key read (DynamoDB's `BatchGetItem`) serve it in
+    /// as few API calls as their limits allow and say so through
+    /// [`supports_batch_get`](StorageEngine::supports_batch_get); the default
+    /// reads key by key, one [`get`](StorageEngine::get) each.
+    fn get_batch(&self, keys: &[String]) -> AftResult<Vec<Option<Value>>> {
+        keys.iter().map(|key| self.get(key)).collect()
+    }
 
     /// Durably writes `value` at `key`, overwriting any previous blob.
     fn put(&self, key: &str, value: Value) -> AftResult<()>;
@@ -50,6 +61,11 @@ pub trait StorageEngine: Send + Sync {
     /// lexicographic order is also commit-time order for the Transaction
     /// Commit Set.
     fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>>;
+
+    /// Whether the backend can read several keys in one API call.
+    fn supports_batch_get(&self) -> bool {
+        false
+    }
 
     /// Whether the backend can write several keys in one API call.
     fn supports_batch_put(&self) -> bool;

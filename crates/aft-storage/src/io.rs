@@ -9,8 +9,8 @@
 //! its own to it, by one rule: **a thread that is about to block on its own
 //! request runs it.**
 //!
-//! * [`StorageRequest`] — one storage operation as a value (get / put /
-//!   batched put / delete / batched delete / list).
+//! * [`StorageRequest`] — one storage operation as a value (get / batched
+//!   get / put / batched put / delete / batched delete / list).
 //! * [`IoEngine::submit`] — issue a request, get back an [`IoTicket`];
 //!   [`IoEngine::submit_all`] returns a [`CompletionSet`] whose `wait_all`
 //!   is the barrier callers place between a transaction's data writes and
@@ -44,7 +44,7 @@
 //! experiment compares against. [`SequentialEngine`] is the matching
 //! storage-side wrapper: it forces per-key API calls (no batching) so the
 //! baseline also pays full sequential round-trip charging inside
-//! `put_batch`.
+//! `put_batch` and reads key by key.
 //!
 //! A note on simulation fidelity: a deferred operation's data-plane effect is
 //! visible in the backend *before* its completion is due, as if the service
@@ -176,6 +176,9 @@ impl IoConfig {
 pub enum StorageRequest {
     /// Read one key.
     Get(String),
+    /// Read several keys through the backend's multi-key read (the backend
+    /// decides how many API calls that takes).
+    GetBatch(Vec<String>),
     /// Write one key.
     Put(String, Value),
     /// Write several keys through the backend's batch API (the backend
@@ -194,6 +197,8 @@ pub enum StorageRequest {
 pub enum StorageResponse {
     /// A `Get`'s value (or `None` for a missing key).
     Value(Option<Value>),
+    /// A `GetBatch`'s values, in request order.
+    Values(Vec<Option<Value>>),
     /// A write or delete completed.
     Done,
     /// A `List`'s keys, in lexicographic order.
@@ -206,6 +211,14 @@ impl StorageResponse {
         match self {
             StorageResponse::Value(v) => v,
             _ => None,
+        }
+    }
+
+    /// The values of a `GetBatch` response; empty for any other kind.
+    pub fn into_values(self) -> Vec<Option<Value>> {
+        match self {
+            StorageResponse::Values(values) => values,
+            _ => Vec::new(),
         }
     }
 
@@ -454,6 +467,7 @@ impl IoEngine {
         let storage = &self.storage;
         match request {
             StorageRequest::Get(key) => storage.get(key).map(StorageResponse::Value),
+            StorageRequest::GetBatch(keys) => storage.get_batch(keys).map(StorageResponse::Values),
             StorageRequest::Put(key, value) => storage
                 .put(key, value.clone())
                 .map(|()| StorageResponse::Done),
@@ -606,10 +620,42 @@ impl IoEngine {
         }
     }
 
-    /// Reads every key, overlapping the round trips; the responses come back
-    /// in submission order.
-    pub fn get_all(&self, keys: impl IntoIterator<Item = String>) -> CompletionSet<'_> {
-        self.submit_all(keys.into_iter().map(StorageRequest::Get))
+    /// Reads every key, overlapping the round trips, and returns the values
+    /// in request order (`None` for a missing key) with the read's charged
+    /// latency.
+    ///
+    /// The mirror of [`put_all`](IoEngine::put_all): backends with a native
+    /// multi-key read get one `GetBatch` request (their own call-count limits
+    /// apply); backends without one get one `Get` per key, issued together. A
+    /// single key is one `Get` either way, and no key is no call.
+    pub fn get_all(&self, mut keys: Vec<String>) -> AftResult<(Vec<Option<Value>>, Duration)> {
+        match keys.len() {
+            0 => Ok((Vec::new(), Duration::ZERO)),
+            1 => {
+                let key = keys.pop().expect("len checked");
+                let outcome = self.execute(StorageRequest::Get(key));
+                outcome
+                    .result
+                    .map(|response| (vec![response.into_value()], outcome.cost))
+            }
+            _ if self.storage.supports_batch_get() => {
+                let outcome = self.execute(StorageRequest::GetBatch(keys));
+                outcome
+                    .result
+                    .map(|response| (response.into_values(), outcome.cost))
+            }
+            _ => {
+                let batch = self
+                    .submit_all(keys.into_iter().map(StorageRequest::Get))
+                    .wait_all();
+                let values = batch
+                    .results
+                    .into_iter()
+                    .map(|result| result.map(StorageResponse::into_value))
+                    .collect::<AftResult<_>>()?;
+                Ok((values, batch.cost))
+            }
+        }
     }
 }
 
@@ -624,13 +670,13 @@ impl std::fmt::Debug for IoEngine {
 
 /// A storage wrapper that forces fully sequential, per-key API calls.
 ///
-/// `put_batch` and `delete_batch` degrade to one single-key call per item,
-/// each paying its full round trip, and `supports_batch_put` is false — the
-/// exact behaviour of the pre-pipelining implementation. Pair it with
-/// [`IoConfig::sequential()`] for the baseline leg of pipelining
-/// experiments; the pipelined backends themselves now charge concurrent
-/// batches the max of their samples, so this wrapper is the only place
-/// sequential full-RTT charging survives.
+/// `put_batch`, `delete_batch` and `get_batch` degrade to one single-key call
+/// per item, each paying its full round trip, and neither `supports_batch_put`
+/// nor `supports_batch_get` holds — the exact behaviour of the pre-pipelining
+/// implementation. Pair it with [`IoConfig::sequential()`] for the baseline
+/// leg of pipelining experiments; the pipelined backends themselves now
+/// charge concurrent batches the max of their samples, so this wrapper is the
+/// only place sequential full-RTT charging survives.
 pub struct SequentialEngine {
     inner: SharedStorage,
 }
@@ -983,9 +1029,7 @@ mod tests {
                 .result
                 .unwrap();
             engine
-                .get_all((0..4).map(|i| format!("k{i}")))
-                .wait_all()
-                .ok()
+                .get_all((0..4).map(|i| format!("k{i}")).collect())
                 .unwrap();
             let me = std::thread::current().id();
             let threads = backend.threads();
@@ -1162,6 +1206,69 @@ mod tests {
             1,
             "clamped"
         );
+    }
+
+    #[test]
+    fn a_get_batch_charges_one_sample_per_call_and_the_max_of_its_calls() {
+        use crate::counters::OpKind;
+        use crate::latency::measure_cost;
+        use crate::profiles::DYNAMO_BATCH_GET_LIMIT;
+        let table = || {
+            let latency = LatencyModel::new(LatencyMode::Virtual, 1.0);
+            let store = Arc::new(SimStore::of(Service::DYNAMODB, latency, 5, DEFAULT_STRIPES));
+            for i in (0..250).step_by(3) {
+                store.write(&format!("k{i}"), val("v"));
+            }
+            store
+        };
+        for (n, calls) in [(DYNAMO_BATCH_GET_LIMIT, 1), (250, 3)] {
+            let keys: Vec<String> = (0..n).map(|i| format!("k{i}")).collect();
+            // The same BatchGetItem calls one after another, on a twin with
+            // the same seed: the samples the request will draw.
+            let twin = table();
+            let alone: Vec<Duration> = keys
+                .chunks(DYNAMO_BATCH_GET_LIMIT)
+                .map(|chunk| measure_cost(|| twin.get_batch(chunk).unwrap()).1)
+                .collect();
+            assert_eq!(alone.len(), calls);
+
+            let store = table();
+            let engine = IoEngine::new(store.clone(), IoConfig::pipelined());
+            let outcome = engine.execute(StorageRequest::GetBatch(keys));
+            let values = outcome.result.unwrap().into_values();
+            assert_eq!(values.len(), n);
+            assert_eq!(values.iter().flatten().count(), n.div_ceil(3));
+            assert_eq!(store.stats().calls(OpKind::BatchGet), calls as u64);
+            assert_eq!(store.stats().calls(OpKind::Get), 0);
+            assert!(!outcome.cost.is_zero());
+            // Issued together, the calls cost the slowest, not the sum.
+            assert_eq!(Some(outcome.cost), alone.iter().copied().max());
+        }
+    }
+
+    #[test]
+    fn get_all_takes_one_call_where_the_row_has_a_multi_key_read() {
+        use crate::counters::OpKind;
+        let memory = InMemoryStore::shared();
+        memory.put("a", val("1")).unwrap();
+        memory.put("c", val("3")).unwrap();
+        let engine = IoEngine::new(memory.clone(), IoConfig::pipelined());
+        let keys = || vec!["a".to_owned(), "b".to_owned(), "c".to_owned()];
+        let (values, _) = engine.get_all(keys()).unwrap();
+        assert_eq!(values, vec![Some(val("1")), None, Some(val("3"))]);
+        let (none, cost) = engine.get_all(Vec::new()).unwrap();
+        assert!(none.is_empty() && cost.is_zero());
+        assert_eq!(memory.stats().calls(OpKind::BatchGet), 1, "empty: no call");
+        assert_eq!(memory.stats().calls(OpKind::Get), 0);
+
+        // Without the call (S3): one Get per key, issued together.
+        let s3 = s3_virtual();
+        let engine = IoEngine::new(Arc::clone(&s3), IoConfig::pipelined());
+        let (values, _) = engine.get_all(keys()).unwrap();
+        assert_eq!(values, vec![None, None, None]);
+        assert_eq!(s3.stats().calls(OpKind::Get), 3);
+        assert_eq!(s3.stats().calls(OpKind::BatchGet), 0);
+        assert_eq!(engine.stats().peak_in_flight, 3);
     }
 
     #[test]

@@ -5,21 +5,21 @@
 //! consistency, visibility ordering, or partitioning. This crate provides:
 //!
 //! * [`StorageEngine`] — the narrow key-value interface AFT uses
-//!   (get / put / batched put / delete / list-by-prefix).
+//!   (get / batched get / put / batched put / delete / list-by-prefix).
 //! * [`SimStore`] — the simulated key-value service, written once: a
 //!   lock-striped [`ShardedMap`] behind the call accounting and sampled
 //!   latency of one [`Service`] row. The rows (in [`profiles`]) are the
 //!   stand-ins for the backends the paper evaluates, and differ only in
-//!   facts — how slow a call is, how many keys one write or delete call may
-//!   carry, where a key is placed:
+//!   facts — how slow a call is, how many keys one read, write or delete
+//!   call may carry, where a key is placed:
 //!
-//!   | row ([`BackendKind`]) | single-key calls | multi-key write | multi-key delete | placement |
-//!   |---|---|---|---|---|
-//!   | [`Service::MEMORY`] ([`InMemoryStore`]) | free | any number of keys, free | any number of keys, free | `stripes` |
-//!   | [`Service::S3`] | 14–40 ms median, very heavy write tail | none: one PUT per key | `DeleteObjects`, ≤ 1 000 keys, at the delete profile | `stripes` |
-//!   | [`Service::DYNAMODB`] | 2.5–6 ms | `BatchWriteItem`, ≤ 25 items, base + 350 µs/item | `BatchWriteItem`, ≤ 25 keys, at its base | `stripes` |
-//!   | [`Service::REDIS`] | 0.5–2 ms | none: one SET per key | none: one DEL per key | its 2 shards |
-//!   | [`Service::SHARDED_SERVICE`] | as Redis | one `MSET` per stripe touched | none: one DEL per key | `stripes` |
+//!   | row ([`BackendKind`]) | single-key calls | multi-key read | multi-key write | multi-key delete | placement |
+//!   |---|---|---|---|---|---|
+//!   | [`Service::MEMORY`] ([`InMemoryStore`]) | free | any number of keys, free | any number of keys, free | any number of keys, free | `stripes` |
+//!   | [`Service::S3`] | 14–40 ms median, very heavy write tail | none: one GET per key | none: one PUT per key | `DeleteObjects`, ≤ 1 000 keys, at the delete profile | `stripes` |
+//!   | [`Service::DYNAMODB`] | 2.5–6 ms | `BatchGetItem`, ≤ 100 keys, a `GetItem` + 20 µs/item | `BatchWriteItem`, ≤ 25 items, base + 350 µs/item | `BatchWriteItem`, ≤ 25 keys, at its base | `stripes` |
+//!   | [`Service::REDIS`] | 0.5–2 ms | none: one GET per key | none: one SET per key | none: one DEL per key | its 2 shards |
+//!   | [`Service::SHARDED_SERVICE`] | as Redis | none: one GET per key | one `MSET` per stripe touched | none: one DEL per key | `stripes` |
 //!
 //!   A batch larger than its call's limit is several calls; the calls of one
 //!   batch are issued together and charged as the slowest, and each call

@@ -3,9 +3,9 @@
 //! AFT asks one thing of storage — an update is durable once acknowledged
 //! (§3.1) — and runs unchanged over S3, DynamoDB and Redis (§6.1.2), so the
 //! stand-ins differ only in facts: how slow each call is, how many keys one
-//! write or delete call may carry, and where a key is placed. A [`Service`]
-//! holds those facts and [`SimStore`](crate::SimStore) is the one engine
-//! that acts on them; the table itself is in the [crate docs](crate).
+//! read, write or delete call may carry, and where a key is placed. A
+//! [`Service`] holds those facts and [`SimStore`](crate::SimStore) is the one
+//! engine that acts on them; the table itself is in the [crate docs](crate).
 //!
 //! The absolute numbers are the magnitudes reported in the paper's
 //! evaluation (Figures 2 and 3) and public characterisations of the
@@ -21,6 +21,9 @@ use crate::latency::LatencyProfile;
 
 /// The real DynamoDB's `BatchWriteItem` limit (puts and deletes alike).
 pub const DYNAMO_BATCH_LIMIT: usize = 25;
+
+/// The real DynamoDB's `BatchGetItem` limit.
+pub const DYNAMO_BATCH_GET_LIMIT: usize = 100;
 
 /// The real S3's `DeleteObjects` limit.
 pub const S3_DELETE_OBJECTS_LIMIT: usize = 1000;
@@ -98,6 +101,9 @@ pub const MSET: MultiKeyCall = MultiKeyCall {
 /// S3's delete round trip, whether it carries one key or `DeleteObjects`' 1000.
 const S3_DELETE: LatencyProfile = LatencyProfile::new(18_000.0, 90_000.0);
 
+/// DynamoDB's single-item read (`GetItem`).
+const DYNAMO_READ: LatencyProfile = LatencyProfile::new(2_500.0, 9_000.0).with_per_kb(15.0);
+
 /// DynamoDB's `BatchWriteItem` round trip, before the per-item cost of puts.
 const BATCH_WRITE_ITEM: LatencyProfile = LatencyProfile::new(3_200.0, 12_000.0).with_per_kb(10.0);
 
@@ -108,6 +114,8 @@ pub struct Service {
     pub name: &'static str,
     /// Latency of the single-key calls.
     pub profile: ServiceProfile,
+    /// The multi-key read call; `None` means one read call per key.
+    pub batch_get: Option<MultiKeyCall>,
     /// The multi-key write call; `None` means one write call per key.
     pub batch_put: Option<MultiKeyCall>,
     /// The multi-key delete call; `None` means one delete call per key.
@@ -122,13 +130,15 @@ impl Service {
     pub const MEMORY: Service = Service {
         name: "memory",
         profile: ServiceProfile::zero(),
+        batch_get: Some(MultiKeyCall::FREE),
         batch_put: Some(MultiKeyCall::FREE),
         batch_delete: Some(MultiKeyCall::FREE),
         shards: None,
     };
 
     /// AWS S3: throughput-oriented object store; slow, very heavy-tailed
-    /// writes for small objects, no batch write, `DeleteObjects`.
+    /// writes for small objects, no batch read or write (a GET names one
+    /// object), `DeleteObjects`.
     pub const S3: Service = Service {
         name: "s3",
         profile: ServiceProfile {
@@ -137,6 +147,7 @@ impl Service {
             delete: S3_DELETE,
             list: LatencyProfile::new(40_000.0, 150_000.0),
         },
+        batch_get: None,
         batch_put: None,
         batch_delete: Some(MultiKeyCall {
             limit: S3_DELETE_OBJECTS_LIMIT,
@@ -147,15 +158,25 @@ impl Service {
     };
 
     /// AWS DynamoDB: single-digit-millisecond KVS whose `BatchWriteItem`
-    /// carries puts and deletes.
+    /// carries puts and deletes, and whose `BatchGetItem` carries up to 100
+    /// reads. The service reads a `BatchGetItem`'s items in parallel, so the
+    /// call costs one `GetItem` round trip (its per-KB charge over the whole
+    /// response) plus 20 µs per item for the work that does grow with the
+    /// item count: each key is parsed, routed to its partition and its item
+    /// marshalled into the one response.
     pub const DYNAMODB: Service = Service {
         name: "dynamodb",
         profile: ServiceProfile {
-            read: LatencyProfile::new(2_500.0, 9_000.0).with_per_kb(15.0),
+            read: DYNAMO_READ,
             write: LatencyProfile::new(3_000.0, 11_000.0).with_per_kb(20.0),
             delete: LatencyProfile::new(2_800.0, 10_000.0),
             list: LatencyProfile::new(6_000.0, 25_000.0),
         },
+        batch_get: Some(MultiKeyCall {
+            limit: DYNAMO_BATCH_GET_LIMIT,
+            base: DYNAMO_READ,
+            per_item_us: 20.0,
+        }),
         batch_put: Some(MultiKeyCall {
             limit: DYNAMO_BATCH_LIMIT,
             base: BATCH_WRITE_ITEM,
@@ -170,7 +191,8 @@ impl Service {
     };
 
     /// AWS ElastiCache / Redis in cluster mode: memory-speed KVS, every key
-    /// on exactly one of its shards, no cross-shard multi-key call.
+    /// on exactly one of its shards, no cross-shard multi-key call — neither
+    /// `MGET` nor `MSET` may span hash slots.
     pub const REDIS: Service = Service {
         name: "redis",
         profile: ServiceProfile {
@@ -179,6 +201,7 @@ impl Service {
             delete: LatencyProfile::new(500.0, 1_400.0),
             list: LatencyProfile::new(2_000.0, 6_000.0),
         },
+        batch_get: None,
         batch_put: None,
         batch_delete: None,
         shards: Some(DEFAULT_REDIS_SHARDS),
@@ -193,8 +216,16 @@ impl Service {
         ..Service::REDIS
     };
 
-    /// How a write batch is billed: as the multi-key call, or — without one
-    /// — as single writes, one key per call.
+    /// How a read batch is billed: as the multi-key call, or — without one —
+    /// as single reads, one key per call.
+    pub(crate) fn read_call(&self) -> (OpKind, MultiKeyCall) {
+        match self.batch_get {
+            Some(call) => (OpKind::BatchGet, call),
+            None => (OpKind::Get, single(self.profile.read)),
+        }
+    }
+
+    /// How a write batch is billed; see [`Service::read_call`].
     pub(crate) fn write_call(&self) -> (OpKind, MultiKeyCall) {
         match self.batch_put {
             Some(call) => (OpKind::BatchPut, call),

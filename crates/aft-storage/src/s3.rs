@@ -6,9 +6,10 @@
 //! * high per-object latency — 4–10× slower than DynamoDB/Redis,
 //! * very high write-latency variance for small objects (the p99 whiskers in
 //!   Figure 3), and
-//! * no batch write: every object PUT is its own request (a pipelined client
-//!   issues a write set's PUTs together and waits for the slowest), while
-//!   `DeleteObjects` — which garbage collection uses — carries 1000 keys.
+//! * no batch read or write: every object GET or PUT is its own request (a
+//!   pipelined client issues a write set's PUTs together and waits for the
+//!   slowest), while `DeleteObjects` — which garbage collection uses —
+//!   carries 1000 keys.
 //!
 //! The paper stops using S3 after §6.1.2 because the key-per-version layout
 //! is a poor fit for it; the row intentionally preserves that poor fit.
@@ -50,6 +51,20 @@ mod tests {
         assert_eq!(s3.stats().calls(OpKind::Put), 2);
         assert_eq!(s3.stats().calls(OpKind::BatchPut), 0);
         assert!(!s3.supports_batch_put());
+    }
+
+    #[test]
+    fn batch_get_degenerates_to_one_get_per_key() {
+        let s3 = bucket();
+        s3.put("a", val("1")).unwrap();
+        let keys = ["a".to_owned(), "b".to_owned(), "a".to_owned()];
+        assert_eq!(
+            s3.get_batch(&keys).unwrap(),
+            vec![Some(val("1")), None, Some(val("1"))]
+        );
+        assert_eq!(s3.stats().calls(OpKind::Get), 3);
+        assert_eq!(s3.stats().calls(OpKind::BatchGet), 0);
+        assert!(!s3.supports_batch_get());
     }
 
     #[test]

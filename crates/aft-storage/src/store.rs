@@ -134,6 +134,20 @@ impl StorageEngine for SimStore {
         Ok(value)
     }
 
+    fn get_batch(&self, keys: &[String]) -> AftResult<Vec<Option<Value>>> {
+        let (kind, call) = self.service.read_call();
+        let mut values = Vec::with_capacity(keys.len());
+        let calls = keys.chunks(call.limit).map(|chunk| {
+            self.stats.record_call(kind);
+            let start = values.len();
+            values.extend(chunk.iter().map(|k| self.read(k)));
+            let bytes = values[start..].iter().flatten().map(|v| v.len()).sum();
+            self.sample(&call.cost(chunk.len()), &chunk[0], bytes)
+        });
+        self.wait(calls.max());
+        Ok(values)
+    }
+
     fn put(&self, key: &str, value: Value) -> AftResult<()> {
         self.stats.record_call(OpKind::Put);
         self.charge(&self.service.profile.write, key, value.len());
@@ -179,6 +193,10 @@ impl StorageEngine for SimStore {
         self.stats.record_call(OpKind::List);
         self.charge(&self.service.profile.list, prefix, 0);
         Ok(self.map.keys_with_prefix(prefix))
+    }
+
+    fn supports_batch_get(&self) -> bool {
+        self.service.batch_get.is_some()
     }
 
     fn supports_batch_put(&self) -> bool {

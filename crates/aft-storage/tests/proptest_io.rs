@@ -9,14 +9,17 @@
 //! the engine barriers between batches, exactly like the commit flush does.
 //!
 //! A second property checks the overlap accounting itself: a pipelined
-//! batch's charged latency equals its slowest member, never the sum.
+//! batch's charged latency equals its slowest member, never the sum. A third
+//! checks reads: a batched multi-key read returns, in order, exactly what
+//! the sequential engine's per-key reads return.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use aft_storage::io::{IoConfig, IoEngine, StorageRequest};
 use aft_storage::{
-    LatencyMode, LatencyModel, SequentialEngine, Service, SharedStorage, SimStore, DEFAULT_STRIPES,
+    LatencyMode, LatencyModel, OpKind, SequentialEngine, Service, SharedStorage, SimStore,
+    DEFAULT_STRIPES,
 };
 use aft_types::Value;
 use bytes::Bytes;
@@ -122,7 +125,49 @@ fn s3_virtual(seed: u64) -> SharedStorage {
     ))
 }
 
+/// Keys over a 150-key space of which every other key is stored: reads mix
+/// present, missing and repeated keys, and run past one `BatchGetItem`'s 100.
+fn arb_read() -> impl Strategy<Value = Vec<String>> {
+    proptest::collection::vec(0usize..150, 0..260)
+        .prop_map(|ids| ids.into_iter().map(|i| format!("data/{i:03}")).collect())
+}
+
+/// A virtual-clock store of `service` holding every even key of the space.
+fn half_full(service: Service) -> SharedStorage {
+    let latency = LatencyModel::new(LatencyMode::Virtual, 1.0);
+    let store: SharedStorage = Arc::new(SimStore::of(service, latency, 3, DEFAULT_STRIPES));
+    for i in (0..150).step_by(2) {
+        store
+            .put(&format!("data/{i:03}"), Bytes::from(format!("v{i}")))
+            .unwrap();
+    }
+    store
+}
+
 proptest! {
+    #[test]
+    fn batched_reads_return_what_sequential_reads_return(keys in arb_read()) {
+        for service in [Service::MEMORY, Service::DYNAMODB] {
+            let sequential = IoEngine::new(
+                SequentialEngine::new(half_full(service)) as SharedStorage,
+                IoConfig::sequential(),
+            );
+            let (expected, _) = sequential.get_all(keys.clone()).unwrap();
+            let batched = IoEngine::new(half_full(service), IoConfig::pipelined());
+            let (values, _) = batched.get_all(keys.clone()).unwrap();
+            prop_assert_eq!(&values, &expected);
+
+            let one_call = service.batch_get.unwrap().limit;
+            let calls = |engine: &IoEngine, op| engine.storage().stats().calls(op);
+            prop_assert_eq!(calls(&sequential, OpKind::BatchGet), 0);
+            prop_assert_eq!(calls(&sequential, OpKind::Get), keys.len() as u64);
+            if keys.len() > 1 {
+                let batch_calls = keys.len().div_ceil(one_call) as u64;
+                prop_assert_eq!(calls(&batched, OpKind::BatchGet), batch_calls);
+            }
+        }
+    }
+
     #[test]
     fn pipelined_engine_reaches_the_sequential_final_state(
         batches in proptest::collection::vec(arb_batch(), 1..24),

@@ -1,13 +1,27 @@
-//! Golden per-`OpKind` storage call counts for a fixed AFT script.
+//! Golden per-`OpKind` storage call counts for two fixed AFT scripts.
 //!
 //! `storage_ops_per_txn` is a gated benchmark metric; this pins what it is
-//! made of in tier-1. A one-node cluster without a data cache runs 200 seeded
-//! transactions (two reads and three writes each, every tenth one aborted, a
-//! checkpoint every 64 commits) and one maintenance round — dissemination, fault-manager
-//! scan, local and global GC, checkpoint and log compaction — over each
-//! simulated service. The counts were recorded at commit 4ca4336, before
-//! the services shared one store; a change here is a change in what AFT is
-//! billed, not a refactor.
+//! made of in tier-1. A change here is a change in what AFT is billed, not a
+//! refactor.
+//!
+//! * The *transaction* script: a one-node cluster without a data cache runs
+//!   200 seeded transactions (two reads and three writes each, every tenth
+//!   one aborted, a checkpoint every 64 commits) and one maintenance round —
+//!   dissemination, fault-manager scan, local and global GC, checkpoint and
+//!   log compaction — over each simulated service. The counts were recorded
+//!   at commit 4ca4336, before the services shared one store. The
+//!   `BatchGet` column was added on top of commit 6225ad3, when multi-key
+//!   reads began to use a service's multi-key read call. It is 0 on every
+//!   row and no other cell moved: no step of this script reads two keys at
+//!   once (its bootstrap finds an empty commit set, and its compaction no
+//!   record that the checkpoint does not already hold).
+//! * The *`GetAll`* script: a node without a data cache commits 250 keys,
+//!   then reads them back through `get_all` calls that miss 1, 2, 8, 100,
+//!   101 and 250 keys. Each read that misses two or more bills one
+//!   `BatchGet` on memory, ⌈misses / 100⌉ `BatchGetItem`s on DynamoDB, and
+//!   one `Get` per miss on S3 and Redis, which have no multi-key read. A
+//!   read that misses one key is a plain `Get` on every row, and one that
+//!   misses none makes no call. Recorded on top of commit 6225ad3.
 
 use aft::cluster::{Cluster, ClusterConfig};
 use aft::core::{CheckpointPolicy, NodeConfig};
@@ -25,9 +39,9 @@ fn next(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs the script over `kind` and returns (Get, Put, BatchPut, Delete,
-/// BatchDelete, List) call counts.
-fn script_counts(kind: BackendKind) -> [u64; 6] {
+/// Runs the script over `kind` and returns (Get, BatchGet, Put, BatchPut,
+/// Delete, BatchDelete, List) call counts.
+fn script_counts(kind: BackendKind) -> [u64; 7] {
     let storage = make_backend(BackendConfig::test(kind));
     let cluster = Cluster::with_clock(
         ClusterConfig {
@@ -61,6 +75,7 @@ fn script_counts(kind: BackendKind) -> [u64; 6] {
     let stats = storage.stats();
     [
         OpKind::Get,
+        OpKind::BatchGet,
         OpKind::Put,
         OpKind::BatchPut,
         OpKind::Delete,
@@ -73,17 +88,77 @@ fn script_counts(kind: BackendKind) -> [u64; 6] {
 #[test]
 fn aft_script_bills_the_golden_call_counts_on_every_service() {
     let golden = [
-        (BackendKind::Memory, [369, 182, 180, 0, 2, 5]),
-        (BackendKind::S3, [369, 707, 0, 0, 2, 5]),
-        (BackendKind::DynamoDb, [369, 182, 180, 0, 26, 5]),
-        (BackendKind::Redis, [369, 707, 0, 641, 0, 5]),
+        (BackendKind::Memory, [369, 0, 182, 180, 0, 2, 5]),
+        (BackendKind::S3, [369, 0, 707, 0, 0, 2, 5]),
+        (BackendKind::DynamoDb, [369, 0, 182, 180, 0, 26, 5]),
+        (BackendKind::Redis, [369, 0, 707, 0, 641, 0, 5]),
     ];
     for (kind, expected) in golden {
         assert_eq!(
             script_counts(kind),
             expected,
-            "{kind}: (Get, Put, BatchPut, Delete, BatchDelete, List)"
+            "{kind}: (Get, BatchGet, Put, BatchPut, Delete, BatchDelete, List)"
         );
+    }
+}
+
+/// Keys missed by each `get_all` of the `GetAll` script: one, a pair, a few,
+/// one full DynamoDB `BatchGetItem`, one key over it, and two and a half
+/// calls' worth.
+const GET_ALL_MISSES: [usize; 6] = [1, 2, 8, 100, 101, 250];
+
+/// Runs the `GetAll` script over `kind` and returns the (Get, BatchGet)
+/// calls its reads made.
+fn get_all_counts(kind: BackendKind) -> [u64; 2] {
+    let storage = make_backend(BackendConfig::test(kind));
+    let node = aft::core::AftNode::with_clock(
+        NodeConfig::test_without_cache(),
+        storage.clone(),
+        TickingClock::shared(1, 1),
+    )
+    .unwrap();
+    let key = |i: usize| Key::new(format!("r{i:03}"));
+    let writer = node.start_transaction();
+    for i in 0..250 {
+        node.put(&writer, key(i), Bytes::from(vec![b'v'; 64]))
+            .unwrap();
+    }
+    node.commit(&writer).unwrap();
+
+    let before = storage.stats().snapshot();
+    for misses in GET_ALL_MISSES {
+        let reader = node.start_transaction();
+        let keys: Vec<Key> = (0..misses).map(key).collect();
+        let values = node.get_all(&reader, &keys).unwrap();
+        assert!(values.iter().all(Option::is_some), "{kind}: {misses} keys");
+        node.abort(&reader).unwrap();
+    }
+    // Nothing to fetch: a buffered write and a key no one wrote.
+    let reader = node.start_transaction();
+    node.put(&reader, key(0), Bytes::from_static(b"mine"))
+        .unwrap();
+    let values = node.get_all(&reader, &[key(0), Key::new("never")]).unwrap();
+    assert_eq!(values, vec![Some(Bytes::from_static(b"mine")), None]);
+    node.abort(&reader).unwrap();
+
+    let reads = storage.stats().snapshot().delta_since(&before);
+    assert_eq!(
+        reads.total_calls(),
+        reads.calls(OpKind::Get) + reads.calls(OpKind::BatchGet)
+    );
+    [OpKind::Get, OpKind::BatchGet].map(|op| reads.calls(op))
+}
+
+#[test]
+fn get_all_bills_the_golden_read_calls_on_every_service() {
+    let golden = [
+        (BackendKind::Memory, [1, 5]),
+        (BackendKind::S3, [462, 0]),
+        (BackendKind::DynamoDb, [1, 1 + 1 + 1 + 2 + 3]),
+        (BackendKind::Redis, [462, 0]),
+    ];
+    for (kind, expected) in golden {
+        assert_eq!(get_all_counts(kind), expected, "{kind}: (Get, BatchGet)");
     }
 }
 
