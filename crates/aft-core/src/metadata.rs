@@ -31,7 +31,9 @@
 //! A second version moves the list to a heap `Vec` (48 bytes for two ids),
 //! and it comes back inline when GC leaves one. A record costs its 40-byte
 //! commit-set bucket, besides the record itself, which the nodes of one
-//! process share.
+//! process share: a 56-byte `Arc` block (id and write-set pointer) plus
+//! 16 bytes per key written, so 88 bytes for a two-key transaction. (A
+//! write set kept as an ordered tree cost a 192-byte leaf on top.)
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};

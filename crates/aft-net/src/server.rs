@@ -33,6 +33,13 @@
 //! on the UUID: the second waits for the first's verdict instead of racing
 //! it.
 //!
+//! A ledger entry is exactly what the duplicate ack needs: the UUID, and one
+//! word holding the commit timestamp with the read-atomicity verdict in its
+//! low bit — a 24-byte table entry, plus the UUID's 16 bytes in the eviction
+//! FIFO. The affinity map's FIFO drops the UUIDs of finished transactions
+//! once they outnumber the live ones, so it holds about one UUID per
+//! transaction in flight rather than one per transaction served.
+//!
 //! ## Overload protection
 //!
 //! Three independent, builder-configured mechanisms keep a saturated server
@@ -327,7 +334,10 @@ impl JobQueue {
 
 /// Completed-commit memory plus the single-flight set for in-progress ones.
 struct CommitLedger {
-    done: HashMap<Uuid, (TransactionId, bool)>,
+    /// The verdict a duplicate is acked with: the commit timestamp shifted
+    /// left one bit, with the read set's atomicity in the low bit. The final
+    /// id's UUID is the key itself, so nothing else is needed.
+    done: HashMap<Uuid, u64>,
     order: VecDeque<Uuid>,
     in_progress: HashSet<Uuid>,
     capacity: usize,
@@ -343,8 +353,18 @@ impl CommitLedger {
         }
     }
 
+    /// The final id and atomicity verdict recorded for `uuid`, if any.
+    fn verdict(&self, uuid: &Uuid) -> Option<(TransactionId, bool)> {
+        let packed = *self.done.get(uuid)?;
+        Some((TransactionId::new(packed >> 1, *uuid), packed & 1 == 1))
+    }
+
     fn record(&mut self, uuid: Uuid, final_id: TransactionId, atomic: bool) {
-        if self.done.insert(uuid, (final_id, atomic)).is_none() {
+        debug_assert_eq!(uuid, final_id.uuid, "a commit keeps its UUID");
+        // A millisecond clock needs 292 million years to reach bit 63.
+        debug_assert!(final_id.timestamp < 1 << 63, "timestamp overflows");
+        let packed = final_id.timestamp << 1 | u64::from(atomic);
+        if self.done.insert(uuid, packed).is_none() {
             self.order.push_back(uuid);
             while self.order.len() > self.capacity {
                 if let Some(old) = self.order.pop_front() {
@@ -373,12 +393,17 @@ impl AffinityMap {
 
     fn insert(&mut self, uuid: Uuid, node: Arc<AftNode>) {
         if self.map.insert(uuid, node).is_none() {
+            // Commits and aborts remove from the map but leave their uuid in
+            // `order`. Once the stale uuids outnumber the live ones (plus
+            // slack), one pass drops them: amortized O(1) per insert, and the
+            // deque stays within `2 × live + 64` instead of growing to
+            // `capacity` with finished transactions. The pass keeps the live
+            // uuids' order, so trimming on `order`'s length below still
+            // evicts the oldest live pin; it re-routes on its next touch.
+            if self.order.len() >= 2 * self.map.len() + 64 {
+                self.order.retain(|uuid| self.map.contains_key(uuid));
+            }
             self.order.push_back(uuid);
-            // Trim on `order`'s length, not `map`'s: commits and aborts
-            // remove from the map but leave their uuid in `order`, so the
-            // deque is what actually grows in steady state. Popped entries
-            // are almost always those stale uuids; a popped *live*
-            // transaction simply re-routes on its next touch.
             while self.order.len() > self.capacity {
                 match self.order.pop_front() {
                     Some(old) => {
@@ -512,11 +537,11 @@ impl ServerShared {
         {
             let mut ledger = self.ledger.lock();
             loop {
-                if let Some((final_id, atomic)) = ledger.done.get(&txid.uuid) {
+                if let Some((final_id, atomic)) = ledger.verdict(&txid.uuid) {
                     self.stats.record_duplicate_commit();
                     return WireResponse::Committed {
-                        txid: *final_id,
-                        atomic: *atomic,
+                        txid: final_id,
+                        atomic,
                         duplicate: true,
                     };
                 }
@@ -917,19 +942,95 @@ mod tests {
     }
 
     #[test]
-    fn affinity_map_evicts_oldest_beyond_capacity() {
+    fn a_ledger_entry_is_a_uuid_and_a_word() {
+        fn entry_bytes<K, V>(_: &HashMap<K, V>) -> usize {
+            std::mem::size_of::<(K, V)>()
+        }
+        assert_eq!(entry_bytes(&CommitLedger::new(1).done), 24);
+    }
+
+    #[test]
+    fn a_duplicate_of_a_non_atomic_commit_replays_its_verdict() {
+        let server = served_cluster(1);
+        let commit = |uuid: u128, writes: &[&str], reads: Vec<(Key, TransactionId)>| {
+            server.shared.execute(&WireRequest::Commit {
+                txid: TransactionId::new(0, Uuid::from_u128(uuid)),
+                writes: writes
+                    .iter()
+                    .map(|k| (Key::new(k), Value::from_static(b"v")))
+                    .collect(),
+                reads,
+            })
+        };
+        let WireResponse::Committed { txid: first, .. } = commit(1, &["a", "b"], vec![]) else {
+            panic!("the first commit fails");
+        };
+        // `a` at the first commit's version but `b` before it: a fractured
+        // read, which the server acks with `atomic: false`.
+        let fractured = || vec![(Key::new("a"), first), (Key::new("b"), TransactionId::NULL)];
+        let original = commit(2, &["c"], fractured());
+        let WireResponse::Committed {
+            txid: final_id,
+            atomic: false,
+            duplicate: false,
+        } = original
+        else {
+            panic!("expected a non-atomic first ack, got {original:?}");
+        };
+        assert_eq!(
+            commit(2, &["c"], fractured()),
+            WireResponse::Committed {
+                txid: final_id,
+                atomic: false,
+                duplicate: true,
+            }
+        );
+        server.shutdown();
+    }
+
+    fn one_node() -> Arc<AftNode> {
         let cluster = Cluster::with_clock(
             ClusterConfig::test(1),
             InMemoryStore::shared(),
             TickingClock::shared(1, 1),
         )
         .unwrap();
-        let node = cluster.route().unwrap();
+        cluster.route().unwrap()
+    }
+
+    #[test]
+    fn affinity_map_evicts_oldest_beyond_capacity() {
+        let node = one_node();
         let mut affinity = AffinityMap::new(2);
         for i in 1..=3u128 {
             affinity.insert(Uuid::from_u128(i), Arc::clone(&node));
         }
         assert_eq!(affinity.map.len(), 2);
         assert!(!affinity.map.contains_key(&Uuid::from_u128(1)));
+    }
+
+    #[test]
+    fn affinity_fifo_forgets_finished_pins() {
+        let node = one_node();
+        let mut affinity = AffinityMap::new(65_536);
+        let mut live = VecDeque::new();
+        for i in 0..10_000u128 {
+            affinity.insert(Uuid::from_u128(i), Arc::clone(&node));
+            live.push_back(Uuid::from_u128(i));
+            assert!(affinity.order.len() <= 2 * affinity.map.len() + 64);
+            if live.len() == 3 {
+                affinity.map.remove(&live.pop_front().unwrap());
+            }
+            assert!(affinity.order.len() <= 2 * 3 + 64, "at {i}");
+        }
+
+        // At capacity, the oldest live pin is still the one evicted.
+        let mut affinity = AffinityMap::new(4);
+        for i in 1..=6u128 {
+            affinity.insert(Uuid::from_u128(i), Arc::clone(&node));
+        }
+        let mut pinned: Vec<u128> = affinity.map.keys().map(|u| u.as_u128()).collect();
+        pinned.sort_unstable();
+        assert_eq!(pinned, [3, 4, 5, 6]);
     }
 }

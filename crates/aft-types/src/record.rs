@@ -7,7 +7,6 @@
 //! (metadata caches, key version indexes, multicast state) is soft state that
 //! can be rebuilt from the commit set.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -19,10 +18,55 @@ use crate::COMMIT_PREFIX;
 
 /// The set of keys written by a transaction.
 ///
-/// Stored as a sorted set: the cowritten set of every key version written by
-/// the transaction is exactly this set (§3.2), and deterministic iteration
-/// order keeps the codec canonical.
-pub type WriteSet = BTreeSet<Key>;
+/// The cowritten set of every key version written by the transaction is
+/// exactly this set (§3.2). It is built once and only read afterwards, so it
+/// is a sorted slice without repeats: iteration is in key order, which keeps
+/// the codec canonical, and membership is a binary search. A two-key set
+/// costs its two 16-byte keys; an ordered tree would allocate a 192-byte
+/// leaf for them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WriteSet(Box<[Key]>);
+
+impl WriteSet {
+    /// The keys in ascending order.
+    pub fn iter(&self) -> std::slice::Iter<'_, Key> {
+        self.0.iter()
+    }
+
+    /// The number of keys.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Returns true if the transaction wrote nothing.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Returns true if `key` is in the set.
+    pub fn contains(&self, key: &Key) -> bool {
+        self.0.binary_search(key).is_ok()
+    }
+}
+
+impl FromIterator<Key> for WriteSet {
+    /// Sorts the keys and drops repeats.
+    fn from_iter<I: IntoIterator<Item = Key>>(keys: I) -> Self {
+        let mut keys: Vec<Key> = keys.into_iter().collect();
+        keys.sort_unstable();
+        keys.dedup();
+        WriteSet(keys.into_boxed_slice())
+    }
+}
+
+impl<'a> IntoIterator for &'a WriteSet {
+    type Item = &'a Key;
+    type IntoIter = std::slice::Iter<'a, Key>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
 
 /// Lifecycle of a transaction as tracked by an AFT node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -1,9 +1,12 @@
-//! Property-based tests for the binary codec and identifier ordering.
+//! Property-based tests for the binary codec, identifier ordering and the
+//! write set.
+
+use std::collections::BTreeSet;
 
 use aft_types::codec::{
     decode_commit_record, decode_tagged_value, encode_commit_record, encode_tagged_value,
 };
-use aft_types::{Key, TaggedValue, TransactionId, TransactionRecord, Uuid, Value};
+use aft_types::{Key, TaggedValue, TransactionId, TransactionRecord, Uuid, Value, WriteSet};
 use proptest::prelude::*;
 
 fn arb_tid() -> impl Strategy<Value = TransactionId> {
@@ -105,6 +108,37 @@ proptest! {
     #[test]
     fn transaction_id_storage_suffix_round_trips(id in arb_tid()) {
         prop_assert_eq!(TransactionId::from_storage_suffix(&id.storage_suffix()).unwrap(), id);
+    }
+
+    #[test]
+    fn write_set_behaves_like_an_ordered_set(
+        id in arb_tid(),
+        // Few distinct keys, so a list repeats some of them.
+        keys in proptest::collection::vec("[a-e]{1,2}".prop_map(Key::from), 0..24),
+        probe in "[a-f]{1,2}".prop_map(Key::from),
+    ) {
+        let oracle: BTreeSet<Key> = keys.iter().cloned().collect();
+        let set: WriteSet = keys.iter().cloned().collect();
+        prop_assert!(set.iter().eq(oracle.iter()));
+        prop_assert!((&set).into_iter().eq(&oracle));
+        prop_assert_eq!(set.len(), oracle.len());
+        prop_assert_eq!(set.is_empty(), oracle.is_empty());
+        for key in &keys {
+            prop_assert!(set.contains(key));
+        }
+        prop_assert_eq!(set.contains(&probe), oracle.contains(&probe));
+
+        // The record's bytes: the header and id, then the keys as a counted
+        // list of length-prefixed strings in the oracle's order.
+        let mut expected = encode_commit_record(&TransactionRecord::new(id, [])).to_vec();
+        expected.truncate(expected.len() - 4);
+        expected.extend((oracle.len() as u32).to_le_bytes());
+        for key in &oracle {
+            expected.extend((key.len() as u32).to_le_bytes());
+            expected.extend(key.as_str().as_bytes());
+        }
+        let record = TransactionRecord::new(id, keys);
+        prop_assert_eq!(encode_commit_record(&record).to_vec(), expected);
     }
 
     #[test]
