@@ -9,7 +9,7 @@
 //!
 //! Every experiment of the evaluation is one [`Experiment`] in [`REGISTRY`].
 //! Nine are *figures*: they print the table(s) of one of the paper's
-//! figures and take no flags. Seven are *gated*: each also writes a
+//! figures and take no flags. Six are *gated*: each also writes a
 //! `BENCH_*.json` report (`--out`, default in the registry), checks a gate
 //! over it (`--skip-gate` for exploration runs; CI keeps it on), and derives
 //! every random choice from one seed (`--seed`, default in the experiment's
@@ -27,9 +27,7 @@
 use crate::json::Json;
 use crate::report::Table;
 use crate::setup::BenchEnv;
-use crate::{
-    checkpoint, dissemination, experiments, overload, pipelined, recovery, scaling, service,
-};
+use crate::{checkpoint, dissemination, experiments, overload, pipelined, recovery, service};
 
 /// The clock an experiment's latencies are measured on. Virtual-clock
 /// numbers are charged, never slept: deterministic per seed and independent
@@ -81,14 +79,11 @@ pub struct Outcome {
     pub json: Json,
     /// The gate's verdict: a summary, or the first violated clause.
     pub gate: Result<String, String>,
-    /// A second path to write the stamped report to (fig7's
-    /// `--write-baseline`).
-    pub also_write: Option<String>,
 }
 
 impl Outcome {
-    /// An outcome with no notes and no second copy of the report; the
-    /// banner is the sweep's whole configuration.
+    /// An outcome with no notes; the banner is the sweep's whole
+    /// configuration.
     pub(crate) fn new(
         seed: u64,
         config: &dyn std::fmt::Debug,
@@ -103,7 +98,6 @@ impl Outcome {
             notes: Vec::new(),
             json,
             gate,
-            also_write: None,
         }
     }
 }
@@ -223,16 +217,6 @@ pub const REGISTRY: &[Experiment] = &[
             report: "BENCH_recovery.json",
             flags: recovery::FLAGS,
             run: recovery::run,
-        },
-    },
-    Experiment {
-        name: "fig7_throughput_scaling",
-        about: "hot-path scaling: clients x storage stripes",
-        clock: Clock::Wall,
-        kind: Kind::Gated {
-            report: "BENCH_throughput.json",
-            flags: scaling::FLAGS,
-            run: scaling::run,
         },
     },
     Experiment {
@@ -364,7 +348,7 @@ pub fn parse(argv: &[String], env: BenchEnv) -> Result<(&'static [Experiment], A
             value.ok_or_else(|| format!("missing value for {flag}"))
         };
         match flag.as_str() {
-            // One path cannot name seven reports.
+            // One path cannot name six reports.
             "--out" if gated && name != "all" => args.out = Some(value()?),
             "--seed" if gated => {
                 let seed = value().ok().and_then(|v| v.parse().ok());
@@ -428,12 +412,9 @@ fn run_one(exp: &Experiment, args: &Args) -> Result<Option<bool>, (i32, String)>
     outcome.notes.iter().for_each(|note| println!("{note}"));
 
     let rendered = stamped(outcome.json, &args.env, outcome.seed, exp.clock).render();
-    let out = args.out.clone().unwrap_or_else(|| report.to_owned());
-    for path in [Some(out), outcome.also_write].into_iter().flatten() {
-        std::fs::write(&path, &rendered)
-            .map_err(|e| (1, format!("failed to write {path}: {e}")))?;
-        println!("wrote {path}");
-    }
+    let path = args.out.as_deref().unwrap_or(report);
+    std::fs::write(path, rendered).map_err(|e| (1, format!("failed to write {path}: {e}")))?;
+    println!("wrote {path}");
     if args.skip_gate {
         return Ok(None);
     }
@@ -527,7 +508,7 @@ mod tests {
 
     #[test]
     fn registry_names_and_reports_are_unique_and_list_prints_every_experiment() {
-        assert_eq!(REGISTRY.len(), 16);
+        assert_eq!(REGISTRY.len(), 15);
         let listing = list();
         for (i, e) in REGISTRY.iter().enumerate() {
             assert!(!["list", "all"].contains(&e.name));
@@ -542,27 +523,25 @@ mod tests {
         let reports: Vec<&str> = REGISTRY.iter().filter_map(Experiment::report).collect();
         for (i, report) in reports.iter().enumerate() {
             assert!(report.starts_with("BENCH_") && report.ends_with(".json"));
-            assert_ne!(*report, "BENCH_baseline.json", "a gate's input");
             assert!(!reports[..i].contains(report), "{report} is written twice");
         }
     }
 
     #[test]
     fn all_visits_every_gate_ci_runs() {
-        let (all, args) = parse_line("all --seed 9 --baseline b.json --mode partition").unwrap();
+        let (all, args) = parse_line("all --seed 9 --mode partition").unwrap();
         let mut gated: Vec<&str> = all
             .iter()
             .filter(|e| e.report().is_some())
             .map(|e| e.name)
             .collect();
         let mut ci = ci_gates();
-        assert_eq!((all.len(), ci.len()), (16, 7));
+        assert_eq!((all.len(), ci.len()), (15, 6));
         gated.sort_unstable();
         ci.sort_unstable();
         assert_eq!(gated, ci, "`all` and CI must gate the same experiments");
         // `all` takes every flag some experiment declares, and only those.
         assert_eq!(args.seed, Some(9));
-        assert_eq!(args.flag("--baseline"), Some("b.json"));
         assert_eq!(args.flag("--mode"), Some("partition"));
         assert_eq!(usage_error("all --out x.json"), "all does not take --out");
     }
@@ -620,13 +599,6 @@ mod tests {
         assert!(!cells_only, "the full matrix gates on check_gate");
         let (_, args) = parse_line("fig10_recovery --mode sideways").unwrap();
         assert!(recovery::plan(&args).unwrap_err().contains("cross_layer"));
-        // A bad value stops fig7 before it sweeps.
-        let (_, args) = parse_line("fig7_throughput_scaling --max-regression lots").unwrap();
-        assert!(scaling::run(&args)
-            .unwrap_err()
-            .contains("--max-regression"));
-        let (_, args) = parse_line("fig7_throughput_scaling --baseline /nonexistent").unwrap();
-        assert!(scaling::run(&args).unwrap_err().contains("/nonexistent"));
     }
 
     #[test]

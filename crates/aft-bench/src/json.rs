@@ -4,7 +4,7 @@
 //! rather than stubbing `serde_json` this module implements the small JSON
 //! subset the benchmark reports need: objects, arrays, strings, finite
 //! numbers, booleans and null, with deterministic (insertion-ordered)
-//! object rendering so diffs of checked-in baselines stay readable.
+//! object rendering so two reports diff line by line.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -329,7 +329,7 @@ mod tests {
     #[test]
     fn render_parse_round_trip() {
         let value = Json::obj(vec![
-            ("experiment", Json::str("fig7_throughput_scaling")),
+            ("experiment", Json::str("fig2_pipelined")),
             ("ops_per_sec", Json::Num(1234.5)),
             ("clients", Json::Num(8.0)),
             ("ok", Json::Bool(true)),
@@ -344,7 +344,7 @@ mod tests {
         assert_eq!(parsed, value);
         assert_eq!(
             parsed.get("experiment").unwrap().as_str().unwrap(),
-            "fig7_throughput_scaling"
+            "fig2_pipelined"
         );
         assert_eq!(parsed.get("clients").unwrap().as_f64().unwrap(), 8.0);
         assert_eq!(parsed.get("points").unwrap().as_array().unwrap().len(), 3);

@@ -36,6 +36,5 @@ pub mod overload;
 pub mod pipelined;
 pub mod recovery;
 pub mod report;
-pub mod scaling;
 pub mod service;
 pub mod setup;

@@ -294,7 +294,6 @@ pub fn aft_label(kind: BackendKind, caching: bool) -> String {
         BackendKind::Redis => "AFT-R",
         BackendKind::S3 => "AFT-S3",
         BackendKind::Memory => "AFT-Mem",
-        BackendKind::ShardedService => "AFT-Svc",
     };
     if caching {
         format!("{backend} Caching")

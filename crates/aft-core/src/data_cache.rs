@@ -368,12 +368,12 @@ impl DataCache {
     /// most [`MAX_CACHE_STRIPES`].
     pub fn new(capacity_bytes: usize) -> Self {
         let stripes = (capacity_bytes / MIN_STRIPE_BYTES).clamp(1, MAX_CACHE_STRIPES);
-        Self::with_stripes(capacity_bytes, stripes)
+        Self::striped(capacity_bytes, stripes)
     }
 
     /// Creates a cache with an explicit stripe count (clamped to ≥ 1). Each
     /// stripe is an independent cache over `capacity_bytes / stripes` bytes.
-    pub fn with_stripes(capacity_bytes: usize, stripes: usize) -> Self {
+    pub fn striped(capacity_bytes: usize, stripes: usize) -> Self {
         let stripes = stripes.max(1);
         let stripe_capacity = capacity_bytes / stripes;
         DataCache {
@@ -698,7 +698,7 @@ mod tests {
     #[test]
     fn striped_cache_keeps_total_bytes_within_capacity() {
         let capacity = 8 * 1024 * 1024;
-        let cache = DataCache::with_stripes(capacity, 8);
+        let cache = DataCache::striped(capacity, 8);
         assert_eq!(cache.stripe_count(), 8);
         for i in 0..1000 {
             put(&cache, &format!("k/{i}"), 1, 64 * 1024);
@@ -713,7 +713,7 @@ mod tests {
         put(&cache, "big", 1, capacity / 8 + 1);
         assert_eq!(cache.len(), before);
         // Every version of a key lands in the key's stripe, whatever its id.
-        let small = DataCache::with_stripes(8 * 100, 8);
+        let small = DataCache::striped(8 * 100, 8);
         for ts in 1..=5 {
             put(&small, "one-key", ts, 20);
         }

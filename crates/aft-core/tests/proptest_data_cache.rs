@@ -151,7 +151,7 @@ proptest! {
     ) {
         let capacity = STRIPE_BYTES * stripes;
         let protected_capacity = STRIPE_BYTES * PROTECTED_PERCENT / 100;
-        let cache = DataCache::with_stripes(capacity, stripes);
+        let cache = DataCache::striped(capacity, stripes);
         let mut model: Vec<ModelStripe> = (0..stripes).map(|_| ModelStripe::default()).collect();
 
         for (step, op) in ops.into_iter().enumerate() {

@@ -54,7 +54,6 @@ fn pipelined_node(kind: BackendKind) -> Arc<AftNode> {
         mode: LatencyMode::Virtual,
         scale: 1.0,
         seed: 0x57E55 ^ test_seed().wrapping_mul(0x9E37),
-        stripes: 16,
     });
     let config = NodeConfig {
         // No data cache: every committed read exercises the engine.

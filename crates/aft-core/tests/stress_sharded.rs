@@ -1,5 +1,4 @@
-//! Concurrency stress: AFT's guarantees must not bend under lock striping
-//! and batched commits.
+//! Concurrency stress: AFT's guarantees must not bend under lock striping.
 //!
 //! Barrier-started client threads hammer one AFT node over a striped
 //! in-memory backend, mixing reads and commits (each commit's data one
@@ -120,7 +119,6 @@ fn hammer(node: &Arc<AftNode>, value_bytes: usize) -> (u64, u64) {
 fn striped_node(data_cache_bytes: usize) -> Arc<AftNode> {
     let storage: SharedStorage = aft_storage::make_backend(
         BackendConfig::test(BackendKind::Memory)
-            .with_stripes(16)
             .with_seed(0xAF7 ^ test_seed().wrapping_mul(0x9E37)),
     );
     let config = NodeConfig {
@@ -132,7 +130,7 @@ fn striped_node(data_cache_bytes: usize) -> Arc<AftNode> {
 }
 
 #[test]
-fn read_atomicity_holds_under_striping_and_batched_commits() {
+fn read_atomicity_holds_under_striping() {
     let node = striped_node(NodeConfig::test().data_cache_bytes);
     let (ryw, fractured) = hammer(&node, 0);
     assert_eq!(ryw, 0, "read-your-writes anomalies under striping");
@@ -145,13 +143,6 @@ fn read_atomicity_holds_under_striping_and_batched_commits() {
         "most transactions commit (some abort on NoValidVersion): {stats:?}"
     );
     assert_eq!(stats.submitted, stats.flushes, "a commit is its own flush");
-    // Striping spread the storage accesses across stripes.
-    let stripe_counts = node.storage().stats().stripe_counts();
-    assert_eq!(stripe_counts.len(), 16);
-    assert!(
-        stripe_counts.iter().filter(|&&c| c > 0).count() >= 8,
-        "hot keys must spread over stripes: {stripe_counts:?}"
-    );
 }
 
 #[test]

@@ -10,7 +10,6 @@ use std::sync::Arc;
 use crate::engine::SharedStorage;
 use crate::latency::{LatencyMode, LatencyModel};
 use crate::profiles::Service;
-use crate::service::SimShardedService;
 use crate::store::SimStore;
 
 /// The storage services the reproduction can run over.
@@ -24,10 +23,6 @@ pub enum BackendKind {
     DynamoDb,
     /// Simulated Redis cluster (AWS ElastiCache).
     Redis,
-    /// Simulated sharded storage *service* with per-stripe single-threaded
-    /// request lanes (Redis-like per-op cost); the backend the throughput
-    /// scaling experiments bottleneck on. See [`SimShardedService`].
-    ShardedService,
 }
 
 impl BackendKind {
@@ -42,7 +37,6 @@ impl BackendKind {
             BackendKind::S3 => "S3",
             BackendKind::DynamoDb => "DynamoDB",
             BackendKind::Redis => "Redis",
-            BackendKind::ShardedService => "ShardedService",
         }
     }
 }
@@ -65,10 +59,6 @@ pub struct BackendConfig {
     pub scale: f64,
     /// RNG seed for the backend's latency sampler.
     pub seed: u64,
-    /// Placement-stripe count: one lock and one latency RNG per stripe (`1`
-    /// reproduces the historical single-global-lock behaviour; Redis ignores
-    /// this and stripes by its [`Service::shards`]).
-    pub stripes: usize,
 }
 
 impl BackendConfig {
@@ -79,7 +69,6 @@ impl BackendConfig {
             mode: LatencyMode::Sleep,
             scale,
             seed: 0xAF7,
-            stripes: crate::sharded::DEFAULT_STRIPES,
         }
     }
 
@@ -96,17 +85,11 @@ impl BackendConfig {
         self.seed = seed;
         self
     }
-
-    /// Overrides the lock-stripe count.
-    pub fn with_stripes(mut self, stripes: usize) -> Self {
-        self.stripes = stripes.max(1);
-        self
-    }
 }
 
 /// Builds a storage engine according to `config` — the one place a
 /// [`BackendKind`] meets its [`Service`] row: the shared [`SimStore`] over
-/// that row, behind request lanes for [`BackendKind::ShardedService`].
+/// that row, placed on the row's own stripes.
 pub fn make_backend(config: BackendConfig) -> SharedStorage {
     let latency = LatencyModel::new(config.mode, config.scale);
     let service = match config.kind {
@@ -114,13 +97,8 @@ pub fn make_backend(config: BackendConfig) -> SharedStorage {
         BackendKind::S3 => Service::S3,
         BackendKind::DynamoDb => Service::DYNAMODB,
         BackendKind::Redis => Service::REDIS,
-        BackendKind::ShardedService => {
-            let profile = Service::SHARDED_SERVICE.profile;
-            return SimShardedService::with_stripes(profile, latency, config.seed, config.stripes);
-        }
     };
-    let stripes = service.shards.unwrap_or(config.stripes);
-    Arc::new(SimStore::of(service, latency, config.seed, stripes))
+    Arc::new(SimStore::of(service, latency, config.seed, service.stripes))
 }
 
 #[cfg(test)]
@@ -135,7 +113,6 @@ mod tests {
             BackendKind::S3,
             BackendKind::DynamoDb,
             BackendKind::Redis,
-            BackendKind::ShardedService,
         ] {
             let store = make_backend(BackendConfig::test(kind));
             store.put("k", Bytes::from_static(b"v")).unwrap();
@@ -192,41 +169,40 @@ mod tests {
     }
 
     #[test]
-    fn sharded_service_is_selected_through_the_shared_path() {
-        let svc = make_backend(BackendConfig::test(BackendKind::ShardedService).with_stripes(8));
-        assert_eq!(svc.name(), "sharded-service");
-        assert!(svc.supports_batch_put());
-        for i in 0..16 {
-            svc.put(&format!("k{i}"), Bytes::from_static(b"v")).unwrap();
+    fn make_backend_places_each_row_on_its_own_stripes() {
+        use crate::io::{IoConfig, IoEngine, StorageRequest};
+        // Every call draws its latency from the RNG of its key's stripe, so a
+        // fixed script charges the same costs, request by request, as a twin
+        // store only if both place keys on the same number of stripes.
+        let keys = |n: usize| (0..n).map(|i| format!("k{i}"));
+        let script: Vec<StorageRequest> = keys(64)
+            .map(|k| StorageRequest::Put(k, Bytes::from_static(b"v")))
+            .chain(keys(64).map(StorageRequest::Get))
+            .chain(keys(16).map(StorageRequest::Delete))
+            .collect();
+        let charged = |storage: SharedStorage| {
+            let engine = IoEngine::new(storage, IoConfig::sequential());
+            engine.submit_all(script.clone()).wait_all().costs
+        };
+        let seed = 0x57A;
+        for (kind, service, stripes) in [
+            (BackendKind::S3, Service::S3, 16),
+            (BackendKind::DynamoDb, Service::DYNAMODB, 16),
+            (BackendKind::Redis, Service::REDIS, 2),
+        ] {
+            let built = make_backend(BackendConfig {
+                mode: LatencyMode::Virtual,
+                ..BackendConfig::simulated(kind, 1.0).with_seed(seed)
+            });
+            let model = LatencyModel::new(LatencyMode::Virtual, 1.0);
+            let twin = Arc::new(SimStore::of(service, model, seed, stripes));
+            let costs = charged(built);
+            assert!(
+                costs.iter().all(|c| !c.is_zero()),
+                "{kind}: every call charges"
+            );
+            assert_eq!(costs, charged(twin), "{kind} on {stripes} stripes");
         }
-        let counts = svc.stats().stripe_counts();
-        assert_eq!(counts.len(), 8, "stripes knob reaches the service lanes");
-        assert_eq!(counts.iter().sum::<u64>(), 16);
-    }
-
-    #[test]
-    fn stripe_override_reaches_every_backend() {
-        for kind in [BackendKind::Memory, BackendKind::S3, BackendKind::DynamoDb] {
-            let store = make_backend(BackendConfig::test(kind).with_stripes(4));
-            for i in 0..32 {
-                store
-                    .put(&format!("k{i}"), Bytes::from_static(b"v"))
-                    .unwrap();
-            }
-            let counts = store.stats().stripe_counts();
-            assert_eq!(counts.len(), 4, "backend {kind} must expose 4 stripes");
-            assert_eq!(counts.iter().sum::<u64>(), 32);
-        }
-        // Redis stripes by shard count, not by the stripes knob.
-        let redis = make_backend(BackendConfig::test(BackendKind::Redis).with_stripes(4));
-        assert_eq!(redis.stats().stripe_counts().len(), 2);
-        // with_stripes clamps zero to one.
-        assert_eq!(
-            BackendConfig::test(BackendKind::Memory)
-                .with_stripes(0)
-                .stripes,
-            1
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! API calls — 10 for the IOs and 1 for the final commit record").
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The kinds of storage API calls the engines expose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,46 +75,6 @@ impl OpKind {
     }
 }
 
-/// Per-stripe access counters for a lock-striped backend.
-///
-/// A striped backend records one count per stripe touched; the counts roll up
-/// into the owning [`StorageStats`] (their sum equals the number of per-key
-/// accesses the backend served) and expose the stripe balance, which the
-/// scaling experiments report to show the striping is actually spreading load.
-#[derive(Debug)]
-pub struct StripeCounters {
-    ops: Box<[AtomicU64]>,
-}
-
-impl StripeCounters {
-    /// Creates zeroed counters for `stripes` stripes.
-    pub fn new(stripes: usize) -> Arc<Self> {
-        Arc::new(StripeCounters {
-            ops: (0..stripes.max(1)).map(|_| AtomicU64::new(0)).collect(),
-        })
-    }
-
-    /// Number of stripes tracked.
-    pub fn stripes(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Records one access to `stripe`.
-    pub fn record(&self, stripe: usize) {
-        self.ops[stripe % self.ops.len()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time per-stripe access counts.
-    pub fn counts(&self) -> Vec<u64> {
-        self.ops.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Total accesses across every stripe.
-    pub fn total(&self) -> u64 {
-        self.ops.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-}
-
 /// Number of [`OpKind`]s: one counter each.
 const KINDS: usize = OpKind::ALL.len();
 
@@ -125,8 +85,6 @@ pub struct StorageStats {
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
     conflicts: AtomicU64,
-    /// Per-stripe counters attached by lock-striped backends.
-    stripes: OnceLock<Arc<StripeCounters>>,
 }
 
 impl StorageStats {
@@ -153,19 +111,6 @@ impl StorageStats {
     /// Records a transactional conflict abort (DynamoDB transaction mode).
     pub fn record_conflict(&self) {
         self.conflicts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Attaches the per-stripe counters of a lock-striped backend so
-    /// observers holding only the stats handle can read the stripe balance.
-    /// Attaching a second set is a no-op (a backend has one map).
-    pub fn attach_stripes(&self, counters: Arc<StripeCounters>) {
-        let _ = self.stripes.set(counters);
-    }
-
-    /// Per-stripe access counts of the attached striped backend, or an empty
-    /// vector if the backend is not striped.
-    pub fn stripe_counts(&self) -> Vec<u64> {
-        self.stripes.get().map(|s| s.counts()).unwrap_or_default()
     }
 
     /// Number of calls recorded for `op`.
@@ -200,11 +145,6 @@ impl StorageStats {
         self.bytes_read.store(0, Ordering::Relaxed);
         self.bytes_written.store(0, Ordering::Relaxed);
         self.conflicts.store(0, Ordering::Relaxed);
-        if let Some(stripes) = self.stripes.get() {
-            for c in &stripes.ops {
-                c.store(0, Ordering::Relaxed);
-            }
-        }
     }
 }
 
@@ -293,24 +233,6 @@ mod tests {
         s.reset();
         assert_eq!(s.total_calls(), 0);
         assert_eq!(s.snapshot().bytes_written, 0);
-    }
-
-    #[test]
-    fn stripe_counters_roll_up_and_reset() {
-        let stats = StorageStats::default();
-        assert!(stats.stripe_counts().is_empty(), "no stripes attached yet");
-        let stripes = StripeCounters::new(4);
-        stats.attach_stripes(Arc::clone(&stripes));
-        stripes.record(0);
-        stripes.record(1);
-        stripes.record(1);
-        assert_eq!(stats.stripe_counts(), vec![1, 2, 0, 0]);
-        assert_eq!(stripes.total(), 3);
-        // A second attach is ignored; the first counters stay live.
-        stats.attach_stripes(StripeCounters::new(2));
-        assert_eq!(stats.stripe_counts().len(), 4);
-        stats.reset();
-        assert_eq!(stripes.total(), 0);
     }
 
     #[test]

@@ -23,7 +23,6 @@ use crate::counters::OpKind;
 use crate::engine::StorageEngine;
 use crate::latency::{LatencyModel, LatencyProfile};
 use crate::profiles::Service;
-use crate::sharded::DEFAULT_STRIPES;
 use crate::store::SimStore;
 
 /// The real service's limit on items per transactional call.
@@ -54,7 +53,7 @@ impl SimDynamo {
     /// Creates an empty table.
     pub fn new(latency: Arc<LatencyModel>, seed: u64) -> Arc<Self> {
         Arc::new(SimDynamo {
-            store: SimStore::of(Service::DYNAMODB, latency, seed, DEFAULT_STRIPES),
+            store: SimStore::of(Service::DYNAMODB, latency, seed, Service::DYNAMODB.stripes),
             txn_locks: Mutex::new(HashSet::new()),
         })
     }

@@ -18,9 +18,8 @@
 //! * **Submitter-run I/O.** `submit` runs the operation on the calling
 //!   thread under [`capture_deferred`]: the data-plane effect applies
 //!   immediately, the sampled delay is *not* slept, and the ticket records
-//!   when the completion is due. That holds for every backend —
-//!   [`crate::SimShardedService`]'s queueing for a request lane is part of
-//!   the delay it hands over — so the engine owns no thread.
+//!   when the completion is due. That holds for every backend, so the
+//!   engine owns no thread.
 //! * **Waiter-timed completions.** A deferred completion is only a deadline
 //!   in its ticket; [`IoTicket::wait`] sleeps out what is left of it and
 //!   [`CompletionSet::wait_all`] sleeps once, until the latest member's — so
@@ -1005,20 +1004,18 @@ mod tests {
     #[test]
     fn deferrable_backends_run_on_the_submitter_and_own_no_threads() {
         use crate::backend::{make_backend, BackendConfig, BackendKind};
-        // Every service row, with a batch API (one PutBatch; the sharded
-        // service splits it over its 16 lanes) or without (put_all fans out
-        // per key): every backend call is made by the submitting thread, and
-        // neither the engine nor the backend starts one.
+        // Every service row, with a batch API (one PutBatch) or without
+        // (put_all fans out per key): every backend call is made by the
+        // submitting thread, and neither the engine nor the backend starts one.
         for kind in [
             BackendKind::Memory,
             BackendKind::S3,
             BackendKind::DynamoDb,
             BackendKind::Redis,
-            BackendKind::ShardedService,
         ] {
             let config = BackendConfig {
                 mode: LatencyMode::Virtual,
-                ..BackendConfig::simulated(kind, 1.0).with_stripes(16)
+                ..BackendConfig::simulated(kind, 1.0)
             };
             let backend = Recording::new(make_backend(config));
             let engine = IoEngine::new(backend.clone(), IoConfig::pipelined());

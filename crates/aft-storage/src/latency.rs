@@ -383,21 +383,6 @@ pub(crate) fn sleep_until(deadline: Instant) {
     sleep_calibrated(deadline.saturating_duration_since(Instant::now()));
 }
 
-/// Waits out a completion that is due at `deadline` and whose latency has
-/// already been charged: sleeps what is left until then or, inside a
-/// [`capture_deferred`] scope, hands it to the scope like a suppressed sleep.
-pub(crate) fn wait_until(deadline: Instant) {
-    let left = deadline.saturating_duration_since(Instant::now());
-    if left.is_zero() {
-        return;
-    }
-    if DEFER_ACTIVE.with(Cell::get) {
-        DEFERRED_NS.with(|c| c.set(c.get().saturating_add(left.as_nanos() as u64)));
-    } else {
-        sleep_calibrated(left);
-    }
-}
-
 /// The host's `thread::sleep` overshoot for short sleeps, measured once.
 fn sleep_overhead() -> Duration {
     static OVERHEAD: std::sync::OnceLock<Duration> = std::sync::OnceLock::new();

@@ -13,24 +13,22 @@
 //!   facts — how slow a call is, how many keys one read, write or delete
 //!   call may carry, where a key is placed:
 //!
-//!   | row ([`BackendKind`]) | single-key calls | multi-key read | multi-key write | multi-key delete | placement |
+//!   | row ([`BackendKind`]) | single-key calls | multi-key read | multi-key write | multi-key delete | placement stripes |
 //!   |---|---|---|---|---|---|
-//!   | [`Service::MEMORY`] ([`InMemoryStore`]) | free | any number of keys, free | any number of keys, free | any number of keys, free | `stripes` |
-//!   | [`Service::S3`] | 14–40 ms median, very heavy write tail | none: one GET per key | none: one PUT per key | `DeleteObjects`, ≤ 1 000 keys, at the delete profile | `stripes` |
-//!   | [`Service::DYNAMODB`] | 2.5–6 ms | `BatchGetItem`, ≤ 100 keys, a `GetItem` + 20 µs/item | `BatchWriteItem`, ≤ 25 items, base + 350 µs/item | `BatchWriteItem`, ≤ 25 keys, at its base | `stripes` |
+//!   | [`Service::MEMORY`] ([`InMemoryStore`]) | free | any number of keys, free | any number of keys, free | any number of keys, free | 16 |
+//!   | [`Service::S3`] | 14–40 ms median, very heavy write tail | none: one GET per key | none: one PUT per key | `DeleteObjects`, ≤ 1 000 keys, at the delete profile | 16 |
+//!   | [`Service::DYNAMODB`] | 2.5–6 ms | `BatchGetItem`, ≤ 100 keys, a `GetItem` + 20 µs/item | `BatchWriteItem`, ≤ 25 items, base + 350 µs/item | `BatchWriteItem`, ≤ 25 keys, at its base | 16 |
 //!   | [`Service::REDIS`] | 0.5–2 ms | none: one GET per key | none: one SET per key | none: one DEL per key | its 2 shards |
-//!   | [`Service::SHARDED_SERVICE`] | as Redis | none: one GET per key | one `MSET` per stripe touched | none: one DEL per key | `stripes` |
 //!
-//!   A batch larger than its call's limit is several calls; the calls of one
-//!   batch are issued together and charged as the slowest, and each call
-//!   draws its latency from the RNG of its (first) key's placement stripe —
-//!   one lock and one RNG, seeded `seed + stripe`, per stripe.
+//!   Placement is a fact of the row ([`Service::stripes`]: 16 is
+//!   [`DEFAULT_STRIPES`]). A batch larger than its call's limit is several
+//!   calls; the calls of one batch are issued together and charged as the
+//!   slowest, and each call draws its latency from the RNG of its (first)
+//!   key's placement stripe — one lock and one RNG, seeded `seed + stripe`,
+//!   per stripe.
 //!   What is genuinely a second behaviour is a thin addition over the shared
-//!   store: [`SimDynamo`] adds the serializable single-call transaction mode,
-//!   [`SimRedis`] adds `MSET` with its CROSSSLOT rule, and
-//!   [`SimShardedService`] puts a single-threaded request lane in front of
-//!   each stripe: a timeline on which every visit books its service time, so
-//!   one stripe's requests queue and a batch waits for its latest lane.
+//!   store: [`SimDynamo`] adds the serializable single-call transaction mode
+//!   and [`SimRedis`] adds `MSET` with its CROSSSLOT rule.
 //! * [`latency`] — parameterised latency models, scaled down uniformly so
 //!   experiments finish quickly while preserving the *ratios* between
 //!   backends that determine every figure's shape.
@@ -39,7 +37,7 @@
 //!   of API calls per transaction).
 //! * [`sharded`] — N-way lock striping for the store's data plane, so
 //!   multi-client experiments measure the protocol rather than contention
-//!   on a single map lock. Per-stripe counters roll up into [`counters`].
+//!   on a single map lock.
 //! * [`io`] — the overlapped I/O layer: a submission/completion engine
 //!   ([`IoEngine`]) that runs each request on its submitter and lets the
 //!   waiter time the completion, so N in-flight requests overlap their
@@ -64,7 +62,6 @@ pub mod memory;
 pub mod profiles;
 pub mod redis;
 pub mod s3;
-pub mod service;
 pub mod sharded;
 pub mod store;
 
@@ -74,7 +71,7 @@ pub use checkpoint::{
     compact_log, load_latest_checkpoint, publish_checkpoint, Checkpoint, CheckpointLoad,
     CheckpointManifest, CheckpointWriteOutcome, CompactionOutcome, CHECKPOINT_KEEP,
 };
-pub use counters::{OpKind, StorageStats, StorageStatsSnapshot, StripeCounters};
+pub use counters::{OpKind, StorageStats, StorageStatsSnapshot};
 pub use dynamo::{DynamoTransactionMode, SimDynamo};
 pub use engine::{SharedStorage, StorageEngine};
 pub use io::{
@@ -85,6 +82,5 @@ pub use latency::{LatencyMode, LatencyModel, LatencyProfile};
 pub use memory::InMemoryStore;
 pub use profiles::{MultiKeyCall, Service, ServiceProfile};
 pub use redis::SimRedis;
-pub use service::SimShardedService;
 pub use sharded::{stripe_of, ShardedMap, DEFAULT_STRIPES};
 pub use store::SimStore;

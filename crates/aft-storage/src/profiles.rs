@@ -18,6 +18,7 @@
 
 use crate::counters::OpKind;
 use crate::latency::LatencyProfile;
+use crate::sharded::DEFAULT_STRIPES;
 
 /// The real DynamoDB's `BatchWriteItem` limit (puts and deletes alike).
 pub const DYNAMO_BATCH_LIMIT: usize = 25;
@@ -90,8 +91,7 @@ impl MultiKeyCall {
 
 /// Redis `MSET` within one shard: slightly more than a single `SET`. Arbitrary
 /// write sets span shards, so the Redis row cannot offer it as its multi-key
-/// write ([`SimRedis::mset`](crate::SimRedis::mset) enforces the rule); the
-/// sharded service issues it per stripe.
+/// write ([`SimRedis::mset`](crate::SimRedis::mset) enforces the rule).
 pub const MSET: MultiKeyCall = MultiKeyCall {
     limit: usize::MAX,
     base: LatencyProfile::new(650.0, 1_900.0).with_per_kb(4.0),
@@ -120,9 +120,8 @@ pub struct Service {
     pub batch_put: Option<MultiKeyCall>,
     /// The multi-key delete call; `None` means one delete call per key.
     pub batch_delete: Option<MultiKeyCall>,
-    /// Placement stripes fixed by the service itself; `None` takes
-    /// [`BackendConfig::stripes`](crate::BackendConfig).
-    pub shards: Option<usize>,
+    /// Placement stripes: one lock and one latency RNG each.
+    pub stripes: usize,
 }
 
 impl Service {
@@ -133,7 +132,7 @@ impl Service {
         batch_get: Some(MultiKeyCall::FREE),
         batch_put: Some(MultiKeyCall::FREE),
         batch_delete: Some(MultiKeyCall::FREE),
-        shards: None,
+        stripes: DEFAULT_STRIPES,
     };
 
     /// AWS S3: throughput-oriented object store; slow, very heavy-tailed
@@ -154,7 +153,7 @@ impl Service {
             base: S3_DELETE,
             per_item_us: 0.0,
         }),
-        shards: None,
+        stripes: DEFAULT_STRIPES,
     };
 
     /// AWS DynamoDB: single-digit-millisecond KVS whose `BatchWriteItem`
@@ -187,7 +186,7 @@ impl Service {
             base: BATCH_WRITE_ITEM,
             per_item_us: 0.0,
         }),
-        shards: None,
+        stripes: DEFAULT_STRIPES,
     };
 
     /// AWS ElastiCache / Redis in cluster mode: memory-speed KVS, every key
@@ -204,16 +203,7 @@ impl Service {
         batch_get: None,
         batch_put: None,
         batch_delete: None,
-        shards: Some(DEFAULT_REDIS_SHARDS),
-    };
-
-    /// The store behind [`SimShardedService`](crate::SimShardedService):
-    /// Redis's per-call cost, one `MSET` per stripe a batch touches.
-    pub const SHARDED_SERVICE: Service = Service {
-        name: "sharded-service",
-        batch_put: Some(MSET),
-        shards: None,
-        ..Service::REDIS
+        stripes: DEFAULT_REDIS_SHARDS,
     };
 
     /// How a read batch is billed: as the multi-key call, or — without one —

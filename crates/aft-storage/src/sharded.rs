@@ -10,20 +10,15 @@
 //! Striping is invisible to callers — the map presents the exact same
 //! observable behaviour as a single sorted map (a property the
 //! `proptest_sharded` suite checks) — but commits from different clients that
-//! hash to different stripes no longer serialise on one another.
-//!
-//! Per-stripe access counts are recorded in a [`StripeCounters`] that rolls up
-//! into the backend's [`StorageStats`](crate::StorageStats), so experiments
-//! can report how evenly the key space spreads across stripes.
+//! hash to different stripes no longer serialise on one another. How many
+//! stripes a store has is a fact of its service row
+//! ([`Service::stripes`](crate::Service::stripes)).
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use std::sync::Arc;
 
 use aft_types::Value;
 use parking_lot::RwLock;
-
-use crate::counters::StripeCounters;
 
 // The striping function and default stripe count are canonical in
 // `aft-chaos` (the gray-failure fault mode must target exactly the keys
@@ -35,7 +30,6 @@ pub use aft_chaos::{stripe_of, DEFAULT_STRIPES};
 #[derive(Debug)]
 pub struct ShardedMap {
     stripes: Box<[RwLock<BTreeMap<String, Value>>]>,
-    counters: Arc<StripeCounters>,
 }
 
 impl Default for ShardedMap {
@@ -47,10 +41,10 @@ impl Default for ShardedMap {
 impl ShardedMap {
     /// Creates an empty map with `stripes` lock stripes (at least one).
     pub fn new(stripes: usize) -> Self {
-        let stripes = stripes.max(1);
         ShardedMap {
-            stripes: (0..stripes).map(|_| RwLock::new(BTreeMap::new())).collect(),
-            counters: StripeCounters::new(stripes),
+            stripes: (0..stripes.max(1))
+                .map(|_| RwLock::new(BTreeMap::new()))
+                .collect(),
         }
     }
 
@@ -59,16 +53,8 @@ impl ShardedMap {
         self.stripes.len()
     }
 
-    /// The per-stripe access counters (shared so they can be attached to a
-    /// backend's [`StorageStats`](crate::StorageStats)).
-    pub fn counters(&self) -> Arc<StripeCounters> {
-        Arc::clone(&self.counters)
-    }
-
     fn stripe(&self, key: &str) -> &RwLock<BTreeMap<String, Value>> {
-        let idx = stripe_of(key, self.stripes.len());
-        self.counters.record(idx);
-        &self.stripes[idx]
+        &self.stripes[stripe_of(key, self.stripes.len())]
     }
 
     /// Returns the blob stored at `key`.
@@ -170,17 +156,6 @@ mod tests {
             seen.insert(stripe_of(&key, stripes));
         }
         assert_eq!(seen.len(), stripes, "500 keys must hit every stripe");
-    }
-
-    #[test]
-    fn counters_record_every_point_access() {
-        let map = ShardedMap::new(4);
-        map.put("a", val("1"));
-        map.get("a");
-        map.get("missing");
-        map.remove("a");
-        assert_eq!(map.counters().total(), 4);
-        assert_eq!(map.counters().counts().len(), 4);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::counters::{OpKind, StorageStats};
 use crate::engine::StorageEngine;
 use crate::latency::{LatencyModel, LatencyProfile, StripedSampler};
 use crate::profiles::Service;
-use crate::sharded::{stripe_of, ShardedMap, DEFAULT_STRIPES};
+use crate::sharded::{stripe_of, ShardedMap};
 
 /// One simulated storage service: the engine behind every [`Service`] row.
 #[derive(Debug)]
@@ -33,12 +33,8 @@ pub struct SimStore {
 
 impl Default for SimStore {
     fn default() -> Self {
-        Self::of(
-            Service::MEMORY,
-            LatencyModel::disabled(),
-            0,
-            DEFAULT_STRIPES,
-        )
+        let memory = Service::MEMORY;
+        Self::of(memory, LatencyModel::disabled(), 0, memory.stripes)
     }
 }
 
@@ -55,16 +51,15 @@ impl SimStore {
 
     /// An empty store simulating `service`: `stripes` placement stripes
     /// (clamped to ≥ 1), each with its own lock and its own latency RNG
-    /// seeded `seed + stripe`.
+    /// seeded `seed + stripe`. [`make_backend`](crate::make_backend) passes
+    /// the row's own [`Service::stripes`].
     pub fn of(service: Service, latency: Arc<LatencyModel>, seed: u64, stripes: usize) -> Self {
         let map = ShardedMap::new(stripes);
-        let stats = StorageStats::new_shared();
-        stats.attach_stripes(map.counters());
         SimStore {
             service,
             sampler: StripedSampler::new(latency, seed, map.stripe_count()),
             map,
-            stats,
+            stats: StorageStats::new_shared(),
         }
     }
 

@@ -84,20 +84,4 @@ proptest! {
         // Full-scan equivalence at the end, including empty-prefix scans.
         prop_assert_eq!(striped.keys_with_prefix(""), single.keys_with_prefix(""));
     }
-
-    #[test]
-    fn stripe_counters_account_every_point_access(
-        ops in proptest::collection::vec(arb_op(), 1..60),
-        stripes in 1usize..16,
-    ) {
-        let map = ShardedMap::new(stripes);
-        let mut point_ops = 0u64;
-        for op in &ops {
-            apply(&map, op);
-            if matches!(op, Op::Put(..) | Op::Get(..) | Op::Remove(..)) {
-                point_ops += 1;
-            }
-        }
-        prop_assert_eq!(map.counters().total(), point_ops);
-    }
 }
