@@ -117,8 +117,8 @@ mod tests {
     fn a_visible_commit_record_implies_its_data_under_concurrent_commits() {
         // §3.3's write ordering, observed from outside while 16 committers
         // race: whenever a commit record can be listed, the data it covers
-        // can be read. Over Redis (per-key data puts) and over memory (one
-        // batched data put).
+        // can be read. Over Redis (these keys carry no slot tag, so the data
+        // puts are per key) and over memory (one batched data put).
         use aft_storage::{BackendConfig, BackendKind};
         const COMMITTERS: usize = 16;
         for kind in [BackendKind::Redis, BackendKind::Memory] {

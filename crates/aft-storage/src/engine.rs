@@ -43,9 +43,9 @@ pub trait StorageEngine: Send + Sync {
 
     /// Durably writes a set of key/value pairs.
     ///
-    /// Backends that support a batch API (DynamoDB's `BatchWriteItem`)
-    /// perform this in as few API calls as their limits allow; backends that
-    /// do not (S3, cross-shard Redis) fall back to sequential single writes.
+    /// Backends that support a batch API (DynamoDB's `BatchWriteItem`,
+    /// Redis's one-slot `MSET`) perform this in as few API calls as their
+    /// limits allow; backends that do not (S3) fall back to single writes.
     /// Either way the call returns only once every item is durable.
     fn put_batch(&self, items: Vec<(String, Value)>) -> AftResult<()>;
 

@@ -18,17 +18,19 @@
 //!   | [`Service::MEMORY`] ([`InMemoryStore`]) | free | any number of keys, free | any number of keys, free | any number of keys, free | 16 |
 //!   | [`Service::S3`] | 14–40 ms median, very heavy write tail | none: one GET per key | none: one PUT per key | `DeleteObjects`, ≤ 1 000 keys, at the delete profile | 16 |
 //!   | [`Service::DYNAMODB`] | 2.5–6 ms | `BatchGetItem`, ≤ 100 keys, a `GetItem` + 20 µs/item | `BatchWriteItem`, ≤ 25 items, base + 350 µs/item | `BatchWriteItem`, ≤ 25 keys, at its base | 16 |
-//!   | [`Service::REDIS`] | 0.5–2 ms | none: one GET per key | none: one SET per key | none: one DEL per key | its 2 shards |
+//!   | [`Service::REDIS`] | 0.5–2 ms | none: one GET per key | `MSET`, ≤ 16 keys of one slot, base + 60 µs/key | `DEL`, ≤ 16 keys of one slot, base + 60 µs/key | its 2 shards |
 //!
 //!   Placement is a fact of the row ([`Service::stripes`]: 16 is
 //!   [`DEFAULT_STRIPES`]). A batch larger than its call's limit is several
 //!   calls; the calls of one batch are issued together and charged as the
 //!   slowest, and each call draws its latency from the RNG of its (first)
 //!   key's placement stripe — one lock and one RNG, seeded `seed + stripe`,
-//!   per stripe.
+//!   per stripe. Redis's multi-key calls may not span hash slots: its
+//!   batches split by [`aft_types::slot_tag`] first, so one transaction's
+//!   keys share a call and a key alone in its slot is a single-key call
+//!   ([`redis`] says why the rule holds).
 //!   What is genuinely a second behaviour is a thin addition over the shared
-//!   store: [`SimDynamo`] adds the serializable single-call transaction mode
-//!   and [`SimRedis`] adds `MSET` with its CROSSSLOT rule.
+//!   store: [`SimDynamo`] adds the serializable single-call transaction mode.
 //! * [`latency`] — parameterised latency models, scaled down uniformly so
 //!   experiments finish quickly while preserving the *ratios* between
 //!   backends that determine every figure's shape.
@@ -81,6 +83,5 @@ pub use io::{
 pub use latency::{LatencyMode, LatencyModel, LatencyProfile};
 pub use memory::InMemoryStore;
 pub use profiles::{MultiKeyCall, Service, ServiceProfile};
-pub use redis::SimRedis;
 pub use sharded::{stripe_of, ShardedMap, DEFAULT_STRIPES};
 pub use store::SimStore;

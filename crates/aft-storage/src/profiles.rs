@@ -33,6 +33,12 @@ pub const S3_DELETE_OBJECTS_LIMIT: usize = 1000;
 /// shards", §6).
 pub const DEFAULT_REDIS_SHARDS: usize = 2;
 
+/// Most keys one Redis `MSET` or `DEL` carries. At this size an `MSET` costs
+/// about one `SET`'s p99 (650 + 16 × 60 µs); a larger write, such as a
+/// preload's 500-key commit, is several calls issued together rather than
+/// one call that grows with the batch.
+pub const REDIS_MULTI_KEY_LIMIT: usize = 16;
+
 /// Latency of the four single-key calls every service has.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceProfile {
@@ -68,6 +74,11 @@ pub struct MultiKeyCall {
     pub base: LatencyProfile,
     /// Additional cost per key in the call, in microseconds.
     pub per_item_us: f64,
+    /// Whether one call may only carry keys of one hash slot (Redis Cluster
+    /// rejects a cross-slot multi-key command). The slot of a key is its
+    /// [`slot_tag`](aft_types::slot_tag); a batch is split by slot before it
+    /// is cut to `limit`, and a lone key goes out as the single-key call.
+    pub one_slot: bool,
 }
 
 impl MultiKeyCall {
@@ -76,6 +87,7 @@ impl MultiKeyCall {
         limit: usize::MAX,
         base: LatencyProfile::ZERO,
         per_item_us: 0.0,
+        one_slot: false,
     };
 
     /// The latency profile of one call carrying `items` keys.
@@ -89,13 +101,26 @@ impl MultiKeyCall {
     }
 }
 
-/// Redis `MSET` within one shard: slightly more than a single `SET`. Arbitrary
-/// write sets span shards, so the Redis row cannot offer it as its multi-key
-/// write ([`SimRedis::mset`](crate::SimRedis::mset) enforces the rule).
+/// Redis `MSET`, the Redis row's multi-key write: slightly more than a single
+/// `SET`, plus 60 µs per key, over the keys of one hash slot only.
 pub const MSET: MultiKeyCall = MultiKeyCall {
-    limit: usize::MAX,
+    limit: REDIS_MULTI_KEY_LIMIT,
     base: LatencyProfile::new(650.0, 1_900.0).with_per_kb(4.0),
     per_item_us: 60.0,
+    one_slot: true,
+};
+
+/// Redis's single-key delete.
+const REDIS_DELETE: LatencyProfile = LatencyProfile::new(500.0, 1_400.0);
+
+/// Redis multi-key `DEL`, the Redis row's multi-key delete: one `DEL`'s round
+/// trip plus, as for `MSET`, 60 µs per key, over the keys of one hash slot
+/// only.
+pub const DEL: MultiKeyCall = MultiKeyCall {
+    limit: REDIS_MULTI_KEY_LIMIT,
+    base: REDIS_DELETE,
+    per_item_us: 60.0,
+    one_slot: true,
 };
 
 /// S3's delete round trip, whether it carries one key or `DeleteObjects`' 1000.
@@ -152,6 +177,7 @@ impl Service {
             limit: S3_DELETE_OBJECTS_LIMIT,
             base: S3_DELETE,
             per_item_us: 0.0,
+            one_slot: false,
         }),
         stripes: DEFAULT_STRIPES,
     };
@@ -175,34 +201,38 @@ impl Service {
             limit: DYNAMO_BATCH_GET_LIMIT,
             base: DYNAMO_READ,
             per_item_us: 20.0,
+            one_slot: false,
         }),
         batch_put: Some(MultiKeyCall {
             limit: DYNAMO_BATCH_LIMIT,
             base: BATCH_WRITE_ITEM,
             per_item_us: 350.0,
+            one_slot: false,
         }),
         batch_delete: Some(MultiKeyCall {
             limit: DYNAMO_BATCH_LIMIT,
             base: BATCH_WRITE_ITEM,
             per_item_us: 0.0,
+            one_slot: false,
         }),
         stripes: DEFAULT_STRIPES,
     };
 
     /// AWS ElastiCache / Redis in cluster mode: memory-speed KVS, every key
-    /// on exactly one of its shards, no cross-shard multi-key call — neither
-    /// `MGET` nor `MSET` may span hash slots.
+    /// on exactly one of its shards, and multi-key calls (`MSET`, `DEL`) only
+    /// within one hash slot. AFT reads versions of different transactions,
+    /// which share no slot, so the row has no multi-key read.
     pub const REDIS: Service = Service {
         name: "redis",
         profile: ServiceProfile {
             read: LatencyProfile::new(500.0, 1_400.0).with_per_kb(4.0),
             write: LatencyProfile::new(550.0, 1_600.0).with_per_kb(5.0),
-            delete: LatencyProfile::new(500.0, 1_400.0),
+            delete: REDIS_DELETE,
             list: LatencyProfile::new(2_000.0, 6_000.0),
         },
         batch_get: None,
-        batch_put: None,
-        batch_delete: None,
+        batch_put: Some(MSET),
+        batch_delete: Some(DEL),
         stripes: DEFAULT_REDIS_SHARDS,
     };
 
@@ -238,6 +268,7 @@ fn single(base: LatencyProfile) -> MultiKeyCall {
         limit: 1,
         base,
         per_item_us: 0.0,
+        one_slot: false,
     }
 }
 

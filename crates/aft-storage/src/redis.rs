@@ -1,4 +1,4 @@
-//! The Redis row, [`Service::REDIS`], and a cluster's `MSET`.
+//! The Redis row, [`Service::REDIS`](crate::Service::REDIS).
 //!
 //! The evaluation uses Redis in cluster mode with two shards (§6). The
 //! properties the figures depend on are:
@@ -7,160 +7,170 @@
 //! * hash-slot sharding: every key maps to exactly one shard,
 //! * per-shard linearizability but **no guarantees across shards** (which is
 //!   why "Redis Shard / Linearizable" still shows anomalies in Table 2), and
-//! * `MSET` can only write keys that live in a single shard, so AFT cannot
-//!   batch its commit writes over Redis (§6.1.2, §6.3): the row has no
-//!   multi-key call, and a pipelined cluster client flushes one SET (or DEL)
-//!   per key together.
+//! * multi-key commands only within one hash slot: the cluster rejects an
+//!   `MSET` or `DEL` whose keys hash to different slots (§6.1.2).
 //!
-//! A shard is a placement stripe of the shared [`SimStore`] — one lock, one
-//! latency RNG — and [`SimRedis`] adds `MSET` with its CROSSSLOT rule.
-
-use std::ops::Deref;
-use std::sync::Arc;
-
-use aft_types::{AftError, AftResult, Value};
-
-use crate::counters::OpKind;
-use crate::engine::StorageEngine;
-use crate::latency::LatencyModel;
-use crate::profiles::{Service, MSET};
-use crate::sharded::stripe_of;
-use crate::store::SimStore;
-
-/// A simulated Redis cluster: the [`Service::REDIS`] store (which it derefs
-/// to) plus `MSET`.
-pub struct SimRedis {
-    store: SimStore,
-}
-
-impl Deref for SimRedis {
-    type Target = SimStore;
-
-    fn deref(&self) -> &SimStore {
-        &self.store
-    }
-}
-
-impl SimRedis {
-    /// Creates an empty cluster of `num_shards` shards.
-    pub fn with_shards(num_shards: usize, latency: Arc<LatencyModel>, seed: u64) -> Arc<Self> {
-        assert!(num_shards > 0, "a Redis cluster needs at least one shard");
-        Arc::new(SimRedis {
-            store: SimStore::of(Service::REDIS, latency, seed, num_shards),
-        })
-    }
-
-    /// The shard a key hashes to (the cluster's hash-slot mapping).
-    pub fn shard_of(&self, key: &str) -> usize {
-        stripe_of(key, self.store.stripe_count())
-    }
-
-    /// `MSET`: writes several keys in one API call, but only if they all live
-    /// in the same shard — the real cluster rejects cross-slot multi-key
-    /// commands.
-    pub fn mset(&self, items: Vec<(String, Value)>) -> AftResult<()> {
-        let Some((first, _)) = items.first() else {
-            return Ok(());
-        };
-        let shard = self.shard_of(first);
-        if items.iter().any(|(k, _)| self.shard_of(k) != shard) {
-            return Err(AftError::Storage(
-                "CROSSSLOT keys in request don't hash to the same slot".to_owned(),
-            ));
-        }
-        self.stats().record_call(OpKind::BatchPut);
-        let payload = items.iter().map(|(_, v)| v.len()).sum();
-        self.store.charge(&MSET.cost(items.len()), first, payload);
-        for (k, v) in items {
-            self.store.write(&k, v);
-        }
-        Ok(())
-    }
-}
+//! A key's slot is its [`slot_tag`](aft_types::slot_tag): the transaction
+//! UUID that ends every AFT data key (`data/{key}/{uuid}`) and commit-record
+//! key (`commit/{ts}_{uuid}`), or the whole key if it carries none. On a real
+//! cluster that is a hash tag, the UUID written between braces, which the
+//! cluster hashes instead of the whole key. The rule holds because AFT
+//! already names a transaction's versions and its record by that UUID, and
+//! nothing else: every key of one transaction lands in one slot. So the row
+//! offers `MSET` and multi-key `DEL` ([`MSET`](crate::profiles::MSET),
+//! [`DEL`](crate::profiles::DEL), at most
+//! [`REDIS_MULTI_KEY_LIMIT`](crate::profiles::REDIS_MULTI_KEY_LIMIT) keys a
+//! call), and a batch goes out as one call per slot. An AFT commit is one
+//! `MSET` of its data, then its record's `SET`: §3.3's two round trips. A GC
+//! round deletes each collected transaction, record included, with one
+//! `DEL`. Keys without a UUID (checkpoint chunks and manifests, a plain
+//! baseline's bare keys) are each alone in their slot and keep one `SET` or
+//! `DEL` per key. Reads name versions of different transactions, so the row
+//! has no multi-key read. The paper's implementation could not batch its
+//! commit writes over Redis (§6.1.2, §6.3); this row departs from it on
+//! purpose, and its Redis call counts are not the paper's.
+//!
+//! A shard is a placement stripe of the shared [`SimStore`](crate::SimStore):
+//! one lock, one latency RNG.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::backend::{make_backend, BackendConfig, BackendKind};
+    use crate::counters::OpKind;
+    use crate::engine::{SharedStorage, StorageEngine};
+    use crate::latency::LatencyModel;
+    use crate::profiles::{Service, DEFAULT_REDIS_SHARDS, REDIS_MULTI_KEY_LIMIT};
+    use crate::sharded::stripe_of;
+    use crate::store::SimStore;
+    use aft_types::{Key, KeyVersion, TransactionId, TransactionRecord, Uuid, Value};
     use bytes::Bytes;
 
-    fn cluster(shards: usize) -> Arc<SimRedis> {
-        SimRedis::with_shards(shards, LatencyModel::disabled(), 1)
+    fn cluster() -> SharedStorage {
+        make_backend(BackendConfig::test(BackendKind::Redis))
     }
 
     fn val(s: &str) -> Value {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
+    /// The data keys and record key of a transaction writing `keys` keys.
+    fn transaction(uuid: u128, keys: usize) -> (Vec<String>, String) {
+        let id = TransactionId::new(uuid as u64, Uuid::from_u128(uuid));
+        let data = (0..keys)
+            .map(|i| KeyVersion::new(Key::new(format!("k{i}")), id).storage_key())
+            .collect();
+        (data, TransactionRecord::storage_key_for(&id))
+    }
+
+    fn items(keys: &[String]) -> Vec<(String, Value)> {
+        keys.iter().map(|k| (k.clone(), val("v"))).collect()
+    }
+
+    /// (Put, BatchPut, Delete, BatchDelete) calls billed so far.
+    fn calls(r: &SharedStorage) -> [u64; 4] {
+        let stats = r.stats();
+        [
+            OpKind::Put,
+            OpKind::BatchPut,
+            OpKind::Delete,
+            OpKind::BatchDelete,
+        ]
+        .map(|op| stats.calls(op))
+    }
+
     #[test]
     fn basic_operations_round_trip() {
-        let r = cluster(2);
+        let r = cluster();
         r.put("k", val("v")).unwrap();
         assert_eq!(r.get("k").unwrap().unwrap(), val("v"));
         r.delete("k").unwrap();
         assert!(r.get("k").unwrap().is_none());
         assert_eq!(r.name(), "redis");
-        assert!(!r.supports_batch_put());
+        assert!(r.supports_batch_put());
+        assert!(!r.supports_batch_get());
     }
 
     #[test]
     fn sharding_is_stable_and_covers_all_shards() {
-        let r = cluster(4);
+        let shards = Service::REDIS.stripes;
+        assert_eq!(shards, DEFAULT_REDIS_SHARDS);
         for key in ["a", "b", "k1", "k2"] {
             assert_eq!(
-                r.shard_of(key),
-                r.shard_of(key),
+                stripe_of(key, shards),
+                stripe_of(key, shards),
                 "shard mapping must be stable"
             );
-            assert!(r.shard_of(key) < 4);
+            assert!(stripe_of(key, shards) < shards);
         }
         // With enough keys every shard should receive something.
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..200 {
-            seen.insert(r.shard_of(&format!("key-{i}")));
-        }
-        assert_eq!(seen.len(), 4);
+        let seen: std::collections::HashSet<_> = (0..200)
+            .map(|i| stripe_of(&format!("key-{i}"), shards))
+            .collect();
+        assert_eq!(seen.len(), shards);
     }
 
     #[test]
     fn put_batch_issues_one_call_per_key() {
-        let r = cluster(2);
-        r.put_batch(vec![
-            ("a".into(), val("1")),
-            ("b".into(), val("2")),
-            ("c".into(), val("3")),
-        ])
-        .unwrap();
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.stats().calls(OpKind::Put), 3);
-        assert_eq!(r.stats().calls(OpKind::BatchPut), 0);
+        // Bare keys carry no slot tag: each is alone in its slot.
+        let r = cluster();
+        r.put_batch(items(&["a".into(), "b".into(), "c".into()]))
+            .unwrap();
+        r.delete_batch(&["a".into(), "b".into()]).unwrap();
+        assert_eq!(calls(&r), [3, 0, 2, 0]);
+        assert_eq!(r.get("c").unwrap(), Some(val("v")));
     }
 
     #[test]
-    fn mset_rejects_cross_slot_keys() {
-        let r = cluster(8);
-        // Find two keys on different shards.
-        let k1 = "key-0".to_owned();
-        let mut k2 = None;
-        for i in 1..100 {
-            let candidate = format!("key-{i}");
-            if r.shard_of(&candidate) != r.shard_of(&k1) {
-                k2 = Some(candidate);
-                break;
-            }
+    fn a_multi_key_call_never_spans_slots() {
+        // Two transactions' keys interleaved in one batch, with a bare key:
+        // one MSET per transaction, one SET for the bare key.
+        let r = cluster();
+        let (a, a_record) = transaction(0xA, 3);
+        let (b, b_record) = transaction(0xB, 2);
+        let mixed = vec![
+            a[0].clone(),
+            b[0].clone(),
+            "bare".into(),
+            a[1].clone(),
+            b[1].clone(),
+            a[2].clone(),
+        ];
+        r.put_batch(items(&mixed)).unwrap();
+        assert_eq!(calls(&r), [1, 2, 0, 0]);
+        for key in &mixed {
+            assert!(r.get(key).unwrap().is_some(), "{key}");
         }
-        let k2 = k2.expect("some key must land on a different shard");
-        let err = r
-            .mset(vec![(k1.clone(), val("1")), (k2, val("2"))])
-            .unwrap_err();
-        assert!(matches!(err, AftError::Storage(_)));
-        // Same-slot MSET succeeds.
-        r.mset(vec![(k1.clone(), val("1")), (k1, val("1b"))])
+        // Each record then joins its own transaction's slot: a GC-shaped
+        // delete (every data key, then every record) is one DEL per
+        // transaction plus the bare key's DEL.
+        r.put_batch(items(&[a_record.clone(), b_record.clone()]))
             .unwrap();
+        assert_eq!(calls(&r), [3, 2, 0, 0], "two lone keys are two SETs");
+        let mut doomed = mixed.clone();
+        doomed.extend([a_record, b_record]);
+        r.delete_batch(&doomed).unwrap();
+        assert_eq!(calls(&r), [3, 2, 1, 2]);
+        assert!(r.list_prefix("").unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_one_slot_call_carries_at_most_the_limit() {
+        // A transaction of 2 × limit + 1 keys: two full MSETs, then its last
+        // key alone, which is a SET. Deleting it with its record: two full
+        // DELs and one DEL of two keys.
+        let r = cluster();
+        let (data, record) = transaction(0xC, 2 * REDIS_MULTI_KEY_LIMIT + 1);
+        r.put_batch(items(&data)).unwrap();
+        assert_eq!(calls(&r), [1, 2, 0, 0]);
+        let mut doomed = data;
+        doomed.push(record);
+        r.delete_batch(&doomed).unwrap();
+        assert_eq!(calls(&r), [1, 2, 0, 3]);
     }
 
     #[test]
     fn list_prefix_merges_all_shards_sorted() {
-        let r = cluster(3);
+        let r = cluster();
         for i in 0..20 {
             r.put(&format!("data/k/{i:03}"), val("x")).unwrap();
         }
@@ -174,15 +184,11 @@ mod tests {
 
     #[test]
     fn single_shard_cluster_is_allowed() {
-        let r = cluster(1);
-        r.mset(vec![("a".into(), val("1")), ("b".into(), val("2"))])
-            .unwrap();
+        let r = SimStore::of(Service::REDIS, LatencyModel::disabled(), 1, 1);
+        assert_eq!(r.stripe_count(), 1);
+        let (data, _) = transaction(0xD, 2);
+        r.put_batch(items(&data)).unwrap();
         assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_panics() {
-        let _ = cluster(0);
+        assert_eq!(r.stats().calls(OpKind::BatchPut), 1);
     }
 }

@@ -7,19 +7,23 @@
 //! the simulator. The calls of one batch are issued together and the caller
 //! waits for the slowest: a batch charges the *maximum* of its samples, not
 //! their sum (sequential charging survives only in
-//! [`SequentialEngine`](crate::SequentialEngine)). A call whose profile is
+//! [`SequentialEngine`](crate::SequentialEngine)). Where a row's multi-key
+//! call may carry keys of one hash slot only (Redis), a batch is split by
+//! [`slot_tag`] before it is cut to the call's limit, and a key alone in its
+//! slot goes out as the single-key call. A call whose profile is
 //! free — every call of the memory row — takes no hash, no RNG lock and no
 //! latency bookkeeping.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use aft_types::{AftResult, Value};
+use aft_types::{slot_tag, AftResult, Value};
 
 use crate::counters::{OpKind, StorageStats};
 use crate::engine::StorageEngine;
 use crate::latency::{LatencyModel, LatencyProfile, StripedSampler};
-use crate::profiles::Service;
+use crate::profiles::{MultiKeyCall, Service};
 use crate::sharded::{stripe_of, ShardedMap};
 
 /// One simulated storage service: the engine behind every [`Service`] row.
@@ -114,6 +118,51 @@ impl SimStore {
         self.stats.record_written_bytes(value.len());
         self.map.put(key, value);
     }
+
+    /// Bills one call of a batch that carries `keys` keys and returns its
+    /// latency profile: the row's multi-key `call`, billed as `kind`, except
+    /// that a lone key on a one-slot row goes out as the single-key call
+    /// `lone`.
+    fn bill(
+        &self,
+        kind: OpKind,
+        call: &MultiKeyCall,
+        keys: usize,
+        lone: (OpKind, LatencyProfile),
+    ) -> LatencyProfile {
+        let (kind, profile) = if call.one_slot && keys == 1 {
+            lone
+        } else {
+            (kind, call.cost(keys))
+        };
+        self.stats.record_call(kind);
+        profile
+    }
+}
+
+/// The API calls that carry one batch, in issue order, each as the indices of
+/// the keys it carries. A call confined to one hash slot first groups the keys
+/// by [`slot_tag`] (groups in order of first appearance, keys in batch order);
+/// each group is then cut, in order, into calls of at most the call's limit.
+fn calls_of<'k>(call: &MultiKeyCall, keys: impl Iterator<Item = &'k str>) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    if call.one_slot {
+        let mut group_of: HashMap<&str, usize> = HashMap::new();
+        for (i, key) in keys.enumerate() {
+            let group = *group_of.entry(slot_tag(key)).or_insert(groups.len());
+            if group == groups.len() {
+                groups.push(Vec::new());
+            }
+            groups[group].push(i);
+        }
+    } else {
+        groups.push((0..keys.count()).collect());
+    }
+    groups
+        .iter()
+        .flat_map(|group| group.chunks(call.limit))
+        .map(<[usize]>::to_vec)
+        .collect()
 }
 
 impl StorageEngine for SimStore {
@@ -131,14 +180,19 @@ impl StorageEngine for SimStore {
 
     fn get_batch(&self, keys: &[String]) -> AftResult<Vec<Option<Value>>> {
         let (kind, call) = self.service.read_call();
-        let mut values = Vec::with_capacity(keys.len());
-        let calls = keys.chunks(call.limit).map(|chunk| {
-            self.stats.record_call(kind);
-            let start = values.len();
-            values.extend(chunk.iter().map(|k| self.read(k)));
-            let bytes = values[start..].iter().flatten().map(|v| v.len()).sum();
-            self.sample(&call.cost(chunk.len()), &chunk[0], bytes)
-        });
+        let lone = (OpKind::Get, self.service.profile.read);
+        let mut values = vec![None; keys.len()];
+        let calls = calls_of(&call, keys.iter().map(String::as_str))
+            .into_iter()
+            .map(|chunk| {
+                let profile = self.bill(kind, &call, chunk.len(), lone);
+                let mut bytes = 0;
+                for &i in &chunk {
+                    values[i] = self.read(&keys[i]);
+                    bytes += values[i].as_ref().map_or(0, |v| v.len());
+                }
+                self.sample(&profile, &keys[chunk[0]], bytes)
+            });
         self.wait(calls.max());
         Ok(values)
     }
@@ -152,14 +206,19 @@ impl StorageEngine for SimStore {
 
     fn put_batch(&self, items: Vec<(String, Value)>) -> AftResult<()> {
         let (kind, call) = self.service.write_call();
-        let calls = items.chunks(call.limit).map(|chunk| {
-            self.stats.record_call(kind);
-            for (k, v) in chunk {
-                self.write(k, v.clone());
-            }
-            let bytes = chunk.iter().map(|(_, v)| v.len()).sum();
-            self.sample(&call.cost(chunk.len()), &chunk[0].0, bytes)
-        });
+        let lone = (OpKind::Put, self.service.profile.write);
+        let calls = calls_of(&call, items.iter().map(|(k, _)| k.as_str()))
+            .into_iter()
+            .map(|chunk| {
+                let profile = self.bill(kind, &call, chunk.len(), lone);
+                let mut bytes = 0;
+                for &i in &chunk {
+                    let (k, v) = &items[i];
+                    bytes += v.len();
+                    self.write(k, v.clone());
+                }
+                self.sample(&profile, &items[chunk[0]].0, bytes)
+            });
         self.wait(calls.max());
         Ok(())
     }
@@ -173,13 +232,16 @@ impl StorageEngine for SimStore {
 
     fn delete_batch(&self, keys: &[String]) -> AftResult<()> {
         let (kind, call) = self.service.delete_call();
-        let calls = keys.chunks(call.limit).map(|chunk| {
-            self.stats.record_call(kind);
-            for k in chunk {
-                self.map.remove(k);
-            }
-            self.sample(&call.cost(chunk.len()), &chunk[0], 0)
-        });
+        let lone = (OpKind::Delete, self.service.profile.delete);
+        let calls = calls_of(&call, keys.iter().map(String::as_str))
+            .into_iter()
+            .map(|chunk| {
+                let profile = self.bill(kind, &call, chunk.len(), lone);
+                for &i in &chunk {
+                    self.map.remove(&keys[i]);
+                }
+                self.sample(&profile, &keys[chunk[0]], 0)
+            });
         self.wait(calls.max());
         Ok(())
     }

@@ -14,6 +14,8 @@
 //!   and the per-transaction key versions AFT writes to storage (§3.2).
 //! * [`TransactionRecord`] — the commit record persisted to the Transaction
 //!   Commit Set at the end of the write-ordering protocol (§3.3).
+//! * [`slot_tag`] — which part of a storage key places it on a sharded
+//!   store: the transaction UUID its data and record keys share.
 //! * [`codec`] — a small, dependency-free binary codec used to turn records
 //!   and tagged values into the opaque blobs the storage layer persists. AFT
 //!   only relies on the storage engine for durability, so everything it stores
@@ -53,6 +55,30 @@ pub const DATA_PREFIX: &str = "data";
 /// Storage key prefix under which AFT stores commit records (the Transaction
 /// Commit Set of §3.1/§3.3).
 pub const COMMIT_PREFIX: &str = "commit";
+
+/// The part of a storage key that picks its hash slot on a sharded store:
+/// the writing transaction's 32-hex-digit UUID, which ends every data key
+/// (`data/{key}/{uuid}`) and every commit-record key (`commit/{ts}_{uuid}`).
+/// A transaction's versions and its record therefore share one slot, and a
+/// multi-key call limited to one slot can carry them together. Any other key
+/// (a checkpoint key, a bare key written by a baseline without AFT) is its
+/// own tag.
+pub fn slot_tag(storage_key: &str) -> &str {
+    let under = |prefix: &str| {
+        storage_key
+            .strip_prefix(prefix)
+            .and_then(|rest| rest.strip_prefix('/'))
+    };
+    let suffix = match (under(DATA_PREFIX), under(COMMIT_PREFIX)) {
+        (Some(rest), _) => rest.rsplit_once('/'),
+        (_, Some(rest)) => rest.rsplit_once('_'),
+        _ => None,
+    };
+    match suffix {
+        Some((_, uuid)) if uuid.len() == 32 && uuid.bytes().all(|b| b.is_ascii_hexdigit()) => uuid,
+        _ => storage_key,
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -226,6 +226,33 @@ mod tests {
     }
 
     #[test]
+    fn a_transactions_data_keys_and_record_key_share_one_slot_tag() {
+        use crate::slot_tag;
+        let r = TransactionRecord::new(
+            TransactionId::new(1_700_000_000_123, Uuid::from_u128(0xabc)),
+            ["cart/7", "a", "photos/user/42"].map(Key::new),
+        );
+        let uuid = r.id.uuid.to_string();
+        let record_key = r.storage_key();
+        assert_eq!(slot_tag(&record_key), uuid);
+        for kv in r.key_versions() {
+            assert_eq!(slot_tag(&kv.storage_key()), uuid, "{kv}");
+        }
+        // Keys that carry no transaction UUID are their own tag.
+        for bare in [
+            "ckptmeta/00000000000000000003",
+            "ckptdata/00000000000000000003/000001",
+            "key-00000042",
+            "data/missing-suffix",
+            "data/k/not-a-uuid",
+            "commit/garbage",
+            "commitx/00000000000000000001_00000000000000000000000000000abc",
+        ] {
+            assert_eq!(slot_tag(bare), bare);
+        }
+    }
+
+    #[test]
     fn id_from_storage_key_rejects_data_keys() {
         assert!(TransactionRecord::id_from_storage_key("data/k/000_1").is_err());
     }

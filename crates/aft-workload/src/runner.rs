@@ -203,6 +203,8 @@ pub fn run_closed_loop(driver: &dyn RequestDriver, config: &RunConfig) -> AftRes
 mod tests {
     use super::*;
     use crate::drivers::{AftDriver, PlainDriver};
+    use crate::generator::{FunctionPlan, TransactionPlan};
+    use aft_chaos::FaasChaos;
     use aft_core::{AftNode, NodeConfig};
     use aft_faas::{FaasPlatform, PlatformConfig, RetryPolicy};
     use aft_storage::{BackendConfig, BackendKind, InMemoryStore};
@@ -270,28 +272,43 @@ mod tests {
 
     #[test]
     fn concurrent_plain_clients_eventually_show_anomalies() {
-        // The contended plain workload is the Table 2 setting: with enough
-        // parallel clients hammering a tiny hot key space, read-your-writes
-        // and fractured-read anomalies appear.
+        // The §1 hazard by construction, so no scheduler interleaving
+        // decides the outcome: a request that writes two hot keys crashes
+        // between the writes (no retries), leaving half its update in the
+        // store; then eight clients read the hot key space, which no longer
+        // changes, and those that read both keys see the update fractured.
         let storage = aft_storage::make_backend(BackendConfig::test(BackendKind::DynamoDb));
         let driver = PlainDriver::new(
             storage,
-            FaasPlatform::new(PlatformConfig::test()),
-            RetryPolicy::with_attempts(3),
+            FaasPlatform::new(PlatformConfig::test().with_chaos(FaasChaos {
+                mid_body: 1.0,
+                ..FaasChaos::quiet()
+            })),
+            RetryPolicy::no_retries(),
         );
-        let config = RunConfig::new(
-            WorkloadConfig::standard()
-                .with_keys(4)
-                .with_zipf(2.0)
-                .with_value_size(64),
-        )
-        .with_clients(8)
-        .with_requests(150);
-        let result = run_closed_loop(&driver, &config).unwrap();
+        let hot = WorkloadConfig::read_write_ratio(100)
+            .with_keys(4)
+            .with_zipf(2.0);
+        let keys = WorkloadGenerator::new(hot.clone(), 0).preload_plan();
+        driver.preload(&keys, 64).unwrap();
+        let torn = TransactionPlan {
+            functions: vec![FunctionPlan {
+                reads: Vec::new(),
+                writes: keys[..2].to_vec(),
+            }],
+            value_size: 64,
+        };
+        assert!(driver.execute(&torn).is_err(), "the writer crashes");
+
+        let readers = RunConfig {
+            preload: false,
+            ..RunConfig::new(hot).with_clients(8).with_requests(150)
+        };
+        let result = run_closed_loop(&driver, &readers).unwrap();
         assert_eq!(result.completed, 8 * 150);
         assert!(
-            result.anomalies.ryw_transactions + result.anomalies.fr_transactions > 0,
-            "expected at least one anomaly under heavy contention without AFT"
+            result.anomalies.fr_transactions > 0,
+            "readers of a crashed plain request's partial update see it fractured"
         );
     }
 }

@@ -11,7 +11,8 @@ use aft::storage::{BackendConfig, BackendKind};
 use aft::types::clock::TickingClock;
 use aft::types::Key;
 use aft::workload::{
-    run_closed_loop, AftDriver, DynamoTxnDriver, PlainDriver, RunConfig, WorkloadConfig,
+    run_closed_loop, AftDriver, AnomalyCounts, DynamoTxnDriver, FunctionPlan, PlainDriver,
+    RequestDriver, RunConfig, TransactionPlan, WorkloadConfig, WorkloadGenerator,
 };
 use bytes::Bytes;
 
@@ -119,42 +120,76 @@ fn injected_function_failures_never_leak_partial_state_through_aft() {
     }
 }
 
+/// A platform on which every function crashes after its first write.
+fn crash_after_first_write() -> Arc<FaasPlatform> {
+    FaasPlatform::new(PlatformConfig::test().with_chaos(FaasChaos {
+        mid_body: 1.0,
+        ..FaasChaos::quiet()
+    }))
+}
+
+/// The §1 hazard by construction, through `driver` (built over
+/// [`crash_after_first_write`] without retries) on a hot key space: a
+/// request that writes two keys crashes between the writes, then eight
+/// clients read keys that no longer change. Returns what the readers saw.
+fn readers_after_a_torn_write(driver: &dyn RequestDriver) -> AnomalyCounts {
+    let hot = WorkloadConfig::read_write_ratio(100)
+        .with_keys(4)
+        .with_zipf(2.0);
+    let keys = WorkloadGenerator::new(hot.clone(), 0).preload_plan();
+    driver.preload(&keys, 128).unwrap();
+    let torn = TransactionPlan {
+        functions: vec![FunctionPlan {
+            reads: Vec::new(),
+            writes: keys[..2].to_vec(),
+        }],
+        value_size: 128,
+    };
+    assert!(driver.execute(&torn).is_err(), "the writer crashes");
+    let readers = RunConfig {
+        preload: false,
+        ..RunConfig::new(hot).with_clients(8).with_requests(50)
+    };
+    let result = run_closed_loop(driver, &readers).unwrap();
+    assert_eq!(result.completed, 8 * 50);
+    result.anomalies
+}
+
 #[test]
 fn plain_baseline_shows_anomalies_under_contention_but_aft_does_not() {
-    // The Table 2 comparison in miniature: a hot key space hammered by many
-    // clients.
+    // The Table 2 comparison in miniature. A crashed plain request leaves
+    // half its update in storage for every reader to see; under AFT the
+    // same crash leaves nothing visible.
+    let plain = PlainDriver::new(
+        aft::storage::make_backend(BackendConfig::test(BackendKind::DynamoDb)),
+        crash_after_first_write(),
+        RetryPolicy::no_retries(),
+    );
+    let plain_result = readers_after_a_torn_write(&plain);
+    assert!(
+        plain_result.fr_transactions > 0,
+        "plain storage exposes a crashed request's partial update"
+    );
+    let aft_crashed = AftDriver::single_node(
+        aft::core::AftNode::new(
+            NodeConfig::default(),
+            aft::storage::make_backend(BackendConfig::test(BackendKind::DynamoDb)),
+        )
+        .unwrap(),
+        crash_after_first_write(),
+        RetryPolicy::no_retries(),
+    );
+    let aft_crashed = readers_after_a_torn_write(&aft_crashed);
+    assert_eq!(
+        aft_crashed.ryw_transactions + aft_crashed.fr_transactions,
+        0
+    );
+
+    // And a hot key space hammered by many clients stays clean under AFT.
     let contended = WorkloadConfig::standard()
         .with_keys(4)
         .with_zipf(2.0)
         .with_value_size(128);
-
-    // Whether the racing clients actually interleave badly is up to the
-    // scheduler: on a loaded machine (e.g. CI running many test binaries at
-    // once) a run can finish with zero anomalies. Retry a few times — one
-    // anomalous run is all the comparison needs — so the assertion tests the
-    // baseline's lack of a guarantee, not one scheduler interleaving.
-    let mut plain_result = None;
-    for _ in 0..5 {
-        let plain = PlainDriver::new(
-            aft::storage::make_backend(BackendConfig::test(BackendKind::DynamoDb)),
-            FaasPlatform::new(PlatformConfig::test()),
-            RetryPolicy::with_attempts(3),
-        );
-        let result = run_closed_loop(
-            &plain,
-            &RunConfig::new(contended.clone())
-                .with_clients(8)
-                .with_requests(100),
-        )
-        .unwrap();
-        let anomalous = result.anomalies.ryw_transactions + result.anomalies.fr_transactions > 0;
-        plain_result = Some(result);
-        if anomalous {
-            break;
-        }
-    }
-    let plain_result = plain_result.expect("at least one plain run");
-
     let node = aft::core::AftNode::new(
         NodeConfig::default(),
         aft::storage::make_backend(BackendConfig::test(BackendKind::DynamoDb)),
@@ -170,11 +205,6 @@ fn plain_baseline_shows_anomalies_under_contention_but_aft_does_not() {
         &RunConfig::new(contended).with_clients(8).with_requests(100),
     )
     .unwrap();
-
-    assert!(
-        plain_result.anomalies.ryw_transactions + plain_result.anomalies.fr_transactions > 0,
-        "plain storage under contention should show anomalies"
-    );
     assert_eq!(aft_result.anomalies.ryw_transactions, 0);
     assert_eq!(aft_result.anomalies.fr_transactions, 0);
 }

@@ -14,7 +14,12 @@
 //!   reads began to use a service's multi-key read call. It is 0 on every
 //!   row and no other cell moved: no step of this script reads two keys at
 //!   once (its bootstrap finds an empty commit set, and its compaction no
-//!   record that the checkpoint does not already hold).
+//!   record that the checkpoint does not already hold). The Redis row was
+//!   re-recorded on top of commit c5e0b8c, when Redis gained `MSET` and
+//!   multi-key `DEL` within one hash slot: a commit's data became one
+//!   `BatchPut` (as on memory) and a collected transaction one
+//!   `BatchDelete`; 707 `Put`s and 641 `Delete`s became 182 `Put`s, 180
+//!   `BatchPut`s, 22 `Delete`s and 158 `BatchDelete`s.
 //! * The *`GetAll`* script: a node without a data cache commits 250 keys,
 //!   then reads them back through `get_all` calls that miss 1, 2, 8, 100,
 //!   101 and 250 keys. Each read that misses two or more bills one
@@ -91,7 +96,7 @@ fn aft_script_bills_the_golden_call_counts_on_every_service() {
         (BackendKind::Memory, [369, 0, 182, 180, 0, 2, 5]),
         (BackendKind::S3, [369, 0, 707, 0, 0, 2, 5]),
         (BackendKind::DynamoDb, [369, 0, 182, 180, 0, 26, 5]),
-        (BackendKind::Redis, [369, 0, 707, 0, 641, 0, 5]),
+        (BackendKind::Redis, [369, 0, 182, 180, 22, 158, 5]),
     ];
     for (kind, expected) in golden {
         assert_eq!(
@@ -100,6 +105,64 @@ fn aft_script_bills_the_golden_call_counts_on_every_service() {
             "{kind}: (Get, BatchGet, Put, BatchPut, Delete, BatchDelete, List)"
         );
     }
+}
+
+#[test]
+fn redis_sends_a_transaction_as_one_call_and_a_bare_key_as_its_own() {
+    let storage = make_backend(BackendConfig::test(BackendKind::Redis));
+    let calls = || storage.stats().snapshot();
+    let cluster = Cluster::with_clock(
+        ClusterConfig {
+            node_template: NodeConfig::test_without_cache(),
+            ..ClusterConfig::test(1)
+        },
+        storage.clone(),
+        TickingClock::shared(1, 1),
+    )
+    .unwrap();
+    let node = cluster.route().unwrap();
+
+    // A commit of n ≥ 2 distinct keys: one MSET of its data (up to the
+    // call's 16 keys), then its record's SET.
+    for n in 2..=16 {
+        let before = calls();
+        let txn = node.start_transaction();
+        for i in 0..n {
+            node.put(&txn, Key::new(format!("hot{i}")), Bytes::from_static(b"v"))
+                .unwrap();
+        }
+        node.commit(&txn).unwrap();
+        let commit = calls().delta_since(&before);
+        assert_eq!(commit.calls(OpKind::BatchPut), 1, "{n} keys");
+        assert_eq!(commit.calls(OpKind::Put), 1, "{n} keys");
+        assert_eq!(commit.total_calls(), 2, "{n} keys");
+    }
+
+    // The last commit wrote every key, so the round collects the 14 before
+    // it: one DEL each, its record in the same call as its data.
+    let before = calls();
+    let round = cluster.run_maintenance_round().unwrap();
+    let gc = calls().delta_since(&before);
+    assert_eq!(round.global_gc.deleted, 14);
+    assert_eq!(gc.calls(OpKind::BatchDelete), 14);
+    assert_eq!(gc.calls(OpKind::Delete), 0);
+
+    // Bare keys (a baseline without AFT) carry no slot tag: one SET and one
+    // DEL per key, as before Redis had multi-key calls.
+    let bare: Vec<String> = (0..20).map(|i| format!("key-{i:08}")).collect();
+    let before = calls();
+    storage
+        .put_batch(
+            bare.iter()
+                .map(|k| (k.clone(), Bytes::from_static(b"v")))
+                .collect(),
+        )
+        .unwrap();
+    storage.delete_batch(&bare).unwrap();
+    let plain = calls().delta_since(&before);
+    assert_eq!(plain.calls(OpKind::Put), 20);
+    assert_eq!(plain.calls(OpKind::Delete), 20);
+    assert_eq!(plain.total_calls(), 40);
 }
 
 /// Keys missed by each `get_all` of the `GetAll` script: one, a pair, a few,
