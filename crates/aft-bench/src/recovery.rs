@@ -14,24 +14,31 @@
 //! * lose **no committed transaction** — every commit record durable in
 //!   storage is visible on every node after recovery, including commits
 //!   whose acknowledgement and broadcast died with their node (§4.2), and
-//! * converge, with measurable time-to-recovery (fault-manager scan →
+//! * converge, and in how many maintenance rounds (fault-manager scan →
 //!   standby replacement, §6.7)?
 //!
 //! Every cell runs `trials` seeded trials on the virtual clock
-//! (`LatencyMode::Virtual` at full scale): client threads hammer a small
-//! cluster through a [`FaultyBackend`] while a [`ChaosController`] kills one
-//! node mid-commit, then the controller drives recovery and the trial
-//! verifies the invariants against ground truth read straight from storage.
-//! Every layer's faults in a trial — storage, network, platform, and the
-//! kill itself — derive from one [`ChaosSpec`] seed, so
-//! `aft-bench fig10_recovery --seed N` replays a failing trial bit-identically across
-//! all layers.
+//! (`LatencyMode::Virtual` at full scale) over a small cluster behind a
+//! [`FaultyBackend`], while a [`ChaosController`] kills one node mid-commit;
+//! then the controller drives recovery and the trial verifies the
+//! invariants against ground truth read straight from storage. One thread
+//! runs the trial: a stepper seeded from the trial seed picks every next
+//! step — one client's next API call or one maintenance round — so the
+//! harness, not the OS, chooses the interleaving. Every layer's faults —
+//! storage, network, platform, and the kill itself — derive from one
+//! [`ChaosSpec`] seed too, so `aft-bench fig10_recovery --seed N` replays
+//! the run, counts included, and `--mode M --seed N` replays exactly the
+//! `M` cells of that matrix. In the networked modes the server executes on
+//! its own workers, but the stepper awaits every reply before its next
+//! step, so the order of execution is still the stepper's — with one
+//! timing assumption: a request whose connection chaos resets *after* the
+//! send must finish on the server within the client's retry backoff
+//! (≥ 200 µs), before the stepper moves on.
 //! Results land in `BENCH_recovery.json`; [`RecoveryReport::check_gate`]
 //! fails on any anomaly, lost commit, unrecovered commit, or
 //! non-convergence — which CI enforces on every PR.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use aft_chaos::{ChaosSpec, FaasChaos, KillPlan, NetChaos, PartitionChaos, StorageChaos};
@@ -43,11 +50,13 @@ use aft_faas::{FailureInjector, FailurePoint};
 use aft_storage::chaos::FaultyBackend;
 use aft_storage::{BackendKind, LatencyMode, LatencyModel, SharedStorage, DEFAULT_STRIPES};
 use aft_types::clock::TickingClock;
-use aft_types::{AftResult, Key, TransactionId, TransactionRecord, Value};
+use aft_types::{AftError, AftResult, Key, TransactionId, TransactionRecord, Value};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::cli::{Args, Flag, Outcome};
 use crate::json::Json;
-use crate::report::{percentile_ms, round2, Table};
+use crate::report::{percentile_ms, Table};
 use crate::setup::{
     lost_acked_commits, serve_cluster, virtual_backend, ServeOptions, ServiceHandle,
 };
@@ -173,7 +182,8 @@ pub struct RecoveryConfig {
     pub trials: usize,
     /// Logical client requests per trial (acknowledged commits target).
     pub requests_per_trial: usize,
-    /// Concurrent client threads per trial.
+    /// Clients per trial, each with one request open at a time; the stepper
+    /// interleaves their calls.
     pub clients: usize,
     /// Cluster size per trial (one node gets killed).
     pub nodes: usize,
@@ -187,11 +197,9 @@ impl RecoveryConfig {
     /// the 2 checkpoint phases) × the 3 evaluated backends = 90 cells,
     /// 3 trials each.
     pub fn standard() -> Self {
-        let mut kill_points = CommitPhase::ALL.to_vec();
-        kill_points.extend(CommitPhase::CHECKPOINT);
         RecoveryConfig {
             fault_modes: FaultMode::ALL.to_vec(),
-            kill_points,
+            kill_points: every_kill_point().collect(),
             backends: BackendKind::EVALUATED.to_vec(),
             trials: 3,
             requests_per_trial: 48,
@@ -217,10 +225,33 @@ impl RecoveryConfig {
     pub fn cells(&self) -> usize {
         self.fault_modes.len() * self.kill_points.len() * self.backends.len()
     }
+
+    /// The seed of one cell. Each axis offsets it by the value's place on
+    /// the *full* axis, not in this configuration's list, so a restricted
+    /// matrix (`--mode`) runs the very cells the full one does.
+    fn cell_seed(&self, mode: FaultMode, kill: CommitPhase, backend: BackendKind) -> u64 {
+        let places = [
+            FaultMode::ALL.iter().position(|&m| m == mode),
+            every_kill_point().position(|k| k == kill),
+            BackendKind::EVALUATED.iter().position(|&b| b == backend),
+        ];
+        // Memory, the tests' backend, sits after the evaluated three.
+        let [m, k, b] = places.map(|place| place.unwrap_or(BackendKind::EVALUATED.len()) as u64);
+        self.seed
+            .wrapping_add(m << 24)
+            .wrapping_add(k << 16)
+            .wrapping_add(b << 8)
+    }
+}
+
+/// The kill-point axis: the three commit phases, then the two checkpoint
+/// phases.
+fn every_kill_point() -> impl Iterator<Item = CommitPhase> {
+    CommitPhase::ALL.into_iter().chain(CommitPhase::CHECKPOINT)
 }
 
 /// What one trial observed (all invariant counters must end at zero).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrialResult {
     /// Commits acknowledged to clients.
     pub acknowledged: usize,
@@ -241,8 +272,9 @@ pub struct TrialResult {
     pub unrecovered: usize,
     /// Whether recovery converged within its round budget.
     pub converged: bool,
-    /// Wall-clock time from the kill (or drive start) to convergence, ms.
-    pub recovery_ms: f64,
+    /// Maintenance rounds the recovery drive took to converge, the two
+    /// quiet confirmation rounds included.
+    pub recovery_rounds: u64,
     /// Transient-fault retries absorbed by the I/O engines.
     pub io_retries: u64,
     /// Whole-transaction retries performed by clients.
@@ -252,7 +284,7 @@ pub struct TrialResult {
 }
 
 /// One matrix cell's aggregated trials.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellReport {
     /// Backend label.
     pub backend: String,
@@ -265,21 +297,16 @@ pub struct CellReport {
 }
 
 impl CellReport {
-    fn recovery_percentile_ms(&self, p: f64) -> f64 {
-        let mut times: Vec<f64> = self.trials.iter().map(|t| t.recovery_ms).collect();
-        times.sort_by(f64::total_cmp);
-        percentile_ms(&times, p)
-    }
-
-    /// Median time-to-recovery across the cell's trials, milliseconds.
-    pub fn recovery_p50_ms(&self) -> f64 {
-        self.recovery_percentile_ms(0.5)
-    }
-
-    /// 99th-percentile time-to-recovery across the cell's trials (the max,
-    /// for small trial counts), milliseconds.
-    pub fn recovery_p99_ms(&self) -> f64 {
-        self.recovery_percentile_ms(0.99)
+    /// The cell's recovery, in maintenance rounds, at quantile `q` of its
+    /// trials (nearest rank: `0.99` is the max for small trial counts).
+    pub fn recovery_rounds(&self, q: f64) -> f64 {
+        let mut rounds: Vec<f64> = self
+            .trials
+            .iter()
+            .map(|t| t.recovery_rounds as f64)
+            .collect();
+        rounds.sort_by(f64::total_cmp);
+        percentile_ms(&rounds, q)
     }
 
     fn sum(&self, f: impl Fn(&TrialResult) -> u64) -> u64 {
@@ -370,8 +397,8 @@ impl RecoveryReport {
                 "backend",
                 "fault mode",
                 "kill point",
-                "recovery p50 (ms)",
-                "recovery p99 (ms)",
+                "recovery p50 (rounds)",
+                "recovery p99 (rounds)",
                 "recovered",
                 "retries",
                 "anomalies",
@@ -384,8 +411,8 @@ impl RecoveryReport {
                 cell.backend.clone(),
                 cell.fault_mode.clone(),
                 cell.kill_point.clone(),
-                format!("{:.1}", cell.recovery_p50_ms()),
-                format!("{:.1}", cell.recovery_p99_ms()),
+                cell.recovery_rounds(0.5).to_string(),
+                cell.recovery_rounds(0.99).to_string(),
                 cell.sum(|t| t.recovered_commits).to_string(),
                 cell.sum(|t| t.io_retries).to_string(),
                 cell.sum(|t| t.anomalies).to_string(),
@@ -407,8 +434,8 @@ impl RecoveryReport {
                     ("fault_mode", Json::str(&c.fault_mode)),
                     ("kill_point", Json::str(&c.kill_point)),
                     ("trials", Json::Num(c.trials.len() as f64)),
-                    ("recovery_p50_ms", Json::Num(round2(c.recovery_p50_ms()))),
-                    ("recovery_p99_ms", Json::Num(round2(c.recovery_p99_ms()))),
+                    ("recovery_p50_rounds", Json::Num(c.recovery_rounds(0.5))),
+                    ("recovery_p99_rounds", Json::Num(c.recovery_rounds(0.99))),
                     (
                         "acknowledged_commits",
                         Json::Num(c.sum(|t| t.acknowledged as u64) as f64),
@@ -491,126 +518,200 @@ fn kill_delay(kill_point: CommitPhase, config: &RecoveryConfig) -> u64 {
     }
 }
 
-/// Increments a counter when dropped — survives panics, so the trial's
-/// maintenance loop can always observe "every client thread exited".
-struct CountOnDrop<'a>(&'a AtomicU64);
+/// One step of the load in this many is a maintenance round; every other
+/// step advances one client by one call. A request is seven calls, so the
+/// cluster runs about one round per request: multicast and fault-manager
+/// scans keep running *under load and under faults*, like the paper's
+/// background cadence (§4).
+const MAINTENANCE_ONE_IN: u32 = 8;
 
-impl Drop for CountOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_add(1, Ordering::Release);
-    }
+/// What the clients of one trial observed.
+#[derive(Debug, Default)]
+struct Tally {
+    anomalies: u64,
+    client_retries: u64,
+    acknowledged: Vec<TransactionId>,
 }
 
-/// What the clients of one trial observed, shared across their threads.
-#[derive(Default)]
-struct TrialShared {
-    anomalies: AtomicU64,
-    client_retries: AtomicU64,
-    acknowledged: Mutex<Vec<TransactionId>>,
+/// An open attempt's next API call. After `begin`, a request reads two
+/// keys, writes two, reads one back, and commits; an attempt that fails
+/// inside its transaction ends in `Abort`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Call {
+    Read(usize),
+    Write(usize),
+    ReadBack,
+    Commit,
+    Abort,
 }
 
-/// Picks the endpoint one request attempt runs against.
-type Route<'a> = &'a (dyn Fn() -> AftResult<Arc<dyn AftApi>> + Sync);
+/// One attempt's transaction, open from its `begin` to its commit or abort.
+struct Attempt {
+    api: Arc<dyn AftApi>,
+    txid: TransactionId,
+    next: Call,
+    /// The platform's verdict on this invocation.
+    failure: Option<FailurePoint>,
+    /// Whether the invocation dies between its two writes.
+    crash_midway: bool,
+    value: Value,
+    /// Versions read from committed data, for the commit's verdict.
+    reads: Vec<(Key, TransactionId)>,
+}
 
-/// One logical client request: read two keys, write two keys, read one
-/// back, commit — retried as a whole on any retryable failure, exactly like
-/// a FaaS client re-invoking a failed function (§3.3.1). The same body runs
-/// against an in-process node and across a real socket: either way the
-/// read-atomicity verdict comes back in the commit acknowledgement
+/// One client: a small state machine that runs its requests one after
+/// another, one [`AftApi`] call per [`Client::step`].
+///
+/// A request reads two keys, writes two keys, reads one back, and commits —
+/// retried as a whole on any retryable failure, exactly like a FaaS client
+/// re-invoking a failed function (§3.3.1). The same calls run against an
+/// in-process node and across a real socket: either way the read-atomicity
+/// verdict comes back in the commit acknowledgement
 /// ([`aft_core::api::CommitOutcome::atomic`] — the check runs where the
 /// metadata lives) and the acknowledged id is the outcome's `final_id`.
-/// When the trial's spec arms the faas leg, `injector` plays the platform:
-/// the invocation can die before its body runs, between its two writes (the
-/// §1 fractional update — the abort stands in for the write buffer dying
-/// with the invocation), or after the body with the acknowledgement lost.
-/// Each forces a whole-request retry, at-least-once style.
-fn run_request(
-    route: Route<'_>,
-    shared: &TrialShared,
-    injector: Option<&FailureInjector>,
-    client: usize,
+/// When the trial's spec arms the faas leg, the injector plays the
+/// platform: the invocation can die before its body runs, between its two
+/// writes (the §1 fractional update — the abort stands in for the write
+/// buffer dying with the invocation), or after the body with the
+/// acknowledgement lost. Each forces a whole-request retry, at-least-once
+/// style.
+#[derive(Default)]
+struct Client {
+    id: usize,
+    /// Requests finished so far.
     request: usize,
-) {
-    const KEYS: usize = 16;
+    attempt: usize,
+    /// `None` between attempts: the next step invokes one.
+    open: Option<Attempt>,
+}
+
+impl Client {
+    /// Attempts one request may make before the trial gives up on it.
     const MAX_ATTEMPTS: usize = 64;
-    let key_at = |slot: usize| -> Key {
+
+    fn key(&self, slot: usize) -> Key {
+        const KEYS: usize = 16;
         Key::new(format!(
             "chaos/k{:02}",
-            (client * 5 + request * 3 + slot * 7) % KEYS
+            (self.id * 5 + self.request * 3 + slot * 7) % KEYS
         ))
-    };
-    let retry = || {
-        shared.client_retries.fetch_add(1, Ordering::Relaxed);
-    };
-    let anomaly = || {
-        shared.anomalies.fetch_add(1, Ordering::Relaxed);
-    };
-    for attempt in 0..MAX_ATTEMPTS {
-        let Ok(api) = route() else { continue };
-        let failure = injector.and_then(|i| i.decide());
+    }
+
+    /// Takes the client's next step in `trial`: at most one API call.
+    fn step(&mut self, trial: &Trial, tally: &mut Tally) {
+        let Some(mut attempt) = self.open.take() else {
+            return self.invoke(trial, tally);
+        };
+        let (api, txid, value) = (&attempt.api, attempt.txid, attempt.value.clone());
+        let next = match attempt.next {
+            Call::Read(slot) => {
+                let key = self.key(slot);
+                api.get_versioned(&txid, &key).map(|read| {
+                    if let Some((_, Some(version))) = read {
+                        attempt.reads.push((key, version));
+                    }
+                    if slot == 0 {
+                        Call::Read(1)
+                    } else {
+                        Call::Write(2)
+                    }
+                })
+            }
+            Call::Write(slot) => api.put(&txid, self.key(slot), value).map(|()| match slot {
+                2 if attempt.crash_midway => Call::Abort,
+                2 => Call::Write(3),
+                _ => Call::ReadBack,
+            }),
+            // Read-your-writes must hold bytewise (§3.5).
+            Call::ReadBack => api.get_versioned(&txid, &self.key(2)).map(|read| {
+                if !matches!(read, Some((seen, _)) if seen == value) {
+                    tally.anomalies += 1;
+                }
+                Call::Commit
+            }),
+            Call::Commit => {
+                match api.commit(&txid, &attempt.reads) {
+                    Ok(outcome) => {
+                        tally.anomalies += u64::from(!outcome.atomic);
+                        tally.acknowledged.push(outcome.final_id);
+                        if attempt.failure != Some(FailurePoint::AfterBody) {
+                            self.request += 1;
+                            self.attempt = 0;
+                            return;
+                        }
+                        // The body ran to completion — commit durable and
+                        // acked — but the invocation's response was lost,
+                        // so the client re-runs the whole request (§3.3.1).
+                        // AFT's job is to keep the duplicate harmless.
+                    }
+                    Err(e) => expect_retryable(&e),
+                }
+                return self.retry(tally);
+            }
+            Call::Abort => {
+                let _ = api.abort(&txid);
+                return self.retry(tally);
+            }
+        };
+        attempt.next = next.unwrap_or_else(|e| {
+            expect_retryable(&e);
+            Call::Abort
+        });
+        self.open = Some(attempt);
+    }
+
+    /// Invokes the next attempt: routes it, lets the platform decide its
+    /// fate, and begins its transaction.
+    fn invoke(&mut self, trial: &Trial, tally: &mut Tally) {
+        assert!(
+            self.attempt < Self::MAX_ATTEMPTS,
+            "client {} request {}: retry budget exhausted — the fault rates are tuned so this cannot happen",
+            self.id,
+            self.request
+        );
+        let Ok(api) = trial.route() else {
+            self.attempt += 1;
+            return;
+        };
+        let injector = trial.injector.as_ref();
+        let failure = injector.and_then(FailureInjector::decide);
         if failure == Some(FailurePoint::BeforeBody) {
-            retry();
-            continue;
+            return self.retry(tally);
         }
         let crash_midway = failure == Some(FailurePoint::MidBody)
             && injector.is_some_and(FailureInjector::should_crash_midway);
-        let value: Value = Value::from(format!("c{client}-r{request}-a{attempt}"));
-        // Everything up to the commit; `None` when the invocation died
-        // between its writes. Versions read are kept for the verdict.
-        let body = api.begin().and_then(|txid| {
-            let reads = (|| {
-                let mut reads: Vec<(Key, TransactionId)> = Vec::new();
-                for slot in 0..2 {
-                    let key = key_at(slot);
-                    if let Some((_, Some(version))) = api.get_versioned(&txid, &key)? {
-                        reads.push((key, version));
-                    }
-                }
-                api.put(&txid, key_at(2), value.clone())?;
-                if crash_midway {
-                    return Ok(None);
-                }
-                api.put(&txid, key_at(3), value.clone())?;
-                // Read-your-writes must hold bytewise (§3.5).
-                if !matches!(api.get_versioned(&txid, &key_at(2))?, Some((seen, _)) if seen == value)
-                {
-                    anomaly();
-                }
-                Ok(Some(reads))
-            })();
-            match reads {
-                Ok(Some(reads)) => api.commit(&txid, &reads).map(Some),
-                unfinished => {
-                    let _ = api.abort(&txid);
-                    unfinished.map(|_| None)
-                }
+        match api.begin() {
+            Ok(txid) => {
+                let value = format!("c{}-r{}-a{}", self.id, self.request, self.attempt);
+                self.open = Some(Attempt {
+                    api,
+                    txid,
+                    next: Call::Read(0),
+                    failure,
+                    crash_midway,
+                    value: Value::from(value),
+                    reads: Vec::new(),
+                });
             }
-        });
-        match body {
-            Ok(Some(outcome)) => {
-                if !outcome.atomic {
-                    anomaly();
-                }
-                shared
-                    .acknowledged
-                    .lock()
-                    .expect("not poisoned")
-                    .push(outcome.final_id);
-                if failure != Some(FailurePoint::AfterBody) {
-                    return;
-                }
-                // The body ran to completion — commit durable and acked —
-                // but the invocation's response was lost, so the client
-                // re-runs the whole request (§3.3.1). AFT's job is to keep
-                // the duplicate harmless.
-                retry();
+            Err(e) => {
+                expect_retryable(&e);
+                self.retry(tally);
             }
-            Ok(None) => retry(),
-            Err(e) if e.is_retryable() => retry(),
-            Err(e) => panic!("non-retryable failure in chaos workload: {e:?}"),
         }
     }
-    panic!("client {client} request {request}: retry budget exhausted — the fault rates are tuned so this cannot happen");
+
+    fn retry(&mut self, tally: &mut Tally) {
+        tally.client_retries += 1;
+        self.attempt += 1;
+    }
+}
+
+/// Retryable failures are what the chaos injects; any other is a bug.
+fn expect_retryable(e: &AftError) {
+    assert!(
+        e.is_retryable(),
+        "non-retryable failure in chaos workload: {e:?}"
+    );
 }
 
 /// One trial's deployment: every layer the trial's single [`ChaosSpec`]
@@ -700,6 +801,39 @@ impl Trial {
             None => self.cluster.route().map(|node| node as Arc<dyn AftApi>),
         }
     }
+
+    /// Runs the load on one thread until every client has finished its
+    /// requests. At each step the stepper, seeded with `seed`, runs a
+    /// maintenance round or advances one unfinished client by one call, so
+    /// the seed fixes the interleaving.
+    fn run_load(&self, config: &RecoveryConfig, seed: u64) -> Tally {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let requests = config.requests_per_trial.div_ceil(config.clients);
+        let mut clients: Vec<Client> = (0..config.clients)
+            .map(|id| Client {
+                id,
+                ..Client::default()
+            })
+            .collect();
+        let mut tally = Tally::default();
+        loop {
+            let mut busy: Vec<&mut Client> = clients
+                .iter_mut()
+                .filter(|c| c.request < requests)
+                .collect();
+            if busy.is_empty() {
+                return tally;
+            }
+            if rng.gen_range(0..MAINTENANCE_ONE_IN) == 0 {
+                // Transient round failures are exactly what the next round
+                // retries.
+                let _ = self.cluster.run_maintenance_round();
+            } else {
+                let pick = rng.gen_range(0..busy.len());
+                busy[pick].step(self, &mut tally);
+            }
+        }
+    }
 }
 
 /// Runs one trial of one cell and verifies its invariants. One spec per
@@ -719,42 +853,9 @@ fn run_trial(
     let trial = Trial::set_up(backend, &spec, config);
     let cluster = &trial.cluster;
     trial.faulty.set_enabled(true);
-
-    let shared = TrialShared::default();
-    let requests_per_client = config.requests_per_trial.div_ceil(config.clients);
-    let barrier = Barrier::new(config.clients + 1);
-    let finished_clients = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for client in 0..config.clients {
-            let (trial, shared, barrier) = (&trial, &shared, &barrier);
-            let finished_clients = &finished_clients;
-            scope.spawn(move || {
-                // Count the client as finished even if it panics, so the
-                // maintenance loop below always terminates and the scope
-                // join can propagate the panic.
-                let _done = CountOnDrop(finished_clients);
-                barrier.wait();
-                for request in 0..requests_per_client {
-                    run_request(
-                        &|| trial.route(),
-                        shared,
-                        trial.injector.as_ref(),
-                        client,
-                        request,
-                    );
-                }
-            });
-        }
-        // The main thread plays the background maintenance loop — multicast
-        // and fault-manager scans keep running *under load and under
-        // faults*, like the paper's 1-second cadence (§4). Transient round
-        // failures are exactly what the next round retries.
-        barrier.wait();
-        while finished_clients.load(Ordering::Acquire) < config.clients as u64 {
-            let _ = cluster.run_maintenance_round();
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    });
+    // The stepper's stream is decorrelated from the nodes' UUID streams,
+    // which the same seed also starts.
+    let tally = trial.run_load(config, trial_seed ^ 0x57E9);
 
     // The load is done; drive recovery to convergence.
     let outcome = trial.controller.drive_recovery(200);
@@ -764,7 +865,6 @@ fn run_trial(
     // reads can fail. (Connection chaos only ever lived at the SDK, and the
     // verifier reads in-process.)
     trial.faulty.set_enabled(false);
-    let acknowledged = shared.acknowledged.into_inner().expect("not poisoned");
     let record_keys = cluster
         .storage()
         .list_prefix(&TransactionRecord::storage_prefix())
@@ -797,20 +897,20 @@ fn run_trial(
         .map_or(0, |stats| stats.total());
 
     TrialResult {
-        acknowledged: acknowledged.len(),
+        acknowledged: tally.acknowledged.len(),
         durable_commits: records.len(),
-        // Total over the trial, not just the drive: the maintenance loop
-        // runs *during* the load too, so a scan may recover a stranded
+        // Total over the trial, not just the drive: maintenance rounds
+        // run *during* the load too, so a scan may recover a stranded
         // commit before the drive even starts — that still counts.
         recovered_commits: cluster.fault_manager().recovered_commits(),
         replaced_nodes: outcome.replaced_nodes,
-        anomalies: shared.anomalies.load(Ordering::Relaxed),
-        lost_acks: lost_acked_commits(cluster.storage(), &acknowledged),
+        anomalies: tally.anomalies,
+        lost_acks: lost_acked_commits(cluster.storage(), &tally.acknowledged),
         unrecovered,
         converged: outcome.converged,
-        recovery_ms: outcome.elapsed.as_secs_f64() * 1_000.0,
+        recovery_rounds: outcome.rounds as u64,
         io_retries,
-        client_retries: shared.client_retries.load(Ordering::Relaxed),
+        client_retries: tally.client_retries,
         // Every armed layer counts: storage faults, link drops at the
         // disseminator, connection faults at the SDK, and platform failure
         // points.
@@ -824,14 +924,10 @@ fn run_trial(
 /// Runs the full matrix and returns the report.
 pub fn fig10_recovery(config: &RecoveryConfig) -> RecoveryReport {
     let mut cells = Vec::with_capacity(config.cells());
-    for (m, &fault_mode) in config.fault_modes.iter().enumerate() {
-        for (k, &kill_point) in config.kill_points.iter().enumerate() {
-            for (b, &backend) in config.backends.iter().enumerate() {
-                let cell_seed = config
-                    .seed
-                    .wrapping_add((m as u64) << 24)
-                    .wrapping_add((k as u64) << 16)
-                    .wrapping_add((b as u64) << 8);
+    for &fault_mode in &config.fault_modes {
+        for &kill_point in &config.kill_points {
+            for &backend in &config.backends {
+                let cell_seed = config.cell_seed(fault_mode, kill_point, backend);
                 let trials = (0..config.trials)
                     .map(|t| {
                         run_trial(
@@ -907,21 +1003,34 @@ mod tests {
 
     #[test]
     fn the_one_request_body_acks_atomically_and_durably_on_a_node_and_over_the_wire() {
-        let trial = Trial::set_up(BackendKind::Memory, &ChaosSpec::new(7), &tiny());
-        let service = serve_cluster(&trial.cluster, &ServeOptions::default()).unwrap();
-        let node: Arc<dyn AftApi> = trial.cluster.route().unwrap();
-        let client: Arc<dyn AftApi> = Arc::clone(&service.client) as Arc<dyn AftApi>;
-        for api in [node, client] {
-            let shared = TrialShared::default();
-            run_request(&|| Ok(Arc::clone(&api)), &shared, None, 0, 0);
-            let label = api.api_label();
-            let acked = shared.acknowledged.into_inner().unwrap();
-            assert_eq!(acked.len(), 1, "{label}: exactly one acknowledgement");
-            // `CommitOutcome::atomic == false` is what counts an anomaly.
-            assert_eq!(shared.anomalies.load(Ordering::Relaxed), 0, "{label}");
-            assert_eq!(shared.client_retries.load(Ordering::Relaxed), 0, "{label}");
+        let mut trial = Trial::set_up(BackendKind::Memory, &ChaosSpec::new(7), &tiny());
+        for over_the_wire in [false, true] {
+            if over_the_wire {
+                trial.service =
+                    Some(serve_cluster(&trial.cluster, &ServeOptions::default()).unwrap());
+            }
+            let label = trial.route().unwrap().api_label().to_owned();
+            let mut tally = Tally::default();
+            let mut client = Client::default();
+            let mut steps = 0;
+            while client.request == 0 {
+                client.step(&trial, &mut tally);
+                steps += 1;
+            }
             assert_eq!(
-                lost_acked_commits(trial.cluster.storage(), &acked),
+                steps, 7,
+                "{label}: begin, two reads, two writes, the read-back and the commit, one a step"
+            );
+            assert_eq!(
+                tally.acknowledged.len(),
+                1,
+                "{label}: exactly one acknowledgement"
+            );
+            // `CommitOutcome::atomic == false` is what counts an anomaly.
+            assert_eq!(tally.anomalies, 0, "{label}");
+            assert_eq!(tally.client_retries, 0, "{label}");
+            assert_eq!(
+                lost_acked_commits(trial.cluster.storage(), &tally.acknowledged),
                 0,
                 "{label}: the acknowledged commit has a durable record"
             );
@@ -978,6 +1087,33 @@ mod tests {
         assert!(faults > 0, "the matrix must inject faults");
         let durable = report.total(|t| t.durable_commits as u64);
         assert!(durable > 0);
+        // One seeded thread chooses the interleaving, so these counts are
+        // exact: a change that moves them changes what the matrix runs.
+        assert_eq!(report.total(|t| t.recovered_commits), 13);
+        assert_eq!(report.total(|t| t.io_retries), 76);
+    }
+
+    #[test]
+    fn a_seed_replays_the_run() {
+        // Each run builds fresh hash maps with fresh hash keys, so a result
+        // that hung on iteration order would differ here.
+        let render = || fig10_recovery(&tiny()).to_json().render();
+        assert_eq!(render(), render());
+    }
+
+    #[test]
+    fn a_single_mode_replay_runs_the_full_matrix_cells() {
+        let full = fig10_recovery(&tiny());
+        let replay = fig10_recovery(&RecoveryConfig {
+            fault_modes: vec![FaultMode::Partition],
+            ..tiny()
+        });
+        let partition: Vec<&CellReport> = full
+            .cells
+            .iter()
+            .filter(|c| c.fault_mode == FaultMode::Partition.label())
+            .collect();
+        assert_eq!(replay.cells.iter().collect::<Vec<_>>(), partition);
     }
 
     #[test]

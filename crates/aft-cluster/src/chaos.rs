@@ -6,15 +6,18 @@
 //! the paper's fault model — see the phase docs), marks the node failed in
 //! the registry the instant the crash fires, and then drives the recovery
 //! machinery — fault-manager commit-set scans (§4.2) and standby replacement
-//! (§6.7) — until the cluster converges, reporting time-to-recovery.
+//! (§6.7) — until the cluster converges, reporting recovery in maintenance
+//! rounds.
 //!
-//! Everything is deterministic modulo thread scheduling: the kill fires on
-//! the N-th commit reaching the armed phase on the target node, so a seeded
-//! workload reproduces the same crash point run after run.
+//! The kill fires on the N-th commit reaching the armed phase on the target
+//! node, and recovery is counted in rounds, not time: a workload whose calls
+//! one seeded thread orders (as `fig10_recovery`'s stepper does) reproduces
+//! the same crash point and the same recovery run after run. Under
+//! concurrent callers the N-th commit is whichever the OS lets through
+//! first.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use aft_chaos::ChaosSpec;
 use aft_core::{AftNode, CommitPhase, CommitProbe};
@@ -42,11 +45,6 @@ pub struct RecoveryOutcome {
     /// Maintenance rounds that failed outright (chaos faults surviving the
     /// I/O retry budget) and were retried.
     pub failed_rounds: usize,
-    /// Wall-clock time from the armed kill's firing (or, if no kill fired,
-    /// from the start of the drive) to convergence — i.e. time-to-recovery
-    /// *from the failure*, which includes however long the workload kept
-    /// running before the recovery machinery was driven.
-    pub elapsed: Duration,
     /// Whether the cluster converged (two consecutive quiet rounds with no
     /// failed nodes) within the round budget.
     pub converged: bool,
@@ -59,7 +57,6 @@ struct KillProbe {
     after_commits: u64,
     commits_seen: AtomicU64,
     fired: AtomicBool,
-    killed_at: Mutex<Option<Instant>>,
 }
 
 impl CommitProbe for KillProbe {
@@ -85,7 +82,6 @@ impl CommitProbe for KillProbe {
         }
         if !self.fired.swap(true, Ordering::AcqRel) {
             self.registry.set_state(node_id, NodeState::Failed);
-            *self.killed_at.lock() = Some(Instant::now());
         }
         Err(AftError::Unavailable(format!(
             "chaos: node {node_id} crashed {}",
@@ -182,7 +178,6 @@ impl ChaosController {
             after_commits: plan.after_commits,
             commits_seen: AtomicU64::new(0),
             fired: AtomicBool::new(false),
-            killed_at: Mutex::new(None),
         });
         node.install_commit_probe(Arc::clone(&probe) as Arc<dyn CommitProbe>);
         self.kills.lock().push(probe);
@@ -230,15 +225,6 @@ impl ChaosController {
             .sum()
     }
 
-    /// When the *first* armed kill fired, if any has.
-    pub fn killed_at(&self) -> Option<Instant> {
-        self.kills
-            .lock()
-            .iter()
-            .filter_map(|p| *p.killed_at.lock())
-            .min()
-    }
-
     /// Drives replacement and maintenance rounds until the cluster
     /// converges: no failed nodes remain and two consecutive rounds recover
     /// nothing new from storage. Rounds that fail outright (chaos faults
@@ -246,7 +232,6 @@ impl ChaosController {
     /// counted and retried — recovery must be *live* under the same fault
     /// injection that caused the damage.
     pub fn drive_recovery(&self, max_rounds: usize) -> RecoveryOutcome {
-        let start = self.killed_at().unwrap_or_else(Instant::now);
         let fault_manager = self.cluster.fault_manager();
         let recovered_before = fault_manager.recovered_commits();
         let mut outcome = RecoveryOutcome::default();
@@ -286,7 +271,6 @@ impl ChaosController {
             }
         }
         outcome.recovered_commits = fault_manager.recovered_commits() - recovered_before;
-        outcome.elapsed = start.elapsed();
         outcome
     }
 }
@@ -323,7 +307,6 @@ mod tests {
             Ok(_) => panic!("arming a ghost node must fail"),
         }
         assert!(!controller.kill_fired());
-        assert!(controller.killed_at().is_none());
     }
 
     #[test]
@@ -343,7 +326,7 @@ mod tests {
         let err = commit_on(&victim, "c", "3").unwrap_err();
         assert!(matches!(err, AftError::Unavailable(_)));
         assert!(controller.kill_fired());
-        assert!(controller.killed_at().is_some());
+        assert_eq!(controller.kills_fired(), 1);
         assert_eq!(
             cluster.registry().state_of("aft-node-0"),
             Some(NodeState::Failed)

@@ -26,8 +26,8 @@
 //!   optionally drives it with background threads.
 //! * [`chaos`] — deterministic node-kill injection: [`ChaosController`] arms
 //!   crashes at precise commit phases (the §4.2 lost-broadcast window among
-//!   them) and drives scan → standby replacement, reporting
-//!   time-to-recovery.
+//!   them) and drives scan → standby replacement, reporting the
+//!   maintenance rounds recovery took.
 
 pub mod chaos;
 pub mod cluster;

@@ -1,21 +1,22 @@
-//! Concurrency stress: maintenance rounds racing commits.
+//! Stress: maintenance rounds racing commits.
 //!
 //! The metadata cache keeps Algorithm 2's verdict incrementally — every
 //! insert and remove updates the superseded set the garbage collectors sweep
 //! — and the global GC deletes a whole round's garbage in one batch. Both run
-//! on the maintenance thread while client threads commit into the same
-//! caches. Barrier-started committers hammer a three-node cluster over a
-//! small Zipf key space while one thread runs maintenance rounds back to
-//! back; once everything is quiet the incremental state must equal what
-//! Algorithm 2 computes from scratch, no key may have lost its newest
-//! version, and storage must hold no data whose commit record is gone.
+//! in the maintenance round while committers hold transactions open on the
+//! same caches. One seeded stepper interleaves four committers over a
+//! three-node cluster and a small Zipf key space, one API call a step, with
+//! a maintenance round on about one step in twenty; once everything is
+//! quiet the incremental state must equal what Algorithm 2 computes from
+//! scratch, no key may have lost its newest version, and storage must hold
+//! no data whose commit record is gone. The script is bounded by
+//! construction (600 transactions) and a seed replays it exactly.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::Arc;
 
 use aft_cluster::{Cluster, ClusterConfig};
-use aft_core::{is_superseded, MetadataCache};
+use aft_core::{is_superseded, AftNode, MetadataCache};
 use aft_storage::{InMemoryStore, SharedStorage, StorageEngine};
 use aft_types::clock::TickingClock;
 use aft_types::{AftError, Key, KeyVersion, TransactionId, TransactionRecord, Uuid};
@@ -26,14 +27,16 @@ use rand::{Rng, SeedableRng};
 const COMMITTERS: usize = 4;
 const TXNS_PER_COMMITTER: usize = 150;
 const KEYS: usize = 24;
-/// Committers keep going until this many maintenance rounds have finished
-/// under them, so the race is forced rather than left to the scheduler.
+/// About one step in this many is a maintenance round.
+const MAINTENANCE_ONE_IN: u32 = 20;
+/// At least this many rounds must run while a transaction is open, so the
+/// race is asserted rather than left to the seed.
 const MIN_RACING_ROUNDS: usize = 8;
 
 /// CI's seed-matrix leg sets `AFT_TEST_SEED` so the same stress runs under
-/// several deterministic seeds. Locally, re-run a failing leg with the seed
-/// from the CI job name:
-/// `AFT_TEST_SEED=2 cargo test -p aft-cluster --test stress_maintenance`.
+/// several deterministic seeds; it seeds both the stepper and the
+/// committers. Locally, re-run a failing leg with the seed from the CI job
+/// name: `AFT_TEST_SEED=2 cargo test -p aft-cluster --test stress_maintenance`.
 fn test_seed() -> u64 {
     std::env::var("AFT_TEST_SEED")
         .ok()
@@ -78,6 +81,71 @@ fn superseded_set(cache: &MetadataCache) -> Vec<TransactionId> {
         .collect()
 }
 
+/// An open transaction's next call.
+#[derive(Clone, Copy)]
+enum Call {
+    Read,
+    Put { left: usize },
+    Commit,
+    Abort,
+}
+
+/// One committer: begins, reads one key, writes one to three, commits —
+/// one call per [`Committer::step`] — until it has run its transactions.
+struct Committer {
+    rng: StdRng,
+    txns: usize,
+    open: Option<(Arc<AftNode>, TransactionId, Call)>,
+}
+
+impl Committer {
+    fn done(&self) -> bool {
+        self.txns == TXNS_PER_COMMITTER && self.open.is_none()
+    }
+
+    fn step(&mut self, cluster: &Cluster) {
+        let Some((node, txid, call)) = self.open.take() else {
+            self.txns += 1;
+            let node = cluster.route().expect("an active node");
+            let txid = node.start_transaction();
+            self.open = Some((node, txid, Call::Read));
+            return;
+        };
+        let next = match call {
+            // One read, so local GC meets records it must retain for a
+            // running reader; GC may also have deleted the version under
+            // it (§5.2.1), which is a retry.
+            Call::Read => match node.get(&txid, &key(zipf(&mut self.rng))) {
+                Ok(_) => Call::Put {
+                    left: self.rng.gen_range(1..4usize),
+                },
+                Err(AftError::NoValidVersion { .. }) => Call::Abort,
+                Err(other) => panic!("unexpected read error: {other:?}"),
+            },
+            Call::Put { left } => {
+                // Every value names its writer, so the final read-back can
+                // tell which version it was served.
+                let value = Bytes::from(txid.uuid.to_string());
+                node.put(&txid, key(zipf(&mut self.rng)), value)
+                    .expect("put");
+                match left - 1 {
+                    0 => Call::Commit,
+                    left => Call::Put { left },
+                }
+            }
+            Call::Commit => {
+                node.commit(&txid).expect("commit");
+                return;
+            }
+            Call::Abort => {
+                node.abort(&txid).expect("abort");
+                return;
+            }
+        };
+        self.open = Some((node, txid, next));
+    }
+}
+
 #[test]
 fn maintenance_racing_commits_keeps_supersedence_and_storage_consistent() {
     let raw = InMemoryStore::shared();
@@ -86,60 +154,32 @@ fn maintenance_racing_commits_keeps_supersedence_and_storage_consistent() {
     config.node_template.rng_seed = 0xAF71 ^ test_seed().wrapping_mul(0xC2B2);
     let cluster = Cluster::with_clock(config, storage, TickingClock::shared(1, 1)).unwrap();
 
-    let barrier = Barrier::new(COMMITTERS + 1);
-    let committing = AtomicBool::new(true);
-    let rounds = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let committers: Vec<_> = (0..COMMITTERS)
-            .map(|client| {
-                let (cluster, barrier, rounds) = (&cluster, &barrier, &rounds);
-                scope.spawn(move || {
-                    let seed = (0x5EED + client as u64) ^ test_seed().wrapping_mul(0x9E37);
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    barrier.wait();
-                    let mut txns = 0;
-                    while txns < TXNS_PER_COMMITTER
-                        || rounds.load(Ordering::SeqCst) < MIN_RACING_ROUNDS
-                    {
-                        txns += 1;
-                        let node = cluster.route().expect("an active node");
-                        let txid = node.start_transaction();
-                        // One read, so local GC meets records it must retain
-                        // for a running reader; GC may also have deleted the
-                        // version under it (§5.2.1), which is a retry.
-                        match node.get(&txid, &key(zipf(&mut rng))) {
-                            Ok(_) => {}
-                            Err(AftError::NoValidVersion { .. }) => {
-                                node.abort(&txid).expect("abort");
-                                continue;
-                            }
-                            Err(other) => panic!("unexpected read error: {other:?}"),
-                        }
-                        // Every value names its writer, so the final read-back
-                        // can tell which version it was served.
-                        let value = Bytes::from(txid.uuid.to_string());
-                        for _ in 0..rng.gen_range(1..4usize) {
-                            node.put(&txid, key(zipf(&mut rng)), value.clone())
-                                .expect("put");
-                        }
-                        node.commit(&txid).expect("commit");
-                    }
-                })
-            })
-            .collect();
-        let maintenance = scope.spawn(|| {
-            barrier.wait();
-            while committing.load(Ordering::SeqCst) {
-                cluster.run_maintenance_round().expect("maintenance round");
-                rounds.fetch_add(1, Ordering::SeqCst);
-            }
-        });
-        for committer in committers {
-            committer.join().expect("committer thread");
+    let mut committers: Vec<Committer> = (0..COMMITTERS)
+        .map(|client| Committer {
+            rng: StdRng::seed_from_u64((0x5EED + client as u64) ^ test_seed().wrapping_mul(0x9E37)),
+            txns: 0,
+            open: None,
+        })
+        .collect();
+    let mut stepper = StdRng::seed_from_u64(0x57E9 ^ test_seed().wrapping_mul(0xD1B5));
+    let mut racing_rounds = 0;
+    loop {
+        let mut busy: Vec<&mut Committer> = committers.iter_mut().filter(|c| !c.done()).collect();
+        if busy.is_empty() {
+            break;
         }
-        committing.store(false, Ordering::SeqCst);
-        maintenance.join().expect("maintenance thread");
-    });
+        if stepper.gen_range(0..MAINTENANCE_ONE_IN) == 0 {
+            cluster.run_maintenance_round().expect("maintenance round");
+            racing_rounds += usize::from(busy.iter().any(|c| c.open.is_some()));
+        } else {
+            let pick = stepper.gen_range(0..busy.len());
+            busy[pick].step(&cluster);
+        }
+    }
+    assert!(
+        racing_rounds >= MIN_RACING_ROUNDS,
+        "only {racing_rounds} maintenance rounds ran while a transaction was open"
+    );
 
     // Two quiescent rounds: the first delivers what the last racing round
     // missed and collects it locally, the second lets the global GC see every

@@ -37,15 +37,8 @@ impl Uuid {
     /// (§3.2: "Each key has a NULL version").
     pub const NIL: Uuid = Uuid { hi: 0, lo: 0 };
 
-    /// Generates a new random UUID from the thread-local RNG.
-    pub fn new_random() -> Self {
-        Uuid::from_u128(rand::thread_rng().gen())
-    }
-
-    /// Generates a new random UUID from a caller-supplied RNG.
-    ///
-    /// Deterministic tests and simulations seed their own RNGs and route all
-    /// randomness through them.
+    /// Generates a new random UUID from a caller-supplied RNG — the only
+    /// source: every caller seeds its own, so a seed replays its UUIDs.
     pub fn from_rng<R: Rng + ?Sized>(rng: &mut R) -> Self {
         Uuid::from_u128(rng.gen())
     }
@@ -98,13 +91,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn random_uuids_are_distinct() {
-        let a = Uuid::new_random();
-        let b = Uuid::new_random();
-        assert_ne!(a, b, "two random 128-bit values collided");
-    }
 
     #[test]
     fn seeded_rng_is_deterministic() {
