@@ -79,6 +79,10 @@ pub struct Outcome {
     pub json: Json,
     /// The gate's verdict: a summary, or the first violated clause.
     pub gate: Result<String, String>,
+    /// Values of the experiment's own flags that narrow a failing gate's
+    /// replay to what failed (fig10: the failing cell's `--mode`); each
+    /// overrides the value given on the command line.
+    pub replay: Vec<(&'static str, String)>,
 }
 
 impl Outcome {
@@ -98,6 +102,7 @@ impl Outcome {
             notes: Vec::new(),
             json,
             gate,
+            replay: Vec::new(),
         }
     }
 }
@@ -420,23 +425,38 @@ fn run_one(exp: &Experiment, args: &Args) -> Result<Option<bool>, (i32, String)>
     }
     match &outcome.gate {
         Ok(message) => println!("gate OK [{}]: {message}", exp.name),
-        Err(message) => {
-            // The failing invocation again, with the mode and the seed
-            // pinned and only the flags this experiment declares.
-            let mut replay = format!("aft-bench {} --seed {}", exp.name, outcome.seed);
-            for f in exp.flags() {
-                if let Some(value) = args.flag(f.name) {
-                    replay.push_str(&format!(" {} {value}", f.name));
-                }
-            }
-            let mode = if fast { "AFT_BENCH_FAST=1 " } else { "" };
-            eprintln!(
-                "gate FAILED [{}]: {message}\nreplay locally with: {mode}{replay}",
-                exp.name
-            );
-        }
+        Err(message) => eprintln!(
+            "gate FAILED [{}]: {message}\nreplay locally with: {}",
+            exp.name,
+            replay_line(exp, args, outcome.seed, &outcome.replay)
+        ),
     }
     Ok(Some(outcome.gate.is_ok()))
+}
+
+/// The failing invocation again, with the mode and the seed pinned and only
+/// the flags this experiment declares, `narrowed` to what failed (see
+/// [`Outcome::replay`]).
+fn replay_line(
+    exp: &Experiment,
+    args: &Args,
+    seed: u64,
+    narrowed: &[(&'static str, String)],
+) -> String {
+    let mode = if args.env.fast {
+        "AFT_BENCH_FAST=1 "
+    } else {
+        ""
+    };
+    let mut replay = format!("{mode}aft-bench {} --seed {seed}", exp.name);
+    for f in exp.flags() {
+        let narrowed = narrowed.iter().find(|(name, _)| *name == f.name);
+        let value = narrowed.map(|(_, value)| value.as_str());
+        if let Some(value) = value.or_else(|| args.flag(f.name)) {
+            replay.push_str(&format!(" {} {value}", f.name));
+        }
+    }
+    replay
 }
 
 /// The whole program: parses `argv` (without the program name), runs what
@@ -599,6 +619,52 @@ mod tests {
         assert!(!cells_only, "the full matrix gates on check_gate");
         let (_, args) = parse_line("fig10_recovery --mode sideways").unwrap();
         assert!(recovery::plan(&args).unwrap_err().contains("cross_layer"));
+    }
+
+    #[test]
+    fn a_failing_fig10_cell_narrows_the_replay_to_its_mode() {
+        use aft_types::CommitPhase;
+        use recovery::{CellReport, FaultMode, RecoveryReport, TrialResult};
+        // Every fault mode at every commit phase, one anomaly in one cell.
+        let cells = FaultMode::ALL.iter().flat_map(|&mode| {
+            CommitPhase::ALL.map(|kill| CellReport {
+                backend: "Redis".to_owned(),
+                fault_mode: mode.label().to_owned(),
+                kill_point: kill.label().to_owned(),
+                trials: vec![TrialResult {
+                    anomalies: u64::from(
+                        mode == FaultMode::Partition && kill == CommitPhase::BeforeBroadcast,
+                    ),
+                    converged: true,
+                    ..TrialResult::default()
+                }],
+            })
+        });
+        let report = RecoveryReport {
+            cells: cells.collect(),
+        };
+        let (exp, args) = parse_line("fig10_recovery").unwrap();
+        let (config, cells_only) = recovery::plan(&args).unwrap();
+        let outcome = recovery::outcome(&config, &report, cells_only);
+        assert_eq!(
+            outcome.gate,
+            Err("Redis/partition/before_broadcast: 1 read-atomicity anomalies".to_owned())
+        );
+        assert_eq!(
+            replay_line(&exp[0], &args, outcome.seed, &outcome.replay),
+            "AFT_BENCH_FAST=1 aft-bench fig10_recovery --seed 988688 --mode partition"
+        );
+        // A clean report narrows nothing.
+        let clean = RecoveryReport {
+            cells: report
+                .cells
+                .into_iter()
+                .filter(|c| c.trials[0].anomalies == 0)
+                .collect(),
+        };
+        assert!(recovery::outcome(&config, &clean, cells_only)
+            .replay
+            .is_empty());
     }
 
     #[test]

@@ -317,6 +317,27 @@ impl CellReport {
     pub fn all_converged(&self) -> bool {
         self.trials.iter().all(|t| t.converged)
     }
+
+    /// The cell's first violated invariant, labelled `backend/mode/kill`;
+    /// `None` for a clean cell.
+    fn violation(&self) -> Option<String> {
+        let label = format!("{}/{}/{}", self.backend, self.fault_mode, self.kill_point);
+        let violations = [
+            (self.sum(|t| t.anomalies), "read-atomicity anomalies"),
+            (
+                self.sum(|t| t.lost_acks as u64),
+                "acknowledged commits lost",
+            ),
+            (
+                self.sum(|t| t.unrecovered as u64),
+                "durable commits unrecovered after the drive",
+            ),
+        ];
+        if let Some((count, what)) = violations.iter().find(|(count, _)| *count > 0) {
+            return Some(format!("{label}: {count} {what}"));
+        }
+        (!self.all_converged()).then(|| format!("{label}: recovery did not converge"))
+    }
 }
 
 /// The whole matrix's results.
@@ -360,25 +381,8 @@ impl RecoveryReport {
     /// (`aft-bench fig10_recovery --mode ...`), whose restricted matrix can never
     /// satisfy the coverage requirement by construction.
     pub fn check_gate_cells(&self) -> Result<String, String> {
-        for cell in &self.cells {
-            let label = format!("{}/{}/{}", cell.backend, cell.fault_mode, cell.kill_point);
-            let violations = [
-                (cell.sum(|t| t.anomalies), "read-atomicity anomalies"),
-                (
-                    cell.sum(|t| t.lost_acks as u64),
-                    "acknowledged commits lost",
-                ),
-                (
-                    cell.sum(|t| t.unrecovered as u64),
-                    "durable commits unrecovered after the drive",
-                ),
-            ];
-            if let Some((count, what)) = violations.iter().find(|(count, _)| *count > 0) {
-                return Err(format!("{label}: {count} {what}"));
-            }
-            if !cell.all_converged() {
-                return Err(format!("{label}: recovery did not converge"));
-            }
+        if let Some(violation) = self.cells.iter().find_map(CellReport::violation) {
+            return Err(violation);
         }
         Ok(format!(
             "{} cells clean: 0 anomalies, 0 lost, 0 unrecovered; {} commits \
@@ -982,19 +986,35 @@ pub(crate) fn plan(args: &Args) -> Result<(RecoveryConfig, bool), String> {
 /// The registry's entry point.
 pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
     let (config, cells_only) = plan(args)?;
-    let report = fig10_recovery(&config);
+    Ok(outcome(&config, &fig10_recovery(&config), cells_only))
+}
+
+/// Packages a report as the gated run's [`Outcome`]. A failing gate's replay
+/// is narrowed to the first failing cell's fault mode: one mode's cells, not
+/// the matrix.
+pub(crate) fn outcome(
+    config: &RecoveryConfig,
+    report: &RecoveryReport,
+    cells_only: bool,
+) -> Outcome {
     let gate = if cells_only {
         report.check_gate_cells()
     } else {
         report.check_gate()
     };
-    Ok(Outcome::new(
+    let mut outcome = Outcome::new(
         config.seed,
-        &config,
+        config,
         vec![report.table()],
         report.to_json(),
         gate,
-    ))
+    );
+    let failing = report.cells.iter().find(|cell| cell.violation().is_some());
+    outcome.replay = failing
+        .map(|cell| ("--mode", cell.fault_mode.clone()))
+        .into_iter()
+        .collect();
+    outcome
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! The commit flush: the paper's two storage round trips.
+//! The commit flush: the paper's two storage round trips, or one where the
+//! store applies a multi-key write all-or-nothing.
 //!
 //! The paper's commit protocol issues, per transaction, one batched write for
 //! the transaction's key versions and one write for its commit record (§3.3),
@@ -9,6 +10,14 @@
 //! committing thread, whether or not a chaos probe is watching. Batching
 //! (§6.1.1) is *within* one transaction's writes: `IoEngine::put_all` uses
 //! the backend's batch API where it has one.
+//!
+//! §3.3 orders the two writes so that no record ever names missing data. A
+//! store whose one call lands all-or-nothing gives that guarantee by itself,
+//! so where the data and the record fit in one such call (a Redis `MSET`
+//! within the transaction's hash slot), the record rides last in the data's
+//! call and a commit is one round trip. This departs from the paper's
+//! implementation on purpose, as the Redis row's one-slot batching already
+//! does; every other row keeps the two round trips.
 //!
 //! Nothing coordinates the flushes of different transactions, and nothing
 //! needs to: each key version lands at its own storage key and commit
@@ -48,21 +57,40 @@ impl BatchStats {
 
 /// The §3.3 commit flush of one transaction: every data item is submitted
 /// concurrently, the flush **barriers** on all their completions (all data
-/// durable first), and only then is the commit record written. `before` is
-/// called ahead of each [`CommitPhase`] and its error abandons the flush at
-/// exactly that point, leaving in storage what the protocol had reached — a
-/// chaos probe's "crash". Returns the charged storage latency: the data
-/// barrier's overlapped cost plus the record write's.
+/// durable first), and only then is the commit record written. Where the
+/// store writes the data and the record in one all-or-nothing call
+/// ([`StorageEngine::writes_atomically`](aft_storage::StorageEngine::writes_atomically)),
+/// the record goes last in the data's call instead: no reader can see it
+/// without the data, and no failure can leave it behind alone.
+///
+/// `before` is called ahead of each [`CommitPhase`] and its error abandons
+/// the flush at exactly that point, leaving in storage what the protocol had
+/// reached — a chaos probe's "crash". On the one-call path both data phases
+/// come before the call, so a crash at either leaves storage untouched.
+/// Returns the charged storage latency: the data barrier's overlapped cost
+/// plus the record write's, or the one call's.
 pub(crate) fn flush(
     io: &IoEngine,
-    data: Vec<(String, Value)>,
+    mut data: Vec<(String, Value)>,
     record: (String, Value),
     mut before: impl FnMut(CommitPhase) -> AftResult<()>,
 ) -> AftResult<Duration> {
     before(CommitPhase::BeforeDataPut)?;
-    let mut cost = io.put_all(data)?;
-    before(CommitPhase::BeforeRecordAppend)?;
-    cost += io.put_all(vec![record])?;
+    let keys: Vec<&str> = data
+        .iter()
+        .chain([&record])
+        .map(|(key, _)| key.as_str())
+        .collect();
+    let one_call = !data.is_empty() && io.storage().writes_atomically(&keys);
+    let cost = if one_call {
+        before(CommitPhase::BeforeRecordAppend)?;
+        data.push(record);
+        io.put_all(data)?
+    } else {
+        let data_cost = io.put_all(data)?;
+        before(CommitPhase::BeforeRecordAppend)?;
+        data_cost + io.put_all(vec![record])?
+    };
     before(CommitPhase::BeforeBroadcast)?;
     Ok(cost)
 }
@@ -115,43 +143,82 @@ mod tests {
 
     #[test]
     fn a_visible_commit_record_implies_its_data_under_concurrent_commits() {
-        // §3.3's write ordering, observed from outside while 16 committers
-        // race: whenever a commit record can be listed, the data it covers
-        // can be read. Over Redis (these keys carry no slot tag, so the data
-        // puts are per key) and over memory (one batched data put).
+        // §3.3's guarantee, observed from outside while 16 committers race:
+        // whenever a commit record can be listed, the data it covers can be
+        // read. The keys are real data and record keys, so over Redis each
+        // commit is one all-or-nothing MSET, and over memory a batched data
+        // put, then the record.
         use aft_storage::{BackendConfig, BackendKind};
-        const COMMITTERS: usize = 16;
-        for kind in [BackendKind::Redis, BackendKind::Memory] {
+        use aft_types::{Key, KeyVersion, TransactionId, TransactionRecord, Uuid};
+        const COMMITTERS: u64 = 16;
+        let data_keys = |id: TransactionId| {
+            ["a", "b"].map(|key| KeyVersion::new(Key::new(key), id).storage_key())
+        };
+        for (kind, record_puts) in [(BackendKind::Redis, 0), (BackendKind::Memory, COMMITTERS)] {
             let store: SharedStorage = aft_storage::make_backend(BackendConfig::test(kind));
             let io = IoEngine::new(store.clone(), IoConfig::pipelined());
             let check_visible = || {
                 let records = store.list_prefix("commit/").unwrap();
                 for record in &records {
-                    let t = record.strip_prefix("commit/").unwrap();
-                    for half in ["a", "b"] {
+                    let id = TransactionRecord::id_from_storage_key(record).unwrap();
+                    for key in data_keys(id) {
                         assert!(
-                            store.get(&format!("data/{half}/{t}")).unwrap().is_some(),
-                            "{kind:?}: {record} is visible before data/{half}/{t}"
+                            store.get(&key).unwrap().is_some(),
+                            "{kind:?}: {record} is visible before {key}"
                         );
                     }
                 }
-                records.len()
+                records.len() as u64
             };
             std::thread::scope(|scope| {
-                for t in 0..COMMITTERS {
+                for t in 1..=COMMITTERS {
                     let io = &io;
                     scope.spawn(move || {
-                        let data = vec![
-                            (format!("data/a/{t}"), val("v")),
-                            (format!("data/b/{t}"), val("v")),
-                        ];
-                        commit(io, data, &format!("commit/{t}")).unwrap();
+                        let id = TransactionId::new(t, Uuid::from_u128(t.into()));
+                        let data = data_keys(id).map(|key| (key, val("v"))).into();
+                        let record = TransactionRecord::storage_key_for(&id);
+                        commit(io, data, &record).unwrap();
                     });
                 }
                 while check_visible() < COMMITTERS {
                     std::thread::yield_now();
                 }
             });
+            let stats = store.stats();
+            assert_eq!(stats.calls(OpKind::BatchPut), COMMITTERS, "{kind:?}");
+            assert_eq!(stats.calls(OpKind::Put), record_puts, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_one_call_flush_lands_after_both_data_phases() {
+        use aft_storage::{BackendConfig, BackendKind};
+        use aft_types::{Key, KeyVersion, TransactionId, TransactionRecord, Uuid};
+        let id = TransactionId::new(1, Uuid::from_u128(1));
+        // Keys in storage as each phase is announced: over memory the data
+        // lands between the two data phases, over Redis the one MSET lands
+        // after both.
+        for (kind, landed) in [
+            (BackendKind::Memory, [0, 2, 3]),
+            (BackendKind::Redis, [0, 0, 3]),
+        ] {
+            let store: SharedStorage = aft_storage::make_backend(BackendConfig::test(kind));
+            let io = IoEngine::new(store.clone(), IoConfig::pipelined());
+            let data = ["a", "b"]
+                .map(|key| (KeyVersion::new(Key::new(key), id).storage_key(), val("v")))
+                .into();
+            let record = (TransactionRecord::storage_key_for(&id), val("r"));
+            let mut phases = Vec::new();
+            flush(&io, data, record, |phase| {
+                phases.push((phase, store.list_prefix("").unwrap().len()));
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(
+                phases,
+                CommitPhase::ALL.into_iter().zip(landed).collect::<Vec<_>>(),
+                "{kind:?}"
+            );
         }
     }
 

@@ -650,8 +650,9 @@ impl AftNode {
     /// ID (with the commit timestamp).
     ///
     /// The ordering is the write-ordering protocol of §3.3: data first, then
-    /// the commit record, then (and only then) local visibility. The call
-    /// returns only after both are durable in storage.
+    /// the commit record (or both in one all-or-nothing call, where the store
+    /// has one), then (and only then) local visibility. The call returns only
+    /// after both are durable in storage.
     pub fn commit(&self, txid: &TransactionId) -> AftResult<TransactionId> {
         self.rpc();
         let mut txn = self.buffer.take(txid)?;
@@ -665,7 +666,8 @@ impl AftNode {
         let items = txn.storage_items();
 
         // 2. Persist the data and then the commit record (§3.3's flush: data
-        //    puts overlapped, a barrier, then the record), on this thread.
+        //    puts overlapped, a barrier, then the record; one call where the
+        //    store applies it all-or-nothing), on this thread.
         //    Returns the charged storage latency once the record is durable.
         //    An installed commit probe is consulted before every phase: its
         //    error is the node's "crash", leaving exactly the storage state
@@ -1586,23 +1588,41 @@ mod tests {
 
     #[test]
     fn crash_before_record_append_orphans_invisible_data() {
-        let storage = InMemoryStore::shared();
-        let node = AftNode::with_clock(
-            NodeConfig::test(),
-            storage.clone() as SharedStorage,
-            MockClock::starting_at(1).shared(),
-        )
-        .unwrap();
-        node.install_commit_probe(CrashAt::new(CommitPhase::BeforeRecordAppend));
-        let t = node.start_transaction();
-        node.put(&t, Key::new("k"), val("v")).unwrap();
-        assert!(node.commit(&t).is_err());
-        // Data is durable but unreferenced: no commit record, so no reader
-        // can ever observe it (no dirty reads even across the crash).
-        assert_eq!(storage.list_prefix("data/").unwrap().len(), 1);
-        assert!(storage.list_prefix("commit/").unwrap().is_empty());
-        let reader = node.start_transaction();
-        assert!(node.get(&reader, &Key::new("k")).unwrap().is_none());
+        use aft_storage::{make_backend, BackendConfig, BackendKind};
+        // Where data and record are two calls, the crash falls between them
+        // and orphans the data. Where they are one all-or-nothing call
+        // (Redis), the crash falls before it and storage stays empty.
+        for (kind, orphans) in [
+            (BackendKind::Memory, 1),
+            (BackendKind::S3, 1),
+            (BackendKind::DynamoDb, 1),
+            (BackendKind::Redis, 0),
+        ] {
+            let storage = make_backend(BackendConfig::test(kind));
+            let node = AftNode::with_clock(
+                NodeConfig::test(),
+                storage.clone(),
+                MockClock::starting_at(1).shared(),
+            )
+            .unwrap();
+            node.install_commit_probe(CrashAt::new(CommitPhase::BeforeRecordAppend));
+            let t = node.start_transaction();
+            node.put(&t, Key::new("k"), val("v")).unwrap();
+            assert!(node.commit(&t).is_err(), "{kind}");
+            // No commit record, so no reader can ever observe orphaned data
+            // (no dirty reads even across the crash).
+            assert_eq!(
+                storage.list_prefix("data/").unwrap().len(),
+                orphans,
+                "{kind}"
+            );
+            assert!(storage.list_prefix("commit/").unwrap().is_empty(), "{kind}");
+            let reader = node.start_transaction();
+            assert!(
+                node.get(&reader, &Key::new("k")).unwrap().is_none(),
+                "{kind}"
+            );
+        }
     }
 
     #[test]

@@ -244,6 +244,12 @@ impl StorageEngine for FaultyBackend {
         self.inner.supports_batch_put()
     }
 
+    /// Forwarded: a batch is one fault decision, so an injected fault drops
+    /// or applies the inner backend's one call whole.
+    fn writes_atomically(&self, keys: &[&str]) -> bool {
+        self.inner.writes_atomically(keys)
+    }
+
     fn stats(&self) -> Arc<StorageStats> {
         self.inner.stats()
     }
@@ -425,6 +431,64 @@ mod tests {
             backend.supports_batch_get(),
             backend.inner().supports_batch_get()
         );
+    }
+
+    #[test]
+    fn a_one_call_commit_faults_whole_and_its_retry_lands_one_record() {
+        use crate::backend::{make_backend, BackendConfig, BackendKind};
+        use crate::counters::OpKind;
+        use crate::io::{IoConfig, IoEngine};
+        use aft_types::{Key, KeyVersion, TransactionId, TransactionRecord, Uuid};
+        // A Redis commit's data and record in one MSET, as the flush sends
+        // them.
+        let id = TransactionId::new(7, Uuid::from_u128(0xC0FFEE));
+        let record = TransactionRecord::storage_key_for(&id);
+        let mut items: Vec<(String, Value)> = (0..4)
+            .map(|i| {
+                (
+                    KeyVersion::new(Key::new(format!("k{i}")), id).storage_key(),
+                    val("v"),
+                )
+            })
+            .collect();
+        items.push((record.clone(), val("r")));
+        for applied in [false, true] {
+            // A seed whose first decision is this fault and whose second
+            // passes.
+            let seed = (0..256u64)
+                .find(|&seed| {
+                    let schedule = spec(seed, StorageChaos::transient_errors(0.5)).schedule();
+                    let decisions = schedule.materialize(Layer::Storage, 2, &items[0].0);
+                    decisions == [FaultKind::TransientError { applied }, FaultKind::None]
+                })
+                .expect("some seed faults once this way, then passes");
+            let backend = || {
+                FaultyBackend::from_spec(
+                    make_backend(BackendConfig::test(BackendKind::Redis)),
+                    &spec(seed, StorageChaos::transient_errors(0.5)),
+                    LatencyModel::new(LatencyMode::Virtual, 1.0),
+                )
+            };
+            let keys: Vec<&str> = items.iter().map(|(k, _)| k.as_str()).collect();
+            assert!(backend().writes_atomically(&keys), "forwarded");
+
+            // The faulted call lands whole or not at all.
+            let once = backend();
+            assert!(once.put_batch(items.clone()).is_err());
+            let landed = once.inner().list_prefix("").unwrap().len();
+            assert_eq!(landed, if applied { items.len() } else { 0 });
+
+            // The engine retries it whole, and the record is one key.
+            let retried = backend();
+            let engine = IoEngine::new(retried.clone(), IoConfig::pipelined());
+            engine.put_all(items.clone()).unwrap();
+            assert_eq!(engine.stats().retries, 1);
+            let records = retried.inner().list_prefix("commit/").unwrap();
+            assert_eq!(records, std::slice::from_ref(&record));
+            assert_eq!(retried.inner().list_prefix("").unwrap().len(), items.len());
+            let mset = retried.stats().calls(OpKind::BatchPut);
+            assert_eq!(mset, 1 + u64::from(applied), "calls that reached the store");
+        }
     }
 
     #[test]

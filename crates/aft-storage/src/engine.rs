@@ -70,6 +70,16 @@ pub trait StorageEngine: Send + Sync {
     /// Whether the backend can write several keys in one API call.
     fn supports_batch_put(&self) -> bool;
 
+    /// Whether one [`put_batch`](StorageEngine::put_batch) of exactly `keys`
+    /// lands all-or-nothing: it goes out as one API call that the service
+    /// applies atomically, so no reader sees part of it and a failed call
+    /// leaves none of it (a Redis `MSET` within one slot). The safe default
+    /// is `false`: a wrapper that does not forward the answer makes its
+    /// callers order their writes themselves.
+    fn writes_atomically(&self, _keys: &[&str]) -> bool {
+        false
+    }
+
     /// Consulted by nothing: the I/O engine runs every backend's calls
     /// inside [`crate::latency::capture_deferred`], so a latency applied
     /// through [`crate::LatencyModel`] is always deferred to the waiter. The

@@ -13,12 +13,12 @@
 //!   facts — how slow a call is, how many keys one read, write or delete
 //!   call may carry, where a key is placed:
 //!
-//!   | row ([`BackendKind`]) | single-key calls | multi-key read | multi-key write | multi-key delete | placement stripes |
-//!   |---|---|---|---|---|---|
-//!   | [`Service::MEMORY`] ([`InMemoryStore`]) | free | any number of keys, free | any number of keys, free | any number of keys, free | 16 |
-//!   | [`Service::S3`] | 14–40 ms median, very heavy write tail | none: one GET per key | none: one PUT per key | `DeleteObjects`, ≤ 1 000 keys, at the delete profile | 16 |
-//!   | [`Service::DYNAMODB`] | 2.5–6 ms | `BatchGetItem`, ≤ 100 keys, a `GetItem` + 20 µs/item | `BatchWriteItem`, ≤ 25 items, base + 350 µs/item | `BatchWriteItem`, ≤ 25 keys, at its base | 16 |
-//!   | [`Service::REDIS`] | 0.5–2 ms | none: one GET per key | `MSET`, ≤ 16 keys of one slot, base + 60 µs/key | `DEL`, ≤ 16 keys of one slot, base + 60 µs/key | its 2 shards |
+//!   | row ([`BackendKind`]) | single-key calls | multi-key read | multi-key write | multi-key delete | atomic multi-key write | placement stripes |
+//!   |---|---|---|---|---|---|---|
+//!   | [`Service::MEMORY`] ([`InMemoryStore`]) | free | any number of keys, free | any number of keys, free | any number of keys, free | no: it models no real service | 16 |
+//!   | [`Service::S3`] | 14–40 ms median, very heavy write tail | none: one GET per key | none: one PUT per key | `DeleteObjects`, ≤ 1 000 keys, at the delete profile | no | 16 |
+//!   | [`Service::DYNAMODB`] | 2.5–6 ms | `BatchGetItem`, ≤ 100 keys, a `GetItem` + 20 µs/item | `BatchWriteItem`, ≤ 25 items, base + 350 µs/item | `BatchWriteItem`, ≤ 25 keys, at its base | no: applied per item | 16 |
+//!   | [`Service::REDIS`] | 0.5–2 ms | none: one GET per key | `MSET`, ≤ 16 keys of one slot, base + 60 µs/key | `DEL`, ≤ 16 keys of one slot, base + 60 µs/key | yes: `MSET` and `DEL` within one slot | its 2 shards |
 //!
 //!   Placement is a fact of the row ([`Service::stripes`]: 16 is
 //!   [`DEFAULT_STRIPES`]). A batch larger than its call's limit is several
@@ -28,7 +28,11 @@
 //!   per stripe. Redis's multi-key calls may not span hash slots: its
 //!   batches split by [`aft_types::slot_tag`] first, so one transaction's
 //!   keys share a call and a key alone in its slot is a single-key call
-//!   ([`redis`] says why the rule holds).
+//!   ([`redis`] says why the rule holds). A call the row applies
+//!   all-or-nothing ([`MultiKeyCall::atomic`]) lands under the locks of
+//!   every stripe it touches, so no reader sees part of it, and
+//!   [`StorageEngine::writes_atomically`] tells a writer when a batch is one
+//!   such call.
 //!   What is genuinely a second behaviour is a thin addition over the shared
 //!   store: [`SimDynamo`] adds the serializable single-call transaction mode.
 //! * [`latency`] — parameterised latency models, scaled down uniformly so

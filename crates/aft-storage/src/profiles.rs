@@ -79,15 +79,22 @@ pub struct MultiKeyCall {
     /// [`slot_tag`](aft_types::slot_tag); a batch is split by slot before it
     /// is cut to `limit`, and a lone key goes out as the single-key call.
     pub one_slot: bool,
+    /// Whether the service applies one call all-or-nothing: no reader ever
+    /// sees part of it, and a failed call leaves none of it behind (Redis
+    /// `MSET`/`DEL` within one slot). `BatchWriteItem` applies item by item,
+    /// and `DeleteObjects` object by object.
+    pub atomic: bool,
 }
 
 impl MultiKeyCall {
-    /// A call that carries any number of keys for free (the memory row).
+    /// A call that carries any number of keys for free (the memory row). It
+    /// models no real service, so it claims no atomicity.
     pub const FREE: MultiKeyCall = MultiKeyCall {
         limit: usize::MAX,
         base: LatencyProfile::ZERO,
         per_item_us: 0.0,
         one_slot: false,
+        atomic: false,
     };
 
     /// The latency profile of one call carrying `items` keys.
@@ -102,12 +109,14 @@ impl MultiKeyCall {
 }
 
 /// Redis `MSET`, the Redis row's multi-key write: slightly more than a single
-/// `SET`, plus 60 µs per key, over the keys of one hash slot only.
+/// `SET`, plus 60 µs per key, over the keys of one hash slot only, applied
+/// atomically.
 pub const MSET: MultiKeyCall = MultiKeyCall {
     limit: REDIS_MULTI_KEY_LIMIT,
     base: LatencyProfile::new(650.0, 1_900.0).with_per_kb(4.0),
     per_item_us: 60.0,
     one_slot: true,
+    atomic: true,
 };
 
 /// Redis's single-key delete.
@@ -115,12 +124,13 @@ const REDIS_DELETE: LatencyProfile = LatencyProfile::new(500.0, 1_400.0);
 
 /// Redis multi-key `DEL`, the Redis row's multi-key delete: one `DEL`'s round
 /// trip plus, as for `MSET`, 60 µs per key, over the keys of one hash slot
-/// only.
+/// only, applied atomically.
 pub const DEL: MultiKeyCall = MultiKeyCall {
     limit: REDIS_MULTI_KEY_LIMIT,
     base: REDIS_DELETE,
     per_item_us: 60.0,
     one_slot: true,
+    atomic: true,
 };
 
 /// S3's delete round trip, whether it carries one key or `DeleteObjects`' 1000.
@@ -178,6 +188,7 @@ impl Service {
             base: S3_DELETE,
             per_item_us: 0.0,
             one_slot: false,
+            atomic: false,
         }),
         stripes: DEFAULT_STRIPES,
     };
@@ -202,18 +213,21 @@ impl Service {
             base: DYNAMO_READ,
             per_item_us: 20.0,
             one_slot: false,
+            atomic: false,
         }),
         batch_put: Some(MultiKeyCall {
             limit: DYNAMO_BATCH_LIMIT,
             base: BATCH_WRITE_ITEM,
             per_item_us: 350.0,
             one_slot: false,
+            atomic: false,
         }),
         batch_delete: Some(MultiKeyCall {
             limit: DYNAMO_BATCH_LIMIT,
             base: BATCH_WRITE_ITEM,
             per_item_us: 0.0,
             one_slot: false,
+            atomic: false,
         }),
         stripes: DEFAULT_STRIPES,
     };
@@ -269,6 +283,7 @@ fn single(base: LatencyProfile) -> MultiKeyCall {
         base,
         per_item_us: 0.0,
         one_slot: false,
+        atomic: false,
     }
 }
 

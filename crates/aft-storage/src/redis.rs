@@ -20,18 +20,23 @@
 //! offers `MSET` and multi-key `DEL` ([`MSET`](crate::profiles::MSET),
 //! [`DEL`](crate::profiles::DEL), at most
 //! [`REDIS_MULTI_KEY_LIMIT`](crate::profiles::REDIS_MULTI_KEY_LIMIT) keys a
-//! call), and a batch goes out as one call per slot. An AFT commit is one
-//! `MSET` of its data, then its record's `SET`: §3.3's two round trips. A GC
+//! call), and a batch goes out as one call per slot. Within one slot, Redis
+//! applies an `MSET` or `DEL` all-or-nothing, so an AFT commit of up to 15
+//! keys is one `MSET` carrying its data and, last, its record: §3.3's "no
+//! record without its data" holds without a second round trip. A larger
+//! commit writes its data first and its record with its own `SET`. A GC
 //! round deletes each collected transaction, record included, with one
 //! `DEL`. Keys without a UUID (checkpoint chunks and manifests, a plain
 //! baseline's bare keys) are each alone in their slot and keep one `SET` or
 //! `DEL` per key. Reads name versions of different transactions, so the row
 //! has no multi-key read. The paper's implementation could not batch its
-//! commit writes over Redis (§6.1.2, §6.3); this row departs from it on
-//! purpose, and its Redis call counts are not the paper's.
+//! commit writes over Redis (§6.1.2, §6.3) and wrote each record after its
+//! data; this row departs from it on purpose, and its Redis call counts are
+//! not the paper's.
 //!
 //! A shard is a placement stripe of the shared [`SimStore`](crate::SimStore):
-//! one lock, one latency RNG.
+//! one lock, one latency RNG. An atomic call holds the locks of every stripe
+//! it touches while it lands.
 
 #[cfg(test)]
 mod tests {
@@ -44,6 +49,8 @@ mod tests {
     use crate::store::SimStore;
     use aft_types::{Key, KeyVersion, TransactionId, TransactionRecord, Uuid, Value};
     use bytes::Bytes;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     fn cluster() -> SharedStorage {
         make_backend(BackendConfig::test(BackendKind::Redis))
@@ -166,6 +173,51 @@ mod tests {
         doomed.push(record);
         r.delete_batch(&doomed).unwrap();
         assert_eq!(calls(&r), [1, 2, 0, 3]);
+    }
+
+    #[test]
+    fn a_reader_never_sees_part_of_a_one_slot_mset() {
+        // Each MSET carries a transaction's data keys and, last, its record,
+        // as a one-call commit does. Nothing is deleted, so a reader that
+        // finds the first data key and then misses the record has seen part
+        // of a call: the record was missing while the first key was there.
+        const TRANSACTIONS: u64 = 300;
+        let r = cluster();
+        let calls_of_keys: Vec<Vec<String>> = (1..=TRANSACTIONS)
+            .map(|uuid| {
+                let (mut keys, record) = transaction(uuid.into(), REDIS_MULTI_KEY_LIMIT - 1);
+                keys.push(record);
+                keys
+            })
+            .collect();
+        assert!(calls_of_keys.iter().all(|keys| {
+            let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+            r.writes_atomically(&keys)
+        }));
+        let landing = AtomicUsize::new(0);
+        let done = AtomicBool::new(false);
+        let start = Barrier::new(2);
+        let (mut seen, mut torn) = (0, 0);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for (t, keys) in calls_of_keys.iter().enumerate() {
+                    landing.store(t, Ordering::SeqCst);
+                    r.put_batch(items(keys)).unwrap();
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            start.wait();
+            while !done.load(Ordering::SeqCst) {
+                let keys = &calls_of_keys[landing.load(Ordering::SeqCst)];
+                if r.get(&keys[0]).unwrap().is_some() {
+                    seen += 1;
+                    torn += usize::from(r.get(&keys[keys.len() - 1]).unwrap().is_none());
+                }
+            }
+        });
+        assert_eq!(torn, 0, "{torn} of {seen} reads saw part of an MSET");
+        assert_eq!(calls(&r), [0, TRANSACTIONS, 0, 0]);
     }
 
     #[test]

@@ -72,6 +72,29 @@ impl ShardedMap {
         self.stripe(key).write().remove(key)
     }
 
+    /// Stores (`Some`) or removes (`None`) every key as one step: the write
+    /// locks of the stripes the keys touch are taken in ascending stripe
+    /// order and held until the last key lands, so no reader sees part of
+    /// the step. Every other method holds at most one stripe lock at a time,
+    /// so the ordered acquisition cannot deadlock.
+    pub(crate) fn apply_all<'k>(&self, ops: impl IntoIterator<Item = (&'k str, Option<Value>)>) {
+        let ops: Vec<(usize, &str, Option<Value>)> = ops
+            .into_iter()
+            .map(|(key, value)| (stripe_of(key, self.stripes.len()), key, value))
+            .collect();
+        let mut touched: Vec<usize> = ops.iter().map(|&(stripe, ..)| stripe).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let mut guards: Vec<_> = touched.iter().map(|&s| self.stripes[s].write()).collect();
+        for (stripe, key, value) in ops {
+            let map = &mut guards[touched.binary_search(&stripe).expect("locked above")];
+            match value {
+                Some(value) => map.insert(key.to_owned(), value),
+                None => map.remove(key),
+            };
+        }
+    }
+
     /// Returns all keys starting with `prefix` in lexicographic order,
     /// merged across every stripe.
     pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {

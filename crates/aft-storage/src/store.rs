@@ -138,6 +138,20 @@ impl SimStore {
         self.stats.record_call(kind);
         profile
     }
+
+    /// Applies one call's writes (`Some`) and deletes (`None`): as one step
+    /// where the row's call is all-or-nothing, key by key otherwise.
+    fn apply<'k>(&self, call: &MultiKeyCall, ops: impl Iterator<Item = (&'k str, Option<Value>)>) {
+        if call.atomic {
+            return self.map.apply_all(ops);
+        }
+        for (key, value) in ops {
+            match value {
+                Some(value) => self.map.put(key, value),
+                None => self.map.remove(key),
+            };
+        }
+    }
 }
 
 /// The API calls that carry one batch, in issue order, each as the indices of
@@ -211,12 +225,12 @@ impl StorageEngine for SimStore {
             .into_iter()
             .map(|chunk| {
                 let profile = self.bill(kind, &call, chunk.len(), lone);
-                let mut bytes = 0;
-                for &i in &chunk {
-                    let (k, v) = &items[i];
-                    bytes += v.len();
-                    self.write(k, v.clone());
-                }
+                let bytes = chunk.iter().map(|&i| items[i].1.len()).sum();
+                self.stats.record_written_bytes(bytes);
+                let writes = chunk
+                    .iter()
+                    .map(|&i| (items[i].0.as_str(), Some(items[i].1.clone())));
+                self.apply(&call, writes);
                 self.sample(&profile, &items[chunk[0]].0, bytes)
             });
         self.wait(calls.max());
@@ -237,9 +251,7 @@ impl StorageEngine for SimStore {
             .into_iter()
             .map(|chunk| {
                 let profile = self.bill(kind, &call, chunk.len(), lone);
-                for &i in &chunk {
-                    self.map.remove(&keys[i]);
-                }
+                self.apply(&call, chunk.iter().map(|&i| (keys[i].as_str(), None)));
                 self.sample(&profile, &keys[chunk[0]], 0)
             });
         self.wait(calls.max());
@@ -258,6 +270,11 @@ impl StorageEngine for SimStore {
 
     fn supports_batch_put(&self) -> bool {
         self.service.batch_put.is_some()
+    }
+
+    fn writes_atomically(&self, keys: &[&str]) -> bool {
+        let (_, call) = self.service.write_call();
+        call.atomic && calls_of(&call, keys.iter().copied()).len() == 1
     }
 
     fn stats(&self) -> Arc<StorageStats> {

@@ -17,7 +17,9 @@
 ///   transaction's key versions are durable but no commit record references
 ///   them. The data is permanently invisible (no dirty reads, §3.2) and the
 ///   commit never happened — orphaned versions are storage garbage, not an
-///   anomaly.
+///   anomaly. Where the store writes the data and the record in one
+///   all-or-nothing call (Redis `MSET` within one slot), the phase fires just
+///   before that call instead, and a crash here leaves storage untouched.
 /// * [`BeforeBroadcast`](CommitPhase::BeforeBroadcast): the commit record is
 ///   durable — the transaction *is* committed — but the node dies before
 ///   acknowledging it or multicasting it to peers. This is exactly the §4.2
@@ -37,7 +39,9 @@
 pub enum CommitPhase {
     /// Before any of the transaction's data writes are issued.
     BeforeDataPut,
-    /// After every data write is durable, before the commit record append.
+    /// After every data write is durable, before the commit record append;
+    /// or, where data and record go out as one all-or-nothing call, just
+    /// before that call.
     BeforeRecordAppend,
     /// After the commit record is durable, before local visibility and the
     /// commit-set multicast.

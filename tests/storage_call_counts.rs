@@ -19,7 +19,10 @@
 //!   multi-key `DEL` within one hash slot: a commit's data became one
 //!   `BatchPut` (as on memory) and a collected transaction one
 //!   `BatchDelete`; 707 `Put`s and 641 `Delete`s became 182 `Put`s, 180
-//!   `BatchPut`s, 22 `Delete`s and 158 `BatchDelete`s.
+//!   `BatchPut`s, 22 `Delete`s and 158 `BatchDelete`s. It was re-recorded
+//!   again on top of commit 74b0136, when a Redis commit's record began to
+//!   ride in its data's all-or-nothing `MSET`: the 180 records' `Put`s went,
+//!   182 → 2, and no other cell moved.
 //! * The *`GetAll`* script: a node without a data cache commits 250 keys,
 //!   then reads them back through `get_all` calls that miss 1, 2, 8, 100,
 //!   101 and 250 keys. Each read that misses two or more bills one
@@ -96,7 +99,7 @@ fn aft_script_bills_the_golden_call_counts_on_every_service() {
         (BackendKind::Memory, [369, 0, 182, 180, 0, 2, 5]),
         (BackendKind::S3, [369, 0, 707, 0, 0, 2, 5]),
         (BackendKind::DynamoDb, [369, 0, 182, 180, 0, 26, 5]),
-        (BackendKind::Redis, [369, 0, 182, 180, 22, 158, 5]),
+        (BackendKind::Redis, [369, 0, 2, 180, 22, 158, 5]),
     ];
     for (kind, expected) in golden {
         assert_eq!(
@@ -122,9 +125,11 @@ fn redis_sends_a_transaction_as_one_call_and_a_bare_key_as_its_own() {
     .unwrap();
     let node = cluster.route().unwrap();
 
-    // A commit of n ≥ 2 distinct keys: one MSET of its data (up to the
-    // call's 16 keys), then its record's SET.
-    for n in 2..=16 {
+    // A commit of n distinct keys whose data and record fit one 16-key MSET
+    // is that one call. Past it, the data goes first and the record follows
+    // as its own SET: at 16 keys one MSET and the SET, at 17 one MSET, the
+    // seventeenth key's SET and the record's.
+    for n in 1..=17 {
         let before = calls();
         let txn = node.start_transaction();
         for i in 0..n {
@@ -133,19 +138,25 @@ fn redis_sends_a_transaction_as_one_call_and_a_bare_key_as_its_own() {
         }
         node.commit(&txn).unwrap();
         let commit = calls().delta_since(&before);
+        let (calls, sets) = match n {
+            1..=15 => (1, 0),
+            16 => (2, 1),
+            _ => (3, 2),
+        };
+        assert_eq!(commit.total_calls(), calls, "{n} keys");
         assert_eq!(commit.calls(OpKind::BatchPut), 1, "{n} keys");
-        assert_eq!(commit.calls(OpKind::Put), 1, "{n} keys");
-        assert_eq!(commit.total_calls(), 2, "{n} keys");
+        assert_eq!(commit.calls(OpKind::Put), sets, "{n} keys");
     }
 
-    // The last commit wrote every key, so the round collects the 14 before
-    // it: one DEL each, its record in the same call as its data.
+    // The last commit wrote every key, so the round collects the 16 before
+    // it: one DEL each, its record in the same call as its data, except that
+    // the 16-key commit's 17 keys are one full DEL and a lone key's DEL.
     let before = calls();
     let round = cluster.run_maintenance_round().unwrap();
     let gc = calls().delta_since(&before);
-    assert_eq!(round.global_gc.deleted, 14);
-    assert_eq!(gc.calls(OpKind::BatchDelete), 14);
-    assert_eq!(gc.calls(OpKind::Delete), 0);
+    assert_eq!(round.global_gc.deleted, 16);
+    assert_eq!(gc.calls(OpKind::BatchDelete), 16);
+    assert_eq!(gc.calls(OpKind::Delete), 1);
 
     // Bare keys (a baseline without AFT) carry no slot tag: one SET and one
     // DEL per key, as before Redis had multi-key calls.
@@ -230,10 +241,16 @@ fn concurrent_commits_bill_what_each_bills_alone() {
     // Eight clients commit one-key transactions at once, over a row with a
     // batch write call: a commit's storage calls are a function of the
     // transaction alone, so N commits bill N data puts and N record puts
-    // however they interleave, and no call carries two transactions.
+    // (on Redis, N MSETs that each carry a data key and its record) however
+    // they interleave, and no call carries two transactions.
     const CLIENTS: usize = 8;
     const COMMITS: usize = 25;
-    for kind in [BackendKind::Memory, BackendKind::DynamoDb] {
+    let commits = (CLIENTS * COMMITS) as u64;
+    for (kind, puts, batch_puts) in [
+        (BackendKind::Memory, 2 * commits, 0),
+        (BackendKind::DynamoDb, 2 * commits, 0),
+        (BackendKind::Redis, 0, commits),
+    ] {
         let storage = make_backend(BackendConfig::test(kind));
         let node = aft::core::AftNode::new(NodeConfig::test_without_cache(), storage.clone())
             .expect("node over a simulated service");
@@ -253,9 +270,8 @@ fn concurrent_commits_bill_what_each_bills_alone() {
             }
         });
         let stats = storage.stats();
-        let commits = (CLIENTS * COMMITS) as u64;
-        assert_eq!(stats.calls(OpKind::Put), 2 * commits, "{kind}");
-        assert_eq!(stats.calls(OpKind::BatchPut), 0, "{kind}");
+        assert_eq!(stats.calls(OpKind::Put), puts, "{kind}");
+        assert_eq!(stats.calls(OpKind::BatchPut), batch_puts, "{kind}");
         assert_eq!(node.commit_batch_stats().flushes, commits, "{kind}");
     }
 }
