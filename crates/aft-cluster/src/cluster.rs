@@ -521,8 +521,8 @@ mod tests {
         for i in 0..5 {
             run_txn(&node, "hot", &format!("v{i}"));
         }
-        // First round: broadcast + local GC (delete metadata); second round:
-        // global GC can delete data now that all nodes have tombstones.
+        // One round broadcasts, collects locally and then globally, since no
+        // node holds the superseded versions any more; a second finds nothing.
         cluster.run_maintenance_round().unwrap();
         let stats = cluster.run_maintenance_round().unwrap();
         let data_keys = cluster.storage().list_prefix("data/hot/").unwrap();

@@ -1,30 +1,42 @@
 //! Global data garbage collection (§5.2).
 //!
-//! Local metadata GC (§5.1) lets each node forget superseded transactions,
-//! but no single node may delete a transaction's *data* from shared storage —
-//! a transaction running on another node might still read it. The global GC,
-//! combined with the fault manager because it already receives every node's
-//! commit stream, closes the loop:
+//! Local metadata GC (§5.1) lets each node forget superseded transactions and
+//! retire overwritten versions, but no single node may delete *data* from
+//! shared storage — a transaction running on another node might still read
+//! it. The global GC, combined with the fault manager because it already
+//! receives every node's commit stream, closes the loop. One round:
 //!
-//! 1. It walks the superseded set of the fault manager's commit view —
-//!    Algorithm 2, decided when each record was inserted — oldest first.
-//! 2. It asks every node whether it has locally deleted those transactions'
-//!    metadata.
-//! 3. Only when *all* nodes agree does it delete the transaction's key
-//!    versions and its commit record from storage, and tell the nodes to
-//!    forget their tombstones. The whole round is one batched delete: every
-//!    agreed transaction's key versions first, all their commit records last.
+//! 1. walks the superseded set of the fault manager's commit view —
+//!    Algorithm 2, decided when each record was inserted — oldest first, and
+//!    takes every record that no active node's metadata still holds;
+//! 2. walks the view's debited versions — a key's version overwritten while
+//!    its transaction is still the newest writer of another key — and takes
+//!    every one that no active node's metadata still holds (a node that has
+//!    not yet learned the newer version holds it as its newest);
+//! 3. deletes them with one batched call: the agreed records' data keys
+//!    first, their commit records after them, and then as many of the agreed
+//!    versions as the store carries in the calls that batch already bills
+//!    ([`StorageEngine::delete_calls`]). A version costs nothing on memory
+//!    and S3, fills the slack of the last 25-key call on DynamoDB, and waits
+//!    for its transaction's own `DEL` on Redis, whose one-slot calls would
+//!    bill it a call of its own;
+//! 4. forgets, once storage has acknowledged, exactly what it deleted: the
+//!    records leave the view, and the versions are retired from it, so the
+//!    later deletion of their records never sends them again.
 //!
-//! §5.2.1's caveat applies: because running transactions' read sets are not
-//! globally known, deleting old versions can force a long-running transaction
-//! into a retry (never into a fractured read). The `min_age` knob and
-//! oldest-first deletion order mitigate this in practice.
+//! The paper collects whole transactions only (§5.2); deleting versions keeps
+//! one cold key from pinning every dead version its transaction wrote.
+//! §5.2.1's caveat applies to both: because running transactions' read sets
+//! are not globally known, deleting old data can force a long-running
+//! transaction into a retry (never into a fractured read). The `min_age` knob
+//! and oldest-first deletion order mitigate this in practice.
 
 use std::sync::Arc;
 
 use aft_core::AftNode;
 use aft_storage::io::{IoEngine, StorageRequest};
-use aft_types::{AftResult, TransactionId, TransactionRecord};
+use aft_storage::StorageEngine;
+use aft_types::{AftResult, KeyVersion, TransactionRecord};
 
 use crate::fault_manager::FaultManager;
 
@@ -49,11 +61,15 @@ impl Default for GlobalGcConfig {
 pub struct GlobalGcOutcome {
     /// Transactions the GC considered superseded this round.
     pub candidates: usize,
-    /// Candidates skipped because some node had not yet deleted them locally.
+    /// Candidates skipped because some node still held them.
     pub awaiting_nodes: usize,
     /// Transactions whose data and commit record were deleted from storage.
     pub deleted: usize,
-    /// Individual storage keys deleted (data blobs plus commit records).
+    /// Overwritten versions deleted from storage while their transactions'
+    /// records live on.
+    pub versions: usize,
+    /// Individual storage keys deleted (data blobs, commit records and
+    /// overwritten versions).
     pub storage_keys_deleted: usize,
 }
 
@@ -76,14 +92,14 @@ impl GlobalGc {
 
     /// Runs one GC round against the fault manager's commit view.
     ///
-    /// Candidate selection (the view's superseded set plus the
-    /// all-nodes-agree check) runs first, in memory; then the round's keys go
-    /// to storage as one batched delete, which each backend bills by its own
-    /// API shape. Key versions come before commit records so that a delete
-    /// that stops part-way never leaves data whose record — the only thing
-    /// that names it — is gone. If the delete fails nothing is forgotten:
-    /// tombstones and the view keep every candidate and the next round sends
-    /// the same keys again (deletes are idempotent).
+    /// Selection (the view's superseded and debited sets plus the check that
+    /// no node holds a candidate) runs first, in memory; then the round's
+    /// keys go to storage as one batched delete, which each backend bills by
+    /// its own API shape. Key versions come before commit records so that a
+    /// delete that stops part-way never leaves data whose record — the only
+    /// thing that names it — is gone. If the delete fails nothing is
+    /// forgotten: the view keeps every candidate and the next round sends the
+    /// same keys again (deletes are idempotent).
     pub fn run_round(
         &self,
         fault_manager: &FaultManager,
@@ -93,54 +109,101 @@ impl GlobalGc {
         let mut outcome = GlobalGcOutcome::default();
         let metadata = fault_manager.metadata();
 
+        // One view per node for the whole selection; all are dropped before
+        // any storage call. A node that never learned a record — pruned
+        // multicasts mean a superseded commit may never reach some peers
+        // (§4.1) — holds none of it, and neither does one that collected it.
+        let node_views: Vec<_> = nodes.iter().map(|node| node.metadata().view()).collect();
         // Oldest first (§5.2.1): the oldest superseded data is the least
         // likely to still be needed by a running transaction.
         let mut deletable: Vec<Arc<TransactionRecord>> = Vec::new();
-        // One view per node for the whole candidate loop; all are dropped
-        // before any storage call.
-        let node_views: Vec<_> = nodes.iter().map(|node| node.metadata().view()).collect();
         for record in metadata.superseded_oldest_first() {
             if deletable.len() >= self.config.max_deletions_per_round {
                 break;
             }
             outcome.candidates += 1;
-
-            // Every node must have dropped the transaction from its metadata
-            // cache: either it garbage collected it locally (and holds a
-            // tombstone) or it never learned of it in the first place —
-            // pruned multicasts mean a superseded commit may never reach some
-            // peers (§4.1), and such peers can never serve reads from it.
-            let all_deleted = nodes.iter().zip(&node_views).all(|(node, view)| {
-                node.has_locally_deleted(&record.id) || !view.is_committed(&record.id)
-            });
-            if !all_deleted {
+            if node_views.iter().any(|view| view.is_committed(&record.id)) {
                 outcome.awaiting_nodes += 1;
                 continue;
             }
             deletable.push(record);
         }
-        drop(node_views);
-        if deletable.is_empty() {
-            return Ok(outcome);
-        }
 
+        // A record's data keys are the versions the view still holds: the
+        // rest were retired, so their data went in an earlier round.
+        let view = metadata.view();
         let mut keys: Vec<String> = deletable
             .iter()
-            .flat_map(|record| record.key_versions().map(|kv| kv.storage_key()))
+            .flat_map(|record| record.key_versions())
+            .filter(|kv| view.holds(&kv.key, &kv.tid))
+            .map(|kv| kv.storage_key())
             .collect();
         keys.extend(deletable.iter().map(|record| record.storage_key()));
+        let agreed = view
+            .debited()
+            .filter(|v| !node_views.iter().any(|node| node.holds(&v.key, &v.tid)));
+        let versions = free_riders(io.storage().as_ref(), &mut keys, agreed);
+        drop(view);
+        drop(node_views);
+        if keys.is_empty() {
+            return Ok(outcome);
+        }
         outcome.storage_keys_deleted = keys.len();
         io.execute(StorageRequest::DeleteBatch(keys)).result?;
 
-        let ids: Vec<TransactionId> = deletable.iter().map(|record| record.id).collect();
-        for id in &ids {
-            metadata.remove(id);
+        for record in &deletable {
+            metadata.remove(&record.id);
         }
-        for node in nodes {
-            node.forget_deleted(&ids);
-        }
-        outcome.deleted = ids.len();
+        outcome.deleted = deletable.len();
+        outcome.versions = metadata.retire(&versions);
         Ok(outcome)
+    }
+}
+
+/// Appends to `keys` the longest prefix of `versions` whose data keys the
+/// store deletes within the calls `keys` alone already bills, and returns
+/// that prefix. An empty batch bills no call, so it carries none.
+///
+/// A batch never bills fewer calls than its prefixes, so the prefixes that
+/// fit are those up to some length. It is found by galloping — 1, 2, 4, …
+/// more versions until one step bills a call more — then bisecting that last
+/// step, so a round takes from the walk only about twice what it carries:
+/// one version where none fits (Redis, a full last call), the whole walk
+/// where every one does (an unlimited call).
+fn free_riders(
+    storage: &dyn StorageEngine,
+    keys: &mut Vec<String>,
+    mut versions: impl Iterator<Item = KeyVersion>,
+) -> Vec<KeyVersion> {
+    let base = keys.len();
+    let calls = storage.delete_calls(keys);
+    let mut taken: Vec<KeyVersion> = Vec::new();
+    if calls == 0 {
+        return taken;
+    }
+    let mut step = 1;
+    loop {
+        let fit = taken.len();
+        taken.extend(versions.by_ref().take(step));
+        keys.extend(taken[fit..].iter().map(KeyVersion::storage_key));
+        if storage.delete_calls(keys) > calls {
+            let (mut fit, mut over) = (fit, taken.len());
+            while over - fit > 1 {
+                let mid = fit + (over - fit) / 2;
+                if storage.delete_calls(&keys[..base + mid]) > calls {
+                    over = mid;
+                } else {
+                    fit = mid;
+                }
+            }
+            taken.truncate(fit);
+            keys.truncate(base + fit);
+            return taken;
+        }
+        if taken.len() < fit + step {
+            return taken;
+        }
+        step *= 2;
     }
 }
 
@@ -152,7 +215,7 @@ mod tests {
     use aft_storage::io::IoConfig;
     use aft_storage::{InMemoryStore, OpKind, SharedStorage, StorageEngine, StorageStats};
     use aft_types::clock::TickingClock;
-    use aft_types::{AftError, Key, Value};
+    use aft_types::{AftError, Key, TransactionId, Uuid, Value};
     use bytes::Bytes;
     use parking_lot::Mutex;
 
@@ -221,6 +284,9 @@ mod tests {
             }
             self.inner.delete_batch(keys)
         }
+        fn delete_calls(&self, keys: &[String]) -> usize {
+            self.inner.delete_calls(keys)
+        }
         fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
             self.inner.list_prefix(prefix)
         }
@@ -233,8 +299,9 @@ mod tests {
     }
 
     /// Commits five versions of each of two keys on node 0 of a two-node
-    /// cluster over `storage`, disseminates them and runs local GC
-    /// everywhere: eight transactions are ready for the global GC.
+    /// cluster over `storage`, then `{c, d}` and a newer `c`, disseminates
+    /// them and runs local GC everywhere: eight transactions and one
+    /// overwritten version (`{c, d}`'s `c`) are ready for the global GC.
     fn eight_collectable(storage: &SharedStorage) -> (Vec<Arc<AftNode>>, FaultManager) {
         let nodes = nodes_over(storage, 2);
         let fm = FaultManager::new();
@@ -242,6 +309,8 @@ mod tests {
             commit_on(&nodes[0], "a", &format!("a{i}"));
             commit_on(&nodes[0], "b", &format!("b{i}"));
         }
+        commit_writes(&nodes[0], &[("c", "c0"), ("d", "d0")]);
+        commit_on(&nodes[0], "c", "c1");
         broadcast_round(&nodes, Some(&fm));
         for node in &nodes {
             node.run_local_gc(&LocalGcConfig::aggressive());
@@ -253,10 +322,16 @@ mod tests {
         IoEngine::new(storage.clone(), IoConfig::pipelined())
     }
 
-    fn commit_on(node: &Arc<AftNode>, key: &str, value: &str) -> aft_types::TransactionId {
+    fn commit_on(node: &Arc<AftNode>, key: &str, value: &str) -> TransactionId {
+        commit_writes(node, &[(key, value)])
+    }
+
+    fn commit_writes(node: &Arc<AftNode>, writes: &[(&str, &str)]) -> TransactionId {
         let t = node.start_transaction();
-        node.put(&t, Key::new(key), Bytes::copy_from_slice(value.as_bytes()))
-            .unwrap();
+        for (key, value) in writes {
+            node.put(&t, Key::new(*key), Bytes::copy_from_slice(value.as_bytes()))
+                .unwrap();
+        }
         node.commit(&t).unwrap()
     }
 
@@ -306,7 +381,7 @@ mod tests {
         }
         assert!(fm.metadata().is_committed(&newest));
 
-        // Tombstones were cleared, so a second round does nothing.
+        // The view forgot what was deleted, so a second round does nothing.
         let outcome = gc.run_round(&fm, &nodes, &io).unwrap();
         assert_eq!(outcome.deleted, 0);
     }
@@ -361,21 +436,59 @@ mod tests {
 
         let before = raw.stats().calls(OpKind::BatchDelete);
         let outcome = GlobalGc::default().run_round(&fm, &nodes, &io).unwrap();
-        assert_eq!(outcome.deleted, 8);
+        assert_eq!((outcome.deleted, outcome.versions), (8, 1));
         assert_eq!(
             outcome.storage_keys_deleted,
-            8 + 8,
-            "one data key and one commit record per transaction"
+            8 + 8 + 1,
+            "one data key and one commit record per transaction, and the version"
         );
         assert_eq!(raw.stats().calls(OpKind::BatchDelete) - before, 1);
         assert_eq!(raw.stats().calls(OpKind::Delete), 0);
-        assert_eq!(raw.list_prefix("data/").unwrap().len(), 2);
-        assert_eq!(raw.list_prefix("commit/").unwrap().len(), 2);
+        // a, b, d and the newest c; a, b, {c, d} and c.
+        assert_eq!(raw.list_prefix("data/").unwrap().len(), 4);
+        assert_eq!(raw.list_prefix("commit/").unwrap().len(), 4);
 
         // Nothing left to collect: the next round makes no storage call.
         let outcome = GlobalGc::default().run_round(&fm, &nodes, &io).unwrap();
         assert_eq!(outcome, GlobalGcOutcome::default());
         assert_eq!(raw.stats().calls(OpKind::BatchDelete) - before, 1);
+    }
+
+    #[test]
+    fn versions_ride_only_in_calls_the_batch_already_bills() {
+        use aft_storage::{make_backend, BackendConfig, BackendKind};
+        let records = |n: usize| {
+            (0..n)
+                .map(|i| format!("commit/{i:020}"))
+                .collect::<Vec<_>>()
+        };
+        let versions: Vec<KeyVersion> = (0..60u64)
+            .map(|i| {
+                KeyVersion::new(
+                    format!("v{i}"),
+                    TransactionId::new(i, Uuid::from_u128(i.into())),
+                )
+            })
+            .collect();
+        for (kind, base, carried) in [
+            (BackendKind::Memory, 20, 60),
+            (BackendKind::Memory, 0, 0),
+            (BackendKind::S3, 20, 60),
+            (BackendKind::DynamoDb, 20, 5),
+            (BackendKind::DynamoDb, 25, 0),
+            (BackendKind::DynamoDb, 26, 24),
+            (BackendKind::Redis, 20, 0),
+        ] {
+            let storage = make_backend(BackendConfig::test(kind));
+            let mut batch = records(base);
+            let riders = free_riders(storage.as_ref(), &mut batch, versions.iter().cloned());
+            assert_eq!(riders, versions[..carried], "{kind} after {base} keys");
+            assert_eq!(batch.len(), base + carried);
+            assert_eq!(
+                storage.delete_calls(&batch),
+                storage.delete_calls(&records(base))
+            );
+        }
     }
 
     #[test]
@@ -389,10 +502,13 @@ mod tests {
             .unwrap();
         let batches = spy.batches.lock();
         assert_eq!(batches.len(), 1);
-        let (data, records) = batches[0].split_at(8);
+        let (data, rest) = batches[0].split_at(8);
         assert!(data.iter().all(|k| k.starts_with("data/")));
-        assert_eq!(records.len(), 8);
+        let (records, versions) = rest.split_at(8);
         assert!(records.iter().all(|k| k.starts_with("commit/")));
+        // The version's record lives on, so it may come last.
+        assert_eq!(versions.len(), 1);
+        assert!(versions[0].starts_with("data/c/"));
     }
 
     #[test]
@@ -402,28 +518,152 @@ mod tests {
         let (nodes, fm) = eight_collectable(&storage);
         let io = engine_over(&storage);
         let gc = GlobalGc::default();
-        let tombstones: Vec<_> = nodes.iter().map(|n| n.locally_deleted()).collect();
-        // The committing node holds all eight; its peer never learned of the
-        // superseded commits (pruned multicast) and holds none.
-        assert_eq!(tombstones[0].len(), 8);
+        let debited = fm.metadata().debited_oldest_first();
+        assert_eq!(debited.len(), 1);
 
         assert!(gc.run_round(&fm, &nodes, &io).is_err());
-        assert_eq!(fm.metadata().len(), 10, "the view keeps every candidate");
+        assert_eq!(fm.metadata().len(), 12, "the view keeps every candidate");
         assert_eq!(fm.metadata().superseded_oldest_first().len(), 8);
-        for (node, before) in nodes.iter().zip(&tombstones) {
-            assert_eq!(&node.locally_deleted(), before);
-        }
-        assert_eq!(spy.inner.list_prefix("commit/").unwrap().len(), 10);
+        assert_eq!(
+            fm.metadata().debited_oldest_first(),
+            debited,
+            "and the version"
+        );
+        assert_eq!(spy.inner.list_prefix("commit/").unwrap().len(), 12);
+        assert_eq!(spy.inner.list_prefix("data/").unwrap().len(), 13);
 
         let outcome = gc.run_round(&fm, &nodes, &io).unwrap();
-        assert_eq!(outcome.deleted, 8);
-        assert_eq!(spy.inner.list_prefix("data/").unwrap().len(), 2);
-        assert_eq!(spy.inner.list_prefix("commit/").unwrap().len(), 2);
-        assert_eq!(fm.metadata().len(), 2);
-        assert!(nodes.iter().all(|n| n.locally_deleted().is_empty()));
+        assert_eq!((outcome.deleted, outcome.versions), (8, 1));
+        assert_eq!(spy.inner.list_prefix("data/").unwrap().len(), 4);
+        assert_eq!(spy.inner.list_prefix("commit/").unwrap().len(), 4);
+        assert_eq!(fm.metadata().len(), 4);
+        assert!(fm.metadata().debited_oldest_first().is_empty());
+        assert!(!fm.metadata().view().holds(&debited[0].key, &debited[0].tid));
+        assert_eq!(
+            gc.run_round(&fm, &nodes, &io).unwrap(),
+            GlobalGcOutcome::default()
+        );
         let batches = spy.batches.lock();
-        assert_eq!(batches.len(), 2);
+        assert_eq!(batches.len(), 2, "the third round had nothing to send");
         assert_eq!(batches[0], batches[1], "the retry sends the same keys");
+    }
+
+    #[test]
+    fn a_node_that_has_not_learned_the_newer_version_blocks_its_delete() {
+        let (nodes, raw, storage) = cluster_of(2);
+        let io = engine_over(&storage);
+        let fm = FaultManager::new();
+        let gc = GlobalGc::default();
+        let t1 = commit_writes(&nodes[0], &[("a", "a1"), ("b", "b1")]);
+        broadcast_round(&nodes, Some(&fm));
+
+        // T2 overwrites a; only node 0 and the fault manager learn of it.
+        // A scratch key gives every round a record to delete, so the version
+        // has a call to ride in.
+        commit_on(&nodes[0], "a", "a2");
+        commit_on(&nodes[0], "scratch", "s0");
+        commit_on(&nodes[0], "scratch", "s1");
+        let late = nodes[0].drain_recent_commits();
+        fm.observe_commits(late.iter().cloned());
+        for node in &nodes {
+            node.run_local_gc(&LocalGcConfig::aggressive());
+        }
+        let a1 = KeyVersion::new("a", t1);
+        assert!(!nodes[0].metadata().view().holds(&a1.key, &t1));
+        assert!(
+            nodes[1].metadata().view().holds(&a1.key, &t1),
+            "its newest a"
+        );
+
+        let outcome = gc.run_round(&fm, &nodes, &io).unwrap();
+        assert_eq!((outcome.deleted, outcome.versions), (1, 0));
+        assert!(raw.get(&a1.storage_key()).unwrap().is_some());
+        assert_eq!(
+            fm.metadata().debited_oldest_first(),
+            std::slice::from_ref(&a1)
+        );
+
+        // Once node 1 learns T2 (drained first) and sweeps, the next round
+        // takes it.
+        nodes[1].receive_peer_commits(late.into_iter().take(1));
+        assert_eq!(
+            nodes[1].run_local_gc(&LocalGcConfig::aggressive()).retired,
+            1
+        );
+        commit_on(&nodes[0], "scratch", "s2");
+        fm.observe_commits(nodes[0].drain_recent_commits());
+        nodes[0].run_local_gc(&LocalGcConfig::aggressive());
+        let outcome = gc.run_round(&fm, &nodes, &io).unwrap();
+        assert_eq!((outcome.deleted, outcome.versions), (1, 1));
+        assert!(raw.get(&a1.storage_key()).unwrap().is_none());
+        assert_eq!(raw.list_prefix("data/a/").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_replacement_retires_what_was_deleted_before_it_bootstrapped() {
+        let spy = DeleteSpy::failing_first(0);
+        let storage: SharedStorage = spy.clone();
+        let clock = TickingClock::shared(1, 1);
+        let node = |id: &str| {
+            AftNode::with_clock(
+                NodeConfig::test().with_node_id(id),
+                storage.clone(),
+                clock.clone(),
+            )
+            .unwrap()
+        };
+        let original = node("original");
+        let fm = FaultManager::new();
+        let gc = GlobalGc::default();
+        let io = engine_over(&storage);
+        let sweep_and_collect = |nodes: &[Arc<AftNode>]| {
+            commit_on(&original, "scratch", "s");
+            broadcast_round(nodes, Some(&fm));
+            for node in nodes {
+                node.run_local_gc(&LocalGcConfig::aggressive());
+            }
+            gc.run_round(&fm, nodes, &io).unwrap()
+        };
+
+        // T1 and T2 are in a checkpoint; the versions that overwrite their a
+        // and c are in the tail behind it.
+        let t1 = commit_writes(&original, &[("a", "a1"), ("b", "b1")]);
+        let t2 = commit_writes(&original, &[("c", "c2"), ("d", "d2")]);
+        original.checkpoint_now(false).unwrap();
+        commit_on(&original, "a", "a3");
+        commit_on(&original, "c", "c4");
+        let overwritten = [KeyVersion::new("a", t1), KeyVersion::new("c", t2)];
+        commit_on(&original, "scratch", "s");
+        let outcome = sweep_and_collect(&[Arc::clone(&original)]);
+        assert_eq!(outcome.versions, 2);
+        for version in &overwritten {
+            assert!(spy.inner.get(&version.storage_key()).unwrap().is_none());
+        }
+
+        // The replacement loads T1 and T2 whole, learns of a3 and c4 from the
+        // tail, and retires the two versions on its first sweep.
+        let replacement = node("replacement");
+        assert_eq!(replacement.metadata().debited_oldest_first(), overwritten);
+        assert_eq!(
+            replacement.run_local_gc(&LocalGcConfig::default()).retired,
+            2
+        );
+        let t = replacement.start_transaction();
+        assert_eq!(replacement.get(&t, &Key::new("a")).unwrap().unwrap(), "a3");
+        replacement.commit(&t).unwrap();
+
+        // The fault manager never sends them again — not even with T1's own
+        // record once b is overwritten too.
+        let sent = spy.batches.lock().len();
+        commit_on(&original, "b", "b5");
+        let outcome = sweep_and_collect(&[Arc::clone(&original), replacement]);
+        assert_eq!(outcome.deleted, 3, "T1, the reader's record and a scratch");
+        let batches = spy.batches.lock();
+        let later: Vec<&String> = batches[sent..].iter().flatten().collect();
+        assert!(later.contains(&&KeyVersion::new("b", t1).storage_key()));
+        for version in &overwritten {
+            assert!(!later.contains(&&version.storage_key()), "{version:?}");
+        }
     }
 
     #[test]

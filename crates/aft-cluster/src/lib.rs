@@ -20,8 +20,9 @@
 //!   broadcast was lost (liveness, §4.2), detects failed nodes and brings up
 //!   replacements (§6.7).
 //! * [`global_gc`] — the global data garbage collector, combined with the
-//!   fault manager as in §5.2: deletes a transaction's data and commit record
-//!   only after *every* node has locally deleted its metadata.
+//!   fault manager as in §5.2: deletes a transaction's data and commit record,
+//!   or one overwritten version of a transaction still live, only once no
+//!   node's metadata holds it any more.
 //! * [`cluster`] — the orchestrator that wires all of the above together and
 //!   optionally drives it with background threads.
 //! * [`chaos`] — deterministic node-kill injection: [`ChaosController`] arms

@@ -5,18 +5,27 @@
 //! key versions written to storage. Each node bounds the first locally: a
 //! background sweep walks the metadata cache's superseded set (Algorithm 2,
 //! kept up to date as records are inserted) oldest-first and drops every
-//! transaction that no running transaction has read from. Data in *storage* is
-//! never deleted locally — that requires the global protocol driven by the
-//! fault manager (§5.2), which `aft-cluster` implements on top of the hooks
-//! exposed here.
+//! transaction that no running transaction has read from. The same sweep then
+//! walks the cache's debited versions — a key's version overwritten while its
+//! transaction is still the newest writer of another key — and retires each
+//! one under the same rule: it leaves the key's version list and the data
+//! cache, so Algorithm 1 never chooses it again, while the record stays. The
+//! paper collects whole transactions only; retiring versions keeps one cold
+//! key from pinning every dead version its transaction wrote. A reader whose
+//! read set still needed a retired version gets `NoValidVersion` and retries
+//! (§5.2.1) — the record's write set still bounds what it may read, so it
+//! never sees a fractured read. Data in *storage* is never deleted locally —
+//! that requires the global protocol driven by the fault manager (§5.2),
+//! which `aft-cluster` implements: it deletes what no node's metadata holds
+//! any more.
 
 use std::time::Duration;
 
 /// Configuration of a node's local metadata GC sweeps.
 #[derive(Debug, Clone, Copy)]
 pub struct LocalGcConfig {
-    /// Maximum number of transactions to delete in one sweep; bounds the time
-    /// spent holding metadata locks.
+    /// Maximum number of transactions to delete, and of versions to retire,
+    /// in one sweep; bounds the time spent holding metadata locks.
     pub max_deletions_per_sweep: usize,
     /// Never garbage collect a transaction until at least this much time has
     /// passed since its commit timestamp, giving in-flight readers on *other*
@@ -47,14 +56,17 @@ impl LocalGcConfig {
 /// The result of one local GC sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcOutcome {
-    /// Superseded commit records the sweep looked at — never more than the
-    /// superseded set holds, however large the cache.
+    /// Superseded commit records and debited versions the sweep looked at —
+    /// never more than those two sets hold, however large the cache.
     pub examined: usize,
-    /// Records that were superseded but kept because a running transaction
-    /// had read from them.
+    /// Records and versions that were collectable but kept because a running
+    /// transaction had read from their transaction.
     pub retained_for_readers: usize,
     /// Records removed from the metadata cache in this sweep.
     pub deleted: usize,
+    /// Overwritten versions retired from the key index and the data cache in
+    /// this sweep; their records stay.
+    pub retired: usize,
 }
 
 impl GcOutcome {
@@ -64,6 +76,7 @@ impl GcOutcome {
             examined: self.examined + other.examined,
             retained_for_readers: self.retained_for_readers + other.retained_for_readers,
             deleted: self.deleted + other.deleted,
+            retired: self.retired + other.retired,
         }
     }
 }
@@ -91,15 +104,18 @@ mod tests {
             examined: 3,
             retained_for_readers: 1,
             deleted: 2,
+            retired: 1,
         };
         let b = GcOutcome {
             examined: 5,
             retained_for_readers: 0,
             deleted: 4,
+            retired: 2,
         };
         let merged = a.merge(b);
         assert_eq!(merged.examined, 8);
         assert_eq!(merged.retained_for_readers, 1);
         assert_eq!(merged.deleted, 6);
+        assert_eq!(merged.retired, 3);
     }
 }

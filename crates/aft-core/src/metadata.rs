@@ -1,5 +1,5 @@
 //! The node-local metadata cache: the Commit Set Cache, the key version
-//! index, and the superseded set.
+//! index, the superseded set and the debited versions.
 //!
 //! Every AFT node caches the IDs (and write sets) of recently committed
 //! transactions and maintains an index from each key to the committed
@@ -18,6 +18,21 @@
 //! cached. [`is_superseded`](crate::is_superseded) remains the definition:
 //! the set is `{r cached : is_superseded(r)}` at all times.
 //!
+//! The same debit tells the collectors about single versions. A record that
+//! loses one key but is still the newest version of another is not
+//! superseded, yet the version it lost can never again be the one a fresh
+//! read chooses. Each such `(transaction, key)` pair is *debited*: kept, in
+//! transaction-ID order, until a collector [retires](MetadataCache::retire)
+//! it — the version leaves its key's list while the record, which still names
+//! a live version, stays — or the record itself is superseded, when the pair
+//! goes and the whole record is collected instead. A late record is debited
+//! for the keys it arrives already overwritten on. The debited set is
+//! therefore `{(r, k) : r cached and not superseded, k ∈ r's write set, k's
+//! version by r still indexed and not k's newest}`, and like the superseded
+//! set it costs a sweep what was debited since the last one. (The paper
+//! collects only whole transactions, §5.1–§5.2; one cold key would otherwise
+//! pin every dead version its transaction wrote.)
+//!
 //! # What it costs
 //!
 //! All of this is soft state that every node holds and the fault manager
@@ -33,13 +48,15 @@
 //! commit-set bucket, besides the record itself, which the nodes of one
 //! process share: a 56-byte `Arc` block (id and write-set pointer) plus
 //! 16 bytes per key written, so 88 bytes for a two-key transaction. (A
-//! write set kept as an ordered tree cost a 192-byte leaf on top.)
+//! write set kept as an ordered tree cost a 192-byte leaf on top.) A debited
+//! pair is a 40-byte tree entry that lives from the overwrite to the next
+//! sweep.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use aft_types::{Key, TransactionId, TransactionRecord};
+use aft_types::{Key, KeyVersion, TransactionId, TransactionRecord};
 use parking_lot::{RwLock, RwLockReadGuard};
 
 /// The committed-transaction metadata cache of one AFT node.
@@ -62,6 +79,47 @@ struct Inner {
     /// The cached records whose count is zero — Algorithm 2's superseded
     /// transactions — in transaction-ID order.
     superseded: BTreeSet<TransactionId>,
+    /// The overwritten versions of records that are not superseded, in
+    /// transaction-ID order (see the module docs).
+    debited: BTreeSet<(TransactionId, Key)>,
+}
+
+impl Inner {
+    /// Charges `id` for losing `key` to a newer version: the record is
+    /// superseded once it is the newest of none of its keys, and its debited
+    /// pairs go with it; otherwise the lost version is debited.
+    fn debit(&mut self, id: TransactionId, key: &Key) {
+        let (record, count) = self
+            .committed
+            .get_mut(&id)
+            .expect("every indexed version has a commit-set entry");
+        *count -= 1;
+        if *count > 0 {
+            self.debited.insert((id, key.clone()));
+            return;
+        }
+        self.superseded.insert(id);
+        if record.write_set.len() > 1 {
+            for key in &record.write_set {
+                self.debited.remove(&(id, key.clone()));
+            }
+        }
+    }
+
+    /// Debits every version of `id` that is indexed but not its key's newest
+    /// (a late record on arrival, a superseded one revived by a removal).
+    fn debit_overwritten(&mut self, id: TransactionId) {
+        let record = Arc::clone(&self.committed[&id].0);
+        for key in &record.write_set {
+            if self
+                .key_index
+                .get(key)
+                .is_some_and(|versions| versions.newest() != id && versions.holds(&id))
+            {
+                self.debited.insert((id, key.clone()));
+            }
+        }
+    }
 }
 
 /// One key's committed versions in ascending id order; never empty. One
@@ -87,6 +145,10 @@ impl Versions {
             .as_slice()
             .last()
             .expect("a version list is never empty")
+    }
+
+    fn holds(&self, id: &TransactionId) -> bool {
+        self.as_slice().binary_search(id).is_ok()
     }
 
     /// Adds `id` in order, shifting only the ids newer than it: none for an
@@ -137,51 +199,48 @@ impl MetadataCache {
     }
 
     /// Inserts a committed transaction record, updating the key version
-    /// index and the superseded set. Returns `false` if the record was
-    /// already known.
+    /// index, the superseded set and the debited versions. Returns `false` if
+    /// the record was already known.
     pub fn insert(&self, record: Arc<TransactionRecord>) -> bool {
-        let mut guard = self.inner.write();
-        let Inner {
-            committed,
-            key_index,
-            superseded,
-        } = &mut *guard;
+        let mut inner = self.inner.write();
         let id = record.id;
-        if committed.contains_key(&id) {
+        if inner.committed.contains_key(&id) {
             return false;
         }
         // The write set is a set, so a key counts once however often the
         // transaction wrote it.
         let mut newest_for = 0u32;
+        let mut late = false;
         for key in &record.write_set {
-            let versions = match key_index.entry(key.clone()) {
-                Entry::Occupied(slot) => slot.into_mut(),
+            let previous = match inner.key_index.entry(key.clone()) {
+                Entry::Occupied(slot) => {
+                    let versions = slot.into_mut();
+                    let previous = versions.newest();
+                    versions.insert(id);
+                    previous
+                }
                 Entry::Vacant(slot) => {
                     slot.insert(Versions::One(id));
                     newest_for += 1;
                     continue;
                 }
             };
-            let previous = versions.newest();
-            versions.insert(id);
             // Otherwise it arrived out of order: the key already has a newer
             // version, so this record is never its newest.
             if previous < id {
                 newest_for += 1;
-                let (_, count) = committed
-                    .get_mut(&previous)
-                    .expect("every indexed version has a commit-set entry");
-                *count -= 1;
-                if *count == 0 {
-                    superseded.insert(previous);
-                }
+                inner.debit(previous, key);
+            } else {
+                late = true;
             }
         }
+        inner.committed.insert(id, (record, newest_for));
         // An empty write set (a read-only transaction) is superseded at once.
         if newest_for == 0 {
-            superseded.insert(id);
+            inner.superseded.insert(id);
+        } else if late {
+            inner.debit_overwritten(id);
         }
-        committed.insert(id, (record, newest_for));
         true
     }
 
@@ -224,19 +283,27 @@ impl MetadataCache {
     ///
     /// The collectors only remove superseded records, but any record may be
     /// removed: taking away the newest version of a key makes its predecessor
-    /// the newest again, so the predecessor is re-credited and leaves the
-    /// superseded set. The caller is responsible for evicting any cached
-    /// data; this method only touches metadata. Returns the removed record,
-    /// if it was present.
+    /// the newest again, so the predecessor is re-credited, leaves the
+    /// superseded set and is no longer debited for that key. (The predecessor
+    /// is the newest version still indexed: a retired version stays retired.)
+    /// The caller is responsible for evicting any cached data; this method
+    /// only touches metadata. Returns the removed record, if it was present.
     pub fn remove(&self, id: &TransactionId) -> Option<Arc<TransactionRecord>> {
-        let mut guard = self.inner.write();
+        let mut inner = self.inner.write();
         let Inner {
             committed,
             key_index,
             superseded,
-        } = &mut *guard;
-        let (record, _) = committed.remove(id)?;
+            debited,
+        } = &mut *inner;
+        let (record, count) = committed.remove(id)?;
         superseded.remove(id);
+        if count > 0 && !debited.is_empty() {
+            for key in &record.write_set {
+                debited.remove(&(*id, key.clone()));
+            }
+        }
+        let mut revived = Vec::new();
         for key in &record.write_set {
             let Some(versions) = key_index.get_mut(key) else {
                 continue;
@@ -251,11 +318,45 @@ impl MetadataCache {
                     .expect("every indexed version has a commit-set entry");
                 if *count == 0 {
                     superseded.remove(&predecessor);
+                    revived.push(predecessor);
+                } else {
+                    debited.remove(&(predecessor, key.clone()));
                 }
                 *count += 1;
             }
         }
+        // A revived record's other overwritten versions are debited again.
+        for predecessor in revived {
+            inner.debit_overwritten(predecessor);
+        }
         Some(record)
+    }
+
+    /// Retires debited versions (§5.1 at the grain of a version): each one
+    /// leaves its key's version list and the debited set, so Algorithm 1 can
+    /// never choose it again, while its record stays cached — the record is
+    /// still the newest version of another key, and its write set still
+    /// bounds what a reader of that key may read next. A version that is not
+    /// debited (already retired, its record superseded or removed since) is
+    /// left alone. The caller evicts cached data. Returns how many were
+    /// retired.
+    pub fn retire<'a>(&self, versions: impl IntoIterator<Item = &'a KeyVersion>) -> usize {
+        let mut inner = self.inner.write();
+        let Inner {
+            key_index, debited, ..
+        } = &mut *inner;
+        let mut retired = 0;
+        for version in versions {
+            if debited.remove(&(version.tid, version.key.clone())) {
+                // Never the key's last version: a newer one debited it.
+                key_index
+                    .get_mut(&version.key)
+                    .expect("a debited version is indexed")
+                    .remove(&version.tid);
+                retired += 1;
+            }
+        }
+        retired
     }
 
     /// Number of committed transactions currently cached.
@@ -295,6 +396,13 @@ impl MetadataCache {
             .map(|id| Arc::clone(&inner.committed[id].0))
             .collect()
     }
+
+    /// A snapshot of the debited versions, oldest transaction first — what
+    /// the collectors retire one by one. Costs the size of the debited set,
+    /// not of the cache.
+    pub fn debited_oldest_first(&self) -> Vec<KeyVersion> {
+        self.view().debited().collect()
+    }
 }
 
 /// A consistent view of a [`MetadataCache`], held under its read lock (see
@@ -315,6 +423,24 @@ impl MetadataView<'_> {
     /// The newest committed version of `key` known to this node.
     pub fn latest_version_of(&self, key: &Key) -> Option<TransactionId> {
         self.0.key_index.get(key).map(Versions::newest)
+    }
+
+    /// The debited versions, oldest transaction first, as they are asked
+    /// for: a caller that stops early pays for what it looked at.
+    pub fn debited(&self) -> impl Iterator<Item = KeyVersion> + '_ {
+        self.0
+            .debited
+            .iter()
+            .map(|(id, key)| KeyVersion::new(key.clone(), *id))
+    }
+
+    /// True if `id`'s version of `key` is one this node may still choose:
+    /// indexed, neither retired nor collected with its record.
+    pub fn holds(&self, key: &Key, id: &TransactionId) -> bool {
+        self.0
+            .key_index
+            .get(key)
+            .is_some_and(|versions| versions.holds(id))
     }
 
     /// The committed versions of `key` known to this node, newest first —
@@ -442,6 +568,91 @@ mod tests {
         cache.remove(&tid(1, 1));
         assert!(superseded_ids(&cache).is_empty());
         assert_eq!(cache.len(), 2);
+    }
+
+    fn debited(cache: &MetadataCache) -> Vec<(u64, String)> {
+        cache
+            .debited_oldest_first()
+            .into_iter()
+            .map(|v| (v.tid.timestamp, v.key.to_string()))
+            .collect()
+    }
+
+    fn pair(ts: u64, key: &str) -> KeyVersion {
+        KeyVersion::new(key, tid(ts, ts as u128))
+    }
+
+    #[test]
+    fn an_overwritten_version_of_a_live_record_is_debited_then_retired() {
+        let cache = MetadataCache::new();
+        cache.insert(record(10, &["a", "b"]));
+        cache.insert(record(20, &["a"]));
+        assert!(superseded_ids(&cache).is_empty(), "b is still current");
+        assert_eq!(debited(&cache), [(10, "a".into())]);
+
+        assert_eq!(cache.retire(&[pair(10, "a"), pair(10, "b")]), 1);
+        assert_eq!(versions_of(&cache, "a"), [tid(20, 20)]);
+        assert_eq!(versions_of(&cache, "b"), [tid(10, 10)]);
+        assert!(cache.is_committed(&tid(10, 10)), "the record stays");
+        assert!(!cache.view().holds(&Key::new("a"), &tid(10, 10)));
+        assert!(debited(&cache).is_empty());
+        assert_eq!(cache.retire(&[pair(10, "a")]), 0, "retired once");
+
+        // Losing its last key supersedes the record as before.
+        cache.insert(record(40, &["b"]));
+        assert_eq!(superseded_ids(&cache), [tid(10, 10)]);
+        assert!(debited(&cache).is_empty());
+        cache.remove(&tid(10, 10));
+        assert_eq!(versions_of(&cache, "a"), [tid(20, 20)]);
+    }
+
+    #[test]
+    fn a_late_record_is_debited_for_the_keys_it_arrives_overwritten_on() {
+        let cache = MetadataCache::new();
+        cache.insert(record(30, &["a"]));
+        cache.insert(record(20, &["a", "b"]));
+        assert_eq!(debited(&cache), [(20, "a".into())]);
+        // Late on every key: superseded on arrival, nothing debited.
+        cache.insert(record(10, &["a", "b"]));
+        assert_eq!(superseded_ids(&cache), [tid(10, 10)]);
+        assert_eq!(debited(&cache), [(20, "a".into())]);
+    }
+
+    #[test]
+    fn a_superseded_record_takes_its_debited_versions_with_it() {
+        let cache = MetadataCache::new();
+        cache.insert(record(10, &["a", "b", "c"]));
+        cache.insert(record(20, &["a"]));
+        cache.insert(record(30, &["b"]));
+        assert_eq!(debited(&cache), [(10, "a".into()), (10, "b".into())]);
+        cache.insert(record(40, &["c"]));
+        assert_eq!(superseded_ids(&cache), [tid(10, 10)]);
+        assert!(debited(&cache).is_empty());
+        assert_eq!(cache.retire(&[pair(10, "a")]), 0);
+        assert_eq!(versions_of(&cache, "a"), [tid(20, 20), tid(10, 10)]);
+    }
+
+    #[test]
+    fn removing_a_newest_version_moves_the_debits_back() {
+        let cache = MetadataCache::new();
+        cache.insert(record(1, &["a", "b"]));
+        cache.insert(record(2, &["a"]));
+        assert_eq!(debited(&cache), [(1, "a".into())]);
+        cache.remove(&tid(2, 2));
+        assert!(debited(&cache).is_empty(), "T1 is a's newest again");
+
+        // A superseded record revived by a removal is debited for the keys
+        // it is still not the newest of.
+        cache.insert(record(3, &["a"]));
+        cache.insert(record(4, &["b"]));
+        assert_eq!(superseded_ids(&cache), [tid(1, 1)]);
+        assert!(debited(&cache).is_empty());
+        cache.remove(&tid(4, 4));
+        assert!(superseded_ids(&cache).is_empty());
+        assert_eq!(debited(&cache), [(1, "a".into())]);
+        // Removing a debited record drops its debits.
+        cache.remove(&tid(1, 1));
+        assert!(debited(&cache).is_empty());
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! commit protocol (§3.3), and the glue between the read protocol, the write
 //! buffer, and the caches.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -285,9 +284,6 @@ pub struct AftNode {
     rng: Mutex<StdRng>,
     /// Commits made on this node since the last multicast drain (§4).
     recent_commits: Mutex<Vec<Arc<TransactionRecord>>>,
-    /// Transactions whose metadata this node has locally garbage collected;
-    /// reported to the global GC (§5.2).
-    locally_deleted: Mutex<HashSet<TransactionId>>,
     /// Chaos hook: when installed, called before each [`CommitPhase`] of
     /// every commit.
     commit_probe: Mutex<Option<Arc<dyn CommitProbe>>>,
@@ -330,7 +326,6 @@ impl AftNode {
             stats: NodeStats::new_shared(),
             rng: Mutex::new(StdRng::seed_from_u64(config.rng_seed)),
             recent_commits: Mutex::new(Vec::new()),
-            locally_deleted: Mutex::new(HashSet::new()),
             commit_probe: Mutex::new(None),
             checkpoint_commits: AtomicU64::new(0),
             checkpoint_last_id: Mutex::new(0),
@@ -599,14 +594,15 @@ impl AftNode {
 
     /// Caches a payload a read just fetched from storage. Between version
     /// selection and this fill the read is not in any read set the local GC
-    /// can see, so a sweep may have removed the version's record and evicted
-    /// a cache entry that was not there yet; an entry inserted after that
-    /// could never be selected again nor swept. Hence insert, then look:
-    /// if the record is gone the entry goes too, and a sweep that removes
-    /// the record after the look evicts the entry itself.
+    /// can see, so a sweep may have dropped the version (with its record, or
+    /// retired alone) and evicted a cache entry that was not there yet; an
+    /// entry inserted after that could never be selected again nor swept.
+    /// Hence insert, then look: if the version is gone the entry goes too,
+    /// and a sweep that drops the version after the look evicts the entry
+    /// itself.
     fn fill_data_cache(&self, key: &Key, version: TransactionId, value: &Value) {
         self.data_cache.insert(key.clone(), version, value.clone());
-        if !self.metadata.is_committed(&version) {
+        if !self.metadata.view().holds(key, &version) {
             self.data_cache.evict(key, &version);
         }
     }
@@ -779,22 +775,26 @@ impl AftNode {
     }
 
     /// Runs one local metadata GC sweep (§5.1): removes superseded
-    /// transactions that no running transaction has read from, evicts their
-    /// cached data, and remembers them for the global GC protocol. The sweep
-    /// walks the metadata cache's superseded set, so it costs what was
-    /// superseded since the last sweep, not what is cached.
+    /// transactions that no running transaction has read from and evicts
+    /// their cached data, then retires, under the same rule, the overwritten
+    /// versions of transactions that are still the newest of some other key.
+    /// The sweep walks the metadata cache's superseded and debited sets, so
+    /// it costs what was overwritten since the last sweep, not what is
+    /// cached. What the sweep dropped is what the global GC finds no node
+    /// holding (§5.2).
     pub fn run_local_gc(&self, config: &LocalGcConfig) -> GcOutcome {
         let mut outcome = GcOutcome::default();
         let now_ms = self.clock.now();
         let min_age_ms = config.min_age.as_millis() as u64;
+        // Ids come oldest-first, so once one is too young every later one is
+        // younger still.
+        let too_young = |id: &TransactionId| now_ms.saturating_sub(id.timestamp) < min_age_ms;
         for record in self.metadata.superseded_oldest_first() {
             if outcome.deleted >= config.max_deletions_per_sweep {
                 break;
             }
             outcome.examined += 1;
-            if now_ms.saturating_sub(record.id.timestamp) < min_age_ms {
-                // Too young; and since records are visited oldest-first, every
-                // later record is younger still.
+            if too_young(&record.id) {
                 break;
             }
             if self.buffer.any_reader_of(&record.id) {
@@ -805,10 +805,29 @@ impl AftNode {
                 for key in &record.write_set {
                     self.data_cache.evict(key, &record.id);
                 }
-                self.locally_deleted.lock().insert(record.id);
                 self.stats.record_gc_deleted();
                 outcome.deleted += 1;
             }
+        }
+
+        let mut retiring = Vec::new();
+        for version in self.metadata.debited_oldest_first() {
+            if retiring.len() >= config.max_deletions_per_sweep {
+                break;
+            }
+            outcome.examined += 1;
+            if too_young(&version.tid) {
+                break;
+            }
+            if self.buffer.any_reader_of(&version.tid) {
+                outcome.retained_for_readers += 1;
+            } else {
+                retiring.push(version);
+            }
+        }
+        outcome.retired = self.metadata.retire(&retiring);
+        for version in &retiring {
+            self.data_cache.evict(&version.key, &version.tid);
         }
         outcome
     }
@@ -875,27 +894,6 @@ impl AftNode {
             None
         };
         Ok(NodeCheckpointOutcome { write, compaction })
-    }
-
-    /// The set of transactions this node has locally garbage collected; the
-    /// global GC deletes a transaction's data only once *every* node reports
-    /// it here (§5.2).
-    pub fn locally_deleted(&self) -> HashSet<TransactionId> {
-        self.locally_deleted.lock().clone()
-    }
-
-    /// Returns true if this node has locally garbage collected `id`.
-    pub fn has_locally_deleted(&self, id: &TransactionId) -> bool {
-        self.locally_deleted.lock().contains(id)
-    }
-
-    /// Forgets globally deleted transactions from the local tombstone set
-    /// (called by the global GC after it has deleted their data).
-    pub fn forget_deleted(&self, ids: &[TransactionId]) {
-        let mut deleted = self.locally_deleted.lock();
-        for id in ids {
-            deleted.remove(id);
-        }
     }
 
     /// Convenience wrapper binding a transaction to this node.
@@ -1303,19 +1301,85 @@ mod tests {
     #[test]
     fn local_gc_removes_superseded_transactions_only() {
         let node = test_node();
-        for i in 0..3 {
-            let t = node.start_transaction();
-            node.put(&t, Key::new("hot"), val(&format!("v{i}")))
-                .unwrap();
-            node.commit(&t).unwrap();
-        }
+        let ids: Vec<TransactionId> = (0..3)
+            .map(|i| commit_writes(&node, &[("hot", &format!("v{i}"))]))
+            .collect();
         assert_eq!(node.metadata().len(), 3);
         let outcome = node.run_local_gc(&LocalGcConfig::default());
         // The two older versions are superseded; the newest survives.
         assert_eq!(outcome.deleted, 2);
         assert_eq!(node.metadata().len(), 1);
-        assert_eq!(node.locally_deleted().len(), 2);
+        let view = node.metadata().view();
+        assert!(!view.is_committed(&ids[0]) && !view.is_committed(&ids[1]));
+        assert!(view.is_committed(&ids[2]));
+        drop(view);
         assert_eq!(node.stats().gc_deleted(), 2);
+    }
+
+    /// Commits one transaction writing `writes` on `node`.
+    fn commit_writes(node: &AftNode, writes: &[(&str, &str)]) -> TransactionId {
+        let t = node.start_transaction();
+        for (key, value) in writes {
+            node.put(&t, Key::new(*key), val(value)).unwrap();
+        }
+        node.commit(&t).unwrap()
+    }
+
+    #[test]
+    fn a_reader_pinned_to_a_retired_version_gets_no_valid_version_and_its_retry_commits() {
+        let node = test_node();
+        let (a, c) = (Key::new("a"), Key::new("c"));
+        commit_writes(&node, &[("c", "c0")]);
+        let t1 = commit_writes(&node, &[("a", "a1"), ("b", "b1")]);
+        let reader = node.start_transaction();
+        assert_eq!(node.get(&reader, &c).unwrap(), Some(val("c0")));
+        // T2 overwrites a and c together; T1 is still b's newest writer.
+        commit_writes(&node, &[("a", "a2"), ("c", "c2")]);
+
+        // The reader read from T0, not from T1: T0 is kept, T1's a retired.
+        let swept = node.run_local_gc(&LocalGcConfig::default());
+        assert_eq!((swept.deleted, swept.retained_for_readers), (0, 1));
+        assert_eq!(swept.retired, 1);
+        assert!(node.metadata().is_committed(&t1), "T1 still names b1");
+        assert!(!node.metadata().view().holds(&a, &t1));
+        assert!(!node.data_cache().resident().contains(&(a.clone(), t1)));
+
+        // a2 was cowritten with a newer c than the reader saw, and a1 — the
+        // one version the read set allowed — is gone: retry, not fracture.
+        match node.get(&reader, &a) {
+            Err(AftError::NoValidVersion { key, .. }) => assert_eq!(key, a),
+            other => panic!("expected NoValidVersion, got {other:?}"),
+        }
+        node.abort(&reader).unwrap();
+        let retry = node.start_transaction();
+        assert_eq!(node.get(&retry, &c).unwrap(), Some(val("c2")));
+        assert_eq!(node.get(&retry, &a).unwrap(), Some(val("a2")));
+        node.commit(&retry).unwrap();
+    }
+
+    #[test]
+    fn an_overwritten_version_is_kept_while_its_transaction_has_a_reader() {
+        let node = test_node();
+        let a = Key::new("a");
+        let t1 = commit_writes(&node, &[("a", "a1"), ("b", "b1")]);
+        let reader = node.start_transaction();
+        assert_eq!(node.get(&reader, &Key::new("b")).unwrap(), Some(val("b1")));
+        commit_writes(&node, &[("a", "a2")]);
+
+        let swept = node.run_local_gc(&LocalGcConfig::default());
+        assert_eq!((swept.retired, swept.retained_for_readers), (0, 1));
+        assert!(node.metadata().view().holds(&a, &t1));
+        assert_eq!(node.get(&reader, &a).unwrap(), Some(val("a2")));
+
+        node.commit(&reader).unwrap();
+        let swept = node.run_local_gc(&LocalGcConfig::default());
+        assert_eq!(
+            (swept.retired, swept.deleted),
+            (1, 1),
+            "and the reader's record"
+        );
+        assert!(!node.metadata().view().holds(&a, &t1));
+        assert!(!node.data_cache().resident().contains(&(a, t1)));
     }
 
     #[test]
@@ -1774,6 +1838,14 @@ mod tests {
 
     #[test]
     fn a_fill_that_lost_a_race_with_local_gc_leaves_nothing_in_the_cache() {
+        // The sweep removes `old`'s whole record, or — when `old` also wrote
+        // a key nobody overwrites — retires just its version of `k`.
+        for also in [None, Some(("other", "o"))] {
+            a_fill_races_a_sweep(also);
+        }
+    }
+
+    fn a_fill_races_a_sweep(also: Option<(&str, &str)>) {
         let key = Key::new("k");
         let store = Arc::new(GatedGet::default());
         let node = AftNode::with_clock(
@@ -1783,9 +1855,10 @@ mod tests {
         )
         .unwrap();
 
-        let t1 = node.start_transaction();
-        node.put(&t1, key.clone(), val("old")).unwrap();
-        let old = node.commit(&t1).unwrap();
+        let old = commit_writes(
+            &node,
+            &[[("k", "old")].as_slice(), also.as_slice()].concat(),
+        );
         // The payload has aged out of the cache, so the read must fetch it.
         node.data_cache().evict(&key, &old);
         store.update(|gate| gate.armed = Some(KeyVersion::new(key.clone(), old).storage_key()));
@@ -1802,8 +1875,13 @@ mod tests {
             node.put(&t2, key.clone(), val("new")).unwrap();
             node.commit(&t2).unwrap();
             let swept = node.run_local_gc(&LocalGcConfig::aggressive());
-            assert_eq!(swept.deleted, 1, "the sweep saw no reader of `old`");
-            assert!(!node.metadata().is_committed(&old));
+            let dropped = if also.is_some() { (0, 1) } else { (1, 0) };
+            assert_eq!(
+                (swept.deleted, swept.retired),
+                dropped,
+                "no reader of `old`"
+            );
+            assert!(!node.metadata().view().holds(&key, &old));
             store.update(|gate| gate.released = true);
 
             let (value, version) = reader.join().unwrap().unwrap().unwrap();
@@ -1813,7 +1891,8 @@ mod tests {
         // again, so the fill must not have left it behind.
         let resident = node.data_cache().resident();
         assert!(!resident.contains(&(key.clone(), old)), "{resident:?}");
-        assert_eq!(resident.len(), 1, "only the new version: {resident:?}");
+        let live = 1 + usize::from(also.is_some());
+        assert_eq!(resident.len(), live, "only live versions: {resident:?}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! Keys and records are built before a measurement's baseline is taken unless
 //! it says otherwise, so what is counted is the cache: its two tables, its
-//! version lists and its superseded set.
+//! version lists and its superseded and debited sets.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -133,13 +133,28 @@ fn the_node_read_miss_end_state_fits_in_20_mb() {
         cache.insert(record(1_000 + ts, pair));
     }
     let bytes = live_bytes() - before;
+    let debited = cache.debited_oldest_first();
     println!(
-        "node-read-miss end state ({} records, {} keys): {:.1} MB resident",
+        "node-read-miss end state ({} records, {} keys, {} debited versions): {:.1} MB resident",
         cache.len(),
         cache.indexed_keys(),
+        debited.len(),
         bytes as f64 / 1e6
     );
     assert!(bytes <= 20_000_000, "{bytes} B");
+
+    // Unswept, the state carries a debited pair per overwritten version of
+    // a live record (2.4 MB here); the sweep that retires them gives the
+    // pairs back and their keys' version lists return inline, below the
+    // 11.8 MB this state held before versions were collected.
+    assert_eq!(cache.retire(&debited), debited.len());
+    drop(debited);
+    let swept = live_bytes() - before;
+    println!(
+        "after a sweep retires them: {:.1} MB resident",
+        swept as f64 / 1e6
+    );
+    assert!(swept <= 11_000_000, "{swept} B");
 }
 
 #[test]

@@ -12,7 +12,10 @@
 //! The key version index is held to its definition in the same loop: each
 //! key's versions are a hand-kept list, not an ordered set, so ascending order
 //! and one entry per id are checked against a `BTreeSet` rebuilt from the
-//! cached records after every step.
+//! cached records after every step. So is the debited set: the overwritten
+//! versions of records that are not superseded. A second history interleaves
+//! what the collectors do — retire debited versions, remove superseded
+//! records — and holds all three to their definitions minus what it retired.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -20,7 +23,7 @@ use std::sync::Arc;
 use aft_core::{is_superseded, AftNode, LocalGcConfig, MetadataCache, NodeConfig};
 use aft_storage::{InMemoryStore, SharedStorage};
 use aft_types::clock::TickingClock;
-use aft_types::{Key, TransactionId, TransactionRecord, Uuid};
+use aft_types::{Key, KeyVersion, TransactionId, TransactionRecord, Uuid};
 use proptest::prelude::*;
 
 /// One step of a randomly generated history of the cache.
@@ -63,22 +66,65 @@ fn reference(cache: &MetadataCache) -> Vec<TransactionId> {
     ids
 }
 
+/// Versions a history has retired, as `(writer, key)`.
+type Retired = BTreeSet<(TransactionId, Key)>;
+
 /// The key version index by definition: every cached record under each key
-/// it wrote, ordered and deduplicated by the set.
-fn reference_index(cache: &MetadataCache) -> BTreeMap<Key, BTreeSet<TransactionId>> {
+/// it wrote, ordered and deduplicated by the set, less the `retired` versions.
+fn reference_index(
+    cache: &MetadataCache,
+    retired: &Retired,
+) -> BTreeMap<Key, BTreeSet<TransactionId>> {
     let mut index: BTreeMap<Key, BTreeSet<TransactionId>> = BTreeMap::new();
     for record in cache.all_records() {
         for key in &record.write_set {
-            index.entry(key.clone()).or_default().insert(record.id);
+            if !retired.contains(&(record.id, key.clone())) {
+                index.entry(key.clone()).or_default().insert(record.id);
+            }
         }
     }
     index
 }
 
+/// The debited set by definition: each version, not retired, of a record
+/// that is not superseded, on a key that has a newer version.
+fn reference_debited(cache: &MetadataCache, retired: &Retired) -> Vec<(TransactionId, Key)> {
+    let mut pairs: Vec<(TransactionId, Key)> = cache
+        .all_records()
+        .iter()
+        .filter(|r| !is_superseded(r, cache))
+        .flat_map(|r| r.write_set.iter().map(|key| (r.id, key.clone())))
+        .filter(|(id, key)| {
+            !retired.contains(&(*id, key.clone()))
+                && cache
+                    .latest_version_of(key)
+                    .is_some_and(|newest| newest > *id)
+        })
+        .collect();
+    pairs.sort();
+    pairs
+}
+
+fn debited(cache: &MetadataCache) -> Vec<(TransactionId, Key)> {
+    cache
+        .debited_oldest_first()
+        .into_iter()
+        .map(|v| (v.tid, v.key))
+        .collect()
+}
+
 /// Asserts the cache's index equals [`reference_index`] on every key in
 /// `keys` (which must include every key the cache was ever given).
 fn assert_index_matches_definition(cache: &MetadataCache, keys: impl IntoIterator<Item = Key>) {
-    let expected = reference_index(cache);
+    assert_index_matches(cache, &Retired::new(), keys);
+}
+
+fn assert_index_matches(
+    cache: &MetadataCache,
+    retired: &Retired,
+    keys: impl IntoIterator<Item = Key>,
+) {
+    let expected = reference_index(cache, retired);
     assert_eq!(cache.indexed_keys(), expected.len());
     for key in keys {
         let versions: Vec<TransactionId> = cache.view().versions_newest_first(&key).collect();
@@ -122,10 +168,75 @@ proptest! {
                 .map(|r| r.id)
                 .collect();
             prop_assert_eq!(set, reference(&cache), "after {:?}", step);
+            prop_assert_eq!(debited(&cache), reference_debited(&cache, &Retired::new()), "after {:?}", step);
             // Every key `arb_step` can draw.
             assert_index_matches_definition(&cache, (0..6).map(small_key));
         }
     }
+
+    #[test]
+    fn retiring_keeps_the_index_and_both_sets_at_their_definitions(
+        steps in proptest::collection::vec(arb_collector_step(), 1..160),
+    ) {
+        let cache = MetadataCache::new();
+        let mut retired = Retired::new();
+        for step in steps {
+            match &step {
+                CollectorStep::Insert(ts, keys) => {
+                    cache.insert(record(*ts, keys.iter().copied().map(small_key)));
+                }
+                CollectorStep::Retire(up_to) => {
+                    let due: Vec<KeyVersion> = cache
+                        .debited_oldest_first()
+                        .into_iter()
+                        .filter(|v| v.tid.timestamp <= *up_to)
+                        .collect();
+                    prop_assert_eq!(cache.retire(&due), due.len());
+                    retired.extend(due.into_iter().map(|v| (v.tid, v.key)));
+                }
+                CollectorStep::Collect(up_to) => {
+                    for record in cache.superseded_oldest_first() {
+                        if record.id.timestamp <= *up_to {
+                            cache.remove(&record.id);
+                            retired.retain(|(id, _)| *id != record.id);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(superseded_ids(&cache), reference(&cache), "after {:?}", step);
+            prop_assert_eq!(debited(&cache), reference_debited(&cache, &retired), "after {:?}", step);
+            assert_index_matches(&cache, &retired, (0..6).map(small_key));
+        }
+    }
+}
+
+/// One step of a history the way the collectors drive the cache: records
+/// arrive in any order, and only what a sweep may drop is dropped.
+#[derive(Debug, Clone)]
+enum CollectorStep {
+    /// As [`Step::Insert`].
+    Insert(u64, Vec<u8>),
+    /// Retire the debited versions of transactions up to this timestamp.
+    Retire(u64),
+    /// Remove the superseded records up to this timestamp.
+    Collect(u64),
+}
+
+fn arb_collector_step() -> impl Strategy<Value = CollectorStep> {
+    prop_oneof![
+        4 => (0..48u64, proptest::collection::vec(0..6u8, 0..5))
+            .prop_map(|(ts, keys)| CollectorStep::Insert(ts, keys)),
+        1 => (0..48u64).prop_map(CollectorStep::Retire),
+        1 => (0..48u64).prop_map(CollectorStep::Collect),
+    ]
+}
+
+fn superseded_ids(cache: &MetadataCache) -> Vec<TransactionId> {
+    cache
+        .superseded_oldest_first()
+        .iter()
+        .map(|r| r.id)
+        .collect()
 }
 
 fn versions_of(cache: &MetadataCache, key: &Key) -> Vec<u64> {

@@ -258,6 +258,11 @@ impl StorageEngine for SimStore {
         Ok(())
     }
 
+    fn delete_calls(&self, keys: &[String]) -> usize {
+        let (_, call) = self.service.delete_call();
+        calls_of(&call, keys.iter().map(String::as_str)).len()
+    }
+
     fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
         self.stats.record_call(OpKind::List);
         self.charge(&self.service.profile.list, prefix, 0);

@@ -35,8 +35,8 @@ pub struct TransactionId {
     pub uuid: Uuid,
 }
 
-// Every index bucket, version-list slot, read-set entry and tombstone holds
-// one: a field added here, or a `Uuid` back on a `u128`, costs 8 bytes in each.
+// Every index bucket, version-list slot, read-set entry and debited pair
+// holds one: a field added here, or a `Uuid` back on a `u128`, costs 8 bytes in each.
 const _: () = assert!(
     std::mem::size_of::<TransactionId>() == 24 && std::mem::align_of::<TransactionId>() == 8
 );

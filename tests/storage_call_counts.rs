@@ -22,7 +22,15 @@
 //!   `BatchPut`s, 22 `Delete`s and 158 `BatchDelete`s. It was re-recorded
 //!   again on top of commit 74b0136, when a Redis commit's record began to
 //!   ride in its data's all-or-nothing `MSET`: the 180 records' `Put`s went,
-//!   182 → 2, and no other cell moved.
+//!   182 → 2, and no other cell moved. The `data/` keys storage holds after
+//!   the round were added on top of commit 3740bcb, when the global GC began
+//!   to delete an overwritten version whose transaction is still the newest
+//!   writer of another key, wherever that costs no call of its own: 64 on
+//!   every row before, and now 40 on memory and S3 (the newest version of
+//!   each key written), 58 on DynamoDB (versions fill the round's last
+//!   25-key `BatchWriteItem`) and still 64 on Redis (a version shares its
+//!   transaction's slot, so it waits for that transaction's own `DEL`). No
+//!   call count moved.
 //! * The *`GetAll`* script: a node without a data cache commits 250 keys,
 //!   then reads them back through `get_all` calls that miss 1, 2, 8, 100,
 //!   101 and 250 keys. Each read that misses two or more bills one
@@ -48,8 +56,9 @@ fn next(state: &mut u64) -> u64 {
 }
 
 /// Runs the script over `kind` and returns (Get, BatchGet, Put, BatchPut,
-/// Delete, BatchDelete, List) call counts.
-fn script_counts(kind: BackendKind) -> [u64; 7] {
+/// Delete, BatchDelete, List) call counts, and the `data/` keys storage holds
+/// after the maintenance round.
+fn script_counts(kind: BackendKind) -> ([u64; 7], usize) {
     let storage = make_backend(BackendConfig::test(kind));
     let cluster = Cluster::with_clock(
         ClusterConfig {
@@ -81,7 +90,7 @@ fn script_counts(kind: BackendKind) -> [u64; 7] {
     }
     cluster.run_maintenance_round().unwrap();
     let stats = storage.stats();
-    [
+    let calls = [
         OpKind::Get,
         OpKind::BatchGet,
         OpKind::Put,
@@ -90,23 +99,25 @@ fn script_counts(kind: BackendKind) -> [u64; 7] {
         OpKind::BatchDelete,
         OpKind::List,
     ]
-    .map(|op| stats.calls(op))
+    .map(|op| stats.calls(op));
+    (calls, storage.list_prefix("data/").unwrap().len())
 }
 
 #[test]
 fn aft_script_bills_the_golden_call_counts_on_every_service() {
     let golden = [
-        (BackendKind::Memory, [369, 0, 182, 180, 0, 2, 5]),
-        (BackendKind::S3, [369, 0, 707, 0, 0, 2, 5]),
-        (BackendKind::DynamoDb, [369, 0, 182, 180, 0, 26, 5]),
-        (BackendKind::Redis, [369, 0, 2, 180, 22, 158, 5]),
+        (BackendKind::Memory, [369, 0, 182, 180, 0, 2, 5], 40),
+        (BackendKind::S3, [369, 0, 707, 0, 0, 2, 5], 40),
+        (BackendKind::DynamoDb, [369, 0, 182, 180, 0, 26, 5], 58),
+        (BackendKind::Redis, [369, 0, 2, 180, 22, 158, 5], 64),
     ];
-    for (kind, expected) in golden {
+    for (kind, expected, left) in golden {
+        let (calls, data_keys) = script_counts(kind);
         assert_eq!(
-            script_counts(kind),
-            expected,
+            calls, expected,
             "{kind}: (Get, BatchGet, Put, BatchPut, Delete, BatchDelete, List)"
         );
+        assert_eq!(data_keys, left, "{kind}: data keys left");
     }
 }
 
@@ -273,5 +284,40 @@ fn concurrent_commits_bill_what_each_bills_alone() {
         assert_eq!(stats.calls(OpKind::Put), puts, "{kind}");
         assert_eq!(stats.calls(OpKind::BatchPut), batch_puts, "{kind}");
         assert_eq!(node.commit_batch_stats().flushes, commits, "{kind}");
+    }
+}
+
+#[test]
+fn delete_calls_answers_what_delete_batch_bills_on_every_service() {
+    use aft::types::{KeyVersion, TransactionId, TransactionRecord, Uuid};
+    // Two transactions' data keys and records — 3 and 30 keys, so Redis
+    // splits the second by its 16-key limit — and two bare keys.
+    let txn = |n: u128, keys: usize| {
+        let id = TransactionId::new(n as u64, Uuid::from_u128(n));
+        (0..keys)
+            .map(move |i| KeyVersion::new(format!("k{i}"), id).storage_key())
+            .chain([TransactionRecord::storage_key_for(&id)])
+    };
+    let keys: Vec<String> = txn(1, 3)
+        .chain(txn(2, 30))
+        .chain(["bare-0".to_owned(), "bare-1".to_owned()])
+        .collect();
+    for kind in [
+        BackendKind::Memory,
+        BackendKind::S3,
+        BackendKind::DynamoDb,
+        BackendKind::Redis,
+    ] {
+        let storage = make_backend(BackendConfig::test(kind));
+        for n in [0, 1, 4, 5, 29, 30, keys.len()] {
+            let before = storage.stats().snapshot();
+            storage.delete_batch(&keys[..n]).unwrap();
+            let billed = storage.stats().snapshot().delta_since(&before);
+            assert_eq!(
+                storage.delete_calls(&keys[..n]) as u64,
+                billed.total_calls(),
+                "{kind}: {n} keys"
+            );
+        }
     }
 }
