@@ -1,11 +1,11 @@
 //! A small free-list of byte buffers for the event loop.
 //!
-//! The event-driven server assembles every outgoing response into a
-//! contiguous `[len][payload]` frame buffer and would otherwise allocate one
-//! `Vec` per response. [`BufferPool`] recycles those buffers (and the read
-//! scratch chunks) across connections: `take` hands out an empty buffer with
-//! warm capacity, `give` returns it unless it grew beyond the pool's bound,
-//! so a single huge frame cannot pin its allocation forever.
+//! The server encodes every outgoing response straight into a contiguous
+//! `[len][payload]` frame buffer and would otherwise allocate one `Vec` per
+//! response. [`BufferPool`] recycles those buffers across workers and
+//! connections: `take` hands out an empty buffer with warm capacity, `give`
+//! returns it once the frame is written unless it grew beyond the pool's
+//! bound, so a single huge frame cannot pin its allocation forever.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -11,10 +11,14 @@
 //!   a round trip, and the commit message is *self-contained* — resending
 //!   it verbatim is always safe because the server deduplicates on the
 //!   transaction UUID.
-//! * **Pipelining.** Each pooled connection has one reader thread and a map
-//!   of in-flight request ids to completion channels; any number of caller
-//!   threads can have requests outstanding on the same connection, and
-//!   responses complete in whatever order the server finishes them.
+//! * **Pipelining without a reader thread.** Any number of caller threads
+//!   can have requests outstanding on one pooled connection, and responses
+//!   complete in whatever order the server finishes them. A waiting caller
+//!   reads frames itself: it keeps its own response, hands each other one
+//!   to the caller it belongs to, and with its own in hand passes the read
+//!   side to a caller still waiting (counted in
+//!   [`ClientStatsSnapshot::handoffs`]). A lone caller thus reads its own
+//!   reply, with no thread between it and the socket.
 //! * **Retry with backoff.** Transport failures (reset, timeout, refused)
 //!   reconnect and resend under the storage engine's
 //!   [`RetryConfig`] semantics: attempt `n`
@@ -31,14 +35,16 @@
 //!   operations from a seeded plan; see [`crate::chaos`].
 
 use std::collections::HashMap;
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::Arc;
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 use aft_core::api::{AftApi, CommitOutcome};
 use aft_storage::io::RetryConfig;
-use aft_types::wire::{decode_response, encode_request, WireRequest, WireResponse, WireStats};
+use aft_types::wire::{decode_response, WireRequest, WireResponse, WireStats};
 use aft_types::{AftError, AftResult, Key, SharedClock, SystemClock, TransactionId, Uuid, Value};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -47,7 +53,7 @@ use rand::{Rng, SeedableRng};
 use aft_chaos::ChaosSpec;
 
 use crate::chaos::{ConnChaos, NetChaosStats, NetFault};
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{read_frame, request_frame};
 
 /// Tuning of an [`AftClient`]; built with [`AftClient::builder`].
 #[derive(Debug, Clone)]
@@ -152,89 +158,179 @@ impl ClientBuilder {
     }
 }
 
-/// In-flight request registry of one connection.
-struct PendingMap {
-    senders: HashMap<u64, mpsc::Sender<WireResponse>>,
+/// Frame-buffer capacity a connection keeps warm between requests; a larger
+/// frame's buffer is released after it is sent.
+const SEND_BUFFER_KEEP: usize = 256 * 1024;
+
+/// A connection's read side: the one socket, shared with its writers.
+struct ReadHalf(Arc<TcpStream>);
+
+impl Read for ReadHalf {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        (&*self.0).read(buf)
+    }
+}
+
+/// One request's place on its connection while its caller is in flight.
+struct Waiter {
+    thread: Thread,
+    /// Set once the caller waits for its response (it may still be sending
+    /// before that); only a waiting caller is handed the read side.
+    waiting: bool,
+    /// Its response, once another caller read it.
+    response: Option<WireResponse>,
+}
+
+/// What the callers of one connection share to get their responses.
+struct Inbox {
+    /// The read side, parked here while no caller reads; a caller takes it
+    /// out to read and puts it back with its own response in hand.
+    reader: Option<BufReader<ReadHalf>>,
+    waiters: HashMap<u64, Waiter>,
     closed: bool,
 }
 
-/// One live connection: a mutex-guarded writer plus a reader thread that
-/// dispatches responses to the pending map by request id.
+/// One live connection, with no thread of its own: its waiting callers
+/// read it (see [`Conn::wait`]).
 struct Conn {
-    writer: Mutex<TcpStream>,
-    control: TcpStream,
-    pending: Mutex<PendingMap>,
+    stream: Arc<TcpStream>,
+    /// Orders writes, so frames never interleave, and keeps one frame
+    /// buffer warm.
+    writer: Mutex<Vec<u8>>,
+    inbox: Mutex<Inbox>,
     broken: AtomicBool,
 }
 
 impl Conn {
-    fn connect(addr: SocketAddr) -> AftResult<Arc<Conn>> {
+    /// Connects; a read waits at most `timeout` for bytes before the
+    /// connection is declared dead.
+    fn connect(addr: SocketAddr, timeout: Duration) -> AftResult<Arc<Conn>> {
         let stream = TcpStream::connect(addr)
             .map_err(|e| AftError::Unavailable(format!("connect {addr}: {e}")))?;
         let _ = stream.set_nodelay(true);
-        let (writer, control) = match (stream.try_clone(), stream.try_clone()) {
-            (Ok(writer), Ok(control)) => (writer, control),
-            _ => return Err(AftError::Unavailable("clone stream".to_owned())),
-        };
-        let conn = Arc::new(Conn {
-            writer: Mutex::new(writer),
-            control,
-            pending: Mutex::new(PendingMap {
-                senders: HashMap::new(),
+        let _ = stream.set_read_timeout(Some(timeout).filter(|t| !t.is_zero()));
+        let stream = Arc::new(stream);
+        Ok(Arc::new(Conn {
+            writer: Mutex::new(Vec::new()),
+            inbox: Mutex::new(Inbox {
+                reader: Some(BufReader::new(ReadHalf(Arc::clone(&stream)))),
+                waiters: HashMap::new(),
                 closed: false,
             }),
+            stream,
             broken: AtomicBool::new(false),
-        });
-        let reader_conn = Arc::clone(&conn);
-        std::thread::spawn(move || reader_conn.reader_loop(stream));
-        Ok(conn)
-    }
-
-    fn reader_loop(self: Arc<Self>, mut stream: TcpStream) {
-        while let Ok(Some(payload)) = read_frame(&mut stream) {
-            let Ok((request_id, response)) = decode_response(&payload) else {
-                break;
-            };
-            let sender = self.pending.lock().senders.remove(&request_id);
-            if let Some(sender) = sender {
-                let _ = sender.send(response);
-            }
-        }
-        // Connection is gone: fail everything still in flight, fast. The
-        // dropped senders make every waiter's `recv` return immediately.
-        self.broken.store(true, Ordering::Release);
-        let mut pending = self.pending.lock();
-        pending.closed = true;
-        pending.senders.clear();
+        }))
     }
 
     /// Registers a request id; fails if the connection already died.
-    fn register(&self, request_id: u64) -> AftResult<mpsc::Receiver<WireResponse>> {
-        let (tx, rx) = mpsc::channel();
-        let mut pending = self.pending.lock();
-        if pending.closed || self.broken.load(Ordering::Acquire) {
+    fn register(&self, request_id: u64) -> AftResult<()> {
+        let mut inbox = self.inbox.lock();
+        if inbox.closed || self.is_broken() {
             return Err(AftError::Unavailable("connection closed".to_owned()));
         }
-        pending.senders.insert(request_id, tx);
-        Ok(rx)
+        let waiter = Waiter {
+            thread: std::thread::current(),
+            waiting: false,
+            response: None,
+        };
+        inbox.waiters.insert(request_id, waiter);
+        Ok(())
     }
 
     fn unregister(&self, request_id: u64) {
-        self.pending.lock().senders.remove(&request_id);
+        self.inbox.lock().waiters.remove(&request_id);
     }
 
-    fn send(&self, payload: &[u8]) -> AftResult<()> {
-        let mut writer = self.writer.lock();
-        write_frame(&mut *writer, payload).map_err(|e| {
+    fn send(&self, request_id: u64, request: &WireRequest) -> AftResult<()> {
+        let mut frame = self.writer.lock();
+        let sent = request_frame(&mut frame, request_id, request)
+            .and_then(|()| (&*self.stream).write_all(&frame));
+        if frame.capacity() > SEND_BUFFER_KEEP {
+            *frame = Vec::new();
+        }
+        sent.map_err(|e| {
             self.reset();
             AftError::Unavailable(format!("send: {e}"))
         })
     }
 
-    /// Hard-resets the socket (used by chaos injection and teardown).
+    /// Waits for `request_id`'s response, reading frames off the socket
+    /// whenever no other caller is. `None` means the connection died or
+    /// `timeout` passed; either way it is reset.
+    fn wait(
+        &self,
+        request_id: u64,
+        timeout: Duration,
+        stats: &ClientStats,
+    ) -> Option<WireResponse> {
+        let deadline = Instant::now() + timeout;
+        let mut inbox = self.inbox.lock();
+        let response = loop {
+            let Some(waiter) = inbox.waiters.get_mut(&request_id) else {
+                break None;
+            };
+            waiter.waiting = true;
+            if let Some(response) = waiter.response.take() {
+                break Some(response);
+            }
+            let now = Instant::now();
+            if inbox.closed || now >= deadline {
+                break None;
+            }
+            let Some(mut reader) = inbox.reader.take() else {
+                // Another caller is reading; it hands over this response or
+                // the read side.
+                drop(inbox);
+                std::thread::park_timeout(deadline - now);
+                inbox = self.inbox.lock();
+                continue;
+            };
+            drop(inbox);
+            let read = read_frame(&mut reader)
+                .ok()
+                .flatten()
+                .and_then(|payload| decode_response(&payload).ok());
+            inbox = self.inbox.lock();
+            let Some((id, response)) = read else {
+                break None;
+            };
+            inbox.reader = Some(reader);
+            if id == request_id {
+                break Some(response);
+            }
+            if let Some(waiter) = inbox.waiters.get_mut(&id) {
+                waiter.response = Some(response);
+                waiter.thread.unpark();
+                stats.handoffs.fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        inbox.waiters.remove(&request_id);
+        if response.is_none() {
+            drop(inbox);
+            self.reset();
+        } else if inbox.reader.is_some() {
+            // Pass the read side on to a caller still waiting.
+            if let Some(next) = inbox
+                .waiters
+                .values()
+                .find(|w| w.waiting && w.response.is_none())
+            {
+                next.thread.unpark();
+            }
+        }
+        response
+    }
+
+    /// Hard-resets the socket and fails every caller still waiting on it
+    /// (used on any transport failure, by chaos injection and teardown).
     fn reset(&self) {
         self.broken.store(true, Ordering::Release);
-        let _ = self.control.shutdown(Shutdown::Both);
+        let _ = self.stream.shutdown(Shutdown::Both);
+        let mut inbox = self.inbox.lock();
+        inbox.closed = true;
+        for waiter in inbox.waiters.values() {
+            waiter.thread.unpark();
+        }
     }
 
     fn is_broken(&self) -> bool {
@@ -285,6 +381,8 @@ pub struct ClientStatsSnapshot {
     /// Acknowledgements that were duplicates served from the server's dedup
     /// ledger.
     pub duplicate_acks: u64,
+    /// Responses one caller read off a shared connection for another.
+    pub handoffs: u64,
 }
 
 #[derive(Debug, Default)]
@@ -295,6 +393,7 @@ struct ClientStats {
     connects: AtomicU64,
     commits_acked: AtomicU64,
     duplicate_acks: AtomicU64,
+    handoffs: AtomicU64,
 }
 
 /// The AFT service client. Cheap to share across threads (`Arc`); every
@@ -356,6 +455,7 @@ impl AftClient {
             connects: self.stats.connects.load(Ordering::Relaxed),
             commits_acked: self.stats.commits_acked.load(Ordering::Relaxed),
             duplicate_acks: self.stats.duplicate_acks.load(Ordering::Relaxed),
+            handoffs: self.stats.handoffs.load(Ordering::Relaxed),
         }
     }
 
@@ -397,7 +497,7 @@ impl AftClient {
                 return Ok(Arc::clone(conn));
             }
         }
-        let conn = Conn::connect(self.addr)?;
+        let conn = Conn::connect(self.addr, self.config.request_timeout)?;
         self.stats.connects.fetch_add(1, Ordering::Relaxed);
         *guard = Some(Arc::clone(&conn));
         Ok(conn)
@@ -430,9 +530,9 @@ impl AftClient {
             ));
         }
         let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        let rx = conn.register(request_id)?;
+        conn.register(request_id)?;
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = conn.send(&encode_request(request_id, request)) {
+        if let Err(e) = conn.send(request_id, request) {
             conn.unregister(request_id);
             self.drop_conn(slot, &conn);
             return Err(e);
@@ -451,11 +551,9 @@ impl AftClient {
         if let NetFault::DelayAck(delay) = fault {
             std::thread::sleep(delay);
         }
-        match rx.recv_timeout(self.config.request_timeout) {
-            Ok(response) => Ok(response),
-            Err(_) => {
-                conn.unregister(request_id);
-                conn.reset();
+        match conn.wait(request_id, self.config.request_timeout, &self.stats) {
+            Some(response) => Ok(response),
+            None => {
                 self.drop_conn(slot, &conn);
                 Err(AftError::Unavailable(
                     "connection lost awaiting response".to_owned(),
@@ -694,10 +792,9 @@ impl AftApi for AftClient {
 
 impl Drop for AftClient {
     fn drop(&mut self) {
-        // Reset every pooled connection: the sockets close on both ends and
-        // each connection's reader thread exits on the read error, so a
-        // dropped client leaks neither file descriptors nor threads (here
-        // or on the server, whose per-connection reader also unblocks).
+        // Reset every pooled connection so the server sees each close now;
+        // a connection has no thread of its own, and its one descriptor
+        // closes when the last caller still holding it lets go.
         for slot in &self.slots {
             if let Some(conn) = slot.lock().take() {
                 conn.reset();

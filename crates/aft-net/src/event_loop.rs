@@ -1,10 +1,10 @@
 //! The readiness-driven I/O core of [`AftServer`](crate::AftServer).
 //!
-//! One event-loop thread owns *all* socket I/O and framing: the listener,
-//! every accepted connection (nonblocking, registered with the vendored
+//! One event-loop thread owns the listener and the read side of every
+//! accepted connection (nonblocking, registered with the vendored
 //! [`polling`] poller under oneshot semantics), a slab of per-connection
-//! state machines, and a pool of recycled frame buffers. Thread count is
-//! O(workers), never O(connections).
+//! state machines, and the admission of requests into the worker pool.
+//! Thread count is O(workers), never O(connections).
 //!
 //! Per connection the machine cycles through four phases:
 //!
@@ -17,38 +17,48 @@
 //!   is full the connection *pauses*: decoded requests wait in a local
 //!   pending deque and the socket stops being read (TCP backpressure), so a
 //!   pipelining flood is bounded without ever blocking the loop;
-//! * **write** — workers push completions into a wakeable completion queue
-//!   ([`Poller::notify`] interrupts the wait); the loop frames each response
-//!   into a pooled buffer and flushes with *vectored* writes, so one syscall
-//!   carries up to `WRITE_BATCH` pipelined responses.
+//! * **write** — the worker that executed a request writes its framed
+//!   response straight to the socket when the connection has nothing queued
+//!   (see `respond`), so a request wakes the loop once, to read it. Only a
+//!   backlog, a partial write or a reset goes back through a wakeable
+//!   completion queue ([`Poller::notify`] interrupts the wait); the loop
+//!   then flushes the connection's queue with *vectored* writes, up to
+//!   `WRITE_BATCH` frames per syscall.
 //!
-//! Execution semantics (routing, affinity, commit dedup/single-flight, the
-//! `ResponseFilter` chaos hook) stay in the worker pool — the loop never
-//! runs request logic, so a slow commit cannot stall unrelated sockets.
+//! Every write to a socket — a worker's direct one or the loop's flush —
+//! happens under the connection's one write lock, so frames never
+//! interleave, and the tail of a partial direct write is queued under that
+//! same lock, ahead of anything queued later. The loop never runs request
+//! logic (routing, affinity, commit dedup/single-flight, the
+//! `ResponseFilter` chaos hook all stay on the workers), so a slow commit
+//! cannot stall unrelated sockets.
 //!
 //! ## Lifecycle corners
 //!
 //! A clean-boundary EOF with responses still in flight is a *half-open*
 //! connection: the read side is done but the write side lingers until every
-//! pending job has flushed, then the slot is torn down. EOF mid-frame is a
-//! truncation and tears down immediately. Connection close is accounted
-//! exactly once via a guarded transition on the handle, no matter which side
-//! (loop teardown, worker reset, server shutdown) gets there first.
+//! pending job has flushed, then the slot is torn down. The worker that
+//! answers such a connection's last job tells the loop, so the loop is never
+//! woken per response on an ordinary connection. EOF mid-frame is a
+//! truncation and tears down immediately. Only the loop tears down, once
+//! per slot (the slab removal is the guard), so a close is accounted exactly
+//! once however it came about (EOF, worker reset, server shutdown).
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use aft_types::wire::{decode_request, encode_response, WireResponse};
+use aft_types::wire::{decode_request, WireRequest, WireResponse};
 use aft_types::{AftError, AftResult};
+use parking_lot::Mutex;
 use polling::{Event, Events, Poller};
 
 use crate::buffer::BufferPool;
-use crate::frame::{frame_into, FrameDecoder};
+use crate::frame::{response_frame, FrameDecoder};
 use crate::server::{Job, ServerShared};
 
 /// Poller key of the listening socket (`usize::MAX` is the poller's own
@@ -72,7 +82,12 @@ const WRITE_BUFFER_CAP: usize = 4 * 1024 * 1024;
 /// OS readiness API: epoll on Linux, poll(2) elsewhere.
 const POLLER_BACKEND: polling::Backend = polling::Backend::Auto;
 
-/// The worker-visible identity of one event-loop connection.
+/// The pool of frame buffers shared by the loop and the workers.
+pub(crate) fn frame_pool(slab_capacity: usize) -> BufferPool {
+    BufferPool::new(READ_CHUNK * 4, slab_capacity.min(4096))
+}
+
+/// One event-loop connection as the loop and the workers share it.
 ///
 /// Slots are recycled, so completions carry the `(slot, generation)` pair;
 /// a completion whose generation no longer matches the slab entry belongs to
@@ -84,19 +99,212 @@ pub(crate) struct ConnHandle {
     pub(crate) generation: u64,
     /// Server-wide connection id — the fair-queuing lane key.
     pub(crate) id: u64,
-    /// Guarded close transition: whoever swaps this to `false` does the
-    /// `record_close`, so churn can never double-count.
-    pub(crate) open: AtomicBool,
-    /// Jobs enqueued but not yet completed back to the loop.
+    /// The socket, shared rather than duplicated: the loop reads it, and
+    /// whoever holds `out` writes it.
+    stream: TcpStream,
+    /// The write side; every write to `stream` happens under this lock.
+    out: Mutex<Outbox>,
+    /// Jobs enqueued but not yet answered; decremented under `out`.
     pub(crate) inflight: AtomicUsize,
 }
 
-/// What a worker wants done with a finished request.
+/// A connection's queued output, guarded by its handle's write lock.
+#[derive(Debug, Default)]
+struct Outbox {
+    /// Framed responses awaiting flush; the front frame is written up to
+    /// `pos`.
+    frames: VecDeque<Vec<u8>>,
+    pos: usize,
+    /// Unflushed bytes across `frames`.
+    bytes: usize,
+    /// The loop reads no more requests, so the worker answering the last
+    /// job in flight must have it finish the connection.
+    read_closed: bool,
+    /// Torn down: later responses are dropped, as a dead peer would drop
+    /// them.
+    closed: bool,
+}
+
+impl ConnHandle {
+    pub(crate) fn new(slot: usize, generation: u64, id: u64, stream: TcpStream) -> Self {
+        ConnHandle {
+            slot,
+            generation,
+            id,
+            stream,
+            out: Mutex::new(Outbox::default()),
+            inflight: AtomicUsize::new(0),
+        }
+    }
+
+    /// Counts one job answered. Called under the write lock, which the
+    /// loop's finish check also takes, so one of the two sees the other:
+    /// `true` when this was the last job of a connection whose read side is
+    /// done and whose queue is empty, i.e. the loop must finish it.
+    fn job_done(&self, out: &Outbox) -> bool {
+        let left = self.inflight.fetch_sub(1, Ordering::AcqRel) - 1;
+        left == 0 && out.read_closed && out.frames.is_empty()
+    }
+}
+
+impl Outbox {
+    /// Queues `frame`, of which the first `written` bytes already left.
+    fn push(&mut self, frame: Vec<u8>, written: usize, stats: &EventStats) {
+        if self.frames.is_empty() {
+            self.pos = written;
+        }
+        let unflushed = frame.len() - written;
+        self.bytes += unflushed;
+        stats
+            .buffered_bytes
+            .fetch_add(unflushed as u64, Ordering::Relaxed);
+        self.frames.push_back(frame);
+    }
+
+    /// Writes queued frames until the queue is empty (`Ok(true)`) or the
+    /// socket is full (`Ok(false)`), batching up to `WRITE_BATCH` frames per
+    /// vectored syscall. An error means the connection is dead.
+    fn flush(
+        &mut self,
+        stream: &TcpStream,
+        stats: &EventStats,
+        pool: &BufferPool,
+    ) -> io::Result<bool> {
+        while !self.frames.is_empty() {
+            let slices: Vec<IoSlice<'_>> = self
+                .frames
+                .iter()
+                .take(WRITE_BATCH)
+                .enumerate()
+                .map(|(i, frame)| IoSlice::new(&frame[if i == 0 { self.pos } else { 0 }..]))
+                .collect();
+            match (&*stream).write_vectored(&slices) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    stats.count_write(n);
+                    self.advance(n, stats, pool);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
+
+    /// Consumes `written` bytes off the front of the queue, recycling fully
+    /// flushed frame buffers.
+    fn advance(&mut self, written: usize, stats: &EventStats, pool: &BufferPool) {
+        self.bytes -= written;
+        stats
+            .buffered_bytes
+            .fetch_sub(written as u64, Ordering::Relaxed);
+        let mut remaining = written;
+        while remaining > 0 {
+            let Some(front) = self.frames.front() else {
+                break;
+            };
+            let left = front.len() - self.pos;
+            if remaining < left {
+                self.pos += remaining;
+                break;
+            }
+            remaining -= left;
+            self.pos = 0;
+            if let Some(frame) = self.frames.pop_front() {
+                stats.frames_written.fetch_add(1, Ordering::Relaxed);
+                pool.give(frame);
+            }
+        }
+    }
+
+    /// Drops everything queued (the connection is gone).
+    fn discard(&mut self, stats: &EventStats, pool: &BufferPool) {
+        stats
+            .buffered_bytes
+            .fetch_sub(self.bytes as u64, Ordering::Relaxed);
+        self.bytes = 0;
+        self.pos = 0;
+        for frame in self.frames.drain(..) {
+            pool.give(frame);
+        }
+    }
+}
+
+/// Sends a worker's framed response on its connection: straight to the
+/// socket when nothing is queued ahead of it, and behind the queue
+/// otherwise. The loop is told only when it has something to do — flush
+/// what a full socket left queued, reset a dead connection, or finish a
+/// half-open one whose last job this was.
+pub(crate) fn respond(shared: &ServerShared, handle: Arc<ConnHandle>, frame: Vec<u8>) {
+    let stats = &shared.event_stats;
+    let action = {
+        let mut out = handle.out.lock();
+        let mut action = None;
+        if out.closed {
+            shared.pool.give(frame);
+        } else if !out.frames.is_empty() {
+            // The loop already knows of this backlog and flushes it.
+            out.push(frame, 0, stats);
+        } else {
+            match write_once(&handle.stream, &frame) {
+                Ok(n) if n == frame.len() => {
+                    stats.count_write(n);
+                    stats.direct_writes.fetch_add(1, Ordering::Relaxed);
+                    stats.frames_written.fetch_add(1, Ordering::Relaxed);
+                    shared.pool.give(frame);
+                }
+                // A full socket took part of the frame, or none of it: the
+                // rest waits, ahead of anything queued later, for the loop.
+                Ok(n) if n > 0 => {
+                    stats.count_write(n);
+                    out.push(frame, n, stats);
+                    action = Some(CompletionAction::Flush);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    out.push(frame, 0, stats);
+                    action = Some(CompletionAction::Flush);
+                }
+                _ => {
+                    shared.pool.give(frame);
+                    action = Some(CompletionAction::Reset);
+                }
+            }
+        }
+        let finished = handle.job_done(&out);
+        action.or(finished.then_some(CompletionAction::Flush))
+    };
+    if let Some(action) = action {
+        shared.push_completion(Completion { handle, action });
+    }
+}
+
+/// Has the loop reset a connection whose response a worker will not send.
+pub(crate) fn reset(shared: &ServerShared, handle: Arc<ConnHandle>) {
+    handle.job_done(&handle.out.lock());
+    shared.push_completion(Completion {
+        handle,
+        action: CompletionAction::Reset,
+    });
+}
+
+/// One `write` syscall, retried only on `EINTR`.
+fn write_once(stream: &TcpStream, frame: &[u8]) -> io::Result<usize> {
+    loop {
+        match (&*stream).write(frame) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            result => return result,
+        }
+    }
+}
+
+/// What a worker needs the loop to do on a connection.
 pub(crate) enum CompletionAction {
-    /// Write this encoded response on the originating connection.
-    Respond(Vec<u8>),
+    /// Flush what is queued, and finish the connection if it then owes
+    /// nothing more.
+    Flush,
     /// Reset the connection without responding (the `ResponseFilter` ate
-    /// the acknowledgement).
+    /// the acknowledgement, or the socket failed under a worker).
     Reset,
 }
 
@@ -106,12 +314,14 @@ pub(crate) struct Completion {
     pub(crate) action: CompletionAction,
 }
 
-/// Monotonic counters and gauges owned by the event loop.
+/// Monotonic counters and gauges of the server's socket I/O.
 #[derive(Debug, Default)]
 pub(crate) struct EventStats {
     conns_open: AtomicU64,
     frames_read: AtomicU64,
     frames_written: AtomicU64,
+    direct_writes: AtomicU64,
+    completions: AtomicU64,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
     writev_calls: AtomicU64,
@@ -119,7 +329,7 @@ pub(crate) struct EventStats {
     buffered_bytes: AtomicU64,
 }
 
-/// Point-in-time view of the event loop's I/O counters, exposed through
+/// Point-in-time view of the server's socket I/O counters, exposed through
 /// [`AftServer::event_snapshot`](crate::AftServer::event_snapshot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
@@ -128,18 +338,25 @@ pub struct EventSnapshot {
     pub conns_open: u64,
     /// Complete request frames decoded.
     pub frames_read: u64,
-    /// Response frames fully flushed.
+    /// Response frames fully flushed, by a worker or by the loop.
     pub frames_written: u64,
+    /// Response frames a worker wrote whole, straight to the socket,
+    /// without waking the loop.
+    pub direct_writes: u64,
+    /// Worker completions the loop woke for: a backlog or partial write to
+    /// flush, a reset, or a half-open connection's last answer.
+    pub completions: u64,
     /// Raw bytes read off sockets.
     pub bytes_read: u64,
     /// Raw bytes written to sockets.
     pub bytes_written: u64,
-    /// Vectored write syscalls issued (`frames_written / writev_calls` is
-    /// the realized write-batching factor).
+    /// Write syscalls issued, a worker's direct `write` or the loop's
+    /// vectored one (`frames_written / writev_calls` is the realized
+    /// write-batching factor).
     pub writev_calls: u64,
     /// Times a connection paused on a full worker queue (backpressure).
     pub pauses: u64,
-    /// Response bytes queued in the loop awaiting flush right now.
+    /// Response bytes queued awaiting flush right now.
     pub buffered_bytes: u64,
     /// Frame buffers sitting warm in the pool.
     pub pooled_buffers: u64,
@@ -156,6 +373,8 @@ impl EventStats {
             conns_open: self.conns_open.load(Ordering::Relaxed),
             frames_read: self.frames_read.load(Ordering::Relaxed),
             frames_written: self.frames_written.load(Ordering::Relaxed),
+            direct_writes: self.direct_writes.load(Ordering::Relaxed),
+            completions: self.completions.load(Ordering::Relaxed),
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
             writev_calls: self.writev_calls.load(Ordering::Relaxed),
@@ -166,31 +385,32 @@ impl EventStats {
             buffer_reuses,
         }
     }
+
+    /// One write syscall that moved `bytes`.
+    fn count_write(&self, bytes: usize) {
+        self.writev_calls.fetch_add(1, Ordering::Relaxed);
+        self.bytes_written
+            .fetch_add(bytes as u64, Ordering::Relaxed);
+    }
 }
 
 /// Why a connection is being torn down (decides the socket's send-off).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Teardown {
-    /// Flushed everything it owed; plain close.
+    /// Flushed everything it owed; a clean close.
     Finished,
     /// Protocol/I-O failure or chaos reset; both halves are shut down so the
     /// peer observes a reset rather than a lingering half-close.
     Reset,
 }
 
-/// One connection's state machine, owned exclusively by the loop thread.
+/// One connection's read-side state machine, owned exclusively by the loop
+/// thread; the write side lives in the shared handle.
 struct ConnState {
-    stream: TcpStream,
     handle: Arc<ConnHandle>,
     decoder: FrameDecoder,
     /// Requests decoded while the worker queue was full, waiting to submit.
-    pending: VecDeque<(u64, aft_types::wire::WireRequest)>,
-    /// Framed responses awaiting flush; front frame partially written up to
-    /// `write_pos`.
-    write_queue: VecDeque<Vec<u8>>,
-    write_pos: usize,
-    /// Total unflushed bytes across `write_queue` (minus `write_pos`).
-    queued_bytes: usize,
+    pending: VecDeque<(u64, WireRequest)>,
     read_open: bool,
     /// Flush what is queued, then close (set by the garbage-frame path).
     close_after_flush: bool,
@@ -198,6 +418,26 @@ struct ConnState {
     paused: bool,
     /// Present in the loop's dirty list (re-arm needed this iteration).
     dirty: bool,
+}
+
+impl ConnState {
+    fn new(handle: Arc<ConnHandle>) -> Self {
+        ConnState {
+            handle,
+            decoder: FrameDecoder::new(),
+            pending: VecDeque::new(),
+            read_open: true,
+            close_after_flush: false,
+            paused: false,
+            dirty: false,
+        }
+    }
+
+    /// Stops reading; the workers learn it through the outbox.
+    fn close_read(&mut self) {
+        self.read_open = false;
+        self.handle.out.lock().read_closed = true;
+    }
 }
 
 /// Slab of connection slots; vacant slots remember the next generation so
@@ -290,8 +530,6 @@ pub(crate) struct EventLoop {
     shared: Arc<ServerShared>,
     listener: TcpListener,
     poller: Arc<Poller>,
-    stats: Arc<EventStats>,
-    pool: Arc<BufferPool>,
     slab: Slab,
     /// Slots needing an interest re-arm at the end of the iteration.
     dirty: Vec<usize>,
@@ -316,37 +554,20 @@ impl EventLoop {
         poller
             .add(&listener, Event::readable(LISTENER_KEY))
             .map_err(|e| unavailable("register listener", e))?;
-        let config = &shared.config;
-        let stats = Arc::new(EventStats::default());
-        let pool = Arc::new(BufferPool::new(
-            READ_CHUNK * 4,
-            config.slab_capacity.min(4096),
-        ));
-        let scratch = vec![0u8; READ_CHUNK];
-        let slab = Slab::with_capacity(config.slab_capacity);
+        let slab = Slab::with_capacity(shared.config.slab_capacity);
         Ok(EventLoop {
             shared,
             listener,
             poller,
-            stats,
-            pool,
             slab,
             dirty: Vec::new(),
             paused: Vec::new(),
-            scratch,
+            scratch: vec![0u8; READ_CHUNK],
         })
     }
 
     pub(crate) fn poller(&self) -> Arc<Poller> {
         Arc::clone(&self.poller)
-    }
-
-    pub(crate) fn stats(&self) -> Arc<EventStats> {
-        Arc::clone(&self.stats)
-    }
-
-    pub(crate) fn pool(&self) -> Arc<BufferPool> {
-        Arc::clone(&self.pool)
     }
 
     pub(crate) fn spawn(self) -> JoinHandle<()> {
@@ -413,31 +634,14 @@ impl EventLoop {
             self.slab.release(slot, generation);
             return;
         }
-        let handle = Arc::new(ConnHandle {
-            slot,
-            generation,
-            id: self.shared.next_conn_id.fetch_add(1, Ordering::Relaxed),
-            open: AtomicBool::new(true),
-            inflight: AtomicUsize::new(0),
-        });
-        self.slab.occupy(
-            slot,
-            Box::new(ConnState {
-                stream,
-                handle,
-                decoder: FrameDecoder::new(),
-                pending: VecDeque::new(),
-                write_queue: VecDeque::new(),
-                write_pos: 0,
-                queued_bytes: 0,
-                read_open: true,
-                close_after_flush: false,
-                paused: false,
-                dirty: false,
-            }),
-        );
+        let id = self.shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
+        let handle = Arc::new(ConnHandle::new(slot, generation, id, stream));
+        self.slab.occupy(slot, Box::new(ConnState::new(handle)));
         self.shared.stats.record_accept();
-        self.stats.conns_open.fetch_add(1, Ordering::Relaxed);
+        self.shared
+            .event_stats
+            .conns_open
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     // ---- per-connection events ------------------------------------------
@@ -468,14 +672,17 @@ impl EventLoop {
             if !conn.read_open {
                 break;
             }
-            match (&conn.stream).read(&mut chunk) {
+            match (&conn.handle.stream).read(&mut chunk) {
                 Ok(0) => {
-                    conn.read_open = false;
+                    conn.close_read();
                     saw_eof = true;
                     break;
                 }
                 Ok(n) => {
-                    self.stats.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
+                    self.shared
+                        .event_stats
+                        .bytes_read
+                        .fetch_add(n as u64, Ordering::Relaxed);
                     conn.decoder.push(&chunk[..n]);
                     if n < chunk.len() {
                         break;
@@ -524,18 +731,20 @@ impl EventLoop {
             match conn.decoder.next_frame() {
                 Ok(Some(payload)) => match decode_request(&payload) {
                     Ok((request_id, request)) => {
-                        self.stats.frames_read.fetch_add(1, Ordering::Relaxed);
+                        self.shared
+                            .event_stats
+                            .frames_read
+                            .fetch_add(1, Ordering::Relaxed);
                         self.submit(slot, request_id, request);
                     }
                     Err(e) => {
                         // A peer speaking garbage gets one error frame and
                         // the door — but only after queued responses flush.
                         self.shared.stats.record_error();
-                        let payload = encode_response(0, &WireResponse::Error(e));
-                        self.queue_response(slot, &payload);
+                        self.queue_response(slot, 0, &WireResponse::Error(e));
                         if let Some(conn) = self.slab.get_mut(slot) {
                             conn.close_after_flush = true;
-                            conn.read_open = false;
+                            conn.close_read();
                         }
                         self.do_write(slot);
                         return self.slab.get_mut(slot).is_some();
@@ -559,7 +768,7 @@ impl EventLoop {
 
     /// Hands one decoded request to the worker pool, or parks it locally
     /// (pausing the connection) when the queue is full.
-    fn submit(&mut self, slot: usize, request_id: u64, request: aft_types::wire::WireRequest) {
+    fn submit(&mut self, slot: usize, request_id: u64, request: WireRequest) {
         let capacity = self.shared.config.queue_capacity.max(1);
         let admission = self.shared.config.admission_limit;
         let Some(conn) = self.slab.get_mut(slot) else {
@@ -573,7 +782,7 @@ impl EventLoop {
         let mut queue = self.shared.queue.lock();
         if admission > 0
             && queue.depth() >= admission
-            && !matches!(request, aft_types::wire::WireRequest::Commit { .. })
+            && !matches!(request, WireRequest::Commit { .. })
         {
             // Admission control: answer `Overloaded` now, while the client
             // can still usefully back off, instead of parking the request
@@ -584,13 +793,10 @@ impl EventLoop {
             // and commits stay bounded by `queue_capacity` backpressure.
             drop(queue);
             self.shared.stats.record_overload_rejection();
-            let payload = encode_response(
-                request_id,
-                &WireResponse::Error(AftError::Overloaded(
-                    "worker queue is full; retry with backoff".to_owned(),
-                )),
-            );
-            self.queue_response(slot, &payload);
+            let rejection = WireResponse::Error(AftError::Overloaded(
+                "worker queue is full; retry with backoff".to_owned(),
+            ));
+            self.queue_response(slot, request_id, &rejection);
             self.do_write(slot);
             return;
         }
@@ -598,7 +804,10 @@ impl EventLoop {
             drop(queue);
             conn.paused = true;
             conn.pending.push_back((request_id, request));
-            self.stats.pauses.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .event_stats
+                .pauses
+                .fetch_add(1, Ordering::Relaxed);
             self.mark_dirty(slot);
             if !self.paused.contains(&slot) {
                 self.paused.push(slot);
@@ -679,6 +888,10 @@ impl EventLoop {
                 }
                 std::mem::take(&mut *completions)
             };
+            self.shared
+                .event_stats
+                .completions
+                .fetch_add(batch.len() as u64, Ordering::Relaxed);
             for completion in batch {
                 self.apply_completion(completion);
             }
@@ -687,7 +900,6 @@ impl EventLoop {
 
     fn apply_completion(&mut self, completion: Completion) {
         let handle = completion.handle;
-        handle.inflight.fetch_sub(1, Ordering::AcqRel);
         let slot = handle.slot;
         let live = self
             .slab
@@ -700,121 +912,55 @@ impl EventLoop {
             return;
         }
         match completion.action {
-            CompletionAction::Respond(payload) => {
-                self.queue_response(slot, &payload);
-                self.do_write(slot);
-            }
+            CompletionAction::Flush => self.do_write(slot),
             CompletionAction::Reset => self.teardown(slot, Teardown::Reset),
         }
     }
 
     // ---- write path ------------------------------------------------------
 
-    /// Frames `payload` into a pooled buffer and queues it on `slot`.
-    fn queue_response(&mut self, slot: usize, payload: &[u8]) {
-        let mut frame = self.pool.take();
-        if frame_into(&mut frame, payload).is_err() {
+    /// Frames a response the loop itself answers (an admission rejection or
+    /// a garbage-frame error) and queues it on `slot`.
+    fn queue_response(&mut self, slot: usize, request_id: u64, response: &WireResponse) {
+        let mut frame = self.shared.pool.take();
+        if response_frame(&mut frame, request_id, response).is_err() {
             // Responses are encoded server-side and never exceed the cap;
             // defensively reset rather than send an unframeable reply.
-            self.pool.give(frame);
+            self.shared.pool.give(frame);
             self.teardown(slot, Teardown::Reset);
             return;
         }
         let Some(conn) = self.slab.get_mut(slot) else {
             return;
         };
-        conn.queued_bytes += frame.len();
-        self.stats
-            .buffered_bytes
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        conn.write_queue.push_back(frame);
+        conn.handle
+            .out
+            .lock()
+            .push(frame, 0, &self.shared.event_stats);
         self.mark_dirty(slot);
     }
 
-    /// Flushes as much of the write queue as the socket accepts, batching
-    /// up to `WRITE_BATCH` frames per vectored syscall.
+    /// Flushes as much of the connection's queue as the socket accepts,
+    /// then finishes the connection if it owes nothing more.
     fn do_write(&mut self, slot: usize) {
-        loop {
-            let Some(conn) = self.slab.get_mut(slot) else {
-                return;
-            };
-            if conn.write_queue.is_empty() {
-                break;
-            }
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(WRITE_BATCH);
-            for (i, frame) in conn.write_queue.iter().take(WRITE_BATCH).enumerate() {
-                let from = if i == 0 { conn.write_pos } else { 0 };
-                slices.push(IoSlice::new(&frame[from..]));
-            }
-            match (&conn.stream).write_vectored(&slices) {
-                Ok(0) => {
-                    self.teardown(slot, Teardown::Reset);
-                    return;
-                }
-                Ok(n) => {
-                    self.stats.writev_calls.fetch_add(1, Ordering::Relaxed);
-                    self.stats
-                        .bytes_written
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                    self.advance_write(slot, n);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.teardown(slot, Teardown::Reset);
-                    return;
-                }
-            }
-        }
-        let (flushed, condemned) = match self.slab.get_mut(slot) {
-            Some(conn) => (conn.write_queue.is_empty(), conn.close_after_flush),
-            None => return,
+        let Some(conn) = self.slab.get_mut(slot) else {
+            return;
         };
-        self.mark_dirty(slot);
-        if flushed {
-            if condemned {
-                self.teardown(slot, Teardown::Finished);
-                return;
+        let handle = &conn.handle;
+        let flushed =
+            handle
+                .out
+                .lock()
+                .flush(&handle.stream, &self.shared.event_stats, &self.shared.pool);
+        let condemned = conn.close_after_flush;
+        match flushed {
+            Err(_) => self.teardown(slot, Teardown::Reset),
+            Ok(false) => self.mark_dirty(slot),
+            Ok(true) if condemned => self.teardown(slot, Teardown::Finished),
+            Ok(true) => {
+                self.mark_dirty(slot);
+                self.maybe_finish(slot);
             }
-            self.maybe_finish(slot);
-        }
-    }
-
-    /// Consumes `written` bytes off the front of the write queue, recycling
-    /// fully flushed frame buffers.
-    fn advance_write(&mut self, slot: usize, written: usize) {
-        let mut remaining = written;
-        let mut finished_frames = Vec::new();
-        {
-            let Some(conn) = self.slab.get_mut(slot) else {
-                return;
-            };
-            conn.queued_bytes = conn.queued_bytes.saturating_sub(written);
-            while remaining > 0 {
-                let Some(front) = conn.write_queue.front() else {
-                    break;
-                };
-                let left = front.len() - conn.write_pos;
-                if remaining >= left {
-                    remaining -= left;
-                    conn.write_pos = 0;
-                    if let Some(frame) = conn.write_queue.pop_front() {
-                        finished_frames.push(frame);
-                    }
-                } else {
-                    conn.write_pos += remaining;
-                    remaining = 0;
-                }
-            }
-        }
-        self.stats
-            .buffered_bytes
-            .fetch_sub(written as u64, Ordering::Relaxed);
-        self.stats
-            .frames_written
-            .fetch_add(finished_frames.len() as u64, Ordering::Relaxed);
-        for frame in finished_frames {
-            self.pool.give(frame);
         }
     }
 
@@ -826,11 +972,11 @@ impl EventLoop {
         let Some(conn) = self.slab.get_mut(slot) else {
             return;
         };
-        let done = !conn.read_open
-            && !conn.decoder.has_partial()
-            && conn.pending.is_empty()
-            && conn.write_queue.is_empty()
-            && conn.handle.inflight.load(Ordering::Acquire) == 0;
+        let done = !conn.read_open && !conn.decoder.has_partial() && conn.pending.is_empty() && {
+            // Under the write lock, against a worker's `job_done`.
+            let out = conn.handle.out.lock();
+            out.frames.is_empty() && conn.handle.inflight.load(Ordering::Acquire) == 0
+        };
         if done {
             self.teardown(slot, Teardown::Finished);
         }
@@ -840,21 +986,25 @@ impl EventLoop {
         let Some(conn) = self.slab.remove(slot) else {
             return;
         };
-        let _ = self.poller.delete(&conn.stream);
-        if conn.handle.open.swap(false, Ordering::AcqRel) {
-            self.shared.stats.record_close();
+        let handle = &conn.handle;
+        let _ = self.poller.delete(&handle.stream);
+        self.shared.stats.record_close();
+        // The descriptor closes with the handle's last holder, which may be
+        // a worker still finishing a job; the shutdown tells the peer now.
+        let how = match kind {
+            Teardown::Finished => Shutdown::Write,
+            Teardown::Reset => Shutdown::Both,
+        };
+        let _ = handle.stream.shutdown(how);
+        {
+            let mut out = handle.out.lock();
+            out.closed = true;
+            out.discard(&self.shared.event_stats, &self.shared.pool);
         }
-        if kind == Teardown::Reset {
-            let _ = conn.stream.shutdown(Shutdown::Both);
-        }
-        self.stats.conns_open.fetch_sub(1, Ordering::Relaxed);
-        self.stats
-            .buffered_bytes
-            .fetch_sub(conn.queued_bytes as u64, Ordering::Relaxed);
-        let mut conn = conn;
-        for frame in conn.write_queue.drain(..) {
-            self.pool.give(frame);
-        }
+        self.shared
+            .event_stats
+            .conns_open
+            .fetch_sub(1, Ordering::Relaxed);
         self.paused.retain(|&s| s != slot);
     }
 
@@ -886,24 +1036,35 @@ impl EventLoop {
                 continue;
             };
             conn.dirty = false;
+            let (queued_bytes, writable) = {
+                let out = conn.handle.out.lock();
+                (out.bytes, !out.frames.is_empty())
+            };
             // Read interest stops while paused (backpressure), after the
             // read side closed, once the conn is condemned, or while the
             // peer refuses to drain its responses (write throttle).
             let readable = conn.read_open
                 && !conn.paused
                 && !conn.close_after_flush
-                && conn.queued_bytes < WRITE_BUFFER_CAP;
-            let writable = !conn.write_queue.is_empty();
+                && queued_bytes < WRITE_BUFFER_CAP;
             let interest = Event {
                 key: slot,
                 readable,
                 writable,
             };
-            if self.poller.modify(&conn.stream, interest).is_err() {
+            if self.poller.modify(&conn.handle.stream, interest).is_err() {
                 self.teardown(slot, Teardown::Reset);
             }
         }
     }
+}
+
+/// A connected loopback socket, for tests that need a handle.
+#[cfg(test)]
+pub(crate) fn test_handle(slot: usize, generation: u64, id: u64) -> Arc<ConnHandle> {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    Arc::new(ConnHandle::new(slot, generation, id, stream))
 }
 
 #[cfg(test)]
@@ -917,25 +1078,7 @@ mod tests {
         assert_eq!((slot, generation), (0, 0));
         slab.occupy(
             slot,
-            Box::new(ConnState {
-                stream: TcpStream::connect(local_listener().local_addr().unwrap()).unwrap(),
-                handle: Arc::new(ConnHandle {
-                    slot,
-                    generation,
-                    id: 0,
-                    open: AtomicBool::new(true),
-                    inflight: AtomicUsize::new(0),
-                }),
-                decoder: FrameDecoder::new(),
-                pending: VecDeque::new(),
-                write_queue: VecDeque::new(),
-                write_pos: 0,
-                queued_bytes: 0,
-                read_open: true,
-                close_after_flush: false,
-                paused: false,
-                dirty: false,
-            }),
+            Box::new(ConnState::new(test_handle(slot, generation, 0))),
         );
         assert_eq!(slab.live, 1);
         assert!(slab.remove(slot).is_some());
@@ -955,7 +1098,19 @@ mod tests {
         assert_eq!(generation2, generation + 1);
     }
 
-    fn local_listener() -> TcpListener {
-        TcpListener::bind("127.0.0.1:0").unwrap()
+    #[test]
+    fn a_partly_written_frame_keeps_its_place_ahead_of_later_ones() {
+        let stats = EventStats::default();
+        let pool = BufferPool::new(1024, 4);
+        let mut out = Outbox::default();
+        out.push(vec![1; 10], 4, &stats);
+        out.push(vec![2; 5], 0, &stats);
+        assert_eq!((out.pos, out.bytes), (4, 11));
+        out.advance(8, &stats, &pool);
+        assert_eq!(out.frames.len(), 1, "the first frame's tail left");
+        assert_eq!((out.pos, out.bytes), (2, 3));
+        assert_eq!(stats.frames_written.load(Ordering::Relaxed), 1);
+        out.discard(&stats, &pool);
+        assert_eq!(stats.buffered_bytes.load(Ordering::Relaxed), 0);
     }
 }

@@ -1,32 +1,71 @@
 //! Length-prefixed framing: `[u32 LE payload length][payload]`.
 //!
-//! The blocking [`read_frame`]/[`write_frame`] functions work over any
-//! `Read`/`Write`, so unit tests can run them against in-memory buffers and
-//! the threaded paths run them against `TcpStream`s. The event-driven server
-//! instead feeds whatever bytes the socket had into a [`FrameDecoder`],
-//! which accumulates partial frames across arbitrarily split arrivals. In
-//! both shapes the payload length is capped at
-//! [`MAX_FRAME_LEN`] *before* allocating:
-//! a corrupted or hostile prefix must fail the connection, not the process.
+//! A frame always leaves in one buffer, so it costs one write syscall and,
+//! under `TCP_NODELAY`, one segment: [`request_frame`] and
+//! [`response_frame`] encode a message straight into a buffer whose first
+//! four bytes are reserved for the prefix, and [`write_frame`] assembles an
+//! already-encoded payload the same way. The blocking [`read_frame`] works
+//! over any `Read` (the client SDK reads through a `BufReader`). The
+//! event-driven server instead feeds whatever bytes the socket had into a
+//! [`FrameDecoder`], which accumulates partial frames across arbitrarily
+//! split arrivals. In both shapes the payload length is capped at
+//! [`MAX_FRAME_LEN`] *before* allocating: a corrupted or hostile prefix must
+//! fail the connection, not the process.
 
 use std::io::{self, Read, Write};
 
-use aft_types::wire::MAX_FRAME_LEN;
+use aft_types::wire::{
+    encode_request_into, encode_response_into, WireRequest, WireResponse, MAX_FRAME_LEN,
+};
+
+fn oversized(len: usize) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("frame of {len} bytes exceeds MAX_FRAME_LEN"),
+    )
+}
 
 /// Assembles one wire frame (`[u32 LE len][payload]`) into a single buffer,
-/// reusing `buf`'s allocation. Used by the event loop to queue responses for
-/// vectored writes, where header and payload must be contiguous per frame.
+/// reusing `buf`'s allocation.
 pub fn frame_into(buf: &mut Vec<u8>, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {} bytes exceeds MAX_FRAME_LEN", payload.len()),
-        ));
+        return Err(oversized(payload.len()));
     }
     buf.clear();
     buf.reserve(4 + payload.len());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(payload);
+    Ok(())
+}
+
+/// Encodes a request as one wire frame into `buf`, reusing its allocation.
+pub fn request_frame(buf: &mut Vec<u8>, request_id: u64, request: &WireRequest) -> io::Result<()> {
+    framed(buf, |buf| encode_request_into(buf, request_id, request))
+}
+
+/// Encodes a response as one wire frame into `buf`, reusing its
+/// allocation: the payload is encoded once, in place, and never copied.
+pub fn response_frame(
+    buf: &mut Vec<u8>,
+    request_id: u64,
+    response: &WireResponse,
+) -> io::Result<()> {
+    framed(buf, |buf| encode_response_into(buf, request_id, response))
+}
+
+/// Clears `buf`, reserves the four prefix bytes, lets `encode` append the
+/// payload, then patches the prefix in. An oversized payload leaves `buf`
+/// empty.
+fn framed(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    buf.clear();
+    buf.extend_from_slice(&[0; 4]);
+    encode(buf);
+    let len = buf.len() - 4;
+    if len > MAX_FRAME_LEN {
+        buf.clear();
+        return Err(oversized(len));
+    }
+    buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
     Ok(())
 }
 
@@ -119,16 +158,11 @@ impl FrameDecoder {
     }
 }
 
-/// Writes one frame and flushes it.
+/// Writes one frame, prefix and payload in one buffer, and flushes it.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {} bytes exceeds MAX_FRAME_LEN", payload.len()),
-        ));
-    }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::new();
+    frame_into(&mut frame, payload)?;
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -274,6 +308,36 @@ mod tests {
         write_frame(&mut small, b"after").unwrap();
         decoder.push(&small);
         assert_eq!(decoder.next_frame().unwrap().unwrap(), b"after");
+    }
+
+    #[test]
+    fn a_frame_is_written_with_one_write_call() {
+        struct Counting(Vec<usize>);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting(Vec::new());
+        write_frame(&mut w, b"payload").unwrap();
+        assert_eq!(w.0, [4 + 7], "prefix and payload leave together");
+    }
+
+    #[test]
+    fn encoding_into_a_frame_matches_framing_an_encoded_payload() {
+        use aft_types::wire::{encode_request, encode_response};
+        let mut framed = vec![0xFFu8; 9]; // stale content is cleared
+        let mut expected = Vec::new();
+        request_frame(&mut framed, 3, &WireRequest::Ping).unwrap();
+        frame_into(&mut expected, &encode_request(3, &WireRequest::Ping)).unwrap();
+        assert_eq!(framed, expected);
+        response_frame(&mut framed, 4, &WireResponse::Aborted).unwrap();
+        frame_into(&mut expected, &encode_response(4, &WireResponse::Aborted)).unwrap();
+        assert_eq!(framed, expected);
     }
 
     #[test]

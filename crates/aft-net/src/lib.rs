@@ -9,17 +9,19 @@
 //!   with a hard size cap so hostile lengths cannot OOM either peer.
 //! * [`server`] — [`server::AftServer`]: a `std::net` TCP listener fronting
 //!   an `aft-cluster` [`Cluster`](aft_cluster::Cluster). A
-//!   single readiness-driven event-loop thread (see [`event_loop`]) owns
-//!   every socket — nonblocking reads through incremental frame decoders,
-//!   vectored batched writes — and demultiplexes pipelined requests into a
-//!   sized worker pool, so connections scale to thousands while thread
-//!   count stays O(workers). Responses carry the client's request id and
+//!   single readiness-driven event-loop thread (see [`event_loop`]) reads
+//!   every socket through incremental frame decoders and demultiplexes
+//!   pipelined requests into a sized worker pool, whose workers write their
+//!   own responses (the loop flushes only a backlog, with vectored writes),
+//!   so connections scale to thousands while thread count stays
+//!   O(workers). Responses carry the client's request id and
 //!   may complete out of order. `Commit` is deduplicated on the transaction
 //!   UUID, which closes §4.2's lost-acknowledgement window *end to end*: a
 //!   client that resends a commit whose ack died with the connection gets
 //!   the original outcome, never a second apply.
 //! * [`client`] — [`client::AftClient`]: the SDK. A connection pool with
-//!   per-connection pipelining, a client-side Atomic Write Buffer (writes
+//!   per-connection pipelining and no reader thread (a waiting caller reads
+//!   the replies), a client-side Atomic Write Buffer (writes
 //!   ship inside `Commit`, making it idempotently resendable), and
 //!   retry-with-backoff reconnects mirroring the storage I/O engine's
 //!   `RetryConfig` semantics. Implements

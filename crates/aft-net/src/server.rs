@@ -1,17 +1,19 @@
 //! The AFT wire-protocol server.
 //!
 //! [`AftServer`] fronts an `aft-cluster` [`Cluster`] with a `std::net` TCP
-//! listener. One readiness-driven I/O thread owns every socket — accept,
-//! nonblocking reads into incremental frame decoders, and vectored batched
-//! writes — behind the vendored `polling` poller. Connections live in a slab
-//! of per-connection state machines, so thread count is O(workers) while
-//! connections scale to thousands. See [`crate::event_loop`] for the
-//! state-machine details.
+//! listener. One readiness-driven I/O thread accepts connections and reads
+//! them — nonblocking reads into incremental frame decoders — behind the
+//! vendored `polling` poller. Connections live in a slab of per-connection
+//! state machines, so thread count is O(workers) while connections scale to
+//! thousands. See [`crate::event_loop`] for the state-machine details.
 //!
 //! A **sized worker pool** drains one shared queue, executes each request
 //! against the cluster (routing through the round-robin router, with
-//! per-transaction node affinity), and responds on the originating
-//! connection via a wakeable completion queue back to the I/O thread.
+//! per-transaction node affinity), encodes the response once, straight into
+//! its wire frame, and writes it to the originating connection itself when
+//! nothing is queued there. A request thus wakes the I/O thread once, to
+//! read it; only a backlog, a partial write or a reset goes back to the I/O
+//! thread, through a wakeable completion queue, for a vectored flush.
 //!
 //! Because workers are shared, two pipelined requests from one connection
 //! execute concurrently and their responses — which carry the client's
@@ -82,15 +84,14 @@ use std::time::{Duration, Instant};
 use aft_cluster::Cluster;
 use aft_core::read::is_atomic_readset;
 use aft_core::AftNode;
-use aft_types::wire::{encode_response, WireRequest, WireResponse, WireStats};
+use aft_types::wire::{WireRequest, WireResponse, WireStats};
 use aft_types::{AftError, AftResult, Key, TransactionId, Uuid, Value};
 use parking_lot::{Condvar, Mutex};
 use polling::Poller;
 
 use crate::buffer::BufferPool;
-use crate::event_loop::{
-    Completion, CompletionAction, ConnHandle, EventLoop, EventSnapshot, EventStats,
-};
+use crate::event_loop::{self, Completion, ConnHandle, EventLoop, EventSnapshot, EventStats};
+use crate::frame::response_frame;
 use crate::stats::ServiceStats;
 
 /// Tuning of an [`AftServer`]; built with [`AftServer::builder`].
@@ -426,6 +427,11 @@ pub(crate) struct ServerShared {
     ledger_cv: Condvar,
     affinity: Mutex<AffinityMap>,
     filter: Mutex<Option<Arc<dyn ResponseFilter>>>,
+    /// Socket I/O counters, kept by the loop and by workers writing their
+    /// own responses.
+    pub(crate) event_stats: EventStats,
+    /// Frame buffers, shared by workers encoding responses and the loop.
+    pub(crate) pool: BufferPool,
     /// Worker→event-loop completions, drained by the loop on each wake.
     pub(crate) completions: Mutex<VecDeque<Completion>>,
     /// The event loop's poller, for waking it from workers and shutdown.
@@ -445,7 +451,7 @@ impl ServerShared {
 
     /// Queues a completion for the event loop, waking it on the
     /// empty→non-empty transition (a pending wake byte covers the rest).
-    fn push_completion(&self, completion: Completion) {
+    pub(crate) fn push_completion(&self, completion: Completion) {
         let was_empty = {
             let mut completions = self.completions.lock();
             let was_empty = completions.is_empty();
@@ -632,19 +638,25 @@ fn worker_loop(shared: Arc<ServerShared>) {
             let filter = shared.filter.lock().clone();
             filter.is_none_or(|f| f.deliver(job.request_id, &response))
         };
-        let action = if deliver {
-            CompletionAction::Respond(encode_response(job.request_id, &response).to_vec())
-        } else {
+        if !deliver {
             // The chaos hook ate the ack: the work (if any) is done and
             // durable, the client never hears about it, and the connection
             // resets — exactly the crash-after-commit interleaving.
             shared.stats.record_dropped_ack();
-            CompletionAction::Reset
-        };
-        shared.push_completion(Completion {
-            handle: job.handle,
-            action,
-        });
+            event_loop::reset(&shared, job.handle);
+            continue;
+        }
+        // Encoded once, into the frame that goes on the wire.
+        let mut frame = shared.pool.take();
+        match response_frame(&mut frame, job.request_id, &response) {
+            Ok(()) => event_loop::respond(&shared, job.handle, frame),
+            Err(_) => {
+                // Responses never exceed the cap; defensively reset rather
+                // than send an unframeable reply.
+                shared.pool.give(frame);
+                event_loop::reset(&shared, job.handle);
+            }
+        }
     }
 }
 
@@ -655,8 +667,6 @@ pub struct AftServer {
     addr: SocketAddr,
     io: Mutex<Option<JoinHandle<()>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    event_stats: Arc<EventStats>,
-    event_pool: Arc<BufferPool>,
 }
 
 impl AftServer {
@@ -682,6 +692,8 @@ impl AftServer {
             ledger_cv: Condvar::new(),
             affinity: Mutex::new(AffinityMap::new(config.affinity_capacity)),
             filter: Mutex::new(None),
+            event_stats: EventStats::default(),
+            pool: event_loop::frame_pool(config.slab_capacity),
             completions: Mutex::new(VecDeque::new()),
             io_waker: Mutex::new(None),
             next_conn_id: AtomicU64::new(0),
@@ -690,8 +702,6 @@ impl AftServer {
         });
         let event_loop = EventLoop::new(Arc::clone(&shared), listener)?;
         *shared.io_waker.lock() = Some(event_loop.poller());
-        let event_stats = event_loop.stats();
-        let event_pool = event_loop.pool();
         let io = event_loop.spawn();
         let mut workers = Vec::new();
         for i in 0..shared.config.workers.max(1) {
@@ -708,8 +718,6 @@ impl AftServer {
             addr,
             io: Mutex::new(Some(io)),
             workers: Mutex::new(workers),
-            event_stats,
-            event_pool,
         })
     }
 
@@ -730,10 +738,10 @@ impl AftServer {
             .snapshot(self.shared.cluster.registry().active_count() as u64)
     }
 
-    /// The event loop's I/O counters. Always `Some`; optional because
+    /// The server's socket I/O counters. Always `Some`; optional because
     /// callers chain on it.
     pub fn event_snapshot(&self) -> Option<EventSnapshot> {
-        Some(self.event_stats.snapshot(&self.event_pool))
+        Some(self.shared.event_stats.snapshot(&self.shared.pool))
     }
 
     /// Installs the response filter (chaos/test hook); replaces any prior
@@ -787,7 +795,6 @@ mod tests {
     use aft_storage::InMemoryStore;
     use aft_types::clock::TickingClock;
     use std::net::TcpStream;
-    use std::sync::atomic::AtomicUsize;
 
     fn served_cluster(nodes: usize) -> AftServer {
         let cluster = Cluster::with_clock(
@@ -838,13 +845,7 @@ mod tests {
     #[test]
     fn fair_queue_round_robins_across_connections() {
         let job = |source: u64, request_id: u64| Job {
-            handle: Arc::new(ConnHandle {
-                slot: 0,
-                generation: 0,
-                id: source,
-                open: AtomicBool::new(true),
-                inflight: AtomicUsize::new(0),
-            }),
+            handle: crate::event_loop::test_handle(0, 0, source),
             request_id,
             request: WireRequest::Ping,
             enqueued: Instant::now(),

@@ -7,7 +7,7 @@
 //! little-endian byte strings. The format is deliberately simple and
 //! versioned so that the property tests can round-trip arbitrary records.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 
 use crate::error::{AftError, AftResult};
 use crate::key::Key;
@@ -27,22 +27,31 @@ const TAG_TAGGED_VALUE: u8 = 0x02;
 /// Incremental writer producing the codec's wire format.
 #[derive(Debug, Default)]
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Writer {
     /// Creates an empty writer.
     pub fn new() -> Self {
-        Writer {
-            buf: BytesMut::new(),
-        }
+        Writer { buf: Vec::new() }
     }
 
     /// Creates a writer with `cap` bytes preallocated.
     pub fn with_capacity(cap: usize) -> Self {
         Writer {
-            buf: BytesMut::with_capacity(cap),
+            buf: Vec::with_capacity(cap),
         }
+    }
+
+    /// A writer that appends after `buf`'s current contents (a reserved
+    /// frame header, say), keeping its allocation.
+    pub fn appending(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+
+    /// Reserves room for at least `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
     }
 
     /// Appends a single byte.
@@ -84,7 +93,13 @@ impl Writer {
 
     /// Finishes the writer and returns the encoded bytes.
     pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+        Bytes::from(self.buf)
+    }
+
+    /// Finishes the writer and returns its buffer, including whatever it
+    /// was [`appending`](Writer::appending) to.
+    pub fn into_vec(self) -> Vec<u8> {
+        self.buf
     }
 
     /// Number of bytes written so far.

@@ -203,8 +203,11 @@ fn get_value(r: &mut Reader<'_>) -> AftResult<Value> {
     Ok(Bytes::from(r.get_bytes()?))
 }
 
-fn header(kind: u8, request_id: u64, cap: usize) -> Writer {
-    let mut w = Writer::with_capacity(cap + 10);
+/// Starts a payload after whatever `buf` already holds, with room for the
+/// 10-byte header and a `cap`-byte body.
+fn header(buf: &mut Vec<u8>, kind: u8, request_id: u64, cap: usize) -> Writer {
+    let mut w = Writer::appending(std::mem::take(buf));
+    w.reserve(cap + 10);
     w.put_u8(WIRE_VERSION);
     w.put_u8(kind);
     w.put_u64(request_id);
@@ -226,17 +229,26 @@ fn read_header(buf: &[u8]) -> AftResult<(Reader<'_>, u8, u64)> {
 
 /// Encodes a request frame payload (version, kind, request id, body).
 pub fn encode_request(request_id: u64, request: &WireRequest) -> Bytes {
+    let mut buf = Vec::new();
+    encode_request_into(&mut buf, request_id, request);
+    Bytes::from(buf)
+}
+
+/// Appends a request frame payload to `buf`, after whatever it already
+/// holds: a frame's reserved length prefix, so the payload is encoded once
+/// and never copied into a frame.
+pub fn encode_request_into(buf: &mut Vec<u8>, request_id: u64, request: &WireRequest) {
     let w = match request {
-        WireRequest::Ping => header(KIND_PING, request_id, 0),
-        WireRequest::Stats => header(KIND_STATS, request_id, 0),
+        WireRequest::Ping => header(buf, KIND_PING, request_id, 0),
+        WireRequest::Stats => header(buf, KIND_STATS, request_id, 0),
         WireRequest::Get { txid, key } => {
-            let mut w = header(KIND_GET, request_id, 32 + key.len());
+            let mut w = header(buf, KIND_GET, request_id, 32 + key.len());
             put_txid(&mut w, txid);
             put_key(&mut w, key);
             w
         }
         WireRequest::GetAll { txid, keys } => {
-            let mut w = header(KIND_GET_ALL, request_id, 32 + keys.len() * 24);
+            let mut w = header(buf, KIND_GET_ALL, request_id, 32 + keys.len() * 24);
             put_txid(&mut w, txid);
             w.put_u32(keys.len() as u32);
             for key in keys {
@@ -250,7 +262,12 @@ pub fn encode_request(request_id: u64, request: &WireRequest) -> Bytes {
             reads,
         } => {
             let payload: usize = writes.iter().map(|(k, v)| k.len() + v.len() + 8).sum();
-            let mut w = header(KIND_COMMIT, request_id, 40 + payload + reads.len() * 48);
+            let mut w = header(
+                buf,
+                KIND_COMMIT,
+                request_id,
+                40 + payload + reads.len() * 48,
+            );
             put_txid(&mut w, txid);
             w.put_u32(writes.len() as u32);
             for (key, value) in writes {
@@ -265,12 +282,12 @@ pub fn encode_request(request_id: u64, request: &WireRequest) -> Bytes {
             w
         }
         WireRequest::Abort { txid } => {
-            let mut w = header(KIND_ABORT, request_id, 24);
+            let mut w = header(buf, KIND_ABORT, request_id, 24);
             put_txid(&mut w, txid);
             w
         }
     };
-    w.finish()
+    *buf = w.into_vec();
 }
 
 /// Decodes a request frame payload into `(request id, request)`.
@@ -450,15 +467,24 @@ fn get_error(r: &mut Reader<'_>) -> AftResult<AftError> {
 
 /// Encodes a response frame payload (version, kind, request id, body).
 pub fn encode_response(request_id: u64, response: &WireResponse) -> Bytes {
+    let mut buf = Vec::new();
+    encode_response_into(&mut buf, request_id, response);
+    Bytes::from(buf)
+}
+
+/// Appends a response frame payload to `buf`, after whatever it already
+/// holds; the response twin of [`encode_request_into`].
+pub fn encode_response_into(buf: &mut Vec<u8>, request_id: u64, response: &WireResponse) {
     let w = match response {
-        WireResponse::Pong => header(KIND_PONG, request_id, 0),
+        WireResponse::Pong => header(buf, KIND_PONG, request_id, 0),
         WireResponse::Stats(stats) => {
-            let mut w = header(KIND_STATS_REPLY, request_id, 64);
+            let mut w = header(buf, KIND_STATS_REPLY, request_id, 64);
             put_stats(&mut w, stats);
             w
         }
         WireResponse::Value(found) => {
             let mut w = header(
+                buf,
                 KIND_VALUE,
                 request_id,
                 found.as_ref().map_or(1, |(v, _)| v.len() + 32),
@@ -478,7 +504,7 @@ pub fn encode_response(request_id: u64, response: &WireResponse) -> Bytes {
                 .iter()
                 .map(|v| 1 + v.as_ref().map_or(0, |v| v.len() + 4))
                 .sum();
-            let mut w = header(KIND_VALUES, request_id, 4 + payload);
+            let mut w = header(buf, KIND_VALUES, request_id, 4 + payload);
             w.put_u32(values.len() as u32);
             for value in values {
                 match value {
@@ -496,20 +522,20 @@ pub fn encode_response(request_id: u64, response: &WireResponse) -> Bytes {
             atomic,
             duplicate,
         } => {
-            let mut w = header(KIND_COMMITTED, request_id, 32);
+            let mut w = header(buf, KIND_COMMITTED, request_id, 32);
             w.put_tid(txid);
             w.put_u8(u8::from(*atomic));
             w.put_u8(u8::from(*duplicate));
             w
         }
-        WireResponse::Aborted => header(KIND_ABORTED, request_id, 0),
+        WireResponse::Aborted => header(buf, KIND_ABORTED, request_id, 0),
         WireResponse::Error(error) => {
-            let mut w = header(KIND_ERROR, request_id, 64);
+            let mut w = header(buf, KIND_ERROR, request_id, 64);
             put_error(&mut w, error);
             w
         }
     };
-    w.finish()
+    *buf = w.into_vec();
 }
 
 fn get_flag(r: &mut Reader<'_>) -> AftResult<bool> {
@@ -646,6 +672,23 @@ mod tests {
             let (id, decoded) = decode_response(&encoded).unwrap();
             assert_eq!(id, 1000 + i as u64);
             assert_eq!(decoded, response);
+        }
+    }
+
+    #[test]
+    fn encoding_into_a_buffer_appends_after_its_prefix() {
+        let prefix = [0xEEu8; 4];
+        for request in sample_requests() {
+            let mut buf = prefix.to_vec();
+            encode_request_into(&mut buf, 5, &request);
+            assert_eq!(buf[..4], prefix);
+            assert_eq!(buf[4..], encode_request(5, &request)[..]);
+        }
+        for response in sample_responses() {
+            let mut buf = prefix.to_vec();
+            encode_response_into(&mut buf, 6, &response);
+            assert_eq!(buf[..4], prefix);
+            assert_eq!(buf[4..], encode_response(6, &response)[..]);
         }
     }
 
