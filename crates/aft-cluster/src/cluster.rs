@@ -95,6 +95,10 @@ pub struct MaintenanceStats {
     pub broadcast: BroadcastStats,
     /// Commits recovered from storage by the fault manager this round.
     pub recovered_commits: usize,
+    /// Commit-set keys the fault manager's scan listed this round: what
+    /// committed since the previous scan and what nodes reported, not the
+    /// whole commit set.
+    pub scan_listed: usize,
     /// Transactions deleted locally across all nodes this round.
     pub local_gc_deleted: usize,
     /// Global GC outcome for the round (zero if disabled).
@@ -174,7 +178,9 @@ impl Cluster {
         if let Some(probe) = self.bootstrap_interrupter.lock().clone() {
             node_config = node_config.with_bootstrap_probe(probe);
         }
-        AftNode::with_clock(node_config, self.storage.clone(), self.clock.clone())
+        let node = AftNode::with_clock(node_config, self.storage.clone(), self.clock.clone())?;
+        self.fault_manager.watch(&node);
+        Ok(node)
     }
 
     /// Installs a probe consulted at the checkpoint-bootstrap phase of every
@@ -302,7 +308,9 @@ impl Cluster {
             broadcast: self.disseminator.round(&nodes, Some(&self.fault_manager)),
             ..MaintenanceStats::default()
         };
-        stats.recovered_commits = self.fault_manager.scan_commit_set(&self.io, &nodes)?;
+        let scan = self.fault_manager.scan_commit_set(&self.io, &nodes)?;
+        stats.recovered_commits = scan.recovered;
+        stats.scan_listed = scan.listed;
         if self.config.gc_enabled {
             for node in &nodes {
                 let outcome = node.run_local_gc(&LocalGcConfig::default());

@@ -29,8 +29,8 @@
 //! started 16 KiB of encoded records.
 //!
 //! Relays forward only records that were *new* to them
-//! ([`AftNode::receive_peer_commit`] returns `false` for duplicates and
-//! locally superseded records), which drops stale versions mid-flight — safe
+//! ([`AftNode::receive_peer_commits`] leaves out duplicates and locally
+//! superseded records), which drops stale versions mid-flight — safe
 //! because the newest record of a key is never superseded anywhere and
 //! therefore always reaches every node.
 //!
@@ -47,7 +47,7 @@ use std::sync::Arc;
 
 use aft_chaos::FaultSchedule;
 use aft_core::{is_superseded, AftNode};
-use aft_types::codec::encode_commit_record;
+use aft_types::codec::encoded_commit_record_len;
 use aft_types::{TransactionId, TransactionRecord};
 use parking_lot::Mutex;
 
@@ -177,7 +177,7 @@ impl Disseminator {
 
         // Deterministic positions: sort by (length, id) so "aft-node-10"
         // follows "aft-node-9" and every node computes the same tree.
-        let mut by_pos: Vec<&AftNode> = nodes.iter().map(Arc::as_ref).collect();
+        let mut by_pos: Vec<&Arc<AftNode>> = nodes.iter().collect();
         by_pos.sort_by_key(|node| (node.node_id().len(), node.node_id()));
 
         // Drain first so commits arriving during the round go to the next
@@ -204,7 +204,7 @@ impl Disseminator {
     fn deliver_retries(
         &self,
         round: u64,
-        by_pos: &[&AftNode],
+        by_pos: &[&Arc<AftNode>],
         contrib: &mut [Records],
         stats: &mut BroadcastStats,
     ) {
@@ -241,7 +241,7 @@ impl Disseminator {
     fn tree_sweep(
         &self,
         round: u64,
-        by_pos: &[&AftNode],
+        by_pos: &[&Arc<AftNode>],
         mut contrib: Vec<Records>,
         stats: &mut BroadcastStats,
     ) {
@@ -318,21 +318,21 @@ impl Disseminator {
     }
 }
 
-/// Drains `node`'s recent commits, shows the unpruned stream to the fault
-/// manager (§4.2), and returns the records `node` does not already consider
-/// superseded (§4.1).
+/// Drains `node`'s recent commits — through the fault manager, which sees
+/// the unpruned stream and the node's commit floor (§4.2) — and returns the
+/// records `node` does not already consider superseded (§4.1).
 fn drain(
-    node: &AftNode,
+    node: &Arc<AftNode>,
     fault_manager: Option<&FaultManager>,
     stats: &mut BroadcastStats,
 ) -> Records {
-    let drained = node.drain_recent_commits();
+    let drained = match fault_manager {
+        Some(fm) => fm.drain_node(node),
+        None => node.drain_recent_commits().records,
+    };
     stats.drained += drained.len();
     if drained.is_empty() {
         return drained;
-    }
-    if let Some(fm) = fault_manager {
-        fm.observe_commits(drained.iter().cloned());
     }
     let count = drained.len();
     let outgoing: Records = drained
@@ -344,8 +344,8 @@ fn drain(
 }
 
 /// Delivers one edge-send: counts its encoded bytes, one message per started
-/// [`BATCH_BYTES`], hands every record to `receiver`, and returns the ones it
-/// did not already know.
+/// [`BATCH_BYTES`], hands the records to `receiver` in one merge, and returns
+/// the ones it did not already know.
 fn deliver(
     receiver: &AftNode,
     records: &[Arc<TransactionRecord>],
@@ -353,15 +353,11 @@ fn deliver(
 ) -> Records {
     let bytes: usize = records
         .iter()
-        .map(|record| encode_commit_record(record).len())
+        .map(|record| encoded_commit_record_len(record))
         .sum();
     stats.bytes += bytes as u64;
     stats.fanout_messages += bytes.div_ceil(BATCH_BYTES).max(1);
-    let fresh: Records = records
-        .iter()
-        .filter(|record| receiver.receive_peer_commit(record))
-        .cloned()
-        .collect();
+    let fresh = receiver.receive_peer_commits(records);
     stats.multicast += records.len();
     stats.duplicates += records.len() - fresh.len();
     fresh

@@ -21,8 +21,14 @@
 //!    for its transaction's own `DEL` on Redis, whose one-slot calls would
 //!    bill it a call of its own;
 //! 4. forgets, once storage has acknowledged, exactly what it deleted: the
-//!    records leave the view, and the versions are retired from it, so the
-//!    later deletion of their records never sends them again.
+//!    records leave the view in one batch, under one lock of it, and the
+//!    versions are retired from it in another, so the later deletion of
+//!    their records never sends them again.
+//!
+//! Like the rest of the maintenance round, a GC round costs what changed
+//! since the last one: the walks cover the superseded and debited sets, and
+//! step 3 counts the calls each candidate batch would bill without building
+//! it.
 //!
 //! The paper collects whole transactions only (§5.2); deleting versions keeps
 //! one cold key from pinning every dead version its transaction wrote.
@@ -151,9 +157,7 @@ impl GlobalGc {
         outcome.storage_keys_deleted = keys.len();
         io.execute(StorageRequest::DeleteBatch(keys)).result?;
 
-        for record in &deletable {
-            metadata.remove(&record.id);
-        }
+        metadata.remove_all(deletable.iter().map(|record| &record.id));
         outcome.deleted = deletable.len();
         outcome.versions = metadata.retire(&versions);
         Ok(outcome)
@@ -563,8 +567,7 @@ mod tests {
         commit_on(&nodes[0], "a", "a2");
         commit_on(&nodes[0], "scratch", "s0");
         commit_on(&nodes[0], "scratch", "s1");
-        let late = nodes[0].drain_recent_commits();
-        fm.observe_commits(late.iter().cloned());
+        let late = fm.drain_node(&nodes[0]);
         for node in &nodes {
             node.run_local_gc(&LocalGcConfig::aggressive());
         }
@@ -585,13 +588,13 @@ mod tests {
 
         // Once node 1 learns T2 (drained first) and sweeps, the next round
         // takes it.
-        nodes[1].receive_peer_commits(late.into_iter().take(1));
+        nodes[1].receive_peer_commits(&late[..1]);
         assert_eq!(
             nodes[1].run_local_gc(&LocalGcConfig::aggressive()).retired,
             1
         );
         commit_on(&nodes[0], "scratch", "s2");
-        fm.observe_commits(nodes[0].drain_recent_commits());
+        fm.drain_node(&nodes[0]);
         nodes[0].run_local_gc(&LocalGcConfig::aggressive());
         let outcome = gc.run_round(&fm, &nodes, &io).unwrap();
         assert_eq!((outcome.deleted, outcome.versions), (1, 1));

@@ -116,7 +116,7 @@ proptest! {
         for i in 0..records_count {
             commit_on(&nodes[0], &format!("k{i}"));
         }
-        let records = nodes[0].drain_recent_commits();
+        let records = nodes[0].drain_recent_commits().records;
         prop_assert_eq!(records.len(), records_count);
 
         // node 0 originated everything; it can never fresh-apply its own.
@@ -131,7 +131,7 @@ proptest! {
                 .iter()
                 .filter(|r| seen[target].insert(r.id))
                 .count();
-            let fresh = nodes[target].receive_peer_commits(slice.iter().cloned());
+            let fresh = nodes[target].receive_peer_commits(slice).len();
             prop_assert_eq!(fresh, expected_fresh);
         }
         // A full re-delivery to every node is now a pure no-op wherever the
@@ -139,7 +139,7 @@ proptest! {
         for (i, node) in nodes.iter().enumerate() {
             let missing = records.len() - seen[i].len();
             prop_assert_eq!(
-                node.receive_peer_commits(records.iter().cloned()),
+                node.receive_peer_commits(&records).len(),
                 missing
             );
             let stats = node.stats().snapshot();

@@ -51,6 +51,14 @@
 //! write set kept as an ordered tree cost a 192-byte leaf on top.) A debited
 //! pair is a 40-byte tree entry that lives from the overwrite to the next
 //! sweep.
+//!
+//! Time is bounded the same way, for the whole maintenance round and not
+//! only its collectors: they walk the superseded and debited sets, the fault
+//! manager lists the commit set from its floor, and every batch — the records
+//! a drain hands the fault manager, a dissemination edge's merge, a sweep's
+//! or a global GC round's [removals](MetadataCache::remove_all) — takes the
+//! write lock once. A
+//! round costs what changed since the last one, not what is cached.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
@@ -63,6 +71,17 @@ use parking_lot::{RwLock, RwLockReadGuard};
 #[derive(Debug, Default)]
 pub struct MetadataCache {
     inner: RwLock<Inner>,
+}
+
+/// What [`MetadataCache::merge`] did with one record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Merged {
+    /// Superseded by what the cache holds, so not inserted (§4.1).
+    Superseded,
+    /// Already cached.
+    Known,
+    /// Inserted.
+    New,
 }
 
 #[derive(Debug, Default)]
@@ -85,6 +104,103 @@ struct Inner {
 }
 
 impl Inner {
+    /// See [`MetadataCache::insert`].
+    fn insert(&mut self, record: Arc<TransactionRecord>) -> bool {
+        let id = record.id;
+        if self.committed.contains_key(&id) {
+            return false;
+        }
+        // The write set is a set, so a key counts once however often the
+        // transaction wrote it.
+        let mut newest_for = 0u32;
+        let mut late = false;
+        for key in &record.write_set {
+            let previous = match self.key_index.entry(key.clone()) {
+                Entry::Occupied(slot) => {
+                    let versions = slot.into_mut();
+                    let previous = versions.newest();
+                    versions.insert(id);
+                    previous
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(Versions::One(id));
+                    newest_for += 1;
+                    continue;
+                }
+            };
+            // Otherwise it arrived out of order: the key already has a newer
+            // version, so this record is never its newest.
+            if previous < id {
+                newest_for += 1;
+                self.debit(previous, key);
+            } else {
+                late = true;
+            }
+        }
+        self.committed.insert(id, (record, newest_for));
+        // An empty write set (a read-only transaction) is superseded at once.
+        if newest_for == 0 {
+            self.superseded.insert(id);
+        } else if late {
+            self.debit_overwritten(id);
+        }
+        true
+    }
+
+    /// See [`MetadataCache::remove`].
+    fn remove(&mut self, id: &TransactionId) -> Option<Arc<TransactionRecord>> {
+        let Inner {
+            committed,
+            key_index,
+            superseded,
+            debited,
+        } = self;
+        let (record, count) = committed.remove(id)?;
+        superseded.remove(id);
+        if count > 0 && !debited.is_empty() {
+            for key in &record.write_set {
+                debited.remove(&(*id, key.clone()));
+            }
+        }
+        let mut revived = Vec::new();
+        for key in &record.write_set {
+            let Some(versions) = key_index.get_mut(key) else {
+                continue;
+            };
+            let was_newest = versions.newest() == *id;
+            if versions.remove(id) {
+                key_index.remove(key);
+            } else if was_newest {
+                let predecessor = versions.newest();
+                let (_, count) = committed
+                    .get_mut(&predecessor)
+                    .expect("every indexed version has a commit-set entry");
+                if *count == 0 {
+                    superseded.remove(&predecessor);
+                    revived.push(predecessor);
+                } else {
+                    debited.remove(&(predecessor, key.clone()));
+                }
+                *count += 1;
+            }
+        }
+        // A revived record's other overwritten versions are debited again.
+        for predecessor in revived {
+            self.debit_overwritten(predecessor);
+        }
+        Some(record)
+    }
+
+    /// Algorithm 2 against what the cache holds: every key `record` wrote
+    /// has a newer indexed version. `record` itself need not be cached.
+    fn is_superseded(&self, record: &TransactionRecord) -> bool {
+        record.write_set.iter().all(|key| {
+            self.key_index
+                .get(key)
+                .is_some_and(|versions| versions.newest() > record.id)
+        })
+    }
+
     /// Charges `id` for losing `key` to a newer version: the record is
     /// superseded once it is the newest of none of its keys, and its debited
     /// pairs go with it; otherwise the lost version is debited.
@@ -202,46 +318,39 @@ impl MetadataCache {
     /// index, the superseded set and the debited versions. Returns `false` if
     /// the record was already known.
     pub fn insert(&self, record: Arc<TransactionRecord>) -> bool {
+        self.inner.write().insert(record)
+    }
+
+    /// Inserts every record, in order, under one write lock (the fault
+    /// manager's unpruned stream, a scan's recovered records); returns how
+    /// many were new.
+    pub fn insert_all(&self, records: impl IntoIterator<Item = Arc<TransactionRecord>>) -> usize {
         let mut inner = self.inner.write();
-        let id = record.id;
-        if inner.committed.contains_key(&id) {
-            return false;
+        let mut new = 0;
+        for record in records {
+            new += usize::from(inner.insert(record));
         }
-        // The write set is a set, so a key counts once however often the
-        // transaction wrote it.
-        let mut newest_for = 0u32;
-        let mut late = false;
-        for key in &record.write_set {
-            let previous = match inner.key_index.entry(key.clone()) {
-                Entry::Occupied(slot) => {
-                    let versions = slot.into_mut();
-                    let previous = versions.newest();
-                    versions.insert(id);
-                    previous
+        new
+    }
+
+    /// Merges records a peer sent, in order, under one write lock: a record
+    /// Algorithm 2 finds superseded by what the cache holds — the batch's
+    /// earlier records included — is left out (§4.1), one already known is
+    /// left alone, and the rest are inserted. Returns what became of each.
+    pub(crate) fn merge(&self, records: &[Arc<TransactionRecord>]) -> Vec<Merged> {
+        let mut inner = self.inner.write();
+        records
+            .iter()
+            .map(|record| {
+                if inner.is_superseded(record) {
+                    Merged::Superseded
+                } else if inner.insert(Arc::clone(record)) {
+                    Merged::New
+                } else {
+                    Merged::Known
                 }
-                Entry::Vacant(slot) => {
-                    slot.insert(Versions::One(id));
-                    newest_for += 1;
-                    continue;
-                }
-            };
-            // Otherwise it arrived out of order: the key already has a newer
-            // version, so this record is never its newest.
-            if previous < id {
-                newest_for += 1;
-                inner.debit(previous, key);
-            } else {
-                late = true;
-            }
-        }
-        inner.committed.insert(id, (record, newest_for));
-        // An empty write set (a read-only transaction) is superseded at once.
-        if newest_for == 0 {
-            inner.superseded.insert(id);
-        } else if late {
-            inner.debit_overwritten(id);
-        }
-        true
+            })
+            .collect()
     }
 
     /// Returns true if `id` is a committed transaction this node knows about.
@@ -289,47 +398,17 @@ impl MetadataCache {
     /// The caller is responsible for evicting any cached data; this method
     /// only touches metadata. Returns the removed record, if it was present.
     pub fn remove(&self, id: &TransactionId) -> Option<Arc<TransactionRecord>> {
+        self.inner.write().remove(id)
+    }
+
+    /// Removes every listed transaction, as [`remove`](MetadataCache::remove)
+    /// does, under one write lock (a GC sweep's or round's whole batch);
+    /// returns how many were present.
+    pub fn remove_all<'a>(&self, ids: impl IntoIterator<Item = &'a TransactionId>) -> usize {
         let mut inner = self.inner.write();
-        let Inner {
-            committed,
-            key_index,
-            superseded,
-            debited,
-        } = &mut *inner;
-        let (record, count) = committed.remove(id)?;
-        superseded.remove(id);
-        if count > 0 && !debited.is_empty() {
-            for key in &record.write_set {
-                debited.remove(&(*id, key.clone()));
-            }
-        }
-        let mut revived = Vec::new();
-        for key in &record.write_set {
-            let Some(versions) = key_index.get_mut(key) else {
-                continue;
-            };
-            let was_newest = versions.newest() == *id;
-            if versions.remove(id) {
-                key_index.remove(key);
-            } else if was_newest {
-                let predecessor = versions.newest();
-                let (_, count) = committed
-                    .get_mut(&predecessor)
-                    .expect("every indexed version has a commit-set entry");
-                if *count == 0 {
-                    superseded.remove(&predecessor);
-                    revived.push(predecessor);
-                } else {
-                    debited.remove(&(predecessor, key.clone()));
-                }
-                *count += 1;
-            }
-        }
-        // A revived record's other overwritten versions are debited again.
-        for predecessor in revived {
-            inner.debit_overwritten(predecessor);
-        }
-        Some(record)
+        ids.into_iter()
+            .filter(|id| inner.remove(id).is_some())
+            .count()
     }
 
     /// Retires debited versions (§5.1 at the grain of a version): each one
@@ -674,6 +753,59 @@ mod tests {
         }
         assert!(!versions.remove(&tid(7, 7)), "an absent id is not the last");
         assert!(versions.remove(&tid(99, 99)));
+    }
+
+    #[test]
+    fn a_merge_is_algorithm_2_then_insert_record_by_record() {
+        let cache = MetadataCache::new();
+        cache.insert(record(10, &["a"]));
+        let batch = [
+            record(5, &["a"]), // older than the cached a
+            record(20, &["a", "b"]),
+            record(15, &["b"]),      // older than the batch's own b
+            record(20, &["a", "b"]), // known
+            record(12, &["a", "c"]), // late on a, newest of c
+        ];
+        assert_eq!(
+            cache.merge(&batch),
+            [
+                Merged::Superseded,
+                Merged::New,
+                Merged::Superseded,
+                Merged::Known,
+                Merged::New
+            ]
+        );
+        assert_eq!(cache.len(), 3);
+        assert_eq!(superseded_ids(&cache), [tid(10, 10)]);
+        assert_eq!(debited(&cache), [(12, "a".into())]);
+    }
+
+    #[test]
+    fn batched_inserts_and_removals_match_one_at_a_time() {
+        let records = [
+            record(1, &["a", "b"]),
+            record(2, &["a"]),
+            record(3, &["b", "c"]),
+            record(4, &["c"]),
+            record(2, &["a"]),
+        ];
+        let (batched, single) = (MetadataCache::new(), MetadataCache::new());
+        assert_eq!(batched.insert_all(records.iter().cloned()), 4);
+        for record in &records {
+            single.insert(Arc::clone(record));
+        }
+        let gone = [tid(1, 1), tid(4, 4), tid(9, 9)];
+        assert_eq!(batched.remove_all(&gone), 2);
+        for id in &gone {
+            single.remove(id);
+        }
+        for cache in [&batched, &single] {
+            assert_eq!(cache.len(), 2);
+            assert_eq!(versions_of(cache, "c"), [tid(3, 3)]);
+        }
+        assert_eq!(superseded_ids(&batched), superseded_ids(&single));
+        assert_eq!(debited(&batched), debited(&single));
     }
 
     #[test]

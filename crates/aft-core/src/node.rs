@@ -15,8 +15,8 @@ use aft_storage::latency::{LatencyMode, LatencyModel, LatencyProfile};
 use aft_storage::SharedStorage;
 use aft_types::codec::encode_commit_record;
 use aft_types::{
-    AftError, AftResult, Key, KeyVersion, SharedClock, SystemClock, TransactionId,
-    TransactionRecord, Uuid, Value,
+    AftError, AftResult, Clock, Key, KeyVersion, SharedClock, SystemClock, Timestamp,
+    TransactionId, TransactionRecord, Uuid, Value,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -25,10 +25,9 @@ use rand::SeedableRng;
 use crate::commit_batcher::{flush, BatchStats};
 use crate::data_cache::DataCache;
 use crate::gc::{GcOutcome, LocalGcConfig};
-use crate::metadata::MetadataCache;
+use crate::metadata::{Merged, MetadataCache};
 use crate::read::{select_version, VersionChoice};
 use crate::stats::NodeStats;
-use crate::supersede::is_superseded;
 use crate::write_buffer::WriteBuffer;
 
 // The commit-phase vocabulary moved to `aft-types` so the unified chaos
@@ -263,6 +262,86 @@ enum Selected {
     Version(TransactionId),
 }
 
+/// What one drain of a node hands the multicast and the fault manager (§4,
+/// §4.2).
+#[derive(Debug)]
+pub struct CommitDrain {
+    /// The commits finished on the node since the last drain.
+    pub records: Vec<Arc<TransactionRecord>>,
+    /// The node's commit floor: the smallest timestamp it gave a commit that
+    /// is in no drain — one still under way, or one that failed after
+    /// sending its record since the node last reported, so that the record
+    /// may be durable with nobody to multicast it — or `None`. The fault
+    /// manager's next scan reaches back to it. A commit takes its timestamp
+    /// under the drain's lock, so a commit this floor misses starts after
+    /// the drain and is in a later report.
+    pub floor: Option<Timestamp>,
+}
+
+/// A node's finished commits that no drain has handed out yet, and what it
+/// has to report to the fault manager.
+#[derive(Debug, Default)]
+struct Undrained {
+    /// Finished commits, for the next multicast.
+    records: Vec<Arc<TransactionRecord>>,
+    /// The timestamps of the commits under way, repeats kept.
+    committing: Vec<Timestamp>,
+    /// The oldest commit that failed after sending its record since the last
+    /// report.
+    failed: Option<Timestamp>,
+    /// The oldest commit that finished since the last report: what a report
+    /// that leaves `records` to a drain must still point at.
+    finished: Option<Timestamp>,
+}
+
+impl Undrained {
+    /// Takes a timestamp from `clock` for a commit now under way.
+    fn begin(&mut self, clock: &dyn Clock) -> Timestamp {
+        let timestamp = clock.now();
+        self.committing.push(timestamp);
+        timestamp
+    }
+
+    /// The commit that took `timestamp` finished with `record`.
+    fn finish(&mut self, timestamp: Timestamp, record: Arc<TransactionRecord>) {
+        self.end(timestamp);
+        self.records.push(record);
+        lower(&mut self.finished, timestamp);
+    }
+
+    /// The commit that took `timestamp` failed, after sending its record or
+    /// before.
+    fn fail(&mut self, timestamp: Timestamp, record_sent: bool) {
+        self.end(timestamp);
+        if record_sent {
+            lower(&mut self.failed, timestamp);
+        }
+    }
+
+    fn end(&mut self, timestamp: Timestamp) {
+        let at = self
+            .committing
+            .iter()
+            .position(|&t| t == timestamp)
+            .expect("an ending commit began under this lock");
+        self.committing.swap_remove(at);
+    }
+
+    /// The floor of one report: the commits under way and the failures not
+    /// yet reported, which are reported now.
+    fn report(&mut self) -> Option<Timestamp> {
+        self.committing
+            .iter()
+            .copied()
+            .chain(self.failed.take())
+            .min()
+    }
+}
+
+fn lower(mark: &mut Option<Timestamp>, timestamp: Timestamp) {
+    *mark = Some(mark.map_or(timestamp, |t| t.min(timestamp)));
+}
+
 /// A single AFT shim node.
 ///
 /// All methods take `&self`; a node is shared across many client threads
@@ -282,8 +361,8 @@ pub struct AftNode {
     stats: Arc<NodeStats>,
     rpc_latency: Arc<LatencyModel>,
     rng: Mutex<StdRng>,
-    /// Commits made on this node since the last multicast drain (§4).
-    recent_commits: Mutex<Vec<Arc<TransactionRecord>>>,
+    /// Commits made on this node that no drain has handed out yet (§4, §4.2).
+    undrained: Mutex<Undrained>,
     /// Chaos hook: when installed, called before each [`CommitPhase`] of
     /// every commit.
     commit_probe: Mutex<Option<Arc<dyn CommitProbe>>>,
@@ -325,7 +404,7 @@ impl AftNode {
             commit_flushes: AtomicU64::new(0),
             stats: NodeStats::new_shared(),
             rng: Mutex::new(StdRng::seed_from_u64(config.rng_seed)),
-            recent_commits: Mutex::new(Vec::new()),
+            undrained: Mutex::new(Undrained::default()),
             commit_probe: Mutex::new(None),
             checkpoint_commits: AtomicU64::new(0),
             checkpoint_last_id: Mutex::new(0),
@@ -625,18 +704,26 @@ impl AftNode {
                 self.stats.record_write();
                 txn.buffer_write(key, value);
             }
-            if txn.buffered_bytes() >= self.config.write_buffer_spill_bytes {
-                Some(txn.mark_spilled())
-            } else {
-                None
-            }
+            (txn.buffered_bytes() >= self.config.write_buffer_spill_bytes)
+                .then(|| txn.begin_spill())
         })?;
         // A saturated write buffer proactively writes intermediary data; the
         // data stays invisible because no commit record references it yet
         // (§3.3). Performed outside the buffer lock, with the round trips
-        // overlapped by the I/O engine.
-        if let Some(items) = spill {
+        // overlapped by the I/O engine, and marked durable only once it is.
+        if let Some(written) = spill {
+            let items = written
+                .iter()
+                .map(|(key, value)| {
+                    (
+                        KeyVersion::new(key.clone(), *txid).storage_key(),
+                        value.clone(),
+                    )
+                })
+                .collect();
             self.io.put_all(items)?;
+            self.buffer
+                .with_txn(txid, |txn| txn.confirm_spill(&written))?;
         }
         Ok(())
     }
@@ -653,12 +740,15 @@ impl AftNode {
         self.rpc();
         let mut txn = self.buffer.take(txid)?;
 
-        // Assign the commit timestamp from the local clock (§3.1).
-        let final_id = TransactionId::new(self.clock.now(), txid.uuid);
+        // Assign the commit timestamp from the local clock (§3.1), under the
+        // lock a drain reports from: the report names every commit under way.
+        let timestamp = self.undrained.lock().begin(self.clock.as_ref());
+        let final_id = TransactionId::new(timestamp, txid.uuid);
         txn.id = final_id;
 
         // 1. Persist the transaction's key versions (one storage key per
-        //    version, so concurrent committers never interfere).
+        //    version, so concurrent committers never interfere) that no spill
+        //    has made durable already.
         let items = txn.storage_items();
 
         // 2. Persist the data and then the commit record (§3.3's flush: data
@@ -667,16 +757,28 @@ impl AftNode {
         //    Returns the charged storage latency once the record is durable.
         //    An installed commit probe is consulted before every phase: its
         //    error is the node's "crash", leaving exactly the storage state
-        //    the protocol had reached by that point.
+        //    the protocol had reached by that point. A flush that fails after
+        //    sending the record may have left it durable, so the node reports
+        //    it to the fault manager (§4.2).
         let record = TransactionRecord::new(final_id, txn.writes.keys().cloned());
         let record_item = (record.storage_key(), encode_commit_record(&record));
         let probe = self.commit_probe.lock().clone();
         self.commit_flushes.fetch_add(1, Ordering::Relaxed);
-        let flush_cost = flush(&self.io, items, record_item, |phase| {
+        let mut record_sent = false;
+        let flushed = flush(&self.io, items, record_item, |phase| {
             probe.as_ref().map_or(Ok(()), |probe| {
                 probe.before_phase(self.node_id(), &final_id, phase)
-            })
-        })?;
+            })?;
+            record_sent |= phase == CommitPhase::BeforeRecordAppend;
+            Ok(())
+        });
+        let flush_cost = match flushed {
+            Ok(cost) => cost,
+            Err(e) => {
+                self.undrained.lock().fail(timestamp, record_sent);
+                return Err(e);
+            }
+        };
         self.stats.commit_storage_latency().record(flush_cost);
 
         // 3. Only now make the transaction visible to other requests.
@@ -685,7 +787,7 @@ impl AftNode {
         for (key, value) in txn.writes {
             self.data_cache.insert(key, final_id, value);
         }
-        self.recent_commits.lock().push(record);
+        self.undrained.lock().finish(timestamp, record);
         self.stats.record_committed();
         self.checkpoint_commits.fetch_add(1, Ordering::Relaxed);
         Ok(final_id)
@@ -724,54 +826,67 @@ impl AftNode {
     // Cluster hooks: multicast, fault manager, garbage collection
     // ------------------------------------------------------------------
 
-    /// Drains the commits made on this node since the last drain. The
-    /// cluster's multicast thread calls this every broadcast period (§4);
-    /// supersedence pruning (§4.1) is applied by the caller so that the fault
-    /// manager can still receive the unpruned stream (§4.2).
-    pub fn drain_recent_commits(&self) -> Vec<Arc<TransactionRecord>> {
-        std::mem::take(&mut *self.recent_commits.lock())
+    /// Drains the commits made on this node since the last drain, with the
+    /// node's commit floor (see [`CommitDrain`]). The cluster's multicast
+    /// thread calls this every broadcast period (§4); supersedence pruning
+    /// (§4.1) is applied by the caller so that the fault manager can still
+    /// receive the unpruned stream, and the floor tells the fault manager
+    /// where in the commit set a record nobody multicast can still be (§4.2).
+    pub fn drain_recent_commits(&self) -> CommitDrain {
+        let mut undrained = self.undrained.lock();
+        undrained.finished = None;
+        CommitDrain {
+            floor: undrained.report(),
+            records: std::mem::take(&mut undrained.records),
+        }
     }
 
-    /// Merges one commit record learned from a peer (a dissemination sweep,
-    /// a healed partition retry, or the fault manager) into the local
-    /// metadata cache.
+    /// The commit floor of a node that is not being drained (failed,
+    /// replaced, not yet active): a drain's floor, lowered to the oldest
+    /// commit that finished since the node last reported — its record waits
+    /// for a drain that may never come. A commit under way is in every report
+    /// until it ends; a failed or finished one is reported once, by this or
+    /// by [`drain_recent_commits`](AftNode::drain_recent_commits). The
+    /// records stay for a drain.
+    pub fn undrained_floor(&self) -> Option<Timestamp> {
+        let mut undrained = self.undrained.lock();
+        let finished = undrained.finished.take();
+        undrained.report().into_iter().chain(finished).min()
+    }
+
+    /// Merges commit records learned from peers (a dissemination sweep, a
+    /// healed partition retry) or from the fault manager into the local
+    /// metadata cache, under one lock, and returns the ones that were *new*
+    /// to this node.
     ///
-    /// Returns `true` only when the record was *new* to this node — already
-    /// superseded or already-known records are deduplicated (counted in
-    /// `duplicate_peer_commits`) instead of re-applied, which is what makes
-    /// redundant delivery paths (retry floods, the fault-manager firehose)
-    /// idempotent. Fresh records charge the commit-timestamp → now gap to the
-    /// `propagation_lag` recorder (§4.2 RYW-staleness window).
-    pub fn receive_peer_commit(&self, record: &Arc<TransactionRecord>) -> bool {
-        if is_superseded(record, &self.metadata) {
-            self.stats.record_duplicate_peer_commit();
-            return false;
-        }
-        let lag_ms = self.clock.now().saturating_sub(record.id.timestamp);
-        if self.metadata.insert(Arc::clone(record)) {
-            self.stats.record_peer_commit();
-            self.stats
-                .propagation_lag()
-                .record(Duration::from_millis(lag_ms));
-            true
-        } else {
-            self.stats.record_duplicate_peer_commit();
-            false
-        }
-    }
-
-    /// Merges commit records learned from peers (multicast) or from the fault
-    /// manager into the local metadata cache; returns how many were new.
-    /// Records that are already superseded locally are skipped entirely
-    /// (§4.1), and re-deliveries dedup instead of re-applying.
+    /// Records already superseded locally are skipped entirely (§4.1), and
+    /// known ones dedup instead of re-applying; both count in
+    /// `duplicate_peer_commits`, which is what makes redundant delivery paths
+    /// (retry floods, the fault-manager firehose) idempotent. Fresh records
+    /// charge the commit-timestamp → now gap to the `propagation_lag`
+    /// recorder (§4.2 RYW-staleness window).
     pub fn receive_peer_commits(
         &self,
-        records: impl IntoIterator<Item = Arc<TransactionRecord>>,
-    ) -> usize {
-        records
-            .into_iter()
-            .filter(|record| self.receive_peer_commit(record))
-            .count()
+        records: &[Arc<TransactionRecord>],
+    ) -> Vec<Arc<TransactionRecord>> {
+        let mut fresh = Vec::new();
+        for (record, merged) in records.iter().zip(self.metadata.merge(records)) {
+            if merged == Merged::Superseded {
+                self.stats.record_duplicate_peer_commit();
+                continue;
+            }
+            let lag_ms = self.clock.now().saturating_sub(record.id.timestamp);
+            if merged == Merged::New {
+                self.stats.record_peer_commit();
+                self.stats
+                    .propagation_lag()
+                    .record(Duration::from_millis(lag_ms));
+                fresh.push(Arc::clone(record));
+            } else {
+                self.stats.record_duplicate_peer_commit();
+            }
+        }
+        fresh
     }
 
     /// Runs one local metadata GC sweep (§5.1): removes superseded
@@ -782,49 +897,61 @@ impl AftNode {
     /// it costs what was overwritten since the last sweep, not what is
     /// cached. What the sweep dropped is what the global GC finds no node
     /// holding (§5.2).
+    ///
+    /// The write buffer is asked once for every version a running
+    /// transaction has read, right before the removals, and the records go
+    /// in one locked batch, as do the versions.
     pub fn run_local_gc(&self, config: &LocalGcConfig) -> GcOutcome {
         let mut outcome = GcOutcome::default();
         let now_ms = self.clock.now();
         let min_age_ms = config.min_age.as_millis() as u64;
+        let superseded = self.metadata.superseded_oldest_first();
+        let debited = self.metadata.debited_oldest_first();
+        if superseded.is_empty() && debited.is_empty() {
+            return outcome;
+        }
+        let read = self.buffer.versions_read();
         // Ids come oldest-first, so once one is too young every later one is
         // younger still.
-        let too_young = |id: &TransactionId| now_ms.saturating_sub(id.timestamp) < min_age_ms;
-        for record in self.metadata.superseded_oldest_first() {
-            if outcome.deleted >= config.max_deletions_per_sweep {
-                break;
+        let mut collectable = |id: &TransactionId, taken: usize| {
+            if taken >= config.max_deletions_per_sweep {
+                return None;
             }
             outcome.examined += 1;
-            if too_young(&record.id) {
-                break;
+            if now_ms.saturating_sub(id.timestamp) < min_age_ms {
+                return None;
             }
-            if self.buffer.any_reader_of(&record.id) {
-                outcome.retained_for_readers += 1;
-                continue;
+            let free = !read.contains(id);
+            outcome.retained_for_readers += usize::from(!free);
+            Some(free)
+        };
+
+        let mut dropping: Vec<Arc<TransactionRecord>> = Vec::new();
+        for record in superseded {
+            match collectable(&record.id, dropping.len()) {
+                Some(true) => dropping.push(record),
+                Some(false) => {}
+                None => break,
             }
-            if self.metadata.remove(&record.id).is_some() {
-                for key in &record.write_set {
-                    self.data_cache.evict(key, &record.id);
-                }
-                self.stats.record_gc_deleted();
-                outcome.deleted += 1;
+        }
+        let mut retiring = Vec::new();
+        for version in debited {
+            match collectable(&version.tid, retiring.len()) {
+                Some(true) => retiring.push(version),
+                Some(false) => {}
+                None => break,
             }
         }
 
-        let mut retiring = Vec::new();
-        for version in self.metadata.debited_oldest_first() {
-            if retiring.len() >= config.max_deletions_per_sweep {
-                break;
-            }
-            outcome.examined += 1;
-            if too_young(&version.tid) {
-                break;
-            }
-            if self.buffer.any_reader_of(&version.tid) {
-                outcome.retained_for_readers += 1;
-            } else {
-                retiring.push(version);
+        outcome.deleted = self
+            .metadata
+            .remove_all(dropping.iter().map(|record| &record.id));
+        for record in &dropping {
+            for key in &record.write_set {
+                self.data_cache.evict(key, &record.id);
             }
         }
+        self.stats.record_gc_deleted(outcome.deleted);
         outcome.retired = self.metadata.retire(&retiring);
         for version in &retiring {
             self.data_cache.evict(&version.key, &version.tid);
@@ -1193,6 +1320,82 @@ mod tests {
     }
 
     #[test]
+    fn a_spilling_transaction_writes_each_value_once() {
+        let storage = InMemoryStore::shared();
+        let shared: SharedStorage = storage.clone();
+        let config = NodeConfig {
+            write_buffer_spill_bytes: 8,
+            ..NodeConfig::test()
+        };
+        let node = AftNode::with_clock(config, shared, MockClock::starting_at(1).shared()).unwrap();
+        let t = node.start_transaction();
+        // Every put spills: each spill carries the one value written since
+        // the last, and the commit finds every value already durable.
+        for i in 0..10 {
+            let value = format!("sixteen-bytes-{i:02}");
+            node.put(&t, Key::new(format!("k{i}")), val(&value[..16]))
+                .unwrap();
+        }
+        let id = node.commit(&t).unwrap();
+        let record = encode_commit_record(&node.metadata().record(&id).unwrap());
+        assert_eq!(
+            storage.stats().snapshot().bytes_written,
+            10 * 16 + record.len() as u64,
+            "ten values once each, and the record"
+        );
+        let reader = node.start_transaction();
+        for i in 0..10 {
+            let key = Key::new(format!("k{i}"));
+            assert_eq!(node.get(&reader, &key).unwrap().unwrap().len(), 16);
+        }
+    }
+
+    #[test]
+    fn a_failed_spill_leaves_its_keys_to_the_commit() {
+        use aft_chaos::{ChaosSpec, FaultKind, Layer, StorageChaos};
+        use aft_storage::FaultyBackend;
+        // A schedule that drops every attempt of the spill's one put.
+        let attempts = NodeConfig::test().io.retry.max_attempts;
+        let dropped = vec![FaultKind::TransientError { applied: false }; attempts as usize];
+        let spec = (0..)
+            .map(|seed| ChaosSpec::new(seed).storage(StorageChaos::transient_errors(1.0)))
+            .find(|spec| {
+                spec.schedule()
+                    .materialize(Layer::Storage, attempts.into(), "")
+                    == dropped
+            })
+            .expect("some seed drops every attempt");
+        let inner = InMemoryStore::shared();
+        let faulty = FaultyBackend::from_spec(
+            inner.clone(),
+            &spec,
+            LatencyModel::new(LatencyMode::Virtual, 1.0),
+        );
+        faulty.set_enabled(false);
+        let config = NodeConfig {
+            write_buffer_spill_bytes: 8,
+            ..NodeConfig::test()
+        };
+        let node = AftNode::with_clock(config, faulty.clone(), MockClock::starting_at(1).shared())
+            .unwrap();
+
+        let t = node.start_transaction();
+        faulty.set_enabled(true);
+        assert!(node
+            .put(&t, Key::new("big"), val("0123456789abcdef"))
+            .is_err());
+        faulty.set_enabled(false);
+        assert!(inner.list_prefix("data/").unwrap().is_empty());
+        node.commit(&t).unwrap();
+        assert_eq!(inner.list_prefix("data/").unwrap().len(), 1);
+        let reader = node.start_transaction();
+        assert_eq!(
+            node.get(&reader, &Key::new("big")).unwrap().unwrap(),
+            val("0123456789abcdef")
+        );
+    }
+
+    #[test]
     fn bootstrap_recovers_committed_state() {
         let storage: SharedStorage = InMemoryStore::shared();
         let clock = MockClock::starting_at(100);
@@ -1270,17 +1473,21 @@ mod tests {
             TransactionId::new(9_999, Uuid::from_u128(1)),
             vec![Key::new("peer-key")],
         ));
-        node.receive_peer_commits([Arc::clone(&peer_new)]);
+        let fresh = node.receive_peer_commits(std::slice::from_ref(&peer_new));
+        assert_eq!(fresh, [Arc::clone(&peer_new)]);
         assert!(node.metadata().is_committed(&peer_new.id));
 
-        // An older peer commit of the same key is superseded and ignored.
+        // An older peer commit of the same key is superseded and ignored, and
+        // a repeated one is known.
         let peer_old = Arc::new(TransactionRecord::new(
             TransactionId::new(10, Uuid::from_u128(2)),
             vec![Key::new("peer-key")],
         ));
-        node.receive_peer_commits([Arc::clone(&peer_old)]);
+        let fresh = node.receive_peer_commits(&[Arc::clone(&peer_old), peer_new]);
+        assert!(fresh.is_empty());
         assert!(!node.metadata().is_committed(&peer_old.id));
         assert_eq!(node.stats().peer_commits(), 1);
+        assert_eq!(node.stats().duplicate_peer_commits(), 2);
     }
 
     #[test]
@@ -1290,12 +1497,49 @@ mod tests {
         node.put(&t, Key::new("k"), val("v")).unwrap();
         let id = node.commit(&t).unwrap();
         let drained = node.drain_recent_commits();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].id, id);
+        assert_eq!(drained.records.len(), 1);
+        assert_eq!(drained.records[0].id, id);
+        assert_eq!(drained.floor, None, "nothing failed");
         assert!(
-            node.drain_recent_commits().is_empty(),
+            node.drain_recent_commits().records.is_empty(),
             "drain is destructive"
         );
+    }
+
+    #[test]
+    fn a_commit_is_reported_once_by_a_drain_or_a_poll() {
+        let node = test_node();
+        let first = commit_writes(&node, &[("a", "1")]);
+        let second = commit_writes(&node, &[("b", "2")]);
+        // A node nobody drains points at its oldest unreported commit, once;
+        // its records stay for a drain.
+        assert_eq!(node.undrained_floor(), Some(first.timestamp));
+        assert_eq!(node.undrained_floor(), None);
+        assert_eq!(node.drain_recent_commits().records.len(), 2);
+        // A drain reports what it hands out, so a poll after it has nothing.
+        commit_writes(&node, &[("c", "3")]);
+        node.drain_recent_commits();
+        assert_eq!(node.undrained_floor(), None);
+        assert!(second.timestamp > first.timestamp);
+    }
+
+    #[test]
+    fn a_commit_that_failed_after_sending_its_record_sets_the_floor() {
+        for (phase, reported) in [
+            (CommitPhase::BeforeDataPut, false),
+            (CommitPhase::BeforeRecordAppend, false),
+            (CommitPhase::BeforeBroadcast, true),
+        ] {
+            let node = test_node();
+            node.install_commit_probe(CrashAt::new(phase));
+            let t = node.start_transaction();
+            node.put(&t, Key::new("k"), val("v")).unwrap();
+            assert!(node.commit(&t).is_err());
+            let drain = node.drain_recent_commits();
+            assert!(drain.records.is_empty());
+            assert_eq!(drain.floor.is_some(), reported, "{phase:?}");
+            assert_eq!(node.drain_recent_commits().floor, None, "reported once");
+        }
     }
 
     #[test]
@@ -1706,7 +1950,7 @@ mod tests {
         // The §4.2 scenario: record durable, but the crashed node never made
         // it visible or multicast it.
         assert_eq!(storage.list_prefix("commit/").unwrap().len(), 1);
-        assert!(node.drain_recent_commits().is_empty());
+        assert!(node.drain_recent_commits().records.is_empty());
         let reader = node.start_transaction();
         assert!(node.get(&reader, &Key::new("k")).unwrap().is_none());
         // A bootstrapping replacement recovers the commit from storage.

@@ -81,13 +81,6 @@ impl ReadSet {
     pub fn iter(&self) -> impl Iterator<Item = (&Key, &TransactionId)> {
         self.versions.iter()
     }
-
-    /// Returns true if this read set contains a read from transaction `tid`
-    /// — used by the local GC to avoid deleting metadata a running
-    /// transaction has already depended on (§5.1).
-    pub fn reads_from(&self, tid: &TransactionId) -> bool {
-        self.versions.values().any(|v| v == tid)
-    }
 }
 
 /// The outcome of Algorithm 1 for one read.
@@ -394,15 +387,5 @@ mod tests {
             &[(Key::new("k"), TransactionId::NULL), (Key::new("l"), t1)],
             &cache
         ));
-    }
-
-    #[test]
-    fn reads_from_detects_dependencies() {
-        let mut reads = ReadSet::new();
-        assert!(reads.is_empty());
-        reads.record(Key::new("k"), tid(4));
-        assert!(reads.reads_from(&tid(4)));
-        assert!(!reads.reads_from(&tid(5)));
-        assert_eq!(reads.len(), 1);
     }
 }

@@ -194,9 +194,20 @@ impl NodeStats {
         record_read_from_storage, reads_from_storage => reads_from_storage;
         record_null_read, null_reads => null_reads;
         record_no_valid_version, no_valid_version_aborts => no_valid_version_aborts;
-        record_gc_deleted, gc_deleted => gc_transactions_deleted;
         record_peer_commit, peer_commits => commits_received_from_peers;
         record_duplicate_peer_commit, duplicate_peer_commits => duplicate_peer_commits;
+    }
+
+    /// Adds a local GC sweep's removed transactions to the
+    /// `gc_transactions_deleted` counter.
+    pub fn record_gc_deleted(&self, transactions: usize) {
+        self.gc_transactions_deleted
+            .fetch_add(transactions as u64, Ordering::Relaxed);
+    }
+
+    /// Current value of the `gc_transactions_deleted` counter.
+    pub fn gc_deleted(&self) -> u64 {
+        self.gc_transactions_deleted.load(Ordering::Relaxed)
     }
 
     /// The per-commit storage latency recorder.

@@ -7,7 +7,10 @@
 //! transaction's (still-invisible) storage keys. Because visibility is
 //! controlled entirely by the commit record, spilled data stays invisible
 //! until commit and simply becomes garbage if the transaction aborts or the
-//! node fails (§3.3, cleaned up in §5).
+//! node fails (§3.3, cleaned up in §5). Each value is written once: a spill
+//! carries only what was written since the last spill, and the commit only
+//! what no spill made durable, since a spilled blob already sits at the
+//! storage key its commit record will name.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
@@ -25,13 +28,18 @@ pub struct ActiveTransaction {
     pub id: TransactionId,
     /// Buffered writes: the most recent value written for each key.
     pub writes: BTreeMap<Key, Value>,
-    /// Keys whose intermediary data has already been spilled to storage.
-    pub spilled: HashSet<Key>,
+    /// Keys whose buffered value already sits at its storage key: a spill
+    /// carrying it landed and the key was not written since. A spill or the
+    /// commit writes every other key.
+    durable: HashSet<Key>,
+    /// Keys a spill has tried to write, so their storage keys may hold data
+    /// that an abort must delete.
+    spilled: HashSet<Key>,
     /// The versions read so far (Algorithm 1's `R`).
     pub reads: ReadSet,
     /// When the transaction started, for timeout-based abort.
     pub started: Instant,
-    /// Total bytes currently buffered (not yet spilled).
+    /// Total bytes of the writes not yet durable.
     buffered_bytes: usize,
 }
 
@@ -41,6 +49,7 @@ impl ActiveTransaction {
         ActiveTransaction {
             id,
             writes: BTreeMap::new(),
+            durable: HashSet::new(),
             spilled: HashSet::new(),
             reads: ReadSet::new(),
             started: Instant::now(),
@@ -51,10 +60,13 @@ impl ActiveTransaction {
     /// Buffers a write, replacing any previous buffered value for the key
     /// (read-your-writes always sees the latest buffered value).
     pub fn buffer_write(&mut self, key: Key, value: Value) {
-        if let Some(old) = self.writes.insert(key, value.clone()) {
-            self.buffered_bytes = self.buffered_bytes.saturating_sub(old.len());
-        }
+        let was_durable = !self.durable.is_empty() && self.durable.remove(&key);
         self.buffered_bytes += value.len();
+        if let Some(old) = self.writes.insert(key, value) {
+            if !was_durable {
+                self.buffered_bytes -= old.len();
+            }
+        }
     }
 
     /// The buffered value for `key`, if the transaction has written it.
@@ -62,7 +74,7 @@ impl ActiveTransaction {
         self.writes.get(key).cloned()
     }
 
-    /// Bytes of payload currently buffered (spilled data excluded).
+    /// Bytes of payload buffered and not yet durable (spilled data excluded).
     pub fn buffered_bytes(&self) -> usize {
         self.buffered_bytes
     }
@@ -72,25 +84,52 @@ impl ActiveTransaction {
         self.writes.keys()
     }
 
-    /// The storage items for all currently buffered writes, keyed by the
-    /// transaction's version storage keys.
-    pub fn storage_items(&self) -> Vec<(String, Value)> {
+    /// The buffered writes not yet durable at their storage keys.
+    fn not_durable(&self) -> impl Iterator<Item = (&Key, &Value)> {
         self.writes
             .iter()
-            .map(|(k, v)| (KeyVersion::new(k.clone(), self.id).storage_key(), v.clone()))
+            .filter(|(key, _)| !self.durable.contains(*key))
+    }
+
+    /// The storage items, keyed by the transaction's version storage keys, of
+    /// every buffered write not yet durable there: what the commit writes. A
+    /// key whose spilled value is still its latest is already at the storage
+    /// key its commit record will name (a data key carries only the UUID), so
+    /// it is not written again.
+    pub fn storage_items(&self) -> Vec<(String, Value)> {
+        self.not_durable()
+            .map(|(key, value)| {
+                let storage_key = KeyVersion::new(key.clone(), self.id).storage_key();
+                (storage_key, value.clone())
+            })
             .collect()
     }
 
-    /// Marks every currently buffered key as spilled and returns the items to
-    /// write; the buffered values are retained so read-your-writes and the
-    /// final commit still see them.
-    pub fn mark_spilled(&mut self) -> Vec<(String, Value)> {
-        let items = self.storage_items();
-        for key in self.writes.keys() {
-            self.spilled.insert(key.clone());
-        }
-        self.buffered_bytes = 0;
+    /// Starts a spill of every write not yet durable: returns those writes
+    /// and notes their keys as possibly in storage, so an abort deletes them.
+    /// The commit still writes them until
+    /// [`confirm_spill`](ActiveTransaction::confirm_spill) says the spill
+    /// landed. The buffered values are retained so read-your-writes still
+    /// sees them.
+    pub fn begin_spill(&mut self) -> Vec<(Key, Value)> {
+        let items: Vec<(Key, Value)> = self
+            .not_durable()
+            .map(|(key, value)| (key.clone(), value.clone()))
+            .collect();
+        self.spilled
+            .extend(items.iter().map(|(key, _)| key.clone()));
         items
+    }
+
+    /// Records that a spill of `written` landed: each key whose buffered
+    /// value is still the one spilled is durable, and its bytes no longer
+    /// count as buffered.
+    pub fn confirm_spill(&mut self, written: &[(Key, Value)]) {
+        for (key, value) in written {
+            if self.writes.get(key) == Some(value) && self.durable.insert(key.clone()) {
+                self.buffered_bytes -= value.len();
+            }
+        }
     }
 
     /// The storage keys of every version this transaction has (or may have)
@@ -113,7 +152,7 @@ pub const DEFAULT_TXN_SHARDS: usize = 16;
 /// The table is sharded by transaction UUID: every per-transaction operation
 /// (`begin` / `with_txn` / `take`) locks only the owning shard, so concurrent
 /// client threads driving different transactions never serialise on one
-/// global mutex. Whole-buffer queries (`len`, `any_reader_of`, `expired`)
+/// global mutex. Whole-buffer queries (`len`, `versions_read`, `expired`)
 /// visit every shard; they run off the hot path (GC sweeps, timeout sweeps,
 /// test assertions).
 #[derive(Debug)]
@@ -197,17 +236,22 @@ impl WriteBuffer {
         self.shards.iter().all(|s| s.lock().is_empty())
     }
 
-    /// Returns true if any in-flight transaction has read a version written
-    /// by `tid` — the local GC must not delete such metadata (§5.1).
+    /// Every transaction some in-flight transaction has read a version of —
+    /// the local GC must not delete such metadata (§5.1). One pass over the
+    /// shards answers a whole sweep, which asks right before its removals.
     ///
     /// Shards are visited one at a time, so a transaction beginning on an
-    /// already-visited shard mid-scan may be missed; that race existed with
+    /// already-visited shard mid-pass may be missed; that race existed with
     /// the single-lock table too (a transaction could begin right after the
-    /// scan) and is benign — the GC only needs a point-in-time answer.
-    pub fn any_reader_of(&self, tid: &TransactionId) -> bool {
-        self.shards
-            .iter()
-            .any(|s| s.lock().values().any(|txn| txn.reads.reads_from(tid)))
+    /// pass) and is benign — the GC only needs a point-in-time answer.
+    pub fn versions_read(&self) -> HashSet<TransactionId> {
+        let mut read = HashSet::new();
+        for shard in &self.shards {
+            for txn in shard.lock().values() {
+                read.extend(txn.reads.iter().map(|(_, tid)| *tid));
+            }
+        }
+        read
     }
 
     /// The IDs of in-flight transactions older than `max_age`, which the node
@@ -268,12 +312,37 @@ mod tests {
         let mut txn = ActiveTransaction::new(tid(1, 1));
         txn.buffer_write(Key::new("a"), val("1"));
         txn.buffer_write(Key::new("b"), val("2"));
-        let spilled = txn.mark_spilled();
+        let spilled = txn.begin_spill();
         assert_eq!(spilled.len(), 2);
+        // Until the spill is confirmed, both keys may be in storage and the
+        // commit still writes both.
+        assert_eq!(txn.spilled_storage_keys().len(), 2);
+        assert_eq!(txn.storage_items().len(), 2);
+        assert_eq!(txn.buffered_bytes(), 2);
+        txn.confirm_spill(&spilled);
         assert_eq!(txn.buffered_bytes(), 0);
-        assert_eq!(txn.spilled.len(), 2);
+        assert!(txn.storage_items().is_empty(), "both are durable");
         // Values are still visible to the transaction itself.
         assert_eq!(txn.buffered_value(&Key::new("a")).unwrap(), val("1"));
+        assert_eq!(txn.spilled_storage_keys().len(), 2);
+    }
+
+    #[test]
+    fn a_spill_carries_only_what_was_written_since_the_last() {
+        let mut txn = ActiveTransaction::new(tid(1, 1));
+        txn.buffer_write(Key::new("a"), val("1"));
+        let first = txn.begin_spill();
+        txn.confirm_spill(&first);
+        txn.buffer_write(Key::new("b"), val("22"));
+        assert_eq!(txn.begin_spill(), [(Key::new("b"), val("22"))]);
+        // `a` is rewritten while the spill of `b` is in flight, and then `b`
+        // too: the confirmation makes neither durable.
+        txn.buffer_write(Key::new("a"), val("333"));
+        txn.buffer_write(Key::new("b"), val("4444"));
+        txn.confirm_spill(&[(Key::new("b"), val("22"))]);
+        assert_eq!(txn.buffered_bytes(), 7);
+        let keys: Vec<String> = txn.storage_items().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys.len(), 2, "{keys:?}");
         assert_eq!(txn.spilled_storage_keys().len(), 2);
     }
 
@@ -309,17 +378,21 @@ mod tests {
     }
 
     #[test]
-    fn any_reader_of_tracks_read_dependencies() {
+    fn versions_read_tracks_read_dependencies() {
         let buffer = WriteBuffer::new();
         let reader = tid(5, 5);
         let writer = tid(3, 3);
         buffer.begin(reader);
-        assert!(!buffer.any_reader_of(&writer));
+        assert!(buffer.versions_read().is_empty());
         buffer
             .with_txn(&reader, |txn| txn.reads.record(Key::new("k"), writer))
             .unwrap();
-        assert!(buffer.any_reader_of(&writer));
-        assert!(!buffer.any_reader_of(&tid(4, 4)));
+        assert_eq!(buffer.versions_read(), HashSet::from([writer]));
+        buffer.take(&reader).unwrap();
+        assert!(
+            buffer.versions_read().is_empty(),
+            "a finished reader pins nothing"
+        );
     }
 
     #[test]

@@ -242,6 +242,14 @@ impl StorageEngine for FaultyBackend {
         self.run("list", prefix, || self.inner.list_prefix(prefix))
     }
 
+    /// Forwarded, with the fault decision keyed by the prefix as for a full
+    /// listing: where a list starts does not change which fault it draws.
+    fn list_prefix_after(&self, prefix: &str, after: &str) -> AftResult<Vec<String>> {
+        self.run("list", prefix, || {
+            self.inner.list_prefix_after(prefix, after)
+        })
+    }
+
     fn supports_batch_get(&self) -> bool {
         self.inner.supports_batch_get()
     }

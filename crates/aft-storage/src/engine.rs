@@ -73,6 +73,17 @@ pub trait StorageEngine: Send + Sync {
     /// Commit Set.
     fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>>;
 
+    /// The keys [`list_prefix`](StorageEngine::list_prefix) returns that sort
+    /// strictly after `after`, in the same order: one call, like S3's
+    /// `ListObjectsV2` with `StartAfter`. The fault manager lists the commit
+    /// set from its floor this way (§4.2). The default filters a full
+    /// listing; a store with ordered keys ranges them instead.
+    fn list_prefix_after(&self, prefix: &str, after: &str) -> AftResult<Vec<String>> {
+        let mut keys = self.list_prefix(prefix)?;
+        keys.retain(|key| key.as_str() > after);
+        Ok(keys)
+    }
+
     /// Whether the backend can read several keys in one API call.
     fn supports_batch_get(&self) -> bool {
         false
@@ -141,6 +152,62 @@ mod tests {
         match store.get_required("missing") {
             Err(AftError::KeyNotFound(k)) => assert_eq!(k.as_str(), "missing"),
             other => panic!("expected KeyNotFound, got {other:?}"),
+        }
+    }
+
+    /// Forwards everything but the ranged listing, so that uses the default.
+    struct Unranged(InMemoryStore);
+
+    impl StorageEngine for Unranged {
+        fn name(&self) -> &'static str {
+            "unranged"
+        }
+        fn get(&self, key: &str) -> AftResult<Option<Value>> {
+            self.0.get(key)
+        }
+        fn put(&self, key: &str, value: Value) -> AftResult<()> {
+            self.0.put(key, value)
+        }
+        fn put_batch(&self, items: Vec<(String, Value)>) -> AftResult<()> {
+            self.0.put_batch(items)
+        }
+        fn delete(&self, key: &str) -> AftResult<()> {
+            self.0.delete(key)
+        }
+        fn delete_batch(&self, keys: &[String]) -> AftResult<()> {
+            self.0.delete_batch(keys)
+        }
+        fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
+            self.0.list_prefix(prefix)
+        }
+        fn supports_batch_put(&self) -> bool {
+            self.0.supports_batch_put()
+        }
+        fn stats(&self) -> Arc<StorageStats> {
+            self.0.stats()
+        }
+    }
+
+    #[test]
+    fn a_ranged_listing_is_the_tail_of_the_full_one_ranged_or_filtered() {
+        let ranged = InMemoryStore::new();
+        for i in [3, 1, 4, 15, 9, 2, 6] {
+            ranged.put(&format!("p/{i:02}"), Bytes::new()).unwrap();
+        }
+        ranged.put("q/00", Bytes::new()).unwrap();
+        let filtered = Unranged(InMemoryStore::new());
+        for key in ranged.list_prefix("").unwrap() {
+            filtered.put(&key, Bytes::new()).unwrap();
+        }
+        for after in ["", "p", "p/", "p/03", "p/05", "p/15", "q"] {
+            let tail: Vec<String> = ranged
+                .list_prefix("p/")
+                .unwrap()
+                .into_iter()
+                .filter(|key| key.as_str() > after)
+                .collect();
+            assert_eq!(ranged.list_prefix_after("p/", after).unwrap(), tail);
+            assert_eq!(filtered.list_prefix_after("p/", after).unwrap(), tail);
         }
     }
 }

@@ -189,6 +189,8 @@ pub enum StorageRequest {
     DeleteBatch(Vec<String>),
     /// List all keys with a prefix.
     List(String),
+    /// List the keys with a prefix (first) that sort after a key (second).
+    ListAfter(String, String),
 }
 
 /// The successful result of a [`StorageRequest`].
@@ -478,6 +480,9 @@ impl IoEngine {
                 storage.delete_batch(keys).map(|()| StorageResponse::Done)
             }
             StorageRequest::List(prefix) => storage.list_prefix(prefix).map(StorageResponse::Keys),
+            StorageRequest::ListAfter(prefix, after) => storage
+                .list_prefix_after(prefix, after)
+                .map(StorageResponse::Keys),
         }
     }
 
@@ -725,6 +730,10 @@ impl StorageEngine for SequentialEngine {
 
     fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
         self.inner.list_prefix(prefix)
+    }
+
+    fn list_prefix_after(&self, prefix: &str, after: &str) -> AftResult<Vec<String>> {
+        self.inner.list_prefix_after(prefix, after)
     }
 
     fn supports_batch_put(&self) -> bool {

@@ -98,11 +98,26 @@ impl ShardedMap {
     /// Returns all keys starting with `prefix` in lexicographic order,
     /// merged across every stripe.
     pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
+        self.keys_in(prefix, Bound::Included(prefix))
+    }
+
+    /// Returns the keys starting with `prefix` that sort strictly after
+    /// `after`, in lexicographic order; each stripe is ranged, not scanned.
+    pub fn keys_with_prefix_after(&self, prefix: &str, after: &str) -> Vec<String> {
+        let start = if after < prefix {
+            Bound::Included(prefix)
+        } else {
+            Bound::Excluded(after)
+        };
+        self.keys_in(prefix, start)
+    }
+
+    fn keys_in(&self, prefix: &str, start: Bound<&str>) -> Vec<String> {
         let mut keys = Vec::new();
         for stripe in &self.stripes {
             let map = stripe.read();
             keys.extend(
-                map.range::<String, _>((Bound::Included(prefix.to_owned()), Bound::Unbounded))
+                map.range::<str, _>((start, Bound::Unbounded))
                     .take_while(|(k, _)| k.starts_with(prefix))
                     .map(|(k, _)| k.clone()),
             );
@@ -167,6 +182,28 @@ mod tests {
         assert_eq!(listed, sorted);
         assert_eq!(listed.len(), 6);
         assert!(map.keys_with_prefix("nope/").is_empty());
+
+        // A ranged listing is the tail of the full one.
+        for after in [
+            "",
+            "a",
+            "commit/",
+            "commit/005",
+            "commit/007",
+            "commit/011",
+            "d",
+        ] {
+            let tail: Vec<String> = listed
+                .iter()
+                .filter(|k| k.as_str() > after)
+                .cloned()
+                .collect();
+            assert_eq!(
+                map.keys_with_prefix_after("commit/", after),
+                tail,
+                "{after}"
+            );
+        }
     }
 
     #[test]

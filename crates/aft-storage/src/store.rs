@@ -179,6 +179,20 @@ fn calls_of<'k>(call: &MultiKeyCall, keys: impl Iterator<Item = &'k str>) -> Vec
         .collect()
 }
 
+/// How many calls [`calls_of`] cuts a batch into, counted rather than built:
+/// arithmetic where a call may carry any keys, one count per slot where it is
+/// confined to one. The global GC asks this several times a round.
+fn call_count<'k>(call: &MultiKeyCall, keys: impl ExactSizeIterator<Item = &'k str>) -> usize {
+    if !call.one_slot {
+        return keys.len().div_ceil(call.limit);
+    }
+    let mut per_slot: HashMap<&str, usize> = HashMap::new();
+    for key in keys {
+        *per_slot.entry(slot_tag(key)).or_default() += 1;
+    }
+    per_slot.values().map(|n| n.div_ceil(call.limit)).sum()
+}
+
 impl StorageEngine for SimStore {
     fn name(&self) -> &'static str {
         self.service.name
@@ -260,13 +274,19 @@ impl StorageEngine for SimStore {
 
     fn delete_calls(&self, keys: &[String]) -> usize {
         let (_, call) = self.service.delete_call();
-        calls_of(&call, keys.iter().map(String::as_str)).len()
+        call_count(&call, keys.iter().map(String::as_str))
     }
 
     fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
         self.stats.record_call(OpKind::List);
         self.charge(&self.service.profile.list, prefix, 0);
         Ok(self.map.keys_with_prefix(prefix))
+    }
+
+    fn list_prefix_after(&self, prefix: &str, after: &str) -> AftResult<Vec<String>> {
+        self.stats.record_call(OpKind::List);
+        self.charge(&self.service.profile.list, prefix, 0);
+        Ok(self.map.keys_with_prefix_after(prefix, after))
     }
 
     fn supports_batch_get(&self) -> bool {
@@ -279,10 +299,50 @@ impl StorageEngine for SimStore {
 
     fn writes_atomically(&self, keys: &[&str]) -> bool {
         let (_, call) = self.service.write_call();
-        call.atomic && calls_of(&call, keys.iter().copied()).len() == 1
+        call.atomic && call_count(&call, keys.iter().copied()) == 1
     }
 
     fn stats(&self) -> Arc<StorageStats> {
         Arc::clone(&self.stats)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn counted_calls_are_the_calls_a_batch_is_cut_into() {
+        // Data and record keys of a few transactions, some sharing a slot,
+        // plus keys that are their own slot.
+        let keys: Vec<String> = (0..300u32)
+            .map(|i| match i % 3 {
+                0 => format!("data/k{i}/{:032x}", i % 7),
+                1 => format!("commit/{i:020}_{:032x}", i % 7),
+                _ => format!("bare/{i}"),
+            })
+            .collect();
+        for service in [
+            Service::MEMORY,
+            Service::S3,
+            Service::DYNAMODB,
+            Service::REDIS,
+        ] {
+            for (_, call) in [
+                service.read_call(),
+                service.write_call(),
+                service.delete_call(),
+            ] {
+                for n in [0, 1, 2, 25, 26, 99, 300] {
+                    let batch = keys[..n].iter().map(String::as_str);
+                    assert_eq!(
+                        call_count(&call, batch.clone()),
+                        calls_of(&call, batch).len(),
+                        "{} with {n} keys",
+                        service.name
+                    );
+                }
+            }
+        }
     }
 }

@@ -229,6 +229,13 @@ pub fn encode_commit_record(record: &TransactionRecord) -> Bytes {
     w.finish()
 }
 
+/// The length of [`encode_commit_record`]'s output, without encoding: the
+/// header, the id, the key count and each length-prefixed key.
+pub fn encoded_commit_record_len(record: &TransactionRecord) -> usize {
+    let keys: usize = record.write_set.iter().map(|key| 4 + key.len()).sum();
+    2 + 8 + 16 + 4 + keys
+}
+
 /// Decodes a commit record previously produced by [`encode_commit_record`].
 pub fn decode_commit_record(bytes: &[u8]) -> AftResult<TransactionRecord> {
     let mut r = Reader::new(bytes);

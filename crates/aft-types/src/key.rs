@@ -124,8 +124,18 @@ impl KeyVersion {
     /// a saturated Atomic Write Buffer may spill intermediary data to storage
     /// before the commit timestamp is assigned (§3.3), and the spilled blobs
     /// must land at the same location the commit record will later refer to.
+    ///
+    /// Built by appending into one sized `String`, not through `fmt`: a key
+    /// is made for every written version, every read miss and every version
+    /// the global GC deletes.
     pub fn storage_key(&self) -> String {
-        format!("{DATA_PREFIX}/{}/{}", self.key, self.tid.uuid)
+        let mut key = String::with_capacity(DATA_PREFIX.len() + self.key.len() + 2 + 32);
+        key.push_str(DATA_PREFIX);
+        key.push('/');
+        key.push_str(self.key.as_str());
+        key.push('/');
+        self.tid.uuid.push_hex(&mut key);
+        key
     }
 
     /// Parses a storage key produced by [`storage_key`](KeyVersion::storage_key),

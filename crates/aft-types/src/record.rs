@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::AftError;
 use crate::key::{Key, KeyVersion};
-use crate::txid::TransactionId;
+use crate::txid::{push_padded_timestamp, Timestamp, TransactionId, STORAGE_SUFFIX_LEN};
 use crate::COMMIT_PREFIX;
 
 /// The set of keys written by a transaction.
@@ -120,13 +120,29 @@ impl TransactionRecord {
 
     /// The commit-set storage key for an arbitrary transaction ID.
     pub fn storage_key_for(id: &TransactionId) -> String {
-        format!("{COMMIT_PREFIX}/{}", id.storage_suffix())
+        let mut key = String::with_capacity(COMMIT_PREFIX.len() + 1 + STORAGE_SUFFIX_LEN);
+        key.push_str(COMMIT_PREFIX);
+        key.push('/');
+        id.push_storage_suffix(&mut key);
+        key
     }
 
     /// The prefix under which all commit records live; bootstrap and the fault
     /// manager scan this prefix (§3.1, §4.2).
     pub fn storage_prefix() -> String {
         format!("{COMMIT_PREFIX}/")
+    }
+
+    /// `commit/{timestamp:020}`: every record committed at `timestamp` or
+    /// later sorts after it and every earlier one before it, so a listing
+    /// that starts after this key sees exactly the records from `timestamp`
+    /// on (the fault manager's floor, §4.2).
+    pub fn storage_floor_key(timestamp: Timestamp) -> String {
+        let mut key = String::with_capacity(COMMIT_PREFIX.len() + 1 + 20);
+        key.push_str(COMMIT_PREFIX);
+        key.push('/');
+        push_padded_timestamp(timestamp, &mut key);
+        key
     }
 
     /// Parses the transaction ID back out of a commit-set storage key.
@@ -201,6 +217,20 @@ mod tests {
         let older = record(5, &["x"]).storage_key();
         let newer = record(50, &["x"]).storage_key();
         assert!(older < newer);
+    }
+
+    #[test]
+    fn the_floor_key_splits_the_commit_set_at_its_timestamp() {
+        let floor = TransactionRecord::storage_floor_key(50);
+        assert_eq!(floor, "commit/00000000000000000050");
+        for (ts, uuid, after) in [(49, u128::MAX, false), (50, 0, true), (51, 0, true)] {
+            let key = TransactionRecord::storage_key_for(&tid(ts, uuid));
+            assert_eq!(key > floor, after, "{key}");
+        }
+        assert!(
+            TransactionRecord::storage_key_for(&tid(0, 0))
+                > TransactionRecord::storage_floor_key(0)
+        );
     }
 
     #[test]

@@ -66,7 +66,18 @@ impl TransactionId {
     /// equal to the numeric order of IDs, which lets list-by-prefix scans of
     /// the Transaction Commit Set return records in commit-time order.
     pub fn storage_suffix(&self) -> String {
-        format!("{:020}_{}", self.timestamp, self.uuid)
+        let mut suffix = String::with_capacity(STORAGE_SUFFIX_LEN);
+        self.push_storage_suffix(&mut suffix);
+        suffix
+    }
+
+    /// Appends [`storage_suffix`](TransactionId::storage_suffix) to `out`,
+    /// digit by digit rather than through `fmt`: every commit record key is
+    /// built this way.
+    pub(crate) fn push_storage_suffix(&self, out: &mut String) {
+        push_padded_timestamp(self.timestamp, out);
+        out.push('_');
+        self.uuid.push_hex(out);
     }
 
     /// Parses the fixed-width form produced by [`storage_suffix`].
@@ -82,6 +93,21 @@ impl TransactionId {
         let uuid: Uuid = uuid.parse()?;
         Ok(TransactionId { timestamp, uuid })
     }
+}
+
+/// Length of a [`TransactionId::storage_suffix`]: 20 timestamp digits, `_`
+/// and 32 hex digits.
+pub(crate) const STORAGE_SUFFIX_LEN: usize = 20 + 1 + 32;
+
+/// Appends `timestamp` as 20 zero-padded decimal digits — every `u64` fits,
+/// so string order is numeric order.
+pub(crate) fn push_padded_timestamp(mut timestamp: Timestamp, out: &mut String) {
+    let mut digits = [b'0'; 20];
+    for digit in digits.iter_mut().rev() {
+        *digit = b'0' + (timestamp % 10) as u8;
+        timestamp /= 10;
+    }
+    out.push_str(std::str::from_utf8(&digits).expect("decimal digits are ASCII"));
 }
 
 impl fmt::Display for TransactionId {

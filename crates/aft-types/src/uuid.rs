@@ -60,13 +60,30 @@ impl Uuid {
     pub const fn is_nil(&self) -> bool {
         self.hi == 0 && self.lo == 0
     }
+
+    /// Appends the 32-digit hex form to `out`. Every storage key a
+    /// transaction writes ends in it, so it is written digit by digit rather
+    /// than through `fmt`.
+    pub(crate) fn push_hex(&self, out: &mut String) {
+        out.push_str(std::str::from_utf8(&self.hex()).expect("hex digits are ASCII"));
+    }
+
+    /// Fixed-width lowercase hex, so the string order matches the numeric
+    /// order; storage keys embed this representation.
+    fn hex(&self) -> [u8; 32] {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let raw = self.as_u128();
+        let mut hex = [0u8; 32];
+        for (i, digit) in hex.iter_mut().enumerate() {
+            *digit = DIGITS[(raw >> (124 - 4 * i)) as usize & 0xF];
+        }
+        hex
+    }
 }
 
 impl fmt::Display for Uuid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Fixed-width lowercase hex so the string order matches the numeric
-        // order; storage keys embed this representation.
-        write!(f, "{:016x}{:016x}", self.hi, self.lo)
+        f.write_str(std::str::from_utf8(&self.hex()).expect("hex digits are ASCII"))
     }
 }
 

@@ -55,13 +55,27 @@ impl TaggedValue {
     }
 }
 
+/// One period of the payload pattern: byte `i` of a payload is `i % 251`.
+static PAYLOAD_PERIOD: [u8; 251] = {
+    let mut period = [0u8; 251];
+    let mut i = 0;
+    while i < period.len() {
+        period[i] = i as u8;
+        i += 1;
+    }
+    period
+};
+
 /// Convenience constructor for a payload of `size` bytes filled with a
 /// repeating pattern, used throughout the workload generators (the paper uses
-/// 4 KB objects).
+/// 4 KB objects). Every call is a fresh allocation, so payloads written under
+/// different keys never share a buffer in storage or in a cache; the bytes
+/// are copied from one period of the pattern rather than computed one by one.
 pub fn payload_of_size(size: usize) -> Value {
     let mut buf = Vec::with_capacity(size);
-    for i in 0..size {
-        buf.push((i % 251) as u8);
+    while buf.len() < size {
+        let take = (size - buf.len()).min(PAYLOAD_PERIOD.len());
+        buf.extend_from_slice(&PAYLOAD_PERIOD[..take]);
     }
     Bytes::from(buf)
 }
@@ -75,6 +89,23 @@ mod tests {
     fn payload_has_requested_size() {
         assert_eq!(payload_of_size(0).len(), 0);
         assert_eq!(payload_of_size(4096).len(), 4096);
+    }
+
+    #[test]
+    fn payload_byte_i_is_i_mod_251_and_every_call_allocates() {
+        for size in [1, 250, 251, 252, 502, 1024, 4096] {
+            let payload = payload_of_size(size);
+            assert_eq!(payload.len(), size);
+            assert!(
+                payload
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &b)| b == (i % 251) as u8),
+                "size {size}"
+            );
+        }
+        let (a, b) = (payload_of_size(64), payload_of_size(64));
+        assert_ne!(a.as_ptr(), b.as_ptr());
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! Property-based tests for the binary codec, identifier ordering and the
-//! write set.
+//! Property-based tests for the binary codec, identifier ordering, the
+//! write set, and the storage keys built without `fmt`.
 
 use std::collections::BTreeSet;
 
 use aft_types::codec::{
     decode_commit_record, decode_tagged_value, encode_commit_record, encode_tagged_value,
+    encoded_commit_record_len,
 };
-use aft_types::{Key, TaggedValue, TransactionId, TransactionRecord, Uuid, Value, WriteSet};
+use aft_types::{
+    Key, KeyVersion, TaggedValue, TransactionId, TransactionRecord, Uuid, Value, WriteSet,
+};
 use proptest::prelude::*;
 
 fn arb_tid() -> impl Strategy<Value = TransactionId> {
@@ -41,6 +44,27 @@ proptest! {
     fn commit_record_codec_round_trips(record in arb_record()) {
         let decoded = decode_commit_record(&encode_commit_record(&record)).unwrap();
         prop_assert_eq!(decoded, record);
+    }
+
+    #[test]
+    fn the_encoded_length_is_the_encodings_length(record in arb_record()) {
+        prop_assert_eq!(encoded_commit_record_len(&record), encode_commit_record(&record).len());
+    }
+
+    #[test]
+    fn storage_keys_are_the_format_forms(key in arb_key(), id in arb_tid()) {
+        prop_assert_eq!(
+            KeyVersion::new(key.clone(), id).storage_key(),
+            format!("data/{key}/{:032x}", id.uuid.as_u128())
+        );
+        let suffix = format!("{:020}_{:032x}", id.timestamp, id.uuid.as_u128());
+        prop_assert_eq!(id.storage_suffix(), suffix.clone());
+        prop_assert_eq!(TransactionRecord::storage_key_for(&id), format!("commit/{suffix}"));
+        prop_assert_eq!(id.uuid.to_string(), format!("{:032x}", id.uuid.as_u128()));
+        prop_assert_eq!(
+            TransactionRecord::storage_floor_key(id.timestamp),
+            format!("commit/{:020}", id.timestamp)
+        );
     }
 
     #[test]

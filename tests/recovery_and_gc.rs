@@ -111,7 +111,7 @@ fn fault_manager_recovers_commits_lost_before_broadcast() {
     let fm = FaultManager::new();
     let io = IoEngine::new(storage.clone(), IoConfig::pipelined());
     let survivors = vec![Arc::clone(&survivor_a), Arc::clone(&survivor_b)];
-    let recovered = fm.scan_commit_set(&io, &survivors).unwrap();
+    let recovered = fm.scan_commit_set(&io, &survivors).unwrap().recovered;
     assert_eq!(recovered, 1);
     for node in &survivors {
         let t = node.start_transaction();
