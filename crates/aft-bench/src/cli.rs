@@ -635,6 +635,7 @@ mod tests {
                     anomalies: u64::from(
                         mode == FaultMode::Partition && kill == CommitPhase::BeforeBroadcast,
                     ),
+                    first_anomaly_step: Some(42),
                     converged: true,
                     ..TrialResult::default()
                 }],
@@ -648,7 +649,11 @@ mod tests {
         let outcome = recovery::outcome(&config, &report, cells_only);
         assert_eq!(
             outcome.gate,
-            Err("Redis/partition/before_broadcast: 1 read-atomicity anomalies".to_owned())
+            Err(
+                "Redis/partition/before_broadcast: 1 read-atomicity anomalies, \
+                 first at step 42 of trial 0"
+                    .to_owned()
+            )
         );
         assert_eq!(
             replay_line(&exp[0], &args, outcome.seed, &outcome.replay),

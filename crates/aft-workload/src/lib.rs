@@ -17,12 +17,16 @@
 //!   timelines.
 //! * [`runner`] — the closed-loop multi-client experiment runner used by
 //!   every figure.
+//! * [`sim`] — the seeded stepper: clients as lists of micro-ops and
+//!   maintenance rounds on one thread, so a seed fixes the interleaving
+//!   (fig10's trials, the maintenance stress test).
 
 pub mod anomaly;
 pub mod drivers;
 pub mod generator;
 pub mod histogram;
 pub mod runner;
+pub mod sim;
 pub mod zipf;
 
 pub use anomaly::{AnomalyCounts, AnomalyFlags, TaggedObservation};
