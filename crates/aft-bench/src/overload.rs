@@ -18,8 +18,10 @@
 //! of successful commits stays bounded, and the correctness invariants
 //! (zero read anomalies, zero acknowledged-but-lost commits) hold exactly
 //! as they do under normal load. Every transaction also performs a wire
-//! read of its thread's previous write, so torn or fabricated values
-//! under pressure would surface as anomalies.
+//! read of its thread's previous write and reads its own write back, and
+//! [`aft_workload::history`]'s checker grades every such read and, after a
+//! quiet maintenance round, every key's final version: torn or fabricated
+//! values under pressure surface as anomalies, lost writes as lost acks.
 //!
 //! The goodput-floor clause compares points by **sustained goodput** —
 //! each point's best commit rate over any one window (a third of the
@@ -45,11 +47,12 @@ use aft_core::api::AftApi;
 use aft_storage::io::RetryConfig;
 use aft_storage::{BackendConfig, BackendKind};
 use aft_types::{Key, Value};
+use aft_workload::history::{History, Recorder};
 
 use crate::cli::{Args, Outcome};
 use crate::json::Json;
 use crate::report::{percentile_ms, round2, Table};
-use crate::setup::{lost_acked_commits, served_deployment, ServeOptions, ServiceHandle};
+use crate::setup::{served_deployment, settled_verdict, ServeOptions, ServiceHandle};
 
 /// A saturated point's p999 of *successful* commits above this is
 /// unbounded queueing — the protection stack failed to shed.
@@ -186,9 +189,11 @@ pub struct OverloadPoint {
     /// Transactions failed for any other reason (must be zero: the sweep
     /// injects no faults).
     pub failed: u64,
-    /// Read anomalies: a wire read returned a torn or impossible value.
+    /// Read anomalies the history checker found: a read returned a torn or
+    /// impossible value (must be zero).
     pub anomalies: u64,
-    /// Acked commits with no durable record (must be zero).
+    /// Keys that do not serve their newest acked write after a quiet
+    /// maintenance round, by the history checker (must be zero).
     pub lost_acked_commits: u64,
     /// Median successful-commit latency, milliseconds.
     pub p50_ms: f64,
@@ -215,9 +220,10 @@ pub struct OverloadChaosLeg {
     /// Transactions that exhausted transport retries (tolerated here: the
     /// leg injects connection faults).
     pub failed: u64,
-    /// Read anomalies (must be zero).
+    /// Read anomalies the history checker found (must be zero).
     pub anomalies: u64,
-    /// Acked commits with no durable record (must be zero).
+    /// Keys that do not serve their newest acked write, by the history
+    /// checker (must be zero).
     pub lost_acked_commits: u64,
     /// Connection resets injected (before + after send).
     pub resets: u64,
@@ -470,10 +476,9 @@ impl OverloadReport {
     }
 }
 
-/// A fresh deployment with garbage collection off, so the durable commit
-/// set stays the complete ground truth for lost-ack verification. The
-/// backend is the simulated Redis service with *sleeping* latency: the
-/// worker pool, not the loopback socket, must be what saturates.
+/// A fresh deployment over the simulated Redis service with *sleeping*
+/// latency: the worker pool, not the loopback socket, must be what
+/// saturates.
 fn deployment(
     config: &OverloadConfig,
     options: &ServeOptions,
@@ -486,7 +491,7 @@ fn deployment(
         seed,
         ..options.clone()
     };
-    served_deployment(storage, config.nodes, false, &options)
+    served_deployment(storage, config.nodes, &options)
 }
 
 /// What one generator leg observed.
@@ -496,7 +501,6 @@ struct LegOutcome {
     committed: u64,
     rejected: u64,
     failed: u64,
-    anomalies: u64,
     /// Successful-commit latencies, milliseconds, sorted ascending.
     latencies_ms: Vec<f64>,
     /// Completion time of every successful commit, seconds since the leg
@@ -539,17 +543,16 @@ impl LegOutcome {
     }
 }
 
-/// Drives `threads` generator threads against `handle` for `duration`,
-/// each paced toward `target_rps / threads` (`target_rps <= 0` means
+/// Drives `threads` generator threads against `api` for `duration`, each
+/// paced toward `target_rps / threads` (`target_rps <= 0` means
 /// closed-loop: no pacing). Every thread runs to the same wall-clock
 /// deadline rather than a fixed request count — a count would let
 /// backoff-heavy threads straggle past the rest, and the idle-worker tail
 /// would be misread as a goodput collapse. Every transaction reads its
-/// thread's key over the wire, validates the value is one the thread
-/// really issued (torn or fabricated bytes count as anomalies), writes
-/// the next value, and commits.
+/// thread's key over the wire, writes the next value, reads it back, and
+/// commits; a [`Recorder`] around `api` hands every read to the checker.
 fn run_leg(
-    handle: &ServiceHandle,
+    api: &Arc<dyn AftApi>,
     threads: usize,
     duration: Duration,
     target_rps: f64,
@@ -564,7 +567,7 @@ fn run_leg(
     let legs = std::thread::scope(|scope| {
         let mut workers = Vec::new();
         for t in 0..threads {
-            let client = Arc::clone(&handle.client);
+            let client = Arc::clone(api);
             workers.push(scope.spawn(move || {
                 let mut leg = LegOutcome::default();
                 let key = Key::new(format!("ovl/{t:02}"));
@@ -586,54 +589,23 @@ fn run_leg(
                     leg.issued += 1;
                     let txn_started = Instant::now();
                     let txid = client.begin().expect("begin is local");
-                    // Wire read of this thread's previous write: any value
-                    // present must be well-formed `t:j` for an index this
-                    // thread has already *issued*. A value newer than the
-                    // last acked commit is legal — under chaos a commit
-                    // whose ack was lost still lands (at-least-once,
-                    // §3.3.1) — but torn bytes, another thread's prefix, or
-                    // an index from the future can never appear.
-                    match client.get_versioned(&txid, &key) {
-                        Ok(found) => {
-                            if let Some((value, _version)) = found {
-                                let ok = std::str::from_utf8(&value)
-                                    .ok()
-                                    .and_then(|s| s.strip_prefix(&format!("{t}:")))
-                                    .and_then(|j| j.parse::<usize>().ok())
-                                    .is_some_and(|j| j < i);
-                                if !ok {
-                                    leg.anomalies += 1;
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            if e.is_overloaded() {
-                                leg.rejected += 1;
-                            } else {
-                                leg.failed += 1;
-                            }
-                            let _ = client.abort(&txid);
-                            continue;
-                        }
-                    }
+                    // Wire read of this thread's previous write, then the
+                    // write and its read-back (§3.5), overloaded or not.
                     let value = Value::from(format!("{t}:{i}").into_bytes());
-                    client
-                        .put(&txid, key.clone(), value.clone())
-                        .expect("put is buffered client-side");
-                    // Read-your-writes must hold bytewise inside the
-                    // transaction (§3.5), overloaded or not.
-                    match client.get_versioned(&txid, &key) {
-                        Ok(Some((observed, _))) if observed == value => {}
-                        Ok(_) => leg.anomalies += 1,
-                        Err(e) => {
-                            if e.is_overloaded() {
-                                leg.rejected += 1;
-                            } else {
-                                leg.failed += 1;
-                            }
-                            let _ = client.abort(&txid);
-                            continue;
+                    let read = client.get_versioned(&txid, &key).and_then(|_| {
+                        client
+                            .put(&txid, key.clone(), value.clone())
+                            .expect("put is buffered client-side");
+                        client.get_versioned(&txid, &key)
+                    });
+                    if let Err(e) = read {
+                        if e.is_overloaded() {
+                            leg.rejected += 1;
+                        } else {
+                            leg.failed += 1;
                         }
+                        let _ = client.abort(&txid);
+                        continue;
                     }
                     // The read above was admitted and cost worker time;
                     // giving the request up at the first commit rejection
@@ -707,7 +679,6 @@ fn run_leg(
         merged.committed += leg.committed;
         merged.rejected += leg.rejected;
         merged.failed += leg.failed;
-        merged.anomalies += leg.anomalies;
         merged.latencies_ms.extend(leg.latencies_ms);
         merged.commit_times_s.extend(leg.commit_times_s);
     }
@@ -742,7 +713,7 @@ pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
     // so the measured rate is the deployment's sustainable throughput.
     let (cluster, handle) = deployment(config, &options, config.seed);
     let capacity = run_leg(
-        &handle,
+        &(Arc::clone(&handle.client) as Arc<dyn AftApi>),
         config.capacity_clients,
         config.capacity_duration,
         0.0,
@@ -764,8 +735,10 @@ pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
             .clamp(1, config.max_threads);
         let target_rps = capacity_rps * multiplier;
         let (cluster, handle) = deployment(config, &options, config.seed ^ ((i as u64 + 1) << 12));
-        let outcome = run_leg(&handle, threads, config.point_duration, target_rps);
-        let lost = lost_acked_commits(cluster.storage(), &handle.client.acked_commits());
+        let history = History::new();
+        let api = Recorder::wrap(handle.client.clone(), Arc::clone(&history), None);
+        let outcome = run_leg(&api, threads, config.point_duration, target_rps);
+        let verdict = settled_verdict(&cluster, &history.attempts());
         let stats = handle.server.stats();
         let client_stats = handle.client.stats();
         points.push(OverloadPoint {
@@ -778,8 +751,8 @@ pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
             committed: outcome.committed,
             rejected: outcome.rejected,
             failed: outcome.failed,
-            anomalies: outcome.anomalies,
-            lost_acked_commits: lost as u64,
+            anomalies: verdict.anomalies(),
+            lost_acked_commits: verdict.lost_acked_writes,
             p50_ms: percentile_ms(&outcome.latencies_ms, 0.50),
             p99_ms: percentile_ms(&outcome.latencies_ms, 0.99),
             p999_ms: percentile_ms(&outcome.latencies_ms, 0.999),
@@ -806,16 +779,18 @@ pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
     let (cluster, handle) = deployment(config, &chaos_options, config.seed ^ 0xC4A0);
     let threads = ((config.base_threads as f64 * 4.0).ceil() as usize).clamp(1, config.max_threads);
     let target_rps = capacity_rps * 4.0;
-    let outcome = run_leg(&handle, threads, config.point_duration, target_rps);
-    let lost = lost_acked_commits(cluster.storage(), &handle.client.acked_commits());
+    let history = History::new();
+    let api = Recorder::wrap(handle.client.clone(), Arc::clone(&history), None);
+    let outcome = run_leg(&api, threads, config.point_duration, target_rps);
+    let verdict = settled_verdict(&cluster, &history.attempts());
     let injector = handle.client.chaos_stats().unwrap_or_default();
     let stats = handle.server.stats();
     let chaos = OverloadChaosLeg {
         committed: outcome.committed,
         rejected: outcome.rejected,
         failed: outcome.failed,
-        anomalies: outcome.anomalies,
-        lost_acked_commits: lost as u64,
+        anomalies: verdict.anomalies(),
+        lost_acked_commits: verdict.lost_acked_writes,
         resets: injector.resets_before_send + injector.resets_after_send,
         delayed_acks: injector.delayed_acks,
         overload_rejections: stats.overload_rejections,

@@ -21,7 +21,9 @@
 //! (`LatencyMode::Virtual` at full scale) over a small cluster behind a
 //! [`FaultyBackend`], while a [`ChaosController`] kills one node mid-commit;
 //! then the controller drives recovery and the trial verifies the
-//! invariants against ground truth read straight from storage. One thread
+//! invariants: read atomicity and lost acknowledged writes by
+//! [`aft_workload::history`]'s checker over what the clients saw, and
+//! recovery against ground truth read straight from storage. One thread
 //! runs the load on [`aft_workload::sim`]'s seeded stepper, so the harness,
 //! not the OS, chooses the interleaving. Every layer's faults — storage,
 //! network, platform, and the kill itself — derive from one [`ChaosSpec`]
@@ -50,14 +52,13 @@ use aft_storage::chaos::FaultyBackend;
 use aft_storage::{BackendKind, LatencyMode, LatencyModel, SharedStorage, DEFAULT_STRIPES};
 use aft_types::clock::TickingClock;
 use aft_types::{AftResult, Key, TransactionRecord};
+use aft_workload::history::Attempt;
 use aft_workload::sim::{self, Op, Request};
 
 use crate::cli::{Args, Flag, Outcome};
 use crate::json::Json;
 use crate::report::{percentile_ms, Table};
-use crate::setup::{
-    lost_acked_commits, serve_cluster, virtual_backend, ServeOptions, ServiceHandle,
-};
+use crate::setup::{serve_cluster, settled_verdict, virtual_backend, ServeOptions, ServiceHandle};
 
 /// The fault modes of the matrix: three storage-side modes, one
 /// network-side mode, and one cross-layer mode that fires every layer of
@@ -260,12 +261,18 @@ pub struct TrialResult {
     pub recovered_commits: u64,
     /// Nodes replaced by standbys.
     pub replaced_nodes: usize,
-    /// Read-atomicity anomalies observed by clients (fractured reads +
-    /// read-your-writes violations). Must be zero.
+    /// Read anomalies the history checker found in what clients saw
+    /// (fractured reads, read-your-writes violations, reads no writer
+    /// explains). Must be zero.
     pub anomalies: u64,
-    /// The load's step at which a client observed the first anomaly.
+    /// The load's step at which the first attempt with an anomaly made its
+    /// last call.
     pub first_anomaly_step: Option<u64>,
-    /// Acknowledged commits with no durable record. Must be zero.
+    /// Requests acknowledged more than once: an after-body retry commits a
+    /// request again under a fresh id. Reported, not gated.
+    pub duplicate_requests: u64,
+    /// Keys whose newest acknowledged write the recovered cluster does not
+    /// serve. Must be zero.
     pub lost_acks: usize,
     /// (record, node) pairs where a durable commit is missing from an active
     /// node's metadata after recovery. Must be zero.
@@ -411,6 +418,7 @@ impl RecoveryReport {
                 "recovered",
                 "retries",
                 "anomalies",
+                "duplicates",
                 "lost",
                 "unrecovered",
             ],
@@ -425,6 +433,7 @@ impl RecoveryReport {
                 cell.sum(|t| t.recovered_commits).to_string(),
                 cell.sum(|t| t.io_retries).to_string(),
                 cell.sum(|t| t.anomalies).to_string(),
+                cell.sum(|t| t.duplicate_requests).to_string(),
                 cell.sum(|t| t.lost_acks as u64).to_string(),
                 cell.sum(|t| t.unrecovered as u64).to_string(),
             ]);
@@ -472,6 +481,10 @@ impl RecoveryReport {
                     ),
                     ("anomalies", Json::Num(c.sum(|t| t.anomalies) as f64)),
                     (
+                        "duplicate_requests",
+                        Json::Num(c.sum(|t| t.duplicate_requests) as f64),
+                    ),
+                    (
                         "lost_commits",
                         Json::Num(c.sum(|t| t.lost_acks as u64) as f64),
                     ),
@@ -490,6 +503,10 @@ impl RecoveryReport {
                 Json::obj(vec![
                     ("cells", Json::Num(self.cells.len() as f64)),
                     ("anomalies", Json::Num(self.total(|t| t.anomalies) as f64)),
+                    (
+                        "duplicate_requests",
+                        Json::Num(self.total(|t| t.duplicate_requests) as f64),
+                    ),
                     (
                         "lost_commits",
                         Json::Num(self.total(|t| t.lost_acks as u64) as f64),
@@ -696,18 +713,20 @@ fn run_trial(
         .as_ref()
         .and_then(|service| service.client.chaos_stats())
         .map_or(0, |stats| stats.total());
+    let verdict = settled_verdict(cluster, &load.history);
 
     TrialResult {
-        acknowledged: load.acknowledged.len(),
+        acknowledged: load.history.iter().filter_map(Attempt::acked).count(),
         durable_commits: records.len(),
         // Total over the trial, not just the drive: maintenance rounds
         // run *during* the load too, so a scan may recover a stranded
         // commit before the drive even starts — that still counts.
         recovered_commits: cluster.fault_manager().recovered_commits(),
         replaced_nodes: outcome.replaced_nodes,
-        anomalies: load.anomalies,
+        anomalies: verdict.anomalies(),
         first_anomaly_step: load.first_anomaly_step,
-        lost_acks: lost_acked_commits(cluster.storage(), &load.acknowledged),
+        duplicate_requests: verdict.duplicate_requests,
+        lost_acks: verdict.lost_acked_writes as usize,
         unrecovered,
         converged: outcome.converged,
         recovery_rounds: outcome.rounds as u64,
@@ -819,6 +838,12 @@ pub(crate) fn outcome(
 mod tests {
     use super::*;
     use aft_chaos::{FaultKind, Layer};
+    use aft_types::TransactionId;
+    use aft_workload::history;
+
+    fn acked(load: &sim::Run) -> Vec<TransactionId> {
+        load.history.iter().filter_map(Attempt::acked).collect()
+    }
 
     #[test]
     fn the_one_request_body_acks_atomically_and_durably_on_a_node_and_over_the_wire() {
@@ -837,18 +862,15 @@ mod tests {
                 "{label}: begin, two reads, two writes, the read-back and the commit, one a step"
             );
             assert_eq!(
-                load.acknowledged.len(),
+                acked(&load).len(),
                 1,
                 "{label}: exactly one acknowledgement"
             );
-            // `CommitOutcome::atomic == false` is what counts an anomaly.
-            assert_eq!(load.anomalies, 0, "{label}");
             assert_eq!(load.client_retries, 0, "{label}");
-            assert_eq!(
-                lost_acked_commits(trial.cluster.storage(), &load.acknowledged),
-                0,
-                "{label}: the acknowledged commit has a durable record"
-            );
+            // The checker graded what the client saw, then what the cluster
+            // serves: the acknowledged writes, read back.
+            let verdict = settled_verdict(&trial.cluster, &load.history);
+            assert_eq!(verdict, history::Verdict::default(), "{label}");
         }
     }
 
@@ -860,9 +882,9 @@ mod tests {
             sim::run(&trial.cluster, &|| trial.route(), None, clients, seed)
         };
         let first = load(1);
-        assert_eq!((first.acknowledged.len(), first.anomalies), (16, 0));
+        assert_eq!((acked(&first).len(), first.anomalies), (16, 0));
         assert_eq!(load(1), first);
-        assert_ne!(load(2).acknowledged, first.acknowledged);
+        assert_ne!(acked(&load(2)), acked(&first));
     }
 
     #[test]
@@ -882,10 +904,12 @@ mod tests {
         let client = vec![requests(&tiny())[0][0].clone()];
         let load = sim::run(cluster, &|| trial.route(), injector, vec![client], 0);
 
-        let [first, second] = load.acknowledged[..] else {
-            panic!("two acknowledgements, got {:?}", load.acknowledged);
+        let [first, second] = acked(&load)[..] else {
+            panic!("two acknowledgements, got {:?}", acked(&load));
         };
         assert_ne!(first.uuid, second.uuid);
+        let verdict = history::check(&load.history, &history::FinalRead::new());
+        assert_eq!(verdict.duplicate_requests, 1, "one request, applied twice");
         let records = cluster
             .storage()
             .list_prefix(&TransactionRecord::storage_prefix());

@@ -8,14 +8,15 @@
 //! and p50/p99 latency per client count. Then a **chaos leg** repeats the
 //! run with seeded connection faults (resets before/after send, delayed
 //! acks) and verifies the two invariants the wire protocol must add on top
-//! of the paper's:
+//! of the paper's, both graded by [`aft_workload::history`]'s checker over
+//! every call the SDK made:
 //!
 //! * **zero read-atomicity anomalies** — fractured reads and
 //!   read-your-writes violations stay impossible across the socket;
-//! * **zero lost acknowledged commits** — every commit acknowledgement the
-//!   SDK ever received corresponds to a durable commit record, even though
-//!   acks were being dropped mid-flight (the §4.2 window, closed by the
-//!   server's dedup ledger).
+//! * **zero lost acknowledged commits** — after a quiet maintenance round
+//!   every key serves its newest acknowledged write, even though acks were
+//!   being dropped mid-flight (the §4.2 window, closed by the server's
+//!   dedup ledger).
 //!
 //! A third **connection-scale leg** opens hundreds to thousands of raw
 //! loopback connections against one server and holds them resident while a
@@ -44,12 +45,13 @@ use aft_storage::io::RetryConfig;
 use aft_storage::{BackendConfig, BackendKind, SharedStorage};
 use aft_types::wire::{decode_response, encode_request, WireRequest, WireResponse};
 use aft_types::WireStats;
+use aft_workload::history::{Attempt, History, Recorder};
 use aft_workload::{run_closed_loop, AftDriver, RunConfig, WorkloadConfig};
 
 use crate::cli::{Args, Outcome};
 use crate::json::Json;
 use crate::report::{percentile_ms, round2, Table};
-use crate::setup::{lost_acked_commits, served_deployment, ServeOptions, ServiceHandle};
+use crate::setup::{served_deployment, settled_verdict, ServeOptions, ServiceHandle};
 
 /// A scale point's ping p99 above this is a latency collapse.
 const CONN_P99_COLLAPSE_MS: f64 = 250.0;
@@ -137,7 +139,7 @@ pub struct ServicePoint {
     pub completed: u64,
     /// Requests that exhausted their retries.
     pub failed: u64,
-    /// Read-atomicity anomalies observed (must be zero).
+    /// Read anomalies the history checker found (must be zero).
     pub anomalies: u64,
 }
 
@@ -180,7 +182,7 @@ pub struct ChaosLegReport {
     pub completed: u64,
     /// Requests that exhausted retries under injection.
     pub failed: u64,
-    /// Read-atomicity anomalies (must be zero).
+    /// Read anomalies the history checker found (must be zero).
     pub anomalies: u64,
     /// Connections reset before the request was sent.
     pub resets_before_send: u64,
@@ -188,9 +190,10 @@ pub struct ChaosLegReport {
     pub resets_after_send: u64,
     /// Acknowledgements delivered late.
     pub delayed_acks: u64,
-    /// Commit acknowledgements the SDK received.
+    /// Commit acknowledgements the SDK returned, preload included.
     pub acked_commits: u64,
-    /// Acked commits with no durable record (must be zero).
+    /// Keys that do not serve their newest acked write after a quiet
+    /// maintenance round, by the history checker (must be zero).
     pub lost_acked_commits: u64,
     /// Acks served from the server's dedup ledger.
     pub duplicate_acks: u64,
@@ -666,10 +669,11 @@ fn service_workload() -> WorkloadConfig {
         .with_value_size(256)
 }
 
-fn driver_for(handle: &ServiceHandle) -> AftDriver {
-    let api: Arc<dyn AftApi> = Arc::clone(&handle.client) as Arc<dyn AftApi>;
+/// A driver over `handle`'s client whose every call `history` records.
+fn driver_for(handle: &ServiceHandle, history: &Arc<History>) -> AftDriver {
+    let client = Arc::clone(&handle.client) as Arc<dyn AftApi>;
     AftDriver::from_api(
-        api,
+        Recorder::wrap(client, Arc::clone(history), None),
         FaasPlatform::new(PlatformConfig::test()),
         RetryPolicy::with_attempts(8),
     )
@@ -692,8 +696,9 @@ pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
             seed: config.seed + i as u64,
             ..options.clone()
         };
-        let (cluster, handle) = served_deployment(memory_store(), config.nodes, true, &options);
-        let driver = driver_for(&handle);
+        let (cluster, handle) = served_deployment(memory_store(), config.nodes, &options);
+        let history = History::new();
+        let driver = driver_for(&handle, &history);
         let result = run_closed_loop(
             &driver,
             &RunConfig::new(service_workload())
@@ -709,20 +714,17 @@ pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
             p99_ms: result.latency.p99_ms(),
             completed: result.completed,
             failed: result.failed,
-            anomalies: result.anomalies.ryw_transactions + result.anomalies.fr_transactions,
+            anomalies: settled_verdict(&cluster, &history.attempts()).anomalies(),
         });
         // Operability verbs, checked on the last (largest) point.
         if i + 1 == config.client_counts.len() {
             ping_ms = handle.client.ping().ok().map(|d| d.as_secs_f64() * 1_000.0);
             server_stats = handle.client.server_stats().ok();
         }
-        drop(handle);
-        cluster.shutdown();
     }
 
-    // Chaos leg: one deployment, seeded connection faults and no garbage
-    // collection, then verify every acked commit against the durable commit
-    // set.
+    // Chaos leg: one deployment, seeded connection faults, then the
+    // checker grades every call the SDK made and what the cluster serves.
     let chaos_options = ServeOptions {
         chaos: Some(
             ChaosSpec::new(config.seed ^ 0xC4A05).net(NetChaos::resets_and_delays(
@@ -739,8 +741,9 @@ pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
         seed: config.seed ^ 0xC4A1,
         ..options
     };
-    let (cluster, handle) = served_deployment(memory_store(), config.nodes, false, &chaos_options);
-    let driver = driver_for(&handle);
+    let (cluster, handle) = served_deployment(memory_store(), config.nodes, &chaos_options);
+    let history = History::new();
+    let driver = driver_for(&handle, &history);
     let result = run_closed_loop(
         &driver,
         &RunConfig::new(service_workload())
@@ -750,25 +753,24 @@ pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
     )
     .expect("chaos closed-loop run");
 
-    // Ground truth: every commit the SDK ever saw acknowledged must have a
-    // durable record. (Preload commits are included — they are acked too.)
-    let acked = handle.client.acked_commits();
     let injector = handle.client.chaos_stats().unwrap_or_default();
     let client_stats = handle.client.stats();
+    // The preload's commits are in the history too: they are acked as well.
+    let attempts = history.attempts();
+    let verdict = settled_verdict(&cluster, &attempts);
     let chaos = ChaosLegReport {
         completed: result.completed,
         failed: result.failed,
-        anomalies: result.anomalies.ryw_transactions + result.anomalies.fr_transactions,
+        anomalies: verdict.anomalies(),
         resets_before_send: injector.resets_before_send,
         resets_after_send: injector.resets_after_send,
         delayed_acks: injector.delayed_acks,
-        acked_commits: acked.len() as u64,
-        lost_acked_commits: lost_acked_commits(cluster.storage(), &acked) as u64,
+        acked_commits: attempts.iter().filter_map(Attempt::acked).count() as u64,
+        lost_acked_commits: verdict.lost_acked_writes,
         duplicate_acks: client_stats.duplicate_acks,
         transport_retries: client_stats.transport_retries,
     };
     drop(handle);
-    cluster.shutdown();
 
     // Connection-scale leg: how many resident sockets one loop thread owns,
     // a fresh deployment per point so points are independent.

@@ -11,7 +11,8 @@ use aft_net::{AftClient, AftServer};
 use aft_storage::io::RetryConfig;
 use aft_storage::latency::LatencyProfile;
 use aft_storage::{BackendConfig, BackendKind, LatencyMode, SharedStorage};
-use aft_types::{AftResult, TransactionId, TransactionRecord};
+use aft_types::AftResult;
+use aft_workload::history::{self, Attempt, Verdict};
 use aft_workload::{AftDriver, DynamoTxnDriver, PlainDriver};
 
 /// The client→AFT-shim RPC hop at full scale (microseconds): roughly one
@@ -227,9 +228,7 @@ pub struct ServiceHandle {
 /// Serves `cluster` on an ephemeral loopback port and connects a client —
 /// the shared construction behind every networked experiment. The server
 /// keeps the builder's connection-slab and worker-queue capacities (1 024
-/// each; no experiment varies them), and the client always keeps its ack
-/// log: experiments verify acks against the durable commit set
-/// ([`lost_acked_commits`]).
+/// each; no experiment varies them).
 pub fn serve_cluster(cluster: &Arc<Cluster>, options: &ServeOptions) -> AftResult<ServiceHandle> {
     let server = AftServer::builder()
         .workers(options.workers)
@@ -240,8 +239,7 @@ pub fn serve_cluster(cluster: &Arc<Cluster>, options: &ServeOptions) -> AftResul
     let mut client = AftClient::builder()
         .pool_size(options.pool_size)
         .retry(options.retry)
-        .rng_seed(options.seed)
-        .record_acks(true);
+        .rng_seed(options.seed);
     if let Some(chaos) = options.chaos.clone() {
         client = client.chaos_spec(chaos);
     }
@@ -251,40 +249,31 @@ pub fn serve_cluster(cluster: &Arc<Cluster>, options: &ServeOptions) -> AftResul
 
 /// A fresh `nodes`-node deployment over `storage`, maintenance running in
 /// the background, served on loopback — what `fig8_service` and
-/// `fig11_overload` measure. `gc: false` turns garbage collection off so
-/// the durable Transaction Commit Set stays the *complete* ground truth a
-/// lost-ack check needs ([`lost_acked_commits`] would otherwise flag
-/// legitimately collected superseded records as lost).
+/// `fig11_overload` measure.
 pub fn served_deployment(
     storage: SharedStorage,
     nodes: usize,
-    gc: bool,
     options: &ServeOptions,
 ) -> (Arc<Cluster>, ServiceHandle) {
-    let cluster_config = ClusterConfig {
-        gc_enabled: gc,
-        ..ClusterConfig::test(nodes)
-    };
-    let cluster = Cluster::new(cluster_config, storage).expect("cluster construction");
+    let cluster = Cluster::new(ClusterConfig::test(nodes), storage).expect("cluster construction");
     cluster.start_background();
     let handle = serve_cluster(&cluster, options).expect("serve on loopback");
     (cluster, handle)
 }
 
-/// The lost-ack oracle behind every `lost_acked_commits` / `lost_commits`
-/// figure: how many of the `acked` commit ids have no durable commit record
-/// in `storage` (§4.2 — an acknowledgement promises durability). Must be
-/// zero; meaningful only while nothing deletes commit records (GC off) and
-/// no fault injector sits between the caller and `storage`.
-pub fn lost_acked_commits(storage: &SharedStorage, acked: &[TransactionId]) -> usize {
-    acked
-        .iter()
-        .filter(|id| {
-            storage
-                .get(&TransactionRecord::storage_key_for(id))
-                .map_or(true, |record| record.is_none())
-        })
-        .count()
+/// The oracle behind every experiment's `anomalies` and lost-ack counts:
+/// stops `cluster`'s background maintenance, runs one quiet round, reads
+/// every key the `history` wrote back through a routed node, and grades
+/// the history against that final read ([`history::check`]).
+pub fn settled_verdict(cluster: &Cluster, history: &[Attempt]) -> Verdict {
+    cluster.shutdown();
+    cluster
+        .run_maintenance_round()
+        .expect("a quiet maintenance round");
+    let node = cluster.route().expect("an active node");
+    let keys = history::written_keys(history);
+    let final_read = history::read_back(&*node, keys).expect("a quiet read");
+    history::check(history, &final_read)
 }
 
 /// The label used for AFT configurations in the figures ("AFT-D Caching" etc.).
@@ -328,21 +317,6 @@ mod tests {
         assert!(env.fast);
         assert_eq!(env.requests_per_client, 30);
         assert_eq!(env.sized("full", "trimmed"), "trimmed");
-    }
-
-    #[test]
-    fn the_lost_ack_oracle_counts_acks_without_a_durable_record() {
-        let storage = BenchEnv::test().storage(BackendKind::Memory, 1);
-        let durable = TransactionId::new(7, aft_types::Uuid::from_u128(7));
-        let lost = TransactionId::new(8, aft_types::Uuid::from_u128(8));
-        storage
-            .put(
-                &TransactionRecord::storage_key_for(&durable),
-                aft_types::Value::from_static(b"record"),
-            )
-            .unwrap();
-        assert_eq!(lost_acked_commits(&storage, &[durable]), 0);
-        assert_eq!(lost_acked_commits(&storage, &[durable, lost]), 1);
     }
 
     #[test]

@@ -201,10 +201,10 @@ mod tests {
             .unwrap();
         let c2 = api.commit(&t2, &[]).unwrap();
 
-        // A read set pairing t2's `b` with t1's `a` is atomic; pairing
-        // t1's `b` with t2-cowritten... construct the fractured case: `a`
-        // from c1 and `b` from c1 is atomic, but claiming `b` read an
-        // *older* version than a cowritten key's observed record is not.
+        // c1 wrote {a, b} and c2 a newer `b` alone. Reading `a` at c1 and
+        // `b` at c2 is atomic: `b` is newer than c1's. Reading `b` at c1
+        // while `a` shows NULL is fractured: c1 cowrote `a`, at a newer
+        // version than NULL.
         let t3 = api.begin().unwrap();
         let atomic_reads = vec![(Key::new("a"), c1.final_id), (Key::new("b"), c2.final_id)];
         let fractured_reads = vec![

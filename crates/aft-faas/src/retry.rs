@@ -11,7 +11,8 @@ use std::time::Duration;
 
 use aft_types::AftError;
 
-/// How a logical request (a composition of functions) is retried.
+/// How a logical request (a composition of functions) is retried. Every
+/// attempt starts a fresh transaction, the paper's model.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Maximum number of attempts for the whole request, including the first
@@ -19,11 +20,6 @@ pub struct RetryPolicy {
     pub max_attempts: u32,
     /// Fixed delay between attempts (the simulated client's timeout/backoff).
     pub backoff: Duration,
-    /// Whether a retry reuses the same transaction ID (continuing the
-    /// transaction, possible when the AFT node survived) or starts fresh.
-    /// The evaluation always restarts from scratch, which is the simplest —
-    /// and the paper's default — model.
-    pub reuse_transaction_id: bool,
 }
 
 impl Default for RetryPolicy {
@@ -31,7 +27,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 5,
             backoff: Duration::ZERO,
-            reuse_transaction_id: false,
         }
     }
 }

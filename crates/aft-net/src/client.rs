@@ -63,7 +63,6 @@ pub struct ClientConfig {
     pub(crate) request_timeout: Duration,
     pub(crate) chaos: Option<ChaosSpec>,
     pub(crate) rng_seed: u64,
-    pub(crate) record_acks: bool,
 }
 
 impl Default for ClientConfig {
@@ -74,7 +73,6 @@ impl Default for ClientConfig {
             request_timeout: Duration::from_secs(30),
             chaos: None,
             rng_seed: 0xAF7_0C11,
-            record_acks: false,
         }
     }
 }
@@ -135,15 +133,6 @@ impl ClientBuilder {
     /// seeds).
     pub fn rng_seed(mut self, rng_seed: u64) -> Self {
         self.config.rng_seed = rng_seed;
-        self
-    }
-
-    /// When `true`, every commit acknowledgement's final id is appended to
-    /// an unbounded in-memory log ([`AftClient::acked_commits`]) so chaos
-    /// verifiers can compare acks against the durable commit set. Off by
-    /// default: a long-lived production client must not grow per commit.
-    pub fn record_acks(mut self, record_acks: bool) -> Self {
-        self.config.record_acks = record_acks;
         self
     }
 
@@ -409,7 +398,6 @@ pub struct AftClient {
     txns: Mutex<HashMap<Uuid, LocalTxn>>,
     chaos: Option<ConnChaos>,
     stats: ClientStats,
-    acked: Mutex<Vec<TransactionId>>,
 }
 
 impl AftClient {
@@ -439,7 +427,6 @@ impl AftClient {
             txns: Mutex::new(HashMap::new()),
             chaos: config.chaos.as_ref().map(ConnChaos::from_spec),
             stats: ClientStats::default(),
-            acked: Mutex::new(Vec::new()),
             config,
         });
         client.conn_at(0)?;
@@ -462,14 +449,6 @@ impl AftClient {
     /// Chaos injection counters, when an injector is installed.
     pub fn chaos_stats(&self) -> Option<NetChaosStats> {
         self.chaos.as_ref().map(|c| c.stats())
-    }
-
-    /// Every commit acknowledgement this client received (final ids),
-    /// recorded only when [`ClientBuilder::record_acks`] is set. The service
-    /// benchmarks verify each against the durable commit set: an acked
-    /// commit with no durable record is a lost write.
-    pub fn acked_commits(&self) -> Vec<TransactionId> {
-        self.acked.lock().clone()
     }
 
     /// Round-trips a `Ping`, returning the elapsed wall time.
@@ -762,9 +741,6 @@ impl AftApi for AftClient {
                 if duplicate {
                     self.stats.duplicate_acks.fetch_add(1, Ordering::Relaxed);
                 }
-                if self.config.record_acks {
-                    self.acked.lock().push(final_id);
-                }
                 Ok(CommitOutcome {
                     final_id,
                     atomic,
@@ -835,7 +811,6 @@ mod tests {
         assert_eq!(built.pool_size, defaults.pool_size);
         assert_eq!(built.request_timeout, defaults.request_timeout);
         assert_eq!(built.rng_seed, defaults.rng_seed);
-        assert_eq!(built.record_acks, defaults.record_acks);
         assert!(built.chaos.is_none());
     }
 
@@ -844,12 +819,10 @@ mod tests {
         let config = AftClient::builder()
             .pool_size(0)
             .rng_seed(42)
-            .record_acks(true)
             .request_timeout(Duration::from_secs(3))
             .build();
         assert_eq!(config.pool_size, 1, "clamped to >= 1");
         assert_eq!(config.rng_seed, 42);
-        assert!(config.record_acks);
         assert_eq!(config.request_timeout, Duration::from_secs(3));
     }
 

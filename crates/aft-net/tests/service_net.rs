@@ -95,10 +95,7 @@ fn transactions_round_trip_over_loopback() {
 #[test]
 fn pipelined_clients_share_connections_without_cross_talk() {
     let (server, _cluster) = served_cluster(3, 4);
-    let client = client_for(
-        &server,
-        AftClient::builder().pool_size(2).record_acks(true).build(),
-    );
+    let client = client_for(&server, AftClient::builder().pool_size(2).build());
 
     let threads = 8usize;
     let txns_per_thread = 20usize;
@@ -118,7 +115,6 @@ fn pipelined_clients_share_connections_without_cross_talk() {
                     let (observed, _) = client.get_versioned(&txid, &key).unwrap().unwrap();
                     assert_eq!(observed, value, "thread {t} txn {i}");
                     let outcome = client.commit(&txid, &[]).unwrap();
-                    assert!(outcome.atomic);
                     expected
                         .lock()
                         .unwrap()
@@ -142,7 +138,8 @@ fn pipelined_clients_share_connections_without_cross_talk() {
     let stats = client.server_stats().unwrap();
     assert_eq!(stats.commits, (threads * txns_per_thread) as u64);
     assert_eq!(stats.duplicate_commits, 0);
-    assert_eq!(client.acked_commits().len(), threads * txns_per_thread);
+    let acked = client.stats().commits_acked;
+    assert_eq!(acked, (threads * txns_per_thread) as u64);
     server.shutdown();
 }
 
@@ -252,7 +249,6 @@ fn connection_resets_never_lose_acknowledged_commits() {
                 0.05,
                 Duration::from_millis(1),
             )))
-            .record_acks(true)
             .build(),
     );
 
@@ -285,9 +281,9 @@ fn connection_resets_never_lose_acknowledged_commits() {
         );
     }
     assert_eq!(
-        client.acked_commits().len(),
-        acked_values.len(),
-        "the client's own ack log matches"
+        client.stats().commits_acked,
+        acked_values.len() as u64,
+        "the client's ack counter matches"
     );
     // Every ack the client saw corresponds to an apply or a dedup; with the
     // fixed seed, some lost-ack retries were deduplicated, not re-applied.

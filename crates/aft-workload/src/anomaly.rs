@@ -13,10 +13,8 @@
 //! For the baseline configurations ("Plain" storage and DynamoDB transaction
 //! mode) detection works exactly as in the paper: every written value embeds
 //! the writing request's ID and cowritten key set ([`aft_types::TaggedValue`]),
-//! and the client checks its observations after the fact. AFT-backed requests
-//! are instead checked against the node's real commit metadata (see
-//! `drivers::aft`), which avoids tagging artefacts; by Theorem 1 they should
-//! never show an anomaly.
+//! and the client checks its observations after the fact. AFT-backed runs
+//! are graded by [`crate::history`]'s checker.
 
 use std::collections::HashSet;
 

@@ -11,8 +11,10 @@
 //!   ([`drivers::AftDriver`]), directly against the storage engine with
 //!   embedded metadata ("Plain", [`drivers::PlainDriver`]), or through
 //!   DynamoDB's transaction mode ([`drivers::DynamoTxnDriver`]).
-//! * [`anomaly`] — the read-your-writes and fractured-read anomaly detectors
-//!   behind Table 2.
+//! * [`anomaly`] — the tagged-value anomaly detector that grades Table 2's
+//!   baselines.
+//! * [`history`] — the client-side history checker: an [`aft_core::api::AftApi`]
+//!   recorder and the oracle that grades AFT from what its clients saw.
 //! * [`histogram`] — latency recording (median / p99) and throughput
 //!   timelines.
 //! * [`runner`] — the closed-loop multi-client experiment runner used by
@@ -25,6 +27,7 @@ pub mod anomaly;
 pub mod drivers;
 pub mod generator;
 pub mod histogram;
+pub mod history;
 pub mod runner;
 pub mod sim;
 pub mod zipf;

@@ -3,24 +3,28 @@
 //!
 //! A client is data: a list of [`Request`]s, each a list of `r k` / `w k`
 //! micro-ops in the shape of a Maelstrom `txn`. An attempt is `begin`, one
-//! [`AftApi`] call per op, then `commit` with the versions it read, and each
-//! call is one step. A read of a key the attempt already wrote checks
-//! read-your-writes bytewise (§3.5); every written value is the writer's
-//! UUID. A platform re-runs a request whose invocation died before, inside
-//! or after its body (§3.3.1): [`FailurePoint::BeforeBody`] retries without
-//! a `begin`, [`FailurePoint::MidBody`] aborts right after the attempt's
-//! first write (the §1 fractional update), and [`FailurePoint::AfterBody`]
-//! re-runs the request after its acknowledgement. A retryable error aborts
-//! the attempt and retries the request; any other error is a bug.
+//! [`AftApi`] call per op, then `commit`, and each call is one step; every
+//! written value is the writer's UUID. Each attempt runs behind a
+//! [`Recorder`] that carries its request's id, and the run's anomalies are
+//! [`history::check`]'s verdict on what the clients saw. A platform re-runs a
+//! request whose invocation died before, inside or after its body (§3.3.1):
+//! [`FailurePoint::BeforeBody`] retries without a `begin`,
+//! [`FailurePoint::MidBody`] aborts right after the attempt's first write
+//! (the §1 fractional update), and [`FailurePoint::AfterBody`] re-runs the
+//! request after its acknowledgement. A retryable error aborts the attempt
+//! and retries the request; any other error is a bug.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use aft_cluster::Cluster;
 use aft_core::api::AftApi;
 use aft_faas::{FailureInjector, FailurePoint};
-use aft_types::{AftError, AftResult, Key, TransactionId, Value};
+use aft_types::{AftError, AftResult, Key, TransactionId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::history::{self, Attempt, FinalRead, History, Recorder};
 
 /// One step in this many is a maintenance round, so multicast, GC and
 /// fault-manager scans run *under load*, as in the paper (§4).
@@ -41,11 +45,12 @@ pub type Request = Vec<Op>;
 /// What one run observed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Run {
-    /// Final ids of every acknowledged commit, in order.
-    pub acknowledged: Vec<TransactionId>,
-    /// Fractured reads plus read-your-writes violations.
+    /// Every attempt, as its client saw it, in `begin` order.
+    pub history: Vec<Attempt>,
+    /// Read anomalies in the history ([`history::Verdict::anomalies`]).
     pub anomalies: u64,
-    /// The step at which a client observed the first anomaly.
+    /// The earliest step at which an attempt with an anomaly made its last
+    /// call.
     pub first_anomaly_step: Option<u64>,
     /// Attempts abandoned and re-invoked.
     pub client_retries: u64,
@@ -70,14 +75,17 @@ pub fn run(
     seed: u64,
 ) -> Run {
     let mut rng = StdRng::seed_from_u64(seed);
-    let to_client = |requests| Client {
+    let to_client = |(id, requests)| Client {
+        id,
         requests,
         ..Client::default()
     };
-    let mut clients: Vec<Client> = clients.into_iter().map(to_client).collect();
+    let mut clients: Vec<Client> = clients.into_iter().enumerate().map(to_client).collect();
     let mut stepper = Stepper {
         route,
         injector,
+        history: History::new(),
+        last_call: HashMap::new(),
         run: Run::default(),
     };
     loop {
@@ -86,7 +94,7 @@ pub fn run(
             .filter(|c| c.done < c.requests.len())
             .collect();
         if busy.is_empty() {
-            return stepper.run;
+            return stepper.finish();
         }
         if rng.gen_range(0..MAINTENANCE_ONE_IN) == 0 {
             let run = &mut stepper.run;
@@ -104,17 +112,19 @@ pub fn run(
 /// One client: runs its requests one after another.
 #[derive(Default)]
 struct Client {
+    /// The client's place in the run, the high half of its request ids.
+    id: usize,
     requests: Vec<Request>,
     /// Requests finished so far.
     done: usize,
     /// Attempts made at the current request.
     attempt: usize,
     /// `None` between attempts: the next step invokes one.
-    open: Option<Attempt>,
+    open: Option<Open>,
 }
 
 /// One attempt's transaction, open from its `begin` to its commit or abort.
-struct Attempt {
+struct Open {
     api: Arc<dyn AftApi>,
     txid: TransactionId,
     /// The platform's verdict on this invocation.
@@ -123,14 +133,16 @@ struct Attempt {
     next: usize,
     /// Whether the next step aborts the attempt.
     aborting: bool,
-    /// Versions read from committed data, for the commit's verdict.
-    reads: Vec<(Key, TransactionId)>,
 }
 
-/// What a client's step reaches: the route, the platform, the run's tally.
+/// What a client's step reaches: the route, the platform, the history, the
+/// run's tally.
 struct Stepper<'a> {
     route: &'a dyn Fn() -> AftResult<Arc<dyn AftApi>>,
     injector: Option<&'a FailureInjector>,
+    history: Arc<History>,
+    /// The step of each attempt's last call.
+    last_call: HashMap<TransactionId, u64>,
     run: Run,
 }
 
@@ -141,18 +153,14 @@ impl Stepper<'_> {
             return self.invoke(client);
         };
         let (api, txid) = (Arc::clone(&attempt.api), attempt.txid);
+        self.last_call.insert(txid, self.run.steps);
         if attempt.aborting {
             let _ = api.abort(&txid);
             return self.retry(client, Ok(()));
         }
         let ops = &client.requests[client.done];
         let Some(op) = ops.get(attempt.next) else {
-            let committed = api.commit(&txid, &attempt.reads).map(|outcome| {
-                if !outcome.atomic {
-                    self.anomaly();
-                }
-                self.run.acknowledged.push(outcome.final_id);
-            });
+            let committed = api.commit(&txid, &[]).map(drop);
             // After the body, the commit is durable and acknowledged but the
             // invocation's response was lost, so the client re-runs the
             // request. AFT's job is to keep the duplicate harmless.
@@ -163,23 +171,13 @@ impl Stepper<'_> {
             }
             return self.retry(client, committed);
         };
-        let value = Value::from(txid.uuid.to_string());
         let result = match op {
-            Op::Read(key) if ops[..attempt.next].contains(&Op::Write(key.clone())) => {
-                api.get_versioned(&txid, key).map(|read| {
-                    if !matches!(read, Some((seen, _)) if seen == value) {
-                        self.anomaly();
-                    }
-                })
-            }
-            Op::Read(key) => api.get_versioned(&txid, key).map(|read| {
-                if let Some((_, Some(version))) = read {
-                    attempt.reads.push((key.clone(), version));
-                }
-            }),
-            Op::Write(key) => api.put(&txid, key.clone(), value).map(|()| {
-                attempt.aborting = attempt.failure == Some(FailurePoint::MidBody);
-            }),
+            Op::Read(key) => api.get_versioned(&txid, key).map(drop),
+            Op::Write(key) => api
+                .put(&txid, key.clone(), txid.uuid.to_string().into())
+                .map(|()| {
+                    attempt.aborting = attempt.failure == Some(FailurePoint::MidBody);
+                }),
         };
         match result {
             Ok(()) => attempt.next += 1,
@@ -195,22 +193,26 @@ impl Stepper<'_> {
     /// its fate, and begins its transaction.
     fn invoke(&mut self, client: &mut Client) {
         assert!(client.attempt < 64, "a request's 64 attempts are exhausted");
+        let request = ((client.id as u64) << 32) | client.done as u64;
         let begun = (self.route)().and_then(|api| {
             let failure = self.injector.and_then(FailureInjector::decide);
             if failure == Some(FailurePoint::BeforeBody) {
                 return Ok(None);
             }
-            Ok(Some(Attempt {
+            let api = Recorder::wrap(api, Arc::clone(&self.history), Some(request));
+            Ok(Some(Open {
                 txid: api.begin()?,
                 api,
                 failure,
                 next: 0,
                 aborting: false,
-                reads: Vec::new(),
             }))
         });
         match begun {
-            Ok(attempt @ Some(_)) => client.open = attempt,
+            Ok(Some(attempt)) => {
+                self.last_call.insert(attempt.txid, self.run.steps);
+                client.open = Some(attempt);
+            }
             other => self.retry(client, other.map(drop)),
         }
     }
@@ -222,9 +224,19 @@ impl Stepper<'_> {
         client.attempt += 1;
     }
 
-    fn anomaly(&mut self) {
-        self.run.anomalies += 1;
-        self.run.first_anomaly_step.get_or_insert(self.run.steps);
+    /// Grades the clients' history: its anomalies, and the step of the
+    /// first offending attempt's last call.
+    fn finish(mut self) -> Run {
+        let history = self.history.attempts();
+        let verdict = history::check(&history, &FinalRead::new());
+        self.run.anomalies = verdict.anomalies();
+        self.run.first_anomaly_step = verdict
+            .offenders
+            .iter()
+            .filter_map(|&at| self.last_call.get(&history[at].txid).copied())
+            .min();
+        self.run.history = history;
+        self.run
     }
 }
 

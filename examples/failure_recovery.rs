@@ -7,7 +7,9 @@
 //!
 //! 1. A function that crashes between two writes. Without AFT the partial
 //!    update is immediately visible to everyone; with AFT nothing becomes
-//!    visible and the platform's retry completes the request exactly once.
+//!    visible, as the client-side history checker confirms. A retry after
+//!    the body re-runs an acknowledged request, so AFT alone makes delivery
+//!    at-least-once, not exactly-once.
 //! 2. An AFT node that "fails" after committing: a replacement node
 //!    bootstraps from the Transaction Commit Set in storage and serves the
 //!    committed data.
@@ -15,12 +17,15 @@
 //!    failure and a standby joins, while every committed transaction stays
 //!    visible.
 
+use std::sync::Arc;
+
 use aft::chaos::FaasChaos;
 use aft::cluster::{Cluster, ClusterConfig};
 use aft::core::{AftNode, NodeConfig};
 use aft::faas::{FaasPlatform, PlatformConfig, RetryPolicy};
 use aft::storage::{BackendConfig, BackendKind};
 use aft::types::Key;
+use aft::workload::history::{self, Attempt, History, Recorder};
 use aft::workload::{run_closed_loop, AftDriver, PlainDriver, RunConfig, WorkloadConfig};
 use bytes::Bytes;
 
@@ -55,16 +60,23 @@ fn part1_crash_between_writes() {
     )
     .unwrap();
 
-    // AFT: same workload, same failure plan.
+    // AFT: same workload, same failure plan, every call recorded for the
+    // history checker.
     let storage = aft::storage::make_backend(BackendConfig::test(BackendKind::DynamoDb));
     let node = AftNode::new(NodeConfig::default(), storage).unwrap();
+    let history = History::new();
+    let api = Recorder::wrap(node.clone(), Arc::clone(&history), None);
     let platform = FaasPlatform::new(PlatformConfig::test().with_chaos(failures));
-    let aft = AftDriver::single_node(node, platform, RetryPolicy::with_attempts(6));
+    let aft = AftDriver::from_api(api, platform, RetryPolicy::with_attempts(6));
     let aft_result = run_closed_loop(
         &aft,
         &RunConfig::new(workload).with_clients(6).with_requests(80),
     )
     .unwrap();
+    let attempts = history.attempts();
+    let final_read = history::read_back(&*node, history::written_keys(&attempts)).unwrap();
+    let verdict = history::check(&attempts, &final_read);
+    let acked = attempts.iter().filter_map(Attempt::acked).count();
 
     println!(
         "   Plain: {} requests completed, {} with read-your-writes anomalies, {} with fractured reads",
@@ -73,14 +85,23 @@ fn part1_crash_between_writes() {
         plain_result.anomalies.fr_transactions
     );
     println!(
-        "   AFT:   {} requests completed, {} with read-your-writes anomalies, {} with fractured reads",
+        "   AFT:   {} requests completed; the history checker graded {} attempts: \
+         {} read-your-writes, {} fractured, {} other read anomalies, {} lost writes",
         aft_result.completed,
-        aft_result.anomalies.ryw_transactions,
-        aft_result.anomalies.fr_transactions
+        attempts.len(),
+        verdict.read_your_writes,
+        verdict.fractured_reads,
+        verdict.anomalies() - verdict.read_your_writes - verdict.fractured_reads,
+        verdict.lost_acked_writes
     );
-    assert_eq!(aft_result.anomalies.ryw_transactions, 0);
-    assert_eq!(aft_result.anomalies.fr_transactions, 0);
-    println!("   AFT turned at-least-once retries into exactly-once visibility.\n");
+    assert_eq!(verdict.anomalies(), 0);
+    assert_eq!(verdict.lost_acked_writes, 0);
+    println!("   No partial update became visible, and every acknowledged write survived.");
+    println!(
+        "   {acked} commits were acknowledged for {} requests and one preload: a retry \
+         after the body re-runs an acknowledged request, so delivery is at-least-once.\n",
+        aft_result.completed
+    );
 }
 
 /// A node fails after committing; a replacement bootstraps from storage.

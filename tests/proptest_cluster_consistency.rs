@@ -1,14 +1,15 @@
 //! Property-based integration test: random multi-node histories with
 //! interleaved maintenance (broadcast, local GC, global GC, node replacement)
-//! preserve AFT's guarantees.
+//! preserve AFT's guarantees, as the history checker grades them.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use aft::cluster::{Cluster, ClusterConfig};
 use aft::core::NodeConfig;
 use aft::storage::InMemoryStore;
 use aft::types::clock::TickingClock;
 use aft::types::Key;
+use aft::workload::history::{self, History, Recorder, Verdict};
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -48,29 +49,22 @@ proptest! {
         )
         .unwrap();
 
-        // The latest committed value per key, in commit order (single-threaded
-        // history, so "last committed" is well defined).
-        let mut latest: HashMap<Key, Bytes> = HashMap::new();
+        let history = History::new();
         let mut counter = 0u64;
 
         for op in ops {
             match op {
                 Op::Commit { node, keys } => {
                     let active = cluster.active_nodes();
-                    let node = &active[node % active.len()];
-                    let txn = node.start_transaction();
-                    let mut writes = Vec::new();
+                    let node = Arc::clone(&active[node % active.len()]);
+                    let node = Recorder::wrap(node, Arc::clone(&history), None);
+                    let txn = node.begin().unwrap();
                     for k in keys {
                         counter += 1;
-                        let key = Key::new(format!("key-{k}"));
                         let value = Bytes::from(format!("value-{counter}"));
-                        node.put(&txn, key.clone(), value.clone()).unwrap();
-                        writes.push((key, value));
+                        node.put(&txn, Key::new(format!("key-{k}")), value).unwrap();
                     }
-                    node.commit(&txn).unwrap();
-                    for (key, value) in writes {
-                        latest.insert(key, value);
-                    }
+                    node.commit(&txn, &[]).unwrap();
                 }
                 Op::Maintain => {
                     cluster.run_maintenance_round().unwrap();
@@ -84,28 +78,21 @@ proptest! {
             }
         }
 
-        // After a final maintenance round, every node serves the latest
-        // committed value of every key.
+        // After a final maintenance round, every node serves the newest
+        // acknowledged write of every key.
         cluster.run_maintenance_round().unwrap();
+        let attempts = history.attempts();
+        let keys = history::written_keys(&attempts);
         for node in cluster.active_nodes() {
-            let txn = node.start_transaction();
-            for (key, expected) in &latest {
-                let got = node.get(&txn, key).unwrap();
-                prop_assert_eq!(
-                    got.as_ref(),
-                    Some(expected),
-                    "node {} lost the latest value of {}",
-                    node.node_id(),
-                    key
-                );
-            }
-            node.commit(&txn).unwrap();
+            let final_read = history::read_back(node.as_ref(), keys.clone()).unwrap();
+            let verdict = history::check(&attempts, &final_read);
+            prop_assert_eq!(verdict, Verdict::default(), "on {}", node.node_id());
         }
 
         // Every key with a committed value still has at least one live data
         // version in storage (garbage collection may remove superseded
         // versions but never the newest one).
-        for key in latest.keys() {
+        for key in &keys {
             let versions = cluster
                 .storage()
                 .list_prefix(&format!("data/{key}/"))

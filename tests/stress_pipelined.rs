@@ -6,20 +6,19 @@
 //! one `BatchWriteItem`, a multi-read's misses one `BatchGetItem`) with the
 //! pipelined I/O engine active (virtual clock, full-scale latencies
 //! charged), mixing single reads, multi-reads (`get_all`), and multi-key
-//! commits over a small contended key space. Every transaction's
-//! observed read set must remain an Atomic Readset (§3.2) — zero fractured
-//! reads, zero read-your-writes violations — no matter how the clients'
-//! overlapped round trips and flushes interleave.
+//! commits over a small contended key space, each call through one history
+//! recorder. The history checker must find every transaction's read set
+//! atomic (§3.2) — zero fractured reads, zero read-your-writes violations,
+//! no bytes a writer did not write — no matter how the clients' overlapped
+//! round trips and flushes interleave.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use aft_core::read::is_atomic_readset;
-use aft_core::{AftNode, NodeConfig};
-use aft_storage::io::IoConfig;
-use aft_storage::{BackendConfig, BackendKind, LatencyMode, OpKind};
-use aft_types::{AftError, Key, TransactionId, Value};
+use aft::core::{AftNode, NodeConfig};
+use aft::storage::io::IoConfig;
+use aft::storage::{BackendConfig, BackendKind, LatencyMode, OpKind};
+use aft::types::{AftError, Key, Value};
+use aft::workload::history::{self, FinalRead, History, Recorder, Verdict};
 use bytes::Bytes;
 
 const CLIENTS: usize = 8;
@@ -49,7 +48,7 @@ fn pipelined_node(kind: BackendKind) -> Arc<AftNode> {
     // Virtual clock at full scale: latencies are charged (so the engine's
     // overlap accounting is exercised) without sleeping, keeping the stress
     // fast and deterministic in wall-clock terms.
-    let storage = aft_storage::make_backend(BackendConfig {
+    let storage = aft::storage::make_backend(BackendConfig {
         kind,
         mode: LatencyMode::Virtual,
         scale: 1.0,
@@ -65,26 +64,19 @@ fn pipelined_node(kind: BackendKind) -> Arc<AftNode> {
     AftNode::new(config, storage).expect("node over the simulated backend")
 }
 
-/// Runs the stress workload; returns (ryw, fractured) anomaly counts.
-fn hammer(node: &Arc<AftNode>) -> (u64, u64) {
-    let barrier = Arc::new(Barrier::new(CLIENTS));
-    let ryw_anomalies = AtomicU64::new(0);
-    let fr_anomalies = AtomicU64::new(0);
-
+/// Runs the stress workload; returns the history checker's verdict on what
+/// the clients saw.
+fn hammer(node: &Arc<AftNode>) -> Verdict {
+    let barrier = Barrier::new(CLIENTS);
+    let history = History::new();
+    let api = Recorder::wrap(Arc::clone(node) as _, Arc::clone(&history), None);
     std::thread::scope(|scope| {
         for client in 0..CLIENTS {
-            let node = Arc::clone(node);
-            let barrier = Arc::clone(&barrier);
-            let ryw_anomalies = &ryw_anomalies;
-            let fr_anomalies = &fr_anomalies;
+            let (api, barrier) = (&api, &barrier);
             scope.spawn(move || {
                 barrier.wait();
-                for txn in 0..TXNS_PER_CLIENT {
-                    let txid = node.start_transaction();
-                    let mut reads: Vec<(Key, TransactionId)> = Vec::new();
-                    let mut written: HashMap<Key, Value> = HashMap::new();
-                    let mut aborted = false;
-
+                'txns: for txn in 0..TXNS_PER_CLIENT {
+                    let txid = api.begin().expect("begin is local");
                     // Mixed workload: an overlapped multi-read, then single
                     // reads and writes over a 16-key space with offsets that
                     // keep clients colliding.
@@ -92,10 +84,10 @@ fn hammer(node: &Arc<AftNode>) -> (u64, u64) {
                         let multi: Vec<Key> = (0..4)
                             .map(|j| key((client * 5 + txn * 7 + j * 3) % KEYS))
                             .collect();
-                        match node.get_all(&txid, &multi) {
+                        match api.get_all(&txid, &multi) {
                             Ok(_) => {}
                             Err(AftError::NoValidVersion { .. }) => {
-                                let _ = node.abort(&txid);
+                                let _ = api.abort(&txid);
                                 continue;
                             }
                             Err(other) => panic!("unexpected get_all error: {other:?}"),
@@ -103,58 +95,33 @@ fn hammer(node: &Arc<AftNode>) -> (u64, u64) {
                     }
                     for slot in 0..5 {
                         let k = key((client * 7 + txn * 3 + slot * 5) % KEYS);
-                        if slot % 5 < 3 {
-                            match node.get_versioned(&txid, &k) {
-                                Ok(Some((observed, Some(version)))) => {
-                                    reads.push((k, version));
-                                    let _ = observed;
-                                }
-                                Ok(Some((observed, None))) => {
-                                    // Served from our own write buffer:
-                                    // read-your-writes must hold bytewise.
-                                    if written.get(&k) != Some(&observed) {
-                                        ryw_anomalies.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                                Ok(None) => {}
-                                Err(AftError::NoValidVersion { .. }) => {
-                                    // §3.6: abort and move on, like a retried
-                                    // client request would.
-                                    let _ = node.abort(&txid);
-                                    aborted = true;
-                                    break;
-                                }
-                                Err(other) => panic!("unexpected read error: {other:?}"),
+                        if slot % 5 >= 3 {
+                            api.put(&txid, k, value(client, txn, slot)).expect("put");
+                            continue;
+                        }
+                        match api.get_versioned(&txid, &k) {
+                            Ok(_) => {}
+                            Err(AftError::NoValidVersion { .. }) => {
+                                // §3.6: abort and move on, like a retried
+                                // client request would.
+                                let _ = api.abort(&txid);
+                                continue 'txns;
                             }
-                        } else {
-                            let v = value(client, txn, slot);
-                            node.put(&txid, k.clone(), v.clone()).expect("put");
-                            written.insert(k, v);
+                            Err(other) => panic!("unexpected read error: {other:?}"),
                         }
                     }
-                    if aborted {
-                        continue;
-                    }
-                    if !is_atomic_readset(&reads, node.metadata()) {
-                        fr_anomalies.fetch_add(1, Ordering::Relaxed);
-                    }
-                    node.commit(&txid).expect("commit");
+                    api.commit(&txid, &[]).expect("commit");
                 }
             });
         }
     });
-
-    (
-        ryw_anomalies.load(Ordering::Relaxed),
-        fr_anomalies.load(Ordering::Relaxed),
-    )
+    history::check(&history.attempts(), &FinalRead::new())
 }
 
 /// Hammers `node` and checks what must hold over any backend.
 fn assert_no_anomalies(node: &Arc<AftNode>) {
-    let (ryw, fractured) = hammer(node);
-    assert_eq!(ryw, 0, "read-your-writes anomalies under pipelined I/O");
-    assert_eq!(fractured, 0, "fractured reads under pipelined I/O");
+    let verdict = hammer(node);
+    assert_eq!(verdict, Verdict::default(), "anomalies under pipelined I/O");
     assert_eq!(node.in_flight(), 0, "no dangling transactions");
 
     let io_stats = node.io().stats();
@@ -205,7 +172,7 @@ fn pipelined_and_sequential_io_agree_on_committed_state() {
     // latency, never outcomes).
     let run = |io: IoConfig| -> Vec<String> {
         let storage =
-            aft_storage::make_backend(BackendConfig::test(BackendKind::S3).with_seed(0xD1FF));
+            aft::storage::make_backend(BackendConfig::test(BackendKind::S3).with_seed(0xD1FF));
         let node = AftNode::new(
             NodeConfig {
                 io,

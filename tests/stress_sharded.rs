@@ -2,21 +2,20 @@
 //!
 //! Barrier-started client threads hammer one AFT node over a striped
 //! in-memory backend, mixing reads and commits (each commit's data one
-//! batched write) over a small contended key space. Every transaction's
-//! observed read set must remain an Atomic Readset (§3.2) — zero fractured
-//! reads, zero read-your-writes violations — no matter how the commits'
-//! flushes interleave. A second leg runs the same stress over a data cache
-//! of a few KiB, so that every read and commit promotes, demotes or evicts
-//! cache entries while other threads do the same.
+//! batched write) over a small contended key space, each call through one
+//! history recorder. The history checker must find every transaction's read
+//! set atomic (§3.2) — zero fractured reads, zero read-your-writes
+//! violations — no matter how the commits' flushes interleave. A second leg
+//! runs the same stress over a data cache of a few KiB, so that every read
+//! and commit promotes, demotes or evicts cache entries while other threads
+//! do the same.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use aft_core::read::is_atomic_readset;
-use aft_core::{AftNode, NodeConfig};
-use aft_storage::{BackendConfig, BackendKind, SharedStorage};
-use aft_types::{AftError, Key, TransactionId, Value};
+use aft::core::{AftNode, NodeConfig};
+use aft::storage::{BackendConfig, BackendKind, SharedStorage};
+use aft::types::{AftError, Key, Value};
+use aft::workload::history::{self, FinalRead, History, Recorder, Verdict};
 use bytes::Bytes;
 
 const CLIENTS: usize = 8;
@@ -44,80 +43,50 @@ fn value(client: usize, txn: usize, slot: usize, bytes: usize) -> Value {
 }
 
 /// Runs the stress workload against `node` with values of at least
-/// `value_bytes`; returns (ryw, fractured) counts.
-fn hammer(node: &Arc<AftNode>, value_bytes: usize) -> (u64, u64) {
-    let barrier = Arc::new(Barrier::new(CLIENTS));
-    let ryw_anomalies = AtomicU64::new(0);
-    let fr_anomalies = AtomicU64::new(0);
-
+/// `value_bytes`; returns the history checker's verdict on what the clients
+/// saw.
+fn hammer(node: &Arc<AftNode>, value_bytes: usize) -> Verdict {
+    let barrier = Barrier::new(CLIENTS);
+    let history = History::new();
+    let api = Recorder::wrap(Arc::clone(node) as _, Arc::clone(&history), None);
     std::thread::scope(|scope| {
         for client in 0..CLIENTS {
-            let node = Arc::clone(node);
-            let barrier = Arc::clone(&barrier);
-            let ryw_anomalies = &ryw_anomalies;
-            let fr_anomalies = &fr_anomalies;
+            let (api, barrier) = (&api, &barrier);
             scope.spawn(move || {
                 barrier.wait();
-                for txn in 0..TXNS_PER_CLIENT {
-                    let txid = node.start_transaction();
-                    let mut reads: Vec<(Key, TransactionId)> = Vec::new();
-                    let mut written: HashMap<Key, Value> = HashMap::new();
-                    let mut aborted = false;
-
+                'txns: for txn in 0..TXNS_PER_CLIENT {
+                    let txid = api.begin().expect("begin is local");
                     // Mixed read/commit workload: 3 reads and 2 writes over a
                     // 16-key space, offsets derived from the loop indices so
                     // clients constantly collide.
                     for slot in 0..5 {
                         let k = key((client * 7 + txn * 3 + slot * 5) % KEYS);
-                        if slot % 5 < 3 {
-                            match node.get_versioned(&txid, &k) {
-                                Ok(Some((observed, Some(version)))) => {
-                                    reads.push((k, version));
-                                    let _ = observed;
-                                }
-                                Ok(Some((observed, None))) => {
-                                    // Served from our own write buffer:
-                                    // read-your-writes must hold bytewise.
-                                    if written.get(&k) != Some(&observed) {
-                                        ryw_anomalies.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                                Ok(None) => {}
-                                Err(AftError::NoValidVersion { .. }) => {
-                                    // §3.6: abort and move on, like a retried
-                                    // client request would.
-                                    let _ = node.abort(&txid);
-                                    aborted = true;
-                                    break;
-                                }
-                                Err(other) => panic!("unexpected read error: {other:?}"),
-                            }
-                        } else {
+                        if slot % 5 >= 3 {
                             let v = value(client, txn, slot, value_bytes);
-                            node.put(&txid, k.clone(), v.clone()).expect("put");
-                            written.insert(k, v);
+                            api.put(&txid, k, v).expect("put");
+                            continue;
+                        }
+                        match api.get_versioned(&txid, &k) {
+                            Ok(_) => {}
+                            Err(AftError::NoValidVersion { .. }) => {
+                                // §3.6: abort and move on, like a retried
+                                // client request would.
+                                let _ = api.abort(&txid);
+                                continue 'txns;
+                            }
+                            Err(other) => panic!("unexpected read error: {other:?}"),
                         }
                     }
-                    if aborted {
-                        continue;
-                    }
-                    if !is_atomic_readset(&reads, node.metadata()) {
-                        fr_anomalies.fetch_add(1, Ordering::Relaxed);
-                    }
-                    node.commit(&txid).expect("commit");
+                    api.commit(&txid, &[]).expect("commit");
                 }
             });
         }
     });
-
-    (
-        ryw_anomalies.load(Ordering::Relaxed),
-        fr_anomalies.load(Ordering::Relaxed),
-    )
+    history::check(&history.attempts(), &FinalRead::new())
 }
 
 fn striped_node(data_cache_bytes: usize) -> Arc<AftNode> {
-    let storage: SharedStorage = aft_storage::make_backend(
+    let storage: SharedStorage = aft::storage::make_backend(
         BackendConfig::test(BackendKind::Memory)
             .with_seed(0xAF7 ^ test_seed().wrapping_mul(0x9E37)),
     );
@@ -132,9 +101,11 @@ fn striped_node(data_cache_bytes: usize) -> Arc<AftNode> {
 #[test]
 fn read_atomicity_holds_under_striping() {
     let node = striped_node(NodeConfig::test().data_cache_bytes);
-    let (ryw, fractured) = hammer(&node, 0);
-    assert_eq!(ryw, 0, "read-your-writes anomalies under striping");
-    assert_eq!(fractured, 0, "fractured reads under striping");
+    assert_eq!(
+        hammer(&node, 0),
+        Verdict::default(),
+        "anomalies under striping"
+    );
     assert_eq!(node.in_flight(), 0, "no dangling transactions");
 
     let stats = node.commit_batch_stats();
@@ -154,9 +125,12 @@ fn read_atomicity_holds_while_a_tiny_data_cache_churns() {
     // it on one stripe lock under eight threads.
     const CACHE_BYTES: usize = 2 * 1024;
     let node = striped_node(CACHE_BYTES);
-    let (ryw, fractured) = hammer(&node, 200);
-    assert_eq!(ryw, 0, "read-your-writes anomalies over a churning cache");
-    assert_eq!(fractured, 0, "fractured reads over a churning cache");
+    let verdict = hammer(&node, 200);
+    assert_eq!(
+        verdict,
+        Verdict::default(),
+        "anomalies over a churning cache"
+    );
     assert_eq!(node.in_flight(), 0, "no dangling transactions");
 
     let cache = node.data_cache();
