@@ -5,6 +5,7 @@
 //! aft-bench <experiment> [--out PATH] [--seed N] [--skip-gate] [experiment flags]
 //! aft-bench all [--seed N] [--skip-gate] [experiment flags]
 //! aft-bench list
+//! aft-bench trajectory [--check]
 //! ```
 //!
 //! Every experiment of the evaluation is one [`Experiment`] in [`REGISTRY`].
@@ -279,7 +280,7 @@ pub const REGISTRY: &[Experiment] = &[
 
 const USAGE: &str = "usage: aft-bench <experiment> [--out PATH] [--seed N] [--skip-gate] \
                      [experiment flags]\n       aft-bench all [--seed N] [--skip-gate] \
-                     [experiment flags]\n       aft-bench list";
+                     [experiment flags]\n       aft-bench list\n       aft-bench trajectory [--check]";
 
 /// What `aft-bench list` prints: every experiment with its clock, default
 /// report and own flags.
@@ -465,6 +466,9 @@ pub fn main(argv: &[String], env: BenchEnv) -> i32 {
     if argv == ["list"] {
         print!("{}", list());
         return 0;
+    }
+    if let Some(("trajectory", rest)) = argv.split_first().map(|(n, r)| (n.as_str(), r)) {
+        return crate::trajectory::main(rest, std::path::Path::new(crate::trajectory::REPORT));
     }
     let (experiments, args) = match parse(argv, env) {
         Ok(parsed) => parsed,

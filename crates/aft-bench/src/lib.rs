@@ -38,3 +38,4 @@ pub mod recovery;
 pub mod report;
 pub mod service;
 pub mod setup;
+pub mod trajectory;

@@ -220,6 +220,19 @@ impl RecoveryConfig {
         }
     }
 
+    /// The tier-1 matrix: every fault mode and kill point over the memory
+    /// row, one trial of 16 requests from 2 clients per cell. Its counts are
+    /// exact and sit in the trajectory ([`crate::trajectory`]).
+    pub fn tiny() -> Self {
+        RecoveryConfig {
+            trials: 1,
+            requests_per_trial: 16,
+            clients: 2,
+            backends: vec![BackendKind::Memory],
+            ..RecoveryConfig::standard()
+        }
+    }
+
     /// Number of matrix cells.
     pub fn cells(&self) -> usize {
         self.fault_modes.len() * self.kill_points.len() * self.backends.len()
@@ -847,14 +860,18 @@ mod tests {
 
     #[test]
     fn the_one_request_body_acks_atomically_and_durably_on_a_node_and_over_the_wire() {
-        let mut trial = Trial::set_up(BackendKind::Memory, &ChaosSpec::new(7), &tiny());
+        let mut trial = Trial::set_up(
+            BackendKind::Memory,
+            &ChaosSpec::new(7),
+            &RecoveryConfig::tiny(),
+        );
         for over_the_wire in [false, true] {
             if over_the_wire {
                 trial.service =
                     Some(serve_cluster(&trial.cluster, &ServeOptions::default()).unwrap());
             }
             let label = trial.route().unwrap().api_label().to_owned();
-            let client = vec![requests(&tiny())[0][0].clone()];
+            let client = vec![requests(&RecoveryConfig::tiny())[0][0].clone()];
             let load = sim::run(&trial.cluster, &|| trial.route(), None, vec![client], 7);
             assert_eq!(
                 load.steps - load.rounds,
@@ -877,8 +894,12 @@ mod tests {
     #[test]
     fn the_stepper_is_a_pure_function_of_its_seed() {
         let load = |seed| {
-            let trial = Trial::set_up(BackendKind::Memory, &ChaosSpec::new(7), &tiny());
-            let clients = requests(&tiny());
+            let trial = Trial::set_up(
+                BackendKind::Memory,
+                &ChaosSpec::new(7),
+                &RecoveryConfig::tiny(),
+            );
+            let clients = requests(&RecoveryConfig::tiny());
             sim::run(&trial.cluster, &|| trial.route(), None, clients, seed)
         };
         let first = load(1);
@@ -899,9 +920,9 @@ mod tests {
             .map(|seed| ChaosSpec::new(seed).faas(chaos))
             .find(|spec| spec.schedule().materialize(Layer::Faas, 2, "invoke") == after_body_once)
             .expect("some seed fails after the body once, then runs clean");
-        let trial = Trial::set_up(BackendKind::Memory, &spec, &tiny());
+        let trial = Trial::set_up(BackendKind::Memory, &spec, &RecoveryConfig::tiny());
         let (cluster, injector) = (&trial.cluster, trial.injector.as_ref());
-        let client = vec![requests(&tiny())[0][0].clone()];
+        let client = vec![requests(&RecoveryConfig::tiny())[0][0].clone()];
         let load = sim::run(cluster, &|| trial.route(), injector, vec![client], 0);
 
         let [first, second] = acked(&load)[..] else {
@@ -929,9 +950,12 @@ mod tests {
                 "aft-node-1",
                 CommitPhase::BeforeBroadcast,
             ));
-            let trial = Trial::set_up(BackendKind::DynamoDb, &spec, &tiny());
+            let trial = Trial::set_up(BackendKind::DynamoDb, &spec, &RecoveryConfig::tiny());
             assert_eq!(trial.service.is_some(), !spec.net.is_quiet());
-            assert_eq!(trial.cluster.active_nodes().len(), tiny().nodes);
+            assert_eq!(
+                trial.cluster.active_nodes().len(),
+                RecoveryConfig::tiny().nodes
+            );
             assert_eq!(
                 trial.faulty.chaos_stats().total_faults(),
                 0,
@@ -943,23 +967,13 @@ mod tests {
         }
     }
 
-    fn tiny() -> RecoveryConfig {
-        RecoveryConfig {
-            trials: 1,
-            requests_per_trial: 16,
-            clients: 2,
-            backends: vec![BackendKind::Memory],
-            ..RecoveryConfig::standard()
-        }
-    }
-
     #[test]
     fn full_tiny_matrix_is_clean() {
         // The acceptance shape: 6 fault modes (3 storage + network +
         // cross-layer + metadata partition) x 5 kill points (3 commit
         // phases + 2 checkpoint phases, one backend), zero anomalies, zero
         // lost commits, full recovery, convergence.
-        let report = fig10_recovery(&tiny());
+        let report = fig10_recovery(&RecoveryConfig::tiny());
         assert_eq!(report.cells.len(), 30);
         let summary = report.check_gate().expect("gate must pass");
         assert!(summary.contains("30 cells"), "{summary}");
@@ -981,16 +995,16 @@ mod tests {
     fn a_seed_replays_the_run() {
         // Each run builds fresh hash maps with fresh hash keys, so a result
         // that hung on iteration order would differ here.
-        let render = || fig10_recovery(&tiny()).to_json().render();
+        let render = || fig10_recovery(&RecoveryConfig::tiny()).to_json().render();
         assert_eq!(render(), render());
     }
 
     #[test]
     fn a_single_mode_replay_runs_the_full_matrix_cells() {
-        let full = fig10_recovery(&tiny());
+        let full = fig10_recovery(&RecoveryConfig::tiny());
         let replay = fig10_recovery(&RecoveryConfig {
             fault_modes: vec![FaultMode::Partition],
-            ..tiny()
+            ..RecoveryConfig::tiny()
         });
         let partition: Vec<&CellReport> = full
             .cells
@@ -1025,7 +1039,7 @@ mod tests {
         let config = RecoveryConfig {
             kill_points: vec![CommitPhase::BeforeRecordAppend],
             fault_modes: vec![FaultMode::CrossLayer],
-            ..tiny()
+            ..RecoveryConfig::tiny()
         };
         let report = fig10_recovery(&config);
         report.check_gate_cells().unwrap();
@@ -1042,7 +1056,7 @@ mod tests {
         let config = RecoveryConfig {
             kill_points: vec![CommitPhase::BeforeBroadcast],
             fault_modes: vec![FaultMode::SlowStripe],
-            ..tiny()
+            ..RecoveryConfig::tiny()
         };
         let report = fig10_recovery(&config);
         let recovered = report.total(|t| t.recovered_commits);
@@ -1065,7 +1079,7 @@ mod tests {
         let config = RecoveryConfig {
             kill_points: CommitPhase::CHECKPOINT.to_vec(),
             fault_modes: vec![FaultMode::Transient],
-            ..tiny()
+            ..RecoveryConfig::tiny()
         };
         let report = fig10_recovery(&config);
         report.check_gate_cells().unwrap();
@@ -1083,7 +1097,7 @@ mod tests {
         let config = RecoveryConfig {
             kill_points: vec![CommitPhase::BeforeDataPut],
             fault_modes: vec![FaultMode::Transient],
-            ..tiny()
+            ..RecoveryConfig::tiny()
         };
         let report = fig10_recovery(&config);
         let err = report.check_gate().unwrap_err();
@@ -1095,7 +1109,7 @@ mod tests {
         let config = RecoveryConfig {
             kill_points: vec![CommitPhase::BeforeBroadcast],
             fault_modes: vec![FaultMode::Transient],
-            ..tiny()
+            ..RecoveryConfig::tiny()
         };
         let report = fig10_recovery(&config);
         let parsed = Json::parse(&report.to_json().render()).unwrap();
