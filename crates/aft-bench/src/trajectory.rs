@@ -41,7 +41,7 @@ use crate::recovery::{fig10_recovery, RecoveryConfig};
 pub const REPORT: &str = "BENCH_trajectory.json";
 
 /// The service rows the golden script runs on, in row order.
-pub const GOLDEN_ROWS: [BackendKind; 4] = [
+const GOLDEN_ROWS: [BackendKind; 4] = [
     BackendKind::Memory,
     BackendKind::S3,
     BackendKind::DynamoDb,
@@ -114,7 +114,7 @@ pub fn golden_script(kind: BackendKind) -> ([u64; 7], usize) {
 
 /// The exact set, recomputed: each metric's name and value, with the clock
 /// it was measured on.
-pub fn measure() -> Vec<(String, u64, Clock)> {
+fn measure() -> Vec<(String, u64, Clock)> {
     let mut metrics = Vec::new();
     for kind in GOLDEN_ROWS {
         let row = kind.label().to_lowercase();
@@ -206,7 +206,7 @@ fn moved(last: &Json, metrics: &[(String, u64, Clock)]) -> Vec<String> {
 
 /// `--check`: recomputes the exact set and compares it with the last row of
 /// the trajectory at `path`. `Ok` with a summary when nothing moved.
-pub fn check(path: &Path) -> Result<String, String> {
+fn check(path: &Path) -> Result<String, String> {
     let rows = rows(path)?;
     let last = rows
         .last()
@@ -245,7 +245,7 @@ fn head() -> String {
 
 /// Recomputes the exact set and appends it to the trajectory at `path` as a
 /// row based on the checked-out commit.
-pub fn append(path: &Path) -> Result<String, String> {
+fn append(path: &Path) -> Result<String, String> {
     let mut rows = rows(path)?;
     let metrics = measure();
     let moved = rows.last().map(|last| moved(last, &metrics));

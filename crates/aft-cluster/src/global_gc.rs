@@ -14,21 +14,24 @@
 //!    every one that no active node's metadata still holds (a node that has
 //!    not yet learned the newer version holds it as its newest);
 //! 3. deletes them with one batched call: the agreed records' data keys
-//!    first, their commit records after them, and then as many of the agreed
-//!    versions as the store carries in the calls that batch already bills
-//!    ([`StorageEngine::delete_calls`]). A version costs nothing on memory
-//!    and S3, fills the slack of the last 25-key call on DynamoDB, and waits
-//!    for its transaction's own `DEL` on Redis, whose one-slot calls would
-//!    bill it a call of its own;
+//!    first, their commit records after them, and then every agreed
+//!    version. The store packs the batch by its own call limits, so a
+//!    version costs nothing on memory and S3, fills the last 25-key call on
+//!    DynamoDB (and bills another where it overflows it), and rides on
+//!    Redis in the `DEL` of its slot group, which carries every collected
+//!    key of the 256th of the transactions whose UUIDs end in its byte
+//!    ([`aft_types::slot_tag`]);
 //! 4. forgets, once storage has acknowledged, exactly what it deleted: the
 //!    records leave the view in one batch, under one lock of it, and the
 //!    versions are retired from it in another, so the later deletion of
 //!    their records never sends them again.
 //!
-//! Like the rest of the maintenance round, a GC round costs what changed
-//! since the last one: the walks cover the superseded and debited sets, and
-//! step 3 counts the calls each candidate batch would bill without building
-//! it.
+//! A round deletes at most [`GlobalGcConfig::max_deletions_per_round`]
+//! transactions and versions together: transactions first, then versions,
+//! each oldest first, so a round after a long partition sends a bounded
+//! batch and the next round takes the rest. Like the rest of the
+//! maintenance round, a GC round costs what changed since the last one: the
+//! walks cover the superseded and debited sets.
 //!
 //! The paper collects whole transactions only (§5.2); deleting versions keeps
 //! one cold key from pinning every dead version its transaction wrote.
@@ -41,7 +44,6 @@ use std::sync::Arc;
 
 use aft_core::AftNode;
 use aft_storage::io::{IoEngine, StorageRequest};
-use aft_storage::StorageEngine;
 use aft_types::{AftResult, KeyVersion, TransactionRecord};
 
 use crate::fault_manager::FaultManager;
@@ -49,8 +51,10 @@ use crate::fault_manager::FaultManager;
 /// Configuration of the global garbage collector.
 #[derive(Debug, Clone, Copy)]
 pub struct GlobalGcConfig {
-    /// Maximum transactions to delete per round (bounds storage delete
-    /// traffic; the paper dedicates separate cores to deletion).
+    /// Maximum transactions and overwritten versions to delete per round,
+    /// counted together: transactions first, then versions, each oldest
+    /// first. It bounds storage delete traffic (the paper dedicates separate
+    /// cores to deletion).
     pub max_deletions_per_round: usize,
 }
 
@@ -145,10 +149,14 @@ impl GlobalGc {
             .map(|kv| kv.storage_key())
             .collect();
         keys.extend(deletable.iter().map(|record| record.storage_key()));
-        let agreed = view
+        // What the transactions leave of the budget goes to the agreed
+        // versions, oldest first.
+        let versions: Vec<KeyVersion> = view
             .debited()
-            .filter(|v| !node_views.iter().any(|node| node.holds(&v.key, &v.tid)));
-        let versions = free_riders(io.storage().as_ref(), &mut keys, agreed);
+            .filter(|v| !node_views.iter().any(|node| node.holds(&v.key, &v.tid)))
+            .take(self.config.max_deletions_per_round - deletable.len())
+            .collect();
+        keys.extend(versions.iter().map(KeyVersion::storage_key));
         drop(view);
         drop(node_views);
         if keys.is_empty() {
@@ -164,53 +172,6 @@ impl GlobalGc {
     }
 }
 
-/// Appends to `keys` the longest prefix of `versions` whose data keys the
-/// store deletes within the calls `keys` alone already bills, and returns
-/// that prefix. An empty batch bills no call, so it carries none.
-///
-/// A batch never bills fewer calls than its prefixes, so the prefixes that
-/// fit are those up to some length. It is found by galloping — 1, 2, 4, …
-/// more versions until one step bills a call more — then bisecting that last
-/// step, so a round takes from the walk only about twice what it carries:
-/// one version where none fits (Redis, a full last call), the whole walk
-/// where every one does (an unlimited call).
-fn free_riders(
-    storage: &dyn StorageEngine,
-    keys: &mut Vec<String>,
-    mut versions: impl Iterator<Item = KeyVersion>,
-) -> Vec<KeyVersion> {
-    let base = keys.len();
-    let calls = storage.delete_calls(keys);
-    let mut taken: Vec<KeyVersion> = Vec::new();
-    if calls == 0 {
-        return taken;
-    }
-    let mut step = 1;
-    loop {
-        let fit = taken.len();
-        taken.extend(versions.by_ref().take(step));
-        keys.extend(taken[fit..].iter().map(KeyVersion::storage_key));
-        if storage.delete_calls(keys) > calls {
-            let (mut fit, mut over) = (fit, taken.len());
-            while over - fit > 1 {
-                let mid = fit + (over - fit) / 2;
-                if storage.delete_calls(&keys[..base + mid]) > calls {
-                    over = mid;
-                } else {
-                    fit = mid;
-                }
-            }
-            taken.truncate(fit);
-            keys.truncate(base + fit);
-            return taken;
-        }
-        if taken.len() < fit + step {
-            return taken;
-        }
-        step *= 2;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,7 +180,7 @@ mod tests {
     use aft_storage::io::IoConfig;
     use aft_storage::{InMemoryStore, OpKind, SharedStorage, StorageEngine, StorageStats};
     use aft_types::clock::TickingClock;
-    use aft_types::{AftError, Key, TransactionId, Uuid, Value};
+    use aft_types::{AftError, Key, TransactionId, Value};
     use bytes::Bytes;
     use parking_lot::Mutex;
 
@@ -287,9 +248,6 @@ mod tests {
                 return Err(AftError::Storage("delete refused".to_owned()));
             }
             self.inner.delete_batch(keys)
-        }
-        fn delete_calls(&self, keys: &[String]) -> usize {
-            self.inner.delete_calls(keys)
         }
         fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
             self.inner.list_prefix(prefix)
@@ -429,6 +387,31 @@ mod tests {
         assert_eq!(outcome.deleted, 2);
         let outcome = gc.run_round(&fm, &nodes, &io).unwrap();
         assert_eq!(outcome.deleted, 1, "five superseded versions in total");
+
+        // Versions count against the same budget: one more superseded
+        // transaction goes first, then the oldest of three overwritten
+        // versions, and the next round takes the other two.
+        let mut overwritten = Vec::new();
+        for i in 0..3 {
+            let (x, y) = (format!("x{i}"), format!("y{i}"));
+            let t = commit_writes(&nodes[0], &[(&x, "old"), (&y, "y")]);
+            commit_on(&nodes[0], &x, "new");
+            overwritten.push(KeyVersion::new(x, t));
+        }
+        commit_on(&nodes[0], "hot", "v6");
+        broadcast_round(&nodes, Some(&fm));
+        nodes[0].run_local_gc(&LocalGcConfig::aggressive());
+        assert_eq!(fm.metadata().debited_oldest_first(), overwritten);
+
+        let outcome = gc.run_round(&fm, &nodes, &io).unwrap();
+        assert_eq!((outcome.deleted, outcome.versions), (1, 1));
+        assert_eq!(fm.metadata().debited_oldest_first(), overwritten[1..]);
+        let outcome = gc.run_round(&fm, &nodes, &io).unwrap();
+        assert_eq!((outcome.deleted, outcome.versions), (0, 2));
+        assert_eq!(
+            gc.run_round(&fm, &nodes, &io).unwrap(),
+            GlobalGcOutcome::default()
+        );
     }
 
     #[test]
@@ -459,39 +442,45 @@ mod tests {
     }
 
     #[test]
-    fn versions_ride_only_in_calls_the_batch_already_bills() {
+    fn every_agreed_version_leaves_storage_in_its_round_on_every_row() {
         use aft_storage::{make_backend, BackendConfig, BackendKind};
-        let records = |n: usize| {
-            (0..n)
-                .map(|i| format!("commit/{i:020}"))
-                .collect::<Vec<_>>()
-        };
-        let versions: Vec<KeyVersion> = (0..60u64)
-            .map(|i| {
-                KeyVersion::new(
-                    format!("v{i}"),
-                    TransactionId::new(i, Uuid::from_u128(i.into())),
-                )
-            })
-            .collect();
-        for (kind, base, carried) in [
-            (BackendKind::Memory, 20, 60),
-            (BackendKind::Memory, 0, 0),
-            (BackendKind::S3, 20, 60),
-            (BackendKind::DynamoDb, 20, 5),
-            (BackendKind::DynamoDb, 25, 0),
-            (BackendKind::DynamoDb, 26, 24),
-            (BackendKind::Redis, 20, 0),
-        ] {
+        for kind in [BackendKind::Memory]
+            .into_iter()
+            .chain(BackendKind::EVALUATED)
+        {
             let storage = make_backend(BackendConfig::test(kind));
-            let mut batch = records(base);
-            let riders = free_riders(storage.as_ref(), &mut batch, versions.iter().cloned());
-            assert_eq!(riders, versions[..carried], "{kind} after {base} keys");
-            assert_eq!(batch.len(), base + carried);
-            assert_eq!(
-                storage.delete_calls(&batch),
-                storage.delete_calls(&records(base))
-            );
+            let nodes = nodes_over(&storage, 2);
+            let fm = FaultManager::new();
+            // Forty versions overwritten while their transactions still
+            // write the newest b: more than one DynamoDB call's worth, and
+            // spread over many Redis slot groups. Plus two superseded hot
+            // transactions.
+            let mut overwritten = Vec::new();
+            for i in 0..40 {
+                let (a, b) = (format!("a{i}"), format!("b{i}"));
+                let t = commit_writes(&nodes[0], &[(&a, "old"), (&b, "b")]);
+                commit_on(&nodes[1], &a, "new");
+                overwritten.push(KeyVersion::new(a, t));
+            }
+            for i in 0..3 {
+                commit_on(&nodes[0], "hot", &format!("h{i}"));
+            }
+            broadcast_round(&nodes, Some(&fm));
+            for node in &nodes {
+                node.run_local_gc(&LocalGcConfig::aggressive());
+            }
+
+            let outcome = GlobalGc::default()
+                .run_round(&fm, &nodes, &engine_over(&storage))
+                .unwrap();
+            assert_eq!((outcome.deleted, outcome.versions), (2, 40), "{kind}");
+            for version in &overwritten {
+                let key = version.storage_key();
+                assert!(storage.get(&key).unwrap().is_none(), "{kind}: {key}");
+            }
+            // The new a's, the b's and the newest hot.
+            assert_eq!(storage.list_prefix("data/").unwrap().len(), 81, "{kind}");
+            assert!(fm.metadata().debited_oldest_first().is_empty(), "{kind}");
         }
     }
 
@@ -562,11 +551,7 @@ mod tests {
         broadcast_round(&nodes, Some(&fm));
 
         // T2 overwrites a; only node 0 and the fault manager learn of it.
-        // A scratch key gives every round a record to delete, so the version
-        // has a call to ride in.
         commit_on(&nodes[0], "a", "a2");
-        commit_on(&nodes[0], "scratch", "s0");
-        commit_on(&nodes[0], "scratch", "s1");
         let late = fm.drain_node(&nodes[0]);
         for node in &nodes {
             node.run_local_gc(&LocalGcConfig::aggressive());
@@ -579,25 +564,21 @@ mod tests {
         );
 
         let outcome = gc.run_round(&fm, &nodes, &io).unwrap();
-        assert_eq!((outcome.deleted, outcome.versions), (1, 0));
+        assert_eq!(outcome, GlobalGcOutcome::default());
         assert!(raw.get(&a1.storage_key()).unwrap().is_some());
         assert_eq!(
             fm.metadata().debited_oldest_first(),
             std::slice::from_ref(&a1)
         );
 
-        // Once node 1 learns T2 (drained first) and sweeps, the next round
-        // takes it.
-        nodes[1].receive_peer_commits(&late[..1]);
+        // Once node 1 learns T2 and sweeps, the next round takes it.
+        nodes[1].receive_peer_commits(&late);
         assert_eq!(
             nodes[1].run_local_gc(&LocalGcConfig::aggressive()).retired,
             1
         );
-        commit_on(&nodes[0], "scratch", "s2");
-        fm.drain_node(&nodes[0]);
-        nodes[0].run_local_gc(&LocalGcConfig::aggressive());
         let outcome = gc.run_round(&fm, &nodes, &io).unwrap();
-        assert_eq!((outcome.deleted, outcome.versions), (1, 1));
+        assert_eq!((outcome.deleted, outcome.versions), (0, 1));
         assert!(raw.get(&a1.storage_key()).unwrap().is_none());
         assert_eq!(raw.list_prefix("data/a/").unwrap().len(), 1);
     }
@@ -620,7 +601,6 @@ mod tests {
         let gc = GlobalGc::default();
         let io = engine_over(&storage);
         let sweep_and_collect = |nodes: &[Arc<AftNode>]| {
-            commit_on(&original, "scratch", "s");
             broadcast_round(nodes, Some(&fm));
             for node in nodes {
                 node.run_local_gc(&LocalGcConfig::aggressive());
@@ -636,7 +616,6 @@ mod tests {
         commit_on(&original, "a", "a3");
         commit_on(&original, "c", "c4");
         let overwritten = [KeyVersion::new("a", t1), KeyVersion::new("c", t2)];
-        commit_on(&original, "scratch", "s");
         let outcome = sweep_and_collect(&[Arc::clone(&original)]);
         assert_eq!(outcome.versions, 2);
         for version in &overwritten {
@@ -660,7 +639,7 @@ mod tests {
         let sent = spy.batches.lock().len();
         commit_on(&original, "b", "b5");
         let outcome = sweep_and_collect(&[Arc::clone(&original), replacement]);
-        assert_eq!(outcome.deleted, 3, "T1, the reader's record and a scratch");
+        assert_eq!(outcome.deleted, 2, "T1 and the reader's record");
         let batches = spy.batches.lock();
         let later: Vec<&String> = batches[sent..].iter().flatten().collect();
         assert!(later.contains(&&KeyVersion::new("b", t1).storage_key()));

@@ -232,12 +232,6 @@ impl StorageEngine for FaultyBackend {
         self.run("delete_batch", &key, || self.inner.delete_batch(keys))
     }
 
-    /// Forwarded: a batch is one fault decision over the inner backend's
-    /// calls, so it bills what the inner backend bills.
-    fn delete_calls(&self, keys: &[String]) -> usize {
-        self.inner.delete_calls(keys)
-    }
-
     fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
         self.run("list", prefix, || self.inner.list_prefix(prefix))
     }

@@ -55,17 +55,6 @@ pub trait StorageEngine: Send + Sync {
     /// Deletes a set of keys, using a batch API where available.
     fn delete_batch(&self, keys: &[String]) -> AftResult<()>;
 
-    /// How many API calls one [`delete_batch`](StorageEngine::delete_batch)
-    /// of exactly `keys` bills: 0 for no keys, and never fewer for a batch
-    /// than for any prefix of it. The global GC asks before it adds a key to
-    /// a round's batch, so an overwritten version rides along only where it
-    /// costs no call of its own. The default, one call per key, is what a
-    /// store without a multi-key delete bills — and what a wrapper that does
-    /// not forward the answer makes its callers assume.
-    fn delete_calls(&self, keys: &[String]) -> usize {
-        keys.len()
-    }
-
     /// Returns all keys that start with `prefix`, in lexicographic order.
     ///
     /// Because AFT's storage keys embed zero-padded commit timestamps,

@@ -26,9 +26,11 @@
 //!   slowest, and each call draws its latency from the RNG of its (first)
 //!   key's placement stripe — one lock and one RNG, seeded `seed + stripe`,
 //!   per stripe. Redis's multi-key calls may not span hash slots: its
-//!   batches split by [`aft_types::slot_tag`] first, so one transaction's
-//!   keys share a call and a key alone in its slot is a single-key call
-//!   ([`redis`] says why the rule holds). A call the row applies
+//!   batches split by [`aft_types::slot_tag`] first — the last byte of the
+//!   transaction UUID, so one slot holds 256ths of the transactions — and
+//!   one transaction's keys share a call, a GC `DEL` carries every
+//!   collected key of its group, and a key alone in its slot is a
+//!   single-key call ([`redis`] says why the rule holds). A call the row applies
 //!   all-or-nothing ([`MultiKeyCall::atomic`]) lands under the locks of
 //!   every stripe it touches, so no reader sees part of it, and
 //!   [`StorageEngine::writes_atomically`] tells a writer when a batch is one

@@ -10,14 +10,15 @@
 //! * multi-key commands only within one hash slot: the cluster rejects an
 //!   `MSET` or `DEL` whose keys hash to different slots (§6.1.2).
 //!
-//! A key's slot is its [`slot_tag`](aft_types::slot_tag): the transaction
-//! UUID that ends every AFT data key (`data/{key}/{uuid}`) and commit-record
-//! key (`commit/{ts}_{uuid}`), or the whole key if it carries none. On a real
-//! cluster that is a hash tag, the UUID written between braces, which the
-//! cluster hashes instead of the whole key. The rule holds because AFT
-//! already names a transaction's versions and its record by that UUID, and
-//! nothing else: every key of one transaction lands in one slot. So the row
-//! offers `MSET` and multi-key `DEL` ([`MSET`](crate::profiles::MSET),
+//! A key's slot is its [`slot_tag`](aft_types::slot_tag): the last byte, as
+//! two hex digits, of the transaction UUID that ends every AFT data key
+//! (`data/{key}/{uuid}`) and commit-record key (`commit/{ts}_{uuid}`), or
+//! the whole key if it carries none. On a real cluster that is a hash tag,
+//! the two digits written between braces. So a slot holds one of 256 groups
+//! of transactions: every key of one transaction lands in one slot, as do
+//! the keys of every transaction whose UUID ends in the same byte, and
+//! AFT's data still spreads over any cluster of up to 256 primaries. The
+//! row offers `MSET` and multi-key `DEL` ([`MSET`](crate::profiles::MSET),
 //! [`DEL`](crate::profiles::DEL), at most
 //! [`REDIS_MULTI_KEY_LIMIT`](crate::profiles::REDIS_MULTI_KEY_LIMIT) keys a
 //! call), and a batch goes out as one call per slot. Within one slot, Redis
@@ -25,14 +26,16 @@
 //! keys is one `MSET` carrying its data and, last, its record: §3.3's "no
 //! record without its data" holds without a second round trip. A larger
 //! commit writes its data first and its record with its own `SET`. A GC
-//! round deletes each collected transaction, record included, with one
-//! `DEL`. Keys without a UUID (checkpoint chunks and manifests, a plain
-//! baseline's bare keys) are each alone in their slot and keep one `SET` or
-//! `DEL` per key. Reads name versions of different transactions, so the row
-//! has no multi-key read. The paper's implementation could not batch its
-//! commit writes over Redis (§6.1.2, §6.3) and wrote each record after its
-//! data; this row departs from it on purpose, and its Redis call counts are
-//! not the paper's.
+//! round's batch is one `DEL` per slot group (more past the limit) carrying
+//! the group's collected transactions, records included, and its
+//! overwritten versions; a key alone in its group that round is a
+//! single-key `DEL`. Keys without a UUID (checkpoint chunks and manifests,
+//! a plain baseline's bare keys) are each alone in their slot and keep one
+//! `SET` or `DEL` per key. Reads name versions of different transactions,
+//! so the row has no multi-key read. The paper's implementation could not
+//! batch its commit writes over Redis (§6.1.2, §6.3) and wrote each record
+//! after its data; this row departs from it on purpose, and its Redis call
+//! counts are not the paper's.
 //!
 //! A shard is a placement stripe of the shared [`SimStore`](crate::SimStore):
 //! one lock, one latency RNG. An atomic call holds the locks of every stripe
@@ -130,7 +133,8 @@ mod tests {
     #[test]
     fn a_multi_key_call_never_spans_slots() {
         // Two transactions' keys interleaved in one batch, with a bare key:
-        // one MSET per transaction, one SET for the bare key.
+        // their UUIDs end in different bytes, so one MSET per transaction
+        // and one SET for the bare key.
         let r = cluster();
         let (a, a_record) = transaction(0xA, 3);
         let (b, b_record) = transaction(0xB, 2);
@@ -157,6 +161,16 @@ mod tests {
         doomed.extend([a_record, b_record]);
         r.delete_batch(&doomed).unwrap();
         assert_eq!(calls(&r), [3, 2, 1, 2]);
+        assert!(r.list_prefix("").unwrap().is_empty());
+
+        // Two transactions whose UUIDs end in the same byte share a slot
+        // group: one MSET and one DEL carry both, records included.
+        let (c, c_record) = transaction(0x1_0A, 2);
+        let (d, d_record) = transaction(0x2_0A, 3);
+        let group = [c, d, vec![c_record, d_record]].concat();
+        r.put_batch(items(&group)).unwrap();
+        r.delete_batch(&group).unwrap();
+        assert_eq!(calls(&r), [3, 3, 1, 3]);
         assert!(r.list_prefix("").unwrap().is_empty());
     }
 

@@ -9,8 +9,9 @@
 //! their sum (sequential charging survives only in
 //! [`SequentialEngine`](crate::SequentialEngine)). Where a row's multi-key
 //! call may carry keys of one hash slot only (Redis), a batch is split by
-//! [`slot_tag`] before it is cut to the call's limit, and a key alone in its
-//! slot goes out as the single-key call. A call whose profile is
+//! [`slot_tag`] — the group of transactions whose UUIDs end in one byte —
+//! before it is cut to the call's limit, and a key alone in its slot goes
+//! out as the single-key call. A call whose profile is
 //! free — every call of the memory row — takes no hash, no RNG lock and no
 //! latency bookkeeping.
 
@@ -179,18 +180,16 @@ fn calls_of<'k>(call: &MultiKeyCall, keys: impl Iterator<Item = &'k str>) -> Vec
         .collect()
 }
 
-/// How many calls [`calls_of`] cuts a batch into, counted rather than built:
-/// arithmetic where a call may carry any keys, one count per slot where it is
-/// confined to one. The global GC asks this several times a round.
-fn call_count<'k>(call: &MultiKeyCall, keys: impl ExactSizeIterator<Item = &'k str>) -> usize {
-    if !call.one_slot {
-        return keys.len().div_ceil(call.limit);
-    }
-    let mut per_slot: HashMap<&str, usize> = HashMap::new();
-    for key in keys {
-        *per_slot.entry(slot_tag(key)).or_default() += 1;
-    }
-    per_slot.values().map(|n| n.div_ceil(call.limit)).sum()
+/// Whether [`calls_of`] cuts a batch into exactly one call, decided without
+/// building it: a key or more, at most the call's limit, and every key in the
+/// first one's slot where the call is confined to one. A commit asks it once,
+/// through [`StorageEngine::writes_atomically`].
+fn one_call(call: &MultiKeyCall, keys: &[&str]) -> bool {
+    let Some(first) = keys.first() else {
+        return false;
+    };
+    let slot = slot_tag(first);
+    keys.len() <= call.limit && (!call.one_slot || keys.iter().all(|key| slot_tag(key) == slot))
 }
 
 impl StorageEngine for SimStore {
@@ -272,11 +271,6 @@ impl StorageEngine for SimStore {
         Ok(())
     }
 
-    fn delete_calls(&self, keys: &[String]) -> usize {
-        let (_, call) = self.service.delete_call();
-        call_count(&call, keys.iter().map(String::as_str))
-    }
-
     fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
         self.stats.record_call(OpKind::List);
         self.charge(&self.service.profile.list, prefix, 0);
@@ -299,7 +293,7 @@ impl StorageEngine for SimStore {
 
     fn writes_atomically(&self, keys: &[&str]) -> bool {
         let (_, call) = self.service.write_call();
-        call.atomic && call_count(&call, keys.iter().copied()) == 1
+        call.atomic && one_call(&call, keys)
     }
 
     fn stats(&self) -> Arc<StorageStats> {
@@ -312,16 +306,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counted_calls_are_the_calls_a_batch_is_cut_into() {
+    fn one_call_is_whether_a_batch_is_cut_into_one_call() {
         // Data and record keys of a few transactions, some sharing a slot,
-        // plus keys that are their own slot.
-        let keys: Vec<String> = (0..300u32)
+        // plus keys that are their own slot; and forty keys of one slot.
+        let mixed: Vec<String> = (0..300u32)
             .map(|i| match i % 3 {
                 0 => format!("data/k{i}/{:032x}", i % 7),
                 1 => format!("commit/{i:020}_{:032x}", i % 7),
                 _ => format!("bare/{i}"),
             })
             .collect();
+        let one_slot: Vec<String> = (0..40).map(|i| format!("data/k{i}/{:032x}", 7)).collect();
         for service in [
             Service::MEMORY,
             Service::S3,
@@ -333,14 +328,16 @@ mod tests {
                 service.write_call(),
                 service.delete_call(),
             ] {
-                for n in [0, 1, 2, 25, 26, 99, 300] {
-                    let batch = keys[..n].iter().map(String::as_str);
-                    assert_eq!(
-                        call_count(&call, batch.clone()),
-                        calls_of(&call, batch).len(),
-                        "{} with {n} keys",
-                        service.name
-                    );
+                for keys in [&mixed, &one_slot] {
+                    for n in [0, 1, 2, 16, 17, 25, 26, 40] {
+                        let batch: Vec<&str> = keys[..n].iter().map(String::as_str).collect();
+                        assert_eq!(
+                            one_call(&call, &batch),
+                            calls_of(&call, batch.iter().copied()).len() == 1,
+                            "{} with {n} keys",
+                            service.name
+                        );
+                    }
                 }
             }
         }

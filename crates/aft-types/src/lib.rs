@@ -15,7 +15,8 @@
 //! * [`TransactionRecord`] — the commit record persisted to the Transaction
 //!   Commit Set at the end of the write-ordering protocol (§3.3).
 //! * [`slot_tag`] — which part of a storage key places it on a sharded
-//!   store: the transaction UUID its data and record keys share.
+//!   store: the last byte of the transaction UUID its data and record keys
+//!   share, so one slot holds 256ths of the transactions.
 //! * [`codec`] — a small, dependency-free binary codec used to turn records
 //!   and tagged values into the opaque blobs the storage layer persists. AFT
 //!   only relies on the storage engine for durability, so everything it stores
@@ -57,12 +58,14 @@ pub const DATA_PREFIX: &str = "data";
 pub const COMMIT_PREFIX: &str = "commit";
 
 /// The part of a storage key that picks its hash slot on a sharded store:
-/// the writing transaction's 32-hex-digit UUID, which ends every data key
-/// (`data/{key}/{uuid}`) and every commit-record key (`commit/{ts}_{uuid}`).
-/// A transaction's versions and its record therefore share one slot, and a
-/// multi-key call limited to one slot can carry them together. Any other key
-/// (a checkpoint key, a bare key written by a baseline without AFT) is its
-/// own tag.
+/// the last two hex digits of the writing transaction's 32-hex-digit UUID,
+/// which ends every data key (`data/{key}/{uuid}`) and every commit-record
+/// key (`commit/{ts}_{uuid}`). A slot thus holds one of 256 groups of
+/// transactions, chosen by the UUID's last byte: a transaction's versions
+/// and its record always share one, so a multi-key call limited to one slot
+/// can carry them together, and it can also carry the keys of every other
+/// transaction of its group. Any other key (a checkpoint key, a bare key
+/// written by a baseline without AFT) is its own tag.
 pub fn slot_tag(storage_key: &str) -> &str {
     let under = |prefix: &str| {
         storage_key
@@ -75,7 +78,9 @@ pub fn slot_tag(storage_key: &str) -> &str {
         _ => None,
     };
     match suffix {
-        Some((_, uuid)) if uuid.len() == 32 && uuid.bytes().all(|b| b.is_ascii_hexdigit()) => uuid,
+        Some((_, uuid)) if uuid.len() == 32 && uuid.bytes().all(|b| b.is_ascii_hexdigit()) => {
+            &uuid[30..]
+        }
         _ => storage_key,
     }
 }

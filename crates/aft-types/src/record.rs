@@ -262,12 +262,15 @@ mod tests {
             TransactionId::new(1_700_000_000_123, Uuid::from_u128(0xabc)),
             ["cart/7", "a", "photos/user/42"].map(Key::new),
         );
-        let uuid = r.id.uuid.to_string();
+        // The tag is the UUID's last byte: "…abc" is in group "bc".
         let record_key = r.storage_key();
-        assert_eq!(slot_tag(&record_key), uuid);
+        assert_eq!(slot_tag(&record_key), "bc");
         for kv in r.key_versions() {
-            assert_eq!(slot_tag(&kv.storage_key()), uuid, "{kv}");
+            assert_eq!(slot_tag(&kv.storage_key()), "bc", "{kv}");
         }
+        // So is every other transaction whose UUID ends in that byte.
+        let peer = TransactionId::new(5, Uuid::from_u128(0xf00d_00bc));
+        assert_eq!(slot_tag(&TransactionRecord::storage_key_for(&peer)), "bc");
         // Keys that carry no transaction UUID are their own tag.
         for bare in [
             "ckptmeta/00000000000000000003",
@@ -280,6 +283,15 @@ mod tests {
         ] {
             assert_eq!(slot_tag(bare), bare);
         }
+    }
+
+    #[test]
+    fn counter_style_uuids_spread_over_all_256_slot_groups() {
+        let groups: std::collections::HashSet<String> = (0..256u128)
+            .map(|n| TransactionRecord::storage_key_for(&tid(1, n)))
+            .map(|key| crate::slot_tag(&key).to_owned())
+            .collect();
+        assert_eq!(groups.len(), 256);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! key's newest acknowledged write (the checker's model, not AFT's
 //! metadata), and storage must hold no data whose commit record is gone,
 //! nor an overwritten version no node and not the fault manager still
-//! holds. A
-//! seed replays the script exactly; with `--nocapture` it prints how many
-//! overwritten versions its last round left for a later one.
+//! holds. It runs over the memory row and over Redis, where one GC `DEL`
+//! spans the transactions of a slot group. A seed replays the script
+//! exactly; with `--nocapture` it prints how many overwritten versions its
+//! last round left for a later one.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -21,7 +22,7 @@ use std::sync::Arc;
 use aft::cluster::{Cluster, ClusterConfig};
 use aft::core::api::AftApi;
 use aft::core::{is_superseded, MetadataCache};
-use aft::storage::{InMemoryStore, StorageEngine};
+use aft::storage::{make_backend, BackendConfig, BackendKind, InMemoryStore, SharedStorage};
 use aft::types::clock::TickingClock;
 use aft::types::{Key, KeyVersion, TransactionId, TransactionRecord, Uuid};
 use aft::workload::history::{self, Verdict};
@@ -93,8 +94,17 @@ fn superseded_set(cache: &MetadataCache) -> Vec<TransactionId> {
 
 #[test]
 fn maintenance_racing_commits_keeps_supersedence_and_storage_consistent() {
+    race_maintenance(InMemoryStore::shared());
+}
+
+/// On Redis one GC `DEL` carries every collected key of a slot group.
+#[test]
+fn maintenance_racing_commits_keeps_storage_consistent_on_redis() {
+    race_maintenance(make_backend(BackendConfig::test(BackendKind::Redis)));
+}
+
+fn race_maintenance(raw: SharedStorage) {
     let seed = test_seed();
-    let raw = InMemoryStore::shared();
     let mut config = ClusterConfig::test(3);
     config.node_template.rng_seed = 0xAF71 ^ seed.wrapping_mul(0xC2B2);
     let cluster = Cluster::with_clock(config, raw.clone(), TickingClock::shared(1, 1)).unwrap();
@@ -186,5 +196,8 @@ fn maintenance_racing_commits_keeps_supersedence_and_storage_consistent() {
         );
         held += 1;
     }
-    println!("seed {seed}: {held} overwritten versions still held");
+    println!(
+        "seed {seed}, {}: {held} overwritten versions still held",
+        raw.name()
+    );
 }
