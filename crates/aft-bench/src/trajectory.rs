@@ -6,10 +6,11 @@
 //! on every host, every run and every core count. Each row holds one change's
 //! values, grouped under the clock they were measured on:
 //!
-//! * the golden storage script ([`golden_script`]): its per-[`OpKind`] calls
-//!   and the `data/` keys storage holds after its maintenance round, on each
-//!   of the four service rows — what `storage_ops_per_txn` is made of, and
-//!   what the global GC leaves behind;
+//! * the golden storage script ([`golden_script`]): its per-[`OpKind`] calls,
+//!   the bytes it writes, and the `data/` keys storage holds after its
+//!   maintenance round, on each of the four service rows — what
+//!   `storage_ops_per_txn` and `storage_write_amp` are made of, and what the
+//!   global GC leaves behind;
 //! * the tiny `fig10_recovery` matrix ([`RecoveryConfig::tiny`]): its
 //!   recovered commits and its absorbed (retried) storage faults.
 //!
@@ -68,13 +69,24 @@ fn next(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// What one run of [`golden_script`] billed and left behind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GoldenRun {
+    /// The calls of each [`GOLDEN_OPS`] kind, in that order.
+    pub calls: [u64; 7],
+    /// The bytes every write call handed the store
+    /// ([`StorageStatsSnapshot::bytes_written`](aft_storage::StorageStatsSnapshot::bytes_written)).
+    pub bytes_written: u64,
+    /// The `data/` keys storage holds after the maintenance round.
+    pub data_keys: usize,
+}
+
 /// Runs the golden *transaction* script over `kind`: a one-node cluster
 /// without a data cache runs 200 seeded transactions (two reads and three
 /// writes each, every tenth one aborted, a checkpoint every 64 commits) and
 /// one maintenance round — dissemination, fault-manager scan, local and
-/// global GC, checkpoint and log compaction. Returns the calls of each
-/// [`GOLDEN_OPS`] kind and the `data/` keys storage holds after the round.
-pub fn golden_script(kind: BackendKind) -> ([u64; 7], usize) {
+/// global GC, checkpoint and log compaction.
+pub fn golden_script(kind: BackendKind) -> GoldenRun {
     let storage = make_backend(BackendConfig::test(kind));
     let cluster = Cluster::with_clock(
         ClusterConfig {
@@ -107,9 +119,12 @@ pub fn golden_script(kind: BackendKind) -> ([u64; 7], usize) {
     cluster
         .run_maintenance_round()
         .expect("a maintenance round");
-    let calls = GOLDEN_OPS.map(|op| storage.stats().calls(op));
-    let data_keys = storage.list_prefix("data/").expect("a listing").len();
-    (calls, data_keys)
+    let stats = storage.stats().snapshot();
+    GoldenRun {
+        calls: GOLDEN_OPS.map(|op| stats.calls(op)),
+        bytes_written: stats.bytes_written,
+        data_keys: storage.list_prefix("data/").expect("a listing").len(),
+    }
 }
 
 /// The exact set, recomputed: each metric's name and value, with the clock
@@ -118,13 +133,18 @@ fn measure() -> Vec<(String, u64, Clock)> {
     let mut metrics = Vec::new();
     for kind in GOLDEN_ROWS {
         let row = kind.label().to_lowercase();
-        let (calls, data_keys) = golden_script(kind);
-        for (op, calls) in GOLDEN_OPS.iter().zip(calls) {
+        let run = golden_script(kind);
+        for (op, calls) in GOLDEN_OPS.iter().zip(run.calls) {
             metrics.push((format!("golden.{row}.{op:?}"), calls, Clock::Virtual));
         }
         metrics.push((
+            format!("golden.{row}.bytes_written"),
+            run.bytes_written,
+            Clock::Virtual,
+        ));
+        metrics.push((
             format!("golden.{row}.data_keys_left"),
-            data_keys as u64,
+            run.data_keys as u64,
             Clock::Virtual,
         ));
     }
