@@ -25,7 +25,7 @@ use aft_core::MetadataCache;
 use aft_storage::checkpoint::{compact_log, publish_checkpoint, Checkpoint, CHECKPOINT_KEEP};
 use aft_storage::io::{IoConfig, IoEngine, StorageRequest};
 use aft_storage::BackendKind;
-use aft_types::codec::encode_commit_record;
+use aft_types::codec::encode_keyed_commit_record;
 use aft_types::{Key, TransactionId, TransactionRecord, Uuid};
 
 use crate::cli::{Args, Outcome};
@@ -347,7 +347,7 @@ fn seed_commits(io: &IoEngine, first: u64, last: u64, keys: usize) {
     let mut batch = Vec::with_capacity(SEED_BATCH);
     for ts in first..=last {
         let record = record_for(ts, keys);
-        batch.push((record.storage_key(), encode_commit_record(&record)));
+        batch.push((record.storage_key(), encode_keyed_commit_record(&record)));
         if batch.len() >= SEED_BATCH {
             io.execute(StorageRequest::PutBatch(std::mem::take(&mut batch)))
                 .result

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use aft_storage::checkpoint::load_latest_checkpoint;
 use aft_storage::io::{IoEngine, StorageRequest};
-use aft_types::codec::decode_commit_record;
+use aft_types::codec::decode_keyed_commit_record;
 use aft_types::{AftResult, CommitPhase, TransactionId, TransactionRecord, Uuid};
 
 use crate::metadata::MetadataCache;
@@ -25,10 +25,13 @@ pub const COMMIT_FETCH_WAVE: usize = 256;
 
 /// Fetches and decodes the commit records stored under `keys`, one
 /// [`IoEngine::get_all`] per wave of [`COMMIT_FETCH_WAVE`] keys, and calls
-/// `on_record` for each record found. Keys deleted between listing and read
+/// `on_record` for each record found. Each blob is decoded with the key it
+/// was read from, which names its transaction
+/// ([`decode_keyed_commit_record`]). Keys deleted between listing and read
 /// are skipped (a racing global GC); undecodable blobs are skipped (a
-/// half-written record means the transaction never committed). Returns the
-/// bytes read and the charged latency.
+/// half-written record means the transaction never committed), and so is
+/// an older build's blob whose id is not its key's. Returns the bytes read
+/// and the charged latency.
 ///
 /// The one commit-record fetch loop: node bootstrap and full replay (below)
 /// and the cluster fault manager's commit-set scan all bulk-read the
@@ -42,9 +45,10 @@ pub fn fetch_commit_records(
     for wave in keys.chunks(COMMIT_FETCH_WAVE) {
         let (blobs, wave_cost) = io.get_all(wave.to_vec())?;
         cost += wave_cost;
-        for blob in blobs.into_iter().flatten() {
+        for (key, blob) in wave.iter().zip(blobs) {
+            let Some(blob) = blob else { continue };
             bytes_read += blob.len() as u64;
-            if let Ok(record) = decode_commit_record(&blob) {
+            if let Ok(record) = decode_keyed_commit_record(key, &blob) {
                 on_record(record);
             }
         }
@@ -173,7 +177,7 @@ pub fn warm_metadata_cache_checkpointed(
 mod tests {
     use super::*;
     use aft_storage::{InMemoryStore, SharedStorage, StorageEngine};
-    use aft_types::codec::encode_commit_record;
+    use aft_types::codec::encode_keyed_commit_record;
     use aft_types::{Key, Value};
 
     fn tid(ts: u64) -> TransactionId {
@@ -183,7 +187,7 @@ mod tests {
     fn put_record(storage: &SharedStorage, ts: u64, keys: &[&str]) -> TransactionRecord {
         let record = TransactionRecord::new(tid(ts), keys.iter().map(Key::new));
         storage
-            .put(&record.storage_key(), encode_commit_record(&record))
+            .put(&record.storage_key(), encode_keyed_commit_record(&record))
             .unwrap();
         record
     }

@@ -13,7 +13,7 @@ use aft_storage::checkpoint::{
 use aft_storage::io::{IoConfig, IoEngine, StorageRequest};
 use aft_storage::latency::{LatencyMode, LatencyModel, LatencyProfile};
 use aft_storage::SharedStorage;
-use aft_types::codec::encode_commit_record;
+use aft_types::codec::encode_keyed_commit_record;
 use aft_types::{
     AftError, AftResult, Clock, Key, KeyVersion, SharedClock, SystemClock, Timestamp,
     TransactionId, TransactionRecord, Uuid, Value,
@@ -761,7 +761,7 @@ impl AftNode {
         //    sending the record may have left it durable, so the node reports
         //    it to the fault manager (§4.2).
         let record = TransactionRecord::new(final_id, txn.writes.keys().cloned());
-        let record_item = (record.storage_key(), encode_commit_record(&record));
+        let record_item = (record.storage_key(), encode_keyed_commit_record(&record));
         let probe = self.commit_probe.lock().clone();
         self.commit_flushes.fetch_add(1, Ordering::Relaxed);
         let mut record_sent = false;
@@ -1337,7 +1337,7 @@ mod tests {
                 .unwrap();
         }
         let id = node.commit(&t).unwrap();
-        let record = encode_commit_record(&node.metadata().record(&id).unwrap());
+        let record = encode_keyed_commit_record(&node.metadata().record(&id).unwrap());
         assert_eq!(
             storage.stats().snapshot().bytes_written,
             10 * 16 + record.len() as u64,
@@ -1429,7 +1429,7 @@ mod tests {
             let key = Key::new(format!("k{ts}"));
             let record = TransactionRecord::new(id, [key.clone()]);
             items.push((KeyVersion::new(key, id).storage_key(), val("v")));
-            items.push((record.storage_key(), encode_commit_record(&record)));
+            items.push((record.storage_key(), encode_keyed_commit_record(&record)));
         }
         storage.put_batch(items).unwrap();
 

@@ -29,7 +29,10 @@
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
-use aft_types::codec::{decode_commit_record, encode_commit_record, Reader, Writer};
+use aft_types::codec::{
+    decode_commit_record, decode_keyed_commit_record, encode_commit_record,
+    encoded_commit_record_len, Reader, Writer,
+};
 use aft_types::wire::MAX_FRAME_LEN;
 use aft_types::{AftError, AftResult, Key, TransactionId, TransactionRecord, Value};
 
@@ -346,22 +349,29 @@ pub fn publish_checkpoint<F>(
 where
     F: FnOnce() -> AftResult<()>,
 {
-    // Pack records into chunks under the frame budget.
+    // Pack records into chunks under the frame budget: each chunk is a
+    // range of the records, sized without encoding them.
+    let records = &checkpoint.records;
     let mut chunks: Vec<Value> = Vec::new();
-    let mut current: Vec<TransactionRecord> = Vec::new();
-    let mut current_bytes = 0usize;
-    for record in &checkpoint.records {
-        let encoded_len = 4 + encode_commit_record(record).len();
-        if !current.is_empty() && current_bytes + encoded_len > CHUNK_BUDGET {
-            chunks.push(encode_chunk(checkpoint.id, chunks.len() as u32, &current));
-            current.clear();
-            current_bytes = 0;
+    let (mut start, mut current_bytes) = (0, 0);
+    for (i, record) in records.iter().enumerate() {
+        let encoded_len = 4 + encoded_commit_record_len(record);
+        if i > start && current_bytes + encoded_len > CHUNK_BUDGET {
+            chunks.push(encode_chunk(
+                checkpoint.id,
+                chunks.len() as u32,
+                &records[start..i],
+            ));
+            (start, current_bytes) = (i, 0);
         }
         current_bytes += encoded_len;
-        current.push(record.clone());
     }
-    if !current.is_empty() {
-        chunks.push(encode_chunk(checkpoint.id, chunks.len() as u32, &current));
+    if start < records.len() {
+        chunks.push(encode_chunk(
+            checkpoint.id,
+            chunks.len() as u32,
+            &records[start..],
+        ));
     }
 
     let chunk_crcs: Vec<u32> = chunks.iter().map(|c| crc32(c)).collect();
@@ -572,7 +582,7 @@ pub fn compact_log(
             for (key, blob) in unknown.into_iter().zip(blobs) {
                 // A blob already gone (concurrent GC) leaves nothing to delete.
                 let superseded = blob.is_some_and(|blob| {
-                    decode_commit_record(&blob).is_ok_and(|record| {
+                    decode_keyed_commit_record(&key, &blob).is_ok_and(|record| {
                         !record.write_set.is_empty()
                             && record
                                 .write_set
@@ -638,6 +648,7 @@ mod tests {
     use super::*;
     use crate::io::IoConfig;
     use crate::memory::InMemoryStore;
+    use aft_types::codec::encode_keyed_commit_record;
     use aft_types::Uuid;
 
     fn engine() -> IoEngine {
@@ -817,10 +828,17 @@ mod tests {
         let r3 = record(3, &["k"]);
         let r4 = record(4, &["c"]);
         let r5 = record(5, &["d"]);
-        for r in [&r1, &r2, &r3, &r4, &r5] {
+        // r1 as an older build stored it: compaction reads both forms.
+        io.execute(StorageRequest::Put(
+            r1.storage_key(),
+            encode_commit_record(&r1),
+        ))
+        .result
+        .unwrap();
+        for r in [&r2, &r3, &r4, &r5] {
             io.execute(StorageRequest::Put(
                 r.storage_key(),
-                encode_commit_record(r),
+                encode_keyed_commit_record(r),
             ))
             .result
             .unwrap();

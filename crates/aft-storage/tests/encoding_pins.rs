@@ -3,10 +3,24 @@
 //! How an id is held in memory is free to change; what a store, a checkpoint
 //! or a peer sees of it is not — a node must bootstrap from what an earlier
 //! build wrote. The expected strings below were produced by the build that
-//! still stored a `Uuid` as one `u128`.
+//! still stored a `Uuid` as one `u128`. Pinned here:
+//!
+//! * the id's text forms: its display, its storage suffix, and the data and
+//!   commit-set keys built from it;
+//! * the commit-set blob. It is the keyed form: a header, a varint key count
+//!   and varint-prefixed keys, with no id, because its key names the
+//!   transaction. Until commit 58f320d it was the id-carrying form, which
+//!   repeated the id and framed every length in four bytes. That older hex
+//!   stays pinned as what such a build left in a store: the keyed decode
+//!   must still read it under its own key, and under no other;
+//! * the id-carrying form on its own, as every checkpoint chunk holds it,
+//!   and a whole chunk, which did not change;
+//! * a `Commit` request frame on the wire.
 
 use aft_storage::checkpoint::encode_chunk;
-use aft_types::codec::encode_commit_record;
+use aft_types::codec::{
+    decode_keyed_commit_record, encode_commit_record, encode_keyed_commit_record,
+};
 use aft_types::wire::encode_request;
 use aft_types::{Key, KeyVersion, TransactionId, TransactionRecord, Uuid, Value, WireRequest};
 use rand::rngs::StdRng;
@@ -14,6 +28,14 @@ use rand::SeedableRng;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(text: &str) -> Vec<u8> {
+    let digits: Vec<u8> = text.bytes().filter(u8::is_ascii_hexdigit).collect();
+    digits
+        .chunks(2)
+        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+        .collect()
 }
 
 #[test]
@@ -47,10 +69,19 @@ fn a_seeded_id_is_written_as_it_always_was() {
         "commit/00000001700000000123_4144df479849a9d0ebd1ff0098787fb4"
     );
     assert_eq!(
-        hex(&encode_commit_record(&record)),
-        "01017b68e5cf8b010000b47f789800ffd1ebd0a9499847df4441\
-         0200000006000000636172742f3707000000757365722f3432"
+        hex(&encode_keyed_commit_record(&record)),
+        "02010206636172742f3707757365722f3432"
     );
+    let older_build = "01017b68e5cf8b010000b47f789800ffd1ebd0a9499847df4441\
+                       0200000006000000636172742f3707000000757365722f3432";
+    assert_eq!(hex(&encode_commit_record(&record)), older_build);
+    let stored = unhex(older_build);
+    assert_eq!(
+        decode_keyed_commit_record(&record.storage_key(), &stored).unwrap(),
+        record
+    );
+    let elsewhere = TransactionRecord::storage_key_for(&read);
+    assert!(decode_keyed_commit_record(&elsewhere, &stored).is_err());
 
     let frame = encode_request(
         9,

@@ -1,11 +1,11 @@
 //! Transaction commit records and write sets.
 //!
 //! The write-ordering protocol (§3.3) persists a transaction's data blobs
-//! first and only then writes a *commit record* — the transaction's ID plus
-//! its write set — to the Transaction Commit Set in storage. A transaction is
-//! committed if and only if its commit record is durable; everything else
-//! (metadata caches, key version indexes, multicast state) is soft state that
-//! can be rebuilt from the commit set.
+//! first and only then writes a *commit record* — the transaction's write
+//! set, stored under a key that names its ID — to the Transaction Commit Set
+//! in storage. A transaction is committed if and only if its commit record
+//! is durable; everything else (metadata caches, key version indexes,
+//! multicast state) is soft state that can be rebuilt from the commit set.
 
 use std::fmt;
 

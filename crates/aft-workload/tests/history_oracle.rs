@@ -10,7 +10,7 @@ use aft_core::api::AftApi;
 use aft_core::{AftNode, NodeConfig};
 use aft_storage::{InMemoryStore, StorageEngine};
 use aft_types::clock::TickingClock;
-use aft_types::codec::encode_commit_record;
+use aft_types::codec::encode_keyed_commit_record;
 use aft_types::{Key, TransactionRecord, Value};
 use aft_workload::history::{check, FinalRead, History, Recorder};
 
@@ -40,7 +40,7 @@ fn a_tampered_commit_record_fools_the_node_but_not_the_checker() {
     storage
         .put(
             &TransactionRecord::storage_key_for(&t1),
-            encode_commit_record(&tampered),
+            encode_keyed_commit_record(&tampered),
         )
         .unwrap();
 
