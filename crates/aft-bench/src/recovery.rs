@@ -49,7 +49,9 @@ use aft_core::bootstrap::fetch_commit_records;
 use aft_core::{is_superseded, CommitPhase, NodeConfig};
 use aft_faas::FailureInjector;
 use aft_storage::chaos::FaultyBackend;
-use aft_storage::{BackendKind, LatencyMode, LatencyModel, SharedStorage, DEFAULT_STRIPES};
+use aft_storage::{
+    BackendKind, LatencyMode, LatencyModel, SharedStorage, StorageEngine, DEFAULT_STRIPES,
+};
 use aft_types::clock::TickingClock;
 use aft_types::{AftResult, Key, TransactionRecord};
 use aft_workload::history::Attempt;
@@ -301,6 +303,10 @@ pub struct TrialResult {
     pub client_retries: u64,
     /// Faults the chaos backend injected (errors + timeouts).
     pub faults_injected: u64,
+    /// API calls the backend billed over the load and the recovery drive,
+    /// every [`OpKind`](aft_storage::OpKind) summed; the verification's
+    /// reads are not counted.
+    pub storage_calls: u64,
 }
 
 /// One matrix cell's aggregated trials.
@@ -677,6 +683,7 @@ fn run_trial(
     );
     let trial = Trial::set_up(backend, &spec, config);
     let cluster = &trial.cluster;
+    let billed = trial.faulty.stats().snapshot();
     trial.faulty.set_enabled(true);
     // The stepper's stream is decorrelated from the nodes' UUID streams,
     // which the same seed also starts; a failed round is the next's to retry.
@@ -690,6 +697,12 @@ fn run_trial(
 
     // The load is done; drive recovery to convergence.
     let outcome = trial.controller.drive_recovery(200);
+    let storage_calls = trial
+        .faulty
+        .stats()
+        .snapshot()
+        .delta_since(&billed)
+        .total_calls();
 
     // Verification reads ground truth with injection paused: the invariants
     // are about the *cluster's* state, not about whether the verifier's own
@@ -752,6 +765,7 @@ fn run_trial(
             + cluster.disseminator().totals().link_drops as u64
             + conn_faults
             + trial.injector.as_ref().map_or(0, |i| i.injected()),
+        storage_calls,
     }
 }
 

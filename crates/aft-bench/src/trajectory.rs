@@ -7,12 +7,15 @@
 //! values, grouped under the clock they were measured on:
 //!
 //! * the golden storage script ([`golden_script`]): its per-[`OpKind`] calls,
-//!   the bytes it writes, and the `data/` keys storage holds after its
-//!   maintenance round, on each of the four service rows — what
-//!   `storage_ops_per_txn` and `storage_write_amp` are made of, and what the
-//!   global GC leaves behind;
+//!   the bytes it writes, the maintenance rounds it takes to drain, and the
+//!   `data/` keys storage holds after them, on each of the four service rows
+//!   — what `storage_ops_per_txn` and `storage_write_amp` are made of, what
+//!   a read-only transaction costs, and what the global GC leaves behind;
 //! * the tiny `fig10_recovery` matrix ([`RecoveryConfig::tiny`]): its
-//!   recovered commits and its absorbed (retried) storage faults.
+//!   recovered commits, its absorbed (retried) storage faults, its requests
+//!   acknowledged and acknowledged twice, and the storage calls it billed —
+//!   so storage calls per acknowledged request is a ratio of two exact
+//!   counts.
 //!
 //! Both run on virtual time: the script on a ticking mock clock with latency
 //! off, the matrix on one seeded stepper.
@@ -77,15 +80,20 @@ pub struct GoldenRun {
     /// The bytes every write call handed the store
     /// ([`StorageStatsSnapshot::bytes_written`](aft_storage::StorageStatsSnapshot::bytes_written)).
     pub bytes_written: u64,
-    /// The `data/` keys storage holds after the maintenance round.
+    /// The maintenance rounds the script ran, the last one the first that
+    /// deleted nothing.
+    pub rounds: u64,
+    /// The `data/` keys storage holds after the last maintenance round.
     pub data_keys: usize,
 }
 
 /// Runs the golden *transaction* script over `kind`: a one-node cluster
-/// without a data cache runs 200 seeded transactions (two reads and three
-/// writes each, every tenth one aborted, a checkpoint every 64 commits) and
-/// one maintenance round — dissemination, fault-manager scan, local and
-/// global GC, checkpoint and log compaction.
+/// without a data cache runs 200 seeded read-write transactions (two reads
+/// and three writes each, every tenth one aborted, a checkpoint every 64
+/// commits), and after every ninth commit a read-only one that reads three
+/// keys, so every tenth commit writes nothing. Then it runs maintenance
+/// rounds — dissemination, fault-manager scan, local and global GC,
+/// checkpoint and log compaction — until one deletes nothing.
 pub fn golden_script(kind: BackendKind) -> GoldenRun {
     let storage = make_backend(BackendConfig::test(kind));
     let cluster = Cluster::with_clock(
@@ -115,14 +123,29 @@ pub fn golden_script(kind: BackendKind) -> GoldenRun {
         } else {
             node.commit(&txn).expect("a commit");
         }
+        if i % 10 == 8 {
+            let reader = node.start_transaction();
+            for _ in 0..3 {
+                node.get(&reader, &key(&mut seed)).expect("a read");
+            }
+            node.commit(&reader).expect("a read-only commit");
+        }
     }
-    cluster
-        .run_maintenance_round()
-        .expect("a maintenance round");
+    let mut rounds = 0;
+    loop {
+        rounds += 1;
+        let round = cluster
+            .run_maintenance_round()
+            .expect("a maintenance round");
+        if round.global_gc.storage_keys_deleted == 0 {
+            break;
+        }
+    }
     let stats = storage.stats().snapshot();
     GoldenRun {
         calls: GOLDEN_OPS.map(|op| stats.calls(op)),
         bytes_written: stats.bytes_written,
+        rounds,
         data_keys: storage.list_prefix("data/").expect("a listing").len(),
     }
 }
@@ -142,6 +165,7 @@ fn measure() -> Vec<(String, u64, Clock)> {
             run.bytes_written,
             Clock::Virtual,
         ));
+        metrics.push((format!("golden.{row}.rounds"), run.rounds, Clock::Virtual));
         metrics.push((
             format!("golden.{row}.data_keys_left"),
             run.data_keys as u64,
@@ -152,6 +176,15 @@ fn measure() -> Vec<(String, u64, Clock)> {
     for (name, value) in [
         ("fig10.tiny.recovered", tiny.total(|t| t.recovered_commits)),
         ("fig10.tiny.absorbed", tiny.total(|t| t.io_retries)),
+        (
+            "fig10.tiny.duplicate_requests",
+            tiny.total(|t| t.duplicate_requests),
+        ),
+        (
+            "fig10.tiny.acked_requests",
+            tiny.total(|t| t.acknowledged as u64),
+        ),
+        ("fig10.tiny.storage_calls", tiny.total(|t| t.storage_calls)),
     ] {
         metrics.push((name.to_owned(), value, Clock::Virtual));
     }

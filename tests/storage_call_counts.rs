@@ -6,11 +6,12 @@
 //!
 //! * The *transaction* script ([`golden_script`], shared with the exact
 //!   trajectory of `aft-bench trajectory`): a one-node cluster without a
-//!   data cache runs 200 seeded transactions (two reads and three writes
-//!   each, every tenth one aborted, a checkpoint every 64 commits) and one
-//!   maintenance round — dissemination, fault-manager scan, local and global
-//!   GC, checkpoint and log compaction — over each simulated service. The
-//!   counts were recorded
+//!   data cache runs 200 seeded read-write transactions (two reads and three
+//!   writes each, every tenth one aborted, a checkpoint every 64 commits),
+//!   20 read-only ones that read three keys each, and maintenance rounds —
+//!   dissemination, fault-manager scan, local and global GC, checkpoint and
+//!   log compaction — until one deletes nothing, over each simulated
+//!   service. The counts were recorded
 //!   at commit 4ca4336, before the services shared one store. The
 //!   `BatchGet` column was added on top of commit 6225ad3, when multi-key
 //!   reads began to use a service's multi-key read call. It is 0 on every
@@ -54,6 +55,19 @@
 //!   58f320d, when a commit record stopped carrying the id its storage key
 //!   already names and its lengths became varints: 180 records of two or
 //!   three 3-byte keys, each 33 or 36 bytes shorter. No call count moved.
+//!
+//!   Every row was re-recorded on top of commit 08719e4, when the script
+//!   gained its read-only transactions (after every ninth commit, so every
+//!   tenth commit writes nothing) and its drain: maintenance rounds until
+//!   one deletes nothing, two on every row, where there was one round
+//!   before. The read-only transactions draw their keys from the script's
+//!   one seeded stream, so the keys after them moved too: `Get` 369 → 416,
+//!   bytes 37 552 → 37 722, and every row one `List` more (the second
+//!   round's scan). Each read-only commit writes its record as a `Put`
+//!   (+20 on every row), and the global GC collects those records with the
+//!   rest: DynamoDB's `BatchDelete` 27 → 28, Redis's `BatchDelete`
+//!   125 → 126 and `Delete` 29 → 36. Every row still leaves 40 `data/`
+//!   keys.
 //! * The *`GetAll`* script: a node without a data cache commits 250 keys,
 //!   then reads them back through `get_all` calls that miss 1, 2, 8, 100,
 //!   101 and 250 keys. Each read that misses two or more bills one
@@ -73,18 +87,19 @@ use bytes::Bytes;
 #[test]
 fn aft_script_bills_the_golden_call_counts_on_every_service() {
     let golden = [
-        (BackendKind::Memory, [369, 0, 182, 180, 0, 2, 5], 40),
-        (BackendKind::S3, [369, 0, 707, 0, 0, 2, 5], 40),
-        (BackendKind::DynamoDb, [369, 0, 182, 180, 0, 27, 5], 40),
-        (BackendKind::Redis, [369, 0, 2, 180, 29, 125, 5], 40),
+        (BackendKind::Memory, [416, 0, 202, 180, 0, 2, 6], 2, 40),
+        (BackendKind::S3, [416, 0, 727, 0, 0, 2, 6], 2, 40),
+        (BackendKind::DynamoDb, [416, 0, 202, 180, 0, 28, 6], 2, 40),
+        (BackendKind::Redis, [416, 0, 22, 180, 36, 126, 6], 2, 40),
     ];
-    for (kind, expected, left) in golden {
+    for (kind, expected, rounds, left) in golden {
         let run = golden_script(kind);
         assert_eq!(
             run.calls, expected,
             "{kind}: (Get, BatchGet, Put, BatchPut, Delete, BatchDelete, List)"
         );
-        assert_eq!(run.bytes_written, 37_552, "{kind}: bytes written");
+        assert_eq!(run.bytes_written, 37_722, "{kind}: bytes written");
+        assert_eq!(run.rounds, rounds, "{kind}: maintenance rounds");
         assert_eq!(run.data_keys, left, "{kind}: data keys left");
     }
 }
