@@ -13,18 +13,30 @@
 //!    its transaction is still the newest writer of another key — and takes
 //!    every one that no active node's metadata still holds (a node that has
 //!    not yet learned the newer version holds it as its newest);
-//! 3. deletes them with one batched call: the agreed records' data keys
-//!    first, their commit records after them, and then every agreed
-//!    version. The store packs the batch by its own call limits, so a
-//!    version costs nothing on memory and S3, fills the last 25-key call on
-//!    DynamoDB (and bills another where it overflows it), and rides on
-//!    Redis in the `DEL` of its slot group, which carries every collected
-//!    key of the 256th of the transactions whose UUIDs end in its byte
-//!    ([`aft_types::slot_tag`]);
+//! 3. plans their deletes with the store's own packer
+//!    ([`aft_storage::calls_of`] over
+//!    [`StorageEngine::delete_call`](aft_storage::StorageEngine::delete_call))
+//!    and sends them as one batched call: the agreed records' data keys
+//!    first, their commit records after them, and then every agreed version.
+//!    The store packs the batch by its own call limits: one call on memory,
+//!    25-key `BatchWriteItem`s on DynamoDB, 1 000-key `DeleteObjects` on S3,
+//!    and on Redis 16-key `DEL`s per slot group, the 256th of the
+//!    transactions whose UUIDs end in one byte ([`aft_types::slot_tag`]).
+//!    Every full call goes out. A partial call (a group's last) goes out
+//!    only if it carries more than half its limit or a key an earlier round
+//!    passed over. Otherwise its units — a transaction's data keys and
+//!    record together, or one version — wait exactly one round, provided
+//!    they hold at most half a call's keys. So a slot group owes at most
+//!    half a call's keys, for at most one extra round, and a `DEL` that would
+//!    carry a few keys carries the next round's as well. An unlimited call
+//!    (the memory row's, and the default of a wrapper that does not forward
+//!    the method) counts as full, so there nothing waits;
 //! 4. forgets, once storage has acknowledged, exactly what it deleted: the
 //!    records leave the view in one batch, under one lock of it, and the
 //!    versions are retired from it in another, so the later deletion of
-//!    their records never sends them again.
+//!    their records never sends them again. What waits stays in the view,
+//!    so the next round selects it again; the GC remembers only which units
+//!    it passed over.
 //!
 //! A round deletes at most [`GlobalGcConfig::max_deletions_per_round`]
 //! transactions and versions together: transactions first, then versions,
@@ -40,11 +52,14 @@
 //! transaction into a retry (never into a fractured read). The `min_age` knob
 //! and oldest-first deletion order mitigate this in practice.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use aft_core::AftNode;
 use aft_storage::io::{IoEngine, StorageRequest};
+use aft_storage::{calls_of, MultiKeyCall};
 use aft_types::{AftResult, KeyVersion, TransactionRecord};
+use parking_lot::Mutex;
 
 use crate::fault_manager::FaultManager;
 
@@ -81,11 +96,21 @@ pub struct GlobalGcOutcome {
     /// Individual storage keys deleted (data blobs, commit records and
     /// overwritten versions).
     pub storage_keys_deleted: usize,
+    /// Storage keys agreed this round but passed over: their partial delete
+    /// call was at most half full, so they wait for the next round.
+    pub carried: usize,
+    /// The partial delete calls those keys would have cost this round.
+    pub carried_calls: usize,
 }
 
 /// The global garbage collector.
 pub struct GlobalGc {
     config: GlobalGcConfig,
+    /// The units the last round passed over, each by its last storage key (a
+    /// transaction's record, or a version's data key): at most half a call's
+    /// keys per slot group. The next round sends them whatever call they land
+    /// in.
+    passed_over: Mutex<HashSet<String>>,
 }
 
 impl Default for GlobalGc {
@@ -97,19 +122,24 @@ impl Default for GlobalGc {
 impl GlobalGc {
     /// Creates a global GC with the given configuration.
     pub fn new(config: GlobalGcConfig) -> Self {
-        GlobalGc { config }
+        GlobalGc {
+            config,
+            passed_over: Mutex::new(HashSet::new()),
+        }
     }
 
     /// Runs one GC round against the fault manager's commit view.
     ///
     /// Selection (the view's superseded and debited sets plus the check that
     /// no node holds a candidate) runs first, in memory; then the round's
-    /// keys go to storage as one batched delete, which each backend bills by
-    /// its own API shape. Key versions come before commit records so that a
-    /// delete that stops part-way never leaves data whose record — the only
-    /// thing that names it — is gone. If the delete fails nothing is
-    /// forgotten: the view keeps every candidate and the next round sends the
-    /// same keys again (deletes are idempotent).
+    /// keys, less those carried to the next round (step 3 of the module
+    /// docs), go to storage as one batched delete, which each backend bills
+    /// by its own API shape. Key versions come before commit records so that
+    /// a delete that stops part-way never leaves data whose record — the
+    /// only thing that names it — is gone. If the delete fails nothing is
+    /// forgotten: the view keeps every candidate, the passed-over set is
+    /// unchanged, and the next round sends the same keys again (deletes are
+    /// idempotent).
     pub fn run_round(
         &self,
         fault_manager: &FaultManager,
@@ -139,37 +169,114 @@ impl GlobalGc {
             deletable.push(record);
         }
 
-        // A record's data keys are the versions the view still holds: the
-        // rest were retired, so their data went in an earlier round.
+        // A record's unit is its data keys, then its record key. Its data
+        // keys are the versions the view still holds: the rest were retired,
+        // so their data went in an earlier round.
         let view = metadata.view();
-        let mut keys: Vec<String> = deletable
+        let mut units: Vec<Vec<String>> = deletable
             .iter()
-            .flat_map(|record| record.key_versions())
-            .filter(|kv| view.holds(&kv.key, &kv.tid))
-            .map(|kv| kv.storage_key())
+            .map(|record| {
+                let mut keys: Vec<String> = record
+                    .key_versions()
+                    .filter(|kv| view.holds(&kv.key, &kv.tid))
+                    .map(|kv| kv.storage_key())
+                    .collect();
+                keys.push(record.storage_key());
+                keys
+            })
             .collect();
-        keys.extend(deletable.iter().map(|record| record.storage_key()));
         // What the transactions leave of the budget goes to the agreed
-        // versions, oldest first.
+        // versions, oldest first, one unit each.
         let versions: Vec<KeyVersion> = view
             .debited()
             .filter(|v| !node_views.iter().any(|node| node.holds(&v.key, &v.tid)))
             .take(self.config.max_deletions_per_round - deletable.len())
             .collect();
-        keys.extend(versions.iter().map(KeyVersion::storage_key));
+        units.extend(versions.iter().map(|v| vec![v.storage_key()]));
         drop(view);
         drop(node_views);
-        if keys.is_empty() {
-            return Ok(outcome);
-        }
-        outcome.storage_keys_deleted = keys.len();
-        io.execute(StorageRequest::DeleteBatch(keys)).result?;
 
-        metadata.remove_all(deletable.iter().map(|record| &record.id));
-        outcome.deleted = deletable.len();
-        outcome.versions = metadata.retire(&versions);
+        let mut passed_over = self.passed_over.lock();
+        let (waits, carried_calls) = carried(&io.storage().delete_call(), &units, &passed_over);
+        // What goes: data keys first, then commit records, then versions.
+        let (mut keys, mut records, mut version_keys) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut gone, mut sent_versions, mut waiting) = (Vec::new(), Vec::new(), HashSet::new());
+        for (u, unit) in units.iter().enumerate() {
+            let (last, data) = unit.split_last().expect("a unit has a key");
+            if waits[u] {
+                outcome.carried += unit.len();
+                waiting.insert(last.clone());
+            } else if let Some(record) = deletable.get(u) {
+                keys.extend_from_slice(data);
+                records.push(last.clone());
+                gone.push(&record.id);
+            } else {
+                version_keys.push(last.clone());
+                sent_versions.push(versions[u - deletable.len()].clone());
+            }
+        }
+        keys.append(&mut records);
+        keys.append(&mut version_keys);
+        if !keys.is_empty() {
+            outcome.storage_keys_deleted = keys.len();
+            io.execute(StorageRequest::DeleteBatch(keys)).result?;
+        }
+
+        // Acknowledged: forget what went, remember what waits.
+        *passed_over = waiting;
+        drop(passed_over);
+        outcome.carried_calls = carried_calls;
+        outcome.deleted = gone.len();
+        metadata.remove_all(gone);
+        outcome.versions = metadata.retire(&sent_versions);
         Ok(outcome)
     }
+}
+
+/// Which of a round's `units` wait for the next round, and how many partial
+/// calls of `call` they would have cost. The units are laid out as the store
+/// would pack them — those passed over last round first, so they fill a slot
+/// group's first calls — and cut by [`calls_of`]. A call waits if it carries
+/// at most half its limit, no key of a unit in `passed_over`, and no more
+/// than half its limit counted over every key of the units it touches (a
+/// unit whose keys straddle the group's last full call waits whole). An
+/// unlimited call counts as full.
+fn carried(
+    call: &MultiKeyCall,
+    units: &[Vec<String>],
+    passed_over: &HashSet<String>,
+) -> (Vec<bool>, usize) {
+    let mut waits = vec![false; units.len()];
+    if call.limit == usize::MAX {
+        return (waits, 0);
+    }
+    let was_passed = |u: usize| passed_over.contains(units[u].last().expect("a unit has a key"));
+    let mut order: Vec<usize> = (0..units.len()).collect();
+    order.sort_by_key(|&u| !was_passed(u));
+    let owner: Vec<usize> = order
+        .iter()
+        .flat_map(|&u| std::iter::repeat_n(u, units[u].len()))
+        .collect();
+    let keys = order
+        .iter()
+        .flat_map(|&u| units[u].iter().map(String::as_str));
+    let mut calls = 0;
+    for chunk in calls_of(call, keys) {
+        if chunk.len() * 2 > call.limit {
+            continue;
+        }
+        let mut touched: Vec<usize> = chunk.iter().map(|&i| owner[i]).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let held: usize = touched.iter().map(|&u| units[u].len()).sum();
+        if held * 2 <= call.limit && !touched.iter().any(|&u| was_passed(u)) {
+            calls += 1;
+            for u in touched {
+                waits[u] = true;
+            }
+        }
+    }
+    (waits, calls)
 }
 
 #[cfg(test)]
@@ -178,9 +285,12 @@ mod tests {
     use crate::dissemination::broadcast_round;
     use aft_core::{LocalGcConfig, NodeConfig};
     use aft_storage::io::IoConfig;
-    use aft_storage::{InMemoryStore, OpKind, SharedStorage, StorageEngine, StorageStats};
+    use aft_storage::{
+        make_backend, BackendConfig, BackendKind, InMemoryStore, OpKind, SharedStorage,
+        StorageEngine, StorageStats,
+    };
     use aft_types::clock::TickingClock;
-    use aft_types::{AftError, Key, TransactionId, Value};
+    use aft_types::{slot_tag, AftError, Key, TransactionId, Uuid, Value};
     use bytes::Bytes;
     use parking_lot::Mutex;
 
@@ -206,21 +316,30 @@ mod tests {
         (nodes_over(&storage, n), raw, storage)
     }
 
-    /// A memory store that records the keys of every `delete_batch` it is
-    /// sent and fails the first `failures` of them without deleting.
+    /// A store that records the keys of every `delete_batch` it is sent and
+    /// fails the first `failures` of them without deleting; it forwards the
+    /// inner store's delete call, so the GC plans by the inner row's limits.
     struct DeleteSpy {
-        inner: Arc<InMemoryStore>,
+        inner: SharedStorage,
         failures: Mutex<usize>,
         batches: Mutex<Vec<Vec<String>>>,
     }
 
     impl DeleteSpy {
-        fn failing_first(failures: usize) -> Arc<Self> {
+        fn over(inner: SharedStorage, failures: usize) -> Arc<Self> {
             Arc::new(DeleteSpy {
-                inner: InMemoryStore::shared(),
+                inner,
                 failures: Mutex::new(failures),
                 batches: Mutex::new(Vec::new()),
             })
+        }
+
+        fn failing_first(failures: usize) -> Arc<Self> {
+            Self::over(InMemoryStore::shared(), failures)
+        }
+
+        fn over_row(kind: BackendKind, failures: usize) -> Arc<Self> {
+            Self::over(make_backend(BackendConfig::test(kind)), failures)
         }
     }
 
@@ -248,6 +367,9 @@ mod tests {
                 return Err(AftError::Storage("delete refused".to_owned()));
             }
             self.inner.delete_batch(keys)
+        }
+        fn delete_call(&self) -> MultiKeyCall {
+            self.inner.delete_call()
         }
         fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
             self.inner.list_prefix(prefix)
@@ -442,8 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn every_agreed_version_leaves_storage_in_its_round_on_every_row() {
-        use aft_storage::{make_backend, BackendConfig, BackendKind};
+    fn every_agreed_version_leaves_storage_by_the_next_round_on_every_row() {
         for kind in [BackendKind::Memory]
             .into_iter()
             .chain(BackendKind::EVALUATED)
@@ -470,18 +591,232 @@ mod tests {
                 node.run_local_gc(&LocalGcConfig::aggressive());
             }
 
-            let outcome = GlobalGc::default()
-                .run_round(&fm, &nodes, &engine_over(&storage))
-                .unwrap();
-            assert_eq!((outcome.deleted, outcome.versions), (2, 40), "{kind}");
-            for version in &overwritten {
-                let key = version.storage_key();
-                assert!(storage.get(&key).unwrap().is_none(), "{kind}: {key}");
+            let (gc, io) = (GlobalGc::default(), engine_over(&storage));
+            let first = gc.run_round(&fm, &nodes, &io).unwrap();
+            let left = |storage: &SharedStorage| {
+                overwritten
+                    .iter()
+                    .filter(|v| storage.get(&v.storage_key()).unwrap().is_some())
+                    .count()
+            };
+            if kind == BackendKind::Memory {
+                // An unlimited call is full: every version goes in its round.
+                assert_eq!(first.carried, 0);
+                assert_eq!((first.deleted, first.versions), (2, 40));
+                assert_eq!(left(&storage), 0);
+            } else {
+                // What waits is what a partial call at most half full held.
+                assert_eq!(left(&storage), first.carried - 2 * (2 - first.deleted));
+                let half = storage.delete_call().limit / 2;
+                assert!(first.carried <= first.carried_calls * half, "{kind}");
+                let second = gc.run_round(&fm, &nodes, &io).unwrap();
+                assert_eq!(second.carried, 0, "{kind}: nothing waits twice");
+                assert_eq!(
+                    (
+                        first.deleted + second.deleted,
+                        first.versions + second.versions
+                    ),
+                    (2, 40),
+                    "{kind}"
+                );
+                assert_eq!(left(&storage), 0, "{kind}");
             }
             // The new a's, the b's and the newest hot.
             assert_eq!(storage.list_prefix("data/").unwrap().len(), 81, "{kind}");
             assert!(fm.metadata().debited_oldest_first().is_empty(), "{kind}");
         }
+    }
+
+    /// Puts into `fm`'s view, and into `storage`, `units` transactions of
+    /// slot group `group` (the UUID's last byte) of `size` keys each: `size -
+    /// 1` data keys and the record. A newer transaction of group `ff`
+    /// overwrites every key they wrote, so all of them are superseded and,
+    /// with no node to hold them, agreed. Returns each unit's keys, data
+    /// first.
+    fn superseded_group(
+        fm: &FaultManager,
+        storage: &SharedStorage,
+        group: u8,
+        units: usize,
+        size: usize,
+    ) -> Vec<Vec<String>> {
+        let next = || fm.metadata().len() as u64 + 1;
+        let id = |serial: u64, group: u8| {
+            TransactionId::new(
+                serial,
+                Uuid::from_u128(u128::from(serial) << 8 | u128::from(group)),
+            )
+        };
+        let mut written = Vec::new();
+        let mut keys = Vec::new();
+        for _ in 0..units {
+            let serial = next();
+            let wrote: Vec<Key> = (1..size)
+                .map(|j| Key::new(format!("g{group:02x}/t{serial}/k{j}")))
+                .collect();
+            let record = TransactionRecord::new(id(serial, group), wrote.iter().cloned());
+            let mut unit: Vec<String> = record.key_versions().map(|kv| kv.storage_key()).collect();
+            unit.push(record.storage_key());
+            for key in &unit {
+                storage.put(key, Value::from_static(b"v")).unwrap();
+            }
+            fm.metadata().insert(Arc::new(record));
+            written.extend(wrote);
+            keys.push(unit);
+        }
+        let newer = TransactionRecord::new(id(next(), 0xff), written);
+        fm.metadata().insert(Arc::new(newer));
+        for unit in &keys {
+            assert!(unit
+                .iter()
+                .all(|key| slot_tag(key) == format!("{group:02x}")));
+        }
+        keys
+    }
+
+    /// How many of `unit`'s keys `storage` still holds.
+    fn held(storage: &SharedStorage, unit: &[String]) -> usize {
+        unit.iter()
+            .filter(|key| storage.get(key).unwrap().is_some())
+            .count()
+    }
+
+    #[test]
+    fn a_full_call_never_waits() {
+        // Four 4-key transactions fill one 16-key DEL; five 5-key ones one
+        // 25-key BatchWriteItem.
+        for (kind, units, size) in [(BackendKind::Redis, 4, 4), (BackendKind::DynamoDb, 5, 5)] {
+            let spy = DeleteSpy::over_row(kind, 0);
+            let storage: SharedStorage = spy.clone();
+            let fm = FaultManager::new();
+            let keys = superseded_group(&fm, &storage, 0x01, units, size);
+            let outcome = GlobalGc::default()
+                .run_round(&fm, &[], &engine_over(&storage))
+                .unwrap();
+            assert_eq!((outcome.deleted, outcome.carried), (units, 0), "{kind}");
+            assert_eq!(outcome.storage_keys_deleted, units * size, "{kind}");
+            assert!(keys.iter().all(|unit| held(&storage, unit) == 0), "{kind}");
+            assert_eq!(spy.inner.stats().calls(OpKind::BatchDelete), 1, "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_partial_call_more_than_half_full_goes_out() {
+        // Nine keys of a 16-key DEL; thirteen of a 25-key BatchWriteItem.
+        for (kind, units, size) in [(BackendKind::Redis, 3, 3), (BackendKind::DynamoDb, 1, 13)] {
+            let storage = make_backend(BackendConfig::test(kind));
+            let fm = FaultManager::new();
+            let keys = superseded_group(&fm, &storage, 0x02, units, size);
+            let outcome = GlobalGc::default()
+                .run_round(&fm, &[], &engine_over(&storage))
+                .unwrap();
+            assert_eq!((outcome.deleted, outcome.carried), (units, 0), "{kind}");
+            assert!(keys.iter().all(|unit| held(&storage, unit) == 0), "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_partial_call_at_most_half_full_waits_exactly_one_round() {
+        // Eight keys of a 16-key DEL; twelve of a 25-key BatchWriteItem.
+        for (kind, units, size) in [(BackendKind::Redis, 2, 4), (BackendKind::DynamoDb, 3, 4)] {
+            let spy = DeleteSpy::over_row(kind, 0);
+            let storage: SharedStorage = spy.clone();
+            let fm = FaultManager::new();
+            let keys = superseded_group(&fm, &storage, 0x03, units, size);
+            let (gc, io) = (GlobalGc::default(), engine_over(&storage));
+
+            let first = gc.run_round(&fm, &[], &io).unwrap();
+            assert_eq!((first.deleted, first.carried), (0, units * size), "{kind}");
+            assert_eq!((first.storage_keys_deleted, first.carried_calls), (0, 1));
+            assert!(spy.batches.lock().is_empty(), "{kind}: no call at all");
+            assert!(keys.iter().all(|unit| held(&storage, unit) == unit.len()));
+            assert_eq!(fm.metadata().superseded_oldest_first().len(), units);
+
+            // Still at most half full, but it carries what was passed over.
+            let second = gc.run_round(&fm, &[], &io).unwrap();
+            assert_eq!((second.deleted, second.carried), (units, 0), "{kind}");
+            assert!(keys.iter().all(|unit| held(&storage, unit) == 0), "{kind}");
+            assert_eq!(spy.batches.lock().len(), 1, "{kind}");
+            assert!(fm.metadata().superseded_oldest_first().is_empty());
+        }
+    }
+
+    #[test]
+    fn a_transaction_is_never_split_between_sent_and_carried() {
+        // Every shape of group up to two DELs: each transaction's keys are all
+        // sent or all carried, what is carried fits half a call, and the next
+        // round sends it.
+        for units in 1..=6 {
+            for size in 2..=9 {
+                let spy = DeleteSpy::over_row(BackendKind::Redis, 0);
+                let storage: SharedStorage = spy.clone();
+                let fm = FaultManager::new();
+                let keys = superseded_group(&fm, &storage, 0x04, units, size);
+                let (gc, io) = (GlobalGc::default(), engine_over(&storage));
+                let shape = format!("{units} transactions of {size} keys");
+
+                let first = gc.run_round(&fm, &[], &io).unwrap();
+                let sent: Vec<String> = spy.batches.lock().concat();
+                for unit in &keys {
+                    let gone = unit.iter().filter(|key| sent.contains(key)).count();
+                    assert!(gone == 0 || gone == unit.len(), "{shape}: split");
+                    assert_eq!(held(&storage, unit), unit.len() - gone, "{shape}");
+                    // Data first: the record is the unit's last key to go.
+                    if gone > 0 {
+                        let at = |key: &String| sent.iter().position(|k| k == key);
+                        let record = at(unit.last().unwrap());
+                        assert!(unit.iter().all(|key| at(key) <= record), "{shape}");
+                    }
+                }
+                assert!(
+                    first.carried * 2 <= 16,
+                    "{shape}: carried {}",
+                    first.carried
+                );
+                assert_eq!(first.carried + sent.len(), units * size, "{shape}");
+
+                let second = gc.run_round(&fm, &[], &io).unwrap();
+                assert_eq!(first.deleted + second.deleted, units, "{shape}");
+                assert!(keys.iter().all(|unit| held(&storage, unit) == 0), "{shape}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_delete_forgets_nothing_and_keeps_the_passed_over_set() {
+        let spy = DeleteSpy::over_row(BackendKind::Redis, 1);
+        let storage: SharedStorage = spy.clone();
+        let fm = FaultManager::new();
+        let keys = superseded_group(&fm, &storage, 0x05, 2, 3);
+        let (gc, io) = (GlobalGc::default(), engine_over(&storage));
+
+        assert_eq!(gc.run_round(&fm, &[], &io).unwrap().carried, 6);
+        // The round that must send them fails: the view and the passed-over
+        // set are as they were, so the retry sends them and does not wait.
+        assert!(gc.run_round(&fm, &[], &io).is_err());
+        assert_eq!(fm.metadata().superseded_oldest_first().len(), 2);
+        assert!(keys.iter().all(|unit| held(&storage, unit) == unit.len()));
+        let retry = gc.run_round(&fm, &[], &io).unwrap();
+        assert_eq!((retry.deleted, retry.carried), (2, 0));
+        assert!(keys.iter().all(|unit| held(&storage, unit) == 0));
+        let batches = spy.batches.lock();
+        assert_eq!(batches.len(), 2);
+        assert_eq!(batches[0], batches[1], "the retry sends the same keys");
+    }
+
+    #[test]
+    fn the_memory_row_never_carries() {
+        let storage = make_backend(BackendConfig::test(BackendKind::Memory));
+        let fm = FaultManager::new();
+        let keys: Vec<Vec<String>> = (0..8)
+            .flat_map(|group| superseded_group(&fm, &storage, group, 1, 2))
+            .collect();
+        let outcome = GlobalGc::default()
+            .run_round(&fm, &[], &engine_over(&storage))
+            .unwrap();
+        assert_eq!((outcome.deleted, outcome.carried), (8, 0));
+        assert_eq!(outcome.carried_calls, 0);
+        assert!(keys.iter().all(|unit| held(&storage, unit) == 0));
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! never a version older than one cowritten with an earlier read (Definition
 //! 1). `NoValidVersion` is allowed — the transaction aborts, as a client
 //! would before retrying (§5.2.1). Once everything is quiet, every node
-//! serves every key's newest committed value. Half the histories run over
-//! Redis, where one GC `DEL` carries the keys of every transaction whose
-//! UUID ends in its slot group's byte.
+//! serves every key's newest committed value, and two idle global rounds
+//! leave no agreed version in storage. Half the histories run over Redis,
+//! where one GC `DEL` carries the keys of every transaction whose UUID ends
+//! in its slot group's byte, and a `DEL` at most half full waits a round.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -255,7 +256,14 @@ proptest! {
         for node in &nodes {
             node.run_local_gc(&LocalGcConfig::aggressive());
         }
-        gc.run_round(&fm, &nodes, &io).unwrap();
+        // Two idle rounds: what the first passes over, the second sends. Then
+        // no agreed version is left: storage holds each key's newest only.
+        for _ in 0..2 {
+            gc.run_round(&fm, &nodes, &io).unwrap();
+        }
+        prop_assert!(fm.metadata().superseded_oldest_first().is_empty());
+        prop_assert!(fm.metadata().debited_oldest_first().is_empty());
+        prop_assert_eq!(storage.list_prefix("data/").unwrap().len(), newest.len());
         for node in &nodes {
             let t = node.start_transaction();
             for (key, (_, value)) in &newest {

@@ -42,6 +42,7 @@ use aft_types::{AftError, AftResult, Value};
 use crate::counters::StorageStats;
 use crate::engine::{SharedStorage, StorageEngine};
 use crate::latency::LatencyModel;
+use crate::profiles::MultiKeyCall;
 
 pub use aft_chaos::FaultKind;
 
@@ -230,6 +231,12 @@ impl StorageEngine for FaultyBackend {
     fn delete_batch(&self, keys: &[String]) -> AftResult<()> {
         let key = keys.first().cloned().unwrap_or_default();
         self.run("delete_batch", &key, || self.inner.delete_batch(keys))
+    }
+
+    /// Forwarded: a batch is one fault decision, whatever calls the inner
+    /// backend cuts it into.
+    fn delete_call(&self) -> MultiKeyCall {
+        self.inner.delete_call()
     }
 
     fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {

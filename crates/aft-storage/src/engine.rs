@@ -13,6 +13,7 @@ use std::sync::Arc;
 use aft_types::{AftResult, Value};
 
 use crate::counters::StorageStats;
+use crate::profiles::MultiKeyCall;
 
 /// A durable key-value store for opaque blobs.
 ///
@@ -54,6 +55,16 @@ pub trait StorageEngine: Send + Sync {
 
     /// Deletes a set of keys, using a batch API where available.
     fn delete_batch(&self, keys: &[String]) -> AftResult<()>;
+
+    /// The API call [`delete_batch`](StorageEngine::delete_batch) packs its
+    /// keys into: how many one call carries, and whether they must share a
+    /// hash slot. The global GC plans a round's deletes with it
+    /// ([`calls_of`](crate::calls_of)). The default is an unlimited call,
+    /// which the GC counts as full: a wrapper that does not forward the
+    /// answer makes it send every round's garbage in that round.
+    fn delete_call(&self) -> MultiKeyCall {
+        MultiKeyCall::FREE
+    }
 
     /// Returns all keys that start with `prefix`, in lexicographic order.
     ///

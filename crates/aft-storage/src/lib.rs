@@ -90,4 +90,4 @@ pub use latency::{LatencyMode, LatencyModel, LatencyProfile};
 pub use memory::InMemoryStore;
 pub use profiles::{MultiKeyCall, Service, ServiceProfile};
 pub use sharded::{stripe_of, ShardedMap, DEFAULT_STRIPES};
-pub use store::SimStore;
+pub use store::{calls_of, SimStore};

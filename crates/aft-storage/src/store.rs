@@ -158,8 +158,10 @@ impl SimStore {
 /// The API calls that carry one batch, in issue order, each as the indices of
 /// the keys it carries. A call confined to one hash slot first groups the keys
 /// by [`slot_tag`] (groups in order of first appearance, keys in batch order);
-/// each group is then cut, in order, into calls of at most the call's limit.
-fn calls_of<'k>(call: &MultiKeyCall, keys: impl Iterator<Item = &'k str>) -> Vec<Vec<usize>> {
+/// each group is then cut, in order, into calls of at most the call's limit,
+/// so only a group's last call may carry fewer. The global GC plans its
+/// deletes with it over [`StorageEngine::delete_call`].
+pub fn calls_of<'k>(call: &MultiKeyCall, keys: impl Iterator<Item = &'k str>) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     if call.one_slot {
         let mut group_of: HashMap<&str, usize> = HashMap::new();
@@ -269,6 +271,10 @@ impl StorageEngine for SimStore {
             });
         self.wait(calls.max());
         Ok(())
+    }
+
+    fn delete_call(&self) -> MultiKeyCall {
+        self.service.delete_call().1
     }
 
     fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
