@@ -201,17 +201,17 @@ impl GlobalGc {
         // What goes: data keys first, then commit records, then versions.
         let (mut keys, mut records, mut version_keys) = (Vec::new(), Vec::new(), Vec::new());
         let (mut gone, mut sent_versions, mut waiting) = (Vec::new(), Vec::new(), HashSet::new());
-        for (u, unit) in units.iter().enumerate() {
-            let (last, data) = unit.split_last().expect("a unit has a key");
-            if waits[u] {
-                outcome.carried += unit.len();
-                waiting.insert(last.clone());
+        for (u, (mut unit, wait)) in units.into_iter().zip(waits).enumerate() {
+            let last = unit.pop().expect("a unit has a key");
+            if wait {
+                outcome.carried += unit.len() + 1;
+                waiting.insert(last);
             } else if let Some(record) = deletable.get(u) {
-                keys.extend_from_slice(data);
-                records.push(last.clone());
+                keys.append(&mut unit);
+                records.push(last);
                 gone.push(&record.id);
             } else {
-                version_keys.push(last.clone());
+                version_keys.push(last);
                 sent_versions.push(versions[u - deletable.len()].clone());
             }
         }
@@ -682,10 +682,15 @@ mod tests {
     }
 
     #[test]
-    fn a_full_call_never_waits() {
-        // Four 4-key transactions fill one 16-key DEL; five 5-key ones one
-        // 25-key BatchWriteItem.
-        for (kind, units, size) in [(BackendKind::Redis, 4, 4), (BackendKind::DynamoDb, 5, 5)] {
+    fn a_full_call_or_one_more_than_half_full_goes_out_in_its_round() {
+        // A full 16-key DEL and a full 25-key BatchWriteItem; nine keys of a
+        // DEL and thirteen of a BatchWriteItem.
+        for (kind, units, size) in [
+            (BackendKind::Redis, 4, 4),
+            (BackendKind::DynamoDb, 5, 5),
+            (BackendKind::Redis, 3, 3),
+            (BackendKind::DynamoDb, 1, 13),
+        ] {
             let spy = DeleteSpy::over_row(kind, 0);
             let storage: SharedStorage = spy.clone();
             let fm = FaultManager::new();
@@ -697,21 +702,6 @@ mod tests {
             assert_eq!(outcome.storage_keys_deleted, units * size, "{kind}");
             assert!(keys.iter().all(|unit| held(&storage, unit) == 0), "{kind}");
             assert_eq!(spy.inner.stats().calls(OpKind::BatchDelete), 1, "{kind}");
-        }
-    }
-
-    #[test]
-    fn a_partial_call_more_than_half_full_goes_out() {
-        // Nine keys of a 16-key DEL; thirteen of a 25-key BatchWriteItem.
-        for (kind, units, size) in [(BackendKind::Redis, 3, 3), (BackendKind::DynamoDb, 1, 13)] {
-            let storage = make_backend(BackendConfig::test(kind));
-            let fm = FaultManager::new();
-            let keys = superseded_group(&fm, &storage, 0x02, units, size);
-            let outcome = GlobalGc::default()
-                .run_round(&fm, &[], &engine_over(&storage))
-                .unwrap();
-            assert_eq!((outcome.deleted, outcome.carried), (units, 0), "{kind}");
-            assert!(keys.iter().all(|unit| held(&storage, unit) == 0), "{kind}");
         }
     }
 
