@@ -55,7 +55,7 @@ use aft_storage::{
 use aft_types::clock::TickingClock;
 use aft_types::{AftResult, Key, TransactionRecord};
 use aft_workload::history::Attempt;
-use aft_workload::sim::{self, Op, Request};
+use aft_workload::sim::{self, Op, Request, Seeded};
 
 use crate::cli::{Args, Flag, Outcome};
 use crate::json::Json;
@@ -687,13 +687,8 @@ fn run_trial(
     trial.faulty.set_enabled(true);
     // The stepper's stream is decorrelated from the nodes' UUID streams,
     // which the same seed also starts; a failed round is the next's to retry.
-    let load = sim::run(
-        cluster,
-        &|| trial.route(),
-        trial.injector.as_ref(),
-        requests(config),
-        trial_seed ^ 0x57E9,
-    );
+    let mut schedule = Seeded::new(trial_seed ^ 0x57E9, trial.injector.as_ref());
+    let load = sim::run(cluster, &|| trial.route(), requests(config), &mut schedule);
 
     // The load is done; drive recovery to convergence.
     let outcome = trial.controller.drive_recovery(200);
@@ -864,9 +859,10 @@ pub(crate) fn outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aft_chaos::{FaultKind, Layer};
+    use aft_chaos::Layer;
     use aft_types::TransactionId;
     use aft_workload::history;
+    use aft_workload::sim::{Exhaustive, Scope};
 
     fn acked(load: &sim::Run) -> Vec<TransactionId> {
         load.history.iter().filter_map(Attempt::acked).collect()
@@ -886,7 +882,8 @@ mod tests {
             }
             let label = trial.route().unwrap().api_label().to_owned();
             let client = vec![requests(&RecoveryConfig::tiny())[0][0].clone()];
-            let load = sim::run(&trial.cluster, &|| trial.route(), None, vec![client], 7);
+            let schedule = &mut Seeded::new(7, None);
+            let load = sim::run(&trial.cluster, &|| trial.route(), vec![client], schedule);
             assert_eq!(
                 load.steps - load.rounds,
                 7,
@@ -914,7 +911,8 @@ mod tests {
                 &RecoveryConfig::tiny(),
             );
             let clients = requests(&RecoveryConfig::tiny());
-            sim::run(&trial.cluster, &|| trial.route(), None, clients, seed)
+            let schedule = &mut Seeded::new(seed, None);
+            sim::run(&trial.cluster, &|| trial.route(), clients, schedule)
         };
         let first = load(1);
         assert_eq!((acked(&first).len(), first.anomalies), (16, 0));
@@ -924,20 +922,19 @@ mod tests {
 
     #[test]
     fn an_after_body_failure_commits_the_request_twice() {
-        // The first invocation dies after its body, the second runs clean.
-        let chaos = FaasChaos {
-            after_body: 0.5,
-            ..FaasChaos::quiet()
-        };
-        let after_body_once = [FaultKind::TransientError { applied: true }, FaultKind::None];
-        let spec = (0..)
-            .map(|seed| ChaosSpec::new(seed).faas(chaos))
-            .find(|spec| spec.schedule().materialize(Layer::Faas, 2, "invoke") == after_body_once)
-            .expect("some seed fails after the body once, then runs clean");
+        // The first invocation dies after its body (its fate's fourth
+        // option), the second runs clean.
+        let spec = ChaosSpec::new(7);
         let trial = Trial::set_up(BackendKind::Memory, &spec, &RecoveryConfig::tiny());
-        let (cluster, injector) = (&trial.cluster, trial.injector.as_ref());
+        let cluster = &trial.cluster;
         let client = vec![requests(&RecoveryConfig::tiny())[0][0].clone()];
-        let load = sim::run(cluster, &|| trial.route(), injector, vec![client], 0);
+        let scope = Scope {
+            failures: 1,
+            ..Scope::default()
+        };
+        let schedule = &mut Exhaustive::replay(scope, &[3]);
+        let load = sim::run(cluster, &|| trial.route(), vec![client], schedule);
+        assert_eq!(schedule.choices(), [3]);
 
         let [first, second] = acked(&load)[..] else {
             panic!("two acknowledgements, got {:?}", acked(&load));

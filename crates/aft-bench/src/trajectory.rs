@@ -15,10 +15,13 @@
 //!   recovered commits, its absorbed (retried) storage faults, its requests
 //!   acknowledged and acknowledged twice, and the storage calls it billed —
 //!   so storage calls per acknowledged request is a ratio of two exact
-//!   counts.
+//!   counts;
+//! * the four small scopes tier-1 walks whole ([`sim::walk`]): the
+//!   schedules each one has, and those in which the checker finds a
+//!   duplicate request. A walk panics on a schedule with an anomaly.
 //!
-//! Both run on virtual time: the script on a ticking mock clock with latency
-//! off, the matrix on one seeded stepper.
+//! All run on virtual time: the script on a ticking mock clock with latency
+//! off, the matrix on one seeded stepper, the walks on one stepper each.
 //!
 //! `aft-bench trajectory` recomputes the set and appends it as a new row,
 //! stamped with the commit the row was measured on top of (`git rev-parse
@@ -36,6 +39,7 @@ use aft_core::{CheckpointPolicy, NodeConfig};
 use aft_storage::{make_backend, BackendConfig, BackendKind, OpKind};
 use aft_types::clock::TickingClock;
 use aft_types::{Key, Value};
+use aft_workload::sim::{self, request, Request, Scope};
 
 use crate::cli::Clock;
 use crate::json::Json;
@@ -157,6 +161,30 @@ pub fn golden_script(kind: BackendKind) -> GoldenRun {
     }
 }
 
+/// The scopes tier-1 walks, each with its nodes, clients and budgets
+/// (rounds, failures, duplicates, failovers): `races` runs a round among
+/// two writes of `{a, b}` and a reader of both, `platform` every fate of
+/// every invocation, `duplicate` a concurrent re-run of a read-modify-write,
+/// and `failover` a node replaced mid-run.
+fn scopes() -> [(&'static str, usize, Vec<Vec<Request>>, Scope); 4] {
+    let (writer, reader) = (request("w a, w b"), request("r a, r b"));
+    let pair = vec![vec![writer.clone()], vec![reader.clone()]];
+    let races = vec![vec![writer; 2], vec![reader]];
+    let rmw = vec![vec![request("r a, w a, w b")]];
+    let scope = |(rounds, failures, duplicates, failovers)| Scope {
+        rounds,
+        failures,
+        duplicates,
+        failovers,
+    };
+    [
+        ("races", 2, races, scope((1, 0, 0, 0))),
+        ("platform", 1, pair.clone(), scope((0, 1, 0, 0))),
+        ("duplicate", 1, rmw, scope((0, 0, 1, 0))),
+        ("failover", 3, pair, scope((1, 0, 0, 1))),
+    ]
+}
+
 /// The exact set, recomputed: each metric's name and value, with the clock
 /// it was measured on.
 fn measure() -> Vec<(String, u64, Clock)> {
@@ -178,6 +206,12 @@ fn measure() -> Vec<(String, u64, Clock)> {
             run.data_keys as u64,
             Clock::Virtual,
         ));
+    }
+    for (name, nodes, clients, scope) in scopes() {
+        let walked = sim::walk(nodes, &clients, scope);
+        let metric = |count| format!("walk.{name}.{count}");
+        metrics.push((metric("schedules"), walked.schedules, Clock::Virtual));
+        metrics.push((metric("duplicated"), walked.duplicated, Clock::Virtual));
     }
     let tiny = fig10_recovery(&RecoveryConfig::tiny());
     for (name, value) in [
@@ -366,6 +400,17 @@ mod tests {
             .join("../..")
             .join(REPORT);
         assert_eq!(main(&["--check".to_owned()], &path), 0);
+    }
+
+    /// Nightly's scope, too large for PR CI: the races with two rounds and
+    /// one failure, 3 272 685 schedules.
+    #[test]
+    #[ignore = "minutes in release; nightly runs it"]
+    fn nightly_scope_every_race_with_two_rounds_and_a_failure_is_clean() {
+        let [(_, nodes, clients, mut scope), ..] = scopes();
+        (scope.rounds, scope.failures) = (2, 1);
+        let walked = sim::walk(nodes, &clients, scope);
+        println!("{nodes} nodes, {scope:?}: {walked:?}");
     }
 
     #[test]

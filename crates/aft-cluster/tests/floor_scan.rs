@@ -12,6 +12,12 @@
 //! Every round keeps the full scan as the reference: what it would recover is
 //! exactly what the floor scan recovers. `AFT_TEST_SEED` picks the stepper's
 //! script; with `--nocapture` the test prints what it recovered and listed.
+//!
+//! The stepper is its own, not `aft_workload::sim`'s: its kills and rounds
+//! fire *inside* `AftNode::commit`, at a [`CommitPhase`], through a
+//! [`CommitProbe`], and each of its rounds runs the reference full scan
+//! between dissemination and the fault manager's scan. A `sim` schedule
+//! only steps between calls, and only runs whole rounds.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -151,9 +151,6 @@ pub struct NodeConfig {
     /// transaction's buffered bytes exceed this, intermediary data is written
     /// to storage ahead of commit (§3.3).
     pub write_buffer_spill_bytes: usize,
-    /// In-flight transactions older than this are aborted by
-    /// [`AftNode::abort_expired`] (§3.3.1: "aborted after a timeout").
-    pub transaction_timeout: Duration,
     /// Whether to warm the metadata cache from the Transaction Commit Set at
     /// startup (§3.1); replacement nodes in a cluster always do.
     pub bootstrap: bool,
@@ -186,7 +183,6 @@ impl Default for NodeConfig {
             node_id: "aft-node-0".to_owned(),
             data_cache_bytes: 64 * 1024 * 1024,
             write_buffer_spill_bytes: 16 * 1024 * 1024,
-            transaction_timeout: Duration::from_secs(30),
             bootstrap: true,
             rpc_profile: LatencyProfile::ZERO,
             latency_mode: LatencyMode::Virtual,
@@ -807,19 +803,6 @@ impl AftNode {
         }
         self.stats.record_aborted();
         Ok(())
-    }
-
-    /// Aborts every in-flight transaction older than the configured timeout;
-    /// returns the aborted IDs. Driven periodically by cluster deployments.
-    pub fn abort_expired(&self) -> Vec<TransactionId> {
-        let expired = self.buffer.expired(self.config.transaction_timeout);
-        let mut aborted = Vec::new();
-        for id in expired {
-            if self.abort(&id).is_ok() {
-                aborted.push(id);
-            }
-        }
-        aborted
     }
 
     // ------------------------------------------------------------------
@@ -1656,23 +1639,6 @@ mod tests {
             outcome.deleted, 2,
             "old k version and the reader's empty txn"
         );
-    }
-
-    #[test]
-    fn expired_transactions_are_aborted() {
-        let storage: SharedStorage = InMemoryStore::shared();
-        let config = NodeConfig {
-            transaction_timeout: Duration::ZERO,
-            ..NodeConfig::test()
-        };
-        let node =
-            AftNode::with_clock(config, storage, MockClock::starting_at(1).shared()).unwrap();
-        let t = node.start_transaction();
-        node.put(&t, Key::new("k"), val("v")).unwrap();
-        let aborted = node.abort_expired();
-        assert_eq!(aborted, vec![t]);
-        assert_eq!(node.in_flight(), 0);
-        assert_eq!(node.stats().aborted(), 1);
     }
 
     #[test]

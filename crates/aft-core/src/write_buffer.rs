@@ -13,7 +13,6 @@
 //! storage key its commit record will name.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::time::Instant;
 
 use aft_types::{AftError, AftResult, Key, KeyVersion, TransactionId, Uuid, Value};
 use parking_lot::Mutex;
@@ -37,8 +36,6 @@ pub struct ActiveTransaction {
     spilled: HashSet<Key>,
     /// The versions read so far (Algorithm 1's `R`).
     pub reads: ReadSet,
-    /// When the transaction started, for timeout-based abort.
-    pub started: Instant,
     /// Total bytes of the writes not yet durable.
     buffered_bytes: usize,
 }
@@ -52,7 +49,6 @@ impl ActiveTransaction {
             durable: HashSet::new(),
             spilled: HashSet::new(),
             reads: ReadSet::new(),
-            started: Instant::now(),
             buffered_bytes: 0,
         }
     }
@@ -152,9 +148,8 @@ pub const DEFAULT_TXN_SHARDS: usize = 16;
 /// The table is sharded by transaction UUID: every per-transaction operation
 /// (`begin` / `with_txn` / `take`) locks only the owning shard, so concurrent
 /// client threads driving different transactions never serialise on one
-/// global mutex. Whole-buffer queries (`len`, `versions_read`, `expired`)
-/// visit every shard; they run off the hot path (GC sweeps, timeout sweeps,
-/// test assertions).
+/// global mutex. Whole-buffer queries (`len`, `versions_read`) visit
+/// every shard; they run off the hot path (GC sweeps, test assertions).
 #[derive(Debug)]
 pub struct WriteBuffer {
     shards: Box<[Mutex<HashMap<Uuid, ActiveTransaction>>]>,
@@ -252,23 +247,6 @@ impl WriteBuffer {
             }
         }
         read
-    }
-
-    /// The IDs of in-flight transactions older than `max_age`, which the node
-    /// aborts on a timeout sweep (a failed function never calls abort; §3.3.1
-    /// "its transaction will be aborted after a timeout").
-    pub fn expired(&self, max_age: std::time::Duration) -> Vec<TransactionId> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let active = shard.lock();
-            out.extend(
-                active
-                    .values()
-                    .filter(|txn| txn.started.elapsed() >= max_age)
-                    .map(|txn| txn.id),
-            );
-        }
-        out
     }
 }
 
@@ -393,18 +371,6 @@ mod tests {
             buffer.versions_read().is_empty(),
             "a finished reader pins nothing"
         );
-    }
-
-    #[test]
-    fn expired_finds_old_transactions() {
-        let buffer = WriteBuffer::new();
-        let id = tid(1, 1);
-        buffer.begin(id);
-        assert!(buffer
-            .expired(std::time::Duration::from_secs(60))
-            .is_empty());
-        let expired = buffer.expired(std::time::Duration::ZERO);
-        assert_eq!(expired, vec![id]);
     }
 
     #[test]

@@ -1,19 +1,16 @@
-//! Property-based tests of the core guarantees (§3.2).
+//! Property-based tests of the read path (§3.2).
 //!
 //! These tests drive an [`AftNode`] with randomly generated transaction
-//! histories and check the paper's invariants end-to-end:
+//! histories. Whole-history read atomicity, read-your-writes and aborted
+//! data are the history checker's, over every schedule of a small scope
+//! (`aft_workload::sim::walk`); what stays here is per node:
 //!
-//! * every transaction's read set is an Atomic Readset (Theorem 1),
-//! * no transaction ever observes uncommitted or aborted data,
-//! * read-your-writes and repeatable read hold,
-//! * Algorithm 2 / local GC never remove a version a later read needs for
-//!   correctness (it may force a retry, but never a fracture).
-//!
-//! Two more properties pin the read path itself. `select_version` and
-//! `is_atomic_readset` walk whichever of {read set, cowritten set} is
-//! smaller, and must answer exactly what the definitional loops — which walk
-//! the whole cowritten set — answer; and `get` and `get_all` must read the
-//! same values into the same read set.
+//! * visible data always has a durable commit record, and local GC never
+//!   hides a key's latest version;
+//! * `select_version` and `is_atomic_readset` walk whichever of {read set,
+//!   cowritten set} is smaller, and must answer exactly what the
+//!   definitional loops — which walk the whole cowritten set — answer;
+//! * `get` and `get_all` must read the same values into the same read set.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -25,34 +22,6 @@ use aft_types::clock::TickingClock;
 use aft_types::{Key, TransactionId, TransactionRecord, Uuid, Value};
 use bytes::Bytes;
 use proptest::prelude::*;
-
-/// One step of a randomly generated workload.
-#[derive(Debug, Clone)]
-enum Step {
-    /// Start a new transaction (slot index selects which in-flight slot).
-    Begin(usize),
-    /// Read a key within the transaction in the given slot.
-    Read(usize, u8),
-    /// Write a key within the transaction in the given slot.
-    Write(usize, u8),
-    /// Commit the transaction in the given slot.
-    Commit(usize),
-    /// Abort the transaction in the given slot.
-    Abort(usize),
-    /// Run a local GC sweep.
-    Gc,
-}
-
-fn arb_step() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (0..4usize).prop_map(Step::Begin),
-        (0..4usize, 0..6u8).prop_map(|(s, k)| Step::Read(s, k)),
-        (0..4usize, 0..6u8).prop_map(|(s, k)| Step::Write(s, k)),
-        (0..4usize).prop_map(Step::Commit),
-        (0..4usize).prop_map(Step::Abort),
-        Just(Step::Gc),
-    ]
-}
 
 fn key_name(k: u8) -> Key {
     Key::new(format!("key-{k}"))
@@ -236,110 +205,6 @@ proptest! {
                 definitional_select_version(&key, &read_set, &records),
                 "select_version({}) after {:?}", key, read_set
             );
-        }
-    }
-
-    /// Theorem 1: after any sequence of operations, every transaction's
-    /// observed (key, version) pairs form an Atomic Readset, and dirty /
-    /// aborted data is never observed.
-    #[test]
-    fn read_sets_are_always_atomic(steps in proptest::collection::vec(arb_step(), 1..120)) {
-        let node = node();
-        // Map from written value -> transaction id, filled at commit time;
-        // used to translate observed values back into versions.
-        let mut value_writer: HashMap<Value, TransactionId> = HashMap::new();
-        let mut slots: Vec<Option<TransactionId>> = vec![None; 4];
-        // Reads observed per in-flight transaction: key -> value.
-        let mut observed: Vec<HashMap<Key, Value>> = vec![HashMap::new(); 4];
-        // Writes buffered per in-flight transaction: key -> value.
-        let mut pending_writes: Vec<HashMap<Key, Value>> = vec![HashMap::new(); 4];
-        let mut aborted_values: Vec<Value> = Vec::new();
-        let mut counter = 0u64;
-
-        for step in steps {
-            match step {
-                Step::Begin(slot) => {
-                    if slots[slot].is_none() {
-                        slots[slot] = Some(node.start_transaction());
-                        observed[slot].clear();
-                        pending_writes[slot].clear();
-                    }
-                }
-                Step::Write(slot, k) => {
-                    if let Some(txid) = slots[slot] {
-                        counter += 1;
-                        let value = value_for(counter);
-                        node.put(&txid, key_name(k), value.clone()).unwrap();
-                        pending_writes[slot].insert(key_name(k), value);
-                    }
-                }
-                Step::Read(slot, k) => {
-                    if let Some(txid) = slots[slot] {
-                        let key = key_name(k);
-                        match node.get(&txid, &key) {
-                            Ok(Some(value)) => {
-                                // Read-your-writes: a buffered write must win.
-                                if let Some(own) = pending_writes[slot].get(&key) {
-                                    prop_assert_eq!(&value, own, "read-your-writes violated");
-                                } else {
-                                    // Aborted data must never be observed.
-                                    prop_assert!(
-                                        !aborted_values.contains(&value),
-                                        "observed a value written by an aborted transaction"
-                                    );
-                                    // Repeatable read: same key, same value
-                                    // (unless we wrote it ourselves, handled above).
-                                    if let Some(prev) = observed[slot].get(&key) {
-                                        prop_assert_eq!(prev, &value, "repeatable read violated");
-                                    }
-                                    observed[slot].insert(key, value);
-                                }
-                            }
-                            Ok(None) => {
-                                // NULL read: nothing to record.
-                            }
-                            Err(aft_types::AftError::NoValidVersion { .. }) => {
-                                // Allowed outcome (§3.6): the whole request
-                                // would be retried. Keep the transaction going.
-                            }
-                            Err(other) => return Err(TestCaseError::fail(format!("unexpected error: {other}"))),
-                        }
-                    }
-                }
-                Step::Commit(slot) => {
-                    if let Some(txid) = slots[slot].take() {
-                        let final_id = node.commit(&txid).unwrap();
-                        for value in pending_writes[slot].values() {
-                            value_writer.insert(value.clone(), final_id);
-                        }
-                        // Check atomicity of everything this transaction read
-                        // from *other* transactions.
-                        let reads: Vec<(Key, TransactionId)> = observed[slot]
-                            .iter()
-                            .filter_map(|(key, value)| {
-                                value_writer.get(value).map(|tid| (key.clone(), *tid))
-                            })
-                            .collect();
-                        prop_assert!(
-                            is_atomic_readset(&reads, node.metadata()),
-                            "fractured read set observed: {reads:?}"
-                        );
-                        observed[slot].clear();
-                        pending_writes[slot].clear();
-                    }
-                }
-                Step::Abort(slot) => {
-                    if let Some(txid) = slots[slot].take() {
-                        node.abort(&txid).unwrap();
-                        aborted_values.extend(pending_writes[slot].values().cloned());
-                        observed[slot].clear();
-                        pending_writes[slot].clear();
-                    }
-                }
-                Step::Gc => {
-                    node.run_local_gc(&LocalGcConfig::default());
-                }
-            }
         }
     }
 

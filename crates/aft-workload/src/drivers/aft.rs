@@ -51,8 +51,8 @@ struct AftRequestCtx {
 
 impl Drop for AftRequestCtx {
     fn drop(&mut self) {
-        // A failed attempt leaves a dangling transaction; abort it eagerly
-        // rather than waiting for the node's timeout sweep.
+        // A failed attempt leaves a dangling transaction, and nothing else
+        // aborts it: it would pin local GC for the node's life.
         if !self.committed {
             if let (Some(api), Some(txid)) = (&self.api, &self.txid) {
                 let _ = api.abort(txid);

@@ -19,9 +19,10 @@
 //!   timelines.
 //! * [`runner`] — the closed-loop multi-client experiment runner used by
 //!   every figure.
-//! * [`sim`] — the seeded stepper: clients as lists of micro-ops and
-//!   maintenance rounds on one thread, so a seed fixes the interleaving
-//!   (fig10's trials, the maintenance stress test).
+//! * [`sim`] — the stepper: clients as lists of micro-ops, maintenance
+//!   rounds, duplicates and failovers on one thread, each choice taken from
+//!   a schedule — seeded (fig10's trials, the maintenance stress test) or
+//!   every schedule of a small scope (the trajectory's walks).
 
 pub mod anomaly;
 pub mod drivers;

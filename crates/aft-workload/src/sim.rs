@@ -1,30 +1,38 @@
-//! One seeded stepper: clients and maintenance rounds on one thread, so a
-//! seed fixes the interleaving and replays a run, counts included.
+//! One stepper: clients, maintenance rounds and platform faults on one
+//! thread, each choice taken from a [`Schedule`], so a list of choices
+//! replays a run, counts included.
 //!
 //! A client is data: a list of [`Request`]s, each a list of `r k` / `w k`
 //! micro-ops in the shape of a Maelstrom `txn`. An attempt is `begin`, one
 //! [`AftApi`] call per op, then `commit`, and each call is one step; every
 //! written value is the writer's UUID. Each attempt runs behind a
 //! [`Recorder`] that carries its request's id, and the run's anomalies are
-//! [`history::check`]'s verdict on what the clients saw. A platform re-runs a
-//! request whose invocation died before, inside or after its body (§3.3.1):
-//! [`FailurePoint::BeforeBody`] retries without a `begin`,
-//! [`FailurePoint::MidBody`] aborts right after the attempt's first write
-//! (the §1 fractional update), and [`FailurePoint::AfterBody`] re-runs the
-//! request after its acknowledgement. A retryable error aborts the attempt
-//! and retries the request; any other error is a bug.
+//! [`history::check`]'s verdict on what the clients saw. A retryable error
+//! aborts the attempt and retries the request; any other error is a bug.
+//!
+//! A schedule picks each [`Step`] and each invocation's fate: a platform
+//! re-runs a request whose invocation died before, inside or after its body
+//! (§3.3.1), and [`FailurePoint::MidBody`] aborts right after the attempt's
+//! first write (the §1 fractional update). [`Seeded`] samples one schedule.
+//! [`Exhaustive`] is stateless model checking: it walks the choice tree
+//! depth first within a [`Scope`]'s budgets, replaying each schedule on a
+//! fresh cluster, and [`walk`] panics on a schedule with an anomaly, naming
+//! the choice list that [`Exhaustive::replay`] re-runs.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use aft_cluster::Cluster;
+use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
+use aft_faas::FailurePoint::{AfterBody, BeforeBody, MidBody};
 use aft_faas::{FailureInjector, FailurePoint};
+use aft_storage::InMemoryStore;
+use aft_types::clock::TickingClock;
 use aft_types::{AftError, AftResult, Key, TransactionId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::history::{self, Attempt, FinalRead, History, Recorder};
+use crate::history::{self, Attempt, FinalRead, History, Recorder, Verdict};
 
 /// One step in this many is a maintenance round, so multicast, GC and
 /// fault-manager scans run *under load*, as in the paper (§4).
@@ -42,6 +50,16 @@ pub enum Op {
 /// The micro-ops one invocation runs between its `begin` and its commit.
 pub type Request = Vec<Op>;
 
+/// Parses `"r a, w b"`: a request that reads `a`, then writes `b`.
+pub fn request(ops: &str) -> Request {
+    let op = |op: &str| match op.split_once(' ') {
+        Some(("r", key)) => Op::Read(Key::new(key)),
+        Some(("w", key)) => Op::Write(Key::new(key)),
+        _ => panic!("not `r k` or `w k`: {op:?}"),
+    };
+    ops.split(", ").map(op).collect()
+}
+
 /// What one run observed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Run {
@@ -54,7 +72,7 @@ pub struct Run {
     pub first_anomaly_step: Option<u64>,
     /// Attempts abandoned and re-invoked.
     pub client_retries: u64,
-    /// Steps taken: client calls and maintenance rounds.
+    /// Steps taken.
     pub steps: u64,
     /// Maintenance rounds run.
     pub rounds: u64,
@@ -64,46 +82,287 @@ pub struct Run {
     pub failed_rounds: u64,
 }
 
-/// Runs every client's requests to completion: each step, drawn from `seed`,
-/// is a maintenance round of `cluster` or one unfinished client's next call
-/// through `route` (a node or a service client), whose fate `injector` decides.
+/// What a step does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Runs a maintenance round.
+    Round,
+    /// Takes the `n`th busy client's next call.
+    Client(usize),
+    /// Starts a second attempt of the `n`th busy client's open request, as
+    /// a client of its own (Jangda et al.'s concurrent re-run).
+    Duplicate(usize),
+    /// Kills active node 0 and replaces it; attempts open on it carry on.
+    Failover,
+}
+
+/// Where a run's choices come from.
+pub trait Schedule {
+    /// The next step, one of `options`: a round, each busy client, a
+    /// duplicate of each one with an attempt open, a failover.
+    fn step(&mut self, options: &[Step]) -> Step;
+    /// An invocation's fate: `None` runs it clean.
+    fn fate(&mut self) -> Option<FailurePoint>;
+}
+
+/// A sampled schedule: a round one step in [`MAINTENANCE_ONE_IN`], else a
+/// uniformly drawn busy client, from one seeded `StdRng`, and the fates
+/// `injector` draws. It never duplicates or fails over.
+pub struct Seeded<'a> {
+    rng: StdRng,
+    injector: Option<&'a FailureInjector>,
+}
+
+impl<'a> Seeded<'a> {
+    /// The schedule `seed` draws, with `injector`'s fates.
+    pub fn new(seed: u64, injector: Option<&'a FailureInjector>) -> Self {
+        let rng = StdRng::seed_from_u64(seed);
+        Seeded { rng, injector }
+    }
+}
+
+impl Schedule for Seeded<'_> {
+    fn step(&mut self, options: &[Step]) -> Step {
+        if self.rng.gen_range(0..MAINTENANCE_ONE_IN) == 0 {
+            return Step::Round;
+        }
+        let busy = options.iter().filter(|s| matches!(s, Step::Client(_)));
+        Step::Client(self.rng.gen_range(0..busy.count()))
+    }
+
+    fn fate(&mut self) -> Option<FailurePoint> {
+        self.injector.and_then(FailureInjector::decide)
+    }
+}
+
+/// How many rounds, failed invocations, duplicates and failovers one
+/// [`Exhaustive`] schedule may take.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Scope {
+    /// [`Step::Round`]s.
+    pub rounds: u32,
+    /// Fates other than a clean run.
+    pub failures: u32,
+    /// [`Step::Duplicate`]s.
+    pub duplicates: u32,
+    /// [`Step::Failover`]s.
+    pub failovers: u32,
+}
+
+impl Scope {
+    /// The budget `step` spends, if any.
+    fn budget(&mut self, step: Step) -> Option<&mut u32> {
+        match step {
+            Step::Round => Some(&mut self.rounds),
+            Step::Client(_) => None,
+            Step::Duplicate(_) => Some(&mut self.duplicates),
+            Step::Failover => Some(&mut self.failovers),
+        }
+    }
+}
+
+/// The schedules of a [`Scope`], depth first. A point with one option
+/// records no choice.
+#[derive(Debug)]
+pub struct Exhaustive {
+    scope: Scope,
+    /// What this schedule may still take.
+    left: Scope,
+    /// Each choice: the option taken, and how many there were (0 where a
+    /// replayed list has not been met yet).
+    path: Vec<(usize, usize)>,
+    /// The choices made so far on this run.
+    at: usize,
+}
+
+impl Exhaustive {
+    /// The schedule of `scope` that makes `choices`, then the first option
+    /// at every later choice; `&[]` is the walk's first.
+    pub fn replay(scope: Scope, choices: &[usize]) -> Self {
+        let path = choices.iter().map(|&taken| (taken, 0)).collect();
+        let (left, at) = (scope, 0);
+        Exhaustive {
+            scope,
+            left,
+            path,
+            at,
+        }
+    }
+
+    /// The choices this schedule made.
+    pub fn choices(&self) -> Vec<usize> {
+        self.path.iter().map(|&(taken, _)| taken).collect()
+    }
+
+    fn choose(&mut self, options: usize) -> usize {
+        if options == 1 {
+            return 0;
+        }
+        if self.at == self.path.len() {
+            self.path.push((0, options));
+        }
+        let (taken, recorded) = self.path[self.at];
+        assert!(
+            taken < options && [0, options].contains(&recorded),
+            "choice {} of {:?} meets {options} options, not {recorded}: the run is not a \
+             function of its schedule",
+            self.at,
+            self.choices()
+        );
+        self.path[self.at].1 = options;
+        self.at += 1;
+        taken
+    }
+
+    /// Moves to the next untried schedule; false once all were walked.
+    fn advance(&mut self) -> bool {
+        (self.left, self.at) = (self.scope, 0);
+        while let Some((taken, options)) = self.path.pop() {
+            if taken + 1 < options {
+                self.path.push((taken + 1, options));
+                return true;
+            }
+        }
+        false
+    }
+}
+
+impl Schedule for Exhaustive {
+    fn step(&mut self, options: &[Step]) -> Step {
+        let mut left = self.left;
+        let allowed = |&&step: &&Step| left.budget(step).is_none_or(|n| *n > 0);
+        let options: Vec<Step> = options.iter().filter(allowed).copied().collect();
+        let step = options[self.choose(options.len())];
+        if let Some(n) = self.left.budget(step) {
+            *n -= 1;
+        }
+        step
+    }
+
+    fn fate(&mut self) -> Option<FailurePoint> {
+        let fates = [None, Some(BeforeBody), Some(MidBody), Some(AfterBody)];
+        let fate = fates[self.choose(if self.left.failures > 0 { 4 } else { 1 })];
+        self.left.failures -= u32::from(fate.is_some());
+        fate
+    }
+}
+
+/// What a [`walk`] counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Walked {
+    /// Schedules walked.
+    pub schedules: u64,
+    /// Schedules in which the checker found a duplicate request.
+    pub duplicated: u64,
+}
+
+/// Runs every schedule of `scope` over `clients` through [`settle`] on
+/// `nodes` nodes. Panics, naming the scope and the choice list, on the
+/// first schedule with a read anomaly or a lost write.
+pub fn walk(nodes: usize, clients: &[Vec<Request>], scope: Scope) -> Walked {
+    let mut schedule = Exhaustive::replay(scope, &[]);
+    let mut walked = Walked::default();
+    loop {
+        let (_, verdict) = settle(nodes, clients, &mut schedule);
+        assert!(
+            verdict.anomalies() + verdict.lost_acked_writes == 0,
+            "{scope:?}, schedule {:?} (`Exhaustive::replay` re-runs it): {verdict:?}",
+            schedule.choices()
+        );
+        walked.schedules += 1;
+        walked.duplicated += u64::from(verdict.duplicate_requests > 0);
+        if !schedule.advance() {
+            return walked;
+        }
+    }
+}
+
+/// Runs `clients` under `schedule` on a fresh in-memory cluster of `nodes`
+/// nodes, then a quiet round: the run, and its verdict with the lost writes
+/// of every active node's read-back summed. An acked key with no `data/`
+/// version left in storage is a lost write too.
+pub fn settle(
+    nodes: usize,
+    clients: &[Vec<Request>],
+    schedule: &mut dyn Schedule,
+) -> (Run, Verdict) {
+    let (storage, clock) = (InMemoryStore::shared(), TickingClock::shared(1, 1));
+    let cluster = Cluster::with_clock(ClusterConfig::test(nodes), storage, clock)
+        .expect("an in-memory cluster");
+    let route = || cluster.route().map(|node| node as Arc<dyn AftApi>);
+    let run = run(&cluster, &route, clients.to_vec(), schedule);
+    cluster.run_maintenance_round().expect("a quiet round");
+    let keys = history::written_keys(&run.history);
+    let mut verdict = history::check(&run.history, &FinalRead::new());
+    for node in cluster.active_nodes() {
+        let read = history::read_back(node.as_ref(), keys.clone()).expect("a quiet read");
+        verdict.lost_acked_writes += history::check(&run.history, &read).lost_acked_writes;
+    }
+    let listed = |key: &&Key| cluster.storage().list_prefix(&format!("data/{key}/"));
+    let gone = |key: &&Key| listed(key).is_ok_and(|versions| versions.is_empty());
+    let acked = history::model(&run.history);
+    verdict.lost_acked_writes += acked.keys().filter(gone).count() as u64;
+    (run, verdict)
+}
+
+/// Runs every client's requests to completion, one step at a time as
+/// `schedule` chooses, on `cluster`; a client's calls go through `route` (a
+/// node or a service client).
 pub fn run(
     cluster: &Cluster,
     route: &dyn Fn() -> AftResult<Arc<dyn AftApi>>,
-    injector: Option<&FailureInjector>,
     clients: Vec<Vec<Request>>,
-    seed: u64,
+    schedule: &mut dyn Schedule,
 ) -> Run {
-    let mut rng = StdRng::seed_from_u64(seed);
     let to_client = |(id, requests)| Client {
-        id,
+        first: (id as u64) << 32,
         requests,
         ..Client::default()
     };
     let mut clients: Vec<Client> = clients.into_iter().enumerate().map(to_client).collect();
     let mut stepper = Stepper {
         route,
-        injector,
+        schedule,
         history: History::new(),
         last_call: HashMap::new(),
         run: Run::default(),
     };
     loop {
-        let mut busy: Vec<&mut Client> = clients
-            .iter_mut()
-            .filter(|c| c.done < c.requests.len())
+        let busy: Vec<usize> = (0..clients.len())
+            .filter(|&i| clients[i].done < clients[i].requests.len())
             .collect();
         if busy.is_empty() {
             return stepper.finish();
         }
-        if rng.gen_range(0..MAINTENANCE_ONE_IN) == 0 {
-            let run = &mut stepper.run;
-            run.rounds += 1;
-            run.racing_rounds += u64::from(busy.iter().any(|c| c.open.is_some()));
-            run.failed_rounds += u64::from(cluster.run_maintenance_round().is_err());
-        } else {
-            let pick = rng.gen_range(0..busy.len());
-            stepper.step(busy[pick]);
+        let open = |n: &usize| clients[busy[*n]].open.is_some();
+        let options: Vec<Step> = std::iter::once(Step::Round)
+            .chain((0..busy.len()).map(Step::Client))
+            .chain((0..busy.len()).filter(open).map(Step::Duplicate))
+            .chain([Step::Failover])
+            .collect();
+        match stepper.schedule.step(&options) {
+            Step::Round => {
+                let run = &mut stepper.run;
+                run.rounds += 1;
+                run.racing_rounds += u64::from((0..busy.len()).any(|n| open(&n)));
+                run.failed_rounds += u64::from(cluster.run_maintenance_round().is_err());
+            }
+            Step::Client(n) => stepper.step(&mut clients[busy[n]]),
+            Step::Duplicate(n) => {
+                let original = &clients[busy[n]];
+                let first = original.first + original.done as u64;
+                let requests = vec![original.requests[original.done].clone()];
+                clients.push(Client {
+                    first,
+                    requests,
+                    ..Client::default()
+                });
+            }
+            Step::Failover => {
+                let victim = cluster.active_nodes()[0].node_id().to_owned();
+                cluster.kill_node(&victim);
+                cluster.replace_failed_nodes().expect("a replacement node");
+            }
         }
         stepper.run.steps += 1;
     }
@@ -112,8 +371,8 @@ pub fn run(
 /// One client: runs its requests one after another.
 #[derive(Default)]
 struct Client {
-    /// The client's place in the run, the high half of its request ids.
-    id: usize,
+    /// Its first request's id: the client's place in the run, then 0.
+    first: u64,
     requests: Vec<Request>,
     /// Requests finished so far.
     done: usize,
@@ -135,11 +394,11 @@ struct Open {
     aborting: bool,
 }
 
-/// What a client's step reaches: the route, the platform, the history, the
+/// What a client's step reaches: the route, the schedule, the history, the
 /// run's tally.
 struct Stepper<'a> {
     route: &'a dyn Fn() -> AftResult<Arc<dyn AftApi>>,
-    injector: Option<&'a FailureInjector>,
+    schedule: &'a mut dyn Schedule,
     history: Arc<History>,
     /// The step of each attempt's last call.
     last_call: HashMap<TransactionId, u64>,
@@ -189,13 +448,13 @@ impl Stepper<'_> {
         client.open = Some(attempt);
     }
 
-    /// Invokes `client`'s next attempt: routes it, lets the platform decide
+    /// Invokes `client`'s next attempt: routes it, lets the schedule decide
     /// its fate, and begins its transaction.
     fn invoke(&mut self, client: &mut Client) {
         assert!(client.attempt < 64, "a request's 64 attempts are exhausted");
-        let request = ((client.id as u64) << 32) | client.done as u64;
+        let request = client.first + client.done as u64;
         let begun = (self.route)().and_then(|api| {
-            let failure = self.injector.and_then(FailureInjector::decide);
+            let failure = self.schedule.fate();
             if failure == Some(FailurePoint::BeforeBody) {
                 return Ok(None);
             }
@@ -243,4 +502,47 @@ impl Stepper<'_> {
 /// Retryable failures are what chaos injects; any other is a bug.
 fn expect_retryable(e: &AftError) {
     assert!(e.is_retryable(), "non-retryable failure: {e:?}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn two_writers() -> Vec<Vec<Request>> {
+        vec![vec![request("w a")], vec![request("w b")]]
+    }
+
+    #[test]
+    fn a_tree_of_known_shape_walks_exactly_its_schedules() {
+        let none = Scope::default();
+        assert_eq!(walk(1, &two_writers()[..1], none).schedules, 1);
+        // Each client begins, writes and commits: C(6, 3) interleavings.
+        assert_eq!(walk(1, &two_writers(), none).schedules, 20);
+    }
+
+    #[test]
+    fn a_walked_choice_list_replays_its_schedule_exactly() {
+        let clients = vec![vec![request("r a, w a, w b")]];
+        let scope = Scope {
+            duplicates: 1,
+            ..Scope::default()
+        };
+        let mut schedule = Exhaustive::replay(scope, &[]);
+        loop {
+            let (walked, _) = settle(2, &clients, &mut schedule);
+            let choices = schedule.choices();
+            let (replayed, _) = settle(2, &clients, &mut Exhaustive::replay(scope, &choices));
+            assert_eq!(replayed.history, walked.history, "{choices:?}");
+            if !schedule.advance() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a function of its schedule")]
+    fn a_replayed_list_whose_option_counts_diverge_panics() {
+        let schedule = &mut Exhaustive::replay(Scope::default(), &[2]);
+        settle(1, &two_writers(), schedule);
+    }
 }

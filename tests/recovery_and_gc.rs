@@ -187,57 +187,6 @@ fn global_gc_reclaims_superseded_versions_without_losing_the_latest() {
 }
 
 #[test]
-fn gc_racing_a_long_transaction_forces_retry_not_fracture() {
-    // The §5.2.1 limitation: deleting old versions can force a long-running
-    // transaction to abort and retry, but it must never fracture its reads.
-    let storage: SharedStorage = InMemoryStore::shared();
-    let clock = TickingClock::shared(1, 1);
-    let node = AftNode::with_clock(NodeConfig::default(), storage.clone(), clock.clone()).unwrap();
-    let fm = FaultManager::new();
-    let gc = GlobalGc::default();
-
-    // T_a writes {k, l}; the long-running reader reads k from T_a.
-    let ta = node.start_transaction();
-    node.put(&ta, Key::new("k"), Bytes::from_static(b"ka"))
-        .unwrap();
-    node.put(&ta, Key::new("l"), Bytes::from_static(b"la"))
-        .unwrap();
-    node.commit(&ta).unwrap();
-
-    let reader = node.start_transaction();
-    assert_eq!(
-        node.get(&reader, &Key::new("k")).unwrap().unwrap(),
-        Bytes::from_static(b"ka")
-    );
-
-    // Newer transactions supersede T_a entirely.
-    for i in 0..3 {
-        let t = node.start_transaction();
-        node.put(&t, Key::new("k"), Bytes::from(format!("k{i}")))
-            .unwrap();
-        node.put(&t, Key::new("l"), Bytes::from(format!("l{i}")))
-            .unwrap();
-        node.commit(&t).unwrap();
-    }
-    let nodes = vec![Arc::clone(&node)];
-    broadcast_round(&nodes, Some(&fm));
-    // Local GC keeps T_a because the reader depends on it...
-    let outcome = node.run_local_gc(&LocalGcConfig::aggressive());
-    assert!(outcome.retained_for_readers >= 1);
-    let io = IoEngine::new(storage.clone(), IoConfig::pipelined());
-    let _ = gc.run_round(&fm, &nodes, &io).unwrap();
-
-    // ...so the reader still gets an atomic (if stale) view of l, or a clean
-    // retryable error — never a fractured read.
-    match node.get(&reader, &Key::new("l")) {
-        Ok(Some(value)) => assert_eq!(value, Bytes::from_static(b"la")),
-        Ok(None) => panic!("l must not silently disappear"),
-        Err(AftError::NoValidVersion { .. }) => {} // acceptable: retry
-        Err(other) => panic!("unexpected error {other}"),
-    }
-}
-
-#[test]
 fn cluster_failover_preserves_all_committed_data_under_load() {
     let storage = aft::storage::make_backend(BackendConfig::test(BackendKind::DynamoDb));
     let cluster = Cluster::with_clock(

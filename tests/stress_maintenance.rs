@@ -26,7 +26,7 @@ use aft::storage::{make_backend, BackendConfig, BackendKind, InMemoryStore, Shar
 use aft::types::clock::TickingClock;
 use aft::types::{Key, KeyVersion, TransactionId, TransactionRecord, Uuid};
 use aft::workload::history::{self, Verdict};
-use aft::workload::sim::{self, Op, Request};
+use aft::workload::sim::{self, Op, Request, Seeded};
 use aft::workload::ZipfGenerator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -112,9 +112,8 @@ fn race_maintenance(raw: SharedStorage) {
     let run = sim::run(
         &cluster,
         &|| cluster.route().map(|node| node as Arc<dyn AftApi>),
-        None,
         requests(0x5EED ^ seed.wrapping_mul(0x9E37)),
-        0x57E9 ^ seed.wrapping_mul(0xD1B5),
+        &mut Seeded::new(0x57E9 ^ seed.wrapping_mul(0xD1B5), None),
     );
     assert_eq!(run.anomalies, 0, "the history checker found read anomalies");
     assert_eq!(run.failed_rounds, 0, "a maintenance round failed");
