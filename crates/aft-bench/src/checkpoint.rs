@@ -402,7 +402,7 @@ fn run_cell(
     let checkpoint = Checkpoint::new(1, newest_per_key);
     publish_checkpoint(&io, &checkpoint, || Ok(())).expect("publish cannot fail");
     let compaction =
-        compact_log(&io, &checkpoint, CHECKPOINT_KEEP).expect("compaction cannot fail");
+        compact_log(&io, &checkpoint, CHECKPOINT_KEEP, &|_| false).expect("compaction cannot fail");
 
     // Phase 3: the tail the checkpoint does not cover, then the
     // checkpoint+tail measurements.

@@ -619,7 +619,7 @@ mod tests {
         assert_eq!(config.seed, 20260809);
         assert!(cells_only, "--mode gates on check_gate_cells");
         let (full, cells_only) = recovery::plan(&parse_line("fig10_recovery").unwrap().1).unwrap();
-        assert_eq!(full.fault_modes.len(), 6);
+        assert_eq!(full.fault_modes.len(), 3);
         assert!(!cells_only, "the full matrix gates on check_gate");
         let (_, args) = parse_line("fig10_recovery --mode sideways").unwrap();
         assert!(recovery::plan(&args).unwrap_err().contains("cross_layer"));

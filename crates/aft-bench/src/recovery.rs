@@ -3,11 +3,11 @@
 //!
 //! The paper's Figure 10 shows throughput across one node failure; this
 //! experiment asks the stronger question its guarantees imply: for every
-//! combination of **fault mode** (seeded transient storage errors, storage
-//! timeouts, a slow-stripe gray failure, aft-net connection faults over
-//! real loopback sockets, or *every layer at once*), **node-kill point**
-//! (the three commit-phase crashes of [`CommitPhase`]), and **backend
-//! profile**, does the cluster
+//! combination of **fault mode** (aft-net connection faults over real
+//! loopback sockets, *every layer at once*, or a metadata-plane partition),
+//! **node-kill point** (the three commit-phase crashes of [`CommitPhase`]
+//! and the two checkpoint phases), and **backend profile**, does the
+//! cluster
 //!
 //! * serve only Atomic Readsets (zero fractured reads / read-your-writes
 //!   violations, §3.2) while the faults are firing,
@@ -16,6 +16,11 @@
 //!   whose acknowledgement and broadcast died with their node (§4.2), and
 //! * converge, and in how many maintenance rounds (fault-manager scan →
 //!   standby replacement, §6.7)?
+//!
+//! A storage fault alone — a crash or a failed call at any write — is not a
+//! mode here: the walked scopes of [`aft_workload::sim`] cut every write of
+//! their schedules exhaustively. The matrix keeps what no schedule can
+//! express: the network, the layers composed, and the partition.
 //!
 //! Every cell runs `trials` seeded trials on the virtual clock
 //! (`LatencyMode::Virtual` at full scale) over a small cluster behind a
@@ -45,66 +50,55 @@ use std::time::Duration;
 use aft_chaos::{ChaosSpec, FaasChaos, KillPlan, NetChaos, PartitionChaos, StorageChaos};
 use aft_cluster::{ChaosController, Cluster, ClusterConfig};
 use aft_core::api::AftApi;
-use aft_core::bootstrap::fetch_commit_records;
-use aft_core::{is_superseded, CommitPhase, NodeConfig};
+use aft_core::{CommitPhase, NodeConfig};
 use aft_faas::FailureInjector;
 use aft_storage::chaos::FaultyBackend;
-use aft_storage::{
-    BackendKind, LatencyMode, LatencyModel, SharedStorage, StorageEngine, DEFAULT_STRIPES,
-};
+use aft_storage::{BackendKind, SharedStorage, StorageEngine};
 use aft_types::clock::TickingClock;
-use aft_types::{AftResult, Key, TransactionRecord};
+use aft_types::{AftResult, Key};
 use aft_workload::history::Attempt;
-use aft_workload::sim::{self, Op, Request, Seeded};
+use aft_workload::sim::{self, Deployment, Op, Request, Seeded};
 
 use crate::cli::{Args, Flag, Outcome};
 use crate::json::Json;
 use crate::report::{percentile_ms, Table};
 use crate::setup::{serve_cluster, settled_verdict, virtual_backend, ServeOptions, ServiceHandle};
 
-/// The fault modes of the matrix: three storage-side modes, one
-/// network-side mode, and one cross-layer mode that fires every layer of
-/// the unified [`ChaosSpec`] in the same trial.
+/// The fault modes of the matrix: one network-side mode, one cross-layer
+/// mode that fires every layer of the unified [`ChaosSpec`] in the same
+/// trial, and a metadata partition. Storage faults alone are the walked
+/// scopes' cuts ([`aft_workload::sim`]), which reach every crash and failed
+/// call exhaustively. Each mode's discriminant is its place on the matrix's
+/// original six-mode axis, which seeds its cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultMode {
-    /// Seeded transient errors: requests dropped, half of them applied
-    /// before the acknowledgement is lost (duplicate-on-retry).
-    Transient,
-    /// Seeded timeouts: the deadline latency is charged, then the request
-    /// fails transiently.
-    Timeout,
-    /// Gray failure: one stripe of the keyspace is persistently slow;
-    /// nothing errors.
-    SlowStripe,
     /// Network faults: clients reach the cluster through the aft-net
     /// service layer over real loopback sockets, with seeded connection
     /// resets (before send, and after send in the lost-ack window) and
     /// delayed acknowledgements injected at the SDK. Storage stays clean;
     /// the node kill still fires mid-commit.
-    Network,
+    Network = 3,
     /// Every layer at once, from one seed: seeded transient storage errors
     /// under the nodes, connection resets and delayed acks at the SDK, and
     /// platform failure points around the request bodies (invocations dying
     /// before their body, between their two writes — the §1 fractional
     /// update — or after the body with the acknowledgement lost), plus the
-    /// node kill. The single-layer modes prove each injector alone; this
-    /// mode proves they compose, and that one `--seed` replays them all.
-    CrossLayer,
+    /// node kill. The network mode and the walked storage cuts prove the
+    /// layers alone; this mode proves they compose, and that one `--seed`
+    /// replays them all.
+    CrossLayer = 4,
     /// Metadata-plane partition: the cluster disseminates commit metadata
     /// over a spanning tree while a seeded edge-cut severs half the tree's
     /// links for a window of rounds, parking deliveries on retry queues.
     /// The node kill still fires mid-commit. Recovery must drain every
     /// parked batch after the heal — a partition may *delay* metadata but
     /// can never lose it.
-    Partition,
+    Partition = 5,
 }
 
 impl FaultMode {
     /// Every mode, in report order.
-    pub const ALL: [FaultMode; 6] = [
-        FaultMode::Transient,
-        FaultMode::Timeout,
-        FaultMode::SlowStripe,
+    pub const ALL: [FaultMode; 3] = [
         FaultMode::Network,
         FaultMode::CrossLayer,
         FaultMode::Partition,
@@ -113,9 +107,6 @@ impl FaultMode {
     /// A short label for reports.
     pub fn label(&self) -> &'static str {
         match self {
-            FaultMode::Transient => "transient_errors",
-            FaultMode::Timeout => "timeouts",
-            FaultMode::SlowStripe => "slow_stripe",
             FaultMode::Network => "network_resets",
             FaultMode::CrossLayer => "cross_layer",
             FaultMode::Partition => "partition",
@@ -133,18 +124,6 @@ impl FaultMode {
     fn chaos_spec(&self, seed: u64) -> ChaosSpec {
         let spec = ChaosSpec::new(seed);
         match self {
-            // 8% of ops fail transiently: heavy enough that every trial
-            // exercises the retry path, light enough that the default
-            // 4-attempt budget absorbs nearly all of it.
-            FaultMode::Transient => spec.storage(StorageChaos::transient_errors(0.08)),
-            // 5% of ops time out after a charged 30ms deadline.
-            FaultMode::Timeout => spec.storage(StorageChaos::timeouts(0.05, 30_000.0)),
-            // One of 16 stripes pays +20ms per op.
-            FaultMode::SlowStripe => spec.storage(StorageChaos::slow_stripe(
-                (seed % DEFAULT_STRIPES as u64) as usize,
-                DEFAULT_STRIPES,
-                20_000.0,
-            )),
             // Network mode injects at the connection, not at storage.
             FaultMode::Network => spec.net(NetChaos::resets_and_delays(
                 0.06,
@@ -152,7 +131,8 @@ impl FaultMode {
                 Duration::from_millis(1),
             )),
             // All layers, each at roughly half its single-layer rate so the
-            // compounded retry pressure stays inside the budgets.
+            // compounded retry pressure stays inside the budgets: 4% of
+            // storage ops fail transiently, half of them applied first.
             FaultMode::CrossLayer => spec
                 .storage(StorageChaos::transient_errors(0.04))
                 .net(NetChaos::resets_and_delays(
@@ -173,7 +153,7 @@ impl FaultMode {
 /// Configuration of the recovery matrix.
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
-    /// Fault modes (matrix axis 1): storage-side and/or network-side.
+    /// Fault modes (matrix axis 1).
     pub fault_modes: Vec<FaultMode>,
     /// Commit-phase kill points (matrix axis 2).
     pub kill_points: Vec<CommitPhase>,
@@ -193,10 +173,10 @@ pub struct RecoveryConfig {
 }
 
 impl RecoveryConfig {
-    /// The full matrix: 6 fault modes (3 storage, network, cross-layer,
-    /// and metadata partition) × 5 kill points (the 3 commit phases plus
-    /// the 2 checkpoint phases) × the 3 evaluated backends = 90 cells,
-    /// 3 trials each.
+    /// The full matrix: 3 fault modes (network, cross-layer and metadata
+    /// partition) × 5 kill points (the 3 commit phases plus the 2
+    /// checkpoint phases) × the 3 evaluated backends = 45 cells, 3 trials
+    /// each.
     pub fn standard() -> Self {
         RecoveryConfig {
             fault_modes: FaultMode::ALL.to_vec(),
@@ -210,9 +190,9 @@ impl RecoveryConfig {
         }
     }
 
-    /// The CI configuration: the same ≥ 9-cell guarantee (6 fault modes × 3
-    /// kill points) with one backend per fault mode and fewer trials, so the
-    /// chaos gate stays well under a minute.
+    /// The CI configuration: the same ≥ 9-cell guarantee (3 fault modes × 5
+    /// kill points) with one backend and fewer trials, so the chaos gate
+    /// stays well under a minute.
     pub fn fast() -> Self {
         RecoveryConfig {
             trials: 2,
@@ -242,17 +222,17 @@ impl RecoveryConfig {
 
     /// The seed of one cell. Each axis offsets it by the value's place on
     /// the *full* axis, not in this configuration's list, so a restricted
-    /// matrix (`--mode`) runs the very cells the full one does.
+    /// matrix (`--mode`) runs the very cells the full one does; a mode's
+    /// place is its discriminant.
     fn cell_seed(&self, mode: FaultMode, kill: CommitPhase, backend: BackendKind) -> u64 {
         let places = [
-            FaultMode::ALL.iter().position(|&m| m == mode),
             every_kill_point().position(|k| k == kill),
             BackendKind::EVALUATED.iter().position(|&b| b == backend),
         ];
         // Memory, the tests' backend, sits after the evaluated three.
-        let [m, k, b] = places.map(|place| place.unwrap_or(BackendKind::EVALUATED.len()) as u64);
+        let [k, b] = places.map(|place| place.unwrap_or(BackendKind::EVALUATED.len()) as u64);
         self.seed
-            .wrapping_add(m << 24)
+            .wrapping_add((mode as u64) << 24)
             .wrapping_add(k << 16)
             .wrapping_add(b << 8)
     }
@@ -301,7 +281,7 @@ pub struct TrialResult {
     pub io_retries: u64,
     /// Whole-transaction retries performed by clients.
     pub client_retries: u64,
-    /// Faults the chaos backend injected (errors + timeouts).
+    /// Faults every armed layer injected.
     pub faults_injected: u64,
     /// API calls the backend billed over the load and the recovery drive,
     /// every [`OpKind`](aft_storage::OpKind) summed; the verification's
@@ -605,8 +585,7 @@ impl Trial {
         // Injected latency is charged, never slept, like the backend's own:
         // the whole matrix runs in seconds.
         let raw = virtual_backend(backend, spec.seed);
-        let faulty =
-            FaultyBackend::from_spec(raw, spec, LatencyModel::new(LatencyMode::Virtual, 1.0));
+        let faulty = FaultyBackend::from_spec(raw, spec);
         faulty.set_enabled(false);
         // GC stays off so the durable Transaction Commit Set remains the
         // complete ground truth the post-recovery verification compares
@@ -657,12 +636,18 @@ impl Trial {
             injector: (!spec.faas.is_quiet()).then(|| FailureInjector::from_spec(spec)),
         }
     }
+}
+
+impl Deployment for Trial {
+    fn cluster(&self) -> Arc<Cluster> {
+        Arc::clone(&self.cluster)
+    }
 
     /// A routed node in-process, the SDK client when the trial is served.
-    fn route(&self) -> AftResult<Arc<dyn AftApi>> {
+    fn api(&self) -> AftResult<Arc<dyn AftApi>> {
         match &self.service {
             Some(service) => Ok(Arc::clone(&service.client) as Arc<dyn AftApi>),
-            None => self.cluster.route().map(|node| node as Arc<dyn AftApi>),
+            None => self.cluster.api(),
         }
     }
 }
@@ -688,7 +673,7 @@ fn run_trial(
     // The stepper's stream is decorrelated from the nodes' UUID streams,
     // which the same seed also starts; a failed round is the next's to retry.
     let mut schedule = Seeded::new(trial_seed ^ 0x57E9, trial.injector.as_ref());
-    let load = sim::run(cluster, &|| trial.route(), requests(config), &mut schedule);
+    let load = sim::run(&trial, requests(config), &mut schedule);
 
     // The load is done; drive recovery to convergence.
     let outcome = trial.controller.drive_recovery(200);
@@ -704,29 +689,10 @@ fn run_trial(
     // reads can fail. (Connection chaos only ever lived at the SDK, and the
     // verifier reads in-process.)
     trial.faulty.set_enabled(false);
-    let record_keys = cluster
-        .storage()
-        .list_prefix(&TransactionRecord::storage_prefix())
-        .expect("injection is paused");
-    let mut records = Vec::new();
-    fetch_commit_records(cluster.io(), &record_keys, |r| records.push(Arc::new(r)))
-        .expect("injection is paused");
     // Full commit-set recovery, modulo §4.1 supersedence: every durable
-    // record must be *known* to every active node — present in its metadata
-    // or legitimately pruned because the node already holds newer versions
-    // of every key the record wrote.
+    // record must be *known* to every active node.
+    let (records, unrecovered) = sim::durable_records(cluster);
     let active = cluster.active_nodes();
-    let unrecovered: usize = records
-        .iter()
-        .map(|record| {
-            active
-                .iter()
-                .filter(|n| {
-                    !n.metadata().is_committed(&record.id) && !is_superseded(record, n.metadata())
-                })
-                .count()
-        })
-        .sum();
     let io_retries =
         active.iter().map(|n| n.io().stats().retries).sum::<u64>() + cluster.io().stats().retries;
     let conn_faults = trial
@@ -748,7 +714,7 @@ fn run_trial(
         first_anomaly_step: load.first_anomaly_step,
         duplicate_requests: verdict.duplicate_requests,
         lost_acks: verdict.lost_acked_writes as usize,
-        unrecovered,
+        unrecovered: unrecovered as usize,
         converged: outcome.converged,
         recovery_rounds: outcome.rounds as u64,
         io_retries,
@@ -798,8 +764,8 @@ pub fn fig10_recovery(config: &RecoveryConfig) -> RecoveryReport {
 pub(crate) const FLAGS: &[Flag] = &[Flag {
     name: "--mode",
     value: "LABEL",
-    about: "restrict to one fault mode (transient_errors, timeouts, slow_stripe, \
-            network_resets, cross_layer, partition); with --seed, zooms in on one failing cell",
+    about: "restrict to one fault mode (network_resets, cross_layer, partition); with --seed, \
+            zooms in on one failing cell",
 }];
 
 /// Sizes the matrix from the command line. The flag is true for a
@@ -860,7 +826,7 @@ pub(crate) fn outcome(
 mod tests {
     use super::*;
     use aft_chaos::Layer;
-    use aft_types::TransactionId;
+    use aft_types::{TransactionId, TransactionRecord};
     use aft_workload::history;
     use aft_workload::sim::{Exhaustive, Scope};
 
@@ -880,10 +846,10 @@ mod tests {
                 trial.service =
                     Some(serve_cluster(&trial.cluster, &ServeOptions::default()).unwrap());
             }
-            let label = trial.route().unwrap().api_label().to_owned();
+            let label = trial.api().unwrap().api_label().to_owned();
             let client = vec![requests(&RecoveryConfig::tiny())[0][0].clone()];
             let schedule = &mut Seeded::new(7, None);
-            let load = sim::run(&trial.cluster, &|| trial.route(), vec![client], schedule);
+            let load = sim::run(&trial, vec![client], schedule);
             assert_eq!(
                 load.steps - load.rounds,
                 7,
@@ -912,7 +878,7 @@ mod tests {
             );
             let clients = requests(&RecoveryConfig::tiny());
             let schedule = &mut Seeded::new(seed, None);
-            sim::run(&trial.cluster, &|| trial.route(), clients, schedule)
+            sim::run(&trial, clients, schedule)
         };
         let first = load(1);
         assert_eq!((acked(&first).len(), first.anomalies), (16, 0));
@@ -933,7 +899,7 @@ mod tests {
             ..Scope::default()
         };
         let schedule = &mut Exhaustive::replay(scope, &[3]);
-        let load = sim::run(cluster, &|| trial.route(), vec![client], schedule);
+        let load = sim::run(&trial, vec![client], schedule);
         assert_eq!(schedule.choices(), [3]);
 
         let [first, second] = acked(&load)[..] else {
@@ -980,14 +946,14 @@ mod tests {
 
     #[test]
     fn full_tiny_matrix_is_clean() {
-        // The acceptance shape: 6 fault modes (3 storage + network +
-        // cross-layer + metadata partition) x 5 kill points (3 commit
-        // phases + 2 checkpoint phases, one backend), zero anomalies, zero
-        // lost commits, full recovery, convergence.
+        // The acceptance shape: 3 fault modes (network, cross-layer and
+        // metadata partition) x 5 kill points (3 commit phases + 2
+        // checkpoint phases, one backend), zero anomalies, zero lost
+        // commits, full recovery, convergence.
         let report = fig10_recovery(&RecoveryConfig::tiny());
-        assert_eq!(report.cells.len(), 30);
+        assert_eq!(report.cells.len(), 15);
         let summary = report.check_gate().expect("gate must pass");
-        assert!(summary.contains("30 cells"), "{summary}");
+        assert!(summary.contains("15 cells"), "{summary}");
         assert_eq!(report.total(|t| t.anomalies), 0);
         assert_eq!(report.total(|t| t.lost_acks as u64), 0);
         assert_eq!(report.total(|t| t.unrecovered as u64), 0);
@@ -998,8 +964,8 @@ mod tests {
         assert!(durable > 0);
         // One seeded thread chooses the interleaving, so these counts are
         // exact: a change that moves them changes what the matrix runs.
-        assert_eq!(report.total(|t| t.recovered_commits), 13);
-        assert_eq!(report.total(|t| t.io_retries), 76);
+        assert_eq!(report.total(|t| t.recovered_commits), 7);
+        assert_eq!(report.total(|t| t.io_retries), 20);
     }
 
     #[test]
@@ -1066,7 +1032,7 @@ mod tests {
         // replacement.
         let config = RecoveryConfig {
             kill_points: vec![CommitPhase::BeforeBroadcast],
-            fault_modes: vec![FaultMode::SlowStripe],
+            fault_modes: vec![FaultMode::Partition],
             ..RecoveryConfig::tiny()
         };
         let report = fig10_recovery(&config);
@@ -1089,7 +1055,7 @@ mod tests {
         // the victim and keep every invariant.
         let config = RecoveryConfig {
             kill_points: CommitPhase::CHECKPOINT.to_vec(),
-            fault_modes: vec![FaultMode::Transient],
+            fault_modes: vec![FaultMode::CrossLayer],
             ..RecoveryConfig::tiny()
         };
         let report = fig10_recovery(&config);
@@ -1107,7 +1073,7 @@ mod tests {
     fn gate_rejects_a_small_matrix() {
         let config = RecoveryConfig {
             kill_points: vec![CommitPhase::BeforeDataPut],
-            fault_modes: vec![FaultMode::Transient],
+            fault_modes: vec![FaultMode::Partition],
             ..RecoveryConfig::tiny()
         };
         let report = fig10_recovery(&config);
@@ -1119,7 +1085,7 @@ mod tests {
     fn json_document_round_trips() {
         let config = RecoveryConfig {
             kill_points: vec![CommitPhase::BeforeBroadcast],
-            fault_modes: vec![FaultMode::Transient],
+            fault_modes: vec![FaultMode::Partition],
             ..RecoveryConfig::tiny()
         };
         let report = fig10_recovery(&config);

@@ -1,12 +1,12 @@
 //! One fault-schedule API to drive every chaos layer.
 //!
-//! The repo injects faults at three layers — storage (dropped / duplicated /
-//! slow requests), network (connection resets, delayed acks), and platform
+//! The repo injects faults at three layers — storage (dropped or duplicated
+//! requests), network (connection resets, delayed acks), and platform
 //! (function crashes before / after / mid-body) — plus phase-exact node
 //! kills. Each layer grew its own seeded planner; this crate replaces the
 //! three copies with one substrate so a *single seed* reproduces an entire
-//! cross-layer trial: a gray-failing stripe *while* connections flap *while*
-//! functions retry *while* a node dies mid-commit.
+//! cross-layer trial: storage requests failing *while* connections flap
+//! *while* functions retry *while* a node dies mid-commit.
 //!
 //! The pieces:
 //!
@@ -41,8 +41,7 @@ use aft_types::CommitPhase;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Default stripe count the gray-failure mode hashes keys into (matches the
-/// storage layer's default lock striping).
+/// Default stripe count of the storage layer's lock striping.
 pub const DEFAULT_STRIPES: usize = 16;
 
 /// Salt for the partition layer's edge-cut stream (decorrelates it from the
@@ -52,8 +51,7 @@ const PARTITION_SALT: u64 = 0x9A47_0000_CE11_EDB3;
 /// The stripe a key hashes to, out of `stripes`.
 ///
 /// This is the canonical striping function: the sharded storage map places
-/// keys with it and the gray-failure fault mode targets stripes with it, so
-/// "slow stripe" degrades exactly the keys that share a placement shard.
+/// keys with it.
 pub fn stripe_of(key: &str, stripes: usize) -> usize {
     debug_assert!(stripes > 0, "stripe count must be positive");
     let mut hasher = DefaultHasher::new();
@@ -119,12 +117,8 @@ pub enum FaultKind {
         /// Whether the operation was applied before the ack was lost.
         applied: bool,
     },
-    /// The operation charges the configured timeout/delay latency and then
-    /// fails (storage) or delivers its acknowledgement late (net).
+    /// The operation delivers its acknowledgement late (net only).
     Timeout,
-    /// The operation succeeds but pays the gray-failure latency penalty
-    /// (storage only).
-    Slow,
     /// The function body is asked to crash at its next mid-body crash point,
     /// between two writes — §1's fractional-update scenario (platform only).
     MidCrash,
@@ -143,35 +137,12 @@ pub struct StorageChaos {
     /// Probability in `[0, 1]` that an operation fails with a transient
     /// error (half of these apply the operation before losing the ack).
     pub error_rate: f64,
-    /// Probability in `[0, 1]` that an operation times out: the timeout
-    /// latency is charged, then a transient error surfaces.
-    pub timeout_rate: f64,
-    /// The charged latency of one timeout, in microseconds before global
-    /// scaling (modeled on a client-side request deadline).
-    pub timeout_us: f64,
-    /// The gray-failure stripe: operations whose primary key hashes to this
-    /// stripe (out of [`StorageChaos::stripes`]) pay
-    /// [`StorageChaos::slow_extra_us`] of extra latency. `None` disables the
-    /// mode.
-    pub slow_stripe: Option<usize>,
-    /// Extra latency per slow-stripe operation, in microseconds before
-    /// global scaling.
-    pub slow_extra_us: f64,
-    /// Stripe count the gray-failure mode hashes keys into.
-    pub stripes: usize,
 }
 
 impl StorageChaos {
     /// No storage faults.
     pub fn quiet() -> Self {
-        StorageChaos {
-            error_rate: 0.0,
-            timeout_rate: 0.0,
-            timeout_us: 0.0,
-            slow_stripe: None,
-            slow_extra_us: 0.0,
-            stripes: DEFAULT_STRIPES,
-        }
+        StorageChaos { error_rate: 0.0 }
     }
 
     /// Transient-error mode: `rate` of operations fail with a retryable
@@ -179,35 +150,12 @@ impl StorageChaos {
     pub fn transient_errors(rate: f64) -> Self {
         StorageChaos {
             error_rate: rate.clamp(0.0, 1.0),
-            ..StorageChaos::quiet()
-        }
-    }
-
-    /// Timeout mode: `rate` of operations charge `timeout_us` and then fail
-    /// with a retryable error.
-    pub fn timeouts(rate: f64, timeout_us: f64) -> Self {
-        StorageChaos {
-            timeout_rate: rate.clamp(0.0, 1.0),
-            timeout_us: timeout_us.max(0.0),
-            ..StorageChaos::quiet()
-        }
-    }
-
-    /// Gray-failure mode: every operation on keys of `stripe` (out of
-    /// `stripes`) pays `slow_extra_us` of extra latency; nothing errors.
-    pub fn slow_stripe(stripe: usize, stripes: usize, slow_extra_us: f64) -> Self {
-        let stripes = stripes.max(1);
-        StorageChaos {
-            slow_stripe: Some(stripe % stripes),
-            slow_extra_us: slow_extra_us.max(0.0),
-            stripes,
-            ..StorageChaos::quiet()
         }
     }
 
     /// True if this layer can never inject anything.
     pub fn is_quiet(&self) -> bool {
-        self.error_rate <= 0.0 && self.timeout_rate <= 0.0 && self.slow_stripe.is_none()
+        self.error_rate <= 0.0
     }
 }
 
@@ -509,11 +457,6 @@ impl FaultSchedule {
         self.seed
     }
 
-    /// The storage-layer pressure.
-    pub fn storage_chaos(&self) -> StorageChaos {
-        self.storage
-    }
-
     /// The net-layer pressure.
     pub fn net_chaos(&self) -> NetChaos {
         self.net
@@ -580,16 +523,9 @@ impl FaultSchedule {
         StdRng::seed_from_u64(stream)
     }
 
-    fn decide_storage(&self, op_index: u64, key: &str) -> FaultKind {
+    fn decide_storage(&self, op_index: u64, _key: &str) -> FaultKind {
         let c = &self.storage;
-        // The gray failure is keyed by data placement, not by chance: a
-        // degraded stripe is slow for *every* request that hashes to it.
-        if let Some(slow) = c.slow_stripe {
-            if stripe_of(key, c.stripes) == slow {
-                return FaultKind::Slow;
-            }
-        }
-        if c.error_rate <= 0.0 && c.timeout_rate <= 0.0 {
+        if c.is_quiet() {
             return FaultKind::None;
         }
         let mut rng = self.stream(Layer::Storage, op_index);
@@ -598,8 +534,6 @@ impl FaultSchedule {
             FaultKind::TransientError {
                 applied: rng.gen_bool(0.5),
             }
-        } else if draw < c.error_rate + c.timeout_rate {
-            FaultKind::Timeout
         } else {
             FaultKind::None
         }
@@ -697,12 +631,7 @@ mod tests {
 
     fn busy_spec(seed: u64) -> ChaosSpec {
         ChaosSpec::new(seed)
-            .storage(StorageChaos {
-                error_rate: 0.2,
-                timeout_rate: 0.1,
-                timeout_us: 5_000.0,
-                ..StorageChaos::quiet()
-            })
+            .storage(StorageChaos::transient_errors(0.2))
             .net(NetChaos::resets_and_delays(
                 0.2,
                 0.1,
@@ -774,11 +703,7 @@ mod tests {
         // chaos report replays the same storage schedule through the unified
         // crate. This pins the legacy stream derivation.
         let schedule = ChaosSpec::new(42)
-            .storage(StorageChaos {
-                error_rate: 0.2,
-                timeout_rate: 0.1,
-                ..StorageChaos::quiet()
-            })
+            .storage(StorageChaos::transient_errors(0.2))
             .schedule();
         let legacy = |op_index: u64| {
             let stream = 42u64
@@ -790,8 +715,6 @@ mod tests {
                 FaultKind::TransientError {
                     applied: rng.gen_bool(0.5),
                 }
-            } else if draw < 0.3 {
-                FaultKind::Timeout
             } else {
                 FaultKind::None
             }
@@ -810,7 +733,6 @@ mod tests {
         assert!(kinds.contains(&FaultKind::MidCrash));
         assert!(kinds.contains(&FaultKind::None));
         assert!(!kinds.contains(&FaultKind::Timeout));
-        assert!(!kinds.contains(&FaultKind::Slow));
     }
 
     #[test]
@@ -826,26 +748,6 @@ mod tests {
             (rate - 0.3).abs() < 0.05,
             "injected net rate {rate} should be near 0.3"
         );
-    }
-
-    #[test]
-    fn slow_stripe_targets_placement_not_chance() {
-        let stripes = 8;
-        let victim_stripe = stripe_of("victim", stripes);
-        let schedule = ChaosSpec::new(1)
-            .storage(StorageChaos::slow_stripe(victim_stripe, stripes, 10_000.0))
-            .schedule();
-        assert_eq!(
-            schedule.decide(Layer::Storage, 0, "victim"),
-            FaultKind::Slow
-        );
-        let other = (0..64)
-            .map(|i| format!("other{i}"))
-            .find(|k| stripe_of(k, stripes) != victim_stripe)
-            .expect("some key lands elsewhere");
-        assert_eq!(schedule.decide(Layer::Storage, 0, &other), FaultKind::None);
-        // And the slow stripe never bleeds into other layers.
-        assert_eq!(schedule.decide(Layer::Net, 0, "victim"), FaultKind::None);
     }
 
     #[test]

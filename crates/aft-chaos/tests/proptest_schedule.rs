@@ -15,19 +15,14 @@ use proptest::prelude::*;
 fn arb_spec() -> impl Strategy<Value = ChaosSpec> {
     (
         any::<u64>(),
-        (0.0f64..0.5, 0.0f64..0.5),
+        0.0f64..0.5,
         (0.0f64..0.5, 0.0f64..0.5),
         (0.0f64..0.3, 0.0f64..0.3, 0.0f64..0.3),
     )
         .prop_map(
-            |(seed, (error_rate, timeout_rate), (reset_rate, delay_rate), (before, after, mid))| {
+            |(seed, error_rate, (reset_rate, delay_rate), (before, after, mid))| {
                 ChaosSpec::new(seed)
-                    .storage(StorageChaos {
-                        error_rate,
-                        timeout_rate,
-                        timeout_us: 1_000.0,
-                        ..StorageChaos::quiet()
-                    })
+                    .storage(StorageChaos::transient_errors(error_rate))
                     .net(NetChaos::resets_and_delays(
                         reset_rate,
                         delay_rate,

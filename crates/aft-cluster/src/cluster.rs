@@ -332,9 +332,12 @@ impl Cluster {
                 .all_nodes()
                 .iter()
                 .all(|(_, state)| *state == NodeState::Active);
+            // Compaction leaves the records the GC's view holds to the GC,
+            // which deletes them with their data.
             let compact = self.config.gc_enabled && membership_stable;
+            let gc_view = compact.then(|| self.fault_manager.metadata());
             for node in &nodes {
-                match node.maybe_checkpoint(compact) {
+                match node.maybe_checkpoint(gc_view) {
                     Ok(Some(outcome)) => {
                         stats.checkpoints_written += 1;
                         if let Some(compaction) = outcome.compaction {

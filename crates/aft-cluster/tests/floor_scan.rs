@@ -27,7 +27,7 @@ use aft_chaos::{ChaosSpec, StorageChaos};
 use aft_cluster::{ChaosController, Cluster, ClusterConfig, GlobalGc, KillPlan};
 use aft_core::{AftNode, CommitPhase, CommitProbe, LocalGcConfig};
 use aft_storage::StorageEngine;
-use aft_storage::{FaultyBackend, InMemoryStore, LatencyMode, LatencyModel, SharedStorage};
+use aft_storage::{FaultyBackend, InMemoryStore, SharedStorage};
 use aft_types::clock::{Clock, MockClock, TickingClock};
 use aft_types::{
     AftError, AftResult, Key, SharedClock, Timestamp, TransactionId, TransactionRecord,
@@ -120,11 +120,7 @@ fn a_record_that_landed_under_a_failed_flush_is_recovered() {
         })
         .expect("some seed applies one of the attempts");
     let inner = InMemoryStore::shared();
-    let faulty = FaultyBackend::from_spec(
-        inner.clone(),
-        &spec,
-        LatencyModel::new(LatencyMode::Virtual, 1.0),
-    );
+    let faulty = FaultyBackend::from_spec(inner.clone(), &spec);
     faulty.set_enabled(false);
     let clock = MockClock::starting_at(1_000);
     let cluster =
@@ -237,11 +233,7 @@ impl CommitProbe for FailThenRound {
 fn a_failed_scan_leaves_the_reports_it_took_to_the_next() {
     let spec = ChaosSpec::new(7).storage(StorageChaos::transient_errors(1.0));
     let inner = InMemoryStore::shared();
-    let faulty = FaultyBackend::from_spec(
-        inner.clone(),
-        &spec,
-        LatencyModel::new(LatencyMode::Virtual, 1.0),
-    );
+    let faulty = FaultyBackend::from_spec(inner.clone(), &spec);
     faulty.set_enabled(false);
     let clock = MockClock::starting_at(1_000);
     let cluster =
@@ -381,11 +373,7 @@ impl Trial {
     fn new(seed: u64) -> Arc<Trial> {
         let raw = InMemoryStore::shared();
         let spec = ChaosSpec::new(seed).storage(StorageChaos::transient_errors(0.9));
-        let faulty = FaultyBackend::from_spec(
-            raw.clone() as SharedStorage,
-            &spec,
-            LatencyModel::new(LatencyMode::Virtual, 1.0),
-        );
+        let faulty = FaultyBackend::from_spec(raw.clone() as SharedStorage, &spec);
         faulty.set_enabled(false);
         let clock: SharedClock = Arc::new(JitteryClock {
             ticks: AtomicU64::new(0),

@@ -946,11 +946,16 @@ impl AftNode {
     /// one is due (called periodically by the maintenance driver). Returns
     /// `Ok(None)` when no round was due or the policy is disabled.
     ///
-    /// `compact` additionally compacts the commit log behind the new
-    /// checkpoint; the cluster layer only enables it when no recovery is in
+    /// Given `gc_view`, the metadata the global GC runs against, the round
+    /// also compacts the commit log behind the new checkpoint and leaves the
+    /// records that view holds to the GC, which deletes them with their
+    /// data. The cluster layer passes it only when no recovery is in
     /// flight, so compaction never removes records a bootstrapping
     /// replacement still needs.
-    pub fn maybe_checkpoint(&self, compact: bool) -> AftResult<Option<NodeCheckpointOutcome>> {
+    pub fn maybe_checkpoint(
+        &self,
+        gc_view: Option<&MetadataCache>,
+    ) -> AftResult<Option<NodeCheckpointOutcome>> {
         let policy = self.config.checkpoint;
         if !policy.is_enabled() || self.metadata.is_empty() {
             return Ok(None);
@@ -958,7 +963,8 @@ impl AftNode {
         if self.checkpoint_commits.load(Ordering::Relaxed) < policy.every_commits {
             return Ok(None);
         }
-        self.checkpoint_now(compact).map(Some)
+        let gc_holds = |id: &TransactionId| gc_view.is_some_and(|view| view.is_committed(id));
+        self.checkpoint(gc_view.is_some(), &gc_holds).map(Some)
     }
 
     /// Takes a checkpoint of the committed-version index right now,
@@ -968,8 +974,19 @@ impl AftNode {
     /// An installed commit probe is consulted at
     /// [`CommitPhase::DuringCheckpointWrite`] — after the chunks are durable,
     /// before the manifest — so a chaos kill there leaves a torn (and
-    /// therefore invisible) checkpoint.
+    /// therefore invisible) checkpoint. `compact` compacts the log behind
+    /// it, fetching every uncovered record to check it is superseded.
     pub fn checkpoint_now(&self, compact: bool) -> AftResult<NodeCheckpointOutcome> {
+        self.checkpoint(compact, &|_| false)
+    }
+
+    /// A checkpoint, then, if `compact`, a compaction that leaves the
+    /// records `gc_holds` to the global GC.
+    fn checkpoint(
+        &self,
+        compact: bool,
+        gc_holds: &dyn Fn(&TransactionId) -> bool,
+    ) -> AftResult<NodeCheckpointOutcome> {
         let records: Vec<TransactionRecord> = self
             .metadata
             .all_records()
@@ -999,7 +1016,12 @@ impl AftNode {
         *self.checkpoint_last_id.lock() = id;
         self.checkpoint_commits.store(0, Ordering::Relaxed);
         let compaction = if compact {
-            Some(compact_log(&self.io, &checkpoint, CHECKPOINT_KEEP)?)
+            Some(compact_log(
+                &self.io,
+                &checkpoint,
+                CHECKPOINT_KEEP,
+                gc_holds,
+            )?)
         } else {
             None
         };
@@ -1349,11 +1371,7 @@ mod tests {
             })
             .expect("some seed drops every attempt");
         let inner = InMemoryStore::shared();
-        let faulty = FaultyBackend::from_spec(
-            inner.clone(),
-            &spec,
-            LatencyModel::new(LatencyMode::Virtual, 1.0),
-        );
+        let faulty = FaultyBackend::from_spec(inner.clone(), &spec);
         faulty.set_enabled(false);
         let config = NodeConfig {
             write_buffer_spill_bytes: 8,
@@ -2172,13 +2190,13 @@ mod tests {
         )
         .unwrap();
         commit_n(&node, 2, "k");
-        assert!(node.maybe_checkpoint(false).unwrap().is_none(), "not due");
+        assert!(node.maybe_checkpoint(None).unwrap().is_none(), "not due");
         commit_n(&node, 1, "k");
-        let outcome = node.maybe_checkpoint(false).unwrap().expect("due");
+        let outcome = node.maybe_checkpoint(None).unwrap().expect("due");
         assert_eq!(outcome.write.records, 3);
         assert!(outcome.compaction.is_none());
         // The counter was reset: not due again until 3 more commits.
-        assert!(node.maybe_checkpoint(false).unwrap().is_none());
+        assert!(node.maybe_checkpoint(None).unwrap().is_none());
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl FailureInjector {
     /// Decides whether (and where) this invocation fails.
     pub fn decide(&self) -> Option<FailurePoint> {
         let point = match self.layer.decide_next("invoke") {
-            FaultKind::None | FaultKind::Timeout | FaultKind::Slow => None,
+            FaultKind::None | FaultKind::Timeout => None,
             FaultKind::TransientError { applied: false } => Some(FailurePoint::BeforeBody),
             FaultKind::TransientError { applied: true } => Some(FailurePoint::AfterBody),
             FaultKind::MidCrash => Some(FailurePoint::MidBody),

@@ -88,7 +88,7 @@ impl ConnChaos {
     /// schedule's key input, so schedules are stable per verb mix).
     pub fn decide(&self, verb: &str) -> NetFault {
         match self.layer.decide_next(verb) {
-            FaultKind::None | FaultKind::Slow | FaultKind::MidCrash => NetFault::None,
+            FaultKind::None | FaultKind::MidCrash => NetFault::None,
             FaultKind::TransientError { applied: false } => {
                 self.resets_before_send.fetch_add(1, Ordering::Relaxed);
                 NetFault::ResetBeforeSend

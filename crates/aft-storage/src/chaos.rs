@@ -4,44 +4,29 @@
 //! The paper's guarantees are only interesting *through* failures: §4.2's
 //! fault manager exists because a node can die between acknowledging a commit
 //! and broadcasting it, and §3.1's only storage assumption (durable once
-//! acknowledged) leaves the store free to drop, delay, or throttle any
-//! individual request. The schedule itself — pure, seeded, order-independent
-//! — lives in [`aft_chaos`], where one [`ChaosSpec`] drives this layer
-//! together with net and platform injection; this module adapts it to the
+//! acknowledged) leaves the store free to drop any individual request. The
+//! schedule itself — pure, seeded, order-independent — lives in
+//! [`aft_chaos`], where one [`ChaosSpec`] drives this layer together with
+//! net and platform injection; this module adapts it to the
 //! [`StorageEngine`] trait.
 //!
 //! [`FaultyBackend`] wraps any engine and consults the spec's storage layer
-//! on every operation, injecting three fault modes:
-//!
-//! * **transient errors** ([`AftError::StorageTransient`]): the request is
-//!   dropped. Half of the injected errors are *applied-but-unacknowledged*
-//!   — the write lands and then the acknowledgement is lost — which is the
-//!   duplicate-on-retry interleaving AFT's idempotent storage keys (§3.1)
-//!   are designed to absorb;
-//! * **timeouts**: the full timeout latency is charged (slept in `Sleep`
-//!   mode, recorded in `Virtual` mode) and then the same transient error
-//!   surfaces — the shape of a client-side deadline expiring;
-//! * **slow-stripe "gray failure"**: every operation whose primary key
-//!   hashes to one designated stripe pays a fixed extra latency. The
-//!   backend never errors, it is just persistently slow for a slice of the
-//!   keyspace — the degradation that health checks miss.
-//!
-//! Injected latency goes through the shared [`LatencyModel`], so it obeys
-//! the ambient mode exactly like the simulators' own latency: it is deferred
-//! to the I/O engine's waiter inside `capture_deferred` scopes, and in
-//! `Virtual` mode it is charged to the operation's cost without sleeping —
-//! the overlap accounting of the pipelined engine keeps working unchanged.
+//! on every operation, injecting **transient errors**
+//! ([`AftError::StorageTransient`]): the request is dropped. Half of the
+//! injected errors are *applied-but-unacknowledged* — the write lands and
+//! then the acknowledgement is lost — which is the duplicate-on-retry
+//! interleaving AFT's idempotent storage keys (§3.1) are designed to absorb.
+//! The I/O engine retries them; the state one leaves once the retries run
+//! out is a walked schedule's failed call ([`crate::cut`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use aft_chaos::{ChaosSpec, FaultSchedule, Layer, LayerSchedule};
 use aft_types::{AftError, AftResult, Value};
 
 use crate::counters::StorageStats;
 use crate::engine::{SharedStorage, StorageEngine};
-use crate::latency::LatencyModel;
 use crate::profiles::MultiKeyCall;
 
 pub use aft_chaos::FaultKind;
@@ -56,16 +41,12 @@ pub struct ChaosStatsSnapshot {
     /// Injected transient errors where the operation applied before the ack
     /// was lost.
     pub errors_applied: u64,
-    /// Injected timeouts.
-    pub timeouts: u64,
-    /// Operations slowed by the gray-failure stripe.
-    pub slowed: u64,
 }
 
 impl ChaosStatsSnapshot {
     /// Every fault injected, of any kind.
     pub fn total_faults(&self) -> u64 {
-        self.errors_dropped + self.errors_applied + self.timeouts
+        self.errors_dropped + self.errors_applied
     }
 }
 
@@ -74,8 +55,6 @@ struct ChaosCounters {
     passed: AtomicU64,
     errors_dropped: AtomicU64,
     errors_applied: AtomicU64,
-    timeouts: AtomicU64,
-    slowed: AtomicU64,
 }
 
 /// A [`StorageEngine`] wrapper injecting the storage layer of a
@@ -88,7 +67,6 @@ struct ChaosCounters {
 pub struct FaultyBackend {
     inner: SharedStorage,
     layer: LayerSchedule,
-    latency: Arc<LatencyModel>,
     /// While false, every operation passes straight through without
     /// consuming a schedule index — verification phases read ground truth
     /// without racing the injector, and re-enabling resumes the schedule
@@ -98,18 +76,11 @@ pub struct FaultyBackend {
 }
 
 impl FaultyBackend {
-    /// Wraps `inner`, injecting the storage layer of `spec`'s schedule;
-    /// injected latency obeys `latency`'s mode and scale (share the inner
-    /// backend's model so chaos latency scales with everything else).
-    pub fn from_spec(
-        inner: SharedStorage,
-        spec: &ChaosSpec,
-        latency: Arc<LatencyModel>,
-    ) -> Arc<Self> {
+    /// Wraps `inner`, injecting the storage layer of `spec`'s schedule.
+    pub fn from_spec(inner: SharedStorage, spec: &ChaosSpec) -> Arc<Self> {
         Arc::new(FaultyBackend {
             inner,
             layer: spec.layer(Layer::Storage),
-            latency,
             enabled: AtomicBool::new(true),
             counters: ChaosCounters::default(),
         })
@@ -137,20 +108,12 @@ impl FaultyBackend {
             passed: self.counters.passed.load(Ordering::Relaxed),
             errors_dropped: self.counters.errors_dropped.load(Ordering::Relaxed),
             errors_applied: self.counters.errors_applied.load(Ordering::Relaxed),
-            timeouts: self.counters.timeouts.load(Ordering::Relaxed),
-            slowed: self.counters.slowed.load(Ordering::Relaxed),
         }
     }
 
     /// Operations that have passed through the wrapper (fault or not).
     pub fn ops_seen(&self) -> u64 {
         self.layer.ops_seen()
-    }
-
-    fn charge_us(&self, us: f64) {
-        let scaled = us * self.latency.scale();
-        self.latency
-            .finish(Duration::from_nanos((scaled * 1000.0) as u64));
     }
 
     /// Runs one operation under the schedule. `op` names the operation for
@@ -160,26 +123,14 @@ impl FaultyBackend {
             return apply();
         }
         let (index, fault) = self.layer.decide_next_indexed(key);
-        let chaos = self.schedule().storage_chaos();
         match fault {
-            // MidCrash is platform-layer vocabulary; the storage layer of a
-            // schedule never emits it, but the unified FaultKind makes it
-            // representable — pass through defensively.
-            FaultKind::None | FaultKind::MidCrash => {
+            // Timeout and MidCrash are net- and platform-layer vocabulary;
+            // the storage layer of a schedule never emits them, but the
+            // unified FaultKind makes them representable — pass through
+            // defensively.
+            FaultKind::None | FaultKind::Timeout | FaultKind::MidCrash => {
                 self.counters.passed.fetch_add(1, Ordering::Relaxed);
                 apply()
-            }
-            FaultKind::Slow => {
-                self.counters.slowed.fetch_add(1, Ordering::Relaxed);
-                self.charge_us(chaos.slow_extra_us);
-                apply()
-            }
-            FaultKind::Timeout => {
-                self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                self.charge_us(chaos.timeout_us);
-                Err(AftError::StorageTransient(format!(
-                    "chaos: {op} of {key:?} timed out (op #{index})"
-                )))
             }
             FaultKind::TransientError { applied } => {
                 if applied {
@@ -282,9 +233,7 @@ impl std::fmt::Debug for FaultyBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latency::{measure_cost, LatencyMode};
     use crate::memory::InMemoryStore;
-    use crate::sharded::stripe_of;
     use aft_chaos::StorageChaos;
     use bytes::Bytes;
 
@@ -297,26 +246,12 @@ mod tests {
     }
 
     fn faulty(spec: &ChaosSpec) -> Arc<FaultyBackend> {
-        FaultyBackend::from_spec(
-            InMemoryStore::shared(),
-            spec,
-            LatencyModel::new(LatencyMode::Virtual, 1.0),
-        )
+        FaultyBackend::from_spec(InMemoryStore::shared(), spec)
     }
 
     #[test]
     fn identical_seeds_produce_identical_schedules() {
-        let mk = || {
-            spec(
-                42,
-                StorageChaos {
-                    error_rate: 0.2,
-                    timeout_rate: 0.1,
-                    ..StorageChaos::quiet()
-                },
-            )
-            .schedule()
-        };
+        let mk = || spec(42, StorageChaos::transient_errors(0.2)).schedule();
         let (a, b) = (mk(), mk());
         assert_eq!(
             a.materialize(Layer::Storage, 500, "k"),
@@ -328,7 +263,6 @@ mod tests {
         assert!(schedule
             .iter()
             .any(|f| matches!(f, FaultKind::TransientError { .. })));
-        assert!(schedule.contains(&FaultKind::Timeout));
     }
 
     #[test]
@@ -364,48 +298,6 @@ mod tests {
         }
         assert!(applied_seen, "some injected errors must apply first");
         assert!(backend.chaos_stats().errors_applied >= 1);
-    }
-
-    #[test]
-    fn timeouts_charge_latency_then_fail() {
-        let backend = faulty(&spec(5, StorageChaos::timeouts(1.0, 25_000.0)));
-        let (result, cost) = measure_cost(|| backend.put("k", val("v")));
-        assert!(matches!(result, Err(AftError::StorageTransient(_))));
-        assert!(
-            cost >= Duration::from_millis(24),
-            "the 25ms timeout must be charged, got {cost:?}"
-        );
-        assert!(
-            backend.inner().get("k").unwrap().is_none(),
-            "timeouts are never applied"
-        );
-        assert_eq!(backend.chaos_stats().timeouts, 1);
-    }
-
-    #[test]
-    fn slow_stripe_charges_only_its_stripe_and_never_errors() {
-        let stripes = 8;
-        let slow = stripe_of("victim", stripes);
-        let backend = faulty(&spec(1, StorageChaos::slow_stripe(slow, stripes, 10_000.0)));
-        let (result, cost) = measure_cost(|| backend.put("victim", val("v")));
-        result.unwrap();
-        assert!(
-            cost >= Duration::from_millis(9),
-            "gray stripe pays: {cost:?}"
-        );
-
-        // A key on another stripe is full speed.
-        let other = (0..64)
-            .map(|i| format!("other{i}"))
-            .find(|k| stripe_of(k, stripes) != slow)
-            .expect("some key lands elsewhere");
-        let (result, cost) = measure_cost(|| backend.put(&other, val("v")));
-        result.unwrap();
-        assert!(cost < Duration::from_millis(1), "healthy stripe: {cost:?}");
-        let stats = backend.chaos_stats();
-        assert_eq!(stats.slowed, 1);
-        assert_eq!(stats.passed, 1);
-        assert_eq!(stats.total_faults(), 0);
     }
 
     #[test]
@@ -481,7 +373,6 @@ mod tests {
                 FaultyBackend::from_spec(
                     make_backend(BackendConfig::test(BackendKind::Redis)),
                     &spec(seed, StorageChaos::transient_errors(0.5)),
-                    LatencyModel::new(LatencyMode::Virtual, 1.0),
                 )
             };
             let keys: Vec<&str> = items.iter().map(|(k, _)| k.as_str()).collect();

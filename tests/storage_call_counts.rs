@@ -87,6 +87,14 @@
 //!   call is full) and S3 (the round's 650 keys fill more than half of one
 //!   1 000-key `DeleteObjects`) did not move. Every row still leaves 40
 //!   `data/` keys.
+//!
+//!   The Redis row was re-recorded on top of commit 447f329, when
+//!   compaction began to leave the records the fault manager's view holds
+//!   to the global GC, which deletes them with their data: compaction no
+//!   longer fetches the carried transactions' records nor deletes them
+//!   first, so `Get` 570 → 416, `Delete` 105 → 36 and `BatchDelete`
+//!   160 → 126, the counts before the GC carried deletes. No other row
+//!   moved.
 //! * The *`GetAll`* script: a node without a data cache commits 250 keys,
 //!   then reads them back through `get_all` calls that miss 1, 2, 8, 100,
 //!   101 and 250 keys. Each read that misses two or more bills one
@@ -109,7 +117,7 @@ fn aft_script_bills_the_golden_call_counts_on_every_service() {
         (BackendKind::Memory, [416, 0, 202, 180, 0, 2, 6], 2, 40),
         (BackendKind::S3, [416, 0, 727, 0, 0, 2, 6], 2, 40),
         (BackendKind::DynamoDb, [416, 0, 202, 180, 0, 28, 7], 3, 40),
-        (BackendKind::Redis, [570, 0, 22, 180, 105, 160, 7], 3, 40),
+        (BackendKind::Redis, [416, 0, 22, 180, 36, 126, 7], 3, 40),
     ];
     for (kind, expected, rounds, left) in golden {
         let run = golden_script(kind);

@@ -17,10 +17,8 @@
 //! last round left for a later one.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 use aft::cluster::{Cluster, ClusterConfig};
-use aft::core::api::AftApi;
 use aft::core::{is_superseded, MetadataCache};
 use aft::storage::{make_backend, BackendConfig, BackendKind, InMemoryStore, SharedStorage};
 use aft::types::clock::TickingClock;
@@ -111,7 +109,6 @@ fn race_maintenance(raw: SharedStorage) {
 
     let run = sim::run(
         &cluster,
-        &|| cluster.route().map(|node| node as Arc<dyn AftApi>),
         requests(0x5EED ^ seed.wrapping_mul(0x9E37)),
         &mut Seeded::new(0x57E9 ^ seed.wrapping_mul(0xD1B5), None),
     );
