@@ -1,7 +1,7 @@
-//! Consistency-anomaly detection (Table 2).
+//! A request's anomaly flags, and the tagged analyzer that `benchmark/`'s
+//! svc-large uses.
 //!
-//! The paper quantifies AFT's benefit by counting two kinds of anomalies over
-//! 10,000 transactions:
+//! Table 2 counts two kinds of anomalies:
 //!
 //! * **Read-Your-Write (RYW) anomalies** — a transaction reads a key it wrote
 //!   earlier in the same request and observes someone else's version.
@@ -10,11 +10,13 @@
 //!   a key `l` that `T_i` cowrote, but observed a version of `l` *older* than
 //!   `T_i`'s. Repeatable-read violations are counted here too, as in §6.1.2.
 //!
-//! For the baseline configurations ("Plain" storage and DynamoDB transaction
-//! mode) detection works exactly as in the paper: every written value embeds
-//! the writing request's ID and cowritten key set ([`aft_types::TaggedValue`]),
-//! and the client checks its observations after the fact. AFT-backed runs
-//! are graded by [`crate::history`]'s checker.
+//! Every row of Table 2 is graded by [`crate::history`]'s checker, from a
+//! client history. [`TaggedObservation`] reads instead a writer tag and
+//! cowritten set embedded in each value ([`aft_types::TaggedValue`]);
+//! `benchmark/` judges its svc-large transactions with it after a run, and
+//! [`AnomalyFlags`] is what [`RequestDriver::execute`] returns.
+//!
+//! [`RequestDriver::execute`]: crate::RequestDriver::execute
 
 use std::collections::HashSet;
 
@@ -42,56 +44,7 @@ impl AnomalyFlags {
     }
 }
 
-/// Aggregate anomaly counts over many requests (one Table 2 row).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnomalyCounts {
-    /// Requests that observed at least one RYW anomaly.
-    pub ryw_transactions: u64,
-    /// Requests that observed at least one FR anomaly.
-    pub fr_transactions: u64,
-    /// Requests inspected.
-    pub total_transactions: u64,
-}
-
-impl AnomalyCounts {
-    /// Folds one request's flags into the aggregate.
-    pub fn record(&mut self, flags: AnomalyFlags) {
-        self.total_transactions += 1;
-        if flags.read_your_writes {
-            self.ryw_transactions += 1;
-        }
-        if flags.fractured_read {
-            self.fr_transactions += 1;
-        }
-    }
-
-    /// Merges another aggregate into this one.
-    pub fn merge(&mut self, other: &AnomalyCounts) {
-        self.ryw_transactions += other.ryw_transactions;
-        self.fr_transactions += other.fr_transactions;
-        self.total_transactions += other.total_transactions;
-    }
-
-    /// Fraction of requests with an RYW anomaly.
-    pub fn ryw_rate(&self) -> f64 {
-        if self.total_transactions == 0 {
-            0.0
-        } else {
-            self.ryw_transactions as f64 / self.total_transactions as f64
-        }
-    }
-
-    /// Fraction of requests with an FR anomaly.
-    pub fn fr_rate(&self) -> f64 {
-        if self.total_transactions == 0 {
-            0.0
-        } else {
-            self.fr_transactions as f64 / self.total_transactions as f64
-        }
-    }
-}
-
-/// One event observed by a request running against a baseline configuration.
+/// One event a tagged request observed.
 #[derive(Debug, Clone)]
 pub enum TaggedEvent {
     /// The request wrote `key` (tagged with its own ID).
@@ -105,7 +58,7 @@ pub enum TaggedEvent {
     },
 }
 
-/// The ordered observations of one baseline request, ready for analysis.
+/// The ordered observations of one tagged request, ready for analysis.
 #[derive(Debug, Clone)]
 pub struct TaggedObservation {
     /// The ID this request tagged its own writes with.
@@ -277,36 +230,5 @@ mod tests {
         obs.record_read(Key::new("k"), Some(tagged(5, &["k"])));
         obs.record_read(Key::new("k"), Some(tagged(9, &["k"])));
         assert!(obs.analyze().fractured_read);
-    }
-
-    #[test]
-    fn counts_aggregate_per_transaction() {
-        let mut counts = AnomalyCounts::default();
-        counts.record(AnomalyFlags::CLEAN);
-        counts.record(AnomalyFlags {
-            read_your_writes: true,
-            fractured_read: true,
-        });
-        counts.record(AnomalyFlags {
-            read_your_writes: false,
-            fractured_read: true,
-        });
-        assert_eq!(counts.total_transactions, 3);
-        assert_eq!(counts.ryw_transactions, 1);
-        assert_eq!(counts.fr_transactions, 2);
-        assert!((counts.fr_rate() - 2.0 / 3.0).abs() < 1e-9);
-
-        let mut merged = AnomalyCounts::default();
-        merged.merge(&counts);
-        merged.merge(&counts);
-        assert_eq!(merged.total_transactions, 6);
-        assert_eq!(merged.ryw_transactions, 2);
-    }
-
-    #[test]
-    fn empty_counts_have_zero_rates() {
-        let counts = AnomalyCounts::default();
-        assert_eq!(counts.ryw_rate(), 0.0);
-        assert_eq!(counts.fr_rate(), 0.0);
     }
 }

@@ -3,23 +3,26 @@
 //! This is what a serverless application looks like without AFT: every
 //! function reads and writes the shared store in place, so a failure between
 //! two writes exposes a fractional update, retries can double-expose partial
-//! state, and concurrent requests freely interleave. The resulting
-//! anomalies are counted the way [`tagged`](super::tagged) describes.
+//! state, and concurrent requests freely interleave. Every attempt is
+//! recorded in the driver's [`History`], the way [`baseline`](super::baseline)
+//! describes: one that finished is acked, one that failed is aborted, so a
+//! read of its landed writes is an anomaly.
 
 use std::sync::Arc;
 
 use aft_faas::{FaasPlatform, RetryPolicy};
 use aft_storage::SharedStorage;
-use aft_types::{AftError, AftResult, Key, SharedClock, SystemClock};
+use aft_types::{AftError, AftResult, Key};
 
 use crate::anomaly::AnomalyFlags;
-use crate::drivers::tagged::{preload_items, TaggedBaseline};
+use crate::drivers::baseline::Baseline;
 use crate::drivers::RequestDriver;
 use crate::generator::TransactionPlan;
+use crate::history::History;
 
 /// Executes logical requests directly against a storage engine, without AFT.
 pub struct PlainDriver {
-    requests: TaggedBaseline,
+    requests: Baseline,
     storage: SharedStorage,
     label: String,
 }
@@ -27,21 +30,16 @@ pub struct PlainDriver {
 impl PlainDriver {
     /// Creates a plain driver over `storage`.
     pub fn new(storage: SharedStorage, platform: Arc<FaasPlatform>, retry: RetryPolicy) -> Self {
-        Self::with_clock(storage, platform, retry, SystemClock::shared())
-    }
-
-    /// Creates a plain driver with an explicit clock for request tags.
-    pub fn with_clock(
-        storage: SharedStorage,
-        platform: Arc<FaasPlatform>,
-        retry: RetryPolicy,
-        clock: SharedClock,
-    ) -> Self {
         PlainDriver {
-            requests: TaggedBaseline::new(platform, retry, &clock, 0x71A1),
+            requests: Baseline::new(platform, retry, 0x71A1),
             label: format!("Plain ({})", storage.name()),
             storage,
         }
+    }
+
+    /// Every attempt this driver ran, the preload included.
+    pub fn history(&self) -> &Arc<History> {
+        self.requests.history()
     }
 }
 
@@ -59,7 +57,7 @@ impl RequestDriver for PlainDriver {
                 step.observe(key, storage.get(key.as_str())?)?;
             }
             for key in &function.writes {
-                storage.put(key.as_str(), step.blob())?;
+                storage.put(key.as_str(), step.value.clone())?;
                 step.wrote(key);
                 // Without AFT, a crash here leaves the previous writes
                 // visible to everyone — the §1 fractional-update hazard.
@@ -74,19 +72,19 @@ impl RequestDriver for PlainDriver {
     }
 
     fn preload(&self, keys: &[Key], value_size: usize) -> AftResult<()> {
-        self.storage.put_batch(preload_items(keys, value_size))
+        let write = |items| self.storage.put_batch(items);
+        self.requests.preload(keys, value_size, write)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::{WorkloadConfig, WorkloadGenerator};
+    use crate::generator::{FunctionPlan, WorkloadConfig, WorkloadGenerator};
+    use crate::history::{check, FinalRead, MicroOp, Outcome, Verdict};
     use aft_chaos::FaasChaos;
     use aft_faas::PlatformConfig;
     use aft_storage::{BackendConfig, BackendKind};
-    use aft_types::codec::decode_tagged_value;
-    use aft_types::{TransactionId, Uuid};
 
     fn make_driver(kind: BackendKind) -> PlainDriver {
         let storage = aft_storage::make_backend(BackendConfig::test(kind));
@@ -94,10 +92,15 @@ mod tests {
         PlainDriver::new(storage, platform, RetryPolicy::with_attempts(3))
     }
 
+    fn verdict(driver: &PlainDriver) -> Verdict {
+        check(&driver.history().attempts(), &FinalRead::new())
+    }
+
     #[test]
     fn single_client_requests_are_anomaly_free() {
         // Without concurrency or failures there is nobody to interleave with,
-        // so even the plain driver observes no anomalies.
+        // so even the plain driver's history grades clean: an unknown
+        // writer, wrong bytes or a version mismatch here is a recording bug.
         let driver = make_driver(BackendKind::DynamoDb);
         let mut generator = WorkloadGenerator::new(
             WorkloadConfig::standard()
@@ -107,24 +110,25 @@ mod tests {
         );
         driver.preload(&generator.preload_plan(), 128).unwrap();
         for _ in 0..30 {
-            let flags = driver.execute(&generator.next_plan()).unwrap();
-            assert_eq!(flags, AnomalyFlags::CLEAN);
+            driver.execute(&generator.next_plan()).unwrap();
         }
+        assert_eq!(driver.history().attempts().len(), 31);
+        assert_eq!(verdict(&driver), Verdict::default());
     }
 
     #[test]
     fn partial_writes_from_crashed_functions_are_visible() {
         // A mid-body crash in the plain driver leaves some of the request's
         // writes in storage even though the request failed — the motivating
-        // anomaly of §1. With no retries the request errors out, and the
-        // partially written key retains the crashed request's tag.
+        // anomaly of §1. With no retries the request errors out as an
+        // aborted attempt, and a later reader of its landed write offends.
         let storage = aft_storage::make_backend(BackendConfig::test(BackendKind::DynamoDb));
         let platform = FaasPlatform::new(PlatformConfig::test().with_chaos(FaasChaos {
             before_body: 0.0,
             after_body: 0.0,
             mid_body: 1.0,
         }));
-        let driver = PlainDriver::new(storage.clone(), platform, RetryPolicy::no_retries());
+        let driver = PlainDriver::new(storage, platform, RetryPolicy::no_retries());
         let mut generator = WorkloadGenerator::new(
             WorkloadConfig::standard().with_keys(10).with_value_size(64),
             2,
@@ -132,15 +136,27 @@ mod tests {
         driver.preload(&generator.preload_plan(), 64).unwrap();
 
         let plan = generator.next_plan();
-        let result = driver.execute(&plan);
-        assert!(result.is_err(), "the crashed request fails");
-
-        // The first written key of the plan now holds data from the failed
-        // request (a fractional update).
+        assert!(driver.execute(&plan).is_err(), "the crashed request fails");
         let first_write = &plan.functions[0].writes[0];
-        let blob = storage.get(first_write.as_str()).unwrap().unwrap();
-        let tagged = decode_tagged_value(&blob).unwrap();
-        assert_ne!(tagged.tid, TransactionId::new(0, Uuid::from_u128(0x9E10AD)));
+        let reader = TransactionPlan {
+            functions: vec![FunctionPlan {
+                reads: vec![first_write.clone()],
+                writes: vec![],
+            }],
+            value_size: 64,
+        };
+        driver.execute(&reader).unwrap();
+
+        let attempts = driver.history().attempts();
+        let crashed = &attempts[1];
+        assert_eq!(crashed.outcome, Outcome::Aborted);
+        let writes: Vec<&MicroOp> = crashed
+            .ops
+            .iter()
+            .filter(|op| matches!(op, MicroOp::Write(..)))
+            .collect();
+        assert!(matches!(&writes[..], [MicroOp::Write(key, _)] if key == first_write));
+        assert_eq!(verdict(&driver).offenders, vec![2]);
     }
 
     #[test]
@@ -150,14 +166,17 @@ mod tests {
             let keys: Vec<Key> = (0..5).map(|i| Key::new(format!("k{i}"))).collect();
             driver.preload(&keys, 32).unwrap();
             let plan = TransactionPlan {
-                functions: vec![crate::generator::FunctionPlan {
+                functions: vec![FunctionPlan {
                     reads: keys.clone(),
                     writes: vec![],
                 }],
                 value_size: 32,
             };
-            let flags = driver.execute(&plan).unwrap();
-            assert_eq!(flags, AnomalyFlags::CLEAN, "backend {kind:?}");
+            driver.execute(&plan).unwrap();
+            let attempts = driver.history().attempts();
+            let read = |op: &MicroOp| matches!(op, MicroOp::Read(_, Some(_)));
+            assert!(attempts[1].ops.iter().all(read), "backend {kind:?}");
+            assert_eq!(verdict(&driver), Verdict::default(), "backend {kind:?}");
         }
     }
 }

@@ -123,7 +123,12 @@ impl History {
 
     /// Applies `f` to `txid`'s attempt, opening one if `begin` was not seen.
     /// Open attempts sit near the end, so the search is short.
-    fn update(&self, txid: &TransactionId, request: Option<u64>, f: impl FnOnce(&mut Attempt)) {
+    pub(crate) fn update(
+        &self,
+        txid: &TransactionId,
+        request: Option<u64>,
+        f: impl FnOnce(&mut Attempt),
+    ) {
         let mut attempts = self.0.lock();
         let at = attempts.iter().rposition(|a| a.txid == *txid);
         let at = at.unwrap_or_else(|| {

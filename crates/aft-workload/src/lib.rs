@@ -8,13 +8,14 @@
 //! * [`generator`] — transaction plans: how many functions per request, how
 //!   many reads and writes per function, payload sizes, and key choices.
 //! * [`drivers`] — the three ways a request can execute: through AFT
-//!   ([`drivers::AftDriver`]), directly against the storage engine with
-//!   embedded metadata ("Plain", [`drivers::PlainDriver`]), or through
-//!   DynamoDB's transaction mode ([`drivers::DynamoTxnDriver`]).
-//! * [`anomaly`] — the tagged-value anomaly detector that grades Table 2's
-//!   baselines.
+//!   ([`drivers::AftDriver`]), directly against the storage engine ("Plain",
+//!   [`drivers::PlainDriver`]), or through DynamoDB's transaction mode
+//!   ([`drivers::DynamoTxnDriver`]).
+//! * [`anomaly`] — a request's anomaly flags, and the tagged analyzer that
+//!   `benchmark/`'s svc-large uses.
 //! * [`history`] — the client-side history checker: an [`aft_core::api::AftApi`]
-//!   recorder and the oracle that grades AFT from what its clients saw.
+//!   recorder and the oracle that grades every row of Table 2 from what
+//!   clients saw.
 //! * [`histogram`] — latency recording (median / p99) and throughput
 //!   timelines.
 //! * [`runner`] — the closed-loop multi-client experiment runner used by
@@ -33,7 +34,7 @@ pub mod runner;
 pub mod sim;
 pub mod zipf;
 
-pub use anomaly::{AnomalyCounts, AnomalyFlags, TaggedObservation};
+pub use anomaly::{AnomalyFlags, TaggedObservation};
 pub use drivers::{AftDriver, DynamoTxnDriver, PlainDriver, RequestDriver};
 pub use generator::{FunctionPlan, TransactionPlan, WorkloadConfig, WorkloadGenerator};
 pub use histogram::{LatencyRecorder, LatencyStats, ThroughputTimeline};

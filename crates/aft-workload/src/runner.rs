@@ -2,10 +2,12 @@
 //!
 //! Every experiment in §6 follows the same pattern: N parallel clients each
 //! synchronously issue logical requests (invoke, wait, repeat), and the
-//! harness reports latency percentiles, throughput, and anomaly counts.
+//! harness reports latency percentiles and throughput.
 //! [`run_closed_loop`] is that harness: it spawns one thread per client,
 //! drives the given [`RequestDriver`], and merges the per-client
-//! measurements.
+//! measurements. Anomalies are graded after the run, from the client
+//! history the driver's API or the driver itself recorded
+//! ([`crate::history`]).
 //!
 //! The merge mutex is a `parking_lot::Mutex` (like the rest of the
 //! workspace), which does not poison: a panicking client thread takes down
@@ -17,7 +19,6 @@ use std::time::{Duration, Instant};
 use aft_types::AftResult;
 use parking_lot::Mutex;
 
-use crate::anomaly::AnomalyCounts;
 use crate::drivers::RequestDriver;
 use crate::generator::{WorkloadConfig, WorkloadGenerator};
 use crate::histogram::{LatencyRecorder, LatencyStats, ThroughputTimeline};
@@ -87,8 +88,6 @@ pub struct RunResult {
     pub driver: String,
     /// Latency distribution of successful requests.
     pub latency: LatencyStats,
-    /// Anomaly counts across successful requests.
-    pub anomalies: AnomalyCounts,
     /// Requests that completed successfully.
     pub completed: u64,
     /// Requests that exhausted their retries.
@@ -112,7 +111,6 @@ impl RunResult {
 
 struct ClientMeasurements {
     latencies: LatencyRecorder,
-    anomalies: AnomalyCounts,
     completed: u64,
     failed: u64,
     timeline: ThroughputTimeline,
@@ -144,7 +142,6 @@ pub fn run_closed_loop(driver: &dyn RequestDriver, config: &RunConfig) -> AftRes
                 let mut generator = WorkloadGenerator::new(workload, seed);
                 let mut measurements = ClientMeasurements {
                     latencies: LatencyRecorder::new(),
-                    anomalies: AnomalyCounts::default(),
                     completed: 0,
                     failed: 0,
                     timeline: ThroughputTimeline::new(bucket),
@@ -158,9 +155,8 @@ pub fn run_closed_loop(driver: &dyn RequestDriver, config: &RunConfig) -> AftRes
                     let plan = generator.next_plan();
                     let request_start = Instant::now();
                     match driver.execute(&plan) {
-                        Ok(flags) => {
+                        Ok(_) => {
                             measurements.latencies.record(request_start.elapsed());
-                            measurements.anomalies.record(flags);
                             measurements.completed += 1;
                             measurements.timeline.record(started.elapsed());
                         }
@@ -176,13 +172,11 @@ pub fn run_closed_loop(driver: &dyn RequestDriver, config: &RunConfig) -> AftRes
 
     let elapsed = started.elapsed();
     let mut latencies = LatencyRecorder::new();
-    let mut anomalies = AnomalyCounts::default();
     let mut completed = 0;
     let mut failed = 0;
     let mut timeline = ThroughputTimeline::new(config.timeline_bucket);
     for client in collected.into_inner() {
         latencies.merge(&client.latencies);
-        anomalies.merge(&client.anomalies);
         completed += client.completed;
         failed += client.failed;
         timeline.merge(&client.timeline);
@@ -191,7 +185,6 @@ pub fn run_closed_loop(driver: &dyn RequestDriver, config: &RunConfig) -> AftRes
     Ok(RunResult {
         driver: driver.name().to_owned(),
         latency: latencies.stats(),
-        anomalies,
         completed,
         failed,
         elapsed,
@@ -201,9 +194,12 @@ pub fn run_closed_loop(driver: &dyn RequestDriver, config: &RunConfig) -> AftRes
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::drivers::{AftDriver, PlainDriver};
     use crate::generator::{FunctionPlan, TransactionPlan};
+    use crate::history::{check, FinalRead, History, Recorder, Verdict};
     use aft_chaos::FaasChaos;
     use aft_core::{AftNode, NodeConfig};
     use aft_faas::{FaasPlatform, PlatformConfig, RetryPolicy};
@@ -214,30 +210,33 @@ mod tests {
         WorkloadConfig::standard().with_keys(50).with_value_size(64)
     }
 
-    fn aft_driver() -> AftDriver {
+    /// An AFT driver whose every call is recorded in the returned history.
+    fn aft_driver() -> (AftDriver, Arc<History>) {
         let node = AftNode::with_clock(
             NodeConfig::test(),
             InMemoryStore::shared(),
             TickingClock::shared(1, 1),
         )
         .unwrap();
-        AftDriver::single_node(
-            node,
-            FaasPlatform::new(PlatformConfig::test()),
-            RetryPolicy::with_attempts(5),
-        )
+        let history = History::new();
+        let api = Recorder::wrap(node, Arc::clone(&history), None);
+        let platform = FaasPlatform::new(PlatformConfig::test());
+        let driver = AftDriver::from_api(api, platform, RetryPolicy::with_attempts(5));
+        (driver.with_label("AFT"), history)
+    }
+
+    fn verdict(history: &History) -> Verdict {
+        check(&history.attempts(), &FinalRead::new())
     }
 
     #[test]
     fn single_client_run_completes_every_request() {
-        let driver = aft_driver();
+        let (driver, history) = aft_driver();
         let config = RunConfig::new(small_workload()).with_requests(25);
         let result = run_closed_loop(&driver, &config).unwrap();
         assert_eq!(result.completed, 25);
         assert_eq!(result.failed, 0);
-        assert_eq!(result.anomalies.total_transactions, 25);
-        assert_eq!(result.anomalies.ryw_transactions, 0);
-        assert_eq!(result.anomalies.fr_transactions, 0);
+        assert_eq!(verdict(&history).anomalies(), 0);
         assert_eq!(result.latency.count, 25);
         assert_eq!(result.timeline.total(), 25);
         assert!(result.throughput_tps() > 0.0);
@@ -246,7 +245,7 @@ mod tests {
 
     #[test]
     fn multi_client_runs_aggregate_across_threads() {
-        let driver = aft_driver();
+        let (driver, history) = aft_driver();
         let config = RunConfig::new(small_workload())
             .with_clients(4)
             .with_requests(10);
@@ -254,13 +253,12 @@ mod tests {
         assert_eq!(result.completed, 40);
         assert_eq!(result.latency.count, 40);
         // With concurrent clients AFT must still never show anomalies.
-        assert_eq!(result.anomalies.ryw_transactions, 0);
-        assert_eq!(result.anomalies.fr_transactions, 0);
+        assert_eq!(verdict(&history).anomalies(), 0);
     }
 
     #[test]
     fn duration_bound_stops_the_run() {
-        let driver = aft_driver();
+        let (driver, _) = aft_driver();
         let config = RunConfig::new(small_workload())
             .with_requests(0)
             .with_duration(Duration::from_millis(100));
@@ -276,7 +274,8 @@ mod tests {
         // decides the outcome: a request that writes two hot keys crashes
         // between the writes (no retries), leaving half its update in the
         // store; then eight clients read the hot key space, which no longer
-        // changes, and those that read both keys see the update fractured.
+        // changes, and those that read the landed half read a failed
+        // attempt's write.
         let storage = aft_storage::make_backend(BackendConfig::test(BackendKind::DynamoDb));
         let driver = PlainDriver::new(
             storage,
@@ -306,8 +305,9 @@ mod tests {
         };
         let result = run_closed_loop(&driver, &readers).unwrap();
         assert_eq!(result.completed, 8 * 150);
+        let verdict = verdict(driver.history());
         assert!(
-            result.anomalies.fr_transactions > 0,
+            verdict.anomalies() - verdict.read_your_writes > 0,
             "readers of a crashed plain request's partial update see it fractured"
         );
     }

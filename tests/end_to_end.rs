@@ -1,18 +1,21 @@
 //! Cross-crate integration tests: the full stack (FaaS platform → AFT cluster
 //! → simulated storage) exercised the way the paper's evaluation uses it.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use aft::chaos::FaasChaos;
 use aft::cluster::{Cluster, ClusterConfig};
-use aft::core::NodeConfig;
+use aft::core::api::{AftApi, CommitOutcome};
+use aft::core::{AftNode, NodeConfig};
 use aft::faas::{FaasPlatform, PlatformConfig, RetryPolicy};
 use aft::storage::{BackendConfig, BackendKind};
 use aft::types::clock::TickingClock;
-use aft::types::Key;
+use aft::types::{AftError, AftResult, Key, TransactionId, Value};
+use aft::workload::history::{self, FinalRead, History, Recorder, Verdict};
 use aft::workload::{
-    run_closed_loop, AftDriver, AnomalyCounts, DynamoTxnDriver, FunctionPlan, PlainDriver,
-    RequestDriver, RunConfig, TransactionPlan, WorkloadConfig, WorkloadGenerator,
+    run_closed_loop, AftDriver, DynamoTxnDriver, FunctionPlan, PlainDriver, RequestDriver,
+    RunConfig, TransactionPlan, WorkloadConfig, WorkloadGenerator,
 };
 use bytes::Bytes;
 
@@ -36,13 +39,88 @@ fn test_cluster(nodes: usize) -> Arc<Cluster> {
     .unwrap()
 }
 
+/// A cluster's router as one API: each transaction stays on the node that
+/// began it, as [`AftDriver::clustered`] keeps an attempt on one node.
+struct Routed(Arc<Cluster>, Mutex<HashMap<TransactionId, Arc<AftNode>>>);
+
+impl Routed {
+    fn over(cluster: &Arc<Cluster>) -> Arc<dyn AftApi> {
+        Arc::new(Routed(Arc::clone(cluster), Mutex::default()))
+    }
+
+    fn node(&self, txid: &TransactionId) -> AftResult<Arc<AftNode>> {
+        let node = self.1.lock().unwrap().get(txid).cloned();
+        node.ok_or_else(|| AftError::Unavailable(format!("{txid} is not open")))
+    }
+}
+
+impl AftApi for Routed {
+    fn api_label(&self) -> &str {
+        "routed"
+    }
+
+    fn begin(&self) -> AftResult<TransactionId> {
+        let node = self.0.route()?;
+        let txid = node.begin()?;
+        self.1.lock().unwrap().insert(txid, node);
+        Ok(txid)
+    }
+
+    fn get_versioned(&self, txid: &TransactionId, key: &Key) -> AftResult<history::Read> {
+        self.node(txid)?.get_versioned(txid, key)
+    }
+
+    fn get_all(&self, txid: &TransactionId, keys: &[Key]) -> AftResult<Vec<Option<Value>>> {
+        self.node(txid)?.get_all(txid, keys)
+    }
+
+    fn put(&self, txid: &TransactionId, key: Key, value: Value) -> AftResult<()> {
+        self.node(txid)?.put(txid, key, value)
+    }
+
+    fn commit(
+        &self,
+        txid: &TransactionId,
+        reads: &[(Key, TransactionId)],
+    ) -> AftResult<CommitOutcome> {
+        let outcome = AftApi::commit(&*self.node(txid)?, txid, reads)?;
+        self.1.lock().unwrap().remove(txid);
+        Ok(outcome)
+    }
+
+    fn abort(&self, txid: &TransactionId) -> AftResult<()> {
+        let node = self.1.lock().unwrap().remove(txid);
+        node.map_or(Ok(()), |node| node.abort(txid))
+    }
+}
+
+/// One node on a fresh `kind` backend.
+fn node(kind: BackendKind) -> Arc<dyn AftApi> {
+    let storage = aft::storage::make_backend(BackendConfig::test(kind));
+    AftNode::new(NodeConfig::default(), storage).unwrap()
+}
+
+/// An AFT driver over `api` whose every call is recorded in the returned
+/// history.
+fn recorded(
+    api: Arc<dyn AftApi>,
+    platform: Arc<FaasPlatform>,
+    retry: RetryPolicy,
+) -> (AftDriver, Arc<History>) {
+    let history = History::new();
+    let api = Recorder::wrap(api, Arc::clone(&history), None);
+    (AftDriver::from_api(api, platform, retry), history)
+}
+
+fn verdict(history: &History) -> Verdict {
+    history::check(&history.attempts(), &FinalRead::new())
+}
+
 #[test]
 fn aft_requests_over_every_backend_are_anomaly_free() {
     for kind in [BackendKind::S3, BackendKind::DynamoDb, BackendKind::Redis] {
-        let storage = aft::storage::make_backend(BackendConfig::test(kind));
-        let node = aft::core::AftNode::new(NodeConfig::default(), storage).unwrap();
-        let driver = AftDriver::single_node(
-            node,
+        let (driver, history) = recorded(
+            node(kind),
             FaasPlatform::new(PlatformConfig::test()),
             RetryPolicy::with_attempts(5),
         );
@@ -54,8 +132,7 @@ fn aft_requests_over_every_backend_are_anomaly_free() {
         )
         .unwrap();
         assert_eq!(result.completed, 120, "backend {kind:?}");
-        assert_eq!(result.anomalies.ryw_transactions, 0, "backend {kind:?}");
-        assert_eq!(result.anomalies.fr_transactions, 0, "backend {kind:?}");
+        assert_eq!(verdict(&history).anomalies(), 0, "backend {kind:?}");
     }
 }
 
@@ -63,8 +140,8 @@ fn aft_requests_over_every_backend_are_anomaly_free() {
 fn clustered_aft_keeps_read_atomicity_with_background_maintenance() {
     let cluster = test_cluster(3);
     cluster.start_background();
-    let driver = AftDriver::clustered(
-        Arc::clone(&cluster),
+    let (driver, history) = recorded(
+        Routed::over(&cluster),
         FaasPlatform::new(PlatformConfig::test()),
         RetryPolicy::with_attempts(8),
     );
@@ -78,8 +155,7 @@ fn clustered_aft_keeps_read_atomicity_with_background_maintenance() {
     cluster.shutdown();
 
     assert_eq!(result.completed + result.failed, 300);
-    assert_eq!(result.anomalies.ryw_transactions, 0);
-    assert_eq!(result.anomalies.fr_transactions, 0);
+    assert_eq!(verdict(&history).anomalies(), 0);
     // Every committed transaction has a durable commit record. GC deletes
     // metadata per node (so the sum across nodes can exceed the number of
     // committed transactions once the clock-paced maintenance loop free-runs
@@ -95,8 +171,8 @@ fn clustered_aft_keeps_read_atomicity_with_background_maintenance() {
 fn injected_function_failures_never_leak_partial_state_through_aft() {
     let cluster = test_cluster(2);
     let platform = FaasPlatform::new(PlatformConfig::test().with_chaos(FaasChaos::uniform(0.35)));
-    let driver = AftDriver::clustered(
-        Arc::clone(&cluster),
+    let (driver, history) = recorded(
+        Routed::over(&cluster),
         platform,
         RetryPolicy::with_attempts(15),
     );
@@ -111,8 +187,7 @@ fn injected_function_failures_never_leak_partial_state_through_aft() {
     // Despite heavy failure injection nearly every request eventually
     // completes (retries), and none observes an anomaly.
     assert!(result.completed >= 190, "completed {}", result.completed);
-    assert_eq!(result.anomalies.ryw_transactions, 0);
-    assert_eq!(result.anomalies.fr_transactions, 0);
+    assert_eq!(verdict(&history).anomalies(), 0);
 
     // No dangling in-flight transactions remain on any node.
     for node in cluster.active_nodes() {
@@ -131,8 +206,9 @@ fn crash_after_first_write() -> Arc<FaasPlatform> {
 /// The §1 hazard by construction, through `driver` (built over
 /// [`crash_after_first_write`] without retries) on a hot key space: a
 /// request that writes two keys crashes between the writes, then eight
-/// clients read keys that no longer change. Returns what the readers saw.
-fn readers_after_a_torn_write(driver: &dyn RequestDriver) -> AnomalyCounts {
+/// clients read keys that no longer change. Returns the checker's verdict
+/// on `history`, which records what the writer and the readers saw.
+fn readers_after_a_torn_write(driver: &dyn RequestDriver, history: &History) -> Verdict {
     let hot = WorkloadConfig::read_write_ratio(100)
         .with_keys(4)
         .with_zipf(2.0);
@@ -152,7 +228,7 @@ fn readers_after_a_torn_write(driver: &dyn RequestDriver) -> AnomalyCounts {
     };
     let result = run_closed_loop(driver, &readers).unwrap();
     assert_eq!(result.completed, 8 * 50);
-    result.anomalies
+    verdict(history)
 }
 
 #[test]
@@ -165,23 +241,18 @@ fn plain_baseline_shows_anomalies_under_contention_but_aft_does_not() {
         crash_after_first_write(),
         RetryPolicy::no_retries(),
     );
-    let plain_result = readers_after_a_torn_write(&plain);
+    let plain_verdict = readers_after_a_torn_write(&plain, plain.history());
     assert!(
-        plain_result.fr_transactions > 0,
+        plain_verdict.anomalies() - plain_verdict.read_your_writes > 0,
         "plain storage exposes a crashed request's partial update"
     );
-    let aft_crashed = AftDriver::single_node(
-        aft::core::AftNode::new(
-            NodeConfig::default(),
-            aft::storage::make_backend(BackendConfig::test(BackendKind::DynamoDb)),
-        )
-        .unwrap(),
+    let (aft_crashed, history) = recorded(
+        node(BackendKind::DynamoDb),
         crash_after_first_write(),
         RetryPolicy::no_retries(),
     );
-    let aft_crashed = readers_after_a_torn_write(&aft_crashed);
     assert_eq!(
-        aft_crashed.ryw_transactions + aft_crashed.fr_transactions,
+        readers_after_a_torn_write(&aft_crashed, &history).anomalies(),
         0
     );
 
@@ -190,23 +261,17 @@ fn plain_baseline_shows_anomalies_under_contention_but_aft_does_not() {
         .with_keys(4)
         .with_zipf(2.0)
         .with_value_size(128);
-    let node = aft::core::AftNode::new(
-        NodeConfig::default(),
-        aft::storage::make_backend(BackendConfig::test(BackendKind::DynamoDb)),
-    )
-    .unwrap();
-    let aft = AftDriver::single_node(
-        node,
+    let (aft, history) = recorded(
+        node(BackendKind::DynamoDb),
         FaasPlatform::new(PlatformConfig::test()),
         RetryPolicy::with_attempts(8),
     );
-    let aft_result = run_closed_loop(
+    run_closed_loop(
         &aft,
         &RunConfig::new(contended).with_clients(8).with_requests(100),
     )
     .unwrap();
-    assert_eq!(aft_result.anomalies.ryw_transactions, 0);
-    assert_eq!(aft_result.anomalies.fr_transactions, 0);
+    assert_eq!(verdict(&history).anomalies(), 0);
 }
 
 #[test]
@@ -214,7 +279,8 @@ fn dynamo_transaction_mode_eliminates_ryw_but_not_fractured_reads() {
     // §6.1.2: grouping all writes into one TransactWriteItems call removes
     // read-your-writes anomalies by construction; reads still span two
     // transactions so fractured reads remain possible. We assert the RYW half
-    // (deterministic) and merely run the FR half (statistical).
+    // (deterministic) and merely run the FR half (statistical). The write
+    // lands all or nothing, so every read names a writer that wrote it.
     let table = aft::storage::SimDynamo::new(aft::storage::LatencyModel::disabled(), 9);
     let driver = DynamoTxnDriver::new(
         table.transaction_mode(),
@@ -233,7 +299,10 @@ fn dynamo_transaction_mode_eliminates_ryw_but_not_fractured_reads() {
         .with_requests(100),
     )
     .unwrap();
-    assert_eq!(result.anomalies.ryw_transactions, 0);
+    let verdict = verdict(driver.history());
+    assert_eq!(verdict.read_your_writes, 0);
+    let misread = verdict.unknown_writers + verdict.wrong_bytes + verdict.version_mismatches;
+    assert_eq!(misread, 0, "{verdict:?}");
     assert!(result.completed > 0);
 }
 
