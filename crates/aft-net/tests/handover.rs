@@ -5,13 +5,13 @@
 
 use std::io::Write;
 use std::net::{Shutdown, TcpListener};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
 use aft_net::frame::{read_frame, request_frame};
-use aft_net::{AftClient, AftServer, EventSnapshot, ServerBuilder};
+use aft_net::{AftClient, AftServer, EventSnapshot, ResponseFilter, ServerBuilder};
 use aft_storage::io::RetryConfig;
 use aft_storage::InMemoryStore;
 use aft_types::clock::TickingClock;
@@ -74,6 +74,40 @@ fn sequential_pings_wake_neither_the_loop_nor_another_caller() {
     assert_eq!(event.writev_calls, 1_000, "one syscall per response");
     assert_eq!(event.completions, 0, "the loop only read");
     assert_eq!(client.stats().handoffs, 0, "a lone caller reads its own");
+    server.shutdown();
+}
+
+/// Records the name of the thread each response is decided on.
+#[derive(Default)]
+struct ThreadNames(Mutex<Vec<String>>);
+
+impl ResponseFilter for ThreadNames {
+    fn deliver(&self, _request_id: u64, _response: &WireResponse) -> bool {
+        let name = std::thread::current().name().unwrap_or("").to_owned();
+        self.0.lock().unwrap().push(name);
+        true
+    }
+}
+
+#[test]
+fn which_threads_run_the_gets_of_one_connection() {
+    let server = serve(AftServer::builder().workers(2));
+    let client = one_connection(&server);
+    let key = Key::new("one");
+    preload(&client, [(key.clone(), Value::from_static(b"v"))]);
+    let names = Arc::new(ThreadNames::default());
+    server.install_response_filter(Arc::clone(&names) as Arc<dyn ResponseFilter>);
+
+    let txid = client.begin().unwrap();
+    for _ in 0..1_000 {
+        client.get_versioned(&txid, &key).unwrap().unwrap();
+    }
+    let names = names.0.lock().unwrap().clone();
+    assert_eq!(names.len(), 1_000);
+    assert!(
+        names.iter().all(|name| name != "aft-net-io"),
+        "the I/O thread reads every Get and hands it to a worker"
+    );
     server.shutdown();
 }
 
