@@ -60,8 +60,8 @@ const P999_CAP_MS: f64 = 250.0;
 /// Saturated sustained goodput below this fraction of peak sustained
 /// goodput is a collapse. This is deliberately a *collapse* bound, not the
 /// "within 20% of peak" the published standard run demonstrates: on a
-/// shared or single-core runner the generators, the rejection-processing
-/// event loop, and the workers contend for the same CPUs, so the
+/// shared or single-core runner the generators and the server's reactor
+/// threads contend for the same CPUs, so the
 /// saturated-to-unsaturated ratio carries double-digit measurement noise.
 /// A real shedding failure (rejecting work the server had capacity for, or
 /// thrashing instead of committing) lands far below half of peak; honest
@@ -96,8 +96,8 @@ pub struct OverloadConfig {
     /// Delayed-ack rate of the chaos leg.
     pub delay_rate: f64,
     /// Latency scale of the simulated Redis backend the deployment runs
-    /// over. Requests must cost real worker time — against a zero-latency
-    /// store the socket round trip, not the worker pool, would be the
+    /// over. Requests must cost real reactor time — against a zero-latency
+    /// store the socket round trip, not the reactors, would be the
     /// bottleneck and no offered load could ever saturate the server.
     pub storage_scale: f64,
     /// Base seed.
@@ -477,7 +477,7 @@ impl OverloadReport {
 }
 
 /// A fresh deployment over the simulated Redis service with *sleeping*
-/// latency: the worker pool, not the loopback socket, must be what
+/// latency: the reactors, not the loopback socket, must be what
 /// saturates.
 fn deployment(
     config: &OverloadConfig,

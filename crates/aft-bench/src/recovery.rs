@@ -35,8 +35,9 @@
 //! seed too, so `aft-bench fig10_recovery --seed N` replays the run, counts
 //! included, and `--mode M --seed N` replays exactly the `M` cells of that
 //! matrix, up to the step a failing cell names. In the networked modes the
-//! server executes on its own workers, but the stepper awaits every reply
-//! before its next step, so the order of execution is still the stepper's —
+//! server executes on its own reactor threads, but the stepper awaits every
+//! reply before its next step, so the order of execution is still the
+//! stepper's —
 //! with one timing assumption: a request whose connection chaos resets
 //! *after* the send must finish on the server within the client's retry
 //! backoff (≥ 200 µs), before the stepper moves on.

@@ -20,7 +20,7 @@
 //!
 //! A third **connection-scale leg** opens hundreds to thousands of raw
 //! loopback connections against one server and holds them resident while a
-//! small active subset keeps pinging: the readiness-driven event loop must
+//! small active subset keeps pinging: the server's reactor threads must
 //! own every socket (zero per-connection reader threads, checked via
 //! `/proc/self/task`), per-connection resident memory must stay flat, and
 //! tail latency must not collapse with the full fleet connected.
@@ -156,7 +156,7 @@ pub struct ConnScalePoint {
     /// Pings measured by the active subset.
     pub pings: u64,
     /// Per-connection reader threads alive with the fleet resident (the
-    /// event loop must own every socket, so this must be zero).
+    /// reactors must own every socket, so this must be zero).
     pub reader_threads: u64,
     /// Process thread count with the fleet resident.
     pub threads_total: u64,
@@ -167,9 +167,9 @@ pub struct ConnScalePoint {
     pub rss_delta_bytes: i64,
     /// Resident bytes per connection.
     pub rss_per_conn_bytes: f64,
-    /// Frames the event loop decoded during the point.
+    /// Frames the reactors decoded during the point.
     pub frames_read: u64,
-    /// Connections the event loop owned with the fleet resident.
+    /// Connections the reactors owned with the fleet resident.
     pub conns_open: u64,
     /// Frame buffers parked in the loop's pool after the point.
     pub pooled_buffers: u64,
@@ -271,7 +271,7 @@ impl ServiceReport {
             }
             if point.conns_open != point.connections as u64 {
                 return Err(format!(
-                    "event loop owns {} of {} resident connections",
+                    "the reactors own {} of {} resident connections",
                     point.conns_open, point.connections
                 ));
             }
@@ -299,7 +299,7 @@ impl ServiceReport {
         Ok(format!(
             "{} points clean, peak {:.0} req/s; chaos leg: {} resets ({} in the lost-ack \
              window), {} acked commits all durable, {} deduplicated; scale leg: {} resident \
-             connections on one loop thread; ping {:.2} ms, {} server requests",
+             connections on the reactor threads; ping {:.2} ms, {} server requests",
             self.points.len(),
             self.peak_rps(),
             self.chaos.resets_before_send + self.chaos.resets_after_send,
@@ -352,7 +352,7 @@ impl ServiceReport {
     /// Renders the connection-scale leg as an aligned text table.
     pub fn conn_table(&self) -> Table {
         let mut table = Table::new(
-            "fig8_service — resident connections on one event-loop thread",
+            "fig8_service — resident connections on the server's reactor threads",
             &[
                 "conns",
                 "p50 (ms)",
@@ -529,8 +529,8 @@ fn proc_rss_bytes() -> i64 {
 }
 
 /// Threads named `aft-net-rd*` — the thread-per-connection model's reader
-/// threads. The event loop spawns none, so with a resident fleet this count
-/// proves the loop owns every socket (robust against unrelated threads
+/// threads. The reactors spawn none, so with a resident fleet this count
+/// proves the reactors own every socket (robust against unrelated threads
 /// created by concurrently running tests).
 fn reader_thread_count() -> u64 {
     let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
@@ -772,7 +772,7 @@ pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
     };
     drop(handle);
 
-    // Connection-scale leg: how many resident sockets one loop thread owns,
+    // Connection-scale leg: how many resident sockets the reactors own,
     // a fresh deployment per point so points are independent.
     let conn_scale = config
         .conn_counts

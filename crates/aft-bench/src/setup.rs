@@ -172,14 +172,14 @@ pub fn virtual_backend(kind: BackendKind, seed: u64) -> SharedStorage {
 }
 
 /// The one way experiments stand a cluster up as a networked service:
-/// every knob of the loopback endpoint an experiment varies — server worker
-/// pool and overload protection, client pool/retry/chaos — in a single
+/// every knob of the loopback endpoint an experiment varies — server reactor
+/// threads and overload protection, client pool/retry/chaos — in a single
 /// options struct, so `fig8_service`, `fig10_recovery` and `fig11_overload`
 /// configure the service identically (`ServeOptions { workers: 8,
 /// ..Default::default() }`).
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Server worker-pool size.
+    /// Server reactor threads.
     pub workers: usize,
     /// Server admission limit: queue depth beyond which new requests get a
     /// typed `Overloaded` rejection (`0` disables).
@@ -187,7 +187,7 @@ pub struct ServeOptions {
     /// Server queue-age deadline beyond which requests are shed unexecuted
     /// (`ZERO` disables).
     pub queue_deadline: Duration,
-    /// Per-connection fair queuing on the server's worker queue.
+    /// Per-connection fair queuing on each of the server's reactor queues.
     pub fair_queuing: bool,
     /// Client connection-pool size.
     pub pool_size: usize,

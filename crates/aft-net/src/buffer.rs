@@ -1,8 +1,8 @@
-//! A small free-list of byte buffers for the event loop.
+//! A small free-list of byte buffers for the reactors.
 //!
 //! The server encodes every outgoing response straight into a contiguous
 //! `[len][payload]` frame buffer and would otherwise allocate one `Vec` per
-//! response. [`BufferPool`] recycles those buffers across workers and
+//! response. [`BufferPool`] recycles those buffers across reactors and
 //! connections: `take` hands out an empty buffer with warm capacity, `give`
 //! returns it once the frame is written unless it grew beyond the pool's
 //! bound, so a single huge frame cannot pin its allocation forever.
@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-/// Recycles byte buffers between the event loop and its workers.
+/// Recycles byte buffers between the reactors.
 #[derive(Debug)]
 pub(crate) struct BufferPool {
     free: Mutex<Vec<Vec<u8>>>,

@@ -1,53 +1,57 @@
-//! The readiness-driven I/O core of [`AftServer`](crate::AftServer).
+//! The readiness-driven reactors of [`AftServer`](crate::AftServer).
 //!
-//! One event-loop thread owns the listener and the read side of every
-//! accepted connection (nonblocking, registered with the vendored
-//! [`polling`] poller under oneshot semantics), a slab of per-connection
-//! state machines, and the admission of requests into the worker pool.
-//! Thread count is O(workers), never O(connections).
+//! The server runs `workers` reactor threads (`aft-net-r0`, `aft-net-r1`,
+//! …) and no other. Each reactor owns its own [`polling`] poller (oneshot
+//! semantics), a slab of per-connection state machines, and a queue of
+//! decoded requests. Every reactor watches the shared listener; whichever
+//! wakes first accepts, numbers the connection, and gives it to reactor
+//! `id % workers` (round robin by connection id), handing it over through
+//! that reactor's inbox when it is not its own. From then on one thread
+//! reads, runs and answers everything the connection sends, so a request
+//! never crosses threads. Thread count is `workers`, never O(connections).
 //!
-//! Per connection the machine cycles through four phases:
+//! One reactor iteration:
 //!
-//! * **read** — drain the socket into an incremental [`FrameDecoder`]
+//! * **read** — drain each ready socket into an incremental [`FrameDecoder`]
 //!   (arbitrary byte splits are fine; a slow-loris peer just parks cheap
 //!   buffered state here);
-//! * **parse** — pull complete frames, decode them into requests;
-//! * **dispatch** — enqueue jobs for the shared worker pool, tagging each
-//!   with the connection's generation-checked `ConnHandle`. When the queue
-//!   is full the connection *pauses*: decoded requests wait in a local
-//!   pending deque and the socket stops being read (TCP backpressure), so a
-//!   pipelining flood is bounded without ever blocking the loop;
-//! * **write** — the worker that executed a request writes its framed
-//!   response straight to the socket when the connection has nothing queued
-//!   (see `respond`), so a request wakes the loop once, to read it. Only a
-//!   backlog, a partial write or a reset goes back through a wakeable
-//!   completion queue ([`Poller::notify`] interrupts the wait); the loop
-//!   then flushes the connection's queue with *vectored* writes, up to
-//!   `WRITE_BATCH` frames per syscall.
+//! * **queue** — decode complete frames and queue them. Admission control
+//!   and `queue_capacity` backpressure read one server-wide depth, the
+//!   requests queued on every reactor. A connection that meets a full queue
+//!   *pauses*: its decoded requests wait in a local pending deque and its
+//!   socket stops being read (TCP backpressure);
+//! * **run** — pop each queued request (FIFO, or round robin over
+//!   connections under fair queuing), shed it if it waited past the queue
+//!   deadline, otherwise run it through `ServerShared::execute` and the
+//!   `ResponseFilter` hook, and encode the response straight into its frame;
+//! * **write** — a connection's last queued response is written at once,
+//!   together with any frames queued ahead of it: one `write` when it is
+//!   alone, one vectored write for up to `WRITE_BATCH` frames otherwise.
+//!   A full socket keeps the rest queued and arms write interest.
 //!
-//! Every write to a socket — a worker's direct one or the loop's flush —
-//! happens under the connection's one write lock, so frames never
-//! interleave, and the tail of a partial direct write is queued under that
-//! same lock, ahead of anything queued later. The loop never runs request
-//! logic (routing, affinity, commit dedup/single-flight, the
-//! `ResponseFilter` chaos hook all stay on the workers), so a slow commit
-//! cannot stall unrelated sockets.
+//! Within one connection, responses leave in the order the requests
+//! arrived, admission rejections included: a pipelining client reads its
+//! replies back in the order it sent them. A request that blocks (a commit
+//! waiting on storage) holds up its own reactor's connections only; the
+//! other reactors keep reading and answering theirs.
 //!
 //! ## Lifecycle corners
 //!
-//! A clean-boundary EOF with responses still in flight is a *half-open*
+//! A clean-boundary EOF with requests still queued is a *half-open*
 //! connection: the read side is done but the write side lingers until every
-//! pending job has flushed, then the slot is torn down. The worker that
-//! answers such a connection's last job tells the loop, so the loop is never
-//! woken per response on an ordinary connection. EOF mid-frame is a
-//! truncation and tears down immediately. Only the loop tears down, once
-//! per slot (the slab removal is the guard), so a close is accounted exactly
-//! once however it came about (EOF, worker reset, server shutdown).
+//! queued request is answered and flushed, then the slot is torn down. A
+//! garbage frame is answered with one error frame and closes the read side
+//! the same way. EOF mid-frame is a truncation and tears down immediately.
+//! A torn-down connection's queued requests are dropped unrun, as a dead
+//! peer's would be, and its slot's generation changes, so a recycled slot
+//! never receives them. Only the owning reactor tears down, once per slot
+//! (the slab removal is the guard), so a close is accounted exactly once
+//! however it came about (EOF, reset, server shutdown).
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -59,7 +63,7 @@ use polling::{Event, Events, Poller};
 
 use crate::buffer::BufferPool;
 use crate::frame::{response_frame, FrameDecoder};
-use crate::server::{Job, ServerShared};
+use crate::server::{Job, JobQueue, ServerShared, Work};
 
 /// Poller key of the listening socket (`usize::MAX` is the poller's own
 /// notifier); connection keys are their slab slots.
@@ -75,76 +79,51 @@ const READ_CHUNK: usize = 16 * 1024;
 /// Response frames coalesced into one vectored write syscall.
 const WRITE_BATCH: usize = 64;
 
-/// Unflushed response bytes a connection may buffer before the loop stops
-/// reading more requests from it (per-connection write throttle).
+/// Unflushed response bytes a connection may buffer before its reactor
+/// stops reading more requests from it (per-connection write throttle).
 const WRITE_BUFFER_CAP: usize = 4 * 1024 * 1024;
 
 /// OS readiness API: epoll on Linux, poll(2) elsewhere.
 const POLLER_BACKEND: polling::Backend = polling::Backend::Auto;
 
-/// The pool of frame buffers shared by the loop and the workers.
+fn unavailable(what: &str, e: io::Error) -> AftError {
+    AftError::Unavailable(format!("reactor: {what}: {e}"))
+}
+
+/// The pool of frame buffers shared by the reactors.
 pub(crate) fn frame_pool(slab_capacity: usize) -> BufferPool {
     BufferPool::new(READ_CHUNK * 4, slab_capacity.min(4096))
 }
 
-/// One event-loop connection as the loop and the workers share it.
-///
-/// Slots are recycled, so completions carry the `(slot, generation)` pair;
-/// a completion whose generation no longer matches the slab entry belongs to
-/// a dead connection and is dropped (its work is durable — this is exactly
-/// the §4.2 lost-ack window the commit ledger covers).
-#[derive(Debug)]
-pub(crate) struct ConnHandle {
-    pub(crate) slot: usize,
-    pub(crate) generation: u64,
-    /// Server-wide connection id — the fair-queuing lane key.
-    pub(crate) id: u64,
-    /// The socket, shared rather than duplicated: the loop reads it, and
-    /// whoever holds `out` writes it.
-    stream: TcpStream,
-    /// The write side; every write to `stream` happens under this lock.
-    out: Mutex<Outbox>,
-    /// Jobs enqueued but not yet answered; decremented under `out`.
-    pub(crate) inflight: AtomicUsize,
+/// What other threads may do to a reactor: wake it, and give it a
+/// connection another reactor accepted.
+pub(crate) struct ReactorHandle {
+    poller: Poller,
+    inbox: Mutex<Vec<(u64, TcpStream)>>,
 }
 
-/// A connection's queued output, guarded by its handle's write lock.
+impl ReactorHandle {
+    pub(crate) fn new() -> AftResult<ReactorHandle> {
+        Ok(ReactorHandle {
+            poller: Poller::with_backend(POLLER_BACKEND).map_err(|e| unavailable("poller", e))?,
+            inbox: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Interrupts the reactor's poll wait.
+    pub(crate) fn wake(&self) {
+        let _ = self.poller.notify();
+    }
+}
+
+/// A connection's queued output: framed responses awaiting flush, the front
+/// one written up to `pos`.
 #[derive(Debug, Default)]
 struct Outbox {
-    /// Framed responses awaiting flush; the front frame is written up to
-    /// `pos`.
     frames: VecDeque<Vec<u8>>,
     pos: usize,
     /// Unflushed bytes across `frames`.
     bytes: usize,
-    /// The loop reads no more requests, so the worker answering the last
-    /// job in flight must have it finish the connection.
-    read_closed: bool,
-    /// Torn down: later responses are dropped, as a dead peer would drop
-    /// them.
-    closed: bool,
-}
-
-impl ConnHandle {
-    pub(crate) fn new(slot: usize, generation: u64, id: u64, stream: TcpStream) -> Self {
-        ConnHandle {
-            slot,
-            generation,
-            id,
-            stream,
-            out: Mutex::new(Outbox::default()),
-            inflight: AtomicUsize::new(0),
-        }
-    }
-
-    /// Counts one job answered. Called under the write lock, which the
-    /// loop's finish check also takes, so one of the two sees the other:
-    /// `true` when this was the last job of a connection whose read side is
-    /// done and whose queue is empty, i.e. the loop must finish it.
-    fn job_done(&self, out: &Outbox) -> bool {
-        let left = self.inflight.fetch_sub(1, Ordering::AcqRel) - 1;
-        left == 0 && out.read_closed && out.frames.is_empty()
-    }
 }
 
 impl Outbox {
@@ -231,63 +210,6 @@ impl Outbox {
     }
 }
 
-/// Sends a worker's framed response on its connection: straight to the
-/// socket when nothing is queued ahead of it, and behind the queue
-/// otherwise. The loop is told only when it has something to do — flush
-/// what a full socket left queued, reset a dead connection, or finish a
-/// half-open one whose last job this was.
-pub(crate) fn respond(shared: &ServerShared, handle: Arc<ConnHandle>, frame: Vec<u8>) {
-    let stats = &shared.event_stats;
-    let action = {
-        let mut out = handle.out.lock();
-        let mut action = None;
-        if out.closed {
-            shared.pool.give(frame);
-        } else if !out.frames.is_empty() {
-            // The loop already knows of this backlog and flushes it.
-            out.push(frame, 0, stats);
-        } else {
-            match write_once(&handle.stream, &frame) {
-                Ok(n) if n == frame.len() => {
-                    stats.count_write(n);
-                    stats.direct_writes.fetch_add(1, Ordering::Relaxed);
-                    stats.frames_written.fetch_add(1, Ordering::Relaxed);
-                    shared.pool.give(frame);
-                }
-                // A full socket took part of the frame, or none of it: the
-                // rest waits, ahead of anything queued later, for the loop.
-                Ok(n) if n > 0 => {
-                    stats.count_write(n);
-                    out.push(frame, n, stats);
-                    action = Some(CompletionAction::Flush);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    out.push(frame, 0, stats);
-                    action = Some(CompletionAction::Flush);
-                }
-                _ => {
-                    shared.pool.give(frame);
-                    action = Some(CompletionAction::Reset);
-                }
-            }
-        }
-        let finished = handle.job_done(&out);
-        action.or(finished.then_some(CompletionAction::Flush))
-    };
-    if let Some(action) = action {
-        shared.push_completion(Completion { handle, action });
-    }
-}
-
-/// Has the loop reset a connection whose response a worker will not send.
-pub(crate) fn reset(shared: &ServerShared, handle: Arc<ConnHandle>) {
-    handle.job_done(&handle.out.lock());
-    shared.push_completion(Completion {
-        handle,
-        action: CompletionAction::Reset,
-    });
-}
-
 /// One `write` syscall, retried only on `EINTR`.
 fn write_once(stream: &TcpStream, frame: &[u8]) -> io::Result<usize> {
     loop {
@@ -298,30 +220,13 @@ fn write_once(stream: &TcpStream, frame: &[u8]) -> io::Result<usize> {
     }
 }
 
-/// What a worker needs the loop to do on a connection.
-pub(crate) enum CompletionAction {
-    /// Flush what is queued, and finish the connection if it then owes
-    /// nothing more.
-    Flush,
-    /// Reset the connection without responding (the `ResponseFilter` ate
-    /// the acknowledgement, or the socket failed under a worker).
-    Reset,
-}
-
-/// A worker→loop completion, routed by the handle's slot + generation.
-pub(crate) struct Completion {
-    pub(crate) handle: Arc<ConnHandle>,
-    pub(crate) action: CompletionAction,
-}
-
-/// Monotonic counters and gauges of the server's socket I/O.
+/// Monotonic counters and gauges of the server's socket I/O, summed over
+/// the reactors.
 #[derive(Debug, Default)]
 pub(crate) struct EventStats {
     conns_open: AtomicU64,
     frames_read: AtomicU64,
     frames_written: AtomicU64,
-    direct_writes: AtomicU64,
-    completions: AtomicU64,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
     writev_calls: AtomicU64,
@@ -334,27 +239,21 @@ pub(crate) struct EventStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct EventSnapshot {
-    /// Connections currently registered with the loop.
+    /// Connections currently registered with a reactor.
     pub conns_open: u64,
     /// Complete request frames decoded.
     pub frames_read: u64,
-    /// Response frames fully flushed, by a worker or by the loop.
+    /// Response frames fully flushed.
     pub frames_written: u64,
-    /// Response frames a worker wrote whole, straight to the socket,
-    /// without waking the loop.
-    pub direct_writes: u64,
-    /// Worker completions the loop woke for: a backlog or partial write to
-    /// flush, a reset, or a half-open connection's last answer.
-    pub completions: u64,
     /// Raw bytes read off sockets.
     pub bytes_read: u64,
     /// Raw bytes written to sockets.
     pub bytes_written: u64,
-    /// Write syscalls issued, a worker's direct `write` or the loop's
+    /// Write syscalls issued, a lone response's `write` or a batch's
     /// vectored one (`frames_written / writev_calls` is the realized
     /// write-batching factor).
     pub writev_calls: u64,
-    /// Times a connection paused on a full worker queue (backpressure).
+    /// Times a connection paused on a full request queue (backpressure).
     pub pauses: u64,
     /// Response bytes queued awaiting flush right now.
     pub buffered_bytes: u64,
@@ -373,8 +272,6 @@ impl EventStats {
             conns_open: self.conns_open.load(Ordering::Relaxed),
             frames_read: self.frames_read.load(Ordering::Relaxed),
             frames_written: self.frames_written.load(Ordering::Relaxed),
-            direct_writes: self.direct_writes.load(Ordering::Relaxed),
-            completions: self.completions.load(Ordering::Relaxed),
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
             writev_calls: self.writev_calls.load(Ordering::Relaxed),
@@ -397,63 +294,45 @@ impl EventStats {
 /// Why a connection is being torn down (decides the socket's send-off).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Teardown {
-    /// Flushed everything it owed; a clean close.
+    /// Answered everything it asked; a clean close.
     Finished,
     /// Protocol/I-O failure or chaos reset; both halves are shut down so the
     /// peer observes a reset rather than a lingering half-close.
     Reset,
 }
 
-/// One connection's read-side state machine, owned exclusively by the loop
-/// thread; the write side lives in the shared handle.
-struct ConnState {
-    handle: Arc<ConnHandle>,
+/// One connection's state machine, owned by its reactor.
+struct Conn {
+    id: u64,
+    stream: TcpStream,
     decoder: FrameDecoder,
-    /// Requests decoded while the worker queue was full, waiting to submit.
-    pending: VecDeque<(u64, WireRequest)>,
+    out: Outbox,
+    /// Requests decoded while the queue was full, waiting to be queued.
+    pending: VecDeque<(u64, Work)>,
+    /// This connection's jobs in the reactor's queue.
+    queued: usize,
     read_open: bool,
-    /// Flush what is queued, then close (set by the garbage-frame path).
-    close_after_flush: bool,
-    /// Submission is suspended on a full worker queue; reads stay disarmed.
+    /// Queuing is suspended on a full queue; reads stay disarmed.
     paused: bool,
-    /// Present in the loop's dirty list (re-arm needed this iteration).
+    /// Present in the reactor's dirty list (re-arm needed this iteration).
     dirty: bool,
 }
 
-impl ConnState {
-    fn new(handle: Arc<ConnHandle>) -> Self {
-        ConnState {
-            handle,
-            decoder: FrameDecoder::new(),
-            pending: VecDeque::new(),
-            read_open: true,
-            close_after_flush: false,
-            paused: false,
-            dirty: false,
-        }
-    }
-
-    /// Stops reading; the workers learn it through the outbox.
-    fn close_read(&mut self) {
-        self.read_open = false;
-        self.handle.out.lock().read_closed = true;
-    }
-}
-
 /// Slab of connection slots; vacant slots remember the next generation so
-/// recycled slots can never satisfy a stale completion.
-enum Slot {
+/// a job queued for a torn-down connection never reaches the slot's next
+/// occupant.
+enum Slot<T> {
     Vacant { next_generation: u64 },
-    Occupied(Box<ConnState>),
+    Occupied { generation: u64, value: T },
 }
 
-struct Slab {
-    slots: Vec<Slot>,
+struct Slab<T> {
+    slots: Vec<Slot<T>>,
     free: Vec<usize>,
     live: usize,
 }
 
-impl Slab {
+impl<T> Slab<T> {
     fn with_capacity(capacity: usize) -> Self {
         Slab {
             slots: Vec::with_capacity(capacity),
@@ -462,12 +341,12 @@ impl Slab {
         }
     }
 
-    /// Claims a slot, returning `(slot, generation)` for the handle.
+    /// Claims a slot, returning `(slot, generation)`.
     fn claim(&mut self) -> (usize, u64) {
         if let Some(slot) = self.free.pop() {
             let generation = match self.slots[slot] {
                 Slot::Vacant { next_generation } => next_generation,
-                Slot::Occupied(_) => unreachable!("free list held an occupied slot"),
+                Slot::Occupied { .. } => unreachable!("free list held an occupied slot"),
             };
             (slot, generation)
         } else {
@@ -476,8 +355,8 @@ impl Slab {
         }
     }
 
-    fn occupy(&mut self, slot: usize, conn: Box<ConnState>) {
-        self.slots[slot] = Slot::Occupied(conn);
+    fn occupy(&mut self, slot: usize, generation: u64, value: T) {
+        self.slots[slot] = Slot::Occupied { generation, value };
         self.live += 1;
     }
 
@@ -489,107 +368,119 @@ impl Slab {
         self.free.push(slot);
     }
 
-    fn get_mut(&mut self, slot: usize) -> Option<&mut ConnState> {
+    /// The slot's generation and occupant.
+    fn entry(&mut self, slot: usize) -> Option<(u64, &mut T)> {
         match self.slots.get_mut(slot) {
-            Some(Slot::Occupied(conn)) => Some(conn),
+            Some(Slot::Occupied { generation, value }) => Some((*generation, value)),
             _ => None,
         }
     }
 
-    fn remove(&mut self, slot: usize) -> Option<Box<ConnState>> {
-        match self.slots.get_mut(slot) {
-            Some(entry @ Slot::Occupied(_)) => {
-                let Slot::Occupied(conn) =
-                    std::mem::replace(entry, Slot::Vacant { next_generation: 0 })
-                else {
-                    unreachable!()
-                };
-                self.slots[slot] = Slot::Vacant {
-                    next_generation: conn.handle.generation + 1,
-                };
-                self.free.push(slot);
-                self.live -= 1;
-                Some(conn)
-            }
-            _ => None,
-        }
+    fn get_mut(&mut self, slot: usize) -> Option<&mut T> {
+        self.entry(slot).map(|(_, value)| value)
+    }
+
+    /// The slot's occupant, if it is still the one of `generation`.
+    fn get_live(&mut self, slot: usize, generation: u64) -> Option<&mut T> {
+        self.entry(slot)
+            .and_then(|(current, value)| (current == generation).then_some(value))
+    }
+
+    fn remove(&mut self, slot: usize) -> Option<T> {
+        let (generation, _) = self.entry(slot)?;
+        let vacant = Slot::Vacant {
+            next_generation: generation + 1,
+        };
+        let Slot::Occupied { value, .. } = std::mem::replace(&mut self.slots[slot], vacant) else {
+            unreachable!()
+        };
+        self.free.push(slot);
+        self.live -= 1;
+        Some(value)
     }
 
     fn occupied_slots(&self) -> Vec<usize> {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| matches!(s, Slot::Occupied(_)).then_some(i))
+            .filter_map(|(i, s)| matches!(s, Slot::Occupied { .. }).then_some(i))
             .collect()
     }
 }
 
-/// The loop itself; constructed on the caller's thread (so bind/registration
-/// errors surface from `serve`), then moved onto its own thread by `spawn`.
-pub(crate) struct EventLoop {
-    shared: Arc<ServerShared>,
+/// Registers `listener` with every reactor's poller and starts one thread
+/// per reactor. Registration errors fail `serve` before any thread starts.
+pub(crate) fn spawn(
+    shared: &Arc<ServerShared>,
     listener: TcpListener,
-    poller: Arc<Poller>,
-    slab: Slab,
+) -> AftResult<Vec<JoinHandle<()>>> {
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| unavailable("nonblocking listener", e))?;
+    for reactor in &shared.reactors {
+        reactor
+            .poller
+            .add(&listener, Event::readable(LISTENER_KEY))
+            .map_err(|e| unavailable("register listener", e))?;
+    }
+    let listener = Arc::new(listener);
+    let slab_capacity = shared.config.slab_capacity.div_ceil(shared.reactors.len());
+    let threads = (0..shared.reactors.len())
+        .map(|index| {
+            let reactor = Reactor {
+                index,
+                shared: Arc::clone(shared),
+                listener: Arc::clone(&listener),
+                slab: Slab::with_capacity(slab_capacity),
+                queue: JobQueue::new(shared.config.fair_queuing),
+                dirty: Vec::new(),
+                paused: Vec::new(),
+                scratch: vec![0u8; READ_CHUNK],
+            };
+            std::thread::Builder::new()
+                .name(format!("aft-net-r{index}"))
+                .spawn(move || reactor.run())
+                .expect("spawn reactor thread")
+        })
+        .collect();
+    Ok(threads)
+}
+
+/// One reactor: its connections, its queue, and the thread that runs both.
+struct Reactor {
+    index: usize,
+    shared: Arc<ServerShared>,
+    listener: Arc<TcpListener>,
+    slab: Slab<Conn>,
+    queue: JobQueue,
     /// Slots needing an interest re-arm at the end of the iteration.
     dirty: Vec<usize>,
-    /// Slots paused on worker-queue backpressure.
+    /// Slots paused on a full queue.
     paused: Vec<usize>,
     /// Read scratch, recycled across every connection.
     scratch: Vec<u8>,
 }
 
-impl EventLoop {
-    /// Registers `listener` with a fresh poller. Errors here (backend
-    /// construction, registration) fail `serve` before any thread starts.
-    pub(crate) fn new(shared: Arc<ServerShared>, listener: TcpListener) -> AftResult<EventLoop> {
-        fn unavailable(what: &str, e: io::Error) -> AftError {
-            AftError::Unavailable(format!("event loop: {what}: {e}"))
-        }
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| unavailable("nonblocking listener", e))?;
-        let poller =
-            Arc::new(Poller::with_backend(POLLER_BACKEND).map_err(|e| unavailable("poller", e))?);
-        poller
-            .add(&listener, Event::readable(LISTENER_KEY))
-            .map_err(|e| unavailable("register listener", e))?;
-        let slab = Slab::with_capacity(shared.config.slab_capacity);
-        Ok(EventLoop {
-            shared,
-            listener,
-            poller,
-            slab,
-            dirty: Vec::new(),
-            paused: Vec::new(),
-            scratch: vec![0u8; READ_CHUNK],
-        })
-    }
-
-    pub(crate) fn poller(&self) -> Arc<Poller> {
-        Arc::clone(&self.poller)
-    }
-
-    pub(crate) fn spawn(self) -> JoinHandle<()> {
-        std::thread::Builder::new()
-            .name("aft-net-io".to_owned())
-            .spawn(move || self.run())
-            .expect("spawn event loop thread")
+impl Reactor {
+    fn poller(&self) -> &Poller {
+        &self.shared.reactors[self.index].poller
     }
 
     fn run(mut self) {
         let mut events = Events::new();
-        loop {
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                break;
+        while !self.shared.shutdown.load(Ordering::Acquire) {
+            self.adopt_handed_over();
+            loop {
+                self.resume_paused();
+                if !self.run_queue() {
+                    break;
+                }
             }
-            self.drain_completions();
-            self.resume_paused();
             self.rearm_dirty();
             if self.shared.shutdown.load(Ordering::Acquire) {
                 break;
             }
-            if self.poller.wait(&mut events, None).is_err() {
+            if self.poller().wait(&mut events, None).is_err() {
                 break;
             }
             let mut accept_ready = false;
@@ -610,9 +501,20 @@ impl EventLoop {
     // ---- accept ---------------------------------------------------------
 
     fn accept_ready(&mut self) {
+        let reactors = self.shared.reactors.len() as u64;
         loop {
             match self.listener.accept() {
-                Ok((stream, _)) => self.register(stream),
+                Ok((stream, _)) => {
+                    let id = self.shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
+                    let owner = (id % reactors) as usize;
+                    if owner == self.index {
+                        self.register(id, stream);
+                    } else {
+                        let reactor = &self.shared.reactors[owner];
+                        reactor.inbox.lock().push((id, stream));
+                        reactor.wake();
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break,
@@ -620,23 +522,40 @@ impl EventLoop {
         }
         // Oneshot disarmed the listener when this event fired; re-arm it.
         let _ = self
-            .poller
-            .modify(&self.listener, Event::readable(LISTENER_KEY));
+            .poller()
+            .modify(&*self.listener, Event::readable(LISTENER_KEY));
     }
 
-    fn register(&mut self, stream: TcpStream) {
+    /// Registers the connections other reactors accepted for this one.
+    fn adopt_handed_over(&mut self) {
+        let handed = std::mem::take(&mut *self.shared.reactors[self.index].inbox.lock());
+        for (id, stream) in handed {
+            self.register(id, stream);
+        }
+    }
+
+    fn register(&mut self, id: u64, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
         if stream.set_nonblocking(true).is_err() {
             return;
         }
         let (slot, generation) = self.slab.claim();
-        if self.poller.add(&stream, Event::readable(slot)).is_err() {
+        if self.poller().add(&stream, Event::readable(slot)).is_err() {
             self.slab.release(slot, generation);
             return;
         }
-        let id = self.shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        let handle = Arc::new(ConnHandle::new(slot, generation, id, stream));
-        self.slab.occupy(slot, Box::new(ConnState::new(handle)));
+        let conn = Conn {
+            id,
+            stream,
+            decoder: FrameDecoder::new(),
+            out: Outbox::default(),
+            pending: VecDeque::new(),
+            queued: 0,
+            read_open: true,
+            paused: false,
+            dirty: false,
+        };
+        self.slab.occupy(slot, generation, conn);
         self.shared.stats.record_accept();
         self.shared
             .event_stats
@@ -644,7 +563,7 @@ impl EventLoop {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    // ---- per-connection events ------------------------------------------
+    // ---- reading --------------------------------------------------------
 
     fn on_conn_event(&mut self, event: Event) {
         let slot = event.key;
@@ -660,7 +579,7 @@ impl EventLoop {
         }
     }
 
-    /// Drains the socket into the decoder, then parses + dispatches.
+    /// Drains the socket into the decoder, then decodes and queues.
     fn do_read(&mut self, slot: usize) {
         let mut chunk = std::mem::take(&mut self.scratch);
         let mut saw_eof = false;
@@ -672,9 +591,9 @@ impl EventLoop {
             if !conn.read_open {
                 break;
             }
-            match (&conn.handle.stream).read(&mut chunk) {
+            match (&conn.stream).read(&mut chunk) {
                 Ok(0) => {
-                    conn.close_read();
+                    conn.read_open = false;
                     saw_eof = true;
                     break;
                 }
@@ -701,14 +620,15 @@ impl EventLoop {
             self.teardown(slot, Teardown::Reset);
             return;
         }
-        if !self.parse_and_dispatch(slot) {
+        if !self.decode_and_queue(slot) {
             return;
         }
         if saw_eof {
-            let Some(conn) = self.slab.get_mut(slot) else {
-                return;
-            };
-            if conn.decoder.has_partial() {
+            if self
+                .slab
+                .get_mut(slot)
+                .is_some_and(|conn| conn.decoder.has_partial())
+            {
                 // EOF mid-frame: a message was cut in half; same verdict as
                 // the blocking `read_frame` path.
                 self.teardown(slot, Teardown::Reset);
@@ -718,16 +638,13 @@ impl EventLoop {
         }
     }
 
-    /// Pulls complete frames out of the decoder and turns them into jobs.
-    /// Returns `false` if the connection was torn down.
-    fn parse_and_dispatch(&mut self, slot: usize) -> bool {
+    /// Pulls complete frames out of the decoder and queues them. Returns
+    /// `false` if the connection was torn down.
+    fn decode_and_queue(&mut self, slot: usize) -> bool {
         loop {
             let Some(conn) = self.slab.get_mut(slot) else {
                 return false;
             };
-            if conn.close_after_flush {
-                return true;
-            }
             match conn.decoder.next_frame() {
                 Ok(Some(payload)) => match decode_request(&payload) {
                     Ok((request_id, request)) => {
@@ -738,16 +655,17 @@ impl EventLoop {
                         self.submit(slot, request_id, request);
                     }
                     Err(e) => {
-                        // A peer speaking garbage gets one error frame and
-                        // the door — but only after queued responses flush.
+                        // A peer speaking garbage gets one error frame, after
+                        // the answers it is owed, and the door.
+                        conn.read_open = false;
                         self.shared.stats.record_error();
-                        self.queue_response(slot, 0, &WireResponse::Error(e));
-                        if let Some(conn) = self.slab.get_mut(slot) {
-                            conn.close_after_flush = true;
-                            conn.close_read();
+                        let answer = Work::Answer(WireResponse::Error(e));
+                        if conn.paused {
+                            conn.pending.push_back((0, answer));
+                        } else {
+                            self.enqueue(slot, 0, answer);
                         }
-                        self.do_write(slot);
-                        return self.slab.get_mut(slot).is_some();
+                        return true;
                     }
                 },
                 Ok(None) => break,
@@ -766,8 +684,9 @@ impl EventLoop {
         true
     }
 
-    /// Hands one decoded request to the worker pool, or parks it locally
-    /// (pausing the connection) when the queue is full.
+    /// Queues one decoded request, answers it `Overloaded` at once under
+    /// admission control, or parks it (pausing the connection) when the
+    /// queue is full.
     fn submit(&mut self, slot: usize, request_id: u64, request: WireRequest) {
         let capacity = self.shared.config.queue_capacity.max(1);
         let admission = self.shared.config.admission_limit;
@@ -775,15 +694,11 @@ impl EventLoop {
             return;
         };
         if conn.paused {
-            conn.pending.push_back((request_id, request));
+            conn.pending.push_back((request_id, Work::Run(request)));
             return;
         }
-        let handle = Arc::clone(&conn.handle);
-        let mut queue = self.shared.queue.lock();
-        if admission > 0
-            && queue.depth() >= admission
-            && !matches!(request, WireRequest::Commit { .. })
-        {
+        let depth = self.shared.depth.load(Ordering::Acquire);
+        if admission > 0 && depth >= admission && !matches!(request, WireRequest::Commit { .. }) {
             // Admission control: answer `Overloaded` now, while the client
             // can still usefully back off, instead of parking the request
             // behind a queue that is already too deep. Commits are exempt —
@@ -791,153 +706,188 @@ impl EventLoop {
             // refusing the commit would convert that work into waste;
             // overload is shed at the pipeline entry (the reads) instead,
             // and commits stay bounded by `queue_capacity` backpressure.
-            drop(queue);
             self.shared.stats.record_overload_rejection();
             let rejection = WireResponse::Error(AftError::Overloaded(
-                "worker queue is full; retry with backoff".to_owned(),
+                "request queue is full; retry with backoff".to_owned(),
             ));
-            self.queue_response(slot, request_id, &rejection);
-            self.do_write(slot);
+            self.enqueue(slot, request_id, Work::Answer(rejection));
             return;
         }
-        if queue.depth() >= capacity {
-            drop(queue);
+        if depth >= capacity {
             conn.paused = true;
-            conn.pending.push_back((request_id, request));
+            conn.pending.push_back((request_id, Work::Run(request)));
             self.shared
                 .event_stats
                 .pauses
                 .fetch_add(1, Ordering::Relaxed);
             self.mark_dirty(slot);
-            if !self.paused.contains(&slot) {
-                self.paused.push(slot);
-            }
+            self.paused.push(slot);
             return;
         }
-        handle.inflight.fetch_add(1, Ordering::AcqRel);
-        queue.push(Job {
-            handle,
+        self.enqueue(slot, request_id, Work::Run(request));
+    }
+
+    /// Puts a job on the queue; a request to run counts toward the
+    /// server-wide depth.
+    fn enqueue(&mut self, slot: usize, request_id: u64, work: Work) {
+        let Some((generation, conn)) = self.slab.entry(slot) else {
+            return;
+        };
+        conn.queued += 1;
+        if matches!(work, Work::Run(_)) {
+            self.shared.depth.fetch_add(1, Ordering::AcqRel);
+        }
+        self.queue.push(Job {
+            slot,
+            generation,
+            conn: conn.id,
             request_id,
-            request,
+            work,
             enqueued: Instant::now(),
         });
-        drop(queue);
-        self.shared.queue_cv.notify_one();
     }
 
     /// Moves pending requests of paused connections into freed queue space.
+    /// Pending requests were already accepted (they pre-date the pause), so
+    /// they bypass admission control and contend only with
+    /// `queue_capacity`.
     fn resume_paused(&mut self) {
         if self.paused.is_empty() {
             return;
         }
         let capacity = self.shared.config.queue_capacity.max(1);
-        let paused = std::mem::take(&mut self.paused);
-        for slot in paused {
-            let Some(conn) = self.slab.get_mut(slot) else {
-                continue;
-            };
-            if !conn.paused {
-                continue;
+        for slot in std::mem::take(&mut self.paused) {
+            while let Some(conn) = self.slab.get_mut(slot) {
+                if self.shared.depth.load(Ordering::Acquire) >= capacity {
+                    self.paused.push(slot);
+                    break;
+                }
+                let Some((request_id, work)) = conn.pending.pop_front() else {
+                    conn.paused = false;
+                    // Reads resume at the re-arm.
+                    self.mark_dirty(slot);
+                    break;
+                };
+                self.enqueue(slot, request_id, work);
             }
-            let handle = Arc::clone(&conn.handle);
-            let mut submitted = 0usize;
-            let mut full = false;
-            {
-                // Pending requests were already accepted (they pre-date the
-                // pause), so resuming them bypasses admission control and
-                // contends only with `queue_capacity`.
-                let mut queue = self.shared.queue.lock();
-                while let Some((request_id, request)) = conn.pending.pop_front() {
-                    if queue.depth() >= capacity {
-                        conn.pending.push_front((request_id, request));
-                        full = true;
-                        break;
+        }
+    }
+
+    // ---- running --------------------------------------------------------
+
+    /// Runs every queued job, answering each on its connection. Returns
+    /// whether any ran.
+    fn run_queue(&mut self) -> bool {
+        let capacity = self.shared.config.queue_capacity.max(1);
+        let deadline = self.shared.config.queue_deadline;
+        let mut ran = false;
+        while let Some(job) = self.queue.pop() {
+            ran = true;
+            let response = match job.work {
+                Work::Answer(response) => response,
+                Work::Run(request) => {
+                    if self.shared.depth.fetch_sub(1, Ordering::AcqRel) == capacity {
+                        // The queue just dropped below capacity: paused
+                        // connections on other reactors may now have room.
+                        for (i, reactor) in self.shared.reactors.iter().enumerate() {
+                            if i != self.index {
+                                reactor.wake();
+                            }
+                        }
                     }
-                    handle.inflight.fetch_add(1, Ordering::AcqRel);
-                    queue.push(Job {
-                        handle: Arc::clone(&handle),
-                        request_id,
-                        request,
-                        enqueued: Instant::now(),
-                    });
-                    submitted += 1;
+                    if self.slab.get_live(job.slot, job.generation).is_none() {
+                        continue;
+                    }
+                    // Shedding: a job past its queue-age deadline is
+                    // answered `Overloaded` without executing. Safe by
+                    // construction — nothing was applied and nothing acked,
+                    // so the client's retry is the first execution, not a
+                    // duplicate.
+                    let response = if !deadline.is_zero() && job.enqueued.elapsed() > deadline {
+                        self.shared.stats.record_shed();
+                        WireResponse::Error(AftError::Overloaded(format!(
+                            "request shed after waiting past the {deadline:?} queue deadline"
+                        )))
+                    } else {
+                        let response = self.shared.execute(&request);
+                        if matches!(response, WireResponse::Error(_)) {
+                            self.shared.stats.record_error();
+                        }
+                        response
+                    };
+                    let deliver = {
+                        let filter = self.shared.filter.lock().clone();
+                        filter.is_none_or(|f| f.deliver(job.request_id, &response))
+                    };
+                    if !deliver {
+                        // The chaos hook ate the ack: the work (if any) is
+                        // done and durable, the client never hears about
+                        // it, and the connection resets — exactly the
+                        // crash-after-commit interleaving.
+                        self.shared.stats.record_dropped_ack();
+                        self.teardown(job.slot, Teardown::Reset);
+                        continue;
+                    }
+                    response
                 }
-            }
-            for _ in 0..submitted {
-                self.shared.queue_cv.notify_one();
-            }
-            if full {
-                self.paused.push(slot);
-            } else {
-                conn.paused = false;
-                self.mark_dirty(slot);
-                // Reads resume; anything still undecoded parses next event.
-                self.maybe_finish(slot);
-            }
-        }
-    }
-
-    // ---- completions (workers → loop) -----------------------------------
-
-    fn drain_completions(&mut self) {
-        loop {
-            let batch: VecDeque<Completion> = {
-                let mut completions = self.shared.completions.lock();
-                if completions.is_empty() {
-                    return;
-                }
-                std::mem::take(&mut *completions)
             };
-            self.shared
-                .event_stats
-                .completions
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            for completion in batch {
-                self.apply_completion(completion);
-            }
+            self.respond(job.slot, job.generation, job.request_id, &response);
         }
+        ran
     }
 
-    fn apply_completion(&mut self, completion: Completion) {
-        let handle = completion.handle;
-        let slot = handle.slot;
-        let live = self
-            .slab
-            .get_mut(slot)
-            .is_some_and(|conn| conn.handle.generation == handle.generation);
-        if !live {
-            // The connection died first; the response is dropped exactly as
-            // a dead TCP peer would drop it. Any commit it carried is in the
-            // dedup ledger for the client's retry.
+    /// Frames `response` onto its connection and writes it once it is the
+    /// connection's last queued one.
+    fn respond(&mut self, slot: usize, generation: u64, request_id: u64, response: &WireResponse) {
+        let shared = &self.shared;
+        let Some(conn) = self.slab.get_live(slot, generation) else {
             return;
-        }
-        match completion.action {
-            CompletionAction::Flush => self.do_write(slot),
-            CompletionAction::Reset => self.teardown(slot, Teardown::Reset),
-        }
-    }
-
-    // ---- write path ------------------------------------------------------
-
-    /// Frames a response the loop itself answers (an admission rejection or
-    /// a garbage-frame error) and queues it on `slot`.
-    fn queue_response(&mut self, slot: usize, request_id: u64, response: &WireResponse) {
-        let mut frame = self.shared.pool.take();
+        };
+        conn.queued -= 1;
+        // Encoded once, into the frame that goes on the wire.
+        let mut frame = shared.pool.take();
         if response_frame(&mut frame, request_id, response).is_err() {
-            // Responses are encoded server-side and never exceed the cap;
-            // defensively reset rather than send an unframeable reply.
-            self.shared.pool.give(frame);
+            // Responses never exceed the cap; defensively reset rather than
+            // send an unframeable reply.
+            shared.pool.give(frame);
             self.teardown(slot, Teardown::Reset);
             return;
         }
-        let Some(conn) = self.slab.get_mut(slot) else {
+        if conn.queued > 0 || !conn.out.frames.is_empty() {
+            // More answers follow, and leave together; or frames wait
+            // ahead of this one.
+            conn.out.push(frame, 0, &shared.event_stats);
+            if conn.queued == 0 {
+                self.do_write(slot);
+            }
             return;
-        };
-        conn.handle
-            .out
-            .lock()
-            .push(frame, 0, &self.shared.event_stats);
-        self.mark_dirty(slot);
+        }
+        match write_once(&conn.stream, &frame) {
+            Ok(n) if n == frame.len() => {
+                shared.event_stats.count_write(n);
+                shared
+                    .event_stats
+                    .frames_written
+                    .fetch_add(1, Ordering::Relaxed);
+                shared.pool.give(frame);
+                self.maybe_finish(slot);
+            }
+            // A full socket took part of the frame, or none of it: the rest
+            // waits for write readiness.
+            Ok(n) if n > 0 => {
+                shared.event_stats.count_write(n);
+                conn.out.push(frame, n, &shared.event_stats);
+                self.mark_dirty(slot);
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                conn.out.push(frame, 0, &shared.event_stats);
+                self.mark_dirty(slot);
+            }
+            _ => {
+                shared.pool.give(frame);
+                self.teardown(slot, Teardown::Reset);
+            }
+        }
     }
 
     /// Flushes as much of the connection's queue as the socket accepts,
@@ -946,17 +896,12 @@ impl EventLoop {
         let Some(conn) = self.slab.get_mut(slot) else {
             return;
         };
-        let handle = &conn.handle;
-        let flushed =
-            handle
-                .out
-                .lock()
-                .flush(&handle.stream, &self.shared.event_stats, &self.shared.pool);
-        let condemned = conn.close_after_flush;
+        let flushed = conn
+            .out
+            .flush(&conn.stream, &self.shared.event_stats, &self.shared.pool);
         match flushed {
             Err(_) => self.teardown(slot, Teardown::Reset),
             Ok(false) => self.mark_dirty(slot),
-            Ok(true) if condemned => self.teardown(slot, Teardown::Finished),
             Ok(true) => {
                 self.mark_dirty(slot);
                 self.maybe_finish(slot);
@@ -967,40 +912,32 @@ impl EventLoop {
     // ---- lifecycle -------------------------------------------------------
 
     /// Tears the connection down if it owes nothing more: read side closed,
-    /// no pending or in-flight requests, write queue flushed.
+    /// no pending or queued requests, write queue flushed.
     fn maybe_finish(&mut self, slot: usize) {
-        let Some(conn) = self.slab.get_mut(slot) else {
-            return;
-        };
-        let done = !conn.read_open && !conn.decoder.has_partial() && conn.pending.is_empty() && {
-            // Under the write lock, against a worker's `job_done`.
-            let out = conn.handle.out.lock();
-            out.frames.is_empty() && conn.handle.inflight.load(Ordering::Acquire) == 0
-        };
+        let done = self.slab.get_mut(slot).is_some_and(|conn| {
+            !conn.read_open
+                && conn.pending.is_empty()
+                && conn.queued == 0
+                && conn.out.frames.is_empty()
+        });
         if done {
             self.teardown(slot, Teardown::Finished);
         }
     }
 
     fn teardown(&mut self, slot: usize, kind: Teardown) {
-        let Some(conn) = self.slab.remove(slot) else {
+        let Some(mut conn) = self.slab.remove(slot) else {
             return;
         };
-        let handle = &conn.handle;
-        let _ = self.poller.delete(&handle.stream);
+        let _ = self.poller().delete(&conn.stream);
         self.shared.stats.record_close();
-        // The descriptor closes with the handle's last holder, which may be
-        // a worker still finishing a job; the shutdown tells the peer now.
         let how = match kind {
             Teardown::Finished => Shutdown::Write,
             Teardown::Reset => Shutdown::Both,
         };
-        let _ = handle.stream.shutdown(how);
-        {
-            let mut out = handle.out.lock();
-            out.closed = true;
-            out.discard(&self.shared.event_stats, &self.shared.pool);
-        }
+        let _ = conn.stream.shutdown(how);
+        conn.out
+            .discard(&self.shared.event_stats, &self.shared.pool);
         self.shared
             .event_stats
             .conns_open
@@ -1012,7 +949,7 @@ impl EventLoop {
         for slot in self.slab.occupied_slots() {
             self.teardown(slot, Teardown::Reset);
         }
-        let _ = self.poller.delete(&self.listener);
+        let _ = self.poller().delete(&*self.listener);
     }
 
     // ---- interest management --------------------------------------------
@@ -1030,41 +967,29 @@ impl EventLoop {
     /// Oneshot delivery disarms a source, so *any* event or state change
     /// requires an explicit `modify` to keep receiving readiness.
     fn rearm_dirty(&mut self) {
-        let dirty = std::mem::take(&mut self.dirty);
-        for slot in dirty {
+        for slot in std::mem::take(&mut self.dirty) {
             let Some(conn) = self.slab.get_mut(slot) else {
                 continue;
             };
             conn.dirty = false;
-            let (queued_bytes, writable) = {
-                let out = conn.handle.out.lock();
-                (out.bytes, !out.frames.is_empty())
-            };
             // Read interest stops while paused (backpressure), after the
-            // read side closed, once the conn is condemned, or while the
-            // peer refuses to drain its responses (write throttle).
-            let readable = conn.read_open
-                && !conn.paused
-                && !conn.close_after_flush
-                && queued_bytes < WRITE_BUFFER_CAP;
+            // read side closed, or while the peer refuses to drain its
+            // responses (write throttle).
             let interest = Event {
                 key: slot,
-                readable,
-                writable,
+                readable: conn.read_open && !conn.paused && conn.out.bytes < WRITE_BUFFER_CAP,
+                writable: !conn.out.frames.is_empty(),
             };
-            if self.poller.modify(&conn.handle.stream, interest).is_err() {
+            let stream = &conn.stream;
+            if self.shared.reactors[self.index]
+                .poller
+                .modify(stream, interest)
+                .is_err()
+            {
                 self.teardown(slot, Teardown::Reset);
             }
         }
     }
-}
-
-/// A connected loopback socket, for tests that need a handle.
-#[cfg(test)]
-pub(crate) fn test_handle(slot: usize, generation: u64, id: u64) -> Arc<ConnHandle> {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-    Arc::new(ConnHandle::new(slot, generation, id, stream))
 }
 
 #[cfg(test)]
@@ -1076,21 +1001,21 @@ mod tests {
         let mut slab = Slab::with_capacity(4);
         let (slot, generation) = slab.claim();
         assert_eq!((slot, generation), (0, 0));
-        slab.occupy(
-            slot,
-            Box::new(ConnState::new(test_handle(slot, generation, 0))),
-        );
+        slab.occupy(slot, generation, "first");
         assert_eq!(slab.live, 1);
-        assert!(slab.remove(slot).is_some());
+        assert_eq!(slab.remove(slot), Some("first"));
         assert_eq!(slab.live, 0);
         let (slot2, generation2) = slab.claim();
         assert_eq!(slot2, slot, "slot is recycled");
         assert_eq!(generation2, 1, "generation advanced");
+        slab.occupy(slot2, generation2, "second");
+        assert_eq!(slab.get_live(slot, generation), None, "a stale job misses");
+        assert_eq!(slab.get_live(slot2, generation2), Some(&mut "second"));
     }
 
     #[test]
     fn released_slots_are_reusable() {
-        let mut slab = Slab::with_capacity(2);
+        let mut slab = Slab::<()>::with_capacity(2);
         let (slot, generation) = slab.claim();
         slab.release(slot, generation);
         let (slot2, generation2) = slab.claim();

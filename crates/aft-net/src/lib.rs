@@ -8,14 +8,14 @@
 //! * [`frame`] — length-prefixed framing over any `Read`/`Write` stream,
 //!   with a hard size cap so hostile lengths cannot OOM either peer.
 //! * [`server`] — [`server::AftServer`]: a `std::net` TCP listener fronting
-//!   an `aft-cluster` [`Cluster`](aft_cluster::Cluster). A
-//!   single readiness-driven event-loop thread (see [`event_loop`]) reads
-//!   every socket through incremental frame decoders and demultiplexes
-//!   pipelined requests into a sized worker pool, whose workers write their
-//!   own responses (the loop flushes only a backlog, with vectored writes),
-//!   so connections scale to thousands while thread count stays
-//!   O(workers). Responses carry the client's request id and
-//!   may complete out of order. `Commit` is deduplicated on the transaction
+//!   an `aft-cluster` [`Cluster`](aft_cluster::Cluster). A sized set of
+//!   readiness-driven reactor threads (see [`event_loop`]) shares the
+//!   connections round robin; the reactor that owns a connection reads it
+//!   through an incremental frame decoder, runs each request and writes
+//!   the response itself (batching a pipelined burst into one vectored
+//!   write), so connections scale to thousands while thread count stays
+//!   `workers`. Responses carry the client's request id and come back in
+//!   the order each connection sent its requests. `Commit` is deduplicated on the transaction
 //!   UUID, which closes §4.2's lost-acknowledgement window *end to end*: a
 //!   client that resends a commit whose ack died with the connection gets
 //!   the original outcome, never a second apply.

@@ -1,24 +1,22 @@
 //! The AFT wire-protocol server.
 //!
 //! [`AftServer`] fronts an `aft-cluster` [`Cluster`] with a `std::net` TCP
-//! listener. One readiness-driven I/O thread accepts connections and reads
-//! them — nonblocking reads into incremental frame decoders — behind the
-//! vendored `polling` poller. Connections live in a slab of per-connection
-//! state machines, so thread count is O(workers) while connections scale to
-//! thousands. See [`crate::event_loop`] for the state-machine details.
+//! listener and `workers` **reactor threads**, and no other thread. Each
+//! accepted connection belongs to one reactor, round robin by connection
+//! id. That reactor reads the connection (nonblocking reads into an
+//! incremental frame decoder, behind its own `polling` poller), runs each
+//! request against the cluster (routing through the round-robin router,
+//! with per-transaction node affinity), encodes the response once, straight
+//! into its wire frame, and writes it. A request never crosses threads:
+//! there is no hand-off to wake, and thread count is `workers` while
+//! connections scale to thousands. See [`crate::event_loop`] for the
+//! per-connection state machine.
 //!
-//! A **sized worker pool** drains one shared queue, executes each request
-//! against the cluster (routing through the round-robin router, with
-//! per-transaction node affinity), encodes the response once, straight into
-//! its wire frame, and writes it to the originating connection itself when
-//! nothing is queued there. A request thus wakes the I/O thread once, to
-//! read it; only a backlog, a partial write or a reset goes back to the I/O
-//! thread, through a wakeable completion queue, for a vectored flush.
-//!
-//! Because workers are shared, two pipelined requests from one connection
-//! execute concurrently and their responses — which carry the client's
-//! request ids — may be written in either order; out-of-order completion is
-//! the *normal* case under pipelining, not an edge case.
+//! A connection's requests run one at a time, in arrival order, so its
+//! pipelined responses come back in the order they were sent. Requests on
+//! different connections run in parallel when their connections belong to
+//! different reactors. A request that blocks (a commit waiting on slow
+//! storage) holds up only the connections of its own reactor.
 //!
 //! ## Transaction affinity and the commit ledger
 //!
@@ -46,37 +44,40 @@
 //!
 //! Three independent, builder-configured mechanisms keep a saturated server
 //! *useful* instead of merely not-crashing (all off by default except
-//! backpressure):
+//! backpressure). Each reactor queues the requests it decodes in one
+//! iteration before running them; the mechanisms act on those queues, and
+//! the two limits read one server-wide depth, the requests queued on every
+//! reactor:
 //!
 //! * **Admission control** ([`ServerBuilder::admission_limit`]): when the
-//!   worker queue is already at the limit, a new request is rejected
+//!   queued requests already reach the limit, a new request is rejected
 //!   immediately with the typed, retryable [`AftError::Overloaded`] instead
-//!   of being parked — the client backs off with decorrelated jitter rather
+//!   of being queued — the client backs off with decorrelated jitter rather
 //!   than piling more latency onto the queue. Commit requests are exempt:
 //!   the server has already executed their transaction's reads, and
 //!   rejecting the commit would convert that finished work into waste, so
 //!   load is refused at the pipeline entry (the reads) instead.
-//! * **Load shedding** ([`ServerBuilder::queue_deadline`]): a job that
-//!   waited in the queue longer than the deadline is answered `Overloaded`
-//!   *without being executed*. Shedding is always safe: a shed commit was
-//!   never applied and never acknowledged, so the client's retry is the
-//!   first execution, not a duplicate.
+//! * **Load shedding** ([`ServerBuilder::queue_deadline`]): a request that
+//!   waited in its reactor's queue longer than the deadline is answered
+//!   `Overloaded` *without being executed*. Shedding is always safe: a shed
+//!   commit was never applied and never acknowledged, so the client's retry
+//!   is the first execution, not a duplicate.
 //! * **Fair queuing** ([`ServerBuilder::fair_queuing`]): one lane per
 //!   connection, drained round-robin, so a single pipelining firehose
-//!   cannot starve every other client's requests behind its backlog.
+//!   cannot starve the other connections of its reactor behind its backlog.
 //!
-//! `queue_capacity` backpressure (stop reading a socket while the pool is
-//! saturated) remains underneath all three.
+//! `queue_capacity` backpressure (stop reading a socket while the queued
+//! requests fill it) remains underneath all three.
 //!
 //! ## Shutdown
 //!
 //! [`AftServer::shutdown`] is graceful and idempotent: it stops accepting,
-//! closes every connection, drains the workers, and joins all threads.
+//! closes every connection, and joins the reactor threads.
 //! Dropping the server shuts it down.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -87,11 +88,9 @@ use aft_core::AftNode;
 use aft_types::wire::{WireRequest, WireResponse, WireStats};
 use aft_types::{AftError, AftResult, Key, TransactionId, Uuid, Value};
 use parking_lot::{Condvar, Mutex};
-use polling::Poller;
 
 use crate::buffer::BufferPool;
-use crate::event_loop::{self, Completion, ConnHandle, EventLoop, EventSnapshot, EventStats};
-use crate::frame::response_frame;
+use crate::event_loop::{self, EventSnapshot, EventStats, ReactorHandle};
 use crate::stats::ServiceStats;
 
 /// Tuning of an [`AftServer`]; built with [`AftServer::builder`].
@@ -130,12 +129,14 @@ impl ServerConfig {
         }
     }
 
-    /// Worker threads executing requests.
+    /// Reactor threads, each reading, running and answering its own
+    /// connections.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Decoded requests allowed to wait for a worker before backpressure.
+    /// Decoded requests allowed to wait, over every reactor, before
+    /// backpressure.
     pub fn queue_capacity(&self) -> usize {
         self.queue_capacity
     }
@@ -165,8 +166,9 @@ pub struct ServerBuilder {
 }
 
 impl ServerBuilder {
-    /// Worker threads executing requests (clamped to ≥ 1); the pool is
-    /// shared by every connection.
+    /// Reactor threads (clamped to ≥ 1). Each owns the connections given to
+    /// it at accept, round robin, and reads, runs and answers their
+    /// requests itself.
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers.max(1);
         self
@@ -188,28 +190,28 @@ impl ServerBuilder {
         self
     }
 
-    /// Decoded requests allowed to wait for a worker before the server
-    /// stops pulling from sockets (backpressure): a client that pipelines
-    /// faster than the pool drains is throttled by TCP instead of growing
-    /// server memory without bound.
+    /// Decoded requests allowed to wait to run, summed over the reactors,
+    /// before the server stops pulling from sockets (backpressure): a
+    /// client that pipelines faster than its reactor drains is throttled by
+    /// TCP instead of growing server memory without bound.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.config.queue_capacity = capacity.max(1);
         self
     }
 
-    /// Connection slots preallocated in the event loop's slab (it grows
+    /// Connection slots preallocated over the reactors' slabs (they grow
     /// beyond this; the knob sizes the warm path).
     pub fn slab_capacity(mut self, capacity: usize) -> Self {
         self.config.slab_capacity = capacity.max(1);
         self
     }
 
-    /// Admission control: when the worker queue already holds this many
-    /// requests, a newly arrived one is rejected immediately with the
-    /// typed, retryable [`AftError::Overloaded`] instead of queueing.
-    /// Commits bypass the check — their transaction's reads were already
-    /// executed, and refusing the commit would waste that work; they stay
-    /// bounded by `queue_capacity` backpressure. `0` (the default)
+    /// Admission control: when the reactors' queues already hold this many
+    /// requests between them, a newly arrived one is rejected immediately
+    /// with the typed, retryable [`AftError::Overloaded`] instead of
+    /// queueing. Commits bypass the check — their transaction's reads were
+    /// already executed, and refusing the commit would waste that work; they
+    /// stay bounded by `queue_capacity` backpressure. `0` (the default)
     /// disables admission control. Set it below `queue_capacity`, or
     /// per-socket backpressure pauses reads before admission ever gets to
     /// reject.
@@ -219,7 +221,7 @@ impl ServerBuilder {
     }
 
     /// Load shedding by queue age: a request that waited longer than this
-    /// in the worker queue is answered [`AftError::Overloaded`] without
+    /// in its reactor's queue is answered [`AftError::Overloaded`] without
     /// being executed — its latency budget is already blown, so executing
     /// it would only delay fresher requests behind it. Always safe: a shed
     /// commit was never applied and never acknowledged. `ZERO` (the
@@ -229,10 +231,10 @@ impl ServerBuilder {
         self
     }
 
-    /// Per-client fair queuing: one lane per connection, drained
-    /// round-robin, so one pipelining firehose cannot starve other
-    /// connections' requests behind its backlog. Off by default (plain
-    /// FIFO).
+    /// Per-client fair queuing: one lane per connection in each reactor's
+    /// queue, drained round-robin, so one pipelining firehose cannot starve
+    /// its reactor's other connections behind its backlog. Off by default
+    /// (plain FIFO).
     pub fn fair_queuing(mut self, fair: bool) -> Self {
         self.config.fair_queuing = fair;
         self
@@ -258,28 +260,39 @@ pub trait ResponseFilter: Send + Sync {
     fn deliver(&self, request_id: u64, response: &WireResponse) -> bool;
 }
 
-/// A decoded request awaiting a worker.
+/// What a queued request asks of its reactor.
+pub(crate) enum Work {
+    /// Run the request through `ServerShared::execute`.
+    Run(WireRequest),
+    /// Send a response decided at read time (an admission rejection or a
+    /// garbage-frame error), in its place among the connection's responses.
+    Answer(WireResponse),
+}
+
+/// A decoded request awaiting its reactor.
 pub(crate) struct Job {
-    /// The originating connection; its `id` is the fair-queuing lane key.
-    pub(crate) handle: Arc<ConnHandle>,
+    /// The connection's slab slot and generation on its reactor.
+    pub(crate) slot: usize,
+    pub(crate) generation: u64,
+    /// Server-wide connection id: the fair-queuing lane key.
+    pub(crate) conn: u64,
     pub(crate) request_id: u64,
-    pub(crate) request: WireRequest,
+    pub(crate) work: Work,
     /// When the job entered the queue, for deadline-based shedding.
     pub(crate) enqueued: Instant,
 }
 
-/// The worker queue: plain FIFO, or one lane per connection drained
-/// round-robin when fair queuing is on. The lane key is the connection id,
-/// so a single connection pipelining thousands of requests only ever has
-/// one request in flight toward the workers per full rotation — other
-/// clients' requests are not stuck behind its backlog.
+/// A reactor's request queue: plain FIFO, or one lane per connection
+/// drained round-robin when fair queuing is on. The lane key is the
+/// connection id, so a single connection pipelining thousands of requests
+/// only ever has one request run per full rotation — other clients'
+/// requests are not stuck behind its backlog.
 pub(crate) struct JobQueue {
     fair: bool,
     fifo: VecDeque<Job>,
     lanes: HashMap<u64, VecDeque<Job>>,
     /// Round-robin order over lanes that currently hold jobs.
     rotation: VecDeque<u64>,
-    len: usize,
 }
 
 impl JobQueue {
@@ -289,22 +302,14 @@ impl JobQueue {
             fifo: VecDeque::new(),
             lanes: HashMap::new(),
             rotation: VecDeque::new(),
-            len: 0,
         }
     }
 
-    /// Number of queued jobs across all lanes. (Named `depth` rather than
-    /// `len` because the queue is a scheduling structure, not a container.)
-    pub(crate) fn depth(&self) -> usize {
-        self.len
-    }
-
     pub(crate) fn push(&mut self, job: Job) {
-        self.len += 1;
         if self.fair {
-            let lane = self.lanes.entry(job.handle.id).or_default();
+            let lane = self.lanes.entry(job.conn).or_default();
             if lane.is_empty() {
-                self.rotation.push_back(job.handle.id);
+                self.rotation.push_back(job.conn);
             }
             lane.push_back(job);
         } else {
@@ -313,22 +318,19 @@ impl JobQueue {
     }
 
     pub(crate) fn pop(&mut self) -> Option<Job> {
-        let job = if self.fair {
-            let source = self.rotation.pop_front()?;
-            let lane = self.lanes.get_mut(&source)?;
-            let job = lane.pop_front()?;
-            if lane.is_empty() {
-                // Drop empty lanes so the map tracks live connections, not
-                // every connection ever accepted.
-                self.lanes.remove(&source);
-            } else {
-                self.rotation.push_back(source);
-            }
-            Some(job)
+        if !self.fair {
+            return self.fifo.pop_front();
+        }
+        let source = self.rotation.pop_front()?;
+        let lane = self.lanes.get_mut(&source)?;
+        let job = lane.pop_front()?;
+        if lane.is_empty() {
+            // Drop empty lanes so the map tracks live connections, not
+            // every connection ever accepted.
+            self.lanes.remove(&source);
         } else {
-            self.fifo.pop_front()
-        }?;
-        self.len -= 1;
+            self.rotation.push_back(source);
+        }
         Some(job)
     }
 }
@@ -421,48 +423,26 @@ pub(crate) struct ServerShared {
     cluster: Arc<Cluster>,
     pub(crate) stats: Arc<ServiceStats>,
     pub(crate) config: ServerConfig,
-    pub(crate) queue: Mutex<JobQueue>,
-    pub(crate) queue_cv: Condvar,
+    /// One per reactor thread, indexed like them.
+    pub(crate) reactors: Vec<ReactorHandle>,
+    /// Requests queued to run, summed over the reactors: what admission
+    /// control and `queue_capacity` read.
+    pub(crate) depth: AtomicUsize,
     ledger: Mutex<CommitLedger>,
     ledger_cv: Condvar,
     affinity: Mutex<AffinityMap>,
-    filter: Mutex<Option<Arc<dyn ResponseFilter>>>,
-    /// Socket I/O counters, kept by the loop and by workers writing their
-    /// own responses.
+    pub(crate) filter: Mutex<Option<Arc<dyn ResponseFilter>>>,
+    /// Socket I/O counters, summed over the reactors.
     pub(crate) event_stats: EventStats,
-    /// Frame buffers, shared by workers encoding responses and the loop.
+    /// Frame buffers, shared by the reactors.
     pub(crate) pool: BufferPool,
-    /// Worker→event-loop completions, drained by the loop on each wake.
-    pub(crate) completions: Mutex<VecDeque<Completion>>,
-    /// The event loop's poller, for waking it from workers and shutdown.
-    io_waker: Mutex<Option<Arc<Poller>>>,
-    /// Monotonic connection ids — the fair-queuing lane keys.
+    /// Monotonic connection ids: the fair-queuing lane keys, and the round
+    /// robin that gives each connection its reactor.
     pub(crate) next_conn_id: AtomicU64,
     pub(crate) shutdown: AtomicBool,
 }
 
 impl ServerShared {
-    /// Wakes the event loop out of its poll wait.
-    pub(crate) fn wake_io(&self) {
-        if let Some(poller) = self.io_waker.lock().as_ref() {
-            let _ = poller.notify();
-        }
-    }
-
-    /// Queues a completion for the event loop, waking it on the
-    /// empty→non-empty transition (a pending wake byte covers the rest).
-    pub(crate) fn push_completion(&self, completion: Completion) {
-        let was_empty = {
-            let mut completions = self.completions.lock();
-            let was_empty = completions.is_empty();
-            completions.push_back(completion);
-            was_empty
-        };
-        if was_empty {
-            self.wake_io();
-        }
-    }
-
     /// The node pinned to `txid`, routing and pinning on first touch.
     fn node_for(&self, txid: &TransactionId) -> AftResult<Arc<AftNode>> {
         let mut affinity = self.affinity.lock();
@@ -478,7 +458,7 @@ impl ServerShared {
         self.affinity.lock().map.remove(uuid)
     }
 
-    fn execute(&self, request: &WireRequest) -> WireResponse {
+    pub(crate) fn execute(&self, request: &WireRequest) -> WireResponse {
         self.stats.record_request();
         match request {
             WireRequest::Ping => WireResponse::Pong,
@@ -555,8 +535,8 @@ impl ServerShared {
                     ledger.in_progress.insert(txid.uuid);
                     break;
                 }
-                // A pipelined duplicate is being applied right now on
-                // another worker; wait for its verdict rather than racing.
+                // A duplicate is being applied right now on another
+                // reactor; wait for its verdict rather than racing.
                 if self.shutdown.load(Ordering::Acquire) {
                     return WireResponse::Error(AftError::Unavailable(
                         "server is shutting down".to_owned(),
@@ -596,77 +576,12 @@ impl ServerShared {
     }
 }
 
-fn worker_loop(shared: Arc<ServerShared>) {
-    let capacity = shared.config.queue_capacity.max(1);
-    let deadline = shared.config.queue_deadline;
-    loop {
-        let job = {
-            let mut queue = shared.queue.lock();
-            loop {
-                if let Some(job) = queue.pop() {
-                    if queue.depth() + 1 >= capacity {
-                        // The queue just dropped below capacity: paused
-                        // event-loop connections may now have room.
-                        shared.wake_io();
-                    }
-                    break job;
-                }
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                shared.queue_cv.wait(&mut queue);
-            }
-        };
-        // Shedding: a job past its queue-age deadline is answered
-        // `Overloaded` without executing. Safe by construction — nothing
-        // was applied and nothing acked, so the client's retry is the
-        // first execution, not a duplicate.
-        let shed = !deadline.is_zero() && job.enqueued.elapsed() > deadline;
-        let response = if shed {
-            shared.stats.record_shed();
-            WireResponse::Error(AftError::Overloaded(format!(
-                "request shed after waiting past the {deadline:?} queue deadline"
-            )))
-        } else {
-            let response = shared.execute(&job.request);
-            if matches!(response, WireResponse::Error(_)) {
-                shared.stats.record_error();
-            }
-            response
-        };
-        let deliver = {
-            let filter = shared.filter.lock().clone();
-            filter.is_none_or(|f| f.deliver(job.request_id, &response))
-        };
-        if !deliver {
-            // The chaos hook ate the ack: the work (if any) is done and
-            // durable, the client never hears about it, and the connection
-            // resets — exactly the crash-after-commit interleaving.
-            shared.stats.record_dropped_ack();
-            event_loop::reset(&shared, job.handle);
-            continue;
-        }
-        // Encoded once, into the frame that goes on the wire.
-        let mut frame = shared.pool.take();
-        match response_frame(&mut frame, job.request_id, &response) {
-            Ok(()) => event_loop::respond(&shared, job.handle, frame),
-            Err(_) => {
-                // Responses never exceed the cap; defensively reset rather
-                // than send an unframeable reply.
-                shared.pool.give(frame);
-                event_loop::reset(&shared, job.handle);
-            }
-        }
-    }
-}
-
 /// A running AFT service endpoint. See the module docs for the threading
 /// model.
 pub struct AftServer {
     shared: Arc<ServerShared>,
     addr: SocketAddr,
-    io: Mutex<Option<JoinHandle<()>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    reactors: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl AftServer {
@@ -683,41 +598,29 @@ impl AftServer {
         let addr = listener
             .local_addr()
             .map_err(|e| AftError::Unavailable(format!("local_addr: {e}")))?;
+        let reactors = (0..config.workers.max(1))
+            .map(|_| ReactorHandle::new())
+            .collect::<AftResult<Vec<_>>>()?;
         let shared = Arc::new(ServerShared {
             cluster,
             stats: Arc::new(ServiceStats::default()),
-            queue: Mutex::new(JobQueue::new(config.fair_queuing)),
-            queue_cv: Condvar::new(),
+            reactors,
+            depth: AtomicUsize::new(0),
             ledger: Mutex::new(CommitLedger::new(config.dedup_capacity)),
             ledger_cv: Condvar::new(),
             affinity: Mutex::new(AffinityMap::new(config.affinity_capacity)),
             filter: Mutex::new(None),
             event_stats: EventStats::default(),
             pool: event_loop::frame_pool(config.slab_capacity),
-            completions: Mutex::new(VecDeque::new()),
-            io_waker: Mutex::new(None),
             next_conn_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             config,
         });
-        let event_loop = EventLoop::new(Arc::clone(&shared), listener)?;
-        *shared.io_waker.lock() = Some(event_loop.poller());
-        let io = event_loop.spawn();
-        let mut workers = Vec::new();
-        for i in 0..shared.config.workers.max(1) {
-            let worker_shared = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("aft-net-wrk-{i}"))
-                    .spawn(move || worker_loop(worker_shared))
-                    .expect("spawn worker thread"),
-            );
-        }
+        let reactors = event_loop::spawn(&shared, listener)?;
         Ok(AftServer {
             shared,
             addr,
-            io: Mutex::new(Some(io)),
-            workers: Mutex::new(workers),
+            reactors: Mutex::new(reactors),
         })
     }
 
@@ -756,17 +659,14 @@ impl AftServer {
         if self.shared.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
-        // The poller wake makes the loop observe the flag; it tears down
-        // every connection and the listener before exiting.
-        self.shared.wake_io();
-        if let Some(handle) = self.io.lock().take() {
-            let _ = handle.join();
+        // The wake makes each reactor observe the flag; it tears down its
+        // connections before exiting. The ledger wake frees a reactor
+        // waiting on another's duplicate commit.
+        for reactor in &self.shared.reactors {
+            reactor.wake();
         }
-        // Wake anything parked on the queue or the commit ledger, then join
-        // the workers.
-        self.shared.queue_cv.notify_all();
         self.shared.ledger_cv.notify_all();
-        for handle in self.workers.lock().drain(..) {
+        for handle in self.reactors.lock().drain(..) {
             let _ = handle.join();
         }
     }
@@ -844,10 +744,12 @@ mod tests {
 
     #[test]
     fn fair_queue_round_robins_across_connections() {
-        let job = |source: u64, request_id: u64| Job {
-            handle: crate::event_loop::test_handle(0, 0, source),
+        let job = |conn: u64, request_id: u64| Job {
+            slot: 0,
+            generation: 0,
+            conn,
             request_id,
-            request: WireRequest::Ping,
+            work: Work::Run(WireRequest::Ping),
             enqueued: Instant::now(),
         };
 
@@ -859,9 +761,8 @@ mod tests {
         }
         queue.push(job(2, 200));
         queue.push(job(3, 300));
-        assert_eq!(queue.depth(), 7);
         let order: Vec<(u64, u64)> = std::iter::from_fn(|| queue.pop())
-            .map(|j| (j.handle.id, j.request_id))
+            .map(|j| (j.conn, j.request_id))
             .collect();
         assert_eq!(
             order,
@@ -875,7 +776,6 @@ mod tests {
                 (1, 104)
             ]
         );
-        assert_eq!(queue.depth(), 0);
         assert!(queue.lanes.is_empty(), "drained lanes are dropped");
 
         // Plain FIFO preserves global arrival order.

@@ -71,21 +71,22 @@ fn server_threads() -> usize {
 }
 
 /// Waits until every thread of a fresh `workers`-worker server has started
-/// (a thread names itself as it starts) and returns the count: `1 + workers`.
+/// (a thread names itself as it starts) and returns the count: `workers`
+/// reactors and nothing else.
 fn await_server_threads(workers: usize) -> usize {
     let deadline = Instant::now() + Duration::from_secs(10);
-    while server_threads() != 1 + workers {
+    while server_threads() != workers {
         assert!(
             Instant::now() < deadline,
-            "{} server threads, expected the I/O thread and {workers} workers",
+            "{} server threads, expected {workers} reactors",
             server_threads()
         );
         std::thread::sleep(Duration::from_millis(1));
     }
-    1 + workers
+    workers
 }
 
-/// Waits until the loop's open-connection gauge reaches `expected`.
+/// Waits until the reactors' open-connection gauge reaches `expected`.
 fn await_conns_open(server: &AftServer, expected: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -95,7 +96,7 @@ fn await_conns_open(server: &AftServer, expected: u64) {
         }
         assert!(
             Instant::now() < deadline,
-            "loop still owns {open} connections, expected {expected}"
+            "reactors still own {open} connections, expected {expected}"
         );
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -113,7 +114,7 @@ fn resident_fleet_adds_no_threads_and_shuts_down_clean() {
     }
 
     // Every socket is live and served, yet the thread count is exactly what
-    // it was with zero connections: the loop owns all of them.
+    // it was with zero connections: the reactors own all of them.
     assert_eq!(
         server_threads(),
         threads_before,
@@ -209,7 +210,7 @@ fn mid_frame_disconnect_resets_only_that_connection() {
     ping(&mut bystander);
 
     // A connection dies with half a length prefix on the wire: truncation,
-    // not a clean goodbye. The loop must tear it down without disturbing
+    // not a clean goodbye. Its reactor must tear it down without disturbing
     // anyone else.
     {
         let mut doomed = connect(&server);

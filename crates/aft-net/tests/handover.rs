@@ -1,7 +1,7 @@
-//! The request path's thread hand-offs, over real loopback sockets: a
-//! worker writes its own response when the connection has nothing queued,
-//! and a waiting caller reads its own reply, handing other callers theirs.
-//! Each test pins a count or a race the hand-offs could get wrong.
+//! The request path's threads, over real loopback sockets: the reactor
+//! that reads a connection runs and answers its requests, and a waiting
+//! caller reads its own reply, handing other callers theirs. Each test
+//! pins a count, an order or a race the request path could get wrong.
 
 use std::io::Write;
 use std::net::{Shutdown, TcpListener};
@@ -17,6 +17,9 @@ use aft_storage::InMemoryStore;
 use aft_types::clock::TickingClock;
 use aft_types::wire::{decode_response, WireRequest, WireResponse};
 use aft_types::{AftError, Key, TransactionId, Uuid, Value};
+
+mod common;
+use common::{accepted, commit, pipeline, receive, round_trip, serve_latched};
 
 fn serve(builder: ServerBuilder) -> AftServer {
     let cluster = Cluster::with_clock(
@@ -69,10 +72,8 @@ fn sequential_pings_wake_neither_the_loop_nor_another_caller() {
     }
     let event = counted(&server, 1_000);
     assert_eq!(event.frames_read, 1_000);
-    assert_eq!(event.direct_writes, 1_000, "every worker wrote its own");
     assert_eq!(event.frames_written, 1_000);
     assert_eq!(event.writev_calls, 1_000, "one syscall per response");
-    assert_eq!(event.completions, 0, "the loop only read");
     assert_eq!(client.stats().handoffs, 0, "a lone caller reads its own");
     server.shutdown();
 }
@@ -104,10 +105,80 @@ fn which_threads_run_the_gets_of_one_connection() {
     }
     let names = names.0.lock().unwrap().clone();
     assert_eq!(names.len(), 1_000);
+    assert!(names[0].starts_with("aft-net-r"), "{}", names[0]);
     assert!(
-        names.iter().all(|name| name != "aft-net-io"),
-        "the I/O thread reads every Get and hands it to a worker"
+        names.iter().all(|name| *name == names[0]),
+        "the reactor that reads a connection runs every one of its Gets"
     );
+    server.shutdown();
+}
+
+#[test]
+fn a_commit_parked_in_storage_holds_up_only_its_own_reactor() {
+    let (server, latch) = serve_latched(AftServer::builder().workers(2));
+    // Connections 0 and 1, so reactors 0 and 1.
+    let mut parked = accepted(&server);
+    let mut other = accepted(&server);
+    latch.arm();
+    pipeline(&mut parked, &[commit(1)]);
+    assert_eq!(
+        latch.await_parked(),
+        "aft-net-r0",
+        "the commit runs on its reader"
+    );
+    for id in 1..=10 {
+        assert_eq!(
+            round_trip(&mut other, id, &WireRequest::Ping),
+            WireResponse::Pong,
+            "reactor 1 answers while reactor 0 waits on storage"
+        );
+    }
+    latch.open();
+    let (id, response) = receive(&mut parked);
+    assert_eq!(id, 1);
+    assert!(
+        matches!(
+            response,
+            WireResponse::Committed {
+                duplicate: false,
+                ..
+            }
+        ),
+        "{response:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_requests_on_one_connection_come_back_in_arrival_order() {
+    const REQUESTS: u64 = 200;
+    let server = serve(AftServer::builder().workers(4));
+    let key = |i: u64| Key::new(format!("order/{}", i % 16));
+    preload(
+        &one_connection(&server),
+        (0..16).map(|i| (key(i), Value::from(format!("v{i}")))),
+    );
+    let txid = |i: u64| TransactionId::new(1, Uuid::from_u128(u128::from(i)));
+    let requests: Vec<WireRequest> = (0..REQUESTS)
+        .map(|i| match i % 4 {
+            0 => WireRequest::Ping,
+            1 => WireRequest::Get {
+                txid: txid(i),
+                key: key(i),
+            },
+            2 => WireRequest::GetAll {
+                txid: txid(i),
+                keys: (i..i + 4).map(key).collect(),
+            },
+            _ => WireRequest::Abort { txid: txid(i - 2) },
+        })
+        .collect();
+    let mut sock = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    pipeline(&mut sock, &requests);
+    let answered: Vec<u64> = (0..REQUESTS).map(|_| receive(&mut sock).0).collect();
+    assert_eq!(answered, (1..=REQUESTS).collect::<Vec<_>>());
     server.shutdown();
 }
 
@@ -193,8 +264,8 @@ fn a_reset_fails_the_reading_and_the_waiting_caller_fast() {
 fn large_replies_a_full_socket_splits_arrive_whole_beside_loop_queued_frames() {
     const KEYS: usize = 8;
     const REQUESTS: u64 = 96;
-    // One worker answers in request order; an admission limit of 72 makes
-    // the loop answer some requests itself, with `Overloaded`.
+    // One reactor; an admission limit of 72 makes it answer the requests
+    // read beyond the first 72 with `Overloaded`, in their places.
     let server = serve(AftServer::builder().workers(1).admission_limit(72));
     let keys: Vec<Key> = (0..KEYS).map(|i| Key::new(format!("big/{i}"))).collect();
     let value = |i: usize| Value::from(vec![i as u8; 16 * 1024]);
@@ -204,8 +275,8 @@ fn large_replies_a_full_socket_splits_arrive_whole_beside_loop_queued_frames() {
     );
 
     // Pipeline every request and read nothing until 128 KiB replies meet a
-    // full socket: a worker's write stops part-way, and the loop is told to
-    // finish it.
+    // full socket: a vectored write stops part-way, and the rest waits for
+    // write readiness.
     let mut sock = std::net::TcpStream::connect(server.local_addr()).unwrap();
     sock.set_read_timeout(Some(Duration::from_secs(20)))
         .unwrap();
@@ -221,51 +292,39 @@ fn large_replies_a_full_socket_splits_arrive_whole_beside_loop_queued_frames() {
     }
     sock.write_all(&wire).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while server.event_snapshot().unwrap().completions == 0 {
+    while server.event_snapshot().unwrap().buffered_bytes == 0 {
         assert!(Instant::now() < deadline, "the socket never filled");
         std::thread::sleep(Duration::from_millis(1));
     }
 
     let mut answered = Vec::new();
-    let mut values_order = Vec::new();
+    let mut values = 0;
     for _ in 0..REQUESTS {
         let payload = read_frame(&mut sock)
             .unwrap()
             .expect("every request answered");
         let (id, response) = decode_response(&payload).expect("frames never interleave");
         match response {
-            WireResponse::Values(values) => {
+            WireResponse::Values(got) => {
                 let expected: Vec<_> = (0..KEYS).map(|i| Some(value(i))).collect();
-                assert_eq!(values, expected, "reply {id} is intact");
-                values_order.push(id);
+                assert_eq!(got, expected, "reply {id} is intact");
+                values += 1;
             }
             WireResponse::Error(AftError::Overloaded(_)) => {}
             other => panic!("unexpected reply to {id}: {other:?}"),
         }
         answered.push(id);
     }
-    answered.sort_unstable();
     assert_eq!(
         answered,
         (1..=REQUESTS).collect::<Vec<_>>(),
-        "one reply each"
+        "one reply each, in request order"
     );
-    assert!(
-        !values_order.is_empty(),
-        "the worker answered some requests"
-    );
-    assert!(
-        values_order.windows(2).all(|w| w[0] < w[1]),
-        "the worker's replies leave in its order: {values_order:?}"
-    );
+    assert!(values > 0, "the reactor ran some requests");
 
     // The preload's commit, then every request.
     let event = counted(&server, 1 + REQUESTS);
     assert_eq!(event.frames_written, 1 + REQUESTS);
-    assert!(
-        event.direct_writes < event.frames_written,
-        "the loop finished frames a full socket left queued: {event:?}"
-    );
     assert_eq!(event.buffered_bytes, 0, "everything flushed");
     server.shutdown();
 }

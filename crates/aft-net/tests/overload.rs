@@ -14,7 +14,11 @@ use aft_net::{AftClient, AftServer, ClientConfig};
 use aft_storage::io::RetryConfig;
 use aft_storage::InMemoryStore;
 use aft_types::clock::TickingClock;
-use aft_types::{Key, TransactionRecord, Value};
+use aft_types::wire::{WireRequest, WireResponse};
+use aft_types::{AftError, Key, TransactionId, TransactionRecord, Uuid, Value};
+
+mod common;
+use common::{accepted, commit, pipeline, receive, round_trip, serve_latched};
 
 fn test_cluster(nodes: usize) -> Arc<Cluster> {
     Cluster::with_clock(
@@ -163,5 +167,54 @@ fn queue_deadline_sheds_stale_requests_without_executing_them() {
     assert!(stats.shed_requests > 0, "nothing was shed: {stats:?}");
     assert_eq!(stats.commits, 0, "a shed commit must never execute");
     assert_eq!(client.stats().commits_acked, 0);
+    server.shutdown();
+}
+
+/// A fresh transaction's read of one key.
+fn get(n: u128) -> WireRequest {
+    WireRequest::Get {
+        txid: TransactionId::new(1, Uuid::from_u128(n)),
+        key: Key::new(format!("latched/{n}")),
+    }
+}
+
+/// Admission control reads the requests queued on every reactor, not only
+/// the reactor that read the new one: with two commits queued behind a
+/// third parked in storage on reactor 0, a read on reactor 1, whose own
+/// queue is empty, is refused.
+#[test]
+fn admission_limit_counts_the_requests_queued_on_every_reactor() {
+    let (server, latch) = serve_latched(AftServer::builder().workers(2).admission_limit(2));
+    // Connections 0 and 1, so reactors 0 and 1.
+    let mut busy = accepted(&server);
+    let mut idle = accepted(&server);
+    latch.arm();
+    // Commits are exempt from admission, so all three queue; the first
+    // parks in storage and leaves two queued.
+    pipeline(&mut busy, &[commit(1), commit(2), commit(3)]);
+    latch.await_parked();
+    assert_eq!(
+        server.event_snapshot().unwrap().frames_read,
+        2 + 3,
+        "reactor 0 read all three commits before running the first"
+    );
+    let refused = round_trip(&mut idle, 1, &get(9));
+    assert!(
+        matches!(refused, WireResponse::Error(AftError::Overloaded(_))),
+        "{refused:?}"
+    );
+
+    latch.open();
+    for id in 1..=3 {
+        let (answered, response) = receive(&mut busy);
+        assert_eq!(answered, id);
+        assert!(
+            matches!(response, WireResponse::Committed { .. }),
+            "{response:?}"
+        );
+    }
+    // The queues drained: the same read is admitted.
+    assert_eq!(round_trip(&mut idle, 2, &get(9)), WireResponse::Value(None));
+    assert_eq!(server.stats().overload_rejections, 1);
     server.shutdown();
 }

@@ -1,12 +1,12 @@
-//! Property-based tests of the incremental frame state machine the event
-//! loop runs on every socket.
+//! Property-based tests of the incremental frame state machine the reactors
+//! run on every socket.
 //!
 //! A readiness-driven server never sees whole frames: the kernel hands it
 //! arbitrary byte runs, cut anywhere — mid-length-prefix, mid-payload,
 //! several frames at once. [`FrameDecoder`] must reassemble the exact frame
 //! sequence under *every* split, reject hostile length prefixes before
-//! allocating, and never panic on arbitrary input, because a panic on the
-//! loop thread would take down every connection at once.
+//! allocating, and never panic on arbitrary input, because a panic on a
+//! reactor thread would take down every connection it owns at once.
 
 use aft_net::frame::{frame_into, FrameDecoder};
 use aft_types::wire::MAX_FRAME_LEN;

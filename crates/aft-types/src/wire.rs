@@ -142,8 +142,8 @@ pub struct WireStats {
     /// Acknowledgements deliberately dropped by an installed response
     /// filter (chaos/testing).
     pub dropped_acks: u64,
-    /// Requests rejected at admission because the worker queue was at its
-    /// admission limit ([`AftError::Overloaded`] on the wire).
+    /// Requests rejected at admission because the server's request queues
+    /// were at its admission limit ([`AftError::Overloaded`] on the wire).
     pub overload_rejections: u64,
     /// Admitted requests shed before execution because they aged past the
     /// queue deadline ([`AftError::Overloaded`] on the wire).
