@@ -24,17 +24,18 @@
 //!
 //! Every cell runs `trials` seeded trials on the virtual clock
 //! (`LatencyMode::Virtual` at full scale) over a small cluster behind a
-//! [`FaultyBackend`], while a [`ChaosController`] kills one node mid-commit;
-//! then the controller drives recovery and the trial verifies the
-//! invariants: read atomicity and lost acknowledged writes by
-//! [`aft_workload::history`]'s checker over what the clients saw, and
-//! recovery against ground truth read straight from storage. One thread
-//! runs the load on [`aft_workload::sim`]'s seeded stepper, so the harness,
-//! not the OS, chooses the interleaving. Every layer's faults — storage,
-//! network, platform, and the kill itself — derive from one [`ChaosSpec`]
-//! seed too, so `aft-bench fig10_recovery --seed N` replays the run, counts
-//! included, and `--mode M --seed N` replays exactly the `M` cells of that
-//! matrix, up to the step a failing cell names. In the networked modes the
+//! [`FaultyBackend`], while the trial's schedule kills one node mid-commit
+//! ([`Seeded::kill`]: every node's phase hook asks it); then the trial
+//! drives recovery and verifies the invariants: read atomicity and lost
+//! acknowledged writes by [`aft_workload::history`]'s checker over what the
+//! clients saw, and recovery against ground truth read straight from
+//! storage. One thread runs the load on [`aft_workload::sim`]'s seeded
+//! stepper, so the harness, not the OS, chooses the interleaving. Every
+//! layer's faults — storage, network, platform — derive from one
+//! [`ChaosSpec`] seed, and the kill from the cell, so `aft-bench
+//! fig10_recovery --seed N` replays the run, counts included, and `--mode M
+//! --seed N` replays exactly the `M` cells of that matrix, up to the step a
+//! failing cell names. In the networked modes the
 //! server executes on its own reactor threads, but the stepper awaits every
 //! reply before its next step, so the order of execution is still the
 //! stepper's —
@@ -48,8 +49,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use aft_chaos::{ChaosSpec, FaasChaos, KillPlan, NetChaos, PartitionChaos, StorageChaos};
-use aft_cluster::{ChaosController, Cluster, ClusterConfig};
+use aft_chaos::{ChaosSpec, FaasChaos, NetChaos, PartitionChaos, StorageChaos};
+use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
 use aft_core::{CommitPhase, NodeConfig};
 use aft_faas::FailureInjector;
@@ -58,7 +59,7 @@ use aft_storage::{BackendKind, SharedStorage, StorageEngine};
 use aft_types::clock::TickingClock;
 use aft_types::{AftResult, Key};
 use aft_workload::history::Attempt;
-use aft_workload::sim::{self, Deployment, Op, Request, Seeded};
+use aft_workload::sim::{self, Deployment, Op, Request, Seeded, Shared};
 
 use crate::cli::{Args, Flag, Outcome};
 use crate::json::Json;
@@ -570,24 +571,40 @@ struct Trial {
     /// net leg: a seeded [`aft_net::ConnChaos`] at the SDK resets
     /// connections (including in the lost-ack window) and delays acks.
     service: Option<ServiceHandle>,
-    controller: ChaosController,
+    /// The load's schedule, which every node's phase hook asks too, so its
+    /// kill reaches the recovery drive.
+    schedule: Arc<Shared<Seeded>>,
     /// Platform failure points around the request bodies, when the spec has
     /// a faas leg.
-    injector: Option<FailureInjector>,
+    injector: Option<Arc<FailureInjector>>,
 }
 
 impl Trial {
     /// Builds backend → paused [`FaultyBackend`] → cluster → (net leg)
-    /// loopback service, then arms the spec's kill and partition on the
-    /// cluster. Storage injection stays paused throughout, so construction
-    /// can never fail on an injected fault whatever the seed;
-    /// [`run_trial`] switches it on for the load and off again to verify.
-    fn set_up(backend: BackendKind, spec: &ChaosSpec, config: &RecoveryConfig) -> Trial {
+    /// loopback service, then arms the spec's partition on the cluster;
+    /// `kill` is the victim's phase and after-count. Storage injection stays
+    /// paused throughout, so construction can never fail on an injected
+    /// fault whatever the seed; [`run_trial`] switches it on for the load and
+    /// off again to verify.
+    fn set_up(
+        backend: BackendKind,
+        spec: &ChaosSpec,
+        kill: Option<(CommitPhase, u64)>,
+        config: &RecoveryConfig,
+    ) -> Trial {
         // Injected latency is charged, never slept, like the backend's own:
         // the whole matrix runs in seconds.
         let raw = virtual_backend(backend, spec.seed);
         let faulty = FaultyBackend::from_spec(raw, spec);
         faulty.set_enabled(false);
+        let injector = (!spec.faas.is_quiet()).then(|| Arc::new(FailureInjector::from_spec(spec)));
+        // The stepper's stream is decorrelated from the nodes' UUID streams,
+        // which the same seed also starts.
+        let mut schedule = Seeded::new(spec.seed ^ 0x57E9, injector.clone());
+        if let Some((phase, after)) = kill {
+            schedule = schedule.kill("aft-node-1", phase, after);
+        }
+        let schedule = Shared::new(schedule);
         // GC stays off so the durable Transaction Commit Set remains the
         // complete ground truth the post-recovery verification compares
         // against. (Checkpoints are still written on their cadence — log
@@ -600,6 +617,7 @@ impl Trial {
                 data_cache_bytes: 0,
                 rng_seed: spec.seed,
                 checkpoint: aft_core::CheckpointPolicy::every_commits(TRIAL_CHECKPOINT_EVERY),
+                phase_hook: Some(schedule.clone()),
                 ..NodeConfig::default()
             },
             gc_enabled: false,
@@ -627,14 +645,15 @@ impl Trial {
             };
             serve_cluster(&cluster, &options).expect("serve on loopback")
         });
-        let controller = ChaosController::new(Arc::clone(&cluster));
-        controller.arm_spec(spec).expect("victim is registered");
+        if !spec.partition.is_quiet() {
+            cluster.disseminator().arm_partition(spec.schedule());
+        }
         Trial {
             cluster,
             faulty,
             service,
-            controller,
-            injector: (!spec.faas.is_quiet()).then(|| FailureInjector::from_spec(spec)),
+            schedule,
+            injector,
         }
     }
 }
@@ -654,8 +673,9 @@ impl Deployment for Trial {
 }
 
 /// Runs one trial of one cell and verifies its invariants. One spec per
-/// trial: every injector — storage, connection, platform, partition — and
-/// the node kill derive from it, so the seed replays all of them.
+/// trial: every injector — storage, connection, platform, partition —
+/// derives from it, and the node kill from the cell, so the seed replays all
+/// of them.
 fn run_trial(
     backend: BackendKind,
     fault_mode: FaultMode,
@@ -664,20 +684,17 @@ fn run_trial(
     config: &RecoveryConfig,
 ) -> TrialResult {
     // The victim dies mid-commit partway through the load.
-    let spec = fault_mode.chaos_spec(trial_seed).kill(
-        KillPlan::immediate("aft-node-1", kill_point).after_commits(kill_delay(kill_point, config)),
-    );
-    let trial = Trial::set_up(backend, &spec, config);
+    let spec = fault_mode.chaos_spec(trial_seed);
+    let kill = (kill_point, kill_delay(kill_point, config));
+    let trial = Trial::set_up(backend, &spec, Some(kill), config);
     let cluster = &trial.cluster;
     let billed = trial.faulty.stats().snapshot();
     trial.faulty.set_enabled(true);
-    // The stepper's stream is decorrelated from the nodes' UUID streams,
-    // which the same seed also starts; a failed round is the next's to retry.
-    let mut schedule = Seeded::new(trial_seed ^ 0x57E9, trial.injector.as_ref());
-    let load = sim::run(&trial, requests(config), &mut schedule);
+    // A failed round is the next's to retry.
+    let load = sim::run(&trial, requests(config), &mut &*trial.schedule);
 
     // The load is done; drive recovery to convergence.
-    let outcome = trial.controller.drive_recovery(200);
+    let outcome = drive_recovery(cluster, 200);
     let storage_calls = trial
         .faulty
         .stats()
@@ -729,6 +746,58 @@ fn run_trial(
             + trial.injector.as_ref().map_or(0, |i| i.injected()),
         storage_calls,
     }
+}
+
+/// What one [`drive_recovery`] call observed.
+#[derive(Debug, Clone, Copy, Default)]
+struct RecoveryOutcome {
+    /// Maintenance rounds driven (including the quiet confirmation rounds).
+    rounds: usize,
+    /// Failed nodes replaced with fresh standbys during the drive.
+    replaced_nodes: usize,
+    /// Whether the cluster converged (two consecutive quiet rounds with no
+    /// failed nodes) within the round budget.
+    converged: bool,
+}
+
+/// Drives replacement and maintenance rounds until `cluster` converges: no
+/// failed nodes remain and two consecutive rounds recover nothing new from
+/// storage (§4.2 scan → §6.7 standby). Rounds that fail outright (faults
+/// outliving the I/O retry budget, a replacement's bootstrap torn) are
+/// retried — recovery must be *live* under the same fault injection that
+/// caused the damage.
+fn drive_recovery(cluster: &Cluster, max_rounds: usize) -> RecoveryOutcome {
+    let mut outcome = RecoveryOutcome::default();
+    let mut quiet_rounds = 0;
+    while outcome.rounds < max_rounds {
+        outcome.rounds += 1;
+        match cluster.replace_failed_nodes() {
+            Ok(replaced) => outcome.replaced_nodes += replaced,
+            Err(_) => continue,
+        }
+        match cluster.run_maintenance_round() {
+            Ok(stats) => {
+                // "Quiet" must also cover dissemination: metadata parked on
+                // cut edges (or just drained from it) is recovery still in
+                // flight, not convergence.
+                let nothing_new = stats.recovered_commits == 0
+                    && stats.broadcast.retried == 0
+                    && cluster.disseminator().pending_retries() == 0;
+                let all_up = cluster.registry().failed_node_ids().is_empty();
+                if nothing_new && all_up {
+                    quiet_rounds += 1;
+                    if quiet_rounds >= 2 {
+                        outcome.converged = true;
+                        break;
+                    }
+                } else {
+                    quiet_rounds = 0;
+                }
+            }
+            Err(_) => quiet_rounds = 0,
+        }
+    }
+    outcome
 }
 
 /// Runs the full matrix and returns the report.
@@ -840,6 +909,7 @@ mod tests {
         let mut trial = Trial::set_up(
             BackendKind::Memory,
             &ChaosSpec::new(7),
+            None,
             &RecoveryConfig::tiny(),
         );
         for over_the_wire in [false, true] {
@@ -875,6 +945,7 @@ mod tests {
             let trial = Trial::set_up(
                 BackendKind::Memory,
                 &ChaosSpec::new(7),
+                None,
                 &RecoveryConfig::tiny(),
             );
             let clients = requests(&RecoveryConfig::tiny());
@@ -892,7 +963,7 @@ mod tests {
         // The first invocation dies after its body (its fate's fourth
         // option), the second runs clean.
         let spec = ChaosSpec::new(7);
-        let trial = Trial::set_up(BackendKind::Memory, &spec, &RecoveryConfig::tiny());
+        let trial = Trial::set_up(BackendKind::Memory, &spec, None, &RecoveryConfig::tiny());
         let cluster = &trial.cluster;
         let client = vec![requests(&RecoveryConfig::tiny())[0][0].clone()];
         let scope = Scope {
@@ -924,11 +995,8 @@ mod tests {
     fn set_up_succeeds_under_a_storage_leg_that_fails_every_operation() {
         let broken = ChaosSpec::new(11).storage(StorageChaos::transient_errors(1.0));
         for spec in [broken.clone(), broken.net(NetChaos::resets(0.05))] {
-            let spec = spec.kill(KillPlan::immediate(
-                "aft-node-1",
-                CommitPhase::BeforeBroadcast,
-            ));
-            let trial = Trial::set_up(BackendKind::DynamoDb, &spec, &RecoveryConfig::tiny());
+            let kill = Some((CommitPhase::BeforeBroadcast, 0));
+            let trial = Trial::set_up(BackendKind::DynamoDb, &spec, kill, &RecoveryConfig::tiny());
             assert_eq!(trial.service.is_some(), !spec.net.is_quiet());
             assert_eq!(
                 trial.cluster.active_nodes().len(),
@@ -1068,6 +1136,20 @@ mod tests {
                 cell.kill_point
             );
         }
+    }
+
+    #[test]
+    fn recovery_converges_quickly_when_nothing_is_wrong() {
+        let trial = Trial::set_up(
+            BackendKind::Memory,
+            &ChaosSpec::new(7),
+            None,
+            &RecoveryConfig::tiny(),
+        );
+        let outcome = drive_recovery(&trial.cluster, 10);
+        assert!(outcome.converged);
+        assert_eq!(outcome.replaced_nodes, 0);
+        assert!(outcome.rounds <= 3, "quiet cluster converges in 2 rounds");
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!   acknowledged and acknowledged twice, and the storage calls it billed —
 //!   so storage calls per acknowledged request is a ratio of two exact
 //!   counts;
-//! * the four small scopes tier-1 walks whole ([`sim::walk`]): the
-//!   schedules each one has, and those in which the checker finds a
-//!   duplicate request. A walk panics on a schedule with an anomaly.
+//! * the nine small scopes tier-1 walks whole ([`sim::walk`]): the
+//!   schedules each one has, those in which the checker finds a duplicate
+//!   request, and, where writes are cut, those that orphan data. A walk
+//!   panics on a schedule with an anomaly.
 //!
 //! All run on virtual time: the script on a ticking mock clock with latency
 //! off, the matrix on one seeded stepper, the walks on one stepper each.
@@ -171,8 +172,13 @@ pub fn golden_script(kind: BackendKind) -> GoldenRun {
 /// its items applied over the memory row, `redis` does both over the Redis
 /// row (one atomic `MSET` a commit) with no round until the drain, and
 /// `checkpoint` checkpoints every two commits, so cuts land in its
-/// publication and in log compaction.
-fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 8] {
+/// publication and in log compaction. `phases` runs two transactions that
+/// write nothing, one on each of two nodes, with a round, a park and a kill:
+/// among its schedules, one commit parks with its timestamp taken, the other
+/// commits and a round runs, then the parked one's node dies with its record
+/// durable, which only the node's report can point the fault manager's scan
+/// at (§4.2).
+fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 9] {
     let (writer, reader) = (request("w a, w b"), request("r a, r b"));
     let pair = vec![vec![writer.clone()], vec![reader.clone()]];
     let races = vec![vec![writer.clone(); 2], vec![reader.clone()]];
@@ -185,6 +191,7 @@ fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 8] {
         failovers,
         crashes,
         fails,
+        ..Scope::default()
     };
     let redis = Shape {
         backend: BackendKind::Redis,
@@ -218,6 +225,16 @@ fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 8] {
         ),
         ("redis", redis, cut.clone(), scope((0, 0, 0, 0, 1, 1))),
         ("checkpoint", checkpoint, cut, scope((1, 0, 0, 0, 1, 0))),
+        (
+            "phases",
+            Shape::nodes(2),
+            vec![vec![Request::new()]; 2],
+            Scope {
+                parks: 1,
+                kills: 1,
+                ..scope((1, 0, 0, 0, 0, 0))
+            },
+        ),
     ]
 }
 
@@ -459,6 +476,18 @@ mod tests {
     fn nightly_scope_every_crash_and_fail_with_two_rounds_is_clean() {
         let [_, _, _, _, (_, shape, clients, mut scope), ..] = scopes();
         (scope.rounds, scope.fails) = (2, 1);
+        let walked = sim::walk(shape, &clients, scope);
+        println!("{shape:?}, {scope:?}: {walked:?}");
+    }
+
+    /// Nightly's park-and-kill scope, too large for PR CI: the `phases`
+    /// scope with a write in each transaction and two rounds.
+    #[test]
+    #[ignore = "minutes in release; nightly runs it"]
+    fn nightly_scope_every_park_and_kill_of_two_writers_is_clean() {
+        let [.., (_, shape, _, mut scope)] = scopes();
+        let clients = vec![vec![request("w a")], vec![request("w b")]];
+        scope.rounds = 2;
         let walked = sim::walk(shape, &clients, scope);
         println!("{shape:?}, {scope:?}: {walked:?}");
     }

@@ -2,18 +2,19 @@
 //!
 //! The repo injects faults at three layers — storage (dropped or duplicated
 //! requests), network (connection resets, delayed acks), and platform
-//! (function crashes before / after / mid-body) — plus phase-exact node
-//! kills. Each layer grew its own seeded planner; this crate replaces the
-//! three copies with one substrate so a *single seed* reproduces an entire
-//! cross-layer trial: storage requests failing *while* connections flap
-//! *while* functions retry *while* a node dies mid-commit.
+//! (function crashes before / after / mid-body). Each layer grew its own
+//! seeded planner; this crate replaces the three copies with one substrate
+//! so a *single seed* reproduces an entire cross-layer trial: storage
+//! requests failing *while* connections flap *while* functions retry. A node
+//! kill is not a layer here: it is an answer of `aft_workload::sim`'s
+//! schedule at a commit phase.
 //!
 //! The pieces:
 //!
 //! * [`ChaosSpec`] — the one composable, fluent description of a trial's
-//!   fault pressure: `ChaosSpec::new(seed).storage(..).net(..).faas(..)
-//!   .kill(..)`. Layers left unset stay quiet, so every existing single-layer
-//!   scenario is a special case.
+//!   fault pressure: `ChaosSpec::new(seed).storage(..).net(..).faas(..)`.
+//!   Layers left unset stay quiet, so every existing single-layer scenario
+//!   is a special case.
 //! * [`FaultSchedule`] — the pure schedule derived from a spec. Its
 //!   [`decide`](FaultSchedule::decide)`(layer, op_index, key)` is
 //!   deterministic in `(seed, layer, op_index, key)` and independent of call
@@ -24,8 +25,6 @@
 //!   layer's own operation counter, which is all the per-layer adapters
 //!   (`FaultyBackend` in `aft-storage`, `ConnChaos` in
 //!   `aft-net`, `FailureInjector` in `aft-faas`) need to hold.
-//! * [`KillPlan`] — a phase-exact node kill, armed by the cluster layer's
-//!   `ChaosController` from [`ChaosSpec::kills`].
 //!
 //! Per-layer decisions use SplitMix-style per-operation streams (the same
 //! scheme the storage planner always had — the storage layer's schedule is
@@ -37,27 +36,12 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use aft_types::CommitPhase;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Default stripe count of the storage layer's lock striping.
-pub const DEFAULT_STRIPES: usize = 16;
 
 /// Salt for the partition layer's edge-cut stream (decorrelates it from the
 /// per-operation layers sharing the same seed).
 const PARTITION_SALT: u64 = 0x9A47_0000_CE11_EDB3;
-
-/// The stripe a key hashes to, out of `stripes`.
-///
-/// This is the canonical striping function: the sharded storage map places
-/// keys with it.
-pub fn stripe_of(key: &str, stripes: usize) -> usize {
-    debug_assert!(stripes > 0, "stripe count must be positive");
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    (hasher.finish() as usize) % stripes
-}
 
 /// The injection layers a [`FaultSchedule`] can be asked about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -303,48 +287,17 @@ impl Default for PartitionChaos {
     }
 }
 
-/// One planned node kill: crash `node_id` at `phase` once `after_commits`
-/// commits have passed that phase on the node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KillPlan {
-    /// The node to crash.
-    pub node_id: String,
-    /// The commit-protocol point to crash at.
-    pub phase: CommitPhase,
-    /// How many commits pass the phase unharmed before the crash fires.
-    pub after_commits: u64,
-}
-
-impl KillPlan {
-    /// A kill of `node_id` at `phase` on its very next commit.
-    pub fn immediate(node_id: impl Into<String>, phase: CommitPhase) -> Self {
-        KillPlan {
-            node_id: node_id.into(),
-            phase,
-            after_commits: 0,
-        }
-    }
-
-    /// Delays the kill until `after_commits` commits have passed the phase.
-    pub fn after_commits(mut self, after_commits: u64) -> Self {
-        self.after_commits = after_commits;
-        self
-    }
-}
-
 /// The composable, seeded description of a whole trial's fault pressure —
 /// the one chaos configuration surface.
 ///
 /// ```
-/// use aft_chaos::{ChaosSpec, StorageChaos, NetChaos, FaasChaos, KillPlan};
-/// use aft_types::CommitPhase;
+/// use aft_chaos::{ChaosSpec, StorageChaos, NetChaos, FaasChaos};
 /// use std::time::Duration;
 ///
 /// let spec = ChaosSpec::new(0xF00D)
 ///     .storage(StorageChaos::transient_errors(0.08))
 ///     .net(NetChaos::resets_and_delays(0.06, 0.03, Duration::from_millis(1)))
-///     .faas(FaasChaos::uniform(0.1))
-///     .kill(KillPlan::immediate("aft-node-1", CommitPhase::BeforeBroadcast).after_commits(4));
+///     .faas(FaasChaos::uniform(0.1));
 /// assert!(!spec.is_quiet());
 /// assert_eq!(spec.schedule().seed(), 0xF00D);
 /// ```
@@ -361,8 +314,6 @@ pub struct ChaosSpec {
     pub faas: FaasChaos,
     /// Dissemination-graph partition pressure.
     pub partition: PartitionChaos,
-    /// Phase-exact node kills to arm for the trial.
-    pub kills: Vec<KillPlan>,
 }
 
 impl ChaosSpec {
@@ -375,7 +326,6 @@ impl ChaosSpec {
             net: NetChaos::quiet(),
             faas: FaasChaos::quiet(),
             partition: PartitionChaos::quiet(),
-            kills: Vec::new(),
         }
     }
 
@@ -403,23 +353,15 @@ impl ChaosSpec {
         self
     }
 
-    /// Adds a planned node kill (may be called repeatedly).
-    pub fn kill(mut self, kill: KillPlan) -> Self {
-        self.kills.push(kill);
-        self
-    }
-
-    /// True when no layer injects and no kill is armed.
+    /// True when no layer injects.
     pub fn is_quiet(&self) -> bool {
         self.storage.is_quiet()
             && self.net.is_quiet()
             && self.faas.is_quiet()
             && self.partition.is_quiet()
-            && self.kills.is_empty()
     }
 
-    /// The pure fault schedule this spec describes (kills are armed
-    /// separately, by the cluster layer's `ChaosController`).
+    /// The pure fault schedule this spec describes.
     pub fn schedule(&self) -> FaultSchedule {
         FaultSchedule {
             seed: self.seed,
@@ -819,19 +761,5 @@ mod tests {
             .partition(PartitionChaos::cut(1.0, 4, 4))
             .partition
             .is_quiet());
-    }
-
-    #[test]
-    fn kill_plans_compose_on_the_spec() {
-        let spec = ChaosSpec::new(1)
-            .kill(KillPlan::immediate(
-                "aft-node-0",
-                CommitPhase::BeforeDataPut,
-            ))
-            .kill(KillPlan::immediate("aft-node-1", CommitPhase::BeforeBroadcast).after_commits(3));
-        assert!(!spec.is_quiet());
-        assert_eq!(spec.kills.len(), 2);
-        assert_eq!(spec.kills[1].after_commits, 3);
-        assert_eq!(spec.kills[1].phase, CommitPhase::BeforeBroadcast);
     }
 }

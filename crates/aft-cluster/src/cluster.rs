@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use aft_core::{AftNode, CommitProbe, LocalGcConfig, NodeConfig};
+use aft_core::{AftNode, LocalGcConfig, NodeConfig};
 use aft_storage::io::{IoConfig, IoEngine};
 use aft_storage::SharedStorage;
 use aft_types::{AftResult, SharedClock, SystemClock};
@@ -105,7 +105,7 @@ pub struct MaintenanceStats {
     pub global_gc: GlobalGcOutcome,
     /// Checkpoints published this round (nodes whose policy came due).
     pub checkpoints_written: usize,
-    /// Checkpoint rounds that failed (e.g. a chaos kill fired mid-write);
+    /// Checkpoint rounds that failed (e.g. a kill mid-write);
     /// the node's previous checkpoint stays live.
     pub checkpoint_failures: usize,
     /// Commit records dropped by checkpoint-driven log compaction.
@@ -128,10 +128,6 @@ pub struct Cluster {
     next_node_index: AtomicUsize,
     shutdown: Arc<AtomicBool>,
     background: Mutex<Vec<JoinHandle<()>>>,
-    /// Optional probe handed to every node built after it is set, consulted
-    /// at the checkpoint-bootstrap phase. Chaos controllers install a
-    /// one-shot interrupter here to tear a replacement's bootstrap.
-    bootstrap_interrupter: Mutex<Option<Arc<dyn CommitProbe>>>,
 }
 
 impl Cluster {
@@ -155,7 +151,6 @@ impl Cluster {
             next_node_index: AtomicUsize::new(0),
             shutdown: Arc::new(AtomicBool::new(false)),
             background: Mutex::new(Vec::new()),
-            bootstrap_interrupter: Mutex::new(None),
             io: IoEngine::new(storage.clone(), IoConfig::pipelined()),
             registry,
             storage,
@@ -170,24 +165,14 @@ impl Cluster {
 
     fn make_node(&self) -> AftResult<Arc<AftNode>> {
         let index = self.next_node_index.fetch_add(1, Ordering::Relaxed);
-        let mut node_config = NodeConfig {
+        let node_config = NodeConfig {
             node_id: format!("aft-node-{index}"),
             rng_seed: self.config.node_template.rng_seed ^ (index as u64).wrapping_mul(0x9E37),
             ..self.config.node_template.clone()
         };
-        if let Some(probe) = self.bootstrap_interrupter.lock().clone() {
-            node_config = node_config.with_bootstrap_probe(probe);
-        }
         let node = AftNode::with_clock(node_config, self.storage.clone(), self.clock.clone())?;
         self.fault_manager.watch(&node);
         Ok(node)
-    }
-
-    /// Installs a probe consulted at the checkpoint-bootstrap phase of every
-    /// node built from now on (i.e. replacements). Chaos controllers use a
-    /// one-shot interrupter to prove a torn bootstrap retries cleanly.
-    pub fn set_bootstrap_interrupter(&self, probe: Arc<dyn CommitProbe>) {
-        *self.bootstrap_interrupter.lock() = Some(probe);
     }
 
     /// Creates a new node, registers it as active, and returns it.
@@ -241,7 +226,7 @@ impl Cluster {
     /// Detects failed nodes and brings up replacements, blocking for the
     /// configured replacement delay (container download + cache warm-up).
     /// Returns the number of nodes replaced. Replacements are independent:
-    /// one failed construction (a chaos-injected bootstrap fault) does not
+    /// one failed construction (a bootstrap killed at its phase) does not
     /// block the others, and the call only errors when *nothing* could be
     /// replaced — partial progress reports the true count so recovery
     /// statistics never undercount brought-up standbys.
@@ -346,9 +331,9 @@ impl Cluster {
                         }
                     }
                     Ok(None) => {}
-                    // A chaos kill mid-checkpoint-write marks the node failed
-                    // via its probe; the round itself keeps going and the
-                    // node's previous checkpoint stays live.
+                    // A kill mid-checkpoint-write crashes the node, which the
+                    // registry then counts failed; the round itself keeps
+                    // going and the node's previous checkpoint stays live.
                     Err(_) => stats.checkpoint_failures += 1,
                 }
             }

@@ -25,12 +25,11 @@
 //!   node's metadata holds it any more.
 //! * [`cluster`] — the orchestrator that wires all of the above together and
 //!   optionally drives it with background threads.
-//! * [`chaos`] — deterministic node-kill injection: [`ChaosController`] arms
-//!   crashes at precise commit phases (the §4.2 lost-broadcast window among
-//!   them) and drives scan → standby replacement, reporting the
-//!   maintenance rounds recovery took.
+//!
+//! Node kills are not this crate's: a node's phase hook crashes it at a
+//! commit phase when a schedule of `aft_workload::sim` says so, and the
+//! registry counts a crashed node failed until a standby replaces it.
 
-pub mod chaos;
 pub mod cluster;
 pub mod dissemination;
 pub mod fault_manager;
@@ -38,7 +37,6 @@ pub mod global_gc;
 pub mod membership;
 pub mod router;
 
-pub use chaos::{ChaosController, KillPlan, RecoveryOutcome};
 pub use cluster::{Cluster, ClusterConfig};
 pub use dissemination::{broadcast_round, BroadcastStats, Disseminator};
 pub use fault_manager::{FaultManager, ScanOutcome};

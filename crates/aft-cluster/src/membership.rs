@@ -5,7 +5,8 @@
 //! collection and the fault manager, never on the transaction critical path —
 //! footnote 1 of §5.2). [`NodeRegistry`] is that source of truth for the
 //! simulated cluster: nodes are registered when they join, marked failed when
-//! they are killed, and replaced by standbys brought up by the fault manager.
+//! they are killed (and counted failed once they crash), and replaced by
+//! standbys brought up by the fault manager.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -29,6 +30,18 @@ pub enum NodeState {
 struct Member {
     node: Arc<AftNode>,
     state: NodeState,
+}
+
+impl Member {
+    /// The state it was marked, except that a node its phase hook crashed
+    /// ([`AftNode::crashed`]) is failed from that instant.
+    fn state(&self) -> NodeState {
+        if self.node.crashed() {
+            NodeState::Failed
+        } else {
+            self.state
+        }
+    }
 }
 
 /// The registry of AFT nodes in one deployment.
@@ -70,7 +83,7 @@ impl NodeRegistry {
 
     /// The state of a node, if registered.
     pub fn state_of(&self, node_id: &str) -> Option<NodeState> {
-        self.members.read().get(node_id).map(|m| m.state)
+        self.members.read().get(node_id).map(Member::state)
     }
 
     /// The node registered under `node_id`, regardless of state.
@@ -87,7 +100,7 @@ impl NodeRegistry {
         let members = self.members.read();
         let mut active: Vec<_> = members
             .values()
-            .filter(|m| m.state == NodeState::Active)
+            .filter(|m| m.state() == NodeState::Active)
             .map(|m| Arc::clone(&m.node))
             .collect();
         active.sort_by(|a, b| a.node_id().cmp(b.node_id()));
@@ -99,7 +112,7 @@ impl NodeRegistry {
         let members = self.members.read();
         let mut all: Vec<_> = members
             .values()
-            .map(|m| (Arc::clone(&m.node), m.state))
+            .map(|m| (Arc::clone(&m.node), m.state()))
             .collect();
         all.sort_by(|a, b| a.0.node_id().cmp(b.0.node_id()));
         all
@@ -110,7 +123,7 @@ impl NodeRegistry {
         self.members
             .read()
             .iter()
-            .filter(|(_, m)| m.state == NodeState::Failed)
+            .filter(|(_, m)| m.state() == NodeState::Failed)
             .map(|(id, _)| id.clone())
             .collect()
     }
@@ -120,7 +133,7 @@ impl NodeRegistry {
         self.members
             .read()
             .values()
-            .filter(|m| m.state == NodeState::Active)
+            .filter(|m| m.state() == NodeState::Active)
             .count()
     }
 

@@ -13,10 +13,10 @@ use std::time::Duration;
 use aft_storage::checkpoint::load_latest_checkpoint;
 use aft_storage::io::{IoEngine, StorageRequest};
 use aft_types::codec::decode_keyed_commit_record;
-use aft_types::{AftResult, CommitPhase, TransactionId, TransactionRecord, Uuid};
+use aft_types::{AftResult, CommitPhase, TransactionRecord};
 
 use crate::metadata::MetadataCache;
-use crate::node::CommitProbe;
+use crate::node::PhaseHook;
 
 /// Wave size for commit-record fetches: one engine in-flight window per
 /// wave bounds memory for huge commit sets while keeping every read in a
@@ -116,15 +116,15 @@ impl BootstrapOutcome {
 /// local metadata only, so a record left out is a committed key the node
 /// cannot read.
 ///
-/// `probe`, when present, is consulted at
+/// `hook`, when present, is asked at
 /// [`CommitPhase::DuringCheckpointBootstrap`] — after the checkpoint is
-/// applied, before the tail fetch — so chaos plans can kill a replacement
+/// applied, before the tail fetch — so a schedule can kill a replacement
 /// node mid-bootstrap and prove the *next* attempt still converges.
 pub fn warm_metadata_cache_checkpointed(
     io: &IoEngine,
     metadata: &MetadataCache,
     node_id: &str,
-    probe: Option<&Arc<dyn CommitProbe>>,
+    hook: Option<&Arc<dyn PhaseHook>>,
 ) -> AftResult<BootstrapOutcome> {
     let mut outcome = BootstrapOutcome::default();
 
@@ -133,11 +133,9 @@ pub fn warm_metadata_cache_checkpointed(
     outcome.bytes_read += load.bytes_read;
     outcome.cost += load.cost;
 
-    let mut sentinel = TransactionId::new(0, Uuid::NIL);
     let mut covered = std::collections::HashSet::new();
     if let Some(checkpoint) = load.checkpoint {
         outcome.used_checkpoint = true;
-        sentinel = TransactionId::new(checkpoint.id, Uuid::NIL);
         for record in checkpoint.records {
             covered.insert(record.storage_key());
             if metadata.insert(Arc::new(record)) {
@@ -146,10 +144,10 @@ pub fn warm_metadata_cache_checkpointed(
         }
     }
     // The kill point sits between applying the checkpoint and fetching the
-    // tail — fired even on full replay, so chaos plans can tear a bootstrap
+    // tail — asked even on full replay, so a schedule can tear a bootstrap
     // whether or not a checkpoint exists yet.
-    if let Some(probe) = probe {
-        probe.before_phase(node_id, &sentinel, CommitPhase::DuringCheckpointBootstrap)?;
+    if let Some(hook) = hook {
+        hook.at(node_id, CommitPhase::DuringCheckpointBootstrap)?;
     }
 
     // The tail is every commit record the checkpoint does not cover — not
@@ -178,7 +176,7 @@ mod tests {
     use super::*;
     use aft_storage::{InMemoryStore, SharedStorage, StorageEngine};
     use aft_types::codec::encode_keyed_commit_record;
-    use aft_types::{Key, Value};
+    use aft_types::{Key, TransactionId, Uuid, Value};
 
     fn tid(ts: u64) -> TransactionId {
         TransactionId::new(ts, Uuid::from_u128(ts as u128))
@@ -316,41 +314,6 @@ mod tests {
     use aft_storage::checkpoint::publish_checkpoint;
     use aft_storage::io::{IoConfig, IoEngine};
     use aft_storage::Checkpoint;
-    use aft_types::AftError;
-    use parking_lot::Mutex;
-
-    /// A probe that records every phase it sees and optionally crashes on the
-    /// first checkpoint-bootstrap call.
-    struct RecordingProbe {
-        seen: Mutex<Vec<CommitPhase>>,
-        crash_once: Mutex<bool>,
-    }
-
-    impl RecordingProbe {
-        fn new(crash_once: bool) -> Arc<Self> {
-            Arc::new(Self {
-                seen: Mutex::new(Vec::new()),
-                crash_once: Mutex::new(crash_once),
-            })
-        }
-    }
-
-    impl CommitProbe for RecordingProbe {
-        fn before_phase(
-            &self,
-            _node_id: &str,
-            _txid: &TransactionId,
-            phase: CommitPhase,
-        ) -> AftResult<()> {
-            self.seen.lock().push(phase);
-            let mut crash = self.crash_once.lock();
-            if *crash {
-                *crash = false;
-                return Err(AftError::Unavailable("killed during bootstrap".into()));
-            }
-            Ok(())
-        }
-    }
 
     fn seeded_engine(total: u64) -> (IoEngine, Vec<TransactionRecord>) {
         let storage: SharedStorage = InMemoryStore::shared();
@@ -396,31 +359,6 @@ mod tests {
         assert_eq!(outcome.from_checkpoint, 0);
         assert_eq!(outcome.from_tail, 12);
         assert_eq!(warmed.len(), 12);
-    }
-
-    #[test]
-    fn bootstrap_probe_fires_between_checkpoint_and_tail() {
-        let (io, records) = seeded_engine(10);
-        let checkpoint = Checkpoint::new(7, records[..6].to_vec());
-        publish_checkpoint(&io, &checkpoint, || Ok(())).unwrap();
-
-        // First attempt is killed mid-bootstrap; the retry must converge.
-        let probe = RecordingProbe::new(true);
-        let as_probe: Arc<dyn CommitProbe> = probe.clone();
-        let warmed = MetadataCache::new();
-        let err = warm_metadata_cache_checkpointed(&io, &warmed, "n0", Some(&as_probe));
-        assert!(err.is_err(), "armed probe must abort the first bootstrap");
-
-        let retry = MetadataCache::new();
-        let outcome = warm_metadata_cache_checkpointed(&io, &retry, "n0", Some(&as_probe)).unwrap();
-        assert_eq!(outcome.loaded(), 10);
-        assert_eq!(
-            probe.seen.lock().as_slice(),
-            &[
-                CommitPhase::DuringCheckpointBootstrap,
-                CommitPhase::DuringCheckpointBootstrap
-            ]
-        );
     }
 
     #[test]

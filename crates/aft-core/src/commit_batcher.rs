@@ -7,7 +7,7 @@
 //! sequence — the data items submitted concurrently through
 //! [`aft_storage::io::IoEngine`], a **barrier** on their completions, then
 //! the record — and every commit on a node goes through it, on the
-//! committing thread, whether or not a chaos probe is watching. Batching
+//! committing thread, whether or not a phase hook is asked. Batching
 //! (§6.1.1) is *within* one transaction's writes: `IoEngine::put_all` uses
 //! the backend's batch API where it has one.
 //!
@@ -65,8 +65,9 @@ impl BatchStats {
 ///
 /// `before` is called ahead of each [`CommitPhase`] and its error abandons
 /// the flush at exactly that point, leaving in storage what the protocol had
-/// reached — a chaos probe's "crash". On the one-call path both data phases
-/// come before the call, so a crash at either leaves storage untouched.
+/// reached — the node's crash when its phase hook kills it there. On the
+/// one-call path both data phases come before the call, so a crash at either
+/// leaves storage untouched.
 /// Returns the charged storage latency: the data barrier's overlapped cost
 /// plus the record write's, or the one call's.
 pub(crate) fn flush(
@@ -113,7 +114,7 @@ mod tests {
         IoEngine::new(store.clone() as SharedStorage, IoConfig::pipelined())
     }
 
-    /// An unprobed flush of one transaction.
+    /// A flush of one transaction that no phase stops.
     fn commit(io: &IoEngine, data: Vec<(String, Value)>, record_key: &str) -> AftResult<Duration> {
         flush(io, data, (record_key.to_owned(), val("r")), |_| Ok(()))
     }

@@ -46,8 +46,8 @@ pub use data_cache::DataCache;
 pub use gc::{GcOutcome, LocalGcConfig};
 pub use metadata::MetadataCache;
 pub use node::{
-    AftNode, BootstrapProbe, CheckpointPolicy, CommitDrain, CommitPhase, CommitProbe,
-    NodeCheckpointOutcome, NodeConfig, TransactionHandle,
+    AftNode, CheckpointPolicy, CommitDrain, CommitPhase, NodeCheckpointOutcome, NodeConfig,
+    PhaseHook, TransactionHandle,
 };
 pub use read::{select_version, ReadSet};
 pub use stats::{LatencyRecorder, NodeStats, NodeStatsSnapshot};

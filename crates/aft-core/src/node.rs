@@ -2,7 +2,7 @@
 //! commit protocol (§3.3), and the glue between the read protocol, the write
 //! buffer, and the caches.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -35,24 +35,25 @@ use crate::write_buffer::WriteBuffer;
 // announces; re-exported here because this is where callers found it.
 pub use aft_types::CommitPhase;
 
-/// A hook called at every [`CommitPhase`] of every commit on a node.
+/// The one hook a node calls at every [`CommitPhase`] it reaches: each
+/// phase of a commit, the checkpoint write and the bootstrap.
 ///
-/// Returning an error simulates the node crashing at that instant: the
-/// commit call fails with the probe's error, the transaction's in-memory
-/// state is already gone (a real crash loses the write buffer), and
-/// whatever reached storage before the phase stays there — which is the
-/// whole point. Chaos controllers install these via
-/// [`AftNode::install_commit_probe`] to kill nodes mid-commit at precise,
-/// reproducible points.
-pub trait CommitProbe: Send + Sync {
-    /// Called immediately before `phase` executes for transaction `txid` on
-    /// `node_id`. `Ok(())` lets the commit proceed; `Err` crashes it.
-    fn before_phase(
-        &self,
-        node_id: &str,
-        txid: &TransactionId,
-        phase: CommitPhase,
-    ) -> AftResult<()>;
+/// It survives because a fault *inside* a call is one no caller can inject
+/// from outside: §4.2's lost broadcast needs the record durable and the node
+/// gone before it acknowledges, and a maintenance round that runs between a
+/// commit's timestamp and its record is what the fault manager's floor must
+/// survive. `aft_workload::sim` implements it, so a schedule answers each
+/// phase: go on, park the call while other steps run, or kill the node. It
+/// is carried in [`NodeConfig`], so a replacement built from a cluster's
+/// template carries it too, from its bootstrap on.
+///
+/// An error is the node's crash at that instant: the call fails with it,
+/// whatever reached storage before the phase stays there, and the node
+/// fails every later phase without asking again ([`AftNode::crashed`]).
+pub trait PhaseHook: Send + Sync + std::fmt::Debug {
+    /// Called just before `phase` on `node_id`. `Ok(())` goes on, perhaps
+    /// after blocking the calling thread a while.
+    fn at(&self, node_id: &str, phase: CommitPhase) -> AftResult<()>;
 }
 
 /// When a node takes background checkpoints of its committed-version index.
@@ -92,41 +93,6 @@ impl CheckpointPolicy {
     /// True if the commit-count trigger is armed.
     pub fn is_enabled(&self) -> bool {
         self.every_commits > 0
-    }
-}
-
-/// An optional [`CommitProbe`] consulted *during bootstrap* (at
-/// [`CommitPhase::DuringCheckpointBootstrap`]), carried inside [`NodeConfig`]
-/// because bootstrap runs at construction — before
-/// [`AftNode::install_commit_probe`] could ever be called. Opaque to `Debug`
-/// so `NodeConfig` stays derivable.
-#[derive(Clone, Default)]
-pub struct BootstrapProbe(Option<Arc<dyn CommitProbe>>);
-
-impl BootstrapProbe {
-    /// No probe: bootstrap runs uninstrumented.
-    pub fn none() -> Self {
-        BootstrapProbe(None)
-    }
-
-    /// Installs `probe` for the bootstrap phase.
-    pub fn new(probe: Arc<dyn CommitProbe>) -> Self {
-        BootstrapProbe(Some(probe))
-    }
-
-    /// The installed probe, if any.
-    pub fn get(&self) -> Option<&Arc<dyn CommitProbe>> {
-        self.0.as_ref()
-    }
-}
-
-impl std::fmt::Debug for BootstrapProbe {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.is_some() {
-            "BootstrapProbe(installed)"
-        } else {
-            "BootstrapProbe(none)"
-        })
     }
 }
 
@@ -172,9 +138,8 @@ pub struct NodeConfig {
     /// [`AftNode::maybe_checkpoint`] periodically and the policy decides
     /// whether a round is due.
     pub checkpoint: CheckpointPolicy,
-    /// Optional probe consulted at the checkpoint-bootstrap phase; chaos
-    /// controllers use it to kill a replacement node mid-bootstrap.
-    pub bootstrap_probe: BootstrapProbe,
+    /// The hook asked at every [`CommitPhase`]; `None` runs every phase.
+    pub phase_hook: Option<Arc<dyn PhaseHook>>,
 }
 
 impl Default for NodeConfig {
@@ -190,7 +155,7 @@ impl Default for NodeConfig {
             rng_seed: 0xAF71,
             io: IoConfig::pipelined(),
             checkpoint: CheckpointPolicy::disabled(),
-            bootstrap_probe: BootstrapProbe::none(),
+            phase_hook: None,
         }
     }
 }
@@ -224,12 +189,6 @@ impl NodeConfig {
     /// Sets the background checkpoint policy.
     pub fn with_checkpoint(mut self, checkpoint: CheckpointPolicy) -> Self {
         self.checkpoint = checkpoint;
-        self
-    }
-
-    /// Installs a bootstrap-phase probe.
-    pub fn with_bootstrap_probe(mut self, probe: Arc<dyn CommitProbe>) -> Self {
-        self.bootstrap_probe = BootstrapProbe::new(probe);
         self
     }
 
@@ -359,9 +318,8 @@ pub struct AftNode {
     rng: Mutex<StdRng>,
     /// Commits made on this node that no drain has handed out yet (§4, §4.2).
     undrained: Mutex<Undrained>,
-    /// Chaos hook: when installed, called before each [`CommitPhase`] of
-    /// every commit.
-    commit_probe: Mutex<Option<Arc<dyn CommitProbe>>>,
+    /// Set once the phase hook crashed the node.
+    crashed: AtomicBool,
     /// Commits on this node since the last checkpoint round.
     checkpoint_commits: AtomicU64,
     /// The last checkpoint round's id.
@@ -390,7 +348,7 @@ impl AftNode {
                 &io,
                 &metadata,
                 &config.node_id,
-                config.bootstrap_probe.get(),
+                config.phase_hook.as_ref(),
             )?;
         }
         let rpc_latency = LatencyModel::new(config.latency_mode, config.latency_scale);
@@ -401,7 +359,7 @@ impl AftNode {
             stats: NodeStats::new_shared(),
             rng: Mutex::new(StdRng::seed_from_u64(config.rng_seed)),
             undrained: Mutex::new(Undrained::default()),
-            commit_probe: Mutex::new(None),
+            crashed: AtomicBool::new(false),
             checkpoint_commits: AtomicU64::new(0),
             checkpoint_last_id: Mutex::new(0),
             rpc_latency,
@@ -454,16 +412,26 @@ impl AftNode {
         BatchStats::of(self.commit_flushes.load(Ordering::Relaxed))
     }
 
-    /// Installs a commit-phase probe (replacing any present). Commits run
-    /// the same flush with or without one, so every phase boundary it is
-    /// called at is one an unprobed commit passes through.
-    pub fn install_commit_probe(&self, probe: Arc<dyn CommitProbe>) {
-        *self.commit_probe.lock() = Some(probe);
+    /// Whether the [`PhaseHook`] crashed the node. A crashed node fails
+    /// every later phase, and a cluster's registry counts it failed.
+    pub fn crashed(&self) -> bool {
+        self.crashed.load(Ordering::Acquire)
     }
 
-    /// Removes the commit-phase probe.
-    pub fn clear_commit_probe(&self) {
-        *self.commit_probe.lock() = None;
+    /// Asks the phase hook at `phase`; its error crashes the node.
+    fn at(&self, phase: CommitPhase) -> AftResult<()> {
+        if self.crashed() {
+            let id = self.node_id();
+            return Err(AftError::Unavailable(format!("{id} crashed")));
+        }
+        let Some(hook) = &self.config.phase_hook else {
+            return Ok(());
+        };
+        let answer = hook.at(self.node_id(), phase);
+        if answer.is_err() {
+            self.crashed.store(true, Ordering::Release);
+        }
+        answer
     }
 
     fn rpc(&self) {
@@ -751,20 +719,17 @@ impl AftNode {
         //    puts overlapped, a barrier, then the record; one call where the
         //    store applies it all-or-nothing), on this thread.
         //    Returns the charged storage latency once the record is durable.
-        //    An installed commit probe is consulted before every phase: its
-        //    error is the node's "crash", leaving exactly the storage state
-        //    the protocol had reached by that point. A flush that fails after
-        //    sending the record may have left it durable, so the node reports
-        //    it to the fault manager (§4.2).
+        //    The phase hook is asked before every phase: its error is the
+        //    node's crash, leaving exactly the storage state the protocol had
+        //    reached by that point. A flush that fails after sending the
+        //    record may have left it durable, so the node reports it to the
+        //    fault manager (§4.2).
         let record = TransactionRecord::new(final_id, txn.writes.keys().cloned());
         let record_item = (record.storage_key(), encode_keyed_commit_record(&record));
-        let probe = self.commit_probe.lock().clone();
         self.commit_flushes.fetch_add(1, Ordering::Relaxed);
         let mut record_sent = false;
         let flushed = flush(&self.io, items, record_item, |phase| {
-            probe.as_ref().map_or(Ok(()), |probe| {
-                probe.before_phase(self.node_id(), &final_id, phase)
-            })?;
+            self.at(phase)?;
             record_sent |= phase == CommitPhase::BeforeRecordAppend;
             Ok(())
         });
@@ -971,11 +936,11 @@ impl AftNode {
     /// regardless of policy: snapshots the metadata cache and publishes it
     /// through the I/O engine (pipelined chunk writes, then the manifest).
     ///
-    /// An installed commit probe is consulted at
-    /// [`CommitPhase::DuringCheckpointWrite`] — after the chunks are durable,
-    /// before the manifest — so a chaos kill there leaves a torn (and
-    /// therefore invisible) checkpoint. `compact` compacts the log behind
-    /// it, fetching every uncovered record to check it is superseded.
+    /// The phase hook is asked at [`CommitPhase::DuringCheckpointWrite`] —
+    /// after the chunks are durable, before the manifest — so a kill there
+    /// leaves a torn (and therefore invisible) checkpoint. `compact` compacts
+    /// the log behind it, fetching every uncovered record to check it is
+    /// superseded.
     pub fn checkpoint_now(&self, compact: bool) -> AftResult<NodeCheckpointOutcome> {
         self.checkpoint(compact, &|_| false)
     }
@@ -1001,17 +966,8 @@ impl AftNode {
             candidate.max(*last_id + 1)
         };
         let checkpoint = Checkpoint::new(id, records);
-        let probe = self.commit_probe.lock().clone();
-        let sentinel = TransactionId::new(id, Uuid::NIL);
         let write = publish_checkpoint(&self.io, &checkpoint, || {
-            if let Some(probe) = &probe {
-                probe.before_phase(
-                    self.node_id(),
-                    &sentinel,
-                    CommitPhase::DuringCheckpointWrite,
-                )?;
-            }
-            Ok(())
+            self.at(CommitPhase::DuringCheckpointWrite)
         })?;
         *self.checkpoint_last_id.lock() = id;
         self.checkpoint_commits.store(0, Ordering::Relaxed);
@@ -1525,25 +1481,6 @@ mod tests {
     }
 
     #[test]
-    fn a_commit_that_failed_after_sending_its_record_sets_the_floor() {
-        for (phase, reported) in [
-            (CommitPhase::BeforeDataPut, false),
-            (CommitPhase::BeforeRecordAppend, false),
-            (CommitPhase::BeforeBroadcast, true),
-        ] {
-            let node = test_node();
-            node.install_commit_probe(CrashAt::new(phase));
-            let t = node.start_transaction();
-            node.put(&t, Key::new("k"), val("v")).unwrap();
-            assert!(node.commit(&t).is_err());
-            let drain = node.drain_recent_commits();
-            assert!(drain.records.is_empty());
-            assert_eq!(drain.floor.is_some(), reported, "{phase:?}");
-            assert_eq!(node.drain_recent_commits().floor, None, "reported once");
-        }
-    }
-
-    #[test]
     fn local_gc_removes_superseded_transactions_only() {
         let node = test_node();
         let ids: Vec<TransactionId> = (0..3)
@@ -1782,100 +1719,81 @@ mod tests {
         );
     }
 
-    /// A probe that crashes the node at one phase, recording every phase it
-    /// observed first.
+    /// A phase hook that crashes the node at one phase, if any, recording
+    /// every phase it is asked at first.
+    #[derive(Debug, Default)]
     struct CrashAt {
-        phase: CommitPhase,
+        phase: Option<CommitPhase>,
         seen: Mutex<Vec<CommitPhase>>,
     }
 
-    impl CrashAt {
-        fn new(phase: CommitPhase) -> Arc<Self> {
-            Arc::new(CrashAt {
-                phase,
-                seen: Mutex::new(Vec::new()),
-            })
-        }
-    }
-
-    impl CommitProbe for CrashAt {
-        fn before_phase(
-            &self,
-            node_id: &str,
-            _txid: &TransactionId,
-            phase: CommitPhase,
-        ) -> AftResult<()> {
+    impl PhaseHook for CrashAt {
+        fn at(&self, node_id: &str, phase: CommitPhase) -> AftResult<()> {
             self.seen.lock().push(phase);
-            if phase == self.phase {
-                Err(AftError::Unavailable(format!(
-                    "chaos: {node_id} crashed {}",
-                    phase.label()
-                )))
-            } else {
-                Ok(())
+            if self.phase != Some(phase) {
+                return Ok(());
             }
+            let label = phase.label();
+            Err(AftError::Unavailable(format!("{node_id} crashed {label}")))
         }
     }
 
-    /// A probe that never crashes (observes phases only).
-    struct Observe(Mutex<Vec<CommitPhase>>);
-
-    impl CommitProbe for Observe {
-        fn before_phase(
-            &self,
-            _node_id: &str,
-            _txid: &TransactionId,
-            phase: CommitPhase,
-        ) -> AftResult<()> {
-            self.0.lock().push(phase);
-            Ok(())
-        }
+    /// A node over `storage` whose phase hook crashes it at `phase`.
+    fn crashing_at(
+        phase: Option<CommitPhase>,
+        storage: SharedStorage,
+    ) -> (Arc<AftNode>, Arc<CrashAt>) {
+        let hook = Arc::new(CrashAt {
+            phase,
+            ..CrashAt::default()
+        });
+        let config = NodeConfig {
+            phase_hook: Some(hook.clone()),
+            ..NodeConfig::test()
+        };
+        let clock = MockClock::starting_at(1).shared();
+        (AftNode::with_clock(config, storage, clock).unwrap(), hook)
     }
 
     #[test]
     fn commit_probe_observes_every_phase_in_protocol_order() {
-        let node = test_node();
-        let probe = Arc::new(Observe(Mutex::new(Vec::new())));
-        node.install_commit_probe(Arc::clone(&probe) as Arc<dyn CommitProbe>);
+        let (node, hook) = crashing_at(None, InMemoryStore::shared());
         let t = node.start_transaction();
         node.put(&t, Key::new("k"), val("v")).unwrap();
         node.commit(&t).unwrap();
-        assert_eq!(probe.0.lock().as_slice(), &CommitPhase::ALL);
-        // A probed commit is durable, visible and counted like any other:
+        let bootstrap = CommitPhase::DuringCheckpointBootstrap;
+        let phases: Vec<CommitPhase> = [bootstrap].into_iter().chain(CommitPhase::ALL).collect();
+        assert_eq!(hook.seen.lock().as_slice(), phases);
+        // A hooked commit is durable, visible and counted like any other:
         // it ran the one flush there is.
         let t2 = node.start_transaction();
         assert_eq!(node.get(&t2, &Key::new("k")).unwrap().unwrap(), val("v"));
-        assert_eq!(node.commit_batch_stats().submitted, 1);
-        node.clear_commit_probe();
-        let t3 = node.start_transaction();
-        node.put(&t3, Key::new("k2"), val("v2")).unwrap();
-        node.commit(&t3).unwrap();
-        assert_eq!(probe.0.lock().len(), 3, "no phases after clearing");
         let stats = node.commit_batch_stats();
         assert_eq!(
             (stats.submitted, stats.flushes, stats.largest_batch),
-            (2, 2, 1)
+            (1, 1, 1)
         );
+        assert!(!node.crashed());
     }
 
     #[test]
     fn crash_before_data_put_leaves_storage_untouched() {
         let storage = InMemoryStore::shared();
-        let node = AftNode::with_clock(
-            NodeConfig::test(),
-            storage.clone() as SharedStorage,
-            MockClock::starting_at(1).shared(),
-        )
-        .unwrap();
-        node.install_commit_probe(CrashAt::new(CommitPhase::BeforeDataPut));
+        let phase = Some(CommitPhase::BeforeDataPut);
+        let (node, _) = crashing_at(phase, storage.clone() as SharedStorage);
         let t = node.start_transaction();
         node.put(&t, Key::new("k"), val("v")).unwrap();
         let err = node.commit(&t).unwrap_err();
         assert!(matches!(err, AftError::Unavailable(_)));
         assert!(storage.list_prefix("data/").unwrap().is_empty());
         assert!(storage.list_prefix("commit/").unwrap().is_empty());
-        // The crash lost the in-memory transaction (write buffer gone).
+        // The crash lost the in-memory transaction (write buffer gone), and
+        // a crashed node fails every later commit.
         assert_eq!(node.in_flight(), 0);
+        assert!(node.crashed());
+        let t = node.start_transaction();
+        node.put(&t, Key::new("k"), val("v")).unwrap();
+        assert!(matches!(node.commit(&t), Err(AftError::Unavailable(_))));
     }
 
     #[test]
@@ -1891,13 +1809,8 @@ mod tests {
             (BackendKind::Redis, 0),
         ] {
             let storage = make_backend(BackendConfig::test(kind));
-            let node = AftNode::with_clock(
-                NodeConfig::test(),
-                storage.clone(),
-                MockClock::starting_at(1).shared(),
-            )
-            .unwrap();
-            node.install_commit_probe(CrashAt::new(CommitPhase::BeforeRecordAppend));
+            let phase = Some(CommitPhase::BeforeRecordAppend);
+            let (node, _) = crashing_at(phase, storage.clone());
             let t = node.start_transaction();
             node.put(&t, Key::new("k"), val("v")).unwrap();
             assert!(node.commit(&t).is_err(), "{kind}");
@@ -1915,37 +1828,6 @@ mod tests {
                 "{kind}"
             );
         }
-    }
-
-    #[test]
-    fn crash_before_broadcast_commits_durably_but_silently() {
-        let storage = InMemoryStore::shared();
-        let clock = MockClock::starting_at(1);
-        let node = AftNode::with_clock(
-            NodeConfig::test(),
-            storage.clone() as SharedStorage,
-            clock.shared(),
-        )
-        .unwrap();
-        node.install_commit_probe(CrashAt::new(CommitPhase::BeforeBroadcast));
-        let t = node.start_transaction();
-        node.put(&t, Key::new("k"), val("v")).unwrap();
-        assert!(node.commit(&t).is_err(), "the ack was lost with the node");
-        // The §4.2 scenario: record durable, but the crashed node never made
-        // it visible or multicast it.
-        assert_eq!(storage.list_prefix("commit/").unwrap().len(), 1);
-        assert!(node.drain_recent_commits().records.is_empty());
-        let reader = node.start_transaction();
-        assert!(node.get(&reader, &Key::new("k")).unwrap().is_none());
-        // A bootstrapping replacement recovers the commit from storage.
-        let replacement =
-            AftNode::with_clock(NodeConfig::test(), storage as SharedStorage, clock.shared())
-                .unwrap();
-        let t2 = replacement.start_transaction();
-        assert_eq!(
-            replacement.get(&t2, &Key::new("k")).unwrap().unwrap(),
-            val("v")
-        );
     }
 
     #[test]
@@ -2236,18 +2118,18 @@ mod tests {
         let storage: SharedStorage = InMemoryStore::shared();
         let node = AftNode::with_clock(
             NodeConfig::test(),
-            storage,
+            storage.clone(),
             aft_types::clock::TickingClock::shared(1_000, 1),
         )
         .unwrap();
         commit_n(&node, 3, "k");
         let first = node.checkpoint_now(false).unwrap();
 
-        commit_n(&node, 3, "k");
-        node.install_commit_probe(CrashAt::new(CommitPhase::DuringCheckpointWrite));
-        let err = node.checkpoint_now(false).unwrap_err();
+        let phase = Some(CommitPhase::DuringCheckpointWrite);
+        let (crashing, _) = crashing_at(phase, storage);
+        commit_n(&crashing, 3, "k");
+        let err = crashing.checkpoint_now(false).unwrap_err();
         assert!(matches!(err, AftError::Unavailable(_)));
-        node.clear_commit_probe();
 
         // Chunks of the torn checkpoint may exist, but the manifest pointer
         // was never published: a loader still sees the first checkpoint.
@@ -2255,7 +2137,7 @@ mod tests {
         let live = load.checkpoint.expect("previous checkpoint live");
         assert_eq!(live.id, first.write.id);
 
-        // After the crash clears, checkpointing succeeds and supersedes it.
+        // A live node's next checkpoint succeeds and supersedes it.
         let second = node.checkpoint_now(false).unwrap();
         assert!(second.write.id > first.write.id);
         let load = aft_storage::load_latest_checkpoint(node.io()).unwrap();

@@ -14,17 +14,25 @@
 //! stripes a store has is a fact of its service row
 //! ([`Service::stripes`](crate::Service::stripes)).
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 
 use aft_types::Value;
 use parking_lot::RwLock;
 
-// The striping function and default stripe count are canonical in
-// `aft-chaos` (the gray-failure fault mode must target exactly the keys
-// that share a placement stripe); re-exported here because this is where
-// storage callers found them.
-pub use aft_chaos::{stripe_of, DEFAULT_STRIPES};
+/// Default stripe count of the storage layer's lock striping.
+pub const DEFAULT_STRIPES: usize = 16;
+
+/// The stripe a key hashes to, out of `stripes`: where a [`ShardedMap`]
+/// places it, and where a data cache of the same stripe count does.
+pub fn stripe_of(key: &str, stripes: usize) -> usize {
+    debug_assert!(stripes > 0, "stripe count must be positive");
+    let mut hasher = DefaultHasher::new();
+    key.hash(&mut hasher);
+    (hasher.finish() as usize) % stripes
+}
 
 /// A thread-safe sorted map of string keys to blobs, lock-striped N ways.
 #[derive(Debug)]

@@ -1,10 +1,9 @@
 //! The commit-protocol phases a fault can target.
 //!
-//! This lives in `aft-types` (rather than the node implementation) because it
-//! is shared vocabulary: the node's commit path announces each phase to its
-//! crash probes, and the unified chaos layer plans node kills against the
-//! same phases — both sides must agree on the enum without depending on each
-//! other.
+//! A node announces each phase to its phase hook (`aft_core::PhaseHook`),
+//! and a schedule of `aft_workload::sim` answers it: go on, park the commit
+//! while other steps run, or kill the node there. A kill is one more
+//! schedule answer, like an invocation's fate or a storage write's cut.
 
 /// The points in the write-ordering commit protocol (§3.3) where a node can
 /// crash with *observably different* consequences — each is a distinct
@@ -27,7 +26,7 @@
 ///
 /// Beyond the commit path, two *checkpoint* phases target the background
 /// checkpointing subsystem. They never fire during a normal commit; they exist
-/// so chaos plans can prove that a torn checkpoint is never read:
+/// so a schedule can prove that a torn checkpoint is never read:
 ///
 /// * [`DuringCheckpointWrite`](CommitPhase::DuringCheckpointWrite): after some
 ///   checkpoint chunks are durable but before the manifest (the atomic
@@ -62,7 +61,7 @@ impl CommitPhase {
         CommitPhase::BeforeBroadcast,
     ];
 
-    /// The background checkpoint phases a chaos plan can target.
+    /// The background checkpoint phases a schedule can kill at.
     pub const CHECKPOINT: [CommitPhase; 2] = [
         CommitPhase::DuringCheckpointWrite,
         CommitPhase::DuringCheckpointBootstrap,

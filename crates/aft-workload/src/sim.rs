@@ -10,27 +10,31 @@
 //! [`history::check`]'s verdict on what the clients saw. A retryable error
 //! aborts the attempt and retries the request; any other error is a bug.
 //!
-//! A schedule picks each [`Step`], each invocation's fate and each storage
-//! write's [`Cut`]: a platform re-runs a request whose invocation died
-//! before, inside or after its body (§3.3.1), [`FailurePoint::MidBody`]
-//! aborts right after the attempt's first write (the §1 fractional update),
-//! and a write lands, fails back to its caller or crashes the cluster with
-//! as much of its call applied as the service allows ([`CutStore`]). After a
-//! crash the stepper restarts the cluster over the surviving storage and
-//! re-invokes every open attempt. [`Seeded`] samples one schedule and never
-//! cuts. [`Exhaustive`] is stateless model checking: it walks the choice
-//! tree depth first within a [`Scope`]'s budgets, replaying each schedule on
-//! a fresh cluster, and [`walk`] panics on a schedule that [`settle`] finds
-//! at fault, naming the choice list that [`Exhaustive::replay`] re-runs.
+//! A schedule picks each [`Step`], each invocation's fate, each storage
+//! write's [`Cut`] and each [`CommitPhase`]'s [`Answer`]: a platform re-runs
+//! a request whose invocation died before, inside or after its body
+//! (§3.3.1), [`FailurePoint::MidBody`] aborts right after the attempt's
+//! first write (the §1 fractional update), a write lands, fails back to its
+//! caller or crashes the cluster with as much of its call applied as the
+//! service allows ([`CutStore`]), and a node reaching a phase goes on, parks
+//! its commit while other steps run, or dies there ([`PhaseHook`]). After a
+//! storage crash the stepper restarts the cluster over the surviving storage
+//! and re-invokes every open attempt; after a kill it replaces the node only
+//! when none is left active. [`Seeded`] samples one schedule, never cuts or
+//! parks, and kills only where [`Seeded::kill`] says. [`Exhaustive`] is
+//! stateless model checking: it walks the choice tree depth first within a
+//! [`Scope`]'s budgets, replaying each schedule on a fresh cluster, and
+//! [`walk`] panics on a schedule that [`settle`] finds at fault, naming the
+//! choice list that [`Exhaustive::replay`] re-runs.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
 use aft_core::bootstrap::{fetch_commit_records, warm_metadata_cache_checkpointed};
-use aft_core::{is_superseded, AftNode, CheckpointPolicy, MetadataCache};
+use aft_core::{is_superseded, AftNode, CheckpointPolicy, MetadataCache, PhaseHook};
 use aft_faas::FailurePoint::{AfterBody, BeforeBody, MidBody};
 use aft_faas::{FailureInjector, FailurePoint};
 use aft_storage::io::{IoConfig, IoEngine};
@@ -39,7 +43,8 @@ use aft_storage::{
 };
 use aft_types::clock::TickingClock;
 use aft_types::{
-    AftError, AftResult, Key, KeyVersion, SharedClock, TransactionId, TransactionRecord, Uuid,
+    AftError, AftResult, CommitPhase, Key, KeyVersion, SharedClock, TransactionId,
+    TransactionRecord, Uuid,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -111,6 +116,18 @@ pub enum Step {
     Failover,
 }
 
+/// What a node does at a [`CommitPhase`] it reaches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Answer {
+    /// The phase runs.
+    Go,
+    /// The commit waits at the phase while the stepper takes other steps,
+    /// until its client's next [`Step::Client`] resumes it.
+    Park,
+    /// The node crashes at the phase ([`AftNode::crashed`]).
+    Kill,
+}
+
 /// Where a run's choices come from.
 pub trait Schedule {
     /// The next step, one of `options`: a round, each busy client, a
@@ -121,25 +138,61 @@ pub trait Schedule {
     /// How a storage write call of `units` independently applied units
     /// ends ([`CutStore`]).
     fn cut(&mut self, units: usize) -> Cut;
-}
-
-/// A sampled schedule: a round one step in [`MAINTENANCE_ONE_IN`], else a
-/// uniformly drawn busy client, from one seeded `StdRng`, and the fates
-/// `injector` draws. It never duplicates or fails over.
-pub struct Seeded<'a> {
-    rng: StdRng,
-    injector: Option<&'a FailureInjector>,
-}
-
-impl<'a> Seeded<'a> {
-    /// The schedule `seed` draws, with `injector`'s fates.
-    pub fn new(seed: u64, injector: Option<&'a FailureInjector>) -> Self {
-        let rng = StdRng::seed_from_u64(seed);
-        Seeded { rng, injector }
+    /// What `node` does at `phase`; [`Answer::Park`] only if `parkable`.
+    fn phase(&mut self, node: &str, phase: CommitPhase, parkable: bool) -> Answer;
+    /// Whether the next commit may park, so it runs on a thread of its own.
+    fn parks(&self) -> bool {
+        false
     }
 }
 
-impl Schedule for Seeded<'_> {
+/// A sampled schedule: a round one step in [`MAINTENANCE_ONE_IN`], else a
+/// uniformly drawn busy client, from one seeded `StdRng`, the fates
+/// `injector` draws, and the one kill [`Seeded::kill`] plans. It never
+/// duplicates, fails over, cuts or parks.
+pub struct Seeded {
+    rng: StdRng,
+    injector: Option<Arc<FailureInjector>>,
+    kill: Option<Kill>,
+}
+
+/// A planned kill: the victim, its phase, how many times the victim passes
+/// the phase first, and whether the kill and its torn bootstrap happened.
+struct Kill {
+    victim: String,
+    phase: CommitPhase,
+    after: u64,
+    fired: bool,
+    torn: bool,
+}
+
+impl Seeded {
+    /// The schedule `seed` draws, with `injector`'s fates.
+    pub fn new(seed: u64, injector: Option<Arc<FailureInjector>>) -> Self {
+        Seeded {
+            rng: StdRng::seed_from_u64(seed),
+            injector,
+            kill: None,
+        }
+    }
+
+    /// Kills `victim` the `after + 1`th time it reaches `phase`, without a
+    /// draw. At [`CommitPhase::DuringCheckpointBootstrap`] the victim dies at
+    /// [`CommitPhase::BeforeBroadcast`], its commit durable but silent, and
+    /// the first bootstrap after that, its replacement's, is torn.
+    pub fn kill(mut self, victim: &str, phase: CommitPhase, after: u64) -> Self {
+        self.kill = Some(Kill {
+            victim: victim.to_owned(),
+            phase,
+            after,
+            fired: false,
+            torn: false,
+        });
+        self
+    }
+}
+
+impl Schedule for Seeded {
     fn step(&mut self, options: &[Step]) -> Step {
         if self.rng.gen_range(0..MAINTENANCE_ONE_IN) == 0 {
             return Step::Round;
@@ -149,16 +202,41 @@ impl Schedule for Seeded<'_> {
     }
 
     fn fate(&mut self) -> Option<FailurePoint> {
-        self.injector.and_then(FailureInjector::decide)
+        self.injector.as_deref().and_then(FailureInjector::decide)
     }
 
     fn cut(&mut self, _: usize) -> Cut {
         Cut::Pass
     }
+
+    fn phase(&mut self, node: &str, phase: CommitPhase, _: bool) -> Answer {
+        let Some(kill) = &mut self.kill else {
+            return Answer::Go;
+        };
+        let bootstrap = CommitPhase::DuringCheckpointBootstrap;
+        if phase == bootstrap {
+            let tear = kill.phase == bootstrap && kill.fired && !kill.torn;
+            kill.torn |= tear;
+            return if tear { Answer::Kill } else { Answer::Go };
+        }
+        let at = match kill.phase {
+            CommitPhase::DuringCheckpointBootstrap => CommitPhase::BeforeBroadcast,
+            at => at,
+        };
+        if kill.fired || node != kill.victim || phase != at {
+            return Answer::Go;
+        }
+        if kill.after > 0 {
+            kill.after -= 1;
+            return Answer::Go;
+        }
+        kill.fired = true;
+        Answer::Kill
+    }
 }
 
-/// How many rounds, failed invocations, duplicates, failovers, crashes and
-/// failed calls one [`Exhaustive`] schedule may take.
+/// How many rounds, failed invocations, duplicates, failovers, crashes,
+/// failed calls, parks and kills one [`Exhaustive`] schedule may take.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Scope {
     /// [`Step::Round`]s.
@@ -173,6 +251,10 @@ pub struct Scope {
     pub crashes: u32,
     /// [`Cut::Fail`]s.
     pub fails: u32,
+    /// [`Answer::Park`]s.
+    pub parks: u32,
+    /// [`Answer::Kill`]s.
+    pub kills: u32,
 }
 
 impl Scope {
@@ -294,19 +376,73 @@ impl Schedule for Exhaustive {
             }
         }
     }
+
+    /// Go, then park, then kill, while each budget lasts. A commit parks at
+    /// its first phase, where its timestamp is taken and nothing is durable;
+    /// a node dies at a commit's last, where its record is durable and
+    /// unacknowledged. Between the two lies every state the fault manager's
+    /// floor must cover (§4.2). A kill at the other phases, at a checkpoint
+    /// write and at a bootstrap is [`Seeded::kill`]'s (fig10's).
+    fn phase(&mut self, _: &str, phase: CommitPhase, parkable: bool) -> Answer {
+        let park = parkable && self.left.parks > 0 && phase == CommitPhase::BeforeDataPut;
+        let kill = self.left.kills > 0 && phase == CommitPhase::BeforeBroadcast;
+        // At most one of the two is open at any phase.
+        match self.choose(1 + usize::from(park || kill)) {
+            0 => Answer::Go,
+            _ if park => {
+                self.left.parks -= 1;
+                Answer::Park
+            }
+            _ => {
+                self.left.kills -= 1;
+                Answer::Kill
+            }
+        }
+    }
+
+    fn parks(&self) -> bool {
+        self.left.parks > 0
+    }
 }
 
-/// A schedule that the stepper and a [`CutStore`] both ask, one question at
-/// a time.
-struct Shared(Mutex<Exhaustive>);
+/// A schedule that the stepper, a [`CutStore`] and every node's
+/// [`PhaseHook`] all ask, one question at a time.
+pub struct Shared<S>(Mutex<S>);
 
-impl CutHook for Shared {
+impl<S> Shared<S> {
+    /// Shares `schedule`.
+    pub fn new(schedule: S) -> Arc<Self> {
+        Arc::new(Shared(Mutex::new(schedule)))
+    }
+}
+
+impl<S> std::fmt::Debug for Shared<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Shared(..)")
+    }
+}
+
+impl<S: Schedule + Send> CutHook for Shared<S> {
     fn cut(&self, units: usize) -> Cut {
         self.0.lock().cut(units)
     }
 }
 
-impl Schedule for &Shared {
+/// Asks the schedule, then parks, kills or goes on. Only a commit the
+/// stepper ran on a thread of its own can park.
+impl<S: Schedule + Send> PhaseHook for Shared<S> {
+    fn at(&self, node: &str, phase: CommitPhase) -> AftResult<()> {
+        let parkable = PARKING.with(|parking| parking.borrow().is_some());
+        let answer = self.0.lock().phase(node, phase, parkable);
+        match answer {
+            Answer::Go => Ok(()),
+            Answer::Park => park(node, phase),
+            Answer::Kill => Err(killed(node, phase)),
+        }
+    }
+}
+
+impl<S: Schedule> Schedule for &Shared<S> {
     fn step(&mut self, options: &[Step]) -> Step {
         self.0.lock().step(options)
     }
@@ -317,6 +453,77 @@ impl Schedule for &Shared {
 
     fn cut(&mut self, units: usize) -> Cut {
         self.0.lock().cut(units)
+    }
+
+    fn phase(&mut self, node: &str, phase: CommitPhase, parkable: bool) -> Answer {
+        self.0.lock().phase(node, phase, parkable)
+    }
+
+    fn parks(&self) -> bool {
+        self.0.lock().parks()
+    }
+}
+
+fn killed(node: &str, phase: CommitPhase) -> AftError {
+    AftError::Unavailable(format!("{node} killed {}", phase.label()))
+}
+
+/// What a parkable commit's thread reports: `None` once it parked.
+type Report = Option<AftResult<()>>;
+
+thread_local! {
+    /// On a [`Task`]'s thread: where it reports, and where it hears whether
+    /// to go on (`true`) or die at its phase.
+    static PARKING: RefCell<Option<(mpsc::Sender<Report>, mpsc::Receiver<bool>)>> =
+        const { RefCell::new(None) };
+}
+
+/// Parks the calling commit at `phase` until the stepper resumes it.
+fn park(node: &str, phase: CommitPhase) -> AftResult<()> {
+    PARKING.with(|parking| {
+        let parking = parking.borrow();
+        let (report, resume) = parking.as_ref().expect("a task's thread");
+        report.send(None).expect("a stepper waiting on its task");
+        match resume.recv() {
+            Ok(true) => Ok(()),
+            _ => Err(killed(node, phase)),
+        }
+    })
+}
+
+/// A commit on a thread of its own, so its phase hook can park it. It and
+/// the stepper take turns: one of them runs at a time.
+struct Task {
+    resume: mpsc::Sender<bool>,
+    reports: mpsc::Receiver<Report>,
+}
+
+impl Task {
+    /// Starts `txid`'s commit through `api`, then waits as [`Task::wait`].
+    fn start(api: Arc<dyn AftApi>, txid: TransactionId) -> (Task, Report) {
+        let (resume, heard) = mpsc::channel();
+        let (report, reports) = mpsc::channel();
+        std::thread::spawn(move || {
+            PARKING.with(|parking| *parking.borrow_mut() = Some((report.clone(), heard)));
+            let _ = report.send(Some(api.commit(&txid, &[]).map(drop)));
+        });
+        let task = Task { resume, reports };
+        let report = task.wait();
+        (task, report)
+    }
+
+    /// Resumes the parked commit, to go on or to die at its phase, then
+    /// waits as [`Task::wait`].
+    fn resume(&self, go: bool) -> Report {
+        self.resume.send(go).expect("a parked task");
+        self.wait()
+    }
+
+    /// Waits until the commit parks or ends.
+    fn wait(&self) -> Report {
+        self.reports
+            .recv()
+            .expect("a task that reports, not one that panicked")
     }
 }
 
@@ -361,7 +568,8 @@ pub struct Stored {
     /// write, and at the end.
     pub dangling: u64,
     /// (record, node) pairs where an active node neither knows a durable
-    /// record nor supersedes it (§4.1, §4.2).
+    /// record nor supersedes it (§4.1, §4.2), and durable records the fault
+    /// manager does not know: its floor let one slip (§4.2).
     pub unrecovered: u64,
     /// Data keys that no record names: garbage, not an anomaly.
     pub orphaned: u64,
@@ -402,9 +610,10 @@ pub fn settle(
     clients: &[Vec<Request>],
     schedule: &mut Exhaustive,
 ) -> (Run, Verdict, Stored) {
-    let shared = Arc::new(Shared(Mutex::new(std::mem::take(schedule))));
+    let shared = Shared::new(std::mem::take(schedule));
     let storage = make_backend(BackendConfig::test(shape.backend));
-    let config = ClusterConfig::test(shape.nodes).with_checkpoint_policy(shape.checkpoint);
+    let mut config = ClusterConfig::test(shape.nodes).with_checkpoint_policy(shape.checkpoint);
+    config.node_template.phase_hook = Some(shared.clone());
     let deployment = Restarting {
         storage: CutStore::new(storage, shared.clone()),
         checked: Cell::default(),
@@ -446,9 +655,12 @@ pub fn settle(
 }
 
 /// What storage holds once maintenance is quiet, graded against the
-/// records in it and those `cluster`'s active nodes know.
+/// records in it and those `cluster`'s active nodes and fault manager know.
 fn stored(cluster: &Cluster) -> Stored {
     let (records, unrecovered) = durable_records(cluster);
+    let manager = cluster.fault_manager().metadata();
+    let unknown = records.iter().filter(|r| !manager.is_committed(&r.id));
+    let unrecovered = unrecovered + unknown.count() as u64;
     let known = cluster.active_nodes().into_iter();
     let known = known.flat_map(|node| node.metadata().all_records());
     let named: HashSet<(Key, Uuid)> = (records.into_iter().chain(known))
@@ -589,7 +801,9 @@ impl Deployment for Restarting {
 
 /// Runs every client's requests to completion, one step at a time as
 /// `schedule` chooses, on `deployment`. After a step that crashed its
-/// storage, the deployment restarts and every open attempt is abandoned.
+/// storage, the deployment restarts and every open attempt is abandoned, a
+/// parked commit dying at its phase; after one that killed the last active
+/// node, the cluster replaces it.
 pub fn run(
     deployment: &dyn Deployment,
     clients: Vec<Vec<Request>>,
@@ -651,9 +865,17 @@ pub fn run(
         if deployment.restart() {
             stepper.run.restarts += 1;
             for client in &mut clients {
-                if client.open.take().is_some() {
+                if let Some(attempt) = client.open.take() {
+                    if let Some(task) = attempt.parked {
+                        task.resume(false);
+                    }
                     stepper.retry(client, Ok(()));
                 }
+            }
+        } else {
+            let cluster = deployment.cluster();
+            if cluster.registry().active_count() == 0 {
+                cluster.replace_failed_nodes().expect("a replacement node");
             }
         }
     }
@@ -683,6 +905,8 @@ struct Open {
     next: usize,
     /// Whether the next step aborts the attempt.
     aborting: bool,
+    /// Its commit, parked at a phase.
+    parked: Option<Task>,
 }
 
 /// What a client's step reaches: the deployment, the schedule, the history,
@@ -710,7 +934,22 @@ impl Stepper<'_> {
         }
         let ops = &client.requests[client.done];
         let Some(op) = ops.get(attempt.next) else {
-            let committed = api.commit(&txid, &[]).map(drop);
+            let report = match attempt.parked.take() {
+                Some(task) => task.resume(true).ok_or(task),
+                None if self.schedule.parks() => {
+                    let (task, report) = Task::start(api, txid);
+                    report.ok_or(task)
+                }
+                None => Ok(api.commit(&txid, &[]).map(drop)),
+            };
+            let committed = match report {
+                Ok(committed) => committed,
+                Err(task) => {
+                    attempt.parked = Some(task);
+                    client.open = Some(attempt);
+                    return;
+                }
+            };
             // After the body, the commit is durable and acknowledged but the
             // invocation's response was lost, so the client re-runs the
             // request. AFT's job is to keep the duplicate harmless.
@@ -756,6 +995,7 @@ impl Stepper<'_> {
                 failure,
                 next: 0,
                 aborting: false,
+                parked: None,
             }))
         });
         match begun {
@@ -828,20 +1068,37 @@ mod tests {
             fails: 1,
             ..Scope::default()
         };
-        for (nodes, clients, scope) in [(2, rmw, duplicate), (1, pair, cuts)] {
-            let (mut schedule, mut restarts) = (Exhaustive::replay(scope, &[]), 0);
+        // A parked commit runs on a thread of its own, and a kill of the one
+        // node replaces it.
+        let writer = vec![vec![request("w a")]];
+        let phases = Scope {
+            rounds: 1,
+            parks: 1,
+            kills: 1,
+            ..Scope::default()
+        };
+        for (nodes, clients, scope) in [(2, rmw, duplicate), (1, pair, cuts), (1, writer, phases)] {
+            let mut schedule = Exhaustive::replay(scope, &[]);
+            let (mut restarts, mut parked, mut killed) = (0, false, false);
             loop {
                 let (walked, ..) = settle(Shape::nodes(nodes), &clients, &mut schedule);
+                (parked, killed) = (
+                    parked || schedule.left.parks < scope.parks,
+                    killed || schedule.left.kills < scope.kills,
+                );
                 let choices = schedule.choices();
                 let replay = &mut Exhaustive::replay(scope, &choices);
                 let (replayed, ..) = settle(Shape::nodes(nodes), &clients, replay);
                 assert_eq!(replayed, walked, "{choices:?}");
+                assert_eq!(replay.left, schedule.left, "{choices:?}");
                 restarts += walked.restarts;
                 if !schedule.advance() {
                     break;
                 }
             }
-            assert_eq!(restarts > 0, scope.crashes > 0, "{scope:?}");
+            let spent = (restarts > 0, parked, killed);
+            let budgets = (scope.crashes > 0, scope.parks > 0, scope.kills > 0);
+            assert_eq!(spent, budgets, "{scope:?}");
         }
     }
 

@@ -25,8 +25,9 @@
 //!   anomaly detection, and the closed-loop experiment runner.
 //! * [`chaos`] (`aft-chaos`) — the unified fault-schedule vocabulary: one
 //!   seeded, order-independent [`ChaosSpec`](aft_chaos::ChaosSpec) drives
-//!   storage faults, connection faults, platform failures, and node kills
-//!   in the same trial.
+//!   storage faults, connection faults, platform failures and partitions
+//!   in the same trial. A node kill is a schedule's answer at a commit
+//!   phase (`aft_workload::sim`), not a spec leg.
 //! * [`types`] (`aft-types`) — shared identifiers, records, codec, clocks.
 //!
 //! ## Quickstart
