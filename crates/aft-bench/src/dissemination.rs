@@ -22,21 +22,24 @@
 //! advanced by exactly one interval per round, so lag is measured in
 //! *virtual* milliseconds — deterministic, and independent of host speed.
 //!
-//! A second leg replays the sweep under a seeded [`PartitionChaos`] edge-cut
-//! (§4.2's "broadcast lost" window, scaled to a metadata partition):
-//! deliveries park on retry queues while the cut holds, and after the heal
-//! the leg must converge with **zero** lost commits and **zero**
-//! unaccounted records. [`DisseminationReport::check_gate`] enforces all of
-//! it in CI; results land in `BENCH_dissemination.json`.
+//! A second leg replays the sweep while every node's phase hook, a
+//! [`Seeded`] schedule, holds each batch sent over an edge that a seeded
+//! [`PartitionChaos`] edge-cut severs (§4.2's "broadcast lost" window,
+//! scaled to a metadata partition): deliveries park on retry queues while
+//! the cut holds, and after the heal the leg must converge with **zero**
+//! lost commits and **zero** unaccounted records.
+//! [`DisseminationReport::check_gate`] enforces all of it in CI; results
+//! land in `BENCH_dissemination.json`.
 
 use std::sync::Arc;
 
 use aft_chaos::{ChaosSpec, PartitionChaos};
 use aft_cluster::{broadcast_round, BroadcastStats, Disseminator};
-use aft_core::{AftNode, NodeConfig};
+use aft_core::{AftNode, NodeConfig, PhaseHook};
 use aft_storage::{InMemoryStore, SharedStorage};
 use aft_types::clock::MockClock;
 use aft_types::{Key, TransactionId, Value};
+use aft_workload::sim::{Seeded, Shared};
 
 use crate::cli::{Args, Outcome};
 use crate::json::Json;
@@ -57,7 +60,7 @@ pub struct DisseminationBenchConfig {
     pub partition_nodes: usize,
     /// Fraction of edges the partition leg cuts.
     pub cut_fraction: f64,
-    /// Partition window in rounds, relative to arming.
+    /// Partition window in rounds, from the leg's first.
     pub cut_rounds: u64,
     /// Extra rounds the partition leg may take to drain its retries.
     pub heal_budget: usize,
@@ -397,13 +400,18 @@ struct VirtualCluster {
     clock: MockClock,
 }
 
-fn virtual_cluster(n: usize, seed: u64) -> VirtualCluster {
+/// `n` in-process nodes, each asking `phase_hook` when it has one.
+fn virtual_cluster(n: usize, seed: u64, phase_hook: Option<Arc<dyn PhaseHook>>) -> VirtualCluster {
     let storage: SharedStorage = InMemoryStore::shared();
     let clock = MockClock::starting_at(1);
     let nodes = (0..n)
         .map(|i| {
+            let config = NodeConfig {
+                phase_hook: phase_hook.clone(),
+                ..NodeConfig::test()
+            };
             AftNode::with_clock(
-                NodeConfig::test()
+                config
                     .with_node_id(format!("aft-node-{i}"))
                     .with_seed(seed ^ i as u64),
                 storage.clone(),
@@ -484,7 +492,7 @@ fn run_cell(
     path: &'static str,
     config: &DisseminationBenchConfig,
 ) -> DisseminationCell {
-    let cluster = virtual_cluster(nodes, config.seed);
+    let cluster = virtual_cluster(nodes, config.seed, None);
     let d = Disseminator::default();
     let (issued, totals) = drive_rounds(&cluster, config, |nodes| {
         if path == SWEEP {
@@ -522,14 +530,14 @@ fn run_cell(
 }
 
 fn run_partition_leg(nodes: usize, config: &DisseminationBenchConfig) -> PartitionLeg {
-    let cluster = virtual_cluster(nodes, config.seed ^ 0x9A47);
-    let d = Disseminator::default();
     let spec = ChaosSpec::new(config.seed).partition(PartitionChaos::cut(
         config.cut_fraction,
         0,
         config.cut_rounds,
     ));
-    d.arm_partition(spec.schedule());
+    let holds = Shared::new(Seeded::new(config.seed, None).faults(&spec));
+    let cluster = virtual_cluster(nodes, config.seed ^ 0x9A47, Some(holds));
+    let d = Disseminator::default();
 
     let (issued, _) = drive_rounds(&cluster, config, |nodes| d.round(nodes, None));
     // Heal: run empty rounds until every parked delivery has drained.

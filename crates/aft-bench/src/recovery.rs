@@ -17,15 +17,19 @@
 //! * converge, and in how many maintenance rounds (fault-manager scan →
 //!   standby replacement, §6.7)?
 //!
-//! A storage fault alone — a crash or a failed call at any write — is not a
-//! mode here: the walked scopes of [`aft_workload::sim`] cut every write of
-//! their schedules exhaustively. The matrix keeps what no schedule can
-//! express: the network, the layers composed, and the partition.
+//! A storage fault alone — a crash, a failed call or a transient error at
+//! any write — is not a mode here: the walked scopes of
+//! [`aft_workload::sim`] take every one of their schedules' writes, and
+//! their `transients` scope holds any one dissemination batch. The matrix
+//! keeps what no walked schedule expresses yet: the network, the layers
+//! composed, and a partition as a seeded edge-cut of a large tree.
 //!
 //! Every cell runs `trials` seeded trials on the virtual clock
 //! (`LatencyMode::Virtual` at full scale) over a small cluster behind a
-//! [`FaultyBackend`], while the trial's schedule kills one node mid-commit
-//! ([`Seeded::kill`]: every node's phase hook asks it); then the trial
+//! [`CutStore`]. The trial's one schedule answers every storage call, every
+//! dissemination batch and every commit phase: it fails calls transiently
+//! and holds batches where the trial's spec says ([`Seeded::faults`]), and
+//! kills one node mid-commit ([`Seeded::kill`]); then the trial
 //! drives recovery and verifies the invariants: read atomicity and lost
 //! acknowledged writes by [`aft_workload::history`]'s checker over what the
 //! clients saw, and recovery against ground truth read straight from
@@ -54,8 +58,7 @@ use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
 use aft_core::{CommitPhase, NodeConfig};
 use aft_faas::FailureInjector;
-use aft_storage::chaos::FaultyBackend;
-use aft_storage::{BackendKind, SharedStorage, StorageEngine};
+use aft_storage::{BackendKind, CutStore, StorageEngine};
 use aft_types::clock::TickingClock;
 use aft_types::{AftResult, Key};
 use aft_workload::history::Attempt;
@@ -90,8 +93,9 @@ pub enum FaultMode {
     /// replays them all.
     CrossLayer = 4,
     /// Metadata-plane partition: the cluster disseminates commit metadata
-    /// over a spanning tree while a seeded edge-cut severs half the tree's
-    /// links for a window of rounds, parking deliveries on retry queues.
+    /// over a spanning tree while the schedule holds every batch sent over
+    /// half the tree's links, a seeded edge-cut, for a window of rounds,
+    /// parking deliveries on retry queues.
     /// The node kill still fires mid-commit. Recovery must drain every
     /// parked batch after the heal — a partition may *delay* metadata but
     /// can never lose it.
@@ -564,15 +568,15 @@ fn requests(config: &RecoveryConfig) -> Vec<Vec<Request>> {
 /// arms, built fault-free.
 struct Trial {
     cluster: Arc<Cluster>,
-    /// Storage as every node sees it. Transparent where the spec's storage
-    /// leg is quiet, and paused until the load starts either way.
-    faulty: Arc<FaultyBackend>,
+    /// Storage as every node sees it, cut where the schedule says.
+    storage: Arc<CutStore>,
     /// The loopback service in front of the cluster, when the spec has a
     /// net leg: a seeded [`aft_net::ConnChaos`] at the SDK resets
     /// connections (including in the lost-ack window) and delays acks.
     service: Option<ServiceHandle>,
-    /// The load's schedule, which every node's phase hook asks too, so its
-    /// kill reaches the recovery drive.
+    /// The load's schedule, which storage and every node's phase hook ask
+    /// too: its storage faults are on only during the load, and its kill and
+    /// held batches reach the recovery drive.
     schedule: Arc<Shared<Seeded>>,
     /// Platform failure points around the request bodies, when the spec has
     /// a faas leg.
@@ -580,12 +584,12 @@ struct Trial {
 }
 
 impl Trial {
-    /// Builds backend → paused [`FaultyBackend`] → cluster → (net leg)
-    /// loopback service, then arms the spec's partition on the cluster;
-    /// `kill` is the victim's phase and after-count. Storage injection stays
-    /// paused throughout, so construction can never fail on an injected
-    /// fault whatever the seed; [`run_trial`] switches it on for the load and
-    /// off again to verify.
+    /// Builds backend → [`CutStore`] → cluster → (net leg) loopback service,
+    /// all asking one schedule that answers from `spec`; `kill` is the
+    /// victim's phase and after-count. The schedule's storage faults start
+    /// off, so construction can never fail on an injected fault whatever the
+    /// seed; [`run_trial`] switches them on for the load and off again to
+    /// verify.
     fn set_up(
         backend: BackendKind,
         spec: &ChaosSpec,
@@ -594,17 +598,15 @@ impl Trial {
     ) -> Trial {
         // Injected latency is charged, never slept, like the backend's own:
         // the whole matrix runs in seconds.
-        let raw = virtual_backend(backend, spec.seed);
-        let faulty = FaultyBackend::from_spec(raw, spec);
-        faulty.set_enabled(false);
         let injector = (!spec.faas.is_quiet()).then(|| Arc::new(FailureInjector::from_spec(spec)));
         // The stepper's stream is decorrelated from the nodes' UUID streams,
         // which the same seed also starts.
-        let mut schedule = Seeded::new(spec.seed ^ 0x57E9, injector.clone());
+        let mut schedule = Seeded::new(spec.seed ^ 0x57E9, injector.clone()).faults(spec);
         if let Some((phase, after)) = kill {
             schedule = schedule.kill("aft-node-1", phase, after);
         }
         let schedule = Shared::new(schedule);
+        let storage = CutStore::new(virtual_backend(backend, spec.seed), schedule.clone());
         // GC stays off so the durable Transaction Commit Set remains the
         // complete ground truth the post-recovery verification compares
         // against. (Checkpoints are still written on their cadence — log
@@ -626,10 +628,10 @@ impl Trial {
         };
         let cluster = Cluster::with_clock(
             cluster_config,
-            Arc::clone(&faulty) as SharedStorage,
+            storage.clone(),
             TickingClock::shared(1_000, 1),
         )
-        .expect("fault-free construction: storage injection is paused until the load starts");
+        .expect("fault-free construction: storage faults are off until the load starts");
         let service = (!spec.net.is_quiet()).then(|| {
             let options = ServeOptions {
                 workers: 4,
@@ -645,12 +647,9 @@ impl Trial {
             };
             serve_cluster(&cluster, &options).expect("serve on loopback")
         });
-        if !spec.partition.is_quiet() {
-            cluster.disseminator().arm_partition(spec.schedule());
-        }
         Trial {
             cluster,
-            faulty,
+            storage,
             service,
             schedule,
             injector,
@@ -673,9 +672,9 @@ impl Deployment for Trial {
 }
 
 /// Runs one trial of one cell and verifies its invariants. One spec per
-/// trial: every injector — storage, connection, platform, partition —
-/// derives from it, and the node kill from the cell, so the seed replays all
-/// of them.
+/// trial: every fault — storage, connection, platform, partition — derives
+/// from it, and the node kill from the cell, so the seed replays all of
+/// them.
 fn run_trial(
     backend: BackendKind,
     fault_mode: FaultMode,
@@ -688,25 +687,25 @@ fn run_trial(
     let kill = (kill_point, kill_delay(kill_point, config));
     let trial = Trial::set_up(backend, &spec, Some(kill), config);
     let cluster = &trial.cluster;
-    let billed = trial.faulty.stats().snapshot();
-    trial.faulty.set_enabled(true);
+    let billed = trial.storage.stats().snapshot();
+    trial.schedule.lock().storage_faults(true);
     // A failed round is the next's to retry.
     let load = sim::run(&trial, requests(config), &mut &*trial.schedule);
 
     // The load is done; drive recovery to convergence.
     let outcome = drive_recovery(cluster, 200);
     let storage_calls = trial
-        .faulty
+        .storage
         .stats()
         .snapshot()
         .delta_since(&billed)
         .total_calls();
 
-    // Verification reads ground truth with injection paused: the invariants
-    // are about the *cluster's* state, not about whether the verifier's own
-    // reads can fail. (Connection chaos only ever lived at the SDK, and the
-    // verifier reads in-process.)
-    trial.faulty.set_enabled(false);
+    // Verification reads ground truth with storage faults off: the
+    // invariants are about the *cluster's* state, not about whether the
+    // verifier's own reads can fail. (Connection chaos only ever lived at
+    // the SDK, and the verifier reads in-process.)
+    trial.schedule.lock().storage_faults(false);
     // Full commit-set recovery, modulo §4.1 supersedence: every durable
     // record must be *known* to every active node.
     let (records, unrecovered) = sim::durable_records(cluster);
@@ -737,10 +736,10 @@ fn run_trial(
         recovery_rounds: outcome.rounds as u64,
         io_retries,
         client_retries: load.client_retries,
-        // Every armed layer counts: storage faults, link drops at the
+        // Every armed layer counts: storage faults, held deliveries at the
         // disseminator, connection faults at the SDK, and platform failure
         // points.
-        faults_injected: trial.faulty.chaos_stats().total_faults()
+        faults_injected: trial.storage.transients()
             + cluster.disseminator().totals().link_drops as u64
             + conn_faults
             + trial.injector.as_ref().map_or(0, |i| i.injected()),
@@ -1003,12 +1002,12 @@ mod tests {
                 RecoveryConfig::tiny().nodes
             );
             assert_eq!(
-                trial.faulty.chaos_stats().total_faults(),
+                trial.storage.transients(),
                 0,
-                "construction runs with injection paused"
+                "construction runs with storage faults off"
             );
             // The leg is armed all the same: it bites once the load starts.
-            trial.faulty.set_enabled(true);
+            trial.schedule.lock().storage_faults(true);
             assert!(trial.cluster.storage().get("probe").is_err());
         }
     }

@@ -16,7 +16,7 @@
 //!   acknowledged and acknowledged twice, and the storage calls it billed —
 //!   so storage calls per acknowledged request is a ratio of two exact
 //!   counts;
-//! * the nine small scopes tier-1 walks whole ([`sim::walk`]): the
+//! * the ten small scopes tier-1 walks whole ([`sim::walk`]): the
 //!   schedules each one has, those in which the checker finds a duplicate
 //!   request, and, where writes are cut, those that orphan data. A walk
 //!   panics on a schedule with an anomaly.
@@ -177,10 +177,15 @@ pub fn golden_script(kind: BackendKind) -> GoldenRun {
 /// among its schedules, one commit parks with its timestamp taken, the other
 /// commits and a round runs, then the parked one's node dies with its record
 /// durable, which only the node's report can point the fault manager's scan
-/// at (§4.2).
-fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 9] {
+/// at (§4.2). `transients` runs the writer and the reader on two nodes with
+/// one transient and one hold and no round until the drain: any one write
+/// fails transiently, dropped or landed with its acknowledgement lost, and
+/// the I/O engine retries it, and any one batch a drain round disseminates
+/// waits for the next.
+fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 10] {
     let (writer, reader) = (request("w a, w b"), request("r a, r b"));
     let pair = vec![vec![writer.clone()], vec![reader.clone()]];
+    let transients = pair.clone();
     let races = vec![vec![writer.clone(); 2], vec![reader.clone()]];
     let rmw = vec![vec![request("r a, w a, w b")]];
     let cut = vec![vec![writer, request("w a"), reader]];
@@ -233,6 +238,16 @@ fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 9] {
                 parks: 1,
                 kills: 1,
                 ..scope((1, 0, 0, 0, 0, 0))
+            },
+        ),
+        (
+            "transients",
+            Shape::nodes(2),
+            transients,
+            Scope {
+                transients: 1,
+                holds: 1,
+                ..Scope::default()
             },
         ),
     ]
@@ -485,8 +500,19 @@ mod tests {
     #[test]
     #[ignore = "minutes in release; nightly runs it"]
     fn nightly_scope_every_park_and_kill_of_two_writers_is_clean() {
-        let [.., (_, shape, _, mut scope)] = scopes();
+        let [.., (_, shape, _, mut scope), _] = scopes();
         let clients = vec![vec![request("w a")], vec![request("w b")]];
+        scope.rounds = 2;
+        let walked = sim::walk(shape, &clients, scope);
+        println!("{shape:?}, {scope:?}: {walked:?}");
+    }
+
+    /// Nightly's transient-and-hold scope, too large for PR CI: the
+    /// `transients` scope with two rounds among the clients' steps.
+    #[test]
+    #[ignore = "seconds in release; nightly runs it"]
+    fn nightly_scope_transients() {
+        let [.., (_, shape, clients, mut scope)] = scopes();
         scope.rounds = 2;
         let walked = sim::walk(shape, &clients, scope);
         println!("{shape:?}, {scope:?}: {walked:?}");

@@ -7,7 +7,10 @@
 //! so a *single seed* reproduces an entire cross-layer trial: storage
 //! requests failing *while* connections flap *while* functions retry. A node
 //! kill is not a layer here: it is an answer of `aft_workload::sim`'s
-//! schedule at a commit phase.
+//! schedule at a commit phase. Neither is the storage layer's or the
+//! partition's injection: `sim::Seeded` answers each storage call
+//! (`aft_storage::CutStore`) and each dissemination batch
+//! (`aft_core::PhaseHook::hold`) from a spec's [`FaultSchedule`].
 //!
 //! The pieces:
 //!
@@ -23,8 +26,8 @@
 //!   their indices still replay bit-exactly from the seed.
 //! * [`LayerSchedule`] — a layer's stateful view: the schedule plus the
 //!   layer's own operation counter, which is all the per-layer adapters
-//!   (`FaultyBackend` in `aft-storage`, `ConnChaos` in
-//!   `aft-net`, `FailureInjector` in `aft-faas`) need to hold.
+//!   (`ConnChaos` in `aft-net`, `FailureInjector` in `aft-faas`) need to
+//!   hold.
 //!
 //! Per-layer decisions use SplitMix-style per-operation streams (the same
 //! scheme the storage planner always had — the storage layer's schedule is
@@ -242,9 +245,10 @@ impl FaasChaos {
 ///
 /// Which edges fall is a pure function of `(seed, a, b)` — symmetric in the
 /// endpoints, so a cut edge is cut in both directions — and the cut persists
-/// for every round in `[from_round, to_round)`. The dissemination layer
-/// holds cut deliveries in per-edge retry queues and drains them after the
-/// heal, so a partition delays metadata but must never lose it.
+/// for every round in `[from_round, to_round)`. A schedule answering from
+/// the spec holds every batch sent over a cut edge; the dissemination layer
+/// parks held batches on its retry queue and delivers them after the heal,
+/// so a partition delays metadata but must never lose it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionChaos {
     /// Fraction in `[0, 1]` of dissemination edges that are cut during the
@@ -538,11 +542,6 @@ impl LayerSchedule {
         }
     }
 
-    /// The layer this view consumes indices for.
-    pub fn layer(&self) -> Layer {
-        self.layer
-    }
-
     /// The underlying pure schedule.
     pub fn schedule(&self) -> &FaultSchedule {
         &self.schedule
@@ -552,13 +551,6 @@ impl LayerSchedule {
     pub fn decide_next(&self, key: &str) -> FaultKind {
         let index = self.ops.fetch_add(1, Ordering::Relaxed);
         self.schedule.decide(self.layer, index, key)
-    }
-
-    /// Consumes the next operation index and returns it with its fault
-    /// (for adapters that put the index into error messages).
-    pub fn decide_next_indexed(&self, key: &str) -> (u64, FaultKind) {
-        let index = self.ops.fetch_add(1, Ordering::Relaxed);
-        (index, self.schedule.decide(self.layer, index, key))
     }
 
     /// Operation indices consumed so far.
@@ -700,8 +692,6 @@ mod tests {
         let consumed: Vec<FaultKind> = (0..50).map(|_| layer.decide_next("get")).collect();
         assert_eq!(direct, consumed);
         assert_eq!(layer.ops_seen(), 50);
-        let (index, _) = layer.decide_next_indexed("get");
-        assert_eq!(index, 50);
     }
 
     #[test]

@@ -34,18 +34,20 @@
 //! because the newest record of a key is never superseded anywhere and
 //! therefore always reaches every node.
 //!
-//! A [partitioned](Disseminator::arm_partition) edge delays metadata but
-//! never loses it: a cut send parks its batch on a retry queue. Once the
-//! edge heals, the batch is delivered at the start of a round and the
-//! records new to its receiver join that node's contribution to the round's
-//! sweep. A batch whose receiver was replaced is delivered to every live
-//! node instead (dedup absorbs the redundancy).
+//! A held batch delays metadata but never loses it. At every edge-send the
+//! sending node's phase hook ([`AftNode::holds`]) says whether the batch
+//! waits, as over a partitioned link: a schedule's answer, walked or drawn
+//! from a seeded edge-cut. A held batch is parked on a retry queue, and the
+//! hook is asked again at the start of each later round; once it lets the
+//! batch go, the batch is delivered and the records new to its receiver
+//! join that node's contribution to the round's sweep. A batch whose
+//! receiver was replaced is delivered to every live node instead (dedup
+//! absorbs the redundancy).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use aft_chaos::FaultSchedule;
 use aft_core::{is_superseded, AftNode};
 use aft_types::codec::encoded_commit_record_len;
 use aft_types::{TransactionId, TransactionRecord};
@@ -80,10 +82,10 @@ pub struct BroadcastStats {
     /// Deliveries the receiver already knew or saw superseded, and
     /// deduplicated (healed retries, replaced-receiver floods).
     pub duplicates: usize,
-    /// Deliveries dropped on a partitioned edge and parked for retry.
+    /// Deliveries held at their edge and parked for retry.
     pub link_drops: usize,
-    /// Parked deliveries drained after an edge healed (or flooded to every
-    /// node when the parked receiver had been replaced).
+    /// Parked deliveries let go in a later round (or flooded to every node
+    /// when the parked receiver had been replaced).
     pub retried: usize,
 }
 
@@ -103,29 +105,18 @@ impl BroadcastStats {
     }
 }
 
-/// A batch parked on a cut edge, waiting for the partition to heal.
-#[derive(Debug)]
+/// A held batch, parked until its sender's hook lets it go.
 struct RetryEntry {
-    sender: String,
+    sender: Arc<AftNode>,
     receiver: String,
     records: Records,
 }
 
-/// An armed partition: the seeded edge-cut schedule plus the round at which
-/// it was armed (cut windows are relative to arming, so a spec partitions
-/// the *next* rounds regardless of how many rounds already ran).
-#[derive(Debug)]
-struct ArmedPartition {
-    schedule: FaultSchedule,
-    base_round: u64,
-}
-
 /// The cluster's dissemination engine: drains every node's recent commits
 /// each round and moves them through one spanning-tree sweep.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct Disseminator {
     round: AtomicU64,
-    partition: Mutex<Option<ArmedPartition>>,
     retry: Mutex<Vec<RetryEntry>>,
     totals: Mutex<BroadcastStats>,
 }
@@ -136,29 +127,10 @@ impl Disseminator {
         *self.totals.lock()
     }
 
-    /// Record deliveries currently parked on cut edges. Recovery drivers
-    /// poll this: a trial has not converged while metadata is still parked.
+    /// Record deliveries currently held. A recovery loop polls this: a
+    /// trial has not converged while metadata is still parked.
     pub fn pending_retries(&self) -> usize {
         self.retry.lock().iter().map(|e| e.records.len()).sum()
-    }
-
-    /// Arms a seeded edge-cut schedule. Cut windows count rounds from *now*
-    /// (the schedule's `[from_round, to_round)` is relative to arming).
-    pub fn arm_partition(&self, schedule: FaultSchedule) {
-        *self.partition.lock() = Some(ArmedPartition {
-            schedule,
-            base_round: self.round.load(Ordering::Relaxed),
-        });
-    }
-
-    fn is_cut(&self, round: u64, a: &str, b: &str) -> bool {
-        let guard = self.partition.lock();
-        match guard.as_ref() {
-            Some(p) => p
-                .schedule
-                .edge_cut(round.saturating_sub(p.base_round), a, b),
-            None => false,
-        }
     }
 
     /// Runs one dissemination round over `nodes` — drain, healed retries,
@@ -195,12 +167,13 @@ impl Disseminator {
         stats
     }
 
-    /// Re-attempts every parked batch ahead of the sweep. A healed edge
-    /// delivers to its receiver, and the records new there join that node's
-    /// contribution (`contrib`) to this round's sweep. A batch whose receiver
-    /// is gone (the node was replaced) is delivered to every live node
-    /// instead — the same role the fault manager plays for §4.2 — so a
-    /// partition can delay metadata but never lose it.
+    /// Re-attempts every parked batch ahead of the sweep. A batch its
+    /// sender no longer holds is delivered to its receiver, and the records
+    /// new there join that node's contribution (`contrib`) to this round's
+    /// sweep. A batch whose receiver is gone (the node was replaced) is
+    /// delivered to every live node instead — the same role the fault
+    /// manager plays for §4.2 — so a hold can delay metadata but never lose
+    /// it.
     fn deliver_retries(
         &self,
         round: u64,
@@ -212,7 +185,7 @@ impl Disseminator {
         let mut still_parked = Vec::new();
         for entry in parked {
             match by_pos.iter().position(|n| n.node_id() == entry.receiver) {
-                Some(_) if self.is_cut(round, &entry.sender, &entry.receiver) => {
+                Some(_) if entry.sender.holds(round, &entry.receiver) => {
                     still_parked.push(entry);
                 }
                 Some(pos) => {
@@ -237,7 +210,8 @@ impl Disseminator {
     /// contribution plus its children's fresh records upward in ONE message
     /// — and a forward pass distributes the root's aggregate back down, each
     /// child excluded from exactly what it sent up. Every record reaches
-    /// every node once; cut edges park their whole batch on the retry queue.
+    /// every node once; a held edge-send parks its whole batch on the retry
+    /// queue.
     fn tree_sweep(
         &self,
         round: u64,
@@ -294,21 +268,21 @@ impl Disseminator {
         }
     }
 
-    /// Sends `records` over the edge `sender → receiver`. A cut edge parks
+    /// Sends `records` over the edge `sender → receiver`. A held send parks
     /// the whole batch on the retry queue (`None`); otherwise the batch is
     /// delivered and the records that were new to the receiver returned.
     fn send(
         &self,
         round: u64,
-        sender: &AftNode,
+        sender: &Arc<AftNode>,
         receiver: &AftNode,
         records: Records,
         stats: &mut BroadcastStats,
     ) -> Option<Records> {
-        if self.is_cut(round, sender.node_id(), receiver.node_id()) {
+        if sender.holds(round, receiver.node_id()) {
             stats.link_drops += records.len();
             self.retry.lock().push(RetryEntry {
-                sender: sender.node_id().to_owned(),
+                sender: Arc::clone(sender),
                 receiver: receiver.node_id().to_owned(),
                 records,
             });
@@ -368,7 +342,7 @@ fn deliver(
 /// superseded records, and delivers the rest straight to every *other*
 /// node — origins·(n−1) messages.
 ///
-/// This is the reference the sweep is measured against (no partitions, no
+/// This is the reference the sweep is measured against (no holds, no
 /// retries); clusters run a [`Disseminator`] instead.
 pub fn broadcast_round(
     nodes: &[Arc<AftNode>],
@@ -395,22 +369,43 @@ pub fn broadcast_round(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use aft_chaos::{ChaosSpec, PartitionChaos};
-    use aft_core::NodeConfig;
+    use aft_core::{CommitPhase, NodeConfig, PhaseHook};
     use aft_storage::{InMemoryStore, SharedStorage};
     use aft_types::clock::TickingClock;
-    use aft_types::Key;
+    use aft_types::{AftResult, Key};
     use bytes::Bytes;
 
+    /// Holds the batches its function names by round, sender and receiver.
+    #[derive(Debug)]
+    struct Holds(fn(u64, &str, &str) -> bool);
+
+    impl PhaseHook for Holds {
+        fn at(&self, _: &str, _: CommitPhase) -> AftResult<()> {
+            Ok(())
+        }
+
+        fn hold(&self, round: u64, sender: &str, receiver: &str) -> bool {
+            (self.0)(round, sender, receiver)
+        }
+    }
+
     pub(crate) fn cluster_of(n: usize) -> (Vec<Arc<AftNode>>, SharedStorage) {
+        holding(n, Holds(|_, _, _| false))
+    }
+
+    /// `n` nodes whose every batch `holds` answers.
+    fn holding(n: usize, holds: Holds) -> (Vec<Arc<AftNode>>, SharedStorage) {
         let storage: SharedStorage = InMemoryStore::shared();
         let clock = TickingClock::shared(1, 1);
+        let hook: Arc<dyn PhaseHook> = Arc::new(holds);
         let nodes = (0..n)
             .map(|i| {
+                let config = NodeConfig {
+                    phase_hook: Some(Arc::clone(&hook)),
+                    ..NodeConfig::test()
+                };
                 AftNode::with_clock(
-                    NodeConfig::test()
-                        .with_node_id(format!("node-{i}"))
-                        .with_seed(i as u64),
+                    config.with_node_id(format!("node-{i}")).with_seed(i as u64),
                     storage.clone(),
                     clock.clone(),
                 )
@@ -496,19 +491,19 @@ pub(crate) mod tests {
 
     #[test]
     fn partition_parks_deliveries_and_heals_with_zero_loss() {
-        let n = 9;
-        let (nodes, _s) = cluster_of(n);
+        // Node-1 relays between the root and three leaves: hold every batch
+        // to or from it for rounds [0, 3).
+        let (nodes, _s) = holding(
+            9,
+            Holds(|round, a, b| round < 3 && [a, b].contains(&"node-1")),
+        );
         let d = Disseminator::default();
-        // Cut 60% of edges for rounds [0, 3) relative to arming.
-        let spec = ChaosSpec::new(0xBEEF).partition(PartitionChaos::cut(0.6, 0, 3));
-        d.arm_partition(spec.schedule());
-
         let ids = commit_everywhere(&nodes);
         let cut_round = d.round(&nodes, None);
-        assert!(cut_round.link_drops > 0, "a 60% cut must drop something");
+        assert!(cut_round.link_drops > 0, "the hold must park something");
         assert!(d.pending_retries() > 0);
 
-        // Rounds 1 and 2 stay cut; round 3 is the first past the window.
+        // Rounds 1 and 2 stay held; round 3 is the first past the window.
         // Its parked batches are delivered first and ride that round's
         // sweep, so one healed round is enough.
         let mut healed = BroadcastStats::default();
@@ -522,12 +517,10 @@ pub(crate) mod tests {
 
     #[test]
     fn parked_batches_for_a_replaced_node_flood_everyone() {
-        let (nodes, storage) = cluster_of(4);
-        let d = Disseminator::default();
-        // Four nodes are a star: node-0 → node-1, node-2, node-3. Cut
+        // Four nodes are a star: node-0 → node-1, node-2, node-3. Hold
         // everything for one round so the root parks its downcasts.
-        let spec = ChaosSpec::new(1).partition(PartitionChaos::cut(1.0, 0, 1));
-        d.arm_partition(spec.schedule());
+        let (nodes, storage) = holding(4, Holds(|round, _, _| round < 1));
+        let d = Disseminator::default();
         let id = commit_on(&nodes[0], "k", "v");
         d.round(&nodes, None);
         assert!(d.pending_retries() > 0);

@@ -13,8 +13,8 @@
 //! * [`dissemination`] — the periodic commit-set multicast between nodes,
 //!   with supersedence pruning (§4, §4.1), moved by one batched
 //!   convergecast/broadcast sweep over a spanning tree so metadata traffic
-//!   scales O(n) instead of the flat exchange's O(n²), with seeded edge-cut
-//!   (partition) injection.
+//!   scales O(n) instead of the flat exchange's O(n²); a batch the sending
+//!   node's phase hook holds waits on a retry queue for a later round.
 //! * [`fault_manager`] — the out-of-band process that receives the unpruned
 //!   commit stream, scans the Transaction Commit Set for commits whose
 //!   broadcast was lost (liveness, §4.2), detects failed nodes and brings up
@@ -26,9 +26,10 @@
 //! * [`cluster`] — the orchestrator that wires all of the above together and
 //!   optionally drives it with background threads.
 //!
-//! Node kills are not this crate's: a node's phase hook crashes it at a
-//! commit phase when a schedule of `aft_workload::sim` says so, and the
-//! registry counts a crashed node failed until a standby replaces it.
+//! Node kills and held batches are not this crate's: a node's phase hook
+//! crashes it at a commit phase, or holds a batch it sends, when a schedule
+//! of `aft_workload::sim` says so, and the registry counts a crashed node
+//! failed until a standby replaces it.
 
 pub mod cluster;
 pub mod dissemination;

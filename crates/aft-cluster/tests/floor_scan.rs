@@ -5,16 +5,16 @@
 //! parks commits, runs rounds inside them and kills their nodes; these two
 //! cases need what its schedules do not take: a node declared failed while a
 //! commit of its is under way, whose commit then lands, and a scan whose
-//! listing fails, which no storage cut can do (reads are never cut). The
+//! listing fails every retry, which no scope's one transient can do. The
 //! clock is set back, so each record lands below what the manager has seen
 //! and only its node's report can point the scan at it.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
-use aft_chaos::{ChaosSpec, StorageChaos};
 use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::{AftNode, CommitPhase, PhaseHook};
-use aft_storage::{FaultyBackend, InMemoryStore, SharedStorage};
+use aft_storage::{Cut, CutStore, InMemoryStore, SharedStorage};
 use aft_types::clock::MockClock;
 use aft_types::{AftError, AftResult, Key, TransactionId};
 use bytes::Bytes;
@@ -120,11 +120,15 @@ fn a_failed_nodes_commit_that_lands_after_the_round_that_found_it_failed_is_reco
 
 #[test]
 fn a_failed_scan_leaves_the_reports_it_took_to_the_next() {
-    let spec = ChaosSpec::new(7).storage(StorageChaos::transient_errors(1.0));
-    let faulty = FaultyBackend::from_spec(InMemoryStore::shared(), &spec);
-    faulty.set_enabled(false);
+    // While set, every attempt of every call is dropped.
+    static DROPPING: AtomicBool = AtomicBool::new(false);
+    let hook = |_| match DROPPING.load(Ordering::Relaxed) {
+        true => Cut::Transient { applied: false },
+        false => Cut::Pass,
+    };
+    let storage = CutStore::new(InMemoryStore::shared(), Arc::new(hook));
     let clock = MockClock::starting_at(1_000);
-    let (cluster, twist) = Twist::cluster(2, faulty.clone(), &clock);
+    let (cluster, twist) = Twist::cluster(2, storage, &clock);
     for _ in 0..10 {
         clock.advance(10);
         commit_on(&cluster.route().unwrap(), "history").unwrap();
@@ -139,9 +143,9 @@ fn a_failed_scan_leaves_the_reports_it_took_to_the_next() {
 
     // ...is taken by a round whose scan fails, and covered by the next.
     clock.set(2_000);
-    faulty.set_enabled(true);
+    DROPPING.store(true, Ordering::Relaxed);
     assert!(cluster.run_maintenance_round().is_err());
-    faulty.set_enabled(false);
+    DROPPING.store(false, Ordering::Relaxed);
     let stats = cluster.run_maintenance_round().unwrap();
     assert_eq!(stats.recovered_commits, 1);
     readable_everywhere(&cluster, "reported");

@@ -50,10 +50,20 @@ pub use aft_types::CommitPhase;
 /// An error is the node's crash at that instant: the call fails with it,
 /// whatever reached storage before the phase stays there, and the node
 /// fails every later phase without asking again ([`AftNode::crashed`]).
+///
+/// The cluster's dissemination asks the sending node's hook too, at each
+/// batch of commit records it sends a peer ([`AftNode::holds`]).
 pub trait PhaseHook: Send + Sync + std::fmt::Debug {
     /// Called just before `phase` on `node_id`. `Ok(())` goes on, perhaps
     /// after blocking the calling thread a while.
     fn at(&self, node_id: &str, phase: CommitPhase) -> AftResult<()>;
+
+    /// Whether the batch `sender` sends `receiver` in dissemination round
+    /// `round` waits for a later round, as over a partitioned link. No batch
+    /// waits by default.
+    fn hold(&self, _round: u64, _sender: &str, _receiver: &str) -> bool {
+        false
+    }
 }
 
 /// When a node takes background checkpoints of its committed-version index.
@@ -416,6 +426,14 @@ impl AftNode {
     /// every later phase, and a cluster's registry counts it failed.
     pub fn crashed(&self) -> bool {
         self.crashed.load(Ordering::Acquire)
+    }
+
+    /// Whether the batch of commit records this node sends `receiver` in
+    /// dissemination round `round` waits for a later round: its
+    /// [`PhaseHook::hold`] answer.
+    pub fn holds(&self, round: u64, receiver: &str) -> bool {
+        let hook = self.config.phase_hook.as_ref();
+        hook.is_some_and(|hook| hook.hold(round, self.node_id(), receiver))
     }
 
     /// Asks the phase hook at `phase`; its error crashes the node.
@@ -1313,35 +1331,28 @@ mod tests {
 
     #[test]
     fn a_failed_spill_leaves_its_keys_to_the_commit() {
-        use aft_chaos::{ChaosSpec, FaultKind, Layer, StorageChaos};
-        use aft_storage::FaultyBackend;
-        // A schedule that drops every attempt of the spill's one put.
-        let attempts = NodeConfig::test().io.retry.max_attempts;
-        let dropped = vec![FaultKind::TransientError { applied: false }; attempts as usize];
-        let spec = (0..)
-            .map(|seed| ChaosSpec::new(seed).storage(StorageChaos::transient_errors(1.0)))
-            .find(|spec| {
-                spec.schedule()
-                    .materialize(Layer::Storage, attempts.into(), "")
-                    == dropped
-            })
-            .expect("some seed drops every attempt");
+        use aft_storage::{Cut, CutStore};
+        // While set, every attempt of every call is dropped.
+        static DROPPING: AtomicBool = AtomicBool::new(false);
+        let hook = |_| match DROPPING.load(Ordering::Relaxed) {
+            true => Cut::Transient { applied: false },
+            false => Cut::Pass,
+        };
         let inner = InMemoryStore::shared();
-        let faulty = FaultyBackend::from_spec(inner.clone(), &spec);
-        faulty.set_enabled(false);
+        let storage = CutStore::new(inner.clone(), Arc::new(hook));
         let config = NodeConfig {
             write_buffer_spill_bytes: 8,
             ..NodeConfig::test()
         };
-        let node = AftNode::with_clock(config, faulty.clone(), MockClock::starting_at(1).shared())
-            .unwrap();
+        let node =
+            AftNode::with_clock(config, storage, MockClock::starting_at(1).shared()).unwrap();
 
         let t = node.start_transaction();
-        faulty.set_enabled(true);
+        DROPPING.store(true, Ordering::Relaxed);
         assert!(node
             .put(&t, Key::new("big"), val("0123456789abcdef"))
             .is_err());
-        faulty.set_enabled(false);
+        DROPPING.store(false, Ordering::Relaxed);
         assert!(inner.list_prefix("data/").unwrap().is_empty());
         node.commit(&t).unwrap();
         assert_eq!(inner.list_prefix("data/").unwrap().len(), 1);

@@ -24,9 +24,9 @@ pub(crate) struct Latch {
 }
 
 impl CutHook for Latch {
-    fn cut(&self, _units: usize) -> Cut {
+    fn cut(&self, units: usize) -> Cut {
         let mut state = self.state.lock().unwrap();
-        if state.0 {
+        if state.0 && units > 0 {
             let name = std::thread::current().name().unwrap_or("").to_owned();
             state.1.push(name);
             self.changed.notify_all();

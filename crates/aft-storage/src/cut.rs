@@ -1,27 +1,32 @@
-//! Storage cuts: a crash or a failed call at one write, with as much of the
-//! call applied as the service allows.
+//! Storage cuts: how each call ends, with as much of a write applied as
+//! the service allows.
 //!
-//! §3.3's write ordering and §4.2's fault manager exist so that a crash or a
-//! failed call at *any* storage write leaves a store from which every
-//! acknowledged commit is recovered and no read set fractures. [`CutStore`]
-//! reaches those states live: it wraps any engine and, at every `put`,
-//! `put_batch`, `delete` and `delete_batch`, asks its [`CutHook`] how the
-//! call ends. The hook is told how many *units* the call has — the parts the
-//! service applies independently:
+//! §3.1 lets the store drop any request, and §3.3's write ordering and
+//! §4.2's fault manager exist so that a crash or a failed call at *any*
+//! storage write leaves a store from which every acknowledged commit is
+//! recovered and no read set fractures. [`CutStore`] reaches those states
+//! live: it wraps any engine and asks its [`CutHook`] how every call ends,
+//! reads and listings included. The hook is told how many *units* the call
+//! has — the parts the service applies independently:
 //!
-//! * a call the service applies all-or-nothing (a Redis `MSET` or `DEL`
+//! * a read or a listing has none: it lands nothing;
+//! * a write the service applies all-or-nothing (a Redis `MSET` or `DEL`
 //!   within one slot, [`MultiKeyCall::atomic`]) is one unit;
-//! * a per-item call (the memory row's [`MultiKeyCall::FREE`], DynamoDB's
+//! * a per-item write (the memory row's [`MultiKeyCall::FREE`], DynamoDB's
 //!   `BatchWriteItem`) has one unit per key, and so does a write batch the
 //!   service does not apply in one atomic call;
-//! * a single-key call is one unit.
+//! * a single-key write is one unit.
 //!
-//! The answer is a [`Cut`]: pass, or the units that land together with a
-//! kind. A *crash* fails this call and every later one, reads included,
-//! until [`CutStore::restart`]; a *fail* fails this call alone, the state a
-//! transient fault leaves once the I/O engine's retries run out. Both
-//! surface as [`AftError::Unavailable`], which is retryable and which the
-//! I/O engine does not absorb. Reads are never cut.
+//! The answer is a [`Cut`]. A *transient* drops the call, or runs it whole
+//! and loses its acknowledgement, and fails it with
+//! [`AftError::StorageTransient`], which the I/O engine retries: a retry of
+//! an applied write duplicates it, which AFT's idempotent storage keys
+//! absorb. A write's other answers land a subset of its units with a kind.
+//! A *crash* fails this call and every later one, reads included, until
+//! [`CutStore::restart`]; a *fail* fails this call alone, the state a
+//! transient leaves once the I/O engine's retries run out. Both surface as
+//! [`AftError::Unavailable`], which is retryable and which the I/O engine
+//! does not absorb. A read is never crashed or failed.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,11 +38,17 @@ use crate::engine::{SharedStorage, StorageEngine};
 use crate::profiles::MultiKeyCall;
 use crate::store::calls_of;
 
-/// How one write call ends. A unit set is a bit mask: bit `i` is unit `i`.
+/// How one call ends. A unit set is a bit mask: bit `i` is unit `i`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cut {
     /// The call lands whole and succeeds.
     Pass,
+    /// The call fails with [`AftError::StorageTransient`]; `applied`, it
+    /// runs whole first and its acknowledgement is lost.
+    Transient {
+        /// Whether the call ran before it failed.
+        applied: bool,
+    },
     /// These units land, the call fails, and so does every later call until
     /// the store restarts.
     Crash(u64),
@@ -47,27 +58,36 @@ pub enum Cut {
 
 /// Where a [`CutStore`] takes its cuts.
 pub trait CutHook: Send + Sync {
-    /// How a write call of `units` (at least one) ends.
+    /// How a call of `units` ends: 0 for a read or a listing, which only a
+    /// transient cuts.
     fn cut(&self, units: usize) -> Cut;
 }
 
-/// A [`StorageEngine`] that cuts writes where its hook says. Every other
+impl<F: Fn(usize) -> Cut + Send + Sync> CutHook for F {
+    fn cut(&self, units: usize) -> Cut {
+        self(units)
+    }
+}
+
+/// A [`StorageEngine`] that cuts calls where its hook says. Every other
 /// method, capabilities included, is the wrapped store's.
 pub struct CutStore {
     inner: SharedStorage,
     hook: Arc<dyn CutHook>,
     crashed: AtomicBool,
     cuts: AtomicU64,
+    transients: AtomicU64,
 }
 
 impl CutStore {
-    /// Wraps `inner`, cutting its writes where `hook` says.
+    /// Wraps `inner`, cutting its calls where `hook` says.
     pub fn new(inner: SharedStorage, hook: Arc<dyn CutHook>) -> Arc<Self> {
         Arc::new(CutStore {
             inner,
             hook,
             crashed: AtomicBool::new(false),
             cuts: AtomicU64::new(0),
+            transients: AtomicU64::new(0),
         })
     }
 
@@ -76,9 +96,14 @@ impl CutStore {
         &self.inner
     }
 
-    /// Write calls cut so far.
+    /// Write calls crashed or failed so far.
     pub fn cuts(&self) -> u64 {
         self.cuts.load(Ordering::Acquire)
+    }
+
+    /// Calls failed transiently so far.
+    pub fn transients(&self) -> u64 {
+        self.transients.load(Ordering::Acquire)
     }
 
     /// Whether a crash cut has failed every call since the last restart.
@@ -98,6 +123,26 @@ impl CutStore {
         Ok(())
     }
 
+    /// Fails a call transiently, once `run` has run it if it was `applied`.
+    fn transient<T>(&self, applied: bool, run: impl FnOnce() -> AftResult<T>) -> AftResult<T> {
+        self.transients.fetch_add(1, Ordering::AcqRel);
+        if applied {
+            run()?;
+        }
+        Err(AftError::StorageTransient(format!(
+            "storage cut: transient, applied: {applied}"
+        )))
+    }
+
+    /// Runs one read or listing through the hook.
+    fn read<T>(&self, run: impl FnOnce() -> AftResult<T>) -> AftResult<T> {
+        self.live()?;
+        match self.hook.cut(0) {
+            Cut::Transient { applied } => self.transient(applied, run),
+            Cut::Pass | Cut::Crash(_) | Cut::Fail(_) => run(),
+        }
+    }
+
     /// Runs one write call of `units` through the hook: `land` applies the
     /// items of the units that land. Units are ordered by their first item,
     /// so a cut names the same items however the caller ordered them.
@@ -113,6 +158,9 @@ impl CutStore {
         units.sort();
         let (applied, crash) = match self.hook.cut(units.len()) {
             Cut::Pass => return land(units.into_iter().flatten().collect()),
+            Cut::Transient { applied } => {
+                return self.transient(applied, || land(units.into_iter().flatten().collect()))
+            }
             Cut::Crash(applied) => (applied, true),
             Cut::Fail(applied) => (applied, false),
         };
@@ -141,13 +189,11 @@ impl StorageEngine for CutStore {
     }
 
     fn get(&self, key: &str) -> AftResult<Option<Value>> {
-        self.live()?;
-        self.inner.get(key)
+        self.read(|| self.inner.get(key))
     }
 
     fn get_batch(&self, keys: &[String]) -> AftResult<Vec<Option<Value>>> {
-        self.live()?;
-        self.inner.get_batch(keys)
+        self.read(|| self.inner.get_batch(keys))
     }
 
     fn put(&self, key: &str, value: Value) -> AftResult<()> {
@@ -188,13 +234,11 @@ impl StorageEngine for CutStore {
     }
 
     fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
-        self.live()?;
-        self.inner.list_prefix(prefix)
+        self.read(|| self.inner.list_prefix(prefix))
     }
 
     fn list_prefix_after(&self, prefix: &str, after: &str) -> AftResult<Vec<String>> {
-        self.live()?;
-        self.inner.list_prefix_after(prefix, after)
+        self.read(|| self.inner.list_prefix_after(prefix, after))
     }
 
     fn supports_batch_get(&self) -> bool {
@@ -222,6 +266,8 @@ impl StorageEngine for CutStore {
 mod tests {
     use super::*;
     use crate::backend::{make_backend, BackendConfig, BackendKind};
+    use crate::counters::OpKind;
+    use crate::io::{IoConfig, IoEngine};
     use aft_types::{Key, KeyVersion, TransactionId, TransactionRecord, Uuid};
     use parking_lot::Mutex;
 
@@ -303,13 +349,88 @@ mod tests {
         }
     }
 
+    fn abc() -> Vec<(String, Value)> {
+        ["a", "b", "c"]
+            .map(|k| (k.to_owned(), Value::from_static(k.as_bytes())))
+            .to_vec()
+    }
+
+    #[test]
+    fn transient_errors_surface_typed_not_panic() {
+        // Any call may fail transiently, reads and listings included (they
+        // are asked with no units), and an applied one lands whole first.
+        let dropped = Cut::Transient { applied: false };
+        let cuts = vec![dropped, dropped, dropped, Cut::Transient { applied: true }];
+        let (store, hook) = over(BackendKind::Memory, cuts);
+        for call in [
+            store.put("k", Value::new()),
+            store.get("k").map(drop),
+            store.list_prefix("").map(drop),
+            store.put_batch(abc()),
+        ] {
+            assert!(matches!(call, Err(AftError::StorageTransient(_))));
+        }
+        assert_eq!(hook.0.lock().1, [1, 0, 0, 3]);
+        assert_eq!((store.transients(), store.cuts()), (4, 0));
+        assert_eq!(store.list_prefix("").unwrap(), ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn a_one_call_commit_faults_whole_and_its_retry_lands_one_record() {
+        // A Redis commit's data and record in one MSET, as the flush sends
+        // them.
+        let items: Vec<(String, Value)> = commit_keys(0xC0FFEE, 4)
+            .into_iter()
+            .map(|key| (key, Value::from_static(b"v")))
+            .collect();
+        let record = items.last().unwrap().0.clone();
+        for applied in [false, true] {
+            // The faulted call reaches the store whole or not at all, the
+            // engine retries it whole, and the record is one key.
+            let (store, hook) = over(BackendKind::Redis, vec![Cut::Transient { applied }]);
+            let engine = IoEngine::new(store.clone(), IoConfig::pipelined());
+            engine.put_all(items.clone()).unwrap();
+            assert_eq!(engine.stats().retries, 1);
+            assert_eq!(hook.0.lock().1, [1, 1], "one unit an attempt");
+            let records = store.list_prefix("commit/").unwrap();
+            assert_eq!(records, std::slice::from_ref(&record));
+            assert_eq!(store.list_prefix("").unwrap().len(), items.len());
+            let mset = store.stats().calls(OpKind::BatchPut);
+            assert_eq!(mset, 1 + u64::from(applied), "calls that reached the store");
+        }
+    }
+
+    #[test]
+    fn a_get_batch_is_one_decision_and_the_engine_retries_it_whole() {
+        let keys: Vec<String> = (0..8).map(|i| format!("k{i}")).collect();
+        for applied in [false, true] {
+            let (store, hook) = over(BackendKind::Memory, vec![Cut::Transient { applied }]);
+            store.inner().put("k0", Value::from_static(b"v")).unwrap();
+            let engine = IoEngine::new(store.clone(), IoConfig::pipelined());
+            let (values, _) = engine.get_all(keys.clone()).unwrap();
+            assert_eq!(
+                values.iter().flatten().collect::<Vec<_>>(),
+                [&Value::from_static(b"v")]
+            );
+            assert_eq!(
+                hook.0.lock().1,
+                [0, 0],
+                "one decision an attempt, not a key"
+            );
+            assert_eq!(engine.stats().retries, 1, "the whole batch was retried");
+            let calls = |op| store.stats().calls(op);
+            let reached = 1 + u64::from(applied);
+            assert_eq!((calls(OpKind::Get), calls(OpKind::BatchGet)), (0, reached));
+        }
+    }
+
     #[test]
     fn a_fail_lands_its_subset_and_a_crash_holds_until_restart() {
-        let items: Vec<(String, Value)> = ["a", "b", "c"]
-            .map(|k| (k.to_owned(), Value::from_static(k.as_bytes())))
-            .to_vec();
-        let (store, _) = over(BackendKind::Memory, vec![Cut::Fail(0b101), Cut::Crash(0)]);
-        // Units are ordered by key: bits 0 and 2 are `a` and `c`.
+        let items = abc();
+        let cuts = vec![Cut::Fail(0b101), Cut::Pass, Cut::Crash(0)];
+        let (store, _) = over(BackendKind::Memory, cuts);
+        // Units are ordered by key: bits 0 and 2 are `a` and `c`; the
+        // listing is asked too.
         let failed = store.put_batch(items);
         assert!(matches!(failed, Err(AftError::Unavailable(_))));
         assert_eq!(store.list_prefix("").unwrap(), ["a", "c"]);

@@ -748,6 +748,7 @@ impl StorageEngine for SequentialEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cut::{Cut, CutHook, CutStore};
     use crate::latency::{LatencyMode, LatencyModel, LatencyProfile};
     use crate::memory::InMemoryStore;
     use crate::profiles::{Service, ServiceProfile};
@@ -1122,18 +1123,23 @@ mod tests {
         assert_eq!(stats.calls(OpKind::BatchDelete), 0);
     }
 
+    /// The memory row behind a [`CutStore`] that `hook` answers.
+    fn cut(hook: impl CutHook + 'static) -> SharedStorage {
+        CutStore::new(InMemoryStore::shared(), Arc::new(hook))
+    }
+
     #[test]
     fn transient_faults_are_absorbed_by_retry() {
-        use crate::chaos::FaultyBackend;
-        use aft_chaos::{ChaosSpec, StorageChaos};
-        // ~30% transient errors: with 4 attempts per op the chance of any of
-        // 32 puts exhausting is ~0.8%^… negligible for a fixed seed; verify
-        // the workload completes, retries were actually performed, and the
-        // final state is intact.
-        let backend: SharedStorage = FaultyBackend::from_spec(
-            InMemoryStore::shared(),
-            &ChaosSpec::new(0xC4A05).storage(StorageChaos::transient_errors(0.3)),
-        );
+        // Every third call fails, alternately dropped and applied, so each
+        // fault's retry passes: 32 puts are 48 calls and 16 retries, and
+        // the listing after them is one more fault and one more retry.
+        let calls = AtomicUsize::new(0);
+        let backend = cut(move |_| match calls.fetch_add(1, Ordering::Relaxed) {
+            i if i % 3 == 0 => Cut::Transient {
+                applied: i % 2 == 0,
+            },
+            _ => Cut::Pass,
+        });
         let engine = IoEngine::new(backend, IoConfig::pipelined());
         let outcome = engine
             .submit_all((0..32).map(|i| StorageRequest::Put(format!("k{i}"), val("v"))))
@@ -1142,23 +1148,17 @@ mod tests {
         let listed = engine.execute(StorageRequest::List("k".into()));
         assert_eq!(listed.result.unwrap().into_keys().len(), 32);
         let stats = engine.stats();
-        assert!(stats.retries > 0, "a 30% fault rate must trigger retries");
+        assert_eq!(stats.retries, 17);
         assert_eq!(stats.retry_exhausted, 0);
     }
 
     #[test]
     fn retry_exhaustion_surfaces_the_typed_error() {
-        use crate::chaos::FaultyBackend;
-        use aft_chaos::{ChaosSpec, StorageChaos};
         use aft_types::AftError;
         // Every operation fails: the budget exhausts and the typed error
         // propagates — no panic, no untyped failure.
-        let backend: SharedStorage = FaultyBackend::from_spec(
-            InMemoryStore::shared(),
-            &ChaosSpec::new(7).storage(StorageChaos::transient_errors(1.0)),
-        );
         let engine = IoEngine::new(
-            backend,
+            cut(|_| Cut::Transient { applied: false }),
             IoConfig::pipelined().with_retry(RetryConfig::default().with_max_attempts(3)),
         );
         let outcome = engine.execute(StorageRequest::Put("k".into(), val("v")));
@@ -1173,15 +1173,10 @@ mod tests {
 
     #[test]
     fn retry_backoff_is_charged_to_the_operation_cost() {
-        use crate::chaos::FaultyBackend;
-        use aft_chaos::{ChaosSpec, StorageChaos};
-        // Zero-latency inner store, 100% fault rate, 4 attempts: the only
-        // cost is the three backoff steps (0.5 + 1 + 2 ms with the default
-        // policy).
-        let backend: SharedStorage = FaultyBackend::from_spec(
-            InMemoryStore::shared(),
-            &ChaosSpec::new(7).storage(StorageChaos::transient_errors(1.0)),
-        );
+        // Zero-latency inner store, every attempt failing, 4 attempts: the
+        // only cost is the three backoff steps (0.5 + 1 + 2 ms with the
+        // default policy).
+        let backend = cut(|_| Cut::Transient { applied: false });
         let engine = IoEngine::new(backend, IoConfig::sequential());
         let outcome = engine.execute(StorageRequest::Get("k".into()));
         assert!(outcome.result.is_err());

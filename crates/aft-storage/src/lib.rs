@@ -52,18 +52,17 @@
 //!   sampled latencies instead of summing them (and the virtual clock
 //!   charges a concurrent batch the max, not the sum); it owns no thread.
 //!   [`SequentialEngine`] is the explicitly-sequential baseline wrapper.
-//! * [`chaos`] — deterministic fault injection: [`FaultyBackend`] wraps any
-//!   engine with the storage layer of a seeded, cross-layer
-//!   [`aft_chaos::ChaosSpec`] (transient errors, half of them applied before
-//!   the acknowledgement is lost), and the I/O engine's submission path
-//!   absorbs them with retry-and-backoff ([`RetryConfig`]).
-//! * [`cut`] — storage cuts for exhaustive checking: [`CutStore`] asks a
-//!   hook at every write whether it lands, fails back to its caller or
-//!   crashes the store, and with which of the parts the service applies
-//!   independently landed.
+//!   The engine absorbs a transient fault
+//!   ([`aft_types::AftError::StorageTransient`]) by retrying it with backoff
+//!   ([`RetryConfig`]).
+//! * [`cut`] — fault injection: [`CutStore`] asks a hook at every call how
+//!   it ends. A transient drops the call, or runs it and loses the
+//!   acknowledgement, and the I/O engine retries it; a write may also land,
+//!   fail back to its caller or crash the store, with any of the parts the
+//!   service applies independently landed. `aft_workload::sim`'s schedules
+//!   answer the hook, walked or sampled from a seed.
 
 pub mod backend;
-pub mod chaos;
 pub mod checkpoint;
 pub mod counters;
 pub mod cut;
@@ -79,7 +78,6 @@ pub mod sharded;
 pub mod store;
 
 pub use backend::{make_backend, BackendConfig, BackendKind};
-pub use chaos::{ChaosStatsSnapshot, FaultKind, FaultyBackend};
 pub use checkpoint::{
     compact_log, load_latest_checkpoint, publish_checkpoint, Checkpoint, CheckpointLoad,
     CheckpointManifest, CheckpointWriteOutcome, CompactionOutcome, CHECKPOINT_KEEP,

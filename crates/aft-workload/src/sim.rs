@@ -11,26 +11,32 @@
 //! aborts the attempt and retries the request; any other error is a bug.
 //!
 //! A schedule picks each [`Step`], each invocation's fate, each storage
-//! write's [`Cut`] and each [`CommitPhase`]'s [`Answer`]: a platform re-runs
-//! a request whose invocation died before, inside or after its body
-//! (§3.3.1), [`FailurePoint::MidBody`] aborts right after the attempt's
-//! first write (the §1 fractional update), a write lands, fails back to its
-//! caller or crashes the cluster with as much of its call applied as the
-//! service allows ([`CutStore`]), and a node reaching a phase goes on, parks
-//! its commit while other steps run, or dies there ([`PhaseHook`]). After a
-//! storage crash the stepper restarts the cluster over the surviving storage
-//! and re-invokes every open attempt; after a kill it replaces the node only
-//! when none is left active. [`Seeded`] samples one schedule, never cuts or
-//! parks, and kills only where [`Seeded::kill`] says. [`Exhaustive`] is
-//! stateless model checking: it walks the choice tree depth first within a
-//! [`Scope`]'s budgets, replaying each schedule on a fresh cluster, and
-//! [`walk`] panics on a schedule that [`settle`] finds at fault, naming the
-//! choice list that [`Exhaustive::replay`] re-runs.
+//! call's [`Cut`], each [`CommitPhase`]'s [`Answer`] and each dissemination
+//! batch's hold: a platform re-runs a request whose invocation died before,
+//! inside or after its body (§3.3.1), [`FailurePoint::MidBody`] aborts right
+//! after the attempt's first write (the §1 fractional update), a call fails
+//! transiently, dropped or applied with its acknowledgement lost, and the
+//! I/O engine retries it, a write lands, fails back to its caller or crashes
+//! the cluster with as much of its call applied as the service allows
+//! ([`CutStore`]), a node reaching a phase goes on, parks its commit while
+//! other steps run, or dies there ([`PhaseHook`]), and a batch of commit
+//! records one node sends another waits for a later round
+//! ([`PhaseHook::hold`]). After a storage crash the stepper restarts the
+//! cluster over the surviving storage and re-invokes every open attempt;
+//! after a kill it replaces the node only when none is left active.
+//! [`Seeded`] samples one schedule, never crashes, fails or parks, kills
+//! only where [`Seeded::kill`] says, and fails calls and holds batches only
+//! where [`Seeded::faults`]' spec does. [`Exhaustive`] is stateless model
+//! checking: it walks the choice tree depth first within a [`Scope`]'s
+//! budgets, replaying each schedule on a fresh cluster, and [`walk`] panics
+//! on a schedule that [`settle`] finds at fault, naming the choice list that
+//! [`Exhaustive::replay`] re-runs.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::sync::{mpsc, Arc};
 
+use aft_chaos::{ChaosSpec, FaultKind, FaultSchedule, Layer};
 use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
 use aft_core::bootstrap::{fetch_commit_records, warm_metadata_cache_checkpointed};
@@ -46,7 +52,7 @@ use aft_types::{
     AftError, AftResult, CommitPhase, Key, KeyVersion, SharedClock, TransactionId,
     TransactionRecord, Uuid,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -135,11 +141,14 @@ pub trait Schedule {
     fn step(&mut self, options: &[Step]) -> Step;
     /// An invocation's fate: `None` runs it clean.
     fn fate(&mut self) -> Option<FailurePoint>;
-    /// How a storage write call of `units` independently applied units
-    /// ends ([`CutStore`]).
+    /// How a storage call of `units` independently applied units ends, 0
+    /// for a read or a listing ([`CutStore`]).
     fn cut(&mut self, units: usize) -> Cut;
     /// What `node` does at `phase`; [`Answer::Park`] only if `parkable`.
     fn phase(&mut self, node: &str, phase: CommitPhase, parkable: bool) -> Answer;
+    /// Whether the batch `sender` sends `receiver` in dissemination round
+    /// `round` waits for a later round ([`PhaseHook::hold`]).
+    fn hold(&mut self, round: u64, sender: &str, receiver: &str) -> bool;
     /// Whether the next commit may park, so it runs on a thread of its own.
     fn parks(&self) -> bool {
         false
@@ -148,12 +157,17 @@ pub trait Schedule {
 
 /// A sampled schedule: a round one step in [`MAINTENANCE_ONE_IN`], else a
 /// uniformly drawn busy client, from one seeded `StdRng`, the fates
-/// `injector` draws, and the one kill [`Seeded::kill`] plans. It never
-/// duplicates, fails over, cuts or parks.
+/// `injector` draws, the one kill [`Seeded::kill`] plans, and the transient
+/// storage faults and held batches of [`Seeded::faults`]' spec. It never
+/// duplicates, fails over, crashes, fails a call or parks.
 pub struct Seeded {
     rng: StdRng,
     injector: Option<Arc<FailureInjector>>,
     kill: Option<Kill>,
+    /// The schedule [`Seeded::faults`] answers from, and the storage calls
+    /// it has answered while storage faults were on.
+    faults: Option<(FaultSchedule, u64)>,
+    storage_faults: bool,
 }
 
 /// A planned kill: the victim, its phase, how many times the victim passes
@@ -173,7 +187,26 @@ impl Seeded {
             rng: StdRng::seed_from_u64(seed),
             injector,
             kill: None,
+            faults: None,
+            storage_faults: false,
         }
+    }
+
+    /// Answers storage calls from `spec`'s storage leg and batches from its
+    /// partition leg. Call `n` of those made while storage faults are on
+    /// fails as [`FaultSchedule::decide`] says at index `n`; a batch waits
+    /// while [`FaultSchedule::edge_cut`] cuts its edge in its round. Storage
+    /// faults start off ([`Seeded::storage_faults`]).
+    pub fn faults(mut self, spec: &ChaosSpec) -> Self {
+        self.faults = Some((spec.schedule(), 0));
+        self
+    }
+
+    /// Turns storage faults on or off. A call made while they are off
+    /// passes and draws nothing, so a deployment is built and verified
+    /// fault-free.
+    pub fn storage_faults(&mut self, on: bool) {
+        self.storage_faults = on;
     }
 
     /// Kills `victim` the `after + 1`th time it reaches `phase`, without a
@@ -206,7 +239,19 @@ impl Schedule for Seeded {
     }
 
     fn cut(&mut self, _: usize) -> Cut {
-        Cut::Pass
+        let Some((schedule, calls)) = self.faults.as_mut().filter(|_| self.storage_faults) else {
+            return Cut::Pass;
+        };
+        *calls += 1;
+        match schedule.decide(Layer::Storage, *calls - 1, "") {
+            FaultKind::TransientError { applied } => Cut::Transient { applied },
+            _ => Cut::Pass,
+        }
+    }
+
+    fn hold(&mut self, round: u64, sender: &str, receiver: &str) -> bool {
+        let faults = self.faults.as_ref();
+        faults.is_some_and(|(schedule, _)| schedule.edge_cut(round, sender, receiver))
     }
 
     fn phase(&mut self, node: &str, phase: CommitPhase, _: bool) -> Answer {
@@ -236,7 +281,8 @@ impl Schedule for Seeded {
 }
 
 /// How many rounds, failed invocations, duplicates, failovers, crashes,
-/// failed calls, parks and kills one [`Exhaustive`] schedule may take.
+/// failed calls, parks, kills, transient faults and held batches one
+/// [`Exhaustive`] schedule may take.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Scope {
     /// [`Step::Round`]s.
@@ -255,6 +301,10 @@ pub struct Scope {
     pub parks: u32,
     /// [`Answer::Kill`]s.
     pub kills: u32,
+    /// [`Cut::Transient`]s.
+    pub transients: u32,
+    /// Held dissemination batches.
+    pub holds: u32,
 }
 
 impl Scope {
@@ -354,9 +404,14 @@ impl Schedule for Exhaustive {
         fate
     }
 
-    /// Pass, then each applied subset crashing, then each failing, while
-    /// the kind's budget lasts.
+    /// Pass, then each applied subset of a write crashing, then each
+    /// failing, then a transient dropping it, then one landing it first,
+    /// while the kind's budget lasts. A read is never cut: the I/O engine
+    /// retries a transient at once, so the retry reads what a pass would.
     fn cut(&mut self, units: usize) -> Cut {
+        if units == 0 {
+            return Cut::Pass;
+        }
         let subsets = |budget: u32| match budget {
             0 => 0,
             _ => 1usize
@@ -364,15 +419,21 @@ impl Schedule for Exhaustive {
                 .expect("units fit a u64 bit set"),
         };
         let (crashes, fails) = (subsets(self.left.crashes), subsets(self.left.fails));
-        match self.choose(1 + crashes + fails).checked_sub(1) {
+        let transients = 2 * usize::from(self.left.transients > 0);
+        match self.choose(1 + crashes + fails + transients).checked_sub(1) {
             None => Cut::Pass,
             Some(applied) if applied < crashes => {
                 self.left.crashes -= 1;
                 Cut::Crash(applied as u64)
             }
-            Some(applied) => {
+            Some(applied) if applied < crashes + fails => {
                 self.left.fails -= 1;
                 Cut::Fail((applied - crashes) as u64)
+            }
+            Some(answer) => {
+                self.left.transients -= 1;
+                let applied = answer - crashes - fails == 1;
+                Cut::Transient { applied }
             }
         }
     }
@@ -400,6 +461,13 @@ impl Schedule for Exhaustive {
         }
     }
 
+    /// Send, then hold, while the budget lasts.
+    fn hold(&mut self, _: u64, _: &str, _: &str) -> bool {
+        let held = self.choose(1 + usize::from(self.left.holds > 0)) == 1;
+        self.left.holds -= u32::from(held);
+        held
+    }
+
     fn parks(&self) -> bool {
         self.left.parks > 0
     }
@@ -413,6 +481,11 @@ impl<S> Shared<S> {
     /// Shares `schedule`.
     pub fn new(schedule: S) -> Arc<Self> {
         Arc::new(Shared(Mutex::new(schedule)))
+    }
+
+    /// The schedule, between questions.
+    pub fn lock(&self) -> MutexGuard<'_, S> {
+        self.0.lock()
     }
 }
 
@@ -440,6 +513,10 @@ impl<S: Schedule + Send> PhaseHook for Shared<S> {
             Answer::Kill => Err(killed(node, phase)),
         }
     }
+
+    fn hold(&self, round: u64, sender: &str, receiver: &str) -> bool {
+        self.0.lock().hold(round, sender, receiver)
+    }
 }
 
 impl<S: Schedule> Schedule for &Shared<S> {
@@ -457,6 +534,10 @@ impl<S: Schedule> Schedule for &Shared<S> {
 
     fn phase(&mut self, node: &str, phase: CommitPhase, parkable: bool) -> Answer {
         self.0.lock().phase(node, phase, parkable)
+    }
+
+    fn hold(&mut self, round: u64, sender: &str, receiver: &str) -> bool {
+        self.0.lock().hold(round, sender, receiver)
     }
 
     fn parks(&self) -> bool {
@@ -601,10 +682,11 @@ pub fn walk(shape: Shape, clients: &[Vec<Request>], scope: Scope) -> Walked {
 }
 
 /// Runs `clients` under `schedule` on a fresh cluster of `shape` whose
-/// storage writes `schedule` cuts, then maintenance rounds until one deletes
-/// nothing and carries nothing: the run, its verdict with the lost writes of
-/// every active node's read-back summed, and what storage holds. An acked
-/// key with no `data/` version left in storage is a lost write too.
+/// storage calls `schedule` cuts, then maintenance rounds until one deletes
+/// nothing, carries nothing and leaves no batch held: the run, its verdict
+/// with the lost writes of every active node's read-back summed, and what
+/// storage holds. An acked key with no `data/` version left in storage is a
+/// lost write too.
 pub fn settle(
     shape: Shape,
     clients: &[Vec<Request>],
@@ -624,8 +706,8 @@ pub fn settle(
     };
     deployment.boot();
     let run = run(&deployment, clients.to_vec(), &mut &*shared);
-    // The GC owes a passed-over delete one round, and a cut round is the
-    // next one's to redo.
+    // The GC owes a passed-over delete one round, a cut round is the next
+    // one's to redo, and a held batch goes in a later one.
     for rounds in 1.. {
         assert!(rounds <= 8, "maintenance still deletes after 8 rounds");
         let round = deployment.cluster().run_maintenance_round();
@@ -633,7 +715,8 @@ pub fn settle(
             continue;
         }
         let gc = round.map(|round| round.global_gc);
-        if gc.is_ok_and(|gc| gc.storage_keys_deleted + gc.carried == 0) {
+        let held = deployment.cluster().disseminator().pending_retries();
+        if held == 0 && gc.is_ok_and(|gc| gc.storage_keys_deleted + gc.carried == 0) {
             break;
         }
     }
@@ -1061,7 +1144,7 @@ mod tests {
             duplicates: 1,
             ..Scope::default()
         };
-        // Crashes restart the cluster, so the replay rebuilds it alike.
+        // A crash restarts the cluster, so the replay rebuilds it alike.
         let pair = vec![vec![request("w a, w b"), request("r a, r b")]];
         let cuts = Scope {
             crashes: 1,
@@ -1077,15 +1160,29 @@ mod tests {
             kills: 1,
             ..Scope::default()
         };
-        for (nodes, clients, scope) in [(2, rmw, duplicate), (1, pair, cuts), (1, writer, phases)] {
+        // A transient write is retried and a held batch goes a round later.
+        let transients = Scope {
+            rounds: 1,
+            transients: 1,
+            holds: 1,
+            ..Scope::default()
+        };
+        // Each budget, spent in some schedule of its scope.
+        let budgets = |s: Scope| [s.parks, s.kills, s.transients, s.holds];
+        for (nodes, clients, scope) in [
+            (2, rmw, duplicate),
+            (1, pair, cuts),
+            (1, writer.clone(), phases),
+            (2, writer, transients),
+        ] {
             let mut schedule = Exhaustive::replay(scope, &[]);
-            let (mut restarts, mut parked, mut killed) = (0, false, false);
+            let (mut restarts, mut spent) = (0, [false; 4]);
             loop {
                 let (walked, ..) = settle(Shape::nodes(nodes), &clients, &mut schedule);
-                (parked, killed) = (
-                    parked || schedule.left.parks < scope.parks,
-                    killed || schedule.left.kills < scope.kills,
-                );
+                let left = budgets(schedule.left);
+                for ((spent, left), budget) in spent.iter_mut().zip(left).zip(budgets(scope)) {
+                    *spent |= left < budget;
+                }
                 let choices = schedule.choices();
                 let replay = &mut Exhaustive::replay(scope, &choices);
                 let (replayed, ..) = settle(Shape::nodes(nodes), &clients, replay);
@@ -1096,9 +1193,8 @@ mod tests {
                     break;
                 }
             }
-            let spent = (restarts > 0, parked, killed);
-            let budgets = (scope.crashes > 0, scope.parks > 0, scope.kills > 0);
-            assert_eq!(spent, budgets, "{scope:?}");
+            assert_eq!(restarts > 0, scope.crashes > 0, "{scope:?}");
+            assert_eq!(spent, budgets(scope).map(|b| b > 0), "{scope:?}");
         }
     }
 
