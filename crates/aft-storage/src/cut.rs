@@ -358,10 +358,9 @@ mod tests {
     #[test]
     fn transient_errors_surface_typed_not_panic() {
         // Any call may fail transiently, reads and listings included (they
-        // are asked with no units), and an applied one lands whole first.
+        // are asked with no units); a dropped one applies nothing.
         let dropped = Cut::Transient { applied: false };
-        let cuts = vec![dropped, dropped, dropped, Cut::Transient { applied: true }];
-        let (store, hook) = over(BackendKind::Memory, cuts);
+        let (store, hook) = over(BackendKind::Memory, vec![dropped; 4]);
         for call in [
             store.put("k", Value::new()),
             store.get("k").map(drop),
@@ -372,7 +371,26 @@ mod tests {
         }
         assert_eq!(hook.0.lock().1, [1, 0, 0, 3]);
         assert_eq!((store.transients(), store.cuts()), (4, 0));
-        assert_eq!(store.list_prefix("").unwrap(), ["a", "b", "c"]);
+        assert!(store.list_prefix("").unwrap().is_empty());
+    }
+
+    #[test]
+    fn applied_but_unacked_writes_land_before_the_error() {
+        // An applied transient lands the whole call, then answers the
+        // same typed error as a dropped one.
+        let applied = Cut::Transient { applied: true };
+        let (store, hook) = over(BackendKind::Memory, vec![applied; 3]);
+        for call in [
+            store.put("k", Value::from_static(b"v")),
+            store.put_batch(abc()),
+            store.delete("a"),
+        ] {
+            assert!(matches!(call, Err(AftError::StorageTransient(_))));
+        }
+        assert_eq!(hook.0.lock().1, [1, 3, 1]);
+        assert_eq!((store.transients(), store.cuts()), (3, 0));
+        assert_eq!(store.list_prefix("").unwrap(), ["b", "c", "k"]);
+        assert_eq!(store.get("k").unwrap(), Some(Value::from_static(b"v")));
     }
 
     #[test]
