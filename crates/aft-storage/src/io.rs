@@ -33,9 +33,12 @@
 //!   batch one *wave* at a time — the **maximum** of each
 //!   [`IoConfig::max_in_flight`]-sized chunk, summed across chunks. A batch
 //!   that fits the window costs its slowest member; a window of 1 charges
-//!   the plain sum. This is how `LatencyMode::Virtual` experiments observe
-//!   overlap without sleeping, without ever undercharging a batch larger
-//!   than the engine's real concurrency.
+//!   the plain sum. Collecting a ticket or a set adds that cost, not the
+//!   sum of its members, to the collecting thread's charge
+//!   ([`measure_cost`](crate::latency::measure_cost)). This is how
+//!   `LatencyMode::Virtual` experiments observe overlap without sleeping,
+//!   without ever undercharging a batch larger than the engine's real
+//!   concurrency.
 //!
 //! [`IoConfig::sequential()`] is the window of 1: every request waits out
 //! its predecessor, reproducing the historical one-round-trip-at-a-time
@@ -61,7 +64,7 @@ use aft_types::{AftResult, Value};
 use parking_lot::{Condvar, Mutex};
 
 use crate::engine::{SharedStorage, StorageEngine};
-use crate::latency::{capture_deferred, sleep_until};
+use crate::latency::{capture_deferred, charge, sleep_until};
 
 /// Op-level retry policy for transient storage faults.
 ///
@@ -284,11 +287,13 @@ impl IoTicket<'_> {
         }
     }
 
-    /// Blocks until the request's completion is due and returns it.
+    /// Blocks until the request's completion is due, adds its cost to the
+    /// thread's charge and returns it.
     pub fn wait(self) -> IoOutcome {
         if let Some(at) = self.ready_at() {
             sleep_until(at);
         }
+        charge(self.outcome.cost);
         self.outcome
     }
 }
@@ -311,7 +316,9 @@ impl CompletionSet<'_> {
         self.tickets.is_empty()
     }
 
-    /// Barrier: waits for every member and returns the batch outcome.
+    /// Barrier: waits for every member, adds the batch's cost (its waves,
+    /// not the sum of its members) to the thread's charge and returns the
+    /// batch outcome.
     pub fn wait_all(self) -> BatchOutcome {
         // One sleep covers every deferred member: the latest deadline.
         if let Some(latest) = self.tickets.iter().filter_map(IoTicket::ready_at).max() {
@@ -334,6 +341,7 @@ impl CompletionSet<'_> {
             .chunks(window)
             .map(|wave| wave.iter().copied().max().unwrap_or(Duration::ZERO))
             .sum();
+        charge(cost);
         BatchOutcome {
             results,
             costs,
@@ -826,6 +834,7 @@ mod tests {
 
     #[test]
     fn pipelined_batch_charges_max_sequential_charges_sum() {
+        use crate::latency::measure_cost;
         // A fixed 10ms write latency makes the accounting exact: 8 overlapped
         // puts charge one round trip, 8 sequential puts charge eight.
         let profile = ServiceProfile {
@@ -836,13 +845,15 @@ mod tests {
         let items: Vec<(String, Value)> = (0..8).map(|i| (format!("k{i}"), val("v"))).collect();
 
         let pipelined = IoEngine::new(fixed_s3(7), IoConfig::pipelined());
-        let pipe_cost = pipelined.put_all(items.clone()).unwrap();
+        let (pipe_cost, pipe_charge) = measure_cost(|| pipelined.put_all(items.clone()).unwrap());
 
         let sequential = IoEngine::new(
             SequentialEngine::new(fixed_s3(7)) as SharedStorage,
             IoConfig::sequential(),
         );
-        let seq_cost = sequential.put_all(items).unwrap();
+        let (seq_cost, seq_charge) = measure_cost(|| sequential.put_all(items).unwrap());
+        // The thread waited for what the batch cost, no more.
+        assert_eq!((pipe_charge, seq_charge), (pipe_cost, seq_cost));
 
         assert!(
             pipe_cost >= Duration::from_millis(9) && pipe_cost <= Duration::from_millis(11),

@@ -60,7 +60,10 @@ pub fn measure_cost<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 /// have slept is instead returned as the *deferred* duration, for the caller
 /// to apply later (the I/O engine makes the operation's completion due that
 /// far in the future, and whoever waits on it sleeps the remainder). The
-/// charged duration is returned as well, exactly as [`measure_cost`] would.
+/// charged duration is returned as well, exactly as [`measure_cost`] would,
+/// but it is *not* added to the thread's charge: the caller adds what it
+/// waits for with [`charge`] (the engine adds a batch's wave, not the sum of
+/// its members).
 ///
 /// In `Virtual` mode nothing sleeps anyway, so the deferred duration is zero
 /// and completions are immediate; the charge still reports the sampled cost.
@@ -70,7 +73,7 @@ pub fn capture_deferred<T>(f: impl FnOnce() -> T) -> (T, DeferredCost) {
     let was_active = DEFER_ACTIVE.with(|a| a.replace(true));
     let out = f();
     DEFER_ACTIVE.with(|a| a.set(was_active));
-    let charged = OP_CHARGE_NS.with(|c| c.replace(saved_charge.saturating_add(c.get())));
+    let charged = OP_CHARGE_NS.with(|c| c.replace(saved_charge));
     let deferred = DEFERRED_NS.with(|c| c.replace(saved_deferred));
     (
         out,
@@ -79,6 +82,12 @@ pub fn capture_deferred<T>(f: impl FnOnce() -> T) -> (T, DeferredCost) {
             deferred: Duration::from_nanos(deferred),
         },
     )
+}
+
+/// Adds `duration` to the current thread's charge: what a caller of
+/// [`capture_deferred`] waited for once the operation completed.
+pub fn charge(duration: Duration) {
+    OP_CHARGE_NS.with(|c| c.set(c.get().saturating_add(duration.as_nanos() as u64)));
 }
 
 /// The cost of one operation run under [`capture_deferred`].
