@@ -9,17 +9,17 @@
 //! ```
 //!
 //! Every experiment of the evaluation is one [`Experiment`] in [`REGISTRY`].
-//! Nine are *figures*: they print the table(s) of one of the paper's
-//! figures and take no flags. Six are *gated*: each also writes a
-//! `BENCH_*.json` report (`--out`, default in the registry), checks a gate
-//! over it (`--skip-gate` for exploration runs; CI keeps it on), and derives
-//! every random choice from one seed (`--seed`, default in the experiment's
-//! configuration) so that a failure replays — the driver prints the exact
-//! command. `all` runs the registry in order, forwards each experiment the
-//! flags it declares, writes every report under its default name and exits
-//! non-zero if any gate failed; because it is a loop over the registry, a
-//! gate cannot be left out of it. Exit status: 0 clean, 1 a gate failed or
-//! a report could not be written, 2 the command line was wrong.
+//! Each writes a `BENCH_*.json` report (`--out`, default in the registry),
+//! checks a gate over it (`--skip-gate` for exploration runs; CI keeps it
+//! on), and derives every random choice from one seed (`--seed`, default in
+//! the experiment's configuration) so that a failure replays — the driver
+//! prints the exact command. `figures` is the paper's Figures 2–10 and
+//! Table 2, each with its shape check; the other five are this
+//! repository's own sweeps. `all` runs the registry in order, forwards each
+//! experiment the flags it declares, writes every report under its default
+//! name and exits non-zero if any gate failed; because it is a loop over the
+//! registry, a gate cannot be left out of it. Exit status: 0 clean, 1 a gate
+//! failed or a report could not be written, 2 the command line was wrong.
 //!
 //! The driver stamps every report with one `run` object — `{fast, seed,
 //! clock, host_cores}` — so a number is never read without the mode, the
@@ -28,7 +28,7 @@
 use crate::json::Json;
 use crate::report::Table;
 use crate::setup::BenchEnv;
-use crate::{checkpoint, dissemination, experiments, overload, pipelined, recovery, service};
+use crate::{checkpoint, dissemination, experiments, overload, recovery, service};
 
 /// The clock an experiment's latencies are measured on. Virtual-clock
 /// numbers are charged, never slept: deterministic per seed and independent
@@ -51,7 +51,7 @@ impl Clock {
     }
 }
 
-/// A flag one gated experiment declares beyond `--out`/`--seed`/
+/// A flag one experiment declares beyond `--out`/`--seed`/
 /// `--skip-gate`. Every such flag takes a value.
 #[derive(Debug)]
 pub struct Flag {
@@ -63,7 +63,7 @@ pub struct Flag {
     pub about: &'static str,
 }
 
-/// What a gated experiment hands the driver.
+/// What an experiment hands the driver.
 #[derive(Debug)]
 pub struct Outcome {
     /// The seed the run derived everything from (the `--seed` override or
@@ -108,173 +108,74 @@ impl Outcome {
     }
 }
 
-/// The two kinds of experiment.
-pub enum Kind {
-    /// Prints the table(s) of one of the paper's figures.
-    Figure(fn(&BenchEnv) -> Vec<Table>),
-    /// Runs a seeded sweep, writes a report, checks a gate.
-    Gated {
-        /// Default report file name.
-        report: &'static str,
-        /// The experiment's own flags.
-        flags: &'static [Flag],
-        /// Sizes the sweep from the arguments, runs it, packages the
-        /// result. `Err` means an argument's value was unusable.
-        run: fn(&Args) -> Result<Outcome, String>,
-    },
-}
-
 /// One entry of the registry.
 pub struct Experiment {
     /// The name typed on the command line.
     pub name: &'static str,
     /// One line saying what it measures.
     pub about: &'static str,
-    /// The clock its numbers are on (at the default `AFT_BENCH_SCALE`).
+    /// The clock its numbers are on.
     pub clock: Clock,
-    /// Figure or gated sweep.
-    pub kind: Kind,
-}
-
-impl Experiment {
-    const fn figure(
-        name: &'static str,
-        about: &'static str,
-        run: fn(&BenchEnv) -> Vec<Table>,
-    ) -> Self {
-        // The figures sleep out scaled-down service latencies.
-        Experiment {
-            name,
-            about,
-            clock: Clock::Wall,
-            kind: Kind::Figure(run),
-        }
-    }
-
-    /// The default report file, for a gated experiment.
-    pub fn report(&self) -> Option<&'static str> {
-        match self.kind {
-            Kind::Figure(_) => None,
-            Kind::Gated { report, .. } => Some(report),
-        }
-    }
-
-    /// The flags this experiment declares.
-    pub fn flags(&self) -> &'static [Flag] {
-        match self.kind {
-            Kind::Figure(_) => &[],
-            Kind::Gated { flags, .. } => flags,
-        }
-    }
+    /// Default report file name.
+    pub report: &'static str,
+    /// The experiment's own flags.
+    pub flags: &'static [Flag],
+    /// Sizes the sweep from the arguments, runs it, packages the result.
+    /// `Err` means an argument's value was unusable.
+    pub run: fn(&Args) -> Result<Outcome, String>,
 }
 
 /// Every experiment, in the order `all` runs them: the paper's figures
-/// first, then the gated sweeps.
+/// first, then this repository's own sweeps.
 pub const REGISTRY: &[Experiment] = &[
-    Experiment::figure(
-        "fig2_io_latency",
-        "Figure 2: I/O latency of 1/5/10 writes, with and without AFT and batching",
-        |env| vec![experiments::fig2_io_latency(env)],
-    ),
-    Experiment::figure(
-        "fig3_table2_e2e",
-        "Figure 3 + Table 2: end-to-end latency over S3/DynamoDB/Redis, anomaly counts",
-        |env| {
-            let (latency, anomalies) = experiments::fig3_and_table2(env);
-            vec![latency, anomalies]
-        },
-    ),
-    Experiment::figure(
-        "fig4_caching_skew",
-        "Figure 4: read caching against Zipf skew",
-        |env| vec![experiments::fig4_caching_skew(env)],
-    ),
-    Experiment::figure("fig5_rw_ratio", "Figure 5: read/write ratio sweep", |env| {
-        vec![experiments::fig5_rw_ratio(env)]
-    }),
-    Experiment::figure(
-        "fig6_txn_length",
-        "Figure 6: transaction length sweep",
-        |env| vec![experiments::fig6_txn_length(env)],
-    ),
-    Experiment::figure(
-        "fig7_single_node",
-        "Figure 7: single-node throughput against clients",
-        |env| vec![experiments::fig7_single_node(env)],
-    ),
-    Experiment::figure(
-        "fig8_distributed",
-        "Figure 8: multi-node throughput against the ideal line",
-        |env| vec![experiments::fig8_distributed(env)],
-    ),
-    Experiment::figure("fig9_gc", "Figure 9: garbage-collection overhead", |env| {
-        vec![experiments::fig9_gc(env)]
-    }),
-    Experiment::figure(
-        "fig10_fault_tolerance",
-        "Figure 10: throughput timeline across a node failure and replacement",
-        |env| vec![experiments::fig10_fault_tolerance(env)],
-    ),
+    Experiment {
+        name: "figures",
+        about: "Figures 2-10 and Table 2 of the paper, each with its shape check",
+        clock: Clock::Virtual,
+        report: "BENCH_figures.json",
+        flags: &[],
+        run: experiments::run,
+    },
     Experiment {
         name: "fig10_recovery",
         about: "chaos matrix: fault mode x commit-phase node kill x backend",
         clock: Clock::Virtual,
-        kind: Kind::Gated {
-            report: "BENCH_recovery.json",
-            flags: recovery::FLAGS,
-            run: recovery::run,
-        },
-    },
-    Experiment {
-        name: "fig2_pipelined",
-        about: "sequential vs pipelined storage I/O per backend",
-        clock: Clock::Virtual,
-        kind: Kind::Gated {
-            report: "BENCH_pipelined.json",
-            flags: &[],
-            run: pipelined::run,
-        },
+        report: "BENCH_recovery.json",
+        flags: recovery::FLAGS,
+        run: recovery::run,
     },
     Experiment {
         name: "fig8_service",
         about: "networked service over loopback: client sweep, connection chaos, connection scale",
         clock: Clock::Wall,
-        kind: Kind::Gated {
-            report: "BENCH_service.json",
-            flags: &[],
-            run: service::run,
-        },
+        report: "BENCH_service.json",
+        flags: &[],
+        run: service::run,
     },
     Experiment {
         name: "fig11_overload",
         about: "overload protection: goodput and tail latency at 1x-8x offered load",
         clock: Clock::Wall,
-        kind: Kind::Gated {
-            report: "BENCH_overload.json",
-            flags: &[],
-            run: overload::run,
-        },
+        report: "BENCH_overload.json",
+        flags: &[],
+        run: overload::run,
     },
     Experiment {
         name: "fig12_dissemination",
         about:
             "commit-metadata dissemination: the tree sweep vs flat by cluster size, partition leg",
         clock: Clock::Virtual,
-        kind: Kind::Gated {
-            report: "BENCH_dissemination.json",
-            flags: &[],
-            run: dissemination::run,
-        },
+        report: "BENCH_dissemination.json",
+        flags: &[],
+        run: dissemination::run,
     },
     Experiment {
         name: "fig13_checkpoint",
         about: "recovery cost against history: full replay vs checkpoint + tail",
         clock: Clock::Virtual,
-        kind: Kind::Gated {
-            report: "BENCH_checkpoint.json",
-            flags: &[],
-            run: checkpoint::run,
-        },
+        report: "BENCH_checkpoint.json",
+        flags: &[],
+        run: checkpoint::run,
     },
 ];
 
@@ -291,20 +192,20 @@ pub fn list() -> String {
             "{:<24} {:<8} {:<25} {}\n",
             e.name,
             e.clock.label(),
-            e.report().unwrap_or("-"),
+            e.report,
             e.about
         ));
-        for f in e.flags() {
+        for f in e.flags {
             out.push_str(&format!("    {} {}: {}\n", f.name, f.value, f.about));
         }
     }
     out
 }
 
-/// The parsed command line, as every gated experiment receives it.
+/// The parsed command line, as every experiment receives it.
 #[derive(Debug, Clone)]
 pub struct Args {
-    /// Mode, latency scale and sizes from the environment.
+    /// The size mode from the environment.
     pub env: BenchEnv,
     /// `--out PATH`: where to write the report instead of the default.
     pub out: Option<String>,
@@ -324,7 +225,7 @@ impl Args {
 }
 
 fn declared<'a>(experiments: &'a [Experiment], flag: &str) -> Option<&'a Flag> {
-    let mut flags = experiments.iter().flat_map(|e| e.flags());
+    let mut flags = experiments.iter().flat_map(|e| e.flags);
     flags.find(|f| f.name == flag)
 }
 
@@ -339,7 +240,6 @@ pub fn parse(argv: &[String], env: BenchEnv) -> Result<(&'static [Experiment], A
         None if name == "list" => return Err("list takes no arguments".to_owned()),
         None => return Err(format!("unknown experiment {name} (try `aft-bench list`)")),
     };
-    let gated = experiments.iter().any(|e| e.report().is_some());
     let mut args = Args {
         env,
         out: None,
@@ -355,17 +255,15 @@ pub fn parse(argv: &[String], env: BenchEnv) -> Result<(&'static [Experiment], A
         };
         match flag.as_str() {
             // One path cannot name six reports.
-            "--out" if gated && name != "all" => args.out = Some(value()?),
-            "--seed" if gated => {
+            "--out" if name != "all" => args.out = Some(value()?),
+            "--seed" => {
                 let seed = value().ok().and_then(|v| v.parse().ok());
                 args.seed = Some(seed.ok_or("missing or invalid value for --seed")?);
             }
-            "--skip-gate" if gated => args.skip_gate = true,
+            "--skip-gate" => args.skip_gate = true,
             other => match declared(experiments, other) {
                 Some(declared) => args.flags.push((declared.name, value()?)),
-                None if ["--out", "--seed", "--skip-gate"].contains(&other)
-                    || declared(REGISTRY, other).is_some() =>
-                {
+                None if other == "--out" || declared(REGISTRY, other).is_some() => {
                     return Err(format!("{name} does not take {other}"))
                 }
                 None => return Err(format!("unknown flag {other}")),
@@ -394,19 +292,12 @@ fn stamped(json: Json, env: &BenchEnv, seed: u64, clock: Clock) -> Json {
     Json::Obj(pairs)
 }
 
-/// Runs one experiment: prints its tables and, for a gated one, writes the
-/// report and prints the verdict. `Ok(Some(passed))` when a gate was
-/// checked; `Err((status, message))` when the run could not be done.
+/// Runs one experiment: prints its tables, writes the report and prints the
+/// verdict. `Ok(Some(passed))` when a gate was checked; `Err((status,
+/// message))` when the run could not be done.
 fn run_one(exp: &Experiment, args: &Args) -> Result<Option<bool>, (i32, String)> {
-    let (report, run) = match exp.kind {
-        Kind::Figure(run) => {
-            run(&args.env).iter().for_each(Table::print);
-            return Ok(None);
-        }
-        Kind::Gated { report, run, .. } => (report, run),
-    };
     let fast = args.env.fast;
-    let outcome = run(args).map_err(|e| (2, e))?;
+    let outcome = (exp.run)(args).map_err(|e| (2, e))?;
     println!(
         "{} (fast={fast}, seed={:#x}): {}, {} clock\n",
         exp.name,
@@ -418,7 +309,7 @@ fn run_one(exp: &Experiment, args: &Args) -> Result<Option<bool>, (i32, String)>
     outcome.notes.iter().for_each(|note| println!("{note}"));
 
     let rendered = stamped(outcome.json, &args.env, outcome.seed, exp.clock).render();
-    let path = args.out.as_deref().unwrap_or(report);
+    let path = args.out.as_deref().unwrap_or(exp.report);
     std::fs::write(path, rendered).map_err(|e| (1, format!("failed to write {path}: {e}")))?;
     println!("wrote {path}");
     if args.skip_gate {
@@ -450,7 +341,7 @@ fn replay_line(
         ""
     };
     let mut replay = format!("{mode}aft-bench {} --seed {seed}", exp.name);
-    for f in exp.flags() {
+    for f in exp.flags {
         let narrowed = narrowed.iter().find(|(name, _)| *name == f.name);
         let value = narrowed.map(|(_, value)| value.as_str());
         if let Some(value) = value.or_else(|| args.flag(f.name)) {
@@ -495,9 +386,8 @@ pub fn main(argv: &[String], env: BenchEnv) -> i32 {
     }
     if experiments.len() > 1 {
         println!(
-            "{} experiments run (scale={}, fast={}), {verdicts} gate verdicts, {} failed {failed:?}",
+            "{} experiments run (fast={}), {verdicts} gate verdicts, {} failed {failed:?}",
             experiments.len(),
-            env.scale,
             env.fast,
             failed.len(),
         );
@@ -532,7 +422,7 @@ mod tests {
 
     #[test]
     fn registry_names_and_reports_are_unique_and_list_prints_every_experiment() {
-        assert_eq!(REGISTRY.len(), 15);
+        assert_eq!(REGISTRY.len(), 6);
         let listing = list();
         for (i, e) in REGISTRY.iter().enumerate() {
             assert!(!["list", "all"].contains(&e.name));
@@ -544,7 +434,7 @@ mod tests {
             let line = listing.lines().find(|l| l.starts_with(e.name));
             assert!(line.is_some_and(|l| l.contains(e.about)), "{}", e.name);
         }
-        let reports: Vec<&str> = REGISTRY.iter().filter_map(Experiment::report).collect();
+        let reports: Vec<&str> = REGISTRY.iter().map(|e| e.report).collect();
         for (i, report) in reports.iter().enumerate() {
             assert!(report.starts_with("BENCH_") && report.ends_with(".json"));
             assert!(!reports[..i].contains(report), "{report} is written twice");
@@ -554,13 +444,9 @@ mod tests {
     #[test]
     fn all_visits_every_gate_ci_runs() {
         let (all, args) = parse_line("all --seed 9 --mode partition").unwrap();
-        let mut gated: Vec<&str> = all
-            .iter()
-            .filter(|e| e.report().is_some())
-            .map(|e| e.name)
-            .collect();
+        let mut gated: Vec<&str> = all.iter().map(|e| e.name).collect();
         let mut ci = ci_gates();
-        assert_eq!((all.len(), ci.len()), (15, 6));
+        assert_eq!((all.len(), ci.len()), (6, 6));
         gated.sort_unstable();
         ci.sort_unstable();
         assert_eq!(gated, ci, "`all` and CI must gate the same experiments");
@@ -586,7 +472,7 @@ mod tests {
     fn wrong_command_lines_are_usage_errors() {
         for (line, error) in [
             ("", "no experiment named"),
-            ("fig2_pipelined --bogus", "unknown flag --bogus"),
+            ("figures --bogus", "unknown flag --bogus"),
             (
                 "fig13_checkpoint --seed",
                 "missing or invalid value for --seed",
@@ -595,19 +481,15 @@ mod tests {
                 "fig13_checkpoint --seed twelve",
                 "missing or invalid value for --seed",
             ),
-            ("fig2_pipelined --out", "missing value for --out"),
-            // A flag another experiment declares; a gated flag on a figure.
-            (
-                "fig2_pipelined --mode cross_layer",
-                "fig2_pipelined does not take --mode",
-            ),
-            ("fig9_gc --seed 1", "fig9_gc does not take --seed"),
+            ("figures --out", "missing value for --out"),
+            // A flag another experiment declares.
+            ("figures --mode cross_layer", "figures does not take --mode"),
             ("list --skip-gate", "list takes no arguments"),
         ] {
             assert_eq!(usage_error(line), error, "`{line}`");
         }
         assert!(usage_error("fig99_nothing").starts_with("unknown experiment fig99_nothing"));
-        let argv = ["fig9_gc".to_owned(), "--skip-gate".to_owned()];
+        let argv = ["figures".to_owned(), "--bogus".to_owned()];
         assert_eq!(main(&argv, BenchEnv::test()), 2, "usage errors exit 2");
     }
 

@@ -1,152 +1,372 @@
-//! One function per table/figure of the paper's evaluation (§6).
+//! `figures`: the paper's evaluation (§6) — Figures 2–10 and Table 2 — as
+//! one seeded experiment in virtual time, with one shape check per figure.
 //!
-//! Each function runs the experiment against the simulated substrates and
-//! returns the rendered result table(s). The registry ([`crate::cli`]) prints
-//! them; the unit tests below call them with reduced sizes.
+//! Every figure runs its clients through one deterministic closed loop,
+//! [`run_virtual_loop`]: each client's clock is what its thread is charged
+//! (`aft_storage::latency`), wherever `Sleep` mode would sleep the client's
+//! clock advances and it waits until it is the earliest client, and the
+//! clusters' maintenance rounds, Fig. 10's kill and its replacement run at
+//! virtual times between requests. Clients therefore interleave between a
+//! request's functions and while a storage call's latency passes, as on the
+//! wall clock, but a report is a pure function of its seed: every service
+//! latency is charged at full scale and nothing sleeps.
+//!
+//! [`figures`] measures every figure into [`Sheet`]s and [`check`] grades
+//! them: one clause list per figure, written in the paper's terms with its
+//! section. A paper value quoted in a check's rustdoc is from memory and
+//! says so. Where virtual time or a deliberate design choice cannot show
+//! what the paper shows, the check says so as a *departure* and asserts
+//! what the run can show; no simulator constant is tuned to pass a check.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use aft_cluster::Cluster;
-use aft_storage::BackendKind;
-use aft_types::{payload_of_size, Key};
+use aft_storage::latency::measure_cost;
+use aft_storage::{BackendKind, IoConfig, SequentialEngine, SharedStorage};
+use aft_types::clock::TickingClock;
+use aft_types::{payload_of_size, Key, Value};
 use aft_workload::history::{self, FinalRead, History, Recorder};
 use aft_workload::{
-    run_closed_loop, AftDriver, LatencyRecorder, RequestDriver, RunConfig, RunResult,
+    run_virtual_loop, AftDriver, LatencyRecorder, RequestDriver, RunConfig, RunResult, Timer,
     WorkloadConfig,
 };
 
-use crate::report::{ms, Table};
-use crate::setup::BenchEnv;
+use crate::cli::{Args, Outcome};
+use crate::json::Json;
+use crate::report::{ms, round4, Table};
+use crate::setup::{self, aft_label, virtual_backend, BenchEnv};
 
-fn latency_row(table: &mut Table, config: &str, detail: &str, result: &RunResult) {
-    table.add_row(vec![
-        config.to_owned(),
-        detail.to_owned(),
-        ms(result.latency.median_ms()),
-        ms(result.latency.p99_ms()),
-        result.completed.to_string(),
-    ]);
+/// The default seed: Figure 2's pipelined legs keep the seed the
+/// `fig2_pipelined` experiment had.
+pub const DEFAULT_SEED: u64 = 0xF162;
+
+/// One table of a figure: label columns, then numeric columns.
+#[derive(Debug, Clone)]
+pub struct Sheet {
+    /// The report key, e.g. `fig3` or `table2`.
+    pub name: &'static str,
+    title: &'static str,
+    labels: &'static [&'static str],
+    values: &'static [&'static str],
+    rows: Vec<(Vec<String>, Vec<f64>)>,
 }
 
-/// One Table 2 row, graded from every attempt `history` holds: FR is every
-/// read anomaly but read-your-writes (a read no writer explains included).
-fn anomaly_row(table: &mut Table, config: &str, level: &str, history: &History, run: &RunResult) {
-    let verdict = history::check(&history.attempts(), &FinalRead::new());
-    table.add_row(vec![
-        config.to_owned(),
-        level.to_owned(),
-        verdict.read_your_writes.to_string(),
-        (verdict.anomalies() - verdict.read_your_writes).to_string(),
-        run.completed.to_string(),
-    ]);
+impl Sheet {
+    fn new(
+        name: &'static str,
+        title: &'static str,
+        labels: &'static [&'static str],
+        values: &'static [&'static str],
+    ) -> Self {
+        Sheet {
+            name,
+            title,
+            labels,
+            values,
+            rows: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, labels: Vec<String>, values: Vec<f64>) {
+        self.rows.push((labels, values));
+    }
+
+    /// The `column` value of the row labelled `labels`; NaN, which fails
+    /// every comparison, where there is none.
+    pub fn value(&self, labels: &[&str], column: &str) -> f64 {
+        let at = self.values.iter().position(|c| *c == column);
+        let row = self.rows.iter().find(|(l, _)| l.iter().eq(labels.iter()));
+        match (row, at) {
+            (Some((_, values)), Some(at)) => values[at],
+            _ => f64::NAN,
+        }
+    }
+
+    /// The rows' labels, in order.
+    pub fn keys(&self) -> impl Iterator<Item = &[String]> {
+        self.rows.iter().map(|(labels, _)| labels.as_slice())
+    }
+
+    /// The sheet as an aligned text table.
+    pub fn table(&self) -> Table {
+        let headers: Vec<&str> = self.labels.iter().chain(self.values).copied().collect();
+        let mut table = Table::new(self.title, &headers);
+        for (labels, values) in &self.rows {
+            let cells = values.iter().zip(self.values).map(|(&v, column)| match v {
+                v if v.is_nan() => "-".to_owned(),
+                v if column.ends_with("_ms") => ms(v),
+                v if v.fract() == 0.0 => format!("{v:.0}"),
+                v => format!("{v:.2}"),
+            });
+            table.add_row(labels.iter().cloned().chain(cells).collect());
+        }
+        table
+    }
+
+    fn to_json(&self) -> Json {
+        let rows = self.rows.iter().map(|(labels, values)| {
+            let labels = self
+                .labels
+                .iter()
+                .zip(labels)
+                .map(|(k, v)| (*k, Json::str(v)));
+            let values = self.values.iter().zip(values);
+            Json::obj(
+                labels
+                    .chain(values.map(|(k, v)| (*k, Json::Num(round4(*v)))))
+                    .collect(),
+            )
+        });
+        Json::obj(vec![
+            ("title", Json::str(self.title)),
+            ("rows", Json::Arr(rows.collect())),
+        ])
+    }
 }
 
-/// Runs `requests` closed-loop requests from each of `clients` clients.
+/// What [`figures`] measured: every figure's sheets, in figure order.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// The sheets, each named once.
+    pub sheets: Vec<Sheet>,
+}
+
+impl Report {
+    /// The sheet named `name`. Panics if there is none: every check reads
+    /// sheets its figure always writes.
+    pub fn sheet(&self, name: &str) -> &Sheet {
+        let sheet = self.sheets.iter().find(|s| s.name == name);
+        sheet.unwrap_or_else(|| panic!("no sheet {name}"))
+    }
+
+    /// Mutable access for tests that plant a value.
+    #[cfg(test)]
+    fn sheet_mut(&mut self, name: &str) -> &mut Sheet {
+        self.sheets.iter_mut().find(|s| s.name == name).unwrap()
+    }
+
+    /// The `BENCH_figures.json` document: each check's verdict, then each
+    /// sheet.
+    pub fn to_json(&self) -> Json {
+        let checks = check(self).into_iter().map(|(figure, verdict)| {
+            let verdict = verdict.map_or_else(|e| format!("failed: {e}"), |()| "ok".to_owned());
+            Json::obj(vec![
+                ("figure", Json::str(figure)),
+                ("verdict", Json::str(verdict)),
+            ])
+        });
+        let sheets = self.sheets.iter().map(|s| (s.name.to_owned(), s.to_json()));
+        Json::obj(vec![
+            ("experiment", Json::str("figures")),
+            ("checks", Json::Arr(checks.collect())),
+            ("sheets", Json::Obj(sheets.collect())),
+        ])
+    }
+}
+
+/// Runs `requests` requests from each of `clients` clients in virtual
+/// time, with `timers` between them.
 fn closed_loop(
     driver: &dyn RequestDriver,
     workload: &WorkloadConfig,
-    clients: usize,
-    requests: usize,
+    (clients, requests): (usize, usize),
     seed: u64,
+    timers: Vec<Timer<'_>>,
 ) -> RunResult {
     let config = RunConfig::new(workload.clone())
         .with_clients(clients)
         .with_requests(requests)
         .with_seed(seed);
-    run_closed_loop(driver, &config).expect("experiment run")
+    run_virtual_loop(driver, &config, timers).expect("experiment run")
+}
+
+/// A cluster's maintenance round every second of virtual time: the
+/// paper's multicast period (§4).
+fn maintenance(cluster: &aft_cluster::Cluster) -> Timer<'_> {
+    let round = move |_| {
+        let _ = cluster.run_maintenance_round();
+    };
+    (Duration::from_secs(1), Box::new(round))
+}
+
+/// A closed loop's throughput by Little's law: its clients over their mean
+/// latency. Unlike completions over the run's length, it does not count the
+/// run's ragged end, where the last clients finish alone, against it.
+fn throughput(result: &RunResult, clients: usize) -> f64 {
+    clients as f64 / result.latency.mean.as_secs_f64()
+}
+
+fn latency_values(result: &RunResult) -> Vec<f64> {
+    let latency = &result.latency;
+    vec![latency.median_ms(), latency.p99_ms()]
+}
+
+/// Runs every figure at the size `env` picks, every seed derived from
+/// `seed`.
+pub fn figures(env: &BenchEnv, seed: u64) -> Report {
+    let mut sheets = fig2_io_latency(env, seed);
+    sheets.extend(fig3_and_table2(env, seed));
+    sheets.push(fig4_caching_skew(env, seed));
+    sheets.push(fig5_rw_ratio(env, seed));
+    sheets.push(fig6_txn_length(env, seed));
+    sheets.push(fig7_single_node(env, seed));
+    sheets.push(fig8_distributed(env, seed));
+    sheets.push(fig9_gc(env, seed));
+    sheets.push(fig10_fault_tolerance(env, seed));
+    Report { sheets }
 }
 
 // ---------------------------------------------------------------------------
 // Figure 2 — IO latency of 1/5/10 writes, with and without AFT, with and
-// without batching, over DynamoDB.
+// without batching, over DynamoDB; and sequential against pipelined storage
+// I/O per backend.
 // ---------------------------------------------------------------------------
 
-/// Figure 2: direct-to-DynamoDB writes versus writes through AFT's commit
-/// protocol, sequential versus batched, for 1/5/10 writes per request.
-pub fn fig2_io_latency(env: &BenchEnv) -> Table {
-    let mut table = Table::new(
-        "Figure 2 — IO latency: 1/5/10 writes (ms)",
-        &[
-            "configuration",
-            "writes",
-            "median (ms)",
-            "p99 (ms)",
-            "requests",
-        ],
+/// Figure 2: direct-to-DynamoDB writes against writes through AFT's commit
+/// protocol, sequential against batched, for 1/5/10 writes per request
+/// (`fig2`); then, per backend, a node whose storage I/O goes one round trip
+/// at a time against one that overlaps it (`fig2_pipelined`).
+pub fn fig2_io_latency(env: &BenchEnv, seed: u64) -> Vec<Sheet> {
+    let mut sheet = Sheet::new(
+        "fig2",
+        "Figure 2 — IO latency: 1/5/10 writes",
+        &["configuration", "writes"],
+        &["median_ms", "p99_ms"],
     );
-    let requests = env.sized(env.requests_per_client, 30);
+    let requests = env.sized(200, 30);
     let payload = payload_of_size(4 * 1024);
-    // One row: `request(i)` issues request `i` and returns what it took.
-    let mut row = |config: &str, writes: usize, request: &mut dyn FnMut(usize) -> Duration| {
+    // One row: `request(i)` issues request `i`; its cost is its charge.
+    let mut row = |config: &str, writes: usize, request: &mut dyn FnMut(usize)| {
         let mut recorder = LatencyRecorder::new();
-        (0..requests).for_each(|i| recorder.record(request(i)));
+        (0..requests).for_each(|i| recorder.record(measure_cost(|| request(i)).1));
         let stats = recorder.stats();
-        table.add_row(vec![
-            config.into(),
-            writes.to_string(),
-            ms(stats.median_ms()),
-            ms(stats.p99_ms()),
-            requests.to_string(),
-        ]);
+        let labels = vec![config.to_owned(), writes.to_string()];
+        sheet.push(labels, vec![stats.median_ms(), stats.p99_ms()]);
     };
+    let keys =
+        |request: usize, writes: usize| (0..writes).map(move |w| format!("fig2/{request}/{w}"));
+    let storage = |tag: u64| virtual_backend(BackendKind::DynamoDb, seed ^ tag);
 
-    let write_counts = [1usize, 5, 10];
-    for &writes in &write_counts {
-        // DynamoDB Sequential: one PutItem per write.
-        let storage = env.storage(BackendKind::DynamoDb, 0xF2_01 + writes as u64);
+    for writes in [1usize, 5, 10] {
+        let direct = storage(0xF2_01 + writes as u64);
         row("DynamoDB Sequential", writes, &mut |request| {
-            let start = Instant::now();
-            for w in 0..writes {
-                storage
-                    .put(&format!("fig2/{request}/{w}"), payload.clone())
-                    .expect("simulated storage never fails");
+            for key in keys(request, writes) {
+                direct
+                    .put(&key, payload.clone())
+                    .expect("simulated storage");
             }
-            start.elapsed()
         });
 
-        // DynamoDB Batch: one BatchWriteItem per request.
-        let storage = env.storage(BackendKind::DynamoDb, 0xF2_02 + writes as u64);
+        let direct = storage(0xF2_02 + writes as u64);
         row("DynamoDB Batch", writes, &mut |request| {
-            let items: Vec<(String, aft_types::Value)> = (0..writes)
-                .map(|w| (format!("fig2/{request}/{w}"), payload.clone()))
+            let items = keys(request, writes)
+                .map(|k| (k, payload.clone()))
                 .collect();
-            let start = Instant::now();
-            storage
-                .put_batch(items)
-                .expect("simulated storage never fails");
-            start.elapsed()
+            direct.put_batch(items).expect("simulated storage");
         });
 
-        // AFT Sequential: one Put call to the shim per write, then commit.
-        let storage = env.storage(BackendKind::DynamoDb, 0xF2_03 + writes as u64);
-        let node = env.node(storage, true, 0xF2_03);
+        let node = setup::node(storage(0xF2_03 + writes as u64), true, seed ^ 0xF2_03);
         row("AFT Sequential", writes, &mut |request| {
-            let start = Instant::now();
             let txid = node.start_transaction();
-            for w in 0..writes {
-                let key = Key::new(format!("fig2/{request}/{w}"));
-                node.put(&txid, key, payload.clone()).expect("put");
+            for key in keys(request, writes) {
+                node.put(&txid, Key::new(key), payload.clone())
+                    .expect("put");
             }
             node.commit(&txid).expect("commit");
-            start.elapsed()
         });
 
-        // AFT Batch: all writes shipped to the shim in one request.
-        let storage = env.storage(BackendKind::DynamoDb, 0xF2_04 + writes as u64);
-        let node = env.node(storage, true, 0xF2_04);
+        let node = setup::node(storage(0xF2_04 + writes as u64), true, seed ^ 0xF2_04);
         row("AFT Batch", writes, &mut |request| {
-            let items: Vec<(Key, aft_types::Value)> = (0..writes)
-                .map(|w| (Key::new(format!("fig2/{request}/{w}")), payload.clone()))
+            let items: Vec<(Key, Value)> = keys(request, writes)
+                .map(|k| (Key::new(k), payload.clone()))
                 .collect();
-            let start = Instant::now();
             let txid = node.start_transaction();
             node.put_all(&txid, items).expect("put_all");
             node.commit(&txid).expect("commit");
-            start.elapsed()
         });
     }
-    table
+
+    let mut pipelined = Sheet::new(
+        "fig2_pipelined",
+        "Figure 2 — sequential vs pipelined storage I/O per backend",
+        &["backend", "mode"],
+        &["p50_commit_ms", "p99_commit_ms", "p50_read_ms", "api_calls"],
+    );
+    let transactions = env.sized(200, 80);
+    for kind in BackendKind::EVALUATED {
+        for overlapped in [false, true] {
+            let mode = if overlapped {
+                "pipelined"
+            } else {
+                "sequential"
+            };
+            let values = io_leg(kind, overlapped, transactions, seed);
+            pipelined.push(vec![kind.label().to_owned(), mode.to_owned()], values);
+        }
+    }
+    vec![sheet, pipelined]
+}
+
+/// One leg of `fig2_pipelined`: `transactions` 8-key commits, then as many
+/// 8-key reads, on a node without a data cache. The sequential leg wraps
+/// the store in [`SequentialEngine`] (per-key API calls) under
+/// [`IoConfig::sequential`], so an 8-key commit pays nine round trips back to
+/// back; the pipelined leg overlaps the data puts (or sends them as the
+/// row's multi-key write), barriers, then appends the record (§3.3's order),
+/// and overlaps a read's fetches. Latencies are the node's per-flush and
+/// per-read charges.
+fn io_leg(kind: BackendKind, overlapped: bool, transactions: usize, seed: u64) -> Vec<f64> {
+    let raw = virtual_backend(kind, seed ^ kind.label().len() as u64);
+    let (storage, io): (SharedStorage, _) = if overlapped {
+        (raw, IoConfig::pipelined())
+    } else {
+        (SequentialEngine::new(raw), IoConfig::sequential())
+    };
+    let config = aft_core::NodeConfig {
+        // No data cache: reads must exercise the storage fallback path.
+        data_cache_bytes: 0,
+        io,
+        bootstrap: false,
+        rng_seed: seed,
+        ..aft_core::NodeConfig::default()
+    };
+    let node = aft_core::AftNode::with_clock(config, storage, TickingClock::shared(1_000, 1))
+        .expect("node construction over a simulated backend");
+    let payload = payload_of_size(256);
+    // Transaction t writes group t % groups; a later read of the group
+    // observes one transaction's cowritten set.
+    let groups = transactions.clamp(1, 64);
+    let group = |g: usize| -> Vec<Key> {
+        (0..8)
+            .map(|i| Key::new(format!("grp{g:02}/k{i}")))
+            .collect()
+    };
+    for t in 0..transactions {
+        let txid = node.start_transaction();
+        for key in group(t % groups) {
+            node.put(&txid, key, payload.clone()).unwrap();
+        }
+        node.commit(&txid).unwrap();
+    }
+    for r in 0..transactions {
+        let txid = node.start_transaction();
+        let values = node.get_all(&txid, &group(r % groups)).unwrap();
+        assert!(
+            values.iter().all(Option::is_some),
+            "every group was written"
+        );
+        // A read-only commit's record-only flush would put ~1-RTT samples in
+        // the commit recorder.
+        node.abort(&txid).unwrap();
+    }
+    let commit = node.stats().commit_storage_latency();
+    let read = node.stats().read_storage_latency();
+    vec![
+        commit.percentile_ms(0.5).unwrap_or(0.0),
+        commit.percentile_ms(0.99).unwrap_or(0.0),
+        read.percentile_ms(0.5).unwrap_or(0.0),
+        node.storage().stats().total_calls() as f64,
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -154,82 +374,86 @@ pub fn fig2_io_latency(env: &BenchEnv) -> Table {
 // ---------------------------------------------------------------------------
 
 /// Figure 3 and Table 2: end-to-end latency of the standard 2-function,
-/// 6-IO transaction over S3 / DynamoDB / Redis (Plain vs AFT vs DynamoDB
-/// transaction mode), plus the anomaly counts of Table 2.
-pub fn fig3_and_table2(env: &BenchEnv) -> (Table, Table) {
-    let clients = env.sized(10, 4);
-    let requests = env.sized(env.requests_per_client, 25);
+/// 6-IO request over S3 / DynamoDB / Redis (Plain, AFT, DynamoDB's
+/// transaction mode), and the anomalies every row's client history shows.
+/// FR counts every read anomaly but read-your-writes (a read no writer
+/// explains included).
+pub fn fig3_and_table2(env: &BenchEnv, seed: u64) -> Vec<Sheet> {
+    // Fast, still enough interleaved requests for every Plain row to show
+    // both anomalies.
+    let size = (env.sized(10, 8), env.sized(200, 50));
     let workload = WorkloadConfig::standard();
-
-    let mut latency = Table::new(
-        "Figure 3 — end-to-end latency, 2-function / 6-IO transactions",
-        &[
-            "configuration",
-            "backend",
-            "median (ms)",
-            "p99 (ms)",
-            "requests",
-        ],
+    let mut latency = Sheet::new(
+        "fig3",
+        "Figure 3 — end-to-end latency, 2-function / 6-IO requests",
+        &["configuration", "backend"],
+        &["median_ms", "p99_ms", "requests"],
     );
-    let mut anomalies = Table::new(
+    let mut anomalies = Sheet::new(
+        "table2",
         "Table 2 — consistency anomalies",
-        &[
-            "configuration",
-            "consistency level",
-            "RYW anomalies",
-            "FR anomalies",
-            "transactions",
-        ],
+        &["configuration", "consistency level"],
+        &["ryw", "fr", "requests"],
     );
+    let mut both =
+        |config: &str, backend: &str, level: &str, history: &History, run: &RunResult| {
+            let labels = vec![config.to_owned(), backend.to_owned()];
+            let mut values = latency_values(run);
+            values.push(run.completed as f64);
+            latency.push(labels, values);
+            if level.is_empty() {
+                return;
+            }
+            let verdict = history::check(&history.attempts(), &FinalRead::new());
+            let ryw = verdict.read_your_writes;
+            let row = match config {
+                "AFT" => "AFT".to_owned(),
+                _ => format!("{backend} ({config})"),
+            };
+            let values = vec![
+                ryw as f64,
+                (verdict.anomalies() - ryw) as f64,
+                run.completed as f64,
+            ];
+            anomalies.push(vec![row, level.to_owned()], values);
+        };
 
-    // Plain baselines over each backend.
-    for (kind, consistency) in [
+    for (kind, level) in [
         (BackendKind::S3, "None"),
         (BackendKind::DynamoDb, "None"),
         (BackendKind::Redis, "Shard Linearizable"),
     ] {
-        let driver = env.plain_driver(kind, 0xF3_10 + kind.label().len() as u64);
-        let result = closed_loop(&driver, &workload, clients, requests, 0xF3_11);
-        latency_row(&mut latency, "Plain", kind.label(), &result);
-        let config = format!("{} (Plain)", kind.label());
-        anomaly_row(
-            &mut anomalies,
-            &config,
-            consistency,
-            driver.history(),
-            &result,
-        );
+        let driver = setup::plain_driver(kind, seed ^ (0xF3_10 + kind.label().len() as u64));
+        let run = closed_loop(&driver, &workload, size, seed ^ 0xF3_11, Vec::new());
+        both("Plain", kind.label(), level, driver.history(), &run);
     }
-
-    // AFT over each backend. Its Table 2 row grades every call the DynamoDB
+    // AFT over each backend; its Table 2 row grades every call the DynamoDB
     // run made.
     for kind in BackendKind::EVALUATED {
-        let seed = 0xF3_20 + kind.label().len() as u64;
-        let node = env.node(env.storage(kind, seed), true, seed ^ 0xA57);
+        let tag = seed ^ (0xF3_20 + kind.label().len() as u64);
+        let node = setup::node(virtual_backend(kind, tag), true, tag ^ 0xA57);
         let history = History::new();
         let api = Recorder::wrap(node, Arc::clone(&history), None);
-        let driver = AftDriver::from_api(api, env.platform(), env.retry());
-        let result = closed_loop(&driver, &workload, clients, requests, 0xF3_21);
-        latency_row(&mut latency, "AFT", kind.label(), &result);
-        if kind == BackendKind::DynamoDb {
-            anomaly_row(&mut anomalies, "AFT", "Read Atomic", &history, &result);
-        }
+        let driver = AftDriver::from_api(api, setup::platform(), setup::retry());
+        let run = closed_loop(&driver, &workload, size, seed ^ 0xF3_21, Vec::new());
+        let level = if kind == BackendKind::DynamoDb {
+            "Read Atomic"
+        } else {
+            ""
+        };
+        both("AFT", kind.label(), level, &history, &run);
     }
-
-    // DynamoDB transaction mode.
-    let driver = env.dynamo_txn_driver(0xF3_30);
-    let result = closed_loop(&driver, &workload, clients, requests, 0xF3_31);
-    latency_row(&mut latency, "Transactional", "DynamoDB", &result);
-    let config = "DynamoDB (Serializable)";
-    anomaly_row(
-        &mut anomalies,
-        config,
+    let driver = setup::dynamo_txn_driver(seed ^ 0xF3_30);
+    let run = closed_loop(&driver, &workload, size, seed ^ 0xF3_31, Vec::new());
+    both(
+        "Serializable",
+        "DynamoDB",
         "Serializable",
         driver.history(),
-        &result,
+        &run,
     );
 
-    (latency, anomalies)
+    vec![latency, anomalies]
 }
 
 // ---------------------------------------------------------------------------
@@ -237,436 +461,642 @@ pub fn fig3_and_table2(env: &BenchEnv) -> (Table, Table) {
 // ---------------------------------------------------------------------------
 
 /// Figure 4: AFT over DynamoDB and Redis with and without the data cache,
-/// plus DynamoDB transaction mode, across Zipf coefficients 1.0 / 1.5 / 2.0.
-pub fn fig4_caching_skew(env: &BenchEnv) -> Table {
-    let mut table = Table::new(
+/// and DynamoDB's transaction mode, at Zipf coefficients 1.0 / 1.5 / 2.0.
+pub fn fig4_caching_skew(env: &BenchEnv, seed: u64) -> Sheet {
+    let mut sheet = Sheet::new(
+        "fig4",
         "Figure 4 — read caching and data skew",
-        &[
-            "configuration",
-            "zipf",
-            "median (ms)",
-            "p99 (ms)",
-            "cache hit rate",
-        ],
+        &["configuration", "zipf"],
+        &["median_ms", "p99_ms", "cache_hit_rate"],
     );
-    let clients = env.sized(10, 4);
-    let requests = env.sized(env.requests_per_client, 20);
-    // The paper uses a 100,000-key space; we default to 50,000 to keep the
-    // preload fast and memory modest (see EXPERIMENTS.md).
+    let size = (env.sized(10, 4), env.sized(200, 20));
+    // The paper uses a 100,000-key space; 50,000 keeps the preload fast and
+    // memory modest.
     let keys = env.sized(50_000, 2_000);
-
     for zipf in [1.0, 1.5, 2.0] {
         let workload = WorkloadConfig::caching_skew(zipf).with_keys(keys);
-        let run =
-            |driver: &dyn RequestDriver| closed_loop(driver, &workload, clients, requests, 0xF4_01);
-
-        let driver = env.dynamo_txn_driver(0xF4_10);
-        let result = run(&driver);
-        table.add_row(vec![
-            "DynamoDB Txns".into(),
-            format!("{zipf:.1}"),
-            ms(result.latency.median_ms()),
-            ms(result.latency.p99_ms()),
-            "-".into(),
-        ]);
+        let zipf_label = format!("{zipf:.1}");
+        let driver = setup::dynamo_txn_driver(seed ^ 0xF4_10);
+        let run = closed_loop(&driver, &workload, size, seed ^ 0xF4_01, Vec::new());
+        let mut values = latency_values(&run);
+        values.push(f64::NAN);
+        sheet.push(vec!["DynamoDB Txns".to_owned(), zipf_label.clone()], values);
 
         for kind in [BackendKind::DynamoDb, BackendKind::Redis] {
             for caching in [false, true] {
-                let storage = env.storage(kind, 0xF4_20);
-                let node = env.node(storage, caching, 0xF4_21);
-                let driver = AftDriver::single_node(Arc::clone(&node), env.platform(), env.retry())
-                    .with_label(crate::setup::aft_label(kind, caching));
-                let result = run(&driver);
-                let hit_rate = node.stats().snapshot().cache_hit_rate();
-                table.add_row(vec![
-                    driver.name().to_owned(),
-                    format!("{zipf:.1}"),
-                    ms(result.latency.median_ms()),
-                    ms(result.latency.p99_ms()),
-                    format!("{:.0}%", hit_rate * 100.0),
-                ]);
+                let storage = virtual_backend(kind, seed ^ 0xF4_20);
+                let node = setup::node(storage, caching, seed ^ 0xF4_21);
+                let driver =
+                    AftDriver::single_node(Arc::clone(&node), setup::platform(), setup::retry());
+                let run = closed_loop(&driver, &workload, size, seed ^ 0xF4_01, Vec::new());
+                let mut values = latency_values(&run);
+                values.push(node.stats().snapshot().cache_hit_rate());
+                sheet.push(vec![aft_label(kind, caching), zipf_label.clone()], values);
             }
         }
     }
-    table
+    sheet
 }
 
 // ---------------------------------------------------------------------------
 // Figure 5 — read/write ratios.
 // ---------------------------------------------------------------------------
 
-/// Figure 5: latency of 10-IO transactions as the fraction of reads sweeps
-/// from 0% to 100%, for AFT over DynamoDB and Redis.
-pub fn fig5_rw_ratio(env: &BenchEnv) -> Table {
-    let mut table = Table::new(
+/// Figure 5: latency of 10-IO transactions as the share of reads sweeps from
+/// 0% to 100%, for AFT over DynamoDB and Redis, with storage calls per
+/// request.
+pub fn fig5_rw_ratio(env: &BenchEnv, seed: u64) -> Sheet {
+    let mut sheet = Sheet::new(
+        "fig5",
         "Figure 5 — read/write ratio (10 IOs per transaction)",
-        &[
-            "configuration",
-            "% reads",
-            "median (ms)",
-            "p99 (ms)",
-            "storage API calls/txn",
-        ],
+        &["configuration", "reads_pct"],
+        &["median_ms", "p99_ms", "storage_calls_per_txn"],
     );
-    let clients = env.sized(10, 4);
-    let requests = env.sized(env.requests_per_client, 20);
-
+    let size = (env.sized(10, 4), env.sized(200, 20));
     for kind in [BackendKind::DynamoDb, BackendKind::Redis] {
         for pct in [0u32, 20, 40, 60, 80, 100] {
             let workload = WorkloadConfig::read_write_ratio(pct);
-            let storage = env.storage(kind, 0xF5_01 + pct as u64);
-            let node = env.node(storage.clone(), true, 0xF5_02);
-            let driver = AftDriver::single_node(node, env.platform(), env.retry())
-                .with_label(crate::setup::aft_label(kind, true));
+            let storage = virtual_backend(kind, seed ^ (0xF5_01 + pct as u64));
+            let node = setup::node(storage.clone(), true, seed ^ 0xF5_02);
+            let driver = AftDriver::single_node(node, setup::platform(), setup::retry());
             let before = storage.stats().snapshot();
-            let result = closed_loop(&driver, &workload, clients, requests, 0xF5_03);
-            let delta = storage.stats().snapshot().delta_since(&before);
-            let calls_per_txn = if result.completed == 0 {
-                0.0
-            } else {
-                delta.total_calls() as f64 / result.completed as f64
-            };
-            table.add_row(vec![
-                driver.name().to_owned(),
-                format!("{pct}%"),
-                ms(result.latency.median_ms()),
-                ms(result.latency.p99_ms()),
-                format!("{calls_per_txn:.1}"),
-            ]);
+            let run = closed_loop(&driver, &workload, size, seed ^ 0xF5_03, Vec::new());
+            let calls = storage
+                .stats()
+                .snapshot()
+                .delta_since(&before)
+                .total_calls();
+            let mut values = latency_values(&run);
+            values.push(calls as f64 / run.completed.max(1) as f64);
+            sheet.push(vec![aft_label(kind, true), pct.to_string()], values);
         }
     }
-    table
+    sheet
 }
 
 // ---------------------------------------------------------------------------
 // Figure 6 — transaction length.
 // ---------------------------------------------------------------------------
 
-/// Figure 6: latency as the composition length grows from 1 to 10 functions
-/// (3 IOs per function), for AFT over DynamoDB and Redis.
-pub fn fig6_txn_length(env: &BenchEnv) -> Table {
-    let mut table = Table::new(
+/// Figure 6: latency as the composition grows from 1 to 10 functions (3 IOs
+/// per function), for AFT over DynamoDB and Redis.
+pub fn fig6_txn_length(env: &BenchEnv, seed: u64) -> Sheet {
+    let mut sheet = Sheet::new(
+        "fig6",
         "Figure 6 — transaction length (functions per request)",
-        &["configuration", "functions", "median (ms)", "p99 (ms)"],
+        &["configuration", "functions"],
+        &["median_ms", "p99_ms"],
     );
-    let clients = env.sized(10, 4);
-    let requests = env.sized(env.requests_per_client / 2, 10).max(5);
-    let lengths = [1usize, 2, 4, 6, 8, 10];
-
+    let size = (env.sized(10, 4), env.sized(100, 10));
     for kind in [BackendKind::DynamoDb, BackendKind::Redis] {
-        for &functions in &lengths {
+        for functions in [1usize, 2, 4, 6, 8, 10] {
             let workload = WorkloadConfig::transaction_length(functions);
-            let driver = env.aft_driver(kind, true, 0xF6_01 + functions as u64);
-            let result = closed_loop(&driver, &workload, clients, requests, 0xF6_02);
-            table.add_row(vec![
-                driver.name().to_owned(),
-                functions.to_string(),
-                ms(result.latency.median_ms()),
-                ms(result.latency.p99_ms()),
-            ]);
+            let driver = setup::aft_driver(kind, true, seed ^ (0xF6_01 + functions as u64));
+            let run = closed_loop(&driver, &workload, size, seed ^ 0xF6_02, Vec::new());
+            let labels = vec![aft_label(kind, true), functions.to_string()];
+            sheet.push(labels, latency_values(&run));
         }
     }
-    table
+    sheet
 }
 
 // ---------------------------------------------------------------------------
 // Figure 7 — single-node scalability.
 // ---------------------------------------------------------------------------
 
-/// Figure 7: throughput of a single AFT node as the number of closed-loop
-/// clients grows, over DynamoDB and Redis (Zipf 1.5).
-pub fn fig7_single_node(env: &BenchEnv) -> Table {
-    let mut table = Table::new(
+/// Figure 7: throughput of one AFT node as closed-loop clients are added,
+/// over DynamoDB and Redis (Zipf 1.5).
+pub fn fig7_single_node(env: &BenchEnv, seed: u64) -> Sheet {
+    let mut sheet = Sheet::new(
+        "fig7",
         "Figure 7 — single-node throughput vs clients (Zipf 1.5)",
-        &[
-            "configuration",
-            "clients",
-            "throughput (txn/s)",
-            "median (ms)",
-        ],
+        &["configuration", "clients"],
+        &["throughput_tps", "median_ms"],
     );
-    let client_counts: Vec<usize> = if env.fast {
-        vec![1, 4, 8]
-    } else {
-        vec![1, 5, 10, 20, 30, 40, 45, 50]
-    };
+    let clients: &[usize] = env.sized(&[1, 5, 10, 20, 30, 40, 45, 50], &[1, 4, 8]);
     let requests = env.sized(60, 15);
     let workload = WorkloadConfig::standard().with_zipf(1.5);
-
     for kind in [BackendKind::DynamoDb, BackendKind::Redis] {
-        for &clients in &client_counts {
-            let driver = env.aft_driver(kind, true, 0xF7_01 + clients as u64);
-            let result = closed_loop(&driver, &workload, clients, requests, 0xF7_02);
-            table.add_row(vec![
-                driver.name().to_owned(),
-                clients.to_string(),
-                format!("{:.0}", result.throughput_tps()),
-                ms(result.latency.median_ms()),
-            ]);
+        for &n in clients {
+            let driver = setup::aft_driver(kind, true, seed ^ (0xF7_01 + n as u64));
+            let run = closed_loop(
+                &driver,
+                &workload,
+                (n, requests),
+                seed ^ 0xF7_02,
+                Vec::new(),
+            );
+            let labels = vec![aft_label(kind, true), n.to_string()];
+            sheet.push(labels, vec![throughput(&run, n), run.latency.median_ms()]);
         }
     }
-    table
+    sheet
 }
 
 // ---------------------------------------------------------------------------
 // Figure 8 — distributed scalability.
 // ---------------------------------------------------------------------------
 
-/// Figure 8: multi-node throughput (40 clients per node) against the ideal
-/// linear-scaling line, over DynamoDB and Redis.
-pub fn fig8_distributed(env: &BenchEnv) -> Table {
-    let mut table = Table::new(
-        "Figure 8 — distributed throughput vs clients (40 clients/node)",
-        &[
-            "configuration",
-            "nodes",
-            "clients",
-            "throughput (txn/s)",
-            "ideal (txn/s)",
-            "% of ideal",
-        ],
+/// Figure 8: throughput of 1–8 nodes with 40 clients each, against the
+/// ideal line (the one-node throughput times the node count), over DynamoDB
+/// and Redis.
+pub fn fig8_distributed(env: &BenchEnv, seed: u64) -> Sheet {
+    let mut sheet = Sheet::new(
+        "fig8",
+        "Figure 8 — distributed throughput vs nodes (40 clients/node)",
+        &["configuration", "nodes"],
+        &["clients", "throughput_tps", "ideal_tps", "pct_of_ideal"],
     );
-    let clients_per_node = env.sized(40, 8);
-    let node_counts: Vec<usize> = if env.fast {
-        vec![1, 2]
-    } else {
-        vec![1, 2, 4, 8]
-    };
+    let per_node = env.sized(40, 8);
+    let node_counts: &[usize] = env.sized(&[1, 2, 4, 8], &[1, 2]);
     let requests = env.sized(40, 10);
     let workload = WorkloadConfig::standard().with_zipf(1.5);
-
     for kind in [BackendKind::DynamoDb, BackendKind::Redis] {
-        let mut single_node_tps = 0.0f64;
-        for &nodes in &node_counts {
-            let storage = env.storage(kind, 0xF8_01 + nodes as u64);
-            let cluster = env.cluster(storage, nodes, true);
-            cluster.start_background();
-            let driver = AftDriver::clustered(Arc::clone(&cluster), env.platform(), env.retry())
-                .with_label(format!("AFT ({})", kind.label()));
-            let clients = clients_per_node * nodes;
-            let result = closed_loop(&driver, &workload, clients, requests, 0xF8_02);
-            cluster.shutdown();
-
-            let tps = result.throughput_tps();
-            if nodes == node_counts[0] {
-                single_node_tps = tps / node_counts[0] as f64;
+        let mut one_node = 0.0;
+        for &nodes in node_counts {
+            let storage = virtual_backend(kind, seed ^ (0xF8_01 + nodes as u64));
+            let cluster = setup::cluster(storage, nodes, true, true);
+            let driver =
+                AftDriver::clustered(Arc::clone(&cluster), setup::platform(), setup::retry());
+            let clients = per_node * nodes;
+            let timers = vec![maintenance(&cluster)];
+            let run = closed_loop(
+                &driver,
+                &workload,
+                (clients, requests),
+                seed ^ 0xF8_02,
+                timers,
+            );
+            let tps = throughput(&run, clients);
+            if nodes == 1 {
+                one_node = tps;
             }
-            let ideal = single_node_tps * nodes as f64;
-            let pct = if ideal > 0.0 {
-                100.0 * tps / ideal
-            } else {
-                100.0
-            };
-            table.add_row(vec![
-                driver.name().to_owned(),
-                nodes.to_string(),
-                clients.to_string(),
-                format!("{tps:.0}"),
-                format!("{ideal:.0}"),
-                format!("{pct:.0}%"),
-            ]);
+            let ideal = one_node * nodes as f64;
+            let labels = vec![format!("AFT ({})", kind.label()), nodes.to_string()];
+            sheet.push(
+                labels,
+                vec![clients as f64, tps, ideal, 100.0 * tps / ideal],
+            );
         }
     }
-    table
+    sheet
 }
 
 // ---------------------------------------------------------------------------
 // Figure 9 — garbage collection overhead.
 // ---------------------------------------------------------------------------
 
-/// Figure 9: throughput with and without global garbage collection, and the
-/// rate at which superseded transactions are deleted.
-pub fn fig9_gc(env: &BenchEnv) -> Table {
-    let mut table = Table::new(
+/// Figure 9: throughput of one node with and without global garbage
+/// collection, the transactions it deleted and the data versions left.
+pub fn fig9_gc(env: &BenchEnv, seed: u64) -> Sheet {
+    let mut sheet = Sheet::new(
+        "fig9",
         "Figure 9 — garbage collection overhead (Zipf 1.5, 1 node, 40 clients)",
+        &["configuration"],
         &[
-            "configuration",
-            "throughput (txn/s)",
-            "transactions committed",
-            "transactions deleted",
-            "deleted/s",
-            "live data versions",
+            "throughput_tps",
+            "committed",
+            "deleted",
+            "deleted_per_s",
+            "live_data_versions",
         ],
     );
-    let clients = env.sized(40, 8);
-    let duration = env.sized(Duration::from_secs(10), Duration::from_secs(2));
+    let size = (env.sized(40, 8), env.sized(150, 20));
     let workload = WorkloadConfig::standard().with_zipf(1.5);
-
-    for gc_enabled in [true, false] {
-        let storage = env.storage(BackendKind::DynamoDb, 0xF9_01 + gc_enabled as u64);
-        let cluster_config = aft_cluster::ClusterConfig {
-            initial_nodes: 1,
-            node_template: env.node_template(true),
-            dissemination_interval: Duration::from_millis(200),
-            gc_enabled,
-            replacement_delay: Duration::ZERO,
-            ..aft_cluster::ClusterConfig::default()
-        };
-        let cluster = Cluster::new(cluster_config, storage.clone()).expect("cluster");
-        cluster.start_background();
-        let driver = AftDriver::clustered(Arc::clone(&cluster), env.platform(), env.retry())
-            .with_label(if gc_enabled {
-                "GC enabled"
-            } else {
-                "GC disabled"
-            });
-
-        let result = run_closed_loop(
-            &driver,
-            &RunConfig::new(workload.clone())
-                .with_clients(clients)
-                .with_requests(0)
-                .with_duration(duration)
-                .with_seed(0xF9_02),
-        )
-        .expect("experiment run");
-        // Give the background GC a final chance to catch up, then stop it.
+    for gc in [true, false] {
+        let storage = virtual_backend(BackendKind::DynamoDb, seed ^ (0xF9_01 + gc as u64));
+        let cluster = setup::cluster(storage.clone(), 1, true, gc);
+        let driver = AftDriver::clustered(Arc::clone(&cluster), setup::platform(), setup::retry());
+        let timers = vec![maintenance(&cluster)];
+        let run = closed_loop(&driver, &workload, size, seed ^ 0xF9_02, timers);
+        // One last round catches up with the run's tail.
         let _ = cluster.run_maintenance_round();
-        cluster.shutdown();
-
-        let deleted = cluster.total_gc_deleted();
-        let live_versions = storage.list_prefix("data/").map(|k| k.len()).unwrap_or(0);
-        table.add_row(vec![
-            driver.name().to_owned(),
-            format!("{:.0}", result.throughput_tps()),
-            result.completed.to_string(),
-            deleted.to_string(),
-            format!("{:.0}", deleted as f64 / result.elapsed.as_secs_f64()),
-            live_versions.to_string(),
-        ]);
+        let deleted = cluster.total_gc_deleted() as f64;
+        let live = storage.list_prefix("data/").map_or(0, |k| k.len()) as f64;
+        let label = if gc { "GC enabled" } else { "GC disabled" };
+        let values = vec![
+            throughput(&run, size.0),
+            run.completed as f64,
+            deleted,
+            deleted / run.elapsed.as_secs_f64(),
+            live,
+        ];
+        sheet.push(vec![label.to_owned()], values);
     }
-    table
+    sheet
 }
 
 // ---------------------------------------------------------------------------
 // Figure 10 — fault tolerance.
 // ---------------------------------------------------------------------------
 
-/// Figure 10: throughput timeline of a 4-node cluster across a node failure
-/// and the replacement node joining.
-pub fn fig10_fault_tolerance(env: &BenchEnv) -> Table {
-    let mut table = Table::new(
+/// Figure 10: throughput, second by second, of a 4-node cluster as one node
+/// is killed and a replacement joins after a delay (container download and
+/// cache warm-up).
+pub fn fig10_fault_tolerance(env: &BenchEnv, seed: u64) -> Sheet {
+    let mut sheet = Sheet::new(
+        "fig10",
         "Figure 10 — throughput across a node failure (4 nodes)",
-        &["time (s)", "throughput (txn/s)", "active nodes", "event"],
+        &["second", "event"],
+        &["throughput_tps", "active_nodes", "failed"],
     );
-
-    let clients = env.sized(100, 16);
-    let total = env.sized(Duration::from_secs(18), Duration::from_secs(6));
-    let kill_after = total / 3;
-    let replacement_delay = total / 6;
-    let bucket = Duration::from_secs(1);
-
-    let storage = env.storage(BackendKind::DynamoDb, 0xFA_01);
-    let cluster_config = aft_cluster::ClusterConfig {
-        initial_nodes: 4,
-        node_template: env.node_template(true),
-        dissemination_interval: Duration::from_millis(200),
-        fault_scan_interval: Duration::from_millis(250),
-        replacement_delay,
-        ..aft_cluster::ClusterConfig::default()
-    };
-    let cluster = Cluster::new(cluster_config, storage).expect("cluster");
-    cluster.start_background();
-
-    // A side thread kills one node part-way through the run; the cluster's
-    // fault-detection thread notices and brings up a replacement after the
-    // configured delay (container download + cache warm-up).
-    let cluster_for_killer = Arc::clone(&cluster);
-    let killer = std::thread::spawn(move || {
-        std::thread::sleep(kill_after);
-        cluster_for_killer.kill_node("aft-node-1");
-    });
-
-    let driver = AftDriver::clustered(Arc::clone(&cluster), env.platform(), env.retry());
-    let result = run_closed_loop(
-        &driver,
-        &RunConfig::new(WorkloadConfig::standard().with_zipf(1.0))
-            .with_clients(clients)
-            .with_requests(0)
-            .with_duration(total)
-            .with_seed(0xFA_02),
-    )
-    .expect("experiment run");
-    killer.join().expect("killer thread");
-    cluster.shutdown();
-
-    let kill_second = kill_after.as_secs_f64();
-    let rejoin_second = kill_second + replacement_delay.as_secs_f64();
-    for (second, tps) in result.timeline.series() {
-        let event = if (second - kill_second).abs() < bucket.as_secs_f64() / 2.0 {
+    let size = (env.sized(100, 16), env.sized(300, 150));
+    let kill_at = Duration::from_secs(env.sized(6, 2));
+    let joins_at = kill_at * 2;
+    let storage = virtual_backend(BackendKind::DynamoDb, seed ^ 0xFA_01);
+    let cluster = setup::cluster(storage, 4, true, true);
+    let driver = AftDriver::clustered(Arc::clone(&cluster), setup::platform(), setup::retry());
+    let seconds = Mutex::new(Vec::new());
+    let tick = |now: Duration| {
+        let _ = cluster.run_maintenance_round();
+        let event = if now == kill_at {
+            cluster.kill_node("aft-node-1");
             "node killed"
-        } else if (second - rejoin_second).abs() < bucket.as_secs_f64() {
+        } else if now == joins_at {
+            cluster.replace_failed_nodes().expect("a replacement");
             "replacement joins"
         } else {
             ""
         };
-        let active = if second < kill_second || second >= rejoin_second {
-            4
-        } else {
-            3
-        };
-        table.add_row(vec![
-            format!("{second:.0}"),
-            format!("{tps:.0}"),
-            active.to_string(),
-            event.into(),
-        ]);
+        let stats = driver.platform().stats().snapshot();
+        let active = cluster.registry().active_count();
+        let done = (stats.requests_completed, stats.requests_failed);
+        seconds.lock().unwrap().push((now, event, active, done));
+    };
+    let timers: Vec<Timer<'_>> = vec![(Duration::from_secs(1), Box::new(tick))];
+    closed_loop(
+        &driver,
+        &WorkloadConfig::standard().with_zipf(1.0),
+        size,
+        seed ^ 0xFA_02,
+        timers,
+    );
+    let mut before = (0, 0);
+    for (now, event, active, done) in seconds.into_inner().unwrap() {
+        let labels = vec![now.as_secs().to_string(), event.to_owned()];
+        let completed = (done.0 - before.0) as f64;
+        sheet.push(
+            labels,
+            vec![completed, active as f64, (done.1 - before.1) as f64],
+        );
+        before = done;
     }
-    table
+    sheet
+}
+
+// ---------------------------------------------------------------------------
+// The checks.
+// ---------------------------------------------------------------------------
+
+/// One figure's check: `Err` names its first failing clause.
+type Verdict = Result<(), String>;
+
+/// Every figure's check, in figure order: `(figure, verdict)`.
+pub fn check(report: &Report) -> Vec<(&'static str, Verdict)> {
+    vec![
+        ("Figure 2 (§6.1.1)", check_fig2(report)),
+        ("Figure 3 (§6.1.2)", check_fig3(report.sheet("fig3"))),
+        ("Table 2 (§6.1.2)", check_table2(report.sheet("table2"))),
+        ("Figure 4 (§6.2)", check_fig4(report.sheet("fig4"))),
+        ("Figure 5 (§6.3)", check_fig5(report.sheet("fig5"))),
+        ("Figure 6 (§6.4)", check_fig6(report.sheet("fig6"))),
+        ("Figure 7 (§6.5)", linear(report.sheet("fig7"), "clients")),
+        ("Figure 8 (§6.5)", linear(report.sheet("fig8"), "nodes")),
+        ("Figure 9 (§6.6)", check_fig9(report.sheet("fig9"))),
+        ("Figure 10 (§6.7)", check_fig10(report.sheet("fig10"))),
+    ]
+}
+
+/// The gate: every check passes. A failure names each failing figure and
+/// its first failing clause.
+pub fn gate(report: &Report) -> Verdict {
+    let failed: Vec<String> = check(report)
+        .into_iter()
+        .filter_map(|(figure, v)| v.err().map(|e| format!("{figure}: {e}")))
+        .collect();
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(failed.join("; "))
+    }
+}
+
+/// `Ok` if `a`'s value `x` is below `b`'s value `y`.
+fn below(a: &str, x: f64, b: &str, y: f64) -> Verdict {
+    if x < y {
+        Ok(())
+    } else {
+        Err(format!("{a} {x:.2} is not below {b} {y:.2}"))
+    }
+}
+
+/// Figure 2, §6.1.1. The paper (from memory): batching a request's writes
+/// beats writing them one by one, on DynamoDB and through AFT, and AFT's
+/// sequential mode beats DynamoDB's because the shim buffers the writes and
+/// sends them as one batch at commit. Clauses:
+/// - at 10 writes, DynamoDB Batch's median is below DynamoDB Sequential's,
+///   AFT Batch's below AFT Sequential's, and AFT Sequential's below
+///   DynamoDB Sequential's;
+/// - `fig2_pipelined`: on every backend the pipelined p50 commit is below
+///   1.05× the sequential one (the gate `fig2_pipelined` had).
+pub fn check_fig2(report: &Report) -> Verdict {
+    let fig2 = report.sheet("fig2");
+    let median = |config: &str| fig2.value(&[config, "10"], "median_ms");
+    for (a, b) in [
+        ("DynamoDB Batch", "DynamoDB Sequential"),
+        ("AFT Batch", "AFT Sequential"),
+        ("AFT Sequential", "DynamoDB Sequential"),
+    ] {
+        below(a, median(a), b, median(b)).map_err(|e| format!("median ms at 10 writes: {e}"))?;
+    }
+    let pipelined = report.sheet("fig2_pipelined");
+    for kind in BackendKind::EVALUATED {
+        let p50 = |mode| pipelined.value(&[kind.label(), mode], "p50_commit_ms");
+        let (seq, pipe) = (p50("sequential"), p50("pipelined"));
+        below("pipelined", pipe, "1.05x sequential", 1.05 * seq)
+            .map_err(|e| format!("{} p50 commit ms: {e}", kind.label()))?;
+    }
+    Ok(())
+}
+
+/// Figure 3, §6.1.2. The paper (from memory): AFT over S3 is faster than
+/// Plain S3, since the shim batches a request's writes into one commit and
+/// serves repeat reads from its cache, and AFT over DynamoDB is faster than
+/// DynamoDB's transaction mode. Clauses: both orderings of the medians.
+pub fn check_fig3(fig3: &Sheet) -> Verdict {
+    let median = |config: &str, backend: &str| fig3.value(&[config, backend], "median_ms");
+    let s3 = below("AFT", median("AFT", "S3"), "Plain", median("Plain", "S3"));
+    s3.map_err(|e| format!("S3 median ms: {e}"))?;
+    let (aft, txn) = (
+        median("AFT", "DynamoDB"),
+        median("Serializable", "DynamoDB"),
+    );
+    below("AFT", aft, "transaction mode", txn).map_err(|e| format!("DynamoDB median ms: {e}"))
+}
+
+/// Table 2, §6.1.2. The paper (from memory): every Plain row shows both
+/// read-your-writes (RYW) and fractured-read (FR) anomalies, hundreds per
+/// 10 000 requests; DynamoDB's transaction mode shows no RYW anomaly (a
+/// request's writes go out in one `TransactWriteItems` at its end) but does
+/// show FR, since each function's `TransactGetItems` is atomic alone; AFT
+/// shows none. Clauses: AFT 0/0; every Plain row RYW > 0 and FR > 0;
+/// DynamoDB (Serializable) RYW 0 and FR > 0.
+pub fn check_table2(table2: &Sheet) -> Verdict {
+    for row in table2.keys() {
+        let (name, level) = (row[0].as_str(), row[1].as_str());
+        let ryw = table2.value(&[name, level], "ryw");
+        let fr = table2.value(&[name, level], "fr");
+        let (expect_ryw, expect_fr) = match name {
+            "AFT" => (false, false),
+            "DynamoDB (Serializable)" => (false, true),
+            _ => (true, true),
+        };
+        if (ryw > 0.0, fr > 0.0) != (expect_ryw, expect_fr) {
+            let want = |expected: bool| if expected { "some" } else { "none" };
+            let (ryw_want, fr_want) = (want(expect_ryw), want(expect_fr));
+            return Err(format!(
+                "row {name}: RYW {ryw} and FR {fr}, the paper reads {ryw_want} and {fr_want}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Figure 4, §6.2. The paper (from memory): DynamoDB's transaction mode
+/// slows as skew rises, because more requests conflict and retry; AFT's
+/// data cache lowers its latency, and more so as skew concentrates reads on
+/// cached keys. Clauses: DynamoDB Txns' median is higher at Zipf 1.5 than at
+/// 1.0; at every Zipf and on both backends, AFT with the cache is faster
+/// than without.
+///
+/// *Departure:* the cache's hit rate reads 100% at every Zipf, where the
+/// paper's rises with skew: the 256 MiB cache holds all 50 000 keys of
+/// 4 KiB, so nothing is evicted.
+pub fn check_fig4(fig4: &Sheet) -> Verdict {
+    let median = |config: &str, zipf: &str| fig4.value(&[config, zipf], "median_ms");
+    let txns = |zipf| median("DynamoDB Txns", zipf);
+    below("Zipf 1.0", txns("1.0"), "Zipf 1.5", txns("1.5"))
+        .map_err(|e| format!("DynamoDB Txns median ms: {e}"))?;
+    for zipf in ["1.0", "1.5", "2.0"] {
+        for backend in ["AFT-D", "AFT-R"] {
+            let cached = median(&format!("{backend} Caching"), zipf);
+            let uncached = median(&format!("{backend} No Caching"), zipf);
+            below("caching", cached, "none", uncached)
+                .map_err(|e| format!("{backend} median ms at Zipf {zipf}: {e}"))?;
+        }
+    }
+    Ok(())
+}
+
+/// Figure 5, §6.3. The paper (from memory): AFT's latency falls as the
+/// share of reads grows, because a write costs a storage write at commit
+/// while a read of a cached version costs none. Clause: on both backends
+/// the median at 100% reads is below the median at 0%.
+///
+/// *Departure:* the Redis column commits a transaction's data and record in
+/// one `MSET` where they share a hash slot (`commit_batcher.rs`), a round
+/// trip §6.1.2's implementation could not save, so its write-heavy end is
+/// cheaper than the paper's and the column is nearly flat.
+pub fn check_fig5(fig5: &Sheet) -> Verdict {
+    for config in ["AFT-D Caching", "AFT-R Caching"] {
+        let median = |reads| fig5.value(&[config, reads], "median_ms");
+        below("100% reads", median("100"), "0%", median("0"))
+            .map_err(|e| format!("{config} median ms: {e}"))?;
+    }
+    Ok(())
+}
+
+/// Figure 6, §6.4. The paper (from memory): latency grows linearly with the
+/// number of functions in a request, each adding an invocation and its
+/// IOs. Clauses: on both backends the median rises with every step of the
+/// sweep, and 10 functions cost at least 5× one.
+pub fn check_fig6(fig6: &Sheet) -> Verdict {
+    for config in ["AFT-D Caching", "AFT-R Caching"] {
+        let median = |n: &str| fig6.value(&[config, n], "median_ms");
+        let steps = ["1", "2", "4", "6", "8", "10"];
+        for pair in steps.windows(2) {
+            below(pair[0], median(pair[0]), pair[1], median(pair[1]))
+                .map_err(|e| format!("{config} median ms by functions: {e}"))?;
+        }
+        below("5x 1", 5.0 * median("1"), "10", median("10"))
+            .map_err(|e| format!("{config} median ms by functions: {e}"))?;
+    }
+    Ok(())
+}
+
+/// Figures 7 and 8, §6.5. The paper (from memory): one node's throughput
+/// grows linearly with its clients until the node saturates, around 40–45
+/// clients (Fig. 7), and throughput grows close to linearly with nodes at
+/// 40 clients each, a small margin under the ideal line, the one-node
+/// throughput times the nodes (Fig. 8). Clause: every row, labelled
+/// (configuration, count), carries more than 90% of its configuration's
+/// first-row throughput times its count over the first row's count.
+///
+/// *Departures:* capacity. A client's virtual clock charges service
+/// latencies, not CPU, so a node never saturates: Fig. 7 shows no plateau,
+/// and what limited the paper's largest Fig. 8 deployment — the FaaS
+/// platform's concurrency cap and the nodes' CPUs — does not show either;
+/// here a Fig. 8 point falls short of ideal only through cache misses on
+/// versions committed at other nodes.
+pub fn linear(sheet: &Sheet, what: &str) -> Verdict {
+    let mut first: Option<(&str, f64)> = None;
+    for row in sheet.keys() {
+        let tps = sheet.value(&[&row[0], &row[1]], "throughput_tps");
+        let count: f64 = row[1].parse().unwrap_or(f64::NAN);
+        let per = match first {
+            Some((config, per)) if config == row[0] => per,
+            _ => tps / count,
+        };
+        first = Some((&row[0], per));
+        below("90% of linear", 0.9 * per * count, "throughput", tps)
+            .map_err(|e| format!("{} at {count} {what}: {e}", row[0]))?;
+    }
+    Ok(())
+}
+
+/// Figure 9, §6.6. The paper (from memory): global garbage collection
+/// costs no significant throughput, while it deletes superseded
+/// transactions about as fast as they commit. Clauses: throughput with GC
+/// is above 95% of without; GC deletes transactions; it leaves fewer live
+/// data versions than no GC.
+pub fn check_fig9(fig9: &Sheet) -> Verdict {
+    let on = |column| fig9.value(&["GC enabled"], column);
+    let off = |column| fig9.value(&["GC disabled"], column);
+    let tps = "throughput_tps";
+    below("95% without", 0.95 * off(tps), "with", on(tps))
+        .map_err(|e| format!("throughput: {e}"))?;
+    below("zero", 0.0, "deleted", on("deleted"))
+        .map_err(|e| format!("transactions deleted with GC: {e}"))?;
+    let live = "live_data_versions";
+    below("with", on(live), "without", off(live)).map_err(|e| format!("live data versions: {e}"))
+}
+
+/// Figure 10, §6.7. The paper (from memory): when a node is killed, its
+/// share of the requests fails over to the others, throughput dips, and
+/// it recovers once a replacement has downloaded its container and warmed
+/// its caches. Clauses: no request fails; every second from the kill until
+/// the replacement joins keeps at least half the mean throughput before the
+/// kill; and the membership reads 4 → 3 → 4 active nodes.
+///
+/// *Departure:* the dip. A node has no capacity in virtual time, so three
+/// nodes serve the 100 clients as fast as four and throughput shows no
+/// step at the kill; the check asserts that the failure loses nothing.
+pub fn check_fig10(fig10: &Sheet) -> Verdict {
+    let rows: Vec<(&[String], f64, f64, f64)> = fig10
+        .keys()
+        .map(|row| {
+            let value = |column| fig10.value(&[&row[0], &row[1]], column);
+            (
+                row,
+                value("throughput_tps"),
+                value("active_nodes"),
+                value("failed"),
+            )
+        })
+        .collect();
+    let at = |event: &str| rows.iter().position(|(row, ..)| row[1] == event);
+    let (Some(kill), Some(join)) = (at("node killed"), at("replacement joins")) else {
+        return Err("the run ended before the kill and the replacement".to_owned());
+    };
+    let failed: f64 = rows.iter().map(|r| r.3).sum();
+    below("failed requests", failed, "one", 1.0)?;
+    let before = rows[..kill].iter().map(|r| r.1).sum::<f64>() / kill.max(1) as f64;
+    for (row, tps, ..) in &rows[kill..=join] {
+        below(
+            "half the throughput before the kill",
+            0.5 * before,
+            "throughput",
+            *tps,
+        )
+        .map_err(|e| format!("second {}: {e}", row[0]))?;
+    }
+    let active = [rows[kill.saturating_sub(1)].2, rows[kill].2, rows[join].2];
+    if active != [4.0, 3.0, 4.0] {
+        return Err(format!("active nodes went {active:?}, not 4 -> 3 -> 4"));
+    }
+    Ok(())
+}
+
+/// The registry's entry point.
+pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
+    let seed = args.seed.unwrap_or(DEFAULT_SEED);
+    let report = figures(&args.env, seed);
+    let tables = report.sheets.iter().map(Sheet::table).collect();
+    let gate = gate(&report).map(|()| "every figure's shape check holds".to_owned());
+    let mut outcome = Outcome::new(seed, &args.env, tables, report.to_json(), gate);
+    for (figure, verdict) in check(&report) {
+        let verdict = verdict.map_or_else(|e| format!("FAILED — {e}"), |()| "ok".to_owned());
+        outcome.notes.push(format!("{figure}: {verdict}"));
+    }
+    Ok(outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The experiment functions are exercised end-to-end (at tiny sizes and
-    // zero latency) so that `cargo test` covers every figure's code path.
-
-    #[test]
-    fn fig2_produces_all_twelve_rows() {
-        let table = fig2_io_latency(&BenchEnv::test());
-        assert_eq!(table.len(), 12, "4 configurations x 3 write counts");
+    /// The figures at the test size, measured once for every test here.
+    fn report() -> &'static Report {
+        static REPORT: std::sync::OnceLock<Report> = std::sync::OnceLock::new();
+        REPORT.get_or_init(|| figures(&BenchEnv::test(), DEFAULT_SEED))
     }
 
     #[test]
-    fn fig3_and_table2_cover_every_configuration() {
-        let (latency, anomalies) = fig3_and_table2(&BenchEnv::test());
-        assert_eq!(latency.len(), 7, "3 plain + 3 aft + 1 transactional");
-        assert_eq!(anomalies.len(), 5, "the five rows of Table 2");
-        // A row's RYW and FR cells, found by the row's first words.
-        let rendered = anomalies.render();
-        let anomaly_cells = |row: &str| {
-            let line = rendered.lines().find(|l| l.starts_with(row)).unwrap();
-            let cells: Vec<&str> = line.split_whitespace().collect();
-            (cells[cells.len() - 3], cells[cells.len() - 2])
-        };
-        // AFT shows neither anomaly, and one TransactWriteItems per request
-        // leaves DynamoDB's transaction mode no read-your-writes anomaly.
-        assert_eq!(anomaly_cells("AFT "), ("0", "0"), "{rendered}");
-        let (dynamo_ryw, _) = anomaly_cells("DynamoDB (Serializable)");
-        assert_eq!(dynamo_ryw, "0", "{rendered}");
+    fn figures_at_the_test_size_pass_their_gate() {
+        let report = report();
+        assert_eq!(gate(report), Ok(()));
+        assert_eq!(
+            report.sheet("fig2").rows.len(),
+            12,
+            "4 configurations x 3 write counts"
+        );
+        assert_eq!(
+            report.sheet("table2").rows.len(),
+            5,
+            "the five rows of Table 2"
+        );
+        let pipelined = report.sheet("fig2_pipelined");
+        assert_eq!(pipelined.rows.len(), 6, "3 backends x 2 modes");
+        // Pipelining bills S3 the same per-key calls, and Redis fewer: one
+        // MSET per commit, not one SET per key.
+        let calls = |backend, mode| pipelined.value(&[backend, mode], "api_calls");
+        assert_eq!(calls("S3", "sequential"), calls("S3", "pipelined"));
+        assert!(calls("Redis", "pipelined") < calls("Redis", "sequential"));
+        // S3's 8-key commits and reads gain at least 2x from overlapping.
+        let s3 = |mode, column| pipelined.value(&["S3", mode], column);
+        for column in ["p50_commit_ms", "p50_read_ms"] {
+            assert!(
+                s3("sequential", column) >= 2.0 * s3("pipelined", column),
+                "{column}"
+            );
+        }
+        let json = Json::parse(&report.to_json().render()).unwrap();
+        let checks = json.get("checks").and_then(Json::as_array).unwrap();
+        assert_eq!(checks.len(), 10, "one check per figure and Table 2");
     }
 
     #[test]
-    fn fig5_reports_both_backends_and_all_ratios() {
-        let table = fig5_rw_ratio(&BenchEnv::test());
-        assert_eq!(table.len(), 12, "2 backends x 6 ratios");
+    fn one_seed_gives_one_report() {
+        let again = figures(&BenchEnv::test(), DEFAULT_SEED);
+        assert_eq!(again.to_json().render(), report().to_json().render());
     }
 
     #[test]
-    fn fig7_and_fig8_scale_with_clients_and_nodes() {
-        let fig7 = fig7_single_node(&BenchEnv::test());
-        assert_eq!(fig7.len(), 6, "2 backends x 3 client counts in fast mode");
-        let fig8 = fig8_distributed(&BenchEnv::test());
-        assert_eq!(fig8.len(), 4, "2 backends x 2 node counts in fast mode");
-    }
-
-    #[test]
-    fn fig9_reports_gc_on_and_off() {
-        let table = fig9_gc(&BenchEnv::test());
-        assert_eq!(table.len(), 2);
-        let rendered = table.render();
-        assert!(rendered.contains("GC enabled"));
-        assert!(rendered.contains("GC disabled"));
+    fn a_planted_fr_anomaly_in_the_aft_row_fails_the_gate_naming_the_row() {
+        let mut report = report().clone();
+        let table2 = report.sheet_mut("table2");
+        let aft = table2
+            .rows
+            .iter_mut()
+            .find(|(labels, _)| labels[0] == "AFT")
+            .unwrap();
+        aft.1[1] = 1.0;
+        assert_eq!(
+            gate(&report),
+            Err(
+                "Table 2 (§6.1.2): row AFT: RYW 0 and FR 1, the paper reads none and none"
+                    .to_owned()
+            )
+        );
     }
 }

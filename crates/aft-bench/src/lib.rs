@@ -6,26 +6,19 @@
 //! `aft-bench list`). [`cli`] owns the command line, the report files and
 //! the gate verdicts; [`setup`] owns how a simulated deployment is built
 //! (and the lost-ack oracle every durability figure comes from);
-//! [`experiments`] holds the paper's nine figures; each gated sweep has a
+//! [`experiments`] holds the paper's figures, one seeded experiment in
+//! virtual time with a shape check per figure; each other sweep has a
 //! module of its own whose header says what it measures and what its gate
 //! enforces.
 //!
-//! The figures run against the simulated substrates with latencies scaled
-//! down by a single global factor (`AFT_BENCH_SCALE`, default 0.1). Scaling
-//! every service identically preserves the ratios, crossovers, and winners
-//! while letting the whole suite finish quickly. The gated sweeps fix their
-//! own scale: those on the virtual clock charge full-scale latencies
-//! without sleeping.
+//! The figures and the virtual-clock sweeps charge every service latency at
+//! full scale without sleeping, so they cost seconds and repeat exactly per
+//! seed.
 //!
-//! Environment knobs (all optional, read once by
-//! [`setup::BenchEnv::from_env`]):
-//!
-//! * `AFT_BENCH_FAST` — any value but empty or `0` shrinks every experiment
-//!   (fewer requests, fewer clients, shorter timelines, trimmed matrices):
-//!   the configuration CI's gates run.
-//! * `AFT_BENCH_SCALE` — latency scale factor of the figures (default `0.1`).
-//! * `AFT_BENCH_REQUESTS` — requests per client for the figures' latency
-//!   experiments (default 200).
+//! One environment knob, read once by [`setup::BenchEnv::from_env`]:
+//! `AFT_BENCH_FAST` — any value but empty or `0` shrinks every experiment
+//! (fewer requests, fewer clients, shorter timelines, trimmed matrices):
+//! the configuration CI's gates run.
 
 pub mod checkpoint;
 pub mod cli;
@@ -33,7 +26,6 @@ pub mod dissemination;
 pub mod experiments;
 pub mod json;
 pub mod overload;
-pub mod pipelined;
 pub mod recovery;
 pub mod report;
 pub mod service;

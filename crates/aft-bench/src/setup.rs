@@ -11,6 +11,7 @@ use aft_net::{AftClient, AftServer};
 use aft_storage::io::RetryConfig;
 use aft_storage::latency::LatencyProfile;
 use aft_storage::{BackendConfig, BackendKind, LatencyMode, SharedStorage};
+use aft_types::clock::TickingClock;
 use aft_types::AftResult;
 use aft_workload::history::{self, Attempt, Verdict};
 use aft_workload::{AftDriver, DynamoTxnDriver, PlainDriver};
@@ -25,19 +26,15 @@ pub const SHIM_RPC_PROFILE: LatencyProfile = LatencyProfile {
     per_kb_us: 0.4,
 };
 
-/// Benchmark environment: latency scale and experiment sizing.
+/// Benchmark environment: experiment sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchEnv {
-    /// Global latency scale factor applied to every simulated service.
-    pub scale: f64,
-    /// Requests per client for latency-style experiments.
-    pub requests_per_client: usize,
     /// Whether the fast (smoke-test) mode is active.
     pub fast: bool,
 }
 
 impl BenchEnv {
-    /// Reads the environment variables described in the crate docs — the
+    /// Reads the environment variable described in the crate docs — the
     /// one place the harness consults the process environment.
     pub fn from_env() -> Self {
         Self::from_vars(|name| std::env::var(name).ok())
@@ -47,26 +44,12 @@ impl BenchEnv {
     /// `AFT_BENCH_FAST` value except unset, empty and `0`.
     pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
         let fast = var("AFT_BENCH_FAST").is_some_and(|v| !v.is_empty() && v != "0");
-        let scale = var("AFT_BENCH_SCALE")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.1);
-        let requests_per_client = var("AFT_BENCH_REQUESTS")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if fast { 30 } else { 200 });
-        BenchEnv {
-            scale,
-            requests_per_client,
-            fast,
-        }
+        BenchEnv { fast }
     }
 
-    /// A tiny environment for unit tests of the harness itself: zero latency.
+    /// The environment of the harness's own unit tests: fast mode.
     pub fn test() -> Self {
-        BenchEnv {
-            scale: 0.0,
-            requests_per_client: 10,
-            fast: true,
-        }
+        BenchEnv { fast: true }
     }
 
     /// Picks an experiment's size — a count, a duration, a whole sweep
@@ -78,97 +61,75 @@ impl BenchEnv {
             normal
         }
     }
-
-    /// The latency mode matching this environment (virtual when scale is 0).
-    pub fn mode(&self) -> LatencyMode {
-        if self.scale == 0.0 {
-            LatencyMode::Virtual
-        } else {
-            LatencyMode::Sleep
-        }
-    }
-
-    /// Builds a storage backend of the given kind.
-    pub fn storage(&self, kind: BackendKind, seed: u64) -> SharedStorage {
-        aft_storage::make_backend(BackendConfig {
-            mode: self.mode(),
-            ..BackendConfig::simulated(kind, self.scale).with_seed(seed)
-        })
-    }
-
-    /// Builds an AFT node over `storage`.
-    pub fn node(&self, storage: SharedStorage, caching: bool, seed: u64) -> Arc<AftNode> {
-        let config = NodeConfig {
-            data_cache_bytes: if caching { 256 * 1024 * 1024 } else { 0 },
-            rng_seed: seed,
-            ..NodeConfig::default()
-        }
-        .with_rpc_latency(SHIM_RPC_PROFILE, self.mode(), self.scale);
-        AftNode::new(config, storage).expect("node construction only fails on storage errors")
-    }
-
-    /// The node configuration template used for cluster experiments.
-    pub fn node_template(&self, caching: bool) -> NodeConfig {
-        NodeConfig {
-            data_cache_bytes: if caching { 256 * 1024 * 1024 } else { 0 },
-            ..NodeConfig::default()
-        }
-        .with_rpc_latency(SHIM_RPC_PROFILE, self.mode(), self.scale)
-    }
-
-    /// Builds a multi-node AFT cluster over `storage`.
-    pub fn cluster(&self, storage: SharedStorage, nodes: usize, caching: bool) -> Arc<Cluster> {
-        let config = ClusterConfig {
-            initial_nodes: nodes,
-            node_template: self.node_template(caching),
-            dissemination_interval: Duration::from_millis(if self.fast { 20 } else { 100 }),
-            replacement_delay: Duration::ZERO,
-            ..ClusterConfig::default()
-        };
-        Cluster::new(config, storage).expect("cluster construction")
-    }
-
-    /// Builds the simulated FaaS platform.
-    pub fn platform(&self) -> Arc<FaasPlatform> {
-        let mut config = PlatformConfig::aws_like(self.scale);
-        config.latency_mode = self.mode();
-        FaasPlatform::new(config)
-    }
-
-    /// The retry policy the simulated clients use.
-    pub fn retry(&self) -> RetryPolicy {
-        RetryPolicy::with_attempts(8)
-    }
-
-    /// Builds an AFT driver over a fresh single node on a fresh backend.
-    pub fn aft_driver(&self, kind: BackendKind, caching: bool, seed: u64) -> AftDriver {
-        let storage = self.storage(kind, seed);
-        let node = self.node(storage, caching, seed ^ 0xA57);
-        AftDriver::single_node(node, self.platform(), self.retry())
-            .with_label(aft_label(kind, caching))
-    }
-
-    /// Builds a Plain driver over a fresh backend.
-    pub fn plain_driver(&self, kind: BackendKind, seed: u64) -> PlainDriver {
-        PlainDriver::new(self.storage(kind, seed), self.platform(), self.retry())
-    }
-
-    /// Builds a DynamoDB-transaction-mode driver over a fresh table.
-    pub fn dynamo_txn_driver(&self, seed: u64) -> DynamoTxnDriver {
-        let latency = aft_storage::LatencyModel::new(self.mode(), self.scale);
-        let table = aft_storage::SimDynamo::new(latency, seed);
-        DynamoTxnDriver::new(table.transaction_mode(), self.platform(), self.retry())
-    }
 }
 
-/// A `kind` backend on the virtual clock at full scale — what the seeded
-/// sweeps run over: calibrated latencies are charged to the caller's
-/// recorders, never slept, so a sweep costs seconds and repeats exactly.
+/// A `kind` backend on the virtual clock at full scale — what every seeded
+/// experiment runs over: calibrated latencies are charged to the caller,
+/// never slept, so an experiment costs seconds and repeats exactly.
 pub fn virtual_backend(kind: BackendKind, seed: u64) -> SharedStorage {
     aft_storage::make_backend(BackendConfig {
         mode: LatencyMode::Virtual,
         ..BackendConfig::simulated(kind, 1.0).with_seed(seed)
     })
+}
+
+/// The node configuration of the figures: the shim's RPC hop, and a 256 MiB
+/// data cache or none.
+pub fn node_template(caching: bool) -> NodeConfig {
+    NodeConfig {
+        data_cache_bytes: if caching { 256 * 1024 * 1024 } else { 0 },
+        rpc_profile: SHIM_RPC_PROFILE,
+        ..NodeConfig::default()
+    }
+}
+
+/// A figure's single AFT node over `storage`, its commit timestamps from a
+/// ticking clock.
+pub fn node(storage: SharedStorage, caching: bool, seed: u64) -> Arc<AftNode> {
+    let config = node_template(caching).with_seed(seed);
+    AftNode::with_clock(config, storage, TickingClock::shared(1, 1))
+        .expect("node construction only fails on storage errors")
+}
+
+/// A figure's `nodes`-node cluster over `storage`, on a ticking clock. Its
+/// maintenance runs where the figure's loop says, never in the background.
+pub fn cluster(storage: SharedStorage, nodes: usize, caching: bool, gc: bool) -> Arc<Cluster> {
+    let config = ClusterConfig {
+        initial_nodes: nodes,
+        node_template: node_template(caching),
+        gc_enabled: gc,
+        replacement_delay: Duration::ZERO,
+        ..ClusterConfig::default()
+    };
+    Cluster::with_clock(config, storage, TickingClock::shared(1, 1)).expect("cluster construction")
+}
+
+/// The simulated AWS-Lambda-like FaaS platform, on the virtual clock.
+pub fn platform() -> Arc<FaasPlatform> {
+    FaasPlatform::new(PlatformConfig::aws_like())
+}
+
+/// The retry policy the simulated clients use.
+pub fn retry() -> RetryPolicy {
+    RetryPolicy::with_attempts(8)
+}
+
+/// An AFT driver over a fresh single node on a fresh virtual backend.
+pub fn aft_driver(kind: BackendKind, caching: bool, seed: u64) -> AftDriver {
+    let node = node(virtual_backend(kind, seed), caching, seed ^ 0xA57);
+    AftDriver::single_node(node, platform(), retry()).with_label(aft_label(kind, caching))
+}
+
+/// A Plain driver over a fresh virtual backend.
+pub fn plain_driver(kind: BackendKind, seed: u64) -> PlainDriver {
+    PlainDriver::new(virtual_backend(kind, seed), platform(), retry())
+}
+
+/// A DynamoDB-transaction-mode driver over a fresh virtual table.
+pub fn dynamo_txn_driver(seed: u64) -> DynamoTxnDriver {
+    let latency = aft_storage::LatencyModel::new(LatencyMode::Virtual, 1.0);
+    let table = aft_storage::SimDynamo::new(latency, seed);
+    DynamoTxnDriver::new(table.transaction_mode(), platform(), retry())
 }
 
 /// The one way experiments stand a cluster up as a networked service:
@@ -311,34 +272,29 @@ mod tests {
                 !env.fast,
                 "AFT_BENCH_FAST={off:?} must not select fast mode"
             );
-            assert_eq!(env.requests_per_client, 200);
+            assert_eq!(env.sized("full", "trimmed"), "full");
         }
         let env = with(Some("1"));
         assert!(env.fast);
-        assert_eq!(env.requests_per_client, 30);
         assert_eq!(env.sized("full", "trimmed"), "trimmed");
     }
 
     #[test]
     fn env_defaults_are_reasonable() {
-        let env = BenchEnv::from_env();
-        assert!(env.scale >= 0.0);
-        assert!(env.requests_per_client > 0);
         let test_env = BenchEnv::test();
-        assert_eq!(test_env.mode(), LatencyMode::Virtual);
+        assert!(test_env.fast);
         assert_eq!(test_env.sized(100, 7), 7);
     }
 
     #[test]
     fn drivers_built_by_the_env_execute_requests() {
-        let env = BenchEnv::test();
         let workload = WorkloadConfig::standard()
             .with_keys(50)
             .with_value_size(128);
         for driver in [
-            Box::new(env.aft_driver(BackendKind::DynamoDb, true, 1)) as Box<dyn RequestDriver>,
-            Box::new(env.plain_driver(BackendKind::Redis, 2)) as Box<dyn RequestDriver>,
-            Box::new(env.dynamo_txn_driver(3)) as Box<dyn RequestDriver>,
+            Box::new(aft_driver(BackendKind::DynamoDb, true, 1)) as Box<dyn RequestDriver>,
+            Box::new(plain_driver(BackendKind::Redis, 2)) as Box<dyn RequestDriver>,
+            Box::new(dynamo_txn_driver(3)) as Box<dyn RequestDriver>,
         ] {
             let result = run_closed_loop(
                 driver.as_ref(),

@@ -16,13 +16,17 @@
 //!   acknowledged and acknowledged twice, and the storage calls it billed —
 //!   so storage calls per acknowledged request is a ratio of two exact
 //!   counts;
+//! * the paper's figures at the test size ([`crate::experiments`]): Table
+//!   2's RYW and FR cells on its five rows, and Figure 9's deleted
+//!   transactions and live data versions with GC on and off;
 //! * the ten small scopes tier-1 walks whole ([`sim::walk`]): the
 //!   schedules each one has, those in which the checker finds a duplicate
 //!   request, and, where writes are cut, those that orphan data. A walk
 //!   panics on a schedule with an anomaly.
 //!
 //! All run on virtual time: the script on a ticking mock clock with latency
-//! off, the matrix on one seeded stepper, the walks on one stepper each.
+//! off, the figures in their virtual-time loop, the matrix on one seeded
+//! stepper, the walks on one stepper each.
 //!
 //! `aft-bench trajectory` recomputes the set and appends it as a new row,
 //! stamped with the commit the row was measured on top of (`git rev-parse
@@ -43,8 +47,10 @@ use aft_types::{Key, Value};
 use aft_workload::sim::{self, request, Request, Scope, Shape};
 
 use crate::cli::Clock;
+use crate::experiments::{fig3_and_table2, fig9_gc, DEFAULT_SEED};
 use crate::json::Json;
 use crate::recovery::{fig10_recovery, RecoveryConfig};
+use crate::setup::BenchEnv;
 
 /// The trajectory's file name, at the repository root.
 pub const REPORT: &str = "BENCH_trajectory.json";
@@ -282,6 +288,31 @@ fn measure() -> Vec<(String, u64, Clock)> {
         metrics.push((metric("duplicated"), walked.duplicated, Clock::Virtual));
         if scope.crashes + scope.fails > 0 {
             metrics.push((metric("orphaned"), walked.orphaned, Clock::Virtual));
+        }
+    }
+    let env = BenchEnv::test();
+    let table2 = fig3_and_table2(&env, DEFAULT_SEED);
+    let fig9 = fig9_gc(&env, DEFAULT_SEED);
+    for (sheet, columns) in [
+        (&table2[1], ["ryw", "fr"]),
+        (&fig9, ["deleted", "live_data_versions"]),
+    ] {
+        for labels in sheet.keys() {
+            let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+            let row: String = labels[0]
+                .split(|c: char| !c.is_ascii_alphanumeric())
+                .filter(|word| !word.is_empty())
+                .collect::<Vec<_>>()
+                .join("_")
+                .to_lowercase();
+            for column in columns {
+                let value = sheet.value(&labels, column) as u64;
+                metrics.push((
+                    format!("figures.{}.{row}.{column}", sheet.name),
+                    value,
+                    Clock::Virtual,
+                ));
+            }
         }
     }
     let tiny = fig10_recovery(&RecoveryConfig::tiny());

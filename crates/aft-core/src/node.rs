@@ -131,12 +131,9 @@ pub struct NodeConfig {
     /// startup (§3.1); replacement nodes in a cluster always do.
     pub bootstrap: bool,
     /// Latency of one client→shim API call (the network hop that is part of
-    /// AFT's overhead in Figure 2); zero for unit tests.
+    /// AFT's overhead in Figure 2), charged on the virtual clock; zero for
+    /// unit tests.
     pub rpc_profile: LatencyProfile,
-    /// Whether simulated latencies sleep or are merely recorded.
-    pub latency_mode: LatencyMode,
-    /// Global latency scale factor shared with the storage simulators.
-    pub latency_scale: f64,
     /// Seed for the node's RNG (transaction UUIDs, latency sampling).
     pub rng_seed: u64,
     /// Tuning of the node's storage I/O engine (in-flight window, retry
@@ -160,8 +157,6 @@ impl Default for NodeConfig {
             write_buffer_spill_bytes: 16 * 1024 * 1024,
             bootstrap: true,
             rpc_profile: LatencyProfile::ZERO,
-            latency_mode: LatencyMode::Virtual,
-            latency_scale: 0.0,
             rng_seed: 0xAF71,
             io: IoConfig::pipelined(),
             checkpoint: CheckpointPolicy::disabled(),
@@ -199,20 +194,6 @@ impl NodeConfig {
     /// Sets the background checkpoint policy.
     pub fn with_checkpoint(mut self, checkpoint: CheckpointPolicy) -> Self {
         self.checkpoint = checkpoint;
-        self
-    }
-
-    /// Configures the simulated client→shim RPC hop used by the benchmark
-    /// harness (median/p99 in microseconds at full scale).
-    pub fn with_rpc_latency(
-        mut self,
-        profile: LatencyProfile,
-        mode: LatencyMode,
-        scale: f64,
-    ) -> Self {
-        self.rpc_profile = profile;
-        self.latency_mode = mode;
-        self.latency_scale = scale;
         self
     }
 }
@@ -361,7 +342,7 @@ impl AftNode {
                 config.phase_hook.as_ref(),
             )?;
         }
-        let rpc_latency = LatencyModel::new(config.latency_mode, config.latency_scale);
+        let rpc_latency = LatencyModel::new(LatencyMode::Virtual, 1.0);
         Ok(Arc::new(AftNode {
             data_cache: DataCache::new(config.data_cache_bytes),
             buffer: WriteBuffer::new(),

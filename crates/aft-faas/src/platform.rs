@@ -38,10 +38,6 @@ pub struct PlatformConfig {
     /// Maximum concurrently executing functions; 0 means unlimited. AWS
     /// Lambda's account-level cap is what limited the paper's Figure 8 run.
     pub concurrency_limit: usize,
-    /// Whether simulated latencies sleep or are only recorded.
-    pub latency_mode: LatencyMode,
-    /// Global latency scale factor (shared with the storage simulators).
-    pub latency_scale: f64,
     /// Faas-layer fault pressure applied to every invocation (the faas leg
     /// of the unified [`aft_chaos::ChaosSpec`]).
     pub chaos: FaasChaos,
@@ -58,23 +54,19 @@ impl PlatformConfig {
             cold_start: LatencyProfile::ZERO,
             cold_start_probability: 0.0,
             concurrency_limit: 0,
-            latency_mode: LatencyMode::Virtual,
-            latency_scale: 0.0,
             chaos: FaasChaos::quiet(),
             seed: 0xFAA5,
         }
     }
 
     /// An AWS-Lambda-like platform: ~14 ms warm invocation overhead, rare
-    /// ~150 ms cold starts, scaled by `scale`.
-    pub fn aws_like(scale: f64) -> Self {
+    /// ~150 ms cold starts, charged on the virtual clock.
+    pub fn aws_like() -> Self {
         PlatformConfig {
             warm_invocation: LatencyProfile::new(14_000.0, 45_000.0),
             cold_start: LatencyProfile::new(150_000.0, 400_000.0),
             cold_start_probability: 0.002,
             concurrency_limit: 1_000,
-            latency_mode: LatencyMode::Sleep,
-            latency_scale: scale,
             chaos: FaasChaos::quiet(),
             seed: 0xFAA5,
         }
@@ -115,7 +107,7 @@ impl FaasPlatform {
     /// Creates a platform.
     pub fn new(config: PlatformConfig) -> Arc<Self> {
         Arc::new(FaasPlatform {
-            latency: LatencyModel::new(config.latency_mode, config.latency_scale),
+            latency: LatencyModel::new(LatencyMode::Virtual, 1.0),
             rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
             injector: FailureInjector::from_spec(&ChaosSpec::new(config.seed).faas(config.chaos)),
             stats: PlatformStats::new_shared(),

@@ -12,16 +12,20 @@
 //!    Figures 2–6).
 //!
 //! A [`LatencyModel`] is a log-normal-ish sampler described by a median and a
-//! p99 target. All models are scaled by a single global factor so that a full
-//! experiment (tens of thousands of transactions) finishes in seconds while
-//! preserving every ratio; `LatencyMode::Virtual` disables sleeping entirely
-//! for deterministic unit tests and records the would-have-slept time instead.
+//! p99 target, scaled by a factor. `LatencyMode::Virtual` disables sleeping
+//! entirely and charges the would-have-slept time to the calling thread
+//! instead ([`measure_cost`]); seated at a [`Turns`] table, those charges
+//! are the threads' clocks in one deterministic virtual-time loop, which is
+//! how a full experiment (tens of thousands of transactions) finishes in
+//! seconds at full scale.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use parking_lot::{Condvar, Mutex};
 use rand::Rng;
 
 /// Standard normal quantile for p99 (Φ⁻¹(0.99)).
@@ -41,6 +45,9 @@ thread_local! {
     static DEFERRED_NS: Cell<u64> = const { Cell::new(0) };
     /// Whether a [`capture_deferred`] scope is active on this thread.
     static DEFER_ACTIVE: Cell<bool> = const { Cell::new(false) };
+    /// The seat whose clock this thread's charges advance, inside
+    /// [`Seat::scope`].
+    static SEATED: RefCell<Option<(Arc<Turns>, usize)>> = const { RefCell::new(None) };
 }
 
 /// Runs `f` and returns the simulated latency it charged on this thread.
@@ -85,9 +92,143 @@ pub fn capture_deferred<T>(f: impl FnOnce() -> T) -> (T, DeferredCost) {
 }
 
 /// Adds `duration` to the current thread's charge: what a caller of
-/// [`capture_deferred`] waited for once the operation completed.
+/// [`capture_deferred`] waited for once the operation completed. Inside a
+/// [`Seat::scope`] the seat's clock advances by it too.
 pub fn charge(duration: Duration) {
     OP_CHARGE_NS.with(|c| c.set(c.get().saturating_add(duration.as_nanos() as u64)));
+    if !DEFER_ACTIVE.with(Cell::get) {
+        pass_seat(duration);
+    }
+}
+
+/// Advances the seat this thread sits in, if it sits in one, by `duration`
+/// and waits for its next turn. Returns whether it sat in one.
+fn pass_seat(duration: Duration) -> bool {
+    let Some((turns, seat)) = SEATED.with(|s| s.borrow().clone()) else {
+        return false;
+    };
+    turns.advance(seat, duration);
+    true
+}
+
+/// Threads taking turns in virtual time: a discrete-event loop whose
+/// processes are real threads.
+///
+/// Every seat has a clock, at zero to begin with. One seat runs at a time:
+/// the one with the earliest clock, the lower seat on a tie. The thread
+/// holding a seat advances its clock with [`Seat::sleep`] or, inside
+/// [`Seat::scope`], wherever `Sleep` mode would sleep: every
+/// [`LatencyModel::finish`] and every [`charge`] outside a
+/// [`capture_deferred`] scope. It then waits until its seat is the earliest
+/// again. A run of seated threads is therefore one interleaving, fixed by
+/// the clocks alone, and nothing sleeps.
+///
+/// A seated thread must hold no lock across a charge: the seat that runs
+/// next may need it.
+pub struct Turns {
+    state: Mutex<TurnState>,
+    /// One per seat: signalled when that seat may be the earliest.
+    wake: Box<[Condvar]>,
+}
+
+struct TurnState {
+    /// `(clock, seat)` of every seat still at the table, earliest first.
+    queue: BTreeSet<(Duration, usize)>,
+    /// Each seat's clock; `None` once it has left.
+    clocks: Vec<Option<Duration>>,
+}
+
+impl Turns {
+    /// A table of `seats` seats, every clock at zero.
+    pub fn new(seats: usize) -> Arc<Self> {
+        Arc::new(Turns {
+            state: Mutex::new(TurnState {
+                queue: (0..seats).map(|seat| (Duration::ZERO, seat)).collect(),
+                clocks: vec![Some(Duration::ZERO); seats],
+            }),
+            wake: (0..seats).map(|_| Condvar::new()).collect(),
+        })
+    }
+
+    /// Takes `seat` for the calling thread and waits for its first turn.
+    /// Each seat is taken once; dropping the [`Seat`] leaves the table.
+    pub fn seat(self: &Arc<Self>, seat: usize) -> Seat {
+        let mut state = self.state.lock();
+        self.wait_turn(&mut state, seat);
+        Seat {
+            turns: Arc::clone(self),
+            seat,
+        }
+    }
+
+    fn advance(&self, seat: usize, by: Duration) {
+        let mut state = self.state.lock();
+        let clock = state.clocks[seat].expect("a seat advances until it leaves");
+        state.queue.remove(&(clock, seat));
+        state.clocks[seat] = Some(clock + by);
+        state.queue.insert((clock + by, seat));
+        self.wait_turn(&mut state, seat);
+    }
+
+    /// Blocks until `seat` is the earliest, waking whichever seat is.
+    fn wait_turn(&self, state: &mut parking_lot::MutexGuard<'_, TurnState>, seat: usize) {
+        loop {
+            let (_, first) = *state.queue.first().expect("the waiting seat is queued");
+            if first == seat {
+                return;
+            }
+            self.wake[first].notify_one();
+            self.wake[seat].wait(state);
+        }
+    }
+}
+
+impl std::fmt::Debug for Turns {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Turns")
+            .field("seats", &self.wake.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// One thread's place at a [`Turns`] table.
+#[derive(Debug)]
+pub struct Seat {
+    turns: Arc<Turns>,
+    seat: usize,
+}
+
+impl Seat {
+    /// This seat's clock.
+    pub fn now(&self) -> Duration {
+        self.turns.state.lock().clocks[self.seat].expect("a held seat has a clock")
+    }
+
+    /// Advances this seat's clock by `duration` and waits for its turn.
+    pub fn sleep(&self, duration: Duration) {
+        self.turns.advance(self.seat, duration);
+    }
+
+    /// Runs `f` with every charge on this thread advancing this seat.
+    pub fn scope<T>(&self, f: impl FnOnce() -> T) -> T {
+        let entry = Some((Arc::clone(&self.turns), self.seat));
+        let saved = SEATED.with(|s| s.replace(entry));
+        let out = f();
+        SEATED.with(|s| s.replace(saved));
+        out
+    }
+}
+
+impl Drop for Seat {
+    fn drop(&mut self) {
+        let mut state = self.turns.state.lock();
+        if let Some(clock) = state.clocks[self.seat].take() {
+            state.queue.remove(&(clock, self.seat));
+        }
+        if let Some(&(_, next)) = state.queue.first() {
+            self.turns.wake[next].notify_one();
+        }
+    }
 }
 
 /// The cost of one operation run under [`capture_deferred`].
@@ -103,9 +244,8 @@ pub struct DeferredCost {
 /// How sampled latencies are applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LatencyMode {
-    /// Sleep for the sampled (scaled) duration — used by the benchmark
-    /// harness, where wall-clock concurrency effects matter (throughput
-    /// plateaus, queueing during node failures).
+    /// Sleep for the sampled (scaled) duration, where wall-clock
+    /// concurrency effects matter (`benchmark/`'s simulated Redis).
     #[default]
     Sleep,
     /// Do not sleep; only accumulate the sampled time in a counter. Used by
@@ -254,15 +394,23 @@ impl LatencyModel {
     /// Inside a [`capture_deferred`] scope the sleep is suppressed and the
     /// duration is handed to the scope instead, so the I/O engine can apply
     /// the latency as a completion deadline rather than by blocking here.
+    ///
+    /// Inside a [`Seat::scope`] the seat's clock advances by it instead, in
+    /// either mode, and nothing sleeps.
     pub fn finish(&self, duration: Duration) -> Duration {
-        self.injected_ns
-            .fetch_add(duration.as_nanos() as u64, Ordering::Relaxed);
-        OP_CHARGE_NS.with(|c| c.set(c.get().saturating_add(duration.as_nanos() as u64)));
-        if self.mode == LatencyMode::Sleep && !duration.is_zero() && DEFER_ACTIVE.with(Cell::get) {
-            DEFERRED_NS.with(|c| c.set(c.get().saturating_add(duration.as_nanos() as u64)));
+        let ns = duration.as_nanos() as u64;
+        self.injected_ns.fetch_add(ns, Ordering::Relaxed);
+        OP_CHARGE_NS.with(|c| c.set(c.get().saturating_add(ns)));
+        if duration.is_zero() {
             return duration;
         }
-        if self.mode == LatencyMode::Sleep && !duration.is_zero() {
+        if DEFER_ACTIVE.with(Cell::get) {
+            if self.mode == LatencyMode::Sleep {
+                DEFERRED_NS.with(|c| c.set(c.get().saturating_add(ns)));
+            }
+            return duration;
+        }
+        if !pass_seat(duration) && self.mode == LatencyMode::Sleep {
             sleep_calibrated(duration);
         }
         duration
@@ -554,6 +702,40 @@ mod tests {
         });
         assert_eq!(cost.deferred, Duration::ZERO);
         assert!(cost.charged >= Duration::from_millis(4));
+    }
+
+    #[test]
+    fn seats_run_one_at_a_time_earliest_clock_first() {
+        // Seat 0 charges 5 ms per step, seat 1 sleeps 3 ms per step: the
+        // log is the merge of their clocks, ties to the lower seat.
+        let turns = Turns::new(2);
+        let model = LatencyModel::new(LatencyMode::Sleep, 1.0);
+        let log = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            let (turns, model, log) = (&turns, &model, &log);
+            scope.spawn(move || {
+                let seat = turns.seat(0);
+                seat.scope(|| {
+                    for _ in 0..3 {
+                        log.lock().push((0, seat.now().as_millis()));
+                        model.finish(Duration::from_millis(5));
+                    }
+                });
+            });
+            scope.spawn(move || {
+                let seat = turns.seat(1);
+                for _ in 0..4 {
+                    log.lock().push((1, seat.now().as_millis()));
+                    seat.sleep(Duration::from_millis(3));
+                }
+            });
+        });
+        let log = log.into_inner();
+        assert_eq!(
+            log,
+            [(0, 0), (1, 0), (1, 3), (0, 5), (1, 6), (1, 9), (0, 10)],
+            "a seat's Sleep-mode charge passes its clock, not the wall's"
+        );
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Latency recording and throughput timelines.
+//! Latency recording.
 //!
 //! Every figure in the paper reports either latency percentiles (median boxes
 //! with 99th-percentile whiskers) or throughput over time / versus offered
 //! load. [`LatencyRecorder`] collects per-request latencies and computes the
-//! percentiles; [`ThroughputTimeline`] buckets completions into fixed-width
-//! windows for the Figure 9/10 time series.
+//! percentiles.
 
 use std::time::Duration;
 
@@ -95,67 +94,6 @@ impl LatencyStats {
     }
 }
 
-/// Completions bucketed into fixed-width time windows.
-#[derive(Debug, Clone)]
-pub struct ThroughputTimeline {
-    bucket_width: Duration,
-    buckets: Vec<u64>,
-}
-
-impl ThroughputTimeline {
-    /// Creates a timeline with the given bucket width.
-    pub fn new(bucket_width: Duration) -> Self {
-        assert!(!bucket_width.is_zero(), "bucket width must be positive");
-        ThroughputTimeline {
-            bucket_width,
-            buckets: Vec::new(),
-        }
-    }
-
-    /// Records one completion at `elapsed` since the experiment started.
-    pub fn record(&mut self, elapsed: Duration) {
-        let index = (elapsed.as_secs_f64() / self.bucket_width.as_secs_f64()) as usize;
-        if index >= self.buckets.len() {
-            self.buckets.resize(index + 1, 0);
-        }
-        self.buckets[index] += 1;
-    }
-
-    /// Merges another timeline (same bucket width) into this one.
-    pub fn merge(&mut self, other: &ThroughputTimeline) {
-        assert_eq!(
-            self.bucket_width, other.bucket_width,
-            "cannot merge timelines with different bucket widths"
-        );
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (i, count) in other.buckets.iter().enumerate() {
-            self.buckets[i] += count;
-        }
-    }
-
-    /// The bucket width.
-    pub fn bucket_width(&self) -> Duration {
-        self.bucket_width
-    }
-
-    /// `(bucket start time in seconds, completions per second)` series.
-    pub fn series(&self) -> Vec<(f64, f64)> {
-        let width = self.bucket_width.as_secs_f64();
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &count)| (i as f64 * width, count as f64 / width))
-            .collect()
-    }
-
-    /// Total completions recorded.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,39 +132,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.stats().max, Duration::from_millis(30));
-    }
-
-    #[test]
-    fn timeline_buckets_completions() {
-        let mut timeline = ThroughputTimeline::new(Duration::from_secs(1));
-        for i in 0..10 {
-            timeline.record(Duration::from_millis(i * 300));
-        }
-        let series = timeline.series();
-        assert_eq!(timeline.total(), 10);
-        // 0.0-1.0s holds events at 0,300,600,900ms = 4 completions.
-        assert_eq!(series[0], (0.0, 4.0));
-        assert_eq!(series[1].1, 3.0);
-    }
-
-    #[test]
-    fn timeline_merge_adds_buckets() {
-        let mut a = ThroughputTimeline::new(Duration::from_secs(1));
-        let mut b = ThroughputTimeline::new(Duration::from_secs(1));
-        a.record(Duration::from_millis(500));
-        b.record(Duration::from_millis(700));
-        b.record(Duration::from_millis(1_500));
-        a.merge(&b);
-        assert_eq!(a.total(), 3);
-        assert_eq!(a.series()[0].1, 2.0);
-        assert_eq!(a.series()[1].1, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucket widths")]
-    fn merging_mismatched_widths_panics() {
-        let mut a = ThroughputTimeline::new(Duration::from_secs(1));
-        let b = ThroughputTimeline::new(Duration::from_secs(2));
-        a.merge(&b);
     }
 }

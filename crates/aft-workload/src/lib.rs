@@ -16,10 +16,9 @@
 //! * [`history`] — the client-side history checker: an [`aft_core::api::AftApi`]
 //!   recorder and the oracle that grades every row of Table 2 from what
 //!   clients saw.
-//! * [`histogram`] — latency recording (median / p99) and throughput
-//!   timelines.
-//! * [`runner`] — the closed-loop multi-client experiment runner used by
-//!   every figure.
+//! * [`histogram`] — latency recording (median / p99).
+//! * [`runner`] — the closed-loop multi-client experiment runners: on the
+//!   wall clock, and in virtual time for every figure.
 //! * [`sim`] — the stepper: clients as lists of micro-ops, maintenance
 //!   rounds, duplicates and failovers on one thread, each choice taken from
 //!   a schedule — seeded (fig10's trials, the maintenance stress test) or
@@ -37,6 +36,6 @@ pub mod zipf;
 pub use anomaly::{AnomalyFlags, TaggedObservation};
 pub use drivers::{AftDriver, DynamoTxnDriver, PlainDriver, RequestDriver};
 pub use generator::{FunctionPlan, TransactionPlan, WorkloadConfig, WorkloadGenerator};
-pub use histogram::{LatencyRecorder, LatencyStats, ThroughputTimeline};
-pub use runner::{run_closed_loop, RunConfig, RunResult};
+pub use histogram::{LatencyRecorder, LatencyStats};
+pub use runner::{run_closed_loop, run_virtual_loop, RunConfig, RunResult, Timer};
 pub use zipf::ZipfGenerator;

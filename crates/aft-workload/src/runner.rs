@@ -2,38 +2,43 @@
 //!
 //! Every experiment in §6 follows the same pattern: N parallel clients each
 //! synchronously issue logical requests (invoke, wait, repeat), and the
-//! harness reports latency percentiles and throughput.
-//! [`run_closed_loop`] is that harness: it spawns one thread per client,
-//! drives the given [`RequestDriver`], and merges the per-client
-//! measurements. Anomalies are graded after the run, from the client
-//! history the driver's API or the driver itself recorded
+//! harness reports latency percentiles and throughput. Both loops here spawn
+//! one thread per client, drive the given [`RequestDriver`], and merge the
+//! per-client measurements. Anomalies are graded after the run, from the
+//! client history the driver's API or the driver itself recorded
 //! ([`crate::history`]).
+//!
+//! * [`run_closed_loop`] runs the clients free on the wall clock: what a
+//!   networked service's clients do.
+//! * [`run_virtual_loop`] seats them at one [`Turns`] table: each client's
+//!   clock is what its thread is charged, the earliest client runs, and
+//!   nothing sleeps, so a run is a pure function of its seed and its
+//!   drivers' seeds. Timers (maintenance rounds, a node kill) run at
+//!   virtual times between requests.
 //!
 //! The merge mutex is a `parking_lot::Mutex` (like the rest of the
 //! workspace), which does not poison: a panicking client thread takes down
 //! its own scope join, not every sibling's result merge — one driver bug no
 //! longer cascades into unrelated lock-poisoning failures.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use aft_storage::latency::Turns;
 use aft_types::AftResult;
 use parking_lot::Mutex;
 
 use crate::drivers::RequestDriver;
 use crate::generator::{WorkloadConfig, WorkloadGenerator};
-use crate::histogram::{LatencyRecorder, LatencyStats, ThroughputTimeline};
+use crate::histogram::{LatencyRecorder, LatencyStats};
 
 /// Configuration of one experiment run.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Parallel closed-loop clients.
     pub clients: usize,
-    /// Requests each client issues (ignored if zero and a duration is set).
+    /// Requests each client issues.
     pub requests_per_client: usize,
-    /// Optional wall-clock limit; the run stops when either bound is hit.
-    pub duration: Option<Duration>,
-    /// Bucket width of the throughput timeline.
-    pub timeline_bucket: Duration,
     /// Whether to preload the key space through the driver before measuring.
     pub preload: bool,
     /// The workload every client generates plans from.
@@ -48,8 +53,6 @@ impl RunConfig {
         RunConfig {
             clients: 1,
             requests_per_client: 100,
-            duration: None,
-            timeline_bucket: Duration::from_secs(1),
             preload: true,
             workload,
             seed: 0xC11E17,
@@ -65,12 +68,6 @@ impl RunConfig {
     /// Sets the per-client request count.
     pub fn with_requests(mut self, requests: usize) -> Self {
         self.requests_per_client = requests;
-        self
-    }
-
-    /// Sets a wall-clock duration bound.
-    pub fn with_duration(mut self, duration: Duration) -> Self {
-        self.duration = Some(duration);
         self
     }
 
@@ -92,10 +89,9 @@ pub struct RunResult {
     pub completed: u64,
     /// Requests that exhausted their retries.
     pub failed: u64,
-    /// Wall-clock time of the measured phase.
+    /// Time of the measured phase: the wall clock's, or the latest client
+    /// clock of a virtual run.
     pub elapsed: Duration,
-    /// Completions bucketed over time.
-    pub timeline: ThroughputTimeline,
 }
 
 impl RunResult {
@@ -109,87 +105,141 @@ impl RunResult {
     }
 }
 
+/// Work a virtual run does between requests: `(every, run)` calls `run`
+/// with the virtual time each time `every` passes, while any client is still
+/// issuing requests. It runs alone and its storage calls take no virtual
+/// time.
+pub type Timer<'a> = (Duration, Box<dyn FnMut(Duration) + Send + 'a>);
+
+#[derive(Default)]
 struct ClientMeasurements {
     latencies: LatencyRecorder,
     completed: u64,
     failed: u64,
-    timeline: ThroughputTimeline,
+    /// The client's clock when it issued its last request.
+    finished: Duration,
 }
 
-/// Runs a closed-loop experiment and returns the merged measurements.
-pub fn run_closed_loop(driver: &dyn RequestDriver, config: &RunConfig) -> AftResult<RunResult> {
+/// Issues one client's requests, timing each on `now`.
+fn client(
+    driver: &dyn RequestDriver,
+    config: &RunConfig,
+    index: usize,
+    now: impl Fn() -> Duration,
+) -> ClientMeasurements {
+    let seed = config.seed + 1 + index as u64;
+    let mut generator = WorkloadGenerator::new(config.workload.clone(), seed);
+    let mut measurements = ClientMeasurements::default();
+    for _ in 0..config.requests_per_client {
+        let plan = generator.next_plan();
+        let start = now();
+        match driver.execute(&plan) {
+            Ok(_) => {
+                measurements.latencies.record(now() - start);
+                measurements.completed += 1;
+            }
+            Err(_) => measurements.failed += 1,
+        }
+    }
+    measurements.finished = now();
+    measurements
+}
+
+fn preload(driver: &dyn RequestDriver, config: &RunConfig) -> AftResult<()> {
     if config.preload {
         let generator = WorkloadGenerator::new(config.workload.clone(), config.seed);
         driver.preload(&generator.preload_plan(), config.workload.value_size)?;
     }
+    Ok(())
+}
 
-    let per_client_requests = if config.requests_per_client == 0 {
-        usize::MAX
-    } else {
-        config.requests_per_client
-    };
-    let deadline = config.duration;
-    let started = Instant::now();
-    let collected: Mutex<Vec<ClientMeasurements>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        for client in 0..config.clients {
-            let collected = &collected;
-            let workload = config.workload.clone();
-            let seed = config.seed + 1 + client as u64;
-            let bucket = config.timeline_bucket;
-            scope.spawn(move || {
-                let mut generator = WorkloadGenerator::new(workload, seed);
-                let mut measurements = ClientMeasurements {
-                    latencies: LatencyRecorder::new(),
-                    completed: 0,
-                    failed: 0,
-                    timeline: ThroughputTimeline::new(bucket),
-                };
-                for _ in 0..per_client_requests {
-                    if let Some(limit) = deadline {
-                        if started.elapsed() >= limit {
-                            break;
-                        }
-                    }
-                    let plan = generator.next_plan();
-                    let request_start = Instant::now();
-                    match driver.execute(&plan) {
-                        Ok(_) => {
-                            measurements.latencies.record(request_start.elapsed());
-                            measurements.completed += 1;
-                            measurements.timeline.record(started.elapsed());
-                        }
-                        Err(_) => {
-                            measurements.failed += 1;
-                        }
-                    }
-                }
-                collected.lock().push(measurements);
-            });
-        }
-    });
-
-    let elapsed = started.elapsed();
+fn merge(
+    driver: &dyn RequestDriver,
+    clients: Vec<ClientMeasurements>,
+    elapsed: Duration,
+) -> RunResult {
     let mut latencies = LatencyRecorder::new();
-    let mut completed = 0;
-    let mut failed = 0;
-    let mut timeline = ThroughputTimeline::new(config.timeline_bucket);
-    for client in collected.into_inner() {
+    let (mut completed, mut failed) = (0, 0);
+    for client in clients {
         latencies.merge(&client.latencies);
         completed += client.completed;
         failed += client.failed;
-        timeline.merge(&client.timeline);
     }
-
-    Ok(RunResult {
+    RunResult {
         driver: driver.name().to_owned(),
         latency: latencies.stats(),
         completed,
         failed,
         elapsed,
-        timeline,
-    })
+    }
+}
+
+/// Runs a closed-loop experiment on the wall clock and returns the merged
+/// measurements.
+pub fn run_closed_loop(driver: &dyn RequestDriver, config: &RunConfig) -> AftResult<RunResult> {
+    preload(driver, config)?;
+    let started = Instant::now();
+    let collected = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for index in 0..config.clients {
+            let collected = &collected;
+            scope.spawn(move || {
+                let measurements = client(driver, config, index, || started.elapsed());
+                collected.lock().push(measurements);
+            });
+        }
+    });
+    Ok(merge(driver, collected.into_inner(), started.elapsed()))
+}
+
+/// Runs a closed-loop experiment in virtual time (see the module docs) and
+/// returns the merged measurements. Its latencies are the clients' virtual
+/// ones, so its drivers should run over virtual-clock backends.
+pub fn run_virtual_loop(
+    driver: &dyn RequestDriver,
+    config: &RunConfig,
+    timers: Vec<Timer<'_>>,
+) -> AftResult<RunResult> {
+    preload(driver, config)?;
+    let turns = Turns::new(config.clients + timers.len());
+    let issuing = AtomicUsize::new(config.clients);
+    let collected = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for index in 0..config.clients {
+            let (turns, issuing, collected) = (&turns, &issuing, &collected);
+            scope.spawn(move || {
+                let seat = turns.seat(index);
+                let measurements = seat.scope(|| client(driver, config, index, || seat.now()));
+                issuing.fetch_sub(1, Ordering::Relaxed);
+                collected.lock().push((index, measurements));
+            });
+        }
+        for (index, (every, mut run)) in timers.into_iter().enumerate() {
+            let (turns, issuing) = (&turns, &issuing);
+            scope.spawn(move || {
+                let seat = turns.seat(config.clients + index);
+                loop {
+                    seat.sleep(every);
+                    if issuing.load(Ordering::Relaxed) == 0 {
+                        break;
+                    }
+                    run(seat.now());
+                }
+            });
+        }
+    });
+    let mut clients = collected.into_inner();
+    clients.sort_by_key(|(index, _)| *index);
+    let elapsed = clients
+        .iter()
+        .map(|(_, c)| c.finished)
+        .max()
+        .unwrap_or_default();
+    Ok(merge(
+        driver,
+        clients.into_iter().map(|(_, c)| c).collect(),
+        elapsed,
+    ))
 }
 
 #[cfg(test)]
@@ -238,7 +288,6 @@ mod tests {
         assert_eq!(result.failed, 0);
         assert_eq!(verdict(&history).anomalies(), 0);
         assert_eq!(result.latency.count, 25);
-        assert_eq!(result.timeline.total(), 25);
         assert!(result.throughput_tps() > 0.0);
         assert_eq!(result.driver, "AFT");
     }
@@ -254,18 +303,6 @@ mod tests {
         assert_eq!(result.latency.count, 40);
         // With concurrent clients AFT must still never show anomalies.
         assert_eq!(verdict(&history).anomalies(), 0);
-    }
-
-    #[test]
-    fn duration_bound_stops_the_run() {
-        let (driver, _) = aft_driver();
-        let config = RunConfig::new(small_workload())
-            .with_requests(0)
-            .with_duration(Duration::from_millis(100));
-        let result = run_closed_loop(&driver, &config).unwrap();
-        assert!(result.completed > 0);
-        assert!(result.elapsed >= Duration::from_millis(100));
-        assert!(result.elapsed < Duration::from_secs(10));
     }
 
     #[test]
