@@ -96,7 +96,7 @@ pub fn capture_deferred<T>(f: impl FnOnce() -> T) -> (T, DeferredCost) {
 /// [`Seat::scope`] the seat's clock advances by it too.
 pub fn charge(duration: Duration) {
     OP_CHARGE_NS.with(|c| c.set(c.get().saturating_add(duration.as_nanos() as u64)));
-    if !DEFER_ACTIVE.with(Cell::get) {
+    if !duration.is_zero() && !DEFER_ACTIVE.with(Cell::get) {
         pass_seat(duration);
     }
 }

@@ -116,7 +116,7 @@ struct ClientMeasurements {
     latencies: LatencyRecorder,
     completed: u64,
     failed: u64,
-    /// The client's clock when it issued its last request.
+    /// The client's clock once its last request returned.
     finished: Duration,
 }
 
@@ -153,17 +153,16 @@ fn preload(driver: &dyn RequestDriver, config: &RunConfig) -> AftResult<()> {
     Ok(())
 }
 
-fn merge(
-    driver: &dyn RequestDriver,
-    clients: Vec<ClientMeasurements>,
-    elapsed: Duration,
-) -> RunResult {
+/// The clients' measurements as one result; the run lasted until its last
+/// client finished.
+fn merge(driver: &dyn RequestDriver, clients: Vec<ClientMeasurements>) -> RunResult {
     let mut latencies = LatencyRecorder::new();
-    let (mut completed, mut failed) = (0, 0);
+    let (mut completed, mut failed, mut elapsed) = (0, 0, Duration::ZERO);
     for client in clients {
         latencies.merge(&client.latencies);
         completed += client.completed;
         failed += client.failed;
+        elapsed = elapsed.max(client.finished);
     }
     RunResult {
         driver: driver.name().to_owned(),
@@ -189,7 +188,7 @@ pub fn run_closed_loop(driver: &dyn RequestDriver, config: &RunConfig) -> AftRes
             });
         }
     });
-    Ok(merge(driver, collected.into_inner(), started.elapsed()))
+    Ok(merge(driver, collected.into_inner()))
 }
 
 /// Runs a closed-loop experiment in virtual time (see the module docs) and
@@ -211,7 +210,7 @@ pub fn run_virtual_loop(
                 let seat = turns.seat(index);
                 let measurements = seat.scope(|| client(driver, config, index, || seat.now()));
                 issuing.fetch_sub(1, Ordering::Relaxed);
-                collected.lock().push((index, measurements));
+                collected.lock().push(measurements);
             });
         }
         for (index, (every, mut run)) in timers.into_iter().enumerate() {
@@ -228,18 +227,7 @@ pub fn run_virtual_loop(
             });
         }
     });
-    let mut clients = collected.into_inner();
-    clients.sort_by_key(|(index, _)| *index);
-    let elapsed = clients
-        .iter()
-        .map(|(_, c)| c.finished)
-        .max()
-        .unwrap_or_default();
-    Ok(merge(
-        driver,
-        clients.into_iter().map(|(_, c)| c).collect(),
-        elapsed,
-    ))
+    Ok(merge(driver, collected.into_inner()))
 }
 
 #[cfg(test)]
