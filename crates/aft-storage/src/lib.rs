@@ -37,9 +37,10 @@
 //!   such call.
 //!   What is genuinely a second behaviour is a thin addition over the shared
 //!   store: [`SimDynamo`] adds the serializable single-call transaction mode.
-//! * [`latency`] — parameterised latency models, scaled down uniformly so
-//!   experiments finish quickly while preserving the *ratios* between
-//!   backends that determine every figure's shape.
+//! * [`latency`] — parameterised latency models, charged to the calling
+//!   thread (or slept), and the [`latency::Turns`] table that makes those
+//!   charges the clocks of a virtual-time loop, so experiments run at full
+//!   scale in seconds.
 //! * [`counters`] — per-backend operation statistics (API calls, bytes), used
 //!   by the benchmarks to report API-call behaviour (e.g. Figure 5's analysis
 //!   of API calls per transaction).
