@@ -22,8 +22,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use aft_storage::latency::measure_cost;
-use aft_storage::{BackendKind, IoConfig, SequentialEngine, SharedStorage};
-use aft_types::clock::TickingClock;
+use aft_storage::BackendKind;
 use aft_types::{payload_of_size, Key, Value};
 use aft_workload::history::{self, FinalRead, History, Recorder};
 use aft_workload::{
@@ -52,7 +51,7 @@ pub struct Sheet {
 }
 
 impl Sheet {
-    fn new(
+    pub(crate) fn new(
         name: &'static str,
         title: &'static str,
         labels: &'static [&'static str],
@@ -67,7 +66,7 @@ impl Sheet {
         }
     }
 
-    fn push(&mut self, labels: Vec<String>, values: Vec<f64>) {
+    pub(crate) fn push(&mut self, labels: Vec<String>, values: Vec<f64>) {
         self.rows.push((labels, values));
     }
 
@@ -103,7 +102,7 @@ impl Sheet {
         table
     }
 
-    fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let rows = self.rows.iter().map(|(labels, values)| {
             let labels = self
                 .labels
@@ -225,7 +224,8 @@ pub fn figures(env: &BenchEnv, seed: u64) -> Report {
 /// Figure 2: direct-to-DynamoDB writes against writes through AFT's commit
 /// protocol, sequential against batched, for 1/5/10 writes per request
 /// (`fig2`); then, per backend, a node whose storage I/O goes one round trip
-/// at a time against one that overlaps it (`fig2_pipelined`).
+/// at a time against one that overlaps it (`fig2_pipelined`, built by
+/// [`crate::pipelined`]).
 pub fn fig2_io_latency(env: &BenchEnv, seed: u64) -> Vec<Sheet> {
     let mut sheet = Sheet::new(
         "fig2",
@@ -286,87 +286,8 @@ pub fn fig2_io_latency(env: &BenchEnv, seed: u64) -> Vec<Sheet> {
         });
     }
 
-    let mut pipelined = Sheet::new(
-        "fig2_pipelined",
-        "Figure 2 — sequential vs pipelined storage I/O per backend",
-        &["backend", "mode"],
-        &["p50_commit_ms", "p99_commit_ms", "p50_read_ms", "api_calls"],
-    );
-    let transactions = env.sized(200, 80);
-    for kind in BackendKind::EVALUATED {
-        for overlapped in [false, true] {
-            let mode = if overlapped {
-                "pipelined"
-            } else {
-                "sequential"
-            };
-            let values = io_leg(kind, overlapped, transactions, seed);
-            pipelined.push(vec![kind.label().to_owned(), mode.to_owned()], values);
-        }
-    }
+    let pipelined = crate::pipelined::sheet(env.sized(200, 80), seed);
     vec![sheet, pipelined]
-}
-
-/// One leg of `fig2_pipelined`: `transactions` 8-key commits, then as many
-/// 8-key reads, on a node without a data cache. The sequential leg wraps
-/// the store in [`SequentialEngine`] (per-key API calls) under
-/// [`IoConfig::sequential`], so an 8-key commit pays nine round trips back to
-/// back; the pipelined leg overlaps the data puts (or sends them as the
-/// row's multi-key write), barriers, then appends the record (§3.3's order),
-/// and overlaps a read's fetches. Latencies are the node's per-flush and
-/// per-read charges.
-fn io_leg(kind: BackendKind, overlapped: bool, transactions: usize, seed: u64) -> Vec<f64> {
-    let raw = virtual_backend(kind, seed ^ kind.label().len() as u64);
-    let (storage, io): (SharedStorage, _) = if overlapped {
-        (raw, IoConfig::pipelined())
-    } else {
-        (SequentialEngine::new(raw), IoConfig::sequential())
-    };
-    let config = aft_core::NodeConfig {
-        // No data cache: reads must exercise the storage fallback path.
-        data_cache_bytes: 0,
-        io,
-        bootstrap: false,
-        rng_seed: seed,
-        ..aft_core::NodeConfig::default()
-    };
-    let node = aft_core::AftNode::with_clock(config, storage, TickingClock::shared(1_000, 1))
-        .expect("node construction over a simulated backend");
-    let payload = payload_of_size(256);
-    // Transaction t writes group t % groups; a later read of the group
-    // observes one transaction's cowritten set.
-    let groups = transactions.clamp(1, 64);
-    let group = |g: usize| -> Vec<Key> {
-        (0..8)
-            .map(|i| Key::new(format!("grp{g:02}/k{i}")))
-            .collect()
-    };
-    for t in 0..transactions {
-        let txid = node.start_transaction();
-        for key in group(t % groups) {
-            node.put(&txid, key, payload.clone()).unwrap();
-        }
-        node.commit(&txid).unwrap();
-    }
-    for r in 0..transactions {
-        let txid = node.start_transaction();
-        let values = node.get_all(&txid, &group(r % groups)).unwrap();
-        assert!(
-            values.iter().all(Option::is_some),
-            "every group was written"
-        );
-        // A read-only commit's record-only flush would put ~1-RTT samples in
-        // the commit recorder.
-        node.abort(&txid).unwrap();
-    }
-    let commit = node.stats().commit_storage_latency();
-    let read = node.stats().read_storage_latency();
-    vec![
-        commit.percentile_ms(0.5).unwrap_or(0.0),
-        commit.percentile_ms(0.99).unwrap_or(0.0),
-        read.percentile_ms(0.5).unwrap_or(0.0),
-        node.storage().stats().total_calls() as f64,
-    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -749,7 +670,7 @@ pub fn fig10_fault_tolerance(env: &BenchEnv, seed: u64) -> Sheet {
 // ---------------------------------------------------------------------------
 
 /// One figure's check: `Err` names its first failing clause.
-type Verdict = Result<(), String>;
+pub(crate) type Verdict = Result<(), String>;
 
 /// Every figure's check, in figure order: `(figure, verdict)`.
 pub fn check(report: &Report) -> Vec<(&'static str, Verdict)> {
@@ -782,7 +703,7 @@ pub fn gate(report: &Report) -> Verdict {
 }
 
 /// `Ok` if `a`'s value `x` is below `b`'s value `y`.
-fn below(a: &str, x: f64, b: &str, y: f64) -> Verdict {
+pub(crate) fn below(a: &str, x: f64, b: &str, y: f64) -> Verdict {
     if x < y {
         Ok(())
     } else {
@@ -809,14 +730,7 @@ pub fn check_fig2(report: &Report) -> Verdict {
     ] {
         below(a, median(a), b, median(b)).map_err(|e| format!("median ms at 10 writes: {e}"))?;
     }
-    let pipelined = report.sheet("fig2_pipelined");
-    for kind in BackendKind::EVALUATED {
-        let p50 = |mode| pipelined.value(&[kind.label(), mode], "p50_commit_ms");
-        let (seq, pipe) = (p50("sequential"), p50("pipelined"));
-        below("pipelined", pipe, "1.05x sequential", 1.05 * seq)
-            .map_err(|e| format!("{} p50 commit ms: {e}", kind.label()))?;
-    }
-    Ok(())
+    crate::pipelined::check(report.sheet("fig2_pipelined"))
 }
 
 /// Figure 3, §6.1.2. The paper (from memory): AFT over S3 is faster than
@@ -1045,16 +959,6 @@ mod tests {
     fn figures_at_the_test_size_pass_their_gate() {
         let report = report();
         assert_eq!(gate(report), Ok(()));
-        assert_eq!(
-            report.sheet("fig2").rows.len(),
-            12,
-            "4 configurations x 3 write counts"
-        );
-        assert_eq!(
-            report.sheet("table2").rows.len(),
-            5,
-            "the five rows of Table 2"
-        );
         let pipelined = report.sheet("fig2_pipelined");
         assert_eq!(pipelined.rows.len(), 6, "3 backends x 2 modes");
         // Pipelining bills S3 the same per-key calls, and Redis fewer: one
@@ -1073,6 +977,60 @@ mod tests {
         let json = Json::parse(&report.to_json().render()).unwrap();
         let checks = json.get("checks").and_then(Json::as_array).unwrap();
         assert_eq!(checks.len(), 10, "one check per figure and Table 2");
+    }
+
+    #[test]
+    fn fig2_produces_all_twelve_rows() {
+        let fig2 = report().sheet("fig2");
+        assert_eq!(fig2.rows.len(), 12, "4 configurations x 3 write counts");
+    }
+
+    #[test]
+    fn fig3_and_table2_cover_every_configuration() {
+        let report = report();
+        let fig3 = report.sheet("fig3");
+        assert_eq!(fig3.rows.len(), 7, "3 plain + 3 aft + 1 transactional");
+        let table2 = report.sheet("table2");
+        assert_eq!(table2.rows.len(), 5, "the five rows of Table 2");
+        // A row's RYW and FR cells, found by the row's first label.
+        let anomaly_cells = |row: &str| {
+            let (_, values) = table2.rows.iter().find(|(l, _)| l[0] == row).unwrap();
+            (values[0], values[1])
+        };
+        // AFT shows neither anomaly, and one TransactWriteItems per request
+        // leaves DynamoDB's transaction mode no read-your-writes anomaly.
+        assert_eq!(anomaly_cells("AFT"), (0.0, 0.0));
+        assert_eq!(anomaly_cells("DynamoDB (Serializable)").0, 0.0);
+    }
+
+    #[test]
+    fn fig5_reports_both_backends_and_all_ratios() {
+        let fig5 = report().sheet("fig5");
+        assert_eq!(fig5.rows.len(), 12, "2 backends x 6 ratios");
+    }
+
+    #[test]
+    fn fig7_and_fig8_scale_with_clients_and_nodes() {
+        let report = report();
+        let fig7 = report.sheet("fig7");
+        assert_eq!(
+            fig7.rows.len(),
+            6,
+            "2 backends x 3 client counts in fast mode"
+        );
+        let fig8 = report.sheet("fig8");
+        assert_eq!(
+            fig8.rows.len(),
+            4,
+            "2 backends x 2 node counts in fast mode"
+        );
+    }
+
+    #[test]
+    fn fig9_reports_gc_on_and_off() {
+        let fig9 = report().sheet("fig9");
+        let labels: Vec<&str> = fig9.keys().map(|l| l[0].as_str()).collect();
+        assert_eq!(labels, ["GC enabled", "GC disabled"]);
     }
 
     #[test]

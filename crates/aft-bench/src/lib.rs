@@ -7,7 +7,8 @@
 //! the gate verdicts; [`setup`] owns how a simulated deployment is built
 //! (and the lost-ack oracle every durability figure comes from);
 //! [`experiments`] holds the paper's figures, one seeded experiment in
-//! virtual time with a shape check per figure; each other sweep has a
+//! virtual time with a shape check per figure, and [`pipelined`] builds
+//! Figure 2's sequential-against-pipelined table; each other sweep has a
 //! module of its own whose header says what it measures and what its gate
 //! enforces.
 //!
@@ -26,6 +27,7 @@ pub mod dissemination;
 pub mod experiments;
 pub mod json;
 pub mod overload;
+pub mod pipelined;
 pub mod recovery;
 pub mod report;
 pub mod service;
