@@ -114,7 +114,8 @@ impl ClientBuilder {
     }
 
     /// How long one request may await its response before the connection is
-    /// declared dead and the request retried.
+    /// declared dead and the request retried. `ZERO` waits without a
+    /// deadline.
     pub fn request_timeout(mut self, timeout: Duration) -> Self {
         self.config.request_timeout = timeout;
         self
@@ -244,15 +245,15 @@ impl Conn {
     }
 
     /// Waits for `request_id`'s response, reading frames off the socket
-    /// whenever no other caller is. `None` means the connection died or
-    /// `timeout` passed; either way it is reset.
+    /// whenever no other caller is. `None` means the connection died or a
+    /// nonzero `timeout` passed; either way it is reset.
     fn wait(
         &self,
         request_id: u64,
         timeout: Duration,
         stats: &ClientStats,
     ) -> Option<WireResponse> {
-        let deadline = Instant::now() + timeout;
+        let deadline = (!timeout.is_zero()).then(|| Instant::now() + timeout);
         let mut inbox = self.inbox.lock();
         let response = loop {
             let Some(waiter) = inbox.waiters.get_mut(&request_id) else {
@@ -263,14 +264,17 @@ impl Conn {
                 break Some(response);
             }
             let now = Instant::now();
-            if inbox.closed || now >= deadline {
+            if inbox.closed || deadline.is_some_and(|deadline| now >= deadline) {
                 break None;
             }
             let Some(mut reader) = inbox.reader.take() else {
                 // Another caller is reading; it hands over this response or
                 // the read side.
                 drop(inbox);
-                std::thread::park_timeout(deadline - now);
+                match deadline {
+                    Some(deadline) => std::thread::park_timeout(deadline - now),
+                    None => std::thread::park(),
+                }
                 inbox = self.inbox.lock();
                 continue;
             };

@@ -297,6 +297,25 @@ fn connection_resets_never_lose_acknowledged_commits() {
 }
 
 #[test]
+fn a_zero_request_timeout_waits_without_a_deadline() {
+    let (server, _cluster) = served_cluster(1, 2);
+    let client = client_for(
+        &server,
+        AftClient::builder().request_timeout(Duration::ZERO).build(),
+    );
+    client.ping().unwrap();
+    let txid = client.begin().unwrap();
+    client
+        .put(&txid, Key::new("k"), Value::from_static(b"v"))
+        .unwrap();
+    let outcome = client.commit(&txid, &[]).unwrap();
+    assert!(!outcome.duplicate, "the first send committed");
+    let stats = client.stats();
+    assert_eq!((stats.connects, stats.transport_retries), (1, 0));
+    server.shutdown();
+}
+
+#[test]
 fn aborting_unknown_transactions_is_idempotent() {
     let (server, _cluster) = served_cluster(1, 2);
     let client = client_for(&server, ClientConfig::default());
