@@ -48,6 +48,7 @@ use aft_storage::io::RetryConfig;
 use aft_storage::{BackendConfig, BackendKind};
 use aft_types::{Key, Value};
 use aft_workload::history::{History, Recorder};
+use aft_workload::sim::{Seeded, Shared};
 
 use crate::cli::{Args, Outcome};
 use crate::json::Json;
@@ -766,14 +767,14 @@ pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
 
     // Chaos leg: connection faults layered on top of 4× saturation. The
     // protection stack and the lost-ack machinery must both hold at once.
+    let spec = ChaosSpec::new(config.seed ^ 0x0C4A05).net(NetChaos::resets_and_delays(
+        config.reset_rate,
+        config.delay_rate,
+        Duration::from_millis(1),
+    ));
+    let schedule = Shared::new(Seeded::new(spec.seed, None).faults(&spec));
     let chaos_options = ServeOptions {
-        chaos: Some(
-            ChaosSpec::new(config.seed ^ 0x0C4A05).net(NetChaos::resets_and_delays(
-                config.reset_rate,
-                config.delay_rate,
-                Duration::from_millis(1),
-            )),
-        ),
+        hook: Some(schedule.clone()),
         ..options
     };
     let (cluster, handle) = deployment(config, &chaos_options, config.seed ^ 0xC4A0);
@@ -783,7 +784,7 @@ pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
     let api = Recorder::wrap(handle.client.clone(), Arc::clone(&history), None);
     let outcome = run_leg(&api, threads, config.point_duration, target_rps);
     let verdict = settled_verdict(&cluster, &history.attempts());
-    let injector = handle.client.chaos_stats().unwrap_or_default();
+    let injector = schedule.lock().delivered();
     let stats = handle.server.stats();
     let chaos = OverloadChaosLeg {
         committed: outcome.committed,

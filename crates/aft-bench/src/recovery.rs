@@ -3,8 +3,8 @@
 //!
 //! The paper's Figure 10 shows throughput across one node failure; this
 //! experiment asks the stronger question its guarantees imply: for every
-//! combination of **fault mode** (aft-net connection faults over real
-//! loopback sockets, *every layer at once*, or a metadata-plane partition),
+//! combination of **fault mode** (aft-net connection faults, *every layer
+//! at once*, or a metadata-plane partition),
 //! **node-kill point** (the three commit-phase crashes of [`CommitPhase`]
 //! and the two checkpoint phases), and **backend profile**, does the
 //! cluster
@@ -27,8 +27,9 @@
 //! Every cell runs `trials` seeded trials on the virtual clock
 //! (`LatencyMode::Virtual` at full scale) over a small cluster behind a
 //! [`CutStore`]. The trial's one schedule answers every storage call, every
-//! dissemination batch and every commit phase: it fails calls transiently
-//! and holds batches where the trial's spec says ([`Seeded::faults`]), and
+//! dissemination batch, every request a service client sends and every
+//! commit phase: it fails calls transiently, holds batches and resets or
+//! delays requests where the trial's spec says ([`Seeded::faults`]), and
 //! kills one node mid-commit ([`Seeded::kill`]); then the trial
 //! drives recovery and verifies the invariants: read atomicity and lost
 //! acknowledged writes by [`aft_workload::history`]'s checker over what the
@@ -39,16 +40,14 @@
 //! [`ChaosSpec`] seed, and the kill from the cell, so `aft-bench
 //! fig10_recovery --seed N` replays the run, counts included, and `--mode M
 //! --seed N` replays exactly the `M` cells of that matrix, up to the step a
-//! failing cell names. In the networked modes the
-//! server executes on its own reactor threads, but the stepper awaits every
-//! reply before its next step, so the order of execution is still the
-//! stepper's —
-//! with one timing assumption: a request whose connection chaos resets
-//! *after* the send must finish on the server within the client's retry
-//! backoff (≥ 200 µs), before the stepper moves on.
-//! Results land in `BENCH_recovery.json`; [`RecoveryReport::check_gate`]
-//! fails on any anomaly, lost commit, unrecovered commit, or
-//! non-convergence — which CI enforces on every PR.
+//! failing cell names. In the networked modes the clients speak the wire
+//! protocol over in-memory pipes ([`aft_net::ClientBuilder::pipe`]): the
+//! server's connection state machine runs each request on the stepper's
+//! thread before the send returns, so a request reset after its send has
+//! run before its retry, and backoffs and late answers are charged to the
+//! virtual clock, not slept. Results land in `BENCH_recovery.json`;
+//! [`RecoveryReport::check_gate`] fails on any anomaly, lost commit,
+//! unrecovered commit, or non-convergence — which CI enforces on every PR.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -58,6 +57,7 @@ use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
 use aft_core::{CommitPhase, NodeConfig};
 use aft_faas::FailureInjector;
+use aft_net::AftClient;
 use aft_storage::{BackendKind, CutStore, StorageEngine};
 use aft_types::clock::TickingClock;
 use aft_types::{AftResult, Key};
@@ -67,7 +67,7 @@ use aft_workload::sim::{self, Deployment, Op, Request, Seeded, Shared};
 use crate::cli::{Args, Flag, Outcome};
 use crate::json::Json;
 use crate::report::{percentile_ms, Table};
-use crate::setup::{serve_cluster, settled_verdict, virtual_backend, ServeOptions, ServiceHandle};
+use crate::setup::{settled_verdict, virtual_backend};
 
 /// The fault modes of the matrix: one network-side mode, one cross-layer
 /// mode that fires every layer of the unified [`ChaosSpec`] in the same
@@ -78,10 +78,10 @@ use crate::setup::{serve_cluster, settled_verdict, virtual_backend, ServeOptions
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultMode {
     /// Network faults: clients reach the cluster through the aft-net
-    /// service layer over real loopback sockets, with seeded connection
-    /// resets (before send, and after send in the lost-ack window) and
-    /// delayed acknowledgements injected at the SDK. Storage stays clean;
-    /// the node kill still fires mid-commit.
+    /// service layer, and the schedule resets their connections (before
+    /// the send, and after it in the lost-ack window) and delays
+    /// acknowledgements. Storage stays clean; the node kill still fires
+    /// mid-commit.
     Network = 3,
     /// Every layer at once, from one seed: seeded transient storage errors
     /// under the nodes, connection resets and delayed acks at the SDK, and
@@ -570,10 +570,10 @@ struct Trial {
     cluster: Arc<Cluster>,
     /// Storage as every node sees it, cut where the schedule says.
     storage: Arc<CutStore>,
-    /// The loopback service in front of the cluster, when the spec has a
-    /// net leg: a seeded [`aft_net::ConnChaos`] at the SDK resets
-    /// connections (including in the lost-ack window) and delays acks.
-    service: Option<ServiceHandle>,
+    /// A service client piped into the cluster, when the spec has a net
+    /// leg: the schedule resets its connections (including in the lost-ack
+    /// window) and delays its acks.
+    client: Option<Arc<AftClient>>,
     /// The load's schedule, which storage and every node's phase hook ask
     /// too: its storage faults are on only during the load, and its kill and
     /// held batches reach the recovery drive.
@@ -584,7 +584,7 @@ struct Trial {
 }
 
 impl Trial {
-    /// Builds backend → [`CutStore`] → cluster → (net leg) loopback service,
+    /// Builds backend → [`CutStore`] → cluster → (net leg) piped client,
     /// all asking one schedule that answers from `spec`; `kill` is the
     /// victim's phase and after-count. The schedule's storage faults start
     /// off, so construction can never fail on an injected fault whatever the
@@ -632,25 +632,22 @@ impl Trial {
             TickingClock::shared(1_000, 1),
         )
         .expect("fault-free construction: storage faults are off until the load starts");
-        let service = (!spec.net.is_quiet()).then(|| {
-            let options = ServeOptions {
-                workers: 4,
-                pool_size: config.clients.max(2),
-                retry: aft_storage::io::RetryConfig {
+        let client = (!spec.net.is_quiet()).then(|| {
+            AftClient::builder()
+                .pool_size(config.clients.max(2))
+                .retry(aft_storage::io::RetryConfig {
                     max_attempts: 6,
                     base_backoff: Duration::from_micros(200),
                     max_backoff: Duration::from_millis(2),
-                },
-                chaos: Some(spec.clone()),
-                seed: spec.seed ^ 0x5DC,
-                ..ServeOptions::default()
-            };
-            serve_cluster(&cluster, &options).expect("serve on loopback")
+                })
+                .rng_seed(spec.seed ^ 0x5DC)
+                .phase_hook(schedule.clone())
+                .pipe(Arc::clone(&cluster))
         });
         Trial {
             cluster,
             storage,
-            service,
+            client,
             schedule,
             injector,
         }
@@ -662,10 +659,10 @@ impl Deployment for Trial {
         Arc::clone(&self.cluster)
     }
 
-    /// A routed node in-process, the SDK client when the trial is served.
+    /// A routed node in-process, the SDK client when the trial has one.
     fn api(&self) -> AftResult<Arc<dyn AftApi>> {
-        match &self.service {
-            Some(service) => Ok(Arc::clone(&service.client) as Arc<dyn AftApi>),
+        match &self.client {
+            Some(client) => Ok(Arc::clone(client) as Arc<dyn AftApi>),
             None => self.cluster.api(),
         }
     }
@@ -703,8 +700,8 @@ fn run_trial(
 
     // Verification reads ground truth with storage faults off: the
     // invariants are about the *cluster's* state, not about whether the
-    // verifier's own reads can fail. (Connection chaos only ever lived at
-    // the SDK, and the verifier reads in-process.)
+    // verifier's own reads can fail. (Request faults only ever meet the
+    // SDK, and the verifier reads in-process.)
     trial.schedule.lock().storage_faults(false);
     // Full commit-set recovery, modulo §4.1 supersedence: every durable
     // record must be *known* to every active node.
@@ -712,11 +709,7 @@ fn run_trial(
     let active = cluster.active_nodes();
     let io_retries =
         active.iter().map(|n| n.io().stats().retries).sum::<u64>() + cluster.io().stats().retries;
-    let conn_faults = trial
-        .service
-        .as_ref()
-        .and_then(|service| service.client.chaos_stats())
-        .map_or(0, |stats| stats.total());
+    let request_faults = trial.schedule.lock().delivered().total();
     let verdict = settled_verdict(cluster, &load.history);
 
     TrialResult {
@@ -741,7 +734,7 @@ fn run_trial(
         // points.
         faults_injected: trial.storage.transients()
             + cluster.disseminator().totals().link_drops as u64
-            + conn_faults
+            + request_faults
             + trial.injector.as_ref().map_or(0, |i| i.injected()),
         storage_calls,
     }
@@ -913,8 +906,7 @@ mod tests {
         );
         for over_the_wire in [false, true] {
             if over_the_wire {
-                trial.service =
-                    Some(serve_cluster(&trial.cluster, &ServeOptions::default()).unwrap());
+                trial.client = Some(AftClient::builder().pipe(Arc::clone(&trial.cluster)));
             }
             let label = trial.api().unwrap().api_label().to_owned();
             let client = vec![requests(&RecoveryConfig::tiny())[0][0].clone()];
@@ -996,7 +988,7 @@ mod tests {
         for spec in [broken.clone(), broken.net(NetChaos::resets(0.05))] {
             let kill = Some((CommitPhase::BeforeBroadcast, 0));
             let trial = Trial::set_up(BackendKind::DynamoDb, &spec, kill, &RecoveryConfig::tiny());
-            assert_eq!(trial.service.is_some(), !spec.net.is_quiet());
+            assert_eq!(trial.client.is_some(), !spec.net.is_quiet());
             assert_eq!(
                 trial.cluster.active_nodes().len(),
                 RecoveryConfig::tiny().nodes

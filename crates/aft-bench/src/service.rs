@@ -46,6 +46,7 @@ use aft_storage::{BackendConfig, BackendKind, SharedStorage};
 use aft_types::wire::{decode_response, encode_request, WireRequest, WireResponse};
 use aft_types::WireStats;
 use aft_workload::history::{Attempt, History, Recorder};
+use aft_workload::sim::{Seeded, Shared};
 use aft_workload::{run_closed_loop, AftDriver, RunConfig, WorkloadConfig};
 
 use crate::cli::{Args, Outcome};
@@ -725,14 +726,14 @@ pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
 
     // Chaos leg: one deployment, seeded connection faults, then the
     // checker grades every call the SDK made and what the cluster serves.
+    let spec = ChaosSpec::new(config.seed ^ 0xC4A05).net(NetChaos::resets_and_delays(
+        config.reset_rate,
+        config.delay_rate,
+        Duration::from_millis(1),
+    ));
+    let schedule = Shared::new(Seeded::new(spec.seed, None).faults(&spec));
     let chaos_options = ServeOptions {
-        chaos: Some(
-            ChaosSpec::new(config.seed ^ 0xC4A05).net(NetChaos::resets_and_delays(
-                config.reset_rate,
-                config.delay_rate,
-                Duration::from_millis(1),
-            )),
-        ),
+        hook: Some(schedule.clone()),
         retry: RetryConfig {
             max_attempts: 6,
             base_backoff: Duration::from_micros(200),
@@ -753,7 +754,7 @@ pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
     )
     .expect("chaos closed-loop run");
 
-    let injector = handle.client.chaos_stats().unwrap_or_default();
+    let injector = schedule.lock().delivered();
     let client_stats = handle.client.stats();
     // The preload's commits are in the history too: they are acked as well.
     let attempts = history.attempts();

@@ -3,9 +3,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use aft_chaos::ChaosSpec;
 use aft_cluster::{Cluster, ClusterConfig};
-use aft_core::{AftNode, NodeConfig};
+use aft_core::{AftNode, NodeConfig, PhaseHook};
 use aft_faas::{FaasPlatform, PlatformConfig, RetryPolicy};
 use aft_net::{AftClient, AftServer};
 use aft_storage::io::RetryConfig;
@@ -134,8 +133,8 @@ pub fn dynamo_txn_driver(seed: u64) -> DynamoTxnDriver {
 
 /// The one way experiments stand a cluster up as a networked service:
 /// every knob of the loopback endpoint an experiment varies — server reactor
-/// threads and overload protection, client pool/retry/chaos — in a single
-/// options struct, so `fig8_service`, `fig10_recovery` and `fig11_overload`
+/// threads and overload protection, client pool, retry and network faults —
+/// in a single options struct, so `fig8_service` and `fig11_overload`
 /// configure the service identically (`ServeOptions { workers: 8,
 /// ..Default::default() }`).
 #[derive(Debug, Clone)]
@@ -154,10 +153,9 @@ pub struct ServeOptions {
     pub pool_size: usize,
     /// Client transport retry/backoff budget.
     pub retry: RetryConfig,
-    /// Optional unified fault schedule; the client-side connection layer
-    /// consumes its `net` leg (other legs are free for the experiment to
-    /// wire into storage/platform injectors from the same seed).
-    pub chaos: Option<ChaosSpec>,
+    /// The hook the client asks what the network does to each request
+    /// (`PhaseHook::deliver`); `None` faults nothing.
+    pub hook: Option<Arc<dyn PhaseHook>>,
     /// Client UUID seed.
     pub seed: u64,
 }
@@ -171,7 +169,7 @@ impl Default for ServeOptions {
             fair_queuing: false,
             pool_size: 4,
             retry: RetryConfig::default(),
-            chaos: None,
+            hook: None,
             seed: 0xAF7_11E7,
         }
     }
@@ -201,8 +199,8 @@ pub fn serve_cluster(cluster: &Arc<Cluster>, options: &ServeOptions) -> AftResul
         .pool_size(options.pool_size)
         .retry(options.retry)
         .rng_seed(options.seed);
-    if let Some(chaos) = options.chaos.clone() {
-        client = client.chaos_spec(chaos);
+    if let Some(hook) = options.hook.clone() {
+        client = client.phase_hook(hook);
     }
     let client = client.connect(server.local_addr())?;
     Ok(ServiceHandle { server, client })

@@ -7,9 +7,10 @@
 //! so a *single seed* reproduces an entire cross-layer trial: storage
 //! requests failing *while* connections flap *while* functions retry. A node
 //! kill is not a layer here: it is an answer of `aft_workload::sim`'s
-//! schedule at a commit phase. Neither is the storage layer's or the
-//! partition's injection: `sim::Seeded` answers each storage call
-//! (`aft_storage::CutStore`) and each dissemination batch
+//! schedule at a commit phase. Neither is the storage, network or
+//! partition injection: `sim::Seeded` answers each storage call
+//! (`aft_storage::CutStore`), each service client's request
+//! (`aft_core::PhaseHook::deliver`) and each dissemination batch
 //! (`aft_core::PhaseHook::hold`) from a spec's [`FaultSchedule`].
 //!
 //! The pieces:
@@ -25,9 +26,8 @@
 //!   own RNG stream keyed by the triple, so concurrent layers racing for
 //!   their indices still replay bit-exactly from the seed.
 //! * [`LayerSchedule`] — a layer's stateful view: the schedule plus the
-//!   layer's own operation counter, which is all the per-layer adapters
-//!   (`ConnChaos` in `aft-net`, `FailureInjector` in `aft-faas`) need to
-//!   hold.
+//!   layer's own operation counter, which is all a per-layer adapter
+//!   (`FailureInjector` in `aft-faas`) needs to hold.
 //!
 //! Per-layer decisions use SplitMix-style per-operation streams (the same
 //! scheme the storage planner always had — the storage layer's schedule is

@@ -46,8 +46,8 @@ pub use data_cache::DataCache;
 pub use gc::{GcOutcome, LocalGcConfig};
 pub use metadata::MetadataCache;
 pub use node::{
-    AftNode, CheckpointPolicy, CommitDrain, CommitPhase, NodeCheckpointOutcome, NodeConfig,
-    PhaseHook, TransactionHandle,
+    AftNode, CheckpointPolicy, CommitDrain, CommitPhase, NetFault, NodeCheckpointOutcome,
+    NodeConfig, PhaseHook, TransactionHandle,
 };
 pub use read::{select_version, ReadSet};
 pub use stats::{LatencyRecorder, NodeStats, NodeStatsSnapshot};

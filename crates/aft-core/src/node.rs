@@ -52,7 +52,9 @@ pub use aft_types::CommitPhase;
 /// fails every later phase without asking again ([`AftNode::crashed`]).
 ///
 /// The cluster's dissemination asks the sending node's hook too, at each
-/// batch of commit records it sends a peer ([`AftNode::holds`]).
+/// batch of commit records it sends a peer ([`AftNode::holds`]), and a
+/// service client asks its hook at each request it sends
+/// ([`PhaseHook::deliver`]).
 pub trait PhaseHook: Send + Sync + std::fmt::Debug {
     /// Called just before `phase` on `node_id`. `Ok(())` goes on, perhaps
     /// after blocking the calling thread a while.
@@ -64,6 +66,28 @@ pub trait PhaseHook: Send + Sync + std::fmt::Debug {
     fn hold(&self, _round: u64, _sender: &str, _receiver: &str) -> bool {
         false
     }
+
+    /// What the network does to the next request a service client sends,
+    /// a `verb` (`WireRequest::verb`). Every request goes through by
+    /// default.
+    fn deliver(&self, _verb: &str) -> NetFault {
+        NetFault::None
+    }
+}
+
+/// What the network does to one request of a service client
+/// ([`PhaseHook::deliver`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NetFault {
+    /// The request and its answer go through.
+    None,
+    /// The connection resets before the request is sent: it is lost.
+    ResetBeforeSend,
+    /// The connection resets after the request is sent, before its answer
+    /// arrives: §4.2's lost acknowledgement. The server may well run it.
+    ResetAfterSend,
+    /// The answer arrives this much later.
+    DelayAck(Duration),
 }
 
 /// When a node takes background checkpoints of its committed-version index.

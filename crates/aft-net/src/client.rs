@@ -1,6 +1,6 @@
 //! The AFT client SDK: speaks the wire protocol over a pooled, pipelined
-//! TCP connection and implements [`AftApi`], so workload drivers run
-//! unchanged against a socket.
+//! TCP connection, or an in-memory pipe, and implements [`AftApi`], so
+//! workload drivers run unchanged against a socket.
 //!
 //! ## Design
 //!
@@ -12,13 +12,17 @@
 //!   it verbatim is always safe because the server deduplicates on the
 //!   transaction UUID.
 //! * **Pipelining without a reader thread.** Any number of caller threads
-//!   can have requests outstanding on one pooled connection, and responses
-//!   complete in whatever order the server finishes them. A waiting caller
+//!   can have requests outstanding on one pooled connection, and the
+//!   server answers them in the order they were sent. A waiting caller
 //!   reads frames itself: it keeps its own response, hands each other one
 //!   to the caller it belongs to, and with its own in hand passes the read
 //!   side to a caller still waiting (counted in
 //!   [`ClientStatsSnapshot::handoffs`]). A lone caller thus reads its own
 //!   reply, with no thread between it and the socket.
+//! * **Sockets or pipes.** [`ClientBuilder::connect`] dials a server;
+//!   [`ClientBuilder::pipe`] instead runs each connection's server session
+//!   in memory, on the thread of the caller that sends: its answer is
+//!   written before its caller waits for it, and no thread starts.
 //! * **Retry with backoff.** Transport failures (reset, timeout, refused)
 //!   reconnect and resend under the storage engine's
 //!   [`RetryConfig`] semantics: attempt `n`
@@ -31,8 +35,11 @@
 //!   [`ClientStatsSnapshot::overload_retries`]), because retrying it is
 //!   always safe (an overload rejection executed nothing) and jitter is
 //!   what keeps a saturated server's clients from retrying in lockstep.
-//! * **Chaos.** An optional [`ConnChaos`] injector resets or delays
-//!   operations from a seeded plan; see [`crate::chaos`].
+//! * **Network faults.** An optional [`PhaseHook`] answers each request
+//!   ([`PhaseHook::deliver`]): the connection resets before or after the
+//!   send, or the answer arrives late. Backoffs and late answers sleep over
+//!   sockets and are charged to the caller's virtual clock over pipes
+//!   ([`aft_storage::latency::charge`]).
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
@@ -42,18 +49,20 @@ use std::sync::Arc;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
+use aft_cluster::Cluster;
 use aft_core::api::{AftApi, CommitOutcome};
+use aft_core::{NetFault, PhaseHook};
 use aft_storage::io::RetryConfig;
+use aft_storage::latency::charge;
 use aft_types::wire::{decode_response, WireRequest, WireResponse, WireStats};
 use aft_types::{AftError, AftResult, Key, SharedClock, SystemClock, TransactionId, Uuid, Value};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use aft_chaos::ChaosSpec;
-
-use crate::chaos::{ConnChaos, NetChaosStats, NetFault};
 use crate::frame::{read_frame, request_frame};
+use crate::pipe::Pipe;
+use crate::server::{ServerConfig, ServerShared};
 
 /// Tuning of an [`AftClient`]; built with [`AftClient::builder`].
 #[derive(Debug, Clone)]
@@ -61,7 +70,7 @@ pub struct ClientConfig {
     pub(crate) pool_size: usize,
     pub(crate) retry: RetryConfig,
     pub(crate) request_timeout: Duration,
-    pub(crate) chaos: Option<ChaosSpec>,
+    pub(crate) hook: Option<Arc<dyn PhaseHook>>,
     pub(crate) rng_seed: u64,
 }
 
@@ -71,7 +80,7 @@ impl Default for ClientConfig {
             pool_size: 2,
             retry: RetryConfig::default(),
             request_timeout: Duration::from_secs(30),
-            chaos: None,
+            hook: None,
             rng_seed: 0xAF7_0C11,
         }
     }
@@ -121,12 +130,11 @@ impl ClientBuilder {
         self
     }
 
-    /// Installs seeded connection-fault injection from the net layer of a
-    /// unified chaos spec. The same spec (same seed) can drive the storage
-    /// and platform layers of a cross-layer trial; each layer draws from
-    /// its own decorrelated stream.
-    pub fn chaos_spec(mut self, spec: ChaosSpec) -> Self {
-        self.config.chaos = Some(spec);
+    /// The hook asked what the network does to each request
+    /// ([`PhaseHook::deliver`]); a schedule of `aft_workload::sim` answers
+    /// it from a seeded spec's net leg.
+    pub fn phase_hook(mut self, hook: Arc<dyn PhaseHook>) -> Self {
+        self.config.hook = Some(hook);
         self
     }
 
@@ -146,18 +154,59 @@ impl ClientBuilder {
     pub fn connect(self, addr: impl ToSocketAddrs) -> AftResult<Arc<AftClient>> {
         AftClient::connect(addr, self.build())
     }
+
+    /// Builds a client whose connections are in-memory pipes into a server
+    /// of default configuration fronting `cluster`. Each request runs
+    /// through the same connection state machine as over a socket, on the
+    /// thread of the caller that sends it, and no thread starts.
+    pub fn pipe(self, cluster: Arc<Cluster>) -> Arc<AftClient> {
+        let shared = ServerShared::new(cluster, ServerConfig::default(), Vec::new());
+        AftClient::open(Endpoint::Pipe(shared), self.build()).expect("a pipe always opens")
+    }
 }
 
 /// Frame-buffer capacity a connection keeps warm between requests; a larger
 /// frame's buffer is released after it is sent.
 const SEND_BUFFER_KEEP: usize = 256 * 1024;
 
-/// A connection's read side: the one socket, shared with its writers.
-struct ReadHalf(Arc<TcpStream>);
+/// Where a client's connections go.
+enum Endpoint {
+    Addr(SocketAddr),
+    /// A server state whose sessions pipes run.
+    Pipe(Arc<ServerShared>),
+}
+
+/// What one connection's frames travel over.
+enum Link {
+    Tcp(TcpStream),
+    Pipe(Pipe),
+}
+
+impl Link {
+    fn write_all(&self, bytes: &[u8]) -> io::Result<()> {
+        match self {
+            Link::Tcp(stream) => (&*stream).write_all(bytes),
+            Link::Pipe(pipe) => pipe.send(bytes),
+        }
+    }
+
+    fn shutdown(&self) {
+        match self {
+            Link::Tcp(stream) => drop(stream.shutdown(Shutdown::Both)),
+            Link::Pipe(pipe) => pipe.close(),
+        }
+    }
+}
+
+/// A connection's read side: the one link, shared with its writers.
+struct ReadHalf(Arc<Link>);
 
 impl Read for ReadHalf {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        (&*self.0).read(buf)
+        match &*self.0 {
+            Link::Tcp(stream) => (&*stream).read(buf),
+            Link::Pipe(pipe) => pipe.recv(buf),
+        }
     }
 }
 
@@ -183,7 +232,7 @@ struct Inbox {
 /// One live connection, with no thread of its own: its waiting callers
 /// read it (see [`Conn::wait`]).
 struct Conn {
-    stream: Arc<TcpStream>,
+    link: Arc<Link>,
     /// Orders writes, so frames never interleave, and keeps one frame
     /// buffer warm.
     writer: Mutex<Vec<u8>>,
@@ -192,22 +241,28 @@ struct Conn {
 }
 
 impl Conn {
-    /// Connects; a read waits at most `timeout` for bytes before the
+    /// Connects; a socket read waits at most `timeout` for bytes before the
     /// connection is declared dead.
-    fn connect(addr: SocketAddr, timeout: Duration) -> AftResult<Arc<Conn>> {
-        let stream = TcpStream::connect(addr)
-            .map_err(|e| AftError::Unavailable(format!("connect {addr}: {e}")))?;
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(timeout).filter(|t| !t.is_zero()));
-        let stream = Arc::new(stream);
+    fn connect(endpoint: &Endpoint, timeout: Duration) -> AftResult<Arc<Conn>> {
+        let link = match endpoint {
+            Endpoint::Addr(addr) => {
+                let stream = TcpStream::connect(addr)
+                    .map_err(|e| AftError::Unavailable(format!("connect {addr}: {e}")))?;
+                let _ = stream.set_nodelay(true);
+                let _ = stream.set_read_timeout(Some(timeout).filter(|t| !t.is_zero()));
+                Link::Tcp(stream)
+            }
+            Endpoint::Pipe(shared) => Link::Pipe(Pipe::open(shared)),
+        };
+        let link = Arc::new(link);
         Ok(Arc::new(Conn {
             writer: Mutex::new(Vec::new()),
             inbox: Mutex::new(Inbox {
-                reader: Some(BufReader::new(ReadHalf(Arc::clone(&stream)))),
+                reader: Some(BufReader::new(ReadHalf(Arc::clone(&link)))),
                 waiters: HashMap::new(),
                 closed: false,
             }),
-            stream,
+            link,
             broken: AtomicBool::new(false),
         }))
     }
@@ -234,7 +289,7 @@ impl Conn {
     fn send(&self, request_id: u64, request: &WireRequest) -> AftResult<()> {
         let mut frame = self.writer.lock();
         let sent = request_frame(&mut frame, request_id, request)
-            .and_then(|()| (&*self.stream).write_all(&frame));
+            .and_then(|()| self.link.write_all(&frame));
         if frame.capacity() > SEND_BUFFER_KEEP {
             *frame = Vec::new();
         }
@@ -314,11 +369,11 @@ impl Conn {
         response
     }
 
-    /// Hard-resets the socket and fails every caller still waiting on it
-    /// (used on any transport failure, by chaos injection and teardown).
+    /// Hard-resets the link and fails every caller still waiting on it
+    /// (used on any transport failure, by injected resets and teardown).
     fn reset(&self) {
         self.broken.store(true, Ordering::Release);
-        let _ = self.stream.shutdown(Shutdown::Both);
+        self.link.shutdown();
         let mut inbox = self.inbox.lock();
         inbox.closed = true;
         for waiter in inbox.waiters.values() {
@@ -392,7 +447,7 @@ struct ClientStats {
 /// The AFT service client. Cheap to share across threads (`Arc`); every
 /// method is concurrency-safe.
 pub struct AftClient {
-    addr: SocketAddr,
+    endpoint: Endpoint,
     config: ClientConfig,
     slots: Vec<Mutex<Option<Arc<Conn>>>>,
     next_request: AtomicU64,
@@ -400,7 +455,6 @@ pub struct AftClient {
     clock: SharedClock,
     rng: Mutex<StdRng>,
     txns: Mutex<HashMap<Uuid, LocalTxn>>,
-    chaos: Option<ConnChaos>,
     stats: ClientStats,
 }
 
@@ -419,8 +473,12 @@ impl AftClient {
             .map_err(|e| AftError::Unavailable(format!("resolve address: {e}")))?
             .next()
             .ok_or_else(|| AftError::Unavailable("address resolved to nothing".to_owned()))?;
+        AftClient::open(Endpoint::Addr(addr), config)
+    }
+
+    fn open(endpoint: Endpoint, config: ClientConfig) -> AftResult<Arc<AftClient>> {
         let client = Arc::new(AftClient {
-            addr,
+            endpoint,
             slots: (0..config.pool_size.max(1))
                 .map(|_| Mutex::new(None))
                 .collect(),
@@ -429,7 +487,6 @@ impl AftClient {
             clock: SystemClock::shared(),
             rng: Mutex::new(StdRng::seed_from_u64(config.rng_seed)),
             txns: Mutex::new(HashMap::new()),
-            chaos: config.chaos.as_ref().map(ConnChaos::from_spec),
             stats: ClientStats::default(),
             config,
         });
@@ -448,11 +505,6 @@ impl AftClient {
             duplicate_acks: self.stats.duplicate_acks.load(Ordering::Relaxed),
             handoffs: self.stats.handoffs.load(Ordering::Relaxed),
         }
-    }
-
-    /// Chaos injection counters, when an injector is installed.
-    pub fn chaos_stats(&self) -> Option<NetChaosStats> {
-        self.chaos.as_ref().map(|c| c.stats())
     }
 
     /// Round-trips a `Ping`, returning the elapsed wall time.
@@ -480,7 +532,7 @@ impl AftClient {
                 return Ok(Arc::clone(conn));
             }
         }
-        let conn = Conn::connect(self.addr, self.config.request_timeout)?;
+        let conn = Conn::connect(&self.endpoint, self.config.request_timeout)?;
         self.stats.connects.fetch_add(1, Ordering::Relaxed);
         *guard = Some(Arc::clone(&conn));
         Ok(conn)
@@ -502,14 +554,15 @@ impl AftClient {
     fn try_call(&self, slot: usize, request: &WireRequest) -> AftResult<WireResponse> {
         let conn = self.conn_at(slot)?;
         let fault = self
-            .chaos
+            .config
+            .hook
             .as_ref()
-            .map_or(NetFault::None, |c| c.decide(request.verb()));
+            .map_or(NetFault::None, |hook| hook.deliver(request.verb()));
         if fault == NetFault::ResetBeforeSend {
             conn.reset();
             self.drop_conn(slot, &conn);
             return Err(AftError::Unavailable(
-                "chaos: connection reset before send".to_owned(),
+                "connection reset before send".to_owned(),
             ));
         }
         let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
@@ -528,11 +581,11 @@ impl AftClient {
             conn.unregister(request_id);
             self.drop_conn(slot, &conn);
             return Err(AftError::Unavailable(
-                "chaos: connection reset before ack".to_owned(),
+                "connection reset before ack".to_owned(),
             ));
         }
         if let NetFault::DelayAck(delay) = fault {
-            std::thread::sleep(delay);
+            self.pause(delay);
         }
         match conn.wait(request_id, self.config.request_timeout, &self.stats) {
             Some(response) => Ok(response),
@@ -573,7 +626,7 @@ impl AftClient {
                     }
                     self.stats.overload_retries.fetch_add(1, Ordering::Relaxed);
                     overload_prev = self.overload_backoff(overload_prev);
-                    std::thread::sleep(overload_prev);
+                    self.pause(overload_prev);
                 }
                 Ok(response) => return Ok(response),
                 Err(e) => {
@@ -581,9 +634,18 @@ impl AftClient {
                         return Err(e);
                     }
                     self.stats.transport_retries.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(self.config.retry.backoff_for(attempt));
+                    self.pause(self.config.retry.backoff_for(attempt));
                 }
             }
+        }
+    }
+
+    /// Lets `delay` pass: slept over sockets, charged to the calling
+    /// thread's virtual clock over pipes.
+    fn pause(&self, delay: Duration) {
+        match self.endpoint {
+            Endpoint::Addr(_) => std::thread::sleep(delay),
+            Endpoint::Pipe(_) => charge(delay),
         }
     }
 
@@ -785,10 +847,14 @@ impl Drop for AftClient {
 
 impl std::fmt::Debug for AftClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let addr = match &self.endpoint {
+            Endpoint::Addr(addr) => addr.to_string(),
+            Endpoint::Pipe(_) => "pipe".to_owned(),
+        };
         f.debug_struct("AftClient")
-            .field("addr", &self.addr)
+            .field("addr", &addr)
             .field("pool_size", &self.slots.len())
-            .field("chaos", &self.chaos.is_some())
+            .field("hook", &self.config.hook.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -815,7 +881,7 @@ mod tests {
         assert_eq!(built.pool_size, defaults.pool_size);
         assert_eq!(built.request_timeout, defaults.request_timeout);
         assert_eq!(built.rng_seed, defaults.rng_seed);
-        assert!(built.chaos.is_none());
+        assert!(built.hook.is_none());
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! with per-transaction node affinity), encodes the response once, straight
 //! into its wire frame, and writes it. A request never crosses threads:
 //! there is no hand-off to wake, and thread count is `workers` while
-//! connections scale to thousands. See [`crate::event_loop`] for the
-//! per-connection state machine.
+//! connections scale to thousands. Every connection's protocol is a
+//! sans-I/O session, which a client's in-memory pipe drives too
+//! ([`ClientBuilder::pipe`](crate::ClientBuilder::pipe)): there each
+//! request runs on its caller's thread.
 //!
 //! A connection's requests run one at a time, in arrival order, so its
 //! pipelined responses come back in the order they were sent. Requests on
@@ -90,8 +92,9 @@ use aft_types::{AftError, AftResult, Key, TransactionId, Uuid, Value};
 use parking_lot::{Condvar, Mutex};
 
 use crate::buffer::BufferPool;
-use crate::event_loop::{self, EventSnapshot, EventStats, ReactorHandle};
-use crate::stats::ServiceStats;
+use crate::event_loop::{self, ReactorHandle};
+use crate::session::READ_CHUNK;
+use crate::stats::{EventSnapshot, EventStats, ServiceStats};
 
 /// Tuning of an [`AftServer`]; built with [`AftServer::builder`].
 #[derive(Debug, Clone)]
@@ -251,8 +254,8 @@ impl ServerBuilder {
     }
 }
 
-/// Decides the fate of each outgoing response — the server-side chaos/test
-/// hook. Returning `false` drops the response *and resets the connection*,
+/// Decides the fate of each outgoing response — the server-side test hook.
+/// Returning `false` drops the response *and resets the connection*,
 /// reproducing a server that did the work and then died before the
 /// acknowledgement flushed (§4.2's window, from the server's side).
 pub trait ResponseFilter: Send + Sync {
@@ -425,16 +428,16 @@ pub(crate) struct ServerShared {
     pub(crate) config: ServerConfig,
     /// One per reactor thread, indexed like them.
     pub(crate) reactors: Vec<ReactorHandle>,
-    /// Requests queued to run, summed over the reactors: what admission
+    /// Requests queued to run, summed over the drivers: what admission
     /// control and `queue_capacity` read.
     pub(crate) depth: AtomicUsize,
     ledger: Mutex<CommitLedger>,
     ledger_cv: Condvar,
     affinity: Mutex<AffinityMap>,
     pub(crate) filter: Mutex<Option<Arc<dyn ResponseFilter>>>,
-    /// Socket I/O counters, summed over the reactors.
+    /// Connection I/O counters, summed over the sessions.
     pub(crate) event_stats: EventStats,
-    /// Frame buffers, shared by the reactors.
+    /// Frame buffers, shared by the sessions.
     pub(crate) pool: BufferPool,
     /// Monotonic connection ids: the fair-queuing lane keys, and the round
     /// robin that gives each connection its reactor.
@@ -443,6 +446,87 @@ pub(crate) struct ServerShared {
 }
 
 impl ServerShared {
+    /// A server's state over `cluster`, driven by `reactors` (none for
+    /// pipes).
+    pub(crate) fn new(
+        cluster: Arc<Cluster>,
+        config: ServerConfig,
+        reactors: Vec<ReactorHandle>,
+    ) -> Arc<ServerShared> {
+        Arc::new(ServerShared {
+            cluster,
+            stats: Arc::new(ServiceStats::default()),
+            reactors,
+            depth: AtomicUsize::new(0),
+            ledger: Mutex::new(CommitLedger::new(config.dedup_capacity)),
+            ledger_cv: Condvar::new(),
+            affinity: Mutex::new(AffinityMap::new(config.affinity_capacity)),
+            filter: Mutex::new(None),
+            event_stats: EventStats::default(),
+            pool: BufferPool::new(READ_CHUNK * 4, config.slab_capacity.min(4096)),
+            next_conn_id: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+            config,
+        })
+    }
+
+    /// A request to run leaves a driver's queue, reactor `own`'s if any.
+    /// When that takes the depth below capacity the other reactors wake: a
+    /// connection paused there may now have room.
+    pub(crate) fn dequeued(&self, own: Option<usize>) {
+        if self.depth.fetch_sub(1, Ordering::AcqRel) == self.config.queue_capacity.max(1) {
+            let others = self.reactors.iter().enumerate();
+            others
+                .filter(|(i, _)| own != Some(*i))
+                .for_each(|(_, r)| r.wake());
+        }
+    }
+
+    /// The job step both drivers take on each job they dequeue, reactor
+    /// `own`'s if any: an answer decided at read time passes as is; a
+    /// request that waited past the queue deadline is shed, any other
+    /// executed; then the response filter decides whether the answer is
+    /// delivered. `None`: the filter ate the ack, and the driver resets the
+    /// connection.
+    pub(crate) fn run_job(
+        &self,
+        own: Option<usize>,
+        request_id: u64,
+        work: Work,
+        enqueued: Instant,
+    ) -> Option<WireResponse> {
+        let request = match work {
+            Work::Answer(response) => return Some(response),
+            Work::Run(request) => request,
+        };
+        self.dequeued(own);
+        let deadline = self.config.queue_deadline;
+        // Shedding is safe by construction: nothing was applied and nothing
+        // acked, so the client's retry is the first execution, not a
+        // duplicate.
+        let response = if !deadline.is_zero() && enqueued.elapsed() > deadline {
+            self.stats.record_shed();
+            WireResponse::Error(AftError::Overloaded(format!(
+                "request shed after waiting past the {deadline:?} queue deadline"
+            )))
+        } else {
+            let response = self.execute(&request);
+            if matches!(response, WireResponse::Error(_)) {
+                self.stats.record_error();
+            }
+            response
+        };
+        let filter = self.filter.lock().clone();
+        if filter.is_none_or(|f| f.deliver(request_id, &response)) {
+            return Some(response);
+        }
+        // The work (if any) is done and durable, the client never hears
+        // about it, and the connection resets — exactly the
+        // crash-after-commit interleaving.
+        self.stats.record_dropped_ack();
+        None
+    }
+
     /// The node pinned to `txid`, routing and pinning on first touch.
     fn node_for(&self, txid: &TransactionId) -> AftResult<Arc<AftNode>> {
         let mut affinity = self.affinity.lock();
@@ -601,21 +685,7 @@ impl AftServer {
         let reactors = (0..config.workers.max(1))
             .map(|_| ReactorHandle::new())
             .collect::<AftResult<Vec<_>>>()?;
-        let shared = Arc::new(ServerShared {
-            cluster,
-            stats: Arc::new(ServiceStats::default()),
-            reactors,
-            depth: AtomicUsize::new(0),
-            ledger: Mutex::new(CommitLedger::new(config.dedup_capacity)),
-            ledger_cv: Condvar::new(),
-            affinity: Mutex::new(AffinityMap::new(config.affinity_capacity)),
-            filter: Mutex::new(None),
-            event_stats: EventStats::default(),
-            pool: event_loop::frame_pool(config.slab_capacity),
-            next_conn_id: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            config,
-        });
+        let shared = ServerShared::new(cluster, config, reactors);
         let reactors = event_loop::spawn(&shared, listener)?;
         Ok(AftServer {
             shared,
@@ -647,8 +717,7 @@ impl AftServer {
         Some(self.shared.event_stats.snapshot(&self.shared.pool))
     }
 
-    /// Installs the response filter (chaos/test hook); replaces any prior
-    /// one.
+    /// Installs the response filter (test hook); replaces any prior one.
     pub fn install_response_filter(&self, filter: Arc<dyn ResponseFilter>) {
         *self.shared.filter.lock() = Some(filter);
     }

@@ -4,6 +4,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use aft_types::wire::WireStats;
 
+use crate::buffer::BufferPool;
+
 /// Monotonic counters of one serving endpoint. Cheap to bump from any
 /// thread; snapshotted into a [`WireStats`] for the `Stats` verb.
 #[derive(Debug, Default)]
@@ -87,6 +89,70 @@ impl ServiceStats {
             overload_rejections: self.overload_rejections.load(Ordering::Relaxed),
             shed_requests: self.shed_requests.load(Ordering::Relaxed),
             active_nodes,
+        }
+    }
+}
+
+/// Monotonic counters and gauges of the server's connection I/O, summed
+/// over its sessions.
+#[derive(Debug, Default)]
+pub(crate) struct EventStats {
+    pub(crate) conns_open: AtomicU64,
+    pub(crate) frames_read: AtomicU64,
+    pub(crate) frames_written: AtomicU64,
+    pub(crate) bytes_read: AtomicU64,
+    pub(crate) bytes_written: AtomicU64,
+    pub(crate) writev_calls: AtomicU64,
+    pub(crate) pauses: AtomicU64,
+    pub(crate) buffered_bytes: AtomicU64,
+}
+
+/// Point-in-time view of the server's socket I/O counters, exposed through
+/// [`AftServer::event_snapshot`](crate::AftServer::event_snapshot).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct EventSnapshot {
+    /// Connections currently open.
+    pub conns_open: u64,
+    /// Complete request frames decoded.
+    pub frames_read: u64,
+    /// Response frames fully flushed.
+    pub frames_written: u64,
+    /// Raw bytes read off connections.
+    pub bytes_read: u64,
+    /// Raw bytes written to connections.
+    pub bytes_written: u64,
+    /// Vectored write syscalls issued, one per flush of up to
+    /// `WRITE_BATCH` frames (`frames_written / writev_calls` is the realized
+    /// write-batching factor).
+    pub writev_calls: u64,
+    /// Times a connection paused on a full request queue (backpressure).
+    pub pauses: u64,
+    /// Response bytes queued awaiting flush right now.
+    pub buffered_bytes: u64,
+    /// Frame buffers sitting warm in the pool.
+    pub pooled_buffers: u64,
+    /// Fresh frame-buffer allocations ever made.
+    pub buffer_allocations: u64,
+    /// Frame buffers served from the pool instead of the allocator.
+    pub buffer_reuses: u64,
+}
+
+impl EventStats {
+    pub(crate) fn snapshot(&self, pool: &BufferPool) -> EventSnapshot {
+        let (buffer_allocations, buffer_reuses) = pool.counters();
+        EventSnapshot {
+            conns_open: self.conns_open.load(Ordering::Relaxed),
+            frames_read: self.frames_read.load(Ordering::Relaxed),
+            frames_written: self.frames_written.load(Ordering::Relaxed),
+            bytes_read: self.bytes_read.load(Ordering::Relaxed),
+            bytes_written: self.bytes_written.load(Ordering::Relaxed),
+            writev_calls: self.writev_calls.load(Ordering::Relaxed),
+            pauses: self.pauses.load(Ordering::Relaxed),
+            buffered_bytes: self.buffered_bytes.load(Ordering::Relaxed),
+            pooled_buffers: pool.pooled() as u64,
+            buffer_allocations,
+            buffer_reuses,
         }
     }
 }

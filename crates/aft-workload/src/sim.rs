@@ -21,13 +21,14 @@
 //! ([`CutStore`]), a node reaching a phase goes on, parks its commit while
 //! other steps run, or dies there ([`PhaseHook`]), and a batch of commit
 //! records one node sends another waits for a later round
-//! ([`PhaseHook::hold`]). After a storage crash the stepper restarts the
-//! cluster over the surviving storage and re-invokes every open attempt;
-//! after a kill it replaces the node only when none is left active.
-//! [`Seeded`] samples one schedule, never crashes, fails or parks, kills
-//! only where [`Seeded::kill`] says, and fails calls and holds batches only
-//! where [`Seeded::faults`]' spec does. [`Exhaustive`] is stateless model
-//! checking: it walks the choice tree depth first within a [`Scope`]'s
+//! ([`PhaseHook::hold`]), and a service client's request meets a reset or
+//! a late answer ([`PhaseHook::deliver`]). After a storage crash the
+//! stepper restarts the cluster over the surviving storage and re-invokes
+//! every open attempt; after a kill it replaces the node only when none is
+//! left active. [`Seeded`] samples one schedule, never crashes, fails or
+//! parks, kills only where [`Seeded::kill`] says, and fails calls, holds
+//! batches and faults requests only where [`Seeded::faults`]' spec does.
+//! [`Exhaustive`] is stateless model checking: it walks the choice tree depth first within a [`Scope`]'s
 //! budgets, replaying each schedule on a fresh cluster, and [`walk`] panics
 //! on a schedule that [`settle`] finds at fault, naming the choice list that
 //! [`Exhaustive::replay`] re-runs.
@@ -40,7 +41,7 @@ use aft_chaos::{ChaosSpec, FaultKind, FaultSchedule, Layer};
 use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
 use aft_core::bootstrap::{fetch_commit_records, warm_metadata_cache_checkpointed};
-use aft_core::{is_superseded, AftNode, CheckpointPolicy, MetadataCache, PhaseHook};
+use aft_core::{is_superseded, AftNode, CheckpointPolicy, MetadataCache, NetFault, PhaseHook};
 use aft_faas::FailurePoint::{AfterBody, BeforeBody, MidBody};
 use aft_faas::{FailureInjector, FailurePoint};
 use aft_storage::io::{IoConfig, IoEngine};
@@ -149,6 +150,11 @@ pub trait Schedule {
     /// Whether the batch `sender` sends `receiver` in dissemination round
     /// `round` waits for a later round ([`PhaseHook::hold`]).
     fn hold(&mut self, round: u64, sender: &str, receiver: &str) -> bool;
+    /// What the network does to a service client's next request, a `verb`
+    /// ([`PhaseHook::deliver`]); nothing unless a schedule says.
+    fn deliver(&mut self, _verb: &str) -> NetFault {
+        NetFault::None
+    }
     /// Whether the next commit may park, so it runs on a thread of its own.
     fn parks(&self) -> bool {
         false
@@ -158,8 +164,8 @@ pub trait Schedule {
 /// A sampled schedule: a round one step in [`MAINTENANCE_ONE_IN`], else a
 /// uniformly drawn busy client, from one seeded `StdRng`, the fates
 /// `injector` draws, the one kill [`Seeded::kill`] plans, and the transient
-/// storage faults and held batches of [`Seeded::faults`]' spec. It never
-/// duplicates, fails over, crashes, fails a call or parks.
+/// storage faults, held batches and request faults of [`Seeded::faults`]'
+/// spec. It never duplicates, fails over, crashes, fails a call or parks.
 pub struct Seeded {
     rng: StdRng,
     injector: Option<Arc<FailureInjector>>,
@@ -168,6 +174,39 @@ pub struct Seeded {
     /// it has answered while storage faults were on.
     faults: Option<(FaultSchedule, u64)>,
     storage_faults: bool,
+    /// Requests answered, and the faults among the answers.
+    requests: u64,
+    delivered: Delivered,
+}
+
+/// The request faults a [`Seeded`] schedule answered, by kind.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Delivered {
+    /// Connections reset before the request was sent.
+    pub resets_before_send: u64,
+    /// Connections reset after the send, before the answer (lost acks).
+    pub resets_after_send: u64,
+    /// Answers that arrived late.
+    pub delayed_acks: u64,
+}
+
+impl Delivered {
+    /// Every fault, of any kind.
+    pub fn total(&self) -> u64 {
+        self.resets_before_send + self.resets_after_send + self.delayed_acks
+    }
+}
+
+/// What the net leg's answer `kind` does to a request: a transient error is
+/// a reset before the send (dropped) or after it (applied), a timeout a
+/// late answer, by `delay`.
+fn net_fault(kind: FaultKind, delay: std::time::Duration) -> NetFault {
+    match kind {
+        FaultKind::TransientError { applied: false } => NetFault::ResetBeforeSend,
+        FaultKind::TransientError { applied: true } => NetFault::ResetAfterSend,
+        FaultKind::Timeout => NetFault::DelayAck(delay),
+        FaultKind::None | FaultKind::MidCrash => NetFault::None,
+    }
 }
 
 /// A planned kill: the victim, its phase, how many times the victim passes
@@ -189,13 +228,17 @@ impl Seeded {
             kill: None,
             faults: None,
             storage_faults: false,
+            requests: 0,
+            delivered: Delivered::default(),
         }
     }
 
-    /// Answers storage calls from `spec`'s storage leg and batches from its
-    /// partition leg. Call `n` of those made while storage faults are on
-    /// fails as [`FaultSchedule::decide`] says at index `n`; a batch waits
-    /// while [`FaultSchedule::edge_cut`] cuts its edge in its round. Storage
+    /// Answers storage calls from `spec`'s storage leg, batches from its
+    /// partition leg and requests from its net leg. Call `n` of those made
+    /// while storage faults are on fails as [`FaultSchedule::decide`] says
+    /// at index `n`; a batch waits while [`FaultSchedule::edge_cut`] cuts its
+    /// edge in its round; request `n` meets the net leg's answer at index
+    /// `n`: a reset before or after the send, or a late answer. Storage
     /// faults start off ([`Seeded::storage_faults`]).
     pub fn faults(mut self, spec: &ChaosSpec) -> Self {
         self.faults = Some((spec.schedule(), 0));
@@ -207,6 +250,11 @@ impl Seeded {
     /// fault-free.
     pub fn storage_faults(&mut self, on: bool) {
         self.storage_faults = on;
+    }
+
+    /// The request faults answered so far.
+    pub fn delivered(&self) -> Delivered {
+        self.delivered
     }
 
     /// Kills `victim` the `after + 1`th time it reaches `phase`, without a
@@ -252,6 +300,23 @@ impl Schedule for Seeded {
     fn hold(&mut self, round: u64, sender: &str, receiver: &str) -> bool {
         let faults = self.faults.as_ref();
         faults.is_some_and(|(schedule, _)| schedule.edge_cut(round, sender, receiver))
+    }
+
+    fn deliver(&mut self, _: &str) -> NetFault {
+        let Some((schedule, _)) = &self.faults else {
+            return NetFault::None;
+        };
+        self.requests += 1;
+        let kind = schedule.decide(Layer::Net, self.requests - 1, "");
+        let fault = net_fault(kind, schedule.net_chaos().delay);
+        let counted = &mut self.delivered;
+        match fault {
+            NetFault::ResetBeforeSend => counted.resets_before_send += 1,
+            NetFault::ResetAfterSend => counted.resets_after_send += 1,
+            NetFault::DelayAck(_) => counted.delayed_acks += 1,
+            NetFault::None => {}
+        }
+        fault
     }
 
     fn phase(&mut self, node: &str, phase: CommitPhase, _: bool) -> Answer {
@@ -517,6 +582,10 @@ impl<S: Schedule + Send> PhaseHook for Shared<S> {
     fn hold(&self, round: u64, sender: &str, receiver: &str) -> bool {
         self.0.lock().hold(round, sender, receiver)
     }
+
+    fn deliver(&self, verb: &str) -> NetFault {
+        self.0.lock().deliver(verb)
+    }
 }
 
 impl<S: Schedule> Schedule for &Shared<S> {
@@ -538,6 +607,10 @@ impl<S: Schedule> Schedule for &Shared<S> {
 
     fn hold(&mut self, round: u64, sender: &str, receiver: &str) -> bool {
         self.0.lock().hold(round, sender, receiver)
+    }
+
+    fn deliver(&mut self, verb: &str) -> NetFault {
+        self.0.lock().deliver(verb)
     }
 
     fn parks(&self) -> bool {
@@ -1121,6 +1194,8 @@ fn expect_retryable(e: &AftError) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aft_chaos::NetChaos;
+    use std::time::Duration;
 
     fn two_writers() -> Vec<Vec<Request>> {
         vec![vec![request("w a")], vec![request("w b")]]
@@ -1196,6 +1271,56 @@ mod tests {
             assert_eq!(restarts > 0, scope.crashes > 0, "{scope:?}");
             assert_eq!(spent, budgets(scope).map(|b| b > 0), "{scope:?}");
         }
+    }
+
+    const DELAY: Duration = Duration::from_millis(2);
+
+    fn resets_and_delays(seed: u64, reset: f64, delay_rate: f64) -> ChaosSpec {
+        ChaosSpec::new(seed).net(NetChaos::resets_and_delays(reset, delay_rate, DELAY))
+    }
+
+    #[test]
+    fn identical_seeds_produce_identical_fault_sequences() {
+        let answers = |seed| {
+            let mut schedule = Seeded::new(seed, None).faults(&resets_and_delays(seed, 0.3, 0.2));
+            (0..200)
+                .map(|_| schedule.deliver("commit"))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(answers(7), answers(7));
+        assert_ne!(answers(7), answers(8), "seeds steer the schedule");
+        // Request `n` meets the net leg's answer at index `n`, whatever its
+        // verb.
+        let legacy = resets_and_delays(7, 0.3, 0.2).schedule();
+        let legacy = legacy.materialize(Layer::Net, 200, "").into_iter();
+        assert_eq!(
+            answers(7),
+            legacy
+                .map(|kind| net_fault(kind, DELAY))
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn rates_map_to_the_right_fault_kinds() {
+        let mut schedule = Seeded::new(3, None).faults(&resets_and_delays(3, 0.5, 0.5));
+        let faults: Vec<NetFault> = (0..400).map(|_| schedule.deliver("get")).collect();
+        let delivered = schedule.delivered();
+        assert!(delivered.resets_before_send > 0);
+        assert!(delivered.resets_after_send > 0, "lost acks occur");
+        assert!(delivered.delayed_acks > 0);
+        let injected = faults.iter().filter(|f| **f != NetFault::None).count();
+        assert_eq!(delivered.total(), injected as u64);
+        assert_eq!(schedule.requests, 400);
+    }
+
+    #[test]
+    fn zero_rates_inject_nothing() {
+        let mut schedule = Seeded::new(1, None).faults(&ChaosSpec::new(1));
+        for _ in 0..100 {
+            assert_eq!(schedule.deliver("ping"), NetFault::None);
+        }
+        assert_eq!(schedule.delivered().total(), 0);
     }
 
     #[test]
