@@ -85,14 +85,13 @@ struct Conn {
 
 /// The queue entry of a request a session on `slot` queued.
 fn job(slot: usize, generation: u64, conn: u64, request_id: u64, work: Work) -> Job {
-    let enqueued = Instant::now();
     Job {
         slot,
         generation,
         conn,
         request_id,
         work,
-        enqueued,
+        enqueued: Instant::now(),
     }
 }
 

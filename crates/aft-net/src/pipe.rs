@@ -92,12 +92,6 @@ impl Pipe {
     }
 }
 
-impl Drop for Pipe {
-    fn drop(&mut self) {
-        self.close();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
