@@ -23,8 +23,8 @@
 //! *virtual* milliseconds — deterministic, and independent of host speed.
 //!
 //! A second leg replays the sweep while every node's phase hook, a
-//! [`Seeded`] schedule, holds each batch sent over an edge that a seeded
-//! [`PartitionChaos`] edge-cut severs (§4.2's "broadcast lost" window,
+//! [`Seeded`] schedule, holds each batch sent over an edge that its seeded
+//! edge-cut ([`Seeded::partition`]) severs (§4.2's "broadcast lost" window,
 //! scaled to a metadata partition): deliveries park on retry queues while
 //! the cut holds, and after the heal the leg must converge with **zero**
 //! lost commits and **zero** unaccounted records.
@@ -33,7 +33,6 @@
 
 use std::sync::Arc;
 
-use aft_chaos::{ChaosSpec, PartitionChaos};
 use aft_cluster::{broadcast_round, BroadcastStats, Disseminator};
 use aft_core::{AftNode, NodeConfig, PhaseHook};
 use aft_storage::{InMemoryStore, SharedStorage};
@@ -530,12 +529,8 @@ fn run_cell(
 }
 
 fn run_partition_leg(nodes: usize, config: &DisseminationBenchConfig) -> PartitionLeg {
-    let spec = ChaosSpec::new(config.seed).partition(PartitionChaos::cut(
-        config.cut_fraction,
-        0,
-        config.cut_rounds,
-    ));
-    let holds = Shared::new(Seeded::new(config.seed, None).faults(&spec));
+    let holds = Seeded::new(config.seed, None).partition(config.cut_fraction, 0..config.cut_rounds);
+    let holds = Shared::new(holds);
     let cluster = virtual_cluster(nodes, config.seed ^ 0x9A47, Some(holds));
     let d = Disseminator::default();
 

@@ -41,7 +41,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aft_chaos::{ChaosSpec, NetChaos};
 use aft_cluster::Cluster;
 use aft_core::api::AftApi;
 use aft_storage::io::RetryConfig;
@@ -767,12 +766,12 @@ pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
 
     // Chaos leg: connection faults layered on top of 4× saturation. The
     // protection stack and the lost-ack machinery must both hold at once.
-    let spec = ChaosSpec::new(config.seed ^ 0x0C4A05).net(NetChaos::resets_and_delays(
+    let schedule = Seeded::new(config.seed ^ 0x0C4A05, None).resets(
         config.reset_rate,
         config.delay_rate,
         Duration::from_millis(1),
-    ));
-    let schedule = Shared::new(Seeded::new(spec.seed, None).faults(&spec));
+    );
+    let schedule = Shared::new(schedule);
     let chaos_options = ServeOptions {
         hook: Some(schedule.clone()),
         ..options
@@ -784,7 +783,7 @@ pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
     let api = Recorder::wrap(handle.client.clone(), Arc::clone(&history), None);
     let outcome = run_leg(&api, threads, config.point_duration, target_rps);
     let verdict = settled_verdict(&cluster, &history.attempts());
-    let injector = schedule.lock().delivered();
+    let delivered = schedule.lock().delivered();
     let stats = handle.server.stats();
     let chaos = OverloadChaosLeg {
         committed: outcome.committed,
@@ -792,8 +791,8 @@ pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
         failed: outcome.failed,
         anomalies: verdict.anomalies(),
         lost_acked_commits: verdict.lost_acked_writes,
-        resets: injector.resets_before_send + injector.resets_after_send,
-        delayed_acks: injector.delayed_acks,
+        resets: delivered.resets_before_send + delivered.resets_after_send,
+        delayed_acks: delivered.delayed_acks,
         overload_rejections: stats.overload_rejections,
         shed_requests: stats.shed_requests,
     };

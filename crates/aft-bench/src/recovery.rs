@@ -29,15 +29,16 @@
 //! [`CutStore`]. The trial's one schedule answers every storage call, every
 //! dissemination batch, every request a service client sends and every
 //! commit phase: it fails calls transiently, holds batches and resets or
-//! delays requests where the trial's spec says ([`Seeded::faults`]), and
+//! delays requests at its fault legs' seeded rates ([`Seeded::transients`],
+//! [`Seeded::resets`], [`Seeded::partition`]), and
 //! kills one node mid-commit ([`Seeded::kill`]); then the trial
 //! drives recovery and verifies the invariants: read atomicity and lost
 //! acknowledged writes by [`aft_workload::history`]'s checker over what the
 //! clients saw, and recovery against ground truth read straight from
 //! storage. One thread runs the load on [`aft_workload::sim`]'s seeded
 //! stepper, so the harness, not the OS, chooses the interleaving. Every
-//! layer's faults — storage, network, platform — derive from one
-//! [`ChaosSpec`] seed, and the kill from the cell, so `aft-bench
+//! layer's faults — storage, network, platform — derive from the trial's
+//! seed, and the kill from the cell, so `aft-bench
 //! fig10_recovery --seed N` replays the run, counts included, and `--mode M
 //! --seed N` replays exactly the `M` cells of that matrix, up to the step a
 //! failing cell names. In the networked modes the clients speak the wire
@@ -52,11 +53,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use aft_chaos::{ChaosSpec, FaasChaos, NetChaos, PartitionChaos, StorageChaos};
 use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
 use aft_core::{CommitPhase, NodeConfig};
-use aft_faas::FailureInjector;
+use aft_faas::{FaasChaos, FailureInjector};
 use aft_net::AftClient;
 use aft_storage::{BackendKind, CutStore, StorageEngine};
 use aft_types::clock::TickingClock;
@@ -70,8 +70,8 @@ use crate::report::{percentile_ms, Table};
 use crate::setup::{settled_verdict, virtual_backend};
 
 /// The fault modes of the matrix: one network-side mode, one cross-layer
-/// mode that fires every layer of the unified [`ChaosSpec`] in the same
-/// trial, and a metadata partition. Storage faults alone are the walked
+/// mode that fires every fault leg of one schedule in the same trial, and a
+/// metadata partition. Storage faults alone are the walked
 /// scopes' cuts ([`aft_workload::sim`]), which reach every crash and failed
 /// call exhaustively. Each mode's discriminant is its place on the matrix's
 /// original six-mode axis, which seeds its cells.
@@ -124,34 +124,34 @@ impl FaultMode {
         FaultMode::ALL.iter().copied().find(|m| m.label() == label)
     }
 
-    /// The unified fault schedule of this mode for one trial seed. Every
-    /// leg an injector consumes in the trial comes from this one spec, so
-    /// replaying the seed replays every layer.
-    fn chaos_spec(&self, seed: u64) -> ChaosSpec {
-        let spec = ChaosSpec::new(seed);
+    /// Whether this mode's clients reach the cluster through the service
+    /// client, whose requests the schedule resets and delays.
+    fn networked(&self) -> bool {
+        matches!(self, FaultMode::Network | FaultMode::CrossLayer)
+    }
+
+    /// This mode's schedule for one trial seed: every fault leg, and the
+    /// platform's fates, draw from `seed`, so replaying the seed replays
+    /// every layer. The stepper's own stream is decorrelated from the
+    /// nodes' UUID streams, which the same seed also starts.
+    fn schedule(&self, seed: u64) -> Seeded {
+        // All layers, each at roughly half its single-layer rate so the
+        // compounded retry pressure stays inside the budgets.
+        let fates = FailureInjector::new(seed, FaasChaos::uniform(0.06));
+        let fates = (*self == FaultMode::CrossLayer).then(|| Arc::new(fates));
+        let schedule = Seeded::new(seed ^ 0x57E9, fates).faults(seed);
+        let delay = Duration::from_millis(1);
         match self {
             // Network mode injects at the connection, not at storage.
-            FaultMode::Network => spec.net(NetChaos::resets_and_delays(
-                0.06,
-                0.03,
-                Duration::from_millis(1),
-            )),
-            // All layers, each at roughly half its single-layer rate so the
-            // compounded retry pressure stays inside the budgets: 4% of
-            // storage ops fail transiently, half of them applied first.
-            FaultMode::CrossLayer => spec
-                .storage(StorageChaos::transient_errors(0.04))
-                .net(NetChaos::resets_and_delays(
-                    0.04,
-                    0.02,
-                    Duration::from_millis(1),
-                ))
-                .faas(FaasChaos::uniform(0.06)),
+            FaultMode::Network => schedule.resets(0.06, 0.03, delay),
+            // 4% of storage ops fail transiently, half of them applied
+            // first.
+            FaultMode::CrossLayer => schedule.transients(0.04).resets(0.04, 0.02, delay),
             // Half the dissemination edges go dark for rounds [0, 6) after
             // arming — long enough that live commit traffic parks on the
             // cut, short enough that the heal lands well inside the
             // recovery drive's round budget.
-            FaultMode::Partition => spec.partition(PartitionChaos::cut(0.5, 0, 6)),
+            FaultMode::Partition => schedule.partition(0.5, 0..6),
         }
     }
 }
@@ -564,49 +564,39 @@ fn requests(config: &RecoveryConfig) -> Vec<Vec<Request>> {
         .collect()
 }
 
-/// One trial's deployment: every layer the trial's single [`ChaosSpec`]
-/// arms, built fault-free.
+/// One trial's deployment: every layer the trial's one schedule answers,
+/// built fault-free.
 struct Trial {
     cluster: Arc<Cluster>,
     /// Storage as every node sees it, cut where the schedule says.
     storage: Arc<CutStore>,
-    /// A service client piped into the cluster, when the spec has a net
-    /// leg: the schedule resets its connections (including in the lost-ack
-    /// window) and delays its acks.
+    /// A service client piped into the cluster, in a networked trial: the
+    /// schedule resets its connections (including in the lost-ack window)
+    /// and delays its acks.
     client: Option<Arc<AftClient>>,
-    /// The load's schedule, which storage and every node's phase hook ask
-    /// too: its storage faults are on only during the load, and its kill and
-    /// held batches reach the recovery drive.
+    /// The load's schedule, which storage, every node's phase hook and the
+    /// client ask too: its storage faults are on only during the load, and
+    /// its kill and held batches reach the recovery drive.
     schedule: Arc<Shared<Seeded>>,
-    /// Platform failure points around the request bodies, when the spec has
-    /// a faas leg.
-    injector: Option<Arc<FailureInjector>>,
 }
 
 impl Trial {
-    /// Builds backend → [`CutStore`] → cluster → (net leg) piped client,
-    /// all asking one schedule that answers from `spec`; `kill` is the
-    /// victim's phase and after-count. The schedule's storage faults start
-    /// off, so construction can never fail on an injected fault whatever the
-    /// seed; [`run_trial`] switches them on for the load and off again to
-    /// verify.
+    /// Builds backend → [`CutStore`] → cluster → (when `networked`) piped
+    /// client, all asking `schedule`, from `seed`. The schedule's storage
+    /// faults start off, so construction can never fail on an injected
+    /// fault whatever the seed; [`run_trial`] switches them on for the load
+    /// and off again to verify.
     fn set_up(
         backend: BackendKind,
-        spec: &ChaosSpec,
-        kill: Option<(CommitPhase, u64)>,
+        seed: u64,
+        schedule: Seeded,
+        networked: bool,
         config: &RecoveryConfig,
     ) -> Trial {
         // Injected latency is charged, never slept, like the backend's own:
         // the whole matrix runs in seconds.
-        let injector = (!spec.faas.is_quiet()).then(|| Arc::new(FailureInjector::from_spec(spec)));
-        // The stepper's stream is decorrelated from the nodes' UUID streams,
-        // which the same seed also starts.
-        let mut schedule = Seeded::new(spec.seed ^ 0x57E9, injector.clone()).faults(spec);
-        if let Some((phase, after)) = kill {
-            schedule = schedule.kill("aft-node-1", phase, after);
-        }
         let schedule = Shared::new(schedule);
-        let storage = CutStore::new(virtual_backend(backend, spec.seed), schedule.clone());
+        let storage = CutStore::new(virtual_backend(backend, seed), schedule.clone());
         // GC stays off so the durable Transaction Commit Set remains the
         // complete ground truth the post-recovery verification compares
         // against. (Checkpoints are still written on their cadence — log
@@ -617,7 +607,7 @@ impl Trial {
                 // No data cache: reads must survive storage faults, not
                 // hide behind a warm cache.
                 data_cache_bytes: 0,
-                rng_seed: spec.seed,
+                rng_seed: seed,
                 checkpoint: aft_core::CheckpointPolicy::every_commits(TRIAL_CHECKPOINT_EVERY),
                 phase_hook: Some(schedule.clone()),
                 ..NodeConfig::default()
@@ -632,7 +622,7 @@ impl Trial {
             TickingClock::shared(1_000, 1),
         )
         .expect("fault-free construction: storage faults are off until the load starts");
-        let client = (!spec.net.is_quiet()).then(|| {
+        let client = networked.then(|| {
             AftClient::builder()
                 .pool_size(config.clients.max(2))
                 .retry(aft_storage::io::RetryConfig {
@@ -640,7 +630,7 @@ impl Trial {
                     base_backoff: Duration::from_micros(200),
                     max_backoff: Duration::from_millis(2),
                 })
-                .rng_seed(spec.seed ^ 0x5DC)
+                .rng_seed(seed ^ 0x5DC)
                 .phase_hook(schedule.clone())
                 .pipe(Arc::clone(&cluster))
         });
@@ -649,7 +639,6 @@ impl Trial {
             storage,
             client,
             schedule,
-            injector,
         }
     }
 }
@@ -668,10 +657,10 @@ impl Deployment for Trial {
     }
 }
 
-/// Runs one trial of one cell and verifies its invariants. One spec per
+/// Runs one trial of one cell and verifies its invariants. One schedule per
 /// trial: every fault — storage, connection, platform, partition — derives
-/// from it, and the node kill from the cell, so the seed replays all of
-/// them.
+/// from its seed, and the node kill from the cell, so the seed replays all
+/// of them.
 fn run_trial(
     backend: BackendKind,
     fault_mode: FaultMode,
@@ -680,9 +669,11 @@ fn run_trial(
     config: &RecoveryConfig,
 ) -> TrialResult {
     // The victim dies mid-commit partway through the load.
-    let spec = fault_mode.chaos_spec(trial_seed);
-    let kill = (kill_point, kill_delay(kill_point, config));
-    let trial = Trial::set_up(backend, &spec, Some(kill), config);
+    let after = kill_delay(kill_point, config);
+    let schedule = fault_mode.schedule(trial_seed);
+    let schedule = schedule.kill("aft-node-1", kill_point, after);
+    let networked = fault_mode.networked();
+    let trial = Trial::set_up(backend, trial_seed, schedule, networked, config);
     let cluster = &trial.cluster;
     let billed = trial.storage.stats().snapshot();
     trial.schedule.lock().storage_faults(true);
@@ -709,7 +700,10 @@ fn run_trial(
     let active = cluster.active_nodes();
     let io_retries =
         active.iter().map(|n| n.io().stats().retries).sum::<u64>() + cluster.io().stats().retries;
-    let request_faults = trial.schedule.lock().delivered().total();
+    let (request_faults, failed_invocations) = {
+        let schedule = trial.schedule.lock();
+        (schedule.delivered().total(), schedule.failed_invocations())
+    };
     let verdict = settled_verdict(cluster, &load.history);
 
     TrialResult {
@@ -735,7 +729,7 @@ fn run_trial(
         faults_injected: trial.storage.transients()
             + cluster.disseminator().totals().link_drops as u64
             + request_faults
-            + trial.injector.as_ref().map_or(0, |i| i.injected()),
+            + failed_invocations,
         storage_calls,
     }
 }
@@ -887,23 +881,25 @@ pub(crate) fn outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aft_chaos::Layer;
+    use aft_core::NetFault;
+    use aft_storage::Cut;
     use aft_types::{TransactionId, TransactionRecord};
     use aft_workload::history;
-    use aft_workload::sim::{Exhaustive, Scope};
+    use aft_workload::sim::{Exhaustive, Schedule, Scope};
 
     fn acked(load: &sim::Run) -> Vec<TransactionId> {
         load.history.iter().filter_map(Attempt::acked).collect()
     }
 
+    /// A trial on the memory row whose schedule injects nothing.
+    fn quiet_trial() -> Trial {
+        let (schedule, config) = (Seeded::new(7, None), &RecoveryConfig::tiny());
+        Trial::set_up(BackendKind::Memory, 7, schedule, false, config)
+    }
+
     #[test]
     fn the_one_request_body_acks_atomically_and_durably_on_a_node_and_over_the_wire() {
-        let mut trial = Trial::set_up(
-            BackendKind::Memory,
-            &ChaosSpec::new(7),
-            None,
-            &RecoveryConfig::tiny(),
-        );
+        let mut trial = quiet_trial();
         for over_the_wire in [false, true] {
             if over_the_wire {
                 trial.client = Some(AftClient::builder().pipe(Arc::clone(&trial.cluster)));
@@ -933,12 +929,7 @@ mod tests {
     #[test]
     fn the_stepper_is_a_pure_function_of_its_seed() {
         let load = |seed| {
-            let trial = Trial::set_up(
-                BackendKind::Memory,
-                &ChaosSpec::new(7),
-                None,
-                &RecoveryConfig::tiny(),
-            );
+            let trial = quiet_trial();
             let clients = requests(&RecoveryConfig::tiny());
             let schedule = &mut Seeded::new(seed, None);
             sim::run(&trial, clients, schedule)
@@ -953,8 +944,7 @@ mod tests {
     fn an_after_body_failure_commits_the_request_twice() {
         // The first invocation dies after its body (its fate's fourth
         // option), the second runs clean.
-        let spec = ChaosSpec::new(7);
-        let trial = Trial::set_up(BackendKind::Memory, &spec, None, &RecoveryConfig::tiny());
+        let trial = quiet_trial();
         let cluster = &trial.cluster;
         let client = vec![requests(&RecoveryConfig::tiny())[0][0].clone()];
         let scope = Scope {
@@ -984,11 +974,14 @@ mod tests {
 
     #[test]
     fn set_up_succeeds_under_a_storage_leg_that_fails_every_operation() {
-        let broken = ChaosSpec::new(11).storage(StorageChaos::transient_errors(1.0));
-        for spec in [broken.clone(), broken.net(NetChaos::resets(0.05))] {
-            let kill = Some((CommitPhase::BeforeBroadcast, 0));
-            let trial = Trial::set_up(BackendKind::DynamoDb, &spec, kill, &RecoveryConfig::tiny());
-            assert_eq!(trial.client.is_some(), !spec.net.is_quiet());
+        for networked in [false, true] {
+            let broken = Seeded::new(11, None).transients(1.0);
+            let broken = broken.kill("aft-node-1", CommitPhase::BeforeBroadcast, 0);
+            let resets = if networked { 0.05 } else { 0.0 };
+            let broken = broken.resets(resets, 0.0, Duration::ZERO);
+            let config = &RecoveryConfig::tiny();
+            let trial = Trial::set_up(BackendKind::DynamoDb, 11, broken, networked, config);
+            assert_eq!(trial.client.is_some(), networked);
             assert_eq!(
                 trial.cluster.active_nodes().len(),
                 RecoveryConfig::tiny().nodes
@@ -1053,22 +1046,24 @@ mod tests {
 
     #[test]
     fn cross_layer_mode_arms_every_layer_from_one_seed() {
-        let spec = FaultMode::CrossLayer.chaos_spec(0xF1610);
-        assert!(!spec.storage.is_quiet());
-        assert!(!spec.net.is_quiet());
-        assert!(!spec.faas.is_quiet());
-        // The schedule is a pure function of (seed, layer, op index, key):
-        // re-deriving it from the same seed replays every layer's decisions
+        // Every leg answers from the trial seed alone: re-deriving the
+        // schedule from the same seed replays every layer's answers
         // bit-identically — the property `--seed N` relies on.
-        let a = spec.schedule();
-        let b = FaultMode::CrossLayer.chaos_spec(0xF1610).schedule();
-        for layer in [Layer::Storage, Layer::Net, Layer::Faas] {
-            assert_eq!(
-                a.materialize(layer, 64, "chaos/k00"),
-                b.materialize(layer, 64, "chaos/k00"),
-                "layer {layer:?} must replay identically"
-            );
-        }
+        let answers = || {
+            let mut schedule = FaultMode::CrossLayer.schedule(0xF1610);
+            schedule.storage_faults(true);
+            let mut answer = |_| (schedule.cut(1), schedule.deliver("commit"), schedule.fate());
+            (0..400).map(&mut answer).collect::<Vec<_>>()
+        };
+        let first = answers();
+        assert_eq!(answers(), first);
+        assert!(first.iter().any(|(cut, ..)| *cut != Cut::Pass), "storage");
+        assert!(
+            first.iter().any(|(_, net, _)| *net != NetFault::None),
+            "net"
+        );
+        assert!(first.iter().any(|(.., fate)| fate.is_some()), "faas");
+        assert!(FaultMode::CrossLayer.networked());
     }
 
     #[test]
@@ -1131,12 +1126,7 @@ mod tests {
 
     #[test]
     fn recovery_converges_quickly_when_nothing_is_wrong() {
-        let trial = Trial::set_up(
-            BackendKind::Memory,
-            &ChaosSpec::new(7),
-            None,
-            &RecoveryConfig::tiny(),
-        );
+        let trial = quiet_trial();
         let outcome = drive_recovery(&trial.cluster, 10);
         assert!(outcome.converged);
         assert_eq!(outcome.replaced_nodes, 0);

@@ -35,7 +35,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aft_chaos::{ChaosSpec, NetChaos};
 use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
 use aft_faas::{FaasPlatform, PlatformConfig, RetryPolicy};
@@ -726,12 +725,12 @@ pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
 
     // Chaos leg: one deployment, seeded connection faults, then the
     // checker grades every call the SDK made and what the cluster serves.
-    let spec = ChaosSpec::new(config.seed ^ 0xC4A05).net(NetChaos::resets_and_delays(
+    let schedule = Seeded::new(config.seed ^ 0xC4A05, None).resets(
         config.reset_rate,
         config.delay_rate,
         Duration::from_millis(1),
-    ));
-    let schedule = Shared::new(Seeded::new(spec.seed, None).faults(&spec));
+    );
+    let schedule = Shared::new(schedule);
     let chaos_options = ServeOptions {
         hook: Some(schedule.clone()),
         retry: RetryConfig {
@@ -754,7 +753,7 @@ pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
     )
     .expect("chaos closed-loop run");
 
-    let injector = schedule.lock().delivered();
+    let delivered = schedule.lock().delivered();
     let client_stats = handle.client.stats();
     // The preload's commits are in the history too: they are acked as well.
     let attempts = history.attempts();
@@ -763,9 +762,9 @@ pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
         completed: result.completed,
         failed: result.failed,
         anomalies: verdict.anomalies(),
-        resets_before_send: injector.resets_before_send,
-        resets_after_send: injector.resets_after_send,
-        delayed_acks: injector.delayed_acks,
+        resets_before_send: delivered.resets_before_send,
+        resets_after_send: delivered.resets_after_send,
+        delayed_acks: delivered.delayed_acks,
         acked_commits: attempts.iter().filter_map(Attempt::acked).count() as u64,
         lost_acked_commits: verdict.lost_acked_writes,
         duplicate_acks: client_stats.duplicate_acks,

@@ -19,7 +19,7 @@
 //! * the paper's figures at the test size ([`crate::experiments`]): Table
 //!   2's RYW and FR cells on its five rows, and Figure 9's deleted
 //!   transactions and live data versions with GC on and off;
-//! * the ten small scopes tier-1 walks whole ([`sim::walk`]): the
+//! * the eleven small scopes tier-1 walks whole ([`sim::walk`]): the
 //!   schedules each one has, those in which the checker finds a duplicate
 //!   request, and, where writes are cut, those that orphan data. A walk
 //!   panics on a schedule with an anomaly.
@@ -187,11 +187,15 @@ pub fn golden_script(kind: BackendKind) -> GoldenRun {
 /// one transient and one hold and no round until the drain: any one write
 /// fails transiently, dropped or landed with its acknowledgement lost, and
 /// the I/O engine retries it, and any one batch a drain round disseminates
-/// waits for the next.
-fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 10] {
+/// waits for the next. `net` runs the same two clients on two nodes through
+/// a piped service client with one reset: any one wire call — the writer's
+/// commit, or one of the reader's two reads and its commit — runs and loses
+/// its answer, and the client resends it (§4.2's lost acknowledgement; the
+/// server's dedup ledger answers a resent commit).
+fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 11] {
     let (writer, reader) = (request("w a, w b"), request("r a, r b"));
     let pair = vec![vec![writer.clone()], vec![reader.clone()]];
-    let transients = pair.clone();
+    let (transients, net) = (pair.clone(), pair.clone());
     let races = vec![vec![writer.clone(); 2], vec![reader.clone()]];
     let rmw = vec![vec![request("r a, w a, w b")]];
     let cut = vec![vec![writer, request("w a"), reader]];
@@ -253,6 +257,18 @@ fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 10] {
             Scope {
                 transients: 1,
                 holds: 1,
+                ..Scope::default()
+            },
+        ),
+        (
+            "net",
+            Shape {
+                piped: true,
+                ..Shape::nodes(2)
+            },
+            net,
+            Scope {
+                resets: 1,
                 ..Scope::default()
             },
         ),
@@ -531,7 +547,7 @@ mod tests {
     #[test]
     #[ignore = "minutes in release; nightly runs it"]
     fn nightly_scope_every_park_and_kill_of_two_writers_is_clean() {
-        let [.., (_, shape, _, mut scope), _] = scopes();
+        let [.., (_, shape, _, mut scope), _, _] = scopes();
         let clients = vec![vec![request("w a")], vec![request("w b")]];
         scope.rounds = 2;
         let walked = sim::walk(shape, &clients, scope);
@@ -543,8 +559,19 @@ mod tests {
     #[test]
     #[ignore = "seconds in release; nightly runs it"]
     fn nightly_scope_transients() {
-        let [.., (_, shape, clients, mut scope)] = scopes();
+        let [.., (_, shape, clients, mut scope), _] = scopes();
         scope.rounds = 2;
+        let walked = sim::walk(shape, &clients, scope);
+        println!("{shape:?}, {scope:?}: {walked:?}");
+    }
+
+    /// Nightly's lost-ack scope, too large for PR CI: the `net` scope with
+    /// a round among the clients' steps and two resets, 9 450 schedules.
+    #[test]
+    #[ignore = "seconds in release; nightly runs it"]
+    fn nightly_scope_net() {
+        let [.., (_, shape, clients, mut scope)] = scopes();
+        (scope.rounds, scope.resets) = (1, 2);
         let walked = sim::walk(shape, &clients, scope);
         println!("{shape:?}, {scope:?}: {walked:?}");
     }

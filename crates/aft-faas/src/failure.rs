@@ -1,5 +1,4 @@
-//! Failure injection — the platform-layer adapter of the unified
-//! [`aft_chaos`] fault schedule.
+//! Failure injection at the platform: a seeded fate for each invocation.
 //!
 //! The motivating example of §1 is a function that writes key `k`, fails, and
 //! never writes key `l` — exposing a fractional update to concurrent readers
@@ -9,21 +8,31 @@
 //! or *mid-body* via an explicit crash point that workload functions consult
 //! between their writes.
 //!
-//! Decisions come from the faas layer of an [`aft_chaos::ChaosSpec`]
-//! schedule — the same pure, seeded, order-independent machinery as the
-//! storage and net layers — so one seed replays a whole cross-layer trial,
-//! platform failures included. The mapping from the unified [`FaultKind`]s:
-//!
-//! * `TransientError { applied: false }` → [`FailurePoint::BeforeBody`]
-//!   (the invocation dies with no side effects);
-//! * `TransientError { applied: true }` → [`FailurePoint::AfterBody`]
-//!   (side effects applied, acknowledgement lost);
-//! * `MidCrash` → [`FailurePoint::MidBody`] (the body crashes between two
-//!   writes — the fractional-update hazard itself).
+//! Invocation `n`'s fate is drawn from its own stream of the injector's seed
+//! ([`fault_stream`]), against the rates of a [`FaasChaos`]: a function of the
+//! seed and `n` alone, so a seed replays the platform's failures whatever
+//! else the run asks. `aft_workload::sim::Seeded` draws its storage, network
+//! and partition answers from the same streams, each leg under a salt of its
+//! own, and takes its fates from an injector.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use aft_chaos::{ChaosSpec, FaasChaos, FaultKind, Layer, LayerSchedule};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// The faas leg's salt: decorrelates its stream from the other legs drawn
+/// from the same seed.
+const FAAS_SALT: u64 = 0xFAA5_0000_F417_0001;
+
+/// The stream answer `index` of the fault leg salted `salt` draws from under
+/// `seed`: SplitMix-style mixing, so an answer depends on its seed, leg and
+/// index alone, never on the order legs are asked in.
+pub fn fault_stream(seed: u64, salt: u64, index: u64) -> StdRng {
+    let stream = (seed ^ salt)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(index.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    StdRng::seed_from_u64(stream)
+}
 
 /// Where, relative to the function body, an injected failure strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,46 +49,90 @@ pub enum FailurePoint {
     MidBody,
 }
 
+/// Platform fault pressure (independent probabilities per invocation).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct FaasChaos {
+    /// Probability of failing before the body runs (no side effects).
+    pub before_body: f64,
+    /// Probability of failing after the body runs (side effects applied,
+    /// acknowledgement lost — retries must be idempotent).
+    pub after_body: f64,
+    /// Probability of a mid-body crash request (between two writes;
+    /// functions consume it at their crash points).
+    pub mid_body: f64,
+}
+
+impl FaasChaos {
+    /// No platform faults.
+    pub fn quiet() -> Self {
+        FaasChaos::default()
+    }
+
+    /// Fails each invocation with probability `p`, split evenly across the
+    /// three failure points.
+    pub fn uniform(p: f64) -> Self {
+        FaasChaos {
+            before_body: p / 3.0,
+            after_body: p / 3.0,
+            mid_body: p / 3.0,
+        }
+    }
+
+    /// True if this pressure can never fail anything.
+    pub fn is_quiet(&self) -> bool {
+        self.before_body <= 0.0 && self.after_body <= 0.0 && self.mid_body <= 0.0
+    }
+}
+
 /// A seeded failure injector shared by all invocations of a platform.
 #[derive(Debug)]
 pub struct FailureInjector {
-    layer: LayerSchedule,
+    seed: u64,
+    chaos: FaasChaos,
+    /// Invocations decided so far: the next one's stream index.
+    invocations: AtomicU64,
     /// Number of outstanding mid-body crash requests; workload functions
     /// consume them at their crash points.
     pending_mid_body: AtomicU64,
-    injected: AtomicU64,
 }
 
 impl FailureInjector {
-    /// Builds the injector over the faas layer of `spec`'s schedule.
-    pub fn from_spec(spec: &ChaosSpec) -> Self {
+    /// Fails invocations at `chaos`'s rates, drawn from `seed`.
+    pub fn new(seed: u64, chaos: FaasChaos) -> Self {
         FailureInjector {
-            layer: spec.layer(Layer::Faas),
+            seed,
+            chaos,
+            invocations: AtomicU64::new(0),
             pending_mid_body: AtomicU64::new(0),
-            injected: AtomicU64::new(0),
         }
     }
 
     /// An injector that never fails anything.
     pub fn disabled() -> Self {
-        Self::from_spec(&ChaosSpec::new(0))
+        Self::new(0, FaasChaos::quiet())
     }
 
     /// Decides whether (and where) this invocation fails.
     pub fn decide(&self) -> Option<FailurePoint> {
-        let point = match self.layer.decide_next("invoke") {
-            FaultKind::None | FaultKind::Timeout => None,
-            FaultKind::TransientError { applied: false } => Some(FailurePoint::BeforeBody),
-            FaultKind::TransientError { applied: true } => Some(FailurePoint::AfterBody),
-            FaultKind::MidCrash => Some(FailurePoint::MidBody),
+        let index = self.invocations.fetch_add(1, Ordering::Relaxed);
+        let c = &self.chaos;
+        if c.is_quiet() {
+            return None;
+        }
+        let draw: f64 = fault_stream(self.seed, FAAS_SALT, index).gen_range(0.0..1.0);
+        let point = if draw < c.before_body {
+            FailurePoint::BeforeBody
+        } else if draw < c.before_body + c.after_body {
+            FailurePoint::AfterBody
+        } else if draw < c.before_body + c.after_body + c.mid_body {
+            FailurePoint::MidBody
+        } else {
+            return None;
         };
-        if point == Some(FailurePoint::MidBody) {
+        if point == FailurePoint::MidBody {
             self.pending_mid_body.fetch_add(1, Ordering::Relaxed);
         }
-        if point.is_some() {
-            self.injected.fetch_add(1, Ordering::Relaxed);
-        }
-        point
+        Some(point)
     }
 
     /// Called by workload functions at their mid-body crash points (between
@@ -90,54 +143,40 @@ impl FailureInjector {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
             .is_ok()
     }
-
-    /// Total failures injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-
-    /// The injector's faas-layer tuning.
-    pub fn chaos(&self) -> FaasChaos {
-        self.layer.schedule().faas_chaos()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn uniform(seed: u64, p: f64) -> ChaosSpec {
-        ChaosSpec::new(seed).faas(FaasChaos::uniform(p))
+    fn fired(injector: &FailureInjector, n: usize) -> Vec<FailurePoint> {
+        (0..n).filter_map(|_| injector.decide()).collect()
     }
 
     #[test]
     fn disabled_injector_never_fires() {
         let injector = FailureInjector::disabled();
-        for _ in 0..100 {
-            assert_eq!(injector.decide(), None);
-        }
+        assert_eq!(fired(&injector, 100), []);
         assert!(!injector.should_crash_midway());
-        assert_eq!(injector.injected(), 0);
     }
 
     #[test]
     fn always_fail_plan_fires_every_time() {
-        let injector = FailureInjector::from_spec(&ChaosSpec::new(1).faas(FaasChaos {
-            before_body: 1.0,
-            after_body: 0.0,
-            mid_body: 0.0,
-        }));
-        for _ in 0..50 {
-            assert_eq!(injector.decide(), Some(FailurePoint::BeforeBody));
-        }
-        assert_eq!(injector.injected(), 50);
-        assert_eq!(injector.layer.ops_seen(), 50);
+        let injector = FailureInjector::new(
+            1,
+            FaasChaos {
+                before_body: 1.0,
+                ..FaasChaos::quiet()
+            },
+        );
+        assert_eq!(fired(&injector, 50), [FailurePoint::BeforeBody; 50]);
+        assert_eq!(injector.invocations.load(Ordering::Relaxed), 50);
     }
 
     #[test]
     fn uniform_plan_hits_roughly_the_requested_rate() {
-        let injector = FailureInjector::from_spec(&uniform(42, 0.3));
-        let fired = (0..10_000).filter(|_| injector.decide().is_some()).count();
+        let injector = FailureInjector::new(42, FaasChaos::uniform(0.3));
+        let fired = fired(&injector, 10_000).len();
         assert!(
             (2_400..3_600).contains(&fired),
             "expected ~3000 failures, got {fired}"
@@ -145,12 +184,28 @@ mod tests {
     }
 
     #[test]
+    fn faas_rates_map_to_the_right_fault_kinds() {
+        let injector = FailureInjector::new(3, FaasChaos::uniform(0.9));
+        let fates: Vec<_> = (0..600).map(|_| injector.decide()).collect();
+        for fate in [
+            Some(FailurePoint::BeforeBody),
+            Some(FailurePoint::AfterBody),
+            Some(FailurePoint::MidBody),
+            None,
+        ] {
+            assert!(fates.contains(&fate), "{fate:?}");
+        }
+    }
+
+    #[test]
     fn mid_body_requests_are_consumed_once() {
-        let injector = FailureInjector::from_spec(&ChaosSpec::new(7).faas(FaasChaos {
-            before_body: 0.0,
-            after_body: 0.0,
-            mid_body: 1.0,
-        }));
+        let injector = FailureInjector::new(
+            7,
+            FaasChaos {
+                mid_body: 1.0,
+                ..FaasChaos::quiet()
+            },
+        );
         assert_eq!(injector.decide(), Some(FailurePoint::MidBody));
         assert!(injector.should_crash_midway());
         assert!(!injector.should_crash_midway(), "each request crashes once");

@@ -3,8 +3,8 @@
 //! [`FaasPlatform::run_request`] executes a [`Composition`] for one logical
 //! request: each step is invoked with the platform's per-invocation overhead
 //! (and occasional cold start), subject to the platform-wide concurrency
-//! limit, with failures injected according to the configured
-//! [`FaasChaos`] layer. Failed requests are retried per the client's
+//! limit, with failures injected at the configured [`FaasChaos`] rates by
+//! the platform's [`FailureInjector`]. Failed requests are retried per the client's
 //! [`RetryPolicy`], restarting the composition from the first function with a
 //! fresh context — the retry-from-scratch model of existing serverless
 //! platforms that AFT is designed around (§7).
@@ -18,10 +18,8 @@ use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use aft_chaos::{ChaosSpec, FaasChaos};
-
 use crate::composition::{Composition, InvocationInfo};
-use crate::failure::{FailureInjector, FailurePoint};
+use crate::failure::{FaasChaos, FailureInjector, FailurePoint};
 use crate::retry::{RequestOutcome, RetryPolicy};
 use crate::stats::PlatformStats;
 
@@ -38,10 +36,9 @@ pub struct PlatformConfig {
     /// Maximum concurrently executing functions; 0 means unlimited. AWS
     /// Lambda's account-level cap is what limited the paper's Figure 8 run.
     pub concurrency_limit: usize,
-    /// Faas-layer fault pressure applied to every invocation (the faas leg
-    /// of the unified [`aft_chaos::ChaosSpec`]).
+    /// Fault pressure applied to every invocation, drawn from `seed`.
     pub chaos: FaasChaos,
-    /// RNG seed.
+    /// RNG seed, of the latency draws and of the failure injector.
     pub seed: u64,
 }
 
@@ -72,7 +69,7 @@ impl PlatformConfig {
         }
     }
 
-    /// Sets the faas-layer fault pressure.
+    /// Sets the platform's fault pressure.
     pub fn with_chaos(mut self, chaos: FaasChaos) -> Self {
         self.chaos = chaos;
         self
@@ -109,7 +106,7 @@ impl FaasPlatform {
         Arc::new(FaasPlatform {
             latency: LatencyModel::new(LatencyMode::Virtual, 1.0),
             rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
-            injector: FailureInjector::from_spec(&ChaosSpec::new(config.seed).faas(config.chaos)),
+            injector: FailureInjector::new(config.seed, config.chaos),
             stats: PlatformStats::new_shared(),
             active: AtomicU64::new(0),
             slot_lock: Mutex::new(0),

@@ -54,6 +54,7 @@ use aft_core::api::{AftApi, CommitOutcome};
 use aft_core::{NetFault, PhaseHook};
 use aft_storage::io::RetryConfig;
 use aft_storage::latency::charge;
+use aft_types::clock::TickingClock;
 use aft_types::wire::{decode_response, WireRequest, WireResponse, WireStats};
 use aft_types::{AftError, AftResult, Key, SharedClock, SystemClock, TransactionId, Uuid, Value};
 use parking_lot::Mutex;
@@ -132,7 +133,7 @@ impl ClientBuilder {
 
     /// The hook asked what the network does to each request
     /// ([`PhaseHook::deliver`]); a schedule of `aft_workload::sim` answers
-    /// it from a seeded spec's net leg.
+    /// it, from its seeded net leg or walking every reset.
     pub fn phase_hook(mut self, hook: Arc<dyn PhaseHook>) -> Self {
         self.config.hook = Some(hook);
         self
@@ -477,6 +478,13 @@ impl AftClient {
     }
 
     fn open(endpoint: Endpoint, config: ClientConfig) -> AftResult<Arc<AftClient>> {
+        // A piped client mints its ids from a clock of its own that ticks
+        // once a `begin`, so a run over pipes is a function of its callers'
+        // order alone, ids included.
+        let clock: SharedClock = match endpoint {
+            Endpoint::Addr(_) => SystemClock::shared(),
+            Endpoint::Pipe(_) => TickingClock::shared(1, 1),
+        };
         let client = Arc::new(AftClient {
             endpoint,
             slots: (0..config.pool_size.max(1))
@@ -484,7 +492,7 @@ impl AftClient {
                 .collect(),
             next_request: AtomicU64::new(1),
             next_slot: AtomicUsize::new(0),
-            clock: SystemClock::shared(),
+            clock,
             rng: Mutex::new(StdRng::seed_from_u64(config.rng_seed)),
             txns: Mutex::new(HashMap::new()),
             stats: ClientStats::default(),

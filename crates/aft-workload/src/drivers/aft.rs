@@ -216,8 +216,8 @@ impl RequestDriver for AftDriver {
 mod tests {
     use super::*;
     use crate::generator::{WorkloadConfig, WorkloadGenerator};
-    use aft_chaos::FaasChaos;
     use aft_core::NodeConfig;
+    use aft_faas::FaasChaos;
     use aft_faas::PlatformConfig;
     use aft_storage::InMemoryStore;
     use aft_types::clock::TickingClock;

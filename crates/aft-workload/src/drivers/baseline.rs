@@ -188,7 +188,7 @@ impl Baseline {
 mod tests {
     use std::collections::HashSet;
 
-    use aft_chaos::FaasChaos;
+    use aft_faas::FaasChaos;
     use aft_faas::PlatformConfig;
     use aft_storage::{BackendConfig, BackendKind};
 

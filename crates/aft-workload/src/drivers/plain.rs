@@ -82,7 +82,7 @@ mod tests {
     use super::*;
     use crate::generator::{FunctionPlan, WorkloadConfig, WorkloadGenerator};
     use crate::history::{check, FinalRead, MicroOp, Outcome, Verdict};
-    use aft_chaos::FaasChaos;
+    use aft_faas::FaasChaos;
     use aft_faas::PlatformConfig;
     use aft_storage::{BackendConfig, BackendKind};
 

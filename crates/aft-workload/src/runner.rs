@@ -238,8 +238,8 @@ mod tests {
     use crate::drivers::{AftDriver, PlainDriver};
     use crate::generator::{FunctionPlan, TransactionPlan};
     use crate::history::{check, FinalRead, History, Recorder, Verdict};
-    use aft_chaos::FaasChaos;
     use aft_core::{AftNode, NodeConfig};
+    use aft_faas::FaasChaos;
     use aft_faas::{FaasPlatform, PlatformConfig, RetryPolicy};
     use aft_storage::{BackendConfig, BackendKind, InMemoryStore};
     use aft_types::clock::TickingClock;

@@ -25,25 +25,36 @@
 //! a late answer ([`PhaseHook::deliver`]). After a storage crash the
 //! stepper restarts the cluster over the surviving storage and re-invokes
 //! every open attempt; after a kill it replaces the node only when none is
-//! left active. [`Seeded`] samples one schedule, never crashes, fails or
-//! parks, kills only where [`Seeded::kill`] says, and fails calls, holds
-//! batches and faults requests only where [`Seeded::faults`]' spec does.
-//! [`Exhaustive`] is stateless model checking: it walks the choice tree depth first within a [`Scope`]'s
-//! budgets, replaying each schedule on a fresh cluster, and [`walk`] panics
-//! on a schedule that [`settle`] finds at fault, naming the choice list that
-//! [`Exhaustive::replay`] re-runs.
+//! left active. A [`Shape::piped`] deployment's clients speak the wire
+//! protocol over in-memory pipes, so each request they send is one more
+//! question. These answers are the repository's one fault vocabulary.
+//!
+//! [`Seeded`] samples one schedule, never crashes, fails or parks, kills
+//! only where [`Seeded::kill`] says, and fails calls, holds batches and
+//! faults requests at its legs' seeded rates. [`Exhaustive`] is stateless
+//! model checking: it walks the choice tree depth first within a
+//! [`Scope`]'s budgets, replaying each schedule on a fresh cluster, and
+//! [`walk`] panics on a schedule that [`settle`] finds at fault, naming the
+//! choice list that [`Exhaustive::replay`] re-runs. It walks a request's
+//! reset after its send, not a split of its bytes: over a pipe a request
+//! runs only once its last byte arrives, so where its bytes split changes
+//! no order of AFT calls (the session's own tests split every burst).
 
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
-use aft_chaos::{ChaosSpec, FaultKind, FaultSchedule, Layer};
 use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
 use aft_core::bootstrap::{fetch_commit_records, warm_metadata_cache_checkpointed};
 use aft_core::{is_superseded, AftNode, CheckpointPolicy, MetadataCache, NetFault, PhaseHook};
 use aft_faas::FailurePoint::{AfterBody, BeforeBody, MidBody};
-use aft_faas::{FailureInjector, FailurePoint};
+use aft_faas::{fault_stream, FailureInjector, FailurePoint};
+use aft_net::AftClient;
 use aft_storage::io::{IoConfig, IoEngine};
 use aft_storage::{
     make_backend, BackendConfig, BackendKind, Cut, CutHook, CutStore, SharedStorage,
@@ -163,21 +174,48 @@ pub trait Schedule {
 
 /// A sampled schedule: a round one step in [`MAINTENANCE_ONE_IN`], else a
 /// uniformly drawn busy client, from one seeded `StdRng`, the fates
-/// `injector` draws, the one kill [`Seeded::kill`] plans, and the transient
-/// storage faults, held batches and request faults of [`Seeded::faults`]'
-/// spec. It never duplicates, fails over, crashes, fails a call or parks.
+/// `injector` draws, the one kill [`Seeded::kill`] plans, and the answers of
+/// the fault legs [`Seeded::transients`], [`Seeded::resets`] and
+/// [`Seeded::partition`] arm. It never duplicates, fails over, crashes, fails
+/// a call or parks.
+///
+/// A leg draws its answer `n` from its own stream of the legs' seed
+/// ([`fault_stream`], under the leg's salt), so each answer is a function of
+/// the seed, the leg and `n` alone: one seed replays every leg, whatever
+/// order storage, the disseminator and the clients ask in.
 pub struct Seeded {
     rng: StdRng,
     injector: Option<Arc<FailureInjector>>,
     kill: Option<Kill>,
-    /// The schedule [`Seeded::faults`] answers from, and the storage calls
-    /// it has answered while storage faults were on.
-    faults: Option<(FaultSchedule, u64)>,
+    /// The seed every fault leg draws from.
+    legs: u64,
+    /// The storage leg: its rate, whether it is on, and the calls it has
+    /// answered while it was.
+    transients: f64,
     storage_faults: bool,
-    /// Requests answered, and the faults among the answers.
+    calls: u64,
+    /// The net leg: its rates of resets and of late answers, how late, and
+    /// the requests it has answered.
+    resets: f64,
+    delays: f64,
+    delay: Duration,
     requests: u64,
+    /// The partition leg: the share of node pairs cut, and the rounds they
+    /// stay cut.
+    cut: f64,
+    cut_rounds: Range<u64>,
     delivered: Delivered,
+    /// Invocations whose fate was a failure.
+    failed: u64,
 }
+
+/// The storage leg's salt. Zero, so seeds recorded by earlier storage-only
+/// chaos reports still replay.
+const STORAGE_SALT: u64 = 0;
+/// The net leg's salt.
+const NET_SALT: u64 = 0x4E45_545F_4641_554C;
+/// The partition leg's salt.
+const PARTITION_SALT: u64 = 0x9A47_0000_CE11_EDB3;
 
 /// The request faults a [`Seeded`] schedule answered, by kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -197,18 +235,6 @@ impl Delivered {
     }
 }
 
-/// What the net leg's answer `kind` does to a request: a transient error is
-/// a reset before the send (dropped) or after it (applied), a timeout a
-/// late answer, by `delay`.
-fn net_fault(kind: FaultKind, delay: std::time::Duration) -> NetFault {
-    match kind {
-        FaultKind::TransientError { applied: false } => NetFault::ResetBeforeSend,
-        FaultKind::TransientError { applied: true } => NetFault::ResetAfterSend,
-        FaultKind::Timeout => NetFault::DelayAck(delay),
-        FaultKind::None | FaultKind::MidCrash => NetFault::None,
-    }
-}
-
 /// A planned kill: the victim, its phase, how many times the victim passes
 /// the phase first, and whether the kill and its torn bootstrap happened.
 struct Kill {
@@ -220,28 +246,60 @@ struct Kill {
 }
 
 impl Seeded {
-    /// The schedule `seed` draws, with `injector`'s fates.
+    /// The schedule `seed` draws, with `injector`'s fates. Its fault legs
+    /// draw from `seed` too, unless [`Seeded::faults`] says otherwise, and
+    /// start quiet.
     pub fn new(seed: u64, injector: Option<Arc<FailureInjector>>) -> Self {
         Seeded {
             rng: StdRng::seed_from_u64(seed),
             injector,
             kill: None,
-            faults: None,
+            legs: seed,
+            transients: 0.0,
             storage_faults: false,
+            calls: 0,
+            resets: 0.0,
+            delays: 0.0,
+            delay: Duration::ZERO,
             requests: 0,
+            cut: 0.0,
+            cut_rounds: 0..0,
             delivered: Delivered::default(),
+            failed: 0,
         }
     }
 
-    /// Answers storage calls from `spec`'s storage leg, batches from its
-    /// partition leg and requests from its net leg. Call `n` of those made
-    /// while storage faults are on fails as [`FaultSchedule::decide`] says
-    /// at index `n`; a batch waits while [`FaultSchedule::edge_cut`] cuts its
-    /// edge in its round; request `n` meets the net leg's answer at index
-    /// `n`: a reset before or after the send, or a late answer. Storage
-    /// faults start off ([`Seeded::storage_faults`]).
-    pub fn faults(mut self, spec: &ChaosSpec) -> Self {
-        self.faults = Some((spec.schedule(), 0));
+    /// Draws the fault legs from `seed` instead of the stepper's seed.
+    pub fn faults(mut self, seed: u64) -> Self {
+        self.legs = seed;
+        self
+    }
+
+    /// Fails a storage call made while storage faults are on
+    /// ([`Seeded::storage_faults`]) transiently at `rate`, half of them
+    /// after the call applied: call `n` draws from the storage leg's stream
+    /// `n`.
+    pub fn transients(mut self, rate: f64) -> Self {
+        self.transients = rate;
+        self
+    }
+
+    /// Resets the connection of a service client's request at `resets`,
+    /// half of them after the send (§4.2's lost acknowledgement), and
+    /// delays its answer by `delay` at `delays`: request `n` draws from the
+    /// net leg's stream `n`, whatever its verb.
+    pub fn resets(mut self, resets: f64, delays: f64, delay: Duration) -> Self {
+        (self.resets, self.delays, self.delay) = (resets, delays, delay);
+        self
+    }
+
+    /// Holds every batch sent over a cut edge in a round of `rounds`: a
+    /// share `fraction` of node pairs, drawn once per unordered pair and cut
+    /// both ways for the whole window, a partition rather than lost
+    /// messages. The disseminator keeps a held batch on its retry queue, so
+    /// a partition may delay metadata but never lose it.
+    pub fn partition(mut self, fraction: f64, rounds: Range<u64>) -> Self {
+        (self.cut, self.cut_rounds) = (fraction, rounds);
         self
     }
 
@@ -255,6 +313,26 @@ impl Seeded {
     /// The request faults answered so far.
     pub fn delivered(&self) -> Delivered {
         self.delivered
+    }
+
+    /// The invocations failed so far.
+    pub fn failed_invocations(&self) -> u64 {
+        self.failed
+    }
+
+    /// Whether the edge between nodes `a` and `b` is cut in dissemination
+    /// round `round`: symmetric in the endpoints, and the same for every
+    /// round of the window.
+    fn edge_cut(&self, round: u64, a: &str, b: &str) -> bool {
+        if self.cut <= 0.0 || !self.cut_rounds.contains(&round) {
+            return false;
+        }
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        let mut hasher = DefaultHasher::new();
+        lo.hash(&mut hasher);
+        hi.hash(&mut hasher);
+        let mut rng = fault_stream(self.legs, PARTITION_SALT, hasher.finish());
+        rng.gen_range(0.0..1.0) < self.cut
     }
 
     /// Kills `victim` the `after + 1`th time it reaches `phase`, without a
@@ -283,40 +361,54 @@ impl Schedule for Seeded {
     }
 
     fn fate(&mut self) -> Option<FailurePoint> {
-        self.injector.as_deref().and_then(FailureInjector::decide)
+        let fate = self.injector.as_deref().and_then(FailureInjector::decide);
+        self.failed += u64::from(fate.is_some());
+        fate
     }
 
     fn cut(&mut self, _: usize) -> Cut {
-        let Some((schedule, calls)) = self.faults.as_mut().filter(|_| self.storage_faults) else {
+        if !self.storage_faults {
             return Cut::Pass;
-        };
-        *calls += 1;
-        match schedule.decide(Layer::Storage, *calls - 1, "") {
-            FaultKind::TransientError { applied } => Cut::Transient { applied },
-            _ => Cut::Pass,
+        }
+        self.calls += 1;
+        if self.transients <= 0.0 {
+            return Cut::Pass;
+        }
+        let mut rng = fault_stream(self.legs, STORAGE_SALT, self.calls - 1);
+        if rng.gen_range(0.0..1.0) < self.transients {
+            let applied = rng.gen_bool(0.5);
+            Cut::Transient { applied }
+        } else {
+            Cut::Pass
         }
     }
 
     fn hold(&mut self, round: u64, sender: &str, receiver: &str) -> bool {
-        let faults = self.faults.as_ref();
-        faults.is_some_and(|(schedule, _)| schedule.edge_cut(round, sender, receiver))
+        self.edge_cut(round, sender, receiver)
     }
 
     fn deliver(&mut self, _: &str) -> NetFault {
-        let Some((schedule, _)) = &self.faults else {
-            return NetFault::None;
-        };
         self.requests += 1;
-        let kind = schedule.decide(Layer::Net, self.requests - 1, "");
-        let fault = net_fault(kind, schedule.net_chaos().delay);
-        let counted = &mut self.delivered;
-        match fault {
-            NetFault::ResetBeforeSend => counted.resets_before_send += 1,
-            NetFault::ResetAfterSend => counted.resets_after_send += 1,
-            NetFault::DelayAck(_) => counted.delayed_acks += 1,
-            NetFault::None => {}
+        if self.resets <= 0.0 && self.delays <= 0.0 {
+            return NetFault::None;
         }
-        fault
+        let mut rng = fault_stream(self.legs, NET_SALT, self.requests - 1);
+        let draw: f64 = rng.gen_range(0.0..1.0);
+        let counted = &mut self.delivered;
+        if draw < self.resets {
+            if rng.gen_bool(0.5) {
+                counted.resets_after_send += 1;
+                NetFault::ResetAfterSend
+            } else {
+                counted.resets_before_send += 1;
+                NetFault::ResetBeforeSend
+            }
+        } else if draw < self.resets + self.delays {
+            counted.delayed_acks += 1;
+            NetFault::DelayAck(self.delay)
+        } else {
+            NetFault::None
+        }
     }
 
     fn phase(&mut self, node: &str, phase: CommitPhase, _: bool) -> Answer {
@@ -346,8 +438,8 @@ impl Schedule for Seeded {
 }
 
 /// How many rounds, failed invocations, duplicates, failovers, crashes,
-/// failed calls, parks, kills, transient faults and held batches one
-/// [`Exhaustive`] schedule may take.
+/// failed calls, parks, kills, transient faults, held batches and reset
+/// connections one [`Exhaustive`] schedule may take.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Scope {
     /// [`Step::Round`]s.
@@ -370,6 +462,8 @@ pub struct Scope {
     pub transients: u32,
     /// Held dissemination batches.
     pub holds: u32,
+    /// Connections reset after a request's send ([`NetFault::ResetAfterSend`]).
+    pub resets: u32,
 }
 
 impl Scope {
@@ -531,6 +625,23 @@ impl Schedule for Exhaustive {
         let held = self.choose(1 + usize::from(self.left.holds > 0)) == 1;
         self.left.holds -= u32::from(held);
         held
+    }
+
+    /// Pass, then a reset after the send, while the budget lasts. Over a
+    /// pipe ([`Shape::piped`]) a request has run when its send returns, so
+    /// the reset is §4.2's lost acknowledgement and the client's resend a
+    /// duplicate. A reset before the send and a late answer are not walked:
+    /// over a pipe each leaves the server where a pass leaves it, since
+    /// affinity and the dedup ledger are server-wide and a delay only
+    /// charges the clock.
+    fn deliver(&mut self, _: &str) -> NetFault {
+        let reset = self.choose(1 + usize::from(self.left.resets > 0)) == 1;
+        self.left.resets -= u32::from(reset);
+        if reset {
+            NetFault::ResetAfterSend
+        } else {
+            NetFault::None
+        }
     }
 
     fn parks(&self) -> bool {
@@ -701,15 +812,22 @@ pub struct Shape {
     pub backend: BackendKind,
     /// Every node's checkpoint policy.
     pub checkpoint: CheckpointPolicy,
+    /// Whether clients reach the cluster through a service client over
+    /// in-memory pipes ([`aft_net::ClientBuilder::pipe`]), whose requests
+    /// the schedule delivers ([`Schedule::deliver`]), rather than through
+    /// a routed node.
+    pub piped: bool,
 }
 
 impl Shape {
-    /// `nodes` nodes over the memory row, without checkpoints.
+    /// `nodes` nodes over the memory row, without checkpoints, called
+    /// directly.
     pub fn nodes(nodes: usize) -> Self {
         Shape {
             nodes,
             backend: BackendKind::Memory,
             checkpoint: CheckpointPolicy::disabled(),
+            piped: false,
         }
     }
 }
@@ -774,6 +892,8 @@ pub fn settle(
         checked: Cell::default(),
         clock: TickingClock::shared(1, 1),
         cluster: RefCell::default(),
+        client: RefCell::default(),
+        piped: shape.piped,
         incarnations: Cell::new(0),
         config,
     };
@@ -798,8 +918,11 @@ pub fn settle(
     let keys = history::written_keys(&run.history);
     let mut verdict = history::check(&run.history, &FinalRead::new());
     for node in cluster.active_nodes() {
-        let read = history::read_back(node.as_ref(), keys.clone()).expect("a quiet read");
-        verdict.lost_acked_writes += history::check(&run.history, &read).lost_acked_writes;
+        // A node that fails a quiet read of the written keys lost them all.
+        verdict.lost_acked_writes += match history::read_back(node.as_ref(), keys.clone()) {
+            Ok(read) => history::check(&run.history, &read).lost_acked_writes,
+            Err(_) => keys.len() as u64,
+        };
     }
     let listed = |key: &&Key| cluster.storage().list_prefix(&format!("data/{key}/"));
     let gone = |key: &&Key| listed(key).is_ok_and(|versions| versions.is_empty());
@@ -906,7 +1029,9 @@ impl Deployment for Arc<Cluster> {
 /// A cluster over a [`CutStore`], rebuilt whole after a crash: a fresh
 /// cluster of the same shape over the surviving storage and the same clock,
 /// whose nodes bootstrap from storage, whose fault manager starts at floor 0
-/// and whose GC has passed nothing over.
+/// and whose GC has passed nothing over. A piped deployment's service
+/// client is rebuilt with it, asking the nodes' phase hook what the network
+/// does.
 struct Restarting {
     storage: Arc<CutStore>,
     /// Cuts the dangling check has seen, and what it found.
@@ -914,8 +1039,10 @@ struct Restarting {
     config: ClusterConfig,
     clock: SharedClock,
     cluster: RefCell<Option<Arc<Cluster>>>,
-    /// Clusters built so far. Each draws its own node seeds, or a new
-    /// version could land on a crashed node's `data/{key}/{uuid}`.
+    client: RefCell<Option<Arc<AftClient>>>,
+    piped: bool,
+    /// Clusters built so far. Each draws its own node and client seeds, or
+    /// a new version could land on a crashed node's `data/{key}/{uuid}`.
     incarnations: Cell<u64>,
 }
 
@@ -924,8 +1051,16 @@ impl Restarting {
         let mut config = self.config.clone();
         config.node_template.rng_seed ^= self.incarnations.get() << 32;
         self.incarnations.set(self.incarnations.get() + 1);
-        let cluster = Cluster::with_clock(config, self.storage.clone(), self.clock.clone());
-        *self.cluster.borrow_mut() = Some(cluster.expect("a cluster over live storage"));
+        // The client's UUID stream is none of the nodes'.
+        let client = AftClient::builder().rng_seed(config.node_template.rng_seed ^ 0x5DC);
+        let hook = config.node_template.phase_hook.clone();
+        let cluster = Cluster::with_clock(config, self.storage.clone(), self.clock.clone())
+            .expect("a cluster over live storage");
+        *self.client.borrow_mut() = self.piped.then(|| {
+            let hook = hook.expect("the schedule's hook");
+            client.phase_hook(hook).pipe(Arc::clone(&cluster))
+        });
+        *self.cluster.borrow_mut() = Some(cluster);
     }
 }
 
@@ -935,7 +1070,10 @@ impl Deployment for Restarting {
     }
 
     fn api(&self) -> AftResult<Arc<dyn AftApi>> {
-        self.cluster().api()
+        match &*self.client.borrow() {
+            Some(client) => Ok(Arc::clone(client) as Arc<dyn AftApi>),
+            None => self.cluster().api(),
+        }
     }
 
     /// Also checks storage for dangling versions after a step that cut a
@@ -1194,8 +1332,6 @@ fn expect_retryable(e: &AftError) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aft_chaos::NetChaos;
-    use std::time::Duration;
 
     fn two_writers() -> Vec<Vec<Request>> {
         vec![vec![request("w a")], vec![request("w b")]]
@@ -1242,25 +1378,37 @@ mod tests {
             holds: 1,
             ..Scope::default()
         };
+        // A request reset after its send has run, and the piped client
+        // resends it: the commit, or the later read.
+        let piped = Shape {
+            piped: true,
+            ..Shape::nodes(1)
+        };
+        let resets = Scope {
+            resets: 1,
+            ..Scope::default()
+        };
+        let write_then_read = vec![vec![request("w a"), request("r a")]];
         // Each budget, spent in some schedule of its scope.
-        let budgets = |s: Scope| [s.parks, s.kills, s.transients, s.holds];
-        for (nodes, clients, scope) in [
-            (2, rmw, duplicate),
-            (1, pair, cuts),
-            (1, writer.clone(), phases),
-            (2, writer, transients),
+        let budgets = |s: Scope| [s.parks, s.kills, s.transients, s.holds, s.resets];
+        for (shape, clients, scope) in [
+            (Shape::nodes(2), rmw, duplicate),
+            (Shape::nodes(1), pair, cuts),
+            (Shape::nodes(1), writer.clone(), phases),
+            (Shape::nodes(2), writer, transients),
+            (piped, write_then_read, resets),
         ] {
             let mut schedule = Exhaustive::replay(scope, &[]);
-            let (mut restarts, mut spent) = (0, [false; 4]);
+            let (mut restarts, mut spent) = (0, [false; 5]);
             loop {
-                let (walked, ..) = settle(Shape::nodes(nodes), &clients, &mut schedule);
+                let (walked, ..) = settle(shape, &clients, &mut schedule);
                 let left = budgets(schedule.left);
                 for ((spent, left), budget) in spent.iter_mut().zip(left).zip(budgets(scope)) {
                     *spent |= left < budget;
                 }
                 let choices = schedule.choices();
                 let replay = &mut Exhaustive::replay(scope, &choices);
-                let (replayed, ..) = settle(Shape::nodes(nodes), &clients, replay);
+                let (replayed, ..) = settle(shape, &clients, replay);
                 assert_eq!(replayed, walked, "{choices:?}");
                 assert_eq!(replay.left, schedule.left, "{choices:?}");
                 restarts += walked.restarts;
@@ -1275,40 +1423,131 @@ mod tests {
 
     const DELAY: Duration = Duration::from_millis(2);
 
-    fn resets_and_delays(seed: u64, reset: f64, delay_rate: f64) -> ChaosSpec {
-        ChaosSpec::new(seed).net(NetChaos::resets_and_delays(reset, delay_rate, DELAY))
+    /// A schedule whose storage, net and partition legs all answer, drawn
+    /// from `seed`.
+    fn every_leg(seed: u64) -> Seeded {
+        let mut schedule = Seeded::new(seed, None)
+            .transients(0.2)
+            .resets(0.2, 0.1, DELAY)
+            .partition(0.5, 0..4);
+        schedule.storage_faults(true);
+        schedule
+    }
+
+    /// Twelve node names, and every unordered pair of them.
+    fn pairs() -> Vec<(String, String)> {
+        let node = |i| format!("aft-node-{i}");
+        let pairs = |i| (i + 1..12).map(move |j| (node(i), node(j)));
+        (0..12).flat_map(pairs).collect()
     }
 
     #[test]
     fn identical_seeds_produce_identical_fault_sequences() {
         let answers = |seed| {
-            let mut schedule = Seeded::new(seed, None).faults(&resets_and_delays(seed, 0.3, 0.2));
+            let mut schedule = Seeded::new(seed, None).resets(0.3, 0.2, DELAY);
             (0..200)
                 .map(|_| schedule.deliver("commit"))
                 .collect::<Vec<_>>()
         };
         assert_eq!(answers(7), answers(7));
         assert_ne!(answers(7), answers(8), "seeds steer the schedule");
-        // Request `n` meets the net leg's answer at index `n`, whatever its
-        // verb.
-        let legacy = resets_and_delays(7, 0.3, 0.2).schedule();
-        let legacy = legacy.materialize(Layer::Net, 200, "").into_iter();
-        assert_eq!(
-            answers(7),
-            legacy
-                .map(|kind| net_fault(kind, DELAY))
-                .collect::<Vec<_>>()
+        // Request `n` meets the net leg's answer `n`, whatever its verb, and
+        // the legs draw from `faults`' seed, not the stepper's.
+        let mut schedule = Seeded::new(1, None).faults(7).resets(0.3, 0.2, DELAY);
+        let verbs = ["get", "commit", "ping", "stats"];
+        let answered: Vec<NetFault> = (0..200).map(|i| schedule.deliver(verbs[i % 4])).collect();
+        assert_eq!(answered, answers(7));
+    }
+
+    #[test]
+    fn decisions_are_order_independent_across_layers() {
+        let pairs = pairs();
+        let (mut first, mut second) = (every_leg(11), every_leg(11));
+        // One leg after another, then all three legs interleaved in the
+        // reverse order: each leg answers the same.
+        let cuts: Vec<Cut> = (0..100).map(|_| first.cut(1)).collect();
+        let delivered: Vec<NetFault> = (0..100).map(|_| first.deliver("get")).collect();
+        let held: Vec<bool> = pairs.iter().map(|(a, b)| first.hold(2, a, b)).collect();
+        let (mut cut_after, mut delivered_after) = (Vec::new(), Vec::new());
+        for i in 0..100 {
+            let (a, b) = &pairs[i % pairs.len()];
+            assert_eq!(second.hold(2, b, a), held[i % pairs.len()], "{a}, {b}");
+            delivered_after.push(second.deliver("commit"));
+            cut_after.push(second.cut(3));
+        }
+        assert_eq!(cut_after, cuts);
+        assert_eq!(delivered_after, delivered);
+        // Legs sharing one seed draw decorrelated streams.
+        let is_fault = |cut: &Cut| *cut != Cut::Pass;
+        let reset = |fault: &NetFault| *fault != NetFault::None;
+        let (cuts, resets): (Vec<bool>, Vec<bool>) = (
+            cuts.iter().map(is_fault).collect(),
+            delivered.iter().map(reset).collect(),
+        );
+        assert_ne!(cuts, resets, "salts decorrelate the legs");
+    }
+
+    #[test]
+    fn storage_schedule_is_bit_compatible_with_the_legacy_planner() {
+        // The storage leg's salt is zero, so a seed recorded by the first
+        // storage-only chaos reports replays the same storage schedule. This
+        // pins the stream derivation.
+        let mut schedule = Seeded::new(42, None).transients(0.2);
+        schedule.storage_faults(true);
+        let legacy = |op_index: u64| {
+            let stream = 42u64
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(op_index.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+            let mut rng = StdRng::seed_from_u64(stream);
+            let draw: f64 = rng.gen_range(0.0..1.0);
+            if draw < 0.2 {
+                Cut::Transient {
+                    applied: rng.gen_bool(0.5),
+                }
+            } else {
+                Cut::Pass
+            }
+        };
+        for i in 0..500 {
+            assert_eq!(schedule.cut(1), legacy(i));
+        }
+    }
+
+    #[test]
+    fn partition_cuts_are_symmetric_seeded_and_windowed() {
+        let schedule = Seeded::new(77, None).partition(0.5, 2..6);
+        let replay = Seeded::new(77, None).partition(0.5, 2..6);
+        let mut cut_edges = 0;
+        for (a, b) in &pairs() {
+            // Symmetric in the endpoints.
+            assert_eq!(schedule.edge_cut(3, a, b), schedule.edge_cut(3, b, a));
+            // Outside the window nothing is cut.
+            assert!(!schedule.edge_cut(1, a, b));
+            assert!(!schedule.edge_cut(6, a, b));
+            if schedule.edge_cut(2, a, b) {
+                cut_edges += 1;
+                // A cut edge stays down for the whole window.
+                assert!(schedule.edge_cut(5, a, b));
+            }
+            // The same seed replays the same cut set.
+            assert_eq!(schedule.edge_cut(4, a, b), replay.edge_cut(4, a, b));
+        }
+        let total = pairs().len();
+        assert!(
+            cut_edges > 0 && cut_edges < total,
+            "a 0.5 cut over {total} edges should fell some but not all, felled {cut_edges}"
         );
     }
 
     #[test]
     fn rates_map_to_the_right_fault_kinds() {
-        let mut schedule = Seeded::new(3, None).faults(&resets_and_delays(3, 0.5, 0.5));
+        let mut schedule = Seeded::new(3, None).resets(0.5, 0.5, DELAY);
         let faults: Vec<NetFault> = (0..400).map(|_| schedule.deliver("get")).collect();
         let delivered = schedule.delivered();
         assert!(delivered.resets_before_send > 0);
         assert!(delivered.resets_after_send > 0, "lost acks occur");
         assert!(delivered.delayed_acks > 0);
+        assert!(faults.contains(&NetFault::DelayAck(DELAY)));
         let injected = faults.iter().filter(|f| **f != NetFault::None).count();
         assert_eq!(delivered.total(), injected as u64);
         assert_eq!(schedule.requests, 400);
@@ -1316,9 +1555,14 @@ mod tests {
 
     #[test]
     fn zero_rates_inject_nothing() {
-        let mut schedule = Seeded::new(1, None).faults(&ChaosSpec::new(1));
-        for _ in 0..100 {
+        // A partition window that closes where it opens cuts nothing.
+        let mut schedule = Seeded::new(1, None).partition(1.0, 4..4);
+        schedule.storage_faults(true);
+        for round in 0..100 {
             assert_eq!(schedule.deliver("ping"), NetFault::None);
+            assert_eq!(schedule.cut(1), Cut::Pass);
+            assert!(!schedule.hold(round, "a", "b"));
+            assert_eq!(schedule.fate(), None);
         }
         assert_eq!(schedule.delivered().total(), 0);
     }

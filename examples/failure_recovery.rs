@@ -19,9 +19,9 @@
 
 use std::sync::Arc;
 
-use aft::chaos::FaasChaos;
 use aft::cluster::{Cluster, ClusterConfig};
 use aft::core::{AftNode, NodeConfig};
+use aft::faas::FaasChaos;
 use aft::faas::{FaasPlatform, PlatformConfig, RetryPolicy};
 use aft::storage::{BackendConfig, BackendKind};
 use aft::types::Key;

@@ -17,17 +17,15 @@
 //!   collection.
 //! * [`net`] (`aft-net`) — the service layer: a TCP wire-protocol server
 //!   fronting a cluster, and the pooled, pipelined client SDK that speaks
-//!   it (with seeded connection-fault injection), so AFT runs as a real
-//!   networked service rather than only as a library.
+//!   it, so AFT runs as a real networked service rather than only as a
+//!   library; its client also runs over in-memory pipes.
 //! * [`faas`] (`aft-faas`) — the simulated FaaS platform (function
-//!   compositions, retries, failure injection, concurrency limits).
+//!   compositions, retries, seeded failure injection, concurrency limits).
 //! * [`workload`] (`aft-workload`) — workload generation, baseline drivers,
-//!   anomaly detection, and the closed-loop experiment runner.
-//! * [`chaos`] (`aft-chaos`) — the unified fault-schedule vocabulary: one
-//!   seeded, order-independent [`ChaosSpec`](aft_chaos::ChaosSpec) drives
-//!   storage faults, connection faults, platform failures and partitions
-//!   in the same trial. A node kill is a schedule's answer at a commit
-//!   phase (`aft_workload::sim`), not a spec leg.
+//!   anomaly detection, the closed-loop experiment runner, and the one
+//!   fault vocabulary: `aft_workload::sim`'s schedule answers every storage
+//!   call, commit phase, dissemination batch, service request and
+//!   invocation, sampled from a seed or walked exhaustively.
 //! * [`types`] (`aft-types`) — shared identifiers, records, codec, clocks.
 //!
 //! ## Quickstart
@@ -58,7 +56,6 @@
 //! recovery) and the `aft-bench` crate for the full reproduction of the
 //! paper's evaluation.
 
-pub use aft_chaos as chaos;
 pub use aft_cluster as cluster;
 pub use aft_core as core;
 pub use aft_faas as faas;

@@ -4,10 +4,10 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use aft::chaos::FaasChaos;
 use aft::cluster::{Cluster, ClusterConfig};
 use aft::core::api::{AftApi, CommitOutcome};
 use aft::core::{AftNode, NodeConfig};
+use aft::faas::FaasChaos;
 use aft::faas::{FaasPlatform, PlatformConfig, RetryPolicy};
 use aft::storage::{BackendConfig, BackendKind};
 use aft::types::clock::TickingClock;
