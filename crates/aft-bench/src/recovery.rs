@@ -132,26 +132,25 @@ impl FaultMode {
 
     /// This mode's schedule for one trial seed: every fault leg, and the
     /// platform's fates, draw from `seed`, so replaying the seed replays
-    /// every layer. The stepper's own stream is decorrelated from the
-    /// nodes' UUID streams, which the same seed also starts.
+    /// every layer.
     fn schedule(&self, seed: u64) -> Seeded {
-        // All layers, each at roughly half its single-layer rate so the
-        // compounded retry pressure stays inside the budgets.
-        let fates = FailureInjector::new(seed, FaasChaos::uniform(0.06));
-        let fates = (*self == FaultMode::CrossLayer).then(|| Arc::new(fates));
-        let schedule = Seeded::new(seed ^ 0x57E9, fates).faults(seed);
         let delay = Duration::from_millis(1);
         match self {
             // Network mode injects at the connection, not at storage.
-            FaultMode::Network => schedule.resets(0.06, 0.03, delay),
-            // 4% of storage ops fail transiently, half of them applied
-            // first.
-            FaultMode::CrossLayer => schedule.transients(0.04).resets(0.04, 0.02, delay),
+            FaultMode::Network => Seeded::new(seed, None).resets(0.06, 0.03, delay),
+            // All layers, each at roughly half its single-layer rate so the
+            // compounded retry pressure stays inside the budgets: 4% of
+            // storage ops fail transiently, half of them applied first.
+            FaultMode::CrossLayer => {
+                let fates = FailureInjector::new(seed, FaasChaos::uniform(0.06));
+                let schedule = Seeded::new(seed, Some(Arc::new(fates)));
+                schedule.transients(0.04).resets(0.04, 0.02, delay)
+            }
             // Half the dissemination edges go dark for rounds [0, 6) after
             // arming — long enough that live commit traffic parks on the
             // cut, short enough that the heal lands well inside the
             // recovery drive's round budget.
-            FaultMode::Partition => schedule.partition(0.5, 0..6),
+            FaultMode::Partition => Seeded::new(seed, None).partition(0.5, 0..6),
         }
     }
 }
