@@ -17,8 +17,9 @@
 //! cost grows with the tail, not the history** — the checkpoint+tail cost
 //! at the largest history stays within 3× of the smallest, while full
 //! replay grows roughly linearly with history — with zero lost and zero
-//! phantom commits versus ground truth at every point. Results land in
-//! `BENCH_checkpoint.json`.
+//! phantom commits versus ground truth at every point. The report is one
+//! sheet, `cells` (a row per backend and history size), in
+//! `BENCH_checkpoint.json`, and the gate is its [`checks`], one per clause.
 
 use aft_core::bootstrap::warm_metadata_cache_checkpointed;
 use aft_core::MetadataCache;
@@ -29,8 +30,7 @@ use aft_types::codec::encode_keyed_commit_record;
 use aft_types::{Key, TransactionId, TransactionRecord, Uuid};
 
 use crate::cli::{Args, Outcome};
-use crate::json::Json;
-use crate::report::{percentile_ms, round2, Table};
+use crate::report::{ensure, percentile_ms, Report, Sheet, Verdict};
 use crate::setup::virtual_backend;
 
 /// Configuration of the checkpoint recovery sweep.
@@ -92,243 +92,133 @@ struct BootstrapSample {
     loaded: usize,
 }
 
-/// One (backend, history size) cell.
-#[derive(Debug, Clone)]
-pub struct CheckpointCell {
-    /// Backend label.
-    pub backend: String,
-    /// Commit-history size before the tail.
-    pub history: usize,
-    /// Tail commits appended after the checkpoint.
-    pub tail: usize,
-    /// Full-replay trials (measured before the checkpoint exists).
-    full: Vec<BootstrapSample>,
-    /// Checkpoint+tail trials (measured after checkpoint + compaction).
-    ckpt: Vec<BootstrapSample>,
-    /// Commit records dropped by compaction.
-    pub compacted: usize,
-    /// Ground-truth commits missing from the checkpoint+tail bootstrap
-    /// (neither loaded nor legitimately superseded). Must be zero.
-    pub lost: usize,
-    /// Bootstrapped records that were never committed. Must be zero.
-    pub phantom: usize,
-}
+/// The `cells` sheet's columns, a row per (backend, history size): the
+/// tail appended after the checkpoint; the charged full-replay and
+/// checkpoint+tail bootstrap costs, the "p50" and "p99" being the sorted
+/// trials' elements at index `round((n - 1) · q)` (with two trials, both
+/// are the slower one); the bytes each bootstrap read, at the same "p50";
+/// the commit records compaction dropped; and the ground-truth commits the
+/// checkpoint+tail bootstrap lost (neither loaded nor legitimately
+/// superseded) and the bootstrapped records never committed.
+const CELL_COLUMNS: &[&str] = &[
+    "tail_commits",
+    "full_replay_p50_ms",
+    "full_replay_p99_ms",
+    "ckpt_tail_p50_ms",
+    "ckpt_tail_p99_ms",
+    "full_replay_bytes",
+    "ckpt_tail_bytes",
+    "compacted_records",
+    "lost_commits",
+    "phantom_commits",
+];
 
-fn percentile(samples: &[BootstrapSample], p: f64, f: impl Fn(&BootstrapSample) -> f64) -> f64 {
+/// The `q` point of one measure over `samples`, by [`percentile_ms`].
+fn percentile(samples: &[BootstrapSample], q: f64, f: impl Fn(&BootstrapSample) -> f64) -> f64 {
     let mut values: Vec<f64> = samples.iter().map(f).collect();
     values.sort_by(f64::total_cmp);
-    percentile_ms(&values, p)
+    percentile_ms(&values, q)
 }
 
-impl CheckpointCell {
-    /// Median charged full-replay cost, ms.
-    pub fn full_p50_ms(&self) -> f64 {
-        percentile(&self.full, 0.5, |s| s.cost_ms)
-    }
+/// The checks' names, in order.
+const CHECKS: [&str; 6] = [
+    "every backend sweeps >= 2 history sizes",
+    "0 lost/phantom",
+    "ckpt growth <= 3x",
+    "full growth >= 0.2 x size ratio",
+    "full outgrows ckpt",
+    "ckpt bytes < full bytes",
+];
 
-    /// 99th-percentile charged full-replay cost, ms.
-    pub fn full_p99_ms(&self) -> f64 {
-        percentile(&self.full, 0.99, |s| s.cost_ms)
-    }
-
-    /// Median charged checkpoint+tail cost, ms.
-    pub fn ckpt_p50_ms(&self) -> f64 {
-        percentile(&self.ckpt, 0.5, |s| s.cost_ms)
-    }
-
-    /// 99th-percentile charged checkpoint+tail cost, ms.
-    pub fn ckpt_p99_ms(&self) -> f64 {
-        percentile(&self.ckpt, 0.99, |s| s.cost_ms)
-    }
-
-    /// Bytes a full-replay bootstrap read (median trial).
-    pub fn full_bytes(&self) -> u64 {
-        percentile(&self.full, 0.5, |s| s.bytes_read as f64) as u64
-    }
-
-    /// Bytes a checkpoint+tail bootstrap read (median trial).
-    pub fn ckpt_bytes(&self) -> u64 {
-        percentile(&self.ckpt, 0.5, |s| s.bytes_read as f64) as u64
-    }
+/// One backend's sweep from its smallest history to its largest.
+struct Sweep<'a> {
+    backend: &'a str,
+    /// The largest history's label.
+    largest: &'a str,
+    /// The largest history over the smallest.
+    ratio: f64,
+    /// How many times the checkpoint+tail and the full-replay p50 grew.
+    ckpt: f64,
+    full: f64,
+    /// The bytes each strategy read at the largest history.
+    ckpt_bytes: f64,
+    full_bytes: f64,
 }
 
-/// The whole sweep's results.
-#[derive(Debug, Clone)]
-pub struct CheckpointReport {
-    /// Every cell, in (backend, history size) order.
-    pub cells: Vec<CheckpointCell>,
-}
-
-impl CheckpointReport {
-    /// Total ground-truth commits lost across the sweep.
-    pub fn total_lost(&self) -> usize {
-        self.cells.iter().map(|c| c.lost).sum()
-    }
-
-    /// Total phantom records across the sweep.
-    pub fn total_phantom(&self) -> usize {
-        self.cells.iter().map(|c| c.phantom).sum()
-    }
-
-    fn backends(&self) -> Vec<&str> {
-        let mut labels: Vec<&str> = self.cells.iter().map(|c| c.backend.as_str()).collect();
-        labels.dedup();
-        labels
-    }
-
-    /// The CI gate. Per backend, comparing the largest history to the
-    /// smallest:
-    ///
-    /// * checkpoint+tail recovery p50 grows by at most 3× — recovery cost
-    ///   tracks the (fixed) tail, not the history;
-    /// * full-replay p50 grows with history: at least `0.2 × size ratio`
-    ///   (≥ 20× over the full 100× sweep) and strictly more than the
-    ///   checkpoint+tail growth;
-    /// * checkpoint+tail reads fewer bytes than full replay at the largest
-    ///   history;
-    /// * zero lost and zero phantom commits in every cell.
-    pub fn check_gate(&self) -> Result<String, String> {
-        if self.cells.is_empty() {
-            return Err("no cells".into());
-        }
-        for cell in &self.cells {
-            if cell.lost > 0 {
-                return Err(format!(
-                    "{}/{}: {} ground-truth commits lost by checkpoint+tail bootstrap",
-                    cell.backend, cell.history, cell.lost
-                ));
-            }
-            if cell.phantom > 0 {
-                return Err(format!(
-                    "{}/{}: {} phantom commits after bootstrap",
-                    cell.backend, cell.history, cell.phantom
-                ));
-            }
-        }
-        for backend in self.backends() {
-            let mut cells: Vec<&CheckpointCell> =
-                self.cells.iter().filter(|c| c.backend == backend).collect();
-            cells.sort_by_key(|c| c.history);
-            let (small, large) = match (cells.first(), cells.last()) {
-                (Some(s), Some(l)) if s.history < l.history => (*s, *l),
-                _ => return Err(format!("{backend}: need at least two history sizes")),
-            };
-            let size_ratio = large.history as f64 / small.history as f64;
-            let ckpt_growth = large.ckpt_p50_ms() / small.ckpt_p50_ms().max(1e-9);
-            let full_growth = large.full_p50_ms() / small.full_p50_ms().max(1e-9);
-            if ckpt_growth > 3.0 {
-                return Err(format!(
-                    "{backend}: checkpoint+tail recovery p50 grew {ckpt_growth:.1}x over a \
-                     {size_ratio:.0}x history sweep (limit 3x) — recovery cost must track \
-                     the tail, not the history"
-                ));
-            }
-            let full_floor = 0.2 * size_ratio;
-            if full_growth < full_floor {
-                return Err(format!(
-                    "{backend}: full-replay p50 grew only {full_growth:.1}x over a \
-                     {size_ratio:.0}x sweep (expected >= {full_floor:.1}x) — the baseline \
-                     is not history-bound, so the comparison is meaningless"
-                ));
-            }
-            if full_growth <= ckpt_growth {
-                return Err(format!(
-                    "{backend}: full replay ({full_growth:.1}x) did not outgrow \
-                     checkpoint+tail ({ckpt_growth:.1}x)"
-                ));
-            }
-            if large.ckpt_bytes() >= large.full_bytes() {
-                return Err(format!(
-                    "{backend}: checkpoint+tail read {} bytes at {} commits, full replay {}",
-                    large.ckpt_bytes(),
-                    large.history,
-                    large.full_bytes()
-                ));
-            }
-        }
-        let largest = self.cells.iter().map(|c| c.history).max().unwrap_or(0);
-        Ok(format!(
-            "{} cells clean to {largest} commits: checkpoint+tail recovery flat \
-             (<= 3x growth), full replay history-bound, 0 lost, 0 phantom",
-            self.cells.len()
-        ))
-    }
-
-    /// Renders the sweep as an aligned text table.
-    pub fn table(&self) -> Table {
-        let mut table = Table::new(
-            "fig13_checkpoint — recovery cost: full replay vs checkpoint + tail",
-            &[
-                "backend",
-                "history",
-                "tail",
-                "full p50 (ms)",
-                "full p99 (ms)",
-                "ckpt p50 (ms)",
-                "ckpt p99 (ms)",
-                "full MB read",
-                "ckpt MB read",
-                "compacted",
-                "lost",
-                "phantom",
-            ],
-        );
-        for cell in &self.cells {
-            table.add_row(vec![
-                cell.backend.clone(),
-                cell.history.to_string(),
-                cell.tail.to_string(),
-                format!("{:.1}", cell.full_p50_ms()),
-                format!("{:.1}", cell.full_p99_ms()),
-                format!("{:.1}", cell.ckpt_p50_ms()),
-                format!("{:.1}", cell.ckpt_p99_ms()),
-                format!("{:.2}", cell.full_bytes() as f64 / 1e6),
-                format!("{:.2}", cell.ckpt_bytes() as f64 / 1e6),
-                cell.compacted.to_string(),
-                cell.lost.to_string(),
-                cell.phantom.to_string(),
-            ]);
-        }
-        table
-    }
-
-    /// Serialises the report as the `BENCH_checkpoint.json` document.
-    pub fn to_json(&self) -> Json {
-        let cells = self
-            .cells
-            .iter()
-            .map(|c| {
-                Json::obj(vec![
-                    ("backend", Json::str(&c.backend)),
-                    ("history_commits", Json::Num(c.history as f64)),
-                    ("tail_commits", Json::Num(c.tail as f64)),
-                    ("full_replay_p50_ms", Json::Num(round2(c.full_p50_ms()))),
-                    ("full_replay_p99_ms", Json::Num(round2(c.full_p99_ms()))),
-                    ("ckpt_tail_p50_ms", Json::Num(round2(c.ckpt_p50_ms()))),
-                    ("ckpt_tail_p99_ms", Json::Num(round2(c.ckpt_p99_ms()))),
-                    ("full_replay_bytes", Json::Num(c.full_bytes() as f64)),
-                    ("ckpt_tail_bytes", Json::Num(c.ckpt_bytes() as f64)),
-                    ("compacted_records", Json::Num(c.compacted as f64)),
-                    ("lost_commits", Json::Num(c.lost as f64)),
-                    ("phantom_commits", Json::Num(c.phantom as f64)),
-                ])
+/// fig13's checks. Every backend sweeps two history sizes or more, and no
+/// cell loses or invents a commit. Per backend, comparing the largest
+/// history to the smallest: checkpoint+tail recovery p50 grows by at most
+/// 3× — recovery cost tracks the (fixed) tail, not the history; full-replay
+/// p50 grows with history, at least `0.2 × size ratio` (≥ 20× over the
+/// full 100× sweep) and strictly more than checkpoint+tail; and
+/// checkpoint+tail reads fewer bytes than full replay at the largest
+/// history.
+pub fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
+    let cells = report.sheet("cells");
+    let size = |row: &&[String]| row[1].parse::<f64>().unwrap_or(f64::NAN);
+    let mut backends: Vec<&str> = cells.keys().map(|row| row[0].as_str()).collect();
+    backends.dedup();
+    let sweep = |backend: &str| {
+        let rows = || cells.keys().filter(move |row| row[0] == backend);
+        let small = rows().min_by(|a, b| size(a).total_cmp(&size(b)))?;
+        let large = rows().max_by(|a, b| size(a).total_cmp(&size(b)))?;
+        let growth = |column| cells.value(large, column) / cells.value(small, column).max(1e-9);
+        let ratio = size(&large) / size(&small);
+        (ratio > 1.0).then(|| Sweep {
+            backend: &large[0],
+            largest: &large[1],
+            ratio,
+            ckpt: growth("ckpt_tail_p50_ms"),
+            full: growth("full_replay_p50_ms"),
+            ckpt_bytes: cells.value(large, "ckpt_tail_bytes"),
+            full_bytes: cells.value(large, "full_replay_bytes"),
+        })
+    };
+    let sweeps: Vec<Sweep<'_>> = backends.iter().filter_map(|b| sweep(b)).collect();
+    let short = backends
+        .iter()
+        .find(|b| sweeps.iter().all(|s| s.backend != **b));
+    let coverage = match (backends.is_empty(), short) {
+        (true, _) => Err("no cells".to_owned()),
+        (false, Some(backend)) => Err(format!("{backend}: need at least two history sizes")),
+        (false, None) => Ok(()),
+    };
+    let every = |clause: &dyn Fn(&Sweep<'_>) -> Verdict| {
+        let mut sweeps = sweeps.iter();
+        sweeps.try_for_each(|s| clause(s).map_err(|m| format!("{}: {m}", s.backend)))
+    };
+    let zero = |column| cells.each(column, |n| n == 0.0);
+    let verdicts = [
+        coverage,
+        zero("lost_commits").and_then(|()| zero("phantom_commits")),
+        every(&|s| {
+            ensure(s.ckpt <= 3.0, || {
+                let (growth, ratio) = (s.ckpt, s.ratio);
+                format!("checkpoint+tail p50 grew {growth:.1}x over a {ratio:.0}x history sweep")
             })
-            .collect();
-        let largest = self.cells.iter().map(|c| c.history).max().unwrap_or(0);
-        Json::obj(vec![
-            ("experiment", Json::str("fig13_checkpoint")),
-            (
-                "summary",
-                Json::obj(vec![
-                    ("cells", Json::Num(self.cells.len() as f64)),
-                    ("largest_history", Json::Num(largest as f64)),
-                    ("lost_commits", Json::Num(self.total_lost() as f64)),
-                    ("phantom_commits", Json::Num(self.total_phantom() as f64)),
-                ]),
-            ),
-            ("cells", Json::Arr(cells)),
-        ])
-    }
+        }),
+        every(&|s| {
+            ensure(s.full >= 0.2 * s.ratio, || {
+                let (growth, ratio) = (s.full, s.ratio);
+                format!("full-replay p50 grew only {growth:.1}x over a {ratio:.0}x sweep")
+            })
+        }),
+        every(&|s| {
+            ensure(s.full > s.ckpt, || {
+                let (full, ckpt) = (s.full, s.ckpt);
+                format!("full replay ({full:.1}x) did not outgrow checkpoint+tail ({ckpt:.1}x)")
+            })
+        }),
+        every(&|s| {
+            ensure(s.ckpt_bytes < s.full_bytes, || {
+                let (ckpt, full, largest) = (s.ckpt_bytes, s.full_bytes, s.largest);
+                format!(
+                    "checkpoint+tail read {ckpt} bytes at {largest} commits, full replay {full}"
+                )
+            })
+        }),
+    ];
+    CHECKS.into_iter().zip(verdicts).collect()
 }
 
 fn tid(ts: u64) -> TransactionId {
@@ -374,11 +264,9 @@ fn measure_bootstrap(io: &IoEngine) -> (BootstrapSample, MetadataCache) {
     (sample, cache)
 }
 
-fn run_cell(
-    backend: BackendKind,
-    history: usize,
-    config: &CheckpointBenchConfig,
-) -> CheckpointCell {
+/// One `cells` row: `backend` bootstrapped by full replay over a history
+/// of `history` commits, then from a checkpoint and a tail.
+fn run_cell(backend: BackendKind, history: usize, config: &CheckpointBenchConfig) -> Vec<f64> {
     let storage = virtual_backend(backend, config.seed ^ history as u64);
     let io = IoEngine::new(storage, IoConfig::pipelined());
 
@@ -449,27 +337,42 @@ fn run_cell(
         })
         .count();
 
-    CheckpointCell {
-        backend: backend.label().to_owned(),
-        history,
-        tail: config.tail,
-        full,
-        ckpt,
-        compacted: compaction.deleted_covered + compaction.deleted_superseded,
-        lost,
-        phantom,
-    }
+    let cost = |samples: &[BootstrapSample], q| percentile(samples, q, |s| s.cost_ms);
+    let bytes = |samples: &[BootstrapSample]| percentile(samples, 0.5, |s| s.bytes_read as f64);
+    vec![
+        config.tail as f64,
+        cost(&full, 0.5),
+        cost(&full, 0.99),
+        cost(&ckpt, 0.5),
+        cost(&ckpt, 0.99),
+        bytes(&full),
+        bytes(&ckpt),
+        (compaction.deleted_covered + compaction.deleted_superseded) as f64,
+        lost as f64,
+        phantom as f64,
+    ]
 }
 
-/// Runs the full sweep and returns the report.
-pub fn fig13_checkpoint(config: &CheckpointBenchConfig) -> CheckpointReport {
-    let mut cells = Vec::with_capacity(config.backends.len() * config.sizes.len());
+/// Runs the full sweep and returns its report: one `cells` sheet, in
+/// (backend, history size) order.
+pub fn fig13_checkpoint(config: &CheckpointBenchConfig) -> Report {
+    let mut cells = Sheet::new(
+        "cells",
+        "fig13_checkpoint — recovery cost: full replay vs checkpoint + tail",
+        &["backend", "history"],
+        CELL_COLUMNS,
+    );
     for &backend in &config.backends {
         for &history in &config.sizes {
-            cells.push(run_cell(backend, history, config));
+            let labels = vec![backend.label().to_owned(), history.to_string()];
+            cells.push(labels, run_cell(backend, history, config));
         }
     }
-    CheckpointReport { cells }
+    Report {
+        experiment: "fig13_checkpoint",
+        sheets: vec![cells],
+        checks,
+    }
 }
 
 /// The registry's entry point.
@@ -480,18 +383,13 @@ pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
     );
     config.seed = args.seed.unwrap_or(config.seed);
     let report = fig13_checkpoint(&config);
-    Ok(Outcome::new(
-        config.seed,
-        &config,
-        vec![report.table()],
-        report.to_json(),
-        report.check_gate(),
-    ))
+    Ok(Outcome::report(config.seed, &config, &report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{assert_plants, assert_round_trips, Plant};
 
     fn tiny() -> CheckpointBenchConfig {
         CheckpointBenchConfig {
@@ -506,58 +404,88 @@ mod tests {
         }
     }
 
+    /// The tiny sweep, measured once for every test here.
+    fn report() -> &'static Report {
+        static REPORT: std::sync::OnceLock<Report> = std::sync::OnceLock::new();
+        REPORT.get_or_init(|| fig13_checkpoint(&tiny()))
+    }
+
     #[test]
     fn tiny_sweep_passes_the_gate() {
-        let report = fig13_checkpoint(&tiny());
-        assert_eq!(report.cells.len(), 2);
-        let summary = report.check_gate().expect("gate must pass");
-        assert!(summary.contains("0 lost"), "{summary}");
-        assert_eq!(report.total_lost(), 0);
-        assert_eq!(report.total_phantom(), 0);
-        for cell in &report.cells {
-            assert!(cell.compacted > 0, "compaction must drop covered records");
+        let report = report();
+        assert_eq!(report.gate(), Ok(()));
+        let cells = report.sheet("cells");
+        assert_eq!(cells.keys().count(), 2);
+        assert_eq!(cells.sum("lost_commits"), 0.0);
+        assert_eq!(cells.sum("phantom_commits"), 0.0);
+        for row in cells.keys() {
+            let value = |column| cells.value(row, column);
             assert!(
-                cell.ckpt_bytes() < cell.full_bytes(),
+                value("compacted_records") > 0.0,
+                "compaction must drop covered records"
+            );
+            assert!(
+                value("ckpt_tail_bytes") < value("full_replay_bytes"),
                 "checkpoint+tail must read fewer bytes"
             );
         }
         // The separation the figure shows: full replay is history-bound,
         // checkpoint+tail is not.
-        let small = &report.cells[0];
-        let large = &report.cells[1];
-        assert!(large.full_p50_ms() > small.full_p50_ms() * 2.0);
-        assert!(large.ckpt_p50_ms() <= small.ckpt_p50_ms() * 3.0);
+        let p50 = |history, column| cells.value(&["DynamoDB", history], column);
+        let (full, ckpt) = ("full_replay_p50_ms", "ckpt_tail_p50_ms");
+        assert!(p50("5000", full) > p50("500", full) * 2.0);
+        assert!(p50("5000", ckpt) <= p50("500", ckpt) * 3.0);
     }
 
     #[test]
     fn gate_catches_a_missing_separation() {
-        let mut report = fig13_checkpoint(&tiny());
+        let mut report = report().clone();
         // Sabotage: pretend the checkpoint path got as slow as full replay.
-        for cell in &mut report.cells {
-            cell.ckpt = cell.full.clone();
+        let cells = report.sheet_mut("cells");
+        for history in ["500", "5000"] {
+            let full = cells.value(&["DynamoDB", history], "full_replay_p50_ms");
+            cells.set(&["DynamoDB", history], "ckpt_tail_p50_ms", full);
         }
-        let err = report.check_gate().unwrap_err();
+        let err = report.gate().unwrap_err();
         assert!(err.contains("3x") || err.contains("outgrow"), "{err}");
     }
 
     #[test]
+    fn a_planted_violation_fails_exactly_its_check() {
+        const LARGE: [&str; 2] = ["DynamoDB", "5000"];
+        /// Plants both ends' p50 costs of full replay and checkpoint+tail.
+        fn costs(cells: &mut Sheet, full: [f64; 2], ckpt: [f64; 2]) {
+            for (history, at) in [("500", 0), ("5000", 1)] {
+                cells.set(&["DynamoDB", history], "full_replay_p50_ms", full[at]);
+                cells.set(&["DynamoDB", history], "ckpt_tail_p50_ms", ckpt[at]);
+            }
+        }
+        // The history grows 10x, so full replay must grow at least 2x.
+        let cases: [(&str, Plant<'_>); 7] = [
+            (CHECKS[0], &|cells| cells.retain(|row| row[1] == "500")),
+            (CHECKS[1], &|cells| cells.set(&LARGE, "lost_commits", 1.0)),
+            (CHECKS[1], &|cells| {
+                cells.set(&LARGE, "phantom_commits", 1.0)
+            }),
+            (CHECKS[2], &|cells| {
+                costs(cells, [100.0, 1_000.0], [10.0, 40.0])
+            }),
+            (CHECKS[3], &|cells| {
+                costs(cells, [100.0, 150.0], [10.0, 10.0])
+            }),
+            (CHECKS[4], &|cells| {
+                costs(cells, [100.0, 250.0], [10.0, 30.0])
+            }),
+            (CHECKS[5], &|cells| {
+                let full = cells.value(&LARGE, "full_replay_bytes");
+                cells.set(&LARGE, "ckpt_tail_bytes", full);
+            }),
+        ];
+        assert_plants(report(), "cells", &cases);
+    }
+
+    #[test]
     fn json_document_round_trips() {
-        let report = fig13_checkpoint(&CheckpointBenchConfig {
-            sizes: vec![300, 900],
-            ..tiny()
-        });
-        let parsed = Json::parse(&report.to_json().render()).unwrap();
-        assert_eq!(
-            parsed.get("experiment").unwrap().as_str().unwrap(),
-            "fig13_checkpoint"
-        );
-        let cells = parsed.get("cells").unwrap().as_array().unwrap();
-        assert_eq!(cells.len(), 2);
-        assert!(parsed
-            .get("summary")
-            .and_then(|s| s.get("lost_commits"))
-            .and_then(Json::as_f64)
-            .is_some());
-        assert_eq!(report.table().len(), report.cells.len());
+        assert_round_trips(report());
     }
 }

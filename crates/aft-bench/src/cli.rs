@@ -15,7 +15,11 @@
 //! the experiment's configuration) so that a failure replays — the driver
 //! prints the exact command. `figures` is the paper's Figures 2–10 and
 //! Table 2, each with its shape check; the other five are this
-//! repository's own sweeps. `all` runs the registry in order, forwards each
+//! repository's own sweeps. The four virtual-clock experiments (`figures`,
+//! `fig10_recovery`, `fig12_dissemination`, `fig13_checkpoint`) each return
+//! a [`Report`] and are packaged one way (`Outcome::report`): a table
+//! per sheet, the report's document, and its named checks as the gate and
+//! one note each. `all` runs the registry in order, forwards each
 //! experiment the flags it declares, writes every report under its default
 //! name and exits non-zero if any gate failed; because it is a loop over the
 //! registry, a gate cannot be left out of it. Exit status: 0 clean, 1 a gate
@@ -26,7 +30,7 @@
 //! seed, the clock kind and the core count it was measured under.
 
 use crate::json::Json;
-use crate::report::Table;
+use crate::report::{Report, Sheet, Table};
 use crate::setup::BenchEnv;
 use crate::{checkpoint, dissemination, experiments, overload, recovery, service};
 
@@ -105,6 +109,22 @@ impl Outcome {
             gate,
             replay: Vec::new(),
         }
+    }
+
+    /// A report's outcome: a table per sheet, the report's document, and
+    /// its checks as the gate and as one note each.
+    pub(crate) fn report(seed: u64, config: &dyn std::fmt::Debug, report: &Report) -> Self {
+        let tables = report.sheets.iter().map(Sheet::table).collect();
+        let verdicts = report.verdicts();
+        let gate = report
+            .gate()
+            .map(|()| format!("all {} checks hold", verdicts.len()));
+        let mut outcome = Outcome::new(seed, config, tables, report.to_json(), gate);
+        for (check, verdict) in verdicts {
+            let verdict = verdict.map_or_else(|e| format!("FAILED — {e}"), |()| "ok".to_owned());
+            outcome.notes.push(format!("{check}: {verdict}"));
+        }
+        outcome
     }
 }
 
@@ -499,10 +519,10 @@ mod tests {
         let (config, cells_only) = recovery::plan(&args).unwrap();
         assert_eq!(config.fault_modes, [recovery::FaultMode::CrossLayer]);
         assert_eq!(config.seed, 20260809);
-        assert!(cells_only, "--mode gates on check_gate_cells");
+        assert!(cells_only, "--mode gates on the cell checks alone");
         let (full, cells_only) = recovery::plan(&parse_line("fig10_recovery").unwrap().1).unwrap();
         assert_eq!(full.fault_modes.len(), 3);
-        assert!(!cells_only, "the full matrix gates on check_gate");
+        assert!(!cells_only, "the full matrix gates on every check");
         let (_, args) = parse_line("fig10_recovery --mode sideways").unwrap();
         assert!(recovery::plan(&args).unwrap_err().contains("cross_layer"));
     }
@@ -510,34 +530,39 @@ mod tests {
     #[test]
     fn a_failing_fig10_cell_narrows_the_replay_to_its_mode() {
         use aft_types::CommitPhase;
-        use recovery::{CellReport, FaultMode, RecoveryReport, TrialResult};
-        // Every fault mode at every commit phase, one anomaly in one cell.
-        let cells = FaultMode::ALL.iter().flat_map(|&mode| {
-            CommitPhase::ALL.map(|kill| CellReport {
-                backend: "Redis".to_owned(),
-                fault_mode: mode.label().to_owned(),
-                kill_point: kill.label().to_owned(),
-                trials: vec![TrialResult {
-                    anomalies: u64::from(
-                        mode == FaultMode::Partition && kill == CommitPhase::BeforeBroadcast,
-                    ),
-                    first_anomaly_step: Some(42),
-                    converged: true,
-                    ..TrialResult::default()
-                }],
-            })
-        });
-        let report = RecoveryReport {
-            cells: cells.collect(),
+        use recovery::{FaultMode, TrialResult};
+        // Every fault mode at every commit phase, each cell one clean trial.
+        let mut cells = recovery::cells_sheet();
+        let trial = TrialResult {
+            converged: true,
+            ..TrialResult::default()
         };
+        for mode in FaultMode::ALL {
+            for kill in CommitPhase::ALL {
+                let labels = ["Redis", mode.label(), kill.label()].map(str::to_owned);
+                cells.push(labels.to_vec(), recovery::cell_row(&[trial]));
+            }
+        }
+        let clean = Report {
+            experiment: "fig10_recovery",
+            sheets: vec![cells],
+            checks: recovery::checks,
+        };
+        // One anomaly planted in one cell.
+        let mut report = clean.clone();
+        let cell = ["Redis", "partition", "before_broadcast"];
+        let cells = report.sheet_mut("cells");
+        cells.set(&cell, "anomalies", 1.0);
+        cells.set(&cell, "first_anomaly_trial", 0.0);
+        cells.set(&cell, "first_anomaly_step", 42.0);
         let (exp, args) = parse_line("fig10_recovery").unwrap();
         let (config, cells_only) = recovery::plan(&args).unwrap();
-        let outcome = recovery::outcome(&config, &report, cells_only);
+        let outcome = recovery::outcome(&config, report, cells_only);
         assert_eq!(
             outcome.gate,
             Err(
-                "Redis/partition/before_broadcast: 1 read-atomicity anomalies, \
-                 first at step 42 of trial 0"
+                "0 read-atomicity anomalies: Redis/partition/before_broadcast: \
+                 anomalies 1, first at step 42 of trial 0"
                     .to_owned()
             )
         );
@@ -546,14 +571,7 @@ mod tests {
             "AFT_BENCH_FAST=1 aft-bench fig10_recovery --seed 988688 --mode partition"
         );
         // A clean report narrows nothing.
-        let clean = RecoveryReport {
-            cells: report
-                .cells
-                .into_iter()
-                .filter(|c| c.trials[0].anomalies == 0)
-                .collect(),
-        };
-        assert!(recovery::outcome(&config, &clean, cells_only)
+        assert!(recovery::outcome(&config, clean, cells_only)
             .replay
             .is_empty());
     }

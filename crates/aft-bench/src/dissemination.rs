@@ -28,9 +28,12 @@
 //! scaled to a metadata partition): deliveries park on retry queues while
 //! the cut holds, and after the heal the leg must converge with **zero**
 //! lost commits and **zero** unaccounted records.
-//! [`DisseminationReport::check_gate`] enforces all of it in CI; results
-//! land in `BENCH_dissemination.json`.
+//!
+//! The report has two sheets, `cells` (a row per cluster size and path)
+//! and `partition` (a row per leg), in `BENCH_dissemination.json`; its
+//! [`checks`], one per clause, enforce all of it in CI.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use aft_cluster::{broadcast_round, BroadcastStats, Disseminator};
@@ -41,8 +44,7 @@ use aft_types::{Key, TransactionId, Value};
 use aft_workload::sim::{Seeded, Shared};
 
 use crate::cli::{Args, Outcome};
-use crate::json::Json;
-use crate::report::{round2, Table};
+use crate::report::{ensure, Report, Sheet, Verdict};
 
 /// Configuration of the dissemination sweep.
 #[derive(Debug, Clone)]
@@ -102,294 +104,119 @@ const SWEEP: &str = "sweep";
 /// The paper's flat exchange, the reference.
 const FLAT: &str = "flat";
 
-/// One (cluster size, path) cell of the sweep.
-#[derive(Debug, Clone)]
-pub struct DisseminationCell {
-    /// Cluster size.
-    pub nodes: usize,
-    /// How the cell moved its records: `"sweep"` or `"flat"`.
-    pub path: &'static str,
-    /// Commits disseminated.
-    pub ops: usize,
-    /// Messages sent (batched edge-sends).
-    pub messages: u64,
-    /// Encoded commit-record bytes moved.
-    pub bytes: u64,
-    /// Duplicate deliveries absorbed by receiver dedup.
-    pub duplicates: u64,
-    /// Median commit-record age at peer application, virtual ms.
-    pub lag_p50_ms: f64,
-    /// Worst-node p99 commit-record age at peer application, virtual ms.
-    pub lag_p99_ms: f64,
-    /// Records some node neither applied nor saw superseded. Must be zero.
-    pub unaccounted: u64,
-}
+/// The `cells` sheet's columns, a row per (cluster size, path): the
+/// commits disseminated, the messages (batched edge-sends) and encoded
+/// commit-record bytes they cost, each per commit, the median node's median
+/// and the worst node's p99 commit-record age at peer application in
+/// virtual ms, the staleness window (interval + lag p99: how stale a node's
+/// view of a remote commit can be), the duplicate deliveries receivers
+/// absorbed, the records some node neither applied nor saw superseded, the
+/// interval, and flat's messages per commit over this path's.
+const CELL_COLUMNS: &[&str] = &[
+    "ops",
+    "messages",
+    "bytes",
+    "messages_per_op",
+    "bytes_per_op",
+    "lag_p50_ms",
+    "lag_p99_ms",
+    "staleness_window_ms",
+    "duplicates",
+    "unaccounted",
+    "interval_ms",
+    "reduction_vs_flat",
+];
 
-impl DisseminationCell {
-    /// Messages per committed transaction.
-    pub fn messages_per_op(&self) -> f64 {
-        self.messages as f64 / self.ops.max(1) as f64
-    }
+/// The `partition` sheet's columns, a row per leg: the commits
+/// disseminated through the cut, the deliveries parked on cut edges while
+/// it held and re-driven after the heal, the rounds from arming until the
+/// retry queues drained, whether they drained within the heal budget (1 or
+/// 0), and the commits some node never accounted for.
+const LEG_COLUMNS: &[&str] = &[
+    "ops",
+    "link_drops",
+    "retried",
+    "rounds_to_converge",
+    "lost_commits",
+    "converged",
+];
 
-    /// Bytes per committed transaction.
-    pub fn bytes_per_op(&self) -> f64 {
-        self.bytes as f64 / self.ops.max(1) as f64
-    }
+/// The checks' names, in order.
+const CHECKS: [&str; 6] = [
+    "both paths at >= 2 sizes, the top >= 16",
+    "every record accounted for",
+    "sweep below flat at >= 16 nodes",
+    "sweep >= 10x below flat at >= 64 nodes",
+    "lag p99 <= 3 intervals",
+    "partition legs cut, healed, lost 0",
+];
 
-    /// Interval + lag p99: the bound on how stale a node's view of a
-    /// remote commit can be.
-    pub fn staleness_window_ms(&self, interval_ms: u64) -> f64 {
-        interval_ms as f64 + self.lag_p99_ms
-    }
-}
-
-/// One partition-chaos leg: a seeded edge-cut under the sweep.
-#[derive(Debug, Clone)]
-pub struct PartitionLeg {
-    /// Cluster size.
-    pub nodes: usize,
-    /// Commits disseminated through the cut.
-    pub ops: usize,
-    /// Deliveries parked on cut edges while the partition held.
-    pub link_drops: u64,
-    /// Parked deliveries re-driven after the heal.
-    pub retried: u64,
-    /// Rounds from arming to full convergence (retry queues empty).
-    pub rounds_to_converge: usize,
-    /// Whether the retry queues drained within the heal budget.
-    pub converged: bool,
-    /// Commits some node never accounted for. Must be zero.
-    pub lost_commits: u64,
-}
-
-/// The whole sweep's results.
-#[derive(Debug, Clone)]
-pub struct DisseminationReport {
-    /// Every (cluster size, path) cell, sizes ascending.
-    pub cells: Vec<DisseminationCell>,
-    /// The partition-chaos legs.
-    pub partition_legs: Vec<PartitionLeg>,
-    /// The interval the sweep ran at, virtual ms.
-    pub interval_ms: u64,
-}
-
-impl DisseminationReport {
-    fn cell(&self, nodes: usize, path: &str) -> Option<&DisseminationCell> {
-        self.cells
-            .iter()
-            .find(|c| c.nodes == nodes && c.path == path)
-    }
-
-    /// The messages/op ratio of the flat reference over the sweep at one
-    /// cluster size (how many times cheaper the sweep is).
-    pub fn reduction_vs_flat(&self, nodes: usize) -> Option<f64> {
-        let flat = self.cell(nodes, FLAT)?;
-        let sweep = self.cell(nodes, SWEEP)?;
-        Some(flat.messages_per_op() / sweep.messages_per_op().max(f64::MIN_POSITIVE))
-    }
-
-    /// The CI gate:
-    ///
-    /// * coverage — both paths at ≥ 2 cluster sizes, one ≥ 16;
-    /// * every cell accounts for every record on every node;
-    /// * at every size ≥ 16 the sweep sends strictly fewer messages/op than
-    ///   the flat reference — and ≥ 10× fewer at ≥ 64 nodes, where the
-    ///   quadratic reference actually hurts;
-    /// * unpartitioned propagation lag p99 within 3 dissemination
-    ///   intervals;
-    /// * every partition leg converged with zero lost commits (and really
-    ///   cut something).
-    pub fn check_gate(&self) -> Result<String, String> {
-        let sizes: std::collections::BTreeSet<usize> = self.cells.iter().map(|c| c.nodes).collect();
-        if sizes.len() < 2 || sizes.iter().max().copied().unwrap_or(0) < 16 {
-            return Err(format!("sweep too small: sizes {sizes:?}"));
-        }
-        for &nodes in &sizes {
-            let (Some(flat), Some(sweep)) = (self.cell(nodes, FLAT), self.cell(nodes, SWEEP))
-            else {
-                return Err(format!("{nodes} nodes: missing a sweep or flat cell"));
-            };
-            if nodes >= 16 && sweep.messages_per_op() >= flat.messages_per_op() {
-                return Err(format!(
-                    "{nodes} nodes: the sweep sends {:.2} messages/op, not below flat's {:.2}",
-                    sweep.messages_per_op(),
-                    flat.messages_per_op()
-                ));
-            }
-            let reduction = self.reduction_vs_flat(nodes).unwrap_or(0.0);
-            if nodes >= 64 && reduction < 10.0 {
-                return Err(format!(
-                    "{nodes} nodes: the sweep reduces messages/op only {reduction:.1}x vs flat; need >= 10x"
-                ));
-            }
-        }
-        for cell in &self.cells {
-            if cell.unaccounted > 0 {
-                return Err(format!(
-                    "{}/{} nodes: {} records unaccounted",
-                    cell.path, cell.nodes, cell.unaccounted
-                ));
-            }
-            if cell.lag_p99_ms > (3 * self.interval_ms) as f64 {
-                return Err(format!(
-                    "{}/{} nodes: lag p99 {:.0}ms exceeds 3 intervals ({}ms)",
-                    cell.path,
-                    cell.nodes,
-                    cell.lag_p99_ms,
-                    3 * self.interval_ms
-                ));
-            }
-        }
-        if self.partition_legs.is_empty() {
-            return Err("no partition legs ran".to_owned());
-        }
-        for leg in &self.partition_legs {
-            let label = format!("partition/{} nodes", leg.nodes);
-            if leg.link_drops == 0 {
-                return Err(format!("{label}: the edge-cut never dropped a delivery"));
-            }
-            if !leg.converged {
-                return Err(format!("{label}: retry queues never drained"));
-            }
-            if leg.lost_commits > 0 {
-                return Err(format!("{label}: {} commits lost", leg.lost_commits));
-            }
-        }
-        let best = self
-            .reduction_vs_flat(sizes.iter().max().copied().unwrap_or(16))
-            .unwrap_or(0.0);
-        Ok(format!(
-            "{} cells clean at sizes {sizes:?}: sweep {best:.1}x cheaper than flat at the top size, \
-             lag p99 within 3 intervals, {} partition legs healed with 0 lost commits",
-            self.cells.len(),
-            self.partition_legs.len()
-        ))
-    }
-
-    /// Renders the sweep as an aligned text table.
-    pub fn table(&self) -> Table {
-        let mut table = Table::new(
-            "fig12_dissemination — commit-metadata dissemination: the sweep vs flat by cluster size",
-            &[
-                "nodes",
-                "path",
-                "msgs/op",
-                "bytes/op",
-                "lag p50 (ms)",
-                "lag p99 (ms)",
-                "staleness (ms)",
-                "duplicates",
-            ],
+/// fig12's checks: both paths at two sizes or more, the top one ≥ 16;
+/// every record accounted for; the sweep's messages per commit below
+/// flat's at ≥ 16 nodes and ≥ 10× below at ≥ 64; lag p99 within 3
+/// intervals; and a partition leg that cut a delivery, drained its retry
+/// queues and lost no commit.
+pub fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
+    let (cells, legs) = (report.sheet("cells"), report.sheet("partition"));
+    let sizes: BTreeSet<usize> = cells.keys().filter_map(|row| row[0].parse().ok()).collect();
+    let has = |nodes: &usize, path: &str| {
+        let n = nodes.to_string();
+        cells.keys().any(|row| row[0] == n && row[1] == path)
+    };
+    let missing = sizes.iter().find(|n| !has(n, FLAT) || !has(n, SWEEP));
+    let coverage = match (sizes.len() < 2 || sizes.last() < Some(&16), missing) {
+        (true, _) => Err(format!("sweep too small: sizes {sizes:?}")),
+        (false, Some(nodes)) => Err(format!("{nodes} nodes: missing a sweep or flat cell")),
+        (false, None) => Ok(()),
+    };
+    // The sweep's rows at `nodes` nodes or more.
+    let sweeps = |nodes| {
+        let rows = cells.keys().filter(|row| row[1] == SWEEP);
+        rows.filter(move |row| row[0].parse().is_ok_and(|n: usize| n >= nodes))
+    };
+    let below_flat = sweeps(16).try_for_each(|row| {
+        let per_op = |path| cells.value(&[row[0].as_str(), path], "messages_per_op");
+        let (sweep, flat) = (per_op(SWEEP), per_op(FLAT));
+        ensure(sweep < flat, || {
+            format!(
+                "{} nodes: the sweep sends {sweep:.2} messages/op, not below flat's {flat:.2}",
+                row[0]
+            )
+        })
+    });
+    let tenfold = sweeps(64).try_for_each(|row| {
+        let reduction = cells.value(row, "reduction_vs_flat");
+        ensure(reduction >= 10.0, || {
+            format!(
+                "{} nodes: the sweep reduces messages/op only {reduction:.1}x vs flat",
+                row[0]
+            )
+        })
+    });
+    let lag = cells.keys().try_for_each(|row| {
+        let (lag, interval) = (
+            cells.value(row, "lag_p99_ms"),
+            cells.value(row, "interval_ms"),
         );
-        for cell in &self.cells {
-            table.add_row(vec![
-                cell.nodes.to_string(),
-                cell.path.to_owned(),
-                format!("{:.2}", cell.messages_per_op()),
-                format!("{:.0}", cell.bytes_per_op()),
-                format!("{:.0}", cell.lag_p50_ms),
-                format!("{:.0}", cell.lag_p99_ms),
-                format!("{:.0}", cell.staleness_window_ms(self.interval_ms)),
-                cell.duplicates.to_string(),
-            ]);
-        }
-        table
-    }
-
-    /// Renders the partition legs as an aligned text table.
-    pub fn partition_table(&self) -> Table {
-        let mut table = Table::new(
-            "fig12_dissemination — partition chaos: seeded edge-cut under the sweep",
-            &[
-                "nodes",
-                "link drops",
-                "retried",
-                "rounds to converge",
-                "lost commits",
-                "converged",
-            ],
-        );
-        for leg in &self.partition_legs {
-            table.add_row(vec![
-                leg.nodes.to_string(),
-                leg.link_drops.to_string(),
-                leg.retried.to_string(),
-                leg.rounds_to_converge.to_string(),
-                leg.lost_commits.to_string(),
-                leg.converged.to_string(),
-            ]);
-        }
-        table
-    }
-
-    /// Serialises the report as the `BENCH_dissemination.json` document.
-    pub fn to_json(&self) -> Json {
-        let cells = self
-            .cells
-            .iter()
-            .map(|c| {
-                Json::obj(vec![
-                    ("nodes", Json::Num(c.nodes as f64)),
-                    ("path", Json::str(c.path)),
-                    ("ops", Json::Num(c.ops as f64)),
-                    ("messages", Json::Num(c.messages as f64)),
-                    ("bytes", Json::Num(c.bytes as f64)),
-                    ("messages_per_op", Json::Num(round2(c.messages_per_op()))),
-                    ("bytes_per_op", Json::Num(round2(c.bytes_per_op()))),
-                    ("lag_p50_ms", Json::Num(round2(c.lag_p50_ms))),
-                    ("lag_p99_ms", Json::Num(round2(c.lag_p99_ms))),
-                    (
-                        "staleness_window_ms",
-                        Json::Num(round2(c.staleness_window_ms(self.interval_ms))),
-                    ),
-                    ("duplicates", Json::Num(c.duplicates as f64)),
-                    ("unaccounted", Json::Num(c.unaccounted as f64)),
-                ])
-            })
-            .collect();
-        let legs = self
-            .partition_legs
-            .iter()
-            .map(|l| {
-                Json::obj(vec![
-                    ("nodes", Json::Num(l.nodes as f64)),
-                    ("ops", Json::Num(l.ops as f64)),
-                    ("link_drops", Json::Num(l.link_drops as f64)),
-                    ("retried", Json::Num(l.retried as f64)),
-                    ("rounds_to_converge", Json::Num(l.rounds_to_converge as f64)),
-                    ("lost_commits", Json::Num(l.lost_commits as f64)),
-                    ("converged", Json::Bool(l.converged)),
-                ])
-            })
-            .collect();
-        let max_size = self.cells.iter().map(|c| c.nodes).max().unwrap_or(0);
-        Json::obj(vec![
-            ("experiment", Json::str("fig12_dissemination")),
-            (
-                "summary",
-                Json::obj(vec![
-                    ("cells", Json::Num(self.cells.len() as f64)),
-                    ("interval_ms", Json::Num(self.interval_ms as f64)),
-                    ("max_nodes", Json::Num(max_size as f64)),
-                    (
-                        "sweep_reduction_at_max",
-                        Json::Num(round2(self.reduction_vs_flat(max_size).unwrap_or(0.0))),
-                    ),
-                    (
-                        "partition_lost_commits",
-                        Json::Num(
-                            self.partition_legs
-                                .iter()
-                                .map(|l| l.lost_commits)
-                                .sum::<u64>() as f64,
-                        ),
-                    ),
-                ]),
-            ),
-            ("cells", Json::Arr(cells)),
-            ("partition_legs", Json::Arr(legs)),
-        ])
-    }
+        ensure(lag <= 3.0 * interval, || {
+            format!("{}: lag p99 {lag:.0}ms", row.join("/"))
+        })
+    });
+    let partition = ensure(legs.keys().next().is_some(), || {
+        "no partition legs ran".to_owned()
+    })
+    .and_then(|()| legs.each("link_drops", |n| n > 0.0))
+    .and_then(|()| legs.each("converged", |c| c == 1.0))
+    .and_then(|()| legs.each("lost_commits", |n| n == 0.0));
+    let verdicts = [
+        coverage,
+        cells.each("unaccounted", |n| n == 0.0),
+        below_flat,
+        tenfold,
+        lag,
+        partition,
+    ];
+    CHECKS.into_iter().zip(verdicts).collect()
 }
 
 /// An in-process virtual-clock cluster: `n` nodes on one shared
@@ -486,11 +313,15 @@ fn unaccounted(cluster: &VirtualCluster, issued: &[(TransactionId, usize)]) -> u
     missing
 }
 
+/// One `cells` row: the commits of `config` disseminated over `nodes`
+/// nodes along `path`; `flat_per_op` is the flat path's messages per
+/// commit at this size, where `path` is the sweep.
 fn run_cell(
     nodes: usize,
     path: &'static str,
+    flat_per_op: Option<f64>,
     config: &DisseminationBenchConfig,
-) -> DisseminationCell {
+) -> Vec<f64> {
     let cluster = virtual_cluster(nodes, config.seed, None);
     let d = Disseminator::default();
     let (issued, totals) = drive_rounds(&cluster, config, |nodes| {
@@ -515,20 +346,29 @@ fn run_cell(
     p50s.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let lag_p50_ms = p50s.get(p50s.len() / 2).copied().unwrap_or(0.0);
 
-    DisseminationCell {
-        nodes,
-        path,
-        ops: issued.len(),
-        messages: totals.fanout_messages as u64,
-        bytes: totals.bytes,
-        duplicates: totals.duplicates as u64,
+    let ops = issued.len().max(1) as f64;
+    let (messages, bytes) = (totals.fanout_messages as f64, totals.bytes as f64);
+    let interval = config.interval_ms as f64;
+    let flat_per_op = flat_per_op.unwrap_or(messages / ops);
+    vec![
+        issued.len() as f64,
+        messages,
+        bytes,
+        messages / ops,
+        bytes / ops,
         lag_p50_ms,
-        lag_p99_ms: p99,
-        unaccounted: unaccounted(&cluster, &issued),
-    }
+        p99,
+        interval + p99,
+        totals.duplicates as f64,
+        unaccounted(&cluster, &issued) as f64,
+        interval,
+        flat_per_op / (messages / ops).max(f64::MIN_POSITIVE),
+    ]
 }
 
-fn run_partition_leg(nodes: usize, config: &DisseminationBenchConfig) -> PartitionLeg {
+/// One `partition` row: the leg's commits disseminated over `nodes` nodes
+/// through a seeded edge-cut under the sweep, then healed.
+fn run_partition_leg(nodes: usize, config: &DisseminationBenchConfig) -> Vec<f64> {
     let holds = Seeded::new(config.seed, None).partition(config.cut_fraction, 0..config.cut_rounds);
     let holds = Shared::new(holds);
     let cluster = virtual_cluster(nodes, config.seed ^ 0x9A47, Some(holds));
@@ -543,28 +383,45 @@ fn run_partition_leg(nodes: usize, config: &DisseminationBenchConfig) -> Partiti
         extra += 1;
     }
     let totals = d.totals();
-    PartitionLeg {
-        nodes,
-        ops: issued.len(),
-        link_drops: totals.link_drops as u64,
-        retried: totals.retried as u64,
-        rounds_to_converge: config.rounds + extra,
-        converged: d.pending_retries() == 0,
-        lost_commits: unaccounted(&cluster, &issued),
-    }
+    vec![
+        issued.len() as f64,
+        totals.link_drops as f64,
+        totals.retried as f64,
+        (config.rounds + extra) as f64,
+        unaccounted(&cluster, &issued) as f64,
+        f64::from(u8::from(d.pending_retries() == 0)),
+    ]
 }
 
-/// Runs the full sweep and returns the report.
-pub fn fig12_dissemination(config: &DisseminationBenchConfig) -> DisseminationReport {
-    let cells = config
-        .node_counts
-        .iter()
-        .flat_map(|&nodes| [FLAT, SWEEP].map(|path| run_cell(nodes, path, config)))
-        .collect();
-    DisseminationReport {
-        cells,
-        partition_legs: vec![run_partition_leg(config.partition_nodes, config)],
-        interval_ms: config.interval_ms,
+/// Runs the full sweep and returns its report: the `cells` sheet, flat
+/// then sweep at each size, and the `partition` sheet.
+pub fn fig12_dissemination(config: &DisseminationBenchConfig) -> Report {
+    let mut cells = Sheet::new(
+        "cells",
+        "fig12_dissemination — commit-metadata dissemination: the sweep vs flat by cluster size",
+        &["nodes", "path"],
+        CELL_COLUMNS,
+    );
+    for &nodes in &config.node_counts {
+        let n = nodes.to_string();
+        let flat = run_cell(nodes, FLAT, None, config);
+        cells.push(vec![n.clone(), FLAT.to_owned()], flat);
+        let flat_per_op = cells.value(&[n.as_str(), FLAT], "messages_per_op");
+        let sweep = run_cell(nodes, SWEEP, Some(flat_per_op), config);
+        cells.push(vec![n, SWEEP.to_owned()], sweep);
+    }
+    let mut partition = Sheet::new(
+        "partition",
+        "fig12_dissemination — partition chaos: seeded edge-cut under the sweep",
+        &["nodes"],
+        LEG_COLUMNS,
+    );
+    let nodes = config.partition_nodes;
+    partition.push(vec![nodes.to_string()], run_partition_leg(nodes, config));
+    Report {
+        experiment: "fig12_dissemination",
+        sheets: vec![cells, partition],
+        checks,
     }
 }
 
@@ -576,18 +433,13 @@ pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
     );
     config.seed = args.seed.unwrap_or(config.seed);
     let report = fig12_dissemination(&config);
-    Ok(Outcome::new(
-        config.seed,
-        &config,
-        vec![report.table(), report.partition_table()],
-        report.to_json(),
-        report.check_gate(),
-    ))
+    Ok(Outcome::report(config.seed, &config, &report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{assert_plants, assert_round_trips, Plant};
 
     fn tiny() -> DisseminationBenchConfig {
         DisseminationBenchConfig {
@@ -599,86 +451,95 @@ mod tests {
         }
     }
 
+    /// The tiny sweep, measured once for every test here.
+    fn report() -> &'static Report {
+        static REPORT: std::sync::OnceLock<Report> = std::sync::OnceLock::new();
+        REPORT.get_or_init(|| fig12_dissemination(&tiny()))
+    }
+
     #[test]
     fn tiny_sweep_passes_the_gate() {
-        let report = fig12_dissemination(&tiny());
-        assert_eq!(report.cells.len(), 4);
-        assert_eq!(report.partition_legs.len(), 1);
-        let summary = report.check_gate().expect("gate must pass");
-        assert!(summary.contains("4 cells clean"), "{summary}");
+        let report = report();
+        assert_eq!(report.sheet("cells").keys().count(), 4);
+        assert_eq!(report.sheet("partition").keys().count(), 1);
+        assert_eq!(report.gate(), Ok(()));
     }
 
     #[test]
     fn relay_topologies_beat_the_flat_baseline() {
-        let report = fig12_dissemination(&tiny());
-        for &nodes in &[16usize, 24] {
-            let reduction = report.reduction_vs_flat(nodes).unwrap();
+        let cells = report().sheet("cells");
+        for nodes in ["16", "24"] {
+            let reduction = cells.value(&[nodes, SWEEP], "reduction_vs_flat");
             assert!(reduction > 1.0, "{nodes} nodes: only {reduction:.2}x");
-            let (flat, sweep) = (
-                report.cell(nodes, FLAT).unwrap(),
-                report.cell(nodes, SWEEP).unwrap(),
-            );
-            assert!(sweep.bytes_per_op() <= flat.bytes_per_op(), "{nodes} nodes");
+            let bytes = |path| cells.value(&[nodes, path], "bytes_per_op");
+            assert!(bytes(SWEEP) <= bytes(FLAT), "{nodes} nodes");
         }
     }
 
     #[test]
     fn lag_is_one_virtual_interval_for_undisturbed_rounds() {
-        let report = fig12_dissemination(&tiny());
-        for cell in &report.cells {
-            assert_eq!(cell.unaccounted, 0, "{}/{}", cell.path, cell.nodes);
+        let cells = report().sheet("cells");
+        for row in cells.keys() {
+            assert_eq!(cells.value(row, "unaccounted"), 0.0, "{row:?}");
             // Every record is committed at clock T and applied after the
             // advance to T + interval; in-round relaying adds nothing.
-            assert!(
-                (cell.lag_p50_ms - 1_000.0).abs() < 1.0,
-                "{}/{}: p50 {}ms",
-                cell.path,
-                cell.nodes,
-                cell.lag_p50_ms
-            );
-            assert!(cell.lag_p99_ms <= 3_000.0);
+            let p50 = cells.value(row, "lag_p50_ms");
+            assert!((p50 - 1_000.0).abs() < 1.0, "{row:?}: p50 {p50}ms");
+            assert!(cells.value(row, "lag_p99_ms") <= 3_000.0);
         }
     }
 
     #[test]
     fn partition_legs_drop_then_heal_cleanly() {
-        let report = fig12_dissemination(&tiny());
-        for leg in &report.partition_legs {
-            assert!(leg.link_drops > 0, "cut never bit");
-            assert!(leg.retried > 0, "nothing retried");
-            assert!(leg.converged);
-            assert_eq!(leg.lost_commits, 0);
+        let legs = report().sheet("partition");
+        for row in legs.keys() {
+            let value = |column| legs.value(row, column);
+            assert!(value("link_drops") > 0.0, "cut never bit");
+            assert!(value("retried") > 0.0, "nothing retried");
+            assert_eq!(value("converged"), 1.0);
+            assert_eq!(value("lost_commits"), 0.0);
         }
     }
 
     #[test]
     fn json_document_round_trips() {
-        let report = fig12_dissemination(&tiny());
-        let parsed = Json::parse(&report.to_json().render()).unwrap();
-        assert_eq!(
-            parsed.get("experiment").unwrap().as_str().unwrap(),
-            "fig12_dissemination"
-        );
-        assert_eq!(
-            parsed.get("cells").unwrap().as_array().unwrap().len(),
-            report.cells.len()
-        );
-        assert_eq!(
-            parsed
-                .get("summary")
-                .and_then(|s| s.get("partition_lost_commits"))
-                .and_then(Json::as_f64),
-            Some(0.0)
-        );
-        assert_eq!(report.table().len(), report.cells.len());
-        assert_eq!(report.partition_table().len(), report.partition_legs.len());
+        assert_round_trips(report());
     }
 
     #[test]
-    fn gate_rejects_missing_partition_legs() {
-        let mut report = fig12_dissemination(&tiny());
-        report.partition_legs.clear();
-        let err = report.check_gate().unwrap_err();
-        assert!(err.contains("no partition legs"), "{err}");
+    fn a_planted_violation_fails_exactly_its_check() {
+        // The 24-node rows again, labelled 64 nodes, their reduction below
+        // 10x.
+        fn at_64_nodes(cells: &mut Sheet) {
+            for path in [FLAT, SWEEP] {
+                let row = CELL_COLUMNS.iter().map(|c| cells.value(&["24", path], c));
+                cells.push(vec!["64".to_owned(), path.to_owned()], row.collect());
+            }
+            cells.set(&["64", SWEEP], "reduction_vs_flat", 9.9);
+        }
+        let flat = report()
+            .sheet("cells")
+            .value(&["16", FLAT], "messages_per_op");
+        let cells: [(&str, Plant<'_>); 5] = [
+            (CHECKS[0], &|cells| cells.retain(|row| row[0] == "16")),
+            (CHECKS[1], &|cells| {
+                cells.set(&["24", SWEEP], "unaccounted", 3.0)
+            }),
+            (CHECKS[2], &|cells| {
+                cells.set(&["16", SWEEP], "messages_per_op", flat)
+            }),
+            (CHECKS[3], &at_64_nodes),
+            (CHECKS[4], &|cells| {
+                cells.set(&["16", FLAT], "lag_p99_ms", 3_001.0)
+            }),
+        ];
+        assert_plants(report(), "cells", &cells);
+        let legs: [(&str, Plant<'_>); 4] = [
+            (CHECKS[5], &|legs| legs.retain(|_| false)),
+            (CHECKS[5], &|legs| legs.set(&["16"], "link_drops", 0.0)),
+            (CHECKS[5], &|legs| legs.set(&["16"], "converged", 0.0)),
+            (CHECKS[5], &|legs| legs.set(&["16"], "lost_commits", 1.0)),
+        ];
+        assert_plants(report(), "partition", &legs);
     }
 }

@@ -31,137 +31,12 @@ use aft_workload::{
 };
 
 use crate::cli::{Args, Outcome};
-use crate::json::Json;
-use crate::report::{ms, round4, Table};
+use crate::report::{below, ensure, Report, Sheet, Verdict};
 use crate::setup::{self, aft_label, virtual_backend, BenchEnv};
 
 /// The default seed: Figure 2's pipelined legs keep the seed the
 /// `fig2_pipelined` experiment had.
 pub const DEFAULT_SEED: u64 = 0xF162;
-
-/// One table of a figure: label columns, then numeric columns.
-#[derive(Debug, Clone)]
-pub struct Sheet {
-    /// The report key, e.g. `fig3` or `table2`.
-    pub name: &'static str,
-    title: &'static str,
-    labels: &'static [&'static str],
-    values: &'static [&'static str],
-    rows: Vec<(Vec<String>, Vec<f64>)>,
-}
-
-impl Sheet {
-    pub(crate) fn new(
-        name: &'static str,
-        title: &'static str,
-        labels: &'static [&'static str],
-        values: &'static [&'static str],
-    ) -> Self {
-        Sheet {
-            name,
-            title,
-            labels,
-            values,
-            rows: Vec::new(),
-        }
-    }
-
-    pub(crate) fn push(&mut self, labels: Vec<String>, values: Vec<f64>) {
-        self.rows.push((labels, values));
-    }
-
-    /// The `column` value of the row labelled `labels`; NaN, which fails
-    /// every comparison, where there is none.
-    pub fn value(&self, labels: &[&str], column: &str) -> f64 {
-        let at = self.values.iter().position(|c| *c == column);
-        let row = self.rows.iter().find(|(l, _)| l.iter().eq(labels.iter()));
-        match (row, at) {
-            (Some((_, values)), Some(at)) => values[at],
-            _ => f64::NAN,
-        }
-    }
-
-    /// The rows' labels, in order.
-    pub fn keys(&self) -> impl Iterator<Item = &[String]> {
-        self.rows.iter().map(|(labels, _)| labels.as_slice())
-    }
-
-    /// The sheet as an aligned text table.
-    pub fn table(&self) -> Table {
-        let headers: Vec<&str> = self.labels.iter().chain(self.values).copied().collect();
-        let mut table = Table::new(self.title, &headers);
-        for (labels, values) in &self.rows {
-            let cells = values.iter().zip(self.values).map(|(&v, column)| match v {
-                v if v.is_nan() => "-".to_owned(),
-                v if column.ends_with("_ms") => ms(v),
-                v if v.fract() == 0.0 => format!("{v:.0}"),
-                v => format!("{v:.2}"),
-            });
-            table.add_row(labels.iter().cloned().chain(cells).collect());
-        }
-        table
-    }
-
-    pub(crate) fn to_json(&self) -> Json {
-        let rows = self.rows.iter().map(|(labels, values)| {
-            let labels = self
-                .labels
-                .iter()
-                .zip(labels)
-                .map(|(k, v)| (*k, Json::str(v)));
-            let values = self.values.iter().zip(values);
-            Json::obj(
-                labels
-                    .chain(values.map(|(k, v)| (*k, Json::Num(round4(*v)))))
-                    .collect(),
-            )
-        });
-        Json::obj(vec![
-            ("title", Json::str(self.title)),
-            ("rows", Json::Arr(rows.collect())),
-        ])
-    }
-}
-
-/// What [`figures`] measured: every figure's sheets, in figure order.
-#[derive(Debug, Clone)]
-pub struct Report {
-    /// The sheets, each named once.
-    pub sheets: Vec<Sheet>,
-}
-
-impl Report {
-    /// The sheet named `name`. Panics if there is none: every check reads
-    /// sheets its figure always writes.
-    pub fn sheet(&self, name: &str) -> &Sheet {
-        let sheet = self.sheets.iter().find(|s| s.name == name);
-        sheet.unwrap_or_else(|| panic!("no sheet {name}"))
-    }
-
-    /// Mutable access for tests that plant a value.
-    #[cfg(test)]
-    fn sheet_mut(&mut self, name: &str) -> &mut Sheet {
-        self.sheets.iter_mut().find(|s| s.name == name).unwrap()
-    }
-
-    /// The `BENCH_figures.json` document: each check's verdict, then each
-    /// sheet.
-    pub fn to_json(&self) -> Json {
-        let checks = check(self).into_iter().map(|(figure, verdict)| {
-            let verdict = verdict.map_or_else(|e| format!("failed: {e}"), |()| "ok".to_owned());
-            Json::obj(vec![
-                ("figure", Json::str(figure)),
-                ("verdict", Json::str(verdict)),
-            ])
-        });
-        let sheets = self.sheets.iter().map(|s| (s.name.to_owned(), s.to_json()));
-        Json::obj(vec![
-            ("experiment", Json::str("figures")),
-            ("checks", Json::Arr(checks.collect())),
-            ("sheets", Json::Obj(sheets.collect())),
-        ])
-    }
-}
 
 /// Runs `requests` requests from each of `clients` clients in virtual
 /// time, with `timers` between them.
@@ -212,7 +87,11 @@ pub fn figures(env: &BenchEnv, seed: u64) -> Report {
     sheets.push(fig8_distributed(env, seed));
     sheets.push(fig9_gc(env, seed));
     sheets.push(fig10_fault_tolerance(env, seed));
-    Report { sheets }
+    Report {
+        experiment: "figures",
+        sheets,
+        checks: check,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -669,9 +548,6 @@ pub fn fig10_fault_tolerance(env: &BenchEnv, seed: u64) -> Sheet {
 // The checks.
 // ---------------------------------------------------------------------------
 
-/// One figure's check: `Err` names its first failing clause.
-pub(crate) type Verdict = Result<(), String>;
-
 /// Every figure's check, in figure order: `(figure, verdict)`.
 pub fn check(report: &Report) -> Vec<(&'static str, Verdict)> {
     vec![
@@ -686,29 +562,6 @@ pub fn check(report: &Report) -> Vec<(&'static str, Verdict)> {
         ("Figure 9 (§6.6)", check_fig9(report.sheet("fig9"))),
         ("Figure 10 (§6.7)", check_fig10(report.sheet("fig10"))),
     ]
-}
-
-/// The gate: every check passes. A failure names each failing figure and
-/// its first failing clause.
-pub fn gate(report: &Report) -> Verdict {
-    let failed: Vec<String> = check(report)
-        .into_iter()
-        .filter_map(|(figure, v)| v.err().map(|e| format!("{figure}: {e}")))
-        .collect();
-    if failed.is_empty() {
-        Ok(())
-    } else {
-        Err(failed.join("; "))
-    }
-}
-
-/// `Ok` if `a`'s value `x` is below `b`'s value `y`.
-pub(crate) fn below(a: &str, x: f64, b: &str, y: f64) -> Verdict {
-    if x < y {
-        Ok(())
-    } else {
-        Err(format!("{a} {x:.2} is not below {b} {y:.2}"))
-    }
 }
 
 /// Figure 2, §6.1.1. The paper (from memory): batching a request's writes
@@ -765,13 +618,11 @@ pub fn check_table2(table2: &Sheet) -> Verdict {
             "DynamoDB (Serializable)" => (false, true),
             _ => (true, true),
         };
-        if (ryw > 0.0, fr > 0.0) != (expect_ryw, expect_fr) {
+        ensure((ryw > 0.0, fr > 0.0) == (expect_ryw, expect_fr), || {
             let want = |expected: bool| if expected { "some" } else { "none" };
             let (ryw_want, fr_want) = (want(expect_ryw), want(expect_fr));
-            return Err(format!(
-                "row {name}: RYW {ryw} and FR {fr}, the paper reads {ryw_want} and {fr_want}"
-            ));
-        }
+            format!("row {name}: RYW {ryw} and FR {fr}, the paper reads {ryw_want} and {fr_want}")
+        })?;
     }
     Ok(())
 }
@@ -925,29 +776,21 @@ pub fn check_fig10(fig10: &Sheet) -> Verdict {
         .map_err(|e| format!("second {}: {e}", row[0]))?;
     }
     let active = [rows[kill.saturating_sub(1)].2, rows[kill].2, rows[join].2];
-    if active != [4.0, 3.0, 4.0] {
-        return Err(format!("active nodes went {active:?}, not 4 -> 3 -> 4"));
-    }
-    Ok(())
+    ensure(active == [4.0, 3.0, 4.0], || {
+        format!("active nodes went {active:?}, not 4 -> 3 -> 4")
+    })
 }
 
 /// The registry's entry point.
 pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
     let seed = args.seed.unwrap_or(DEFAULT_SEED);
-    let report = figures(&args.env, seed);
-    let tables = report.sheets.iter().map(Sheet::table).collect();
-    let gate = gate(&report).map(|()| "every figure's shape check holds".to_owned());
-    let mut outcome = Outcome::new(seed, &args.env, tables, report.to_json(), gate);
-    for (figure, verdict) in check(&report) {
-        let verdict = verdict.map_or_else(|e| format!("FAILED — {e}"), |()| "ok".to_owned());
-        outcome.notes.push(format!("{figure}: {verdict}"));
-    }
-    Ok(outcome)
+    Ok(Outcome::report(seed, &args.env, &figures(&args.env, seed)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::assert_round_trips;
 
     /// The figures at the test size, measured once for every test here.
     fn report() -> &'static Report {
@@ -958,9 +801,9 @@ mod tests {
     #[test]
     fn figures_at_the_test_size_pass_their_gate() {
         let report = report();
-        assert_eq!(gate(report), Ok(()));
+        assert_eq!(report.gate(), Ok(()));
         let pipelined = report.sheet("fig2_pipelined");
-        assert_eq!(pipelined.rows.len(), 6, "3 backends x 2 modes");
+        assert_eq!(pipelined.keys().count(), 6, "3 backends x 2 modes");
         // Pipelining bills S3 the same per-key calls, and Redis fewer: one
         // MSET per commit, not one SET per key.
         let calls = |backend, mode| pipelined.value(&[backend, mode], "api_calls");
@@ -974,28 +817,31 @@ mod tests {
                 "{column}"
             );
         }
-        let json = Json::parse(&report.to_json().render()).unwrap();
-        let checks = json.get("checks").and_then(Json::as_array).unwrap();
-        assert_eq!(checks.len(), 10, "one check per figure and Table 2");
+        assert_eq!(
+            report.verdicts().len(),
+            10,
+            "one check per figure and Table 2"
+        );
+        assert_round_trips(report);
     }
 
     #[test]
     fn fig2_produces_all_twelve_rows() {
         let fig2 = report().sheet("fig2");
-        assert_eq!(fig2.rows.len(), 12, "4 configurations x 3 write counts");
+        assert_eq!(fig2.keys().count(), 12, "4 configurations x 3 write counts");
     }
 
     #[test]
     fn fig3_and_table2_cover_every_configuration() {
         let report = report();
         let fig3 = report.sheet("fig3");
-        assert_eq!(fig3.rows.len(), 7, "3 plain + 3 aft + 1 transactional");
+        assert_eq!(fig3.keys().count(), 7, "3 plain + 3 aft + 1 transactional");
         let table2 = report.sheet("table2");
-        assert_eq!(table2.rows.len(), 5, "the five rows of Table 2");
+        assert_eq!(table2.keys().count(), 5, "the five rows of Table 2");
         // A row's RYW and FR cells, found by the row's first label.
         let anomaly_cells = |row: &str| {
-            let (_, values) = table2.rows.iter().find(|(l, _)| l[0] == row).unwrap();
-            (values[0], values[1])
+            let labels = table2.keys().find(|l| l[0] == row).unwrap();
+            (table2.value(labels, "ryw"), table2.value(labels, "fr"))
         };
         // AFT shows neither anomaly, and one TransactWriteItems per request
         // leaves DynamoDB's transaction mode no read-your-writes anomaly.
@@ -1006,7 +852,7 @@ mod tests {
     #[test]
     fn fig5_reports_both_backends_and_all_ratios() {
         let fig5 = report().sheet("fig5");
-        assert_eq!(fig5.rows.len(), 12, "2 backends x 6 ratios");
+        assert_eq!(fig5.keys().count(), 12, "2 backends x 6 ratios");
     }
 
     #[test]
@@ -1014,13 +860,13 @@ mod tests {
         let report = report();
         let fig7 = report.sheet("fig7");
         assert_eq!(
-            fig7.rows.len(),
+            fig7.keys().count(),
             6,
             "2 backends x 3 client counts in fast mode"
         );
         let fig8 = report.sheet("fig8");
         assert_eq!(
-            fig8.rows.len(),
+            fig8.keys().count(),
             4,
             "2 backends x 2 node counts in fast mode"
         );
@@ -1042,15 +888,10 @@ mod tests {
     #[test]
     fn a_planted_fr_anomaly_in_the_aft_row_fails_the_gate_naming_the_row() {
         let mut report = report().clone();
-        let table2 = report.sheet_mut("table2");
-        let aft = table2
-            .rows
-            .iter_mut()
-            .find(|(labels, _)| labels[0] == "AFT")
-            .unwrap();
-        aft.1[1] = 1.0;
+        let aft = ["AFT", "Read Atomic"];
+        report.sheet_mut("table2").set(&aft, "fr", 1.0);
         assert_eq!(
-            gate(&report),
+            report.gate(),
             Err(
                 "Table 2 (§6.1.2): row AFT: RYW 0 and FR 1, the paper reads none and none"
                     .to_owned()

@@ -21,7 +21,7 @@ use aft_storage::{BackendKind, IoConfig, SequentialEngine, SharedStorage};
 use aft_types::clock::TickingClock;
 use aft_types::{payload_of_size, Key};
 
-use crate::experiments::{below, Sheet, Verdict};
+use crate::report::{below, Sheet, Verdict};
 use crate::setup::virtual_backend;
 
 /// The `fig2_pipelined` sheet: a sequential and a pipelined leg of

@@ -46,10 +46,13 @@
 //! server's connection state machine runs each request on the stepper's
 //! thread before the send returns, so a request reset after its send has
 //! run before its retry, and backoffs and late answers are charged to the
-//! virtual clock, not slept. Results land in `BENCH_recovery.json`;
-//! [`RecoveryReport::check_gate`] fails on any anomaly, lost commit,
-//! unrecovered commit, or non-convergence — which CI enforces on every PR.
+//! virtual clock, not slept. The report is one sheet, `cells`, a row per
+//! cell, in `BENCH_recovery.json`; its [`checks`] fail on a
+//! matrix too small to cover the modes and kill points, and on any anomaly,
+//! lost commit, unrecovered commit or non-convergence, one named check
+//! each — which CI enforces on every PR.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -65,8 +68,7 @@ use aft_workload::history::Attempt;
 use aft_workload::sim::{self, Deployment, Op, Request, Seeded, Shared};
 
 use crate::cli::{Args, Flag, Outcome};
-use crate::json::Json;
-use crate::report::{percentile_ms, Table};
+use crate::report::{ensure, percentile_ms, Report, Sheet, Verdict};
 use crate::setup::{settled_verdict, virtual_backend};
 
 /// The fault modes of the matrix: one network-side mode, one cross-layer
@@ -220,11 +222,6 @@ impl RecoveryConfig {
         }
     }
 
-    /// Number of matrix cells.
-    pub fn cells(&self) -> usize {
-        self.fault_modes.len() * self.kill_points.len() * self.backends.len()
-    }
-
     /// The seed of one cell. Each axis offsets it by the value's place on
     /// the *full* axis, not in this configuration's list, so a restricted
     /// matrix (`--mode`) runs the very cells the full one does; a mode's
@@ -294,241 +291,121 @@ pub struct TrialResult {
     pub storage_calls: u64,
 }
 
-/// One matrix cell's aggregated trials.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellReport {
-    /// Backend label.
-    pub backend: String,
-    /// Fault-mode label.
-    pub fault_mode: String,
-    /// Kill-point label.
-    pub kill_point: String,
-    /// Per-trial results.
-    pub trials: Vec<TrialResult>,
+/// One counter of a [`TrialResult`].
+type Counter = fn(&TrialResult) -> u64;
+
+/// The trial counters a cell sums over its trials, by column.
+const SUMMED: [(&str, Counter); 12] = [
+    ("acknowledged_commits", |t| t.acknowledged as u64),
+    ("durable_commits", |t| t.durable_commits as u64),
+    ("recovered_commits", |t| t.recovered_commits),
+    ("replaced_nodes", |t| t.replaced_nodes as u64),
+    ("io_retries", |t| t.io_retries),
+    ("client_retries", |t| t.client_retries),
+    ("faults_injected", |t| t.faults_injected),
+    ("storage_calls", |t| t.storage_calls),
+    ("anomalies", |t| t.anomalies),
+    ("duplicate_requests", |t| t.duplicate_requests),
+    ("lost_commits", |t| t.lost_acks as u64),
+    ("unrecovered", |t| t.unrecovered as u64),
+];
+
+/// The matrix's one sheet, `cells`: a row per (backend, fault mode, kill
+/// point), as [`cell_row`] makes it.
+pub(crate) fn cells_sheet() -> Sheet {
+    let recovery = ["trials", "recovery_p50_rounds", "recovery_p99_rounds"];
+    let summed = SUMMED.map(|(column, _)| column);
+    let last = ["converged", "first_anomaly_trial", "first_anomaly_step"];
+    Sheet::new(
+        "cells",
+        "fig10_recovery — chaos matrix: fault mode x kill point x backend",
+        &["backend", "fault_mode", "kill_point"],
+        &[&recovery[..], &summed, &last].concat(),
+    )
 }
 
-impl CellReport {
-    /// The cell's recovery, in maintenance rounds, at quantile `q` of its
-    /// trials (nearest rank: `0.99` is the max for small trial counts).
-    pub fn recovery_rounds(&self, q: f64) -> f64 {
-        let mut rounds: Vec<f64> = self
-            .trials
-            .iter()
-            .map(|t| t.recovery_rounds as f64)
-            .collect();
-        rounds.sort_by(f64::total_cmp);
-        percentile_ms(&rounds, q)
-    }
-
-    fn sum(&self, f: impl Fn(&TrialResult) -> u64) -> u64 {
-        self.trials.iter().map(f).sum()
-    }
-
-    /// Whether every trial converged.
-    pub fn all_converged(&self) -> bool {
-        self.trials.iter().all(|t| t.converged)
-    }
-
-    /// The cell's first violated invariant, labelled `backend/mode/kill`;
-    /// `None` for a clean cell.
-    fn violation(&self) -> Option<String> {
-        let label = format!("{}/{}/{}", self.backend, self.fault_mode, self.kill_point);
-        let first = self.trials.iter().enumerate().find_map(|(trial, t)| {
-            let step = t.first_anomaly_step?;
-            Some(format!(", first at step {step} of trial {trial}"))
-        });
-        let anomalies = format!("read-atomicity anomalies{}", first.unwrap_or_default());
-        let violations = [
-            (self.sum(|t| t.anomalies), anomalies.as_str()),
-            (
-                self.sum(|t| t.lost_acks as u64),
-                "acknowledged commits lost",
-            ),
-            (
-                self.sum(|t| t.unrecovered as u64),
-                "durable commits unrecovered after the drive",
-            ),
-        ];
-        if let Some((count, what)) = violations.iter().find(|(count, _)| *count > 0) {
-            return Some(format!("{label}: {count} {what}"));
-        }
-        (!self.all_converged()).then(|| format!("{label}: recovery did not converge"))
-    }
+/// One cell's row: its trial count; its recovery in maintenance rounds at
+/// "p50" and "p99", the sorted trials' elements at index `round((n - 1) ·
+/// q)` (the p99 is the slowest trial at these trial counts, and the p50 of
+/// two trials the slower one); every [`TrialResult`] counter summed;
+/// `converged` 1 if every trial converged, else 0; and the first trial
+/// with an anomalous step and that step, NaN where there is none.
+pub(crate) fn cell_row(trials: &[TrialResult]) -> Vec<f64> {
+    let mut rounds: Vec<f64> = trials.iter().map(|t| t.recovery_rounds as f64).collect();
+    rounds.sort_by(f64::total_cmp);
+    let (p50, p99) = (percentile_ms(&rounds, 0.5), percentile_ms(&rounds, 0.99));
+    let mut row = vec![trials.len() as f64, p50, p99];
+    row.extend(SUMMED.map(|(_, of)| trials.iter().map(of).sum::<u64>() as f64));
+    row.push(f64::from(u8::from(trials.iter().all(|t| t.converged))));
+    let first = trials
+        .iter()
+        .enumerate()
+        .find_map(|(trial, t)| Some([trial as f64, t.first_anomaly_step? as f64]));
+    row.extend(first.unwrap_or([f64::NAN; 2]));
+    row
 }
 
-/// The whole matrix's results.
-#[derive(Debug, Clone)]
-pub struct RecoveryReport {
-    /// Every cell, in (fault mode, kill point, backend) order.
-    pub cells: Vec<CellReport>,
+/// The coverage check's name: a replay of one `--mode` skips the check.
+const COVERAGE: &str = "matrix >= 9 cells from >= 3 modes x >= 3 kill points";
+
+/// The per-cell invariants: each check's name, the column it reads, and
+/// the value every cell holds there.
+const INVARIANTS: [(&str, &str, f64); 4] = [
+    ("0 read-atomicity anomalies", "anomalies", 0.0),
+    ("0 acknowledged commits lost", "lost_commits", 0.0),
+    ("0 durable commits unrecovered", "unrecovered", 0.0),
+    ("every trial converged", "converged", 1.0),
+];
+
+/// fig10's checks: the matrix's coverage, then [`cell_checks`].
+pub fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
+    let cells = report.sheet("cells");
+    let distinct = |at| {
+        cells
+            .keys()
+            .map(|row| &row[at])
+            .collect::<BTreeSet<_>>()
+            .len()
+    };
+    let (count, modes, kills) = (cells.keys().count(), distinct(1), distinct(2));
+    let coverage = ensure(count >= 9 && modes >= 3 && kills >= 3, || {
+        format!(
+            "matrix too small: {count} cells ({modes} fault modes x {kills} kill points); \
+             need >= 9 cells from >= 3 x >= 3"
+        )
+    });
+    [vec![(COVERAGE, coverage)], cell_checks(report)].concat()
 }
 
-impl RecoveryReport {
-    /// One per-trial counter summed across the whole matrix, e.g.
-    /// `total(|t| t.anomalies)`.
-    pub fn total(&self, of: impl Fn(&TrialResult) -> u64 + Copy) -> u64 {
-        self.cells.iter().map(|c| c.sum(of)).sum()
-    }
-
-    /// The CI gate: a ≥ 9-cell matrix (≥ 3 fault modes × ≥ 3 kill points)
-    /// with zero anomalies, zero lost committed transactions, zero
-    /// unrecovered commits, and every trial converged. Returns a summary on
-    /// success, the first failure otherwise.
-    pub fn check_gate(&self) -> Result<String, String> {
-        let fault_modes: std::collections::BTreeSet<&str> =
-            self.cells.iter().map(|c| c.fault_mode.as_str()).collect();
-        let kill_points: std::collections::BTreeSet<&str> =
-            self.cells.iter().map(|c| c.kill_point.as_str()).collect();
-        if self.cells.len() < 9 || fault_modes.len() < 3 || kill_points.len() < 3 {
-            return Err(format!(
-                "matrix too small: {} cells ({} fault modes x {} kill points); \
-                 need >= 9 cells from >= 3 x >= 3",
-                self.cells.len(),
-                fault_modes.len(),
-                kill_points.len()
-            ));
+/// Every cell's invariants, one check each: zero anomalies, zero lost acks,
+/// zero unrecovered commits, and every trial converged. Each names its
+/// first failing cell, an anomalous one with its first anomalous step. A
+/// single-mode replay (`aft-bench fig10_recovery --mode ...`) gates on these
+/// alone: its restricted matrix can never meet the coverage check.
+pub fn cell_checks(report: &Report) -> Vec<(&'static str, Verdict)> {
+    let cells = report.sheet("cells");
+    let first_step = |row: &[String]| match cells.value(row, "first_anomaly_step") {
+        step if step.is_nan() => String::new(),
+        step => {
+            let trial = cells.value(row, "first_anomaly_trial");
+            format!(", first at step {step} of trial {trial}")
         }
-        self.check_gate_cells()
-    }
-
-    /// The per-cell half of [`Self::check_gate`]: every correctness
-    /// invariant (anomalies, lost acks, unrecovered commits, convergence)
-    /// without the matrix-coverage clause — for single-mode replays
-    /// (`aft-bench fig10_recovery --mode ...`), whose restricted matrix can never
-    /// satisfy the coverage requirement by construction.
-    pub fn check_gate_cells(&self) -> Result<String, String> {
-        if let Some(violation) = self.cells.iter().find_map(CellReport::violation) {
-            return Err(violation);
-        }
-        Ok(format!(
-            "{} cells clean: 0 anomalies, 0 lost, 0 unrecovered; {} commits \
-             recovered from storage, {} transient faults absorbed by retry",
-            self.cells.len(),
-            self.total(|t| t.recovered_commits),
-            self.total(|t| t.io_retries)
-        ))
-    }
-
-    /// Renders the matrix as an aligned text table.
-    pub fn table(&self) -> Table {
-        let mut table = Table::new(
-            "fig10_recovery — chaos matrix: fault mode x kill point x backend",
-            &[
-                "backend",
-                "fault mode",
-                "kill point",
-                "recovery p50 (rounds)",
-                "recovery p99 (rounds)",
-                "recovered",
-                "retries",
-                "anomalies",
-                "duplicates",
-                "lost",
-                "unrecovered",
-            ],
-        );
-        for cell in &self.cells {
-            table.add_row(vec![
-                cell.backend.clone(),
-                cell.fault_mode.clone(),
-                cell.kill_point.clone(),
-                cell.recovery_rounds(0.5).to_string(),
-                cell.recovery_rounds(0.99).to_string(),
-                cell.sum(|t| t.recovered_commits).to_string(),
-                cell.sum(|t| t.io_retries).to_string(),
-                cell.sum(|t| t.anomalies).to_string(),
-                cell.sum(|t| t.duplicate_requests).to_string(),
-                cell.sum(|t| t.lost_acks as u64).to_string(),
-                cell.sum(|t| t.unrecovered as u64).to_string(),
-            ]);
-        }
-        table
-    }
-
-    /// Serialises the report as the `BENCH_recovery.json` document.
-    pub fn to_json(&self) -> Json {
-        let cells = self
-            .cells
-            .iter()
-            .map(|c| {
-                Json::obj(vec![
-                    ("backend", Json::str(&c.backend)),
-                    ("fault_mode", Json::str(&c.fault_mode)),
-                    ("kill_point", Json::str(&c.kill_point)),
-                    ("trials", Json::Num(c.trials.len() as f64)),
-                    ("recovery_p50_rounds", Json::Num(c.recovery_rounds(0.5))),
-                    ("recovery_p99_rounds", Json::Num(c.recovery_rounds(0.99))),
-                    (
-                        "acknowledged_commits",
-                        Json::Num(c.sum(|t| t.acknowledged as u64) as f64),
-                    ),
-                    (
-                        "durable_commits",
-                        Json::Num(c.sum(|t| t.durable_commits as u64) as f64),
-                    ),
-                    (
-                        "recovered_commits",
-                        Json::Num(c.sum(|t| t.recovered_commits) as f64),
-                    ),
-                    (
-                        "replaced_nodes",
-                        Json::Num(c.sum(|t| t.replaced_nodes as u64) as f64),
-                    ),
-                    ("io_retries", Json::Num(c.sum(|t| t.io_retries) as f64)),
-                    (
-                        "client_retries",
-                        Json::Num(c.sum(|t| t.client_retries) as f64),
-                    ),
-                    (
-                        "faults_injected",
-                        Json::Num(c.sum(|t| t.faults_injected) as f64),
-                    ),
-                    ("anomalies", Json::Num(c.sum(|t| t.anomalies) as f64)),
-                    (
-                        "duplicate_requests",
-                        Json::Num(c.sum(|t| t.duplicate_requests) as f64),
-                    ),
-                    (
-                        "lost_commits",
-                        Json::Num(c.sum(|t| t.lost_acks as u64) as f64),
-                    ),
-                    (
-                        "unrecovered",
-                        Json::Num(c.sum(|t| t.unrecovered as u64) as f64),
-                    ),
-                    ("converged", Json::Bool(c.all_converged())),
-                ])
+    };
+    let check = |&(name, column, holds): &(&'static str, &str, f64)| {
+        let verdict = cells.keys().try_for_each(|row| {
+            let value = cells.value(row, column);
+            let first = if column == "anomalies" {
+                first_step(row)
+            } else {
+                String::new()
+            };
+            ensure(value == holds, || {
+                format!("{}: {column} {value}{first}", row.join("/"))
             })
-            .collect();
-        Json::obj(vec![
-            ("experiment", Json::str("fig10_recovery")),
-            (
-                "summary",
-                Json::obj(vec![
-                    ("cells", Json::Num(self.cells.len() as f64)),
-                    ("anomalies", Json::Num(self.total(|t| t.anomalies) as f64)),
-                    (
-                        "duplicate_requests",
-                        Json::Num(self.total(|t| t.duplicate_requests) as f64),
-                    ),
-                    (
-                        "lost_commits",
-                        Json::Num(self.total(|t| t.lost_acks as u64) as f64),
-                    ),
-                    (
-                        "unrecovered",
-                        Json::Num(self.total(|t| t.unrecovered as u64) as f64),
-                    ),
-                    (
-                        "recovered_commits",
-                        Json::Num(self.total(|t| t.recovered_commits) as f64),
-                    ),
-                    ("io_retries", Json::Num(self.total(|t| t.io_retries) as f64)),
-                ]),
-            ),
-            ("cells", Json::Arr(cells)),
-        ])
-    }
+        });
+        (name, verdict)
+    };
+    INVARIANTS.iter().map(check).collect()
 }
 
 /// Checkpoint cadence for every trial node: small enough that the victim
@@ -785,14 +662,14 @@ fn drive_recovery(cluster: &Cluster, max_rounds: usize) -> RecoveryOutcome {
     outcome
 }
 
-/// Runs the full matrix and returns the report.
-pub fn fig10_recovery(config: &RecoveryConfig) -> RecoveryReport {
-    let mut cells = Vec::with_capacity(config.cells());
+/// Runs the full matrix and returns its report.
+pub fn fig10_recovery(config: &RecoveryConfig) -> Report {
+    let mut cells = cells_sheet();
     for &fault_mode in &config.fault_modes {
         for &kill_point in &config.kill_points {
             for &backend in &config.backends {
                 let cell_seed = config.cell_seed(fault_mode, kill_point, backend);
-                let trials = (0..config.trials)
+                let trials: Vec<TrialResult> = (0..config.trials)
                     .map(|t| {
                         run_trial(
                             backend,
@@ -803,16 +680,16 @@ pub fn fig10_recovery(config: &RecoveryConfig) -> RecoveryReport {
                         )
                     })
                     .collect();
-                cells.push(CellReport {
-                    backend: backend.label().to_owned(),
-                    fault_mode: fault_mode.label().to_owned(),
-                    kill_point: kill_point.label().to_owned(),
-                    trials,
-                });
+                let labels = [backend.label(), fault_mode.label(), kill_point.label()];
+                cells.push(labels.map(str::to_owned).to_vec(), cell_row(&trials));
             }
         }
     }
-    RecoveryReport { cells }
+    Report {
+        experiment: "fig10_recovery",
+        sheets: vec![cells],
+        checks,
+    }
 }
 
 /// `fig10_recovery`'s own command-line flag.
@@ -824,9 +701,7 @@ pub(crate) const FLAGS: &[Flag] = &[Flag {
 }];
 
 /// Sizes the matrix from the command line. The flag is true for a
-/// single-mode replay (`--mode`), whose restricted matrix gates on
-/// [`RecoveryReport::check_gate_cells`]: it can never satisfy the full
-/// gate's coverage clause, but its cells' correctness invariants still gate.
+/// single-mode replay (`--mode`), which gates on [`cell_checks`] alone.
 pub(crate) fn plan(args: &Args) -> Result<(RecoveryConfig, bool), String> {
     let mut config = args
         .env
@@ -846,32 +721,27 @@ pub(crate) fn plan(args: &Args) -> Result<(RecoveryConfig, bool), String> {
 /// The registry's entry point.
 pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
     let (config, cells_only) = plan(args)?;
-    Ok(outcome(&config, &fig10_recovery(&config), cells_only))
+    Ok(outcome(&config, fig10_recovery(&config), cells_only))
 }
 
-/// Packages a report as the gated run's [`Outcome`]. A failing gate's replay
-/// is narrowed to the first failing cell's fault mode: one mode's cells, not
-/// the matrix.
-pub(crate) fn outcome(
-    config: &RecoveryConfig,
-    report: &RecoveryReport,
-    cells_only: bool,
-) -> Outcome {
-    let gate = if cells_only {
-        report.check_gate_cells()
-    } else {
-        report.check_gate()
+/// Packages a report as the gated run's [`Outcome`], on [`cell_checks`]
+/// alone for a single-mode replay. A failing gate's replay is narrowed to
+/// the first failing cell's fault mode: one mode's cells, not the matrix.
+pub(crate) fn outcome(config: &RecoveryConfig, mut report: Report, cells_only: bool) -> Outcome {
+    if cells_only {
+        report.checks = cell_checks;
+    }
+    let mut outcome = Outcome::report(config.seed, config, &report);
+    let cells = report.sheet("cells");
+    let broken = |row: &&[String]| {
+        let mut values = INVARIANTS
+            .iter()
+            .map(|(_, column, holds)| (cells.value(row, column), holds));
+        values.any(|(value, holds)| value != *holds)
     };
-    let mut outcome = Outcome::new(
-        config.seed,
-        config,
-        vec![report.table()],
-        report.to_json(),
-        gate,
-    );
-    let failing = report.cells.iter().find(|cell| cell.violation().is_some());
-    outcome.replay = failing
-        .map(|cell| ("--mode", cell.fault_mode.clone()))
+    let first = cells.keys().find(broken);
+    outcome.replay = first
+        .map(|row| ("--mode", row[1].clone()))
         .into_iter()
         .collect();
     outcome
@@ -880,6 +750,7 @@ pub(crate) fn outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{assert_plants, assert_round_trips, Plant};
     use aft_core::NetFault;
     use aft_storage::Cut;
     use aft_types::{TransactionId, TransactionRecord};
@@ -888,6 +759,19 @@ mod tests {
 
     fn acked(load: &sim::Run) -> Vec<TransactionId> {
         load.history.iter().filter_map(Attempt::acked).collect()
+    }
+
+    /// The tiny matrix, measured once for every test here.
+    fn tiny() -> &'static Report {
+        static REPORT: std::sync::OnceLock<Report> = std::sync::OnceLock::new();
+        REPORT.get_or_init(|| fig10_recovery(&RecoveryConfig::tiny()))
+    }
+
+    /// Asserts that every cell check holds.
+    fn assert_cells_clean(report: &Report) {
+        for (check, verdict) in cell_checks(report) {
+            assert_eq!(verdict, Ok(()), "{check}");
+        }
     }
 
     /// A trial on the memory row whose schedule injects nothing.
@@ -1002,45 +886,44 @@ mod tests {
         // metadata partition) x 5 kill points (3 commit phases + 2
         // checkpoint phases, one backend), zero anomalies, zero lost
         // commits, full recovery, convergence.
-        let report = fig10_recovery(&RecoveryConfig::tiny());
-        assert_eq!(report.cells.len(), 15);
-        let summary = report.check_gate().expect("gate must pass");
-        assert!(summary.contains("15 cells"), "{summary}");
-        assert_eq!(report.total(|t| t.anomalies), 0);
-        assert_eq!(report.total(|t| t.lost_acks as u64), 0);
-        assert_eq!(report.total(|t| t.unrecovered as u64), 0);
+        let report = tiny();
+        let cells = report.sheet("cells");
+        assert_eq!(cells.keys().count(), 15);
+        assert_eq!(report.gate(), Ok(()));
+        for column in ["anomalies", "lost_commits", "unrecovered"] {
+            assert_eq!(cells.sum(column), 0.0, "{column}");
+        }
         // The chaos actually bit: faults were injected and commits survived.
-        let faults = report.total(|t| t.faults_injected);
-        assert!(faults > 0, "the matrix must inject faults");
-        let durable = report.total(|t| t.durable_commits as u64);
-        assert!(durable > 0);
+        assert!(
+            cells.sum("faults_injected") > 0.0,
+            "the matrix must inject faults"
+        );
+        assert!(cells.sum("durable_commits") > 0.0);
         // One seeded thread chooses the interleaving, so these counts are
         // exact: a change that moves them changes what the matrix runs.
-        assert_eq!(report.total(|t| t.recovered_commits), 7);
-        assert_eq!(report.total(|t| t.io_retries), 20);
+        assert_eq!(cells.sum("recovered_commits"), 7.0);
+        assert_eq!(cells.sum("io_retries"), 20.0);
     }
 
     #[test]
     fn a_seed_replays_the_run() {
         // Each run builds fresh hash maps with fresh hash keys, so a result
         // that hung on iteration order would differ here.
-        let render = || fig10_recovery(&RecoveryConfig::tiny()).to_json().render();
-        assert_eq!(render(), render());
+        let again = fig10_recovery(&RecoveryConfig::tiny());
+        assert_eq!(again.to_json().render(), tiny().to_json().render());
     }
 
     #[test]
     fn a_single_mode_replay_runs_the_full_matrix_cells() {
-        let full = fig10_recovery(&RecoveryConfig::tiny());
         let replay = fig10_recovery(&RecoveryConfig {
             fault_modes: vec![FaultMode::Partition],
             ..RecoveryConfig::tiny()
         });
-        let partition: Vec<&CellReport> = full
-            .cells
-            .iter()
-            .filter(|c| c.fault_mode == FaultMode::Partition.label())
-            .collect();
-        assert_eq!(replay.cells.iter().collect::<Vec<_>>(), partition);
+        let mut partition = tiny().sheet("cells").clone();
+        partition.retain(|row| row[1] == FaultMode::Partition.label());
+        assert_eq!(partition.keys().count(), 5);
+        let render = |sheet: &Sheet| sheet.to_json().render();
+        assert_eq!(render(replay.sheet("cells")), render(&partition));
     }
 
     #[test]
@@ -1073,9 +956,9 @@ mod tests {
             ..RecoveryConfig::tiny()
         };
         let report = fig10_recovery(&config);
-        report.check_gate_cells().unwrap();
-        let faults = report.total(|t| t.faults_injected);
-        assert!(faults > 0, "the cross-layer cell must inject faults");
+        assert_cells_clean(&report);
+        let faults = report.sheet("cells").sum("faults_injected");
+        assert!(faults > 0.0, "the cross-layer cell must inject faults");
     }
 
     #[test]
@@ -1090,15 +973,15 @@ mod tests {
             ..RecoveryConfig::tiny()
         };
         let report = fig10_recovery(&config);
-        let recovered = report.total(|t| t.recovered_commits);
+        let recovered = report.sheet("cells").sum("recovered_commits");
         assert!(
-            recovered > 0,
+            recovered > 0.0,
             "a BeforeBroadcast kill strands commits that only the storage \
              scan can recover, got {recovered}"
         );
         // A single cell is below the gate's matrix floor; check the
         // invariants directly instead.
-        report.check_gate_cells().unwrap();
+        assert_cells_clean(&report);
     }
 
     #[test]
@@ -1113,12 +996,13 @@ mod tests {
             ..RecoveryConfig::tiny()
         };
         let report = fig10_recovery(&config);
-        report.check_gate_cells().unwrap();
-        for cell in &report.cells {
+        assert_cells_clean(&report);
+        let cells = report.sheet("cells");
+        for row in cells.keys() {
             assert!(
-                cell.sum(|t| t.replaced_nodes as u64) > 0,
+                cells.value(row, "replaced_nodes") > 0.0,
                 "{}: the checkpoint kill must actually fire and cost the victim",
-                cell.kill_point
+                row[2]
             );
         }
     }
@@ -1133,41 +1017,32 @@ mod tests {
     }
 
     #[test]
-    fn gate_rejects_a_small_matrix() {
-        let config = RecoveryConfig {
-            kill_points: vec![CommitPhase::BeforeDataPut],
-            fault_modes: vec![FaultMode::Partition],
-            ..RecoveryConfig::tiny()
-        };
-        let report = fig10_recovery(&config);
-        let err = report.check_gate().unwrap_err();
-        assert!(err.contains("matrix too small"), "{err}");
+    fn a_planted_violation_fails_exactly_its_check() {
+        const CELL: [&str; 3] = ["Memory", "partition", "before_broadcast"];
+        let plant = |column, value| move |cells: &mut Sheet| cells.set(&CELL, column, value);
+        let cases: [(&str, Plant<'_>); 5] = [
+            (COVERAGE, &|cells| cells.retain(|row| row[1] == "partition")),
+            (INVARIANTS[0].0, &plant("anomalies", 2.0)),
+            (INVARIANTS[1].0, &plant("lost_commits", 1.0)),
+            (INVARIANTS[2].0, &plant("unrecovered", 1.0)),
+            (INVARIANTS[3].0, &plant("converged", 0.0)),
+        ];
+        assert_plants(tiny(), "cells", &cases);
+        // An anomalous cell names its first anomalous step.
+        let mut report = tiny().clone();
+        let cells = report.sheet_mut("cells");
+        cells.set(&CELL, "anomalies", 2.0);
+        cells.set(&CELL, "first_anomaly_trial", 0.0);
+        cells.set(&CELL, "first_anomaly_step", 42.0);
+        assert_eq!(
+            report.gate().unwrap_err(),
+            "0 read-atomicity anomalies: Memory/partition/before_broadcast: anomalies 2, \
+             first at step 42 of trial 0"
+        );
     }
 
     #[test]
     fn json_document_round_trips() {
-        let config = RecoveryConfig {
-            kill_points: vec![CommitPhase::BeforeBroadcast],
-            fault_modes: vec![FaultMode::Partition],
-            ..RecoveryConfig::tiny()
-        };
-        let report = fig10_recovery(&config);
-        let parsed = Json::parse(&report.to_json().render()).unwrap();
-        assert_eq!(
-            parsed.get("experiment").unwrap().as_str().unwrap(),
-            "fig10_recovery"
-        );
-        let cells = parsed.get("cells").unwrap().as_array().unwrap();
-        assert_eq!(cells.len(), 1);
-        assert_eq!(
-            cells[0].get("kill_point").unwrap().as_str().unwrap(),
-            "before_broadcast"
-        );
-        assert!(parsed
-            .get("summary")
-            .and_then(|s| s.get("recovered_commits"))
-            .and_then(Json::as_f64)
-            .is_some());
-        assert_eq!(report.table().len(), report.cells.len());
+        assert_round_trips(tiny());
     }
 }

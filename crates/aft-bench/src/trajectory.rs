@@ -13,9 +13,9 @@
 //!   a read-only transaction costs, and what the global GC leaves behind;
 //! * the tiny `fig10_recovery` matrix ([`RecoveryConfig::tiny`]): its
 //!   recovered commits, its absorbed (retried) storage faults, its requests
-//!   acknowledged and acknowledged twice, and the storage calls it billed —
-//!   so storage calls per acknowledged request is a ratio of two exact
-//!   counts;
+//!   acknowledged and acknowledged twice, and the storage calls it billed,
+//!   each a column sum of its report's `cells` sheet — so storage calls per
+//!   acknowledged request is a ratio of two exact counts;
 //! * the paper's figures at the test size ([`crate::experiments`]): Table
 //!   2's RYW and FR cells on its five rows, and Figure 9's deleted
 //!   transactions and live data versions with GC on and off;
@@ -332,20 +332,16 @@ fn measure() -> Vec<(String, u64, Clock)> {
         }
     }
     let tiny = fig10_recovery(&RecoveryConfig::tiny());
-    for (name, value) in [
-        ("fig10.tiny.recovered", tiny.total(|t| t.recovered_commits)),
-        ("fig10.tiny.absorbed", tiny.total(|t| t.io_retries)),
-        (
-            "fig10.tiny.duplicate_requests",
-            tiny.total(|t| t.duplicate_requests),
-        ),
-        (
-            "fig10.tiny.acked_requests",
-            tiny.total(|t| t.acknowledged as u64),
-        ),
-        ("fig10.tiny.storage_calls", tiny.total(|t| t.storage_calls)),
+    let cells = tiny.sheet("cells");
+    for (name, column) in [
+        ("recovered", "recovered_commits"),
+        ("absorbed", "io_retries"),
+        ("duplicate_requests", "duplicate_requests"),
+        ("acked_requests", "acknowledged_commits"),
+        ("storage_calls", "storage_calls"),
     ] {
-        metrics.push((name.to_owned(), value, Clock::Virtual));
+        let value = cells.sum(column) as u64;
+        metrics.push((format!("fig10.tiny.{name}"), value, Clock::Virtual));
     }
     metrics
 }

@@ -10,8 +10,6 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AftError;
 use crate::txid::TransactionId;
 use crate::uuid::Uuid;
@@ -77,19 +75,6 @@ impl AsRef<str> for Key {
     }
 }
 
-impl Serialize for Key {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.0)
-    }
-}
-
-impl<'de> Deserialize<'de> for Key {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(deserializer)?;
-        Ok(Key::from(s))
-    }
-}
-
 /// A specific version of a key: the value written for `key` by the transaction
 /// identified by `tid`.
 ///
@@ -97,7 +82,7 @@ impl<'de> Deserialize<'de> for Key {
 /// transaction `T_i` (§3.2), so we never store cowritten sets per version —
 /// they are looked up from the committed
 /// [`TransactionRecord`](crate::TransactionRecord).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KeyVersion {
     /// The client-visible key.
     pub key: Key,

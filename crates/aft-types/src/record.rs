@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AftError;
 use crate::key::{Key, KeyVersion};
 use crate::txid::{push_padded_timestamp, Timestamp, TransactionId, STORAGE_SUFFIX_LEN};
@@ -69,7 +67,7 @@ impl<'a> IntoIterator for &'a WriteSet {
 }
 
 /// Lifecycle of a transaction as tracked by an AFT node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransactionStatus {
     /// The transaction has started and may still issue reads and writes.
     Running,
@@ -95,7 +93,7 @@ impl fmt::Display for TransactionStatus {
 }
 
 /// A committed transaction's entry in the Transaction Commit Set.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransactionRecord {
     /// The transaction's `<timestamp, uuid>` identifier.
     pub id: TransactionId,

@@ -10,8 +10,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::AftError;
 use crate::uuid::Uuid;
 
@@ -25,9 +23,7 @@ pub type Timestamp = u64;
 /// commit timestamp is newer, and ties are broken on the UUID. This is exactly
 /// the comparison the paper's protocols use when deciding which key version is
 /// "newer" (§3.2) and whether a transaction is superseded (§4.1).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TransactionId {
     /// Commit timestamp from the committing node's local clock.
     pub timestamp: Timestamp,

@@ -10,7 +10,6 @@ use std::fmt;
 use std::str::FromStr;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::AftError;
 
@@ -22,9 +21,7 @@ use crate::error::AftError;
 /// pads a `TransactionId` from 24 bytes to 32 in every map bucket, version
 /// list and read set that holds one. The derived order compares `hi` then
 /// `lo`, which is the numeric order of [`as_u128`](Uuid::as_u128).
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Uuid {
     hi: u64,
     lo: u64,

@@ -7,7 +7,6 @@
 //! bytes on top of the 4KB payload"). [`TaggedValue`] is that representation.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::key::Key;
 use crate::txid::TransactionId;
@@ -26,7 +25,7 @@ pub type Value = Bytes;
 /// that transaction wrote. The anomaly detectors in `aft-workload` use this to
 /// count read-your-writes and fractured-read violations exactly as the paper
 /// does.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaggedValue {
     /// The transaction that wrote this value.
     pub tid: TransactionId,
