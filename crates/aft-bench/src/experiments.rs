@@ -32,7 +32,7 @@ use aft_workload::{
 
 use crate::cli::{Args, Outcome};
 use crate::report::{below, ensure, Report, Sheet, Verdict};
-use crate::setup::{self, aft_label, virtual_backend, BenchEnv};
+use crate::setup::{self, aft_label, maintenance, virtual_backend, BenchEnv};
 
 /// The default seed: Figure 2's pipelined legs keep the seed the
 /// `fig2_pipelined` experiment had.
@@ -52,15 +52,6 @@ fn closed_loop(
         .with_requests(requests)
         .with_seed(seed);
     run_virtual_loop(driver, &config, timers).expect("experiment run")
-}
-
-/// A cluster's maintenance round every second of virtual time: the
-/// paper's multicast period (§4).
-fn maintenance(cluster: &aft_cluster::Cluster) -> Timer<'_> {
-    let round = move |_| {
-        let _ = cluster.run_maintenance_round();
-    };
-    (Duration::from_secs(1), Box::new(round))
 }
 
 /// A closed loop's throughput by Little's law: its clients over their mean

@@ -1,91 +1,82 @@
-//! `fig11_overload`: the overload-protection sweep.
+//! `fig11_overload`: the overload-protection sweep, in virtual time.
 //!
 //! The paper's experiments stop at the load its deployments can carry;
-//! this experiment asks what the shim does *past* that point. It first
-//! measures the deployment's closed-loop capacity, then offers paced open
-//! loops at 1×–8× that capacity against a server running the full
-//! protection stack — admission control, queue-age shedding, per-client
-//! fair queuing — and a client that absorbs the typed `Overloaded`
-//! rejections with decorrelated-jitter backoff. A **chaos leg** repeats
-//! the 4× point with seeded connection faults layered on top of the
-//! saturation.
+//! this experiment asks what the shim does *past* that point. It measures
+//! the deployment's closed-loop capacity, then offers paced open loops at
+//! 1×–8× that capacity against a server running admission control and
+//! queue-age shedding; a generator answers a rejected commit with a fresh
+//! transaction after jittered backoff. A **chaos leg** repeats the 4× point
+//! with seeded connection faults ([`Seeded::resets`]) on top.
+//!
+//! Every leg runs over in-memory pipes ([`aft_net::ServerBuilder::pipe`])
+//! into a `nodes`-node cluster on a ticking clock over the virtual Redis
+//! row. Each generator thread is seated at one `Turns` table
+//! ([`run_seated`]): its pacing, backoff and deadline are its seat's clock,
+//! and maintenance runs on a timer seat every second. The server's
+//! `workers` are that many permits: a request holds one across its own RPC
+//! and storage charges, counts in the depth admission reads while it waits
+//! for one, and is shed when that wait passes the deadline. A report is a
+//! function of its configuration and seed, counts included.
 //!
 //! The claim under test is *graceful degradation*: past saturation the
-//! server must convert excess load into fast typed rejections, not into
-//! unbounded queueing — so goodput must not collapse (the published
-//! standard run holds within 20% of peak; the gate enforces the
-//! `GOODPUT_FLOOR` collapse bound), the p999
-//! of successful commits stays bounded, and the correctness invariants
-//! (zero read anomalies, zero acknowledged-but-lost commits) hold exactly
-//! as they do under normal load. Every transaction also performs a wire
-//! read of its thread's previous write and reads its own write back, and
-//! [`aft_workload::history`]'s checker grades every such read and, after a
-//! quiet maintenance round, every key's final version: torn or fabricated
-//! values under pressure surface as anomalies, lost writes as lost acks.
+//! server turns excess load into fast typed rejections, not unbounded
+//! queueing. At 4× or more, a point's whole-leg goodput holds
+//! `GOODPUT_FLOOR` of the sweep's peak, the p999 of its successful commits
+//! stays within `P999_CAP_MS`, and the protection trips; in every leg, the
+//! history checker ([`aft_workload::history`]) finds zero read anomalies
+//! and zero acknowledged-but-lost commits. Every transaction reads its
+//! thread's previous write over the wire and reads its own write back.
+//! Each generator waits for its transaction before pacing the next, so a
+//! multiplier bounds the load offered rather than fixing it; the `points`
+//! sheet prints both.
 //!
-//! The goodput-floor clause compares points by **sustained goodput** —
-//! each point's best commit rate over any one window (a third of the
-//! point duration, capped at 500 ms) — rather than the whole-leg mean
-//! that the report publishes as `goodput_rps`. On a shared or small machine
-//! the scheduler steals CPU from different points at different moments;
-//! that noise is one-sided (it only subtracts), so the best window is a
-//! far lower-variance estimate of what the protection stack actually
-//! delivers, while a genuine shedding failure depresses *every* window
-//! and still trips the gate.
-//!
-//! Results land in `BENCH_overload.json`; [`OverloadReport::check_gate`]
-//! fails on any anomaly, lost ack, unbounded p999, goodput collapse, or a
-//! sweep that never actually tripped the protection — which CI's
-//! `overload-gate` job enforces.
+//! The report's sheets are `capacity`, `points` (a row per multiplier) and
+//! `chaos`, in `BENCH_overload.json`; [`checks`] names each clause of the
+//! gate that CI's `overload-gate` job enforces.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use aft_cluster::Cluster;
 use aft_core::api::AftApi;
+use aft_core::PhaseHook;
+use aft_net::{AftClient, AftServer};
 use aft_storage::io::RetryConfig;
-use aft_storage::{BackendConfig, BackendKind};
-use aft_types::{Key, Value};
-use aft_workload::history::{History, Recorder};
+use aft_storage::latency::Seat;
+use aft_storage::BackendKind;
+use aft_types::{Key, Value, WireStats};
+use aft_workload::history::{self, History, Recorder};
+use aft_workload::run_seated;
 use aft_workload::sim::{Seeded, Shared};
 
 use crate::cli::{Args, Outcome};
-use crate::json::Json;
-use crate::report::{percentile_ms, round2, Table};
-use crate::setup::{served_deployment, settled_verdict, ServeOptions, ServiceHandle};
+use crate::report::{ensure, percentile_ms, Report, Sheet, Verdict};
+use crate::setup::{self, maintenance, settled_verdict, virtual_backend};
 
 /// A saturated point's p999 of *successful* commits above this is
 /// unbounded queueing — the protection stack failed to shed.
 const P999_CAP_MS: f64 = 250.0;
-/// Saturated sustained goodput below this fraction of peak sustained
-/// goodput is a collapse. This is deliberately a *collapse* bound, not the
-/// "within 20% of peak" the published standard run demonstrates: on a
-/// shared or single-core runner the generators and the server's reactor
-/// threads contend for the same CPUs, so the
-/// saturated-to-unsaturated ratio carries double-digit measurement noise.
-/// A real shedding failure (rejecting work the server had capacity for, or
-/// thrashing instead of committing) lands far below half of peak; honest
-/// runs never do.
+/// A saturated point's goodput below this fraction of the sweep's peak is
+/// a collapse: a real shedding failure (rejecting work the server had
+/// capacity for, or thrashing instead of committing) lands far below half
+/// of peak, whereas a healthy stack holds within 20% of it.
 const GOODPUT_FLOOR: f64 = 0.5;
 
-/// Configuration of the overload sweep.
+/// Configuration of the overload sweep. Durations are virtual time.
 #[derive(Debug, Clone)]
 pub struct OverloadConfig {
     /// Offered-load multipliers over measured capacity, in sweep order.
     pub multipliers: Vec<f64>,
     /// Closed-loop clients in the capacity phase.
     pub capacity_clients: usize,
-    /// Wall-clock budget of the capacity phase.
+    /// Length of the capacity phase.
     pub capacity_duration: Duration,
-    /// Wall-clock budget of each sweep point.
+    /// Length of each sweep point and of the chaos leg.
     pub point_duration: Duration,
     /// Paced generator threads at 1× (scaled up with the multiplier).
     pub base_threads: usize,
-    /// Generator-thread cap.
-    pub max_threads: usize,
     /// AFT nodes behind the server.
     pub nodes: usize,
-    /// Server worker-pool size.
+    /// The server's workers: permits a request holds while it runs.
     pub workers: usize,
     /// Server admission limit (queue depth; the protection under test).
     pub admission_limit: usize,
@@ -95,11 +86,6 @@ pub struct OverloadConfig {
     pub reset_rate: f64,
     /// Delayed-ack rate of the chaos leg.
     pub delay_rate: f64,
-    /// Latency scale of the simulated Redis backend the deployment runs
-    /// over. Requests must cost real reactor time — against a zero-latency
-    /// store the socket round trip, not the reactors, would be the
-    /// bottleneck and no offered load could ever saturate the server.
-    pub storage_scale: f64,
     /// Base seed.
     pub seed: u64,
 }
@@ -113,388 +99,155 @@ impl OverloadConfig {
             capacity_duration: Duration::from_millis(1_500),
             point_duration: Duration::from_millis(3_000),
             base_threads: 8,
-            // 32 threads can still offer 8x (a rejection round-trip is well
-            // under the ~4ms per-thread pacing interval that implies), and
-            // generator threads beyond that point stop measuring the server:
-            // on a small host they steal the CPU the workers need, and the
-            // goodput deficit they cause reads as a shedding failure.
-            max_threads: 32,
             nodes: 2,
             workers: 2,
-            // Two geometric constraints keep both protections honest.
-            // Admission must sit *between* the capacity phase's concurrency
-            // (8 closed-loop clients must never trip it) and the saturated
-            // sweep's (32 paced threads must overflow it) — queue depth
-            // can never exceed the number of outstanding requests. And the
-            // deadline must exceed the worst-case queue wait the admission
-            // limit plus admission-exempt commits imply (~80 jobs / 2
-            // workers x ~1ms each at 8x), or the two protections fight:
-            // the queue admits a job the deadline then sheds, and workers
-            // churn through stale jobs instead of completing fresh ones.
-            // Shedding is the burst backstop; admission is the
-            // steady-state limiter.
+            // Admission sits *between* the capacity phase's concurrency (8
+            // closed-loop clients must never trip it) and the saturated
+            // sweep's (32 paced threads overflow it): queue depth can never
+            // exceed the requests outstanding. The deadline is the burst
+            // backstop behind it; admission is the steady-state limiter.
             admission_limit: 16,
             queue_deadline: Duration::from_millis(75),
             reset_rate: 0.05,
             delay_rate: 0.03,
-            // Half-scale Redis latencies keep the workers the bottleneck
-            // (the point of the sweep) while leaving the commit round trip
-            // short enough that paced generator threads — which share the
-            // host's cores with the server — never read as goodput loss.
-            storage_scale: 0.5,
             seed: 0xF11_0AD,
         }
     }
 
-    /// The CI sweep: same invariants, sub-minute runtime.
+    /// The CI sweep: 1× and 4×, shorter legs.
     pub fn fast() -> Self {
         OverloadConfig {
             multipliers: vec![1.0, 4.0],
             capacity_clients: 6,
             capacity_duration: Duration::from_millis(400),
-            // Long enough that the 500 ms sustained window slides across
-            // the point and can dodge a scheduler stall; the whole fast
-            // sweep still finishes in a few seconds.
             point_duration: Duration::from_millis(1000),
             ..OverloadConfig::standard()
         }
     }
+
+    /// The unit tests' and the trajectory's sweep: three threads at 1×,
+    /// twelve at 4×, and an admission limit between them.
+    pub fn tiny() -> Self {
+        OverloadConfig {
+            multipliers: vec![1.0, 4.0],
+            capacity_clients: 3,
+            capacity_duration: Duration::from_millis(300),
+            point_duration: Duration::from_millis(400),
+            base_threads: 3,
+            admission_limit: 6,
+            ..OverloadConfig::fast()
+        }
+    }
 }
 
-/// One point of the sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct OverloadPoint {
-    /// Offered-load multiplier over measured capacity.
-    pub multiplier: f64,
-    /// Paced generator threads.
-    pub threads: usize,
-    /// Offered load the pacing targeted, requests/s.
-    pub target_rps: f64,
-    /// Load actually offered (issued / elapsed), requests/s.
-    pub offered_rps: f64,
-    /// Successful commits per second — the quantity that must not
-    /// collapse.
-    pub goodput_rps: f64,
-    /// Best commit rate sustained over any one window (a third of the
-    /// point duration, capped at 500 ms) — the noise-robust estimator the
-    /// gate's goodput-floor clause compares points by. On a shared host,
-    /// transient scheduler stalls depress the whole-leg mean of different
-    /// points at different moments; a real shedding failure depresses
-    /// every window.
-    pub sustained_rps: f64,
-    /// Transactions committed (and acknowledged).
-    pub committed: u64,
-    /// Transactions refused with `Overloaded` after the retry budget.
-    pub rejected: u64,
-    /// Transactions failed for any other reason (must be zero: the sweep
-    /// injects no faults).
-    pub failed: u64,
-    /// Read anomalies the history checker found: a read returned a torn or
-    /// impossible value (must be zero).
-    pub anomalies: u64,
-    /// Keys that do not serve their newest acked write after a quiet
-    /// maintenance round, by the history checker (must be zero).
-    pub lost_acked_commits: u64,
-    /// Median successful-commit latency, milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile successful-commit latency, milliseconds.
-    pub p99_ms: f64,
-    /// 99.9th-percentile successful-commit latency, milliseconds.
-    pub p999_ms: f64,
-    /// Requests the server refused at admission.
-    pub overload_rejections: u64,
-    /// Requests the server shed past the queue deadline.
-    pub shed_requests: u64,
-    /// Jittered overload retries the client performed.
-    pub overload_retries: u64,
-}
+/// The checks' names, in order.
+const CHECKS: [&str; 9] = [
+    "capacity > 0",
+    "0 read anomalies",
+    "0 lost acks",
+    "0 failures without faults",
+    "sweep reaches 4x",
+    "p999 <= 250 ms at >= 4x",
+    "goodput >= 0.5 x peak at >= 4x",
+    "protection trips at >= 4x",
+    "chaos leg delivers resets",
+];
 
-/// What the chaos leg (connection faults on top of 4× saturation)
-/// observed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OverloadChaosLeg {
-    /// Transactions committed under injection.
-    pub committed: u64,
-    /// Transactions refused with `Overloaded`.
-    pub rejected: u64,
-    /// Transactions that exhausted transport retries (tolerated here: the
-    /// leg injects connection faults).
-    pub failed: u64,
-    /// Read anomalies the history checker found (must be zero).
-    pub anomalies: u64,
-    /// Keys that do not serve their newest acked write, by the history
-    /// checker (must be zero).
-    pub lost_acked_commits: u64,
-    /// Connection resets injected (before + after send).
-    pub resets: u64,
-    /// Acknowledgements delivered late.
-    pub delayed_acks: u64,
-    /// Requests the server refused at admission.
-    pub overload_rejections: u64,
-    /// Requests the server shed past the queue deadline.
-    pub shed_requests: u64,
-}
+/// The `points` sheet's columns, a row per multiplier: the multiplier, its
+/// paced threads, the load it targeted and the load it offered (requests/s
+/// of virtual time), its goodput (commits/s), its transactions committed,
+/// refused `Overloaded` and failed otherwise, the checker's anomalies and
+/// lost acks, the successful commits' latency quantiles, the server's
+/// admission rejections and queue-age sheds, and the requests the server
+/// ran (the closing `Stats` call included).
+const POINT_COLUMNS: &[&str] = &[
+    "multiplier",
+    "threads",
+    "target_rps",
+    "offered_rps",
+    "goodput_rps",
+    "committed",
+    "rejected",
+    "failed",
+    "anomalies",
+    "lost_acked_commits",
+    "p50_ms",
+    "p99_ms",
+    "p999_ms",
+    "overload_rejections",
+    "shed_requests",
+    "requests",
+];
 
-/// The whole experiment's results.
-#[derive(Debug, Clone)]
-pub struct OverloadReport {
-    /// Closed-loop capacity the multipliers are relative to, requests/s.
-    pub capacity_rps: f64,
-    /// Sweep points, in multiplier order.
-    pub points: Vec<OverloadPoint>,
-    /// The chaos leg.
-    pub chaos: OverloadChaosLeg,
-    /// AFT nodes behind the server.
-    pub nodes: usize,
-    /// Server worker-pool size.
-    pub workers: usize,
-    /// Admission limit the server ran with.
-    pub admission_limit: usize,
-    /// Queue deadline the server ran with, milliseconds.
-    pub queue_deadline_ms: f64,
-}
+/// The `chaos` sheet's columns: as `points`, less the latencies and the
+/// load, plus the resets and late answers delivered and the commits the
+/// server acknowledged from its dedup ledger.
+const CHAOS_COLUMNS: &[&str] = &[
+    "threads",
+    "committed",
+    "rejected",
+    "failed",
+    "anomalies",
+    "lost_acked_commits",
+    "resets",
+    "delayed_acks",
+    "overload_rejections",
+    "shed_requests",
+    "duplicate_commits",
+    "requests",
+];
 
-impl OverloadReport {
-    /// Peak whole-leg goodput across the sweep.
-    pub fn peak_goodput(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|p| p.goodput_rps)
-            .fold(0.0, f64::max)
-    }
-
-    /// Peak sustained-window goodput across the sweep — what the gate's
-    /// goodput-floor clause measures saturated points against (see
-    /// [`OverloadPoint::sustained_rps`]).
-    pub fn peak_sustained(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|p| p.sustained_rps)
-            .fold(0.0, f64::max)
-    }
-
-    /// Total anomalies across every leg.
-    pub fn total_anomalies(&self) -> u64 {
-        self.points.iter().map(|p| p.anomalies).sum::<u64>() + self.chaos.anomalies
-    }
-
-    /// Total acked-but-lost commits across every leg.
-    pub fn total_lost(&self) -> u64 {
-        self.points
-            .iter()
-            .map(|p| p.lost_acked_commits)
-            .sum::<u64>()
-            + self.chaos.lost_acked_commits
-    }
-
-    /// Fails on any violated invariant, in CI-gate style.
-    pub fn check_gate(&self) -> Result<String, String> {
-        if self.capacity_rps <= 0.0 {
-            return Err("capacity phase measured zero throughput".to_owned());
-        }
-        if self.total_anomalies() > 0 {
-            return Err(format!(
-                "{} read anomalies observed under overload",
-                self.total_anomalies()
-            ));
-        }
-        if self.total_lost() > 0 {
-            return Err(format!(
-                "{} acknowledged commits have no durable record (lost acks)",
-                self.total_lost()
-            ));
-        }
-        if let Some(p) = self.points.iter().find(|p| p.failed > 0) {
-            return Err(format!(
-                "{} requests failed at {:.0}x with no fault injection",
-                p.failed, p.multiplier
-            ));
-        }
-        let saturated: Vec<&OverloadPoint> =
-            self.points.iter().filter(|p| p.multiplier >= 4.0).collect();
-        if saturated.is_empty() {
-            return Err("the sweep never reached 4x offered load".to_owned());
-        }
-        let peak = self.peak_sustained();
-        for p in &saturated {
-            if p.p999_ms > P999_CAP_MS {
-                return Err(format!(
-                    "p999 grew unbounded to {:.1} ms at {:.0}x offered load \
-                     (cap {P999_CAP_MS} ms)",
-                    p.p999_ms, p.multiplier
-                ));
-            }
-            if p.sustained_rps < GOODPUT_FLOOR * peak {
-                return Err(format!(
-                    "goodput collapsed to {:.0} req/s sustained at {:.0}x offered \
-                     load (peak {peak:.0} sustained, floor {GOODPUT_FLOOR})",
-                    p.sustained_rps, p.multiplier
-                ));
-            }
-        }
-        if saturated
-            .iter()
-            .all(|p| p.overload_rejections + p.shed_requests == 0)
-        {
-            return Err(
-                "4x+ offered load never tripped admission control or shedding — \
-                 the sweep exercised nothing"
-                    .to_owned(),
-            );
-        }
-        if self.chaos.resets == 0 {
-            return Err("chaos leg never injected a connection fault".to_owned());
-        }
-        let max_mult = self.points.iter().map(|p| p.multiplier).fold(0.0, f64::max);
-        let rejections: u64 = self.points.iter().map(|p| p.overload_rejections).sum();
-        let sheds: u64 = self.points.iter().map(|p| p.shed_requests).sum();
-        let worst = saturated
-            .iter()
-            .map(|p| p.sustained_rps / peak)
-            .fold(f64::INFINITY, f64::min);
-        Ok(format!(
-            "capacity {:.0} req/s, swept to {max_mult:.0}x: peak sustained goodput {peak:.0} \
-             req/s, saturated points held >={:.0}% of peak, {rejections} admission rejections, \
-             {sheds} sheds, 0 anomalies, 0 lost acked commits (chaos leg: {} resets, {} commits \
-             clean)",
-            self.capacity_rps,
-            worst * 100.0,
-            self.chaos.resets,
-            self.chaos.committed,
-        ))
-    }
-
-    /// Renders the sweep as an aligned text table.
-    pub fn table(&self) -> Table {
-        let mut table = Table::new(
-            "fig11_overload — goodput and tail latency past saturation",
-            &[
-                "offered",
-                "target r/s",
-                "offered r/s",
-                "goodput r/s",
-                "sustained r/s",
-                "p50 (ms)",
-                "p999 (ms)",
-                "rejected",
-                "shed",
-                "anomalies",
-            ],
-        );
-        for p in &self.points {
-            table.add_row(vec![
-                format!("{:.0}x", p.multiplier),
-                format!("{:.0}", p.target_rps),
-                format!("{:.0}", p.offered_rps),
-                format!("{:.0}", p.goodput_rps),
-                format!("{:.0}", p.sustained_rps),
-                format!("{:.2}", p.p50_ms),
-                format!("{:.2}", p.p999_ms),
-                p.overload_rejections.to_string(),
-                p.shed_requests.to_string(),
-                p.anomalies.to_string(),
-            ]);
-        }
-        table.add_row(vec![
-            "chaos(4x)".to_owned(),
-            "-".to_owned(),
-            "-".to_owned(),
-            format!("{} ok", self.chaos.committed),
-            "-".to_owned(),
-            "-".to_owned(),
-            "-".to_owned(),
-            self.chaos.rejected.to_string(),
-            self.chaos.shed_requests.to_string(),
-            self.chaos.anomalies.to_string(),
-        ]);
-        table
-    }
-
-    /// Serialises the report as the `BENCH_overload.json` document.
-    pub fn to_json(&self) -> Json {
-        let points = self
-            .points
-            .iter()
-            .map(|p| {
-                Json::obj(vec![
-                    ("multiplier", Json::Num(p.multiplier)),
-                    ("threads", Json::Num(p.threads as f64)),
-                    ("target_rps", Json::Num(round2(p.target_rps))),
-                    ("offered_rps", Json::Num(round2(p.offered_rps))),
-                    ("goodput_rps", Json::Num(round2(p.goodput_rps))),
-                    ("sustained_rps", Json::Num(round2(p.sustained_rps))),
-                    ("committed", Json::Num(p.committed as f64)),
-                    ("rejected", Json::Num(p.rejected as f64)),
-                    ("failed", Json::Num(p.failed as f64)),
-                    ("anomalies", Json::Num(p.anomalies as f64)),
-                    ("lost_acked_commits", Json::Num(p.lost_acked_commits as f64)),
-                    ("p50_ms", Json::Num(round2(p.p50_ms))),
-                    ("p99_ms", Json::Num(round2(p.p99_ms))),
-                    ("p999_ms", Json::Num(round2(p.p999_ms))),
-                    (
-                        "overload_rejections",
-                        Json::Num(p.overload_rejections as f64),
-                    ),
-                    ("shed_requests", Json::Num(p.shed_requests as f64)),
-                    ("overload_retries", Json::Num(p.overload_retries as f64)),
-                ])
+/// fig11's checks: a measured capacity; no anomaly and no lost ack in any
+/// leg; no failure but `Overloaded` where no fault is injected; a point at
+/// 4× or more; there, p999 within `P999_CAP_MS`, goodput at least
+/// `GOODPUT_FLOOR` of the sweep's peak, and a protection that tripped; and
+/// a chaos leg that delivered resets.
+pub fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
+    let capacity = report.sheet("capacity");
+    let (points, chaos) = (report.sheet("points"), report.sheet("chaos"));
+    let saturated: Vec<&[String]> = points
+        .keys()
+        .filter(|row| points.value(row, "multiplier") >= 4.0)
+        .collect();
+    let peak = points.keys().map(|row| points.value(row, "goodput_rps"));
+    let peak = peak.fold(0.0, f64::max);
+    let each_saturated = |column: &str, holds: &dyn Fn(f64) -> bool| {
+        saturated.iter().try_for_each(|row| {
+            let value = points.value(row, column);
+            ensure(holds(value), || {
+                format!("{}: {column} {value}", row.join("/"))
             })
-            .collect();
-        let chaos = Json::obj(vec![
-            ("committed", Json::Num(self.chaos.committed as f64)),
-            ("rejected", Json::Num(self.chaos.rejected as f64)),
-            ("failed", Json::Num(self.chaos.failed as f64)),
-            ("anomalies", Json::Num(self.chaos.anomalies as f64)),
-            (
-                "lost_acked_commits",
-                Json::Num(self.chaos.lost_acked_commits as f64),
-            ),
-            ("resets", Json::Num(self.chaos.resets as f64)),
-            ("delayed_acks", Json::Num(self.chaos.delayed_acks as f64)),
-            (
-                "overload_rejections",
-                Json::Num(self.chaos.overload_rejections as f64),
-            ),
-            ("shed_requests", Json::Num(self.chaos.shed_requests as f64)),
-        ]);
-        Json::obj(vec![
-            ("experiment", Json::str("fig11_overload")),
-            ("capacity_rps", Json::Num(round2(self.capacity_rps))),
-            ("peak_goodput_rps", Json::Num(round2(self.peak_goodput()))),
-            ("anomalies", Json::Num(self.total_anomalies() as f64)),
-            ("lost_acked_commits", Json::Num(self.total_lost() as f64)),
-            ("nodes", Json::Num(self.nodes as f64)),
-            ("workers", Json::Num(self.workers as f64)),
-            ("admission_limit", Json::Num(self.admission_limit as f64)),
-            (
-                "queue_deadline_ms",
-                Json::Num(round2(self.queue_deadline_ms)),
-            ),
-            ("points", Json::Arr(points)),
-            ("chaos", chaos),
-        ])
-    }
-}
-
-/// A fresh deployment over the simulated Redis service with *sleeping*
-/// latency: the reactors, not the loopback socket, must be what
-/// saturates.
-fn deployment(
-    config: &OverloadConfig,
-    options: &ServeOptions,
-    seed: u64,
-) -> (Arc<Cluster>, ServiceHandle) {
-    let storage = aft_storage::make_backend(
-        BackendConfig::simulated(BackendKind::Redis, config.storage_scale).with_seed(seed),
-    );
-    let options = ServeOptions {
-        seed,
-        ..options.clone()
+        })
     };
-    served_deployment(storage, config.nodes, &options)
+    let tripped = |row: &&[String]| {
+        points.value(row, "overload_rejections") + points.value(row, "shed_requests") > 0.0
+    };
+    let both = |column, holds: fn(f64) -> bool| {
+        points
+            .each(column, holds)
+            .and_then(|()| chaos.each(column, holds))
+    };
+    let verdicts = [
+        capacity.each("capacity_rps", |rps| rps > 0.0),
+        both("anomalies", |n| n == 0.0),
+        both("lost_acked_commits", |n| n == 0.0),
+        points.each("failed", |n| n == 0.0),
+        ensure(!saturated.is_empty(), || {
+            "no point offers 4x capacity or more".to_owned()
+        }),
+        each_saturated("p999_ms", &|p999| p999 <= P999_CAP_MS),
+        each_saturated("goodput_rps", &|rps| rps >= GOODPUT_FLOOR * peak)
+            .map_err(|e| format!("{e}, peak {peak:.0}")),
+        ensure(
+            saturated.is_empty() || saturated.iter().any(tripped),
+            || "no point at 4x or more tripped admission control or shedding".to_owned(),
+        ),
+        chaos.each("resets", |n| n > 0.0),
+    ];
+    CHECKS.into_iter().zip(verdicts).collect()
 }
 
-/// What one generator leg observed.
+/// What one leg's generators observed, merged.
 #[derive(Debug, Default)]
 struct LegOutcome {
     issued: u64,
@@ -503,265 +256,224 @@ struct LegOutcome {
     failed: u64,
     /// Successful-commit latencies, milliseconds, sorted ascending.
     latencies_ms: Vec<f64>,
-    /// Completion time of every successful commit, seconds since the leg
-    /// started, sorted ascending.
-    commit_times_s: Vec<f64>,
+    /// The latest generator clock once its last transaction ended.
     elapsed: Duration,
 }
 
 impl LegOutcome {
-    fn offered_rps(&self) -> f64 {
-        self.issued as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-
-    fn goodput_rps(&self) -> f64 {
-        self.committed as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-
-    /// Best commit rate sustained over any `window`-long stretch of the
-    /// leg (two-pointer over the sorted completion times). This is the
-    /// noise-robust goodput estimator the gate compares points by: on a
-    /// shared host, scheduler stalls are one-sided noise — they only
-    /// subtract, and at different moments for different points — while a
-    /// genuine shedding failure depresses *every* window of the saturated
-    /// leg, so it still fails the gate.
-    fn sustained_rps(&self, window: Duration) -> f64 {
-        let window = window.as_secs_f64().min(self.elapsed.as_secs_f64());
-        if window <= 0.0 || self.commit_times_s.is_empty() {
-            return 0.0;
-        }
-        let times = &self.commit_times_s;
-        let mut best = 0usize;
-        let mut lo = 0usize;
-        for hi in 0..times.len() {
-            while times[hi] - times[lo] > window {
-                lo += 1;
-            }
-            best = best.max(hi - lo + 1);
-        }
-        best as f64 / window
+    fn per_second(&self, count: u64) -> f64 {
+        count as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
 }
 
-/// Drives `threads` generator threads against `api` for `duration`, each
-/// paced toward `target_rps / threads` (`target_rps <= 0` means
-/// closed-loop: no pacing). Every thread runs to the same wall-clock
-/// deadline rather than a fixed request count — a count would let
-/// backoff-heavy threads straggle past the rest, and the idle-worker tail
-/// would be misread as a goodput collapse. Every transaction reads its
-/// thread's key over the wire, writes the next value, reads it back, and
-/// commits; a [`Recorder`] around `api` hands every read to the checker.
-fn run_leg(
-    api: &Arc<dyn AftApi>,
-    threads: usize,
-    duration: Duration,
-    target_rps: f64,
-) -> LegOutcome {
+/// One leg on a fresh deployment seeded `seed`: a `config.nodes`-node
+/// cluster over the virtual Redis row, its piped server with the
+/// protections under test, and `threads` seated generators through one
+/// client that asks `hook` what the network does, each paced toward
+/// `target_rps / threads` (`target_rps <= 0` means closed-loop: no pacing)
+/// until `duration`, with maintenance on a timer. Returns the generators'
+/// outcome, the checker's verdict on their history, and the server's
+/// counters from the `Stats` verb.
+///
+/// The client does not retry: an open-loop generator must not block inside
+/// a rejected call (a dropped read is a dropped request, and the thread
+/// stays on its send schedule), and the one retry that matters, the
+/// commit's, is the generator's own.
+fn leg(
+    config: &OverloadConfig,
+    seed: u64,
+    hook: Option<Arc<dyn PhaseHook>>,
+    (threads, duration, target_rps): (usize, Duration, f64),
+) -> (LegOutcome, history::Verdict, WireStats) {
+    let storage = virtual_backend(BackendKind::Redis, seed);
+    let cluster = setup::cluster(storage, config.nodes, true, true);
+    let server = AftServer::builder()
+        .workers(config.workers)
+        .admission_limit(config.admission_limit)
+        .queue_deadline(config.queue_deadline)
+        .pipe(Arc::clone(&cluster));
+    let retry = RetryConfig {
+        max_attempts: 1,
+        ..RetryConfig::default()
+    };
+    let mut client = AftClient::builder().retry(retry).rng_seed(seed);
+    if let Some(hook) = hook {
+        client = client.phase_hook(hook);
+    }
+    let history = History::new();
+    let api = Recorder::wrap(client.pipe(&server), Arc::clone(&history), None);
     let interval = if target_rps > 0.0 {
         Duration::from_secs_f64(threads as f64 / target_rps)
     } else {
         Duration::ZERO
     };
-    let started = Instant::now();
-    let deadline = started + duration;
-    let legs = std::thread::scope(|scope| {
-        let mut workers = Vec::new();
-        for t in 0..threads {
-            let client = Arc::clone(api);
-            workers.push(scope.spawn(move || {
-                let mut leg = LegOutcome::default();
-                let key = Key::new(format!("ovl/{t:02}"));
-                let mut next_send = Instant::now();
-                for i in 0.. {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    if !interval.is_zero() {
-                        next_send += interval;
-                        if next_send >= deadline {
-                            break;
-                        }
-                        if next_send > now {
-                            std::thread::sleep(next_send - now);
-                        }
-                    }
-                    leg.issued += 1;
-                    let txn_started = Instant::now();
-                    let txid = client.begin().expect("begin is local");
-                    // Wire read of this thread's previous write, then the
-                    // write and its read-back (§3.5), overloaded or not.
-                    let value = Value::from(format!("{t}:{i}").into_bytes());
-                    let read = client.get_versioned(&txid, &key).and_then(|_| {
-                        client
-                            .put(&txid, key.clone(), value.clone())
-                            .expect("put is buffered client-side");
-                        client.get_versioned(&txid, &key)
-                    });
-                    if let Err(e) = read {
-                        if e.is_overloaded() {
-                            leg.rejected += 1;
-                        } else {
-                            leg.failed += 1;
-                        }
-                        let _ = client.abort(&txid);
-                        continue;
-                    }
-                    // The read above was admitted and cost worker time;
-                    // giving the request up at the first commit rejection
-                    // would turn that work into pure waste. A failed commit
-                    // consumes the transaction client-side, so the retry is
-                    // the paper's at-least-once retry of the *logical
-                    // request* (§3.3.1): a fresh transaction re-buffering
-                    // the same write, with jittered backoff. Explicit here
-                    // because the SDK-level retry is off for the generator.
-                    let mut lcg = ((t as u64) << 32) ^ (i as u64) ^ 0x9E37_79B9_7F4A_7C15;
-                    let mut backoff = Duration::from_micros(200);
-                    let mut attempt = 0;
-                    let mut txid = txid;
-                    loop {
-                        attempt += 1;
-                        match client.commit(&txid, &[]) {
-                            Ok(_) => {
-                                leg.committed += 1;
-                                leg.latencies_ms
-                                    .push(txn_started.elapsed().as_secs_f64() * 1_000.0);
-                                leg.commit_times_s.push(started.elapsed().as_secs_f64());
-                                break;
-                            }
-                            Err(e) if e.is_overloaded() && attempt < 16 => {
-                                lcg = lcg
-                                    .wrapping_mul(6364136223846793005)
-                                    .wrapping_add(1442695040888963407);
-                                // The cap must exceed the queue's full
-                                // drain time (admission depth x per-job
-                                // service / workers, ~3ms here): a retry
-                                // that sleeps less wakes to the same full
-                                // queue that just rejected it, every
-                                // attempt is burned on the same congestion
-                                // epoch, and the transaction's already-paid
-                                // read becomes pure waste.
-                                let spread = backoff.saturating_mul(3).as_nanos() as u64;
-                                let jittered = 200_000 + (lcg >> 33) % spread.max(1);
-                                backoff =
-                                    Duration::from_nanos(jittered).min(Duration::from_millis(8));
-                                std::thread::sleep(backoff);
-                                txid = client.begin().expect("begin is local");
-                                client
-                                    .put(&txid, key.clone(), value.clone())
-                                    .expect("put is buffered client-side");
-                            }
-                            Err(e) => {
-                                if e.is_overloaded() {
-                                    leg.rejected += 1;
-                                } else {
-                                    leg.failed += 1;
-                                }
-                                break;
-                            }
-                        }
-                    }
-                }
-                leg
-            }));
-        }
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("generator thread"))
-            .collect::<Vec<_>>()
+    let legs = run_seated(threads, vec![maintenance(&cluster)], |t, seat| {
+        // Paced threads start spread over one interval, so the load
+        // arrives spread out, not in bursts of `threads`.
+        let first = interval * t as u32 / threads as u32;
+        generate(&*api, t, seat, first, interval, duration)
     });
-    let mut merged = LegOutcome {
-        elapsed: started.elapsed(),
-        ..LegOutcome::default()
-    };
+    let mut merged = LegOutcome::default();
     for leg in legs {
         merged.issued += leg.issued;
         merged.committed += leg.committed;
         merged.rejected += leg.rejected;
         merged.failed += leg.failed;
         merged.latencies_ms.extend(leg.latencies_ms);
-        merged.commit_times_s.extend(leg.commit_times_s);
+        merged.elapsed = merged.elapsed.max(leg.elapsed);
     }
     merged.latencies_ms.sort_by(f64::total_cmp);
-    merged.commit_times_s.sort_by(f64::total_cmp);
-    merged
+    let stats = AftClient::builder().pipe(&server).server_stats();
+    let verdict = settled_verdict(&cluster, &history.attempts());
+    (merged, verdict, stats.expect("the Stats verb over a pipe"))
+}
+
+/// One generator thread: from `first`, a transaction every `interval` (or
+/// back to back when it is zero) until `deadline`, all on `seat`'s clock.
+/// Each transaction reads the thread's key over the wire, writes the next
+/// value, reads it back, and commits.
+fn generate(
+    api: &dyn AftApi,
+    t: usize,
+    seat: &Seat,
+    first: Duration,
+    interval: Duration,
+    deadline: Duration,
+) -> LegOutcome {
+    let mut leg = LegOutcome::default();
+    let key = Key::new(format!("ovl/{t:02}"));
+    let mut next_send = first;
+    for i in 0u64.. {
+        let now = seat.now();
+        if now >= deadline {
+            break;
+        }
+        if !interval.is_zero() {
+            if next_send >= deadline {
+                break;
+            }
+            if next_send > now {
+                seat.sleep(next_send - now);
+            }
+            next_send += interval;
+        }
+        leg.issued += 1;
+        let txn_started = seat.now();
+        let txid = api.begin().expect("begin is local");
+        // Wire read of this thread's previous write, then the write and its
+        // read-back (§3.5), overloaded or not.
+        let value = Value::from(format!("{t}:{i}").into_bytes());
+        let read = api.get_versioned(&txid, &key).and_then(|_| {
+            api.put(&txid, key.clone(), value.clone())
+                .expect("put is buffered client-side");
+            api.get_versioned(&txid, &key)
+        });
+        if let Err(e) = read {
+            leg.rejected += u64::from(e.is_overloaded());
+            leg.failed += u64::from(!e.is_overloaded());
+            let _ = api.abort(&txid);
+            continue;
+        }
+        // The read above was admitted and cost worker time; giving the
+        // request up at the first commit rejection would turn that work
+        // into waste. A failed commit consumes the transaction client-side,
+        // so the retry is the paper's at-least-once retry of the *logical
+        // request* (§3.3.1): a fresh transaction re-buffering the same
+        // write, after a jittered backoff whose cap exceeds the queue's
+        // drain time, so a retry does not wake to the queue that just
+        // rejected it.
+        let mut lcg = ((t as u64) << 32) ^ i ^ 0x9E37_79B9_7F4A_7C15;
+        let mut backoff = Duration::from_micros(200);
+        let mut txid = txid;
+        for attempt in 1.. {
+            match api.commit(&txid, &[]) {
+                Ok(_) => {
+                    leg.committed += 1;
+                    let latency = seat.now() - txn_started;
+                    leg.latencies_ms.push(latency.as_secs_f64() * 1_000.0);
+                    break;
+                }
+                Err(e) if e.is_overloaded() && attempt < 16 => {
+                    lcg = lcg
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let spread = backoff.saturating_mul(3).as_nanos() as u64;
+                    let jittered = 200_000 + (lcg >> 33) % spread.max(1);
+                    backoff = Duration::from_nanos(jittered).min(Duration::from_millis(8));
+                    seat.sleep(backoff);
+                    txid = api.begin().expect("begin is local");
+                    api.put(&txid, key.clone(), value.clone())
+                        .expect("put is buffered client-side");
+                }
+                Err(e) => {
+                    leg.rejected += u64::from(e.is_overloaded());
+                    leg.failed += u64::from(!e.is_overloaded());
+                    break;
+                }
+            }
+        }
+    }
+    leg.elapsed = seat.now();
+    leg
 }
 
 /// Runs the capacity phase, the paced sweep, and the chaos leg.
-pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
-    let options = ServeOptions {
-        workers: config.workers,
-        // No SDK-level retry: an open-loop generator must not block inside
-        // a rejected call — a dropped read is a dropped request and the
-        // thread stays on its send schedule. The one retry that matters
-        // (the commit, whose read already cost worker time) is explicit in
-        // `run_leg`, with its own jittered backoff.
-        retry: RetryConfig {
-            max_attempts: 1,
-            base_backoff: Duration::from_micros(200),
-            max_backoff: Duration::from_millis(2),
-        },
-        // The full protection stack: admission control, shedding past the
-        // queue deadline, per-client fair queuing.
-        admission_limit: config.admission_limit,
-        queue_deadline: config.queue_deadline,
-        fair_queuing: true,
-        ..ServeOptions::default()
-    };
-
+pub fn fig11_overload(config: &OverloadConfig) -> Report {
     // Capacity phase: closed loop, self-clocked below the admission limit,
     // so the measured rate is the deployment's sustainable throughput.
-    let (cluster, handle) = deployment(config, &options, config.seed);
-    let capacity = run_leg(
-        &(Arc::clone(&handle.client) as Arc<dyn AftApi>),
-        config.capacity_clients,
-        config.capacity_duration,
-        0.0,
+    let clients = config.capacity_clients;
+    let (capacity, _, _) = leg(
+        config,
+        config.seed,
+        None,
+        (clients, config.capacity_duration, 0.0),
     );
-    let capacity_rps = capacity.goodput_rps();
-    drop(handle);
-    cluster.shutdown();
+    let capacity_rps = capacity.per_second(capacity.committed);
+    let mut capacity_sheet = Sheet::new(
+        "capacity",
+        "fig11_overload — closed-loop capacity",
+        &["phase"],
+        &["clients", "committed", "capacity_rps"],
+    );
+    let row = vec![clients as f64, capacity.committed as f64, capacity_rps];
+    capacity_sheet.push(vec!["capacity".to_owned()], row);
 
     // Paced sweep: a fresh deployment per point, offered load pinned to a
-    // multiple of measured capacity. The sustained-goodput window is a
-    // third of the point so every point contributes several independent
-    // windows, capped at 500 ms — long enough that a window holds hundreds
-    // of commits, short enough that some window in every point dodges the
-    // host's scheduler stalls.
-    let window = (config.point_duration / 3).min(Duration::from_millis(500));
-    let mut points = Vec::new();
+    // multiple of measured capacity.
+    let mut points = Sheet::new(
+        "points",
+        "fig11_overload — goodput and tail latency past saturation",
+        &["offered"],
+        POINT_COLUMNS,
+    );
     for (i, &multiplier) in config.multipliers.iter().enumerate() {
-        let threads = ((config.base_threads as f64 * multiplier).ceil() as usize)
-            .clamp(1, config.max_threads);
+        let threads = ((config.base_threads as f64 * multiplier).ceil() as usize).max(1);
         let target_rps = capacity_rps * multiplier;
-        let (cluster, handle) = deployment(config, &options, config.seed ^ ((i as u64 + 1) << 12));
-        let history = History::new();
-        let api = Recorder::wrap(handle.client.clone(), Arc::clone(&history), None);
-        let outcome = run_leg(&api, threads, config.point_duration, target_rps);
-        let verdict = settled_verdict(&cluster, &history.attempts());
-        let stats = handle.server.stats();
-        let client_stats = handle.client.stats();
-        points.push(OverloadPoint {
-            multiplier,
-            threads,
-            target_rps,
-            offered_rps: outcome.offered_rps(),
-            goodput_rps: outcome.goodput_rps(),
-            sustained_rps: outcome.sustained_rps(window),
-            committed: outcome.committed,
-            rejected: outcome.rejected,
-            failed: outcome.failed,
-            anomalies: verdict.anomalies(),
-            lost_acked_commits: verdict.lost_acked_writes,
-            p50_ms: percentile_ms(&outcome.latencies_ms, 0.50),
-            p99_ms: percentile_ms(&outcome.latencies_ms, 0.99),
-            p999_ms: percentile_ms(&outcome.latencies_ms, 0.999),
-            overload_rejections: stats.overload_rejections,
-            shed_requests: stats.shed_requests,
-            overload_retries: client_stats.overload_retries,
-        });
-        drop(handle);
-        cluster.shutdown();
+        let seed = config.seed ^ ((i as u64 + 1) << 12);
+        let point = (threads, config.point_duration, target_rps);
+        let (outcome, verdict, server) = leg(config, seed, None, point);
+        let latencies = &outcome.latencies_ms;
+        points.push(
+            vec![format!("{multiplier:.0}x")],
+            vec![
+                multiplier,
+                threads as f64,
+                target_rps,
+                outcome.per_second(outcome.issued),
+                outcome.per_second(outcome.committed),
+                outcome.committed as f64,
+                outcome.rejected as f64,
+                outcome.failed as f64,
+                verdict.anomalies() as f64,
+                verdict.lost_acked_writes as f64,
+                percentile_ms(latencies, 0.50),
+                percentile_ms(latencies, 0.99),
+                percentile_ms(latencies, 0.999),
+                server.overload_rejections as f64,
+                server.shed_requests as f64,
+                server.requests as f64,
+            ],
+        );
     }
 
     // Chaos leg: connection faults layered on top of 4× saturation. The
@@ -772,41 +484,39 @@ pub fn fig11_overload(config: &OverloadConfig) -> OverloadReport {
         Duration::from_millis(1),
     );
     let schedule = Shared::new(schedule);
-    let chaos_options = ServeOptions {
-        hook: Some(schedule.clone()),
-        ..options
-    };
-    let (cluster, handle) = deployment(config, &chaos_options, config.seed ^ 0xC4A0);
-    let threads = ((config.base_threads as f64 * 4.0).ceil() as usize).clamp(1, config.max_threads);
-    let target_rps = capacity_rps * 4.0;
-    let history = History::new();
-    let api = Recorder::wrap(handle.client.clone(), Arc::clone(&history), None);
-    let outcome = run_leg(&api, threads, config.point_duration, target_rps);
-    let verdict = settled_verdict(&cluster, &history.attempts());
+    let threads = ((config.base_threads as f64 * 4.0).ceil() as usize).max(1);
+    let point = (threads, config.point_duration, capacity_rps * 4.0);
+    let hook = Some(schedule.clone() as Arc<dyn PhaseHook>);
+    let (outcome, verdict, server) = leg(config, config.seed ^ 0xC4A0, hook, point);
     let delivered = schedule.lock().delivered();
-    let stats = handle.server.stats();
-    let chaos = OverloadChaosLeg {
-        committed: outcome.committed,
-        rejected: outcome.rejected,
-        failed: outcome.failed,
-        anomalies: verdict.anomalies(),
-        lost_acked_commits: verdict.lost_acked_writes,
-        resets: delivered.resets_before_send + delivered.resets_after_send,
-        delayed_acks: delivered.delayed_acks,
-        overload_rejections: stats.overload_rejections,
-        shed_requests: stats.shed_requests,
-    };
-    drop(handle);
-    cluster.shutdown();
+    let mut chaos = Sheet::new(
+        "chaos",
+        "fig11_overload — the 4x point with connection faults",
+        &["leg"],
+        CHAOS_COLUMNS,
+    );
+    chaos.push(
+        vec!["chaos 4x".to_owned()],
+        vec![
+            threads as f64,
+            outcome.committed as f64,
+            outcome.rejected as f64,
+            outcome.failed as f64,
+            verdict.anomalies() as f64,
+            verdict.lost_acked_writes as f64,
+            (delivered.resets_before_send + delivered.resets_after_send) as f64,
+            delivered.delayed_acks as f64,
+            server.overload_rejections as f64,
+            server.shed_requests as f64,
+            server.duplicate_commits as f64,
+            server.requests as f64,
+        ],
+    );
 
-    OverloadReport {
-        capacity_rps,
-        points,
-        chaos,
-        nodes: config.nodes,
-        workers: config.workers,
-        admission_limit: config.admission_limit,
-        queue_deadline_ms: config.queue_deadline.as_secs_f64() * 1_000.0,
+    Report {
+        experiment: "fig11_overload",
+        sheets: vec![capacity_sheet, points, chaos],
+        checks,
     }
 }
 
@@ -817,222 +527,73 @@ pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
         .sized(OverloadConfig::standard(), OverloadConfig::fast());
     config.seed = args.seed.unwrap_or(config.seed);
     let report = fig11_overload(&config);
-    Ok(Outcome::new(
-        config.seed,
-        &config,
-        vec![report.table()],
-        report.to_json(),
-        report.check_gate(),
-    ))
+    Ok(Outcome::report(config.seed, &config, &report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{assert_plants, assert_round_trips, Plant};
 
-    fn tiny_config() -> OverloadConfig {
-        OverloadConfig {
-            multipliers: vec![1.0, 4.0],
-            capacity_clients: 3,
-            capacity_duration: Duration::from_millis(300),
-            point_duration: Duration::from_millis(400),
-            // Modest thread counts and longer windows: the suite must stay
-            // honest on a single-core runner, where dozens of paced threads
-            // turn scheduler churn into fake goodput collapse.
-            base_threads: 3,
-            max_threads: 12,
-            storage_scale: 1.0,
-            // 3 capacity clients < 6 < 12 saturated threads.
-            admission_limit: 6,
-            ..OverloadConfig::fast()
-        }
+    /// The tiny sweep, measured once for every test here.
+    fn report() -> &'static Report {
+        static REPORT: std::sync::OnceLock<Report> = std::sync::OnceLock::new();
+        REPORT.get_or_init(|| fig11_overload(&OverloadConfig::tiny()))
     }
 
-    /// Runs the tiny sweep live and asserts every *deterministic* gate
-    /// clause individually, plus the same half-of-peak collapse bound the
-    /// real gate enforces (see `GOODPUT_FLOOR` for why the bound is a
-    /// collapse floor rather than the 20%-of-peak the published run
-    /// demonstrates).
     #[test]
     fn sweep_holds_goodput_and_invariants_past_saturation() {
-        let report = fig11_overload(&tiny_config());
-        assert!(report.capacity_rps > 0.0);
-        assert_eq!(report.points.len(), 2);
-        let peak = report.peak_sustained();
-        for p in &report.points {
-            assert_eq!(p.anomalies, 0, "{:.0}x point saw anomalies", p.multiplier);
-            assert_eq!(p.lost_acked_commits, 0);
-            assert_eq!(p.failed, 0, "no faults are injected in the sweep");
-            assert!(p.committed > 0);
-            if p.multiplier >= 4.0 {
-                assert!(
-                    p.p999_ms <= P999_CAP_MS,
-                    "unbounded queueing at {:.0}x: p999 {:.1}ms",
-                    p.multiplier,
-                    p.p999_ms
-                );
-                assert!(
-                    p.overload_rejections + p.shed_requests > 0,
-                    "{:.0}x offered load never tripped the protection stack",
-                    p.multiplier
-                );
-                assert!(
-                    p.sustained_rps >= peak * GOODPUT_FLOOR,
-                    "goodput collapsed at {:.0}x: {:.0} req/s sustained vs peak {:.0}",
-                    p.multiplier,
-                    p.sustained_rps,
-                    peak
-                );
-            }
-        }
-        assert_eq!(report.chaos.anomalies, 0);
-        assert_eq!(report.chaos.lost_acked_commits, 0);
-        assert!(report.chaos.resets > 0, "chaos leg injected");
-    }
-
-    /// A hand-built report that satisfies every gate clause — the mutation
-    /// test perturbs it one invariant at a time. Synthetic on purpose: a
-    /// live `fig11_overload` here would race the sweep test for the
-    /// machine's cores and make both flaky.
-    fn clean_report() -> OverloadReport {
-        let point = |multiplier: f64, goodput_rps: f64, rejections: u64| OverloadPoint {
-            multiplier,
-            threads: 8,
-            target_rps: 1_000.0 * multiplier,
-            offered_rps: 950.0 * multiplier,
-            goodput_rps,
-            sustained_rps: goodput_rps,
-            committed: (goodput_rps * 2.0) as u64,
-            rejected: rejections / 2,
-            failed: 0,
-            anomalies: 0,
-            lost_acked_commits: 0,
-            p50_ms: 2.0,
-            p99_ms: 12.0,
-            p999_ms: 40.0,
-            overload_rejections: rejections,
-            shed_requests: 0,
-            overload_retries: rejections,
-        };
-        OverloadReport {
-            capacity_rps: 1_000.0,
-            points: vec![point(1.0, 1_000.0, 0), point(4.0, 950.0, 1_200)],
-            chaos: OverloadChaosLeg {
-                committed: 400,
-                rejected: 300,
-                resets: 25,
-                delayed_acks: 12,
-                overload_rejections: 600,
-                ..OverloadChaosLeg::default()
-            },
-            nodes: 2,
-            workers: 2,
-            admission_limit: 16,
-            queue_deadline_ms: 25.0,
-        }
+        let report = report();
+        assert_eq!(report.sheet("points").keys().count(), 2);
+        assert_eq!(report.gate(), Ok(()));
+        let points = report.sheet("points");
+        assert!(points.value(&["4x"], "overload_rejections") > 0.0);
+        assert_eq!(points.value(&["1x"], "overload_rejections"), 0.0);
     }
 
     #[test]
-    fn gate_fails_on_each_violated_invariant() {
-        let clean = clean_report();
-        clean.check_gate().expect("the synthetic report is clean");
-        let mut report = clean.clone();
-
-        report.points[1].anomalies = 1;
-        assert!(report.check_gate().is_err(), "anomalies fail the gate");
-
-        report = clean.clone();
-        report.points[0].lost_acked_commits = 1;
-        assert!(report.check_gate().is_err(), "lost acks fail the gate");
-
-        report = clean.clone();
-        report.points[1].p999_ms = P999_CAP_MS + 1.0;
-        assert!(
-            report.check_gate().is_err(),
-            "unbounded p999 fails the gate"
-        );
-
-        report = clean.clone();
-        report.points[1].goodput_rps = 0.1;
-        report.points[1].sustained_rps = 0.1;
-        assert!(
-            report.check_gate().is_err(),
-            "goodput collapse fails the gate"
-        );
-
-        report = clean.clone();
-        report.points[1].overload_rejections = 0;
-        report.points[1].shed_requests = 0;
-        assert!(
-            report.check_gate().is_err(),
-            "a saturated point that never tripped the protections fails the gate"
-        );
-
-        report = clean.clone();
-        report.points[1].failed = 3;
-        assert!(
-            report.check_gate().is_err(),
-            "non-overload failures in a fault-free sweep fail the gate"
-        );
-
-        report = clean.clone();
-        report.chaos.resets = 0;
-        assert!(
-            report.check_gate().is_err(),
-            "a chaos leg that injected nothing fails the gate"
-        );
+    fn check_names_carry_their_bounds() {
+        assert!(CHECKS[5].contains(&format!("{P999_CAP_MS}")));
+        assert!(CHECKS[6].contains(&format!("{GOODPUT_FLOOR}")));
     }
 
     #[test]
     fn json_document_has_the_documented_schema() {
-        let report = OverloadReport {
-            capacity_rps: 5_000.0,
-            points: vec![OverloadPoint {
-                multiplier: 4.0,
-                threads: 32,
-                target_rps: 20_000.0,
-                offered_rps: 18_500.0,
-                goodput_rps: 4_800.0,
-                sustained_rps: 4_950.0,
-                committed: 9_600,
-                rejected: 27_000,
-                failed: 0,
-                anomalies: 0,
-                lost_acked_commits: 0,
-                p50_ms: 0.6,
-                p99_ms: 4.2,
-                p999_ms: 11.0,
-                overload_rejections: 27_000,
-                shed_requests: 120,
-                overload_retries: 31_000,
-            }],
-            chaos: OverloadChaosLeg {
-                committed: 900,
-                resets: 40,
-                ..OverloadChaosLeg::default()
-            },
-            nodes: 2,
-            workers: 2,
-            admission_limit: 64,
-            queue_deadline_ms: 10.0,
-        };
-        let rendered = report.to_json().render();
-        let parsed = Json::parse(&rendered).unwrap();
-        assert_eq!(
-            parsed.get("experiment").unwrap().as_str().unwrap(),
-            "fig11_overload"
-        );
-        assert_eq!(
-            parsed.get("capacity_rps").unwrap().as_f64().unwrap(),
-            5000.0
-        );
-        let points = parsed.get("points").unwrap().as_array().unwrap();
-        assert_eq!(points.len(), 1);
-        assert!(points[0].get("goodput_rps").is_some());
-        assert!(points[0].get("sustained_rps").is_some());
-        assert!(points[0].get("p999_ms").is_some());
-        assert!(points[0].get("overload_rejections").is_some());
-        assert!(parsed.get("chaos").unwrap().get("resets").is_some());
-        assert_eq!(parsed.get("anomalies").unwrap().as_f64().unwrap(), 0.0);
+        assert_round_trips(report());
+    }
+
+    #[test]
+    fn gate_fails_on_each_violated_invariant() {
+        let capacity: [(&str, Plant<'_>); 1] = [(CHECKS[0], &|sheet| {
+            sheet.set(&["capacity"], "capacity_rps", 0.0)
+        })];
+        assert_plants(report(), "capacity", &capacity);
+        let points: [(&str, Plant<'_>); 7] = [
+            (CHECKS[1], &|sheet| sheet.set(&["4x"], "anomalies", 1.0)),
+            (CHECKS[2], &|sheet| {
+                sheet.set(&["1x"], "lost_acked_commits", 1.0)
+            }),
+            (CHECKS[3], &|sheet| sheet.set(&["4x"], "failed", 3.0)),
+            (CHECKS[4], &|sheet| sheet.set(&["4x"], "multiplier", 2.0)),
+            (CHECKS[5], &|sheet| {
+                sheet.set(&["4x"], "p999_ms", P999_CAP_MS + 1.0)
+            }),
+            (CHECKS[6], &|sheet| sheet.set(&["4x"], "goodput_rps", 0.1)),
+            (CHECKS[7], &|sheet| {
+                sheet.set(&["4x"], "overload_rejections", 0.0);
+                sheet.set(&["4x"], "shed_requests", 0.0);
+            }),
+        ];
+        assert_plants(report(), "points", &points);
+        let chaos: [(&str, Plant<'_>); 3] = [
+            (CHECKS[1], &|sheet| {
+                sheet.set(&["chaos 4x"], "anomalies", 1.0)
+            }),
+            (CHECKS[2], &|sheet| {
+                sheet.set(&["chaos 4x"], "lost_acked_commits", 2.0)
+            }),
+            (CHECKS[8], &|sheet| sheet.set(&["chaos 4x"], "resets", 0.0)),
+        ];
+        assert_plants(report(), "chaos", &chaos);
     }
 }

@@ -60,7 +60,7 @@ use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
 use aft_core::{CommitPhase, NodeConfig};
 use aft_faas::{FaasChaos, FailureInjector};
-use aft_net::AftClient;
+use aft_net::{AftClient, AftServer};
 use aft_storage::{BackendKind, CutStore, StorageEngine};
 use aft_types::clock::TickingClock;
 use aft_types::{AftResult, Key};
@@ -508,7 +508,7 @@ impl Trial {
                 })
                 .rng_seed(seed ^ 0x5DC)
                 .phase_hook(schedule.clone())
-                .pipe(Arc::clone(&cluster))
+                .pipe(&AftServer::builder().pipe(Arc::clone(&cluster)))
         });
         Trial {
             cluster,
@@ -785,7 +785,8 @@ mod tests {
         let mut trial = quiet_trial();
         for over_the_wire in [false, true] {
             if over_the_wire {
-                trial.client = Some(AftClient::builder().pipe(Arc::clone(&trial.cluster)));
+                let server = AftServer::builder().pipe(Arc::clone(&trial.cluster));
+                trial.client = Some(AftClient::builder().pipe(&server));
             }
             let label = trial.api().unwrap().api_label().to_owned();
             let client = vec![requests(&RecoveryConfig::tiny())[0][0].clone()];

@@ -5,25 +5,35 @@
 //! node — but in-process. This experiment asks the same question across a
 //! *real service boundary*: N client threads share an aft-net SDK over
 //! loopback TCP to a served 3-node cluster and measure requests per second
-//! and p50/p99 latency per client count. Then a **chaos leg** repeats the
-//! run with seeded connection faults (resets before/after send, delayed
-//! acks) and verifies the two invariants the wire protocol must add on top
-//! of the paper's, both graded by [`aft_workload::history`]'s checker over
-//! every call the SDK made:
+//! and p50/p99 latency per client count, on the wall clock. Then a **chaos
+//! leg** repeats the run with seeded connection faults ([`Seeded::resets`]:
+//! resets before/after send, delayed acks) and verifies the two invariants
+//! the wire protocol must add on top of the paper's, both graded by
+//! [`aft_workload::history`]'s checker over every call the SDK made:
 //!
 //! * **zero read-atomicity anomalies** — fractured reads and
-//!   read-your-writes violations stay impossible across the socket;
+//!   read-your-writes violations stay impossible across the service
+//!   boundary;
 //! * **zero lost acknowledged commits** — after a quiet maintenance round
 //!   every key serves its newest acknowledged write, even though acks were
 //!   being dropped mid-flight (the §4.2 window, closed by the server's
 //!   dedup ledger).
+//!
+//! The chaos leg runs in virtual time: its clients are seated at one
+//! `Turns` table ([`run_virtual_loop`]) and speak the wire protocol over
+//! in-memory pipes ([`aft_net::ServerBuilder::pipe`]) into a ticking-clock
+//! cluster whose maintenance runs on a timer, so its counts are a function
+//! of its seed. The socket suites in `aft-net` cover resets on real
+//! sockets.
 //!
 //! A third **connection-scale leg** opens hundreds to thousands of raw
 //! loopback connections against one server and holds them resident while a
 //! small active subset keeps pinging: the server's reactor threads must
 //! own every socket (zero per-connection reader threads, checked via
 //! `/proc/self/task`), per-connection resident memory must stay flat, and
-//! tail latency must not collapse with the full fleet connected.
+//! tail latency must not collapse with the full fleet connected. It runs on
+//! the wall clock, as the client sweep does; `BENCH_service.json` names each
+//! leg's clock.
 //!
 //! Results land in `BENCH_service.json`; [`ServiceReport::check_gate`]
 //! fails on any anomaly, lost ack, clean-leg failure, `Ping`/`Stats`
@@ -39,19 +49,19 @@ use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
 use aft_faas::{FaasPlatform, PlatformConfig, RetryPolicy};
 use aft_net::frame::{read_frame, write_frame};
-use aft_net::AftServer;
+use aft_net::{AftClient, AftServer};
 use aft_storage::io::RetryConfig;
 use aft_storage::{BackendConfig, BackendKind, SharedStorage};
 use aft_types::wire::{decode_response, encode_request, WireRequest, WireResponse};
 use aft_types::WireStats;
 use aft_workload::history::{Attempt, History, Recorder};
 use aft_workload::sim::{Seeded, Shared};
-use aft_workload::{run_closed_loop, AftDriver, RunConfig, WorkloadConfig};
+use aft_workload::{run_closed_loop, run_virtual_loop, AftDriver, RunConfig, WorkloadConfig};
 
-use crate::cli::{Args, Outcome};
+use crate::cli::{Args, Clock, Outcome};
 use crate::json::Json;
 use crate::report::{percentile_ms, round2, Table};
-use crate::setup::{served_deployment, settled_verdict, ServeOptions, ServiceHandle};
+use crate::setup::{self, maintenance, settled_verdict};
 
 /// A scale point's ping p99 above this is a latency collapse.
 const CONN_P99_COLLAPSE_MS: f64 = 250.0;
@@ -67,11 +77,12 @@ pub struct ServiceConfig {
     pub requests_per_client: usize,
     /// AFT nodes behind the server.
     pub nodes: usize,
-    /// Server worker-pool size.
+    /// Server reactor threads; the chaos leg's piped server has as many
+    /// worker permits.
     pub workers: usize,
     /// Client connection-pool size.
     pub pool_size: usize,
-    /// Clients in the chaos leg.
+    /// Clients in the chaos leg, seated in virtual time.
     pub chaos_clients: usize,
     /// Requests per client in the chaos leg.
     pub chaos_requests: usize,
@@ -120,6 +131,20 @@ impl ServiceConfig {
             conn_active: 16,
             conn_pings: 20,
             ..ServiceConfig::standard()
+        }
+    }
+
+    /// The unit tests' and the trajectory's size.
+    pub fn tiny() -> Self {
+        ServiceConfig {
+            client_counts: vec![1, 4],
+            requests_per_client: 8,
+            chaos_clients: 4,
+            chaos_requests: 12,
+            conn_counts: vec![48],
+            conn_active: 8,
+            conn_pings: 5,
+            ..ServiceConfig::fast()
         }
     }
 }
@@ -175,7 +200,7 @@ pub struct ConnScalePoint {
     pub pooled_buffers: u64,
 }
 
-/// What the chaos leg observed.
+/// What the chaos leg observed, in virtual time.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChaosLegReport {
     /// Requests completed under injection.
@@ -199,6 +224,8 @@ pub struct ChaosLegReport {
     pub duplicate_acks: u64,
     /// Transport-level retries the SDK performed.
     pub transport_retries: u64,
+    /// Requests the server ran, the closing `Stats` call included.
+    pub requests: u64,
 }
 
 /// The whole experiment's results.
@@ -217,7 +244,7 @@ pub struct ServiceReport {
     pub server_stats: Option<WireStats>,
     /// Nodes behind the server.
     pub nodes: usize,
-    /// Server worker-pool size.
+    /// Server reactor threads.
     pub workers: usize,
 }
 
@@ -395,6 +422,7 @@ impl ServiceReport {
             })
             .collect();
         let chaos = Json::obj(vec![
+            ("clock", Json::str(Clock::Virtual.label())),
             ("completed", Json::Num(self.chaos.completed as f64)),
             ("failed", Json::Num(self.chaos.failed as f64)),
             ("anomalies", Json::Num(self.chaos.anomalies as f64)),
@@ -420,6 +448,7 @@ impl ServiceReport {
                 "transport_retries",
                 Json::Num(self.chaos.transport_retries as f64),
             ),
+            ("requests", Json::Num(self.chaos.requests as f64)),
         ]);
         let conn_scale = self
             .conn_scale
@@ -444,8 +473,15 @@ impl ServiceReport {
                 ])
             })
             .collect();
+        let clocks = [
+            ("points", Clock::Wall),
+            ("chaos", Clock::Virtual),
+            ("conn_scale", Clock::Wall),
+        ];
+        let clocks = clocks.map(|(leg, clock)| (leg, Json::str(clock.label())));
         let mut pairs = vec![
             ("experiment", Json::str("fig8_service")),
+            ("clocks", Json::obj(clocks.to_vec())),
             ("nodes", Json::Num(self.nodes as f64)),
             ("workers", Json::Num(self.workers as f64)),
             (
@@ -669,9 +705,9 @@ fn service_workload() -> WorkloadConfig {
         .with_value_size(256)
 }
 
-/// A driver over `handle`'s client whose every call `history` records.
-fn driver_for(handle: &ServiceHandle, history: &Arc<History>) -> AftDriver {
-    let client = Arc::clone(&handle.client) as Arc<dyn AftApi>;
+/// A driver over `client` whose every call `history` records.
+fn driver_for(client: &Arc<AftClient>, history: &Arc<History>) -> AftDriver {
+    let client = Arc::clone(client) as Arc<dyn AftApi>;
     AftDriver::from_api(
         Recorder::wrap(client, Arc::clone(history), None),
         FaasPlatform::new(PlatformConfig::test()),
@@ -679,26 +715,36 @@ fn driver_for(handle: &ServiceHandle, history: &Arc<History>) -> AftDriver {
     )
 }
 
-/// Runs the sweep and the chaos leg.
-pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
-    let options = ServeOptions {
-        workers: config.workers,
-        pool_size: config.pool_size,
-        ..ServeOptions::default()
-    };
+/// A fresh deployment for one point of the client sweep: `config.nodes`
+/// nodes over memory, maintenance in the background, served on loopback by
+/// `config.workers` reactors, and a client of `config.pool_size`
+/// connections whose UUIDs come from `seed`.
+fn served(config: &ServiceConfig, seed: u64) -> (Arc<Cluster>, AftServer, Arc<AftClient>) {
+    let cluster = Cluster::new(ClusterConfig::test(config.nodes), memory_store())
+        .expect("cluster construction");
+    cluster.start_background();
+    let server = AftServer::builder()
+        .workers(config.workers)
+        .serve(Arc::clone(&cluster), "127.0.0.1:0")
+        .expect("serve on loopback");
+    let client = AftClient::builder()
+        .pool_size(config.pool_size)
+        .rng_seed(seed)
+        .connect(server.local_addr())
+        .expect("connect on loopback");
+    (cluster, server, client)
+}
 
+/// Runs the sweep, the chaos leg and the connection-scale leg.
+pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
     // Clean sweep: a fresh deployment per point, so points are independent.
     let mut points = Vec::new();
     let mut ping_ms = None;
     let mut server_stats = None;
     for (i, &clients) in config.client_counts.iter().enumerate() {
-        let options = ServeOptions {
-            seed: config.seed + i as u64,
-            ..options.clone()
-        };
-        let (cluster, handle) = served_deployment(memory_store(), config.nodes, &options);
+        let (cluster, _server, client) = served(config, config.seed + i as u64);
         let history = History::new();
-        let driver = driver_for(&handle, &history);
+        let driver = driver_for(&client, &history);
         let result = run_closed_loop(
             &driver,
             &RunConfig::new(service_workload())
@@ -718,59 +764,12 @@ pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
         });
         // Operability verbs, checked on the last (largest) point.
         if i + 1 == config.client_counts.len() {
-            ping_ms = handle.client.ping().ok().map(|d| d.as_secs_f64() * 1_000.0);
-            server_stats = handle.client.server_stats().ok();
+            ping_ms = client.ping().ok().map(|d| d.as_secs_f64() * 1_000.0);
+            server_stats = client.server_stats().ok();
         }
     }
 
-    // Chaos leg: one deployment, seeded connection faults, then the
-    // checker grades every call the SDK made and what the cluster serves.
-    let schedule = Seeded::new(config.seed ^ 0xC4A05, None).resets(
-        config.reset_rate,
-        config.delay_rate,
-        Duration::from_millis(1),
-    );
-    let schedule = Shared::new(schedule);
-    let chaos_options = ServeOptions {
-        hook: Some(schedule.clone()),
-        retry: RetryConfig {
-            max_attempts: 6,
-            base_backoff: Duration::from_micros(200),
-            max_backoff: Duration::from_millis(2),
-        },
-        seed: config.seed ^ 0xC4A1,
-        ..options
-    };
-    let (cluster, handle) = served_deployment(memory_store(), config.nodes, &chaos_options);
-    let history = History::new();
-    let driver = driver_for(&handle, &history);
-    let result = run_closed_loop(
-        &driver,
-        &RunConfig::new(service_workload())
-            .with_clients(config.chaos_clients)
-            .with_requests(config.chaos_requests)
-            .with_seed(config.seed ^ 0xC4A2),
-    )
-    .expect("chaos closed-loop run");
-
-    let delivered = schedule.lock().delivered();
-    let client_stats = handle.client.stats();
-    // The preload's commits are in the history too: they are acked as well.
-    let attempts = history.attempts();
-    let verdict = settled_verdict(&cluster, &attempts);
-    let chaos = ChaosLegReport {
-        completed: result.completed,
-        failed: result.failed,
-        anomalies: verdict.anomalies(),
-        resets_before_send: delivered.resets_before_send,
-        resets_after_send: delivered.resets_after_send,
-        delayed_acks: delivered.delayed_acks,
-        acked_commits: attempts.iter().filter_map(Attempt::acked).count() as u64,
-        lost_acked_commits: verdict.lost_acked_writes,
-        duplicate_acks: client_stats.duplicate_acks,
-        transport_retries: client_stats.transport_retries,
-    };
-    drop(handle);
+    let chaos = chaos_leg(config);
 
     // Connection-scale leg: how many resident sockets the reactors own,
     // a fresh deployment per point so points are independent.
@@ -788,6 +787,62 @@ pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
         server_stats,
         nodes: config.nodes,
         workers: config.workers,
+    }
+}
+
+/// The chaos leg, in virtual time: `chaos_clients` seated clients share one
+/// SDK client over pipes into a piped server of `workers` permits, the
+/// network faults drawn from the leg's seeded schedule, maintenance on a
+/// timer; then the checker grades every call the SDK made and what the
+/// cluster serves.
+pub fn chaos_leg(config: &ServiceConfig) -> ChaosLegReport {
+    let schedule = Seeded::new(config.seed ^ 0xC4A05, None).resets(
+        config.reset_rate,
+        config.delay_rate,
+        Duration::from_millis(1),
+    );
+    let schedule = Shared::new(schedule);
+    let cluster = setup::cluster(memory_store(), config.nodes, true, true);
+    let server = AftServer::builder()
+        .workers(config.workers)
+        .pipe(Arc::clone(&cluster));
+    let client = AftClient::builder()
+        .pool_size(config.pool_size)
+        .retry(RetryConfig {
+            max_attempts: 6,
+            base_backoff: Duration::from_micros(200),
+            max_backoff: Duration::from_millis(2),
+        })
+        .rng_seed(config.seed ^ 0xC4A1)
+        .phase_hook(schedule.clone())
+        .pipe(&server);
+    let history = History::new();
+    let driver = driver_for(&client, &history);
+    let run = RunConfig::new(service_workload())
+        .with_clients(config.chaos_clients)
+        .with_requests(config.chaos_requests)
+        .with_seed(config.seed ^ 0xC4A2);
+    let result = run_virtual_loop(&driver, &run, vec![maintenance(&cluster)])
+        .expect("chaos closed-loop run");
+
+    let delivered = schedule.lock().delivered();
+    let client_stats = client.stats();
+    let server_stats = AftClient::builder().pipe(&server).server_stats();
+    // The preload's commits are in the history too: they are acked as well.
+    let attempts = history.attempts();
+    let verdict = settled_verdict(&cluster, &attempts);
+    ChaosLegReport {
+        completed: result.completed,
+        failed: result.failed,
+        anomalies: verdict.anomalies(),
+        resets_before_send: delivered.resets_before_send,
+        resets_after_send: delivered.resets_after_send,
+        delayed_acks: delivered.delayed_acks,
+        acked_commits: attempts.iter().filter_map(Attempt::acked).count() as u64,
+        lost_acked_commits: verdict.lost_acked_writes,
+        duplicate_acks: client_stats.duplicate_acks,
+        transport_retries: client_stats.transport_retries,
+        requests: server_stats.expect("the Stats verb over a pipe").requests,
     }
 }
 
@@ -811,22 +866,9 @@ pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
 mod tests {
     use super::*;
 
-    fn tiny_config() -> ServiceConfig {
-        ServiceConfig {
-            client_counts: vec![1, 4],
-            requests_per_client: 8,
-            chaos_clients: 4,
-            chaos_requests: 12,
-            conn_counts: vec![48],
-            conn_active: 8,
-            conn_pings: 5,
-            ..ServiceConfig::fast()
-        }
-    }
-
     #[test]
     fn sweep_runs_clean_over_real_sockets() {
-        let report = fig8_service(&tiny_config());
+        let report = fig8_service(&ServiceConfig::tiny());
         assert_eq!(report.points.len(), 2);
         for point in &report.points {
             assert_eq!(point.failed, 0);

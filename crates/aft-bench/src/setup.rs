@@ -4,16 +4,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use aft_cluster::{Cluster, ClusterConfig};
-use aft_core::{AftNode, NodeConfig, PhaseHook};
+use aft_core::{AftNode, NodeConfig};
 use aft_faas::{FaasPlatform, PlatformConfig, RetryPolicy};
-use aft_net::{AftClient, AftServer};
-use aft_storage::io::RetryConfig;
 use aft_storage::latency::LatencyProfile;
 use aft_storage::{BackendConfig, BackendKind, LatencyMode, SharedStorage};
 use aft_types::clock::TickingClock;
-use aft_types::AftResult;
 use aft_workload::history::{self, Attempt, Verdict};
-use aft_workload::{AftDriver, DynamoTxnDriver, PlainDriver};
+use aft_workload::{AftDriver, DynamoTxnDriver, PlainDriver, Timer};
 
 /// The client→AFT-shim RPC hop at full scale (microseconds): roughly one
 /// intra-AZ round trip plus request handling, the source of the ~6 ms fixed
@@ -103,6 +100,15 @@ pub fn cluster(storage: SharedStorage, nodes: usize, caching: bool, gc: bool) ->
     Cluster::with_clock(config, storage, TickingClock::shared(1, 1)).expect("cluster construction")
 }
 
+/// A cluster's maintenance round every second of virtual time, the paper's
+/// multicast period (§4): the timer of every virtual loop over a cluster.
+pub fn maintenance(cluster: &Cluster) -> Timer<'_> {
+    let round = move |_| {
+        let _ = cluster.run_maintenance_round();
+    };
+    (Duration::from_secs(1), Box::new(round))
+}
+
 /// The simulated AWS-Lambda-like FaaS platform, on the virtual clock.
 pub fn platform() -> Arc<FaasPlatform> {
     FaasPlatform::new(PlatformConfig::aws_like())
@@ -129,95 +135,6 @@ pub fn dynamo_txn_driver(seed: u64) -> DynamoTxnDriver {
     let latency = aft_storage::LatencyModel::new(LatencyMode::Virtual, 1.0);
     let table = aft_storage::SimDynamo::new(latency, seed);
     DynamoTxnDriver::new(table.transaction_mode(), platform(), retry())
-}
-
-/// The one way experiments stand a cluster up as a networked service:
-/// every knob of the loopback endpoint an experiment varies — server reactor
-/// threads and overload protection, client pool, retry and network faults —
-/// in a single options struct, so `fig8_service` and `fig11_overload`
-/// configure the service identically (`ServeOptions { workers: 8,
-/// ..Default::default() }`).
-#[derive(Debug, Clone)]
-pub struct ServeOptions {
-    /// Server reactor threads.
-    pub workers: usize,
-    /// Server admission limit: queue depth beyond which new requests get a
-    /// typed `Overloaded` rejection (`0` disables).
-    pub admission_limit: usize,
-    /// Server queue-age deadline beyond which requests are shed unexecuted
-    /// (`ZERO` disables).
-    pub queue_deadline: Duration,
-    /// Per-connection fair queuing on each of the server's reactor queues.
-    pub fair_queuing: bool,
-    /// Client connection-pool size.
-    pub pool_size: usize,
-    /// Client transport retry/backoff budget.
-    pub retry: RetryConfig,
-    /// The hook the client asks what the network does to each request
-    /// (`PhaseHook::deliver`); `None` faults nothing.
-    pub hook: Option<Arc<dyn PhaseHook>>,
-    /// Client UUID seed.
-    pub seed: u64,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            workers: 4,
-            admission_limit: 0,
-            queue_deadline: Duration::ZERO,
-            fair_queuing: false,
-            pool_size: 4,
-            retry: RetryConfig::default(),
-            hook: None,
-            seed: 0xAF7_11E7,
-        }
-    }
-}
-
-/// A served deployment kept alive behind a networked driver: dropping the
-/// handle shuts the server down.
-pub struct ServiceHandle {
-    /// The loopback server fronting the cluster.
-    pub server: AftServer,
-    /// The SDK client the driver runs through.
-    pub client: Arc<AftClient>,
-}
-
-/// Serves `cluster` on an ephemeral loopback port and connects a client —
-/// the shared construction behind every networked experiment. The server
-/// keeps the builder's connection-slab and worker-queue capacities (1 024
-/// each; no experiment varies them).
-pub fn serve_cluster(cluster: &Arc<Cluster>, options: &ServeOptions) -> AftResult<ServiceHandle> {
-    let server = AftServer::builder()
-        .workers(options.workers)
-        .admission_limit(options.admission_limit)
-        .queue_deadline(options.queue_deadline)
-        .fair_queuing(options.fair_queuing)
-        .serve(Arc::clone(cluster), "127.0.0.1:0")?;
-    let mut client = AftClient::builder()
-        .pool_size(options.pool_size)
-        .retry(options.retry)
-        .rng_seed(options.seed);
-    if let Some(hook) = options.hook.clone() {
-        client = client.phase_hook(hook);
-    }
-    let client = client.connect(server.local_addr())?;
-    Ok(ServiceHandle { server, client })
-}
-
-/// A fresh `nodes`-node deployment over `storage`, maintenance running in
-/// the background, served on loopback — what `fig8_service` and
-/// `fig11_overload` measure.
-pub fn served_deployment(
-    storage: SharedStorage,
-    nodes: usize,
-    options: &ServeOptions,
-) -> (Arc<Cluster>, ServiceHandle) {
-    let cluster = Cluster::new(ClusterConfig::test(nodes), storage).expect("cluster construction");
-    cluster.start_background();
-    let handle = serve_cluster(&cluster, options).expect("serve on loopback");
-    (cluster, handle)
 }
 
 /// The oracle behind every experiment's `anomalies` and lost-ack counts:

@@ -19,14 +19,20 @@
 //! * the paper's figures at the test size ([`crate::experiments`]): Table
 //!   2's RYW and FR cells on its five rows, and Figure 9's deleted
 //!   transactions and live data versions with GC on and off;
+//! * the tiny `fig11_overload` sweep ([`OverloadConfig::tiny`]): the
+//!   server's admission rejections and queue-age sheds, the chaos leg's
+//!   resets and deduplicated commits, the commits, and the server's requests
+//!   per commit, each from its report's cells; and `fig8_service`'s chaos
+//!   leg at its tiny size ([`ServiceConfig::tiny`]): its resets,
+//!   deduplicated and acknowledged commits, and requests per commit;
 //! * the eleven small scopes tier-1 walks whole ([`sim::walk`]): the
 //!   schedules each one has, those in which the checker finds a duplicate
 //!   request, and, where writes are cut, those that orphan data. A walk
 //!   panics on a schedule with an anomaly.
 //!
 //! All run on virtual time: the script on a ticking mock clock with latency
-//! off, the figures in their virtual-time loop, the matrix on one seeded
-//! stepper, the walks on one stepper each.
+//! off, the figures, fig11 and fig8's chaos leg in their virtual-time loops,
+//! the matrix on one seeded stepper, the walks on one stepper each.
 //!
 //! `aft-bench trajectory` recomputes the set and appends it as a new row,
 //! stamped with the commit the row was measured on top of (`git rev-parse
@@ -49,7 +55,10 @@ use aft_workload::sim::{self, request, Request, Scope, Shape};
 use crate::cli::Clock;
 use crate::experiments::{fig3_and_table2, fig9_gc, DEFAULT_SEED};
 use crate::json::Json;
+use crate::overload::{fig11_overload, OverloadConfig};
 use crate::recovery::{fig10_recovery, RecoveryConfig};
+use crate::report::round4;
+use crate::service::{chaos_leg, ServiceConfig};
 use crate::setup::BenchEnv;
 
 /// The trajectory's file name, at the repository root.
@@ -275,35 +284,33 @@ fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 11] {
     ]
 }
 
-/// The exact set, recomputed: each metric's name and value, with the clock
-/// it was measured on.
-fn measure() -> Vec<(String, u64, Clock)> {
+/// One exact metric: its name, its value and the clock it was measured on.
+type Metric = (String, f64, Clock);
+
+/// The exact set, recomputed.
+fn measure() -> Vec<Metric> {
     let mut metrics = Vec::new();
+    let mut put = |name: String, value: f64| metrics.push((name, value, Clock::Virtual));
     for kind in GOLDEN_ROWS {
         let row = kind.label().to_lowercase();
         let run = golden_script(kind);
-        for (op, calls) in GOLDEN_OPS.iter().zip(run.calls) {
-            metrics.push((format!("golden.{row}.{op:?}"), calls, Clock::Virtual));
+        let ops = GOLDEN_OPS.iter().map(|op| format!("{op:?}"));
+        let names = ops.chain(["bytes_written", "rounds", "data_keys_left"].map(str::to_owned));
+        let extra = [run.bytes_written, run.rounds, run.data_keys as u64];
+        for (count, value) in names.zip(run.calls.into_iter().chain(extra)) {
+            put(format!("golden.{row}.{count}"), value as f64);
         }
-        metrics.push((
-            format!("golden.{row}.bytes_written"),
-            run.bytes_written,
-            Clock::Virtual,
-        ));
-        metrics.push((format!("golden.{row}.rounds"), run.rounds, Clock::Virtual));
-        metrics.push((
-            format!("golden.{row}.data_keys_left"),
-            run.data_keys as u64,
-            Clock::Virtual,
-        ));
     }
     for (name, shape, clients, scope) in scopes() {
         let walked = sim::walk(shape, &clients, scope);
-        let metric = |count| format!("walk.{name}.{count}");
-        metrics.push((metric("schedules"), walked.schedules, Clock::Virtual));
-        metrics.push((metric("duplicated"), walked.duplicated, Clock::Virtual));
-        if scope.crashes + scope.fails > 0 {
-            metrics.push((metric("orphaned"), walked.orphaned, Clock::Virtual));
+        let counts = [
+            ("schedules", walked.schedules),
+            ("duplicated", walked.duplicated),
+            ("orphaned", walked.orphaned),
+        ];
+        let cuts = scope.crashes + scope.fails > 0;
+        for (count, value) in counts.into_iter().take(if cuts { 3 } else { 2 }) {
+            put(format!("walk.{name}.{count}"), value as f64);
         }
     }
     let env = BenchEnv::test();
@@ -314,7 +321,6 @@ fn measure() -> Vec<(String, u64, Clock)> {
         (&fig9, ["deleted", "live_data_versions"]),
     ] {
         for labels in sheet.keys() {
-            let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
             let row: String = labels[0]
                 .split(|c: char| !c.is_ascii_alphanumeric())
                 .filter(|word| !word.is_empty())
@@ -322,17 +328,13 @@ fn measure() -> Vec<(String, u64, Clock)> {
                 .join("_")
                 .to_lowercase();
             for column in columns {
-                let value = sheet.value(&labels, column) as u64;
-                metrics.push((
-                    format!("figures.{}.{row}.{column}", sheet.name),
-                    value,
-                    Clock::Virtual,
-                ));
+                let name = format!("figures.{}.{row}.{column}", sheet.name);
+                put(name, sheet.value(labels, column));
             }
         }
     }
-    let tiny = fig10_recovery(&RecoveryConfig::tiny());
-    let cells = tiny.sheet("cells");
+    let fig10 = fig10_recovery(&RecoveryConfig::tiny());
+    let cells = fig10.sheet("cells");
     for (name, column) in [
         ("recovered", "recovered_commits"),
         ("absorbed", "io_retries"),
@@ -340,20 +342,46 @@ fn measure() -> Vec<(String, u64, Clock)> {
         ("acked_requests", "acknowledged_commits"),
         ("storage_calls", "storage_calls"),
     ] {
-        let value = cells.sum(column) as u64;
-        metrics.push((format!("fig10.tiny.{name}"), value, Clock::Virtual));
+        put(format!("fig10.tiny.{name}"), cells.sum(column));
+    }
+    let fig11 = fig11_overload(&OverloadConfig::tiny());
+    let (points, chaos) = (fig11.sheet("points"), fig11.sheet("chaos"));
+    let both = |column| points.sum(column) + chaos.sum(column);
+    let commits = both("committed");
+    for (name, value) in [
+        ("admission_rejections", both("overload_rejections")),
+        ("sheds", both("shed_requests")),
+        ("resets", chaos.sum("resets")),
+        ("duplicate_commits", chaos.sum("duplicate_commits")),
+        ("commits", commits),
+        ("requests_per_txn", round4(both("requests") / commits)),
+    ] {
+        put(format!("fig11.tiny.{name}"), value);
+    }
+    let fig8 = chaos_leg(&ServiceConfig::tiny());
+    let commits = fig8.acked_commits as f64;
+    for (name, value) in [
+        (
+            "resets",
+            (fig8.resets_before_send + fig8.resets_after_send) as f64,
+        ),
+        ("duplicate_commits", fig8.duplicate_acks as f64),
+        ("commits", commits),
+        ("requests_per_txn", round4(fig8.requests as f64 / commits)),
+    ] {
+        put(format!("fig8.chaos.{name}"), value);
     }
     metrics
 }
 
 /// One row: the commit it was measured on top of, then each clock's metrics.
-fn row(base: &str, metrics: &[(String, u64, Clock)]) -> Json {
+fn row(base: &str, metrics: &[Metric]) -> Json {
     let mut pairs = vec![("base".to_owned(), Json::str(base))];
     for clock in [Clock::Virtual, Clock::Wall] {
         let values: Vec<(String, Json)> = metrics
             .iter()
             .filter(|(_, _, c)| *c == clock)
-            .map(|(name, value, _)| (name.clone(), Json::Num(*value as f64)))
+            .map(|(name, value, _)| (name.clone(), Json::Num(*value)))
             .collect();
         if !values.is_empty() {
             pairs.push((clock.label().to_owned(), Json::Obj(values)));
@@ -394,7 +422,7 @@ fn entries(row: &Json) -> BTreeMap<&str, (&str, f64)> {
 
 /// Compares `metrics` with `last`, a row of the trajectory: one line per
 /// metric whose value or clock differs, or that only one side has, by name.
-fn moved(last: &Json, metrics: &[(String, u64, Clock)]) -> Vec<String> {
+fn moved(last: &Json, metrics: &[Metric]) -> Vec<String> {
     let now = row("", metrics);
     let (was, is) = (entries(last), entries(&now));
     let names: BTreeSet<&str> = was.keys().chain(is.keys()).copied().collect();
@@ -575,15 +603,15 @@ mod tests {
     #[test]
     fn a_moved_metric_is_named_with_both_values() {
         let metrics = vec![
-            ("a".to_owned(), 1, Clock::Virtual),
-            ("b".to_owned(), 2, Clock::Virtual),
+            ("a".to_owned(), 1.0, Clock::Virtual),
+            ("b".to_owned(), 2.0, Clock::Virtual),
         ];
         let last = row("abc1234", &metrics);
         assert!(moved(&last, &metrics).is_empty());
         let now = vec![
-            ("a".to_owned(), 1, Clock::Wall),
-            ("b".to_owned(), 3, Clock::Virtual),
-            ("c".to_owned(), 4, Clock::Virtual),
+            ("a".to_owned(), 1.0, Clock::Wall),
+            ("b".to_owned(), 3.0, Clock::Virtual),
+            ("c".to_owned(), 4.0, Clock::Virtual),
         ];
         assert_eq!(
             moved(&last, &now),

@@ -3,7 +3,8 @@
 //! [`FaasPlatform::run_request`] executes a [`Composition`] for one logical
 //! request: each step is invoked with the platform's per-invocation overhead
 //! (and occasional cold start), subject to the platform-wide concurrency
-//! limit, with failures injected at the configured [`FaasChaos`] rates by
+//! limit (a [`Permits`]: a seated invocation waits for a slot in virtual
+//! time), with failures injected at the configured [`FaasChaos`] rates by
 //! the platform's [`FailureInjector`]. Failed requests are retried per the client's
 //! [`RetryPolicy`], restarting the composition from the first function with a
 //! fresh context — the retry-from-scratch model of existing serverless
@@ -12,9 +13,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use aft_storage::latency::{LatencyMode, LatencyModel, LatencyProfile};
+use aft_storage::latency::{LatencyMode, LatencyModel, LatencyProfile, Permit, Permits};
 use aft_types::{AftError, AftResult};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -96,8 +97,8 @@ pub struct FaasPlatform {
     injector: FailureInjector,
     stats: Arc<PlatformStats>,
     active: AtomicU64,
-    slot_lock: Mutex<usize>,
-    slot_available: Condvar,
+    /// The concurrency limit's slots.
+    slots: Permits,
 }
 
 impl FaasPlatform {
@@ -109,8 +110,7 @@ impl FaasPlatform {
             injector: FailureInjector::new(config.seed, config.chaos),
             stats: PlatformStats::new_shared(),
             active: AtomicU64::new(0),
-            slot_lock: Mutex::new(0),
-            slot_available: Condvar::new(),
+            slots: Permits::new(config.concurrency_limit),
             config,
         })
     }
@@ -132,16 +132,13 @@ impl FaasPlatform {
     }
 
     fn acquire_slot(&self) -> SlotGuard<'_> {
-        if self.config.concurrency_limit > 0 {
-            let mut in_use = self.slot_lock.lock();
-            while *in_use >= self.config.concurrency_limit {
-                self.slot_available.wait(&mut in_use);
-            }
-            *in_use += 1;
-        }
+        let (_permit, _) = self.slots.acquire();
         let now_active = self.active.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.observe_concurrency(now_active);
-        SlotGuard { platform: self }
+        SlotGuard {
+            platform: self,
+            _permit,
+        }
     }
 
     /// Invokes a single function body with platform overhead, concurrency
@@ -267,19 +264,16 @@ impl FaasPlatform {
     }
 }
 
-/// RAII guard for one concurrency slot.
+/// RAII guard for one concurrency slot: the invocation stops counting as
+/// active before its permit frees.
 struct SlotGuard<'a> {
     platform: &'a FaasPlatform,
+    _permit: Permit<'a>,
 }
 
 impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
         self.platform.active.fetch_sub(1, Ordering::Relaxed);
-        if self.platform.config.concurrency_limit > 0 {
-            let mut in_use = self.platform.slot_lock.lock();
-            *in_use -= 1;
-            self.platform.slot_available.notify_one();
-        }
     }
 }
 

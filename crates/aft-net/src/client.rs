@@ -22,7 +22,9 @@
 //! * **Sockets or pipes.** [`ClientBuilder::connect`] dials a server;
 //!   [`ClientBuilder::pipe`] instead runs each connection's server session
 //!   in memory, on the thread of the caller that sends: its answer is
-//!   written before its caller waits for it, and no thread starts.
+//!   written before its caller waits for it, and no thread starts. A piped
+//!   caller holds no lock while its request runs, so seated callers
+//!   (`aft_storage::latency::Turns`) may share a connection.
 //! * **Retry with backoff.** Transport failures (reset, timeout, refused)
 //!   reconnect and resend under the storage engine's
 //!   [`RetryConfig`] semantics: attempt `n`
@@ -49,7 +51,6 @@ use std::sync::Arc;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use aft_cluster::Cluster;
 use aft_core::api::{AftApi, CommitOutcome};
 use aft_core::{NetFault, PhaseHook};
 use aft_storage::io::RetryConfig;
@@ -63,7 +64,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::frame::{read_frame, request_frame};
 use crate::pipe::Pipe;
-use crate::server::{ServerConfig, ServerShared};
+use crate::server::{PipeServer, ServerShared};
 
 /// Tuning of an [`AftClient`]; built with [`AftClient::builder`].
 #[derive(Debug, Clone)]
@@ -156,13 +157,13 @@ impl ClientBuilder {
         AftClient::connect(addr, self.build())
     }
 
-    /// Builds a client whose connections are in-memory pipes into a server
-    /// of default configuration fronting `cluster`. Each request runs
-    /// through the same connection state machine as over a socket, on the
-    /// thread of the caller that sends it, and no thread starts.
-    pub fn pipe(self, cluster: Arc<Cluster>) -> Arc<AftClient> {
-        let shared = ServerShared::new(cluster, ServerConfig::default(), Vec::new());
-        AftClient::open(Endpoint::Pipe(shared), self.build()).expect("a pipe always opens")
+    /// Builds a client whose connections are in-memory pipes into `server`
+    /// ([`ServerBuilder::pipe`](crate::ServerBuilder::pipe)). Each request
+    /// runs through the same connection state machine as over a socket, on
+    /// the thread of the caller that sends it, and no thread starts.
+    pub fn pipe(self, server: &PipeServer) -> Arc<AftClient> {
+        let endpoint = Endpoint::Pipe(Arc::clone(&server.0));
+        AftClient::open(endpoint, self.build()).expect("a pipe always opens")
     }
 }
 
@@ -184,13 +185,6 @@ enum Link {
 }
 
 impl Link {
-    fn write_all(&self, bytes: &[u8]) -> io::Result<()> {
-        match self {
-            Link::Tcp(stream) => (&*stream).write_all(bytes),
-            Link::Pipe(pipe) => pipe.send(bytes),
-        }
-    }
-
     fn shutdown(&self) {
         match self {
             Link::Tcp(stream) => drop(stream.shutdown(Shutdown::Both)),
@@ -234,8 +228,8 @@ struct Inbox {
 /// read it (see [`Conn::wait`]).
 struct Conn {
     link: Arc<Link>,
-    /// Orders writes, so frames never interleave, and keeps one frame
-    /// buffer warm.
+    /// Orders a socket's writes, so frames never interleave, and keeps one
+    /// frame buffer warm.
     writer: Mutex<Vec<u8>>,
     inbox: Mutex<Inbox>,
     broken: AtomicBool,
@@ -288,12 +282,24 @@ impl Conn {
     }
 
     fn send(&self, request_id: u64, request: &WireRequest) -> AftResult<()> {
-        let mut frame = self.writer.lock();
-        let sent = request_frame(&mut frame, request_id, request)
-            .and_then(|()| self.link.write_all(&frame));
-        if frame.capacity() > SEND_BUFFER_KEEP {
-            *frame = Vec::new();
-        }
+        let sent = match &*self.link {
+            Link::Tcp(stream) => {
+                let mut frame = self.writer.lock();
+                let sent = request_frame(&mut frame, request_id, request)
+                    .and_then(|()| (&*stream).write_all(&frame));
+                if frame.capacity() > SEND_BUFFER_KEEP {
+                    *frame = Vec::new();
+                }
+                sent
+            }
+            // A pipe runs the request inside its send, and its caller may
+            // be seated: it holds no lock across that, so it frames into a
+            // buffer of its own.
+            Link::Pipe(pipe) => {
+                let mut frame = Vec::new();
+                request_frame(&mut frame, request_id, request).and_then(|()| pipe.send(&frame))
+            }
+        };
         sent.map_err(|e| {
             self.reset();
             AftError::Unavailable(format!("send: {e}"))

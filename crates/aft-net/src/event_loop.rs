@@ -420,9 +420,9 @@ impl Reactor {
                 }
                 continue;
             };
-            let response = self
-                .shared
-                .run_job(own, job.request_id, job.work, job.enqueued);
+            let response =
+                self.shared
+                    .run_job(own, job.request_id, job.work, job.enqueued.elapsed());
             match response.and_then(|r| conn.session.answer(&self.shared, job.request_id, &r)) {
                 None => self.teardown(job.slot, Verdict::Reset),
                 Some(true) => self.do_write(job.slot),

@@ -43,5 +43,5 @@ mod session;
 pub mod stats;
 
 pub use client::{AftClient, ClientBuilder, ClientConfig, ClientStatsSnapshot};
-pub use server::{AftServer, ResponseFilter, ServerBuilder, ServerConfig};
+pub use server::{AftServer, PipeServer, ResponseFilter, ServerBuilder, ServerConfig};
 pub use stats::{EventSnapshot, ServiceStats};

@@ -11,8 +11,9 @@
 //! there is no hand-off to wake, and thread count is `workers` while
 //! connections scale to thousands. Every connection's protocol is a
 //! sans-I/O session, which a client's in-memory pipe drives too
-//! ([`ClientBuilder::pipe`](crate::ClientBuilder::pipe)): there each
-//! request runs on its caller's thread.
+//! ([`ServerBuilder::pipe`], [`ClientBuilder::pipe`](crate::ClientBuilder::pipe)):
+//! there each request runs on its caller's thread, holding one of
+//! `workers` [`Permits`] instead of a reactor.
 //!
 //! A connection's requests run one at a time, in arrival order, so its
 //! pipelined responses come back in the order they were sent. Requests on
@@ -49,7 +50,9 @@
 //! backpressure). Each reactor queues the requests it decodes in one
 //! iteration before running them; the mechanisms act on those queues, and
 //! the two limits read one server-wide depth, the requests queued on every
-//! reactor:
+//! reactor. On a piped server a request is queued while it waits for a
+//! worker permit, so admission and shedding read that wait, in virtual time
+//! when its caller is seated:
 //!
 //! * **Admission control** ([`ServerBuilder::admission_limit`]): when the
 //!   queued requests already reach the limit, a new request is rejected
@@ -67,6 +70,8 @@
 //! * **Fair queuing** ([`ServerBuilder::fair_queuing`]): one lane per
 //!   connection, drained round-robin, so a single pipelining firehose
 //!   cannot starve the other connections of its reactor behind its backlog.
+//!   A pipe has no reactor queue, so it means nothing there: permits go to
+//!   the earliest waiter.
 //!
 //! `queue_capacity` backpressure (stop reading a socket while the queued
 //! requests fill it) remains underneath all three.
@@ -87,6 +92,7 @@ use std::time::{Duration, Instant};
 use aft_cluster::Cluster;
 use aft_core::read::is_atomic_readset;
 use aft_core::AftNode;
+use aft_storage::latency::Permits;
 use aft_types::wire::{WireRequest, WireResponse, WireStats};
 use aft_types::{AftError, AftResult, Key, TransactionId, Uuid, Value};
 use parking_lot::{Condvar, Mutex};
@@ -133,7 +139,8 @@ impl ServerConfig {
     }
 
     /// Reactor threads, each reading, running and answering its own
-    /// connections.
+    /// connections; on a piped server, the permits a request holds while
+    /// it runs.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -171,7 +178,8 @@ pub struct ServerBuilder {
 impl ServerBuilder {
     /// Reactor threads (clamped to ≥ 1). Each owns the connections given to
     /// it at accept, round robin, and reads, runs and answers their
-    /// requests itself.
+    /// requests itself. A piped server has no threads: a request holds one
+    /// of this many permits while it runs, on its caller's thread.
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers.max(1);
         self
@@ -237,7 +245,7 @@ impl ServerBuilder {
     /// Per-client fair queuing: one lane per connection in each reactor's
     /// queue, drained round-robin, so one pipelining firehose cannot starve
     /// its reactor's other connections behind its backlog. Off by default
-    /// (plain FIFO).
+    /// (plain FIFO). A piped server ignores it: it has no reactor queue.
     pub fn fair_queuing(mut self, fair: bool) -> Self {
         self.config.fair_queuing = fair;
         self
@@ -252,7 +260,22 @@ impl ServerBuilder {
     pub fn serve(self, cluster: Arc<Cluster>, addr: &str) -> AftResult<AftServer> {
         AftServer::serve(cluster, addr, self.build())
     }
+
+    /// Builds a server fronting `cluster` whose connections are in-memory
+    /// pipes ([`ClientBuilder::pipe`](crate::ClientBuilder::pipe)); no
+    /// thread starts.
+    pub fn pipe(self, cluster: Arc<Cluster>) -> PipeServer {
+        PipeServer(ServerShared::new(cluster, self.build(), Vec::new()))
+    }
 }
+
+/// A server whose connections are in-memory pipes: its clients' requests
+/// run on their callers' threads, each holding one of `workers` permits.
+/// Several clients may share it, and its admission limit reads their one
+/// queue depth. Its counters come over the `Stats` verb, as from a socket
+/// server.
+#[derive(Clone)]
+pub struct PipeServer(pub(crate) Arc<ServerShared>);
 
 /// Decides the fate of each outgoing response — the server-side test hook.
 /// Returning `false` drops the response *and resets the connection*,
@@ -281,7 +304,7 @@ pub(crate) struct Job {
     pub(crate) conn: u64,
     pub(crate) request_id: u64,
     pub(crate) work: Work,
-    /// When the job entered the queue, for deadline-based shedding.
+    /// When the job entered the queue: its wait decides queue-age shedding.
     pub(crate) enqueued: Instant,
 }
 
@@ -431,6 +454,8 @@ pub(crate) struct ServerShared {
     /// Requests queued to run, summed over the drivers: what admission
     /// control and `queue_capacity` read.
     pub(crate) depth: AtomicUsize,
+    /// A piped server's workers: a request holds one while it runs.
+    pub(crate) workers: Permits,
     ledger: Mutex<CommitLedger>,
     ledger_cv: Condvar,
     affinity: Mutex<AffinityMap>,
@@ -458,6 +483,7 @@ impl ServerShared {
             stats: Arc::new(ServiceStats::default()),
             reactors,
             depth: AtomicUsize::new(0),
+            workers: Permits::new(config.workers),
             ledger: Mutex::new(CommitLedger::new(config.dedup_capacity)),
             ledger_cv: Condvar::new(),
             affinity: Mutex::new(AffinityMap::new(config.affinity_capacity)),
@@ -484,16 +510,17 @@ impl ServerShared {
 
     /// The job step both drivers take on each job they dequeue, reactor
     /// `own`'s if any: an answer decided at read time passes as is; a
-    /// request that waited past the queue deadline is shed, any other
-    /// executed; then the response filter decides whether the answer is
-    /// delivered. `None`: the filter ate the ack, and the driver resets the
-    /// connection.
+    /// request that `waited` in the queue past the deadline is shed, any
+    /// other executed; then the response filter decides whether the answer
+    /// is delivered. `None`: the filter ate the ack, and the driver resets
+    /// the connection. A reactor's wait is wall time since the job was
+    /// queued, a pipe's its worker permit's.
     pub(crate) fn run_job(
         &self,
         own: Option<usize>,
         request_id: u64,
         work: Work,
-        enqueued: Instant,
+        waited: Duration,
     ) -> Option<WireResponse> {
         let request = match work {
             Work::Answer(response) => return Some(response),
@@ -504,7 +531,7 @@ impl ServerShared {
         // Shedding is safe by construction: nothing was applied and nothing
         // acked, so the client's retry is the first execution, not a
         // duplicate.
-        let response = if !deadline.is_zero() && enqueued.elapsed() > deadline {
+        let response = if !deadline.is_zero() && waited > deadline {
             self.stats.record_shed();
             WireResponse::Error(AftError::Overloaded(format!(
                 "request shed after waiting past the {deadline:?} queue deadline"

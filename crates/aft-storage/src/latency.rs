@@ -17,10 +17,12 @@
 //! instead ([`measure_cost`]); seated at a [`Turns`] table, those charges
 //! are the threads' clocks in one deterministic virtual-time loop, which is
 //! how a full experiment (tens of thousands of transactions) finishes in
-//! seconds at full scale.
+//! seconds at full scale. [`Permits`] is that loop's one semaphore: a
+//! server's workers and a platform's concurrency slots, where a seated
+//! thread that finds none free waits in virtual time.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -120,11 +122,12 @@ fn pass_seat(duration: Duration) -> bool {
 /// [`Seat::scope`], wherever `Sleep` mode would sleep: every
 /// [`LatencyModel::finish`] and every [`charge`] outside a
 /// [`capture_deferred`] scope. It then waits until its seat is the earliest
-/// again. A run of seated threads is therefore one interleaving, fixed by
-/// the clocks alone, and nothing sleeps.
+/// again. A seat waiting for one of [`Permits`] is out of the turn order
+/// until a release hands it one. A run of seated threads is therefore one
+/// interleaving, fixed by the clocks alone, and nothing sleeps.
 ///
-/// A seated thread must hold no lock across a charge: the seat that runs
-/// next may need it.
+/// A seated thread must hold no lock across a charge or a permit wait: the
+/// seat that runs next may need it.
 pub struct Turns {
     state: Mutex<TurnState>,
     /// One per seat: signalled when that seat may be the earliest.
@@ -132,10 +135,14 @@ pub struct Turns {
 }
 
 struct TurnState {
-    /// `(clock, seat)` of every seat still at the table, earliest first.
+    /// `(clock, seat)` of every seat in the turn order, earliest first.
     queue: BTreeSet<(Duration, usize)>,
     /// Each seat's clock; `None` once it has left.
     clocks: Vec<Option<Duration>>,
+    /// The seat whose thread holds the turn, until it charges, waits for a
+    /// permit or leaves. A seat that a release puts back ahead of it waits
+    /// until then.
+    running: Option<usize>,
 }
 
 impl Turns {
@@ -145,6 +152,7 @@ impl Turns {
             state: Mutex::new(TurnState {
                 queue: (0..seats).map(|seat| (Duration::ZERO, seat)).collect(),
                 clocks: vec![Some(Duration::ZERO); seats],
+                running: None,
             }),
             wake: (0..seats).map(|_| Condvar::new()).collect(),
         })
@@ -167,18 +175,40 @@ impl Turns {
         state.queue.remove(&(clock, seat));
         state.clocks[seat] = Some(clock + by);
         state.queue.insert((clock + by, seat));
+        state.running = None;
         self.wait_turn(&mut state, seat);
     }
 
-    /// Blocks until `seat` is the earliest, waking whichever seat is.
+    /// Blocks until `seat` is the earliest and the turn is free, waking
+    /// whichever seat is the earliest meanwhile.
     fn wait_turn(&self, state: &mut parking_lot::MutexGuard<'_, TurnState>, seat: usize) {
         loop {
-            let (_, first) = *state.queue.first().expect("the waiting seat is queued");
-            if first == seat {
-                return;
+            if state.running.is_none() {
+                match state.queue.first() {
+                    Some(&(_, first)) if first == seat => {
+                        state.running = Some(seat);
+                        return;
+                    }
+                    Some(&(_, first)) => self.wake[first].notify_one(),
+                    None => {}
+                }
             }
-            self.wake[first].notify_one();
             self.wake[seat].wait(state);
+        }
+    }
+
+    /// Puts `seat`, out of the turn order for a permit, back into it at
+    /// its clock or at seat `after`'s, whichever is later.
+    fn rejoin(&self, seat: usize, after: Option<usize>) {
+        let mut state = self.state.lock();
+        let asked = state.clocks[seat].expect("a waiting seat has a clock");
+        let at = after.and_then(|after| state.clocks[after]);
+        let clock = at.map_or(asked, |at| at.max(asked));
+        state.clocks[seat] = Some(clock);
+        state.queue.insert((clock, seat));
+        if state.running.is_none() {
+            let &(_, first) = state.queue.first().expect("the seat just queued");
+            self.wake[first].notify_one();
         }
     }
 }
@@ -225,9 +255,102 @@ impl Drop for Seat {
         if let Some(clock) = state.clocks[self.seat].take() {
             state.queue.remove(&(clock, self.seat));
         }
+        state.running.take_if(|running| *running == self.seat);
         if let Some(&(_, next)) = state.queue.first() {
             self.turns.wake[next].notify_one();
         }
+    }
+}
+
+/// A counting semaphore that works in virtual time: a server's workers, a
+/// platform's concurrency slots.
+///
+/// [`Permits::acquire`] takes one of `limit` permits and says how long its
+/// caller waited for it. A caller seated at a [`Turns`] table (inside
+/// [`Seat::scope`]) that finds none free leaves the turn order, and the
+/// next release hands the permit straight to the earliest such waiter (the
+/// lower seat on a tie), whose clock moves to the releaser's if that is
+/// later: it waited in virtual time, and nothing slept. A caller that is
+/// not seated blocks until a permit frees, and its wait is wall time.
+/// Seated and unseated callers do not share one `Permits`. A limit of 0
+/// admits every caller at once and takes no lock.
+pub struct Permits {
+    limit: usize,
+    state: Mutex<PermitState>,
+    /// Signalled when a permit frees with no seated waiter to take it.
+    freed: Condvar,
+}
+
+#[derive(Default)]
+struct PermitState {
+    in_use: usize,
+    /// Seats waiting, by the clock they asked at and their seat: earliest
+    /// first, the lower seat on a tie.
+    waiting: BTreeMap<(Duration, usize), Arc<Turns>>,
+}
+
+impl Permits {
+    /// `limit` permits; 0 means no limit.
+    pub fn new(limit: usize) -> Self {
+        Permits {
+            limit,
+            state: Mutex::new(PermitState::default()),
+            freed: Condvar::new(),
+        }
+    }
+
+    /// Takes a permit, waiting for one if none is free: the permit, held
+    /// until it drops, and how long its caller waited (see [`Permits`]).
+    pub fn acquire(&self) -> (Permit<'_>, Duration) {
+        if self.limit == 0 {
+            return (Permit(None), Duration::ZERO);
+        }
+        let permit = Permit(Some(self));
+        let mut state = self.state.lock();
+        if state.in_use < self.limit {
+            state.in_use += 1;
+            return (permit, Duration::ZERO);
+        }
+        let Some((turns, seat)) = SEATED.with(|s| s.borrow().clone()) else {
+            let started = Instant::now();
+            while state.in_use >= self.limit {
+                self.freed.wait(&mut state);
+            }
+            state.in_use += 1;
+            return (permit, started.elapsed());
+        };
+        // Out of the turn order until a release puts this seat back with
+        // the permit; the in-use count does not change hands.
+        let mut table = turns.state.lock();
+        let asked = table.clocks[seat].expect("a seated caller has a clock");
+        table.queue.remove(&(asked, seat));
+        table.running = None;
+        state.waiting.insert((asked, seat), Arc::clone(&turns));
+        drop(state);
+        turns.wait_turn(&mut table, seat);
+        let resumed = table.clocks[seat].expect("a seated caller has a clock");
+        (permit, resumed - asked)
+    }
+}
+
+/// One of [`Permits`], held until it drops.
+#[must_use = "a permit is released when it drops"]
+pub struct Permit<'a>(Option<&'a Permits>);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let Some(permits) = self.0 else {
+            return;
+        };
+        let mut state = permits.state.lock();
+        let Some(((_, seat), turns)) = state.waiting.pop_first() else {
+            state.in_use -= 1;
+            permits.freed.notify_one();
+            return;
+        };
+        let releaser = SEATED.with(|s| s.borrow().clone());
+        let after = releaser.filter(|(table, _)| Arc::ptr_eq(table, &turns));
+        turns.rejoin(seat, after.map(|(_, releaser)| releaser));
     }
 }
 
@@ -736,6 +859,64 @@ mod tests {
             [(0, 0), (1, 0), (1, 3), (0, 5), (1, 6), (1, 9), (0, 10)],
             "a seat's Sleep-mode charge passes its clock, not the wall's"
         );
+    }
+
+    /// Runs `body` on a thread per seat of one table, each inside its
+    /// seat's scope.
+    fn seated(seats: usize, body: impl Fn(usize, &Seat) + Sync) {
+        let turns = Turns::new(seats);
+        std::thread::scope(|scope| {
+            for index in 0..seats {
+                let (turns, body) = (&turns, &body);
+                scope.spawn(move || {
+                    let seat = turns.seat(index);
+                    seat.scope(|| body(index, &seat));
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_seated_waiter_resumes_at_its_releasers_clock() {
+        // Seat 0 holds the one permit from 0 to 5 ms; seat 1 asks at 1 ms.
+        let (permits, ms) = (Permits::new(1), Duration::from_millis);
+        let resumed = Mutex::new(Vec::new());
+        seated(2, |index, seat| {
+            seat.sleep(ms(index as u64));
+            let (_permit, waited) = permits.acquire();
+            resumed.lock().push((index, seat.now(), waited));
+            seat.sleep(ms(5 * (1 - index as u64)));
+        });
+        let resumed = resumed.into_inner();
+        assert_eq!(resumed, [(0, ms(0), ms(0)), (1, ms(5), ms(4))]);
+    }
+
+    #[test]
+    fn waiters_resume_earliest_first() {
+        // Seat 0 holds the permit until 10 ms; seats 1, 2 and 3 ask at 3, 1
+        // and 2 ms and each hold it 1 ms once granted.
+        let (permits, ms) = (Permits::new(1), Duration::from_millis);
+        let (asks, holds) = ([0, 3, 1, 2], [10, 1, 1, 1]);
+        let log = Mutex::new(Vec::new());
+        seated(4, |index, seat| {
+            seat.sleep(ms(asks[index]));
+            let _permit = permits.acquire();
+            log.lock().push((index, seat.now().as_millis()));
+            seat.sleep(ms(holds[index]));
+        });
+        assert_eq!(log.into_inner(), [(0, 0), (2, 10), (3, 11), (1, 12)]);
+    }
+
+    #[test]
+    fn a_zero_limit_never_blocks() {
+        let permits = Permits::new(0);
+        let turns = Turns::new(1);
+        let seat = turns.seat(0);
+        let held: Vec<_> = seat.scope(|| (0..64).map(|_| permits.acquire()).collect());
+        assert!(held.iter().all(|(_, waited)| waited.is_zero()));
+        let unseated: Vec<_> = (0..64).map(|_| permits.acquire()).collect();
+        assert!(unseated.iter().all(|(_, waited)| waited.is_zero()));
+        assert_eq!(seat.now(), Duration::ZERO);
     }
 
     #[test]

@@ -37,5 +37,5 @@ pub use anomaly::{AnomalyFlags, TaggedObservation};
 pub use drivers::{AftDriver, DynamoTxnDriver, PlainDriver, RequestDriver};
 pub use generator::{FunctionPlan, TransactionPlan, WorkloadConfig, WorkloadGenerator};
 pub use histogram::{LatencyRecorder, LatencyStats};
-pub use runner::{run_closed_loop, run_virtual_loop, RunConfig, RunResult, Timer};
+pub use runner::{run_closed_loop, run_seated, run_virtual_loop, RunConfig, RunResult, Timer};
 pub use zipf::ZipfGenerator;

@@ -14,7 +14,8 @@
 //!   clock is what its thread is charged, the earliest client runs, and
 //!   nothing sleeps, so a run is a pure function of its seed and its
 //!   drivers' seeds. Timers (maintenance rounds, a node kill) run at
-//!   virtual times between requests.
+//!   virtual times between requests. [`run_seated`] is its seating, for
+//!   clients that are not a driver's closed loop.
 //!
 //! The merge mutex is a `parking_lot::Mutex` (like the rest of the
 //! workspace), which does not poison: a panicking client thread takes down
@@ -24,7 +25,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use aft_storage::latency::Turns;
+use aft_storage::latency::{Seat, Turns};
 use aft_types::AftResult;
 use parking_lot::Mutex;
 
@@ -200,23 +201,38 @@ pub fn run_virtual_loop(
     timers: Vec<Timer<'_>>,
 ) -> AftResult<RunResult> {
     preload(driver, config)?;
-    let turns = Turns::new(config.clients + timers.len());
-    let issuing = AtomicUsize::new(config.clients);
-    let collected = Mutex::new(Vec::new());
+    let clients = run_seated(config.clients, timers, |index, seat| {
+        client(driver, config, index, || seat.now())
+    });
+    Ok(merge(driver, clients))
+}
+
+/// Runs `client` on `clients` threads seated at one [`Turns`] table, each
+/// inside its seat's [`Seat::scope`], and `timers` on the seats after
+/// theirs while any client runs. Returns what each client returned, in
+/// client order.
+pub fn run_seated<T: Send>(
+    clients: usize,
+    timers: Vec<Timer<'_>>,
+    client: impl Fn(usize, &Seat) -> T + Sync,
+) -> Vec<T> {
+    let turns = Turns::new(clients + timers.len());
+    let issuing = AtomicUsize::new(clients);
     std::thread::scope(|scope| {
-        for index in 0..config.clients {
-            let (turns, issuing, collected) = (&turns, &issuing, &collected);
-            scope.spawn(move || {
-                let seat = turns.seat(index);
-                let measurements = seat.scope(|| client(driver, config, index, || seat.now()));
-                issuing.fetch_sub(1, Ordering::Relaxed);
-                collected.lock().push(measurements);
-            });
-        }
+        let (turns, issuing, client) = (&turns, &issuing, &client);
+        let running: Vec<_> = (0..clients)
+            .map(|index| {
+                scope.spawn(move || {
+                    let seat = turns.seat(index);
+                    let out = seat.scope(|| client(index, &seat));
+                    issuing.fetch_sub(1, Ordering::Relaxed);
+                    out
+                })
+            })
+            .collect();
         for (index, (every, mut run)) in timers.into_iter().enumerate() {
-            let (turns, issuing) = (&turns, &issuing);
             scope.spawn(move || {
-                let seat = turns.seat(config.clients + index);
+                let seat = turns.seat(clients + index);
                 loop {
                     seat.sleep(every);
                     if issuing.load(Ordering::Relaxed) == 0 {
@@ -226,8 +242,9 @@ pub fn run_virtual_loop(
                 }
             });
         }
-    });
-    Ok(merge(driver, collected.into_inner()))
+        let joined = running.into_iter().map(|client| client.join());
+        joined.map(|out| out.expect("a seated client")).collect()
+    })
 }
 
 #[cfg(test)]

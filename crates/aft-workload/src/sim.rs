@@ -52,7 +52,7 @@ use aft_core::bootstrap::{fetch_commit_records, warm_metadata_cache_checkpointed
 use aft_core::{is_superseded, AftNode, CheckpointPolicy, MetadataCache, NetFault, PhaseHook};
 use aft_faas::FailurePoint::{AfterBody, BeforeBody, MidBody};
 use aft_faas::{fault_stream, FailureInjector, FailurePoint};
-use aft_net::AftClient;
+use aft_net::{AftClient, AftServer};
 use aft_storage::io::{IoConfig, IoEngine};
 use aft_storage::{
     make_backend, BackendConfig, BackendKind, Cut, CutHook, CutStore, SharedStorage,
@@ -810,7 +810,8 @@ pub struct Shape {
     /// Every node's checkpoint policy.
     pub checkpoint: CheckpointPolicy,
     /// Whether clients reach the cluster through a service client over
-    /// in-memory pipes ([`aft_net::ClientBuilder::pipe`]), whose requests
+    /// in-memory pipes ([`aft_net::ClientBuilder::pipe`]) into a server of
+    /// default configuration, whose requests
     /// the schedule delivers ([`Schedule::deliver`]), rather than through
     /// a routed node.
     pub piped: bool,
@@ -1055,7 +1056,8 @@ impl Restarting {
             .expect("a cluster over live storage");
         *self.client.borrow_mut() = self.piped.then(|| {
             let hook = hook.expect("the schedule's hook");
-            client.phase_hook(hook).pipe(Arc::clone(&cluster))
+            let server = AftServer::builder().pipe(Arc::clone(&cluster));
+            client.phase_hook(hook).pipe(&server)
         });
         *self.cluster.borrow_mut() = Some(cluster);
     }
