@@ -383,7 +383,7 @@ pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
     );
     config.seed = args.seed.unwrap_or(config.seed);
     let report = fig13_checkpoint(&config);
-    Ok(Outcome::report(config.seed, &config, &report))
+    Ok(Outcome::report(config.seed, &config, report))
 }
 
 #[cfg(test)]

@@ -15,24 +15,23 @@
 //! the experiment's configuration) so that a failure replays — the driver
 //! prints the exact command. `figures` is the paper's Figures 2–10 and
 //! Table 2, each with its shape check; the other five are this
-//! repository's own sweeps. The five virtual-clock experiments (`figures`,
-//! `fig10_recovery`, `fig11_overload`, `fig12_dissemination`,
-//! `fig13_checkpoint`) each return a [`Report`] and are packaged one way
-//! (`Outcome::report`): a table per sheet, the report's document, and its
-//! named checks as the gate and one note each. `fig8_service` mixes clocks:
-//! its chaos leg is virtual, its other two legs wall, and its report says
-//! which. `all` runs the registry in order, forwards each
-//! experiment the flags it declares, writes every report under its default
-//! name and exits non-zero if any gate failed; because it is a loop over the
-//! registry, a gate cannot be left out of it. Exit status: 0 clean, 1 a gate
-//! failed or a report could not be written, 2 the command line was wrong.
+//! repository's own sweeps. Every experiment returns a [`Report`], packaged
+//! one way (`Outcome::report`): the driver prints a table per sheet and a
+//! line per named check, writes the report's document and gates on the
+//! checks. `fig8_service` mixes clocks: its chaos leg is virtual, its other
+//! legs wall, and each of its sheets' titles names its clock. `all` runs the
+//! registry in order, forwards each experiment the flags it declares, writes
+//! every report under its default name and exits non-zero if any gate
+//! failed; because it is a loop over the registry, a gate cannot be left out
+//! of it. Exit status: 0 clean, 1 a gate failed or a report could not be
+//! written, 2 the command line was wrong.
 //!
 //! The driver stamps every report with one `run` object — `{fast, seed,
 //! clock, host_cores}` — so a number is never read without the mode, the
 //! seed, the clock kind and the core count it was measured under.
 
 use crate::json::Json;
-use crate::report::{Report, Sheet, Table};
+use crate::report::Report;
 use crate::setup::BenchEnv;
 use crate::{checkpoint, dissemination, experiments, overload, recovery, service};
 
@@ -45,7 +44,7 @@ pub enum Clock {
     Virtual,
     /// Real sleeps, real sockets.
     Wall,
-    /// Legs on both clocks; the report names each leg's.
+    /// Legs on both clocks; each sheet's title names its clock.
     Mixed,
 }
 
@@ -81,14 +80,10 @@ pub struct Outcome {
     /// What the run was sized to; the driver adds the experiment's name,
     /// mode, seed and clock.
     pub banner: String,
-    /// The result tables, in print order.
-    pub tables: Vec<Table>,
-    /// One-line results printed under the tables.
-    pub notes: Vec<String>,
-    /// The report document (the driver adds the `run` object).
-    pub json: Json,
-    /// The gate's verdict: a summary, or the first violated clause.
-    pub gate: Result<String, String>,
+    /// What the run measured and how it is checked: the driver prints a
+    /// table per sheet and a line per check, writes the report's document
+    /// and gates on its checks.
+    pub report: Report,
     /// Values of the experiment's own flags that narrow a failing gate's
     /// replay to what failed (fig10: the failing cell's `--mode`); each
     /// overrides the value given on the command line.
@@ -96,40 +91,14 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// An outcome with no notes; the banner is the sweep's whole
-    /// configuration.
-    pub(crate) fn new(
-        seed: u64,
-        config: &dyn std::fmt::Debug,
-        tables: Vec<Table>,
-        json: Json,
-        gate: Result<String, String>,
-    ) -> Self {
+    /// A report's outcome; the banner is the sweep's whole configuration.
+    pub(crate) fn report(seed: u64, config: &dyn std::fmt::Debug, report: Report) -> Self {
         Outcome {
             seed,
             banner: format!("{config:?}"),
-            tables,
-            notes: Vec::new(),
-            json,
-            gate,
+            report,
             replay: Vec::new(),
         }
-    }
-
-    /// A report's outcome: a table per sheet, the report's document, and
-    /// its checks as the gate and as one note each.
-    pub(crate) fn report(seed: u64, config: &dyn std::fmt::Debug, report: &Report) -> Self {
-        let tables = report.sheets.iter().map(Sheet::table).collect();
-        let verdicts = report.verdicts();
-        let gate = report
-            .gate()
-            .map(|()| format!("all {} checks hold", verdicts.len()));
-        let mut outcome = Outcome::new(seed, config, tables, report.to_json(), gate);
-        for (check, verdict) in verdicts {
-            let verdict = verdict.map_or_else(|e| format!("FAILED — {e}"), |()| "ok".to_owned());
-            outcome.notes.push(format!("{check}: {verdict}"));
-        }
-        outcome
     }
 }
 
@@ -331,25 +300,35 @@ fn run_one(exp: &Experiment, args: &Args) -> Result<Option<bool>, (i32, String)>
         outcome.banner,
         exp.clock.label()
     );
-    outcome.tables.iter().for_each(Table::print);
-    outcome.notes.iter().for_each(|note| println!("{note}"));
+    let report = &outcome.report;
+    for sheet in &report.sheets {
+        println!("{}", sheet.render());
+    }
+    let verdicts = report.verdicts();
+    for (check, verdict) in &verdicts {
+        let verdict = verdict
+            .as_ref()
+            .map_or_else(|e| format!("FAILED — {e}"), |()| "ok".to_owned());
+        println!("{check}: {verdict}");
+    }
 
-    let rendered = stamped(outcome.json, &args.env, outcome.seed, exp.clock).render();
+    let rendered = stamped(report.to_json(), &args.env, outcome.seed, exp.clock).render();
     let path = args.out.as_deref().unwrap_or(exp.report);
     std::fs::write(path, rendered).map_err(|e| (1, format!("failed to write {path}: {e}")))?;
     println!("wrote {path}");
     if args.skip_gate {
         return Ok(None);
     }
-    match &outcome.gate {
-        Ok(message) => println!("gate OK [{}]: {message}", exp.name),
+    let gate = report.gate();
+    match &gate {
+        Ok(()) => println!("gate OK [{}]: all {} checks hold", exp.name, verdicts.len()),
         Err(message) => eprintln!(
             "gate FAILED [{}]: {message}\nreplay locally with: {}",
             exp.name,
             replay_line(exp, args, outcome.seed, &outcome.replay)
         ),
     }
-    Ok(Some(outcome.gate.is_ok()))
+    Ok(Some(gate.is_ok()))
 }
 
 /// The failing invocation again, with the mode and the seed pinned and only
@@ -565,7 +544,7 @@ mod tests {
         let (config, cells_only) = recovery::plan(&args).unwrap();
         let outcome = recovery::outcome(&config, report, cells_only);
         assert_eq!(
-            outcome.gate,
+            outcome.report.gate(),
             Err(
                 "0 read-atomicity anomalies: Redis/partition/before_broadcast: \
                  anomalies 1, first at step 42 of trial 0"

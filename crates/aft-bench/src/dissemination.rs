@@ -436,7 +436,7 @@ pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
     );
     config.seed = args.seed.unwrap_or(config.seed);
     let report = fig12_dissemination(&config);
-    Ok(Outcome::report(config.seed, &config, &report))
+    Ok(Outcome::report(config.seed, &config, report))
 }
 
 #[cfg(test)]

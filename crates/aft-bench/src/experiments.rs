@@ -775,7 +775,7 @@ pub fn check_fig10(fig10: &Sheet) -> Verdict {
 /// The registry's entry point.
 pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
     let seed = args.seed.unwrap_or(DEFAULT_SEED);
-    Ok(Outcome::report(seed, &args.env, &figures(&args.env, seed)))
+    Ok(Outcome::report(seed, &args.env, figures(&args.env, seed)))
 }
 
 #[cfg(test)]

@@ -10,9 +10,8 @@
 //! virtual time with a shape check per figure, and [`pipelined`] builds
 //! Figure 2's sequential-against-pipelined table; each other sweep has a
 //! module of its own whose header says what it measures and what its gate
-//! enforces. [`report`] is the shape the figures and the three
-//! virtual-clock sweeps report in: sheets of labelled rows, and named
-//! checks over them.
+//! enforces. [`report`] is the shape every experiment reports in: sheets of
+//! labelled rows, and named checks over them.
 //!
 //! The figures and the virtual-clock sweeps charge every service latency at
 //! full scale without sleeping, so they cost seconds and repeat exactly per

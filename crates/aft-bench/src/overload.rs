@@ -6,17 +6,19 @@
 //! 1×–8× that capacity against a server running admission control and
 //! queue-age shedding; a generator answers a rejected commit with a fresh
 //! transaction after jittered backoff. A **chaos leg** repeats the 4× point
-//! with seeded connection faults ([`Seeded::resets`]) on top.
+//! with seeded connection faults ([`Seeded::resets`]: resets at
+//! `RESET_RATE`, 0.05, and late answers at `DELAY_RATE`, 0.03) on top.
 //!
 //! Every leg runs over in-memory pipes ([`aft_net::ServerBuilder::pipe`])
-//! into a `nodes`-node cluster on a ticking clock over the virtual Redis
-//! row. Each generator thread is seated at one `Turns` table
+//! into a cluster of `NODES` (2) nodes on a ticking clock over the virtual
+//! Redis row. Each generator thread is seated at one `Turns` table
 //! ([`run_seated`]): its pacing, backoff and deadline are its seat's clock,
 //! and maintenance runs on a timer seat every second. The server's
-//! `workers` are that many permits: a request holds one across its own RPC
-//! and storage charges, counts in the depth admission reads while it waits
-//! for one, and is shed when that wait passes the deadline. A report is a
-//! function of its configuration and seed, counts included.
+//! `WORKERS` (2) are that many permits: a request holds one across its own
+//! RPC and storage charges, counts in the depth admission reads while it
+//! waits for one, and is shed when that wait passes `QUEUE_DEADLINE`
+//! (75 ms). A report is a function of its configuration and seed, counts
+//! included.
 //!
 //! The claim under test is *graceful degradation*: past saturation the
 //! server turns excess load into fast typed rejections, not unbounded
@@ -61,6 +63,17 @@ const P999_CAP_MS: f64 = 250.0;
 /// of peak, whereas a healthy stack holds within 20% of it.
 const GOODPUT_FLOOR: f64 = 0.5;
 
+/// AFT nodes behind the server.
+const NODES: usize = 2;
+/// The server's workers: permits a request holds while it runs.
+const WORKERS: usize = 2;
+/// Server queue-age shedding deadline.
+const QUEUE_DEADLINE: Duration = Duration::from_millis(75);
+/// Connection-reset rate of the chaos leg.
+const RESET_RATE: f64 = 0.05;
+/// Delayed-ack rate of the chaos leg.
+const DELAY_RATE: f64 = 0.03;
+
 /// Configuration of the overload sweep. Durations are virtual time.
 #[derive(Debug, Clone)]
 pub struct OverloadConfig {
@@ -74,18 +87,8 @@ pub struct OverloadConfig {
     pub point_duration: Duration,
     /// Paced generator threads at 1× (scaled up with the multiplier).
     pub base_threads: usize,
-    /// AFT nodes behind the server.
-    pub nodes: usize,
-    /// The server's workers: permits a request holds while it runs.
-    pub workers: usize,
     /// Server admission limit (queue depth; the protection under test).
     pub admission_limit: usize,
-    /// Server queue-age shedding deadline.
-    pub queue_deadline: Duration,
-    /// Connection-reset rate of the chaos leg.
-    pub reset_rate: f64,
-    /// Delayed-ack rate of the chaos leg.
-    pub delay_rate: f64,
     /// Base seed.
     pub seed: u64,
 }
@@ -99,17 +102,12 @@ impl OverloadConfig {
             capacity_duration: Duration::from_millis(1_500),
             point_duration: Duration::from_millis(3_000),
             base_threads: 8,
-            nodes: 2,
-            workers: 2,
             // Admission sits *between* the capacity phase's concurrency (8
             // closed-loop clients must never trip it) and the saturated
             // sweep's (32 paced threads overflow it): queue depth can never
             // exceed the requests outstanding. The deadline is the burst
             // backstop behind it; admission is the steady-state limiter.
             admission_limit: 16,
-            queue_deadline: Duration::from_millis(75),
-            reset_rate: 0.05,
-            delay_rate: 0.03,
             seed: 0xF11_0AD,
         }
     }
@@ -266,14 +264,14 @@ impl LegOutcome {
     }
 }
 
-/// One leg on a fresh deployment seeded `seed`: a `config.nodes`-node
-/// cluster over the virtual Redis row, its piped server with the
-/// protections under test, and `threads` seated generators through one
-/// client that asks `hook` what the network does, each paced toward
-/// `target_rps / threads` (`target_rps <= 0` means closed-loop: no pacing)
-/// until `duration`, with maintenance on a timer. Returns the generators'
-/// outcome, the checker's verdict on their history, and the server's
-/// counters from the `Stats` verb.
+/// One leg on a fresh deployment seeded `seed`: a `NODES`-node cluster
+/// over the virtual Redis row, its piped server with the protections under
+/// test, and `threads` seated generators through one client that asks
+/// `hook` what the network does, each paced toward `target_rps / threads`
+/// (`target_rps <= 0` means closed-loop: no pacing) until `duration`, with
+/// maintenance on a timer. Returns the generators' outcome, the checker's
+/// verdict on their history, and the server's counters from the `Stats`
+/// verb.
 ///
 /// The client does not retry: an open-loop generator must not block inside
 /// a rejected call (a dropped read is a dropped request, and the thread
@@ -286,11 +284,11 @@ fn leg(
     (threads, duration, target_rps): (usize, Duration, f64),
 ) -> (LegOutcome, history::Verdict, WireStats) {
     let storage = virtual_backend(BackendKind::Redis, seed);
-    let cluster = setup::cluster(storage, config.nodes, true, true);
+    let cluster = setup::cluster(storage, NODES, true, true);
     let server = AftServer::builder()
-        .workers(config.workers)
+        .workers(WORKERS)
         .admission_limit(config.admission_limit)
-        .queue_deadline(config.queue_deadline)
+        .queue_deadline(QUEUE_DEADLINE)
         .pipe(Arc::clone(&cluster));
     let retry = RetryConfig {
         max_attempts: 1,
@@ -479,8 +477,8 @@ pub fn fig11_overload(config: &OverloadConfig) -> Report {
     // Chaos leg: connection faults layered on top of 4× saturation. The
     // protection stack and the lost-ack machinery must both hold at once.
     let schedule = Seeded::new(config.seed ^ 0x0C4A05, None).resets(
-        config.reset_rate,
-        config.delay_rate,
+        RESET_RATE,
+        DELAY_RATE,
         Duration::from_millis(1),
     );
     let schedule = Shared::new(schedule);
@@ -527,7 +525,7 @@ pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
         .sized(OverloadConfig::standard(), OverloadConfig::fast());
     config.seed = args.seed.unwrap_or(config.seed);
     let report = fig11_overload(&config);
-    Ok(Outcome::report(config.seed, &config, &report))
+    Ok(Outcome::report(config.seed, &config, report))
 }
 
 #[cfg(test)]

@@ -199,6 +199,7 @@ mod tests {
     #[test]
     fn table_has_one_row_per_point() {
         let sheet = sheet(5, DEFAULT_SEED);
-        assert_eq!(sheet.table().len(), sheet.keys().count());
+        // The title, the column names and the rule, then a line per row.
+        assert_eq!(sheet.render().lines().count(), 3 + sheet.keys().count());
     }
 }

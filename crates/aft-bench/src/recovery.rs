@@ -731,8 +731,8 @@ pub(crate) fn outcome(config: &RecoveryConfig, mut report: Report, cells_only: b
     if cells_only {
         report.checks = cell_checks;
     }
-    let mut outcome = Outcome::report(config.seed, config, &report);
-    let cells = report.sheet("cells");
+    let mut outcome = Outcome::report(config.seed, config, report);
+    let cells = outcome.report.sheet("cells");
     let broken = |row: &&[String]| {
         let mut values = INVARIANTS
             .iter()

@@ -1,98 +1,17 @@
-//! The one report shape of the virtual-clock experiments, and plain-text
-//! tables.
+//! The one report shape of every experiment.
 //!
 //! A [`Sheet`] is one table of an experiment: label columns, then numeric
 //! columns, one row per point measured. A [`Report`] is an experiment's
 //! sheets and its checks: each check is named, reads cells of the sheets,
-//! and returns a [`Verdict`]. The driver prints each sheet as a [`Table`],
-//! writes the report as one JSON document (the experiment, its checks with
-//! their verdicts, its sheets) and gates on the checks.
+//! and returns a [`Verdict`]. The driver prints each sheet as an aligned
+//! table ([`Sheet::render`]), writes the report as one JSON document (the
+//! experiment, its checks with their verdicts, its sheets) and gates on the
+//! checks.
 
 use crate::json::Json;
 
-/// A simple aligned text table.
-#[derive(Debug, Clone)]
-pub struct Table {
-    title: String,
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Creates a table with a title and column headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
-        Table {
-            title: title.into(),
-            headers: headers.iter().map(|h| h.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends one row; the number of cells should match the header count.
-    pub fn add_row(&mut self, cells: Vec<String>) {
-        self.rows.push(cells);
-    }
-
-    /// Convenience for rows built from display values.
-    pub fn row(&mut self, cells: &[&dyn std::fmt::Display]) {
-        self.add_row(cells.iter().map(|c| c.to_string()).collect());
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Returns true if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Renders the table to a string.
-    pub fn render(&self) -> String {
-        let columns = self
-            .headers
-            .len()
-            .max(self.rows.iter().map(|r| r.len()).max().unwrap_or(0));
-        let mut widths = vec![0usize; columns];
-        for (i, header) in self.headers.iter().enumerate() {
-            widths[i] = widths[i].max(header.len());
-        }
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-
-        let mut out = String::new();
-        out.push_str(&format!("== {} ==\n", self.title));
-        let render_row = |cells: &[String], widths: &[usize]| -> String {
-            let mut line = String::new();
-            for (i, width) in widths.iter().enumerate() {
-                let cell = cells.get(i).map(String::as_str).unwrap_or("");
-                line.push_str(&format!("{cell:<width$}  "));
-            }
-            line.trim_end().to_owned()
-        };
-        out.push_str(&render_row(&self.headers, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&render_row(row, &widths));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders the table to stdout.
-    pub fn print(&self) {
-        println!("{}", self.render());
-    }
-}
-
 /// One table of an experiment: label columns, then numeric columns.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sheet {
     /// The report key, e.g. `fig3` or `cells`.
     pub name: &'static str,
@@ -172,20 +91,42 @@ impl Sheet {
         self.rows.retain(|(labels, _)| keep(labels));
     }
 
-    /// The sheet as an aligned text table.
-    pub fn table(&self) -> Table {
-        let headers: Vec<&str> = self.labels.iter().chain(&self.values).copied().collect();
-        let mut table = Table::new(self.title, &headers);
+    /// The sheet as an aligned text table: its title, the column names,
+    /// a rule, then a line per row. A value prints as milliseconds in a
+    /// `_ms` column, whole if it is whole, else to two decimals; no value
+    /// prints as `-`.
+    pub fn render(&self) -> String {
+        let headers = self.labels.iter().chain(&self.values);
+        let mut lines = vec![headers.map(|h| h.to_string()).collect::<Vec<_>>()];
         for (labels, values) in &self.rows {
-            let cells = values.iter().zip(&self.values).map(|(&v, column)| match v {
+            let values = values.iter().zip(&self.values).map(|(&v, column)| match v {
                 v if v.is_nan() => "-".to_owned(),
                 v if column.ends_with("_ms") => ms(v),
                 v if v.fract() == 0.0 => format!("{v:.0}"),
                 v => format!("{v:.2}"),
             });
-            table.add_row(labels.iter().cloned().chain(cells).collect());
+            lines.push(labels.iter().cloned().chain(values).collect());
         }
-        table
+        let mut widths = vec![0; lines[0].len()];
+        for line in &lines {
+            for (width, cell) in widths.iter_mut().zip(line) {
+                *width = (*width).max(cell.len());
+            }
+        }
+        let mut out = format!("== {} ==\n", self.title);
+        for (i, line) in lines.iter().enumerate() {
+            let cells = line.iter().zip(&widths);
+            let line: String = cells
+                .map(|(cell, width)| format!("{cell:<width$}  "))
+                .collect();
+            out.push_str(line.trim_end());
+            out.push('\n');
+            if i == 0 {
+                let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len());
+                out.push_str(&(rule + "\n"));
+            }
+        }
+        out
     }
 
     pub(crate) fn to_json(&self) -> Json {
@@ -342,11 +283,6 @@ pub fn ms(value: f64) -> String {
     }
 }
 
-/// Rounds to two decimals, the precision the JSON reports carry.
-pub(crate) fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
-}
-
 /// Rounds to four decimals (ratios and shares in the JSON reports).
 pub(crate) fn round4(v: f64) -> f64 {
     (v * 10_000.0).round() / 10_000.0
@@ -369,14 +305,17 @@ mod tests {
 
     #[test]
     fn table_renders_aligned_columns() {
-        let mut table = Table::new("Demo", &["config", "median (ms)", "p99 (ms)"]);
-        table.add_row(vec!["AFT".into(), "3.1".into(), "9.9".into()]);
-        table.add_row(vec!["DynamoDB Sequential".into(), "30".into(), "96".into()]);
-        let rendered = table.render();
-        assert!(rendered.contains("== Demo =="));
-        assert!(rendered.contains("DynamoDB Sequential"));
-        assert_eq!(table.len(), 2);
-        assert!(!table.is_empty());
+        let mut sheet = Sheet::new("demo", "Demo", &["config"], &["median_ms", "share"]);
+        sheet.push(vec!["AFT".into()], vec![3.1, 1.5]);
+        sheet.push(vec!["DynamoDB Sequential".into()], vec![30.0, f64::NAN]);
+        let rendered = sheet.render();
+        assert!(rendered.starts_with("== Demo ==\nconfig"));
+        assert!(rendered.contains("AFT                  3.10"));
+        assert!(
+            rendered.contains("1.50"),
+            "a fractional value prints two decimals"
+        );
+        assert!(rendered.ends_with("DynamoDB Sequential  30.0       -\n"));
         // Every data line is at least as wide as the longest cell in column 0.
         for line in rendered.lines().skip(2) {
             assert!(line.len() >= "DynamoDB Sequential".len());
@@ -388,13 +327,5 @@ mod tests {
         assert_eq!(ms(3.72111), "3.72");
         assert_eq!(ms(37.2111), "37.2");
         assert_eq!(ms(372.111), "372");
-    }
-
-    #[test]
-    fn row_builder_accepts_display_values() {
-        let mut table = Table::new("t", &["a", "b"]);
-        table.row(&[&1.5f64, &"x"]);
-        assert_eq!(table.len(), 1);
-        assert!(table.render().contains("1.5"));
     }
 }

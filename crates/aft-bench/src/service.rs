@@ -4,11 +4,13 @@
 //! The paper's Figure 8 drives a cluster with 40 closed-loop clients per
 //! node — but in-process. This experiment asks the same question across a
 //! *real service boundary*: N client threads share an aft-net SDK over
-//! loopback TCP to a served 3-node cluster and measure requests per second
-//! and p50/p99 latency per client count, on the wall clock. Then a **chaos
-//! leg** repeats the run with seeded connection faults ([`Seeded::resets`]:
-//! resets before/after send, delayed acks) and verifies the two invariants
-//! the wire protocol must add on top of the paper's, both graded by
+//! loopback TCP to a served cluster of `NODES` (3) nodes behind `WORKERS`
+//! (8) reactor threads, through a client pool of `POOL_SIZE` (4)
+//! connections, and measure requests per second and p50/p99 latency per
+//! client count, on the wall clock. Then a **chaos leg** repeats the run
+//! with seeded connection faults ([`Seeded::resets`]: resets before/after
+//! send at `RESET_RATE`, delayed acks at `DELAY_RATE`) and verifies the two invariants the wire
+//! protocol must add on top of the paper's, both graded by
 //! [`aft_workload::history`]'s checker over every call the SDK made:
 //!
 //! * **zero read-atomicity anomalies** — fractured reads and
@@ -32,13 +34,14 @@
 //! own every socket (zero per-connection reader threads, checked via
 //! `/proc/self/task`), per-connection resident memory must stay flat, and
 //! tail latency must not collapse with the full fleet connected. It runs on
-//! the wall clock, as the client sweep does; `BENCH_service.json` names each
-//! leg's clock.
+//! the wall clock, as the client sweep does.
 //!
-//! Results land in `BENCH_service.json`; [`ServiceReport::check_gate`]
-//! fails on any anomaly, lost ack, clean-leg failure, `Ping`/`Stats`
-//! error, reader-thread growth, per-connection memory growth, or p99
-//! collapse — which CI's `service-gate` job enforces.
+//! The report's sheets are `points` (a row per client count), `chaos`,
+//! `conn_scale` (a row per resident-connection count) and `server` (the
+//! `Ping` and `Stats` verbs after the sweep's last point), in
+//! `BENCH_service.json`; each title names its clock, and a verb that failed
+//! leaves its cells empty. [`checks`] names each clause of the gate that
+//! CI's `service-gate` job enforces.
 
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -53,16 +56,25 @@ use aft_net::{AftClient, AftServer};
 use aft_storage::io::RetryConfig;
 use aft_storage::{BackendConfig, BackendKind, SharedStorage};
 use aft_types::wire::{decode_response, encode_request, WireRequest, WireResponse};
-use aft_types::WireStats;
 use aft_workload::history::{Attempt, History, Recorder};
 use aft_workload::sim::{Seeded, Shared};
 use aft_workload::{run_closed_loop, run_virtual_loop, AftDriver, RunConfig, WorkloadConfig};
 
-use crate::cli::{Args, Clock, Outcome};
-use crate::json::Json;
-use crate::report::{percentile_ms, round2, Table};
+use crate::cli::{Args, Outcome};
+use crate::report::{ensure, percentile_ms, Report, Sheet, Verdict};
 use crate::setup::{self, maintenance, settled_verdict};
 
+/// AFT nodes behind the server.
+const NODES: usize = 3;
+/// Server reactor threads; the chaos leg's piped server has as many worker
+/// permits.
+const WORKERS: usize = 8;
+/// Client connection-pool size.
+const POOL_SIZE: usize = 4;
+/// Connection-reset rate of the chaos leg.
+const RESET_RATE: f64 = 0.08;
+/// Delayed-ack rate of the chaos leg.
+const DELAY_RATE: f64 = 0.04;
 /// A scale point's ping p99 above this is a latency collapse.
 const CONN_P99_COLLAPSE_MS: f64 = 250.0;
 /// Resident bytes per connection above this is per-connection memory growth.
@@ -75,21 +87,10 @@ pub struct ServiceConfig {
     pub client_counts: Vec<usize>,
     /// Requests each client issues per point.
     pub requests_per_client: usize,
-    /// AFT nodes behind the server.
-    pub nodes: usize,
-    /// Server reactor threads; the chaos leg's piped server has as many
-    /// worker permits.
-    pub workers: usize,
-    /// Client connection-pool size.
-    pub pool_size: usize,
     /// Clients in the chaos leg, seated in virtual time.
     pub chaos_clients: usize,
     /// Requests per client in the chaos leg.
     pub chaos_requests: usize,
-    /// Connection-reset rate of the chaos leg.
-    pub reset_rate: f64,
-    /// Delayed-ack rate of the chaos leg.
-    pub delay_rate: f64,
     /// Concurrent resident connections per point of the scale leg.
     pub conn_counts: Vec<usize>,
     /// Connections that keep pinging while the rest of the fleet idles.
@@ -106,13 +107,8 @@ impl ServiceConfig {
         ServiceConfig {
             client_counts: vec![1, 2, 4, 8, 16],
             requests_per_client: 150,
-            nodes: 3,
-            workers: 8,
-            pool_size: 4,
             chaos_clients: 8,
             chaos_requests: 60,
-            reset_rate: 0.08,
-            delay_rate: 0.04,
             conn_counts: vec![256, 1024, 2048],
             conn_active: 32,
             conn_pings: 40,
@@ -149,385 +145,116 @@ impl ServiceConfig {
     }
 }
 
-/// One point of the clean sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct ServicePoint {
-    /// Concurrent closed-loop clients.
-    pub clients: usize,
-    /// Requests per second over the measured phase.
-    pub rps: f64,
-    /// Median request latency, milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile request latency, milliseconds.
-    pub p99_ms: f64,
-    /// Requests completed.
-    pub completed: u64,
-    /// Requests that exhausted their retries.
-    pub failed: u64,
-    /// Read anomalies the history checker found (must be zero).
-    pub anomalies: u64,
-}
+/// The checks' names, in order.
+const CHECKS: [&str; 10] = [
+    "0 read-atomicity anomalies",
+    "0 lost acks",
+    "0 failures without faults",
+    "Ping answers",
+    "Stats answers",
+    "resets in the lost-ack window > 0",
+    "0 reader threads",
+    "the reactors own every connection",
+    "ping p99 <= 250 ms",
+    "rss per connection <= 65536 B",
+];
 
-/// One point of the connection-scale leg: `connections` raw sockets held
-/// resident against one server while `pings` pings measure tail latency.
-#[derive(Debug, Clone, Copy)]
-pub struct ConnScalePoint {
-    /// Resident loopback connections held open concurrently.
-    pub connections: usize,
-    /// Median ping round trip with the fleet resident, milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile ping round trip with the fleet resident, ms.
-    pub p99_ms: f64,
-    /// Pings measured by the active subset.
-    pub pings: u64,
-    /// Per-connection reader threads alive with the fleet resident (the
-    /// reactors must own every socket, so this must be zero).
-    pub reader_threads: u64,
-    /// Process thread count with the fleet resident.
-    pub threads_total: u64,
-    /// Thread-count change between server-up and fleet-resident. Zero in a
-    /// standalone run; informational under parallel test noise.
-    pub threads_delta: i64,
-    /// Resident-memory change while opening the fleet, bytes (floored at 0).
-    pub rss_delta_bytes: i64,
-    /// Resident bytes per connection.
-    pub rss_per_conn_bytes: f64,
-    /// Frames the reactors decoded during the point.
-    pub frames_read: u64,
-    /// Connections the reactors owned with the fleet resident.
-    pub conns_open: u64,
-    /// Frame buffers parked in the loop's pool after the point.
-    pub pooled_buffers: u64,
-}
+/// The `points` sheet's columns, a row per client count: requests per
+/// second, the request latency quantiles, the requests completed and those
+/// that exhausted their retries, and the checker's read anomalies.
+const POINT_COLUMNS: &[&str] = &[
+    "rps",
+    "p50_ms",
+    "p99_ms",
+    "completed",
+    "failed",
+    "anomalies",
+];
 
-/// What the chaos leg observed, in virtual time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ChaosLegReport {
-    /// Requests completed under injection.
-    pub completed: u64,
-    /// Requests that exhausted retries under injection.
-    pub failed: u64,
-    /// Read anomalies the history checker found (must be zero).
-    pub anomalies: u64,
-    /// Connections reset before the request was sent.
-    pub resets_before_send: u64,
-    /// Connections reset in the lost-ack window.
-    pub resets_after_send: u64,
-    /// Acknowledgements delivered late.
-    pub delayed_acks: u64,
-    /// Commit acknowledgements the SDK returned, preload included.
-    pub acked_commits: u64,
-    /// Keys that do not serve their newest acked write after a quiet
-    /// maintenance round, by the history checker (must be zero).
-    pub lost_acked_commits: u64,
-    /// Acks served from the server's dedup ledger.
-    pub duplicate_acks: u64,
-    /// Transport-level retries the SDK performed.
-    pub transport_retries: u64,
-    /// Requests the server ran, the closing `Stats` call included.
-    pub requests: u64,
-}
+/// The `chaos` sheet's columns: requests completed and failed under
+/// injection, the checker's anomalies, the resets delivered before the send
+/// and in the lost-ack window, the late acks, the commit acks the SDK
+/// returned (preload included), the acked commits the checker finds lost
+/// after a quiet round, the acks served from the server's dedup ledger, the
+/// SDK's transport retries, and the requests the server ran (the closing
+/// `Stats` call included).
+const CHAOS_COLUMNS: &[&str] = &[
+    "completed",
+    "failed",
+    "anomalies",
+    "resets_before_send",
+    "resets_after_send",
+    "delayed_acks",
+    "acked_commits",
+    "lost_acked_commits",
+    "duplicate_acks",
+    "transport_retries",
+    "requests",
+];
 
-/// The whole experiment's results.
-#[derive(Debug, Clone)]
-pub struct ServiceReport {
-    /// Clean-sweep points, in client-count order.
-    pub points: Vec<ServicePoint>,
-    /// The chaos leg.
-    pub chaos: ChaosLegReport,
-    /// Connection-scale points, in connection-count order.
-    pub conn_scale: Vec<ConnScalePoint>,
-    /// `Ping` round-trip time, milliseconds (None if it failed).
-    pub ping_ms: Option<f64>,
-    /// Server counters after the clean sweep's last point (None if the
-    /// `Stats` verb failed).
-    pub server_stats: Option<WireStats>,
-    /// Nodes behind the server.
-    pub nodes: usize,
-    /// Server reactor threads.
-    pub workers: usize,
-}
+/// The `conn_scale` sheet's columns, a row per resident-connection count:
+/// the ping latency quantiles and pings measured with the fleet resident;
+/// the per-connection reader threads alive (the reactors must own every
+/// socket), the process's threads and their change since server-up (zero
+/// standalone, noisy under parallel tests); the resident-memory growth while
+/// opening the fleet (floored at 0) and per connection; and the reactors'
+/// frames decoded, connections owned and pooled frame buffers.
+const CONN_COLUMNS: &[&str] = &[
+    "p50_ms",
+    "p99_ms",
+    "pings",
+    "reader_threads",
+    "threads_total",
+    "threads_delta",
+    "rss_delta_bytes",
+    "rss_per_conn_bytes",
+    "frames_read",
+    "conns_open",
+    "pooled_buffers",
+];
 
-impl ServiceReport {
-    /// Total anomalies across every leg.
-    pub fn total_anomalies(&self) -> u64 {
-        self.points.iter().map(|p| p.anomalies).sum::<u64>() + self.chaos.anomalies
-    }
+/// The `server` sheet's columns: the `Ping` round trip, then the `Stats`
+/// verb's counters.
+const SERVER_COLUMNS: &[&str] = &[
+    "ping_ms",
+    "connections_accepted",
+    "requests",
+    "commits",
+    "duplicate_commits",
+    "errors",
+];
 
-    /// Peak clean-sweep throughput.
-    pub fn peak_rps(&self) -> f64 {
-        self.points.iter().map(|p| p.rps).fold(0.0, f64::max)
-    }
-
-    /// Fails on any violated invariant, in CI-gate style.
-    pub fn check_gate(&self) -> Result<String, String> {
-        if self.total_anomalies() > 0 {
-            return Err(format!(
-                "{} read-atomicity anomalies observed across the service boundary",
-                self.total_anomalies()
-            ));
-        }
-        if self.chaos.lost_acked_commits > 0 {
-            return Err(format!(
-                "{} acknowledged commits have no durable record (lost acks)",
-                self.chaos.lost_acked_commits
-            ));
-        }
-        if let Some(clean_failed) = self.points.iter().find(|p| p.failed > 0) {
-            return Err(format!(
-                "{} requests failed at {} clients with no fault injection",
-                clean_failed.failed, clean_failed.clients
-            ));
-        }
-        let Some(ping_ms) = self.ping_ms else {
-            return Err("Ping verb failed".to_owned());
-        };
-        let Some(stats) = self.server_stats else {
-            return Err("Stats verb failed".to_owned());
-        };
-        if self.chaos.resets_after_send == 0 {
-            return Err("chaos leg never exercised the lost-ack window".to_owned());
-        }
-        for point in &self.conn_scale {
-            if point.reader_threads > 0 {
-                return Err(format!(
-                    "{} per-connection reader threads alive at {} connections — the event \
-                     loop must own every socket",
-                    point.reader_threads, point.connections
-                ));
-            }
-            if point.conns_open != point.connections as u64 {
-                return Err(format!(
-                    "the reactors own {} of {} resident connections",
-                    point.conns_open, point.connections
-                ));
-            }
-            if point.p99_ms > CONN_P99_COLLAPSE_MS {
-                return Err(format!(
-                    "ping p99 collapsed to {:.1} ms at {} resident connections \
-                     (bound {CONN_P99_COLLAPSE_MS} ms)",
-                    point.p99_ms, point.connections
-                ));
-            }
-            if point.rss_per_conn_bytes > CONN_RSS_CAP_BYTES {
-                return Err(format!(
-                    "{:.0} resident bytes per connection at {} connections \
-                     (cap {CONN_RSS_CAP_BYTES:.0})",
-                    point.rss_per_conn_bytes, point.connections
-                ));
-            }
-        }
-        let max_conns = self
-            .conn_scale
-            .iter()
-            .map(|p| p.connections)
-            .max()
-            .unwrap_or(0);
-        Ok(format!(
-            "{} points clean, peak {:.0} req/s; chaos leg: {} resets ({} in the lost-ack \
-             window), {} acked commits all durable, {} deduplicated; scale leg: {} resident \
-             connections on the reactor threads; ping {:.2} ms, {} server requests",
-            self.points.len(),
-            self.peak_rps(),
-            self.chaos.resets_before_send + self.chaos.resets_after_send,
-            self.chaos.resets_after_send,
-            self.chaos.acked_commits,
-            self.chaos.duplicate_acks,
-            max_conns,
-            ping_ms,
-            stats.requests,
-        ))
-    }
-
-    /// Renders the sweep as an aligned text table.
-    pub fn table(&self) -> Table {
-        let mut table = Table::new(
-            "fig8_service — loopback service throughput (3-node cluster behind aft-net)",
-            &[
-                "clients",
-                "req/s",
-                "p50 (ms)",
-                "p99 (ms)",
-                "completed",
-                "failed",
-                "anomalies",
-            ],
-        );
-        for p in &self.points {
-            table.add_row(vec![
-                p.clients.to_string(),
-                format!("{:.0}", p.rps),
-                format!("{:.2}", p.p50_ms),
-                format!("{:.2}", p.p99_ms),
-                p.completed.to_string(),
-                p.failed.to_string(),
-                p.anomalies.to_string(),
-            ]);
-        }
-        table.add_row(vec![
-            format!("chaos ({})", self.chaos.completed),
-            "-".to_owned(),
-            "-".to_owned(),
-            "-".to_owned(),
-            format!("{} acked", self.chaos.acked_commits),
-            format!("{} lost", self.chaos.lost_acked_commits),
-            self.chaos.anomalies.to_string(),
-        ]);
-        table
-    }
-
-    /// Renders the connection-scale leg as an aligned text table.
-    pub fn conn_table(&self) -> Table {
-        let mut table = Table::new(
-            "fig8_service — resident connections on the server's reactor threads",
-            &[
-                "conns",
-                "p50 (ms)",
-                "p99 (ms)",
-                "rdr thr",
-                "threads",
-                "rss/conn (B)",
-                "frames",
-            ],
-        );
-        for p in &self.conn_scale {
-            table.add_row(vec![
-                p.connections.to_string(),
-                format!("{:.2}", p.p50_ms),
-                format!("{:.2}", p.p99_ms),
-                p.reader_threads.to_string(),
-                p.threads_total.to_string(),
-                format!("{:.0}", p.rss_per_conn_bytes),
-                p.frames_read.to_string(),
-            ]);
-        }
-        table
-    }
-
-    /// Serialises the report as the `BENCH_service.json` document.
-    pub fn to_json(&self) -> Json {
-        let points = self
-            .points
-            .iter()
-            .map(|p| {
-                Json::obj(vec![
-                    ("clients", Json::Num(p.clients as f64)),
-                    ("rps", Json::Num(round2(p.rps))),
-                    ("p50_ms", Json::Num(round2(p.p50_ms))),
-                    ("p99_ms", Json::Num(round2(p.p99_ms))),
-                    ("completed", Json::Num(p.completed as f64)),
-                    ("failed", Json::Num(p.failed as f64)),
-                    ("anomalies", Json::Num(p.anomalies as f64)),
-                ])
-            })
-            .collect();
-        let chaos = Json::obj(vec![
-            ("clock", Json::str(Clock::Virtual.label())),
-            ("completed", Json::Num(self.chaos.completed as f64)),
-            ("failed", Json::Num(self.chaos.failed as f64)),
-            ("anomalies", Json::Num(self.chaos.anomalies as f64)),
-            (
-                "resets_before_send",
-                Json::Num(self.chaos.resets_before_send as f64),
-            ),
-            (
-                "resets_after_send",
-                Json::Num(self.chaos.resets_after_send as f64),
-            ),
-            ("delayed_acks", Json::Num(self.chaos.delayed_acks as f64)),
-            ("acked_commits", Json::Num(self.chaos.acked_commits as f64)),
-            (
-                "lost_acked_commits",
-                Json::Num(self.chaos.lost_acked_commits as f64),
-            ),
-            (
-                "duplicate_acks",
-                Json::Num(self.chaos.duplicate_acks as f64),
-            ),
-            (
-                "transport_retries",
-                Json::Num(self.chaos.transport_retries as f64),
-            ),
-            ("requests", Json::Num(self.chaos.requests as f64)),
-        ]);
-        let conn_scale = self
-            .conn_scale
-            .iter()
-            .map(|p| {
-                Json::obj(vec![
-                    ("connections", Json::Num(p.connections as f64)),
-                    ("p50_ms", Json::Num(round2(p.p50_ms))),
-                    ("p99_ms", Json::Num(round2(p.p99_ms))),
-                    ("pings", Json::Num(p.pings as f64)),
-                    ("reader_threads", Json::Num(p.reader_threads as f64)),
-                    ("threads_total", Json::Num(p.threads_total as f64)),
-                    ("threads_delta", Json::Num(p.threads_delta as f64)),
-                    ("rss_delta_bytes", Json::Num(p.rss_delta_bytes as f64)),
-                    (
-                        "rss_per_conn_bytes",
-                        Json::Num(round2(p.rss_per_conn_bytes)),
-                    ),
-                    ("frames_read", Json::Num(p.frames_read as f64)),
-                    ("conns_open", Json::Num(p.conns_open as f64)),
-                    ("pooled_buffers", Json::Num(p.pooled_buffers as f64)),
-                ])
-            })
-            .collect();
-        let clocks = [
-            ("points", Clock::Wall),
-            ("chaos", Clock::Virtual),
-            ("conn_scale", Clock::Wall),
-        ];
-        let clocks = clocks.map(|(leg, clock)| (leg, Json::str(clock.label())));
-        let mut pairs = vec![
-            ("experiment", Json::str("fig8_service")),
-            ("clocks", Json::obj(clocks.to_vec())),
-            ("nodes", Json::Num(self.nodes as f64)),
-            ("workers", Json::Num(self.workers as f64)),
-            (
-                "max_connections",
-                Json::Num(
-                    self.conn_scale
-                        .iter()
-                        .map(|p| p.connections)
-                        .max()
-                        .unwrap_or(0) as f64,
-                ),
-            ),
-            ("peak_rps", Json::Num(round2(self.peak_rps()))),
-            ("anomalies", Json::Num(self.total_anomalies() as f64)),
-            (
-                "lost_acked_commits",
-                Json::Num(self.chaos.lost_acked_commits as f64),
-            ),
-            (
-                "ping_ms",
-                self.ping_ms.map_or(Json::Null, |v| Json::Num(round2(v))),
-            ),
-            ("points", Json::Arr(points)),
-            ("chaos", chaos),
-            ("conn_scale", Json::Arr(conn_scale)),
-        ];
-        if let Some(stats) = self.server_stats {
-            pairs.push((
-                "server",
-                Json::obj(vec![
-                    (
-                        "connections_accepted",
-                        Json::Num(stats.connections_accepted as f64),
-                    ),
-                    ("requests", Json::Num(stats.requests as f64)),
-                    ("commits", Json::Num(stats.commits as f64)),
-                    (
-                        "duplicate_commits",
-                        Json::Num(stats.duplicate_commits as f64),
-                    ),
-                    ("errors", Json::Num(stats.errors as f64)),
-                ]),
-            ));
-        }
-        Json::obj(pairs)
-    }
+/// fig8's checks: no anomaly in any leg and no lost ack; no failure where no
+/// fault is injected; answers to `Ping` and `Stats`; a chaos leg that
+/// resets in the lost-ack window; and at every scale point, no reader
+/// thread, every connection on the reactors, ping p99 within
+/// `CONN_P99_COLLAPSE_MS` and resident bytes per connection within
+/// `CONN_RSS_CAP_BYTES`.
+pub fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
+    let (points, chaos) = (report.sheet("points"), report.sheet("chaos"));
+    let (conns, server) = (report.sheet("conn_scale"), report.sheet("server"));
+    let zero = |n| n == 0.0;
+    let owned = conns.keys().try_for_each(|row| {
+        let open = conns.value(row, "conns_open");
+        ensure(row[0].parse() == Ok(open), || {
+            format!("the reactors own {open} of {} connections", row[0])
+        })
+    });
+    let verdicts = [
+        points
+            .each("anomalies", zero)
+            .and_then(|()| chaos.each("anomalies", zero)),
+        chaos.each("lost_acked_commits", zero),
+        points.each("failed", zero),
+        server.each("ping_ms", |ms| !ms.is_nan()),
+        server.each("requests", |n| !n.is_nan()),
+        chaos.each("resets_after_send", |n| n > 0.0),
+        conns.each("reader_threads", zero),
+        owned,
+        conns.each("p99_ms", |ms| ms <= CONN_P99_COLLAPSE_MS),
+        conns.each("rss_per_conn_bytes", |b| b <= CONN_RSS_CAP_BYTES),
+    ];
+    CHECKS.into_iter().zip(verdicts).collect()
 }
 
 /// Zero simulated latency: the experiment measures the service layer
@@ -620,14 +347,15 @@ fn raw_ping(stream: &mut TcpStream) -> io::Result<Duration> {
 /// One point of the connection-scale leg: a fresh server, `connections`
 /// raw sockets opened and proven live (one ping each), threads and RSS
 /// sampled with the fleet resident, then an active subset pings for the
-/// latency distribution while the rest idle.
-fn run_conn_point(config: &ServiceConfig, connections: usize) -> ConnScalePoint {
+/// latency distribution while the rest idle. Returns the point's
+/// `conn_scale` row.
+fn run_conn_point(config: &ServiceConfig, connections: usize) -> Vec<f64> {
     // One node and no background maintenance: `Ping` never reaches
     // storage, so the point measures the I/O core itself.
     let cluster =
         Cluster::new(ClusterConfig::test(1), memory_store()).expect("cluster construction");
     let server = AftServer::builder()
-        .workers(config.workers)
+        .workers(WORKERS)
         .slab_capacity(connections)
         .serve(Arc::clone(&cluster), "127.0.0.1:0")
         .expect("serve on loopback");
@@ -677,20 +405,19 @@ fn run_conn_point(config: &ServiceConfig, connections: usize) -> ConnScalePoint 
     let snapshot = server
         .event_snapshot()
         .expect("the scale leg runs the event-driven model");
-    let point = ConnScalePoint {
-        connections,
-        p50_ms: percentile_ms(&latencies, 0.50),
-        p99_ms: percentile_ms(&latencies, 0.99),
-        pings: latencies.len() as u64,
-        reader_threads,
-        threads_total,
-        threads_delta,
-        rss_delta_bytes,
+    let point = vec![
+        percentile_ms(&latencies, 0.50),
+        percentile_ms(&latencies, 0.99),
+        latencies.len() as f64,
+        reader_threads as f64,
+        threads_total as f64,
+        threads_delta as f64,
+        rss_delta_bytes as f64,
         rss_per_conn_bytes,
-        frames_read: snapshot.frames_read,
-        conns_open: snapshot.conns_open,
-        pooled_buffers: snapshot.pooled_buffers,
-    };
+        snapshot.frames_read as f64,
+        snapshot.conns_open as f64,
+        snapshot.pooled_buffers as f64,
+    ];
 
     drop(active_socks);
     drop(socks);
@@ -715,20 +442,20 @@ fn driver_for(client: &Arc<AftClient>, history: &Arc<History>) -> AftDriver {
     )
 }
 
-/// A fresh deployment for one point of the client sweep: `config.nodes`
-/// nodes over memory, maintenance in the background, served on loopback by
-/// `config.workers` reactors, and a client of `config.pool_size`
-/// connections whose UUIDs come from `seed`.
-fn served(config: &ServiceConfig, seed: u64) -> (Arc<Cluster>, AftServer, Arc<AftClient>) {
-    let cluster = Cluster::new(ClusterConfig::test(config.nodes), memory_store())
-        .expect("cluster construction");
+/// A fresh deployment for one point of the client sweep: `NODES` nodes over
+/// memory, maintenance in the background, served on loopback by `WORKERS`
+/// reactors, and a client of `POOL_SIZE` connections whose UUIDs come from
+/// `seed`.
+fn served(seed: u64) -> (Arc<Cluster>, AftServer, Arc<AftClient>) {
+    let cluster =
+        Cluster::new(ClusterConfig::test(NODES), memory_store()).expect("cluster construction");
     cluster.start_background();
     let server = AftServer::builder()
-        .workers(config.workers)
+        .workers(WORKERS)
         .serve(Arc::clone(&cluster), "127.0.0.1:0")
         .expect("serve on loopback");
     let client = AftClient::builder()
-        .pool_size(config.pool_size)
+        .pool_size(POOL_SIZE)
         .rng_seed(seed)
         .connect(server.local_addr())
         .expect("connect on loopback");
@@ -736,13 +463,17 @@ fn served(config: &ServiceConfig, seed: u64) -> (Arc<Cluster>, AftServer, Arc<Af
 }
 
 /// Runs the sweep, the chaos leg and the connection-scale leg.
-pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
+pub fn fig8_service(config: &ServiceConfig) -> Report {
     // Clean sweep: a fresh deployment per point, so points are independent.
-    let mut points = Vec::new();
-    let mut ping_ms = None;
-    let mut server_stats = None;
+    let mut points = Sheet::new(
+        "points",
+        "fig8_service — loopback service throughput, 3-node cluster behind aft-net (wall clock)",
+        &["clients"],
+        POINT_COLUMNS,
+    );
+    let mut verbs = vec![f64::NAN; SERVER_COLUMNS.len()];
     for (i, &clients) in config.client_counts.iter().enumerate() {
-        let (cluster, _server, client) = served(config, config.seed + i as u64);
+        let (cluster, _server, client) = served(config.seed + i as u64);
         let history = History::new();
         let driver = driver_for(&client, &history);
         let result = run_closed_loop(
@@ -753,61 +484,84 @@ pub fn fig8_service(config: &ServiceConfig) -> ServiceReport {
                 .with_seed(config.seed ^ (clients as u64) << 8),
         )
         .expect("closed-loop run");
-        points.push(ServicePoint {
-            clients,
-            rps: result.throughput_tps(),
-            p50_ms: result.latency.median_ms(),
-            p99_ms: result.latency.p99_ms(),
-            completed: result.completed,
-            failed: result.failed,
-            anomalies: settled_verdict(&cluster, &history.attempts()).anomalies(),
-        });
+        let anomalies = settled_verdict(&cluster, &history.attempts()).anomalies();
+        points.push(
+            vec![clients.to_string()],
+            vec![
+                result.throughput_tps(),
+                result.latency.median_ms(),
+                result.latency.p99_ms(),
+                result.completed as f64,
+                result.failed as f64,
+                anomalies as f64,
+            ],
+        );
         // Operability verbs, checked on the last (largest) point.
         if i + 1 == config.client_counts.len() {
-            ping_ms = client.ping().ok().map(|d| d.as_secs_f64() * 1_000.0);
-            server_stats = client.server_stats().ok();
+            if let Ok(rtt) = client.ping() {
+                verbs[0] = rtt.as_secs_f64() * 1_000.0;
+            }
+            if let Ok(s) = client.server_stats() {
+                let counters = [
+                    s.connections_accepted,
+                    s.requests,
+                    s.commits,
+                    s.duplicate_commits,
+                    s.errors,
+                ];
+                verbs[1..].copy_from_slice(&counters.map(|n| n as f64));
+            }
         }
     }
+    let mut server = Sheet::new(
+        "server",
+        "fig8_service — Ping and Stats after the sweep's last point (wall clock)",
+        &["clients"],
+        SERVER_COLUMNS,
+    );
+    let last = config.client_counts.last().copied().unwrap_or(0);
+    server.push(vec![last.to_string()], verbs);
 
     let chaos = chaos_leg(config);
 
     // Connection-scale leg: how many resident sockets the reactors own,
     // a fresh deployment per point so points are independent.
-    let conn_scale = config
-        .conn_counts
-        .iter()
-        .map(|&connections| run_conn_point(config, connections))
-        .collect();
+    let mut conn_scale = Sheet::new(
+        "conn_scale",
+        "fig8_service — resident connections on the server's reactor threads (wall clock)",
+        &["connections"],
+        CONN_COLUMNS,
+    );
+    for &connections in &config.conn_counts {
+        let row = run_conn_point(config, connections);
+        conn_scale.push(vec![connections.to_string()], row);
+    }
 
-    ServiceReport {
-        points,
-        chaos,
-        conn_scale,
-        ping_ms,
-        server_stats,
-        nodes: config.nodes,
-        workers: config.workers,
+    Report {
+        experiment: "fig8_service",
+        sheets: vec![points, chaos, conn_scale, server],
+        checks,
     }
 }
 
 /// The chaos leg, in virtual time: `chaos_clients` seated clients share one
-/// SDK client over pipes into a piped server of `workers` permits, the
+/// SDK client over pipes into a piped server of `WORKERS` permits, the
 /// network faults drawn from the leg's seeded schedule, maintenance on a
 /// timer; then the checker grades every call the SDK made and what the
-/// cluster serves.
-pub fn chaos_leg(config: &ServiceConfig) -> ChaosLegReport {
+/// cluster serves. Returns the `chaos` sheet.
+pub fn chaos_leg(config: &ServiceConfig) -> Sheet {
     let schedule = Seeded::new(config.seed ^ 0xC4A05, None).resets(
-        config.reset_rate,
-        config.delay_rate,
+        RESET_RATE,
+        DELAY_RATE,
         Duration::from_millis(1),
     );
     let schedule = Shared::new(schedule);
-    let cluster = setup::cluster(memory_store(), config.nodes, true, true);
+    let cluster = setup::cluster(memory_store(), NODES, true, true);
     let server = AftServer::builder()
-        .workers(config.workers)
+        .workers(WORKERS)
         .pipe(Arc::clone(&cluster));
     let client = AftClient::builder()
-        .pool_size(config.pool_size)
+        .pool_size(POOL_SIZE)
         .retry(RetryConfig {
             max_attempts: 6,
             base_backoff: Duration::from_micros(200),
@@ -831,19 +585,27 @@ pub fn chaos_leg(config: &ServiceConfig) -> ChaosLegReport {
     // The preload's commits are in the history too: they are acked as well.
     let attempts = history.attempts();
     let verdict = settled_verdict(&cluster, &attempts);
-    ChaosLegReport {
-        completed: result.completed,
-        failed: result.failed,
-        anomalies: verdict.anomalies(),
-        resets_before_send: delivered.resets_before_send,
-        resets_after_send: delivered.resets_after_send,
-        delayed_acks: delivered.delayed_acks,
-        acked_commits: attempts.iter().filter_map(Attempt::acked).count() as u64,
-        lost_acked_commits: verdict.lost_acked_writes,
-        duplicate_acks: client_stats.duplicate_acks,
-        transport_retries: client_stats.transport_retries,
-        requests: server_stats.expect("the Stats verb over a pipe").requests,
-    }
+    let mut chaos = Sheet::new(
+        "chaos",
+        "fig8_service — connection chaos over pipes (virtual clock)",
+        &["leg"],
+        CHAOS_COLUMNS,
+    );
+    let row = [
+        result.completed,
+        result.failed,
+        verdict.anomalies(),
+        delivered.resets_before_send,
+        delivered.resets_after_send,
+        delivered.delayed_acks,
+        attempts.iter().filter_map(Attempt::acked).count() as u64,
+        verdict.lost_acked_writes,
+        client_stats.duplicate_acks,
+        client_stats.transport_retries,
+        server_stats.expect("the Stats verb over a pipe").requests,
+    ];
+    chaos.push(vec!["chaos".to_owned()], row.map(|n| n as f64).to_vec());
+    chaos
 }
 
 /// The registry's entry point.
@@ -853,137 +615,93 @@ pub(crate) fn run(args: &Args) -> Result<Outcome, String> {
         .sized(ServiceConfig::standard(), ServiceConfig::fast());
     config.seed = args.seed.unwrap_or(config.seed);
     let report = fig8_service(&config);
-    Ok(Outcome::new(
-        config.seed,
-        &config,
-        vec![report.table(), report.conn_table()],
-        report.to_json(),
-        report.check_gate(),
-    ))
+    Ok(Outcome::report(config.seed, &config, report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{assert_plants, assert_round_trips, Plant};
 
-    #[test]
-    fn sweep_runs_clean_over_real_sockets() {
-        let report = fig8_service(&ServiceConfig::tiny());
-        assert_eq!(report.points.len(), 2);
-        for point in &report.points {
-            assert_eq!(point.failed, 0);
-            assert_eq!(point.anomalies, 0);
-            assert!(point.rps > 0.0);
-            assert_eq!(
-                point.completed,
-                (point.clients * 8) as u64,
-                "every request completed"
-            );
-        }
-        assert!(report.ping_ms.is_some());
-        let stats = report.server_stats.expect("stats verb");
-        assert!(stats.commits > 0);
-        assert_eq!(report.chaos.lost_acked_commits, 0);
-        assert!(report.chaos.resets_after_send > 0, "chaos leg injected");
-        assert_eq!(report.conn_scale.len(), 1);
-        let scale = &report.conn_scale[0];
-        assert_eq!(scale.connections, 48);
-        assert_eq!(scale.conns_open, 48, "the loop owns the whole fleet");
-        assert_eq!(scale.reader_threads, 0, "no per-connection threads");
-        assert!(scale.pings > 0 && scale.p99_ms > 0.0);
-        report.check_gate().expect("gate passes on a clean run");
+    /// The tiny sweep, measured once for every test here.
+    fn report() -> &'static Report {
+        static REPORT: std::sync::OnceLock<Report> = std::sync::OnceLock::new();
+        REPORT.get_or_init(|| fig8_service(&ServiceConfig::tiny()))
     }
 
     #[test]
-    fn gate_fails_on_anomalies_or_lost_acks() {
-        let mut report = fig8_service(&ServiceConfig {
-            client_counts: vec![1],
-            requests_per_client: 4,
-            chaos_clients: 2,
-            chaos_requests: 8,
-            conn_counts: vec![16],
-            conn_active: 4,
-            conn_pings: 3,
-            ..ServiceConfig::fast()
-        });
-        report.chaos.lost_acked_commits = 1;
-        assert!(report.check_gate().is_err());
-        report.chaos.lost_acked_commits = 0;
-        report.points[0].anomalies = 1;
-        assert!(report.check_gate().is_err());
-        report.points[0].anomalies = 0;
-        report.conn_scale[0].reader_threads = 3;
-        assert!(
-            report.check_gate().is_err(),
-            "reader-thread growth fails the gate"
-        );
-        report.conn_scale[0].reader_threads = 0;
-        report.conn_scale[0].p99_ms = CONN_P99_COLLAPSE_MS + 1.0;
-        assert!(report.check_gate().is_err(), "p99 collapse fails the gate");
-        report.conn_scale[0].p99_ms = 1.0;
-        report.conn_scale[0].rss_per_conn_bytes = CONN_RSS_CAP_BYTES + 1.0;
-        assert!(
-            report.check_gate().is_err(),
-            "per-connection memory growth fails the gate"
-        );
+    fn sweep_runs_clean_over_real_sockets() {
+        let report = report();
+        assert_eq!(report.gate(), Ok(()));
+        let points = report.sheet("points");
+        for (row, clients) in [("1", 1.0), ("4", 4.0)] {
+            assert!(points.value(&[row], "rps") > 0.0);
+            let completed = points.value(&[row], "completed");
+            assert_eq!(completed, clients * 8.0, "every request completed");
+        }
+        assert_eq!(points.keys().count(), 2);
+        assert!(report.sheet("server").value(&["4"], "commits") > 0.0);
+        let scale = report.sheet("conn_scale");
+        assert_eq!(scale.keys().collect::<Vec<_>>(), [["48"]]);
+        assert!(scale.value(&["48"], "pings") > 0.0);
+        assert!(scale.value(&["48"], "p99_ms") > 0.0);
+    }
+
+    #[test]
+    fn the_chaos_sheet_is_a_function_of_its_seed() {
+        assert_eq!(*report().sheet("chaos"), chaos_leg(&ServiceConfig::tiny()));
+    }
+
+    #[test]
+    fn check_names_carry_their_bounds() {
+        assert!(CHECKS[8].contains(&format!("{CONN_P99_COLLAPSE_MS}")));
+        assert!(CHECKS[9].contains(&format!("{CONN_RSS_CAP_BYTES}")));
     }
 
     #[test]
     fn json_document_has_the_documented_schema() {
-        let report = ServiceReport {
-            points: vec![ServicePoint {
-                clients: 4,
-                rps: 1234.5,
-                p50_ms: 0.8,
-                p99_ms: 2.5,
-                completed: 600,
-                failed: 0,
-                anomalies: 0,
-            }],
-            chaos: ChaosLegReport {
-                completed: 100,
-                acked_commits: 110,
-                resets_after_send: 5,
-                ..ChaosLegReport::default()
-            },
-            conn_scale: vec![ConnScalePoint {
-                connections: 1024,
-                p50_ms: 0.3,
-                p99_ms: 2.1,
-                pings: 640,
-                reader_threads: 0,
-                threads_total: 11,
-                threads_delta: 0,
-                rss_delta_bytes: 1_048_576,
-                rss_per_conn_bytes: 1024.0,
-                frames_read: 1664,
-                conns_open: 1024,
-                pooled_buffers: 12,
-            }],
-            ping_ms: Some(0.21),
-            server_stats: Some(WireStats {
-                requests: 1000,
-                commits: 600,
-                ..WireStats::default()
+        assert_round_trips(report());
+    }
+
+    #[test]
+    fn a_planted_violation_fails_exactly_its_check() {
+        let points: [(&str, Plant<'_>); 2] = [
+            (CHECKS[0], &|sheet| sheet.set(&["4"], "anomalies", 1.0)),
+            (CHECKS[2], &|sheet| sheet.set(&["1"], "failed", 2.0)),
+        ];
+        assert_plants(report(), "points", &points);
+        let chaos: [(&str, Plant<'_>); 3] = [
+            (CHECKS[0], &|sheet| sheet.set(&["chaos"], "anomalies", 1.0)),
+            (CHECKS[1], &|sheet| {
+                sheet.set(&["chaos"], "lost_acked_commits", 1.0)
             }),
-            nodes: 3,
-            workers: 8,
-        };
-        let rendered = report.to_json().render();
-        let parsed = Json::parse(&rendered).unwrap();
-        assert_eq!(
-            parsed.get("experiment").unwrap().as_str().unwrap(),
-            "fig8_service"
-        );
-        assert_eq!(parsed.get("points").unwrap().as_array().unwrap().len(), 1);
-        assert!(parsed.get("chaos").unwrap().get("acked_commits").is_some());
-        assert!(parsed.get("server").unwrap().get("commits").is_some());
-        let conn_scale = parsed.get("conn_scale").unwrap().as_array().unwrap();
-        assert_eq!(conn_scale.len(), 1);
-        assert!(conn_scale[0].get("rss_per_conn_bytes").is_some());
-        assert_eq!(
-            parsed.get("max_connections").unwrap().as_f64().unwrap(),
-            1024.0
-        );
+            (CHECKS[5], &|sheet| {
+                sheet.set(&["chaos"], "resets_after_send", 0.0)
+            }),
+        ];
+        assert_plants(report(), "chaos", &chaos);
+        // A verb that failed leaves its cells empty.
+        let server: [(&str, Plant<'_>); 2] = [
+            (CHECKS[3], &|sheet| sheet.set(&["4"], "ping_ms", f64::NAN)),
+            (CHECKS[4], &|sheet| {
+                for column in &SERVER_COLUMNS[1..] {
+                    sheet.set(&["4"], column, f64::NAN);
+                }
+            }),
+        ];
+        assert_plants(report(), "server", &server);
+        let conns: [(&str, Plant<'_>); 4] = [
+            (CHECKS[6], &|sheet| {
+                sheet.set(&["48"], "reader_threads", 3.0)
+            }),
+            (CHECKS[7], &|sheet| sheet.set(&["48"], "conns_open", 47.0)),
+            (CHECKS[8], &|sheet| {
+                sheet.set(&["48"], "p99_ms", CONN_P99_COLLAPSE_MS + 1.0)
+            }),
+            (CHECKS[9], &|sheet| {
+                sheet.set(&["48"], "rss_per_conn_bytes", CONN_RSS_CAP_BYTES + 1.0)
+            }),
+        ];
+        assert_plants(report(), "conn_scale", &conns);
     }
 }

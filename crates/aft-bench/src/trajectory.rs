@@ -24,7 +24,8 @@
 //!   resets and deduplicated commits, the commits, and the server's requests
 //!   per commit, each from its report's cells; and `fig8_service`'s chaos
 //!   leg at its tiny size ([`ServiceConfig::tiny`]): its resets,
-//!   deduplicated and acknowledged commits, and requests per commit;
+//!   deduplicated and acknowledged commits, and requests per commit, each
+//!   from its `chaos` sheet;
 //! * the eleven small scopes tier-1 walks whole ([`sim::walk`]): the
 //!   schedules each one has, those in which the checker finds a duplicate
 //!   request, and, where writes are cut, those that orphan data. A walk
@@ -359,15 +360,15 @@ fn measure() -> Vec<Metric> {
         put(format!("fig11.tiny.{name}"), value);
     }
     let fig8 = chaos_leg(&ServiceConfig::tiny());
-    let commits = fig8.acked_commits as f64;
+    let commits = fig8.sum("acked_commits");
     for (name, value) in [
         (
             "resets",
-            (fig8.resets_before_send + fig8.resets_after_send) as f64,
+            fig8.sum("resets_before_send") + fig8.sum("resets_after_send"),
         ),
-        ("duplicate_commits", fig8.duplicate_acks as f64),
+        ("duplicate_commits", fig8.sum("duplicate_acks")),
         ("commits", commits),
-        ("requests_per_txn", round4(fig8.requests as f64 / commits)),
+        ("requests_per_txn", round4(fig8.sum("requests") / commits)),
     ] {
         put(format!("fig8.chaos.{name}"), value);
     }
