@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use aft_core::{AftNode, LocalGcConfig, NodeConfig};
+use aft_core::{AftNode, NodeConfig};
 use aft_storage::io::{IoConfig, IoEngine};
 use aft_storage::SharedStorage;
 use aft_types::{AftResult, SharedClock, SystemClock};
@@ -298,7 +298,7 @@ impl Cluster {
         stats.scan_listed = scan.listed;
         if self.config.gc_enabled {
             for node in &nodes {
-                let outcome = node.run_local_gc(&LocalGcConfig::default());
+                let outcome = node.run_local_gc();
                 stats.local_gc_deleted += outcome.deleted;
             }
             stats.global_gc = self

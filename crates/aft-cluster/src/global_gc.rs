@@ -38,8 +38,7 @@
 //!    so the next round selects it again; the GC remembers only which units
 //!    it passed over.
 //!
-//! A round deletes at most [`GlobalGcConfig::max_deletions_per_round`]
-//! transactions and versions together: transactions first, then versions,
+//! A round deletes at most 10 000 transactions and versions together: transactions first, then versions,
 //! each oldest first, so a round after a long partition sends a bounded
 //! batch and the next round takes the rest. Like the rest of the
 //! maintenance round, a GC round costs what changed since the last one: the
@@ -49,8 +48,9 @@
 //! one cold key from pinning every dead version its transaction wrote.
 //! §5.2.1's caveat applies to both: because running transactions' read sets
 //! are not globally known, deleting old data can force a long-running
-//! transaction into a retry (never into a fractured read). The `min_age` knob
-//! and oldest-first deletion order mitigate this in practice.
+//! transaction into a retry (never into a fractured read). Oldest-first
+//! deletion makes the oldest data, the least likely to be read, go first;
+//! no grace period holds back a superseded transaction nobody holds.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -63,23 +63,10 @@ use parking_lot::Mutex;
 
 use crate::fault_manager::FaultManager;
 
-/// Configuration of the global garbage collector.
-#[derive(Debug, Clone, Copy)]
-pub struct GlobalGcConfig {
-    /// Maximum transactions and overwritten versions to delete per round,
-    /// counted together: transactions first, then versions, each oldest
-    /// first. It bounds storage delete traffic (the paper dedicates separate
-    /// cores to deletion).
-    pub max_deletions_per_round: usize,
-}
-
-impl Default for GlobalGcConfig {
-    fn default() -> Self {
-        GlobalGcConfig {
-            max_deletions_per_round: 10_000,
-        }
-    }
-}
+/// Most transactions and overwritten versions to delete per round, counted
+/// together: transactions first, then versions, each oldest first. It bounds
+/// storage delete traffic (the paper dedicates separate cores to deletion).
+const MAX_DELETIONS_PER_ROUND: usize = 10_000;
 
 /// The outcome of one global GC round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -105,7 +92,8 @@ pub struct GlobalGcOutcome {
 
 /// The global garbage collector.
 pub struct GlobalGc {
-    config: GlobalGcConfig,
+    /// [`MAX_DELETIONS_PER_ROUND`], or a test's smaller budget.
+    budget: usize,
     /// The units the last round passed over, each by its last storage key (a
     /// transaction's record, or a version's data key): at most half a call's
     /// keys per slot group. The next round sends them whatever call they land
@@ -115,16 +103,20 @@ pub struct GlobalGc {
 
 impl Default for GlobalGc {
     fn default() -> Self {
-        Self::new(GlobalGcConfig::default())
+        GlobalGc {
+            budget: MAX_DELETIONS_PER_ROUND,
+            passed_over: Mutex::new(HashSet::new()),
+        }
     }
 }
 
 impl GlobalGc {
-    /// Creates a global GC with the given configuration.
-    pub fn new(config: GlobalGcConfig) -> Self {
+    /// A collector that deletes at most `budget` units per round.
+    #[cfg(test)]
+    fn with_budget(budget: usize) -> Self {
         GlobalGc {
-            config,
-            passed_over: Mutex::new(HashSet::new()),
+            budget,
+            ..GlobalGc::default()
         }
     }
 
@@ -158,7 +150,7 @@ impl GlobalGc {
         // likely to still be needed by a running transaction.
         let mut deletable: Vec<Arc<TransactionRecord>> = Vec::new();
         for record in metadata.superseded_oldest_first() {
-            if deletable.len() >= self.config.max_deletions_per_round {
+            if deletable.len() >= self.budget {
                 break;
             }
             outcome.candidates += 1;
@@ -190,7 +182,7 @@ impl GlobalGc {
         let versions: Vec<KeyVersion> = view
             .debited()
             .filter(|v| !node_views.iter().any(|node| node.holds(&v.key, &v.tid)))
-            .take(self.config.max_deletions_per_round - deletable.len())
+            .take(self.budget - deletable.len())
             .collect();
         units.extend(versions.iter().map(|v| vec![v.storage_key()]));
         drop(view);
@@ -283,7 +275,7 @@ fn carried(
 mod tests {
     use super::*;
     use crate::dissemination::broadcast_round;
-    use aft_core::{LocalGcConfig, NodeConfig};
+    use aft_core::NodeConfig;
     use aft_storage::io::IoConfig;
     use aft_storage::{
         make_backend, BackendConfig, BackendKind, InMemoryStore, OpKind, SharedStorage,
@@ -397,7 +389,7 @@ mod tests {
         commit_on(&nodes[0], "c", "c1");
         broadcast_round(&nodes, Some(&fm));
         for node in &nodes {
-            node.run_local_gc(&LocalGcConfig::aggressive());
+            node.run_local_gc();
         }
         (nodes, fm)
     }
@@ -444,7 +436,7 @@ mod tests {
 
         // After every node locally collects, the data can be deleted.
         for node in &nodes {
-            node.run_local_gc(&LocalGcConfig::aggressive());
+            node.run_local_gc();
         }
         let outcome = gc.run_round(&fm, &nodes, &io).unwrap();
         assert_eq!(outcome.deleted, 2, "two superseded versions removed");
@@ -480,7 +472,7 @@ mod tests {
         commit_on(&nodes[0], "a", "only-version");
         broadcast_round(&nodes, Some(&fm));
         for node in &nodes {
-            node.run_local_gc(&LocalGcConfig::aggressive());
+            node.run_local_gc();
         }
         let outcome = gc.run_round(&fm, &nodes, &io).unwrap();
         assert_eq!(outcome.candidates, 0);
@@ -493,15 +485,13 @@ mod tests {
         let (nodes, _raw, storage) = cluster_of(1);
         let io = engine_over(&storage);
         let fm = FaultManager::new();
-        let gc = GlobalGc::new(GlobalGcConfig {
-            max_deletions_per_round: 2,
-        });
+        let gc = GlobalGc::with_budget(2);
 
         for i in 0..6 {
             commit_on(&nodes[0], "hot", &format!("v{i}"));
         }
         broadcast_round(&nodes, Some(&fm));
-        nodes[0].run_local_gc(&LocalGcConfig::aggressive());
+        nodes[0].run_local_gc();
 
         let outcome = gc.run_round(&fm, &nodes, &io).unwrap();
         assert_eq!(outcome.deleted, 2);
@@ -522,7 +512,7 @@ mod tests {
         }
         commit_on(&nodes[0], "hot", "v6");
         broadcast_round(&nodes, Some(&fm));
-        nodes[0].run_local_gc(&LocalGcConfig::aggressive());
+        nodes[0].run_local_gc();
         assert_eq!(fm.metadata().debited_oldest_first(), overwritten);
 
         let outcome = gc.run_round(&fm, &nodes, &io).unwrap();
@@ -588,7 +578,7 @@ mod tests {
             }
             broadcast_round(&nodes, Some(&fm));
             for node in &nodes {
-                node.run_local_gc(&LocalGcConfig::aggressive());
+                node.run_local_gc();
             }
 
             let (gc, io) = (GlobalGc::default(), engine_over(&storage));
@@ -879,7 +869,7 @@ mod tests {
         commit_on(&nodes[0], "a", "a2");
         let late = fm.drain_node(&nodes[0]);
         for node in &nodes {
-            node.run_local_gc(&LocalGcConfig::aggressive());
+            node.run_local_gc();
         }
         let a1 = KeyVersion::new("a", t1);
         assert!(!nodes[0].metadata().view().holds(&a1.key, &t1));
@@ -898,10 +888,7 @@ mod tests {
 
         // Once node 1 learns T2 and sweeps, the next round takes it.
         nodes[1].receive_peer_commits(&late);
-        assert_eq!(
-            nodes[1].run_local_gc(&LocalGcConfig::aggressive()).retired,
-            1
-        );
+        assert_eq!(nodes[1].run_local_gc().retired, 1);
         let outcome = gc.run_round(&fm, &nodes, &io).unwrap();
         assert_eq!((outcome.deleted, outcome.versions), (0, 1));
         assert!(raw.get(&a1.storage_key()).unwrap().is_none());
@@ -928,7 +915,7 @@ mod tests {
         let sweep_and_collect = |nodes: &[Arc<AftNode>]| {
             broadcast_round(nodes, Some(&fm));
             for node in nodes {
-                node.run_local_gc(&LocalGcConfig::aggressive());
+                node.run_local_gc();
             }
             gc.run_round(&fm, nodes, &io).unwrap()
         };
@@ -951,10 +938,7 @@ mod tests {
         // tail, and retires the two versions on its first sweep.
         let replacement = node("replacement");
         assert_eq!(replacement.metadata().debited_oldest_first(), overwritten);
-        assert_eq!(
-            replacement.run_local_gc(&LocalGcConfig::default()).retired,
-            2
-        );
+        assert_eq!(replacement.run_local_gc().retired, 2);
         let t = replacement.start_transaction();
         assert_eq!(replacement.get(&t, &Key::new("a")).unwrap().unwrap(), "a3");
         replacement.commit(&t).unwrap();

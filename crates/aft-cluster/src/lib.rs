@@ -41,7 +41,7 @@ pub mod router;
 pub use cluster::{Cluster, ClusterConfig};
 pub use dissemination::{broadcast_round, BroadcastStats, Disseminator};
 pub use fault_manager::{FaultManager, ScanOutcome};
-pub use global_gc::{GlobalGc, GlobalGcConfig, GlobalGcOutcome};
+pub use global_gc::{GlobalGc, GlobalGcOutcome};
 pub use membership::{NodeRegistry, NodeState};
 pub use router::RoundRobinRouter;
 

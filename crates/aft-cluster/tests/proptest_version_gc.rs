@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use aft_cluster::{broadcast_round, FaultManager, GlobalGc};
-use aft_core::{AftNode, LocalGcConfig, NodeConfig};
+use aft_core::{AftNode, NodeConfig};
 use aft_storage::io::{IoConfig, IoEngine};
 use aft_storage::{make_backend, BackendConfig, BackendKind};
 use aft_types::clock::TickingClock;
@@ -240,7 +240,7 @@ proptest! {
                     broadcast_round(&nodes, Some(&fm));
                 }
                 Step::Sweep(node) => {
-                    nodes[node].run_local_gc(&LocalGcConfig::aggressive());
+                    nodes[node].run_local_gc();
                 }
                 Step::Collect => {
                     gc.run_round(&fm, &nodes, &io).unwrap();
@@ -254,7 +254,7 @@ proptest! {
         }
         broadcast_round(&nodes, Some(&fm));
         for node in &nodes {
-            node.run_local_gc(&LocalGcConfig::aggressive());
+            node.run_local_gc();
         }
         // Two idle rounds: what the first passes over, the second sends. Then
         // no agreed version is left: storage holds each key's newest only.

@@ -18,40 +18,15 @@
 //! that requires the global protocol driven by the fault manager (§5.2),
 //! which `aft-cluster` implements: it deletes what no node's metadata holds
 //! any more.
+//!
+//! A sweep has no setting. It takes at most 10 000 records and versions,
+//! oldest first, and leaves the rest to the next sweep. It grants no grace
+//! period: a record or version is collectable once it is superseded and no
+//! running transaction has read it.
 
-use std::time::Duration;
-
-/// Configuration of a node's local metadata GC sweeps.
-#[derive(Debug, Clone, Copy)]
-pub struct LocalGcConfig {
-    /// Maximum number of transactions to delete, and of versions to retire,
-    /// in one sweep; bounds the time spent holding metadata locks.
-    pub max_deletions_per_sweep: usize,
-    /// Never garbage collect a transaction until at least this much time has
-    /// passed since its commit timestamp, giving in-flight readers on *other*
-    /// nodes a grace period (mitigates the §5.2.1 missing-version hazard).
-    pub min_age: Duration,
-}
-
-impl Default for LocalGcConfig {
-    fn default() -> Self {
-        LocalGcConfig {
-            max_deletions_per_sweep: 10_000,
-            min_age: Duration::from_millis(0),
-        }
-    }
-}
-
-impl LocalGcConfig {
-    /// A configuration that deletes aggressively; used by GC stress tests to
-    /// provoke the missing-version condition of §5.2.1.
-    pub fn aggressive() -> Self {
-        LocalGcConfig {
-            max_deletions_per_sweep: usize::MAX,
-            min_age: Duration::ZERO,
-        }
-    }
-}
+/// Most transactions to delete, and versions to retire, in one sweep; bounds
+/// the time spent holding metadata locks. The rest wait for the next sweep.
+pub(crate) const MAX_DELETIONS_PER_SWEEP: usize = 10_000;
 
 /// The result of one local GC sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -84,19 +59,6 @@ impl GcOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_config_is_sane() {
-        let config = LocalGcConfig::default();
-        assert!(config.max_deletions_per_sweep > 0);
-    }
-
-    #[test]
-    fn aggressive_config_has_no_limits() {
-        let config = LocalGcConfig::aggressive();
-        assert_eq!(config.max_deletions_per_sweep, usize::MAX);
-        assert_eq!(config.min_age, Duration::ZERO);
-    }
 
     #[test]
     fn outcomes_merge_componentwise() {

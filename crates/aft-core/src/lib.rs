@@ -43,7 +43,7 @@ pub use api::{AftApi, CommitOutcome};
 pub use bootstrap::BootstrapOutcome;
 pub use commit_batcher::BatchStats;
 pub use data_cache::DataCache;
-pub use gc::{GcOutcome, LocalGcConfig};
+pub use gc::GcOutcome;
 pub use metadata::MetadataCache;
 pub use node::{
     AftNode, CheckpointPolicy, CommitDrain, CommitPhase, NetFault, NodeCheckpointOutcome,

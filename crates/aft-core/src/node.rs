@@ -24,7 +24,7 @@ use rand::SeedableRng;
 
 use crate::commit_batcher::{flush, BatchStats};
 use crate::data_cache::DataCache;
-use crate::gc::{GcOutcome, LocalGcConfig};
+use crate::gc::{GcOutcome, MAX_DELETIONS_PER_SWEEP};
 use crate::metadata::{Merged, MetadataCache};
 use crate::read::{select_version, VersionChoice};
 use crate::stats::NodeStats;
@@ -221,6 +221,10 @@ impl NodeConfig {
         self
     }
 }
+
+/// One key's answer: its value, with the committed version it came from
+/// (`None` for the transaction's own write).
+type Read = (Value, Option<TransactionId>);
 
 /// What the select step of a read decided for one key.
 enum Selected {
@@ -519,35 +523,25 @@ impl AftNode {
         key: &Key,
     ) -> AftResult<Option<(Value, Option<TransactionId>)>> {
         self.rpc();
-        let target = match self.select(txid, key)? {
-            Selected::Buffered(value) => return Ok(Some((value, None))),
-            Selected::Null => return Ok(None),
-            Selected::Version(tid) => tid,
-        };
-
-        // Fetch the payload: data cache first, then storage (through the I/O
-        // engine, so the charged latency is observable in virtual mode).
-        let value = match self.data_cache.get(key, &target) {
-            Some(value) => {
-                self.stats.record_read_from_data_cache();
-                value
-            }
-            None => {
-                let storage_key = KeyVersion::new(key.clone(), target).storage_key();
-                let outcome = self.io.execute(StorageRequest::Get(storage_key));
-                self.stats.read_storage_latency().record(outcome.cost);
-                self.fetched(txid, key, target, outcome.result?.into_value())?
-            }
-        };
-
-        // Extend the read set only after the read has definitely succeeded.
-        self.buffer
-            .with_txn(txid, |txn| txn.reads.record(key.clone(), target))?;
-        Ok(Some((value, Some(target))))
+        let mut read = self.read(txid, std::slice::from_ref(key))?;
+        Ok(read.pop().expect("one key, one answer"))
     }
 
     /// Reads several keys in one request; its data-cache misses go to
     /// storage together, as one read.
+    pub fn get_all(&self, txid: &TransactionId, keys: &[Key]) -> AftResult<Vec<Option<Value>>> {
+        self.rpc();
+        let read = self.read(txid, keys)?;
+        Ok(read
+            .into_iter()
+            .map(|got| got.map(|(value, _)| value))
+            .collect())
+    }
+
+    /// The read path behind [`get`](AftNode::get),
+    /// [`get_versioned`](AftNode::get_versioned) and
+    /// [`get_all`](AftNode::get_all): each key's value with the committed
+    /// version it came from (`None` for the transaction's own write).
     ///
     /// Algorithm 1 stays sequential: each key's version selection must see
     /// the versions already chosen for the keys before it, so the combined
@@ -555,38 +549,33 @@ impl AftNode {
     /// read set as it is made, before any payload is fetched. Selection is
     /// in-memory work; the expensive part is fetching the chosen versions'
     /// payloads that the data cache does not hold. Those storage keys go out
-    /// as one [`IoEngine::get_all`]. A service with a multi-key read call
-    /// serves them in one call (memory) or one per 100 keys (DynamoDB's
-    /// `BatchGetItem`). One without it (S3, Redis) gets one `Get` per miss,
-    /// issued together. Either way the round trips overlap instead of
-    /// summing.
+    /// as one [`IoEngine::get_all`]: one `Get` for one key. A service with a
+    /// multi-key read call serves several in one call (memory) or one per
+    /// 100 keys (DynamoDB's `BatchGetItem`). One without it (S3, Redis) gets
+    /// one `Get` per miss, issued together. Either way the round trips
+    /// overlap instead of summing.
     ///
     /// If a chosen version is gone by the time it is fetched (global GC
     /// racing a long transaction, §5.2.1), the whole call returns
     /// [`AftError::NoValidVersion`] and the client aborts. Until then, the
     /// extra read-set entries only make later selections *more*
     /// conservative, never unsound.
-    pub fn get_all(&self, txid: &TransactionId, keys: &[Key]) -> AftResult<Vec<Option<Value>>> {
-        self.rpc();
-        let mut out: Vec<Option<Value>> = vec![None; keys.len()];
+    fn read(&self, txid: &TransactionId, keys: &[Key]) -> AftResult<Vec<Option<Read>>> {
+        let mut out: Vec<Option<Read>> = vec![None; keys.len()];
         // (output index, chosen version) pairs that need a storage fetch.
         let mut fetches: Vec<(usize, TransactionId)> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
             let target = match self.select(txid, key)? {
                 Selected::Buffered(value) => {
-                    out[i] = Some(value);
+                    out[i] = Some((value, None));
                     continue;
                 }
                 Selected::Null => continue,
                 Selected::Version(tid) => tid,
             };
-            // Record the choice now so the next key's selection sees it.
-            self.buffer
-                .with_txn(txid, |txn| txn.reads.record(key.clone(), target))?;
-
             if let Some(value) = self.data_cache.get(key, &target) {
                 self.stats.record_read_from_data_cache();
-                out[i] = Some(value);
+                out[i] = Some((value, Some(target)));
             } else {
                 fetches.push((i, target));
             }
@@ -604,7 +593,7 @@ impl AftNode {
         let (values, cost) = self.io.get_all(storage_keys)?;
         self.stats.read_storage_latency().record(cost);
         for ((i, target), value) in fetches.into_iter().zip(values) {
-            out[i] = Some(self.fetched(txid, &keys[i], target, value)?);
+            out[i] = Some((self.fetched(txid, &keys[i], target, value)?, Some(target)));
         }
         Ok(out)
     }
@@ -612,7 +601,8 @@ impl AftNode {
     /// The *select* step of a read, under one lock of the transaction's
     /// state: read-your-writes (§3.5) — a buffered write wins and bypasses
     /// Algorithm 1 — then Algorithm 1 over the local committed-transaction
-    /// metadata. Does not extend the read set; the caller decides when.
+    /// metadata, whose choice joins the read set so the next key's selection
+    /// sees it.
     fn select(&self, txid: &TransactionId, key: &Key) -> AftResult<Selected> {
         self.stats.record_read();
         self.buffer.with_txn(txid, |txn| {
@@ -626,7 +616,10 @@ impl AftNode {
                     Ok(Selected::Null)
                 }
                 VersionChoice::NoValidVersion => Err(self.no_valid_version(txid, key)),
-                VersionChoice::Version(tid) => Ok(Selected::Version(tid)),
+                VersionChoice::Version(tid) => {
+                    txn.reads.record(key.clone(), tid);
+                    Ok(Selected::Version(tid))
+                }
             }
         })?
     }
@@ -658,14 +651,15 @@ impl AftNode {
         }
     }
 
-    /// Caches a payload a read just fetched from storage. Between version
-    /// selection and this fill the read is not in any read set the local GC
-    /// can see, so a sweep may have dropped the version (with its record, or
-    /// retired alone) and evicted a cache entry that was not there yet; an
-    /// entry inserted after that could never be selected again nor swept.
-    /// Hence insert, then look: if the version is gone the entry goes too,
-    /// and a sweep that drops the version after the look evicts the entry
-    /// itself.
+    /// Caches a payload a read just fetched from storage. The read set names
+    /// the version from its selection on, but a local GC sweep whose
+    /// snapshot of the read sets predates that record — or one that ran
+    /// after the reading transaction ended — may have dropped the version
+    /// (with its record, or retired alone) and evicted a cache entry that
+    /// was not there yet; an entry inserted after that could never be
+    /// selected again nor swept. Hence insert, then look: if the version is
+    /// gone the entry goes too, and a sweep that drops the version after the
+    /// look evicts the entry itself.
     fn fill_data_cache(&self, key: &Key, version: TransactionId, value: &Value) {
         self.data_cache.insert(key.clone(), version, value.clone());
         if !self.metadata.view().holds(key, &version) {
@@ -872,26 +866,19 @@ impl AftNode {
     /// The write buffer is asked once for every version a running
     /// transaction has read, right before the removals, and the records go
     /// in one locked batch, as do the versions.
-    pub fn run_local_gc(&self, config: &LocalGcConfig) -> GcOutcome {
+    pub fn run_local_gc(&self) -> GcOutcome {
         let mut outcome = GcOutcome::default();
-        let now_ms = self.clock.now();
-        let min_age_ms = config.min_age.as_millis() as u64;
         let superseded = self.metadata.superseded_oldest_first();
         let debited = self.metadata.debited_oldest_first();
         if superseded.is_empty() && debited.is_empty() {
             return outcome;
         }
         let read = self.buffer.versions_read();
-        // Ids come oldest-first, so once one is too young every later one is
-        // younger still.
         let mut collectable = |id: &TransactionId, taken: usize| {
-            if taken >= config.max_deletions_per_sweep {
+            if taken >= MAX_DELETIONS_PER_SWEEP {
                 return None;
             }
             outcome.examined += 1;
-            if now_ms.saturating_sub(id.timestamp) < min_age_ms {
-                return None;
-            }
             let free = !read.contains(id);
             outcome.retained_for_readers += usize::from(!free);
             Some(free)
@@ -1503,7 +1490,7 @@ mod tests {
             .map(|i| commit_writes(&node, &[("hot", &format!("v{i}"))]))
             .collect();
         assert_eq!(node.metadata().len(), 3);
-        let outcome = node.run_local_gc(&LocalGcConfig::default());
+        let outcome = node.run_local_gc();
         // The two older versions are superseded; the newest survives.
         assert_eq!(outcome.deleted, 2);
         assert_eq!(node.metadata().len(), 1);
@@ -1535,7 +1522,7 @@ mod tests {
         commit_writes(&node, &[("a", "a2"), ("c", "c2")]);
 
         // The reader read from T0, not from T1: T0 is kept, T1's a retired.
-        let swept = node.run_local_gc(&LocalGcConfig::default());
+        let swept = node.run_local_gc();
         assert_eq!((swept.deleted, swept.retained_for_readers), (0, 1));
         assert_eq!(swept.retired, 1);
         assert!(node.metadata().is_committed(&t1), "T1 still names b1");
@@ -1564,13 +1551,13 @@ mod tests {
         assert_eq!(node.get(&reader, &Key::new("b")).unwrap(), Some(val("b1")));
         commit_writes(&node, &[("a", "a2")]);
 
-        let swept = node.run_local_gc(&LocalGcConfig::default());
+        let swept = node.run_local_gc();
         assert_eq!((swept.retired, swept.retained_for_readers), (0, 1));
         assert!(node.metadata().view().holds(&a, &t1));
         assert_eq!(node.get(&reader, &a).unwrap(), Some(val("a2")));
 
         node.commit(&reader).unwrap();
-        let swept = node.run_local_gc(&LocalGcConfig::default());
+        let swept = node.run_local_gc();
         assert_eq!(
             (swept.retired, swept.deleted),
             (1, 1),
@@ -1598,14 +1585,14 @@ mod tests {
         node.put(&t2, Key::new("k"), val("new")).unwrap();
         node.commit(&t2).unwrap();
 
-        let outcome = node.run_local_gc(&LocalGcConfig::default());
+        let outcome = node.run_local_gc();
         assert_eq!(outcome.deleted, 0);
         assert_eq!(outcome.retained_for_readers, 1);
         assert!(node.metadata().is_committed(&committed_old));
 
         // Once the reader commits, the old version can go.
         node.commit(&reader).unwrap();
-        let outcome = node.run_local_gc(&LocalGcConfig::default());
+        let outcome = node.run_local_gc();
         assert_eq!(
             outcome.deleted, 2,
             "old k version and the reader's empty txn"
@@ -1989,18 +1976,26 @@ mod tests {
         node.data_cache().evict(&key, &old);
         store.update(|gate| gate.armed = Some(KeyVersion::new(key.clone(), old).storage_key()));
 
+        let t = node.start_transaction();
         std::thread::scope(|scope| {
-            let reader = scope.spawn(|| {
-                let t = node.start_transaction();
-                node.get_versioned(&t, &key)
-            });
-            // The reader has selected `old` and is inside the storage fetch:
-            // no read set names `old` yet.
+            let reader = scope.spawn(|| node.get_versioned(&t, &key));
+            // The reader has selected `old`, recorded it, and is inside the
+            // storage fetch, so a sweep keeps `old` for it.
             assert!(store.wait_until(|gate| gate.arrived), "reader arrived");
             let t2 = node.start_transaction();
             node.put(&t2, key.clone(), val("new")).unwrap();
             node.commit(&t2).unwrap();
-            let swept = node.run_local_gc(&LocalGcConfig::aggressive());
+            let swept = node.run_local_gc();
+            assert_eq!(
+                (swept.deleted, swept.retired),
+                (0, 0),
+                "read set holds `old`"
+            );
+            assert_eq!(swept.retained_for_readers, 1);
+            // Its transaction ends mid-fetch: now no read set names `old`, as
+            // for a sweep whose snapshot predates the record.
+            node.abort(&t).unwrap();
+            let swept = node.run_local_gc();
             let dropped = if also.is_some() { (0, 1) } else { (1, 0) };
             assert_eq!(
                 (swept.deleted, swept.retired),

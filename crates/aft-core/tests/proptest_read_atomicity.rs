@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use aft_core::read::{is_atomic_readset, select_version, ReadSet, VersionChoice};
-use aft_core::{AftNode, LocalGcConfig, MetadataCache, NodeConfig};
+use aft_core::{AftNode, MetadataCache, NodeConfig};
 use aft_storage::{InMemoryStore, SharedStorage};
 use aft_types::clock::TickingClock;
 use aft_types::{Key, TransactionId, TransactionRecord, Uuid, Value};
@@ -333,10 +333,10 @@ proptest! {
             node.commit(&t).unwrap();
             latest.insert(key_name(*k), value);
             if i % gc_every == 0 {
-                node.run_local_gc(&LocalGcConfig::aggressive());
+                node.run_local_gc();
             }
         }
-        node.run_local_gc(&LocalGcConfig::aggressive());
+        node.run_local_gc();
 
         let reader = node.start_transaction();
         for (key, expected) in &latest {

@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use aft_core::{is_superseded, AftNode, LocalGcConfig, MetadataCache, NodeConfig};
+use aft_core::{is_superseded, AftNode, MetadataCache, NodeConfig};
 use aft_storage::{InMemoryStore, SharedStorage};
 use aft_types::clock::TickingClock;
 use aft_types::{Key, KeyVersion, TransactionId, TransactionRecord, Uuid};
@@ -325,12 +325,12 @@ fn local_gc_examines_the_superseded_records_not_the_cache() {
         node.metadata().insert(record(100 + i, [key(i)]));
     }
 
-    let outcome = node.run_local_gc(&LocalGcConfig::default());
+    let outcome = node.run_local_gc();
     assert_eq!(outcome.examined, 10);
     assert_eq!(outcome.deleted, 10);
     assert_eq!(node.metadata().len(), 10_000);
     assert_eq!(
-        node.run_local_gc(&LocalGcConfig::default()).examined,
+        node.run_local_gc().examined,
         0,
         "nothing was superseded since the last sweep"
     );

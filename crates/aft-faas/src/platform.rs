@@ -241,13 +241,9 @@ impl FaasPlatform {
                 Some(error) => {
                     let retry = policy.should_retry(&error, attempt);
                     last_error = Some(error);
-                    if retry {
-                        if !policy.backoff.is_zero() {
-                            std::thread::sleep(policy.backoff);
-                        }
-                        continue;
+                    if !retry {
+                        break;
                     }
-                    break;
                 }
             }
         }

@@ -4,10 +4,8 @@
 //! are retried (at-least-once execution), and AFT's atomicity + idempotence
 //! turn that into exactly-once *semantics* (§1, §3.3.1, §7). Clients also
 //! retry whole logical requests when AFT reports that no valid key version
-//! exists for a read (§3.6). [`RetryPolicy`] captures the retry budget and
-//! backoff used by the simulated clients.
-
-use std::time::Duration;
+//! exists for a read (§3.6). [`RetryPolicy`] captures the retry budget used
+//! by the simulated clients; the next attempt starts at once.
 
 use aft_types::AftError;
 
@@ -18,33 +16,24 @@ pub struct RetryPolicy {
     /// Maximum number of attempts for the whole request, including the first
     /// one. Zero is treated as one.
     pub max_attempts: u32,
-    /// Fixed delay between attempts (the simulated client's timeout/backoff).
-    pub backoff: Duration,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            backoff: Duration::ZERO,
-        }
+        RetryPolicy { max_attempts: 5 }
     }
 }
 
 impl RetryPolicy {
     /// A policy that never retries.
     pub fn no_retries() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 
-    /// A policy with the given attempt budget and no backoff.
+    /// A policy with the given attempt budget.
     pub fn with_attempts(max_attempts: u32) -> Self {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
-            ..RetryPolicy::default()
         }
     }
 
@@ -106,10 +95,7 @@ mod tests {
 
     #[test]
     fn zero_attempts_is_clamped_to_one() {
-        let policy = RetryPolicy {
-            max_attempts: 0,
-            ..RetryPolicy::default()
-        };
+        let policy = RetryPolicy { max_attempts: 0 };
         assert_eq!(policy.attempts(), 1);
         assert_eq!(RetryPolicy::with_attempts(0).attempts(), 1);
     }

@@ -13,8 +13,8 @@
 //! A reactor makes the syscalls and no protocol decision: decoding,
 //! admission, answer order and every lifecycle verdict are its
 //! connection's [`Session`]'s. Each iteration it reads ready sockets into
-//! their sessions, runs the queued requests (FIFO, or round robin over
-//! connections under fair queuing) through [`ServerShared::run_job`],
+//! their sessions, runs the queued requests in arrival order through
+//! [`ServerShared::run_job`],
 //! writes a connection's outbox once its last queued request is answered,
 //! and re-arms every connection it touched with its session's interest. A
 //! request that blocks (a commit waiting on storage) holds up its own
@@ -24,6 +24,7 @@
 //! slot (the slab removal is the guard), so a close is counted exactly once
 //! however it came about (EOF, reset, server shutdown).
 
+use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
@@ -35,7 +36,7 @@ use aft_types::{AftError, AftResult};
 use parking_lot::Mutex;
 use polling::{Event, Events, Poller};
 
-use crate::server::{Job, JobQueue, ServerShared, Work};
+use crate::server::{Job, ServerShared, Work};
 use crate::session::{Session, Verdict, READ_CHUNK, WRITE_BATCH};
 
 /// Poller key of the listening socket (`usize::MAX` is the poller's own
@@ -57,7 +58,7 @@ fn unavailable(what: &str, e: io::Error) -> AftError {
 /// connection another reactor accepted.
 pub(crate) struct ReactorHandle {
     poller: Poller,
-    inbox: Mutex<Vec<(u64, TcpStream)>>,
+    inbox: Mutex<Vec<TcpStream>>,
 }
 
 impl ReactorHandle {
@@ -76,7 +77,6 @@ impl ReactorHandle {
 
 /// One connection, owned by its reactor.
 struct Conn {
-    id: u64,
     stream: TcpStream,
     session: Session,
     /// Present in the reactor's dirty list (re-arm needed this iteration).
@@ -84,11 +84,10 @@ struct Conn {
 }
 
 /// The queue entry of a request a session on `slot` queued.
-fn job(slot: usize, generation: u64, conn: u64, request_id: u64, work: Work) -> Job {
+fn job(slot: usize, generation: u64, request_id: u64, work: Work) -> Job {
     Job {
         slot,
         generation,
-        conn,
         request_id,
         work,
         enqueued: Instant::now(),
@@ -207,7 +206,7 @@ pub(crate) fn spawn(
                 shared: Arc::clone(shared),
                 listener: Arc::clone(&listener),
                 slab: Slab::with_capacity(slab_capacity),
-                queue: JobQueue::new(shared.config.fair_queuing),
+                queue: VecDeque::new(),
                 dirty: Vec::new(),
                 paused: Vec::new(),
                 scratch: vec![0u8; READ_CHUNK],
@@ -227,7 +226,7 @@ struct Reactor {
     shared: Arc<ServerShared>,
     listener: Arc<TcpListener>,
     slab: Slab<Conn>,
-    queue: JobQueue,
+    queue: VecDeque<Job>,
     /// Slots needing an interest re-arm at the end of the iteration.
     dirty: Vec<usize>,
     /// Slots paused on a full queue.
@@ -281,10 +280,10 @@ impl Reactor {
                     let id = self.shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
                     let owner = (id % reactors) as usize;
                     if owner == self.index {
-                        self.register(id, stream);
+                        self.register(stream);
                     } else {
                         let reactor = &self.shared.reactors[owner];
-                        reactor.inbox.lock().push((id, stream));
+                        reactor.inbox.lock().push(stream);
                         reactor.wake();
                     }
                 }
@@ -302,12 +301,12 @@ impl Reactor {
     /// Registers the connections other reactors accepted for this one.
     fn adopt_handed_over(&mut self) {
         let handed = std::mem::take(&mut *self.shared.reactors[self.index].inbox.lock());
-        for (id, stream) in handed {
-            self.register(id, stream);
+        for stream in handed {
+            self.register(stream);
         }
     }
 
-    fn register(&mut self, id: u64, stream: TcpStream) {
+    fn register(&mut self, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
         let (slot, _) = self.slab.vacant();
         if stream.set_nonblocking(true).is_err()
@@ -317,7 +316,6 @@ impl Reactor {
         }
         let session = Session::open(&self.shared);
         self.slab.insert(Conn {
-            id,
             stream,
             session,
             dirty: false,
@@ -376,11 +374,11 @@ impl Reactor {
         let Some((generation, conn)) = self.slab.entry(slot) else {
             return;
         };
-        let (was_paused, id, queue) = (conn.session.paused(), conn.id, &mut self.queue);
+        let (was_paused, queue) = (conn.session.paused(), &mut self.queue);
         let verdict = conn
             .session
             .decode(&self.shared, eof, &mut |request_id, work| {
-                queue.push(job(slot, generation, id, request_id, work))
+                queue.push_back(job(slot, generation, request_id, work))
             });
         if conn.session.paused() && !was_paused {
             self.paused.push(slot);
@@ -394,9 +392,9 @@ impl Reactor {
             let Some((generation, conn)) = self.slab.entry(slot) else {
                 continue;
             };
-            let (id, queue) = (conn.id, &mut self.queue);
+            let queue = &mut self.queue;
             let mut queue =
-                |request_id, work| queue.push(job(slot, generation, id, request_id, work));
+                |request_id, work| queue.push_back(job(slot, generation, request_id, work));
             if conn.session.resume(&self.shared, &mut queue) {
                 // Reads resume at the re-arm.
                 self.mark_dirty(slot);
@@ -410,7 +408,7 @@ impl Reactor {
     /// whether any ran.
     fn run_queue(&mut self) -> bool {
         let mut ran = false;
-        while let Some(job) = self.queue.pop() {
+        while let Some(job) = self.queue.pop_front() {
             ran = true;
             let own = Some(self.index);
             let Some(conn) = self.slab.get_live(job.slot, job.generation) else {

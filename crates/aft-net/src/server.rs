@@ -45,12 +45,11 @@
 //!
 //! ## Overload protection
 //!
-//! Three independent, builder-configured mechanisms keep a saturated server
-//! *useful* instead of merely not-crashing (all off by default except
-//! backpressure). Each reactor queues the requests it decodes in one
-//! iteration before running them; the mechanisms act on those queues, and
-//! the two limits read one server-wide depth, the requests queued on every
-//! reactor. On a piped server a request is queued while it waits for a
+//! Two independent, builder-configured mechanisms keep a saturated server
+//! *useful* instead of merely not-crashing (both off by default). Each
+//! reactor queues the requests it decodes in one iteration before running
+//! them, first in, first out; the mechanisms act on those queues, and both
+//! read one server-wide depth, the requests queued on every reactor. On a piped server a request is queued while it waits for a
 //! worker permit, so admission and shedding read that wait, in virtual time
 //! when its caller is seated:
 //!
@@ -67,14 +66,9 @@
 //!   `Overloaded` *without being executed*. Shedding is always safe: a shed
 //!   commit was never applied and never acknowledged, so the client's retry
 //!   is the first execution, not a duplicate.
-//! * **Fair queuing** ([`ServerBuilder::fair_queuing`]): one lane per
-//!   connection, drained round-robin, so a single pipelining firehose
-//!   cannot starve the other connections of its reactor behind its backlog.
-//!   A pipe has no reactor queue, so it means nothing there: permits go to
-//!   the earliest waiter.
 //!
-//! `queue_capacity` backpressure (stop reading a socket while the queued
-//! requests fill it) remains underneath all three.
+//! Backpressure remains underneath both: a session stops reading its socket
+//! while 1 024 requests are queued over the reactors.
 //!
 //! ## Shutdown
 //!
@@ -99,7 +93,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::buffer::BufferPool;
 use crate::event_loop::{self, ReactorHandle};
-use crate::session::READ_CHUNK;
+use crate::session::{QUEUE_CAPACITY, READ_CHUNK};
 use crate::stats::{EventSnapshot, EventStats, ServiceStats};
 
 /// Tuning of an [`AftServer`]; built with [`AftServer::builder`].
@@ -108,11 +102,9 @@ pub struct ServerConfig {
     pub(crate) workers: usize,
     pub(crate) dedup_capacity: usize,
     pub(crate) affinity_capacity: usize,
-    pub(crate) queue_capacity: usize,
     pub(crate) slab_capacity: usize,
     pub(crate) admission_limit: usize,
     pub(crate) queue_deadline: Duration,
-    pub(crate) fair_queuing: bool,
 }
 
 impl Default for ServerConfig {
@@ -121,11 +113,9 @@ impl Default for ServerConfig {
             workers: 4,
             dedup_capacity: 65_536,
             affinity_capacity: 65_536,
-            queue_capacity: 1_024,
             slab_capacity: 1_024,
             admission_limit: 0,
             queue_deadline: Duration::ZERO,
-            fair_queuing: false,
         }
     }
 }
@@ -145,12 +135,6 @@ impl ServerConfig {
         self.workers
     }
 
-    /// Decoded requests allowed to wait, over every reactor, before
-    /// backpressure.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity
-    }
-
     /// Queue depth beyond which new non-commit requests are rejected
     /// (`0` disables; commits are exempt).
     pub fn admission_limit(&self) -> usize {
@@ -160,11 +144,6 @@ impl ServerConfig {
     /// Maximum queue age before a request is shed (`ZERO` disables).
     pub fn queue_deadline(&self) -> Duration {
         self.queue_deadline
-    }
-
-    /// Whether per-connection fair queuing is enabled.
-    pub fn fair_queuing(&self) -> bool {
-        self.fair_queuing
     }
 }
 
@@ -201,15 +180,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Decoded requests allowed to wait to run, summed over the reactors,
-    /// before the server stops pulling from sockets (backpressure): a
-    /// client that pipelines faster than its reactor drains is throttled by
-    /// TCP instead of growing server memory without bound.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.queue_capacity = capacity.max(1);
-        self
-    }
-
     /// Connection slots preallocated over the reactors' slabs (they grow
     /// beyond this; the knob sizes the warm path).
     pub fn slab_capacity(mut self, capacity: usize) -> Self {
@@ -222,10 +192,10 @@ impl ServerBuilder {
     /// with the typed, retryable [`AftError::Overloaded`] instead of
     /// queueing. Commits bypass the check — their transaction's reads were
     /// already executed, and refusing the commit would waste that work; they
-    /// stay bounded by `queue_capacity` backpressure. `0` (the default)
-    /// disables admission control. Set it below `queue_capacity`, or
-    /// per-socket backpressure pauses reads before admission ever gets to
-    /// reject.
+    /// stay bounded by backpressure, which pauses reads while 1 024 requests
+    /// are queued. `0` (the default) disables admission control. Set it
+    /// below 1 024, or backpressure pauses reads before admission ever gets
+    /// to reject.
     pub fn admission_limit(mut self, limit: usize) -> Self {
         self.config.admission_limit = limit;
         self
@@ -239,15 +209,6 @@ impl ServerBuilder {
     /// default) disables shedding.
     pub fn queue_deadline(mut self, deadline: Duration) -> Self {
         self.config.queue_deadline = deadline;
-        self
-    }
-
-    /// Per-client fair queuing: one lane per connection in each reactor's
-    /// queue, drained round-robin, so one pipelining firehose cannot starve
-    /// its reactor's other connections behind its backlog. Off by default
-    /// (plain FIFO). A piped server ignores it: it has no reactor queue.
-    pub fn fair_queuing(mut self, fair: bool) -> Self {
-        self.config.fair_queuing = fair;
         self
     }
 
@@ -300,65 +261,10 @@ pub(crate) struct Job {
     /// The connection's slab slot and generation on its reactor.
     pub(crate) slot: usize,
     pub(crate) generation: u64,
-    /// Server-wide connection id: the fair-queuing lane key.
-    pub(crate) conn: u64,
     pub(crate) request_id: u64,
     pub(crate) work: Work,
     /// When the job entered the queue: its wait decides queue-age shedding.
     pub(crate) enqueued: Instant,
-}
-
-/// A reactor's request queue: plain FIFO, or one lane per connection
-/// drained round-robin when fair queuing is on. The lane key is the
-/// connection id, so a single connection pipelining thousands of requests
-/// only ever has one request run per full rotation — other clients'
-/// requests are not stuck behind its backlog.
-pub(crate) struct JobQueue {
-    fair: bool,
-    fifo: VecDeque<Job>,
-    lanes: HashMap<u64, VecDeque<Job>>,
-    /// Round-robin order over lanes that currently hold jobs.
-    rotation: VecDeque<u64>,
-}
-
-impl JobQueue {
-    pub(crate) fn new(fair: bool) -> Self {
-        JobQueue {
-            fair,
-            fifo: VecDeque::new(),
-            lanes: HashMap::new(),
-            rotation: VecDeque::new(),
-        }
-    }
-
-    pub(crate) fn push(&mut self, job: Job) {
-        if self.fair {
-            let lane = self.lanes.entry(job.conn).or_default();
-            if lane.is_empty() {
-                self.rotation.push_back(job.conn);
-            }
-            lane.push_back(job);
-        } else {
-            self.fifo.push_back(job);
-        }
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<Job> {
-        if !self.fair {
-            return self.fifo.pop_front();
-        }
-        let source = self.rotation.pop_front()?;
-        let lane = self.lanes.get_mut(&source)?;
-        let job = lane.pop_front()?;
-        if lane.is_empty() {
-            // Drop empty lanes so the map tracks live connections, not
-            // every connection ever accepted.
-            self.lanes.remove(&source);
-        } else {
-            self.rotation.push_back(source);
-        }
-        Some(job)
-    }
 }
 
 /// Completed-commit memory plus the single-flight set for in-progress ones.
@@ -452,7 +358,7 @@ pub(crate) struct ServerShared {
     /// One per reactor thread, indexed like them.
     pub(crate) reactors: Vec<ReactorHandle>,
     /// Requests queued to run, summed over the drivers: what admission
-    /// control and `queue_capacity` read.
+    /// control and backpressure read.
     pub(crate) depth: AtomicUsize,
     /// A piped server's workers: a request holds one while it runs.
     pub(crate) workers: Permits,
@@ -464,8 +370,8 @@ pub(crate) struct ServerShared {
     pub(crate) event_stats: EventStats,
     /// Frame buffers, shared by the sessions.
     pub(crate) pool: BufferPool,
-    /// Monotonic connection ids: the fair-queuing lane keys, and the round
-    /// robin that gives each connection its reactor.
+    /// Monotonic connection ids: the round robin that gives each connection
+    /// its reactor.
     pub(crate) next_conn_id: AtomicU64,
     pub(crate) shutdown: AtomicBool,
 }
@@ -500,7 +406,7 @@ impl ServerShared {
     /// When that takes the depth below capacity the other reactors wake: a
     /// connection paused there may now have room.
     pub(crate) fn dequeued(&self, own: Option<usize>) {
-        if self.depth.fetch_sub(1, Ordering::AcqRel) == self.config.queue_capacity.max(1) {
+        if self.depth.fetch_sub(1, Ordering::AcqRel) == QUEUE_CAPACITY {
             let others = self.reactors.iter().enumerate();
             others
                 .filter(|(i, _)| own != Some(*i))
@@ -809,81 +715,26 @@ mod tests {
         assert_eq!(built.workers, defaults.workers);
         assert_eq!(built.dedup_capacity, defaults.dedup_capacity);
         assert_eq!(built.affinity_capacity, defaults.affinity_capacity);
-        assert_eq!(built.queue_capacity, defaults.queue_capacity);
         assert_eq!(built.slab_capacity, defaults.slab_capacity);
         assert_eq!(built.admission_limit, defaults.admission_limit);
         assert_eq!(built.queue_deadline, defaults.queue_deadline);
-        assert_eq!(built.fair_queuing, defaults.fair_queuing);
         // Overload protection is opt-in.
         assert_eq!(built.admission_limit, 0);
         assert_eq!(built.queue_deadline, Duration::ZERO);
-        assert!(!built.fair_queuing);
     }
 
     #[test]
     fn builder_knobs_are_applied_and_clamped() {
         let config = AftServer::builder()
             .workers(0)
-            .queue_capacity(7)
             .slab_capacity(9)
             .admission_limit(5)
             .queue_deadline(Duration::from_millis(3))
-            .fair_queuing(true)
             .build();
         assert_eq!(config.workers, 1, "clamped to >= 1");
-        assert_eq!(config.queue_capacity, 7);
         assert_eq!(config.slab_capacity, 9);
         assert_eq!(config.admission_limit(), 5);
         assert_eq!(config.queue_deadline(), Duration::from_millis(3));
-        assert!(config.fair_queuing());
-    }
-
-    #[test]
-    fn fair_queue_round_robins_across_connections() {
-        let job = |conn: u64, request_id: u64| Job {
-            slot: 0,
-            generation: 0,
-            conn,
-            request_id,
-            work: Work::Run(WireRequest::Ping),
-            enqueued: Instant::now(),
-        };
-
-        // Connection 1 floods five requests before connections 2 and 3
-        // submit one each; round-robin still serves 2 and 3 immediately.
-        let mut queue = JobQueue::new(true);
-        for i in 0..5 {
-            queue.push(job(1, 100 + i));
-        }
-        queue.push(job(2, 200));
-        queue.push(job(3, 300));
-        let order: Vec<(u64, u64)> = std::iter::from_fn(|| queue.pop())
-            .map(|j| (j.conn, j.request_id))
-            .collect();
-        assert_eq!(
-            order,
-            vec![
-                (1, 100),
-                (2, 200),
-                (3, 300),
-                (1, 101),
-                (1, 102),
-                (1, 103),
-                (1, 104)
-            ]
-        );
-        assert!(queue.lanes.is_empty(), "drained lanes are dropped");
-
-        // Plain FIFO preserves global arrival order.
-        let mut fifo = JobQueue::new(false);
-        for i in 0..3 {
-            fifo.push(job(1, i));
-        }
-        fifo.push(job(2, 9));
-        let order: Vec<u64> = std::iter::from_fn(|| fifo.pop())
-            .map(|j| j.request_id)
-            .collect();
-        assert_eq!(order, vec![0, 1, 2, 9]);
     }
 
     #[test]

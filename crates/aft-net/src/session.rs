@@ -9,7 +9,7 @@
 //! socket and makes no syscall:
 //!
 //! * bytes accumulate in an incremental [`FrameDecoder`], split anywhere;
-//! * admission control and `queue_capacity` backpressure read the depth
+//! * admission control and [`QUEUE_CAPACITY`] backpressure read the depth
 //!   queued on every driver. A session that meets a full queue *pauses*:
 //!   its decoded requests wait in a local deque and it stops reading;
 //! * answers are framed straight into the outbox in the order the requests
@@ -34,6 +34,12 @@ use crate::stats::EventStats;
 
 /// Bytes a driver reads per call; the decoder keeps four times this warm.
 pub(crate) const READ_CHUNK: usize = 16 * 1024;
+
+/// Decoded requests allowed to wait to run, summed over the drivers, before
+/// sessions stop reading (backpressure): a client that pipelines faster than
+/// the server drains is throttled by TCP instead of growing server memory
+/// without bound.
+pub(crate) const QUEUE_CAPACITY: usize = 1_024;
 
 /// Response frames coalesced into one vectored write.
 pub(crate) const WRITE_BATCH: usize = 64;
@@ -151,7 +157,7 @@ impl Session {
             // the server already executed this transaction's reads, and
             // refusing the commit would convert that work into waste;
             // overload is shed at the pipeline entry (the reads) instead,
-            // and commits stay bounded by `queue_capacity` backpressure.
+            // and commits stay bounded by `QUEUE_CAPACITY` backpressure.
             shared.stats.record_overload_rejection();
             let rejection =
                 AftError::Overloaded("request queue is full; retry with backoff".into());
@@ -162,7 +168,7 @@ impl Session {
                 queue,
             );
         }
-        if !self.paused && depth >= shared.config.queue_capacity.max(1) {
+        if !self.paused && depth >= QUEUE_CAPACITY {
             self.paused = true;
             shared.event_stats.pauses.fetch_add(1, Relaxed);
         }
@@ -190,10 +196,10 @@ impl Session {
 
     /// Moves requests decoded while paused into freed queue space. They were
     /// accepted before the pause, so they skip admission control and contend
-    /// only with `queue_capacity`. False while the session stays paused.
+    /// only with `QUEUE_CAPACITY`. False while the session stays paused.
     pub(crate) fn resume(&mut self, shared: &ServerShared, queue: &mut Queue) -> bool {
         while self.paused {
-            if shared.depth.load(Acquire) >= shared.config.queue_capacity.max(1) {
+            if shared.depth.load(Acquire) >= QUEUE_CAPACITY {
                 return false;
             }
             match self.pending.pop_front() {

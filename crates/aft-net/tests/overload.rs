@@ -41,7 +41,6 @@ fn saturated_server_sheds_load_without_losing_acked_commits() {
     let server = AftServer::builder()
         .workers(1)
         .admission_limit(1)
-        .fair_queuing(true)
         .serve(Arc::clone(&cluster), "127.0.0.1:0")
         .unwrap();
     let client = AftClient::connect(

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use aft::cluster::{broadcast_round, Cluster, ClusterConfig, FaultManager, GlobalGc};
-use aft::core::{AftNode, LocalGcConfig, NodeConfig};
+use aft::core::{AftNode, NodeConfig};
 use aft::storage::io::{IoConfig, IoEngine};
 use aft::storage::{BackendConfig, BackendKind, InMemoryStore, SharedStorage};
 use aft::types::clock::TickingClock;
@@ -154,7 +154,7 @@ fn global_gc_reclaims_superseded_versions_without_losing_the_latest() {
     }
     broadcast_round(&nodes, Some(&fm));
     for node in &nodes {
-        node.run_local_gc(&LocalGcConfig::aggressive());
+        node.run_local_gc();
     }
     let io = IoEngine::new(storage.clone(), IoConfig::pipelined());
     let outcome = gc.run_round(&fm, &nodes, &io).unwrap();

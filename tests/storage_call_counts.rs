@@ -102,12 +102,16 @@
 //!   one `Get` per miss on S3 and Redis, which have no multi-key read. A
 //!   read that misses one key is a plain `Get` on every row, and one that
 //!   misses none makes no call. Recorded on top of commit 6225ad3.
+//! * The *one-key read*: `get_versioned` and a one-key `get_all` each bill
+//!   one `Get` on a data-cache miss and no call on a hit, on every row, and
+//!   each records the version it chose in the read set. Recorded on top of
+//!   commit 7cd5bda, while the two still had separate implementations.
 
 use aft::cluster::{Cluster, ClusterConfig};
 use aft::core::NodeConfig;
 use aft::storage::{make_backend, BackendConfig, BackendKind, OpKind};
 use aft::types::clock::TickingClock;
-use aft::types::{slot_tag, Key, TransactionRecord};
+use aft::types::{slot_tag, Key, TransactionId, TransactionRecord};
 use aft_bench::trajectory::golden_script;
 use bytes::Bytes;
 
@@ -269,6 +273,63 @@ fn get_all_bills_the_golden_read_calls_on_every_service() {
     ];
     for (kind, expected) in golden {
         assert_eq!(get_all_counts(kind), expected, "{kind}: (Get, BatchGet)");
+    }
+}
+
+#[test]
+fn a_one_key_read_bills_one_get_on_a_miss_and_none_on_a_hit() {
+    let key = Key::new("k");
+    for kind in [
+        BackendKind::Memory,
+        BackendKind::S3,
+        BackendKind::DynamoDb,
+        BackendKind::Redis,
+    ] {
+        let storage = make_backend(BackendConfig::test(kind));
+        let node = aft::core::AftNode::with_clock(
+            NodeConfig::test(),
+            storage.clone(),
+            TickingClock::shared(1, 1),
+        )
+        .unwrap();
+        let commit = |value: &'static str| {
+            let txn = node.start_transaction();
+            node.put(&txn, key.clone(), Bytes::from_static(value.as_bytes()))
+                .unwrap();
+            node.commit(&txn).unwrap()
+        };
+        // Each entry point reads `k` three times in one transaction: a miss,
+        // a hit, and a hit after a newer commit of `k`, which the read set
+        // keeps it from choosing.
+        // Only `get_versioned` names the version.
+        let read = |entry, txn: &TransactionId| match entry {
+            "get_versioned" => node.get_versioned(txn, &key).unwrap().unwrap(),
+            _ => {
+                let mut values = node.get_all(txn, std::slice::from_ref(&key)).unwrap();
+                (values.pop().unwrap().unwrap(), None)
+            }
+        };
+        for entry in ["get_versioned", "get_all"] {
+            let old = commit("old");
+            node.data_cache().evict(&key, &old);
+            let reader = node.start_transaction();
+            for (step, gets) in [("miss", 1), ("hit", 0), ("after a newer commit", 0)] {
+                if step == "after a newer commit" {
+                    commit("new");
+                }
+                let before = storage.stats().snapshot();
+                let (value, version) = read(entry, &reader);
+                let calls = storage.stats().snapshot().delta_since(&before);
+                let what = format!("{kind}: {entry}, {step}");
+                assert_eq!(value, Bytes::from_static(b"old"), "{what}");
+                if entry == "get_versioned" {
+                    assert_eq!(version, Some(old), "{what}");
+                }
+                assert_eq!(calls.calls(OpKind::Get), gets, "{what}");
+                assert_eq!(calls.total_calls(), gets, "{what}");
+            }
+            node.abort(&reader).unwrap();
+        }
     }
 }
 
