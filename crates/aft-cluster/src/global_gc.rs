@@ -38,11 +38,11 @@
 //!    so the next round selects it again; the GC remembers only which units
 //!    it passed over.
 //!
-//! A round deletes at most 10 000 transactions and versions together: transactions first, then versions,
-//! each oldest first, so a round after a long partition sends a bounded
-//! batch and the next round takes the rest. Like the rest of the
-//! maintenance round, a GC round costs what changed since the last one: the
-//! walks cover the superseded and debited sets.
+//! A round deletes at most 10 000 transactions and versions together:
+//! transactions first, then versions, each oldest first, so a round after a
+//! long partition sends a bounded batch and the next round takes the rest.
+//! Like the rest of the maintenance round, a GC round costs what changed
+//! since the last one: the walks cover the superseded and debited sets.
 //!
 //! The paper collects whole transactions only (§5.2); deleting versions keeps
 //! one cold key from pinning every dead version its transaction wrote.

@@ -14,15 +14,15 @@
 //! admission, answer order and every lifecycle verdict are its
 //! connection's [`Session`]'s. Each iteration it reads ready sockets into
 //! their sessions, runs the queued requests in arrival order through
-//! [`ServerShared::run_job`],
-//! writes a connection's outbox once its last queued request is answered,
-//! and re-arms every connection it touched with its session's interest. A
-//! request that blocks (a commit waiting on storage) holds up its own
-//! reactor's connections only. A torn-down connection's queued requests
-//! are dropped unrun, and its slot's generation moves on, so a recycled
-//! slot never receives them. Only the owning reactor tears down, once per
-//! slot (the slab removal is the guard), so a close is counted exactly once
-//! however it came about (EOF, reset, server shutdown).
+//! [`ServerShared::run_job`], writes a connection's outbox once its last
+//! queued request is answered, and re-arms every connection it touched
+//! with its session's interest. A request that blocks (a commit waiting on
+//! storage) holds up its own reactor's connections only. A torn-down
+//! connection's queued requests are dropped unrun, and its slot's
+//! generation moves on, so a recycled slot never receives them. Only the
+//! owning reactor tears down, once per slot (the slab removal is the
+//! guard), so a close is counted exactly once however it came about (EOF,
+//! reset, server shutdown).
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};

@@ -49,9 +49,10 @@
 //! *useful* instead of merely not-crashing (both off by default). Each
 //! reactor queues the requests it decodes in one iteration before running
 //! them, first in, first out; the mechanisms act on those queues, and both
-//! read one server-wide depth, the requests queued on every reactor. On a piped server a request is queued while it waits for a
-//! worker permit, so admission and shedding read that wait, in virtual time
-//! when its caller is seated:
+//! read one server-wide depth, the requests queued on every reactor. On a
+//! piped server a request is queued while it waits for a worker permit, so
+//! admission and shedding read that wait, in virtual time when its caller
+//! is seated:
 //!
 //! * **Admission control** ([`ServerBuilder::admission_limit`]): when the
 //!   queued requests already reach the limit, a new request is rejected
