@@ -26,12 +26,15 @@
 //!   leg at its tiny size ([`ServiceConfig::tiny`]): its resets,
 //!   deduplicated and acknowledged commits, and requests per commit, each
 //!   from its `chaos` sheet;
+//! * the piped large script ([`piped_large_script`]): the server's fresh
+//!   frame-buffer allocations and pool reuses over `svc-large`-shaped
+//!   transactions, what `aft-net.event.buffer_reuse_share` is made of;
 //! * the eleven small scopes tier-1 walks whole ([`sim::walk`]): the
 //!   schedules each one has, those in which the checker finds a duplicate
 //!   request, and, where writes are cut, those that orphan data. A walk
 //!   panics on a schedule with an anomaly.
 //!
-//! All run on virtual time: the script on a ticking mock clock with latency
+//! All run on virtual time: the scripts on a ticking mock clock with latency
 //! off, the figures, fig11 and fig8's chaos leg in their virtual-time loops,
 //! the matrix on one seeded stepper, the walks on one stepper each.
 //!
@@ -47,7 +50,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use aft_cluster::{Cluster, ClusterConfig};
+use aft_core::api::AftApi;
 use aft_core::{CheckpointPolicy, NodeConfig};
+use aft_net::{AftClient, AftServer};
 use aft_storage::{make_backend, BackendConfig, BackendKind, OpKind};
 use aft_types::clock::TickingClock;
 use aft_types::{Key, Value};
@@ -178,6 +183,35 @@ pub fn golden_script(kind: BackendKind) -> GoldenRun {
     }
 }
 
+/// Runs the piped *large* script: a one-node cluster over memory, served
+/// over an in-memory pipe, takes one commit of eight 16 KiB values, then 50
+/// transactions of `svc-large`'s shape, each a `GetAll` of the eight keys and
+/// a commit of four of them. The server's fresh frame-buffer allocations and
+/// pool reuses.
+pub fn piped_large_script() -> (u64, u64) {
+    let storage = make_backend(BackendConfig::test(BackendKind::Memory));
+    let cluster = Cluster::with_clock(ClusterConfig::test(1), storage, TickingClock::shared(1, 1))
+        .expect("a cluster over memory");
+    let server = AftServer::builder().pipe(cluster);
+    let client = AftClient::builder().pool_size(1).pipe(&server);
+    let keys: Vec<Key> = (0..8).map(|i| Key::new(format!("k{i}"))).collect();
+    let value = Value::from(vec![b'v'; 16 << 10]);
+    for i in 0..=50 {
+        let txid = client.begin().expect("a begin");
+        if i > 0 {
+            client.get_all(&txid, &keys).expect("a GetAll");
+        }
+        for key in keys.iter().cycle().skip(i).take(if i == 0 { 8 } else { 4 }) {
+            client
+                .put(&txid, key.clone(), value.clone())
+                .expect("a write");
+        }
+        client.commit(&txid, &[]).expect("a commit");
+    }
+    let events = server.event_snapshot();
+    (events.buffer_allocations, events.buffer_reuses)
+}
+
 /// The scopes tier-1 walks, each with its deployment, clients and budgets
 /// (rounds, failures, duplicates, failovers, crashes, fails): `races` runs a
 /// round among two writes of `{a, b}` and a reader of both, `platform` every
@@ -302,6 +336,9 @@ fn measure() -> Vec<Metric> {
             put(format!("golden.{row}.{count}"), value as f64);
         }
     }
+    let (allocations, reuses) = piped_large_script();
+    put("pipe.large.allocations".to_owned(), allocations as f64);
+    put("pipe.large.reuses".to_owned(), reuses as f64);
     for (name, shape, clients, scope) in scopes() {
         let walked = sim::walk(shape, &clients, scope);
         let counts = [

@@ -123,19 +123,43 @@ impl AftApi for AftNode {
     }
 }
 
+/// Keys one preload transaction writes at most.
+const PRELOAD_MAX_KEYS: usize = 500;
+
+/// Value bytes one preload transaction writes at most (a single larger
+/// value goes alone): just above 500 of the paper's 4 KiB payloads, so a
+/// preload of those keeps its 500-key transactions while one of 16 KiB
+/// values never frames an 8 MiB commit, whose freed buffers would raise
+/// the allocator's mmap and trim thresholds for the rest of the process.
+const PRELOAD_MAX_BYTES: usize = 2 << 20;
+
 /// Preloads an initial version of every key through any [`AftApi`], in
-/// chunked transactions, so experiments never measure cold reads. Shared by
-/// the drivers and the service benchmarks.
+/// transactions of at most 500 keys and 2 MiB of values, so experiments
+/// never measure cold reads. Shared by the drivers and the service
+/// benchmarks.
 pub fn preload_keys(
     api: &Arc<dyn AftApi>,
     keys: &[Key],
     make_value: impl Fn(&Key) -> Value,
 ) -> AftResult<()> {
-    for chunk in keys.chunks(500) {
-        let txid = api.begin()?;
-        for key in chunk {
-            api.put(&txid, key.clone(), make_value(key))?;
+    let mut open = None;
+    let (mut count, mut bytes) = (0, 0);
+    for key in keys {
+        let value = make_value(key);
+        if count == PRELOAD_MAX_KEYS || bytes + value.len() > PRELOAD_MAX_BYTES {
+            if let Some(txid) = open.take() {
+                api.commit(&txid, &[])?;
+            }
+            (count, bytes) = (0, 0);
         }
+        let txid = match open {
+            Some(txid) => txid,
+            None => *open.insert(api.begin()?),
+        };
+        (count, bytes) = (count + 1, bytes + value.len());
+        api.put(&txid, key.clone(), value)?;
+    }
+    if let Some(txid) = open {
         api.commit(&txid, &[])?;
     }
     Ok(())
@@ -219,6 +243,108 @@ mod tests {
         // c1 cowrote {a, b}: reading b@c1 while a shows NULL fractures.
         let t4 = api.begin().unwrap();
         assert!(!api.commit(&t4, &fractured_reads).unwrap().atomic);
+    }
+
+    /// One recorded transaction: its writes as (key, value bytes), in
+    /// order, and whether it committed.
+    #[derive(Default)]
+    struct Txn {
+        writes: Vec<(Key, usize)>,
+        committed: bool,
+    }
+
+    /// Records every transaction, the `n`-th begun under timestamp `n`.
+    #[derive(Default)]
+    struct Recorder(parking_lot::Mutex<Vec<Txn>>);
+
+    impl AftApi for Recorder {
+        fn api_label(&self) -> &str {
+            "recorder"
+        }
+
+        fn begin(&self) -> AftResult<TransactionId> {
+            let mut txns = self.0.lock();
+            txns.push(Txn::default());
+            let n = txns.len() as u64;
+            Ok(TransactionId::new(n, aft_types::Uuid::from_u128(n.into())))
+        }
+
+        fn get_versioned(
+            &self,
+            _: &TransactionId,
+            _: &Key,
+        ) -> AftResult<Option<(Value, Option<TransactionId>)>> {
+            Ok(None)
+        }
+
+        fn get_all(&self, _: &TransactionId, keys: &[Key]) -> AftResult<Vec<Option<Value>>> {
+            Ok(vec![None; keys.len()])
+        }
+
+        fn put(&self, txid: &TransactionId, key: Key, value: Value) -> AftResult<()> {
+            let mut txns = self.0.lock();
+            let txn = &mut txns[txid.timestamp as usize - 1];
+            assert!(!txn.committed, "a write after its commit");
+            txn.writes.push((key, value.len()));
+            Ok(())
+        }
+
+        fn commit(
+            &self,
+            txid: &TransactionId,
+            _: &[(Key, TransactionId)],
+        ) -> AftResult<CommitOutcome> {
+            self.0.lock()[txid.timestamp as usize - 1].committed = true;
+            Ok(CommitOutcome {
+                final_id: *txid,
+                atomic: true,
+                duplicate: false,
+            })
+        }
+
+        fn abort(&self, _: &TransactionId) -> AftResult<()> {
+            unreachable!("a preload never aborts")
+        }
+    }
+
+    /// Preloads `keys` keys of `value_size` bytes through a [`Recorder`]:
+    /// each transaction's key count and value bytes, after checking that
+    /// every transaction committed and wrote each key exactly once.
+    fn preload_shape(keys: usize, value_size: usize) -> Vec<(usize, usize)> {
+        let recorder = Arc::new(Recorder::default());
+        let api: Arc<dyn AftApi> = recorder.clone();
+        let keys: Vec<Key> = (0..keys).map(|i| Key::new(format!("k{i}"))).collect();
+        preload_keys(&api, &keys, |_| Bytes::from(vec![7u8; value_size])).unwrap();
+        let txns = std::mem::take(&mut *recorder.0.lock());
+        assert!(txns.iter().all(|txn| txn.committed));
+        let written: Vec<&Key> = txns
+            .iter()
+            .flat_map(|txn| txn.writes.iter().map(|(key, _)| key))
+            .collect();
+        assert!(
+            written.into_iter().eq(&keys),
+            "every key written once, in order"
+        );
+        txns.iter()
+            .map(|txn| (txn.writes.len(), txn.writes.iter().map(|(_, n)| n).sum()))
+            .collect()
+    }
+
+    #[test]
+    fn preload_transactions_are_bounded_by_keys_and_bytes() {
+        // 16 KiB values: at most 2 MiB of them a transaction, not 8 MiB.
+        let large = preload_shape(2_000, 16 << 10);
+        assert!(large.iter().all(|&(_, bytes)| bytes <= PRELOAD_MAX_BYTES));
+        assert_eq!(large.len(), 16);
+        assert_eq!(large[0], (128, 2 << 20));
+        // The paper's 4 KiB values keep their 500-key transactions.
+        let paper = preload_shape(1_200, 4 << 10);
+        assert_eq!(
+            paper.iter().map(|&(n, _)| n).collect::<Vec<_>>(),
+            [500, 500, 200]
+        );
+        // A value above the byte bound still goes, alone.
+        assert_eq!(preload_shape(2, 3 << 20), [(1, 3 << 20), (1, 3 << 20)]);
     }
 
     #[test]

@@ -1,35 +1,48 @@
-//! A small free-list of byte buffers for the reactors.
+//! A small free-list of byte buffers for the reactors, and the one rule
+//! for how much frame-buffer capacity aft-net keeps warm.
 //!
 //! The server encodes every outgoing response straight into a contiguous
 //! `[len][payload]` frame buffer and would otherwise allocate one `Vec` per
 //! response. [`BufferPool`] recycles those buffers across reactors and
 //! connections: `take` hands out an empty buffer with warm capacity, `give`
-//! returns it once the frame is written unless it grew beyond the pool's
-//! bound, so a single huge frame cannot pin its allocation forever.
+//! returns it once the frame is written unless it grew beyond
+//! [`KEEP_CAPACITY`] or the pool already holds [`POOL_BYTES`], so a single
+//! huge frame cannot pin its allocation forever.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
+/// Capacity a frame buffer keeps between frames, everywhere in aft-net: a
+/// pooled response buffer, a session's decoder, a client connection's send
+/// and receive buffers. A frame larger than this has its buffer released
+/// once it is done with. It holds a `GetAll` of eight 16 KiB values.
+pub(crate) const KEEP_CAPACITY: usize = 256 * 1024;
+
+/// Capacity the pool's free list holds at most, summed over its buffers.
+const POOL_BYTES: usize = 4 * 1024 * 1024;
+
 /// Recycles byte buffers between the reactors.
 #[derive(Debug)]
 pub(crate) struct BufferPool {
-    free: Mutex<Vec<Vec<u8>>>,
-    /// Buffers returned with more capacity than this are dropped instead of
-    /// pooled (keeps the pool's resident memory bounded by
-    /// `max_pooled * max_buffer_capacity`).
-    max_buffer_capacity: usize,
+    free: Mutex<Free>,
     /// Free-list length cap; beyond it, returned buffers are dropped.
     max_pooled: usize,
     allocations: AtomicU64,
     reuses: AtomicU64,
 }
 
+/// The free list and its buffers' summed capacity.
+#[derive(Debug, Default)]
+struct Free {
+    buffers: Vec<Vec<u8>>,
+    bytes: usize,
+}
+
 impl BufferPool {
-    pub(crate) fn new(max_buffer_capacity: usize, max_pooled: usize) -> Self {
+    pub(crate) fn new(max_pooled: usize) -> Self {
         BufferPool {
-            free: Mutex::new(Vec::new()),
-            max_buffer_capacity: max_buffer_capacity.max(64),
+            free: Mutex::new(Free::default()),
             max_pooled: max_pooled.max(1),
             allocations: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
@@ -38,7 +51,13 @@ impl BufferPool {
 
     /// An empty buffer, recycled when one is pooled.
     pub(crate) fn take(&self) -> Vec<u8> {
-        if let Some(mut buf) = self.free.lock().pop() {
+        let recycled = {
+            let mut free = self.free.lock();
+            let buf = free.buffers.pop();
+            free.bytes -= buf.as_ref().map_or(0, Vec::capacity);
+            buf
+        };
+        if let Some(mut buf) = recycled {
             buf.clear();
             self.reuses.fetch_add(1, Ordering::Relaxed);
             return buf;
@@ -47,20 +66,23 @@ impl BufferPool {
         Vec::new()
     }
 
-    /// Returns a buffer to the pool (or drops it if oversized / pool full).
+    /// Returns a buffer to the pool, or drops it if it is oversized or the
+    /// pool is full by count or by bytes.
     pub(crate) fn give(&self, buf: Vec<u8>) {
-        if buf.capacity() == 0 || buf.capacity() > self.max_buffer_capacity {
+        let capacity = buf.capacity();
+        if capacity == 0 || capacity > KEEP_CAPACITY {
             return;
         }
         let mut free = self.free.lock();
-        if free.len() < self.max_pooled {
-            free.push(buf);
+        if free.buffers.len() < self.max_pooled && free.bytes + capacity <= POOL_BYTES {
+            free.bytes += capacity;
+            free.buffers.push(buf);
         }
     }
 
     /// Buffers currently sitting in the free list.
     pub(crate) fn pooled(&self) -> usize {
-        self.free.lock().len()
+        self.free.lock().buffers.len()
     }
 
     /// (fresh allocations, pool reuses) so far.
@@ -78,7 +100,7 @@ mod tests {
 
     #[test]
     fn buffers_are_recycled_and_cleared() {
-        let pool = BufferPool::new(1024, 4);
+        let pool = BufferPool::new(4);
         let mut a = pool.take();
         a.extend_from_slice(b"stale");
         pool.give(a);
@@ -92,21 +114,38 @@ mod tests {
 
     #[test]
     fn oversized_buffers_are_dropped_not_pooled() {
-        let pool = BufferPool::new(64, 4);
+        let pool = BufferPool::new(4);
         let mut big = pool.take();
-        big.reserve(4096);
+        big.reserve(KEEP_CAPACITY + 1);
         pool.give(big);
         assert_eq!(pool.pooled(), 0, "oversized buffer was not retained");
     }
 
     #[test]
     fn pool_length_is_capped() {
-        let pool = BufferPool::new(1024, 2);
+        let pool = BufferPool::new(2);
         for _ in 0..5 {
             let mut buf = pool.take();
             buf.push(1);
             pool.give(buf);
         }
         assert!(pool.pooled() <= 2);
+    }
+
+    #[test]
+    fn pooled_bytes_are_capped() {
+        // Many buffers at the keep bound: the pool holds POOL_BYTES of them,
+        // not its count cap's worth.
+        let pool = BufferPool::new(4096);
+        let buffers: Vec<Vec<u8>> = (0..64).map(|_| Vec::with_capacity(KEEP_CAPACITY)).collect();
+        buffers.into_iter().for_each(|buf| pool.give(buf));
+        assert_eq!(pool.pooled(), POOL_BYTES / KEEP_CAPACITY);
+        assert_eq!(pool.free.lock().bytes, POOL_BYTES);
+        // A taken buffer frees its bytes for the next one given.
+        let taken = pool.take();
+        assert_eq!(pool.free.lock().bytes, POOL_BYTES - taken.capacity());
+        pool.give(taken);
+        pool.give(Vec::with_capacity(64));
+        assert_eq!(pool.pooled(), POOL_BYTES / KEEP_CAPACITY, "full by bytes");
     }
 }

@@ -62,7 +62,8 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::frame::{read_frame, request_frame};
+use crate::buffer::KEEP_CAPACITY;
+use crate::frame::{read_frame_into, request_frame};
 use crate::pipe::Pipe;
 use crate::server::{PipeServer, ServerShared};
 
@@ -167,10 +168,6 @@ impl ClientBuilder {
     }
 }
 
-/// Frame-buffer capacity a connection keeps warm between requests; a larger
-/// frame's buffer is released after it is sent.
-const SEND_BUFFER_KEEP: usize = 256 * 1024;
-
 /// Where a client's connections go.
 enum Endpoint {
     Addr(SocketAddr),
@@ -205,6 +202,28 @@ impl Read for ReadHalf {
     }
 }
 
+/// A connection's read side and the buffer each reply is read into, kept
+/// warm up to [`KEEP_CAPACITY`].
+struct Reader {
+    stream: BufReader<ReadHalf>,
+    payload: Vec<u8>,
+}
+
+impl Reader {
+    /// The next reply; `None` once the connection ended or broke framing.
+    fn next(&mut self) -> Option<(u64, WireResponse)> {
+        let read = read_frame_into(&mut self.stream, &mut self.payload);
+        let reply = match read {
+            Ok(true) => decode_response(&self.payload).ok(),
+            _ => None,
+        };
+        if self.payload.capacity() > KEEP_CAPACITY {
+            self.payload = Vec::new();
+        }
+        reply
+    }
+}
+
 /// One request's place on its connection while its caller is in flight.
 struct Waiter {
     thread: Thread,
@@ -219,7 +238,7 @@ struct Waiter {
 struct Inbox {
     /// The read side, parked here while no caller reads; a caller takes it
     /// out to read and puts it back with its own response in hand.
-    reader: Option<BufReader<ReadHalf>>,
+    reader: Option<Reader>,
     waiters: HashMap<u64, Waiter>,
     closed: bool,
 }
@@ -253,7 +272,10 @@ impl Conn {
         Ok(Arc::new(Conn {
             writer: Mutex::new(Vec::new()),
             inbox: Mutex::new(Inbox {
-                reader: Some(BufReader::new(ReadHalf(Arc::clone(&link)))),
+                reader: Some(Reader {
+                    stream: BufReader::new(ReadHalf(Arc::clone(&link))),
+                    payload: Vec::new(),
+                }),
                 waiters: HashMap::new(),
                 closed: false,
             }),
@@ -287,7 +309,7 @@ impl Conn {
                 let mut frame = self.writer.lock();
                 let sent = request_frame(&mut frame, request_id, request)
                     .and_then(|()| (&*stream).write_all(&frame));
-                if frame.capacity() > SEND_BUFFER_KEEP {
+                if frame.capacity() > KEEP_CAPACITY {
                     *frame = Vec::new();
                 }
                 sent
@@ -341,10 +363,7 @@ impl Conn {
                 continue;
             };
             drop(inbox);
-            let read = read_frame(&mut reader)
-                .ok()
-                .flatten()
-                .and_then(|payload| decode_response(&payload).ok());
+            let read = reader.next();
             inbox = self.inbox.lock();
             let Some((id, response)) = read else {
                 break None;

@@ -5,7 +5,8 @@
 //! [`response_frame`] encode a message straight into a buffer whose first
 //! four bytes are reserved for the prefix, and [`write_frame`] assembles an
 //! already-encoded payload the same way. The blocking [`read_frame`] works
-//! over any `Read` (the client SDK reads through a `BufReader`). The
+//! over any `Read`; [`read_frame_into`] reads into a reused buffer (the
+//! client SDK's, behind a `BufReader`). The
 //! event-driven server instead feeds whatever bytes the socket had into a
 //! [`FrameDecoder`], which accumulates partial frames across arbitrarily
 //! split arrivals. In both shapes the payload length is capped at
@@ -148,6 +149,12 @@ impl FrameDecoder {
         self.buf.len() - self.start
     }
 
+    /// Bytes of buffer the decoder holds, pending or not.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
     /// Releases oversized capacity once the buffer is empty, so one burst of
     /// large frames does not pin that high-water allocation for the rest of
     /// the connection's life. No-op while bytes are pending.
@@ -172,13 +179,21 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// frames); mid-frame truncation is an error, because it means a message was
 /// cut in half.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload)?.then_some(payload))
+}
+
+/// Reads one frame's payload into `payload`, reusing its allocation:
+/// `Ok(false)` on a clean end of stream, as [`read_frame`]'s `None`.
+pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<bool> {
+    payload.clear();
     let mut len_buf = [0u8; 4];
     // Distinguish "closed between frames" from "closed mid-frame": read the
     // first length byte by hand.
     let mut first = [0u8; 1];
     loop {
         match r.read(&mut first) {
-            Ok(0) => return Ok(None),
+            Ok(0) => return Ok(false),
             Ok(_) => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
@@ -193,9 +208,9 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("incoming frame length {len} exceeds MAX_FRAME_LEN"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+    payload.resize(len, 0);
+    r.read_exact(payload)?;
+    Ok(true)
 }
 
 #[cfg(test)]

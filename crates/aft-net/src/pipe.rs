@@ -255,6 +255,35 @@ mod tests {
     }
 
     #[test]
+    fn large_transactions_reuse_the_pools_buffers_once_warm() {
+        // svc-large's shape: an 8 x 16 KiB `GetAll` and a 4 x 16 KiB
+        // commit a transaction. Its ~130 KiB replies fit the keep bound,
+        // so after the first response every frame buffer is a reused one.
+        let server = piped(Duration::ZERO, AftServer::builder());
+        let client = AftClient::builder().pool_size(1).pipe(&server);
+        let keys: Vec<Key> = (0..8).map(|i| Key::new(format!("k{i}"))).collect();
+        let value = Value::from(vec![7u8; 16 << 10]);
+        let txid = client.begin().unwrap();
+        for key in &keys {
+            client.put(&txid, key.clone(), value.clone()).unwrap();
+        }
+        client.commit(&txid, &[]).unwrap();
+        let warm = server.0.pool.counters();
+        for i in 0..50 {
+            let txid = client.begin().unwrap();
+            let read = client.get_all(&txid, &keys).unwrap();
+            assert!(read.iter().all(|v| v.as_ref() == Some(&value)));
+            for key in keys.iter().cycle().skip(i).take(4) {
+                client.put(&txid, key.clone(), value.clone()).unwrap();
+            }
+            client.commit(&txid, &[]).unwrap();
+        }
+        let (allocations, reuses) = server.0.pool.counters();
+        assert_eq!(allocations, warm.0, "no allocation once warm");
+        assert_eq!(reuses - warm.1, 100, "every reply reused a buffer");
+    }
+
+    #[test]
     fn seated_callers_sharing_one_connection_and_one_worker_finish() {
         // Four seated callers share one pooled connection and one worker;
         // each Get and commit charges 1 ms while its caller holds no lock.

@@ -94,7 +94,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::buffer::BufferPool;
 use crate::event_loop::{self, ReactorHandle};
-use crate::session::{QUEUE_CAPACITY, READ_CHUNK};
+use crate::session::QUEUE_CAPACITY;
 use crate::stats::{EventSnapshot, EventStats, ServiceStats};
 
 /// Tuning of an [`AftServer`]; built with [`AftServer::builder`].
@@ -238,6 +238,14 @@ impl ServerBuilder {
 /// server.
 #[derive(Clone)]
 pub struct PipeServer(pub(crate) Arc<ServerShared>);
+
+impl PipeServer {
+    /// The server's connection I/O and frame-buffer counters, as
+    /// [`AftServer::event_snapshot`]'s.
+    pub fn event_snapshot(&self) -> EventSnapshot {
+        self.0.event_stats.snapshot(&self.0.pool)
+    }
+}
 
 /// Decides the fate of each outgoing response — the server-side test hook.
 /// Returning `false` drops the response *and resets the connection*,
@@ -396,7 +404,7 @@ impl ServerShared {
             affinity: Mutex::new(AffinityMap::new(config.affinity_capacity)),
             filter: Mutex::new(None),
             event_stats: EventStats::default(),
-            pool: BufferPool::new(READ_CHUNK * 4, config.slab_capacity.min(4096)),
+            pool: BufferPool::new(config.slab_capacity.min(4096)),
             next_conn_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             config,

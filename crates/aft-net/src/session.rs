@@ -27,12 +27,12 @@ use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed};
 use aft_types::wire::{decode_request, WireRequest, WireResponse};
 use aft_types::AftError;
 
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, KEEP_CAPACITY};
 use crate::frame::{response_frame, FrameDecoder};
 use crate::server::{ServerShared, Work};
 use crate::stats::EventStats;
 
-/// Bytes a driver reads per call; the decoder keeps four times this warm.
+/// Bytes a driver reads per call.
 pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
 /// Decoded requests allowed to wait to run, summed over the drivers, before
@@ -115,7 +115,7 @@ impl Session {
             let request = match self.decoder.next_frame() {
                 Ok(Some(payload)) => decode_request(&payload),
                 Ok(None) => {
-                    self.decoder.shed(READ_CHUNK * 4);
+                    self.decoder.shed(KEEP_CAPACITY);
                     self.read_open = !eof;
                     if eof && self.decoder.has_partial() {
                         return Verdict::Reset;
@@ -347,7 +347,7 @@ mod tests {
     use aft_storage::InMemoryStore;
     use aft_types::clock::TickingClock;
     use aft_types::wire::decode_response;
-    use aft_types::{Key, TransactionId, Uuid};
+    use aft_types::{Key, TransactionId, Uuid, Value};
     use proptest::prelude::*;
 
     use super::*;
@@ -357,7 +357,7 @@ mod tests {
     #[test]
     fn a_partly_written_frame_keeps_its_place_ahead_of_later_ones() {
         let events = EventStats::default();
-        let pool = BufferPool::new(1024, 4);
+        let pool = BufferPool::new(4);
         let mut out = Outbox::default();
         out.push(vec![1; 10], &events);
         out.push(vec![2; 5], &events);
@@ -433,6 +433,37 @@ mod tests {
         let (storage, clock) = (InMemoryStore::shared(), TickingClock::shared(1, 1));
         let cluster = Cluster::with_clock(ClusterConfig::test(1), storage, clock).unwrap();
         ServerShared::new(cluster, ServerConfig::default(), Vec::new())
+    }
+
+    #[test]
+    fn a_decoder_that_took_an_8_mib_frame_sheds_back_to_the_keep_bound() {
+        let shared = server();
+        let mut session = Session::open(&shared);
+        let mut jobs = Vec::new();
+        let mut arrive = |session: &mut Session, values: usize, size: usize| {
+            let writes = (0..values)
+                .map(|i| (Key::new(format!("k{i}")), Value::from(vec![7u8; size])))
+                .collect();
+            let txid = TransactionId::new(1, Uuid::from_u128(values as u128));
+            let commit = WireRequest::Commit {
+                txid,
+                writes,
+                reads: Vec::new(),
+            };
+            let mut frame = Vec::new();
+            request_frame(&mut frame, 1, &commit).unwrap();
+            for piece in frame.chunks(READ_CHUNK) {
+                session.receive(&shared, piece);
+                session.decode(&shared, false, &mut |id, work| jobs.push((id, work)));
+            }
+            frame.len()
+        };
+        assert!(arrive(&mut session, 128, 64 << 10) > 8 << 20);
+        assert_eq!(session.decoder.capacity(), KEEP_CAPACITY);
+        // A 4 x 16 KiB commit then arrives without growing the buffer.
+        assert!(arrive(&mut session, 4, 16 << 10) > 64 << 10);
+        assert_eq!(session.decoder.capacity(), KEEP_CAPACITY);
+        assert_eq!(jobs.len(), 2, "both commits decoded");
     }
 
     #[test]
