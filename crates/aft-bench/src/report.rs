@@ -8,6 +8,8 @@
 //! experiment, its checks with their verdicts, its sheets) and gates on the
 //! checks.
 
+use std::cell::Cell;
+
 use crate::json::Json;
 
 /// One table of an experiment: label columns, then numeric columns.
@@ -267,9 +269,27 @@ pub(crate) fn ensure(holds: bool, why: impl FnOnce() -> String) -> Verdict {
     holds.then_some(()).ok_or_else(why)
 }
 
+thread_local! {
+    /// The smallest `y / x` that [`below`] compared inside the innermost
+    /// [`margin`] scope.
+    static MARGIN: Cell<f64> = const { Cell::new(f64::INFINITY) };
+}
+
 /// `Ok` if `a`'s value `x` is below `b`'s value `y`.
 pub(crate) fn below(a: &str, x: f64, b: &str, y: f64) -> Verdict {
+    if x > 0.0 {
+        MARGIN.with(|m| m.set(m.get().min(y / x)));
+    }
     ensure(x < y, || format!("{a} {x:.2} is not below {b} {y:.2}"))
+}
+
+/// Runs `check` and returns the smallest ratio `y / x` of its [`below`]
+/// clauses: how far its closest comparison clears its bound, at most 1
+/// where a clause fails, and infinite where it compared no positive `x`.
+pub(crate) fn margin(check: impl FnOnce() -> Verdict) -> f64 {
+    let saved = MARGIN.replace(f64::INFINITY);
+    let _ = check();
+    MARGIN.replace(saved)
 }
 
 /// Formats a millisecond value the way the paper's figures label them.
@@ -320,6 +340,15 @@ mod tests {
         for line in rendered.lines().skip(2) {
             assert!(line.len() >= "DynamoDB Sequential".len());
         }
+    }
+
+    #[test]
+    fn a_margin_is_the_closest_comparison() {
+        let two = || below("a", 2.0, "b", 3.0).and(below("c", 4.0, "d", 5.0));
+        assert_eq!(margin(two), 1.25);
+        assert_eq!(margin(|| below("a", 3.0, "b", 2.0)), 2.0 / 3.0);
+        assert_eq!(margin(|| below("zero", 0.0, "b", 2.0)), f64::INFINITY);
+        assert_eq!(margin(|| ensure(true, String::new)), f64::INFINITY);
     }
 
     #[test]
