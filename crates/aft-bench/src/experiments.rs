@@ -862,16 +862,16 @@ mod tests {
 == Each check's closest comparison, % past its bound ==
 check               margin_pct
 --------------------------------
-Figure 2 (§6.1.1)   33.09
-Figure 3 (§6.1.2)   39.12
+Figure 2 (§6.1.1)   33.05
+Figure 3 (§6.1.2)   45.13
 Table 2 (§6.1.2)    -
-Figure 4 (§6.2)     5.04
-Figure 5 (§6.3)     1.38
-Figure 6 (§6.4)     20.83
-Figure 7 (§6.5)     6.25
-Figure 8 (§6.5)     10.59
-Figure 9 (§6.6)     5.36
-Figure 10 (§6.7)    83.44
+Figure 4 (§6.2)     3.73
+Figure 5 (§6.3)     4.14
+Figure 6 (§6.4)     17.59
+Figure 7 (§6.5)     6.24
+Figure 8 (§6.5)     10.89
+Figure 9 (§6.6)     5.42
+Figure 10 (§6.7)    83.39
 ";
         assert_eq!(report().sheet("margins").render(), held);
     }

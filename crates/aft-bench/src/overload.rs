@@ -13,10 +13,12 @@
 //! than every generator's request on a shared one.
 //!
 //! Every leg runs over in-memory pipes ([`aft_net::ServerBuilder::pipe`])
-//! into a cluster of `NODES` (2) nodes on a ticking clock over the virtual
-//! Redis row. Each generator thread is seated at one `Turns` table
-//! ([`run_seated`]): its pacing, backoff and deadline are its seat's clock,
-//! and maintenance runs on a timer seat every second. The server's
+//! into a cluster of `NODES` (2) nodes over the virtual Redis row, whose
+//! commits take their timestamps from the seats
+//! ([`SeatClock`](aft_storage::latency::SeatClock)). Each generator thread
+//! is seated at one `Turns` table ([`run_seated`]): its pacing, backoff and
+//! deadline are its seat's clock, and maintenance runs on a timer seat
+//! every second. The server's
 //! `WORKERS` (2) are that many permits: a request holds one across its own
 //! RPC and storage charges, counts in the depth admission reads while it
 //! waits for one, and is shed when that wait passes `QUEUE_DEADLINE`

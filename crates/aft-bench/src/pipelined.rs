@@ -17,9 +17,10 @@
 //! the `fig2_pipelined` sheet and [`check`] is one clause of Figure 2's
 //! shape check.
 
+use aft_storage::latency::SeatClock;
 use aft_storage::{BackendKind, IoConfig, SequentialEngine, SharedStorage};
-use aft_types::clock::TickingClock;
 use aft_types::{payload_of_size, Key};
+use aft_workload::run_seated;
 
 use crate::report::{below, Sheet, Verdict};
 use crate::setup::virtual_backend;
@@ -60,8 +61,8 @@ pub fn check(sheet: &Sheet) -> Verdict {
 }
 
 /// One leg: `transactions` 8-key commits, then as many 8-key reads, on a
-/// node without a data cache. Returns the row's values: p50 and p99 commit
-/// charge, p50 read charge, and the storage API calls billed.
+/// node without a data cache, from one seat. Returns the row's values: p50
+/// and p99 commit charge, p50 read charge, and the storage API calls billed.
 fn io_leg(kind: BackendKind, overlapped: bool, transactions: usize, seed: u64) -> Vec<f64> {
     let raw = virtual_backend(kind, seed ^ kind.label().len() as u64);
     let (storage, io): (SharedStorage, _) = if overlapped {
@@ -77,7 +78,7 @@ fn io_leg(kind: BackendKind, overlapped: bool, transactions: usize, seed: u64) -
         rng_seed: seed,
         ..aft_core::NodeConfig::default()
     };
-    let node = aft_core::AftNode::with_clock(config, storage, TickingClock::shared(1_000, 1))
+    let node = aft_core::AftNode::with_clock(config, storage, SeatClock::shared())
         .expect("node construction over a simulated backend");
     let payload = payload_of_size(256);
     // Transaction t writes group t % groups; a later read of the group
@@ -88,24 +89,27 @@ fn io_leg(kind: BackendKind, overlapped: bool, transactions: usize, seed: u64) -
             .map(|i| Key::new(format!("grp{g:02}/k{i}")))
             .collect()
     };
-    for t in 0..transactions {
-        let txid = node.start_transaction();
-        for key in group(t % groups) {
-            node.put(&txid, key, payload.clone()).unwrap();
+    // One seat, so the node timestamps with the leg's virtual time.
+    run_seated(1, Vec::new(), |_, _| {
+        for t in 0..transactions {
+            let txid = node.start_transaction();
+            for key in group(t % groups) {
+                node.put(&txid, key, payload.clone()).unwrap();
+            }
+            node.commit(&txid).unwrap();
         }
-        node.commit(&txid).unwrap();
-    }
-    for r in 0..transactions {
-        let txid = node.start_transaction();
-        let values = node.get_all(&txid, &group(r % groups)).unwrap();
-        assert!(
-            values.iter().all(Option::is_some),
-            "every group was written"
-        );
-        // A read-only commit's record-only flush would put ~1-RTT samples in
-        // the commit recorder.
-        node.abort(&txid).unwrap();
-    }
+        for r in 0..transactions {
+            let txid = node.start_transaction();
+            let values = node.get_all(&txid, &group(r % groups)).unwrap();
+            assert!(
+                values.iter().all(Option::is_some),
+                "every group was written"
+            );
+            // A read-only commit's record-only flush would put ~1-RTT
+            // samples in the commit recorder.
+            node.abort(&txid).unwrap();
+        }
+    });
     let commit = node.stats().commit_storage_latency();
     let read = node.stats().read_storage_latency();
     vec![

@@ -23,10 +23,10 @@
 //!
 //! The chaos leg runs in virtual time: its clients are seated at one
 //! `Turns` table ([`run_virtual_loop`]) and speak the wire protocol over
-//! in-memory pipes ([`aft_net::ServerBuilder::pipe`]) into a ticking-clock
-//! cluster whose maintenance runs on a timer, so its counts are a function
-//! of its seed. The socket suites in `aft-net` cover resets on real
-//! sockets.
+//! in-memory pipes ([`aft_net::ServerBuilder::pipe`]) into a cluster that
+//! timestamps from the seats ([`SeatClock`](aft_storage::latency::SeatClock))
+//! and whose maintenance runs on a timer, so its counts are a function of
+//! its seed. The socket suites in `aft-net` cover resets on real sockets.
 //!
 //! A third **connection-scale leg** opens hundreds to thousands of raw
 //! loopback connections against one server and holds them resident while a

@@ -6,9 +6,8 @@ use std::time::Duration;
 use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::{AftNode, NodeConfig};
 use aft_faas::{FaasPlatform, PlatformConfig, RetryPolicy};
-use aft_storage::latency::LatencyProfile;
+use aft_storage::latency::{LatencyProfile, SeatClock};
 use aft_storage::{BackendConfig, BackendKind, LatencyMode, SharedStorage};
-use aft_types::clock::TickingClock;
 use aft_workload::history::{self, Attempt, Verdict};
 use aft_workload::{AftDriver, DynamoTxnDriver, PlainDriver, Timer};
 
@@ -79,25 +78,32 @@ pub fn node_template(caching: bool) -> NodeConfig {
     }
 }
 
-/// A figure's single AFT node over `storage`, its commit timestamps from a
-/// ticking clock.
+/// A figure's single AFT node over `storage`, its timestamps from its
+/// callers' seats ([`SeatClock`]).
 pub fn node(storage: SharedStorage, caching: bool, seed: u64) -> Arc<AftNode> {
     let config = node_template(caching).with_seed(seed);
-    AftNode::with_clock(config, storage, TickingClock::shared(1, 1))
+    AftNode::with_clock(config, storage, SeatClock::shared())
         .expect("node construction only fails on storage errors")
 }
 
-/// A figure's `nodes`-node cluster over `storage`, on a ticking clock. Its
-/// maintenance runs where the figure's loop says, never in the background.
+/// A figure's `nodes`-node cluster over `storage`, its timestamps from its
+/// callers' seats ([`SeatClock`]). Its maintenance runs where the figure's
+/// loop says, never in the background.
 pub fn cluster(storage: SharedStorage, nodes: usize, caching: bool, gc: bool) -> Arc<Cluster> {
-    let config = ClusterConfig {
+    let config = cluster_config(nodes, caching, gc);
+    Cluster::with_clock(config, storage, SeatClock::shared()).expect("cluster construction")
+}
+
+/// The configuration of a figure's cluster: `nodes` nodes from
+/// [`node_template`], GC on or off, and a failed node replaced at once.
+fn cluster_config(nodes: usize, caching: bool, gc: bool) -> ClusterConfig {
+    ClusterConfig {
         initial_nodes: nodes,
         node_template: node_template(caching),
         gc_enabled: gc,
         replacement_delay: Duration::ZERO,
         ..ClusterConfig::default()
-    };
-    Cluster::with_clock(config, storage, TickingClock::shared(1, 1)).expect("cluster construction")
+    }
 }
 
 /// A cluster's maintenance round every second of virtual time, the paper's
@@ -170,7 +176,12 @@ pub fn aft_label(kind: BackendKind, caching: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aft_workload::{run_closed_loop, RequestDriver, RunConfig, WorkloadConfig};
+    use aft_storage::StorageStatsSnapshot;
+    use aft_types::clock::{Clock, SharedClock};
+    use aft_types::Timestamp;
+    use aft_workload::{
+        run_closed_loop, run_virtual_loop, RequestDriver, RunConfig, RunResult, WorkloadConfig,
+    };
 
     #[test]
     fn fast_mode_is_off_for_unset_empty_and_zero() {
@@ -218,6 +229,48 @@ mod tests {
             .unwrap();
             assert_eq!(result.completed, 5, "driver {}", driver.name());
         }
+    }
+
+    /// A clock that reads its inner clock twice per read.
+    struct ReadTwice(SharedClock);
+
+    impl Clock for ReadTwice {
+        fn now(&self) -> Timestamp {
+            let _ = self.0.now();
+            self.0.now()
+        }
+    }
+
+    /// A figure-shaped seated run over `clock`: a two-node cluster with GC
+    /// on, its maintenance timer, and eight clients in a virtual loop. Its
+    /// latencies, storage calls and GC deletions.
+    fn seated_run(clock: SharedClock) -> (RunResult, StorageStatsSnapshot, u64) {
+        let storage = virtual_backend(BackendKind::DynamoDb, 7);
+        let cluster = Cluster::with_clock(cluster_config(2, true, true), storage.clone(), clock)
+            .expect("cluster construction");
+        let driver = AftDriver::clustered(Arc::clone(&cluster), platform(), retry());
+        let workload = WorkloadConfig::standard().with_zipf(1.5);
+        let config = RunConfig::new(workload)
+            .with_clients(8)
+            .with_requests(40)
+            .with_seed(7);
+        let run = run_virtual_loop(&driver, &config, vec![maintenance(&cluster)]).unwrap();
+        (run, storage.stats().snapshot(), cluster.total_gc_deleted())
+    }
+
+    #[test]
+    fn a_clock_read_is_not_an_event_in_a_seated_run() {
+        let (once, calls, deleted) = seated_run(SeatClock::shared());
+        let (twice, calls_twice, deleted_twice) =
+            seated_run(Arc::new(ReadTwice(SeatClock::shared())));
+        assert_eq!(once.latency, twice.latency);
+        assert_eq!(
+            (once.completed, once.elapsed),
+            (twice.completed, twice.elapsed)
+        );
+        assert_eq!(calls, calls_twice);
+        assert_eq!(deleted, deleted_twice);
+        assert!(deleted > 0, "GC deleted transactions");
     }
 
     #[test]

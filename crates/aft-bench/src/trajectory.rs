@@ -34,9 +34,11 @@
 //!   request, and, where writes are cut, those that orphan data. A walk
 //!   panics on a schedule with an anomaly.
 //!
-//! All run on virtual time: the scripts on a ticking mock clock with latency
-//! off, the figures, fig11 and fig8's chaos leg in their virtual-time loops,
-//! the matrix on one seeded stepper, the walks on one stepper each.
+//! All run on virtual time: the scripts on a ticking clock with latency off
+//! (no time passes in them, so a clock read orders their commits), the
+//! figures, fig11 and fig8's chaos leg in their virtual-time loops on the
+//! seats' clock, the matrix on one seeded stepper, the walks on one stepper
+//! each.
 //!
 //! `aft-bench trajectory` recomputes the set and appends it as a new row,
 //! stamped with the commit the row was measured on top of (`git rev-parse

@@ -150,3 +150,26 @@ fn a_failed_scan_leaves_the_reports_it_took_to_the_next() {
     assert_eq!(stats.recovered_commits, 1);
     readable_everywhere(&cluster, "reported");
 }
+
+#[test]
+fn an_acked_commit_in_the_millisecond_the_manager_has_seen_is_recovered() {
+    // The clock never advances: every commit ties on its timestamp, and the
+    // manager's horizon passes the one millisecond there is.
+    let clock = MockClock::starting_at(1_000);
+    let (cluster, _) = Twist::cluster(2, InMemoryStore::shared(), &clock);
+    for _ in 0..10 {
+        commit_on(&cluster.route().unwrap(), "history").unwrap();
+    }
+    cluster.run_maintenance_round().unwrap();
+
+    // Acked, then its node dies before a round drains it.
+    let node = cluster.registry().get("aft-node-1").unwrap();
+    let id = commit_on(&node, "acked").unwrap();
+    assert_eq!(id.timestamp, 1_000);
+    cluster.kill_node("aft-node-1");
+
+    let stats = cluster.run_maintenance_round().unwrap();
+    assert_eq!(stats.recovered_commits, 1);
+    assert!(cluster.fault_manager().metadata().is_committed(&id));
+    readable_everywhere(&cluster, "acked");
+}

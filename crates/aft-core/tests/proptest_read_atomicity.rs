@@ -11,15 +11,20 @@
 //!   cowritten set} is smaller, and must answer exactly what the
 //!   definitional loops — which walk the whole cowritten set — answer;
 //! * `get` and `get_all` must read the same values into the same read set.
+//!
+//! Timestamps repeat throughout, as a node's do when it commits more than
+//! once in a millisecond, and the UUIDs that break the ties (§3.1) are drawn
+//! apart from them.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use aft_core::read::{is_atomic_readset, select_version, ReadSet, VersionChoice};
 use aft_core::{AftNode, MetadataCache, NodeConfig};
 use aft_storage::{InMemoryStore, SharedStorage};
-use aft_types::clock::TickingClock;
-use aft_types::{Key, TransactionId, TransactionRecord, Uuid, Value};
+use aft_types::clock::Clock;
+use aft_types::{Key, Timestamp, TransactionId, TransactionRecord, Uuid, Value};
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -33,9 +38,27 @@ fn value_for(counter: u64) -> Value {
     Bytes::from(format!("value-{counter}"))
 }
 
-fn node() -> Arc<AftNode> {
+/// A clock that gives each timestamp to `repeat` reads in a row. A
+/// transaction reads it at its start and at its commit, so up to about
+/// `repeat / 2` commits in a row tie.
+struct Repeating {
+    reads: AtomicU64,
+    repeat: u64,
+}
+
+impl Clock for Repeating {
+    fn now(&self) -> Timestamp {
+        1 + self.reads.fetch_add(1, Ordering::Relaxed) / self.repeat
+    }
+}
+
+fn node(repeat: u64) -> Arc<AftNode> {
     let storage: SharedStorage = InMemoryStore::shared();
-    AftNode::with_clock(NodeConfig::test(), storage, TickingClock::shared(1, 1)).unwrap()
+    let clock = Arc::new(Repeating {
+        reads: AtomicU64::new(0),
+        repeat,
+    });
+    AftNode::with_clock(NodeConfig::test(), storage, clock).unwrap()
 }
 
 /// Commits one transaction writing every key in `keys`.
@@ -144,8 +167,11 @@ fn universe_key(k: u8) -> Key {
     }
 }
 
-fn record_id(n: u64) -> TransactionId {
-    TransactionId::new(n, Uuid::from_u128(n as u128))
+/// Write `n`'s id: one of five timestamps, and a UUID whose high bits are
+/// drawn and whose low bits are `n`, so ids are distinct and a tie orders by
+/// the draw, not by `n`.
+fn record_id(n: u64, ts: u64, draw: u8) -> TransactionId {
+    TransactionId::new(ts, Uuid::from_u128(u128::from(draw) << 64 | u128::from(n)))
 }
 
 proptest! {
@@ -158,7 +184,12 @@ proptest! {
     #[test]
     fn read_path_checks_agree_with_the_definitional_loops(
         writes in proptest::collection::vec(
-            (proptest::collection::vec(0..16u8, 0..4), prop_oneof![3 => Just(false), 1 => Just(true)]),
+            (
+                proptest::collection::vec(0..16u8, 0..4),
+                prop_oneof![3 => Just(false), 1 => Just(true)],
+                1..6u64,
+                0..4u8,
+            ),
             1..24,
         ),
         reads in proptest::collection::vec((0..20u8, 0..26u64), 0..24),
@@ -167,25 +198,34 @@ proptest! {
     ) {
         let metadata = MetadataCache::new();
         let mut records = Records::new();
-        for (n, (keys, wide)) in writes.iter().enumerate() {
+        for (n, (keys, wide, ts, draw)) in writes.iter().enumerate() {
             let padding = (0..if *wide { 500 } else { 0 }).map(|i| Key::new(format!("pad-{i:03}")));
             let record = TransactionRecord::new(
-                record_id(n as u64 + 1),
+                record_id(n as u64 + 1, *ts, *draw),
                 keys.iter().map(|k| universe_key(*k)).chain(padding),
             );
             metadata.insert(Arc::new(record.clone()));
             records.insert(record.id, record);
         }
+        // Version `n` is write `n`'s id, NULL for 0, and one never committed
+        // past the writes.
+        let version = |n: u64| match n {
+            0 => TransactionId::NULL,
+            n => writes.get(n as usize - 1).map_or_else(
+                || record_id(n, n % 5 + 1, 4),
+                |(_, _, ts, draw)| record_id(n, *ts, *draw),
+            ),
+        };
         // Some records are gone again (GC), so reads can name a version whose
-        // record is unknown; version 0 is NULL and 25 was never committed.
+        // record is unknown.
         for n in collected {
-            metadata.remove(&record_id(n));
-            records.remove(&record_id(n));
+            metadata.remove(&version(n));
+            records.remove(&version(n));
         }
 
         let observed: Vec<(Key, TransactionId)> = reads
             .iter()
-            .map(|(k, n)| (universe_key(*k), record_id(*n)))
+            .map(|(k, n)| (universe_key(*k), version(*n)))
             .collect();
         prop_assert_eq!(
             is_atomic_readset(&observed, &metadata),
@@ -221,8 +261,9 @@ proptest! {
         earlier in proptest::collection::vec(0..4u8, 0..4),
         concurrent in proptest::collection::vec(proptest::collection::vec(0..6u8, 2..5), 0..6),
         keys in proptest::collection::vec(0..6u8, 1..8),
+        repeat in 1..8u64,
     ) {
-        let node = node();
+        let node = node(repeat);
         let named = |ks: &[u8]| ks.iter().map(|k| key_name(*k)).collect::<Vec<Key>>();
         let mut counter = 0u64;
         for write_set in &history {
@@ -284,9 +325,10 @@ proptest! {
     /// storage.
     #[test]
     fn visible_data_always_has_a_durable_commit_record(
-        writes in proptest::collection::vec((0..6u8, any::<bool>()), 1..40)
+        writes in proptest::collection::vec((0..6u8, any::<bool>()), 1..40),
+        repeat in 1..8u64,
     ) {
-        let node = node();
+        let node = node(repeat);
         let mut committed_values = Vec::new();
         let mut aborted_values = Vec::new();
         let mut counter = 0u64;
@@ -315,14 +357,17 @@ proptest! {
     }
 
     /// Local GC plus supersedence never loses the *latest* committed version
-    /// of any key: a fresh transaction always reads the newest value.
+    /// of any key: a fresh transaction always reads the newest value, the
+    /// one with the largest id (of two commits in one millisecond, the
+    /// larger UUID's, whichever committed last).
     #[test]
     fn gc_never_hides_the_latest_version(
         writes in proptest::collection::vec(0..4u8, 1..60),
-        gc_every in 1usize..8
+        gc_every in 1usize..8,
+        repeat in 1..8u64,
     ) {
-        let node = node();
-        let mut latest: HashMap<Key, Value> = HashMap::new();
+        let node = node(repeat);
+        let mut latest: HashMap<Key, (TransactionId, Value)> = HashMap::new();
         let mut counter = 0u64;
 
         for (i, k) in writes.iter().enumerate() {
@@ -330,8 +375,11 @@ proptest! {
             counter += 1;
             let value = value_for(counter);
             node.put(&t, key_name(*k), value.clone()).unwrap();
-            node.commit(&t).unwrap();
-            latest.insert(key_name(*k), value);
+            let id = node.commit(&t).unwrap();
+            let newest = latest.entry(key_name(*k)).or_insert((id, value.clone()));
+            if id > newest.0 {
+                *newest = (id, value);
+            }
             if i % gc_every == 0 {
                 node.run_local_gc();
             }
@@ -339,7 +387,7 @@ proptest! {
         node.run_local_gc();
 
         let reader = node.start_transaction();
-        for (key, expected) in &latest {
+        for (key, (_, expected)) in &latest {
             let got = node.get(&reader, key).unwrap();
             prop_assert_eq!(got.as_ref(), Some(expected), "key {} lost its latest version", key);
         }

@@ -16,6 +16,9 @@
 //! versions of records that are not superseded. A second history interleaves
 //! what the collectors do — retire debited versions, remove superseded
 //! records — and holds all three to their definitions minus what it retired.
+//! Both draw ids whose timestamps repeat, as a node's do when it commits
+//! more than once in a millisecond, with UUIDs drawn apart from them: ties
+//! on the timestamp order by UUID (§3.1).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -29,20 +32,25 @@ use proptest::prelude::*;
 /// One step of a randomly generated history of the cache.
 #[derive(Debug, Clone)]
 enum Step {
-    /// Insert the record with this timestamp and these keys. Timestamps come
-    /// from a small space, so ids arrive out of order and known ids are
+    /// Insert the record with this id and these keys. Ids come from a small
+    /// space ([`arb_id`]), so they arrive out of order and known ids are
     /// re-inserted (with whatever write set this draw carries — a no-op); the
     /// key list may be empty or repeat a key.
-    Insert(u64, Vec<u8>),
-    /// Remove the record with this timestamp, superseded or not.
-    Remove(u64),
+    Insert(TransactionId, Vec<u8>),
+    /// Remove the record with this id, superseded or not.
+    Remove(TransactionId),
+}
+
+/// One of 48 ids: 16 timestamps, each with any of 3 UUIDs.
+fn arb_id() -> impl Strategy<Value = TransactionId> {
+    (0..16u64, 0..3u128).prop_map(|(ts, uuid)| TransactionId::new(ts, Uuid::from_u128(uuid)))
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
     prop_oneof![
-        2 => (0..48u64, proptest::collection::vec(0..6u8, 0..5))
-            .prop_map(|(ts, keys)| Step::Insert(ts, keys)),
-        1 => (0..48u64).prop_map(Step::Remove),
+        2 => (arb_id(), proptest::collection::vec(0..6u8, 0..5))
+            .prop_map(|(id, keys)| Step::Insert(id, keys)),
+        1 => arb_id().prop_map(Step::Remove),
     ]
 }
 
@@ -51,7 +59,11 @@ fn tid(ts: u64) -> TransactionId {
 }
 
 fn record(ts: u64, keys: impl IntoIterator<Item = Key>) -> Arc<TransactionRecord> {
-    Arc::new(TransactionRecord::new(tid(ts), keys))
+    record_of(tid(ts), keys)
+}
+
+fn record_of(id: TransactionId, keys: impl IntoIterator<Item = Key>) -> Arc<TransactionRecord> {
+    Arc::new(TransactionRecord::new(id, keys))
 }
 
 /// Algorithm 2 recomputed over the whole cache.
@@ -150,16 +162,16 @@ proptest! {
         let cache = MetadataCache::new();
         for step in steps {
             match &step {
-                Step::Insert(ts, keys) => {
-                    let known = cache.is_committed(&tid(*ts));
-                    let inserted = cache.insert(record(
-                        *ts,
+                Step::Insert(id, keys) => {
+                    let known = cache.is_committed(id);
+                    let inserted = cache.insert(record_of(
+                        *id,
                         keys.iter().copied().map(small_key),
                     ));
                     prop_assert_eq!(inserted, !known);
                 }
-                Step::Remove(ts) => {
-                    cache.remove(&tid(*ts));
+                Step::Remove(id) => {
+                    cache.remove(id);
                 }
             }
             let set: Vec<TransactionId> = cache
@@ -182,8 +194,8 @@ proptest! {
         let mut retired = Retired::new();
         for step in steps {
             match &step {
-                CollectorStep::Insert(ts, keys) => {
-                    cache.insert(record(*ts, keys.iter().copied().map(small_key)));
+                CollectorStep::Insert(id, keys) => {
+                    cache.insert(record_of(*id, keys.iter().copied().map(small_key)));
                 }
                 CollectorStep::Retire(up_to) => {
                     let due: Vec<KeyVersion> = cache
@@ -215,7 +227,7 @@ proptest! {
 #[derive(Debug, Clone)]
 enum CollectorStep {
     /// As [`Step::Insert`].
-    Insert(u64, Vec<u8>),
+    Insert(TransactionId, Vec<u8>),
     /// Retire the debited versions of transactions up to this timestamp.
     Retire(u64),
     /// Remove the superseded records up to this timestamp.
@@ -224,10 +236,10 @@ enum CollectorStep {
 
 fn arb_collector_step() -> impl Strategy<Value = CollectorStep> {
     prop_oneof![
-        4 => (0..48u64, proptest::collection::vec(0..6u8, 0..5))
-            .prop_map(|(ts, keys)| CollectorStep::Insert(ts, keys)),
-        1 => (0..48u64).prop_map(CollectorStep::Retire),
-        1 => (0..48u64).prop_map(CollectorStep::Collect),
+        4 => (arb_id(), proptest::collection::vec(0..6u8, 0..5))
+            .prop_map(|(id, keys)| CollectorStep::Insert(id, keys)),
+        1 => (0..16u64).prop_map(CollectorStep::Retire),
+        1 => (0..16u64).prop_map(CollectorStep::Collect),
     ]
 }
 

@@ -19,7 +19,8 @@
 //! how a full experiment (tens of thousands of transactions) finishes in
 //! seconds at full scale. [`Permits`] is that loop's one semaphore: a
 //! server's workers and a platform's concurrency slots, where a seated
-//! thread that finds none free waits in virtual time.
+//! thread that finds none free waits in virtual time. [`SeatClock`] is its
+//! clock: what a node seated at that table timestamps with.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -27,6 +28,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use aft_types::clock::{Clock, SharedClock};
+use aft_types::Timestamp;
 use parking_lot::{Condvar, Mutex};
 use rand::Rng;
 
@@ -169,6 +172,10 @@ impl Turns {
         }
     }
 
+    fn clock(&self, seat: usize) -> Duration {
+        self.state.lock().clocks[seat].expect("a held seat has a clock")
+    }
+
     fn advance(&self, seat: usize, by: Duration) {
         let mut state = self.state.lock();
         let clock = state.clocks[seat].expect("a seat advances until it leaves");
@@ -231,7 +238,7 @@ pub struct Seat {
 impl Seat {
     /// This seat's clock.
     pub fn now(&self) -> Duration {
-        self.turns.state.lock().clocks[self.seat].expect("a held seat has a clock")
+        self.turns.clock(self.seat)
     }
 
     /// Advances this seat's clock by `duration` and waits for its turn.
@@ -259,6 +266,42 @@ impl Drop for Seat {
         if let Some(&(_, next)) = state.queue.first() {
             self.turns.wake[next].notify_one();
         }
+    }
+}
+
+/// The clock of nodes whose callers sit at a [`Turns`] table: the seats'
+/// virtual time is what they timestamp with.
+///
+/// A thread inside [`Seat::scope`] reads its seat's clock in whole
+/// milliseconds plus one (time zero reads 1, above the null timestamp) and
+/// raises a high-water mark to it. Any other thread (set-up and preload
+/// before the run, a timer seat, the read-back after it) reads the mark.
+/// Either way a read returns a time the run has reached and changes nothing
+/// it can observe: reading twice is reading once. Commits in one
+/// millisecond tie on the timestamp and order by UUID (§3.1).
+#[derive(Debug)]
+pub struct SeatClock {
+    mark: AtomicU64,
+}
+
+impl SeatClock {
+    /// A shared seat clock; its mark starts at 1.
+    pub fn shared() -> SharedClock {
+        Arc::new(SeatClock {
+            mark: AtomicU64::new(1),
+        })
+    }
+}
+
+impl Clock for SeatClock {
+    fn now(&self) -> Timestamp {
+        let seated = SEATED.with(|s| s.borrow().as_ref().map(|(turns, seat)| turns.clock(*seat)));
+        let Some(clock) = seated else {
+            return self.mark.load(Ordering::SeqCst);
+        };
+        let now = clock.as_millis() as Timestamp + 1;
+        self.mark.fetch_max(now, Ordering::SeqCst);
+        now
     }
 }
 
@@ -874,6 +917,28 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn a_seat_clock_reads_the_seat_and_an_unseated_thread_the_mark() {
+        let clock = SeatClock::shared();
+        assert_eq!(clock.now(), 1, "no seated read yet");
+        let reads = Mutex::new(Vec::new());
+        seated(2, |index, seat| {
+            // Seat 0 reads at 2.5 ms and runs on to 9 ms; seat 1 reads at
+            // 7 ms, twice.
+            let at = [2_500, 7_000][index];
+            seat.sleep(Duration::from_micros(at));
+            let (now, again) = (clock.now(), clock.now());
+            assert_eq!((now, again), (at / 1_000 + 1, now), "seat {index}");
+            assert_eq!(now, seat.now().as_millis() as u64 + 1);
+            reads.lock().push((index, now));
+            if index == 0 {
+                seat.sleep(Duration::from_micros(6_500));
+            }
+        });
+        assert_eq!(reads.into_inner(), [(0, 3), (1, 8)]);
+        assert_eq!(clock.now(), 8, "the latest seated read, not the seats' end");
     }
 
     #[test]

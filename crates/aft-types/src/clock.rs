@@ -111,8 +111,12 @@ impl Clock for MockClock {
 
 /// A clock that ticks forward by a fixed amount on every read.
 ///
-/// Useful for tests that need strictly monotonically increasing commit
-/// timestamps without manually advancing a [`MockClock`].
+/// Every read is an event: it moves the next timestamp. That suits runs in
+/// which no time passes and a read is what orders commits: the seeded
+/// stepper and the walker (fig10's matrix, `aft_workload::sim`), the
+/// trajectory's scripts, a piped client's `begin`, the examples and unit
+/// tests. A run seated at a `Turns` table timestamps from its seats instead
+/// (`aft_storage::latency::SeatClock`), where a read is not an event.
 #[derive(Debug, Default)]
 pub struct TickingClock {
     next: AtomicU64,
