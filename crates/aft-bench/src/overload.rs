@@ -43,12 +43,17 @@
 //! The report's sheets are `capacity`, `points` (a row per multiplier) and
 //! `chaos`, in `BENCH_overload.json`; [`checks`] names each clause of the
 //! gate that CI's `overload-gate` job enforces.
+//!
+//! The `chaos` sheet's `duplicate_commits`, like the trajectory's
+//! `fig11.tiny.duplicate_commits`, is 0 by construction: the client makes
+//! one attempt a call (`max_attempts: 1` in `leg`) and a generator retries
+//! a failed commit as a fresh transaction. ROADMAP item 8 walks resends.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use aft_core::api::AftApi;
-use aft_core::PhaseHook;
+use aft_core::{NetFault, PhaseHook};
 use aft_net::{AftClient, AftServer};
 use aft_storage::io::RetryConfig;
 use aft_storage::latency::Seat;
@@ -56,7 +61,7 @@ use aft_storage::BackendKind;
 use aft_types::{Key, Value, WireStats};
 use aft_workload::history::{self, History, Recorder};
 use aft_workload::run_seated;
-use aft_workload::sim::{Seeded, Shared};
+use aft_workload::sim::{Answered, Seeded, Shared};
 
 use crate::cli::{Args, Outcome};
 use crate::report::{ensure, percentile_ms, Report, Sheet, Verdict};
@@ -486,17 +491,14 @@ pub fn fig11_overload(config: &OverloadConfig) -> Report {
 
     // Chaos leg: connection faults layered on top of 4× saturation. The
     // protection stack and the lost-ack machinery must both hold at once.
-    let schedule = Seeded::new(config.seed ^ 0x0C4A05, None).resets(
-        RESET_RATE,
-        DELAY_RATE,
-        Duration::from_millis(1),
-    );
+    let delay = Duration::from_millis(1);
+    let schedule = Seeded::new(config.seed ^ 0x0C4A05, None).resets(RESET_RATE, DELAY_RATE, delay);
     let schedule = Shared::new(schedule);
     let threads = ((config.base_threads as f64 * 4.0).ceil() as usize).max(1);
     let point = (threads, config.point_duration, capacity_rps * 4.0);
     let hook = Some(schedule.clone() as Arc<dyn PhaseHook>);
     let (outcome, verdict, server) = leg(config, config.seed ^ 0xC4A0, hook, point);
-    let delivered = schedule.lock().delivered();
+    let delivered = |fault| schedule.count(|a| matches!(a, Answered::Deliver(_, f) if *f == fault));
     let mut chaos = Sheet::new(
         "chaos",
         "fig11_overload — the 4x point with connection faults",
@@ -512,8 +514,8 @@ pub fn fig11_overload(config: &OverloadConfig) -> Report {
             outcome.failed as f64,
             verdict.anomalies() as f64,
             verdict.lost_acked_writes as f64,
-            (delivered.resets_before_send + delivered.resets_after_send) as f64,
-            delivered.delayed_acks as f64,
+            (delivered(NetFault::ResetBeforeSend) + delivered(NetFault::ResetAfterSend)) as f64,
+            delivered(NetFault::DelayAck(delay)) as f64,
             server.overload_rejections as f64,
             server.shed_requests as f64,
             server.duplicate_commits as f64,

@@ -61,11 +61,11 @@ use aft_core::api::AftApi;
 use aft_core::{CommitPhase, NodeConfig};
 use aft_faas::{FaasChaos, FailureInjector};
 use aft_net::{AftClient, AftServer};
-use aft_storage::{BackendKind, CutStore, StorageEngine};
+use aft_storage::{BackendKind, CutStore};
 use aft_types::clock::TickingClock;
 use aft_types::{AftResult, Key};
 use aft_workload::history::Attempt;
-use aft_workload::sim::{self, Deployment, Op, Request, Seeded, Shared};
+use aft_workload::sim::{self, Answered, Deployment, Op, Request, Seeded, Shared};
 
 use crate::cli::{Args, Flag, Outcome};
 use crate::report::{ensure, percentile_ms, Report, Sheet, Verdict};
@@ -444,8 +444,6 @@ fn requests(config: &RecoveryConfig) -> Vec<Vec<Request>> {
 /// built fault-free.
 struct Trial {
     cluster: Arc<Cluster>,
-    /// Storage as every node sees it, cut where the schedule says.
-    storage: Arc<CutStore>,
     /// A service client piped into the cluster, in a networked trial: the
     /// schedule resets its connections (including in the lost-ack window)
     /// and delays its acks.
@@ -492,12 +490,8 @@ impl Trial {
             replacement_delay: Duration::ZERO,
             ..ClusterConfig::default()
         };
-        let cluster = Cluster::with_clock(
-            cluster_config,
-            storage.clone(),
-            TickingClock::shared(1_000, 1),
-        )
-        .expect("fault-free construction: storage faults are off until the load starts");
+        let cluster = Cluster::with_clock(cluster_config, storage, TickingClock::shared(1_000, 1))
+            .expect("fault-free construction: storage faults are off until the load starts");
         let client = networked.then(|| {
             AftClient::builder()
                 .pool_size(config.clients.max(2))
@@ -512,7 +506,6 @@ impl Trial {
         });
         Trial {
             cluster,
-            storage,
             client,
             schedule,
         }
@@ -551,15 +544,15 @@ fn run_trial(
     let networked = fault_mode.networked();
     let trial = Trial::set_up(backend, trial_seed, schedule, networked, config);
     let cluster = &trial.cluster;
-    let billed = trial.storage.stats().snapshot();
+    let billed = cluster.storage().stats().snapshot();
     trial.schedule.lock().storage_faults(true);
     // A failed round is the next's to retry.
     let load = sim::run(&trial, requests(config), &mut &*trial.schedule);
 
     // The load is done; drive recovery to convergence.
     let outcome = drive_recovery(cluster, 200);
-    let storage_calls = trial
-        .storage
+    let storage_calls = cluster
+        .storage()
         .stats()
         .snapshot()
         .delta_since(&billed)
@@ -576,10 +569,9 @@ fn run_trial(
     let active = cluster.active_nodes();
     let io_retries =
         active.iter().map(|n| n.io().stats().retries).sum::<u64>() + cluster.io().stats().retries;
-    let (request_faults, failed_invocations) = {
-        let schedule = trial.schedule.lock();
-        (schedule.delivered().total(), schedule.failed_invocations())
-    };
+    // Every armed layer's faults but the kill, and each record held back.
+    let injected = |a: &Answered| !matches!(a, Answered::Phase(..) | Answered::Hold(..));
+    let faults_injected = trial.schedule.count(injected);
     let verdict = settled_verdict(cluster, &load.history);
 
     TrialResult {
@@ -599,13 +591,7 @@ fn run_trial(
         recovery_rounds: outcome.rounds as u64,
         io_retries,
         client_retries: load.client_retries,
-        // Every armed layer counts: storage faults, held deliveries at the
-        // disseminator, connection faults at the SDK, and platform failure
-        // points.
-        faults_injected: trial.storage.transients()
-            + cluster.disseminator().totals().link_drops as u64
-            + request_faults
-            + failed_invocations,
+        faults_injected: faults_injected + cluster.disseminator().totals().link_drops as u64,
         storage_calls,
     }
 }
@@ -871,8 +857,8 @@ mod tests {
                 RecoveryConfig::tiny().nodes
             );
             assert_eq!(
-                trial.storage.transients(),
-                0,
+                trial.schedule.answered(),
+                [],
                 "construction runs with storage faults off"
             );
             // The leg is armed all the same: it bites once the load starts.

@@ -50,6 +50,7 @@ use std::time::{Duration, Instant};
 
 use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
+use aft_core::NetFault;
 use aft_faas::{FaasPlatform, PlatformConfig, RetryPolicy};
 use aft_net::frame::{read_frame, write_frame};
 use aft_net::{AftClient, AftServer};
@@ -57,7 +58,7 @@ use aft_storage::io::RetryConfig;
 use aft_storage::{BackendConfig, BackendKind, SharedStorage};
 use aft_types::wire::{decode_response, encode_request, WireRequest, WireResponse};
 use aft_workload::history::{Attempt, History, Recorder};
-use aft_workload::sim::{Seeded, Shared};
+use aft_workload::sim::{Answered, Seeded, Shared};
 use aft_workload::{run_closed_loop, run_virtual_loop, AftDriver, RunConfig, WorkloadConfig};
 
 use crate::cli::{Args, Outcome};
@@ -550,11 +551,8 @@ pub fn fig8_service(config: &ServiceConfig) -> Report {
 /// timer; then the checker grades every call the SDK made and what the
 /// cluster serves. Returns the `chaos` sheet.
 pub fn chaos_leg(config: &ServiceConfig) -> Sheet {
-    let schedule = Seeded::new(config.seed ^ 0xC4A05, None).resets(
-        RESET_RATE,
-        DELAY_RATE,
-        Duration::from_millis(1),
-    );
+    let delay = Duration::from_millis(1);
+    let schedule = Seeded::new(config.seed ^ 0xC4A05, None).resets(RESET_RATE, DELAY_RATE, delay);
     let schedule = Shared::new(schedule);
     let cluster = setup::cluster(memory_store(), NODES, true, true);
     let server = AftServer::builder()
@@ -579,7 +577,7 @@ pub fn chaos_leg(config: &ServiceConfig) -> Sheet {
     let result = run_virtual_loop(&driver, &run, vec![maintenance(&cluster)])
         .expect("chaos closed-loop run");
 
-    let delivered = schedule.lock().delivered();
+    let delivered = |fault| schedule.count(|a| matches!(a, Answered::Deliver(_, f) if *f == fault));
     let client_stats = client.stats();
     let server_stats = AftClient::builder().pipe(&server).server_stats();
     // The preload's commits are in the history too: they are acked as well.
@@ -595,9 +593,9 @@ pub fn chaos_leg(config: &ServiceConfig) -> Sheet {
         result.completed,
         result.failed,
         verdict.anomalies(),
-        delivered.resets_before_send,
-        delivered.resets_after_send,
-        delivered.delayed_acks,
+        delivered(NetFault::ResetBeforeSend),
+        delivered(NetFault::ResetAfterSend),
+        delivered(NetFault::DelayAck(delay)),
         attempts.iter().filter_map(Attempt::acked).count() as u64,
         verdict.lost_acked_writes,
         client_stats.duplicate_acks,

@@ -27,7 +27,8 @@
 //! every open attempt; after a kill it replaces the node only when none is
 //! left active. A [`Shape::piped`] deployment's clients speak the wire
 //! protocol over in-memory pipes, so each request they send is one more
-//! question. These answers are the repository's one fault vocabulary.
+//! question. These answers are the repository's one fault vocabulary;
+//! [`Shared`] logs each but a pass, in order ([`Answered`]).
 //!
 //! [`Seeded`] samples one schedule, never crashes, fails or parks, kills
 //! only where [`Seeded::kill`] says, and fails calls, holds batches and
@@ -35,7 +36,7 @@
 //! model checking: it walks the choice tree depth first within a
 //! [`Scope`]'s budgets, replaying each schedule on a fresh cluster, and
 //! [`walk`] panics on a schedule that [`settle`] finds at fault, naming the
-//! choice list that [`Exhaustive::replay`] re-runs. It walks a request's
+//! choice list that [`Exhaustive::replay`] re-runs and the log. It walks a request's
 //! reset after its send, not a split of its bytes: over a pipe a request
 //! runs only once its last byte arrives, so where its bytes split changes
 //! no order of AFT calls (the session's own tests split every burst).
@@ -114,8 +115,8 @@ pub struct Run {
     pub racing_rounds: u64,
     /// Maintenance rounds that returned an error.
     pub failed_rounds: u64,
-    /// Restarts of the whole cluster after a storage crash.
-    pub restarts: u64,
+    /// [`Shared`]'s log, which [`settle`] hands back; [`run`] leaves it empty.
+    pub answered: Vec<Answered>,
 }
 
 /// What a step does.
@@ -203,9 +204,6 @@ pub struct Seeded {
     /// stay cut.
     cut: f64,
     cut_rounds: Range<u64>,
-    delivered: Delivered,
-    /// Invocations whose fate was a failure.
-    failed: u64,
 }
 
 /// The stepper's salt: decorrelates its stream from the nodes' UUID streams,
@@ -229,24 +227,6 @@ fn fnv1a(names: [&str; 2]) -> u64 {
     bytes.fold(0xCBF2_9CE4_8422_2325, |hash, byte| {
         (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3)
     })
-}
-
-/// The request faults a [`Seeded`] schedule answered, by kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Delivered {
-    /// Connections reset before the request was sent.
-    pub resets_before_send: u64,
-    /// Connections reset after the send, before the answer (lost acks).
-    pub resets_after_send: u64,
-    /// Answers that arrived late.
-    pub delayed_acks: u64,
-}
-
-impl Delivered {
-    /// Every fault, of any kind.
-    pub fn total(&self) -> u64 {
-        self.resets_before_send + self.resets_after_send + self.delayed_acks
-    }
 }
 
 /// A planned kill: the victim, its phase, how many times the victim passes
@@ -277,8 +257,6 @@ impl Seeded {
             requests: 0,
             cut: 0.0,
             cut_rounds: 0..0,
-            delivered: Delivered::default(),
-            failed: 0,
         }
     }
 
@@ -317,16 +295,6 @@ impl Seeded {
         self.storage_faults = on;
     }
 
-    /// The request faults answered so far.
-    pub fn delivered(&self) -> Delivered {
-        self.delivered
-    }
-
-    /// The invocations failed so far.
-    pub fn failed_invocations(&self) -> u64 {
-        self.failed
-    }
-
     /// Kills `victim` the `after + 1`th time it reaches `phase`, without a
     /// draw. At [`CommitPhase::DuringCheckpointBootstrap`] the victim dies at
     /// [`CommitPhase::BeforeBroadcast`], its commit durable but silent, and
@@ -353,9 +321,7 @@ impl Schedule for Seeded {
     }
 
     fn fate(&mut self) -> Option<FailurePoint> {
-        let fate = self.injector.as_deref().and_then(FailureInjector::decide);
-        self.failed += u64::from(fate.is_some());
-        fate
+        self.injector.as_deref().and_then(FailureInjector::decide)
     }
 
     fn cut(&mut self, _: usize) -> Cut {
@@ -378,11 +344,8 @@ impl Schedule for Seeded {
         if !self.cut_rounds.contains(&round) {
             return false;
         }
-        let pair = if sender <= receiver {
-            [sender, receiver]
-        } else {
-            [receiver, sender]
-        };
+        let mut pair = [sender, receiver];
+        pair.sort();
         let mut rng = fault_stream(self.seed, PARTITION_SALT, fnv1a(pair));
         rng.gen_range(0.0..1.0) < self.cut
     }
@@ -390,21 +353,11 @@ impl Schedule for Seeded {
     fn deliver(&mut self, _: &str) -> NetFault {
         self.requests += 1;
         let mut rng = fault_stream(self.seed, NET_SALT, self.requests - 1);
-        let draw: f64 = rng.gen_range(0.0..1.0);
-        let counted = &mut self.delivered;
-        if draw < self.resets {
-            if rng.gen_bool(0.5) {
-                counted.resets_after_send += 1;
-                NetFault::ResetAfterSend
-            } else {
-                counted.resets_before_send += 1;
-                NetFault::ResetBeforeSend
-            }
-        } else if draw < self.resets + self.delays {
-            counted.delayed_acks += 1;
-            NetFault::DelayAck(self.delay)
-        } else {
-            NetFault::None
+        match rng.gen_range(0.0..1.0) {
+            draw if draw < self.resets && rng.gen_bool(0.5) => NetFault::ResetAfterSend,
+            draw if draw < self.resets => NetFault::ResetBeforeSend,
+            draw if draw < self.resets + self.delays => NetFault::DelayAck(self.delay),
+            _ => NetFault::None,
         }
     }
 
@@ -646,19 +599,56 @@ impl Schedule for Exhaustive {
     }
 }
 
+/// One answer of a [`Shared`] schedule but a pass, with the question's arguments.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Answered {
+    /// An invocation's fate ([`Schedule::fate`]).
+    Fate(FailurePoint),
+    /// How a storage call of so many units ended ([`Schedule::cut`]).
+    Cut(usize, Cut),
+    /// What a node did at a phase ([`Schedule::phase`]).
+    Phase(String, CommitPhase, Answer),
+    /// A batch held in a round, by sender and receiver ([`Schedule::hold`]).
+    Hold(u64, String, String),
+    /// What the network did to a request of a verb ([`Schedule::deliver`]).
+    Deliver(String, NetFault),
+}
+
 /// A schedule that the stepper, a [`CutStore`] and every node's
-/// [`PhaseHook`] all ask, one question at a time.
-pub struct Shared<S>(Mutex<S>);
+/// [`PhaseHook`] all ask, one question at a time, and its log ([`Answered`]).
+pub struct Shared<S>(Mutex<S>, Mutex<Vec<Answered>>);
 
 impl<S> Shared<S> {
     /// Shares `schedule`.
     pub fn new(schedule: S) -> Arc<Self> {
-        Arc::new(Shared(Mutex::new(schedule)))
+        Arc::new(Shared(Mutex::new(schedule), Mutex::default()))
     }
 
     /// The schedule, between questions.
     pub fn lock(&self) -> MutexGuard<'_, S> {
         self.0.lock()
+    }
+
+    /// Every answer but a pass so far, in the order given.
+    pub fn answered(&self) -> Vec<Answered> {
+        self.1.lock().clone()
+    }
+
+    /// The answers so far that `pred` picks.
+    pub fn count(&self, pred: impl Fn(&Answered) -> bool) -> u64 {
+        self.1.lock().iter().filter(|a| pred(a)).count() as u64
+    }
+
+    /// Asks the schedule, logging its answer under its lock unless a pass.
+    fn ask<T: Copy>(
+        &self,
+        ask: impl FnOnce(&mut S) -> T,
+        log: impl FnOnce(T) -> Option<Answered>,
+    ) -> T {
+        let mut schedule = self.0.lock();
+        let answer = ask(&mut schedule);
+        self.1.lock().extend(log(answer));
+        answer
     }
 }
 
@@ -670,7 +660,7 @@ impl<S> std::fmt::Debug for Shared<S> {
 
 impl<S: Schedule + Send> CutHook for Shared<S> {
     fn cut(&self, units: usize) -> Cut {
-        self.0.lock().cut(units)
+        Schedule::cut(&mut &*self, units)
     }
 }
 
@@ -679,8 +669,7 @@ impl<S: Schedule + Send> CutHook for Shared<S> {
 impl<S: Schedule + Send> PhaseHook for Shared<S> {
     fn at(&self, node: &str, phase: CommitPhase) -> AftResult<()> {
         let parkable = PARKING.with(|parking| parking.borrow().is_some());
-        let answer = self.0.lock().phase(node, phase, parkable);
-        match answer {
+        match Schedule::phase(&mut &*self, node, phase, parkable) {
             Answer::Go => Ok(()),
             Answer::Park => park(node, phase),
             Answer::Kill => Err(killed(node, phase)),
@@ -688,37 +677,42 @@ impl<S: Schedule + Send> PhaseHook for Shared<S> {
     }
 
     fn hold(&self, round: u64, sender: &str, receiver: &str) -> bool {
-        self.0.lock().hold(round, sender, receiver)
+        Schedule::hold(&mut &*self, round, sender, receiver)
     }
 
     fn deliver(&self, verb: &str) -> NetFault {
-        self.0.lock().deliver(verb)
+        Schedule::deliver(&mut &*self, verb)
     }
 }
 
+/// The one place a shared schedule is asked, so each answer is logged once.
 impl<S: Schedule> Schedule for &Shared<S> {
     fn step(&mut self, options: &[Step]) -> Step {
         self.0.lock().step(options)
     }
 
     fn fate(&mut self) -> Option<FailurePoint> {
-        self.0.lock().fate()
+        self.ask(S::fate, |fate| fate.map(Answered::Fate))
     }
 
     fn cut(&mut self, units: usize) -> Cut {
-        self.0.lock().cut(units)
+        let log = |cut| (cut != Cut::Pass).then_some(Answered::Cut(units, cut));
+        self.ask(|s| s.cut(units), log)
     }
 
     fn phase(&mut self, node: &str, phase: CommitPhase, parkable: bool) -> Answer {
-        self.0.lock().phase(node, phase, parkable)
+        let log = |a| (a != Answer::Go).then(|| Answered::Phase(node.into(), phase, a));
+        self.ask(|s| s.phase(node, phase, parkable), log)
     }
 
     fn hold(&mut self, round: u64, sender: &str, receiver: &str) -> bool {
-        self.0.lock().hold(round, sender, receiver)
+        let log = |held: bool| held.then(|| Answered::Hold(round, sender.into(), receiver.into()));
+        self.ask(|s| s.hold(round, sender, receiver), log)
     }
 
     fn deliver(&mut self, verb: &str) -> NetFault {
-        self.0.lock().deliver(verb)
+        let log = |f| (f != NetFault::None).then(|| Answered::Deliver(verb.into(), f));
+        self.ask(|s| s.deliver(verb), log)
     }
 
     fn parks(&self) -> bool {
@@ -853,13 +847,14 @@ pub fn walk(shape: Shape, clients: &[Vec<Request>], scope: Scope) -> Walked {
     let mut schedule = Exhaustive::replay(scope, &[]);
     let mut walked = Walked::default();
     loop {
-        let (_, verdict, stored) = settle(shape, clients, &mut schedule);
+        let (run, verdict, stored) = settle(shape, clients, &mut schedule);
         assert!(
             verdict.anomalies() + verdict.lost_acked_writes + stored.dangling + stored.unrecovered
                 == 0,
-            "{shape:?}, {scope:?}, schedule {:?} (`Exhaustive::replay` re-runs it): \
-             {verdict:?}, {stored:?}",
-            schedule.choices()
+            "{shape:?}, {scope:?}, schedule {:?} (`Exhaustive::replay` re-runs it), answered \
+             {:?}: {verdict:?}, {stored:?}",
+            schedule.choices(),
+            run.answered
         );
         walked.schedules += 1;
         walked.duplicated += u64::from(verdict.duplicate_requests > 0);
@@ -887,6 +882,7 @@ pub fn settle(
     config.node_template.phase_hook = Some(shared.clone());
     let deployment = Restarting {
         storage: CutStore::new(storage, shared.clone()),
+        schedule: shared.clone(),
         checked: Cell::default(),
         clock: TickingClock::shared(1, 1),
         cluster: RefCell::default(),
@@ -896,7 +892,7 @@ pub fn settle(
         config,
     };
     deployment.boot();
-    let run = run(&deployment, clients.to_vec(), &mut &*shared);
+    let mut run = run(&deployment, clients.to_vec(), &mut &*shared);
     // The GC owes a passed-over delete one round, a cut round is the next
     // one's to redo, and a held batch goes in a later one.
     for rounds in 1.. {
@@ -911,7 +907,8 @@ pub fn settle(
             break;
         }
     }
-    *schedule = std::mem::take(&mut shared.0.lock());
+    *schedule = std::mem::take(&mut shared.lock());
+    run.answered = shared.answered();
     let cluster = deployment.cluster();
     let keys = history::written_keys(&run.history);
     let mut verdict = history::check(&run.history, &FinalRead::new());
@@ -1032,6 +1029,7 @@ impl Deployment for Arc<Cluster> {
 /// does.
 struct Restarting {
     storage: Arc<CutStore>,
+    schedule: Arc<Shared<Exhaustive>>,
     /// Cuts the dangling check has seen, and what it found.
     checked: Cell<(u64, u64)>,
     config: ClusterConfig,
@@ -1079,9 +1077,11 @@ impl Deployment for Restarting {
     /// write: a later retry may supersede them before any read.
     fn restart(&self) -> bool {
         let (seen, found) = self.checked.get();
-        if self.storage.cuts() > seen {
+        let cut = |a: &Answered| matches!(a, Answered::Cut(_, Cut::Crash(_) | Cut::Fail(_)));
+        let cuts = self.schedule.count(cut);
+        if cuts > seen {
             let found = found + dangling(self.storage.inner());
-            self.checked.set((self.storage.cuts(), found));
+            self.checked.set((cuts, found));
         }
         if !self.storage.crashed() {
             return false;
@@ -1156,7 +1156,6 @@ pub fn run(
         }
         stepper.run.steps += 1;
         if deployment.restart() {
-            stepper.run.restarts += 1;
             for client in &mut clients {
                 if let Some(attempt) = client.open.take() {
                     if let Some(task) = attempt.parked {
@@ -1389,7 +1388,9 @@ mod tests {
         };
         let write_then_read = vec![vec![request("w a"), request("r a")]];
         // Each budget, spent in some schedule of its scope.
-        let budgets = |s: Scope| [s.parks, s.kills, s.transients, s.holds, s.resets];
+        let budgets = |s: Scope| [s.crashes, s.parks, s.kills, s.transients, s.holds, s.resets];
+        // Each answer but a pass spends one fault budget.
+        let faults = |s: Scope| s.failures + s.fails + budgets(s).iter().sum::<u32>();
         for (shape, clients, scope) in [
             (Shape::nodes(2), rmw, duplicate),
             (Shape::nodes(1), pair, cuts),
@@ -1398,7 +1399,7 @@ mod tests {
             (piped, write_then_read, resets),
         ] {
             let mut schedule = Exhaustive::replay(scope, &[]);
-            let (mut restarts, mut spent) = (0, [false; 5]);
+            let mut spent = [false; 6];
             loop {
                 let (walked, ..) = settle(shape, &clients, &mut schedule);
                 let left = budgets(schedule.left);
@@ -1410,12 +1411,12 @@ mod tests {
                 let (replayed, ..) = settle(shape, &clients, replay);
                 assert_eq!(replayed, walked, "{choices:?}");
                 assert_eq!(replay.left, schedule.left, "{choices:?}");
-                restarts += walked.restarts;
+                let spent_faults = faults(scope) - faults(schedule.left);
+                assert_eq!(walked.answered.len(), spent_faults as usize, "{choices:?}");
                 if !schedule.advance() {
                     break;
                 }
             }
-            assert_eq!(restarts > 0, scope.crashes > 0, "{scope:?}");
             assert_eq!(spent, budgets(scope).map(|b| b > 0), "{scope:?}");
         }
     }
@@ -1555,13 +1556,9 @@ mod tests {
     fn rates_map_to_the_right_fault_kinds() {
         let mut schedule = Seeded::new(3, None).resets(0.5, 0.5, DELAY);
         let faults: Vec<NetFault> = (0..400).map(|_| schedule.deliver("get")).collect();
-        let delivered = schedule.delivered();
-        assert!(delivered.resets_before_send > 0);
-        assert!(delivered.resets_after_send > 0, "lost acks occur");
-        assert!(delivered.delayed_acks > 0);
+        assert!(faults.contains(&NetFault::ResetBeforeSend));
+        assert!(faults.contains(&NetFault::ResetAfterSend));
         assert!(faults.contains(&NetFault::DelayAck(DELAY)));
-        let injected = faults.iter().filter(|f| **f != NetFault::None).count();
-        assert_eq!(delivered.total(), injected as u64);
         assert_eq!(schedule.requests, 400);
     }
 
@@ -1576,7 +1573,37 @@ mod tests {
             assert!(!schedule.hold(round, "a", "b"));
             assert_eq!(schedule.fate(), None);
         }
-        assert_eq!(schedule.delivered().total(), 0);
+    }
+
+    #[test]
+    fn each_answer_but_a_pass_is_logged_once_whoever_asks() {
+        // Every leg answers, invocations fail, and `n1` dies the fourth time
+        // it reaches `BeforeBroadcast`.
+        let at = CommitPhase::BeforeBroadcast;
+        let mut schedule = every_leg(11).kill("n1", at, 3);
+        let fates = FailureInjector::new(5, aft_faas::FaasChaos::uniform(0.3));
+        schedule.injector = Some(Arc::new(fates));
+        let (shared, mut faults) = (Shared::new(schedule), 0);
+        for (round, (a, b)) in (0..4).cycle().zip(pairs().iter().take(40)) {
+            // Storage's and the nodes' hooks, then the stepper's `&Shared`.
+            let asked = &mut &*shared;
+            let answers = [
+                CutHook::cut(&*shared, 2) != Cut::Pass,
+                asked.cut(0) != Cut::Pass,
+                PhaseHook::hold(&*shared, round, a, b),
+                asked.hold(round, b, a),
+                PhaseHook::deliver(&*shared, "commit") != NetFault::None,
+                asked.deliver("get") != NetFault::None,
+                PhaseHook::at(&*shared, "n1", at).is_err(),
+                asked.phase("n1", at, false) != Answer::Go,
+                asked.fate().is_some(),
+            ];
+            faults += answers.into_iter().filter(|&fault| fault).count();
+        }
+        let answered = shared.answered();
+        assert_eq!(answered.len(), faults);
+        let kinds: HashSet<_> = answered.iter().map(std::mem::discriminant).collect();
+        assert_eq!(kinds.len(), 5, "every kind of answer: {answered:?}");
     }
 
     #[test]
