@@ -688,9 +688,10 @@ pub fn check_fig4(fig4: &Sheet) -> Verdict {
 /// the median at 100% reads is below the median at 0%.
 ///
 /// *Departure:* the Redis column commits a transaction's data and record in
-/// one `MSET` where they share a hash slot (`commit_batcher.rs`), a round
-/// trip §6.1.2's implementation could not save, so its write-heavy end is
-/// cheaper than the paper's and the column is nearly flat.
+/// one `MSET` where they share a hash slot (`aft-core`'s
+/// `node/commit_path.rs`), a round trip §6.1.2's implementation could not
+/// save, so its write-heavy end is cheaper than the paper's and the column
+/// is nearly flat.
 pub fn check_fig5(fig5: &Sheet) -> Verdict {
     for config in ["AFT-D Caching", "AFT-R Caching"] {
         let median = |reads| fig5.value(&[config, reads], "median_ms");

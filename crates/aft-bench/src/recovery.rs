@@ -283,7 +283,9 @@ pub struct TrialResult {
     pub io_retries: u64,
     /// Whole-transaction retries performed by clients.
     pub client_retries: u64,
-    /// Faults every armed layer injected.
+    /// Faults every armed layer injected: every answer of the schedule but
+    /// the kill, so a batch counts once a round it is held, whatever it
+    /// carried.
     pub faults_injected: u64,
     /// API calls the backend billed over the load and the recovery drive,
     /// every [`OpKind`](aft_storage::OpKind) summed; the verification's
@@ -569,9 +571,6 @@ fn run_trial(
     let active = cluster.active_nodes();
     let io_retries =
         active.iter().map(|n| n.io().stats().retries).sum::<u64>() + cluster.io().stats().retries;
-    // Every armed layer's faults but the kill, and each record held back.
-    let injected = |a: &Answered| !matches!(a, Answered::Phase(..) | Answered::Hold(..));
-    let faults_injected = trial.schedule.count(injected);
     let verdict = settled_verdict(cluster, &load.history);
 
     TrialResult {
@@ -591,9 +590,16 @@ fn run_trial(
         recovery_rounds: outcome.rounds as u64,
         io_retries,
         client_retries: load.client_retries,
-        faults_injected: faults_injected + cluster.disseminator().totals().link_drops as u64,
+        faults_injected: faults_injected(&trial.schedule),
         storage_calls,
     }
+}
+
+/// Every fault a trial's schedule answered but the kill: one a storage
+/// call, request or invocation it failed, and one a batch of commit records
+/// it held in a round, however many records the batch carried.
+fn faults_injected(schedule: &Shared<Seeded>) -> u64 {
+    schedule.count(|a| !matches!(a, Answered::Phase(..)))
 }
 
 /// What one [`drive_recovery`] call observed.
@@ -890,6 +896,28 @@ mod tests {
         // exact: a change that moves them changes what the matrix runs.
         assert_eq!(cells.sum("recovered_commits"), 7.0);
         assert_eq!(cells.sum("io_retries"), 20.0);
+    }
+
+    #[test]
+    fn a_held_batch_is_one_fault_however_many_records_it_carries() {
+        // Every link is cut in every round, and three commits on the first
+        // of two nodes make one batch for its peer.
+        let config = &RecoveryConfig {
+            nodes: 2,
+            ..RecoveryConfig::tiny()
+        };
+        let schedule = Seeded::new(7, None).partition(1.0, 0..u64::MAX);
+        let trial = Trial::set_up(BackendKind::Memory, 7, schedule, false, config);
+        let node = &trial.cluster.active_nodes()[0];
+        for i in 0..3 {
+            let t = node.start_transaction();
+            node.put(&t, Key::new(format!("k{i}")), "v".into()).unwrap();
+            node.commit(&t).unwrap();
+        }
+        trial.cluster.run_maintenance_round().unwrap();
+        let records = trial.cluster.disseminator().totals().link_drops;
+        assert_eq!(records, 3, "the batch held carries all three");
+        assert_eq!(faults_injected(&trial.schedule), 1);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   a read-only transaction costs, and what the global GC leaves behind;
 //! * the tiny `fig10_recovery` matrix ([`RecoveryConfig::tiny`]): its
 //!   recovered commits, its absorbed (retried) storage faults, its requests
-//!   acknowledged and acknowledged twice, and the storage calls it billed,
-//!   each a column sum of its report's `cells` sheet — so storage calls per
-//!   acknowledged request is a ratio of two exact counts;
+//!   acknowledged and acknowledged twice, the storage calls it billed and
+//!   the faults it injected, each a column sum of its report's `cells`
+//!   sheet — so storage calls per acknowledged request is a ratio of two
+//!   exact counts;
 //! * the paper's figures at the test size ([`crate::experiments`]): Table
 //!   2's RYW and FR cells on its five rows, and Figure 9's deleted
 //!   transactions and live data versions with GC on and off;
@@ -381,6 +382,7 @@ fn measure() -> Vec<Metric> {
         ("duplicate_requests", "duplicate_requests"),
         ("acked_requests", "acknowledged_commits"),
         ("storage_calls", "storage_calls"),
+        ("faults_injected", "faults_injected"),
     ] {
         put(format!("fig10.tiny.{name}"), cells.sum(column));
     }

@@ -15,8 +15,10 @@
 //!   [`crate::cluster`]; the detection hook lives here.
 //!
 //! A scan costs what committed since the previous one, not the commit set:
-//! it sends one `List`, ranged to start at the manager's *floor*, and only
-//! the keys from there on are parsed and probed. Each node reports, by
+//! it sends one `List`, ranged to start at the manager's *floor*
+//! ([`StorageEngine::list_prefix_after`](aft_storage::StorageEngine::list_prefix_after),
+//! which a store with ordered keys ranges), and only the keys from there on
+//! are parsed and probed; `MaintenanceStats::scan_listed` counts them. Each node reports, by
 //! timestamp, every commit whose record may be in storage with nobody to
 //! multicast it: one under way or one whose flush failed after sending its
 //! record (in the drain that hands out its records,

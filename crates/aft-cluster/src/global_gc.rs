@@ -43,6 +43,9 @@
 //! long partition sends a bounded batch and the next round takes the rest.
 //! Like the rest of the maintenance round, a GC round costs what changed
 //! since the last one: the walks cover the superseded and debited sets.
+//! Records and versions pass the same agreement check, no active node's
+//! view holding them, so nodes keep no tombstones, and every row holds, a
+//! round later, only the versions some node still holds.
 //!
 //! The paper collects whole transactions only (§5.2); deleting versions keeps
 //! one cold key from pinning every dead version its transaction wrote.

@@ -7,7 +7,7 @@
 //!
 //! * **no dirty reads** — transactions only read data from transactions whose
 //!   commit record is durable, enforced by the write-ordering commit protocol
-//!   in [`node`] (§3.3);
+//!   of the [`node`]'s commit path (§3.3);
 //! * **no fractured reads** — every read extends the transaction's read set
 //!   into an Atomic Readset, enforced by the read protocol ([`read`],
 //!   Algorithm 1, §3.4);
@@ -20,8 +20,8 @@
 //! recently committed transaction records and a per-key version index, and an
 //! optional *data cache* ([`data_cache`]) holding hot key-version payloads
 //! (evaluated in §6.2). Commit metadata exchange between nodes, supersedence
-//! ([`supersede`], Algorithm 2) and local garbage collection ([`gc`], §5.1)
-//! keep those caches bounded.
+//! ([`supersede`], Algorithm 2) and local garbage collection
+//! ([`AftNode::run_local_gc`], §5.1) keep those caches bounded.
 //!
 //! Everything distributed — multicast, the fault manager, global garbage
 //! collection — lives in the `aft-cluster` crate; this crate is strictly the
@@ -29,9 +29,7 @@
 
 pub mod api;
 pub mod bootstrap;
-pub mod commit_batcher;
 pub mod data_cache;
-pub mod gc;
 pub mod metadata;
 pub mod node;
 pub mod read;
@@ -41,15 +39,18 @@ pub mod write_buffer;
 
 pub use api::{AftApi, CommitOutcome};
 pub use bootstrap::BootstrapOutcome;
-pub use commit_batcher::BatchStats;
 pub use data_cache::DataCache;
-pub use gc::GcOutcome;
 pub use metadata::MetadataCache;
 pub use node::{
-    AftNode, CheckpointPolicy, CommitDrain, CommitPhase, NetFault, NodeCheckpointOutcome,
-    NodeConfig, PhaseHook, TransactionHandle,
+    AftNode, BatchStats, CheckpointPolicy, CommitDrain, CommitPhase, GcOutcome, NetFault,
+    NodeCheckpointOutcome, NodeConfig, PhaseHook,
 };
 pub use read::{select_version, ReadSet};
 pub use stats::{LatencyRecorder, NodeStats, NodeStatsSnapshot};
 pub use supersede::is_superseded;
 pub use write_buffer::{ActiveTransaction, WriteBuffer};
+
+// The commit flush's unit tests, under the module name they run as.
+#[cfg(test)]
+#[path = "node/tests/flush.rs"]
+mod commit_batcher;

@@ -50,7 +50,8 @@
 //! 16 bytes per key written, so 88 bytes for a two-key transaction. (A
 //! write set kept as an ordered tree cost a 192-byte leaf on top.) A debited
 //! pair is a 40-byte tree entry that lives from the overwrite to the next
-//! sweep.
+//! sweep. `tests/metadata_footprint.rs` pins these bytes under a counting
+//! allocator.
 //!
 //! Time is bounded the same way, for the whole maintenance round and not
 //! only its collectors: they walk the superseded and debited sets, the fault

@@ -1,102 +1,15 @@
-//! The commit flush: the paper's two storage round trips, or one where the
-//! store applies a multi-key write all-or-nothing.
-//!
-//! The paper's commit protocol issues, per transaction, one batched write for
-//! the transaction's key versions and one write for its commit record (§3.3),
-//! and the shim must add no round trip of its own. `flush` is that
-//! sequence — the data items submitted concurrently through
-//! [`aft_storage::io::IoEngine`], a **barrier** on their completions, then
-//! the record — and every commit on a node goes through it, on the
-//! committing thread, whether or not a phase hook is asked. Batching
-//! (§6.1.1) is *within* one transaction's writes: `IoEngine::put_all` uses
-//! the backend's batch API where it has one.
-//!
-//! §3.3 orders the two writes so that no record ever names missing data. A
-//! store whose one call lands all-or-nothing gives that guarantee by itself,
-//! so where the data and the record fit in one such call (a Redis `MSET`
-//! within the transaction's hash slot), the record rides last in the data's
-//! call and a commit is one round trip. This departs from the paper's
-//! implementation on purpose, as the Redis row's one-slot batching already
-//! does; every other row keeps the two round trips.
-//!
-//! Nothing coordinates the flushes of different transactions, and nothing
-//! needs to: each key version lands at its own storage key and commit
-//! records of concurrent transactions are independent (§3.3). A commit's
-//! storage operations are therefore a function of the transaction alone,
-//! a second commit's data write overlaps the first's record append, and a
-//! transaction becomes visible (in the caller, after `flush` returns) only
-//! once its own commit record is durable.
+//! The commit flush's unit tests: `flush`, in `node/commit_path.rs`, driven
+//! on its own over an [`IoEngine`]. The crate root compiles this file as
+//! `commit_batcher`, so each test keeps its name
+//! `commit_batcher::tests::<name>`.
 
 use std::time::Duration;
 
 use aft_storage::io::IoEngine;
 use aft_types::{AftResult, CommitPhase, Value};
 
-/// A node's commit-flush counters, in the shape `benchmark/` reads them.
-/// Every commit is its own flush, so the three are one count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchStats {
-    /// Commits that reached the flush.
-    pub submitted: u64,
-    /// Storage flushes performed: one per commit.
-    pub flushes: u64,
-    /// Most commits in one flush: 1 once anything has committed.
-    pub largest_batch: u64,
-}
+use crate::node::flush;
 
-impl BatchStats {
-    /// The counters of a node that has flushed `commits` commits.
-    pub(crate) fn of(commits: u64) -> Self {
-        BatchStats {
-            submitted: commits,
-            flushes: commits,
-            largest_batch: commits.min(1),
-        }
-    }
-}
-
-/// The §3.3 commit flush of one transaction: every data item is submitted
-/// concurrently, the flush **barriers** on all their completions (all data
-/// durable first), and only then is the commit record written. Where the
-/// store writes the data and the record in one all-or-nothing call
-/// ([`StorageEngine::writes_atomically`](aft_storage::StorageEngine::writes_atomically)),
-/// the record goes last in the data's call instead: no reader can see it
-/// without the data, and no failure can leave it behind alone.
-///
-/// `before` is called ahead of each [`CommitPhase`] and its error abandons
-/// the flush at exactly that point, leaving in storage what the protocol had
-/// reached — the node's crash when its phase hook kills it there. On the
-/// one-call path both data phases come before the call, so a crash at either
-/// leaves storage untouched.
-/// Returns the charged storage latency: the data barrier's overlapped cost
-/// plus the record write's, or the one call's.
-pub(crate) fn flush(
-    io: &IoEngine,
-    mut data: Vec<(String, Value)>,
-    record: (String, Value),
-    mut before: impl FnMut(CommitPhase) -> AftResult<()>,
-) -> AftResult<Duration> {
-    before(CommitPhase::BeforeDataPut)?;
-    let keys: Vec<&str> = data
-        .iter()
-        .chain([&record])
-        .map(|(key, _)| key.as_str())
-        .collect();
-    let one_call = !data.is_empty() && io.storage().writes_atomically(&keys);
-    let cost = if one_call {
-        before(CommitPhase::BeforeRecordAppend)?;
-        data.push(record);
-        io.put_all(data)?
-    } else {
-        let data_cost = io.put_all(data)?;
-        before(CommitPhase::BeforeRecordAppend)?;
-        data_cost + io.put_all(vec![record])?
-    };
-    before(CommitPhase::BeforeBroadcast)?;
-    Ok(cost)
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use aft_storage::io::IoConfig;

@@ -639,7 +639,10 @@ impl IoEngine {
     /// The mirror of [`put_all`](IoEngine::put_all): backends with a native
     /// multi-key read get one `GetBatch` request (their own call-count limits
     /// apply); backends without one get one `Get` per key, issued together. A
-    /// single key is one `Get` either way, and no key is no call.
+    /// single key is one `Get` either way, and no key is no call. A node's
+    /// read misses, the bootstrap's replay, the fault manager's commit-set
+    /// scan, the checkpoint chunk load and compaction's record check all
+    /// read through it.
     pub fn get_all(&self, mut keys: Vec<String>) -> AftResult<(Vec<Option<Value>>, Duration)> {
         match keys.len() {
             0 => Ok((Vec::new(), Duration::ZERO)),

@@ -13,7 +13,8 @@
 //!   `[2][0x01][LEB128 key count]([LEB128 len][key bytes])*`. It carries no
 //!   id, because its storage key `commit/{ts:020}_{uuid}` names it. Every
 //!   blob in the Transaction Commit Set is written in this form, and
-//!   [`decode_keyed_commit_record`] reads the id back out of that key.
+//!   [`decode_keyed_commit_record`] reads the id back out of that key. A
+//!   two-key commit of 12-byte keys is 29 bytes.
 //! * **Id-carrying (version 1)**, [`encode_commit_record`]:
 //!   `[1][0x01][ts u64][uuid u128][u32 key count]([u32 len][key bytes])*`.
 //!   It stays where no key names the record: inside checkpoint chunks,

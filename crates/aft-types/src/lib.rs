@@ -85,6 +85,16 @@ pub fn slot_tag(storage_key: &str) -> &str {
     }
 }
 
+/// 64-bit FNV-1a over `bytes`. Its specification fixes it, unlike std's
+/// `DefaultHasher`, whose algorithm may change between releases, so what
+/// it picks is the same on every toolchain: a checkpoint id's low bits, or
+/// the links a seeded partition cuts.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xCBF2_9CE4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,5 +102,12 @@ mod tests {
     #[test]
     fn prefixes_are_distinct() {
         assert_ne!(DATA_PREFIX, COMMIT_PREFIX);
+    }
+
+    #[test]
+    fn fnv1a_matches_its_published_test_vectors() {
+        assert_eq!(fnv1a(*b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(*b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

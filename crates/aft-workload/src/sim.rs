@@ -60,7 +60,7 @@ use aft_storage::{
 };
 use aft_types::clock::TickingClock;
 use aft_types::{
-    AftError, AftResult, CommitPhase, Key, KeyVersion, SharedClock, TransactionId,
+    fnv1a, AftError, AftResult, CommitPhase, Key, KeyVersion, SharedClock, TransactionId,
     TransactionRecord, Uuid,
 };
 use parking_lot::{Mutex, MutexGuard};
@@ -217,18 +217,6 @@ const NET_SALT: u64 = 0x4E45_545F_4641_554C;
 /// The partition leg's salt.
 const PARTITION_SALT: u64 = 0x9A47_0000_CE11_EDB3;
 
-/// 64-bit FNV-1a over each name's bytes, each name followed by `0xFF`,
-/// which no UTF-8 string holds, so no two pairs feed it the same bytes. Its
-/// specification fixes it, unlike std's `DefaultHasher`, whose algorithm
-/// may change between releases: a recorded seed cuts the same edges on
-/// every toolchain.
-fn fnv1a(names: [&str; 2]) -> u64 {
-    let bytes = names.iter().flat_map(|name| name.bytes().chain([0xFF]));
-    bytes.fold(0xCBF2_9CE4_8422_2325, |hash, byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3)
-    })
-}
-
 /// A planned kill: the victim, its phase, how many times the victim passes
 /// the phase first, and whether the kill and its torn bootstrap happened.
 struct Kill {
@@ -346,7 +334,11 @@ impl Schedule for Seeded {
         }
         let mut pair = [sender, receiver];
         pair.sort();
-        let mut rng = fault_stream(self.seed, PARTITION_SALT, fnv1a(pair));
+        // Each name ends in `0xFF`, which no UTF-8 string holds, so no two
+        // pairs hash the same bytes, and a recorded seed cuts the same links
+        // on every toolchain.
+        let link = fnv1a(pair.iter().flat_map(|name| name.bytes().chain([0xFF])));
+        let mut rng = fault_stream(self.seed, PARTITION_SALT, link);
         rng.gen_range(0.0..1.0) < self.cut
     }
 
