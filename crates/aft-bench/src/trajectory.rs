@@ -20,6 +20,9 @@
 //! * the paper's figures at the test size ([`crate::experiments`]): Table
 //!   2's RYW and FR cells on its five rows, and Figure 9's deleted
 //!   transactions and live data versions with GC on and off;
+//! * Figure 2's pipelined table at 40 transactions a leg
+//!   ([`pipelined::sheet`]): each backend and mode's p50 and p99 commit
+//!   charge, p50 read charge and storage API calls;
 //! * the tiny `fig11_overload` sweep ([`OverloadConfig::tiny`]): the
 //!   server's admission rejections and queue-age sheds, the chaos leg's
 //!   resets and deduplicated commits, the commits, and the server's requests
@@ -65,6 +68,7 @@ use crate::cli::Clock;
 use crate::experiments::{fig3_and_table2, fig9_gc, DEFAULT_SEED};
 use crate::json::Json;
 use crate::overload::{fig11_overload, OverloadConfig};
+use crate::pipelined;
 use crate::recovery::{fig10_recovery, RecoveryConfig};
 use crate::report::round4;
 use crate::service::{chaos_leg, ServiceConfig};
@@ -372,6 +376,14 @@ fn measure() -> Vec<Metric> {
                 let name = format!("figures.{}.{row}.{column}", sheet.name);
                 put(name, sheet.value(labels, column));
             }
+        }
+    }
+    let fig2 = pipelined::sheet(40, DEFAULT_SEED);
+    for labels in fig2.keys() {
+        let (backend, mode) = (labels[0].to_lowercase(), &labels[1]);
+        for column in ["p50_commit_ms", "p99_commit_ms", "p50_read_ms", "api_calls"] {
+            let name = format!("fig2_pipelined.tiny.{backend}.{mode}.{column}");
+            put(name, fig2.value(labels, column));
         }
     }
     let fig10 = fig10_recovery(&RecoveryConfig::tiny());
