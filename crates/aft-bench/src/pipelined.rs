@@ -11,18 +11,22 @@
 //!   barriers, then appends the record (§3.3's order), and a multi-key read
 //!   overlaps its fetches.
 //!
-//! Latencies are the node's per-flush and per-read charges in virtual time:
-//! an overlapped batch charges its wave, not the sum of its calls.
+//! Latencies are each commit's and each read's charge in virtual time, taken
+//! around the node call with [`measure_cost`]: a commit charges its flush and
+//! a read its storage fetch, and an overlapped batch charges its wave, not
+//! the sum of its calls.
 //! [`experiments::figures`](crate::experiments::figures) writes the table as
 //! the `fig2_pipelined` sheet and [`check`] is one clause of Figure 2's
 //! shape check.
 
-use aft_storage::latency::SeatClock;
+use std::time::Duration;
+
+use aft_storage::latency::{measure_cost, SeatClock};
 use aft_storage::{BackendKind, IoConfig, SequentialEngine, SharedStorage};
 use aft_types::{payload_of_size, Key};
 use aft_workload::run_seated;
 
-use crate::report::{below, Sheet, Verdict};
+use crate::report::{below, percentile_ms, Sheet, Verdict};
 use crate::setup::virtual_backend;
 
 /// The `fig2_pipelined` sheet: a sequential and a pipelined leg of
@@ -90,34 +94,44 @@ fn io_leg(kind: BackendKind, overlapped: bool, transactions: usize, seed: u64) -
             .collect()
     };
     // One seat, so the node timestamps with the leg's virtual time.
-    run_seated(1, Vec::new(), |_, _| {
+    let seated = run_seated(1, Vec::new(), |_, _| {
+        let (mut commits, mut reads) = (Vec::new(), Vec::new());
         for t in 0..transactions {
             let txid = node.start_transaction();
             for key in group(t % groups) {
                 node.put(&txid, key, payload.clone()).unwrap();
             }
-            node.commit(&txid).unwrap();
+            let (committed, cost) = measure_cost(|| node.commit(&txid));
+            committed.unwrap();
+            commits.push(cost);
         }
         for r in 0..transactions {
             let txid = node.start_transaction();
-            let values = node.get_all(&txid, &group(r % groups)).unwrap();
+            let (values, cost) = measure_cost(|| node.get_all(&txid, &group(r % groups)));
             assert!(
-                values.iter().all(Option::is_some),
+                values.unwrap().iter().all(Option::is_some),
                 "every group was written"
             );
-            // A read-only commit's record-only flush would put ~1-RTT
-            // samples in the commit recorder.
+            reads.push(cost);
+            // A read-only commit would flush its record.
             node.abort(&txid).unwrap();
         }
+        (sorted_ms(&commits), sorted_ms(&reads))
     });
-    let commit = node.stats().commit_storage_latency();
-    let read = node.stats().read_storage_latency();
+    let (commits, reads) = &seated[0];
     vec![
-        commit.percentile_ms(0.5).unwrap_or(0.0),
-        commit.percentile_ms(0.99).unwrap_or(0.0),
-        read.percentile_ms(0.5).unwrap_or(0.0),
+        percentile_ms(commits, 0.5),
+        percentile_ms(commits, 0.99),
+        percentile_ms(reads, 0.5),
         node.storage().stats().total_calls() as f64,
     ]
+}
+
+/// `costs` in milliseconds (ns / 1e6), sorted.
+fn sorted_ms(costs: &[Duration]) -> Vec<f64> {
+    let mut ms: Vec<f64> = costs.iter().map(|c| c.as_nanos() as f64 / 1e6).collect();
+    ms.sort_by(f64::total_cmp);
+    ms
 }
 
 #[cfg(test)]

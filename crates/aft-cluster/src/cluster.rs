@@ -99,15 +99,10 @@ pub struct MaintenanceStats {
     /// committed since the previous scan and what nodes reported, not the
     /// whole commit set.
     pub scan_listed: usize,
-    /// Transactions deleted locally across all nodes this round.
-    pub local_gc_deleted: usize,
     /// Global GC outcome for the round (zero if disabled).
     pub global_gc: GlobalGcOutcome,
     /// Checkpoints published this round (nodes whose policy came due).
     pub checkpoints_written: usize,
-    /// Checkpoint rounds that failed (e.g. a kill mid-write);
-    /// the node's previous checkpoint stays live.
-    pub checkpoint_failures: usize,
     /// Commit records dropped by checkpoint-driven log compaction.
     pub compacted_records: u64,
 }
@@ -298,8 +293,7 @@ impl Cluster {
         stats.scan_listed = scan.listed;
         if self.config.gc_enabled {
             for node in &nodes {
-                let outcome = node.run_local_gc();
-                stats.local_gc_deleted += outcome.deleted;
+                node.run_local_gc();
             }
             stats.global_gc = self
                 .global_gc
@@ -322,19 +316,15 @@ impl Cluster {
             let compact = self.config.gc_enabled && membership_stable;
             let gc_view = compact.then(|| self.fault_manager.metadata());
             for node in &nodes {
-                match node.maybe_checkpoint(gc_view) {
-                    Ok(Some(outcome)) => {
-                        stats.checkpoints_written += 1;
-                        if let Some(compaction) = outcome.compaction {
-                            stats.compacted_records +=
-                                (compaction.deleted_covered + compaction.deleted_superseded) as u64;
-                        }
+                // A kill mid-checkpoint-write crashes the node, which the
+                // registry then counts failed; the round itself keeps going
+                // and the node's previous checkpoint stays live.
+                if let Ok(Some(outcome)) = node.maybe_checkpoint(gc_view) {
+                    stats.checkpoints_written += 1;
+                    if let Some(compaction) = outcome.compaction {
+                        stats.compacted_records +=
+                            (compaction.deleted_covered + compaction.deleted_superseded) as u64;
                     }
-                    Ok(None) => {}
-                    // A kill mid-checkpoint-write crashes the node, which the
-                    // registry then counts failed; the round itself keeps
-                    // going and the node's previous checkpoint stays live.
-                    Err(_) => stats.checkpoint_failures += 1,
                 }
             }
         }

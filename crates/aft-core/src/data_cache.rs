@@ -116,8 +116,6 @@ struct Stripe {
     free: Vec<u32>,
     /// Indexed by [`Segment`].
     lists: [List; 2],
-    hits: u64,
-    misses: u64,
 }
 
 impl Stripe {
@@ -132,8 +130,6 @@ impl Stripe {
             slab: Vec::new(),
             free: Vec::new(),
             lists: [empty(), empty()],
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -412,11 +408,7 @@ impl DataCache {
             return None;
         }
         let mut stripe = self.stripe(key).lock();
-        let Some(slot) = stripe.find(key, tid) else {
-            stripe.misses += 1;
-            return None;
-        };
-        stripe.hits += 1;
+        let slot = stripe.find(key, tid)?;
         stripe.touch(slot, self.protected_capacity);
         Some(stripe.entry(slot).value.clone())
     }
@@ -489,18 +481,6 @@ impl DataCache {
         }
         out
     }
-
-    /// `(hits, misses)` counters since creation.
-    pub fn hit_stats(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut misses = 0;
-        for stripe in &self.stripes {
-            let stripe = stripe.lock();
-            hits += stripe.hits;
-            misses += stripe.misses;
-        }
-        (hits, misses)
-    }
 }
 
 #[cfg(test)]
@@ -537,7 +517,6 @@ mod tests {
         put(&cache, "a", 1, 10);
         assert_eq!(get(&cache, "a", 1).unwrap().len(), 10);
         assert!(get(&cache, "a", 2).is_none(), "another version is a miss");
-        assert_eq!(cache.hit_stats(), (1, 2));
         assert_eq!(cache.bytes(), 10);
         assert_eq!(cache.len(), 1);
     }
@@ -705,8 +684,6 @@ mod tests {
         }
         assert!(cache.bytes() <= capacity);
         assert!(!cache.is_empty());
-        let (hits, misses) = cache.hit_stats();
-        assert_eq!(hits + misses, 0, "inserts alone record no lookups");
         // Values larger than one stripe's share are ignored, keeping the
         // per-stripe eviction loop well-defined.
         let before = cache.len();

@@ -32,12 +32,12 @@
 //! a second commit's data write overlaps the first's record append, and a
 //! transaction becomes visible (in [`AftNode::commit`], after `flush`
 //! returns) only once its own commit record is durable. The flush has no
-//! setting; the latency it charged is one sample of
-//! [`NodeStats::commit_storage_latency`](crate::NodeStats::commit_storage_latency).
+//! setting, and a commit charges its caller the flush's storage latency and
+//! nothing else: the caller times it with
+//! [`measure_cost`](aft_storage::latency::measure_cost).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 use aft_storage::io::{IoEngine, StorageRequest};
 use aft_types::codec::encode_keyed_commit_record;
@@ -269,7 +269,6 @@ impl AftNode {
         // 2. Persist the data and then the commit record (§3.3's flush: data
         //    puts overlapped, a barrier, then the record; one call where the
         //    store applies it all-or-nothing), on this thread.
-        //    Returns the charged storage latency once the record is durable.
         //    The phase hook is asked before every phase: its error is the
         //    node's crash, leaving exactly the storage state the protocol had
         //    reached by that point. A flush that fails after sending the
@@ -284,14 +283,10 @@ impl AftNode {
             record_sent |= phase == CommitPhase::BeforeRecordAppend;
             Ok(())
         });
-        let flush_cost = match flushed {
-            Ok(cost) => cost,
-            Err(e) => {
-                self.undrained.lock().fail(timestamp, record_sent);
-                return Err(e);
-            }
-        };
-        self.stats.commit_storage_latency().record(flush_cost);
+        if let Err(e) = flushed {
+            self.undrained.lock().fail(timestamp, record_sent);
+            return Err(e);
+        }
 
         // 3. Only now make the transaction visible to other requests.
         let record = Arc::new(record);
@@ -335,14 +330,14 @@ impl AftNode {
 /// reached — the node's crash when its phase hook kills it there. On the
 /// one-call path both data phases come before the call, so a crash at either
 /// leaves storage untouched.
-/// Returns the charged storage latency: the data barrier's overlapped cost
-/// plus the record write's, or the one call's.
+/// It charges the data barrier's overlapped latency plus the record write's,
+/// or the one call's.
 pub(crate) fn flush(
     io: &IoEngine,
     mut data: Vec<(String, Value)>,
     record: (String, Value),
     mut before: impl FnMut(CommitPhase) -> AftResult<()>,
-) -> AftResult<Duration> {
+) -> AftResult<()> {
     before(CommitPhase::BeforeDataPut)?;
     let keys: Vec<&str> = data
         .iter()
@@ -350,15 +345,14 @@ pub(crate) fn flush(
         .map(|(key, _)| key.as_str())
         .collect();
     let one_call = !data.is_empty() && io.storage().writes_atomically(&keys);
-    let cost = if one_call {
+    if one_call {
         before(CommitPhase::BeforeRecordAppend)?;
         data.push(record);
-        io.put_all(data)?
+        io.put_all(data)?;
     } else {
-        let data_cost = io.put_all(data)?;
+        io.put_all(data)?;
         before(CommitPhase::BeforeRecordAppend)?;
-        data_cost + io.put_all(vec![record])?
-    };
-    before(CommitPhase::BeforeBroadcast)?;
-    Ok(cost)
+        io.put_all(vec![record])?;
+    }
+    before(CommitPhase::BeforeBroadcast)
 }

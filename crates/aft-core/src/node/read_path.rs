@@ -6,10 +6,8 @@
 //! the committed version, and the choice joins the read set before the next
 //! key is selected, so a multi-key read is an Atomic Readset (§3.4). Then
 //! *fetch*: a data-cache hit costs no storage call, and every miss of one
-//! request goes to storage together, as one [`IoEngine::get_all`], whose
-//! charged latency is one sample of
-//! [`NodeStats::read_storage_latency`](crate::NodeStats::read_storage_latency).
-//! A fetched payload fills the data cache (`crate::data_cache`, §6.2); a
+//! request goes to storage together, as one [`IoEngine::get_all`]: a read
+//! charges its caller that call's latency and nothing else. A fetched payload fills the data cache (`crate::data_cache`, §6.2); a
 //! version deleted under a long reader fails the read with
 //! [`AftError::NoValidVersion`], and the client retries (§5.2.1).
 //!
@@ -125,8 +123,7 @@ impl AftNode {
             .iter()
             .map(|&(i, target)| KeyVersion::new(keys[i].clone(), target).storage_key())
             .collect();
-        let (values, cost) = self.io.get_all(storage_keys)?;
-        self.stats.read_storage_latency().record(cost);
+        let (values, _) = self.io.get_all(storage_keys)?;
         for ((i, target), value) in fetches.into_iter().zip(values) {
             out[i] = Some((self.fetched(txid, &keys[i], target, value)?, Some(target)));
         }
@@ -146,10 +143,7 @@ impl AftNode {
                 return Ok(Selected::Buffered(value));
             }
             match select_version(key, &txn.reads, &self.metadata) {
-                VersionChoice::NotFound => {
-                    self.stats.record_null_read();
-                    Ok(Selected::Null)
-                }
+                VersionChoice::NotFound => Ok(Selected::Null),
                 VersionChoice::NoValidVersion => Err(self.no_valid_version(txid, key)),
                 VersionChoice::Version(tid) => {
                     txn.reads.record(key.clone(), tid);

@@ -256,3 +256,57 @@ fn ensure_transaction_is_idempotent() {
     node.put(&t, Key::new("k"), val("v")).unwrap();
     node.commit(&t).unwrap();
 }
+
+#[test]
+fn a_commit_charges_nothing_but_storage() {
+    use aft_storage::io::IoConfig;
+    use aft_storage::latency::{measure_cost, LatencyProfile};
+    use aft_storage::{
+        LatencyMode, LatencyModel, SequentialEngine, Service, ServiceProfile, SimStore,
+        DEFAULT_STRIPES,
+    };
+    // Every call of this row costs exactly `x`: no variance, no per-item or
+    // per-KB cost, and no multi-key call, so the charges below are counts
+    // of round trips on the node's critical path, and a node call that
+    // charged anything else (an RPC, a second round trip) would show.
+    let x = Duration::from_millis(1);
+    let fixed = LatencyProfile::new(1_000.0, 1_000.0);
+    let service = Service {
+        profile: ServiceProfile {
+            read: fixed,
+            write: fixed,
+            delete: fixed,
+            list: fixed,
+        },
+        batch_delete: None,
+        ..Service::S3
+    };
+    let keys: Vec<Key> = (0..8).map(|i| Key::new(format!("k{i}"))).collect();
+    for (pipelined, commit_cost, read_cost) in [(true, 2 * x, x), (false, 9 * x, 8 * x)] {
+        let latency = LatencyModel::new(LatencyMode::Virtual, 1.0);
+        let store: SharedStorage = Arc::new(SimStore::of(service, latency, 5, DEFAULT_STRIPES));
+        let (storage, io): (SharedStorage, _) = if pipelined {
+            (store, IoConfig::pipelined())
+        } else {
+            (SequentialEngine::new(store), IoConfig::sequential())
+        };
+        let config = NodeConfig {
+            io,
+            rpc_profile: LatencyProfile::ZERO,
+            ..NodeConfig::test_without_cache()
+        };
+        let clock = aft_types::clock::TickingClock::shared(1_000, 1);
+        let node = AftNode::with_clock(config, storage, clock).unwrap();
+        let writer = node.start_transaction();
+        for key in &keys {
+            node.put(&writer, key.clone(), val("v")).unwrap();
+        }
+        let (committed, charged) = measure_cost(|| node.commit(&writer));
+        committed.unwrap();
+        assert_eq!(charged, commit_cost, "8-key commit, pipelined {pipelined}");
+        let reader = node.start_transaction();
+        let (read, charged) = measure_cost(|| node.get_all(&reader, &keys));
+        assert!(read.unwrap().iter().all(Option::is_some));
+        assert_eq!(charged, read_cost, "8-key read, pipelined {pipelined}");
+    }
+}

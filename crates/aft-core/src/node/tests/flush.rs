@@ -3,8 +3,6 @@
 //! `commit_batcher`, so each test keeps its name
 //! `commit_batcher::tests::<name>`.
 
-use std::time::Duration;
-
 use aft_storage::io::IoEngine;
 use aft_types::{AftResult, CommitPhase, Value};
 
@@ -17,7 +15,7 @@ mod tests {
     use bytes::Bytes;
     use parking_lot::{Condvar, Mutex};
     use std::sync::Arc;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     fn val(s: &str) -> Value {
         Bytes::copy_from_slice(s.as_bytes())
@@ -28,7 +26,7 @@ mod tests {
     }
 
     /// A flush of one transaction that no phase stops.
-    fn commit(io: &IoEngine, data: Vec<(String, Value)>, record_key: &str) -> AftResult<Duration> {
+    fn commit(io: &IoEngine, data: Vec<(String, Value)>, record_key: &str) -> AftResult<()> {
         flush(io, data, (record_key.to_owned(), val("r")), |_| Ok(()))
     }
 
@@ -245,7 +243,7 @@ mod tests {
 
     #[test]
     fn flush_reports_its_charged_storage_latency() {
-        use aft_storage::latency::LatencyProfile;
+        use aft_storage::latency::{measure_cost, LatencyProfile};
         use aft_storage::{
             LatencyMode, LatencyModel, Service, ServiceProfile, SimStore, DEFAULT_STRIPES,
         };
@@ -266,7 +264,8 @@ mod tests {
         let io = IoEngine::new(storage, IoConfig::pipelined());
         let data: Vec<(String, Value)> =
             (0..8).map(|i| (format!("data/k/{i}"), val("v"))).collect();
-        let cost = commit(&io, data, "commit/1").unwrap();
+        let (flushed, cost) = measure_cost(|| commit(&io, data, "commit/1"));
+        flushed.unwrap();
         assert!(
             cost >= Duration::from_millis(39) && cost <= Duration::from_millis(42),
             "barrier(max of 8 × 20ms) + record(20ms) ≈ 40ms, got {cost:?}"

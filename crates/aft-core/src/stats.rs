@@ -31,12 +31,10 @@ struct Reservoir {
     rng: StdRng,
 }
 
-/// A bounded, lock-striped reservoir of simulated-latency samples with
-/// percentile queries.
-///
-/// Records the storage latency charged per commit flush / per read fetch so
-/// experiments can report p50/p99 even in `LatencyMode::Virtual`, where no
-/// wall-clock time passes and the charge is the only observable cost.
+/// A bounded, lock-striped reservoir of latency samples with percentile
+/// queries: a node's commit-metadata propagation lag
+/// ([`NodeStats::propagation_lag`]), which only the node can time because
+/// only it sees a peer record's ingest.
 /// Writers pick a stripe from their thread identity, so concurrent clients
 /// record without contending; queries merge all stripes.
 #[derive(Debug)]
@@ -120,15 +118,6 @@ impl LatencyRecorder {
         let rank = ((samples.len() as f64 - 1.0) * p.clamp(0.0, 1.0)).round() as usize;
         Some(samples[rank] as f64 / 1_000_000.0)
     }
-
-    /// The mean sample in milliseconds, or `None` with no samples.
-    pub fn mean_ms(&self) -> Option<f64> {
-        let samples = self.merged();
-        if samples.is_empty() {
-            return None;
-        }
-        Some(samples.iter().sum::<u64>() as f64 / samples.len() as f64 / 1_000_000.0)
-    }
 }
 
 /// Counters describing one AFT node's activity.
@@ -142,17 +131,10 @@ pub struct NodeStats {
     reads_from_write_buffer: AtomicU64,
     reads_from_data_cache: AtomicU64,
     reads_from_storage: AtomicU64,
-    null_reads: AtomicU64,
     no_valid_version_aborts: AtomicU64,
     gc_transactions_deleted: AtomicU64,
     commits_received_from_peers: AtomicU64,
     duplicate_peer_commits: AtomicU64,
-    /// Simulated storage latency charged per commit flush (data barrier +
-    /// record append), as observed by this node's commits.
-    commit_storage_latency: LatencyRecorder,
-    /// Simulated storage latency charged per read that fetched payloads from
-    /// storage (single fetch or an overlapped multi-fetch barrier).
-    read_storage_latency: LatencyRecorder,
     /// Commit-metadata propagation lag: for every commit record learned from
     /// a peer, commit-timestamp → local-ingest-time on this node's clock.
     /// This is the metadata half of the RYW staleness window (§4.2): a client
@@ -192,7 +174,6 @@ impl NodeStats {
         record_read_from_write_buffer, reads_from_write_buffer => reads_from_write_buffer;
         record_read_from_data_cache, reads_from_data_cache => reads_from_data_cache;
         record_read_from_storage, reads_from_storage => reads_from_storage;
-        record_null_read, null_reads => null_reads;
         record_no_valid_version, no_valid_version_aborts => no_valid_version_aborts;
         record_peer_commit, peer_commits => commits_received_from_peers;
         record_duplicate_peer_commit, duplicate_peer_commits => duplicate_peer_commits;
@@ -205,19 +186,10 @@ impl NodeStats {
             .fetch_add(transactions as u64, Ordering::Relaxed);
     }
 
-    /// Current value of the `gc_transactions_deleted` counter.
+    /// Current value of the `gc_transactions_deleted` counter, which
+    /// `Cluster::total_gc_deleted` sums over the nodes.
     pub fn gc_deleted(&self) -> u64 {
         self.gc_transactions_deleted.load(Ordering::Relaxed)
-    }
-
-    /// The per-commit storage latency recorder.
-    pub fn commit_storage_latency(&self) -> &LatencyRecorder {
-        &self.commit_storage_latency
-    }
-
-    /// The per-read storage latency recorder.
-    pub fn read_storage_latency(&self) -> &LatencyRecorder {
-        &self.read_storage_latency
     }
 
     /// The commit-metadata propagation-lag recorder (peer-learned records
@@ -237,9 +209,7 @@ impl NodeStats {
             reads_from_write_buffer: self.reads_from_write_buffer(),
             reads_from_data_cache: self.reads_from_data_cache(),
             reads_from_storage: self.reads_from_storage(),
-            null_reads: self.null_reads(),
             no_valid_version_aborts: self.no_valid_version_aborts(),
-            gc_transactions_deleted: self.gc_deleted(),
             commits_received_from_peers: self.peer_commits(),
             duplicate_peer_commits: self.duplicate_peer_commits(),
         }
@@ -265,12 +235,8 @@ pub struct NodeStatsSnapshot {
     pub reads_from_data_cache: u64,
     /// Reads that fetched the payload from storage.
     pub reads_from_storage: u64,
-    /// Reads that observed the NULL version (key never written).
-    pub null_reads: u64,
     /// Reads that found no valid version (client must retry, §3.6).
     pub no_valid_version_aborts: u64,
-    /// Transactions whose metadata this node has garbage collected.
-    pub gc_transactions_deleted: u64,
     /// Commit records learned from peers (multicast or fault manager).
     pub commits_received_from_peers: u64,
     /// Peer deliveries that were already known locally and deduplicated
@@ -324,7 +290,6 @@ mod tests {
         let recorder = LatencyRecorder::default();
         assert!(recorder.is_empty());
         assert_eq!(recorder.percentile_ms(0.5), None);
-        assert_eq!(recorder.mean_ms(), None);
         for ms in 1..=100u64 {
             recorder.record(Duration::from_millis(ms));
         }
@@ -333,8 +298,6 @@ mod tests {
         assert!((p50 - 50.0).abs() <= 1.0, "p50 = {p50}");
         let p99 = recorder.percentile_ms(0.99).unwrap();
         assert!((p99 - 99.0).abs() <= 1.0, "p99 = {p99}");
-        let mean = recorder.mean_ms().unwrap();
-        assert!((mean - 50.5).abs() < 0.01, "mean = {mean}");
     }
 
     #[test]
@@ -355,7 +318,5 @@ mod tests {
         assert_eq!(recorder.percentile_ms(0.99), Some(9.0));
         assert_eq!(recorder.percentile_ms(0.5), Some(9.0));
         assert_eq!(recorder.percentile_ms(0.1), Some(1.0));
-        let mean = recorder.mean_ms().unwrap();
-        assert!((mean - 19.0 / 3.0).abs() < 0.15, "mean = {mean}");
     }
 }

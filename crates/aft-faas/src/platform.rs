@@ -153,7 +153,7 @@ impl FaasPlatform {
             drop(rng);
             (cold, self.injector.decide())
         };
-        self.stats.record_invocation(cold);
+        self.stats.record_invocation();
 
         // Sample the invocation overheads under the RNG lock but sleep
         // outside it: concurrent invocations must not serialise on the

@@ -7,7 +7,6 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct PlatformStats {
     invocations: AtomicU64,
-    cold_starts: AtomicU64,
     injected_failures: AtomicU64,
     request_attempts: AtomicU64,
     requests_completed: AtomicU64,
@@ -22,11 +21,8 @@ impl PlatformStats {
     }
 
     /// Records one function invocation (cold or warm).
-    pub fn record_invocation(&self, cold: bool) {
+    pub fn record_invocation(&self) {
         self.invocations.fetch_add(1, Ordering::Relaxed);
-        if cold {
-            self.cold_starts.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Records one injected function failure.
@@ -68,7 +64,6 @@ impl PlatformStats {
     pub fn snapshot(&self) -> PlatformStatsSnapshot {
         PlatformStatsSnapshot {
             invocations: self.invocations.load(Ordering::Relaxed),
-            cold_starts: self.cold_starts.load(Ordering::Relaxed),
             injected_failures: self.injected_failures.load(Ordering::Relaxed),
             request_attempts: self.request_attempts.load(Ordering::Relaxed),
             requests_completed: self.requests_completed.load(Ordering::Relaxed),
@@ -83,8 +78,6 @@ impl PlatformStats {
 pub struct PlatformStatsSnapshot {
     /// Function invocations performed.
     pub invocations: u64,
-    /// Invocations that paid a cold-start penalty.
-    pub cold_starts: u64,
     /// Function failures injected by the failure plan.
     pub injected_failures: u64,
     /// Logical request attempts (first try plus retries).
@@ -115,8 +108,8 @@ mod tests {
     #[test]
     fn counters_accumulate_and_snapshot() {
         let stats = PlatformStats::default();
-        stats.record_invocation(false);
-        stats.record_invocation(true);
+        stats.record_invocation();
+        stats.record_invocation();
         stats.record_injected_failure();
         stats.record_request_attempt();
         stats.record_request_attempt();
@@ -126,7 +119,6 @@ mod tests {
 
         let snap = stats.snapshot();
         assert_eq!(snap.invocations, 2);
-        assert_eq!(snap.cold_starts, 1);
         assert_eq!(snap.injected_failures, 1);
         assert_eq!(snap.peak_concurrency, 3);
         assert!((snap.attempts_per_request() - 2.0).abs() < f64::EPSILON);

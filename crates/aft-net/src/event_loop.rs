@@ -418,10 +418,8 @@ impl Reactor {
                 }
                 continue;
             };
-            let response =
-                self.shared
-                    .run_job(own, job.request_id, job.work, job.enqueued.elapsed());
-            match response.and_then(|r| conn.session.answer(&self.shared, job.request_id, &r)) {
+            let response = self.shared.run_job(own, job.work, job.enqueued.elapsed());
+            match conn.session.answer(&self.shared, job.request_id, &response) {
                 None => self.teardown(job.slot, Verdict::Reset),
                 Some(true) => self.do_write(job.slot),
                 Some(false) => {}

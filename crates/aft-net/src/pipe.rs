@@ -72,15 +72,14 @@ impl Pipe {
             let response = match work {
                 Work::Run(_) => {
                     let (_worker, waited) = shared.workers.acquire();
-                    shared.run_job(None, request_id, work, waited)
+                    shared.run_job(None, work, waited)
                 }
-                Work::Answer(_) => shared.run_job(None, request_id, work, Duration::ZERO),
+                Work::Answer(_) => shared.run_job(None, work, Duration::ZERO),
             };
             let mut slot = self.session.lock();
-            let session = slot.as_mut();
-            let answered = session
-                .zip(response)
-                .and_then(|(session, r)| session.answer(shared, request_id, &r));
+            let answered = slot
+                .as_mut()
+                .and_then(|session| session.answer(shared, request_id, &response));
             if answered.is_none() {
                 verdict = Verdict::Reset;
             }
@@ -157,7 +156,7 @@ mod tests {
     #[test]
     fn a_commit_reset_after_its_send_ran_and_its_retry_is_a_duplicate() {
         let (storage, clock) = (InMemoryStore::shared(), TickingClock::shared(1, 1));
-        let cluster = Cluster::with_clock(ClusterConfig::test(1), storage, clock).unwrap();
+        let cluster = Cluster::with_clock(ClusterConfig::test(3), storage, clock).unwrap();
         let server = AftServer::builder().pipe(Arc::clone(&cluster));
         let client = AftClient::builder()
             .phase_hook(Arc::new(LoseFirstCommitAck::default()))
@@ -178,6 +177,19 @@ mod tests {
         assert_eq!(listed("data/pay/"), 1, "one data version");
         let stats = client.stats();
         assert_eq!((stats.transport_retries, stats.connects), (1, 2));
+        let server_stats = client.server_stats().unwrap();
+        assert_eq!(
+            (server_stats.commits, server_stats.duplicate_commits),
+            (1, 1),
+            "one apply, one ack from the ledger"
+        );
+        // The value is durable and visible on every node after one round.
+        cluster.run_maintenance_round().unwrap();
+        let once = Some((Value::from_static(b"once"), Some(outcome.final_id)));
+        for node in cluster.active_nodes() {
+            let reader = node.start_transaction();
+            assert_eq!(node.get_versioned(&reader, &Key::new("pay")).unwrap(), once);
+        }
     }
 
     /// A one-node cluster over memory whose every node call charges

@@ -247,15 +247,6 @@ impl PipeServer {
     }
 }
 
-/// Decides the fate of each outgoing response — the server-side test hook.
-/// Returning `false` drops the response *and resets the connection*,
-/// reproducing a server that did the work and then died before the
-/// acknowledgement flushed (§4.2's window, from the server's side).
-pub trait ResponseFilter: Send + Sync {
-    /// Called with every response about to be written.
-    fn deliver(&self, request_id: u64, response: &WireResponse) -> bool;
-}
-
 /// What a queued request asks of its reactor.
 pub(crate) enum Work {
     /// Run the request through `ServerShared::execute`.
@@ -374,7 +365,6 @@ pub(crate) struct ServerShared {
     ledger: Mutex<CommitLedger>,
     ledger_cv: Condvar,
     affinity: Mutex<AffinityMap>,
-    pub(crate) filter: Mutex<Option<Arc<dyn ResponseFilter>>>,
     /// Connection I/O counters, summed over the sessions.
     pub(crate) event_stats: EventStats,
     /// Frame buffers, shared by the sessions.
@@ -402,7 +392,6 @@ impl ServerShared {
             ledger: Mutex::new(CommitLedger::new(config.dedup_capacity)),
             ledger_cv: Condvar::new(),
             affinity: Mutex::new(AffinityMap::new(config.affinity_capacity)),
-            filter: Mutex::new(None),
             event_stats: EventStats::default(),
             pool: BufferPool::new(config.slab_capacity.min(4096)),
             next_conn_id: AtomicU64::new(0),
@@ -426,19 +415,11 @@ impl ServerShared {
     /// The job step both drivers take on each job they dequeue, reactor
     /// `own`'s if any: an answer decided at read time passes as is; a
     /// request that `waited` in the queue past the deadline is shed, any
-    /// other executed; then the response filter decides whether the answer
-    /// is delivered. `None`: the filter ate the ack, and the driver resets
-    /// the connection. A reactor's wait is wall time since the job was
+    /// other executed. A reactor's wait is wall time since the job was
     /// queued, a pipe's its worker permit's.
-    pub(crate) fn run_job(
-        &self,
-        own: Option<usize>,
-        request_id: u64,
-        work: Work,
-        waited: Duration,
-    ) -> Option<WireResponse> {
+    pub(crate) fn run_job(&self, own: Option<usize>, work: Work, waited: Duration) -> WireResponse {
         let request = match work {
-            Work::Answer(response) => return Some(response),
+            Work::Answer(response) => return response,
             Work::Run(request) => request,
         };
         self.dequeued(own);
@@ -446,7 +427,7 @@ impl ServerShared {
         // Shedding is safe by construction: nothing was applied and nothing
         // acked, so the client's retry is the first execution, not a
         // duplicate.
-        let response = if !deadline.is_zero() && waited > deadline {
+        if !deadline.is_zero() && waited > deadline {
             self.stats.record_shed();
             WireResponse::Error(AftError::Overloaded(format!(
                 "request shed after waiting past the {deadline:?} queue deadline"
@@ -457,16 +438,7 @@ impl ServerShared {
                 self.stats.record_error();
             }
             response
-        };
-        let filter = self.filter.lock().clone();
-        if filter.is_none_or(|f| f.deliver(request_id, &response)) {
-            return Some(response);
         }
-        // The work (if any) is done and durable, the client never hears
-        // about it, and the connection resets — exactly the
-        // crash-after-commit interleaving.
-        self.stats.record_dropped_ack();
-        None
     }
 
     /// The node pinned to `txid`, routing and pinning on first touch.
@@ -657,11 +629,6 @@ impl AftServer {
     /// callers chain on it.
     pub fn event_snapshot(&self) -> Option<EventSnapshot> {
         Some(self.shared.event_stats.snapshot(&self.shared.pool))
-    }
-
-    /// Installs the response filter (test hook); replaces any prior one.
-    pub fn install_response_filter(&self, filter: Arc<dyn ResponseFilter>) {
-        *self.shared.filter.lock() = Some(filter);
     }
 
     /// Gracefully stops the server: no new connections, existing ones

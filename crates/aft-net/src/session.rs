@@ -412,7 +412,7 @@ mod tests {
             verdict = session.decode(shared, true, &mut |id, work| jobs.push_back((id, work)));
         }
         while let Some((id, work)) = jobs.pop_front() {
-            let response = shared.run_job(None, id, work, Duration::ZERO).unwrap();
+            let response = shared.run_job(None, work, Duration::ZERO);
             assert!(session.answer(shared, id, &response).is_some());
         }
         let mut written = Vec::new();

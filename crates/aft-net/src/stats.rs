@@ -1,4 +1,9 @@
-//! Server counters, in the `NodeStats` atomic style.
+//! Server counters, in the `NodeStats` atomic style: what the `Stats` verb
+//! answers ([`ServiceStats`]) and what
+//! [`AftServer::event_snapshot`](crate::AftServer::event_snapshot) reads
+//! ([`EventSnapshot`]). Each has a reader outside its own tests: the
+//! experiments' sheets, `benchmark/`'s per-layer metrics, or a test that
+//! pins a count of the request path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -16,7 +21,6 @@ pub struct ServiceStats {
     commits: AtomicU64,
     duplicate_commits: AtomicU64,
     errors: AtomicU64,
-    dropped_acks: AtomicU64,
     overload_rejections: AtomicU64,
     shed_requests: AtomicU64,
 }
@@ -53,11 +57,6 @@ impl ServiceStats {
         self.errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records an acknowledgement dropped by a response filter.
-    pub fn record_dropped_ack(&self) {
-        self.dropped_acks.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a request rejected at admission because the server's queue
     /// was over its admission limit (the request never executed).
     pub fn record_overload_rejection(&self) {
@@ -85,7 +84,6 @@ impl ServiceStats {
             commits: self.commits.load(Ordering::Relaxed),
             duplicate_commits: self.duplicate_commits.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
-            dropped_acks: self.dropped_acks.load(Ordering::Relaxed),
             overload_rejections: self.overload_rejections.load(Ordering::Relaxed),
             shed_requests: self.shed_requests.load(Ordering::Relaxed),
             active_nodes,
@@ -173,7 +171,6 @@ mod tests {
         stats.record_commit();
         stats.record_duplicate_commit();
         stats.record_error();
-        stats.record_dropped_ack();
         stats.record_overload_rejection();
         stats.record_shed();
 
@@ -184,7 +181,6 @@ mod tests {
         assert_eq!(snap.commits, 1);
         assert_eq!(snap.duplicate_commits, 1);
         assert_eq!(snap.errors, 1);
-        assert_eq!(snap.dropped_acks, 1);
         assert_eq!(snap.overload_rejections, 1);
         assert_eq!(snap.shed_requests, 1);
         assert_eq!(snap.active_nodes, 3);

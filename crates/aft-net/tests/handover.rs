@@ -10,10 +10,11 @@ use std::time::{Duration, Instant};
 
 use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
+use aft_core::NodeConfig;
 use aft_net::frame::{read_frame, request_frame};
-use aft_net::{AftClient, AftServer, EventSnapshot, ResponseFilter, ServerBuilder};
+use aft_net::{AftClient, AftServer, EventSnapshot, ServerBuilder};
 use aft_storage::io::RetryConfig;
-use aft_storage::InMemoryStore;
+use aft_storage::{Cut, CutHook, CutStore, InMemoryStore};
 use aft_types::clock::TickingClock;
 use aft_types::wire::{decode_response, WireRequest, WireResponse};
 use aft_types::{AftError, Key, TransactionId, Uuid, Value};
@@ -78,26 +79,42 @@ fn sequential_pings_wake_neither_the_loop_nor_another_caller() {
     server.shutdown();
 }
 
-/// Records the name of the thread each response is decided on.
+/// Records the name of the thread making each storage read (a call of no
+/// units; `common::Latch` takes the writes).
 #[derive(Default)]
-struct ThreadNames(Mutex<Vec<String>>);
+struct ReadThreads(Mutex<Vec<String>>);
 
-impl ResponseFilter for ThreadNames {
-    fn deliver(&self, _request_id: u64, _response: &WireResponse) -> bool {
-        let name = std::thread::current().name().unwrap_or("").to_owned();
-        self.0.lock().unwrap().push(name);
-        true
+impl CutHook for ReadThreads {
+    fn cut(&self, units: usize) -> Cut {
+        if units == 0 {
+            let name = std::thread::current().name().unwrap_or("").to_owned();
+            self.0.lock().unwrap().push(name);
+        }
+        Cut::Pass
     }
 }
 
 #[test]
 fn which_threads_run_the_gets_of_one_connection() {
-    let server = serve(AftServer::builder().workers(2));
+    // No data cache, so every Get reads storage on the thread running it.
+    let names = Arc::new(ReadThreads::default());
+    let storage = CutStore::new(
+        InMemoryStore::shared(),
+        Arc::clone(&names) as Arc<dyn CutHook>,
+    );
+    let config = ClusterConfig {
+        node_template: NodeConfig::test_without_cache(),
+        ..ClusterConfig::test(1)
+    };
+    let cluster = Cluster::with_clock(config, storage, TickingClock::shared(1, 1)).unwrap();
+    let server = AftServer::builder()
+        .workers(2)
+        .serve(cluster, "127.0.0.1:0")
+        .unwrap();
     let client = one_connection(&server);
     let key = Key::new("one");
     preload(&client, [(key.clone(), Value::from_static(b"v"))]);
-    let names = Arc::new(ThreadNames::default());
-    server.install_response_filter(Arc::clone(&names) as Arc<dyn ResponseFilter>);
+    names.0.lock().unwrap().clear();
 
     let txid = client.begin().unwrap();
     for _ in 0..1_000 {

@@ -84,7 +84,6 @@ pub struct StorageStats {
     calls: [AtomicU64; KINDS],
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
-    conflicts: AtomicU64,
 }
 
 impl StorageStats {
@@ -108,11 +107,6 @@ impl StorageStats {
         self.bytes_written.fetch_add(n as u64, Ordering::Relaxed);
     }
 
-    /// Records a transactional conflict abort (DynamoDB transaction mode).
-    pub fn record_conflict(&self) {
-        self.conflicts.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Number of calls recorded for `op`.
     pub fn calls(&self, op: OpKind) -> u64 {
         self.calls[op.index()].load(Ordering::Relaxed)
@@ -133,18 +127,7 @@ impl StorageStats {
             calls,
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            conflicts: self.conflicts.load(Ordering::Relaxed),
         }
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        for c in &self.calls {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.bytes_read.store(0, Ordering::Relaxed);
-        self.bytes_written.store(0, Ordering::Relaxed);
-        self.conflicts.store(0, Ordering::Relaxed);
     }
 }
 
@@ -156,8 +139,6 @@ pub struct StorageStatsSnapshot {
     pub bytes_read: u64,
     /// Bytes accepted by writes.
     pub bytes_written: u64,
-    /// Transactional conflict aborts observed.
-    pub conflicts: u64,
 }
 
 impl StorageStatsSnapshot {
@@ -181,7 +162,6 @@ impl StorageStatsSnapshot {
             calls,
             bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
             bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
-            conflicts: self.conflicts.saturating_sub(earlier.conflicts),
         }
     }
 }
@@ -198,7 +178,6 @@ mod tests {
         s.record_call(OpKind::BatchPut);
         s.record_read_bytes(100);
         s.record_written_bytes(50);
-        s.record_conflict();
 
         assert_eq!(s.calls(OpKind::Get), 2);
         assert_eq!(s.calls(OpKind::BatchPut), 1);
@@ -208,7 +187,6 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.bytes_read, 100);
         assert_eq!(snap.bytes_written, 50);
-        assert_eq!(snap.conflicts, 1);
     }
 
     #[test]
@@ -223,16 +201,6 @@ mod tests {
         assert_eq!(delta.calls(OpKind::Put), 1);
         assert_eq!(delta.calls(OpKind::Get), 1);
         assert_eq!(delta.total_calls(), 2);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let s = StorageStats::default();
-        s.record_call(OpKind::List);
-        s.record_written_bytes(10);
-        s.reset();
-        assert_eq!(s.total_calls(), 0);
-        assert_eq!(s.snapshot().bytes_written, 0);
     }
 
     #[test]

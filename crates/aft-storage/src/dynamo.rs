@@ -118,7 +118,6 @@ impl SimDynamo {
     fn acquire_txn_locks(&self, keys: &[String]) -> AftResult<()> {
         let mut locks = self.txn_locks.lock();
         if keys.iter().any(|k| locks.contains(k)) {
-            self.stats().record_conflict();
             return Err(AftError::StorageConflict(
                 "item is part of another in-flight transaction".to_owned(),
             ));
@@ -267,7 +266,6 @@ mod tests {
         d.acquire_txn_locks(&["a".to_owned()]).unwrap();
         let err = d.transact_write(vec![("a".into(), val("x"))]).unwrap_err();
         assert!(matches!(err, AftError::StorageConflict(_)));
-        assert_eq!(d.stats().snapshot().conflicts, 1);
         d.release_txn_locks(&["a".to_owned()]);
         // After release the write succeeds.
         d.transact_write(vec![("a".into(), val("x"))]).unwrap();

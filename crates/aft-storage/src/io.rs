@@ -395,9 +395,6 @@ pub struct IoStatsSnapshot {
     pub peak_in_flight: u64,
     /// Transient-fault retries performed by the submission path.
     pub retries: u64,
-    /// Requests whose retry budget was exhausted (the typed transient error
-    /// propagated to the caller).
-    pub retry_exhausted: u64,
 }
 
 struct EngineState {
@@ -512,10 +509,6 @@ impl IoEngine {
                     self.state.lock().stats.retries += 1;
                     backoff_total += retry.backoff_for(attempt);
                     attempt += 1;
-                }
-                Err(e) if e.is_transient_storage() => {
-                    self.state.lock().stats.retry_exhausted += 1;
-                    return (result, backoff_total);
                 }
                 _ => return (result, backoff_total),
             }
@@ -1163,7 +1156,6 @@ mod tests {
         assert_eq!(listed.result.unwrap().into_keys().len(), 32);
         let stats = engine.stats();
         assert_eq!(stats.retries, 17);
-        assert_eq!(stats.retry_exhausted, 0);
     }
 
     #[test]
@@ -1182,7 +1174,6 @@ mod tests {
         }
         let stats = engine.stats();
         assert_eq!(stats.retries, 2, "3 attempts = 2 retries");
-        assert_eq!(stats.retry_exhausted, 1);
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //! server's workers and a platform's concurrency slots, where a seated
 //! thread that finds none free waits in virtual time. [`SeatClock`] is its
 //! clock: what a node seated at that table timestamps with.
+//!
+//! A model keeps no totals. A charge lands on the calling thread, so the
+//! caller that wants an operation's cost takes it there with
+//! [`measure_cost`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -492,15 +496,14 @@ impl LatencyProfile {
 }
 
 /// A scaled, mode-aware latency injector shared by a backend's operations.
+/// It keeps no totals: what it charges lands on the calling thread, where
+/// [`measure_cost`] reads it.
 #[derive(Debug)]
 pub struct LatencyModel {
     mode: LatencyMode,
     /// Global scale factor applied to every sample (e.g. 0.02 turns a 10 ms
     /// service into 200 µs of simulated latency).
     scale: f64,
-    /// Total simulated latency injected, in nanoseconds. In `Virtual` mode
-    /// this is the only observable effect.
-    injected_ns: AtomicU64,
 }
 
 impl LatencyModel {
@@ -509,7 +512,6 @@ impl LatencyModel {
         Arc::new(LatencyModel {
             mode,
             scale: scale.max(0.0),
-            injected_ns: AtomicU64::new(0),
         })
     }
 
@@ -528,18 +530,6 @@ impl LatencyModel {
         self.scale
     }
 
-    /// Samples a latency from `profile`, scales it, and applies it according
-    /// to the mode. Returns the (scaled) duration that was applied.
-    pub fn apply<R: Rng + ?Sized>(
-        &self,
-        profile: &LatencyProfile,
-        rng: &mut R,
-        payload_bytes: usize,
-    ) -> Duration {
-        let duration = self.sample(profile, rng, payload_bytes);
-        self.finish(duration)
-    }
-
     /// Samples (and scales) a latency without applying it. Callers that keep
     /// their RNG behind a lock use this to sample while holding the lock and
     /// then call [`finish`](LatencyModel::finish) after releasing it, so that
@@ -554,8 +544,8 @@ impl LatencyModel {
         Duration::from_nanos((us * 1000.0) as u64)
     }
 
-    /// Records a previously sampled duration and, in `Sleep` mode, sleeps for
-    /// it. Returns the duration.
+    /// Charges a previously sampled duration to the calling thread and, in
+    /// `Sleep` mode, sleeps for it. Returns the duration.
     ///
     /// Inside a [`capture_deferred`] scope the sleep is suppressed and the
     /// duration is handed to the scope instead, so the I/O engine can apply
@@ -565,7 +555,6 @@ impl LatencyModel {
     /// either mode, and nothing sleeps.
     pub fn finish(&self, duration: Duration) -> Duration {
         let ns = duration.as_nanos() as u64;
-        self.injected_ns.fetch_add(ns, Ordering::Relaxed);
         OP_CHARGE_NS.with(|c| c.set(c.get().saturating_add(ns)));
         if duration.is_zero() {
             return duration;
@@ -582,21 +571,8 @@ impl LatencyModel {
         duration
     }
 
-    /// Applies a *batch* of previously sampled durations as one overlapped
-    /// round trip: the charged (and, in `Sleep` mode, slept) time is the
-    /// **maximum** of the samples, not their sum, because the requests were
-    /// issued concurrently and the caller waits for the slowest one. This is
-    /// the per-batch overlap accounting the virtual clock needs: N in-flight
-    /// requests against a backend overlap their sampled latencies.
-    ///
-    /// Returns the applied (max) duration.
-    pub fn finish_batch(&self, durations: &[Duration]) -> Duration {
-        let max = durations.iter().copied().max().unwrap_or(Duration::ZERO);
-        self.finish(max)
-    }
-
     /// Samples from `profile` using an RNG behind a mutex, holding the lock
-    /// only for the sample, then records/sleeps outside the lock.
+    /// only for the sample, then charges/sleeps outside the lock.
     pub fn apply_with<R: Rng>(
         &self,
         profile: &LatencyProfile,
@@ -608,11 +584,6 @@ impl LatencyModel {
             self.sample(profile, &mut *rng, payload_bytes)
         };
         self.finish(duration)
-    }
-
-    /// Total simulated latency injected so far.
-    pub fn injected(&self) -> Duration {
-        Duration::from_nanos(self.injected_ns.load(Ordering::Relaxed))
     }
 }
 
@@ -654,17 +625,8 @@ impl StripedSampler {
     }
 
     /// Samples from `profile` on the RNG of `stripe` (held only for the
-    /// sample), then records/sleeps outside the lock. Returns the applied
-    /// duration.
-    pub fn apply(&self, profile: &LatencyProfile, stripe: usize, payload_bytes: usize) -> Duration {
-        let duration = self.sample(profile, stripe, payload_bytes);
-        self.model.finish(duration)
-    }
-
-    /// Samples from `profile` on the RNG of `stripe` *without* applying the
-    /// latency. Backends that issue several requests concurrently (a
-    /// pipelined client's multi-key write) sample each request here and then
-    /// apply the batch once via [`LatencyModel::finish_batch`].
+    /// sample) *without* applying the latency: the caller charges it with
+    /// [`LatencyModel::finish`] once the lock is released.
     pub fn sample(
         &self,
         profile: &LatencyProfile,
@@ -762,28 +724,32 @@ mod tests {
         assert!(large > small + 900.0, "100KB should cost ~990us more");
     }
 
+    /// Samples from `profile` on an RNG seeded with `seed` and applies it,
+    /// as a backend's call does.
+    fn apply(model: &LatencyModel, profile: &LatencyProfile, seed: u64) -> Duration {
+        model.apply_with(profile, &Mutex::new(StdRng::seed_from_u64(seed)), 0)
+    }
+
     #[test]
     fn virtual_mode_records_without_sleeping() {
         let model = LatencyModel::new(LatencyMode::Virtual, 1.0);
         let profile = LatencyProfile::new(50_000.0, 50_000.0);
-        let mut rng = StdRng::seed_from_u64(3);
         let start = std::time::Instant::now();
-        let applied = model.apply(&profile, &mut rng, 0);
+        let (applied, charged) = measure_cost(|| apply(&model, &profile, 3));
         assert!(
             start.elapsed() < Duration::from_millis(20),
             "must not sleep"
         );
         assert!(applied >= Duration::from_millis(40));
-        assert!(model.injected() >= Duration::from_millis(40));
+        assert_eq!(charged, applied);
     }
 
     #[test]
     fn sleep_mode_actually_sleeps() {
         let model = LatencyModel::new(LatencyMode::Sleep, 1.0);
         let profile = LatencyProfile::new(2_000.0, 2_000.0);
-        let mut rng = StdRng::seed_from_u64(3);
         let start = std::time::Instant::now();
-        model.apply(&profile, &mut rng, 0);
+        apply(&model, &profile, 3);
         assert!(start.elapsed() >= Duration::from_micros(1_500));
     }
 
@@ -791,17 +757,16 @@ mod tests {
     fn scale_factor_shrinks_latency() {
         let model = LatencyModel::new(LatencyMode::Virtual, 0.01);
         let profile = LatencyProfile::new(10_000.0, 10_000.0);
-        let mut rng = StdRng::seed_from_u64(3);
-        let applied = model.apply(&profile, &mut rng, 0);
+        let applied = apply(&model, &profile, 3);
         assert!(applied <= Duration::from_micros(150));
     }
 
     #[test]
     fn disabled_model_injects_nothing() {
         let model = LatencyModel::disabled();
-        let mut rng = StdRng::seed_from_u64(3);
-        model.apply(&LatencyProfile::new(1_000.0, 2_000.0), &mut rng, 0);
-        assert_eq!(model.injected(), Duration::ZERO);
+        let profile = LatencyProfile::new(1_000.0, 2_000.0);
+        let (applied, charged) = measure_cost(|| apply(&model, &profile, 3));
+        assert_eq!((applied, charged), (Duration::ZERO, Duration::ZERO));
     }
 
     #[test]
@@ -810,18 +775,20 @@ mod tests {
         let sampler = StripedSampler::new(Arc::clone(&model), 9, 4);
         assert_eq!(sampler.stripes(), 4);
         let profile = LatencyProfile::new(1_000.0, 1_000.0);
-        for stripe in 0..8 {
-            let applied = sampler.apply(&profile, stripe, 0);
-            assert!(applied >= Duration::from_micros(900));
-        }
-        assert!(sampler.model().injected() >= Duration::from_millis(7));
+        let ((), charged) = measure_cost(|| {
+            for stripe in 0..8 {
+                let applied = sampler.model().finish(sampler.sample(&profile, stripe, 0));
+                assert!(applied >= Duration::from_micros(900));
+            }
+        });
+        assert!(charged >= Duration::from_millis(7));
     }
 
     #[test]
     fn striped_sampler_clamps_zero_stripes() {
         let sampler = StripedSampler::new(LatencyModel::disabled(), 1, 0);
         assert_eq!(sampler.stripes(), 1);
-        sampler.apply(&LatencyProfile::ZERO, 5, 0);
+        assert_eq!(sampler.sample(&LatencyProfile::ZERO, 5, 0), Duration::ZERO);
     }
 
     #[test]
@@ -829,12 +796,8 @@ mod tests {
         let model = LatencyModel::new(LatencyMode::Virtual, 1.0);
         let profile = LatencyProfile::new(1_000.0, 1_000.0);
         let ((), outer) = measure_cost(|| {
-            let mut rng = StdRng::seed_from_u64(1);
-            model.apply(&profile, &mut rng, 0);
-            let ((), inner) = measure_cost(|| {
-                let mut rng = StdRng::seed_from_u64(2);
-                model.apply(&profile, &mut rng, 0);
-            });
+            apply(&model, &profile, 1);
+            let (_, inner) = measure_cost(|| apply(&model, &profile, 2));
             assert!(inner >= Duration::from_micros(900));
         });
         // The outer scope sees both applications.
@@ -846,10 +809,7 @@ mod tests {
         let model = LatencyModel::new(LatencyMode::Sleep, 1.0);
         let profile = LatencyProfile::new(20_000.0, 20_000.0);
         let start = std::time::Instant::now();
-        let ((), cost) = capture_deferred(|| {
-            let mut rng = StdRng::seed_from_u64(1);
-            model.apply(&profile, &mut rng, 0);
-        });
+        let (_, cost) = capture_deferred(|| apply(&model, &profile, 1));
         assert!(
             start.elapsed() < Duration::from_millis(10),
             "the 20ms sleep must be deferred, not taken"
@@ -862,10 +822,7 @@ mod tests {
     fn capture_deferred_in_virtual_mode_defers_nothing() {
         let model = LatencyModel::new(LatencyMode::Virtual, 1.0);
         let profile = LatencyProfile::new(5_000.0, 5_000.0);
-        let ((), cost) = capture_deferred(|| {
-            let mut rng = StdRng::seed_from_u64(1);
-            model.apply(&profile, &mut rng, 0);
-        });
+        let (_, cost) = capture_deferred(|| apply(&model, &profile, 1));
         assert_eq!(cost.deferred, Duration::ZERO);
         assert!(cost.charged >= Duration::from_millis(4));
     }
@@ -982,21 +939,5 @@ mod tests {
         let unseated: Vec<_> = (0..64).map(|_| permits.acquire()).collect();
         assert!(unseated.iter().all(|(_, waited)| waited.is_zero()));
         assert_eq!(seat.now(), Duration::ZERO);
-    }
-
-    #[test]
-    fn finish_batch_charges_the_max_not_the_sum() {
-        let model = LatencyModel::new(LatencyMode::Virtual, 1.0);
-        let durations = [
-            Duration::from_millis(3),
-            Duration::from_millis(9),
-            Duration::from_millis(5),
-        ];
-        let ((), charged) = measure_cost(|| {
-            model.finish_batch(&durations);
-        });
-        assert_eq!(charged, Duration::from_millis(9));
-        assert_eq!(model.injected(), Duration::from_millis(9));
-        assert_eq!(model.finish_batch(&[]), Duration::ZERO);
     }
 }

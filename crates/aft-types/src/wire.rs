@@ -139,9 +139,6 @@ pub struct WireStats {
     pub duplicate_commits: u64,
     /// Error responses returned.
     pub errors: u64,
-    /// Acknowledgements deliberately dropped by an installed response
-    /// filter (chaos/testing).
-    pub dropped_acks: u64,
     /// Requests rejected at admission because the server's request queues
     /// were at its admission limit ([`AftError::Overloaded`] on the wire).
     pub overload_rejections: u64,
@@ -350,7 +347,6 @@ fn put_stats(w: &mut Writer, stats: &WireStats) {
     w.put_u64(stats.commits);
     w.put_u64(stats.duplicate_commits);
     w.put_u64(stats.errors);
-    w.put_u64(stats.dropped_acks);
     w.put_u64(stats.overload_rejections);
     w.put_u64(stats.shed_requests);
     w.put_u64(stats.active_nodes);
@@ -364,7 +360,6 @@ fn get_stats(r: &mut Reader<'_>) -> AftResult<WireStats> {
         commits: r.get_u64()?,
         duplicate_commits: r.get_u64()?,
         errors: r.get_u64()?,
-        dropped_acks: r.get_u64()?,
         overload_rejections: r.get_u64()?,
         shed_requests: r.get_u64()?,
         active_nodes: r.get_u64()?,
@@ -633,7 +628,6 @@ mod tests {
                 commits: 40,
                 duplicate_commits: 1,
                 errors: 2,
-                dropped_acks: 1,
                 overload_rejections: 5,
                 shed_requests: 4,
                 active_nodes: 3,

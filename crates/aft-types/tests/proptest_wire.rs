@@ -75,18 +75,12 @@ fn arb_stats() -> impl Strategy<Value = WireStats> {
             any::<u64>(),
             any::<u64>(),
         ),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-        ),
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
     )
         .prop_map(
             |(
                 (connections_accepted, connections_active, requests, commits, duplicate_commits),
-                (errors, dropped_acks, overload_rejections, shed_requests, active_nodes),
+                (errors, overload_rejections, shed_requests, active_nodes),
             )| WireStats {
                 connections_accepted,
                 connections_active,
@@ -94,7 +88,6 @@ fn arb_stats() -> impl Strategy<Value = WireStats> {
                 commits,
                 duplicate_commits,
                 errors,
-                dropped_acks,
                 overload_rejections,
                 shed_requests,
                 active_nodes,
