@@ -496,8 +496,6 @@ impl LatencyProfile {
 }
 
 /// A scaled, mode-aware latency injector shared by a backend's operations.
-/// It keeps no totals: what it charges lands on the calling thread, where
-/// [`measure_cost`] reads it.
 #[derive(Debug)]
 pub struct LatencyModel {
     mode: LatencyMode,
