@@ -21,13 +21,15 @@
 //! sheet, `cells` (a row per backend and history size), in
 //! `BENCH_checkpoint.json`, and the gate is its [`checks`], one per clause.
 
+use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::bootstrap::warm_metadata_cache_checkpointed;
-use aft_core::MetadataCache;
+use aft_core::{MetadataCache, NodeConfig};
 use aft_storage::checkpoint::{compact_log, publish_checkpoint, Checkpoint, CHECKPOINT_KEEP};
 use aft_storage::io::{IoConfig, IoEngine, StorageRequest};
 use aft_storage::BackendKind;
+use aft_types::clock::TickingClock;
 use aft_types::codec::encode_keyed_commit_record;
-use aft_types::{Key, TransactionId, TransactionRecord, Uuid};
+use aft_types::{Key, TransactionId, TransactionRecord, Uuid, Value};
 
 use crate::cli::{Args, Outcome};
 use crate::report::{ensure, percentile_ms, Report, Sheet, Verdict};
@@ -99,7 +101,11 @@ struct BootstrapSample {
 /// are the slower one); the bytes each bootstrap read, at the same "p50";
 /// the commit records compaction dropped; and the ground-truth commits the
 /// checkpoint+tail bootstrap lost (neither loaded nor legitimately
-/// superseded) and the bootstrapped records never committed.
+/// superseded) and the bootstrapped records never committed. The `gc_`
+/// columns are full replay over the same history committed through a
+/// one-node cluster whose maintenance rounds garbage collect it
+/// ([`gc_history`]): its costs, bytes, records loaded, and its own lost and
+/// phantom commits.
 const CELL_COLUMNS: &[&str] = &[
     "tail_commits",
     "full_replay_p50_ms",
@@ -111,6 +117,12 @@ const CELL_COLUMNS: &[&str] = &[
     "compacted_records",
     "lost_commits",
     "phantom_commits",
+    "gc_p50_ms",
+    "gc_p99_ms",
+    "gc_bytes",
+    "gc_loaded",
+    "gc_lost_commits",
+    "gc_phantom_commits",
 ];
 
 /// The `q` point of one measure over `samples`, by [`percentile_ms`].
@@ -188,9 +200,15 @@ pub fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
         sweeps.try_for_each(|s| clause(s).map_err(|m| format!("{}: {m}", s.backend)))
     };
     let zero = |column| cells.each(column, |n| n == 0.0);
+    let lost_or_phantom = [
+        "lost_commits",
+        "phantom_commits",
+        "gc_lost_commits",
+        "gc_phantom_commits",
+    ];
     let verdicts = [
         coverage,
-        zero("lost_commits").and_then(|()| zero("phantom_commits")),
+        lost_or_phantom.into_iter().try_for_each(zero),
         every(&|s| {
             ensure(s.ckpt <= 3.0, || {
                 let (growth, ratio) = (s.ckpt, s.ratio);
@@ -225,8 +243,12 @@ fn tid(ts: u64) -> TransactionId {
     TransactionId::new(ts, Uuid::from_u128(0xF13_0000_0000u128 | ts as u128))
 }
 
+fn key_for(ts: u64, keys: usize) -> Key {
+    Key::new(format!("k{:06}", ts % keys as u64))
+}
+
 fn record_for(ts: u64, keys: usize) -> TransactionRecord {
-    TransactionRecord::new(tid(ts), [Key::new(format!("k{:06}", ts % keys as u64))])
+    TransactionRecord::new(tid(ts), [key_for(ts, keys)])
 }
 
 /// Seeds commit records `[first, last]` straight into storage via pipelined
@@ -262,6 +284,76 @@ fn measure_bootstrap(io: &IoEngine) -> (BootstrapSample, MetadataCache) {
         loaded: outcome.loaded(),
     };
     (sample, cache)
+}
+
+/// The ground truth against a bootstrapped `cache`: the commits in
+/// `committed` (each writing `key_of(its index)`) that are neither loaded
+/// nor superseded by a strictly newer cached version of their key (§4.1),
+/// and the cached records `committed` does not hold.
+fn audit(
+    cache: &MetadataCache,
+    mut committed: Vec<TransactionId>,
+    key_of: impl Fn(usize) -> Key,
+) -> (usize, usize) {
+    let lost = committed
+        .iter()
+        .enumerate()
+        .filter(|(i, id)| {
+            !cache.is_committed(id)
+                && cache
+                    .latest_version_of(&key_of(*i))
+                    .is_none_or(|newest| newest <= **id)
+        })
+        .count();
+    committed.sort_unstable();
+    let phantom = cache
+        .all_records()
+        .iter()
+        .filter(|r| committed.binary_search(&r.id).is_err())
+        .count();
+    (lost, phantom)
+}
+
+/// The history of a cell run the way a deployment runs it: `history`
+/// commits, each writing one key, through a one-node cluster with a
+/// maintenance round (dissemination, the fault manager's scan, local and
+/// global GC) after every `tail` of them and after the last, then `tail`
+/// more that no round has collected yet. Returns the store the global GC
+/// left and the ids committed, in order.
+fn gc_history(
+    backend: BackendKind,
+    history: usize,
+    config: &CheckpointBenchConfig,
+) -> (IoEngine, Vec<TransactionId>) {
+    let storage = virtual_backend(backend, config.seed ^ history as u64 ^ 0x6C);
+    let cluster = Cluster::with_clock(
+        ClusterConfig {
+            node_template: NodeConfig::test_without_cache().with_seed(config.seed),
+            ..ClusterConfig::test(1)
+        },
+        storage.clone(),
+        TickingClock::shared(1, 1),
+    )
+    .expect("cluster construction");
+    let node = cluster.route().expect("one active node");
+    let value = Value::from_static(b"fig13-gc");
+    let total = history + config.tail;
+    let mut committed = Vec::with_capacity(total);
+    for n in 1..=total {
+        let txn = node.start_transaction();
+        node.put(&txn, key_for(n as u64, config.keys), value.clone())
+            .expect("a put cannot fail without chaos");
+        committed.push(
+            node.commit(&txn)
+                .expect("a commit cannot fail without chaos"),
+        );
+        if n <= history && (n % config.tail == 0 || n == history) {
+            cluster
+                .run_maintenance_round()
+                .expect("a round cannot fail without chaos");
+        }
+    }
+    (IoEngine::new(storage, IoConfig::pipelined()), committed)
 }
 
 /// One `cells` row: `backend` bootstrapped by full replay over a history
@@ -337,6 +429,18 @@ fn run_cell(backend: BackendKind, history: usize, config: &CheckpointBenchConfig
         })
         .count();
 
+    // The same history through a GC'd cluster, then full replay.
+    let (gc_io, committed) = gc_history(backend, history, config);
+    let mut gc = Vec::with_capacity(config.trials);
+    let mut gc_cache = None;
+    for _ in 0..config.trials {
+        let (sample, cache) = measure_bootstrap(&gc_io);
+        gc.push(sample);
+        gc_cache = Some(cache);
+    }
+    let gc_cache = gc_cache.expect("trials >= 1");
+    let (gc_lost, gc_phantom) = audit(&gc_cache, committed, |i| key_for(i as u64 + 1, config.keys));
+
     let cost = |samples: &[BootstrapSample], q| percentile(samples, q, |s| s.cost_ms);
     let bytes = |samples: &[BootstrapSample]| percentile(samples, 0.5, |s| s.bytes_read as f64);
     vec![
@@ -350,6 +454,12 @@ fn run_cell(backend: BackendKind, history: usize, config: &CheckpointBenchConfig
         (compaction.deleted_covered + compaction.deleted_superseded) as f64,
         lost as f64,
         phantom as f64,
+        cost(&gc, 0.5),
+        cost(&gc, 0.99),
+        bytes(&gc),
+        gc_cache.len() as f64,
+        gc_lost as f64,
+        gc_phantom as f64,
     ]
 }
 
