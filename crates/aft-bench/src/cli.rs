@@ -33,7 +33,7 @@
 use crate::json::Json;
 use crate::report::Report;
 use crate::setup::BenchEnv;
-use crate::{checkpoint, dissemination, experiments, overload, recovery, service};
+use crate::{dissemination, experiments, history, overload, recovery, service};
 
 /// The clock an experiment's latencies are measured on. Virtual-clock
 /// numbers are charged, never slept: deterministic per seed and independent
@@ -165,12 +165,12 @@ pub const REGISTRY: &[Experiment] = &[
         run: dissemination::run,
     },
     Experiment {
-        name: "fig13_checkpoint",
-        about: "recovery cost against history: full replay vs checkpoint + tail",
+        name: "fig13_history",
+        about: "recovery cost against history: full replay with and without GC",
         clock: Clock::Virtual,
-        report: "BENCH_checkpoint.json",
+        report: "BENCH_history.json",
         flags: &[],
-        run: checkpoint::run,
+        run: history::run,
     },
 ];
 
@@ -479,11 +479,11 @@ mod tests {
             ("", "no experiment named"),
             ("figures --bogus", "unknown flag --bogus"),
             (
-                "fig13_checkpoint --seed",
+                "fig13_history --seed",
                 "missing or invalid value for --seed",
             ),
             (
-                "fig13_checkpoint --seed twelve",
+                "fig13_history --seed twelve",
                 "missing or invalid value for --seed",
             ),
             ("figures --out", "missing value for --out"),

@@ -864,15 +864,15 @@ mod tests {
 check               margin_pct
 --------------------------------
 Figure 2 (§6.1.1)   33.05
-Figure 3 (§6.1.2)   45.13
+Figure 3 (§6.1.2)   42.49
 Table 2 (§6.1.2)    -
-Figure 4 (§6.2)     3.73
-Figure 5 (§6.3)     4.14
-Figure 6 (§6.4)     17.59
-Figure 7 (§6.5)     6.24
-Figure 8 (§6.5)     10.89
-Figure 9 (§6.6)     5.42
-Figure 10 (§6.7)    83.39
+Figure 4 (§6.2)     4.55
+Figure 5 (§6.3)     2.24
+Figure 6 (§6.4)     23.57
+Figure 7 (§6.5)     6.43
+Figure 8 (§6.5)     10.71
+Figure 9 (§6.6)     5.45
+Figure 10 (§6.7)    82.80
 ";
         assert_eq!(report().sheet("margins").render(), held);
     }

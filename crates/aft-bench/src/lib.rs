@@ -22,10 +22,10 @@
 //! (fewer requests, fewer clients, shorter timelines, trimmed matrices):
 //! the configuration CI's gates run.
 
-pub mod checkpoint;
 pub mod cli;
 pub mod dissemination;
 pub mod experiments;
+pub mod history;
 pub mod json;
 pub mod overload;
 pub mod pipelined;

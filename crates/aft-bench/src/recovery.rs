@@ -6,7 +6,7 @@
 //! combination of **fault mode** (aft-net connection faults, *every layer
 //! at once*, or a metadata-plane partition),
 //! **node-kill point** (the three commit-phase crashes of [`CommitPhase`]
-//! and the two checkpoint phases), and **backend profile**, does the
+//! and a replacement's torn bootstrap), and **backend profile**, does the
 //! cluster
 //!
 //! * serve only Atomic Readsets (zero fractured reads / read-your-writes
@@ -181,9 +181,8 @@ pub struct RecoveryConfig {
 
 impl RecoveryConfig {
     /// The full matrix: 3 fault modes (network, cross-layer and metadata
-    /// partition) × 5 kill points (the 3 commit phases plus the 2
-    /// checkpoint phases) × the 3 evaluated backends = 45 cells, 3 trials
-    /// each.
+    /// partition) × 4 kill points (the 3 commit phases plus the bootstrap)
+    /// × the 3 evaluated backends = 36 cells, 3 trials each.
     pub fn standard() -> Self {
         RecoveryConfig {
             fault_modes: FaultMode::ALL.to_vec(),
@@ -197,7 +196,7 @@ impl RecoveryConfig {
         }
     }
 
-    /// The CI configuration: the same ≥ 9-cell guarantee (3 fault modes × 5
+    /// The CI configuration: the same ≥ 9-cell guarantee (3 fault modes × 4
     /// kill points) with one backend and fewer trials, so the chaos gate
     /// stays well under a minute.
     pub fn fast() -> Self {
@@ -240,10 +239,11 @@ impl RecoveryConfig {
     }
 }
 
-/// The kill-point axis: the three commit phases, then the two checkpoint
-/// phases.
+/// The kill-point axis: the three commit phases, then the bootstrap.
 fn every_kill_point() -> impl Iterator<Item = CommitPhase> {
-    CommitPhase::ALL.into_iter().chain(CommitPhase::CHECKPOINT)
+    CommitPhase::ALL
+        .into_iter()
+        .chain([CommitPhase::DuringBootstrap])
 }
 
 /// What one trial observed (all invariant counters must end at zero).
@@ -410,17 +410,12 @@ pub fn cell_checks(report: &Report) -> Vec<(&'static str, Verdict)> {
     INVARIANTS.iter().map(check).collect()
 }
 
-/// Checkpoint cadence for every trial node: small enough that the victim
-/// is always due at least one checkpoint round during the load, so the
-/// checkpoint-phase kill points reliably fire.
-const TRIAL_CHECKPOINT_EVERY: u64 = 4;
-
 /// How many matching-phase events pass before the armed kill fires. Commit
-/// phases fire partway through the load; checkpoint phases are rare events
-/// (one per due checkpoint round / replacement bootstrap), so those kills
-/// fire on the very first one.
+/// phases fire partway through the load; a bootstrap is rare (one per
+/// replacement), so its victim dies at its first commit and the
+/// replacement's bootstrap is torn.
 fn kill_delay(kill_point: CommitPhase, config: &RecoveryConfig) -> u64 {
-    if kill_point.is_checkpoint() {
+    if kill_point == CommitPhase::DuringBootstrap {
         0
     } else {
         (config.requests_per_trial / (config.nodes * 4)) as u64
@@ -475,8 +470,7 @@ impl Trial {
         let storage = CutStore::new(virtual_backend(backend, seed), schedule.clone());
         // GC stays off so the durable Transaction Commit Set remains the
         // complete ground truth the post-recovery verification compares
-        // against. (Checkpoints are still written on their cadence — log
-        // *compaction* is what stays off, since it rides the global GC gate.)
+        // against.
         let cluster_config = ClusterConfig {
             initial_nodes: config.nodes,
             node_template: NodeConfig {
@@ -484,7 +478,6 @@ impl Trial {
                 // hide behind a warm cache.
                 data_cache_bytes: 0,
                 rng_seed: seed,
-                checkpoint: aft_core::CheckpointPolicy::every_commits(TRIAL_CHECKPOINT_EVERY),
                 phase_hook: Some(schedule.clone()),
                 ..NodeConfig::default()
             },
@@ -876,12 +869,12 @@ mod tests {
     #[test]
     fn full_tiny_matrix_is_clean() {
         // The acceptance shape: 3 fault modes (network, cross-layer and
-        // metadata partition) x 5 kill points (3 commit phases + 2
-        // checkpoint phases, one backend), zero anomalies, zero lost
-        // commits, full recovery, convergence.
+        // metadata partition) x 4 kill points (3 commit phases + the
+        // bootstrap, one backend), zero anomalies, zero lost commits, full
+        // recovery, convergence.
         let report = tiny();
         let cells = report.sheet("cells");
-        assert_eq!(cells.keys().count(), 15);
+        assert_eq!(cells.keys().count(), 12);
         assert_eq!(report.gate(), Ok(()));
         for column in ["anomalies", "lost_commits", "unrecovered"] {
             assert_eq!(cells.sum(column), 0.0, "{column}");
@@ -895,7 +888,7 @@ mod tests {
         // One seeded thread chooses the interleaving, so these counts are
         // exact: a change that moves them changes what the matrix runs.
         assert_eq!(cells.sum("recovered_commits"), 7.0);
-        assert_eq!(cells.sum("io_retries"), 20.0);
+        assert_eq!(cells.sum("io_retries"), 14.0);
     }
 
     #[test]
@@ -936,7 +929,7 @@ mod tests {
         });
         let mut partition = tiny().sheet("cells").clone();
         partition.retain(|row| row[1] == FaultMode::Partition.label());
-        assert_eq!(partition.keys().count(), 5);
+        assert_eq!(partition.keys().count(), 4);
         let render = |sheet: &Sheet| sheet.to_json().render();
         assert_eq!(render(replay.sheet("cells")), render(&partition));
     }
@@ -1000,13 +993,12 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_kill_points_replace_the_victim_and_stay_clean() {
-        // The two checkpoint cells: a kill mid-checkpoint-write must leave
-        // the previous checkpoint live (never a torn read), and a kill
-        // mid-bootstrap must be retried to convergence. Both must replace
-        // the victim and keep every invariant.
+    fn a_torn_bootstrap_replaces_the_victim_and_stays_clean() {
+        // The bootstrap cell: the victim dies at its first commit, its
+        // replacement's bootstrap is torn, and the cluster retries the
+        // replacement to convergence, keeping every invariant.
         let config = RecoveryConfig {
-            kill_points: CommitPhase::CHECKPOINT.to_vec(),
+            kill_points: vec![CommitPhase::DuringBootstrap],
             fault_modes: vec![FaultMode::CrossLayer],
             ..RecoveryConfig::tiny()
         };
@@ -1016,10 +1008,28 @@ mod tests {
         for row in cells.keys() {
             assert!(
                 cells.value(row, "replaced_nodes") > 0.0,
-                "{}: the checkpoint kill must actually fire and cost the victim",
+                "{}: the kill must actually fire and cost the victim",
                 row[2]
             );
         }
+        // The tear itself: the victim dies at its first commit, the first
+        // replacement dies in its bootstrap, and the next one joins.
+        let schedule = Seeded::new(7, None).kill("aft-node-1", CommitPhase::DuringBootstrap, 0);
+        let trial = Trial::set_up(BackendKind::Memory, 7, schedule, false, &config);
+        let victim = trial.cluster.active_nodes().remove(1);
+        let t = victim.start_transaction();
+        victim.put(&t, Key::new("k"), "v".into()).unwrap();
+        assert!(victim.commit(&t).is_err(), "killed before its broadcast");
+        let outcome = drive_recovery(&trial.cluster, 10);
+        assert!(outcome.converged);
+        assert_eq!(outcome.replaced_nodes, 1);
+        let torn = |a: &Answered| {
+            matches!(
+                a,
+                Answered::Phase(_, CommitPhase::DuringBootstrap, sim::Answer::Kill)
+            )
+        };
+        assert_eq!(trial.schedule.count(torn), 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! * the piped large script ([`piped_large_script`]): the server's fresh
 //!   frame-buffer allocations and pool reuses over `svc-large`-shaped
 //!   transactions, what `aft-net.event.buffer_reuse_share` is made of;
-//! * the eleven small scopes tier-1 walks whole ([`sim::walk`]): the
+//! * the ten small scopes tier-1 walks whole ([`sim::walk`]): the
 //!   schedules each one has, those in which the checker finds a duplicate
 //!   request, and, where writes are cut, those that orphan data. A walk
 //!   panics on a schedule with an anomaly.
@@ -57,7 +57,7 @@ use std::path::Path;
 
 use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
-use aft_core::{CheckpointPolicy, NodeConfig};
+use aft_core::NodeConfig;
 use aft_net::{AftClient, AftServer};
 use aft_storage::{make_backend, BackendConfig, BackendKind, OpKind};
 use aft_types::clock::TickingClock;
@@ -122,20 +122,19 @@ pub struct GoldenRun {
 
 /// Runs the golden *transaction* script over `kind`: a one-node cluster
 /// without a data cache runs 200 seeded read-write transactions (two reads
-/// and three writes each, every tenth one aborted, a checkpoint every 64
-/// commits), and after every ninth commit a read-only one that reads three
-/// keys, so every tenth commit writes nothing. Then it runs maintenance
-/// rounds — dissemination, fault-manager scan, local and global GC,
-/// checkpoint and log compaction — until one deletes nothing and passes
-/// nothing over to the next, so a delete the global GC carried is billed.
+/// and three writes each, every tenth one aborted), and after every ninth
+/// commit a read-only one that reads three keys, so every tenth commit
+/// writes nothing. Then it runs maintenance rounds — dissemination,
+/// fault-manager scan, local and global GC — until one deletes nothing and
+/// passes nothing over to the next, so a delete the global GC carried is
+/// billed.
 pub fn golden_script(kind: BackendKind) -> GoldenRun {
     let storage = make_backend(BackendConfig::test(kind));
     let cluster = Cluster::with_clock(
         ClusterConfig {
             node_template: NodeConfig::test_without_cache(),
             ..ClusterConfig::test(1)
-        }
-        .with_checkpoint_policy(CheckpointPolicy::every_commits(64)),
+        },
         storage.clone(),
         TickingClock::shared(1, 1),
     )
@@ -223,27 +222,25 @@ pub fn piped_large_script() -> (u64, u64) {
 /// (rounds, failures, duplicates, failovers, crashes, fails): `races` runs a
 /// round among two writes of `{a, b}` and a reader of both, `platform` every
 /// fate of every invocation, `duplicate` a concurrent re-run of a
-/// read-modify-write, and `failover` a node replaced mid-run. The storage
-/// cuts run one client's write of `{a, b}`, overwrite of `a` and read of
-/// both: `crash` and `fail` crash or fail any one write with any subset of
-/// its items applied over the memory row, `redis` does both over the Redis
-/// row (one atomic `MSET` a commit) with no round until the drain, and
-/// `checkpoint` checkpoints every two commits, so cuts land in its
-/// publication and in log compaction. `phases` runs two transactions that
-/// write nothing, one on each of two nodes, with a round, a park and a kill:
-/// among its schedules, one commit parks with its timestamp taken, the other
-/// commits and a round runs, then the parked one's node dies with its record
-/// durable, which only the node's report can point the fault manager's scan
-/// at (§4.2). `transients` runs the writer and the reader on two nodes with
-/// one transient and one hold and no round until the drain: any one write
-/// fails transiently, dropped or landed with its acknowledgement lost, and
-/// the I/O engine retries it, and any one batch a drain round disseminates
-/// waits for the next. `net` runs the same two clients on two nodes through
-/// a piped service client with one reset: any one wire call — the writer's
-/// commit, or one of the reader's two reads and its commit — runs and loses
-/// its answer, and the client resends it (§4.2's lost acknowledgement; the
-/// server's dedup ledger answers a resent commit).
-fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 11] {
+/// read-modify-write, and `failover` a node replaced mid-run. The storage cuts
+/// run one client's write of `{a, b}`, overwrite of `a` and read of both:
+/// `crash` and `fail` crash or fail any one write with any subset of its items
+/// applied over the memory row, `redis` does both over the Redis row (one
+/// atomic `MSET` a commit) with no round until the drain. `phases` runs two
+/// transactions that write nothing, one on each of two nodes, with a round, a
+/// park and a kill: among its schedules, one commit parks with its timestamp
+/// taken, the other commits and a round runs, then the parked one's node dies
+/// with its record durable, which only the node's report can point the fault
+/// manager's scan at (§4.2). `transients` runs the writer and the reader on
+/// two nodes with one transient and one hold and no round until the drain: any
+/// one write fails transiently, dropped or landed with its acknowledgement
+/// lost, and the I/O engine retries it, and any one batch a drain round
+/// disseminates waits for the next. `net` runs the same two clients on two
+/// nodes through a piped service client with one reset: any one wire call —
+/// the writer's commit, or one of the reader's two reads and its commit — runs
+/// and loses its answer, and the client resends it (§4.2's lost
+/// acknowledgement; the server's dedup ledger answers a resent commit).
+fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 10] {
     let (writer, reader) = (request("w a, w b"), request("r a, r b"));
     let pair = vec![vec![writer.clone()], vec![reader.clone()]];
     let (transients, net) = (pair.clone(), pair.clone());
@@ -261,10 +258,6 @@ fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 11] {
     };
     let redis = Shape {
         backend: BackendKind::Redis,
-        ..Shape::nodes(1)
-    };
-    let checkpoint = Shape {
-        checkpoint: CheckpointPolicy::every_commits(2),
         ..Shape::nodes(1)
     };
     [
@@ -289,8 +282,7 @@ fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 11] {
             cut.clone(),
             scope((1, 0, 0, 0, 0, 1)),
         ),
-        ("redis", redis, cut.clone(), scope((0, 0, 0, 0, 1, 1))),
-        ("checkpoint", checkpoint, cut, scope((1, 0, 0, 0, 1, 0))),
+        ("redis", redis, cut, scope((0, 0, 0, 0, 1, 1))),
         (
             "phases",
             Shape::nodes(2),

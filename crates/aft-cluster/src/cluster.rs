@@ -43,8 +43,8 @@ pub struct ClusterConfig {
     /// rounds at simulation speed.
     pub dissemination_interval: Duration,
     /// Whether the maintenance loop garbage collects: local metadata GC on
-    /// every node (§5.1) and the global data GC (§5.2), which also gates
-    /// checkpoint log compaction.
+    /// every node (§5.1) and the global data GC (§5.2), which also bounds
+    /// what a replacement's bootstrap replays.
     pub gc_enabled: bool,
     /// How often the fault manager scans storage for lost commits and checks
     /// for failed nodes.
@@ -80,12 +80,6 @@ impl ClusterConfig {
             ..ClusterConfig::default()
         }
     }
-
-    /// Sets every node's checkpoint policy (via the node template).
-    pub fn with_checkpoint_policy(mut self, policy: aft_core::CheckpointPolicy) -> Self {
-        self.node_template.checkpoint = policy;
-        self
-    }
 }
 
 /// Statistics from one maintenance round.
@@ -101,10 +95,6 @@ pub struct MaintenanceStats {
     pub scan_listed: usize,
     /// Global GC outcome for the round (zero if disabled).
     pub global_gc: GlobalGcOutcome,
-    /// Checkpoints published this round (nodes whose policy came due).
-    pub checkpoints_written: usize,
-    /// Commit records dropped by checkpoint-driven log compaction.
-    pub compacted_records: u64,
 }
 
 /// A running AFT deployment: nodes, router, fault manager, and GC.
@@ -298,35 +288,6 @@ impl Cluster {
             stats.global_gc = self
                 .global_gc
                 .run_round(&self.fault_manager, &nodes, &self.io)?;
-        }
-        // Checkpoint rounds last, so a checkpoint published this round
-        // already reflects the round's dissemination and recovery work. Log
-        // compaction piggybacks only when global GC is on *and* no recovery
-        // is in flight: a failed or still-warming node may yet need commit
-        // records the checkpoint covers, so compaction waits for a fully
-        // active membership (the GlobalGc / drive_recovery coordination).
-        if self.config.node_template.checkpoint.is_enabled() {
-            let membership_stable = self
-                .registry
-                .all_nodes()
-                .iter()
-                .all(|(_, state)| *state == NodeState::Active);
-            // Compaction leaves the records the GC's view holds to the GC,
-            // which deletes them with their data.
-            let compact = self.config.gc_enabled && membership_stable;
-            let gc_view = compact.then(|| self.fault_manager.metadata());
-            for node in &nodes {
-                // A kill mid-checkpoint-write crashes the node, which the
-                // registry then counts failed; the round itself keeps going
-                // and the node's previous checkpoint stays live.
-                if let Ok(Some(outcome)) = node.maybe_checkpoint(gc_view) {
-                    stats.checkpoints_written += 1;
-                    if let Some(compaction) = outcome.compaction {
-                        stats.compacted_records +=
-                            (compaction.deleted_covered + compaction.deleted_superseded) as u64;
-                    }
-                }
-            }
         }
         Ok(stats)
     }
@@ -529,51 +490,6 @@ mod tests {
         for node in cluster.active_nodes() {
             assert!(node.metadata().latest_version_of(&Key::new("k")).is_some());
         }
-    }
-
-    #[test]
-    fn maintenance_checkpoints_and_compacts_only_with_stable_membership() {
-        use aft_core::CheckpointPolicy;
-        let cluster = Cluster::with_clock(
-            ClusterConfig::test(2).with_checkpoint_policy(CheckpointPolicy::every_commits(1)),
-            InMemoryStore::shared(),
-            aft_types::clock::TickingClock::shared(1, 1),
-        )
-        .unwrap();
-        let node = cluster.route().unwrap();
-        // Distinct keys: §5.2 global GC never deletes a key's newest (only)
-        // record, so any commit-log shrinkage below is checkpoint compaction.
-        for i in 0..6 {
-            run_txn(&node, &format!("k{i}"), "v");
-        }
-
-        // With a failed node in the registry, checkpoints are written but
-        // compaction is held back: a recovery in flight may still need the
-        // covered records.
-        cluster.kill_node("aft-node-1");
-        let stats = cluster.run_maintenance_round().unwrap();
-        assert!(stats.checkpoints_written >= 1);
-        assert_eq!(stats.compacted_records, 0, "no compaction mid-recovery");
-        assert_eq!(cluster.storage().list_prefix("commit/").unwrap().len(), 6);
-
-        // Once the membership is fully active again, the next due checkpoint
-        // compacts the covered log.
-        cluster.replace_failed_nodes().unwrap();
-        run_txn(&node, "k6", "v");
-        let stats = cluster.run_maintenance_round().unwrap();
-        assert!(stats.checkpoints_written >= 1);
-        assert!(stats.compacted_records > 0, "stable membership compacts");
-        let remaining = cluster.storage().list_prefix("commit/").unwrap().len();
-        assert!(remaining < 7, "covered records dropped, saw {remaining}");
-
-        // A cold node bootstrapping from checkpoint + tail still serves the
-        // compacted-away commits.
-        let fresh = cluster.add_node().unwrap();
-        let t = fresh.start_transaction();
-        assert_eq!(
-            fresh.get(&t, &Key::new("k0")).unwrap().unwrap(),
-            Bytes::from_static(b"v")
-        );
     }
 
     #[test]

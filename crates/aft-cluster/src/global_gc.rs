@@ -923,11 +923,9 @@ mod tests {
             gc.run_round(&fm, nodes, &io).unwrap()
         };
 
-        // T1 and T2 are in a checkpoint; the versions that overwrite their a
-        // and c are in the tail behind it.
+        // T1 and T2 commit, then the versions that overwrite their a and c.
         let t1 = commit_writes(&original, &[("a", "a1"), ("b", "b1")]);
         let t2 = commit_writes(&original, &[("c", "c2"), ("d", "d2")]);
-        original.checkpoint_now(false).unwrap();
         commit_on(&original, "a", "a3");
         commit_on(&original, "c", "c4");
         let overwritten = [KeyVersion::new("a", t1), KeyVersion::new("c", t2)];
@@ -937,8 +935,9 @@ mod tests {
             assert!(spy.inner.get(&version.storage_key()).unwrap().is_none());
         }
 
-        // The replacement loads T1 and T2 whole, learns of a3 and c4 from the
-        // tail, and retires the two versions on its first sweep.
+        // The replacement loads T1 and T2 whole from the commit set, learns
+        // of a3 and c4 there too, and retires the two versions on its first
+        // sweep.
         let replacement = node("replacement");
         assert_eq!(replacement.metadata().debited_oldest_first(), overwritten);
         assert_eq!(replacement.run_local_gc().retired, 2);

@@ -38,12 +38,10 @@ pub mod supersede;
 pub mod write_buffer;
 
 pub use api::{AftApi, CommitOutcome};
-pub use bootstrap::BootstrapOutcome;
 pub use data_cache::DataCache;
 pub use metadata::MetadataCache;
 pub use node::{
-    AftNode, BatchStats, CheckpointPolicy, CommitDrain, CommitPhase, GcOutcome, NetFault,
-    NodeCheckpointOutcome, NodeConfig, PhaseHook,
+    AftNode, BatchStats, CommitDrain, CommitPhase, GcOutcome, NetFault, NodeConfig, PhaseHook,
 };
 pub use read::{select_version, ReadSet};
 pub use stats::{LatencyRecorder, NodeStats, NodeStatsSnapshot};

@@ -454,8 +454,8 @@ impl MetadataCache {
         self.inner.read().key_index.len()
     }
 
-    /// A snapshot of every cached commit record (used by checkpoints and by
-    /// tests).
+    /// A snapshot of every cached commit record (used by the simulator's
+    /// storage audit, fig13's ground truth and tests).
     pub fn all_records(&self) -> Vec<Arc<TransactionRecord>> {
         self.inner
             .read()

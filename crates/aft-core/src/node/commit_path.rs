@@ -296,7 +296,6 @@ impl AftNode {
         }
         self.undrained.lock().finish(timestamp, record);
         self.stats.record_committed();
-        self.checkpoint_commits.fetch_add(1, Ordering::Relaxed);
         Ok(final_id)
     }
 

@@ -14,8 +14,6 @@
 //! * `maintenance.rs`: what a cluster's maintenance round calls. The drain
 //!   of recent commits with the node's commit floor (§4, §4.2), peer
 //!   commits (§4.1) and the local GC sweep (§5.1).
-//! * `checkpoint.rs`: the checkpoint driver. When a node snapshots its
-//!   metadata cache to storage, and the round itself.
 //!
 //! This module holds the node's state, its configuration, its constructor
 //! and accessors, and the [`PhaseHook`] a schedule answers at each
@@ -38,14 +36,12 @@ use crate::metadata::MetadataCache;
 use crate::stats::NodeStats;
 use crate::write_buffer::WriteBuffer;
 
-mod checkpoint;
 mod commit_path;
 mod maintenance;
 mod read_path;
 #[cfg(test)]
 mod tests;
 
-pub use checkpoint::{CheckpointPolicy, NodeCheckpointOutcome};
 #[cfg(test)]
 pub(crate) use commit_path::flush;
 use commit_path::Undrained;
@@ -56,7 +52,7 @@ pub use maintenance::GcOutcome;
 pub use aft_types::CommitPhase;
 
 /// The one hook a node calls at every [`CommitPhase`] it reaches: each
-/// phase of a commit, the checkpoint write and the bootstrap.
+/// phase of a commit, and the bootstrap.
 ///
 /// It survives because a fault *inside* a call is one no caller can inject
 /// from outside: §4.2's lost broadcast needs the record durable and the node
@@ -135,11 +131,6 @@ pub struct NodeConfig {
     /// policy). `IoConfig::sequential()` reproduces the historical
     /// one-round-trip-at-a-time behaviour.
     pub io: IoConfig,
-    /// Background checkpoint policy; disabled by default. When enabled, the
-    /// maintenance driver (cluster layer or the application) calls
-    /// [`AftNode::maybe_checkpoint`] periodically and the policy decides
-    /// whether a round is due.
-    pub checkpoint: CheckpointPolicy,
     /// The hook asked at every [`CommitPhase`]; `None` runs every phase.
     pub phase_hook: Option<Arc<dyn PhaseHook>>,
 }
@@ -154,7 +145,6 @@ impl Default for NodeConfig {
             rpc_profile: LatencyProfile::ZERO,
             rng_seed: 0xAF71,
             io: IoConfig::pipelined(),
-            checkpoint: CheckpointPolicy::disabled(),
             phase_hook: None,
         }
     }
@@ -185,12 +175,6 @@ impl NodeConfig {
         self.rng_seed = seed;
         self
     }
-
-    /// Sets the background checkpoint policy.
-    pub fn with_checkpoint(mut self, checkpoint: CheckpointPolicy) -> Self {
-        self.checkpoint = checkpoint;
-        self
-    }
 }
 
 /// A single AFT shim node.
@@ -216,10 +200,6 @@ pub struct AftNode {
     undrained: Mutex<Undrained>,
     /// Set once the phase hook crashed the node.
     crashed: AtomicBool,
-    /// Commits on this node since the last checkpoint round.
-    checkpoint_commits: AtomicU64,
-    /// The last checkpoint round's id.
-    checkpoint_last_id: Mutex<u64>,
 }
 
 impl AftNode {
@@ -237,15 +217,12 @@ impl AftNode {
         let io = IoEngine::new(storage.clone(), config.io);
         let metadata = MetadataCache::new();
         if config.bootstrap {
-            // Checkpoint-aware warm-up: latest valid checkpoint plus the
-            // commit-set tail behind it; degenerates to full replay when no
-            // checkpoint exists.
-            crate::bootstrap::warm_metadata_cache_checkpointed(
-                &io,
-                &metadata,
-                &config.node_id,
-                config.phase_hook.as_ref(),
-            )?;
+            // A replacement torn here fails its construction; the cluster
+            // keeps the failed entry and retries it.
+            if let Some(hook) = &config.phase_hook {
+                hook.at(&config.node_id, CommitPhase::DuringBootstrap)?;
+            }
+            crate::bootstrap::warm_metadata_cache_pipelined(&io, &metadata)?;
         }
         let rpc_latency = LatencyModel::new(LatencyMode::Virtual, 1.0);
         Ok(Arc::new(AftNode {
@@ -256,8 +233,6 @@ impl AftNode {
             rng: Mutex::new(StdRng::seed_from_u64(config.rng_seed)),
             undrained: Mutex::new(Undrained::default()),
             crashed: AtomicBool::new(false),
-            checkpoint_commits: AtomicU64::new(0),
-            checkpoint_last_id: Mutex::new(0),
             rpc_latency,
             metadata,
             io,

@@ -174,7 +174,7 @@ fn commit_probe_observes_every_phase_in_protocol_order() {
     let t = node.start_transaction();
     node.put(&t, Key::new("k"), val("v")).unwrap();
     node.commit(&t).unwrap();
-    let bootstrap = CommitPhase::DuringCheckpointBootstrap;
+    let bootstrap = CommitPhase::DuringBootstrap;
     let phases: Vec<CommitPhase> = [bootstrap].into_iter().chain(CommitPhase::ALL).collect();
     assert_eq!(hook.seen.lock().as_slice(), phases);
     // A hooked commit is durable, visible and counted like any other:

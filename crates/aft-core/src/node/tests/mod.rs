@@ -147,4 +147,3 @@ fn works_over_every_simulated_backend() {
 include!("read_path.rs");
 include!("commit_path.rs");
 include!("maintenance.rs");
-include!("checkpoint.rs");

@@ -64,7 +64,6 @@
 //!   answer the hook, walked or sampled from a seed.
 
 pub mod backend;
-pub mod checkpoint;
 pub mod counters;
 pub mod cut;
 pub mod dynamo;
@@ -79,10 +78,6 @@ pub mod sharded;
 pub mod store;
 
 pub use backend::{make_backend, BackendConfig, BackendKind};
-pub use checkpoint::{
-    compact_log, load_latest_checkpoint, publish_checkpoint, Checkpoint, CheckpointLoad,
-    CheckpointManifest, CheckpointWriteOutcome, CompactionOutcome, CHECKPOINT_KEEP,
-};
 pub use counters::{OpKind, StorageStats, StorageStatsSnapshot};
 pub use cut::{Cut, CutHook, CutStore};
 pub use dynamo::{DynamoTransactionMode, SimDynamo};

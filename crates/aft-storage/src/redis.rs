@@ -29,10 +29,9 @@
 //! round's batch is one `DEL` per slot group (more past the limit) carrying
 //! the group's collected transactions, records included, and its
 //! overwritten versions; a key alone in its group that round is a
-//! single-key `DEL`. Keys without a UUID (checkpoint chunks and manifests,
-//! a plain baseline's bare keys) are each alone in their slot and keep one
-//! `SET` or `DEL` per key. Reads name versions of different transactions,
-//! so the row has no multi-key read. The paper's implementation could not
+//! single-key `DEL`. Keys without a UUID (a plain baseline's bare keys) are
+//! each alone in their slot and keep one `SET` or `DEL` per key. Reads name
+//! versions of different transactions, so the row has no multi-key read. The paper's implementation could not
 //! batch its commit writes over Redis (§6.1.2, §6.3) and wrote each record
 //! after its data; this row departs from it on purpose, and its Redis call
 //! counts are not the paper's.

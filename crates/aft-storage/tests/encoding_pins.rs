@@ -1,7 +1,7 @@
 //! Every place a [`TransactionId`] leaves the process, pinned byte for byte.
 //!
-//! How an id is held in memory is free to change; what a store, a checkpoint
-//! or a peer sees of it is not — a node must bootstrap from what an earlier
+//! How an id is held in memory is free to change; what a store or a peer
+//! sees of it is not — a node must bootstrap from what an earlier
 //! build wrote. The expected strings below were produced by the build that
 //! still stored a `Uuid` as one `u128`. Pinned here:
 //!
@@ -13,11 +13,10 @@
 //!   repeated the id and framed every length in four bytes. That older hex
 //!   stays pinned as what such a build left in a store: the keyed decode
 //!   must still read it under its own key, and under no other;
-//! * the id-carrying form on its own, as every checkpoint chunk holds it,
-//!   and a whole chunk, which did not change;
+//! * the id-carrying form on its own, as dissemination's byte model prices
+//!   it;
 //! * a `Commit` request frame on the wire.
 
-use aft_storage::checkpoint::encode_chunk;
 use aft_types::codec::{
     decode_keyed_commit_record, encode_commit_record, encode_keyed_commit_record,
 };
@@ -96,12 +95,5 @@ fn a_seeded_id_is_written_as_it_always_was() {
         "010509000000000000007b68e5cf8b010000b47f789800ffd1ebd0a9499847df4441\
          0100000006000000636172742f370700000033206974656d73\
          0100000007000000757365722f34321864e5cf8b01000040c4306056d8a11090d6739e62d5b341"
-    );
-
-    assert_eq!(
-        hex(&encode_chunk(5, 2, &[record])),
-        "011105000000000000000200000001000000\
-         3300000001017b68e5cf8b010000b47f789800ffd1ebd0a9499847df4441\
-         0200000006000000636172742f3707000000757365722f3432199d478c"
     );
 }

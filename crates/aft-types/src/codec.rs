@@ -17,8 +17,8 @@
 //!   two-key commit of 12-byte keys is 29 bytes.
 //! * **Id-carrying (version 1)**, [`encode_commit_record`]:
 //!   `[1][0x01][ts u64][uuid u128][u32 key count]([u32 len][key bytes])*`.
-//!   It stays where no key names the record: inside checkpoint chunks,
-//!   and as dissemination's byte model ([`encoded_commit_record_len`]).
+//!   It stays as dissemination's byte model ([`encoded_commit_record_len`]),
+//!   where no key names the record.
 //!   The keyed decode still accepts a version-1 blob that an older build
 //!   wrote to the commit set, but only if the id inside it is its key's.
 
@@ -287,7 +287,7 @@ fn varint_len(v: u32) -> usize {
 }
 
 /// Encodes a commit record in the id-carrying version-1 form, for places
-/// no storage key names the record (checkpoint chunks).
+/// no storage key names the record.
 pub fn encode_commit_record(record: &TransactionRecord) -> Bytes {
     let mut w = Writer::with_capacity(encoded_commit_record_len(record));
     w.put_u8(CODEC_VERSION);

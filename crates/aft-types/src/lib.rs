@@ -64,8 +64,8 @@ pub const COMMIT_PREFIX: &str = "commit";
 /// transactions, chosen by the UUID's last byte: a transaction's versions
 /// and its record always share one, so a multi-key call limited to one slot
 /// can carry them together, and it can also carry the keys of every other
-/// transaction of its group. Any other key (a checkpoint key, a bare key
-/// written by a baseline without AFT) is its own tag.
+/// transaction of its group. Any other key (a bare key written by a
+/// baseline without AFT) is its own tag.
 pub fn slot_tag(storage_key: &str) -> &str {
     let under = |prefix: &str| {
         storage_key
@@ -87,8 +87,8 @@ pub fn slot_tag(storage_key: &str) -> &str {
 
 /// 64-bit FNV-1a over `bytes`. Its specification fixes it, unlike std's
 /// `DefaultHasher`, whose algorithm may change between releases, so what
-/// it picks is the same on every toolchain: a checkpoint id's low bits, or
-/// the links a seeded partition cuts.
+/// it picks is the same on every toolchain: the links a seeded partition
+/// cuts.
 pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xCBF2_9CE4_8422_2325, |hash, byte| {
         (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3)

@@ -24,16 +24,12 @@
 ///   acknowledging it or multicasting it to peers. This is exactly the §4.2
 ///   liveness hole the fault manager's commit-set scan exists to close.
 ///
-/// Beyond the commit path, two *checkpoint* phases target the background
-/// checkpointing subsystem. They never fire during a normal commit; they exist
-/// so a schedule can prove that a torn checkpoint is never read:
+/// Beyond the commit path, one phase targets a node's start:
 ///
-/// * [`DuringCheckpointWrite`](CommitPhase::DuringCheckpointWrite): after some
-///   checkpoint chunks are durable but before the manifest (the atomic
-///   pointer) is published. The previous checkpoint must stay live.
-/// * [`DuringCheckpointBootstrap`](CommitPhase::DuringCheckpointBootstrap):
-///   while a replacement node is bootstrapping from checkpoint + tail. The
-///   next bootstrap attempt must still converge to the full-replay state.
+/// * [`DuringBootstrap`](CommitPhase::DuringBootstrap): as a node starts,
+///   before it replays the Transaction Commit Set. It never fires during a
+///   normal commit; it exists so a schedule can tear a replacement's
+///   bootstrap and prove that the next attempt still converges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommitPhase {
     /// Before any of the transaction's data writes are issued.
@@ -45,26 +41,17 @@ pub enum CommitPhase {
     /// After the commit record is durable, before local visibility and the
     /// commit-set multicast.
     BeforeBroadcast,
-    /// Mid-checkpoint-write: chunks durable, manifest not yet published.
-    DuringCheckpointWrite,
-    /// Mid-bootstrap of a replacement node reading checkpoint + tail.
-    DuringCheckpointBootstrap,
+    /// As a node starts, before it replays the commit set.
+    DuringBootstrap,
 }
 
 impl CommitPhase {
-    /// Every commit-path phase, in protocol order. Checkpoint phases are
-    /// deliberately excluded: they are background phases and never fire
-    /// during a normal commit.
+    /// Every commit-path phase, in protocol order. The bootstrap phase is
+    /// deliberately excluded: it never fires during a normal commit.
     pub const ALL: [CommitPhase; 3] = [
         CommitPhase::BeforeDataPut,
         CommitPhase::BeforeRecordAppend,
         CommitPhase::BeforeBroadcast,
-    ];
-
-    /// The background checkpoint phases a schedule can kill at.
-    pub const CHECKPOINT: [CommitPhase; 2] = [
-        CommitPhase::DuringCheckpointWrite,
-        CommitPhase::DuringCheckpointBootstrap,
     ];
 
     /// A short label for reports ("before_data_put", ...).
@@ -73,17 +60,8 @@ impl CommitPhase {
             CommitPhase::BeforeDataPut => "before_data_put",
             CommitPhase::BeforeRecordAppend => "before_record_append",
             CommitPhase::BeforeBroadcast => "before_broadcast",
-            CommitPhase::DuringCheckpointWrite => "during_checkpoint_write",
-            CommitPhase::DuringCheckpointBootstrap => "during_checkpoint_bootstrap",
+            CommitPhase::DuringBootstrap => "during_bootstrap",
         }
-    }
-
-    /// True for the background checkpoint phases, false for commit phases.
-    pub fn is_checkpoint(&self) -> bool {
-        matches!(
-            self,
-            CommitPhase::DuringCheckpointWrite | CommitPhase::DuringCheckpointBootstrap
-        )
     }
 }
 
@@ -106,19 +84,8 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_phases_are_distinct_from_commit_phases() {
-        assert_eq!(CommitPhase::CHECKPOINT.len(), 2);
-        for phase in CommitPhase::CHECKPOINT {
-            assert!(phase.is_checkpoint());
-            assert!(!CommitPhase::ALL.contains(&phase));
-        }
-        for phase in CommitPhase::ALL {
-            assert!(!phase.is_checkpoint());
-        }
-        let labels: Vec<&str> = CommitPhase::CHECKPOINT.iter().map(|p| p.label()).collect();
-        assert_eq!(
-            labels,
-            ["during_checkpoint_write", "during_checkpoint_bootstrap"]
-        );
+    fn the_bootstrap_phase_is_distinct_from_commit_phases() {
+        assert!(!CommitPhase::ALL.contains(&CommitPhase::DuringBootstrap));
+        assert_eq!(CommitPhase::DuringBootstrap.label(), "during_bootstrap");
     }
 }

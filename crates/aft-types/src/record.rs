@@ -271,8 +271,6 @@ mod tests {
         assert_eq!(slot_tag(&TransactionRecord::storage_key_for(&peer)), "bc");
         // Keys that carry no transaction UUID are their own tag.
         for bare in [
-            "ckptmeta/00000000000000000003",
-            "ckptdata/00000000000000000003/000001",
             "key-00000042",
             "data/missing-suffix",
             "data/k/not-a-uuid",

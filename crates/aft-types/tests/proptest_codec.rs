@@ -2,8 +2,8 @@
 //! write set, and the storage keys built without `fmt`.
 //!
 //! A commit record has two forms: the keyed one the commit set stores,
-//! decoded with its storage key, and the id-carrying one checkpoint chunks
-//! hold. Records come with short keys and small write sets, and also with
+//! decoded with its storage key, and the id-carrying one dissemination's
+//! byte model prices. Records come with short keys and small write sets, and also with
 //! keys of 128–300 bytes and write sets of 128 keys or more, so that a
 //! keyed record's varints take several bytes.
 

@@ -49,8 +49,8 @@ use std::time::Duration;
 
 use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
-use aft_core::bootstrap::{fetch_commit_records, warm_metadata_cache_checkpointed};
-use aft_core::{is_superseded, AftNode, CheckpointPolicy, MetadataCache, NetFault, PhaseHook};
+use aft_core::bootstrap::{fetch_commit_records, warm_metadata_cache_pipelined};
+use aft_core::{is_superseded, AftNode, MetadataCache, NetFault, PhaseHook};
 use aft_faas::FailurePoint::{AfterBody, BeforeBody, MidBody};
 use aft_faas::{fault_stream, FailureInjector, FailurePoint};
 use aft_net::{AftClient, AftServer};
@@ -284,7 +284,7 @@ impl Seeded {
     }
 
     /// Kills `victim` the `after + 1`th time it reaches `phase`, without a
-    /// draw. At [`CommitPhase::DuringCheckpointBootstrap`] the victim dies at
+    /// draw. At [`CommitPhase::DuringBootstrap`] the victim dies at
     /// [`CommitPhase::BeforeBroadcast`], its commit durable but silent, and
     /// the first bootstrap after that, its replacement's, is torn.
     pub fn kill(mut self, victim: &str, phase: CommitPhase, after: u64) -> Self {
@@ -357,14 +357,14 @@ impl Schedule for Seeded {
         let Some(kill) = &mut self.kill else {
             return Answer::Go;
         };
-        let bootstrap = CommitPhase::DuringCheckpointBootstrap;
+        let bootstrap = CommitPhase::DuringBootstrap;
         if phase == bootstrap {
             let tear = kill.phase == bootstrap && kill.fired && !kill.torn;
             kill.torn |= tear;
             return if tear { Answer::Kill } else { Answer::Go };
         }
         let at = match kill.phase {
-            CommitPhase::DuringCheckpointBootstrap => CommitPhase::BeforeBroadcast,
+            CommitPhase::DuringBootstrap => CommitPhase::BeforeBroadcast,
             at => at,
         };
         if kill.fired || node != kill.victim || phase != at {
@@ -543,8 +543,8 @@ impl Schedule for Exhaustive {
     /// its first phase, where its timestamp is taken and nothing is durable;
     /// a node dies at a commit's last, where its record is durable and
     /// unacknowledged. Between the two lies every state the fault manager's
-    /// floor must cover (§4.2). A kill at the other phases, at a checkpoint
-    /// write and at a bootstrap is [`Seeded::kill`]'s (fig10's).
+    /// floor must cover (§4.2). A kill at the other phases and at a
+    /// bootstrap is [`Seeded::kill`]'s (fig10's).
     fn phase(&mut self, _: &str, phase: CommitPhase, parkable: bool) -> Answer {
         let park = parkable && self.left.parks > 0 && phase == CommitPhase::BeforeDataPut;
         let kill = self.left.kills > 0 && phase == CommitPhase::BeforeBroadcast;
@@ -793,8 +793,6 @@ pub struct Shape {
     pub nodes: usize,
     /// The service row under them.
     pub backend: BackendKind,
-    /// Every node's checkpoint policy.
-    pub checkpoint: CheckpointPolicy,
     /// Whether clients reach the cluster through a service client over
     /// in-memory pipes ([`aft_net::ClientBuilder::pipe`]) into a server of
     /// default configuration, whose requests
@@ -804,13 +802,11 @@ pub struct Shape {
 }
 
 impl Shape {
-    /// `nodes` nodes over the memory row, without checkpoints, called
-    /// directly.
+    /// `nodes` nodes over the memory row, called directly.
     pub fn nodes(nodes: usize) -> Self {
         Shape {
             nodes,
             backend: BackendKind::Memory,
-            checkpoint: CheckpointPolicy::disabled(),
             piped: false,
         }
     }
@@ -870,7 +866,7 @@ pub fn settle(
 ) -> (Run, Verdict, Stored) {
     let shared = Shared::new(std::mem::take(schedule));
     let storage = make_backend(BackendConfig::test(shape.backend));
-    let mut config = ClusterConfig::test(shape.nodes).with_checkpoint_policy(shape.checkpoint);
+    let mut config = ClusterConfig::test(shape.nodes);
     config.node_template.phase_hook = Some(shared.clone());
     let deployment = Restarting {
         storage: CutStore::new(storage, shared.clone()),
@@ -974,7 +970,7 @@ pub fn durable_records(cluster: &Cluster) -> (Vec<Arc<TransactionRecord>>, u64) 
 fn dangling(storage: &SharedStorage) -> u64 {
     let view = MetadataCache::new();
     let io = IoEngine::new(storage.clone(), IoConfig::pipelined());
-    warm_metadata_cache_checkpointed(&io, &view, "check", None).expect("a bootstrap");
+    warm_metadata_cache_pipelined(&io, &view).expect("a bootstrap");
     let data: HashSet<String> = storage
         .list_prefix("data/")
         .expect("a listing")

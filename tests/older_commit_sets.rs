@@ -9,7 +9,7 @@
 //! reader may load under either id.
 
 use aft::cluster::FaultManager;
-use aft::core::bootstrap::warm_metadata_cache_checkpointed;
+use aft::core::bootstrap::warm_metadata_cache_pipelined;
 use aft::core::metadata::MetadataCache;
 use aft::core::{AftNode, NodeConfig};
 use aft::storage::io::{IoConfig, IoEngine};
@@ -108,13 +108,8 @@ fn a_fresh_node_bootstraps_from_an_older_builds_commit_set() {
 
     let io = IoEngine::new(storage.clone(), IoConfig::pipelined());
     let metadata = MetadataCache::new();
-    let outcome = warm_metadata_cache_checkpointed(&io, &metadata, "fresh", None).unwrap();
-    assert!(!outcome.used_checkpoint);
-    assert_eq!(
-        outcome.from_tail,
-        records.len(),
-        "the stray blob is skipped"
-    );
+    let loaded = warm_metadata_cache_pipelined(&io, &metadata).unwrap();
+    assert_eq!(loaded, records.len(), "the stray blob is skipped");
     assert_loaded(&metadata, &records, stray);
 
     // A node that bootstraps the same way reads the older build's version

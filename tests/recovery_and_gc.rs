@@ -141,6 +141,7 @@ fn global_gc_reclaims_superseded_versions_without_losing_the_latest() {
     let gc = GlobalGc::default();
 
     // 50 versions of 5 hot keys, interleaved across both nodes.
+    let mut committed = Vec::new();
     for i in 0..50u32 {
         let node = &nodes[(i % 2) as usize];
         let t = node.start_transaction();
@@ -150,7 +151,7 @@ fn global_gc_reclaims_superseded_versions_without_losing_the_latest() {
             Bytes::from(format!("v{i}")),
         )
         .unwrap();
-        node.commit(&t).unwrap();
+        committed.push(node.commit(&t).unwrap());
     }
     broadcast_round(&nodes, Some(&fm));
     for node in &nodes {
@@ -171,8 +172,18 @@ fn global_gc_reclaims_superseded_versions_without_losing_the_latest() {
         "one surviving version per hot key: {remaining:?}"
     );
 
-    // And every key still reads its newest value on every node.
-    for node in &nodes {
+    // A node that bootstraps now replays only what the GC left: the five
+    // newest writers, each one committed (§5.2 bounds recovery, and loses
+    // and invents nothing).
+    let fresh = node_over(storage.clone(), "fresh");
+    let records = fresh.metadata().all_records();
+    let mut loaded: Vec<_> = records.iter().map(|record| record.id).collect();
+    loaded.sort_unstable();
+    assert_eq!(loaded, committed[45..], "exactly the five survivors");
+
+    // And every key still reads its newest value on every node, the fresh
+    // one too.
+    for node in nodes.iter().chain([&fresh]) {
         let t = node.start_transaction();
         for k in 0..5u32 {
             let value = node
