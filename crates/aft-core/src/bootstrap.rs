@@ -18,7 +18,6 @@
 //! their own.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use aft_storage::io::{IoEngine, StorageRequest};
 use aft_types::codec::decode_keyed_commit_record;
@@ -38,8 +37,8 @@ pub const COMMIT_FETCH_WAVE: usize = 256;
 /// ([`decode_keyed_commit_record`]). Keys deleted between listing and read
 /// are skipped (a racing global GC); undecodable blobs are skipped (a
 /// half-written record means the transaction never committed), and so is
-/// an older build's blob whose id is not its key's. Returns the bytes read
-/// and the charged latency.
+/// an older build's blob whose id is not its key's. Returns the bytes read;
+/// the charged latency lands on the calling thread.
 ///
 /// The one commit-record fetch loop: node bootstrap and full replay (below)
 /// and the cluster fault manager's commit-set scan all bulk-read the
@@ -48,11 +47,10 @@ pub fn fetch_commit_records(
     io: &IoEngine,
     keys: &[String],
     mut on_record: impl FnMut(TransactionRecord),
-) -> AftResult<(u64, Duration)> {
-    let (mut bytes_read, mut cost) = (0, Duration::ZERO);
+) -> AftResult<u64> {
+    let mut bytes_read = 0;
     for wave in keys.chunks(COMMIT_FETCH_WAVE) {
-        let (blobs, wave_cost) = io.get_all(wave.to_vec())?;
-        cost += wave_cost;
+        let blobs = io.get_all(wave.to_vec())?;
         for (key, blob) in wave.iter().zip(blobs) {
             let Some(blob) = blob else { continue };
             bytes_read += blob.len() as u64;
@@ -61,7 +59,7 @@ pub fn fetch_commit_records(
             }
         }
     }
-    Ok((bytes_read, cost))
+    Ok(bytes_read)
 }
 
 /// Full replay: reads every commit record in storage through the pipelined

@@ -123,7 +123,7 @@ impl AftNode {
             .iter()
             .map(|&(i, target)| KeyVersion::new(keys[i].clone(), target).storage_key())
             .collect();
-        let (values, _) = self.io.get_all(storage_keys)?;
+        let values = self.io.get_all(storage_keys)?;
         for ((i, target), value) in fetches.into_iter().zip(values) {
             out[i] = Some((self.fetched(txid, &keys[i], target, value)?, Some(target)));
         }

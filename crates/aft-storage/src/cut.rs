@@ -411,7 +411,7 @@ mod tests {
             let (store, hook) = over(BackendKind::Memory, vec![Cut::Transient { applied }]);
             store.inner().put("k0", Value::from_static(b"v")).unwrap();
             let engine = IoEngine::new(store.clone(), IoConfig::pipelined());
-            let (values, _) = engine.get_all(keys.clone()).unwrap();
+            let values = engine.get_all(keys.clone()).unwrap();
             assert_eq!(
                 values.iter().flatten().collect::<Vec<_>>(),
                 [&Value::from_static(b"v")]

@@ -364,12 +364,11 @@ pub struct BatchOutcome {
 }
 
 impl BatchOutcome {
-    /// Returns the batch cost if every member succeeded, or the first error.
-    pub fn ok(self) -> AftResult<Duration> {
-        for result in self.results {
-            result?;
-        }
-        Ok(self.cost)
+    /// Whether every member succeeded: the first error, if any.
+    pub fn ok(self) -> AftResult<()> {
+        self.results
+            .into_iter()
+            .try_for_each(|result| result.map(drop))
     }
 }
 
@@ -599,25 +598,27 @@ impl IoEngine {
         self.submit(request).wait()
     }
 
-    /// Durably writes every item, overlapping the round trips, and returns
-    /// the batch's charged latency.
+    /// Durably writes every item, overlapping the round trips. Its charged
+    /// latency lands on the calling thread, where
+    /// [`measure_cost`](crate::latency::measure_cost) reads it.
     ///
     /// Backends with a native batch API get one `PutBatch` request (their
     /// own call-count limits apply); backends without one get one `Put` per
     /// item — the same API calls a sequential client would make, issued
     /// concurrently.
-    pub fn put_all(&self, mut items: Vec<(String, Value)>) -> AftResult<Duration> {
+    pub fn put_all(&self, mut items: Vec<(String, Value)>) -> AftResult<()> {
         match items.len() {
-            0 => Ok(Duration::ZERO),
+            0 => Ok(()),
             1 => {
                 let (key, value) = items.pop().expect("len checked");
-                let outcome = self.execute(StorageRequest::Put(key, value));
-                outcome.result.map(|_| outcome.cost)
+                self.execute(StorageRequest::Put(key, value))
+                    .result
+                    .map(drop)
             }
-            _ if self.storage.supports_batch_put() => {
-                let outcome = self.execute(StorageRequest::PutBatch(items));
-                outcome.result.map(|_| outcome.cost)
-            }
+            _ if self.storage.supports_batch_put() => self
+                .execute(StorageRequest::PutBatch(items))
+                .result
+                .map(drop),
             _ => self
                 .submit_all(items.into_iter().map(|(k, v)| StorageRequest::Put(k, v)))
                 .wait_all()
@@ -626,8 +627,9 @@ impl IoEngine {
     }
 
     /// Reads every key, overlapping the round trips, and returns the values
-    /// in request order (`None` for a missing key) with the read's charged
-    /// latency.
+    /// in request order (`None` for a missing key). Its charged latency
+    /// lands on the calling thread, as [`put_all`](IoEngine::put_all)'s
+    /// does.
     ///
     /// The mirror of [`put_all`](IoEngine::put_all): backends with a native
     /// multi-key read get one `GetBatch` request (their own call-count limits
@@ -635,33 +637,25 @@ impl IoEngine {
     /// single key is one `Get` either way, and no key is no call. A node's
     /// read misses, the bootstrap's replay and the fault manager's commit-set
     /// scan read through it.
-    pub fn get_all(&self, mut keys: Vec<String>) -> AftResult<(Vec<Option<Value>>, Duration)> {
+    pub fn get_all(&self, mut keys: Vec<String>) -> AftResult<Vec<Option<Value>>> {
         match keys.len() {
-            0 => Ok((Vec::new(), Duration::ZERO)),
+            0 => Ok(Vec::new()),
             1 => {
                 let key = keys.pop().expect("len checked");
                 let outcome = self.execute(StorageRequest::Get(key));
-                outcome
-                    .result
-                    .map(|response| (vec![response.into_value()], outcome.cost))
+                outcome.result.map(|response| vec![response.into_value()])
             }
             _ if self.storage.supports_batch_get() => {
                 let outcome = self.execute(StorageRequest::GetBatch(keys));
-                outcome
-                    .result
-                    .map(|response| (response.into_values(), outcome.cost))
+                outcome.result.map(StorageResponse::into_values)
             }
-            _ => {
-                let batch = self
-                    .submit_all(keys.into_iter().map(StorageRequest::Get))
-                    .wait_all();
-                let values = batch
-                    .results
-                    .into_iter()
-                    .map(|result| result.map(StorageResponse::into_value))
-                    .collect::<AftResult<_>>()?;
-                Ok((values, batch.cost))
-            }
+            _ => self
+                .submit_all(keys.into_iter().map(StorageRequest::Get))
+                .wait_all()
+                .results
+                .into_iter()
+                .map(|result| result.map(StorageResponse::into_value))
+                .collect(),
         }
     }
 }
@@ -840,15 +834,13 @@ mod tests {
         let items: Vec<(String, Value)> = (0..8).map(|i| (format!("k{i}"), val("v"))).collect();
 
         let pipelined = IoEngine::new(fixed_s3(7), IoConfig::pipelined());
-        let (pipe_cost, pipe_charge) = measure_cost(|| pipelined.put_all(items.clone()).unwrap());
+        let ((), pipe_cost) = measure_cost(|| pipelined.put_all(items.clone()).unwrap());
 
         let sequential = IoEngine::new(
             SequentialEngine::new(fixed_s3(7)) as SharedStorage,
             IoConfig::sequential(),
         );
-        let (seq_cost, seq_charge) = measure_cost(|| sequential.put_all(items).unwrap());
-        // The thread waited for what the batch cost, no more.
-        assert_eq!((pipe_charge, seq_charge), (pipe_cost, seq_cost));
+        let ((), seq_cost) = measure_cost(|| sequential.put_all(items).unwrap());
 
         assert!(
             pipe_cost >= Duration::from_millis(9) && pipe_cost <= Duration::from_millis(11),
@@ -874,7 +866,8 @@ mod tests {
         let outcome = engine
             .submit_all((0..6).map(|i| StorageRequest::Put(format!("k{i}"), val("v"))))
             .wait_all();
-        let cost = outcome.ok().unwrap();
+        let cost = outcome.cost;
+        outcome.ok().unwrap();
         assert!(
             cost >= Duration::from_millis(29) && cost <= Duration::from_millis(32),
             "3 waves x 10ms expected, got {cost:?}"
@@ -1248,14 +1241,15 @@ mod tests {
     #[test]
     fn get_all_takes_one_call_where_the_row_has_a_multi_key_read() {
         use crate::counters::OpKind;
+        use crate::latency::measure_cost;
         let memory = InMemoryStore::shared();
         memory.put("a", val("1")).unwrap();
         memory.put("c", val("3")).unwrap();
         let engine = IoEngine::new(memory.clone(), IoConfig::pipelined());
         let keys = || vec!["a".to_owned(), "b".to_owned(), "c".to_owned()];
-        let (values, _) = engine.get_all(keys()).unwrap();
+        let values = engine.get_all(keys()).unwrap();
         assert_eq!(values, vec![Some(val("1")), None, Some(val("3"))]);
-        let (none, cost) = engine.get_all(Vec::new()).unwrap();
+        let (none, cost) = measure_cost(|| engine.get_all(Vec::new()).unwrap());
         assert!(none.is_empty() && cost.is_zero());
         assert_eq!(memory.stats().calls(OpKind::BatchGet), 1, "empty: no call");
         assert_eq!(memory.stats().calls(OpKind::Get), 0);
@@ -1263,7 +1257,7 @@ mod tests {
         // Without the call (S3): one Get per key, issued together.
         let s3 = s3_virtual();
         let engine = IoEngine::new(Arc::clone(&s3), IoConfig::pipelined());
-        let (values, _) = engine.get_all(keys()).unwrap();
+        let values = engine.get_all(keys()).unwrap();
         assert_eq!(values, vec![None, None, None]);
         assert_eq!(s3.stats().calls(OpKind::Get), 3);
         assert_eq!(s3.stats().calls(OpKind::BatchGet), 0);
@@ -1289,8 +1283,8 @@ mod tests {
             ])
             .wait_all();
         assert_eq!(outcome.results.len(), 3);
-        let cost = outcome.ok().unwrap();
-        assert!(cost > Duration::ZERO);
+        assert!(outcome.cost > Duration::ZERO);
+        outcome.ok().unwrap();
         let listed = engine.execute(StorageRequest::List("k".into()));
         assert!(listed.result.unwrap().into_keys().is_empty());
     }

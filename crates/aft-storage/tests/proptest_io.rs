@@ -152,9 +152,9 @@ proptest! {
                 SequentialEngine::new(half_full(service)) as SharedStorage,
                 IoConfig::sequential(),
             );
-            let (expected, _) = sequential.get_all(keys.clone()).unwrap();
+            let expected = sequential.get_all(keys.clone()).unwrap();
             let batched = IoEngine::new(half_full(service), IoConfig::pipelined());
-            let (values, _) = batched.get_all(keys.clone()).unwrap();
+            let values = batched.get_all(keys.clone()).unwrap();
             prop_assert_eq!(&values, &expected);
 
             let one_call = service.batch_get.unwrap().limit;
