@@ -66,8 +66,8 @@ pub fn fetch_commit_records(
 /// I/O engine and inserts it into `metadata`. The listing is one round trip,
 /// then the record reads go out in waves via [`fetch_commit_records`], so a
 /// warm-up does not pay one round trip per record (§6.7's recovery-time
-/// concern). Every node bootstraps through it, and the proptests use it as
-/// their reference.
+/// concern). Every node bootstraps through it, and the simulator's storage
+/// audit builds its view of storage with it.
 ///
 /// Returns the number of records loaded.
 pub fn warm_metadata_cache_pipelined(io: &IoEngine, metadata: &MetadataCache) -> AftResult<usize> {
