@@ -237,7 +237,6 @@ fn seed_commits(io: &IoEngine, history: usize, keys: usize) -> Vec<TransactionId
             })
             .collect();
         io.execute(StorageRequest::PutBatch(batch))
-            .result
             .expect("seeding cannot fail");
     }
     ids
@@ -292,7 +291,7 @@ fn measure_bootstrap(io: &IoEngine) -> (BootstrapSample, MetadataCache) {
     let cache = MetadataCache::new();
     let (bytes_read, cost) = measure_cost(|| {
         let listed = io.execute(StorageRequest::List(TransactionRecord::storage_prefix()));
-        let keys = listed.result.expect("a listing").into_keys();
+        let keys = listed.expect("a listing").into_keys();
         fetch_commit_records(io, &keys, |record| {
             cache.insert(Arc::new(record));
         })

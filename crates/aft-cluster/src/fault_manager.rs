@@ -211,8 +211,7 @@ impl FaultManager {
             .execute(StorageRequest::ListAfter(
                 TransactionRecord::storage_prefix(),
                 TransactionRecord::storage_floor_key(from),
-            ))
-            .result?
+            ))?
             .into_keys();
         // One view for the whole listing, dropped before the inserts below.
         let missing: Vec<String> = {

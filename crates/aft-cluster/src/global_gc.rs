@@ -214,7 +214,7 @@ impl GlobalGc {
         keys.append(&mut version_keys);
         if !keys.is_empty() {
             outcome.storage_keys_deleted = keys.len();
-            io.execute(StorageRequest::DeleteBatch(keys)).result?;
+            io.execute(StorageRequest::DeleteBatch(keys))?;
         }
 
         // Acknowledged: forget what went, remember what waits.

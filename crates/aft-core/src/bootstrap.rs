@@ -72,8 +72,7 @@ pub fn fetch_commit_records(
 /// Returns the number of records loaded.
 pub fn warm_metadata_cache_pipelined(io: &IoEngine, metadata: &MetadataCache) -> AftResult<usize> {
     let keys = io
-        .execute(StorageRequest::List(TransactionRecord::storage_prefix()))
-        .result?
+        .execute(StorageRequest::List(TransactionRecord::storage_prefix()))?
         .into_keys();
     let mut loaded = 0;
     fetch_commit_records(io, &keys, |record| {

@@ -307,9 +307,7 @@ impl AftNode {
         let txn = self.buffer.take(txid)?;
         let spilled = txn.spilled_storage_keys();
         if !spilled.is_empty() {
-            self.io
-                .execute(StorageRequest::DeleteBatch(spilled))
-                .result?;
+            self.io.execute(StorageRequest::DeleteBatch(spilled))?;
         }
         self.stats.record_aborted();
         Ok(())

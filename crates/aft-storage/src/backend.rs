@@ -172,6 +172,7 @@ mod tests {
     #[test]
     fn make_backend_places_each_row_on_its_own_stripes() {
         use crate::io::{IoConfig, IoEngine, StorageRequest};
+        use crate::latency::measure_cost;
         // Every call draws its latency from the RNG of its key's stripe, so a
         // fixed script charges the same costs, request by request, as a twin
         // store only if both place keys on the same number of stripes.
@@ -183,7 +184,9 @@ mod tests {
             .collect();
         let charged = |storage: SharedStorage| {
             let engine = IoEngine::new(storage, IoConfig::sequential());
-            engine.submit_all(script.clone()).wait_all().costs
+            let run = |request: &StorageRequest| engine.execute(request.clone());
+            let costs = script.iter().map(|request| measure_cost(|| run(request)).1);
+            costs.collect::<Vec<_>>()
         };
         let seed = 0x57A;
         for (kind, service, stripes) in [

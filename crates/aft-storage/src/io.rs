@@ -11,34 +11,31 @@
 //!
 //! * [`StorageRequest`] — one storage operation as a value (get / batched
 //!   get / put / batched put / delete / batched delete / list).
-//! * [`IoEngine::submit`] — issue a request, get back an [`IoTicket`];
-//!   [`IoEngine::submit_all`] returns a [`CompletionSet`] whose `wait_all`
-//!   is the barrier callers place between a transaction's data writes and
-//!   its commit-record append.
-//! * **Submitter-run I/O.** `submit` runs the operation on the calling
-//!   thread under [`capture_deferred`]: the data-plane effect applies
-//!   immediately, the sampled delay is *not* slept, and the ticket records
-//!   when the completion is due. That holds for every backend, so the
-//!   engine owns no thread.
+//! * [`IoEngine::execute`] runs one request and answers with its result;
+//!   [`IoEngine::put_all`] and [`IoEngine::get_all`] issue a batch together
+//!   and wait for all of it, the barrier callers place between a
+//!   transaction's data writes and its commit-record append.
+//! * **Submitter-run I/O.** Every request runs on the calling thread under
+//!   [`capture_deferred`]: the data-plane effect applies immediately, the
+//!   sampled delay is *not* slept, and the request's ticket records when
+//!   the completion is due. That holds for every backend, so the engine
+//!   owns no thread.
 //! * **Waiter-timed completions.** A deferred completion is only a deadline
-//!   in its ticket; [`IoTicket::wait`] sleeps out what is left of it and
-//!   [`CompletionSet::wait_all`] sleeps once, until the latest member's — so
-//!   any number of requests overlap on one thread, exactly like an async
-//!   client over a real network. [`IoConfig::max_in_flight`] still bounds
-//!   the overlap: deadlines of outstanding requests are expired lazily at
-//!   `submit`, which blocks until the earliest passes when the window is
-//!   full.
-//! * **Overlap accounting for the virtual clock**: every completion carries
-//!   the simulated latency it charged, and a [`CompletionSet`] charges the
-//!   batch one *wave* at a time — the **maximum** of each
+//!   in its ticket; a batch's barrier sleeps once, until the latest
+//!   member's — so any number of requests overlap on one thread, exactly
+//!   like an async client over a real network. [`IoConfig::max_in_flight`]
+//!   still bounds the overlap: deadlines of outstanding requests are expired
+//!   lazily at submission, which blocks until the earliest passes when the
+//!   window is full.
+//! * **Overlap accounting for the virtual clock**: a batch is charged one
+//!   *wave* at a time — the **maximum** of each
 //!   [`IoConfig::max_in_flight`]-sized chunk, summed across chunks. A batch
 //!   that fits the window costs its slowest member; a window of 1 charges
-//!   the plain sum. Collecting a ticket or a set adds that cost, not the
-//!   sum of its members, to the collecting thread's charge
-//!   ([`measure_cost`](crate::latency::measure_cost)). This is how
-//!   `LatencyMode::Virtual` experiments observe overlap without sleeping,
-//!   without ever undercharging a batch larger than the engine's real
-//!   concurrency.
+//!   the plain sum. That charge, not the sum of the members, lands on the
+//!   calling thread, and [`measure_cost`](crate::latency::measure_cost) is
+//!   where it is read. This is how `LatencyMode::Virtual` experiments
+//!   observe overlap without sleeping, without ever undercharging a batch
+//!   larger than the engine's real concurrency.
 //!
 //! [`IoConfig::sequential()`] is the window of 1: every request waits out
 //! its predecessor, reproducing the historical one-round-trip-at-a-time
@@ -235,20 +232,13 @@ impl StorageResponse {
     }
 }
 
-/// A completed request: its result plus the simulated latency it charged.
-#[derive(Debug)]
-pub struct IoOutcome {
-    /// The operation's result.
-    pub result: AftResult<StorageResponse>,
-    /// Simulated latency the operation charged (meaningful in both latency
-    /// modes; in `Virtual` mode it is the only observable cost).
-    pub cost: Duration,
-}
-
 /// A handle for one submitted request: it has run, on its submitter; what is
 /// outstanding is its latency.
-pub struct IoTicket<'e> {
-    outcome: IoOutcome,
+struct IoTicket<'e> {
+    result: AftResult<StorageResponse>,
+    /// The simulated latency the request charged: its samples and its retry
+    /// backoff. Collecting the ticket adds it to the thread's charge.
+    cost: Duration,
     due: Due<'e>,
 }
 
@@ -288,47 +278,31 @@ impl IoTicket<'_> {
     }
 
     /// Blocks until the request's completion is due, adds its cost to the
-    /// thread's charge and returns it.
-    pub fn wait(self) -> IoOutcome {
+    /// thread's charge and returns its result.
+    fn wait(self) -> AftResult<StorageResponse> {
         if let Some(at) = self.ready_at() {
             sleep_until(at);
         }
-        charge(self.outcome.cost);
-        self.outcome
+        charge(self.cost);
+        self.result
     }
 }
 
 /// The completions of one submitted batch.
-pub struct CompletionSet<'e> {
+struct CompletionSet<'e> {
     tickets: Vec<IoTicket<'e>>,
     /// The engine's overlap window at submission time (1 = sequential).
     window: usize,
 }
 
 impl CompletionSet<'_> {
-    /// Number of requests in the batch.
-    pub fn len(&self) -> usize {
-        self.tickets.len()
-    }
-
-    /// Returns true for an empty batch.
-    pub fn is_empty(&self) -> bool {
-        self.tickets.is_empty()
-    }
-
     /// Barrier: waits for every member, adds the batch's cost (its waves,
     /// not the sum of its members) to the thread's charge and returns the
-    /// batch outcome.
-    pub fn wait_all(self) -> BatchOutcome {
+    /// members' results in submission order.
+    fn wait_all(self) -> Vec<AftResult<StorageResponse>> {
         // One sleep covers every deferred member: the latest deadline.
         if let Some(latest) = self.tickets.iter().filter_map(IoTicket::ready_at).max() {
             sleep_until(latest);
-        }
-        let mut results = Vec::with_capacity(self.tickets.len());
-        let mut costs = Vec::with_capacity(self.tickets.len());
-        for IoTicket { outcome, .. } in self.tickets {
-            results.push(outcome.result);
-            costs.push(outcome.cost);
         }
         // Overlap accounting, bounded by the engine's real concurrency: at
         // most `window` members are in flight together, so the batch is
@@ -336,39 +310,14 @@ impl CompletionSet<'_> {
         // summed across chunks. A sequential engine (window 1) degenerates to
         // the plain sum; a batch that fits the window costs its slowest
         // member.
-        let window = self.window.max(1);
-        let cost = costs
-            .chunks(window)
-            .map(|wave| wave.iter().copied().max().unwrap_or(Duration::ZERO))
+        let waves = self.tickets.chunks(self.window.max(1));
+        let cost = waves
+            .filter_map(|wave| wave.iter().map(|ticket| ticket.cost).max())
             .sum();
+        let results = self.tickets.into_iter().map(|ticket| ticket.result);
+        let results = results.collect();
         charge(cost);
-        BatchOutcome {
-            results,
-            costs,
-            cost,
-        }
-    }
-}
-
-/// The outcome of a [`CompletionSet::wait_all`] barrier.
-#[derive(Debug)]
-pub struct BatchOutcome {
-    /// Per-member results, in submission order.
-    pub results: Vec<AftResult<StorageResponse>>,
-    /// Per-member charged latencies, in submission order.
-    pub costs: Vec<Duration>,
-    /// The batch's charged latency: the sum over window-sized waves of each
-    /// wave's slowest member. With everything in one window that is the max
-    /// of the members; with a sequential engine (window 1) it is the sum.
-    pub cost: Duration,
-}
-
-impl BatchOutcome {
-    /// Whether every member succeeded: the first error, if any.
-    pub fn ok(self) -> AftResult<()> {
-        self.results
-            .into_iter()
-            .try_for_each(|result| result.map(drop))
+        results
     }
 }
 
@@ -550,7 +499,7 @@ impl IoEngine {
     /// the in-flight window is full (bounded queue depth). The request runs
     /// here, on the calling thread; where its latency was deferred, its
     /// in-flight slot stays taken until the completion is due.
-    pub fn submit(&self, request: StorageRequest) -> IoTicket<'_> {
+    fn submit(&self, request: StorageRequest) -> IoTicket<'_> {
         self.acquire();
         let ((result, backoff), cost) = capture_deferred(|| self.execute_with_retry(&request));
         // Retry backoff is part of the operation's simulated duration:
@@ -575,26 +524,25 @@ impl IoEngine {
                 _held: Uncollected::new(&self.uncollected),
             },
         };
-        let cost = cost.charged + backoff;
         IoTicket {
-            outcome: IoOutcome { result, cost },
+            result,
+            cost: cost.charged + backoff,
             due,
         }
     }
 
     /// Submits a batch of requests and returns their completion set.
-    pub fn submit_all(
-        &self,
-        requests: impl IntoIterator<Item = StorageRequest>,
-    ) -> CompletionSet<'_> {
+    fn submit_all(&self, requests: impl IntoIterator<Item = StorageRequest>) -> CompletionSet<'_> {
         CompletionSet {
             tickets: requests.into_iter().map(|r| self.submit(r)).collect(),
             window: self.overlap_window(),
         }
     }
 
-    /// Submits one request and waits out its latency.
-    pub fn execute(&self, request: StorageRequest) -> IoOutcome {
+    /// Runs one request and waits out its latency. Its charged latency
+    /// lands on the calling thread, where
+    /// [`measure_cost`](crate::latency::measure_cost) reads it.
+    pub fn execute(&self, request: StorageRequest) -> AftResult<StorageResponse> {
         self.submit(request).wait()
     }
 
@@ -611,18 +559,16 @@ impl IoEngine {
             0 => Ok(()),
             1 => {
                 let (key, value) = items.pop().expect("len checked");
-                self.execute(StorageRequest::Put(key, value))
-                    .result
-                    .map(drop)
+                self.execute(StorageRequest::Put(key, value)).map(drop)
             }
-            _ if self.storage.supports_batch_put() => self
-                .execute(StorageRequest::PutBatch(items))
-                .result
-                .map(drop),
+            _ if self.storage.supports_batch_put() => {
+                self.execute(StorageRequest::PutBatch(items)).map(drop)
+            }
             _ => self
                 .submit_all(items.into_iter().map(|(k, v)| StorageRequest::Put(k, v)))
                 .wait_all()
-                .ok(),
+                .into_iter()
+                .try_for_each(|result| result.map(drop)),
         }
     }
 
@@ -642,17 +588,15 @@ impl IoEngine {
             0 => Ok(Vec::new()),
             1 => {
                 let key = keys.pop().expect("len checked");
-                let outcome = self.execute(StorageRequest::Get(key));
-                outcome.result.map(|response| vec![response.into_value()])
+                let response = self.execute(StorageRequest::Get(key))?;
+                Ok(vec![response.into_value()])
             }
-            _ if self.storage.supports_batch_get() => {
-                let outcome = self.execute(StorageRequest::GetBatch(keys));
-                outcome.result.map(StorageResponse::into_values)
-            }
+            _ if self.storage.supports_batch_get() => self
+                .execute(StorageRequest::GetBatch(keys))
+                .map(StorageResponse::into_values),
             _ => self
                 .submit_all(keys.into_iter().map(StorageRequest::Get))
                 .wait_all()
-                .results
                 .into_iter()
                 .map(|result| result.map(StorageResponse::into_value))
                 .collect(),
@@ -771,16 +715,21 @@ mod tests {
         s3(Service::S3.profile, LatencyMode::Virtual, 7)
     }
 
+    /// The first error of a barrier's results, if any.
+    fn all_ok(results: Vec<AftResult<StorageResponse>>) -> AftResult<()> {
+        results.into_iter().try_for_each(|result| result.map(drop))
+    }
+
     #[test]
     fn submit_round_trips_through_a_memory_backend() {
         let engine = IoEngine::new(InMemoryStore::shared(), IoConfig::pipelined());
         assert!(engine.is_pipelined());
         let put = engine.execute(StorageRequest::Put("k".into(), val("v")));
-        assert!(put.result.is_ok());
+        assert!(put.is_ok());
         let got = engine.execute(StorageRequest::Get("k".into()));
-        assert_eq!(got.result.unwrap().into_value().unwrap(), val("v"));
+        assert_eq!(got.unwrap().into_value().unwrap(), val("v"));
         let missing = engine.execute(StorageRequest::Get("nope".into()));
-        assert!(missing.result.unwrap().into_value().is_none());
+        assert!(missing.unwrap().into_value().is_none());
         let stats = engine.stats();
         assert_eq!(stats.submitted, 3);
         assert_eq!(stats.completed, 3);
@@ -791,34 +740,30 @@ mod tests {
         let engine = IoEngine::new(InMemoryStore::shared(), IoConfig::sequential());
         assert!(!engine.is_pipelined());
         assert_eq!(engine.overlap_window(), 1);
-        let ticket = engine.submit(StorageRequest::Put("k".into(), val("v")));
-        assert!(ticket.wait().result.is_ok());
+        engine
+            .execute(StorageRequest::Put("k".into(), val("v")))
+            .unwrap();
         assert_eq!(engine.stats().peak_in_flight, 1);
     }
 
     #[test]
     fn list_and_delete_requests_work() {
         let engine = IoEngine::new(InMemoryStore::shared(), IoConfig::pipelined());
-        engine
-            .submit_all((0..4).map(|i| StorageRequest::Put(format!("data/{i}"), val("x"))))
-            .wait_all()
-            .ok()
-            .unwrap();
+        let items = (0..4).map(|i| (format!("data/{i}"), val("x")));
+        engine.put_all(items.collect()).unwrap();
         let listed = engine.execute(StorageRequest::List("data/".into()));
-        assert_eq!(listed.result.unwrap().into_keys().len(), 4);
+        assert_eq!(listed.unwrap().into_keys().len(), 4);
         engine
             .execute(StorageRequest::Delete("data/0".into()))
-            .result
             .unwrap();
         engine
             .execute(StorageRequest::DeleteBatch(vec![
                 "data/1".into(),
                 "data/2".into(),
             ]))
-            .result
             .unwrap();
         let listed = engine.execute(StorageRequest::List("data/".into()));
-        assert_eq!(listed.result.unwrap().into_keys(), vec!["data/3"]);
+        assert_eq!(listed.unwrap().into_keys(), vec!["data/3"]);
     }
 
     #[test]
@@ -854,6 +799,7 @@ mod tests {
 
     #[test]
     fn batch_cost_is_charged_in_window_sized_waves() {
+        use crate::latency::measure_cost;
         // A fixed 10ms write and an overlap window of 2: six puts cannot all
         // overlap, so the batch charges three waves — 30ms, not 10ms.
         let profile = ServiceProfile {
@@ -863,27 +809,11 @@ mod tests {
         let storage = s3(profile, LatencyMode::Virtual, 3);
         let engine = IoEngine::new(storage, IoConfig::pipelined().with_max_in_flight(2));
         assert_eq!(engine.overlap_window(), 2);
-        let outcome = engine
-            .submit_all((0..6).map(|i| StorageRequest::Put(format!("k{i}"), val("v"))))
-            .wait_all();
-        let cost = outcome.cost;
-        outcome.ok().unwrap();
+        let ((), cost) = measure_cost(|| engine.put_all(items(6)).unwrap());
         assert!(
             cost >= Duration::from_millis(29) && cost <= Duration::from_millis(32),
             "3 waves x 10ms expected, got {cost:?}"
         );
-    }
-
-    #[test]
-    fn batch_outcome_reports_per_member_costs() {
-        let engine = IoEngine::new(s3_virtual(), IoConfig::pipelined());
-        let outcome = engine
-            .submit_all((0..4).map(|i| StorageRequest::Put(format!("k{i}"), val("v"))))
-            .wait_all();
-        assert_eq!(outcome.costs.len(), 4);
-        let max = outcome.costs.iter().copied().max().unwrap();
-        assert_eq!(outcome.cost, max, "pipelined batch cost is the max member");
-        assert!(outcome.ok().is_ok());
     }
 
     #[test]
@@ -916,10 +846,7 @@ mod tests {
     #[test]
     fn in_flight_window_applies_backpressure_without_losing_requests() {
         let engine = IoEngine::new(s3_virtual(), IoConfig::pipelined().with_max_in_flight(2));
-        let outcome = engine
-            .submit_all((0..16).map(|i| StorageRequest::Put(format!("k{i}"), val("v"))))
-            .wait_all();
-        assert!(outcome.ok().is_ok());
+        engine.put_all(items(16)).unwrap();
         let stats = engine.stats();
         assert_eq!(stats.completed, 16);
         assert!(stats.peak_in_flight <= 2);
@@ -1030,10 +957,7 @@ mod tests {
             let engine = IoEngine::new(backend.clone(), IoConfig::pipelined());
             assert!(engine.is_pipelined(), "{kind}: overlap comes from deferral");
             engine.put_all(items(4)).unwrap();
-            engine
-                .execute(StorageRequest::Get("k0".into()))
-                .result
-                .unwrap();
+            engine.execute(StorageRequest::Get("k0".into())).unwrap();
             engine
                 .get_all((0..4).map(|i| format!("k{i}")).collect())
                 .unwrap();
@@ -1065,9 +989,9 @@ mod tests {
         let engine = IoEngine::new(s3_virtual(), IoConfig::pipelined());
         let batch = engine.submit_all((0..5).map(|i| StorageRequest::Get(format!("k{i}"))));
         assert_eq!(engine.stats().peak_in_flight, 5);
-        batch.wait_all().ok().unwrap();
+        all_ok(batch.wait_all()).unwrap();
         // Collected, waited or dropped: none of them is in flight any more.
-        engine.submit(StorageRequest::Get("k1".into())).wait();
+        engine.execute(StorageRequest::Get("k1".into())).unwrap();
         drop(engine.submit(StorageRequest::Get("k2".into())));
         assert_eq!(engine.uncollected.load(Ordering::Relaxed), 0);
         assert_eq!(engine.stats().peak_in_flight, 5);
@@ -1086,11 +1010,7 @@ mod tests {
         };
         let backend = Recording::new(s3(profile, LatencyMode::Sleep, 3));
         let engine = IoEngine::new(backend.clone(), IoConfig::pipelined().with_max_in_flight(4));
-        engine
-            .submit_all((0..12).map(|i| StorageRequest::Put(format!("k{i}"), val("v"))))
-            .wait_all()
-            .ok()
-            .unwrap();
+        engine.put_all(items(12)).unwrap();
         let calls: Vec<Instant> = backend.calls.lock().iter().map(|(_, at)| *at).collect();
         assert_eq!(calls.len(), 12);
         for i in 4..calls.len() {
@@ -1140,12 +1060,12 @@ mod tests {
             _ => Cut::Pass,
         });
         let engine = IoEngine::new(backend, IoConfig::pipelined());
-        let outcome = engine
+        let results = engine
             .submit_all((0..32).map(|i| StorageRequest::Put(format!("k{i}"), val("v"))))
             .wait_all();
-        outcome.ok().expect("retries must absorb transient faults");
+        all_ok(results).expect("retries must absorb transient faults");
         let listed = engine.execute(StorageRequest::List("k".into()));
-        assert_eq!(listed.result.unwrap().into_keys().len(), 32);
+        assert_eq!(listed.unwrap().into_keys().len(), 32);
         let stats = engine.stats();
         assert_eq!(stats.retries, 17);
     }
@@ -1159,8 +1079,7 @@ mod tests {
             cut(|_| Cut::Transient { applied: false }),
             IoConfig::pipelined().with_retry(RetryConfig::default().with_max_attempts(3)),
         );
-        let outcome = engine.execute(StorageRequest::Put("k".into(), val("v")));
-        match outcome.result {
+        match engine.execute(StorageRequest::Put("k".into(), val("v"))) {
             Err(AftError::StorageTransient(_)) => {}
             other => panic!("expected StorageTransient after exhaustion, got {other:?}"),
         }
@@ -1170,18 +1089,17 @@ mod tests {
 
     #[test]
     fn retry_backoff_is_charged_to_the_operation_cost() {
+        use crate::latency::measure_cost;
         // Zero-latency inner store, every attempt failing, 4 attempts: the
         // only cost is the three backoff steps (0.5 + 1 + 2 ms with the
         // default policy).
         let backend = cut(|_| Cut::Transient { applied: false });
         let engine = IoEngine::new(backend, IoConfig::sequential());
-        let outcome = engine.execute(StorageRequest::Get("k".into()));
-        assert!(outcome.result.is_err());
+        let (result, cost) = measure_cost(|| engine.execute(StorageRequest::Get("k".into())));
+        assert!(result.is_err());
         assert!(
-            outcome.cost >= Duration::from_micros(3_400)
-                && outcome.cost <= Duration::from_micros(3_600),
-            "0.5+1+2 ms of backoff expected, got {:?}",
-            outcome.cost
+            cost >= Duration::from_micros(3_400) && cost <= Duration::from_micros(3_600),
+            "0.5+1+2 ms of backoff expected, got {cost:?}"
         );
     }
 
@@ -1226,15 +1144,15 @@ mod tests {
 
             let store = table();
             let engine = IoEngine::new(store.clone(), IoConfig::pipelined());
-            let outcome = engine.execute(StorageRequest::GetBatch(keys));
-            let values = outcome.result.unwrap().into_values();
+            let (response, cost) = measure_cost(|| engine.execute(StorageRequest::GetBatch(keys)));
+            let values = response.unwrap().into_values();
             assert_eq!(values.len(), n);
             assert_eq!(values.iter().flatten().count(), n.div_ceil(3));
             assert_eq!(store.stats().calls(OpKind::BatchGet), calls as u64);
             assert_eq!(store.stats().calls(OpKind::Get), 0);
-            assert!(!outcome.cost.is_zero());
+            assert!(!cost.is_zero());
             // Issued together, the calls cost the slowest, not the sum.
-            assert_eq!(Some(outcome.cost), alone.iter().copied().max());
+            assert_eq!(Some(cost), alone.iter().copied().max());
         }
     }
 
@@ -1266,26 +1184,24 @@ mod tests {
 
     #[test]
     fn batched_deletes_overlap_via_submit_all() {
+        use crate::latency::measure_cost;
         // Several DeleteBatch requests submitted together and barriered, with
         // per-member results.
         let engine = IoEngine::new(s3_virtual(), IoConfig::pipelined());
-        for i in 0..6 {
+        engine.put_all(items(6)).unwrap();
+        let (results, cost) = measure_cost(|| {
             engine
-                .execute(StorageRequest::Put(format!("k{i}"), val("v")))
-                .result
-                .unwrap();
-        }
-        let outcome = engine
-            .submit_all([
-                StorageRequest::DeleteBatch(vec!["k0".into(), "k1".into()]),
-                StorageRequest::DeleteBatch(vec!["k2".into(), "k3".into()]),
-                StorageRequest::DeleteBatch(vec!["k4".into(), "k5".into()]),
-            ])
-            .wait_all();
-        assert_eq!(outcome.results.len(), 3);
-        assert!(outcome.cost > Duration::ZERO);
-        outcome.ok().unwrap();
+                .submit_all([
+                    StorageRequest::DeleteBatch(vec!["k0".into(), "k1".into()]),
+                    StorageRequest::DeleteBatch(vec!["k2".into(), "k3".into()]),
+                    StorageRequest::DeleteBatch(vec!["k4".into(), "k5".into()]),
+                ])
+                .wait_all()
+        });
+        assert_eq!(results.len(), 3);
+        assert!(cost > Duration::ZERO);
+        all_ok(results).unwrap();
         let listed = engine.execute(StorageRequest::List("k".into()));
-        assert!(listed.result.unwrap().into_keys().is_empty());
+        assert!(listed.unwrap().into_keys().is_empty());
     }
 }

@@ -543,7 +543,7 @@ impl LatencyModel {
     }
 
     /// Charges a previously sampled duration to the calling thread and, in
-    /// `Sleep` mode, sleeps for it. Returns the duration.
+    /// `Sleep` mode, sleeps for it.
     ///
     /// Inside a [`capture_deferred`] scope the sleep is suppressed and the
     /// duration is handed to the scope instead, so the I/O engine can apply
@@ -551,22 +551,21 @@ impl LatencyModel {
     ///
     /// Inside a [`Seat::scope`] the seat's clock advances by it instead, in
     /// either mode, and nothing sleeps.
-    pub fn finish(&self, duration: Duration) -> Duration {
+    pub fn finish(&self, duration: Duration) {
         let ns = duration.as_nanos() as u64;
         OP_CHARGE_NS.with(|c| c.set(c.get().saturating_add(ns)));
         if duration.is_zero() {
-            return duration;
+            return;
         }
         if DEFER_ACTIVE.with(Cell::get) {
             if self.mode == LatencyMode::Sleep {
                 DEFERRED_NS.with(|c| c.set(c.get().saturating_add(ns)));
             }
-            return duration;
+            return;
         }
         if !pass_seat(duration) && self.mode == LatencyMode::Sleep {
             sleep_calibrated(duration);
         }
-        duration
     }
 
     /// Samples from `profile` using an RNG behind a mutex, holding the lock
@@ -576,7 +575,7 @@ impl LatencyModel {
         profile: &LatencyProfile,
         rng: &parking_lot::Mutex<R>,
         payload_bytes: usize,
-    ) -> Duration {
+    ) {
         let duration = {
             let mut rng = rng.lock();
             self.sample(profile, &mut *rng, payload_bytes)
@@ -723,9 +722,10 @@ mod tests {
     }
 
     /// Samples from `profile` on an RNG seeded with `seed` and applies it,
-    /// as a backend's call does.
+    /// as a backend's call does; returns what it charged.
     fn apply(model: &LatencyModel, profile: &LatencyProfile, seed: u64) -> Duration {
-        model.apply_with(profile, &Mutex::new(StdRng::seed_from_u64(seed)), 0)
+        let rng = Mutex::new(StdRng::seed_from_u64(seed));
+        measure_cost(|| model.apply_with(profile, &rng, 0)).1
     }
 
     #[test]
@@ -733,13 +733,12 @@ mod tests {
         let model = LatencyModel::new(LatencyMode::Virtual, 1.0);
         let profile = LatencyProfile::new(50_000.0, 50_000.0);
         let start = std::time::Instant::now();
-        let (applied, charged) = measure_cost(|| apply(&model, &profile, 3));
+        let charged = apply(&model, &profile, 3);
         assert!(
             start.elapsed() < Duration::from_millis(20),
             "must not sleep"
         );
-        assert!(applied >= Duration::from_millis(40));
-        assert_eq!(charged, applied);
+        assert!(charged >= Duration::from_millis(40));
     }
 
     #[test]
@@ -755,16 +754,15 @@ mod tests {
     fn scale_factor_shrinks_latency() {
         let model = LatencyModel::new(LatencyMode::Virtual, 0.01);
         let profile = LatencyProfile::new(10_000.0, 10_000.0);
-        let applied = apply(&model, &profile, 3);
-        assert!(applied <= Duration::from_micros(150));
+        let charged = apply(&model, &profile, 3);
+        assert!(charged <= Duration::from_micros(150));
     }
 
     #[test]
     fn disabled_model_injects_nothing() {
         let model = LatencyModel::disabled();
         let profile = LatencyProfile::new(1_000.0, 2_000.0);
-        let (applied, charged) = measure_cost(|| apply(&model, &profile, 3));
-        assert_eq!((applied, charged), (Duration::ZERO, Duration::ZERO));
+        assert_eq!(apply(&model, &profile, 3), Duration::ZERO);
     }
 
     #[test]
@@ -775,7 +773,8 @@ mod tests {
         let profile = LatencyProfile::new(1_000.0, 1_000.0);
         let ((), charged) = measure_cost(|| {
             for stripe in 0..8 {
-                let applied = sampler.model().finish(sampler.sample(&profile, stripe, 0));
+                let sample = sampler.sample(&profile, stripe, 0);
+                let ((), applied) = measure_cost(|| sampler.model().finish(sample));
                 assert!(applied >= Duration::from_micros(900));
             }
         });

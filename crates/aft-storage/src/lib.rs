@@ -83,8 +83,8 @@ pub use cut::{Cut, CutHook, CutStore};
 pub use dynamo::{DynamoTransactionMode, SimDynamo};
 pub use engine::{SharedStorage, StorageEngine};
 pub use io::{
-    BatchOutcome, CompletionSet, IoConfig, IoEngine, IoOutcome, IoStatsSnapshot, IoTicket,
-    RetryConfig, SequentialEngine, StorageRequest, StorageResponse,
+    IoConfig, IoEngine, IoStatsSnapshot, RetryConfig, SequentialEngine, StorageRequest,
+    StorageResponse,
 };
 pub use latency::{LatencyMode, LatencyModel, LatencyProfile};
 pub use memory::InMemoryStore;

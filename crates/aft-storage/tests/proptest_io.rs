@@ -4,9 +4,11 @@
 //! Pipelining may only change *when* round trips happen, never what the
 //! store ends up holding: applying the same batched workload through a
 //! pipelined [`IoEngine`] and through the sequential wrapper must produce
-//! byte-identical final storage state. Batches use distinct keys per batch
-//! (concurrent writes to one key have no defined order in either engine) and
-//! the engine barriers between batches, exactly like the commit flush does.
+//! byte-identical final storage state, on a row without a batch write (S3:
+//! one `Put` per key, issued together) and on one with it (DynamoDB: one
+//! `BatchWriteItem`). Batches use distinct keys per batch (concurrent writes
+//! to one key have no defined order in either engine) and the engine
+//! barriers between batches, exactly like the commit flush does.
 //!
 //! A second property checks the overlap accounting itself: a pipelined
 //! batch's charged latency equals its slowest member, never the sum. A third
@@ -17,6 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use aft_storage::io::{IoConfig, IoEngine, StorageRequest};
+use aft_storage::latency::measure_cost;
 use aft_storage::{
     LatencyMode, LatencyModel, OpKind, SequentialEngine, Service, SharedStorage, SimStore,
     DEFAULT_STRIPES,
@@ -28,9 +31,17 @@ use proptest::prelude::*;
 /// One batch of a generated workload; keys inside a batch are deduplicated.
 #[derive(Debug, Clone)]
 enum Step {
-    Puts(Vec<(String, Vec<u8>)>),
-    Deletes(Vec<String>),
+    /// Written through `put_all`: the row's batch write where it has one,
+    /// one `Put` per key issued together where it has not.
     NativeBatch(Vec<(String, Vec<u8>)>),
+    Deletes(Vec<String>),
+}
+
+impl Step {
+    /// Whether `put_all` makes a batch write of it on a row that has one.
+    fn is_multi_key_put(&self) -> bool {
+        matches!(self, Step::NativeBatch(items) if items.len() > 1)
+    }
 }
 
 fn arb_key() -> impl Strategy<Value = String> {
@@ -48,40 +59,25 @@ fn dedup_keys<T>(items: Vec<(String, T)>) -> Vec<(String, T)> {
 
 fn arb_batch() -> impl Strategy<Value = Step> {
     prop_oneof![
-        4 => proptest::collection::vec(
+        6 => proptest::collection::vec(
             (arb_key(), proptest::collection::vec(any::<u8>(), 0..16)),
             1..8
         )
-        .prop_map(|items| Step::Puts(dedup_keys(items))),
+        .prop_map(|items| Step::NativeBatch(dedup_keys(items))),
         2 => proptest::collection::vec(arb_key(), 1..8).prop_map(|keys| {
             let mut keys = keys;
             keys.sort();
             keys.dedup();
             Step::Deletes(keys)
         }),
-        2 => proptest::collection::vec(
-            (arb_key(), proptest::collection::vec(any::<u8>(), 0..16)),
-            1..8
-        )
-        .prop_map(|items| Step::NativeBatch(dedup_keys(items))),
     ]
 }
 
 fn apply(engine: &IoEngine, batch: &Step) {
     match batch {
-        Step::Puts(items) => {
-            // Individual puts submitted concurrently, barriered.
-            let outcome = engine
-                .submit_all(items.iter().map(|(k, v)| {
-                    StorageRequest::Put(k.clone(), Value::from(Bytes::from(v.clone())))
-                }))
-                .wait_all();
-            outcome.ok().unwrap();
-        }
         Step::Deletes(keys) => {
             engine
                 .execute(StorageRequest::DeleteBatch(keys.clone()))
-                .result
                 .unwrap();
         }
         Step::NativeBatch(items) => {
@@ -101,14 +97,12 @@ fn apply(engine: &IoEngine, batch: &Step) {
 fn full_state(engine: &IoEngine) -> Vec<(String, Option<Value>)> {
     let keys = engine
         .execute(StorageRequest::List(String::new()))
-        .result
         .unwrap()
         .into_keys();
     keys.into_iter()
         .map(|k| {
             let v = engine
                 .execute(StorageRequest::Get(k.clone()))
-                .result
                 .unwrap()
                 .into_value();
             (k, v)
@@ -116,13 +110,18 @@ fn full_state(engine: &IoEngine) -> Vec<(String, Option<Value>)> {
         .collect()
 }
 
-fn s3_virtual(seed: u64) -> SharedStorage {
+/// A virtual-clock store of `service`.
+fn virtual_store(service: Service, seed: u64) -> SharedStorage {
     Arc::new(SimStore::of(
-        Service::S3,
+        service,
         LatencyModel::new(LatencyMode::Virtual, 1.0),
         seed,
         DEFAULT_STRIPES,
     ))
+}
+
+fn s3_virtual(seed: u64) -> SharedStorage {
+    virtual_store(Service::S3, seed)
 }
 
 /// Keys over a 150-key space of which every other key is stored: reads mix
@@ -170,22 +169,33 @@ proptest! {
 
     #[test]
     fn pipelined_engine_reaches_the_sequential_final_state(
-        batches in proptest::collection::vec(arb_batch(), 1..24),
+        batches in proptest::collection::vec(arb_batch(), 1..24)
+            .prop_filter("a multi-key put", |steps| steps.iter().any(Step::is_multi_key_put)),
         window in 2usize..12,
     ) {
-        let sequential = IoEngine::new(
-            SequentialEngine::new(s3_virtual(1)) as SharedStorage,
-            IoConfig::sequential(),
-        );
-        let pipelined = IoEngine::new(
-            s3_virtual(1),
-            IoConfig::pipelined().with_max_in_flight(window),
-        );
-        for batch in &batches {
-            apply(&sequential, batch);
-            apply(&pipelined, batch);
+        for service in [Service::S3, Service::DYNAMODB] {
+            let sequential = IoEngine::new(
+                SequentialEngine::new(virtual_store(service, 1)) as SharedStorage,
+                IoConfig::sequential(),
+            );
+            let pipelined = IoEngine::new(
+                virtual_store(service, 1),
+                IoConfig::pipelined().with_max_in_flight(window),
+            );
+            for batch in &batches {
+                apply(&sequential, batch);
+                apply(&pipelined, batch);
+            }
+            prop_assert_eq!(full_state(&pipelined), full_state(&sequential));
+
+            // A batch of at most 8 keys is one call where the row has a batch
+            // write (DynamoDB's limit is 25), and none where it has not.
+            let batch_puts = |engine: &IoEngine| engine.storage().stats().calls(OpKind::BatchPut);
+            let multi_key = batches.iter().filter(|step| step.is_multi_key_put()).count() as u64;
+            let expected = if service.batch_put.is_some() { multi_key } else { 0 };
+            prop_assert_eq!(batch_puts(&pipelined), expected);
+            prop_assert_eq!(batch_puts(&sequential), 0);
         }
-        prop_assert_eq!(full_state(&pipelined), full_state(&sequential));
     }
 
     #[test]
@@ -195,19 +205,23 @@ proptest! {
         let mut keys = keys;
         keys.sort();
         keys.dedup();
+        let put = |k: &String| StorageRequest::Put(k.clone(), Bytes::from_static(b"v"));
+        // Each member alone, one after another, on a twin engine with the
+        // same seed: it draws the samples the batch will draw, in order.
+        let twin = IoEngine::new(s3_virtual(9), IoConfig::pipelined());
+        let members: Vec<Duration> = keys
+            .iter()
+            .map(|k| measure_cost(|| twin.execute(put(k)).unwrap()).1)
+            .collect();
         let engine = IoEngine::new(s3_virtual(9), IoConfig::pipelined());
-        let outcome = engine
-            .submit_all(keys.iter().map(|k| {
-                StorageRequest::Put(k.clone(), Value::from(Bytes::from_static(b"v")))
-            }))
-            .wait_all();
-        let max = outcome.costs.iter().copied().max().unwrap_or(Duration::ZERO);
-        let sum: Duration = outcome.costs.iter().sum();
-        prop_assert_eq!(outcome.cost, max);
-        if outcome.costs.len() > 1 {
-            prop_assert!(outcome.cost < sum, "overlap accounting must beat the sum");
+        let items = keys.iter().map(|k| (k.clone(), Bytes::from_static(b"v"))).collect();
+        let ((), cost) = measure_cost(|| engine.put_all(items).unwrap());
+        let max = members.iter().copied().max().unwrap_or(Duration::ZERO);
+        let sum: Duration = members.iter().sum();
+        prop_assert_eq!(cost, max);
+        if members.len() > 1 {
+            prop_assert!(cost < sum, "overlap accounting must beat the sum");
         }
-        prop_assert!(outcome.ok().is_ok());
     }
 }
 
@@ -229,7 +243,6 @@ fn engines_share_one_arc_backend_safely() {
                             format!("e{i}/k{j}"),
                             Value::from(Bytes::from_static(b"v")),
                         ))
-                        .result
                         .unwrap();
                 }
             });
@@ -237,7 +250,6 @@ fn engines_share_one_arc_backend_safely() {
     });
     let listed = engines[0]
         .execute(StorageRequest::List(String::new()))
-        .result
         .unwrap()
         .into_keys();
     assert_eq!(listed.len(), 100);
