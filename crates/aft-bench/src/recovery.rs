@@ -907,8 +907,8 @@ mod tests {
             node.put(&t, Key::new(format!("k{i}")), "v".into()).unwrap();
             node.commit(&t).unwrap();
         }
-        trial.cluster.run_maintenance_round().unwrap();
-        let records = trial.cluster.disseminator().totals().link_drops;
+        let round = trial.cluster.run_maintenance_round().unwrap();
+        let records = round.broadcast.link_drops;
         assert_eq!(records, 3, "the batch held carries all three");
         assert_eq!(faults_injected(&trial.schedule), 1);
     }

@@ -118,15 +118,9 @@ struct RetryEntry {
 pub struct Disseminator {
     round: AtomicU64,
     retry: Mutex<Vec<RetryEntry>>,
-    totals: Mutex<BroadcastStats>,
 }
 
 impl Disseminator {
-    /// Statistics accumulated over every round since construction.
-    pub fn totals(&self) -> BroadcastStats {
-        *self.totals.lock()
-    }
-
     /// Record deliveries currently held. A recovery loop polls this: a
     /// trial has not converged while metadata is still parked.
     pub fn pending_retries(&self) -> usize {
@@ -134,8 +128,7 @@ impl Disseminator {
     }
 
     /// Runs one dissemination round over `nodes` — drain, healed retries,
-    /// sweep — and returns its statistics (also folded into
-    /// [`Disseminator::totals`]).
+    /// sweep — and returns its statistics.
     pub fn round(
         &self,
         nodes: &[Arc<AftNode>],
@@ -161,9 +154,6 @@ impl Disseminator {
             .collect();
         self.deliver_retries(round, &by_pos, &mut contrib, &mut stats);
         self.tree_sweep(round, &by_pos, contrib, &mut stats);
-
-        let mut totals = self.totals.lock();
-        *totals = totals.merge(stats);
         stats
     }
 
@@ -566,18 +556,5 @@ pub(crate) mod tests {
                 node.node_id()
             );
         }
-    }
-
-    #[test]
-    fn totals_accumulate_across_rounds() {
-        let (nodes, _s) = cluster_of(3);
-        let d = Disseminator::default();
-        commit_on(&nodes[0], "a", "1");
-        d.round(&nodes, None);
-        commit_on(&nodes[1], "b", "2");
-        d.round(&nodes, None);
-        let totals = d.totals();
-        assert_eq!(totals.drained, 2);
-        assert_eq!(totals.multicast, 4);
     }
 }

@@ -101,8 +101,8 @@ proptest! {
     /// Receiver-side dedup is idempotent: across an arbitrary sequence of
     /// (possibly repeated, possibly partial) deliveries of the same record
     /// set, each node fresh-applies a record exactly once — the fresh count
-    /// equals the first-seen count, and everything else lands in the
-    /// duplicate counter. This is what lets retry floods over-deliver safely.
+    /// equals the first-seen count, and everything else is absorbed. This
+    /// is what lets retry floods over-deliver safely.
     #[test]
     fn repeated_deliveries_never_double_apply(
         n in 2usize..8,
@@ -135,17 +135,13 @@ proptest! {
             prop_assert_eq!(fresh, expected_fresh);
         }
         // A full re-delivery to every node is now a pure no-op wherever the
-        // set is already complete, and the stats agree with the ledger.
+        // set is already complete.
         for (i, node) in nodes.iter().enumerate() {
             let missing = records.len() - seen[i].len();
             prop_assert_eq!(
                 node.receive_peer_commits(&records).len(),
                 missing
             );
-            let stats = node.stats().snapshot();
-            if i > 0 {
-                prop_assert_eq!(stats.commits_received_from_peers as usize, records.len());
-            }
         }
     }
 }

@@ -44,7 +44,7 @@ pub use node::{
     AftNode, BatchStats, CommitDrain, CommitPhase, GcOutcome, NetFault, NodeConfig, PhaseHook,
 };
 pub use read::{select_version, ReadSet};
-pub use stats::{LatencyRecorder, NodeStats, NodeStatsSnapshot};
+pub use stats::{NodeStats, NodeStatsSnapshot};
 pub use supersede::is_superseded;
 pub use write_buffer::{ActiveTransaction, WriteBuffer};
 

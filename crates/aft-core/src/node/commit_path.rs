@@ -181,7 +181,6 @@ impl AftNode {
         };
         let id = TransactionId::new(self.clock.now(), uuid);
         self.buffer.begin(id);
-        self.stats.record_started();
         id
     }
 
@@ -191,7 +190,6 @@ impl AftNode {
     pub fn ensure_transaction(&self, id: TransactionId) {
         if !self.buffer.contains(&id) {
             self.buffer.begin(id);
-            self.stats.record_started();
         }
     }
 
@@ -216,7 +214,6 @@ impl AftNode {
         self.rpc();
         let spill = self.buffer.with_txn(txid, |txn| {
             for (key, value) in items {
-                self.stats.record_write();
                 txn.buffer_write(key, value);
             }
             (txn.buffered_bytes() >= self.config.write_buffer_spill_bytes)
@@ -309,7 +306,6 @@ impl AftNode {
         if !spilled.is_empty() {
             self.io.execute(StorageRequest::DeleteBatch(spilled))?;
         }
-        self.stats.record_aborted();
         Ok(())
     }
 }

@@ -28,7 +28,6 @@
 //! running transaction has read it.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use aft_types::{Timestamp, TransactionId, TransactionRecord};
 
@@ -83,33 +82,21 @@ impl AftNode {
     /// to this node.
     ///
     /// Records already superseded locally are skipped entirely (§4.1), and
-    /// known ones dedup instead of re-applying; both count in
-    /// `duplicate_peer_commits`, which is what makes redundant delivery paths
-    /// (retry floods, the fault-manager firehose) idempotent. Fresh records
-    /// charge the commit-timestamp → now gap to the `propagation_lag`
-    /// recorder (§4.2 RYW-staleness window).
+    /// known ones dedup instead of re-applying, which is what makes
+    /// redundant delivery paths (retry floods, the fault-manager firehose)
+    /// idempotent. The returned records are the only account of a merge:
+    /// the caller counts them, and whoever drives the rounds times their
+    /// propagation lag (§4.2's RYW-staleness window).
     pub fn receive_peer_commits(
         &self,
         records: &[Arc<TransactionRecord>],
     ) -> Vec<Arc<TransactionRecord>> {
-        let mut fresh = Vec::new();
-        for (record, merged) in records.iter().zip(self.metadata.merge(records)) {
-            if merged == Merged::Superseded {
-                self.stats.record_duplicate_peer_commit();
-                continue;
-            }
-            let lag_ms = self.clock.now().saturating_sub(record.id.timestamp);
-            if merged == Merged::New {
-                self.stats.record_peer_commit();
-                self.stats
-                    .propagation_lag()
-                    .record(Duration::from_millis(lag_ms));
-                fresh.push(Arc::clone(record));
-            } else {
-                self.stats.record_duplicate_peer_commit();
-            }
-        }
-        fresh
+        records
+            .iter()
+            .zip(self.metadata.merge(records))
+            .filter(|(_, merged)| *merged == Merged::New)
+            .map(|(record, _)| Arc::clone(record))
+            .collect()
     }
 
     /// Runs one local metadata GC sweep (§5.1): removes superseded

@@ -21,8 +21,6 @@ fn peer_commits_become_visible_unless_superseded() {
     let fresh = node.receive_peer_commits(&[Arc::clone(&peer_old), peer_new]);
     assert!(fresh.is_empty());
     assert!(!node.metadata().is_committed(&peer_old.id));
-    assert_eq!(node.stats().peer_commits(), 1);
-    assert_eq!(node.stats().duplicate_peer_commits(), 2);
 }
 
 #[test]

@@ -117,11 +117,7 @@ fn main() {
 
     let stats = node.stats().snapshot();
     println!(
-        "\nnode statistics: {} started, {} committed, {} aborted, {} reads, {} writes",
-        stats.transactions_started,
-        stats.transactions_committed,
-        stats.transactions_aborted,
-        stats.reads,
-        stats.writes
+        "\nnode statistics: {} committed, {} reads",
+        stats.transactions_committed, stats.reads
     );
 }
