@@ -127,8 +127,9 @@ pub struct NodeConfig {
     pub rpc_profile: LatencyProfile,
     /// Seed for the node's RNG (transaction UUIDs, latency sampling).
     pub rng_seed: u64,
-    /// Tuning of the node's storage I/O engine (in-flight window, retry
-    /// policy). `IoConfig::sequential()` reproduces the historical
+    /// The node's storage I/O window: how many requests of one batch (a
+    /// commit's data writes, a read's misses) overlap in a wave.
+    /// `IoConfig::sequential()` reproduces the historical
     /// one-round-trip-at-a-time behaviour.
     pub io: IoConfig,
     /// The hook asked at every [`CommitPhase`]; `None` runs every phase.

@@ -118,42 +118,11 @@ pub trait StorageEngine: Send + Sync {
 /// A shareable, dynamically dispatched storage engine handle.
 pub type SharedStorage = Arc<dyn StorageEngine>;
 
-/// Blanket helpers available on every storage engine.
-pub trait StorageEngineExt: StorageEngine {
-    /// Reads `key` and fails with [`aft_types::AftError::KeyNotFound`] if it
-    /// does not exist.
-    fn get_required(&self, key: &str) -> AftResult<Value> {
-        self.get(key)?
-            .ok_or_else(|| aft_types::AftError::KeyNotFound(aft_types::Key::new(key)))
-    }
-
-    /// Returns true if `key` exists.
-    fn contains(&self, key: &str) -> AftResult<bool> {
-        Ok(self.get(key)?.is_some())
-    }
-}
-
-impl<T: StorageEngine + ?Sized> StorageEngineExt for T {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::memory::InMemoryStore;
-    use aft_types::AftError;
     use bytes::Bytes;
-
-    #[test]
-    fn ext_helpers_work_through_dyn_handle() {
-        let store: SharedStorage = Arc::new(InMemoryStore::new());
-        store.put("a", Bytes::from_static(b"1")).unwrap();
-        assert!(store.contains("a").unwrap());
-        assert!(!store.contains("b").unwrap());
-        assert_eq!(store.get_required("a").unwrap(), Bytes::from_static(b"1"));
-        match store.get_required("missing") {
-            Err(AftError::KeyNotFound(k)) => assert_eq!(k.as_str(), "missing"),
-            other => panic!("expected KeyNotFound, got {other:?}"),
-        }
-    }
 
     /// Forwards everything but the ranged listing, so that uses the default.
     struct Unranged(InMemoryStore);

@@ -1,4 +1,4 @@
-//! Overlapped storage I/O: a submission/completion engine.
+//! Overlapped storage I/O: requests run on their caller, batches in waves.
 //!
 //! AFT's real implementation hides storage round trips by issuing requests
 //! concurrently — §3.3 only requires that all of a transaction's data writes
@@ -17,23 +17,21 @@
 //!   transaction's data writes and its commit-record append.
 //! * **Submitter-run I/O.** Every request runs on the calling thread under
 //!   [`capture_deferred`]: the data-plane effect applies immediately, the
-//!   sampled delay is *not* slept, and the request's ticket records when
-//!   the completion is due. That holds for every backend, so the engine
-//!   owns no thread.
-//! * **Waiter-timed completions.** A deferred completion is only a deadline
-//!   in its ticket; a batch's barrier sleeps once, until the latest
-//!   member's — so any number of requests overlap on one thread, exactly
-//!   like an async client over a real network. [`IoConfig::max_in_flight`]
-//!   still bounds the overlap: deadlines of outstanding requests are expired
-//!   lazily at submission, which blocks until the earliest passes when the
-//!   window is full.
+//!   sampled delay is *not* slept, and the engine notes when the completion
+//!   is due. That holds for every backend, so the engine owns no thread.
+//! * **Waves.** A request, or a fan-out batch, runs as waves of at most
+//!   [`IoConfig::max_in_flight`] members, in submission order. A wave whose
+//!   latency was deferred sleeps once, until its latest member's completion
+//!   is due, so its members overlap on one thread, exactly like an async
+//!   client over a real network; the next wave starts after that. The
+//!   window bounds one caller's batch: callers on other threads run their
+//!   own waves beside it.
 //! * **Overlap accounting for the virtual clock**: a batch is charged one
-//!   *wave* at a time — the **maximum** of each
-//!   [`IoConfig::max_in_flight`]-sized chunk, summed across chunks. A batch
-//!   that fits the window costs its slowest member; a window of 1 charges
-//!   the plain sum. That charge, not the sum of the members, lands on the
-//!   calling thread, and [`measure_cost`](crate::latency::measure_cost) is
-//!   where it is read. This is how `LatencyMode::Virtual` experiments
+//!   wave at a time — the **maximum** of each wave, summed across waves. A
+//!   batch that fits the window costs its slowest member; a window of 1
+//!   charges the plain sum. That charge, not the sum of the members, lands
+//!   on the calling thread, and [`measure_cost`](crate::latency::measure_cost)
+//!   is where it is read. This is how `LatencyMode::Virtual` experiments
 //!   observe overlap without sleeping, without ever undercharging a batch
 //!   larger than the engine's real concurrency.
 //!
@@ -51,14 +49,11 @@
 //! is invisible until a commit record references it, and the record is only
 //! submitted after every data completion has been waited out.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aft_types::{AftResult, Value};
-use parking_lot::{Condvar, Mutex};
 
 use crate::engine::{SharedStorage, StorageEngine};
 use crate::latency::{capture_deferred, charge, sleep_until};
@@ -68,13 +63,14 @@ use crate::latency::{capture_deferred, charge, sleep_until};
 /// Cloud stores drop, throttle, and time out individual requests as a matter
 /// of course; AFT's storage writes are idempotent (every key version lands
 /// at a unique storage key, §3.1), so the right place to absorb those faults
-/// is the submission path itself. A request that fails with
+/// is the engine itself, which uses [`RetryConfig::default`]; the client
+/// SDK sets its own. A request that fails with
 /// [`aft_types::AftError::is_transient_storage`] is re-issued up to
 /// `max_attempts` times with exponential backoff; the backoff is *charged to
 /// the operation's simulated cost* (and, for deferred completions, added to
-/// the completion delay), so the PR 3 overlap accounting sees retries as
-/// what they are — a slower operation — without any thread sleeping through
-/// a virtual-clock experiment. Only exhaustion surfaces the typed
+/// the completion delay), so the overlap accounting sees retries as what
+/// they are — a slower operation — without any thread sleeping through a
+/// virtual-clock experiment. Only exhaustion surfaces the typed
 /// [`aft_types::AftError::StorageTransient`] error to the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryConfig {
@@ -124,12 +120,11 @@ impl RetryConfig {
 /// Tuning for an [`IoEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoConfig {
-    /// Maximum requests in flight (submitted, completion not yet due);
-    /// `submit` blocks once the limit is reached, like a bounded device
-    /// queue. `1` makes the engine sequential.
+    /// The most members of one wave: a batch runs as waves of at most this
+    /// many requests, each wave's round trips overlapping and the waves one
+    /// after another, like a bounded device queue. `1` makes the engine
+    /// sequential.
     pub max_in_flight: usize,
-    /// Op-level retry policy for transient storage faults.
-    pub retry: RetryConfig,
 }
 
 impl Default for IoConfig {
@@ -141,31 +136,19 @@ impl Default for IoConfig {
 impl IoConfig {
     /// The standard overlapped configuration: a deep in-flight window.
     pub fn pipelined() -> Self {
-        IoConfig {
-            max_in_flight: 256,
-            retry: RetryConfig::default(),
-        }
+        IoConfig { max_in_flight: 256 }
     }
 
     /// The explicitly-sequential configuration: a window of one, so each
     /// request waits out its predecessor and a batch charges the *sum* of
     /// its members.
     pub fn sequential() -> Self {
-        IoConfig {
-            max_in_flight: 1,
-            retry: RetryConfig::default(),
-        }
+        IoConfig { max_in_flight: 1 }
     }
 
     /// Overrides the in-flight window (clamped to ≥ 1).
     pub fn with_max_in_flight(mut self, max_in_flight: usize) -> Self {
         self.max_in_flight = max_in_flight.max(1);
-        self
-    }
-
-    /// Overrides the transient-fault retry policy.
-    pub fn with_retry(mut self, retry: RetryConfig) -> Self {
-        self.retry = retry;
         self
     }
 }
@@ -232,140 +215,45 @@ impl StorageResponse {
     }
 }
 
-/// A handle for one submitted request: it has run, on its submitter; what is
-/// outstanding is its latency.
-struct IoTicket<'e> {
-    result: AftResult<StorageResponse>,
-    /// The simulated latency the request charged: its samples and its retry
-    /// backoff. Collecting the ticket adds it to the thread's charge.
-    cost: Duration,
-    due: Due<'e>,
-}
-
-/// When a request stops being in flight.
-enum Due<'e> {
-    /// Its latency was deferred: at this instant, whoever waits.
-    At(Instant),
-    /// Nothing was deferred (virtual clock, zero-latency backend), so its
-    /// latency passes in virtual time only, and that advances where the
-    /// ticket is collected.
-    OnCollect { _held: Uncollected<'e> },
-}
-
-/// Counts one request in [`IoEngine::uncollected`] for as long as it lives.
-struct Uncollected<'e>(&'e AtomicUsize);
-
-impl<'e> Uncollected<'e> {
-    fn new(count: &'e AtomicUsize) -> Self {
-        count.fetch_add(1, Ordering::Relaxed);
-        Uncollected(count)
-    }
-}
-
-impl Drop for Uncollected<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-impl IoTicket<'_> {
-    /// When this request's deferred latency will have elapsed, if it has any.
-    fn ready_at(&self) -> Option<Instant> {
-        match self.due {
-            Due::At(at) => Some(at),
-            Due::OnCollect { .. } => None,
-        }
-    }
-
-    /// Blocks until the request's completion is due, adds its cost to the
-    /// thread's charge and returns its result.
-    fn wait(self) -> AftResult<StorageResponse> {
-        if let Some(at) = self.ready_at() {
-            sleep_until(at);
-        }
-        charge(self.cost);
-        self.result
-    }
-}
-
-/// The completions of one submitted batch.
-struct CompletionSet<'e> {
-    tickets: Vec<IoTicket<'e>>,
-    /// The engine's overlap window at submission time (1 = sequential).
-    window: usize,
-}
-
-impl CompletionSet<'_> {
-    /// Barrier: waits for every member, adds the batch's cost (its waves,
-    /// not the sum of its members) to the thread's charge and returns the
-    /// members' results in submission order.
-    fn wait_all(self) -> Vec<AftResult<StorageResponse>> {
-        // One sleep covers every deferred member: the latest deadline.
-        if let Some(latest) = self.tickets.iter().filter_map(IoTicket::ready_at).max() {
-            sleep_until(latest);
-        }
-        // Overlap accounting, bounded by the engine's real concurrency: at
-        // most `window` members are in flight together, so the batch is
-        // charged one wave at a time — the max of each window-sized chunk,
-        // summed across chunks. A sequential engine (window 1) degenerates to
-        // the plain sum; a batch that fits the window costs its slowest
-        // member.
-        let waves = self.tickets.chunks(self.window.max(1));
-        let cost = waves
-            .filter_map(|wave| wave.iter().map(|ticket| ticket.cost).max())
-            .sum();
-        let results = self.tickets.into_iter().map(|ticket| ticket.result);
-        let results = results.collect();
-        charge(cost);
-        results
-    }
-}
-
 /// Point-in-time counters of an [`IoEngine`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStatsSnapshot {
-    /// Requests submitted.
+    /// Requests run: every member of a batch once, however often it was
+    /// retried.
     pub submitted: u64,
-    /// Requests whose backend call has returned. (A deferred completion may
-    /// still be waiting out its latency; its waiter times that.)
-    pub completed: u64,
     /// Requests whose latency was delivered after the backend call returned:
-    /// the sleep was suppressed and became a completion deadline for the
-    /// waiter. Every request to a `Sleep`-mode backend with a non-zero
-    /// sample; none in `Virtual` mode or on a zero-latency backend.
+    /// the sleep was suppressed, and the request's wave slept until its
+    /// latest member was due. Every request to a `Sleep`-mode backend with a
+    /// non-zero sample; none in `Virtual` mode or on a zero-latency backend.
     pub deferred: u64,
-    /// Highest in-flight depth observed. A request is in flight from
-    /// `submit` until its completion: the deadline its deferred latency set
-    /// or, with nothing deferred (virtual clock, zero-latency backend), the
-    /// collection of its ticket, where its virtual latency is charged.
-    /// Never above the window: the wave accounting puts further members of
-    /// an uncollected batch in a later wave.
+    /// Highest number of requests in flight at once, on every thread
+    /// together. A wave's members are in flight from its start until it is
+    /// collected: its latest deferred completion was due or, with nothing
+    /// deferred (virtual clock, zero-latency backend), its members have run.
+    /// One caller's waves never hold more than the window.
     pub peak_in_flight: u64,
-    /// Transient-fault retries performed by the submission path.
+    /// Transient-fault retries performed by the engine.
     pub retries: u64,
 }
 
-struct EngineState {
-    /// Requests executing on some thread.
-    running: usize,
-    /// Completion deadlines of requests that ran with deferred latency,
-    /// earliest first. Expired lazily at `submit`: nothing fires them.
-    deadlines: BinaryHeap<Reverse<Instant>>,
-    stats: IoStatsSnapshot,
+/// The counters behind [`IoEngine::stats`].
+#[derive(Default)]
+struct Counters {
+    submitted: AtomicU64,
+    deferred: AtomicU64,
+    retries: AtomicU64,
+    /// Members of the waves running now, on every thread.
+    in_flight: AtomicU64,
+    peak_in_flight: AtomicU64,
 }
 
-/// The storage I/O engine: submitter-run requests with waiter-timed
-/// completions. See the module docs.
+/// The storage I/O engine: requests run on their caller, a batch in waves.
+/// See the module docs.
 pub struct IoEngine {
     storage: SharedStorage,
-    config: IoConfig,
-    state: Mutex<EngineState>,
-    /// Requests with no deadline whose tickets are still held; see
-    /// [`Due::OnCollect`]. They count towards the observed depth, never
-    /// towards the window: nothing but their own submitter can collect them.
-    uncollected: AtomicUsize,
-    /// Signals submitters blocked on a full window that a request returned.
-    space_cond: Condvar,
+    /// The most members of one wave (1 = sequential).
+    window: usize,
+    counters: Counters,
 }
 
 impl IoEngine {
@@ -373,17 +261,8 @@ impl IoEngine {
     pub fn new(storage: SharedStorage, config: IoConfig) -> Self {
         IoEngine {
             storage,
-            config: IoConfig {
-                max_in_flight: config.max_in_flight.max(1),
-                ..config
-            },
-            state: Mutex::new(EngineState {
-                running: 0,
-                deadlines: BinaryHeap::new(),
-                stats: IoStatsSnapshot::default(),
-            }),
-            uncollected: AtomicUsize::new(0),
-            space_cond: Condvar::new(),
+            window: config.max_in_flight.max(1),
+            counters: Counters::default(),
         }
     }
 
@@ -392,29 +271,22 @@ impl IoEngine {
         &self.storage
     }
 
-    /// The engine's tuning.
-    pub fn config(&self) -> IoConfig {
-        self.config
-    }
-
-    /// Whether requests can overlap at all: [`overlap_window`] above 1.
-    ///
-    /// [`overlap_window`]: IoEngine::overlap_window
-    pub fn is_pipelined(&self) -> bool {
-        self.overlap_window() > 1
-    }
-
-    /// How many requests can be in flight together: the in-flight window
-    /// (overlap comes from deferral, one thread sustains any depth). Batch
-    /// cost accounting uses this so the virtual clock never undercharges a
-    /// batch larger than the overlap the engine actually provides.
+    /// How many requests of one batch are in flight together: the in-flight
+    /// window, the size of a wave.
     pub fn overlap_window(&self) -> usize {
-        self.config.max_in_flight
+        self.window
     }
 
     /// Point-in-time engine counters.
     pub fn stats(&self) -> IoStatsSnapshot {
-        self.state.lock().stats
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let counters = &self.counters;
+        IoStatsSnapshot {
+            submitted: read(&counters.submitted),
+            deferred: read(&counters.deferred),
+            peak_in_flight: read(&counters.peak_in_flight),
+            retries: read(&counters.retries),
+        }
     }
 
     fn execute_request(&self, request: &StorageRequest) -> AftResult<StorageResponse> {
@@ -439,22 +311,23 @@ impl IoEngine {
         }
     }
 
-    /// Executes `request`, absorbing transient storage faults per the retry
-    /// policy. Returns the final result plus the total backoff charged; the
-    /// failed attempts' own sampled latency accumulates in the ambient
-    /// [`capture_deferred`] scope like any other charge.
+    /// Executes `request`, absorbing transient storage faults with
+    /// [`RetryConfig::default`]'s policy. Returns the final result plus the
+    /// total backoff charged; the failed attempts' own sampled latency
+    /// accumulates in the ambient [`capture_deferred`] scope like any other
+    /// charge.
     fn execute_with_retry(
         &self,
         request: &StorageRequest,
     ) -> (AftResult<StorageResponse>, Duration) {
-        let retry = self.config.retry;
+        let retry = RetryConfig::default();
         let mut backoff_total = Duration::ZERO;
         let mut attempt = 1u32;
         loop {
             let result = self.execute_request(request);
             match &result {
                 Err(e) if e.is_transient_storage() && attempt < retry.max_attempts => {
-                    self.state.lock().stats.retries += 1;
+                    self.counters.retries.fetch_add(1, Ordering::Relaxed);
                     backoff_total += retry.backoff_for(attempt);
                     attempt += 1;
                 }
@@ -463,87 +336,65 @@ impl IoEngine {
         }
     }
 
-    /// Counts a submission and takes an in-flight slot for it, blocking
-    /// while the window is full.
-    fn acquire(&self) {
-        let mut state = self.state.lock();
-        state.stats.submitted += 1;
-        loop {
-            if !state.deadlines.is_empty() {
-                let now = Instant::now();
-                while state.deadlines.peek().is_some_and(|due| due.0 <= now) {
-                    state.deadlines.pop();
+    /// Runs `requests` on the calling thread as waves of at most the window,
+    /// in submission order, and hands each result to `answer` in that order.
+    /// A wave with deferred latency sleeps once, until its latest member is
+    /// due. The batch is charged once, at its end: the sum of its waves'
+    /// slowest members, retry backoff included.
+    fn run_waves(
+        &self,
+        requests: &[StorageRequest],
+        mut answer: impl FnMut(AftResult<StorageResponse>),
+    ) {
+        let counters = &self.counters;
+        let mut cost = Duration::ZERO;
+        for wave in requests.chunks(self.window) {
+            let members = wave.len() as u64;
+            counters.submitted.fetch_add(members, Ordering::Relaxed);
+            let depth = counters.in_flight.fetch_add(members, Ordering::Relaxed) + members;
+            counters.peak_in_flight.fetch_max(depth, Ordering::Relaxed);
+            let mut slowest = Duration::ZERO;
+            let mut due = None;
+            for request in wave {
+                let ((result, backoff), sampled) =
+                    capture_deferred(|| self.execute_with_retry(request));
+                // Retry backoff is part of the operation's simulated
+                // duration: charge it, and push a deferred completion out by
+                // it too. The sampled delay was suppressed; the completion is
+                // due when it would really have arrived.
+                if !sampled.deferred.is_zero() {
+                    counters.deferred.fetch_add(1, Ordering::Relaxed);
+                    due = due.max(Some(Instant::now() + sampled.deferred + backoff));
                 }
+                slowest = slowest.max(sampled.charged + backoff);
+                answer(result);
             }
-            let depth = state.running + state.deadlines.len();
-            if depth < self.config.max_in_flight {
-                state.running += 1;
-                let in_flight = (depth + 1 + self.uncollected.load(Ordering::Relaxed))
-                    .min(self.config.max_in_flight);
-                state.stats.peak_in_flight = state.stats.peak_in_flight.max(in_flight as u64);
-                return;
+            if let Some(at) = due {
+                sleep_until(at);
             }
-            // Full: the next slot opens when the earliest outstanding
-            // deadline passes or a running request returns, whichever first.
-            match state.deadlines.peek().map(|due| due.0) {
-                Some(earliest) => {
-                    let wait = earliest.saturating_duration_since(Instant::now());
-                    let _ = self.space_cond.wait_for(&mut state, wait);
-                }
-                None => self.space_cond.wait(&mut state),
-            }
+            counters.in_flight.fetch_sub(members, Ordering::Relaxed);
+            cost += slowest;
         }
+        charge(cost);
     }
 
-    /// Submits one request and returns its completion ticket. Blocks while
-    /// the in-flight window is full (bounded queue depth). The request runs
-    /// here, on the calling thread; where its latency was deferred, its
-    /// in-flight slot stays taken until the completion is due.
-    fn submit(&self, request: StorageRequest) -> IoTicket<'_> {
-        self.acquire();
-        let ((result, backoff), cost) = capture_deferred(|| self.execute_with_retry(&request));
-        // Retry backoff is part of the operation's simulated duration:
-        // charge it, and push a deferred completion out by it too. The
-        // sampled delay was suppressed; the completion is due when it would
-        // really have arrived.
-        let ready_at = (!cost.deferred.is_zero()).then(|| Instant::now() + cost.deferred + backoff);
-        let mut state = self.state.lock();
-        state.running -= 1;
-        state.stats.completed += 1;
-        if let Some(at) = ready_at {
-            state.stats.deferred += 1;
-            state.deadlines.push(Reverse(at));
-        }
-        drop(state);
-        // Submitters blocked on a full window re-plan either way: the slot is
-        // free now, or there is a (possibly earlier) deadline to sleep to.
-        self.space_cond.notify_all();
-        let due = match ready_at {
-            Some(at) => Due::At(at),
-            None => Due::OnCollect {
-                _held: Uncollected::new(&self.uncollected),
-            },
-        };
-        IoTicket {
-            result,
-            cost: cost.charged + backoff,
-            due,
-        }
-    }
-
-    /// Submits a batch of requests and returns their completion set.
-    fn submit_all(&self, requests: impl IntoIterator<Item = StorageRequest>) -> CompletionSet<'_> {
-        CompletionSet {
-            tickets: requests.into_iter().map(|r| self.submit(r)).collect(),
-            window: self.overlap_window(),
-        }
+    /// Runs a fan-out batch and returns its members' results in submission
+    /// order.
+    fn run_all(&self, requests: &[StorageRequest]) -> Vec<AftResult<StorageResponse>> {
+        let mut results = Vec::with_capacity(requests.len());
+        self.run_waves(requests, |result| results.push(result));
+        results
     }
 
     /// Runs one request and waits out its latency. Its charged latency
     /// lands on the calling thread, where
     /// [`measure_cost`](crate::latency::measure_cost) reads it.
     pub fn execute(&self, request: StorageRequest) -> AftResult<StorageResponse> {
-        self.submit(request).wait()
+        let mut answer = None;
+        self.run_waves(std::slice::from_ref(&request), |result| {
+            answer = Some(result)
+        });
+        answer.expect("a request is answered")
     }
 
     /// Durably writes every item, overlapping the round trips. Its charged
@@ -564,11 +415,15 @@ impl IoEngine {
             _ if self.storage.supports_batch_put() => {
                 self.execute(StorageRequest::PutBatch(items)).map(drop)
             }
-            _ => self
-                .submit_all(items.into_iter().map(|(k, v)| StorageRequest::Put(k, v)))
-                .wait_all()
-                .into_iter()
-                .try_for_each(|result| result.map(drop)),
+            _ => {
+                let puts: Vec<_> = items
+                    .into_iter()
+                    .map(|(k, v)| StorageRequest::Put(k, v))
+                    .collect();
+                self.run_all(&puts)
+                    .into_iter()
+                    .try_for_each(|result| result.map(drop))
+            }
         }
     }
 
@@ -594,12 +449,13 @@ impl IoEngine {
             _ if self.storage.supports_batch_get() => self
                 .execute(StorageRequest::GetBatch(keys))
                 .map(StorageResponse::into_values),
-            _ => self
-                .submit_all(keys.into_iter().map(StorageRequest::Get))
-                .wait_all()
-                .into_iter()
-                .map(|result| result.map(StorageResponse::into_value))
-                .collect(),
+            _ => {
+                let gets: Vec<_> = keys.into_iter().map(StorageRequest::Get).collect();
+                self.run_all(&gets)
+                    .into_iter()
+                    .map(|result| result.map(StorageResponse::into_value))
+                    .collect()
+            }
         }
     }
 }
@@ -607,8 +463,7 @@ impl IoEngine {
 impl std::fmt::Debug for IoEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IoEngine")
-            .field("config", &self.config)
-            .field("pipelined", &self.is_pipelined())
+            .field("window", &self.window)
             .finish_non_exhaustive()
     }
 }
@@ -696,6 +551,8 @@ mod tests {
     use crate::sharded::DEFAULT_STRIPES;
     use crate::store::SimStore;
     use bytes::Bytes;
+    use parking_lot::Mutex;
+    use std::sync::atomic::AtomicUsize;
 
     fn val(s: &str) -> Value {
         Bytes::copy_from_slice(s.as_bytes())
@@ -723,22 +580,19 @@ mod tests {
     #[test]
     fn submit_round_trips_through_a_memory_backend() {
         let engine = IoEngine::new(InMemoryStore::shared(), IoConfig::pipelined());
-        assert!(engine.is_pipelined());
+        assert!(engine.overlap_window() > 1);
         let put = engine.execute(StorageRequest::Put("k".into(), val("v")));
         assert!(put.is_ok());
         let got = engine.execute(StorageRequest::Get("k".into()));
         assert_eq!(got.unwrap().into_value().unwrap(), val("v"));
         let missing = engine.execute(StorageRequest::Get("nope".into()));
         assert!(missing.unwrap().into_value().is_none());
-        let stats = engine.stats();
-        assert_eq!(stats.submitted, 3);
-        assert_eq!(stats.completed, 3);
+        assert_eq!(engine.stats().submitted, 3);
     }
 
     #[test]
     fn sequential_config_is_a_window_of_one() {
         let engine = IoEngine::new(InMemoryStore::shared(), IoConfig::sequential());
-        assert!(!engine.is_pipelined());
         assert_eq!(engine.overlap_window(), 1);
         engine
             .execute(StorageRequest::Put("k".into(), val("v")))
@@ -848,7 +702,7 @@ mod tests {
         let engine = IoEngine::new(s3_virtual(), IoConfig::pipelined().with_max_in_flight(2));
         engine.put_all(items(16)).unwrap();
         let stats = engine.stats();
-        assert_eq!(stats.completed, 16);
+        assert_eq!(stats.submitted, 16);
         assert!(stats.peak_in_flight <= 2);
     }
 
@@ -955,7 +809,10 @@ mod tests {
             };
             let backend = Recording::new(make_backend(config));
             let engine = IoEngine::new(backend.clone(), IoConfig::pipelined());
-            assert!(engine.is_pipelined(), "{kind}: overlap comes from deferral");
+            assert!(
+                engine.overlap_window() > 1,
+                "{kind}: overlap comes from deferral"
+            );
             engine.put_all(items(4)).unwrap();
             engine.execute(StorageRequest::Get("k0".into())).unwrap();
             engine
@@ -965,9 +822,7 @@ mod tests {
             let threads = backend.threads();
             assert!(threads.len() >= 6);
             assert!(threads.iter().all(|t| *t == me), "{kind}");
-            let stats = engine.stats();
-            assert_eq!(stats.completed, stats.submitted);
-            assert_eq!(stats.deferred, 0, "Virtual mode defers nothing");
+            assert_eq!(engine.stats().deferred, 0, "Virtual mode defers nothing");
 
             // The harness runs other tests beside this one, so the process's
             // thread count is compared across a window in which they were
@@ -983,18 +838,14 @@ mod tests {
     }
 
     #[test]
-    fn undeferred_requests_stay_in_flight_until_collected() {
-        // Virtual clock: nothing is deferred, so a batch's members are in
-        // flight together (in virtual time) until the barrier collects them.
+    fn a_fan_out_is_in_flight_until_it_returns() {
+        // Virtual clock: nothing is deferred, so a fan-out's members are in
+        // flight together (in virtual time) until the batch returns.
         let engine = IoEngine::new(s3_virtual(), IoConfig::pipelined());
-        let batch = engine.submit_all((0..5).map(|i| StorageRequest::Get(format!("k{i}"))));
+        let keys = (0..5).map(|i| format!("k{i}")).collect();
+        assert_eq!(engine.get_all(keys).unwrap(), vec![None; 5]);
         assert_eq!(engine.stats().peak_in_flight, 5);
-        all_ok(batch.wait_all()).unwrap();
-        // Collected, waited or dropped: none of them is in flight any more.
-        engine.execute(StorageRequest::Get("k1".into())).unwrap();
-        drop(engine.submit(StorageRequest::Get("k2".into())));
-        assert_eq!(engine.uncollected.load(Ordering::Relaxed), 0);
-        assert_eq!(engine.stats().peak_in_flight, 5);
+        assert_eq!(engine.counters.in_flight.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -1060,10 +911,10 @@ mod tests {
             _ => Cut::Pass,
         });
         let engine = IoEngine::new(backend, IoConfig::pipelined());
-        let results = engine
-            .submit_all((0..32).map(|i| StorageRequest::Put(format!("k{i}"), val("v"))))
-            .wait_all();
-        all_ok(results).expect("retries must absorb transient faults");
+        let puts: Vec<_> = (0..32)
+            .map(|i| StorageRequest::Put(format!("k{i}"), val("v")))
+            .collect();
+        all_ok(engine.run_all(&puts)).expect("retries must absorb transient faults");
         let listed = engine.execute(StorageRequest::List("k".into()));
         assert_eq!(listed.unwrap().into_keys().len(), 32);
         let stats = engine.stats();
@@ -1075,16 +926,14 @@ mod tests {
         use aft_types::AftError;
         // Every operation fails: the budget exhausts and the typed error
         // propagates — no panic, no untyped failure.
-        let engine = IoEngine::new(
-            cut(|_| Cut::Transient { applied: false }),
-            IoConfig::pipelined().with_retry(RetryConfig::default().with_max_attempts(3)),
-        );
+        let backend = cut(|_| Cut::Transient { applied: false });
+        let engine = IoEngine::new(backend, IoConfig::pipelined());
         match engine.execute(StorageRequest::Put("k".into(), val("v"))) {
             Err(AftError::StorageTransient(_)) => {}
             other => panic!("expected StorageTransient after exhaustion, got {other:?}"),
         }
         let stats = engine.stats();
-        assert_eq!(stats.retries, 2, "3 attempts = 2 retries");
+        assert_eq!(stats.retries, 3, "4 attempts = 3 retries");
     }
 
     #[test]
@@ -1183,20 +1032,18 @@ mod tests {
     }
 
     #[test]
-    fn batched_deletes_overlap_via_submit_all() {
+    fn batched_deletes_overlap_in_one_batch() {
         use crate::latency::measure_cost;
-        // Several DeleteBatch requests submitted together and barriered, with
-        // per-member results.
+        // Several DeleteBatch requests run as one batch, with per-member
+        // results.
         let engine = IoEngine::new(s3_virtual(), IoConfig::pipelined());
         engine.put_all(items(6)).unwrap();
         let (results, cost) = measure_cost(|| {
-            engine
-                .submit_all([
-                    StorageRequest::DeleteBatch(vec!["k0".into(), "k1".into()]),
-                    StorageRequest::DeleteBatch(vec!["k2".into(), "k3".into()]),
-                    StorageRequest::DeleteBatch(vec!["k4".into(), "k5".into()]),
-                ])
-                .wait_all()
+            engine.run_all(&[
+                StorageRequest::DeleteBatch(vec!["k0".into(), "k1".into()]),
+                StorageRequest::DeleteBatch(vec!["k2".into(), "k3".into()]),
+                StorageRequest::DeleteBatch(vec!["k4".into(), "k5".into()]),
+            ])
         });
         assert_eq!(results.len(), 3);
         assert!(cost > Duration::ZERO);

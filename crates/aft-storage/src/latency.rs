@@ -49,8 +49,8 @@ thread_local! {
     static OP_CHARGE_NS: Cell<u64> = const { Cell::new(0) };
     /// Sleep time suppressed inside the innermost [`capture_deferred`] scope:
     /// durations that `Sleep` mode would have slept but instead handed to the
-    /// caller to apply later (the I/O engine stamps them into the request's
-    /// ticket as a completion deadline).
+    /// caller to apply later (the I/O engine turns them into a completion
+    /// deadline that the request's wave sleeps until).
     static DEFERRED_NS: Cell<u64> = const { Cell::new(0) };
     /// Whether a [`capture_deferred`] scope is active on this thread.
     static DEFER_ACTIVE: Cell<bool> = const { Cell::new(false) };
@@ -75,7 +75,7 @@ pub fn measure_cost<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 /// Runs `f` with sleeping suppressed: any latency that `Sleep` mode would
 /// have slept is instead returned as the *deferred* duration, for the caller
 /// to apply later (the I/O engine makes the operation's completion due that
-/// far in the future, and whoever waits on it sleeps the remainder). The
+/// far in the future, and the operation's wave sleeps the remainder). The
 /// charged duration is returned as well, exactly as [`measure_cost`] would,
 /// but it is *not* added to the thread's charge: the caller adds what it
 /// waits for with [`charge`] (the engine adds a batch's wave, not the sum of

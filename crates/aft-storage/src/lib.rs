@@ -47,11 +47,12 @@
 //! * [`sharded`] — N-way lock striping for the store's data plane, so
 //!   multi-client experiments measure the protocol rather than contention
 //!   on a single map lock.
-//! * [`io`] — the overlapped I/O layer: a submission/completion engine
-//!   ([`IoEngine`]) that runs each request on its submitter and lets the
-//!   waiter time the completion, so N in-flight requests overlap their
-//!   sampled latencies instead of summing them (and the virtual clock
-//!   charges a concurrent batch the max, not the sum); it owns no thread.
+//! * [`io`] — the overlapped I/O layer: an engine ([`IoEngine`]) that runs
+//!   each request on its caller and a batch in window-sized waves, each wave
+//!   sleeping once for its members' deferred latency, so N in-flight
+//!   requests overlap their sampled latencies instead of summing them (and
+//!   the virtual clock charges each wave the max, not the sum); it owns no
+//!   thread.
 //!   [`SequentialEngine`] is the explicitly-sequential baseline wrapper.
 //!   The engine absorbs a transient fault
 //!   ([`aft_types::AftError::StorageTransient`]) by retrying it with backoff
