@@ -26,7 +26,22 @@
 //! 3 nodes the tree is a star that sends 4 where the flat exchange sends 6 —
 //! and every record still reaches every node within the round, so
 //! propagation lag stays one interval. Each edge-send counts one message per
-//! started 16 KiB of encoded records.
+//! started 16 KiB of encoded records and pushed payloads.
+//!
+//! A batch carries more than §4's metadata: with each commit record go the
+//! payloads of its writes of at most [`PUSH_BYTES`] bytes. §4's multicast
+//! carries commit metadata only (from memory of the paper; this is a
+//! departure). The origin reads them from its own data cache, where its
+//! commit put them, without counting the look as a use; a relay forwards
+//! what it was pushed. A receiver caches them only for the records new to
+//! it, under each record's own version ([`AftNode::cache_pushed`]), so the
+//! first read of a peer's small write costs no storage `Get`. That is safe
+//! because versions are immutable: the payload pushed with a version is the
+//! one storage holds under it, no later commit can make the entry stale,
+//! and nothing needs invalidating. The commit path, §3.3's data-then-record
+//! order and storage as the only source of truth are unchanged; a held or
+//! dropped batch, an evicted entry or a value over the bound only means a
+//! miss. A one-node cluster has no peer and pushes nothing.
 //!
 //! Relays forward only records that were *new* to them
 //! ([`AftNode::receive_peer_commits`] leaves out duplicates and locally
@@ -50,7 +65,7 @@ use std::sync::Arc;
 
 use aft_core::{is_superseded, AftNode};
 use aft_types::codec::encoded_commit_record_len;
-use aft_types::{TransactionId, TransactionRecord};
+use aft_types::{Key, TransactionId, TransactionRecord, Value};
 use parking_lot::Mutex;
 
 use crate::fault_manager::FaultManager;
@@ -62,7 +77,31 @@ const TREE_ARITY: usize = 3;
 /// one message per started batch.
 const BATCH_BYTES: usize = 16 * 1024;
 
-type Records = Vec<Arc<TransactionRecord>>;
+/// Largest value a batch carries with its commit record; a larger one is
+/// read from storage, as §4 has every peer's write read.
+pub const PUSH_BYTES: usize = 512;
+
+/// A commit record as a batch carries it: with the payloads of its writes
+/// that fit [`PUSH_BYTES`], the ones the origin still had cached.
+struct Pushed {
+    record: Arc<TransactionRecord>,
+    payloads: Vec<(Key, Value)>,
+}
+
+impl Pushed {
+    /// What it puts on the wire: the encoded record and each pushed key and
+    /// value, length-prefixed as the record's keys are.
+    fn bytes(&self) -> usize {
+        let payloads: usize = self
+            .payloads
+            .iter()
+            .map(|(key, value)| 4 + key.len() + 4 + value.len())
+            .sum();
+        encoded_commit_record_len(&self.record) + payloads
+    }
+}
+
+type Records = Vec<Arc<Pushed>>;
 
 /// Statistics from one dissemination round across all nodes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -77,7 +116,8 @@ pub struct BroadcastStats {
     /// encoded records per message) — the quantity that limits cluster
     /// scale.
     pub fanout_messages: usize,
-    /// Encoded commit-record bytes put on the wire.
+    /// Encoded commit-record bytes put on the wire, with the keys and
+    /// values of the payloads pushed with them.
     pub bytes: u64,
     /// Deliveries the receiver already knew or saw superseded, and
     /// deduplicated (healed retries, replaced-receiver floods).
@@ -148,9 +188,10 @@ impl Disseminator {
         // Drain first so commits arriving during the round go to the next
         // one; the fault manager sees the unpruned stream before anything
         // else touches it (§4.2).
+        let push = nodes.len() > 1;
         let mut contrib: Vec<Records> = by_pos
             .iter()
-            .map(|node| drain(node, fault_manager, &mut stats))
+            .map(|node| drain(node, fault_manager, push, &mut stats))
             .collect();
         self.deliver_retries(round, &by_pos, &mut contrib, &mut stats);
         self.tree_sweep(round, &by_pos, contrib, &mut stats);
@@ -224,7 +265,7 @@ impl Disseminator {
             }
             let parent = (p - 1) / k;
             let batch = contrib[p].clone();
-            let carried = batch.iter().map(|r| r.id).collect();
+            let carried = batch.iter().map(|pushed| pushed.record.id).collect();
             if let Some(fresh) = self.send(round, by_pos[p], by_pos[parent], batch, stats) {
                 from_child[parent].insert(p, carried);
                 contrib[parent].extend(fresh);
@@ -245,7 +286,7 @@ impl Disseminator {
                 let exclude = from_child[p].get(&child);
                 let payload: Records = known
                     .iter()
-                    .filter(|record| !exclude.is_some_and(|ids| ids.contains(&record.id)))
+                    .filter(|pushed| !exclude.is_some_and(|ids| ids.contains(&pushed.record.id)))
                     .cloned()
                     .collect();
                 if payload.is_empty() {
@@ -284,10 +325,12 @@ impl Disseminator {
 
 /// Drains `node`'s recent commits — through the fault manager, which sees
 /// the unpruned stream and the node's commit floor (§4.2) — and returns the
-/// records `node` does not already consider superseded (§4.1).
+/// records `node` does not already consider superseded (§4.1), each with
+/// its pushed payloads when `push` (a cluster of more than one node).
 fn drain(
     node: &Arc<AftNode>,
     fault_manager: Option<&FaultManager>,
+    push: bool,
     stats: &mut BroadcastStats,
 ) -> Records {
     let drained = match fault_manager {
@@ -295,36 +338,73 @@ fn drain(
         None => node.drain_recent_commits().records,
     };
     stats.drained += drained.len();
-    if drained.is_empty() {
-        return drained;
-    }
     let count = drained.len();
     let outgoing: Records = drained
         .into_iter()
         .filter(|record| !is_superseded(record, node.metadata()))
+        .map(|record| {
+            let payloads = if push {
+                payloads(node, &record)
+            } else {
+                Vec::new()
+            };
+            Arc::new(Pushed { record, payloads })
+        })
         .collect();
     stats.pruned += count - outgoing.len();
     outgoing
 }
 
-/// Delivers one edge-send: counts its encoded bytes, one message per started
-/// [`BATCH_BYTES`], hands the records to `receiver` in one merge, and returns
-/// the ones it did not already know.
-fn deliver(
-    receiver: &AftNode,
-    records: &[Arc<TransactionRecord>],
-    stats: &mut BroadcastStats,
-) -> Records {
-    let bytes: usize = records
+/// The payloads the origin pushes with `record`: each of its writes that
+/// its data cache still holds, at most [`PUSH_BYTES`] long, looked up
+/// without counting as a use of the entry.
+fn payloads(origin: &AftNode, record: &TransactionRecord) -> Vec<(Key, Value)> {
+    record
+        .write_set
         .iter()
-        .map(|record| encoded_commit_record_len(record))
-        .sum();
+        .filter_map(|key| {
+            let value = origin.data_cache().peek(key, &record.id)?;
+            (value.len() <= PUSH_BYTES).then(|| (key.clone(), value))
+        })
+        .collect()
+}
+
+/// Delivers one edge-send: counts its bytes, one message per started
+/// [`BATCH_BYTES`], hands the records to `receiver` in one merge, caches
+/// the payloads pushed with the records new to it, and returns those.
+fn deliver(receiver: &AftNode, batch: &[Arc<Pushed>], stats: &mut BroadcastStats) -> Records {
+    let bytes: usize = batch.iter().map(|pushed| pushed.bytes()).sum();
     stats.bytes += bytes as u64;
     stats.fanout_messages += bytes.div_ceil(BATCH_BYTES).max(1);
-    let fresh = receiver.receive_peer_commits(records);
-    stats.multicast += records.len();
-    stats.duplicates += records.len() - fresh.len();
+    let fresh = merge(receiver, batch);
+    stats.multicast += batch.len();
+    stats.duplicates += batch.len() - fresh.len();
+    for pushed in &fresh {
+        receiver.cache_pushed(&pushed.record, &pushed.payloads);
+    }
     fresh
+}
+
+/// Merges `batch`'s records into `receiver` and returns the ones that were
+/// new to it, with their payloads.
+fn merge(receiver: &AftNode, batch: &[Arc<Pushed>]) -> Records {
+    let records: Vec<Arc<TransactionRecord>> = batch
+        .iter()
+        .map(|pushed| Arc::clone(&pushed.record))
+        .collect();
+    // The new records come back in batch order.
+    let mut new = receiver
+        .receive_peer_commits(&records)
+        .into_iter()
+        .peekable();
+    batch
+        .iter()
+        .filter(|pushed| {
+            new.next_if(|record| Arc::ptr_eq(record, &pushed.record))
+                .is_some()
+        })
+        .cloned()
+        .collect()
 }
 
 /// Runs one round of the paper's flat §4.2 exchange: every node drains its
@@ -339,9 +419,10 @@ pub fn broadcast_round(
     fault_manager: Option<&FaultManager>,
 ) -> BroadcastStats {
     let mut stats = BroadcastStats::default();
+    let push = nodes.len() > 1;
     let outgoing: Vec<Records> = nodes
         .iter()
-        .map(|node| drain(node, fault_manager, &mut stats))
+        .map(|node| drain(node, fault_manager, push, &mut stats))
         .collect();
     for (origin, records) in outgoing.iter().enumerate() {
         if records.is_empty() {
@@ -535,6 +616,70 @@ pub(crate) mod tests {
         assert_eq!(d.pending_retries(), 0);
         survivors.remove(0); // origin knew it all along
         everyone_knows(&survivors, &[id]);
+    }
+
+    /// What `node`'s data cache holds for `id`'s version of `key`.
+    fn cached(node: &AftNode, key: &str, id: &TransactionId) -> Option<Bytes> {
+        node.data_cache().peek(&Key::new(key), id)
+    }
+
+    #[test]
+    fn pushed_payloads_are_cached_under_their_own_version() {
+        // Node-1 is a leaf of the 4-node star: what node-3 commits reaches
+        // it relayed by the root.
+        let (nodes, _s) = cluster_of(4);
+        let d = Disseminator::default();
+        let first = commit_on(&nodes[3], "k", "v1");
+        d.round(&nodes, None);
+        let second = commit_on(&nodes[3], "k", "v2");
+        let big = commit_on(&nodes[3], "big", &"x".repeat(PUSH_BYTES + 1));
+        d.round(&nodes, None);
+        for node in &nodes[..3] {
+            assert_eq!(cached(node, "k", &first).as_deref(), Some(&b"v1"[..]));
+            assert_eq!(cached(node, "k", &second).as_deref(), Some(&b"v2"[..]));
+            assert_eq!(cached(node, "big", &big), None, "over the bound");
+        }
+    }
+
+    #[test]
+    fn a_known_or_superseded_delivery_caches_nothing() {
+        let (nodes, _s) = cluster_of(2);
+        let known = commit_on(&nodes[0], "known", "v");
+        let old = commit_on(&nodes[0], "hot", "old");
+        let batch = drain(&nodes[0], None, true, &mut BroadcastStats::default());
+        assert!(batch.iter().all(|pushed| pushed.payloads.len() == 1));
+        // Node-1 already has `known` (as from the fault manager, with no
+        // payload) and a newer `hot` of its own.
+        nodes[1].receive_peer_commits(&[Arc::clone(&batch[0].record)]);
+        let newer = commit_on(&nodes[1], "hot", "new");
+        let mut stats = BroadcastStats::default();
+        assert!(deliver(&nodes[1], &batch, &mut stats).is_empty());
+        assert_eq!(stats.duplicates, 2);
+        assert_eq!(cached(&nodes[1], "known", &known), None);
+        assert_eq!(cached(&nodes[1], "hot", &old), None);
+        assert!(cached(&nodes[1], "hot", &newer).is_some());
+    }
+
+    #[test]
+    fn a_version_retired_before_its_push_lands_leaves_no_entry() {
+        let (nodes, _s) = cluster_of(2);
+        let t = nodes[0].start_transaction();
+        for key in ["k", "j"] {
+            nodes[0]
+                .put(&t, Key::new(key), Bytes::from_static(b"v"))
+                .unwrap();
+        }
+        let id = nodes[0].commit(&t).unwrap();
+        let batch = drain(&nodes[0], None, true, &mut BroadcastStats::default());
+        assert_eq!(merge(&nodes[1], &batch).len(), 1);
+        // Before the payloads land, a newer `k` on node-1 debits the pushed
+        // version of `k` and a sweep retires it (the record stays: it is
+        // still the newest `j`).
+        commit_on(&nodes[1], "k", "newer");
+        assert_eq!(nodes[1].run_local_gc().retired, 1);
+        nodes[1].cache_pushed(&batch[0].record, &batch[0].payloads);
+        assert_eq!(cached(&nodes[1], "k", &id), None);
+        assert!(cached(&nodes[1], "j", &id).is_some());
     }
 
     #[test]

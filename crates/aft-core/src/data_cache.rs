@@ -413,6 +413,19 @@ impl DataCache {
         Some(stripe.entry(slot).value.clone())
     }
 
+    /// Looks up the payload cached for version `tid` of `key` without
+    /// counting as a use: the entry keeps its place on its list. A node
+    /// reads what it pushes to its peers this way, so the push leaves its
+    /// own cache's order as its reads made it.
+    pub fn peek(&self, key: &Key, tid: &TransactionId) -> Option<Value> {
+        if self.is_disabled() {
+            return None;
+        }
+        let stripe = self.stripe(key).lock();
+        let slot = stripe.find(key, tid)?;
+        Some(stripe.entry(slot).value.clone())
+    }
+
     /// Caches the payload of version `tid` of `key`, evicting from the tails
     /// of its stripe's lists if needed (see the module docs for where the
     /// entry starts and what it does to older versions of `key`). Values
@@ -602,6 +615,19 @@ mod tests {
         assert_eq!(cache.protected_bytes(), vec![0]);
         put(&cache, "c", 1, 1);
         assert!(!holds(&cache, "big", 1) && holds(&cache, "c", 1));
+    }
+
+    #[test]
+    fn a_peek_is_not_a_use() {
+        let cache = DataCache::new(100);
+        put(&cache, "peeked", 1, 40);
+        put(&cache, "other", 1, 40);
+        assert_eq!(cache.peek(&Key::new("peeked"), &tid(1)).unwrap().len(), 40);
+        assert!(cache.peek(&Key::new("peeked"), &tid(2)).is_none());
+        assert_eq!(cache.protected_bytes(), vec![0], "nothing promoted");
+        // Still probation's tail, so the next fill evicts it first.
+        put(&cache, "new", 1, 40);
+        assert!(!holds(&cache, "peeked", 1) && holds(&cache, "other", 1));
     }
 
     #[test]

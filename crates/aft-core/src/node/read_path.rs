@@ -7,9 +7,16 @@
 //! key is selected, so a multi-key read is an Atomic Readset (§3.4). Then
 //! *fetch*: a data-cache hit costs no storage call, and every miss of one
 //! request goes to storage together, as one [`IoEngine::get_all`]: a read
-//! charges its caller that call's latency and nothing else. A fetched payload fills the data cache (`crate::data_cache`, §6.2); a
-//! version deleted under a long reader fails the read with
+//! charges its caller that call's latency and nothing else. A fetched
+//! payload fills the data cache (`crate::data_cache`, §6.2); a version
+//! deleted under a long reader fails the read with
 //! [`AftError::NoValidVersion`], and the client retries (§5.2.1).
+//!
+//! The data cache holds more than what this node committed or fetched: a
+//! peer's write of at most 512 bytes arrives with its commit record in the
+//! dissemination batch that makes it visible here
+//! ([`AftNode::cache_pushed`]), so the first read of it is a cache hit, not
+//! a storage `Get`.
 //!
 //! [`IoEngine::get_all`]: aft_storage::io::IoEngine::get_all
 
@@ -188,8 +195,9 @@ impl AftNode {
     /// was not there yet; an entry inserted after that could never be
     /// selected again nor swept. Hence insert, then look: if the version is
     /// gone the entry goes too, and a sweep that drops the version after the
-    /// look evicts the entry itself.
-    fn fill_data_cache(&self, key: &Key, version: TransactionId, value: &Value) {
+    /// look evicts the entry itself. A payload a peer pushed with its commit record
+    /// ([`AftNode::cache_pushed`]) enters the same way.
+    pub(super) fn fill_data_cache(&self, key: &Key, version: TransactionId, value: &Value) {
         self.data_cache.insert(key.clone(), version, value.clone());
         if !self.metadata.view().holds(key, &version) {
             self.data_cache.evict(key, &version);

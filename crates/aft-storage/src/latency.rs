@@ -660,9 +660,16 @@ fn sleep_calibrated(duration: Duration) {
 }
 
 /// Sleeps out what is left of a deferred completion's latency: until
-/// `deadline`, with the calibration of a `Sleep`-mode [`LatencyModel::finish`].
+/// `deadline`, and never before it. The calibrated sleep of a `Sleep`-mode
+/// [`LatencyModel::finish`] comes first; it returns early by the overshoot
+/// measured once per process, which a later sleep on a less loaded host may
+/// not meet, so the thread then yields until the deadline has passed. A
+/// wave's next members therefore never start before its latest one is due.
 pub(crate) fn sleep_until(deadline: Instant) {
     sleep_calibrated(deadline.saturating_duration_since(Instant::now()));
+    while Instant::now() < deadline {
+        std::thread::yield_now();
+    }
 }
 
 /// The host's `thread::sleep` overshoot for short sleeps, measured once.

@@ -116,6 +116,11 @@
 //!   one `Get` on a data-cache miss and no call on a hit, on every row, and
 //!   each records the version it chose in the read set. Recorded on top of
 //!   commit 7cd5bda, while the two still had separate implementations.
+//! * The *pushed read*: on a 3-node memory cluster, a peer's write of at
+//!   most 512 bytes arrives with its commit record in a maintenance round's
+//!   dissemination batch, so a node's first read of it bills no call; a
+//!   1 KiB write is over that bound and bills one `Get`. Recorded on top of
+//!   commit ef41f17, when batches began to carry payloads.
 
 use aft::cluster::{Cluster, ClusterConfig};
 use aft::core::NodeConfig;
@@ -340,6 +345,40 @@ fn a_one_key_read_bills_one_get_on_a_miss_and_none_on_a_hit() {
             }
             node.abort(&reader).unwrap();
         }
+    }
+}
+
+#[test]
+fn a_peers_small_write_reaches_the_reader_with_its_record() {
+    // Node A commits a value; after one maintenance round, node B reads it.
+    // A 256 B value rode the round's dissemination batch with its commit
+    // record and B reads it from its data cache; a 1 KiB value is over the
+    // push bound, so B's first read is a storage `Get`.
+    let storage = make_backend(BackendConfig::test(BackendKind::Memory));
+    let cluster = Cluster::with_clock(
+        ClusterConfig::test(3),
+        storage.clone(),
+        TickingClock::shared(1, 1),
+    )
+    .unwrap();
+    let nodes = cluster.active_nodes();
+    let (a, b) = (&nodes[0], &nodes[1]);
+    for (size, gets) in [(256, 0), (1024, 1)] {
+        let key = Key::new(format!("pushed-{size}"));
+        let value = Bytes::from(vec![b'p'; size]);
+        let txn = a.start_transaction();
+        a.put(&txn, key.clone(), value.clone()).unwrap();
+        let id = a.commit(&txn).unwrap();
+        cluster.run_maintenance_round().unwrap();
+
+        let before = storage.stats().snapshot();
+        let reader = b.start_transaction();
+        let read = b.get_versioned(&reader, &key).unwrap();
+        let calls = storage.stats().snapshot().delta_since(&before);
+        assert_eq!(read, Some((value, Some(id))), "{size} B");
+        assert_eq!(calls.calls(OpKind::Get), gets, "{size} B");
+        assert_eq!(calls.total_calls(), gets, "{size} B");
+        b.abort(&reader).unwrap();
     }
 }
 
