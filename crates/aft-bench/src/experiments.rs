@@ -872,7 +872,7 @@ Figure 6 (§6.4)     23.57
 Figure 7 (§6.5)     6.43
 Figure 8 (§6.5)     10.71
 Figure 9 (§6.6)     5.45
-Figure 10 (§6.7)    82.80
+Figure 10 (§6.7)    82.17
 ";
         assert_eq!(report().sheet("margins").render(), held);
     }

@@ -87,7 +87,8 @@ impl ClusterConfig {
 pub struct MaintenanceStats {
     /// Multicast statistics for the round.
     pub broadcast: BroadcastStats,
-    /// Commits recovered from storage by the fault manager this round.
+    /// Commits recovered from storage by the fault manager this round:
+    /// those that no live node could multicast. 0 in a run without failures.
     pub recovered_commits: usize,
     /// Commit-set keys the fault manager's scan listed this round: what
     /// committed since the previous scan and what nodes reported, not the

@@ -5,32 +5,48 @@
 //!
 //! * **Liveness of committed data.** It receives every node's commit stream
 //!   *without* the pruning optimisation and periodically scans the
-//!   Transaction Commit Set in storage for commit records it has not seen via
-//!   broadcast — which happens exactly when a node acknowledged a commit and
-//!   failed before multicasting it. Any such record is pushed to all nodes so
-//!   the data becomes visible.
+//!   Transaction Commit Set in storage for commit records that no live node
+//!   will multicast — which happens exactly when a node acknowledged a commit
+//!   and failed before multicasting it, or when a flush failed after sending
+//!   its record. Any such record is pushed to all nodes so the data becomes
+//!   visible.
 //! * **Failure detection and replacement.** It notices failed nodes and
 //!   configures replacements (standby nodes with a container-download /
 //!   cache-warm delay, §6.7). The mechanics of replacement live in
 //!   [`crate::cluster`]; the detection hook lives here.
 //!
-//! A scan costs what committed since the previous one, not the commit set:
-//! it sends one `List`, ranged to start at the manager's *floor*
+//! **What a scan recovers.** A listed record the manager has not seen is
+//! recovered unless a node it trusts still holds it for a drain
+//! ([`AftNode::holds_for_drain`]): the commit is under way there (its record
+//! may already be durable), or it finished after the node's last drain. That
+//! drain hands the record to the manager and multicasts it with its pushed
+//! payloads, so recovering it would only fetch it again and hand it out
+//! without them. The manager trusts a node only while it is active and a
+//! round has drained it since the last scan began. Once a node is no longer
+//! active, nothing it holds is trusted: the scan after that takes its report
+//! ([`AftNode::undrained_floor`]) and recovers what it left. A commit under
+//! way that fails after sending its record leaves the node's hold and is
+//! reported instead. So a record is skipped only while a live node will
+//! hand it out, and a run without failures recovers nothing.
+//!
+//! **What the floor bounds.** A scan costs what committed since the previous
+//! one, not the commit set: it sends one `List`, ranged to start at the
+//! manager's *floor*
 //! ([`StorageEngine::list_prefix_after`](aft_storage::StorageEngine::list_prefix_after),
 //! which a store with ordered keys ranges), and only the keys from there on
-//! are parsed and probed; `MaintenanceStats::scan_listed` counts them. Each node reports, by
-//! timestamp, every commit whose record may be in storage with nobody to
-//! multicast it: one under way or one whose flush failed after sending its
-//! record (in the drain that hands out its records,
-//! [`AftNode::drain_recent_commits`]), and one that finished on a node no
-//! round drains any more — failed, replaced, or not yet active — which the
-//! manager asks at every scan ([`AftNode::undrained_floor`]) until only the
-//! manager still holds it. The floor is the oldest timestamp reported since
-//! the last scan that succeeded, and no later than just past the newest
-//! commit the manager had seen when that scan began, so every scan also
-//! lists what committed since the one before, as a full scan would. A report
-//! stays pending until a scan covers it; a failed scan leaves it for the
-//! next.
+//! are parsed and probed; `MaintenanceStats::scan_listed` counts them. Each
+//! node reports, by timestamp, every commit whose record may be in storage
+//! with nobody left to multicast it if the node fails: one under way or one
+//! whose flush failed after sending its record (in the drain that hands out
+//! its records, [`AftNode::drain_recent_commits`]), and one that finished on
+//! a node no round drains any more — failed, replaced, or not yet active —
+//! which the manager asks at every scan ([`AftNode::undrained_floor`]) until
+//! only the manager still holds it. The floor is the oldest timestamp
+//! reported since the last scan that succeeded, and no later than the
+//! *horizon*, just past the newest commit the manager had seen when that
+//! scan began, so every scan also lists what committed since the one before,
+//! as a full scan would. A report stays pending until a scan covers it; a
+//! failed scan leaves it for the next.
 //!
 //! The fault manager is stateless in the sense of §4.2: everything it tracks
 //! can be rebuilt by re-scanning the commit set, so its own failure is
@@ -52,8 +68,8 @@ pub struct FaultManager {
     /// broadcast stream or by scanning storage). Also serves as the metadata
     /// view the global GC runs Algorithm 2 against (§5.2).
     metadata: MetadataCache,
-    /// Commit records discovered only by scanning storage — i.e. commits
-    /// whose broadcast was lost to a node failure.
+    /// Commit records discovered only by scanning storage: commits that no
+    /// live node could multicast.
     recovered_commits: AtomicU64,
     /// Where the next scan starts, and the nodes that report to it.
     floor: Mutex<Floor>,
@@ -64,8 +80,23 @@ pub struct FaultManager {
 pub struct ScanOutcome {
     /// Commit-set keys the scan's one listing returned.
     pub listed: usize,
-    /// Records the manager had not seen, found and pushed to every node.
+    /// Records the manager had not seen and no trusted node held for a
+    /// drain — commits that no live node could multicast — found and pushed
+    /// to every node.
     pub recovered: usize,
+}
+
+/// What [`FaultManager::begin_scan`] hands the scan.
+struct ScanStart {
+    /// The reports the scan took, handed back if it fails.
+    reported: Option<Timestamp>,
+    /// Where the listing starts.
+    from: Timestamp,
+    /// The horizon a successful scan sets.
+    horizon: Timestamp,
+    /// The active nodes a round drained since the last scan began. What one
+    /// of them holds for its next drain is not lost.
+    trusted: Vec<Arc<AftNode>>,
 }
 
 #[derive(Default)]
@@ -151,15 +182,18 @@ impl FaultManager {
         self.floor.lock().watch(node, false);
     }
 
-    /// Number of commits that had to be recovered from storage because their
-    /// broadcast never arrived.
+    /// Number of commits recovered from storage because no live node could
+    /// multicast them: their node failed before a drain took them, or their
+    /// flush failed after sending the record. A run without failures reads 0.
     pub fn recovered_commits(&self) -> u64 {
         self.recovered_commits.load(Ordering::Relaxed)
     }
 
     /// Scans the Transaction Commit Set from the manager's floor for records
-    /// it has not seen and notifies every active node (`nodes`) of them
-    /// (§4.2); `nodes` are watched from here on.
+    /// it has not seen and that no trusted node holds for a drain, and
+    /// notifies every active node (`nodes`) of them (§4.2); `nodes` are
+    /// watched from here on. A node of `nodes` is trusted if a round drained
+    /// it since the last scan began (see the module docs).
     ///
     /// The scan goes through the pipelined I/O engine: one list round trip,
     /// ranged to start at the floor (see the module docs), then the unseen
@@ -168,57 +202,70 @@ impl FaultManager {
     /// record — the scan is off the critical path, but its wall-clock time
     /// bounds how stale a recovered commit can be.
     pub fn scan_commit_set(&self, io: &IoEngine, nodes: &[Arc<AftNode>]) -> AftResult<ScanOutcome> {
-        let (reported, from, horizon) = self.begin_scan(nodes);
-        let scanned = self.scan_from(io, nodes, from);
+        let start = self.begin_scan(nodes);
+        let scanned = self.scan_from(io, nodes, &start);
         let mut floor = self.floor.lock();
         match scanned {
-            Ok(_) => floor.horizon = floor.horizon.max(horizon),
-            Err(_) => floor.report(reported),
+            Ok(_) => floor.horizon = floor.horizon.max(start.horizon),
+            Err(_) => floor.report(start.reported),
         }
         scanned
     }
 
     /// Takes the reports the scan must cover — pending ones, and those of
     /// the watched nodes no round drained since the last scan — and returns
-    /// them, the floor to list from, and the horizon a successful scan sets.
-    /// A watched node only the manager still holds can commit nothing more,
-    /// so its report now is its last and the manager lets it go.
-    fn begin_scan(&self, nodes: &[Arc<AftNode>]) -> (Option<Timestamp>, Timestamp, Timestamp) {
+    /// them with the floor to list from, the horizon a successful scan sets
+    /// and the nodes it trusts. A watched node only the manager still holds
+    /// can commit nothing more, so its report now is its last and the
+    /// manager lets it go.
+    fn begin_scan(&self, nodes: &[Arc<AftNode>]) -> ScanStart {
         let mut floor = self.floor.lock();
         for node in nodes {
             floor.watch(node, false);
         }
         let mut reported = floor.reported.take();
+        let mut trusted = Vec::new();
         floor.nodes.retain_mut(|(node, drained)| {
             if std::mem::take(drained) {
+                if nodes.iter().any(|active| Arc::ptr_eq(active, node)) {
+                    trusted.push(Arc::clone(node));
+                }
                 return true;
             }
             reported = reported.into_iter().chain(node.undrained_floor()).min();
             Arc::strong_count(node) > 1
         });
-        let from = reported.map_or(floor.horizon, |t| t.min(floor.horizon));
-        let horizon = floor.newest.map_or(0, |t| t.saturating_add(1));
-        (reported, from, horizon)
+        ScanStart {
+            reported,
+            from: reported.map_or(floor.horizon, |t| t.min(floor.horizon)),
+            horizon: floor.newest.map_or(0, |t| t.saturating_add(1)),
+            trusted,
+        }
     }
 
     fn scan_from(
         &self,
         io: &IoEngine,
         nodes: &[Arc<AftNode>],
-        from: Timestamp,
+        start: &ScanStart,
     ) -> AftResult<ScanOutcome> {
         let keys = io
             .execute(StorageRequest::ListAfter(
                 TransactionRecord::storage_prefix(),
-                TransactionRecord::storage_floor_key(from),
+                TransactionRecord::storage_floor_key(start.from),
             ))?
             .into_keys();
         // One view for the whole listing, dropped before the inserts below.
+        // A record a trusted node will still drain reaches every node with
+        // that drain, its payloads included: only the others are lost.
         let missing: Vec<String> = {
             let seen = self.metadata.view();
             keys.iter()
                 .filter(|key| match TransactionRecord::id_from_storage_key(key) {
-                    Ok(id) => !seen.is_committed(&id),
+                    Ok(id) => {
+                        !seen.is_committed(&id)
+                            && !start.trusted.iter().any(|node| node.holds_for_drain(&id))
+                    }
                     Err(_) => false,
                 })
                 .cloned()
@@ -346,6 +393,44 @@ mod tests {
             }
         );
         assert_eq!(fm.recovered_commits(), 0);
+    }
+
+    #[test]
+    fn a_record_is_left_to_a_live_nodes_drain_and_recovered_once_it_departs() {
+        let (nodes, storage) = cluster_of(2);
+        let io = engine_over(&storage);
+        let fm = FaultManager::new();
+        fm.drain_node(&nodes[0]);
+        // Finished after the drain: durable, and held for node 0's next one.
+        let id = commit_on(&nodes[0], "held");
+        let outcome = fm.scan_commit_set(&io, &nodes).unwrap();
+        assert_eq!(
+            outcome,
+            ScanOutcome {
+                listed: 1,
+                recovered: 0
+            }
+        );
+        assert!(!nodes[1].metadata().is_committed(&id));
+
+        // Node 0 is no longer active, and nothing it holds is trusted: the
+        // scan after its departure recovers the record.
+        let survivors = [Arc::clone(&nodes[1])];
+        assert_eq!(fm.scan_commit_set(&io, &survivors).unwrap().recovered, 1);
+        assert!(nodes[1].metadata().is_committed(&id));
+        assert_eq!(fm.recovered_commits(), 1);
+    }
+
+    #[test]
+    fn a_node_no_round_drained_is_not_trusted() {
+        // Node 0 is active but was not drained since the last scan: the scan
+        // takes its report instead, so it recovers what node 0 holds.
+        let (nodes, storage) = cluster_of(2);
+        let fm = FaultManager::new();
+        let id = commit_on(&nodes[0], "polled");
+        let outcome = fm.scan_commit_set(&engine_over(&storage), &nodes).unwrap();
+        assert_eq!(outcome.recovered, 1);
+        assert!(nodes[1].metadata().is_committed(&id));
     }
 
     #[test]

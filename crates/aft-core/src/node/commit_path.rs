@@ -79,11 +79,14 @@ pub struct CommitDrain {
     pub records: Vec<Arc<TransactionRecord>>,
     /// The node's commit floor: the smallest timestamp it gave a commit that
     /// is in no drain — one still under way, or one that failed after
-    /// sending its record since the node last reported, so that the record
-    /// may be durable with nobody to multicast it — or `None`. The fault
-    /// manager's next scan reaches back to it. A commit takes its timestamp
-    /// under the drain's lock, so a commit this floor misses starts after
-    /// the drain and is in a later report.
+    /// sending its record since the node last reported — or `None`. The
+    /// fault manager's next scan reaches back to it. It recovers a failed
+    /// one there, whose record may be durable with nobody to multicast it.
+    /// A commit still under way is left to this node while it is active
+    /// ([`AftNode::holds_for_drain`]); the floor bounds where its record is
+    /// if the node fails before a drain takes it. A commit takes its
+    /// timestamp under the drain's lock, so a commit this floor misses
+    /// starts after the drain and is in a later report.
     pub floor: Option<Timestamp>,
 }
 
@@ -93,8 +96,8 @@ pub struct CommitDrain {
 pub(super) struct Undrained {
     /// Finished commits, for the next multicast.
     records: Vec<Arc<TransactionRecord>>,
-    /// The timestamps of the commits under way, repeats kept.
-    committing: Vec<Timestamp>,
+    /// The commits under way, each by the id it commits under.
+    committing: Vec<TransactionId>,
     /// The oldest commit that failed after sending its record since the last
     /// report.
     failed: Option<Timestamp>,
@@ -104,36 +107,42 @@ pub(super) struct Undrained {
 }
 
 impl Undrained {
-    /// Takes a timestamp from `clock` for a commit now under way.
-    fn begin(&mut self, clock: &dyn Clock) -> Timestamp {
-        let timestamp = clock.now();
-        self.committing.push(timestamp);
-        timestamp
+    /// Takes a timestamp from `clock` for the commit of `uuid`, now under
+    /// way, and returns the id it commits under.
+    fn begin(&mut self, clock: &dyn Clock, uuid: Uuid) -> TransactionId {
+        let id = TransactionId::new(clock.now(), uuid);
+        self.committing.push(id);
+        id
     }
 
-    /// The commit that took `timestamp` finished with `record`.
-    fn finish(&mut self, timestamp: Timestamp, record: Arc<TransactionRecord>) {
-        self.end(timestamp);
+    /// The commit `id` finished with `record`.
+    fn finish(&mut self, id: TransactionId, record: Arc<TransactionRecord>) {
+        self.end(id);
         self.records.push(record);
-        lower(&mut self.finished, timestamp);
+        lower(&mut self.finished, id.timestamp);
     }
 
-    /// The commit that took `timestamp` failed, after sending its record or
-    /// before.
-    fn fail(&mut self, timestamp: Timestamp, record_sent: bool) {
-        self.end(timestamp);
+    /// The commit `id` failed, after sending its record or before.
+    fn fail(&mut self, id: TransactionId, record_sent: bool) {
+        self.end(id);
         if record_sent {
-            lower(&mut self.failed, timestamp);
+            lower(&mut self.failed, id.timestamp);
         }
     }
 
-    fn end(&mut self, timestamp: Timestamp) {
+    fn end(&mut self, id: TransactionId) {
         let at = self
             .committing
             .iter()
-            .position(|&t| t == timestamp)
+            .position(|&c| c == id)
             .expect("an ending commit began under this lock");
         self.committing.swap_remove(at);
+    }
+
+    /// Whether a drain will still hand out the commit `id`: it is under way,
+    /// or it finished and waits in `records`.
+    pub(super) fn holds(&self, id: &TransactionId) -> bool {
+        self.committing.contains(id) || self.records.iter().any(|record| record.id == *id)
     }
 
     /// What a drain hands out: the finished commits, and a report that
@@ -158,7 +167,7 @@ impl Undrained {
     fn report(&mut self) -> Option<Timestamp> {
         self.committing
             .iter()
-            .copied()
+            .map(|id| id.timestamp)
             .chain(self.failed.take())
             .min()
     }
@@ -254,8 +263,7 @@ impl AftNode {
 
         // Assign the commit timestamp from the local clock (§3.1), under the
         // lock a drain reports from: the report names every commit under way.
-        let timestamp = self.undrained.lock().begin(self.clock.as_ref());
-        let final_id = TransactionId::new(timestamp, txid.uuid);
+        let final_id = self.undrained.lock().begin(self.clock.as_ref(), txid.uuid);
         txn.id = final_id;
 
         // 1. Persist the transaction's key versions (one storage key per
@@ -281,7 +289,7 @@ impl AftNode {
             Ok(())
         });
         if let Err(e) = flushed {
-            self.undrained.lock().fail(timestamp, record_sent);
+            self.undrained.lock().fail(final_id, record_sent);
             return Err(e);
         }
 
@@ -291,7 +299,7 @@ impl AftNode {
         for (key, value) in txn.writes {
             self.data_cache.insert(key, final_id, value);
         }
-        self.undrained.lock().finish(timestamp, record);
+        self.undrained.lock().finish(final_id, record);
         self.stats.record_committed();
         Ok(final_id)
     }

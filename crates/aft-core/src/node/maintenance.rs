@@ -76,6 +76,17 @@ impl AftNode {
         self.undrained.lock().poll()
     }
 
+    /// Whether the next [`drain_recent_commits`](AftNode::drain_recent_commits)
+    /// will still hand out the commit `id`: it is under way here (its record
+    /// may already be durable), or it finished and no drain has taken it
+    /// yet. The fault manager leaves such a record to the drain, which
+    /// multicasts it with its payloads, as long as it trusts this node
+    /// (§4.2). A commit under way that fails after sending its record is
+    /// reported instead, as the floor of the next report.
+    pub fn holds_for_drain(&self, id: &TransactionId) -> bool {
+        self.undrained.lock().holds(id)
+    }
+
     /// Merges commit records learned from peers (a dissemination sweep, a
     /// healed partition retry) or from the fault manager into the local
     /// metadata cache, under one lock, and returns the ones that were *new*

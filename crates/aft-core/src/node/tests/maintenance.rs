@@ -57,6 +57,33 @@ fn a_commit_is_reported_once_by_a_drain_or_a_poll() {
 }
 
 #[test]
+fn a_finished_commit_is_held_for_the_next_drain_and_a_failed_one_reported() {
+    // A finished commit waits for the next drain, which takes it.
+    let node = test_node();
+    let id = commit_writes(&node, &[("a", "1")]);
+    assert!(node.holds_for_drain(&id));
+    assert_eq!(node.drain_recent_commits().records.len(), 1);
+    assert!(!node.holds_for_drain(&id));
+
+    // A commit that failed after sending its record is in no drain: the
+    // next report points at it instead, once.
+    let storage: SharedStorage = InMemoryStore::shared();
+    let (crashed, _) = crashing_at(Some(CommitPhase::BeforeBroadcast), storage.clone());
+    let t = crashed.start_transaction();
+    crashed.put(&t, Key::new("k"), val("v")).unwrap();
+    assert!(crashed.commit(&t).is_err());
+    let records = storage
+        .list_prefix(&TransactionRecord::storage_prefix())
+        .unwrap();
+    let id = TransactionRecord::id_from_storage_key(&records[0]).unwrap();
+    assert!(!crashed.holds_for_drain(&id));
+    let drain = crashed.drain_recent_commits();
+    assert!(drain.records.is_empty());
+    assert_eq!(drain.floor, Some(id.timestamp));
+    assert_eq!(crashed.drain_recent_commits().floor, None);
+}
+
+#[test]
 fn local_gc_removes_superseded_transactions_only() {
     let node = test_node();
     let ids: Vec<TransactionId> = (0..3)

@@ -121,12 +121,23 @@
 //!   dissemination batch, so a node's first read of it bills no call; a
 //!   1 KiB write is over that bound and bills one `Get`. Recorded on top of
 //!   commit ef41f17, when batches began to carry payloads.
+//! * The *raced record*: a maintenance round runs while a commit's record is
+//!   durable and its commit still under way. The fault manager leaves the
+//!   record to its node's next drain, which pushes its payload, so a peer's
+//!   first read of it bills no call. Recorded on top of commit 53bd8a4,
+//!   when the scan stopped recovering records a live node still holds; the
+//!   scan had fetched the record and handed it to every node without its
+//!   payload, and the peer's read billed one `Get`.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, Weak};
+
+use aft::cluster::cluster::MaintenanceStats;
 use aft::cluster::{Cluster, ClusterConfig};
-use aft::core::NodeConfig;
+use aft::core::{CommitPhase, NodeConfig, PhaseHook};
 use aft::storage::{make_backend, BackendConfig, BackendKind, OpKind};
 use aft::types::clock::TickingClock;
-use aft::types::{slot_tag, Key, TransactionId, TransactionRecord};
+use aft::types::{slot_tag, AftResult, Key, TransactionId, TransactionRecord};
 use aft_bench::trajectory::golden_script;
 use bytes::Bytes;
 
@@ -379,6 +390,83 @@ fn a_peers_small_write_reaches_the_reader_with_its_record() {
         assert_eq!(calls.calls(OpKind::Get), gets, "{size} B");
         assert_eq!(calls.total_calls(), gets, "{size} B");
         b.abort(&reader).unwrap();
+    }
+}
+
+/// A phase hook that, once armed, runs a maintenance round of its cluster
+/// at a commit's `BeforeBroadcast`: the commit's record is durable and the
+/// commit is still under way on its node.
+#[derive(Debug, Default)]
+struct RoundBeforeBroadcast {
+    cluster: Mutex<Weak<Cluster>>,
+    armed: AtomicBool,
+    rounds: Mutex<Vec<MaintenanceStats>>,
+}
+
+impl PhaseHook for RoundBeforeBroadcast {
+    fn at(&self, _node_id: &str, phase: CommitPhase) -> AftResult<()> {
+        if phase == CommitPhase::BeforeBroadcast && self.armed.swap(false, Ordering::SeqCst) {
+            let cluster = self.cluster.lock().unwrap().upgrade().unwrap();
+            let stats = cluster.run_maintenance_round()?;
+            self.rounds.lock().unwrap().push(stats);
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn a_record_durable_during_a_round_reaches_peers_with_its_drain() {
+    // Node A's commit writes its record, and a maintenance round runs before
+    // the commit returns. The scan lists the record, but A still holds it
+    // for its next drain, so nothing is recovered: the next round's
+    // dissemination brings it to both peers, new to each, with its 256 B
+    // payload, and a peer's first read of it bills no call.
+    let storage = make_backend(BackendConfig::test(BackendKind::Memory));
+    let hook = Arc::new(RoundBeforeBroadcast::default());
+    let mut config = ClusterConfig::test(3);
+    config.node_template.phase_hook = Some(hook.clone());
+    let cluster = Cluster::with_clock(config, storage.clone(), TickingClock::shared(1, 1)).unwrap();
+    *hook.cluster.lock().unwrap() = Arc::downgrade(&cluster);
+    let nodes = cluster.active_nodes();
+    let (a, peers) = (&nodes[0], &nodes[1..]);
+
+    let key = Key::new("raced");
+    let value = Bytes::from(vec![b'r'; 256]);
+    let txn = a.start_transaction();
+    a.put(&txn, key.clone(), value.clone()).unwrap();
+    hook.armed.store(true, Ordering::SeqCst);
+    let id = a.commit(&txn).unwrap();
+    let raced = hook.rounds.lock().unwrap()[..]
+        .iter()
+        .map(|stats| (stats.scan_listed, stats.recovered_commits))
+        .collect::<Vec<_>>();
+    assert_eq!(raced, [(1, 0)], "listed, held by A, not recovered");
+    for peer in peers {
+        assert!(!peer.metadata().is_committed(&id), "{}", peer.node_id());
+    }
+
+    let next = cluster.run_maintenance_round().unwrap();
+    assert_eq!(next.recovered_commits, 0);
+    assert_eq!(next.broadcast.drained, 1);
+    assert_eq!(next.broadcast.multicast, peers.len(), "new to every peer");
+    assert_eq!(next.broadcast.duplicates, 0);
+    assert_eq!(cluster.fault_manager().recovered_commits(), 0);
+    for peer in peers {
+        let what = peer.node_id();
+        assert!(peer.metadata().is_committed(&id), "{what}");
+        assert_eq!(
+            peer.data_cache().peek(&key, &id),
+            Some(value.clone()),
+            "{what}"
+        );
+        let before = storage.stats().snapshot();
+        let reader = peer.start_transaction();
+        let read = peer.get_versioned(&reader, &key).unwrap();
+        let calls = storage.stats().snapshot().delta_since(&before);
+        assert_eq!(read, Some((value.clone(), Some(id))), "{what}");
+        assert_eq!(calls.calls(OpKind::Get), 0, "{what}");
+        assert_eq!(calls.total_calls(), 0, "{what}");
+        peer.abort(&reader).unwrap();
     }
 }
 

@@ -11,7 +11,7 @@
 //! key's newest acknowledged write (the checker's model, not AFT's
 //! metadata), and storage must hold no data whose commit record is gone,
 //! nor an overwritten version no node and not the fault manager still
-//! holds. It runs over the memory row and over Redis, where one GC `DEL`
+//! holds. No node fails, so the fault manager must recover no commit. It runs over the memory row and over Redis, where one GC `DEL`
 //! spans the transactions of a slot group. A seed replays the script
 //! exactly; with `--nocapture` it prints how many overwritten versions its
 //! last round left for a later one.
@@ -126,6 +126,14 @@ fn race_maintenance(raw: SharedStorage) {
         cluster.run_maintenance_round().unwrap();
     }
     assert!(cluster.total_gc_deleted() > 0, "local GC must have run");
+    // No node failed, so every record reached the peers by dissemination: a
+    // record the scan found while its node still held it was left to that
+    // node's drain.
+    assert_eq!(
+        cluster.fault_manager().recovered_commits(),
+        0,
+        "the fault manager recovered a commit no node lost"
+    );
 
     // The incremental superseded sets are exactly Algorithm 2.
     let nodes = cluster.active_nodes();
