@@ -26,7 +26,7 @@ use aft_storage::BackendKind;
 use aft_types::{payload_of_size, Key, Value};
 use aft_workload::history::{self, FinalRead, History, Recorder};
 use aft_workload::{
-    run_virtual_loop, AftDriver, LatencyRecorder, RequestDriver, RunConfig, RunResult, Timer,
+    run_virtual_loop, sim, AftDriver, LatencyRecorder, RequestDriver, RunConfig, RunResult, Timer,
     WorkloadConfig,
 };
 
@@ -469,7 +469,7 @@ pub fn fig9_gc(env: &BenchEnv, seed: u64) -> Sheet {
         // One last round catches up with the run's tail.
         let _ = cluster.run_maintenance_round();
         let deleted = cluster.total_gc_deleted() as f64;
-        let live = storage.list_prefix("data/").map_or(0, |k| k.len()) as f64;
+        let live = sim::held_versions(&storage).len() as f64;
         let label = if gc { "GC enabled" } else { "GC disabled" };
         let values = vec![
             throughput(&run, size.0),

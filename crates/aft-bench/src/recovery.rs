@@ -886,9 +886,11 @@ mod tests {
         );
         assert!(cells.sum("durable_commits") > 0.0);
         // One seeded thread chooses the interleaving, so these counts are
-        // exact: a change that moves them changes what the matrix runs.
+        // exact: a change that moves them changes what the matrix runs. The
+        // matrix's commits are inline, one write each, so its seeded
+        // transient faults land on fewer calls: 14 retries before they were.
         assert_eq!(cells.sum("recovered_commits"), 7.0);
-        assert_eq!(cells.sum("io_retries"), 14.0);
+        assert_eq!(cells.sum("io_retries"), 12.0);
     }
 
     #[test]

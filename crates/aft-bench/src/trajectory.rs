@@ -33,7 +33,7 @@
 //! * the piped large script ([`piped_large_script`]): the server's fresh
 //!   frame-buffer allocations and pool reuses over `svc-large`-shaped
 //!   transactions, what `aft-net.event.buffer_reuse_share` is made of;
-//! * the ten small scopes tier-1 walks whole ([`sim::walk`]): the
+//! * the eleven small scopes tier-1 walks whole ([`sim::walk`]): the
 //!   schedules each one has, those in which the checker finds a duplicate
 //!   request, and, where writes are cut, those that orphan data. A walk
 //!   panics on a schedule with an anomaly.
@@ -116,7 +116,9 @@ pub struct GoldenRun {
     /// The maintenance rounds the script ran, the last one the first that
     /// deleted nothing and owed nothing to the next.
     pub rounds: u64,
-    /// The `data/` keys storage holds after the last maintenance round.
+    /// The versions whose bytes storage holds after the last maintenance
+    /// round, in `data/` keys or in inline commit records
+    /// ([`sim::held_versions`]).
     pub data_keys: usize,
 }
 
@@ -185,7 +187,7 @@ pub fn golden_script(kind: BackendKind) -> GoldenRun {
         calls: GOLDEN_OPS.map(|op| stats.calls(op)),
         bytes_written: stats.bytes_written,
         rounds,
-        data_keys: storage.list_prefix("data/").expect("a listing").len(),
+        data_keys: sim::held_versions(&storage).len(),
     }
 }
 
@@ -240,13 +242,16 @@ pub fn piped_large_script() -> (u64, u64) {
 /// the writer's commit, or one of the reader's two reads and its commit — runs
 /// and loses its answer, and the client resends it (§4.2's lost
 /// acknowledgement; the server's dedup ledger answers a resent commit).
-fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 10] {
+fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 11] {
     let (writer, reader) = (request("w a, w b"), request("r a, r b"));
     let pair = vec![vec![writer.clone()], vec![reader.clone()]];
     let (transients, net) = (pair.clone(), pair.clone());
     let races = vec![vec![writer.clone(); 2], vec![reader.clone()]];
     let rmw = vec![vec![request("r a, w a, w b")]];
-    let cut = vec![vec![writer, request("w a"), reader]];
+    let cut = vec![vec![writer, request("w a"), reader.clone()]];
+    // Values past `INLINE_BYTES`: each commit writes its data, then its
+    // record.
+    let large = vec![vec![request("W a, W b"), request("W a"), reader]];
     let scope = |(rounds, failures, duplicates, failovers, crashes, fails)| Scope {
         rounds,
         failures,
@@ -283,6 +288,7 @@ fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 10] {
             scope((1, 0, 0, 0, 0, 1)),
         ),
         ("redis", redis, cut, scope((0, 0, 0, 0, 1, 1))),
+        ("large", Shape::nodes(1), large, scope((0, 0, 0, 0, 1, 1))),
         (
             "phases",
             Shape::nodes(2),

@@ -473,8 +473,10 @@ mod tests {
         // node holds the superseded versions any more; a second finds nothing.
         cluster.run_maintenance_round().unwrap();
         let stats = cluster.run_maintenance_round().unwrap();
-        let data_keys = cluster.storage().list_prefix("data/hot/").unwrap();
-        assert_eq!(data_keys.len(), 1, "only the newest version survives");
+        // Each one-key commit is inline: its record holds its version.
+        let records = cluster.storage().list_prefix("commit/").unwrap();
+        assert_eq!(records.len(), 1, "only the newest version survives");
+        assert!(cluster.storage().list_prefix("data/").unwrap().is_empty());
         assert!(stats.global_gc.deleted >= 1 || cluster.total_gc_deleted() >= 4);
     }
 

@@ -18,6 +18,10 @@
 //!    [`StorageEngine::delete_call`](aft_storage::StorageEngine::delete_call))
 //!    and sends them as one batched call: the agreed records' data keys
 //!    first, their commit records after them, and then every agreed version.
+//!    A record that holds its values (an inline record,
+//!    [`TransactionRecord::inline`]) has no data keys: its unit is its
+//!    record key alone. An agreed version of one has no key of its own, so
+//!    it is sent nothing and its bytes go when its record does.
 //!    The store packs the batch by its own call limits: one call on memory,
 //!    25-key `BatchWriteItem`s on DynamoDB, 1 000-key `DeleteObjects` on S3,
 //!    and on Redis 16-key `DEL`s per slot group, the 256th of the
@@ -34,7 +38,8 @@
 //! 4. forgets, once storage has acknowledged, exactly what it deleted: the
 //!    records leave the view in one batch, under one lock of it, and the
 //!    versions are retired from it in another, so the later deletion of
-//!    their records never sends them again. What waits stays in the view,
+//!    their records never sends them again. The agreed versions of inline
+//!    records leave the view with them. What waits stays in the view,
 //!    so the next round selects it again; the GC remembers only which units
 //!    it passed over.
 //!
@@ -81,7 +86,8 @@ pub struct GlobalGcOutcome {
     /// Transactions whose data and commit record were deleted from storage.
     pub deleted: usize,
     /// Overwritten versions deleted from storage while their transactions'
-    /// records live on.
+    /// records live on. A version of an inline record has no key of its
+    /// own: it leaves the view uncounted.
     pub versions: usize,
     /// Individual storage keys deleted (data blobs, commit records and
     /// overwritten versions).
@@ -166,14 +172,15 @@ impl GlobalGc {
 
         // A record's unit is its data keys, then its record key. Its data
         // keys are the versions the view still holds: the rest were retired,
-        // so their data went in an earlier round.
+        // so their data went in an earlier round. An inline record holds
+        // its values, so its unit is its record key alone.
         let view = metadata.view();
         let mut units: Vec<Vec<String>> = deletable
             .iter()
             .map(|record| {
                 let mut keys: Vec<String> = record
                     .key_versions()
-                    .filter(|kv| view.holds(&kv.key, &kv.tid))
+                    .filter(|kv| !record.inline && view.holds(&kv.key, &kv.tid))
                     .map(|kv| kv.storage_key())
                     .collect();
                 keys.push(record.storage_key());
@@ -181,12 +188,14 @@ impl GlobalGc {
             })
             .collect();
         // What the transactions leave of the budget goes to the agreed
-        // versions, oldest first, one unit each.
-        let versions: Vec<KeyVersion> = view
+        // versions, oldest first, one unit each. A version of an inline
+        // record has no storage key of its own: it leaves the view with no
+        // delete, and its bytes go when its record does.
+        let (inline_versions, versions): (Vec<KeyVersion>, Vec<KeyVersion>) = view
             .debited()
             .filter(|v| !node_views.iter().any(|node| node.holds(&v.key, &v.tid)))
             .take(self.budget - deletable.len())
-            .collect();
+            .partition(|v| view.record(&v.tid).is_some_and(|record| record.inline));
         units.extend(versions.iter().map(|v| vec![v.storage_key()]));
         drop(view);
         drop(node_views);
@@ -224,6 +233,7 @@ impl GlobalGc {
         outcome.deleted = gone.len();
         metadata.remove_all(gone);
         outcome.versions = metadata.retire(&sent_versions);
+        metadata.retire(&inline_versions);
         Ok(outcome)
     }
 }
@@ -278,7 +288,7 @@ fn carried(
 mod tests {
     use super::*;
     use crate::dissemination::broadcast_round;
-    use aft_core::NodeConfig;
+    use aft_core::{NodeConfig, INLINE_BYTES};
     use aft_storage::io::IoConfig;
     use aft_storage::{
         make_backend, BackendConfig, BackendKind, InMemoryStore, OpKind, SharedStorage,
@@ -405,7 +415,28 @@ mod tests {
         commit_writes(node, &[(key, value)])
     }
 
+    /// Commits `writes` on `node`, each value padded past [`INLINE_BYTES`]
+    /// ([`large`]): these tests are about `data/` keys, so every commit
+    /// takes the two-write path.
     fn commit_writes(node: &Arc<AftNode>, writes: &[(&str, &str)]) -> TransactionId {
+        let t = node.start_transaction();
+        for (key, value) in writes {
+            node.put(&t, Key::new(*key), large(value)).unwrap();
+        }
+        node.commit(&t).unwrap()
+    }
+
+    /// `value`, padded to one byte past [`INLINE_BYTES`], so that no commit
+    /// of it fits an inline record.
+    fn large(value: &str) -> Bytes {
+        let mut bytes = value.as_bytes().to_vec();
+        bytes.resize(INLINE_BYTES + 1, b'.');
+        Bytes::from(bytes)
+    }
+
+    /// Commits `writes` on `node` as they are: small enough for an inline
+    /// record.
+    fn commit_small(node: &Arc<AftNode>, writes: &[(&str, &str)]) -> TransactionId {
         let t = node.start_transaction();
         for (key, value) in writes {
             node.put(&t, Key::new(*key), Bytes::copy_from_slice(value.as_bytes()))
@@ -455,7 +486,7 @@ mod tests {
             let t = node.start_transaction();
             assert_eq!(
                 node.get(&t, &Key::new("hot")).unwrap().unwrap(),
-                Bytes::from_static(b"v3")
+                large("v3")
             );
         }
         assert!(fm.metadata().is_committed(&newest));
@@ -823,6 +854,51 @@ mod tests {
     }
 
     #[test]
+    fn an_inline_records_overwritten_version_leaves_with_no_delete_and_its_record_alone_goes() {
+        let spy = DeleteSpy::failing_first(0);
+        let storage: SharedStorage = spy.clone();
+        let nodes = nodes_over(&storage, 2);
+        let (fm, gc, io) = (
+            FaultManager::new(),
+            GlobalGc::default(),
+            engine_over(&storage),
+        );
+        let settle = || {
+            broadcast_round(&nodes, Some(&fm));
+            for node in &nodes {
+                node.run_local_gc();
+            }
+            gc.run_round(&fm, &nodes, &io).unwrap()
+        };
+
+        // {a, b} commits inline; a newer `a` debits its `a`, whose agreed
+        // version has no key to delete: it leaves the view, and no call goes.
+        let first = commit_small(&nodes[0], &[("a", "a1"), ("b", "b1")]);
+        assert!(fm.metadata().record(&first).is_none());
+        commit_small(&nodes[0], &[("a", "a2")]);
+        let outcome = settle();
+        assert!(fm.metadata().record(&first).unwrap().inline);
+        assert_eq!((outcome.deleted, outcome.versions), (0, 0));
+        assert_eq!(outcome.storage_keys_deleted, 0);
+        assert!(spy.batches.lock().is_empty());
+        assert!(!fm.metadata().view().holds(&Key::new("a"), &first));
+        assert!(fm.metadata().view().holds(&Key::new("b"), &first));
+
+        // A newer `b` supersedes the record: its one key is its whole unit.
+        commit_small(&nodes[0], &[("b", "b2")]);
+        let outcome = settle();
+        assert_eq!((outcome.deleted, outcome.storage_keys_deleted), (1, 1));
+        let sent = spy.batches.lock().clone();
+        assert_eq!(sent, [vec![TransactionRecord::storage_key_for(&first)]]);
+        assert!(spy.inner.list_prefix("data/").unwrap().is_empty());
+        for node in &nodes {
+            let t = node.start_transaction();
+            let read = node.get_all(&t, &[Key::new("a"), Key::new("b")]).unwrap();
+            assert_eq!(read, [Some(Bytes::from("a2")), Some(Bytes::from("b2"))]);
+        }
+    }
+
+    #[test]
     fn a_failed_delete_forgets_nothing_and_the_next_round_retries() {
         let spy = DeleteSpy::failing_first(1);
         let storage: SharedStorage = spy.clone();
@@ -942,7 +1018,10 @@ mod tests {
         assert_eq!(replacement.metadata().debited_oldest_first(), overwritten);
         assert_eq!(replacement.run_local_gc().retired, 2);
         let t = replacement.start_transaction();
-        assert_eq!(replacement.get(&t, &Key::new("a")).unwrap().unwrap(), "a3");
+        assert_eq!(
+            replacement.get(&t, &Key::new("a")).unwrap().unwrap(),
+            large("a3")
+        );
         replacement.commit(&t).unwrap();
 
         // The fault manager never sends them again — not even with T1's own

@@ -13,19 +13,25 @@
 //! 1). `NoValidVersion` is allowed — the transaction aborts, as a client
 //! would before retrying (§5.2.1). Once everything is quiet, every node
 //! serves every key's newest committed value, and two idle global rounds
-//! leave no agreed version in storage. Half the histories run over Redis,
+//! leave no agreed version in storage. Every other value written is too
+//! large for an inline commit record, so a history mixes transactions whose
+//! versions have `data/` keys with ones whose record holds their values.
+//! Half the histories run over Redis,
 //! where one GC `DEL` carries the keys of every transaction whose UUID ends
 //! in its slot group's byte, and a `DEL` at most half full waits a round.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use aft_cluster::{broadcast_round, FaultManager, GlobalGc};
-use aft_core::{AftNode, NodeConfig};
+use aft_core::{AftNode, NodeConfig, INLINE_BYTES};
 use aft_storage::io::{IoConfig, IoEngine};
 use aft_storage::{make_backend, BackendConfig, BackendKind};
 use aft_types::clock::TickingClock;
-use aft_types::{AftError, AftResult, Key, TransactionId, Value};
+use aft_types::codec::inline_values;
+use aft_types::{
+    AftError, AftResult, Key, KeyVersion, TransactionId, TransactionRecord, Uuid, Value,
+};
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -221,7 +227,11 @@ proptest! {
                 Step::Put(slot, k) => {
                     let Some(txn) = slots[slot].as_mut() else { continue };
                     counter += 1;
-                    let value = Bytes::from(format!("v{counter}"));
+                    let mut value = format!("v{counter}").into_bytes();
+                    if counter.is_multiple_of(2) {
+                        value.resize(INLINE_BYTES + 1, b'.');
+                    }
+                    let value = Bytes::from(value);
                     nodes[txn.node].put(&txn.txid, key(k), value.clone()).unwrap();
                     txn.buffered.insert(key(k), value);
                 }
@@ -258,12 +268,44 @@ proptest! {
         }
         // Two idle rounds: what the first passes over, the second sends. Then
         // no agreed version is left: storage holds each key's newest only.
+        // Read from storage alone, that is: the `data/` keys are exactly the
+        // newest versions that are not in their records, and the records
+        // that hold values are exactly the writers of the other newest
+        // versions, each holding them. A record that holds values keeps its
+        // overwritten ones too, until its last newest version is overwritten.
         for _ in 0..2 {
             gc.run_round(&fm, &nodes, &io).unwrap();
         }
         prop_assert!(fm.metadata().superseded_oldest_first().is_empty());
         prop_assert!(fm.metadata().debited_oldest_first().is_empty());
-        prop_assert_eq!(storage.list_prefix("data/").unwrap().len(), newest.len());
+        let data: HashSet<(Key, Uuid)> = storage
+            .list_prefix("data/")
+            .unwrap()
+            .iter()
+            .map(|key| KeyVersion::parse_storage_key(key).unwrap())
+            .collect();
+        let mut in_records: HashMap<Uuid, HashSet<Key>> = HashMap::new();
+        for record in storage.list_prefix("commit/").unwrap() {
+            let id = TransactionRecord::id_from_storage_key(&record).unwrap();
+            let blob = storage.get(&record).unwrap().unwrap();
+            if let Ok(values) = inline_values(&blob) {
+                let keys = values.map(|entry| entry.map(|(key, _)| Key::new(key)));
+                in_records.insert(id.uuid, keys.collect::<AftResult<_>>().unwrap());
+            }
+        }
+        let newest_of = |in_record: bool| -> HashSet<(Key, Uuid)> {
+            newest
+                .iter()
+                .map(|(key, (id, _))| (key.clone(), id.uuid))
+                .filter(|(_, uuid)| in_records.contains_key(uuid) == in_record)
+                .collect()
+        };
+        prop_assert_eq!(&data, &newest_of(false));
+        let writers: HashSet<Uuid> = newest_of(true).into_iter().map(|(_, uuid)| uuid).collect();
+        prop_assert_eq!(in_records.keys().copied().collect::<HashSet<_>>(), writers);
+        for (key, uuid) in newest_of(true) {
+            prop_assert!(in_records[&uuid].contains(&key), "{} of {:?}", key, uuid);
+        }
         for node in &nodes {
             let t = node.start_transaction();
             for (key, (_, value)) in &newest {

@@ -5,7 +5,9 @@
 //! Transaction Commit Set from storage (§3.1). Nothing else
 //! needs to be recovered: the write-ordering protocol guarantees that any
 //! transaction with a durable commit record also has durable data (§3.3.1),
-//! and any transaction without one is simply not committed (clients retry).
+//! whether in its `data/` keys or inside the record itself (an inline
+//! record, [`TransactionRecord::inline`]), and any transaction without one
+//! is simply not committed (clients retry).
 //!
 //! A bootstrap is one full replay of the commit set, and the global GC
 //! (§5.2) is what bounds it: a round deletes every superseded transaction's
@@ -34,7 +36,9 @@ pub const COMMIT_FETCH_WAVE: usize = 256;
 /// [`IoEngine::get_all`] per wave of [`COMMIT_FETCH_WAVE`] keys, and calls
 /// `on_record` for each record found. Each blob is decoded with the key it
 /// was read from, which names its transaction
-/// ([`decode_keyed_commit_record`]). Keys deleted between listing and read
+/// ([`decode_keyed_commit_record`]), in either of the forms it is stored
+/// in: a record whose values are in `data/` keys, or one that carries them
+/// ([`TransactionRecord::inline`]). Keys deleted between listing and read
 /// are skipped (a racing global GC); undecodable blobs are skipped (a
 /// half-written record means the transaction never committed), and so is
 /// an older build's blob whose id is not its key's. Returns the bytes read;

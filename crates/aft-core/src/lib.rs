@@ -42,6 +42,7 @@ pub use data_cache::DataCache;
 pub use metadata::MetadataCache;
 pub use node::{
     AftNode, BatchStats, CommitDrain, CommitPhase, GcOutcome, NetFault, NodeConfig, PhaseHook,
+    INLINE_BYTES,
 };
 pub use read::{select_version, ReadSet};
 pub use stats::{NodeStats, NodeStatsSnapshot};

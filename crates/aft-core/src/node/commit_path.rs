@@ -21,9 +21,16 @@
 //! store whose one call lands all-or-nothing gives that guarantee by itself,
 //! so where the data and the record fit in one such call (a Redis `MSET`
 //! within the transaction's hash slot), the record rides last in the data's
-//! call and a commit is one round trip. This departs from the paper's
-//! implementation on purpose, as the Redis row's one-slot batching already
-//! does; every other row keeps the two round trips.
+//! call and a commit is one round trip. A record that holds the data gives
+//! it by construction: a transaction that spilled nothing and whose record,
+//! with each key's value after it, encodes to at most [`INLINE_BYTES`]
+//! commits with that one write
+//! ([`aft_types::codec::encode_inline_commit_record`]) and has no `data/`
+//! keys; the data cache holds slices of the record's one buffer. Both depart
+//! from §3.3's two writes, where the data keys land first and the record
+//! names them (from memory of the paper), as Beldi keeps a step's log entry
+//! in the item that holds its data (also from memory). Every other commit
+//! keeps the two round trips.
 //!
 //! Nothing coordinates the flushes of different transactions, and nothing
 //! needs to: each key version lands at its own storage key and commit
@@ -40,13 +47,22 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use aft_storage::io::{IoEngine, StorageRequest};
-use aft_types::codec::encode_keyed_commit_record;
+use aft_types::codec::{
+    encode_inline_commit_record, encode_keyed_commit_record, encoded_inline_commit_record_len,
+    inline_values,
+};
 use aft_types::{
     AftResult, Clock, CommitPhase, Key, KeyVersion, Timestamp, TransactionId, TransactionRecord,
     Uuid, Value,
 };
 
 use super::AftNode;
+
+/// The largest commit record that carries its transaction's values: a
+/// transaction that spilled nothing and whose inline record encodes to at
+/// most this many bytes commits with that one write, and has no `data/`
+/// keys. Two 256 B writes fit; two 1 KiB writes do not.
+pub const INLINE_BYTES: usize = 1024;
 
 /// A node's commit-flush counters, in the shape `benchmark/` reads them.
 /// Every commit is its own flush, so the three are one count.
@@ -266,10 +282,22 @@ impl AftNode {
         let final_id = self.undrained.lock().begin(self.clock.as_ref(), txid.uuid);
         txn.id = final_id;
 
-        // 1. Persist the transaction's key versions (one storage key per
-        //    version, so concurrent committers never interfere) that no spill
-        //    has made durable already.
-        let items = txn.storage_items();
+        // 1. The record, and the key versions (one storage key per version,
+        //    so concurrent committers never interfere) that no spill has
+        //    made durable already. A small transaction that spilled nothing
+        //    has none: its record carries its values.
+        let keys = txn.writes.keys().cloned();
+        let inline = !txn.has_spilled()
+            && !txn.writes.is_empty()
+            && encoded_inline_commit_record_len(&txn.writes) <= INLINE_BYTES;
+        let (record, blob, items) = if inline {
+            let record = TransactionRecord::new_inline(final_id, keys);
+            (record, encode_inline_commit_record(&txn.writes), Vec::new())
+        } else {
+            let record = TransactionRecord::new(final_id, keys);
+            let blob = encode_keyed_commit_record(&record);
+            (record, blob, txn.storage_items())
+        };
 
         // 2. Persist the data and then the commit record (§3.3's flush: data
         //    puts overlapped, a barrier, then the record; one call where the
@@ -279,8 +307,7 @@ impl AftNode {
         //    reached by that point. A flush that fails after sending the
         //    record may have left it durable, so the node reports it to the
         //    fault manager (§4.2).
-        let record = TransactionRecord::new(final_id, txn.writes.keys().cloned());
-        let record_item = (record.storage_key(), encode_keyed_commit_record(&record));
+        let record_item = (record.storage_key(), blob.clone());
         self.commit_flushes.fetch_add(1, Ordering::Relaxed);
         let mut record_sent = false;
         let flushed = flush(&self.io, items, record_item, |phase| {
@@ -293,11 +320,21 @@ impl AftNode {
             return Err(e);
         }
 
-        // 3. Only now make the transaction visible to other requests.
+        // 3. Only now make the transaction visible to other requests. An
+        //    inline record's values are cached as slices of its blob, the
+        //    buffer storage holds.
         let record = Arc::new(record);
         self.metadata.insert(Arc::clone(&record));
-        for (key, value) in txn.writes {
-            self.data_cache.insert(key, final_id, value);
+        if inline {
+            let values = inline_values(&blob).expect("a record encoded here");
+            for ((key, _), entry) in txn.writes.into_iter().zip(values) {
+                let (_, value) = entry.expect("a record encoded here");
+                self.data_cache.insert(key, final_id, value);
+            }
+        } else {
+            for (key, value) in txn.writes {
+                self.data_cache.insert(key, final_id, value);
+            }
         }
         self.undrained.lock().finish(final_id, record);
         self.stats.record_committed();
@@ -324,7 +361,8 @@ impl AftNode {
 /// store writes the data and the record in one all-or-nothing call
 /// ([`StorageEngine::writes_atomically`](aft_storage::StorageEngine::writes_atomically)),
 /// the record goes last in the data's call instead: no reader can see it
-/// without the data, and no failure can leave it behind alone.
+/// without the data, and no failure can leave it behind alone. An inline
+/// record has no data: the flush is its one write, after both data phases.
 ///
 /// `before` is called ahead of each [`CommitPhase`] and its error abandons
 /// the flush at exactly that point, leaving in storage what the protocol had
@@ -340,12 +378,14 @@ pub(crate) fn flush(
     mut before: impl FnMut(CommitPhase) -> AftResult<()>,
 ) -> AftResult<()> {
     before(CommitPhase::BeforeDataPut)?;
-    let keys: Vec<&str> = data
-        .iter()
-        .chain([&record])
-        .map(|(key, _)| key.as_str())
-        .collect();
-    let one_call = !data.is_empty() && io.storage().writes_atomically(&keys);
+    let one_call = !data.is_empty() && {
+        let keys: Vec<&str> = data
+            .iter()
+            .chain([&record])
+            .map(|(key, _)| key.as_str())
+            .collect();
+        io.storage().writes_atomically(&keys)
+    };
     if one_call {
         before(CommitPhase::BeforeRecordAppend)?;
         data.push(record);

@@ -45,7 +45,7 @@ mod tests;
 #[cfg(test)]
 pub(crate) use commit_path::flush;
 use commit_path::Undrained;
-pub use commit_path::{BatchStats, CommitDrain};
+pub use commit_path::{BatchStats, CommitDrain, INLINE_BYTES};
 pub use maintenance::GcOutcome;
 
 // The phases live in `aft-types`, where a schedule plans its kills.

@@ -7,7 +7,12 @@
 //! key is selected, so a multi-key read is an Atomic Readset (§3.4). Then
 //! *fetch*: a data-cache hit costs no storage call, and every miss of one
 //! request goes to storage together, as one [`IoEngine::get_all`]: a read
-//! charges its caller that call's latency and nothing else. A fetched
+//! charges its caller that call's latency and nothing else. A missed version
+//! is under its own `data/` key, or, where its transaction committed with one
+//! write, inside that transaction's commit record
+//! ([`TransactionRecord::inline`](aft_types::TransactionRecord::inline)): the
+//! read fetches the record once for all of its versions the request missed,
+//! and each value is a slice of the fetched blob. A fetched
 //! payload fills the data cache (`crate::data_cache`, §6.2); a version
 //! deleted under a long reader fails the read with
 //! [`AftError::NoValidVersion`], and the client retries (§5.2.1).
@@ -20,7 +25,8 @@
 //!
 //! [`IoEngine::get_all`]: aft_storage::io::IoEngine::get_all
 
-use aft_types::{AftError, AftResult, Key, KeyVersion, TransactionId, Value};
+use aft_types::codec::inline_value;
+use aft_types::{AftError, AftResult, Key, KeyVersion, TransactionId, TransactionRecord, Value};
 
 use super::AftNode;
 use crate::read::{select_version, VersionChoice};
@@ -28,6 +34,14 @@ use crate::read::{select_version, VersionChoice};
 /// One key's answer: its value, with the committed version it came from
 /// (`None` for the transaction's own write).
 type Read = (Value, Option<TransactionId>);
+
+/// Where a missed version's value is among the keys one read fetches.
+enum Source {
+    /// At this index: the version's own `data/` key.
+    Data(usize),
+    /// Inside the inline commit record fetched at this index.
+    Record(usize),
+}
 
 /// What the select step of a read decided for one key.
 enum Selected {
@@ -89,7 +103,10 @@ impl AftNode {
     /// read set as it is made, before any payload is fetched. Selection is
     /// in-memory work; the expensive part is fetching the chosen versions'
     /// payloads that the data cache does not hold. Those storage keys go out
-    /// as one [`IoEngine::get_all`]: one `Get` for one key. A service with a
+    /// as one [`IoEngine::get_all`]: one `Get` for one key. A version of an
+    /// inline record has no `data/` key: its miss fetches the record, once
+    /// for all of the record's keys the request missed, and slices the value
+    /// out of it. A service with a
     /// multi-key read call serves several in one call (memory) or one per
     /// 100 keys (DynamoDB's `BatchGetItem`). One without it (S3, Redis) gets
     /// one `Get` per miss, issued together. Either way the round trips
@@ -125,13 +142,37 @@ impl AftNode {
             return Ok(out);
         }
 
-        // One storage read for every cache miss.
-        let storage_keys = fetches
-            .iter()
-            .map(|&(i, target)| KeyVersion::new(keys[i].clone(), target).storage_key())
-            .collect();
+        // One storage read for every cache miss: each version's data key, or
+        // the inline record that carries its value, once however many of
+        // its keys missed.
+        let mut storage_keys: Vec<String> = Vec::with_capacity(fetches.len());
+        let mut sources: Vec<Source> = Vec::with_capacity(fetches.len());
+        let view = self.metadata.view();
+        for &(i, target) in &fetches {
+            let source = if !view.record(&target).is_some_and(|r| r.inline) {
+                storage_keys.push(KeyVersion::new(keys[i].clone(), target).storage_key());
+                Source::Data(storage_keys.len() - 1)
+            } else {
+                // Once however many of the record's keys this request missed.
+                let record = TransactionRecord::storage_key_for(&target);
+                let fetched = storage_keys.iter().position(|key| *key == record);
+                Source::Record(fetched.unwrap_or_else(|| {
+                    storage_keys.push(record);
+                    storage_keys.len() - 1
+                }))
+            };
+            sources.push(source);
+        }
+        drop(view);
         let values = self.io.get_all(storage_keys)?;
-        for ((i, target), value) in fetches.into_iter().zip(values) {
+        for ((i, target), source) in fetches.into_iter().zip(sources) {
+            let value = match source {
+                Source::Data(at) => values[at].clone(),
+                Source::Record(at) => match &values[at] {
+                    Some(blob) => inline_value(blob, keys[i].as_str())?,
+                    None => None,
+                },
+            };
             out[i] = Some((self.fetched(txid, &keys[i], target, value)?, Some(target)));
         }
         Ok(out)

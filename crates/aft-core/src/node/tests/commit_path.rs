@@ -26,8 +26,8 @@ fn commit_writes_data_and_commit_record_to_storage() {
     )
     .unwrap();
     let t = node.start_transaction();
-    node.put(&t, Key::new("a"), val("1")).unwrap();
-    node.put(&t, Key::new("b"), val("2")).unwrap();
+    node.put(&t, Key::new("a"), large("1")).unwrap();
+    node.put(&t, Key::new("b"), large("2")).unwrap();
     let id = node.commit(&t).unwrap();
 
     let commits = node.storage().list_prefix("commit/").unwrap();
@@ -35,6 +35,47 @@ fn commit_writes_data_and_commit_record_to_storage() {
     assert!(commits[0].contains(&id.storage_suffix()));
     let data = node.storage().list_prefix("data/").unwrap();
     assert_eq!(data.len(), 2);
+    assert!(!node.metadata().record(&id).unwrap().inline);
+}
+
+#[test]
+fn a_small_commit_is_one_record_whose_buffer_the_cache_shares() {
+    let storage = InMemoryStore::shared();
+    let node = AftNode::with_clock(
+        NodeConfig::test(),
+        storage.clone() as SharedStorage,
+        MockClock::starting_at(5).shared(),
+    )
+    .unwrap();
+    let t = node.start_transaction();
+    node.put(&t, Key::new("a"), val("1")).unwrap();
+    node.put(&t, Key::new("b"), val("2")).unwrap();
+    let before = storage.stats().snapshot();
+    let id = node.commit(&t).unwrap();
+
+    // One write: the record, holding both values, and no `data/` key.
+    let calls = storage.stats().snapshot().delta_since(&before);
+    assert_eq!(calls.total_calls(), 1);
+    assert!(storage.list_prefix("data/").unwrap().is_empty());
+    let record_key = TransactionRecord::storage_key_for(&id);
+    let blob = storage.get(&record_key).unwrap().unwrap();
+    let record = aft_types::codec::decode_keyed_commit_record(&record_key, &blob).unwrap();
+    assert_eq!(
+        record,
+        TransactionRecord::new_inline(id, [Key::new("a"), Key::new("b")])
+    );
+    assert_eq!(*node.metadata().record(&id).unwrap(), record);
+
+    // The cached values are slices of the buffer storage holds.
+    let inside = |value: &Value| {
+        let at = value.as_ptr() as usize - blob.as_ptr() as usize;
+        at + value.len() <= blob.len()
+    };
+    for (key, want) in [("a", "1"), ("b", "2")] {
+        let cached = node.data_cache().peek(&Key::new(key), &id).unwrap();
+        assert_eq!(cached, val(want));
+        assert!(inside(&cached), "{key}");
+    }
 }
 
 #[test]
@@ -225,7 +266,7 @@ fn crash_before_record_append_orphans_invisible_data() {
         let phase = Some(CommitPhase::BeforeRecordAppend);
         let (node, _) = crashing_at(phase, storage.clone());
         let t = node.start_transaction();
-        node.put(&t, Key::new("k"), val("v")).unwrap();
+        node.put(&t, Key::new("k"), large("v")).unwrap();
         assert!(node.commit(&t).is_err(), "{kind}");
         // No commit record, so no reader can ever observe orphaned data
         // (no dirty reads even across the crash).
@@ -240,6 +281,31 @@ fn crash_before_record_append_orphans_invisible_data() {
             node.get(&reader, &Key::new("k")).unwrap().is_none(),
             "{kind}"
         );
+    }
+}
+
+#[test]
+fn a_small_commits_crash_before_its_record_leaves_storage_untouched() {
+    use aft_storage::{make_backend, BackendConfig, BackendKind};
+    // An inline commit has no data call: its one write is after both data
+    // phases, so a crash at either leaves storage empty on every row.
+    for kind in [
+        BackendKind::Memory,
+        BackendKind::S3,
+        BackendKind::DynamoDb,
+        BackendKind::Redis,
+    ] {
+        for phase in [CommitPhase::BeforeDataPut, CommitPhase::BeforeRecordAppend] {
+            let storage = make_backend(BackendConfig::test(kind));
+            let (node, hook) = crashing_at(Some(phase), storage.clone());
+            let t = node.start_transaction();
+            node.put(&t, Key::new("k"), val("v")).unwrap();
+            let before = storage.stats().snapshot();
+            assert!(node.commit(&t).is_err(), "{kind}");
+            let calls = storage.stats().snapshot().delta_since(&before);
+            assert_eq!(calls.total_calls(), 0, "{kind} {phase:?}");
+            assert_eq!(hook.seen.lock().last(), Some(&phase), "{kind}");
+        }
     }
 }
 
@@ -282,7 +348,14 @@ fn a_commit_charges_nothing_but_storage() {
         ..Service::S3
     };
     let keys: Vec<Key> = (0..8).map(|i| Key::new(format!("k{i}"))).collect();
-    for (pipelined, commit_cost, read_cost) in [(true, 2 * x, x), (false, 9 * x, 8 * x)] {
+    // Past `INLINE_BYTES`, a commit is its data and then its record; below
+    // it, the record's one write, and the eight misses one read of it.
+    for (size, pipelined, commit_cost, read_cost) in [
+        (INLINE_BYTES + 1, true, 2 * x, x),
+        (INLINE_BYTES + 1, false, 9 * x, 8 * x),
+        (1, true, x, x),
+        (1, false, x, x),
+    ] {
         let latency = LatencyModel::new(LatencyMode::Virtual, 1.0);
         let store: SharedStorage = Arc::new(SimStore::of(service, latency, 5, DEFAULT_STRIPES));
         let (storage, io): (SharedStorage, _) = if pipelined {
@@ -299,14 +372,16 @@ fn a_commit_charges_nothing_but_storage() {
         let node = AftNode::with_clock(config, storage, clock).unwrap();
         let writer = node.start_transaction();
         for key in &keys {
-            node.put(&writer, key.clone(), val("v")).unwrap();
+            node.put(&writer, key.clone(), Bytes::from(vec![b'v'; size]))
+                .unwrap();
         }
+        let what = format!("{size} B values, pipelined {pipelined}");
         let (committed, charged) = measure_cost(|| node.commit(&writer));
         committed.unwrap();
-        assert_eq!(charged, commit_cost, "8-key commit, pipelined {pipelined}");
+        assert_eq!(charged, commit_cost, "8-key commit, {what}");
         let reader = node.start_transaction();
         let (read, charged) = measure_cost(|| node.get_all(&reader, &keys));
         assert!(read.unwrap().iter().all(Option::is_some));
-        assert_eq!(charged, read_cost, "8-key read, pipelined {pipelined}");
+        assert_eq!(charged, read_cost, "8-key read, {what}");
     }
 }

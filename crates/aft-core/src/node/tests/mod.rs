@@ -21,6 +21,14 @@ fn val(s: &str) -> Value {
     Bytes::copy_from_slice(s.as_bytes())
 }
 
+/// `s`, padded one byte past [`INLINE_BYTES`]: a commit that writes it
+/// writes its data, then its record.
+fn large(s: &str) -> Value {
+    let mut value = s.as_bytes().to_vec();
+    value.resize(INLINE_BYTES + 1, b'.');
+    Bytes::from(value)
+}
+
 fn test_node() -> Arc<AftNode> {
     let storage: SharedStorage = InMemoryStore::shared();
     // A strictly increasing clock keeps commit order equal to timestamp

@@ -300,13 +300,17 @@ impl StorageEngine for GatedGet {
 #[test]
 fn a_fill_that_lost_a_race_with_local_gc_leaves_nothing_in_the_cache() {
     // The sweep removes `old`'s whole record, or — when `old` also wrote
-    // a key nobody overwrites — retires just its version of `k`.
+    // a key nobody overwrites — retires just its version of `k`. The fetch
+    // reads `old`'s data key, or its inline record.
     for also in [None, Some(("other", "o"))] {
-        a_fill_races_a_sweep(also);
+        for inline in [false, true] {
+            a_fill_races_a_sweep(also, inline);
+        }
     }
 }
 
-fn a_fill_races_a_sweep(also: Option<(&str, &str)>) {
+fn a_fill_races_a_sweep(also: Option<(&str, &str)>, inline: bool) {
+    let value = |s: &str| if inline { val(s) } else { large(s) };
     let key = Key::new("k");
     let store = Arc::new(GatedGet::default());
     let node = AftNode::with_clock(
@@ -316,13 +320,21 @@ fn a_fill_races_a_sweep(also: Option<(&str, &str)>) {
     )
     .unwrap();
 
-    let old = commit_writes(
-        &node,
-        &[[("k", "old")].as_slice(), also.as_slice()].concat(),
-    );
+    let t = node.start_transaction();
+    for (k, v) in [[("k", "old")].as_slice(), also.as_slice()].concat() {
+        node.put(&t, Key::new(k), value(v)).unwrap();
+    }
+    let old = node.commit(&t).unwrap();
+    let record = node.metadata().record(&old).unwrap();
+    assert_eq!(record.inline, inline);
     // The payload has aged out of the cache, so the read must fetch it.
     node.data_cache().evict(&key, &old);
-    store.update(|gate| gate.armed = Some(KeyVersion::new(key.clone(), old).storage_key()));
+    let fetched = if inline {
+        record.storage_key()
+    } else {
+        KeyVersion::new(key.clone(), old).storage_key()
+    };
+    store.update(|gate| gate.armed = Some(fetched));
 
     let t = node.start_transaction();
     std::thread::scope(|scope| {
@@ -353,8 +365,8 @@ fn a_fill_races_a_sweep(also: Option<(&str, &str)>) {
         assert!(!node.metadata().view().holds(&key, &old));
         store.update(|gate| gate.released = true);
 
-        let (value, version) = reader.join().unwrap().unwrap().unwrap();
-        assert_eq!((value, version), (val("old"), Some(old)));
+        let (read, version) = reader.join().unwrap().unwrap().unwrap();
+        assert_eq!((read, version), (value("old"), Some(old)));
     });
     // No transaction can select `old` any more and no sweep will visit it
     // again, so the fill must not have left it behind.
@@ -379,8 +391,8 @@ fn get_all_fails_cleanly_when_global_gc_deletes_a_batched_version() {
     )
     .unwrap();
     let t1 = node.start_transaction();
-    node.put(&t1, k.clone(), val("k1")).unwrap();
-    node.put(&t1, l.clone(), val("l1")).unwrap();
+    node.put(&t1, k.clone(), large("k1")).unwrap();
+    node.put(&t1, l.clone(), large("l1")).unwrap();
     let written = node.commit(&t1).unwrap();
     store.update(|gate| gate.armed = Some(KeyVersion::new(k.clone(), written).storage_key()));
 

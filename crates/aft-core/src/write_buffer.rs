@@ -128,6 +128,12 @@ impl ActiveTransaction {
         }
     }
 
+    /// Whether a spill has tried to write any of the transaction's versions
+    /// to their storage keys.
+    pub fn has_spilled(&self) -> bool {
+        !self.spilled.is_empty()
+    }
+
     /// The storage keys of every version this transaction has (or may have)
     /// written to storage — used to clean up after an abort.
     pub fn spilled_storage_keys(&self) -> Vec<String> {

@@ -123,7 +123,7 @@ mod tests {
 
     use aft_cluster::{Cluster, ClusterConfig};
     use aft_core::api::AftApi;
-    use aft_core::{CommitPhase, NetFault, NodeConfig, PhaseHook};
+    use aft_core::{CommitPhase, NetFault, NodeConfig, PhaseHook, INLINE_BYTES};
     use aft_storage::io::RetryConfig;
     use aft_storage::latency::{LatencyProfile, Turns};
     use aft_storage::InMemoryStore;
@@ -162,9 +162,9 @@ mod tests {
             .phase_hook(Arc::new(LoseFirstCommitAck::default()))
             .pipe(&server);
         let txid = client.begin().unwrap();
-        client
-            .put(&txid, Key::new("pay"), Value::from_static(b"once"))
-            .unwrap();
+        // Too large for an inline record, so the commit has a data version.
+        let value = Value::from(vec![b'o'; INLINE_BYTES + 1]);
+        client.put(&txid, Key::new("pay"), value.clone()).unwrap();
         let outcome = client.commit(&txid, &[]).unwrap();
         assert!(outcome.duplicate, "the retry is acked from the ledger");
         assert_eq!(outcome.final_id.uuid, txid.uuid);
@@ -185,7 +185,7 @@ mod tests {
         );
         // The value is durable and visible on every node after one round.
         cluster.run_maintenance_round().unwrap();
-        let once = Some((Value::from_static(b"once"), Some(outcome.final_id)));
+        let once = Some((value, Some(outcome.final_id)));
         for node in cluster.active_nodes() {
             let reader = node.start_transaction();
             assert_eq!(node.get_versioned(&reader, &Key::new("pay")).unwrap(), once);

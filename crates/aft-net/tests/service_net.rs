@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use aft_cluster::{Cluster, ClusterConfig};
 use aft_core::api::AftApi;
-use aft_core::{CommitPhase, NetFault, PhaseHook};
+use aft_core::{CommitPhase, NetFault, PhaseHook, INLINE_BYTES};
 use aft_net::{AftClient, AftServer, ClientConfig};
 use aft_storage::io::RetryConfig;
 use aft_storage::InMemoryStore;
@@ -184,9 +184,9 @@ fn duplicate_commit_after_lost_ack_is_acked_idempotently() {
     );
 
     let txid = client.begin().unwrap();
-    client
-        .put(&txid, Key::new("pay"), Value::from_static(b"once"))
-        .unwrap();
+    // Too large for an inline record, so the commit has a data version.
+    let value = Value::from(vec![b'o'; INLINE_BYTES + 1]);
+    client.put(&txid, Key::new("pay"), value).unwrap();
     let outcome = client.commit(&txid, &[]).unwrap();
     assert_eq!(outcome.final_id.uuid, txid.uuid, "same txid, same outcome");
 

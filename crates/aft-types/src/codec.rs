@@ -7,20 +7,32 @@
 //! strings. The format is deliberately simple and versioned so that the
 //! property tests can round-trip arbitrary records.
 //!
-//! A commit record has two forms, each with its own length function:
+//! A commit record has three forms, each with its own length function:
 //!
 //! * **Keyed (version 2)**, [`encode_keyed_commit_record`]:
 //!   `[2][0x01][LEB128 key count]([LEB128 len][key bytes])*`. It carries no
-//!   id, because its storage key `commit/{ts:020}_{uuid}` names it. Every
-//!   blob in the Transaction Commit Set is written in this form, and
-//!   [`decode_keyed_commit_record`] reads the id back out of that key. A
-//!   two-key commit of 12-byte keys is 29 bytes.
+//!   id, because its storage key `commit/{ts:020}_{uuid}` names it. A
+//!   two-key commit of 12-byte keys is 29 bytes. Each version's value is
+//!   under its own `data/` key.
+//! * **Inline (version 2)**, [`encode_inline_commit_record`]:
+//!   `[2][0x03][LEB128 key count]([LEB128 len][key bytes][LEB128 len][value bytes])*`.
+//!   The keyed form with each key's value after it, under its own tag: the
+//!   record of a small transaction, which commits with this one write and
+//!   has no `data/` keys. [`inline_values`] slices the values out of the
+//!   blob without copying them.
+//!
+//!   Every blob in the Transaction Commit Set is written in one of these two
+//!   forms, and [`decode_keyed_commit_record`] reads either, taking the id
+//!   from the key and [`TransactionRecord::inline`] from the tag.
 //! * **Id-carrying (version 1)**, [`encode_commit_record`]:
 //!   `[1][0x01][ts u64][uuid u128][u32 key count]([u32 len][key bytes])*`.
 //!   It stays as dissemination's byte model ([`encoded_commit_record_len`]),
 //!   where no key names the record.
 //!   The keyed decode still accepts a version-1 blob that an older build
 //!   wrote to the commit set, but only if the id inside it is its key's.
+
+use std::io::Write;
+use std::sync::Arc;
 
 use bytes::{BufMut, Bytes};
 
@@ -29,7 +41,7 @@ use crate::key::Key;
 use crate::record::TransactionRecord;
 use crate::txid::TransactionId;
 use crate::uuid::Uuid;
-use crate::value::TaggedValue;
+use crate::value::{TaggedValue, Value};
 
 /// Format version written as the first byte of every id-carrying structure.
 const CODEC_VERSION: u8 = 1;
@@ -44,6 +56,8 @@ const MAX_VARINT_LEN: usize = 5;
 const TAG_COMMIT_RECORD: u8 = 0x01;
 /// Tag byte identifying an encoded [`TaggedValue`].
 const TAG_TAGGED_VALUE: u8 = 0x02;
+/// Tag byte identifying a commit record that carries its values.
+const TAG_INLINE_RECORD: u8 = 0x03;
 
 /// Incremental writer producing the codec's wire format.
 #[derive(Debug, Default)]
@@ -97,12 +111,9 @@ impl Writer {
 
     /// Appends `v` as an unsigned LEB128 varint: seven bits a byte, low
     /// bits first, the high bit set on every byte but the last.
-    pub(crate) fn put_varint(&mut self, mut v: u32) {
-        while v >= 0x80 {
-            self.buf.put_u8(v as u8 | 0x80);
-            v >>= 7;
-        }
-        self.buf.put_u8(v as u8);
+    pub(crate) fn put_varint(&mut self, v: u32) {
+        let (bytes, len) = varint(v);
+        self.buf.put_slice(&bytes[..len]);
     }
 
     /// Appends a length-prefixed byte string.
@@ -280,6 +291,20 @@ fn check_tag(reader: &mut Reader<'_>, expected_tag: u8) -> AftResult<()> {
     Ok(())
 }
 
+/// `v` as an unsigned LEB128 varint: its bytes, and how many of them it
+/// takes.
+fn varint(mut v: u32) -> ([u8; MAX_VARINT_LEN], usize) {
+    let mut bytes = [0; MAX_VARINT_LEN];
+    let mut len = 0;
+    while v >= 0x80 {
+        bytes[len] = v as u8 | 0x80;
+        v >>= 7;
+        len += 1;
+    }
+    bytes[len] = v as u8;
+    (bytes, len + 1)
+}
+
 /// The bytes [`Writer::put_varint`] spends on `v`.
 fn varint_len(v: u32) -> usize {
     // One byte per started group of seven significant bits; zero takes one.
@@ -372,15 +397,150 @@ pub fn decode_keyed_commit_record(storage_key: &str, bytes: &[u8]) -> AftResult<
             "unsupported commit record version {version}, expected {CODEC_VERSION} or {KEYED_VERSION}"
         )));
     }
-    check_tag(&mut r, TAG_COMMIT_RECORD)?;
+    let inline = match r.get_u8()? {
+        TAG_COMMIT_RECORD => false,
+        TAG_INLINE_RECORD => true,
+        tag => {
+            return Err(AftError::Codec(format!(
+                "unexpected tag {tag:#04x}, expected {TAG_COMMIT_RECORD:#04x} or {TAG_INLINE_RECORD:#04x}"
+            )))
+        }
+    };
     let n = r.get_varint()? as usize;
     // Untrusted length prefix: each key takes at least one byte.
     let mut keys = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
         keys.push(Key::from(r.get_varint_str()?));
+        if inline {
+            let len = r.get_varint()? as usize;
+            r.take(len)?;
+        }
     }
     r.expect_end()?;
-    Ok(TransactionRecord::new(id, keys))
+    Ok(if inline {
+        TransactionRecord::new_inline(id, keys)
+    } else {
+        TransactionRecord::new(id, keys)
+    })
+}
+
+/// Encodes the inline commit record of a transaction that wrote `writes`,
+/// given in ascending key order without repeats (a write set's order): the
+/// keyed form with each key's value after it, under its own tag. It is
+/// stored under [`TransactionRecord::storage_key`] and decodes as
+/// [`TransactionRecord::new_inline`]. The blob is built in the one
+/// allocation it is then shared from.
+pub fn encode_inline_commit_record<'a, I>(writes: I) -> Bytes
+where
+    I: IntoIterator<Item = (&'a Key, &'a Value)> + Clone,
+{
+    let len = encoded_inline_commit_record_len(writes.clone());
+    let mut blob: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+    let mut out: &mut [u8] = Arc::get_mut(&mut blob).expect("a fresh buffer is unshared");
+    put_into(&mut out, &[KEYED_VERSION, TAG_INLINE_RECORD]);
+    put_varint_into(&mut out, writes.clone().into_iter().count());
+    for (key, value) in writes {
+        put_varint_into(&mut out, key.len());
+        put_into(&mut out, key.as_str().as_bytes());
+        put_varint_into(&mut out, value.len());
+        put_into(&mut out, value);
+    }
+    debug_assert!(out.is_empty(), "the length was counted exactly");
+    Bytes::from(blob)
+}
+
+/// The length of [`encode_inline_commit_record`]'s output, without
+/// encoding.
+pub fn encoded_inline_commit_record_len<'a>(
+    writes: impl IntoIterator<Item = (&'a Key, &'a Value)>,
+) -> usize {
+    let (mut count, mut len) = (0, 2);
+    for (key, value) in writes {
+        count += 1;
+        len += varint_len(key.len() as u32) + key.len();
+        len += varint_len(value.len() as u32) + value.len();
+    }
+    len + varint_len(count)
+}
+
+/// Writes `bytes` at the front of `out` and moves `out` past them.
+fn put_into(out: &mut &mut [u8], bytes: &[u8]) {
+    out.write_all(bytes).expect("the length was counted");
+}
+
+/// Writes `len` as a varint at the front of `out` and moves `out` past it.
+fn put_varint_into(out: &mut &mut [u8], len: usize) {
+    let (bytes, n) = varint(u32::try_from(len).expect("a length under 4 GiB"));
+    put_into(out, &bytes[..n]);
+}
+
+/// The values an inline commit record carries, each with its key, in the
+/// record's key order: slices of `blob`, sharing its buffer. Fails unless
+/// `blob` starts as an inline record ([`encode_inline_commit_record`]); the
+/// iterator yields an error at a torn entry or at bytes after the last one,
+/// and nothing after it.
+pub fn inline_values(blob: &Bytes) -> AftResult<InlineValues<'_>> {
+    let mut reader = Reader::new(blob);
+    let version = reader.get_u8()?;
+    if version != KEYED_VERSION {
+        return Err(AftError::Codec(format!(
+            "unsupported commit record version {version}, expected {KEYED_VERSION}"
+        )));
+    }
+    check_tag(&mut reader, TAG_INLINE_RECORD)?;
+    let left = reader.get_varint()?;
+    if left == 0 {
+        reader.expect_end()?;
+    }
+    Ok(InlineValues { blob, reader, left })
+}
+
+/// The value an inline commit record `blob` carries for `key`, a slice of
+/// it; `None` if the record did not write `key`. Fails unless the whole
+/// blob is a well-formed inline record.
+pub fn inline_value(blob: &Bytes, key: &str) -> AftResult<Option<Bytes>> {
+    let mut found = None;
+    for entry in inline_values(blob)? {
+        let (written, value) = entry?;
+        if written == key {
+            found = Some(value);
+        }
+    }
+    Ok(found)
+}
+
+/// The iterator of [`inline_values`].
+#[derive(Debug)]
+pub struct InlineValues<'a> {
+    blob: &'a Bytes,
+    reader: Reader<'a>,
+    left: u32,
+}
+
+impl<'a> InlineValues<'a> {
+    fn entry(&mut self) -> AftResult<(&'a str, Bytes)> {
+        let key = self.reader.get_varint_str()?;
+        let len = self.reader.get_varint()? as usize;
+        let start = self.reader.pos;
+        self.reader.take(len)?;
+        if self.left == 0 {
+            self.reader.expect_end()?;
+        }
+        Ok((key, self.blob.slice(start..start + len)))
+    }
+}
+
+impl<'a> Iterator for InlineValues<'a> {
+    type Item = AftResult<(&'a str, Bytes)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.left = self.left.checked_sub(1)?;
+        let entry = self.entry();
+        if entry.is_err() {
+            self.left = 0;
+        }
+        Some(entry)
+    }
 }
 
 /// Encodes a metadata-tagged value (used by the Plain baselines, §6.1.2).
@@ -449,6 +609,71 @@ mod tests {
             b"\x02\x01\x02\x02k1\x05key-2"
         );
         assert_eq!(encoded_keyed_commit_record_len(&record), 12);
+    }
+
+    #[test]
+    fn an_inline_record_is_the_keyed_form_with_each_value_after_its_key() {
+        let writes = [
+            (Key::new("k1"), Bytes::from_static(b"v")),
+            (Key::new("key-2"), Bytes::from_static(b"")),
+        ];
+        let pairs = writes.iter().map(|(key, value)| (key, value));
+        let blob = encode_inline_commit_record(pairs.clone());
+        assert_eq!(blob.as_ref(), b"\x02\x03\x02\x02k1\x01v\x05key-2\x00");
+        assert_eq!(encoded_inline_commit_record_len(pairs), blob.len());
+
+        let id = tid(1, 2);
+        let key = TransactionRecord::storage_key_for(&id);
+        let record = decode_keyed_commit_record(&key, &blob).unwrap();
+        assert_eq!(
+            record,
+            TransactionRecord::new_inline(id, writes.iter().map(|(k, _)| k.clone()))
+        );
+        assert!(record.inline);
+        assert!(
+            !keyed(&TransactionRecord::new(id, [Key::new("k1")]))
+                .unwrap()
+                .inline
+        );
+
+        let values: Vec<(&str, Bytes)> = inline_values(&blob)
+            .unwrap()
+            .collect::<AftResult<_>>()
+            .unwrap();
+        assert_eq!(
+            values,
+            [("k1", Bytes::from_static(b"v")), ("key-2", Bytes::new())]
+        );
+        // The value is a slice of the blob, not a copy of it.
+        assert_eq!(values[0].1.as_ptr(), blob[7..].as_ptr());
+        assert_eq!(
+            inline_value(&blob, "k1").unwrap(),
+            Some(values[0].1.clone())
+        );
+        assert_eq!(inline_value(&blob, "k3").unwrap(), None);
+    }
+
+    #[test]
+    fn a_torn_or_padded_inline_record_is_rejected() {
+        let (key, value) = (Key::new("abc"), Bytes::from_static(b"value"));
+        let blob = encode_inline_commit_record([(&key, &value)]);
+        let storage_key = TransactionRecord::storage_key_for(&tid(1, 2));
+        for cut in 0..blob.len() {
+            let torn = blob.slice(..cut);
+            assert!(
+                decode_keyed_commit_record(&storage_key, &torn).is_err(),
+                "{cut}"
+            );
+            assert!(inline_value(&torn, "abc").is_err(), "{cut}");
+        }
+        let mut padded = blob.to_vec();
+        padded.push(0);
+        let padded = Bytes::from(padded);
+        assert!(decode_keyed_commit_record(&storage_key, &padded).is_err());
+        assert!(inline_value(&padded, "abc").is_err());
+        // A keyed record carries no values to slice.
+        let keyed = encode_keyed_commit_record(&TransactionRecord::new(tid(1, 2), [key]));
+        assert!(inline_values(&keyed).is_err());
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! The write-ordering protocol (§3.3) persists a transaction's data blobs
 //! first and only then writes a *commit record* — the transaction's write
 //! set, stored under a key that names its ID — to the Transaction Commit Set
-//! in storage. A transaction is committed if and only if its commit record
-//! is durable; everything else (metadata caches, key version indexes,
-//! multicast state) is soft state that can be rebuilt from the commit set.
+//! in storage. A small transaction's record carries its values instead, and
+//! is its one write ([`TransactionRecord::inline`]). A transaction is
+//! committed if and only if its commit record is durable; everything else
+//! (metadata caches, key version indexes, multicast state) is soft state
+//! that can be rebuilt from the commit set.
 
 use std::fmt;
 
@@ -93,20 +95,40 @@ impl fmt::Display for TransactionStatus {
 }
 
 /// A committed transaction's entry in the Transaction Commit Set.
+///
+/// The record in memory holds keys only. Where a version's value is in
+/// storage depends on the form the record was stored in, which
+/// [`inline`](TransactionRecord::inline) tells: under the version's own
+/// `data/` key ([`KeyVersion::storage_key`]), or inside the stored record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransactionRecord {
     /// The transaction's `<timestamp, uuid>` identifier.
     pub id: TransactionId,
     /// Every key the transaction wrote.
     pub write_set: WriteSet,
+    /// Whether the stored record carries the value of every key it wrote
+    /// ([`crate::codec::encode_inline_commit_record`]). Its versions then
+    /// have no `data/` keys: a read of one fetches the record and slices the
+    /// value out, and the record's delete is theirs too.
+    pub inline: bool,
 }
 
 impl TransactionRecord {
-    /// Creates a commit record.
+    /// Creates a commit record whose versions each have a `data/` key.
     pub fn new(id: TransactionId, write_set: impl IntoIterator<Item = Key>) -> Self {
         TransactionRecord {
             id,
             write_set: write_set.into_iter().collect(),
+            inline: false,
+        }
+    }
+
+    /// Creates the record of a transaction whose stored record carries its
+    /// values: it has no `data/` keys.
+    pub fn new_inline(id: TransactionId, write_set: impl IntoIterator<Item = Key>) -> Self {
+        TransactionRecord {
+            inline: true,
+            ..TransactionRecord::new(id, write_set)
         }
     }
 
@@ -245,6 +267,16 @@ mod tests {
         let versions: Vec<_> = r.key_versions().collect();
         assert_eq!(versions.len(), 3);
         assert!(versions.iter().all(|kv| kv.tid == r.id));
+    }
+
+    #[test]
+    fn an_inline_record_differs_from_a_two_write_one_only_in_its_flag() {
+        let two_writes = record(9, &["k"]);
+        assert!(!two_writes.inline);
+        let inline = TransactionRecord::new_inline(two_writes.id, [Key::new("k")]);
+        assert!(inline.inline);
+        assert_eq!(inline.write_set, two_writes.write_set);
+        assert_ne!(inline, two_writes);
     }
 
     #[test]

@@ -11,8 +11,9 @@ use std::collections::BTreeSet;
 
 use aft_types::codec::{
     decode_commit_record, decode_keyed_commit_record, decode_tagged_value, encode_commit_record,
-    encode_keyed_commit_record, encode_tagged_value, encoded_commit_record_len,
-    encoded_keyed_commit_record_len,
+    encode_inline_commit_record, encode_keyed_commit_record, encode_tagged_value,
+    encoded_commit_record_len, encoded_inline_commit_record_len, encoded_keyed_commit_record_len,
+    inline_values,
 };
 use aft_types::{
     Key, KeyVersion, TaggedValue, TransactionId, TransactionRecord, Uuid, Value, WriteSet,
@@ -83,6 +84,36 @@ fn arb_tagged_value() -> impl Strategy<Value = TaggedValue> {
 }
 
 proptest! {
+    #[test]
+    fn an_inline_record_round_trips_its_keys_and_its_values(
+        record in arb_record(),
+        sizes in proptest::collection::vec(0usize..300, 160),
+    ) {
+        let values: Vec<Value> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &size)| Value::from(vec![i as u8; size]))
+            .collect();
+        let writes: Vec<(&Key, &Value)> = record.write_set.iter().zip(&values).collect();
+        let blob = encode_inline_commit_record(writes.iter().copied());
+        prop_assert_eq!(encoded_inline_commit_record_len(writes.iter().copied()), blob.len());
+        let decoded = decode_keyed(&record, &blob).unwrap();
+        prop_assert!(decoded.inline);
+        prop_assert_eq!(&decoded.write_set, &record.write_set);
+        let sliced: Vec<(Key, Value)> = inline_values(&blob)
+            .unwrap()
+            .map(|entry| entry.map(|(key, value)| (Key::new(key), value)))
+            .collect::<aft_types::AftResult<_>>()
+            .unwrap();
+        let written: Vec<(Key, Value)> =
+            writes.iter().map(|&(key, value)| (key.clone(), value.clone())).collect();
+        prop_assert_eq!(sliced, written);
+        // A torn blob decodes as neither form.
+        for cut in [blob.len() / 2, blob.len() - 1] {
+            prop_assert!(decode_keyed(&record, &blob[..cut]).is_err());
+        }
+    }
+
     #[test]
     fn commit_record_codec_round_trips(record in arb_record()) {
         let decoded = decode_keyed(&record, &encode_keyed_commit_record(&record)).unwrap();

@@ -59,6 +59,7 @@ use aft_storage::{
     make_backend, BackendConfig, BackendKind, Cut, CutHook, CutStore, SharedStorage,
 };
 use aft_types::clock::TickingClock;
+use aft_types::codec::inline_values;
 use aft_types::{
     fnv1a, AftError, AftResult, CommitPhase, Key, KeyVersion, SharedClock, TransactionId,
     TransactionRecord, Uuid,
@@ -80,6 +81,10 @@ pub enum Op {
     Read(Key),
     /// `w k`: writes `k` the writer's UUID.
     Write(Key),
+    /// `W k`: writes `k` the writer's UUID padded past
+    /// [`INLINE_BYTES`](aft_core::INLINE_BYTES), so that its commit writes
+    /// its data and then its record.
+    WriteLarge(Key),
 }
 
 /// The micro-ops one invocation runs between its `begin` and its commit.
@@ -90,7 +95,8 @@ pub fn request(ops: &str) -> Request {
     let op = |op: &str| match op.split_once(' ') {
         Some(("r", key)) => Op::Read(Key::new(key)),
         Some(("w", key)) => Op::Write(Key::new(key)),
-        _ => panic!("not `r k` or `w k`: {op:?}"),
+        Some(("W", key)) => Op::WriteLarge(Key::new(key)),
+        _ => panic!("not `r k`, `w k` or `W k`: {op:?}"),
     };
     ops.split(", ").map(op).collect()
 }
@@ -857,8 +863,9 @@ pub fn walk(shape: Shape, clients: &[Vec<Request>], scope: Scope) -> Walked {
 /// storage calls `schedule` cuts, then maintenance rounds until one deletes
 /// nothing, carries nothing and leaves no batch held: the run, its verdict
 /// with the lost writes of every active node's read-back summed, and what
-/// storage holds. An acked key with no `data/` version left in storage is a
-/// lost write too.
+/// storage holds. An acked key whose bytes storage holds in no version, in
+/// a `data/` key or an inline record ([`held_versions`]), is a lost write
+/// too.
 pub fn settle(
     shape: Shape,
     clients: &[Vec<Request>],
@@ -907,8 +914,8 @@ pub fn settle(
             Err(_) => keys.len() as u64,
         };
     }
-    let listed = |key: &&Key| cluster.storage().list_prefix(&format!("data/{key}/"));
-    let gone = |key: &&Key| listed(key).is_ok_and(|versions| versions.is_empty());
+    let held = held_versions(cluster.storage());
+    let gone = |key: &&Key| !held.iter().any(|(held, _)| held == *key);
     let acked = history::model(&run.history);
     verdict.lost_acked_writes += acked.keys().filter(gone).count() as u64;
     let mut stored = stored(&cluster);
@@ -971,18 +978,42 @@ fn dangling(storage: &SharedStorage) -> u64 {
     let view = MetadataCache::new();
     let io = IoEngine::new(storage.clone(), IoConfig::pipelined());
     warm_metadata_cache_pipelined(&io, &view).expect("a bootstrap");
-    let data: HashSet<String> = storage
-        .list_prefix("data/")
-        .expect("a listing")
-        .into_iter()
-        .collect();
+    let held = held_versions(storage);
     let versions = view.all_records().into_iter().flat_map(|record| {
         let newest = |v: &KeyVersion| view.latest_version_of(&v.key) == Some(v.tid);
         record.key_versions().filter(newest).collect::<Vec<_>>()
     });
     versions
-        .filter(|v| !data.contains(&v.storage_key()))
+        .filter(|v| !held.contains(&(v.key.clone(), v.tid.uuid)))
         .count() as u64
+}
+
+/// The versions whose bytes `storage` holds, by key and transaction UUID:
+/// each `data/` key, and each value a whole inline commit record carries,
+/// found by decoding the record as stored. No node is asked where a
+/// version's bytes are. Panics if storage fails a read.
+pub fn held_versions(storage: &SharedStorage) -> HashSet<(Key, Uuid)> {
+    let data = storage.list_prefix("data/").expect("a listing");
+    let mut held: HashSet<(Key, Uuid)> = data
+        .iter()
+        .map(|key| KeyVersion::parse_storage_key(key).expect("a data key"))
+        .collect();
+    let records = storage.list_prefix(&TransactionRecord::storage_prefix());
+    for key in records.expect("a listing") {
+        let (Ok(id), Some(blob)) = (
+            TransactionRecord::id_from_storage_key(&key),
+            storage.get(&key).expect("a record"),
+        ) else {
+            continue;
+        };
+        let values = inline_values(&blob).and_then(|values| {
+            values
+                .map(|entry| entry.map(|(key, _)| (Key::new(key), id.uuid)))
+                .collect::<AftResult<Vec<_>>>()
+        });
+        held.extend(values.into_iter().flatten());
+    }
+    held
 }
 
 /// What a run steps: the cluster its rounds and failovers act on, and the
@@ -1242,11 +1273,15 @@ impl Stepper<'_> {
         };
         let result = match op {
             Op::Read(key) => api.get_versioned(&txid, key).map(drop),
-            Op::Write(key) => api
-                .put(&txid, key.clone(), txid.uuid.to_string().into())
-                .map(|()| {
+            Op::Write(key) | Op::WriteLarge(key) => {
+                let mut value = txid.uuid.to_string().into_bytes();
+                if matches!(op, Op::WriteLarge(_)) {
+                    value.resize(aft_core::INLINE_BYTES + 1, b'.');
+                }
+                api.put(&txid, key.clone(), value.into()).map(|()| {
                     attempt.aborting = attempt.failure == Some(FailurePoint::MidBody);
-                }),
+                })
+            }
         };
         match result {
             Ok(()) => attempt.next += 1,
@@ -1332,6 +1367,24 @@ mod tests {
         );
         // Each client begins, writes and commits: C(6, 3) interleavings.
         assert_eq!(walk(Shape::nodes(1), &two_writers(), none).schedules, 20);
+    }
+
+    #[test]
+    fn the_walk_finds_a_version_in_its_data_key_or_in_its_record() {
+        // The first commit is inline, its record holding both values; the
+        // second writes a data key. The storage audit finds every newest
+        // version's bytes where storage keeps them, under every crash.
+        let clients = vec![vec![
+            request("w a, w b"),
+            request("W a"),
+            request("r a, r b"),
+        ]];
+        let crash = Scope {
+            crashes: 1,
+            ..Scope::default()
+        };
+        let walked = walk(Shape::nodes(1), &clients, crash);
+        assert_eq!((walked.schedules, walked.orphaned), (11, 2));
     }
 
     #[test]

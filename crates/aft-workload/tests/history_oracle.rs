@@ -10,7 +10,7 @@ use aft_core::api::AftApi;
 use aft_core::{AftNode, NodeConfig};
 use aft_storage::{InMemoryStore, StorageEngine};
 use aft_types::clock::TickingClock;
-use aft_types::codec::encode_keyed_commit_record;
+use aft_types::codec::encode_inline_commit_record;
 use aft_types::{Key, TransactionRecord, Value};
 use aft_workload::history::{check, FinalRead, History, Recorder};
 
@@ -35,12 +35,12 @@ fn a_tampered_commit_record_fools_the_node_but_not_the_checker() {
     let preload = commit(&writer, "preload");
     let t1 = commit(&writer, "t1");
 
-    // T1's record now claims it wrote k alone.
-    let tampered = TransactionRecord::new(t1, [k.clone()]);
+    // T1's record, which holds its values, now claims it wrote k alone.
+    let t1_at_k = Value::from_static(b"t1");
     storage
         .put(
             &TransactionRecord::storage_key_for(&t1),
-            encode_keyed_commit_record(&tampered),
+            encode_inline_commit_record([(&k, &t1_at_k)]),
         )
         .unwrap();
 

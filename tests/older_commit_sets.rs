@@ -7,6 +7,10 @@
 //! set built here holds that pinned blob, keyed blobs beside it, and an
 //! older blob copied under a key that names another transaction, which no
 //! reader may load under either id.
+//!
+//! A small transaction's blob carries its values too (the inline form, tag
+//! `0x03`), and has no `data/` keys: [`INLINE`] pins its bytes, and a fresh
+//! node reads its values out of it.
 
 use aft::cluster::FaultManager;
 use aft::core::bootstrap::warm_metadata_cache_pipelined;
@@ -15,13 +19,23 @@ use aft::core::{AftNode, NodeConfig};
 use aft::storage::io::{IoConfig, IoEngine};
 use aft::storage::{InMemoryStore, SharedStorage, StorageEngine};
 use aft::types::clock::TickingClock;
-use aft::types::codec::{encode_commit_record, encode_keyed_commit_record};
+use aft::types::codec::{
+    encode_commit_record, encode_inline_commit_record, encode_keyed_commit_record,
+};
 use aft::types::{Key, KeyVersion, TransactionId, TransactionRecord, Uuid};
 use bytes::Bytes;
 
 /// The commit record `encoding_pins.rs` pins, as an older build stored it.
 const OLDER_BUILD: &str = "01017b68e5cf8b010000b47f789800ffd1ebd0a9499847df4441\
                            0200000006000000636172742f3707000000757365722f3432";
+
+/// [`older_record`]'s write set, with `cart/7` = "3 items" and
+/// `user/42` = "42", as this build stores a record that carries its values.
+const INLINE: &str = "020302\
+                      06636172742f37\
+                      0733206974656d73\
+                      07757365722f3432\
+                      023432";
 
 fn unhex(text: &str) -> Vec<u8> {
     (0..text.len())
@@ -135,4 +149,33 @@ fn a_fresh_fault_manager_scan_loads_every_record() {
 
     // The stray blob stays unreadable on every later scan.
     assert_eq!(manager.scan_commit_set(&io, &[]).unwrap().recovered, 0);
+}
+
+#[test]
+fn an_inline_record_is_stored_as_pinned_and_a_fresh_node_reads_its_values() {
+    let (cart, user) = (Key::new("cart/7"), Key::new("user/42"));
+    let (three, two) = (Bytes::from("3 items"), Bytes::from("42"));
+    let blob = encode_inline_commit_record([(&cart, &three), (&user, &two)]);
+    assert_eq!(blob, Bytes::from(unhex(INLINE)));
+
+    let storage = InMemoryStore::shared();
+    let older = older_record();
+    storage
+        .put(&older.storage_key(), Bytes::from(unhex(INLINE)))
+        .unwrap();
+    let node = AftNode::with_clock(
+        NodeConfig::test_without_cache(),
+        storage.clone(),
+        TickingClock::shared(1, 1),
+    )
+    .unwrap();
+    let loaded = node.metadata().record(&older.id).unwrap();
+    assert_eq!(
+        *loaded,
+        TransactionRecord::new_inline(older.id, [cart.clone(), user.clone()])
+    );
+    let txn = node.start_transaction();
+    let read = node.get_all(&txn, &[cart, user]).unwrap();
+    assert_eq!(read, [Some(three), Some(two)]);
+    assert!(storage.list_prefix("data/").unwrap().is_empty());
 }

@@ -105,6 +105,25 @@
 //!   on Redis a single-key `DEL` each, `Delete` 36 → 12). The node also
 //!   listed the checkpoints when it started. So `List` fell by 3 on every
 //!   row. The rounds and the 40 `data/` keys left did not move.
+//!
+//!   Every row was re-recorded on top of commit 5a242a5, when a transaction
+//!   that spilled nothing and whose record with its values fits
+//!   `INLINE_BYTES` (1 KiB) began to commit as that one record. The
+//!   script's values are 64 B, so all 180 read-write commits are inline:
+//!   their data calls went (`BatchPut` 180 → 0 on memory, DynamoDB and
+//!   Redis; on S3 the 525 data `Put`s, 725 → 200), and on Redis each record
+//!   is its own `SET` (`Put` 20 → 200). The bytes grew by one varint a value,
+//!   36 300 → 36 825. A read still bills one `Get`, of the record, so `Get`
+//!   did not move. A collected transaction is its record's key alone, so the
+//!   GC deletes fewer keys: DynamoDB's `BatchDelete` 27 → 8; on Redis most
+//!   slot groups hold one such key and send it as a single-key `DEL`
+//!   (`Delete` 12 → 90, `BatchDelete` 126 → 39); on S3 the first round's
+//!   keys are at most half a `DeleteObjects` and wait a round (rounds
+//!   2 → 3, `List` 3 → 4). The last column now counts the versions storage
+//!   holds, in `data/` keys or inside inline records
+//!   (`aft_workload::sim::held_versions`): 70 on every row, the 40 newest
+//!   versions and 30 overwritten ones whose bytes stay inside records that
+//!   are still the newest writer of another key.
 //! * The *`GetAll`* script: a node without a data cache commits 250 keys,
 //!   then reads them back through `get_all` calls that miss 1, 2, 8, 100,
 //!   101 and 250 keys. Each read that misses two or more bills one
@@ -128,13 +147,19 @@
 //!   when the scan stopped recovering records a live node still holds; the
 //!   scan had fetched the record and handed it to every node without its
 //!   payload, and the peer's read billed one `Get`.
+//! * The *small transaction*: two 256 B writes commit as one `Put` of their
+//!   inline record on every row (a `SET` on Redis), a miss on either version
+//!   or on both is one `Get` of that record, and the global GC deletes that
+//!   one key; one 2 KiB write still bills its data and its record. Recorded
+//!   on top of commit 5a242a5, when small transactions began to commit
+//!   inline.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
 use aft::cluster::cluster::MaintenanceStats;
 use aft::cluster::{Cluster, ClusterConfig};
-use aft::core::{CommitPhase, NodeConfig, PhaseHook};
+use aft::core::{CommitPhase, NodeConfig, PhaseHook, INLINE_BYTES};
 use aft::storage::{make_backend, BackendConfig, BackendKind, OpKind};
 use aft::types::clock::TickingClock;
 use aft::types::{slot_tag, AftResult, Key, TransactionId, TransactionRecord};
@@ -144,10 +169,10 @@ use bytes::Bytes;
 #[test]
 fn aft_script_bills_the_golden_call_counts_on_every_service() {
     let golden = [
-        (BackendKind::Memory, [416, 0, 200, 180, 0, 1, 3], 2, 40),
-        (BackendKind::S3, [416, 0, 725, 0, 0, 1, 3], 2, 40),
-        (BackendKind::DynamoDb, [416, 0, 200, 180, 0, 27, 4], 3, 40),
-        (BackendKind::Redis, [416, 0, 20, 180, 12, 126, 4], 3, 40),
+        (BackendKind::Memory, [416, 0, 200, 0, 0, 1, 3], 2, 70),
+        (BackendKind::S3, [416, 0, 200, 0, 0, 1, 4], 3, 70),
+        (BackendKind::DynamoDb, [416, 0, 200, 0, 0, 8, 4], 3, 70),
+        (BackendKind::Redis, [416, 0, 200, 0, 90, 39, 4], 3, 70),
     ];
     for (kind, expected, rounds, left) in golden {
         let run = golden_script(kind);
@@ -155,9 +180,9 @@ fn aft_script_bills_the_golden_call_counts_on_every_service() {
             run.calls, expected,
             "{kind}: (Get, BatchGet, Put, BatchPut, Delete, BatchDelete, List)"
         );
-        assert_eq!(run.bytes_written, 36_300, "{kind}: bytes written");
+        assert_eq!(run.bytes_written, 36_825, "{kind}: bytes written");
         assert_eq!(run.rounds, rounds, "{kind}: maintenance rounds");
-        assert_eq!(run.data_keys, left, "{kind}: data keys left");
+        assert_eq!(run.data_keys, left, "{kind}: versions storage holds");
     }
 }
 
@@ -179,13 +204,14 @@ fn redis_sends_a_transaction_as_one_call_and_a_bare_key_as_its_own() {
     // A commit of n distinct keys whose data and record fit one 16-key MSET
     // is that one call. Past it, the data goes first and the record follows
     // as its own SET: at 16 keys one MSET and the SET, at 17 one MSET, the
-    // seventeenth key's SET and the record's.
+    // seventeenth key's SET and the record's. The values are too large for
+    // an inline record, so every commit has data keys.
     let mut ids = Vec::new();
     for n in 1..=17 {
         let before = calls();
         let txn = node.start_transaction();
         for i in 0..n {
-            node.put(&txn, Key::new(format!("hot{i}")), Bytes::from_static(b"v"))
+            node.put(&txn, Key::new(format!("hot{i}")), large())
                 .unwrap();
         }
         ids.push(node.commit(&txn).unwrap());
@@ -476,7 +502,8 @@ fn concurrent_commits_bill_what_each_bills_alone() {
     // batch write call: a commit's storage calls are a function of the
     // transaction alone, so N commits bill N data puts and N record puts
     // (on Redis, N MSETs that each carry a data key and its record) however
-    // they interleave, and no call carries two transactions.
+    // they interleave, and no call carries two transactions. The values are
+    // too large for an inline record.
     const CLIENTS: usize = 8;
     const COMMITS: usize = 25;
     let commits = (CLIENTS * COMMITS) as u64;
@@ -497,7 +524,7 @@ fn concurrent_commits_bill_what_each_bills_alone() {
                     for i in 0..COMMITS {
                         let txn = node.start_transaction();
                         let key = Key::new(format!("c{client}/k{i}"));
-                        node.put(&txn, key, Bytes::from_static(b"v")).unwrap();
+                        node.put(&txn, key, large()).unwrap();
                         node.commit(&txn).unwrap();
                     }
                 });
@@ -507,5 +534,95 @@ fn concurrent_commits_bill_what_each_bills_alone() {
         assert_eq!(stats.calls(OpKind::Put), puts, "{kind}");
         assert_eq!(stats.calls(OpKind::BatchPut), batch_puts, "{kind}");
         assert_eq!(node.commit_batch_stats().flushes, commits, "{kind}");
+    }
+}
+
+/// A value one byte over [`INLINE_BYTES`]: no commit of it is inline.
+fn large() -> Bytes {
+    Bytes::from(vec![b'v'; INLINE_BYTES + 1])
+}
+
+#[test]
+fn a_small_transaction_is_one_write_one_read_and_one_deleted_key() {
+    // Two 256 B writes commit as one `Put` of the record that carries them
+    // (on Redis one `SET`, not an `MSET`), and leave no `data/` key. A
+    // cache-less node's miss on either version, or on both in one `GetAll`,
+    // is one `Get` of that record. Once both keys are overwritten, the
+    // global GC deletes the record: one key, in one call. A transaction of
+    // one 2 KiB write still commits its data and then its record: two `Put`s
+    // where the row has no all-or-nothing call, one `MSET` on Redis.
+    for kind in [
+        BackendKind::Memory,
+        BackendKind::S3,
+        BackendKind::DynamoDb,
+        BackendKind::Redis,
+    ] {
+        let storage = make_backend(BackendConfig::test(kind));
+        let cluster = Cluster::with_clock(
+            ClusterConfig {
+                node_template: NodeConfig::test_without_cache(),
+                ..ClusterConfig::test(1)
+            },
+            storage.clone(),
+            TickingClock::shared(1, 1),
+        )
+        .unwrap();
+        let node = cluster.route().unwrap();
+        let calls = || storage.stats().snapshot();
+        let commit = |writes: &[(&str, usize)]| {
+            let before = calls();
+            let txn = node.start_transaction();
+            for (key, size) in writes {
+                node.put(&txn, Key::new(*key), Bytes::from(vec![b'x'; *size]))
+                    .unwrap();
+            }
+            let id = node.commit(&txn).unwrap();
+            (id, calls().delta_since(&before))
+        };
+
+        let (small, wrote) = commit(&[("a", 256), ("b", 256)]);
+        assert_eq!(wrote.calls(OpKind::Put), 1, "{kind}: one SET");
+        assert_eq!(wrote.total_calls(), 1, "{kind}");
+        assert!(storage.list_prefix("data/").unwrap().is_empty(), "{kind}");
+
+        let (_, wrote) = commit(&[("c", 2048)]);
+        let (puts, batch_puts) = match kind {
+            BackendKind::Redis => (0, 1),
+            _ => (2, 0),
+        };
+        assert_eq!(wrote.calls(OpKind::Put), puts, "{kind}: 2 KiB");
+        assert_eq!(wrote.calls(OpKind::BatchPut), batch_puts, "{kind}: 2 KiB");
+        assert_eq!(wrote.total_calls(), puts + batch_puts, "{kind}: 2 KiB");
+
+        let (a, b) = (Key::new("a"), Key::new("b"));
+        for keys in [vec![a.clone()], vec![a.clone(), b.clone()]] {
+            let before = calls();
+            let reader = node.start_transaction();
+            let read = node.get_all(&reader, &keys).unwrap();
+            let fetched = calls().delta_since(&before);
+            assert!(read
+                .iter()
+                .all(|v| v.as_ref().is_some_and(|v| v.len() == 256)));
+            assert_eq!(fetched.calls(OpKind::Get), 1, "{kind}: {keys:?}");
+            assert_eq!(fetched.total_calls(), 1, "{kind}: {keys:?}");
+            node.abort(&reader).unwrap();
+        }
+
+        commit(&[("a", 1), ("b", 1)]);
+        let before = calls();
+        let mut deleted = 0;
+        for _ in 0..8 {
+            let round = cluster.run_maintenance_round().unwrap().global_gc;
+            deleted += round.storage_keys_deleted;
+            if round.storage_keys_deleted + round.carried == 0 {
+                break;
+            }
+        }
+        let gc = calls().delta_since(&before);
+        assert_eq!(deleted, 1, "{kind}: the record alone");
+        let deletes = gc.calls(OpKind::Delete) + gc.calls(OpKind::BatchDelete);
+        assert_eq!(deletes, 1, "{kind}");
+        let record = TransactionRecord::storage_key_for(&small);
+        assert_eq!(storage.get(&record).unwrap(), None, "{kind}");
     }
 }

@@ -14,11 +14,12 @@
 
 use std::sync::{Arc, Barrier};
 
-use aft::core::{AftNode, NodeConfig};
+use aft::core::{AftNode, NodeConfig, INLINE_BYTES};
 use aft::storage::io::IoConfig;
 use aft::storage::{BackendConfig, BackendKind, LatencyMode, OpKind};
 use aft::types::{AftError, Key, Value};
 use aft::workload::history::{self, FinalRead, History, Recorder, Verdict};
+use aft::workload::sim::held_versions;
 use bytes::Bytes;
 
 const CLIENTS: usize = 8;
@@ -40,9 +41,17 @@ fn key(i: usize) -> Key {
     Key::new(format!("hot/{i:02}"))
 }
 
-fn value(client: usize, txn: usize, slot: usize) -> Value {
-    Bytes::from(format!("c{client}-t{txn}-s{slot}"))
+/// The value a client writes: unique to its write, padded to at least
+/// `size` bytes.
+fn value(client: usize, txn: usize, slot: usize, size: usize) -> Value {
+    let mut value = format!("c{client}-t{txn}-s{slot}").into_bytes();
+    value.resize(value.len().max(size), b'.');
+    Bytes::from(value)
 }
+
+/// A value size no commit record carries: every commit writes its data and
+/// then its record, the two-write path these stresses are about.
+const LARGE: usize = INLINE_BYTES + 1;
 
 fn pipelined_node(kind: BackendKind) -> Arc<AftNode> {
     // Virtual clock at full scale: latencies are charged (so the engine's
@@ -64,9 +73,9 @@ fn pipelined_node(kind: BackendKind) -> Arc<AftNode> {
     AftNode::new(config, storage).expect("node over the simulated backend")
 }
 
-/// Runs the stress workload; returns the history checker's verdict on what
-/// the clients saw.
-fn hammer(node: &Arc<AftNode>) -> Verdict {
+/// Runs the stress workload, writing values of at least `size` bytes;
+/// returns the history checker's verdict on what the clients saw.
+fn hammer(node: &Arc<AftNode>, size: usize) -> Verdict {
     let barrier = Barrier::new(CLIENTS);
     let history = History::new();
     let api = Recorder::wrap(Arc::clone(node) as _, Arc::clone(&history), None);
@@ -96,7 +105,8 @@ fn hammer(node: &Arc<AftNode>) -> Verdict {
                     for slot in 0..5 {
                         let k = key((client * 7 + txn * 3 + slot * 5) % KEYS);
                         if slot % 5 >= 3 {
-                            api.put(&txid, k, value(client, txn, slot)).expect("put");
+                            api.put(&txid, k, value(client, txn, slot, size))
+                                .expect("put");
                             continue;
                         }
                         match api.get_versioned(&txid, &k) {
@@ -118,9 +128,10 @@ fn hammer(node: &Arc<AftNode>) -> Verdict {
     history::check(&history.attempts(), &FinalRead::new())
 }
 
-/// Hammers `node` and checks what must hold over any backend.
-fn assert_no_anomalies(node: &Arc<AftNode>) {
-    let verdict = hammer(node);
+/// Hammers `node` with values of at least `size` bytes and checks what must
+/// hold over any backend.
+fn assert_no_anomalies(node: &Arc<AftNode>, size: usize) {
+    let verdict = hammer(node, size);
     assert_eq!(verdict, Verdict::default(), "anomalies under pipelined I/O");
     assert_eq!(node.in_flight(), 0, "no dangling transactions");
 
@@ -134,7 +145,7 @@ fn assert_no_anomalies(node: &Arc<AftNode>) {
 #[test]
 fn read_atomicity_holds_over_the_pipelined_s3_sim() {
     let node = pipelined_node(BackendKind::S3);
-    assert_no_anomalies(&node);
+    assert_no_anomalies(&node, LARGE);
 
     // The engine really pipelined: multi-key commits submit their data puts
     // concurrently, so the in-flight window must have been exercised.
@@ -153,7 +164,7 @@ fn read_atomicity_holds_over_the_pipelined_s3_sim() {
 #[test]
 fn read_atomicity_holds_over_dynamodb_batch_calls() {
     let node = pipelined_node(BackendKind::DynamoDb);
-    assert_no_anomalies(&node);
+    assert_no_anomalies(&node, LARGE);
 
     // Every commit was its own flush, its data through the batch API, and
     // multi-reads fetched their misses through it too.
@@ -166,11 +177,24 @@ fn read_atomicity_holds_over_dynamodb_batch_calls() {
 }
 
 #[test]
+fn read_atomicity_holds_when_every_commit_is_its_inline_record() {
+    // Small values: every commit is one `Put` of a record that carries them,
+    // and every read miss fetches a record and slices its value out.
+    let node = pipelined_node(BackendKind::DynamoDb);
+    assert_no_anomalies(&node, 0);
+    let calls = node.io().storage().stats();
+    assert_eq!(calls.calls(OpKind::BatchPut), 0);
+    assert_eq!(calls.calls(OpKind::Put), node.stats().committed());
+    assert!(calls.calls(OpKind::BatchGet) > 0);
+    assert!(node.storage().list_prefix("data/").unwrap().is_empty());
+}
+
+#[test]
 fn pipelined_and_sequential_io_agree_on_committed_state() {
     // The same single-threaded history through a pipelined node and a
     // sequential node must commit identical data (pipelining changes
     // latency, never outcomes).
-    let run = |io: IoConfig| -> Vec<String> {
+    let run = |io: IoConfig| -> usize {
         let storage =
             aft::storage::make_backend(BackendConfig::test(BackendKind::S3).with_seed(0xD1FF));
         let node = AftNode::new(
@@ -184,14 +208,14 @@ fn pipelined_and_sequential_io_agree_on_committed_state() {
         for t in 0..10 {
             let txid = node.start_transaction();
             for j in 0..4 {
-                node.put(&txid, key((t * 4 + j) % KEYS), value(0, t, j))
+                node.put(&txid, key((t * 4 + j) % KEYS), value(0, t, j, 0))
                     .unwrap();
             }
             node.commit(&txid).unwrap();
         }
-        storage.list_prefix("data/").unwrap()
+        held_versions(&storage).len()
     };
     let sequential = run(IoConfig::sequential());
     let pipelined = run(IoConfig::pipelined());
-    assert_eq!(sequential.len(), pipelined.len());
+    assert_eq!(sequential, pipelined);
 }
