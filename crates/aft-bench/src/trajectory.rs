@@ -227,8 +227,12 @@ pub fn piped_large_script() -> (u64, u64) {
 /// read-modify-write, and `failover` a node replaced mid-run. The storage cuts
 /// run one client's write of `{a, b}`, overwrite of `a` and read of both:
 /// `crash` and `fail` crash or fail any one write with any subset of its items
-/// applied over the memory row, `redis` does both over the Redis row (one
-/// atomic `MSET` a commit) with no round until the drain. `phases` runs two
+/// applied over the memory row, where each commit is one inline record.
+/// `large` does both with values past `INLINE_BYTES`, so that each commit
+/// writes its data and then its record, and `redis` over the Redis row, where
+/// the large write of `{a, b}` is one atomic `MSET` of its data and record and
+/// the small overwrite one inline `SET`; neither runs a round until the
+/// drain. `phases` runs two
 /// transactions that write nothing, one on each of two nodes, with a round, a
 /// park and a kill: among its schedules, one commit parks with its timestamp
 /// taken, the other commits and a round runs, then the parked one's node dies
@@ -251,7 +255,10 @@ fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 11] {
     let cut = vec![vec![writer, request("w a"), reader.clone()]];
     // Values past `INLINE_BYTES`: each commit writes its data, then its
     // record.
-    let large = vec![vec![request("W a, W b"), request("W a"), reader]];
+    let large = vec![vec![request("W a, W b"), request("W a"), reader.clone()]];
+    // On Redis: the large write's data and record in one `MSET`, then an
+    // inline overwrite of `a` in one `SET`.
+    let mixed = vec![vec![request("W a, W b"), request("w a"), reader]];
     let scope = |(rounds, failures, duplicates, failovers, crashes, fails)| Scope {
         rounds,
         failures,
@@ -287,7 +294,7 @@ fn scopes() -> [(&'static str, Shape, Vec<Vec<Request>>, Scope); 11] {
             cut.clone(),
             scope((1, 0, 0, 0, 0, 1)),
         ),
-        ("redis", redis, cut, scope((0, 0, 0, 0, 1, 1))),
+        ("redis", redis, mixed, scope((0, 0, 0, 0, 1, 1))),
         ("large", Shape::nodes(1), large, scope((0, 0, 0, 0, 1, 1))),
         (
             "phases",

@@ -22,6 +22,12 @@
 //! each touch a constant number of entries per byte they move: nothing on
 //! those paths walks a stripe.
 //!
+//! The bound is on what the cache keeps alive: an entry is charged its
+//! value's whole buffer. A value sliced out of an inline commit record
+//! shares the record's buffer with its siblings, so each is charged the
+//! record's length, and an entry whose siblings have left cannot hold their
+//! bytes uncounted.
+//!
 //! **Version succession.** AFT never overwrites: a commit adds a new version
 //! and Algorithm 1 sends almost every later read to it, so the version it
 //! superseded is dead weight exactly where an LRU keeps it longest, while the
@@ -79,6 +85,14 @@ pub struct DataCache {
 
 /// "No slot": the end of a list or of a key's version chain.
 const NIL: u32 = u32::MAX;
+
+/// The bytes an entry counts against its stripe: the whole buffer its value
+/// keeps alive. A value sliced out of an inline commit record keeps the
+/// record's buffer, so it is charged the record's length however few of the
+/// record's values are still cached.
+fn charge(value: &Value) -> usize {
+    value.buffer_len()
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Segment {
@@ -179,7 +193,7 @@ impl Stripe {
     fn unlink(&mut self, slot: u32) {
         let (prev, next, segment, len) = {
             let e = self.entry(slot);
-            (e.prev, e.next, e.segment, e.value.len())
+            (e.prev, e.next, e.segment, charge(&e.value))
         };
         match prev {
             NIL => self.lists[segment as usize].head = next,
@@ -200,7 +214,7 @@ impl Stripe {
             e.segment = segment;
             e.prev = prev;
             e.next = next;
-            e.value.len()
+            charge(&e.value)
         };
         match prev {
             NIL => self.lists[segment as usize].head = slot,
@@ -237,7 +251,7 @@ impl Stripe {
     /// Records a hit on `slot`: it moves to the head of protected (of
     /// probation if it alone would overflow protected's share).
     fn touch(&mut self, slot: u32, protected_capacity: usize) {
-        let segment = if self.entry(slot).value.len() <= protected_capacity {
+        let segment = if charge(&self.entry(slot).value) <= protected_capacity {
             Segment::Protected
         } else {
             Segment::Probation
@@ -326,7 +340,7 @@ impl Stripe {
             }
             older = std::mem::replace(&mut self.entry_mut(at).older, slot);
         }
-        if value.len() > protected_capacity {
+        if charge(&value) > protected_capacity {
             standing = Segment::Probation;
         }
         self.slab[slot as usize] = Some(Entry {
@@ -358,7 +372,7 @@ impl Stripe {
 }
 
 impl DataCache {
-    /// Creates a cache bounded to `capacity_bytes` of payload. A capacity of
+    /// Creates a cache bounded to `capacity_bytes` of value buffers. A capacity of
     /// zero disables caching entirely (every lookup misses). The stripe
     /// count scales with capacity: one stripe per [`MIN_STRIPE_BYTES`], at
     /// most [`MAX_CACHE_STRIPES`].
@@ -429,9 +443,9 @@ impl DataCache {
     /// Caches the payload of version `tid` of `key`, evicting from the tails
     /// of its stripe's lists if needed (see the module docs for where the
     /// entry starts and what it does to older versions of `key`). Values
-    /// larger than a stripe are ignored.
+    /// whose buffer is larger than a stripe are ignored.
     pub fn insert(&self, key: Key, tid: TransactionId, value: Value) {
-        if self.is_disabled() || value.len() > self.stripe_capacity {
+        if self.is_disabled() || charge(&value) > self.stripe_capacity {
             return;
         }
         let mut stripe = self.stripe(&key).lock();
@@ -463,7 +477,8 @@ impl DataCache {
         self.len() == 0
     }
 
-    /// Total payload bytes currently cached.
+    /// Total bytes the cached entries are charged: each value's whole
+    /// buffer.
     pub fn bytes(&self) -> usize {
         self.stripes.iter().map(|s| s.lock().bytes()).sum()
     }
@@ -532,6 +547,30 @@ mod tests {
         assert!(get(&cache, "a", 2).is_none(), "another version is a miss");
         assert_eq!(cache.bytes(), 10);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_slice_is_charged_the_buffer_it_keeps_alive() {
+        // Thirty 16-byte values sliced out of one 600-byte record.
+        let record = val(600);
+        let cache = DataCache::new(2_000);
+        for i in 0..30 {
+            let value = record.slice(i * 20..i * 20 + 16);
+            cache.insert(Key::new(format!("k{i}")), tid(1), value);
+        }
+        // Each entry pins the record: three of them fill the cache, not 30.
+        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.bytes(), 1_800);
+        // The last one cached outlives its siblings and is still charged
+        // the whole record it keeps alive.
+        cache.evict(&Key::new("k28"), &tid(1));
+        cache.evict(&Key::new("k27"), &tid(1));
+        assert_eq!(cache.bytes(), 600);
+        assert_eq!(get(&cache, "k29", 1).unwrap().len(), 16);
+        // A record longer than a stripe is not cached through a short slice.
+        let big = val(3_000);
+        cache.insert(Key::new("big"), tid(2), big.slice(..10));
+        assert!(get(&cache, "big", 2).is_none());
     }
 
     #[test]

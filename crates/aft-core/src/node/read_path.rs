@@ -25,22 +25,26 @@
 //!
 //! [`IoEngine::get_all`]: aft_storage::io::IoEngine::get_all
 
-use aft_types::codec::inline_value;
+use std::collections::HashMap;
+
+use aft_types::codec::inline_values;
 use aft_types::{AftError, AftResult, Key, KeyVersion, TransactionId, TransactionRecord, Value};
 
 use super::AftNode;
-use crate::read::{select_version, VersionChoice};
+use crate::read::{select_version_in, VersionChoice};
 
 /// One key's answer: its value, with the committed version it came from
 /// (`None` for the transaction's own write).
 type Read = (Value, Option<TransactionId>);
 
-/// Where a missed version's value is among the keys one read fetches.
-enum Source {
-    /// At this index: the version's own `data/` key.
-    Data(usize),
-    /// Inside the inline commit record fetched at this index.
-    Record(usize),
+/// A selected version the data cache did not hold: the read fetches it.
+pub(super) struct Miss {
+    /// The key's index among the request's keys.
+    at: usize,
+    version: TransactionId,
+    /// Whether the version's value is inside its commit record
+    /// ([`TransactionRecord::inline`]) rather than under its own `data/` key.
+    inline: bool,
 }
 
 /// What the select step of a read decided for one key.
@@ -49,8 +53,13 @@ enum Selected {
     Buffered(Value),
     /// No visible version (the NULL version of §3.2).
     Null,
-    /// The committed version Algorithm 1 chose.
-    Version(TransactionId),
+    /// The committed version Algorithm 1 chose, and whether its record
+    /// carries its value, looked up in the metadata view that chose it: a
+    /// sweep may drop the record before the fetch.
+    Version {
+        version: TransactionId,
+        inline: bool,
+    },
 }
 
 impl AftNode {
@@ -105,8 +114,11 @@ impl AftNode {
     /// payloads that the data cache does not hold. Those storage keys go out
     /// as one [`IoEngine::get_all`]: one `Get` for one key. A version of an
     /// inline record has no `data/` key: its miss fetches the record, once
-    /// for all of the record's keys the request missed, and slices the value
-    /// out of it. A service with a
+    /// for all of the record's keys the request missed, decodes it once and
+    /// slices the value out of it. Which of the two a version is, the select
+    /// step reads in the metadata view that chose the version: a local sweep
+    /// may drop the record before the fetch, and a lookup then would send
+    /// the read to a `data/` key the version never had. A service with a
     /// multi-key read call serves several in one call (memory) or one per
     /// 100 keys (DynamoDB's `BatchGetItem`). One without it (S3, Redis) gets
     /// one `Get` per miss, issued together. Either way the round trips
@@ -118,62 +130,93 @@ impl AftNode {
     /// extra read-set entries only make later selections *more*
     /// conservative, never unsound.
     fn read(&self, txid: &TransactionId, keys: &[Key]) -> AftResult<Vec<Option<Read>>> {
+        let (out, misses) = self.select_all(txid, keys)?;
+        self.fetch(txid, keys, out, misses)
+    }
+
+    /// Selects a version for each of `keys` in turn and looks each chosen
+    /// version up in the data cache: the answers so far, and the misses.
+    pub(super) fn select_all(
+        &self,
+        txid: &TransactionId,
+        keys: &[Key],
+    ) -> AftResult<(Vec<Option<Read>>, Vec<Miss>)> {
         let mut out: Vec<Option<Read>> = vec![None; keys.len()];
-        // (output index, chosen version) pairs that need a storage fetch.
-        let mut fetches: Vec<(usize, TransactionId)> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            let target = match self.select(txid, key)? {
+        let mut misses = Vec::new();
+        for (at, key) in keys.iter().enumerate() {
+            let (version, inline) = match self.select(txid, key)? {
                 Selected::Buffered(value) => {
-                    out[i] = Some((value, None));
+                    out[at] = Some((value, None));
                     continue;
                 }
                 Selected::Null => continue,
-                Selected::Version(tid) => tid,
+                Selected::Version { version, inline } => (version, inline),
             };
-            if let Some(value) = self.data_cache.get(key, &target) {
+            if let Some(value) = self.data_cache.get(key, &version) {
                 self.stats.record_read_from_data_cache();
-                out[i] = Some((value, Some(target)));
+                out[at] = Some((value, Some(version)));
             } else {
-                fetches.push((i, target));
+                misses.push(Miss {
+                    at,
+                    version,
+                    inline,
+                });
             }
         }
+        Ok((out, misses))
+    }
 
-        if fetches.is_empty() {
+    /// Fetches every miss of one read in one storage read and completes
+    /// `out` with their values.
+    pub(super) fn fetch(
+        &self,
+        txid: &TransactionId,
+        keys: &[Key],
+        mut out: Vec<Option<Read>>,
+        misses: Vec<Miss>,
+    ) -> AftResult<Vec<Option<Read>>> {
+        if misses.is_empty() {
             return Ok(out);
         }
-
-        // One storage read for every cache miss: each version's data key, or
-        // the inline record that carries its value, once however many of
-        // its keys missed.
-        let mut storage_keys: Vec<String> = Vec::with_capacity(fetches.len());
-        let mut sources: Vec<Source> = Vec::with_capacity(fetches.len());
-        let view = self.metadata.view();
-        for &(i, target) in &fetches {
-            let source = if !view.record(&target).is_some_and(|r| r.inline) {
-                storage_keys.push(KeyVersion::new(keys[i].clone(), target).storage_key());
-                Source::Data(storage_keys.len() - 1)
-            } else {
-                // Once however many of the record's keys this request missed.
-                let record = TransactionRecord::storage_key_for(&target);
-                let fetched = storage_keys.iter().position(|key| *key == record);
-                Source::Record(fetched.unwrap_or_else(|| {
-                    storage_keys.push(record);
+        // Each version's data key, or the inline record that carries its
+        // value, once however many of its keys missed.
+        let mut storage_keys: Vec<String> = Vec::with_capacity(misses.len());
+        let mut records: HashMap<TransactionId, usize> = HashMap::new();
+        let mut sources: Vec<usize> = Vec::with_capacity(misses.len());
+        for miss in &misses {
+            let source = if miss.inline {
+                *records.entry(miss.version).or_insert_with(|| {
+                    storage_keys.push(TransactionRecord::storage_key_for(&miss.version));
                     storage_keys.len() - 1
-                }))
+                })
+            } else {
+                let key = keys[miss.at].clone();
+                storage_keys.push(KeyVersion::new(key, miss.version).storage_key());
+                storage_keys.len() - 1
             };
             sources.push(source);
         }
-        drop(view);
-        let values = self.io.get_all(storage_keys)?;
-        for ((i, target), source) in fetches.into_iter().zip(sources) {
-            let value = match source {
-                Source::Data(at) => values[at].clone(),
-                Source::Record(at) => match &values[at] {
-                    Some(blob) => inline_value(blob, keys[i].as_str())?,
-                    None => None,
-                },
+        let fetched = self.io.get_all(storage_keys)?;
+        // Each inline record fetched, decoded once: its values, slices of
+        // its blob.
+        let mut carried: HashMap<usize, Vec<(&str, Value)>> = HashMap::new();
+        for &source in records.values() {
+            if let Some(blob) = &fetched[source] {
+                carried.insert(source, inline_values(blob)?.collect::<AftResult<_>>()?);
+            }
+        }
+        for (miss, source) in misses.into_iter().zip(sources) {
+            let key = &keys[miss.at];
+            let value = if miss.inline {
+                let values = carried.get(&source);
+                let found =
+                    values.and_then(|values| values.iter().find(|(k, _)| *k == key.as_str()));
+                found.map(|(_, value)| value.clone())
+            } else {
+                fetched[source].clone()
             };
-            out[i] = Some((self.fetched(txid, &keys[i], target, value)?, Some(target)));
+            let value = self.fetched(txid, key, miss.version, value)?;
+            out[miss.at] = Some((value, Some(miss.version)));
         }
         Ok(out)
     }
@@ -190,12 +233,14 @@ impl AftNode {
                 self.stats.record_read_from_write_buffer();
                 return Ok(Selected::Buffered(value));
             }
-            match select_version(key, &txn.reads, &self.metadata) {
+            let view = self.metadata.view();
+            match select_version_in(key, &txn.reads, &view) {
                 VersionChoice::NotFound => Ok(Selected::Null),
                 VersionChoice::NoValidVersion => Err(self.no_valid_version(txid, key)),
-                VersionChoice::Version(tid) => {
-                    txn.reads.record(key.clone(), tid);
-                    Ok(Selected::Version(tid))
+                VersionChoice::Version(version) => {
+                    let inline = view.record(&version).is_some_and(|record| record.inline);
+                    txn.reads.record(key.clone(), version);
+                    Ok(Selected::Version { version, inline })
                 }
             }
         })?

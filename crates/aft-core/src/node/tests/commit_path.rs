@@ -76,6 +76,8 @@ fn a_small_commit_is_one_record_whose_buffer_the_cache_shares() {
         assert_eq!(cached, val(want));
         assert!(inside(&cached), "{key}");
     }
+    // Each is charged the whole record it keeps alive, not its own bytes.
+    assert_eq!(node.data_cache().bytes(), 2 * blob.len());
 }
 
 #[test]

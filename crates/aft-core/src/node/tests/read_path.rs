@@ -309,6 +309,38 @@ fn a_fill_that_lost_a_race_with_local_gc_leaves_nothing_in_the_cache() {
     }
 }
 
+#[test]
+fn an_inline_version_swept_between_select_and_fetch_is_read_from_its_record() {
+    // `a_fill_races_a_sweep` with the sweep one step earlier: the reader
+    // has selected `old` and missed the cache, and the sweep drops `old`'s
+    // record before the fetch decides which storage key to read. The select
+    // step has already noted that the record carries the value, so the
+    // fetch reads the record, which is still in storage.
+    let node = test_node();
+    let key = Key::new("k");
+    let t = node.start_transaction();
+    node.put(&t, key.clone(), val("old")).unwrap();
+    let old = node.commit(&t).unwrap();
+    assert!(node.metadata().record(&old).unwrap().inline);
+    node.data_cache().evict(&key, &old);
+
+    let t = node.start_transaction();
+    let keys = std::slice::from_ref(&key);
+    let (out, misses) = node.select_all(&t, keys).unwrap();
+    let t2 = node.start_transaction();
+    node.put(&t2, key.clone(), val("new")).unwrap();
+    node.commit(&t2).unwrap();
+    // The reader ends: no read set names `old`, as for a sweep whose
+    // snapshot of the read sets predates the select.
+    node.abort(&t).unwrap();
+    assert_eq!(node.run_local_gc().deleted, 1);
+    assert!(node.metadata().record(&old).is_none());
+
+    let read = node.fetch(&t, keys, out, misses).unwrap();
+    assert_eq!(read, vec![Some((val("old"), Some(old)))]);
+    assert!(!node.data_cache().resident().contains(&(key, old)));
+}
+
 fn a_fill_races_a_sweep(also: Option<(&str, &str)>, inline: bool) {
     let value = |s: &str| if inline { val(s) } else { large(s) };
     let key = Key::new("k");

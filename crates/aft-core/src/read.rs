@@ -26,7 +26,7 @@
 //! the first candidate is valid unless a newer cowritten version raced the
 //! transaction. A bulk load's 500-key commit record therefore costs a
 //! ten-read transaction ten probes, not five hundred hash lookups. The whole
-//! selection runs under one [`MetadataView`](crate::metadata::MetadataView):
+//! selection runs under one [`MetadataView`]:
 //! one lock acquisition, no `Arc` traffic, candidates walked newest-first in
 //! place. [`is_atomic_readset`] checks Definition 1 the same way. The
 //! definitional loops (over `W`) live on in `tests/proptest_read_atomicity.rs`
@@ -38,7 +38,7 @@ use std::hash::Hash;
 
 use aft_types::{Key, TransactionId, TransactionRecord};
 
-use crate::metadata::MetadataCache;
+use crate::metadata::{MetadataCache, MetadataView};
 
 /// The versions a transaction has read so far: key → transaction that wrote
 /// the version it read.
@@ -105,8 +105,16 @@ pub enum VersionChoice {
 /// read performs is fetching the chosen version's payload (unless the data
 /// cache already holds it).
 pub fn select_version(key: &Key, read_set: &ReadSet, metadata: &MetadataCache) -> VersionChoice {
-    let metadata = metadata.view();
+    select_version_in(key, read_set, &metadata.view())
+}
 
+/// [`select_version`] over a view the caller holds, so that what it then
+/// looks up about the chosen version is what the selection saw.
+pub(crate) fn select_version_in(
+    key: &Key,
+    read_set: &ReadSet,
+    metadata: &MetadataView<'_>,
+) -> VersionChoice {
     // Lines 3-5: compute the lower bound from prior reads whose cowritten
     // sets include `key` (case 1 of the proof of Theorem 1). A prior read of
     // the same key also bounds the result from below (repeatable read is the

@@ -495,20 +495,6 @@ pub fn inline_values(blob: &Bytes) -> AftResult<InlineValues<'_>> {
     Ok(InlineValues { blob, reader, left })
 }
 
-/// The value an inline commit record `blob` carries for `key`, a slice of
-/// it; `None` if the record did not write `key`. Fails unless the whole
-/// blob is a well-formed inline record.
-pub fn inline_value(blob: &Bytes, key: &str) -> AftResult<Option<Bytes>> {
-    let mut found = None;
-    for entry in inline_values(blob)? {
-        let (written, value) = entry?;
-        if written == key {
-            found = Some(value);
-        }
-    }
-    Ok(found)
-}
-
 /// The iterator of [`inline_values`].
 #[derive(Debug)]
 pub struct InlineValues<'a> {
@@ -646,11 +632,6 @@ mod tests {
         );
         // The value is a slice of the blob, not a copy of it.
         assert_eq!(values[0].1.as_ptr(), blob[7..].as_ptr());
-        assert_eq!(
-            inline_value(&blob, "k1").unwrap(),
-            Some(values[0].1.clone())
-        );
-        assert_eq!(inline_value(&blob, "k3").unwrap(), None);
     }
 
     #[test]
@@ -658,19 +639,24 @@ mod tests {
         let (key, value) = (Key::new("abc"), Bytes::from_static(b"value"));
         let blob = encode_inline_commit_record([(&key, &value)]);
         let storage_key = TransactionRecord::storage_key_for(&tid(1, 2));
+        // Decodes every value, or fails at the first error.
+        let inline = |blob: &Bytes| -> AftResult<usize> {
+            inline_values(blob)?.try_fold(0, |n, entry| entry.map(|_| n + 1))
+        };
+        assert_eq!(inline(&blob).unwrap(), 1);
         for cut in 0..blob.len() {
             let torn = blob.slice(..cut);
             assert!(
                 decode_keyed_commit_record(&storage_key, &torn).is_err(),
                 "{cut}"
             );
-            assert!(inline_value(&torn, "abc").is_err(), "{cut}");
+            assert!(inline(&torn).is_err(), "{cut}");
         }
         let mut padded = blob.to_vec();
         padded.push(0);
         let padded = Bytes::from(padded);
         assert!(decode_keyed_commit_record(&storage_key, &padded).is_err());
-        assert!(inline_value(&padded, "abc").is_err());
+        assert!(inline(&padded).is_err());
         // A keyed record carries no values to slice.
         let keyed = encode_keyed_commit_record(&TransactionRecord::new(tid(1, 2), [key]));
         assert!(inline_values(&keyed).is_err());
