@@ -731,8 +731,9 @@ pub fn check_fig6(fig6: &Sheet) -> Verdict {
 /// latencies, not CPU, so a node never saturates: Fig. 7 shows no plateau,
 /// and what limited the paper's largest Fig. 8 deployment — the FaaS
 /// platform's concurrency cap and the nodes' CPUs — does not show either;
-/// here a Fig. 8 point falls short of ideal only through cache misses on
-/// versions committed at other nodes.
+/// here a Fig. 8 point falls short of ideal only through reads of versions
+/// committed at other nodes: a hop to the committing node, or a storage read
+/// where that node no longer caches the version.
 pub fn linear(sheet: &Sheet, what: &str) -> Verdict {
     let mut first: Option<(&str, f64)> = None;
     for row in sheet.keys() {
@@ -872,7 +873,7 @@ Figure 6 (§6.4)     23.57
 Figure 7 (§6.5)     6.43
 Figure 8 (§6.5)     10.71
 Figure 9 (§6.6)     5.45
-Figure 10 (§6.7)    82.17
+Figure 10 (§6.7)    87.26
 ";
         assert_eq!(report().sheet("margins").render(), held);
     }

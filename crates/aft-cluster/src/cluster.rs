@@ -13,16 +13,21 @@
 //! the container image and warming the metadata cache (the paper observes
 //! roughly 50 seconds for this, mitigable with pre-pulled images and warm
 //! standbys).
+//!
+//! The cluster also answers its nodes' peer lookups ([`Peers`]): a read that
+//! misses its node's data cache asks the node that committed the version,
+//! if that node is still active and the phase hook does not hold the link
+//! between the two in the latest dissemination round.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use aft_core::{AftNode, NodeConfig};
+use aft_core::{AftNode, NodeConfig, Origin, Peers};
 use aft_storage::io::{IoConfig, IoEngine};
 use aft_storage::SharedStorage;
-use aft_types::{AftResult, SharedClock, SystemClock};
+use aft_types::{AftResult, Key, SharedClock, SystemClock, TransactionId, Value};
 use parking_lot::Mutex;
 
 use crate::dissemination::{BroadcastStats, Disseminator};
@@ -114,6 +119,9 @@ pub struct Cluster {
     next_node_index: AtomicUsize,
     shutdown: Arc<AtomicBool>,
     background: Mutex<Vec<JoinHandle<()>>>,
+    /// What every node built here joins ([`AftNode::join`]): weak, so the
+    /// nodes do not keep the cluster alive.
+    me: Weak<Cluster>,
 }
 
 impl Cluster {
@@ -129,7 +137,7 @@ impl Cluster {
         clock: SharedClock,
     ) -> AftResult<Arc<Self>> {
         let registry = NodeRegistry::new();
-        let cluster = Arc::new(Cluster {
+        let cluster = Arc::new_cyclic(|me| Cluster {
             router: RoundRobinRouter::new(Arc::clone(&registry)),
             disseminator: Disseminator::default(),
             fault_manager: Arc::new(FaultManager::new()),
@@ -142,6 +150,7 @@ impl Cluster {
             storage,
             clock,
             config,
+            me: me.clone(),
         });
         for _ in 0..cluster.config.initial_nodes {
             cluster.add_node()?;
@@ -157,6 +166,8 @@ impl Cluster {
             ..self.config.node_template.clone()
         };
         let node = AftNode::with_clock(node_config, self.storage.clone(), self.clock.clone())?;
+        let peers: Weak<dyn Peers> = self.me.clone();
+        node.join(peers);
         self.fault_manager.watch(&node);
         Ok(node)
     }
@@ -337,6 +348,24 @@ impl Cluster {
         for handle in handles {
             let _ = handle.join();
         }
+    }
+}
+
+impl Peers for Cluster {
+    /// Asks `origin` if it is an active node and its hook does not hold its
+    /// link to `reader` in the latest dissemination round.
+    fn pull(
+        &self,
+        reader: &AftNode,
+        origin: Origin,
+        wanted: &[(Key, TransactionId)],
+    ) -> Option<Vec<Option<Value>>> {
+        let node = self.registry.active_origin(origin)?;
+        let round = self.disseminator.latest_round();
+        if node.holds(round, reader.node_id()) {
+            return None;
+        }
+        Some(node.peek_cached(wanted))
     }
 }
 

@@ -26,22 +26,17 @@
 //! 3 nodes the tree is a star that sends 4 where the flat exchange sends 6 —
 //! and every record still reaches every node within the round, so
 //! propagation lag stays one interval. Each edge-send counts one message per
-//! started 16 KiB of encoded records and pushed payloads.
+//! started 16 KiB of encoded records and their origins.
 //!
-//! A batch carries more than §4's metadata: with each commit record go the
-//! payloads of its writes of at most [`PUSH_BYTES`] bytes. §4's multicast
-//! carries commit metadata only (from memory of the paper; this is a
-//! departure). The origin reads them from its own data cache, where its
-//! commit put them, without counting the look as a use; a relay forwards
-//! what it was pushed. A receiver caches them only for the records new to
-//! it, under each record's own version ([`AftNode::cache_pushed`]), so the
-//! first read of a peer's small write costs no storage `Get`. That is safe
-//! because versions are immutable: the payload pushed with a version is the
-//! one storage holds under it, no later commit can make the entry stale,
-//! and nothing needs invalidating. The commit path, §3.3's data-then-record
-//! order and storage as the only source of truth are unchanged; a held or
-//! dropped batch, an evicted entry or a value over the bound only means a
-//! miss. A one-node cluster has no peer and pushes nothing.
+//! A batch carries commit metadata only, as §4's multicast does (from memory
+//! of the paper): each record with its *origin*, the node that committed it
+//! ([`aft_core::Origin`], a 4-byte number), where its payloads are. The
+//! drain tags each record with the drained node, and a relay forwards the
+//! tag it received. A receiver keeps the origin with the record, and a read
+//! there that misses one of the record's versions asks the origin's data
+//! cache before storage (the node's read path, [`aft_core::Peers`], which
+//! [`Cluster`](crate::Cluster) answers over its active nodes). So a payload
+//! moves between nodes only when a reader misses it.
 //!
 //! Relays forward only records that were *new* to them
 //! ([`AftNode::receive_peer_commits`] leaves out duplicates and locally
@@ -63,9 +58,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use aft_core::{is_superseded, AftNode};
+use aft_core::{is_superseded, AftNode, Origin};
 use aft_types::codec::encoded_commit_record_len;
-use aft_types::{Key, TransactionId, TransactionRecord, Value};
+use aft_types::{TransactionId, TransactionRecord};
 use parking_lot::Mutex;
 
 use crate::fault_manager::FaultManager;
@@ -77,31 +72,20 @@ const TREE_ARITY: usize = 3;
 /// one message per started batch.
 const BATCH_BYTES: usize = 16 * 1024;
 
-/// Largest value a batch carries with its commit record; a larger one is
-/// read from storage, as §4 has every peer's write read.
-pub const PUSH_BYTES: usize = 512;
+/// Bytes an origin puts on the wire beside its record.
+const ORIGIN_BYTES: usize = 4;
 
-/// A commit record as a batch carries it: with the payloads of its writes
-/// that fit [`PUSH_BYTES`], the ones the origin still had cached.
-struct Pushed {
-    record: Arc<TransactionRecord>,
-    payloads: Vec<(Key, Value)>,
+/// A commit record as a batch carries it, with its origin: the drained node,
+/// so never `None` here ([`AftNode::receive_peer_commits`] takes records
+/// that have none, too).
+type Tagged = (Arc<TransactionRecord>, Option<Origin>);
+
+type Records = Vec<Tagged>;
+
+/// What a tagged record puts on the wire: the encoded record and its origin.
+fn wire_bytes((record, _): &Tagged) -> usize {
+    encoded_commit_record_len(record) + ORIGIN_BYTES
 }
-
-impl Pushed {
-    /// What it puts on the wire: the encoded record and each pushed key and
-    /// value, length-prefixed as the record's keys are.
-    fn bytes(&self) -> usize {
-        let payloads: usize = self
-            .payloads
-            .iter()
-            .map(|(key, value)| 4 + key.len() + 4 + value.len())
-            .sum();
-        encoded_commit_record_len(&self.record) + payloads
-    }
-}
-
-type Records = Vec<Arc<Pushed>>;
 
 /// Statistics from one dissemination round across all nodes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -116,8 +100,8 @@ pub struct BroadcastStats {
     /// encoded records per message) — the quantity that limits cluster
     /// scale.
     pub fanout_messages: usize,
-    /// Encoded commit-record bytes put on the wire, with the keys and
-    /// values of the payloads pushed with them.
+    /// Encoded commit-record bytes put on the wire, each record's 4-byte
+    /// origin included.
     pub bytes: u64,
     /// Deliveries the receiver already knew or saw superseded, and
     /// deduplicated (healed retries, replaced-receiver floods).
@@ -167,6 +151,12 @@ impl Disseminator {
         self.retry.lock().iter().map(|e| e.records.len()).sum()
     }
 
+    /// The latest round started (0 before the first): the round whose holds
+    /// a pull between two nodes asks about.
+    pub(crate) fn latest_round(&self) -> u64 {
+        self.round.load(Ordering::Relaxed).saturating_sub(1)
+    }
+
     /// Runs one dissemination round over `nodes` — drain, healed retries,
     /// sweep — and returns its statistics.
     pub fn round(
@@ -188,10 +178,9 @@ impl Disseminator {
         // Drain first so commits arriving during the round go to the next
         // one; the fault manager sees the unpruned stream before anything
         // else touches it (§4.2).
-        let push = nodes.len() > 1;
         let mut contrib: Vec<Records> = by_pos
             .iter()
-            .map(|node| drain(node, fault_manager, push, &mut stats))
+            .map(|node| drain(node, fault_manager, &mut stats))
             .collect();
         self.deliver_retries(round, &by_pos, &mut contrib, &mut stats);
         self.tree_sweep(round, &by_pos, contrib, &mut stats);
@@ -265,7 +254,7 @@ impl Disseminator {
             }
             let parent = (p - 1) / k;
             let batch = contrib[p].clone();
-            let carried = batch.iter().map(|pushed| pushed.record.id).collect();
+            let carried = batch.iter().map(|(record, _)| record.id).collect();
             if let Some(fresh) = self.send(round, by_pos[p], by_pos[parent], batch, stats) {
                 from_child[parent].insert(p, carried);
                 contrib[parent].extend(fresh);
@@ -286,7 +275,7 @@ impl Disseminator {
                 let exclude = from_child[p].get(&child);
                 let payload: Records = known
                     .iter()
-                    .filter(|pushed| !exclude.is_some_and(|ids| ids.contains(&pushed.record.id)))
+                    .filter(|(record, _)| !exclude.is_some_and(|ids| ids.contains(&record.id)))
                     .cloned()
                     .collect();
                 if payload.is_empty() {
@@ -325,12 +314,11 @@ impl Disseminator {
 
 /// Drains `node`'s recent commits — through the fault manager, which sees
 /// the unpruned stream and the node's commit floor (§4.2) — and returns the
-/// records `node` does not already consider superseded (§4.1), each with
-/// its pushed payloads when `push` (a cluster of more than one node).
+/// records `node` does not already consider superseded (§4.1), each tagged
+/// with `node` as its origin.
 fn drain(
     node: &Arc<AftNode>,
     fault_manager: Option<&FaultManager>,
-    push: bool,
     stats: &mut BroadcastStats,
 ) -> Records {
     let drained = match fault_manager {
@@ -342,69 +330,29 @@ fn drain(
     let outgoing: Records = drained
         .into_iter()
         .filter(|record| !is_superseded(record, node.metadata()))
-        .map(|record| {
-            let payloads = if push {
-                payloads(node, &record)
-            } else {
-                Vec::new()
-            };
-            Arc::new(Pushed { record, payloads })
-        })
+        .map(|record| (record, Some(node.origin())))
         .collect();
     stats.pruned += count - outgoing.len();
     outgoing
 }
 
-/// The payloads the origin pushes with `record`: each of its writes that
-/// its data cache still holds, at most [`PUSH_BYTES`] long, looked up
-/// without counting as a use of the entry.
-fn payloads(origin: &AftNode, record: &TransactionRecord) -> Vec<(Key, Value)> {
-    record
-        .write_set
-        .iter()
-        .filter_map(|key| {
-            let value = origin.data_cache().peek(key, &record.id)?;
-            (value.len() <= PUSH_BYTES).then(|| (key.clone(), value))
-        })
-        .collect()
-}
-
 /// Delivers one edge-send: counts its bytes, one message per started
-/// [`BATCH_BYTES`], hands the records to `receiver` in one merge, caches
-/// the payloads pushed with the records new to it, and returns those.
-fn deliver(receiver: &AftNode, batch: &[Arc<Pushed>], stats: &mut BroadcastStats) -> Records {
-    let bytes: usize = batch.iter().map(|pushed| pushed.bytes()).sum();
+/// [`BATCH_BYTES`], hands the records to `receiver` in one merge, and
+/// returns the ones that were new to it, with their origins.
+fn deliver(receiver: &AftNode, batch: &[Tagged], stats: &mut BroadcastStats) -> Records {
+    let bytes: usize = batch.iter().map(wire_bytes).sum();
     stats.bytes += bytes as u64;
     stats.fanout_messages += bytes.div_ceil(BATCH_BYTES).max(1);
-    let fresh = merge(receiver, batch);
+    // The new records come back in batch order.
+    let mut new = receiver.receive_peer_commits(batch).into_iter().peekable();
+    let fresh: Records = batch
+        .iter()
+        .filter(|(record, _)| new.next_if(|new| Arc::ptr_eq(new, record)).is_some())
+        .cloned()
+        .collect();
     stats.multicast += batch.len();
     stats.duplicates += batch.len() - fresh.len();
-    for pushed in &fresh {
-        receiver.cache_pushed(&pushed.record, &pushed.payloads);
-    }
     fresh
-}
-
-/// Merges `batch`'s records into `receiver` and returns the ones that were
-/// new to it, with their payloads.
-fn merge(receiver: &AftNode, batch: &[Arc<Pushed>]) -> Records {
-    let records: Vec<Arc<TransactionRecord>> = batch
-        .iter()
-        .map(|pushed| Arc::clone(&pushed.record))
-        .collect();
-    // The new records come back in batch order.
-    let mut new = receiver
-        .receive_peer_commits(&records)
-        .into_iter()
-        .peekable();
-    batch
-        .iter()
-        .filter(|pushed| {
-            new.next_if(|record| Arc::ptr_eq(record, &pushed.record))
-                .is_some()
-        })
-        .cloned()
-        .collect()
 }
 
 /// Runs one round of the paper's flat §4.2 exchange: every node drains its
@@ -419,10 +367,9 @@ pub fn broadcast_round(
     fault_manager: Option<&FaultManager>,
 ) -> BroadcastStats {
     let mut stats = BroadcastStats::default();
-    let push = nodes.len() > 1;
     let outgoing: Vec<Records> = nodes
         .iter()
-        .map(|node| drain(node, fault_manager, push, &mut stats))
+        .map(|node| drain(node, fault_manager, &mut stats))
         .collect();
     for (origin, records) in outgoing.iter().enumerate() {
         if records.is_empty() {
@@ -624,20 +571,40 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn pushed_payloads_are_cached_under_their_own_version() {
+    fn pulled_values_are_cached_under_their_own_version() {
         // Node-1 is a leaf of the 4-node star: what node-3 commits reaches
-        // it relayed by the root.
-        let (nodes, _s) = cluster_of(4);
-        let d = Disseminator::default();
-        let first = commit_on(&nodes[3], "k", "v1");
-        d.round(&nodes, None);
-        let second = commit_on(&nodes[3], "k", "v2");
-        let big = commit_on(&nodes[3], "big", &"x".repeat(PUSH_BYTES + 1));
-        d.round(&nodes, None);
-        for node in &nodes[..3] {
+        // it relayed by the root, still tagged with node-3.
+        let cluster = crate::Cluster::with_clock(
+            crate::ClusterConfig::test(4),
+            InMemoryStore::shared(),
+            TickingClock::shared(1, 1),
+        )
+        .unwrap();
+        let nodes = cluster.active_nodes();
+        let (readers, origin) = (&nodes[..3], &nodes[3]);
+        let round = || cluster.disseminator().round(&nodes, None);
+        let read = |node: &AftNode| {
+            let t = node.start_transaction();
+            let read = node.get_versioned(&t, &Key::new("k")).unwrap().unwrap();
+            node.abort(&t).unwrap();
+            read
+        };
+        let first = commit_on(origin, "k", "v1");
+        round();
+        // The origin caches a newer `k` that no reader knows yet: each
+        // reader still asks for the version it chose.
+        let second = commit_on(origin, "k", "v2");
+        for node in readers {
+            assert_eq!(node.metadata().view().origin(&first), Some(origin.origin()));
+            assert_eq!(read(node), (Bytes::from_static(b"v1"), Some(first)));
             assert_eq!(cached(node, "k", &first).as_deref(), Some(&b"v1"[..]));
+        }
+        round();
+        for node in readers {
+            assert_eq!(read(node), (Bytes::from_static(b"v2"), Some(second)));
             assert_eq!(cached(node, "k", &second).as_deref(), Some(&b"v2"[..]));
-            assert_eq!(cached(node, "big", &big), None, "over the bound");
+            let stats = node.stats().snapshot();
+            assert_eq!((stats.reads_from_peers, stats.reads_from_storage), (2, 0));
         }
     }
 
@@ -646,40 +613,22 @@ pub(crate) mod tests {
         let (nodes, _s) = cluster_of(2);
         let known = commit_on(&nodes[0], "known", "v");
         let old = commit_on(&nodes[0], "hot", "old");
-        let batch = drain(&nodes[0], None, true, &mut BroadcastStats::default());
-        assert!(batch.iter().all(|pushed| pushed.payloads.len() == 1));
+        let batch = drain(&nodes[0], None, &mut BroadcastStats::default());
+        let origin = Some(nodes[0].origin());
+        assert!(batch.iter().all(|(_, tag)| *tag == origin));
         // Node-1 already has `known` (as from the fault manager, with no
-        // payload) and a newer `hot` of its own.
-        nodes[1].receive_peer_commits(&[Arc::clone(&batch[0].record)]);
+        // origin) and a newer `hot` of its own.
+        nodes[1].receive_peer_commits(&[(Arc::clone(&batch[0].0), None)]);
         let newer = commit_on(&nodes[1], "hot", "new");
         let mut stats = BroadcastStats::default();
         assert!(deliver(&nodes[1], &batch, &mut stats).is_empty());
         assert_eq!(stats.duplicates, 2);
+        // A delivery moves no payload, and a known record keeps the origin
+        // it had.
+        assert_eq!(nodes[1].metadata().view().origin(&known), None);
         assert_eq!(cached(&nodes[1], "known", &known), None);
         assert_eq!(cached(&nodes[1], "hot", &old), None);
         assert!(cached(&nodes[1], "hot", &newer).is_some());
-    }
-
-    #[test]
-    fn a_version_retired_before_its_push_lands_leaves_no_entry() {
-        let (nodes, _s) = cluster_of(2);
-        let t = nodes[0].start_transaction();
-        for key in ["k", "j"] {
-            nodes[0]
-                .put(&t, Key::new(key), Bytes::from_static(b"v"))
-                .unwrap();
-        }
-        let id = nodes[0].commit(&t).unwrap();
-        let batch = drain(&nodes[0], None, true, &mut BroadcastStats::default());
-        assert_eq!(merge(&nodes[1], &batch).len(), 1);
-        // Before the payloads land, a newer `k` on node-1 debits the pushed
-        // version of `k` and a sweep retires it (the record stays: it is
-        // still the newest `j`).
-        commit_on(&nodes[1], "k", "newer");
-        assert_eq!(nodes[1].run_local_gc().retired, 1);
-        nodes[1].cache_pushed(&batch[0].record, &batch[0].payloads);
-        assert_eq!(cached(&nodes[1], "k", &id), None);
-        assert!(cached(&nodes[1], "j", &id).is_some());
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!   Transaction Commit Set in storage for commit records that no live node
 //!   will multicast — which happens exactly when a node acknowledged a commit
 //!   and failed before multicasting it, or when a flush failed after sending
-//!   its record. Any such record is pushed to all nodes so the data becomes
-//!   visible.
+//!   its record. Any such record is handed to every active node so the data
+//!   becomes visible. It has no origin (its node is gone or never sent it),
+//!   so a read that misses one of its versions goes to storage.
 //! * **Failure detection and replacement.** It notices failed nodes and
 //!   configures replacements (standby nodes with a container-download /
 //!   cache-warm delay, §6.7). The mechanics of replacement live in
@@ -19,9 +20,10 @@
 //! recovered unless a node it trusts still holds it for a drain
 //! ([`AftNode::holds_for_drain`]): the commit is under way there (its record
 //! may already be durable), or it finished after the node's last drain. That
-//! drain hands the record to the manager and multicasts it with its pushed
-//! payloads, so recovering it would only fetch it again and hand it out
-//! without them. The manager trusts a node only while it is active and a
+//! drain hands the record to the manager and multicasts it tagged with its
+//! origin, the node whose data cache holds its payloads, so recovering it
+//! would only fetch it again and hand it out with no origin: a peer's read
+//! of it would then go to storage. The manager trusts a node only while it is active and a
 //! round has drained it since the last scan began. Once a node is no longer
 //! active, nothing it holds is trusted: the scan after that takes its report
 //! ([`AftNode::undrained_floor`]) and recovers what it left. A commit under
@@ -280,8 +282,10 @@ impl FaultManager {
             self.observe_commits([Arc::clone(&record)]);
             self.recovered_commits.fetch_add(1, Ordering::Relaxed);
             outcome.recovered += 1;
+            // Learned from storage: no origin, so a miss on it reads storage.
+            let recovered = [(record, None)];
             for node in nodes {
-                node.receive_peer_commits(std::slice::from_ref(&record));
+                node.receive_peer_commits(&recovered);
             }
         })?;
         Ok(outcome)

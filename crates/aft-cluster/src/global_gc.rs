@@ -966,6 +966,7 @@ mod tests {
         );
 
         // Once node 1 learns T2 and sweeps, the next round takes it.
+        let late: Vec<_> = late.into_iter().map(|record| (record, None)).collect();
         nodes[1].receive_peer_commits(&late);
         assert_eq!(nodes[1].run_local_gc().retired, 1);
         let outcome = gc.run_round(&fm, &nodes, &io).unwrap();

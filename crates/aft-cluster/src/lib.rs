@@ -14,7 +14,8 @@
 //!   with supersedence pruning (§4, §4.1), moved by one batched
 //!   convergecast/broadcast sweep over a spanning tree so metadata traffic
 //!   scales O(n) instead of the flat exchange's O(n²); a batch the sending
-//!   node's phase hook holds waits on a retry queue for a later round.
+//!   node's phase hook holds waits on a retry queue for a later round. Each
+//!   record travels with its origin, the node that committed it.
 //! * [`fault_manager`] — the out-of-band process that receives the unpruned
 //!   commit stream, scans the Transaction Commit Set for commits whose
 //!   broadcast was lost (liveness, §4.2), detects failed nodes and brings up
@@ -23,8 +24,10 @@
 //!   fault manager as in §5.2: deletes a transaction's data and commit record,
 //!   or one overwritten version of a transaction still live, only once no
 //!   node's metadata holds it any more.
-//! * [`cluster`] — the orchestrator that wires all of the above together and
-//!   optionally drives it with background threads.
+//! * [`cluster`] — the orchestrator that wires all of the above together,
+//!   answers its nodes' reads of a version from the version's origin
+//!   ([`aft_core::Peers`]), and optionally drives it with background
+//!   threads.
 //!
 //! Node kills and held batches are not this crate's: a node's phase hook
 //! crashes it at a commit phase, or holds a batch it sends, when a schedule

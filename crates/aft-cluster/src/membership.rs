@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use aft_core::AftNode;
+use aft_core::{AftNode, Origin};
 use parking_lot::RwLock;
 
 /// Lifecycle state of a registered node.
@@ -81,11 +81,6 @@ impl NodeRegistry {
         self.members.write().remove(node_id).is_some()
     }
 
-    /// The state of a node, if registered.
-    pub fn state_of(&self, node_id: &str) -> Option<NodeState> {
-        self.members.read().get(node_id).map(Member::state)
-    }
-
     /// The node registered under `node_id`, regardless of state.
     pub fn get(&self, node_id: &str) -> Option<Arc<AftNode>> {
         self.members
@@ -105,6 +100,14 @@ impl NodeRegistry {
             .collect();
         active.sort_by(|a, b| a.node_id().cmp(b.node_id()));
         active
+    }
+
+    /// The active node that is `origin`, if it is still registered and
+    /// active: a failed, replaced or starting node answers no peer.
+    pub(crate) fn active_origin(&self, origin: Origin) -> Option<Arc<AftNode>> {
+        let members = self.members.read();
+        let member = members.values().find(|m| m.node.origin() == origin)?;
+        (member.state() == NodeState::Active).then(|| Arc::clone(&member.node))
     }
 
     /// All registered nodes regardless of state, sorted by node id.
@@ -174,8 +177,9 @@ mod tests {
             .map(|n| n.node_id().to_owned())
             .collect();
         assert_eq!(active, vec!["a", "b"], "sorted and filtered");
-        assert_eq!(registry.state_of("c"), Some(NodeState::Starting));
-        assert_eq!(registry.state_of("zz"), None);
+        let state_of = |id: &str| registry.members.read().get(id).map(Member::state);
+        assert_eq!(state_of("c"), Some(NodeState::Starting));
+        assert_eq!(state_of("zz"), None);
     }
 
     #[test]

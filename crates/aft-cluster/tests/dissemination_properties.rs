@@ -116,12 +116,18 @@ proptest! {
         for i in 0..records_count {
             commit_on(&nodes[0], &format!("k{i}"));
         }
-        let records = nodes[0].drain_recent_commits().records;
+        let origin = Some(nodes[0].origin());
+        let records: Vec<_> = nodes[0]
+            .drain_recent_commits()
+            .records
+            .into_iter()
+            .map(|record| (record, origin))
+            .collect();
         prop_assert_eq!(records.len(), records_count);
 
         // node 0 originated everything; it can never fresh-apply its own.
         let mut seen: Vec<HashSet<TransactionId>> = vec![HashSet::new(); n];
-        seen[0] = records.iter().map(|r| r.id).collect();
+        seen[0] = records.iter().map(|(r, _)| r.id).collect();
 
         for (node_pick, start, len) in deliveries {
             let target = node_pick % n;
@@ -129,7 +135,7 @@ proptest! {
             let slice = &records[start..records.len().min(start + 1 + len % records.len())];
             let expected_fresh = slice
                 .iter()
-                .filter(|r| seen[target].insert(r.id))
+                .filter(|(r, _)| seen[target].insert(r.id))
                 .count();
             let fresh = nodes[target].receive_peer_commits(slice).len();
             prop_assert_eq!(fresh, expected_fresh);

@@ -41,8 +41,8 @@ pub use api::{AftApi, CommitOutcome};
 pub use data_cache::DataCache;
 pub use metadata::MetadataCache;
 pub use node::{
-    AftNode, BatchStats, CommitDrain, CommitPhase, GcOutcome, NetFault, NodeConfig, PhaseHook,
-    INLINE_BYTES,
+    AftNode, BatchStats, CommitDrain, CommitPhase, GcOutcome, NetFault, NodeConfig, Origin, Peers,
+    PhaseHook, INLINE_BYTES,
 };
 pub use read::{select_version, ReadSet};
 pub use stats::{NodeStats, NodeStatsSnapshot};

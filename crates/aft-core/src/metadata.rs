@@ -68,6 +68,8 @@ use std::sync::Arc;
 use aft_types::{Key, KeyVersion, TransactionId, TransactionRecord};
 use parking_lot::{RwLock, RwLockReadGuard};
 
+use crate::node::Origin;
+
 /// The committed-transaction metadata cache of one AFT node.
 #[derive(Debug, Default)]
 pub struct MetadataCache {
@@ -85,14 +87,25 @@ pub(crate) enum Merged {
     New,
 }
 
+/// A commit-set entry: the record, the number of keys in its write set for
+/// which it is the newest cached version, and the node that committed it
+/// when a peer's dissemination batch brought it ([`Origin`]; `None` for a
+/// record committed here or learned from storage). The count and the origin
+/// share the entry's padding, so they cost no memory: a 24-byte id and an
+/// 8-byte `Arc` make 32, and with or without the two 4-byte fields the
+/// 8-aligned bucket is 40.
+#[derive(Debug)]
+struct Committed {
+    record: Arc<TransactionRecord>,
+    newest_for: u32,
+    origin: Option<Origin>,
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    /// Commit Set Cache: every committed transaction this node knows about,
-    /// with the number of keys in its write set for which it is the newest
-    /// cached version. The count shares the entry so it costs no memory: a
-    /// 24-byte id and an 8-byte `Arc` make 32, and with or without the 4-byte
-    /// count the 8-aligned bucket is 40.
-    committed: HashMap<TransactionId, (Arc<TransactionRecord>, u32)>,
+    /// Commit Set Cache: every committed transaction this node knows about
+    /// (see [`Committed`]).
+    committed: HashMap<TransactionId, Committed>,
     /// Key version index: for each key, the committed transactions that wrote
     /// it, in transaction-ID order.
     key_index: HashMap<Key, Versions>,
@@ -105,8 +118,9 @@ struct Inner {
 }
 
 impl Inner {
-    /// See [`MetadataCache::insert`].
-    fn insert(&mut self, record: Arc<TransactionRecord>) -> bool {
+    /// See [`MetadataCache::insert`]; `origin` is the node a peer's batch
+    /// names for the record.
+    fn insert(&mut self, record: Arc<TransactionRecord>, origin: Option<Origin>) -> bool {
         let id = record.id;
         if self.committed.contains_key(&id) {
             return false;
@@ -138,7 +152,14 @@ impl Inner {
                 late = true;
             }
         }
-        self.committed.insert(id, (record, newest_for));
+        self.committed.insert(
+            id,
+            Committed {
+                record,
+                newest_for,
+                origin,
+            },
+        );
         // An empty write set (a read-only transaction) is superseded at once.
         if newest_for == 0 {
             self.superseded.insert(id);
@@ -156,9 +177,11 @@ impl Inner {
             superseded,
             debited,
         } = self;
-        let (record, count) = committed.remove(id)?;
+        let Committed {
+            record, newest_for, ..
+        } = committed.remove(id)?;
         superseded.remove(id);
-        if count > 0 && !debited.is_empty() {
+        if newest_for > 0 && !debited.is_empty() {
             for key in &record.write_set {
                 debited.remove(&(*id, key.clone()));
             }
@@ -173,9 +196,10 @@ impl Inner {
                 key_index.remove(key);
             } else if was_newest {
                 let predecessor = versions.newest();
-                let (_, count) = committed
+                let count = &mut committed
                     .get_mut(&predecessor)
-                    .expect("every indexed version has a commit-set entry");
+                    .expect("every indexed version has a commit-set entry")
+                    .newest_for;
                 if *count == 0 {
                     superseded.remove(&predecessor);
                     revived.push(predecessor);
@@ -206,12 +230,14 @@ impl Inner {
     /// superseded once it is the newest of none of its keys, and its debited
     /// pairs go with it; otherwise the lost version is debited.
     fn debit(&mut self, id: TransactionId, key: &Key) {
-        let (record, count) = self
+        let Committed {
+            record, newest_for, ..
+        } = self
             .committed
             .get_mut(&id)
             .expect("every indexed version has a commit-set entry");
-        *count -= 1;
-        if *count > 0 {
+        *newest_for -= 1;
+        if *newest_for > 0 {
             self.debited.insert((id, key.clone()));
             return;
         }
@@ -226,7 +252,7 @@ impl Inner {
     /// Debits every version of `id` that is indexed but not its key's newest
     /// (a late record on arrival, a superseded one revived by a removal).
     fn debit_overwritten(&mut self, id: TransactionId) {
-        let record = Arc::clone(&self.committed[&id].0);
+        let record = Arc::clone(&self.committed[&id].record);
         for key in &record.write_set {
             if self
                 .key_index
@@ -319,7 +345,7 @@ impl MetadataCache {
     /// index, the superseded set and the debited versions. Returns `false` if
     /// the record was already known.
     pub fn insert(&self, record: Arc<TransactionRecord>) -> bool {
-        self.inner.write().insert(record)
+        self.inner.write().insert(record, None)
     }
 
     /// Inserts every record, in order, under one write lock (the fault
@@ -329,7 +355,7 @@ impl MetadataCache {
         let mut inner = self.inner.write();
         let mut new = 0;
         for record in records {
-            new += usize::from(inner.insert(record));
+            new += usize::from(inner.insert(record, None));
         }
         new
     }
@@ -337,15 +363,19 @@ impl MetadataCache {
     /// Merges records a peer sent, in order, under one write lock: a record
     /// Algorithm 2 finds superseded by what the cache holds — the batch's
     /// earlier records included — is left out (§4.1), one already known is
-    /// left alone, and the rest are inserted. Returns what became of each.
-    pub(crate) fn merge(&self, records: &[Arc<TransactionRecord>]) -> Vec<Merged> {
+    /// left alone, and the rest are inserted, each with the origin the batch
+    /// names for it. Returns what became of each.
+    pub(crate) fn merge(
+        &self,
+        records: &[(Arc<TransactionRecord>, Option<Origin>)],
+    ) -> Vec<Merged> {
         let mut inner = self.inner.write();
         records
             .iter()
-            .map(|record| {
+            .map(|(record, origin)| {
                 if inner.is_superseded(record) {
                     Merged::Superseded
-                } else if inner.insert(Arc::clone(record)) {
+                } else if inner.insert(Arc::clone(record), *origin) {
                     Merged::New
                 } else {
                     Merged::Known
@@ -365,7 +395,7 @@ impl MetadataCache {
             .read()
             .committed
             .get(id)
-            .map(|(record, _)| Arc::clone(record))
+            .map(|entry| Arc::clone(&entry.record))
     }
 
     /// Takes the cache's read lock once and returns a view to run a whole
@@ -381,12 +411,6 @@ impl MetadataCache {
     /// Returns the newest committed version of `key` known to this node.
     pub fn latest_version_of(&self, key: &Key) -> Option<TransactionId> {
         self.view().latest_version_of(key)
-    }
-
-    /// Returns true if a committed version of `key` newer than `than` exists.
-    pub fn has_newer_version(&self, key: &Key, than: &TransactionId) -> bool {
-        self.latest_version_of(key)
-            .is_some_and(|latest| latest > *than)
     }
 
     /// Removes a transaction's metadata (garbage collection, §5.1 and §5.2).
@@ -461,7 +485,7 @@ impl MetadataCache {
             .read()
             .committed
             .values()
-            .map(|(record, _)| Arc::clone(record))
+            .map(|entry| Arc::clone(&entry.record))
             .collect()
     }
 
@@ -473,7 +497,7 @@ impl MetadataCache {
         inner
             .superseded
             .iter()
-            .map(|id| Arc::clone(&inner.committed[id].0))
+            .map(|id| Arc::clone(&inner.committed[id].record))
             .collect()
     }
 
@@ -497,7 +521,14 @@ impl MetadataView<'_> {
 
     /// The commit record for `id`, if known.
     pub fn record(&self, id: &TransactionId) -> Option<&TransactionRecord> {
-        self.0.committed.get(id).map(|(record, _)| &**record)
+        self.0.committed.get(id).map(|entry| &*entry.record)
+    }
+
+    /// The node that committed `id`, if a peer's dissemination batch brought
+    /// its record: where a read of one of its versions that misses the data
+    /// cache asks before storage.
+    pub fn origin(&self, id: &TransactionId) -> Option<Origin> {
+        self.0.committed.get(id).and_then(|entry| entry.origin)
     }
 
     /// The newest committed version of `key` known to this node.
@@ -580,16 +611,6 @@ mod tests {
         assert_eq!(cache.latest_version_of(&Key::new("a")), Some(tid(1, 1)));
         assert_eq!(cache.latest_version_of(&Key::new("zzz")), None);
         assert_eq!(cache.indexed_keys(), 2);
-    }
-
-    #[test]
-    fn has_newer_version_compares_full_ids() {
-        let cache = MetadataCache::new();
-        cache.insert(record(5, &["k"]));
-        assert!(cache.has_newer_version(&Key::new("k"), &tid(4, 0)));
-        assert!(!cache.has_newer_version(&Key::new("k"), &tid(5, 5)));
-        assert!(!cache.has_newer_version(&Key::new("k"), &tid(9, 0)));
-        assert!(!cache.has_newer_version(&Key::new("unknown"), &tid(0, 0)));
     }
 
     #[test]
@@ -767,6 +788,7 @@ mod tests {
             record(20, &["a", "b"]), // known
             record(12, &["a", "c"]), // late on a, newest of c
         ];
+        let batch = batch.map(|record| (record, None));
         assert_eq!(
             cache.merge(&batch),
             [

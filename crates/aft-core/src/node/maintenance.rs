@@ -1,7 +1,7 @@
 //! Maintenance: what a cluster's maintenance round calls on a node. The
 //! drain of its recent commits and its commit floor (§4, §4.2), the merge of
-//! commit records learned from peers (§4.1) and of the small payloads pushed
-//! with them, and local metadata garbage collection (§5.1).
+//! commit records learned from peers (§4.1), each with the node that
+//! committed it, and local metadata garbage collection (§5.1).
 //!
 //! Without garbage collection two things grow without bound: the commit
 //! metadata cached (and stored) for every transaction ever committed, and the
@@ -29,9 +29,9 @@
 
 use std::sync::Arc;
 
-use aft_types::{Key, Timestamp, TransactionId, TransactionRecord, Value};
+use aft_types::{Timestamp, TransactionId, TransactionRecord};
 
-use super::{AftNode, CommitDrain};
+use super::{AftNode, CommitDrain, Origin};
 use crate::metadata::Merged;
 
 /// Most transactions to delete, and versions to retire, in one sweep; bounds
@@ -80,7 +80,8 @@ impl AftNode {
     /// will still hand out the commit `id`: it is under way here (its record
     /// may already be durable), or it finished and no drain has taken it
     /// yet. The fault manager leaves such a record to the drain, which
-    /// multicasts it with its payloads, as long as it trusts this node
+    /// multicasts it tagged with this node as its origin, as long as it
+    /// trusts this node
     /// (§4.2). A commit under way that fails after sending its record is
     /// reported instead, as the floor of the next report.
     pub fn holds_for_drain(&self, id: &TransactionId) -> bool {
@@ -90,7 +91,10 @@ impl AftNode {
     /// Merges commit records learned from peers (a dissemination sweep, a
     /// healed partition retry) or from the fault manager into the local
     /// metadata cache, under one lock, and returns the ones that were *new*
-    /// to this node.
+    /// to this node. Each record comes with its origin, the node that
+    /// committed it, which the commit-set entry keeps: a read that misses
+    /// one of its versions asks that node first. A record recovered from
+    /// storage has none.
     ///
     /// Records already superseded locally are skipped entirely (§4.1), and
     /// known ones dedup instead of re-applying, which is what makes
@@ -98,38 +102,16 @@ impl AftNode {
     /// idempotent. The returned records are the only account of a merge:
     /// the caller counts them, and whoever drives the rounds times their
     /// propagation lag (§4.2's RYW-staleness window).
-    ///
-    /// A dissemination batch also carries the payloads of its records'
-    /// writes of at most 512 bytes, which §4's metadata-only multicast does
-    /// not (from memory of the paper; a departure). The caller hands those
-    /// of a returned record, and of no other, to
-    /// [`cache_pushed`](AftNode::cache_pushed): a known or superseded record
-    /// caches nothing. The records merged here never hold a payload.
     pub fn receive_peer_commits(
         &self,
-        records: &[Arc<TransactionRecord>],
+        records: &[(Arc<TransactionRecord>, Option<Origin>)],
     ) -> Vec<Arc<TransactionRecord>> {
         records
             .iter()
             .zip(self.metadata.merge(records))
             .filter(|(_, merged)| *merged == Merged::New)
-            .map(|(record, _)| Arc::clone(record))
+            .map(|((record, _), _)| Arc::clone(record))
             .collect()
-    }
-
-    /// Caches the payloads a peer pushed with `record`, which
-    /// [`receive_peer_commits`](AftNode::receive_peer_commits) has just
-    /// returned as new: each under the record's own version, as a read of
-    /// that version from storage would. Versions are immutable, so the
-    /// payload pushed with a version is the one storage holds under it and
-    /// no later commit can make the entry stale; storage stays the only
-    /// source of truth, and a payload not pushed is a miss. A sweep that
-    /// has dropped the version by now leaves no entry behind (the read
-    /// path's insert-then-look).
-    pub fn cache_pushed(&self, record: &TransactionRecord, payloads: &[(Key, Value)]) {
-        for (key, value) in payloads {
-            self.fill_data_cache(key, record.id, value);
-        }
     }
 
     /// Runs one local metadata GC sweep (§5.1): removes superseded

@@ -5,8 +5,9 @@
 //! `impl AftNode` block in each child module:
 //!
 //! * `read_path.rs`: `Get` and its multi-key form. Read-your-writes, then
-//!   Algorithm 1 ([`crate::read`]) key by key, then the data cache, then one
-//!   storage read for every miss (§3.2, §3.4–§3.5).
+//!   Algorithm 1 ([`crate::read`]) key by key, then the data cache, then
+//!   each missed version's origin ([`Peers`]), then one storage read for
+//!   every miss left (§3.2, §3.4–§3.5).
 //! * `commit_path.rs`: a transaction's life, `StartTransaction`, `Put`,
 //!   `CommitTransaction` and `AbortTransaction`. The write buffer's spill
 //!   and §3.3's write-ordered commit flush, whose commit record is the
@@ -16,17 +17,18 @@
 //!   commits (§4.1) and the local GC sweep (§5.1).
 //!
 //! This module holds the node's state, its configuration, its constructor
-//! and accessors, and the [`PhaseHook`] a schedule answers at each
-//! [`CommitPhase`].
+//! and accessors, the [`PhaseHook`] a schedule answers at each
+//! [`CommitPhase`], and the [`Peers`] a read miss asks.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::num::NonZeroU32;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 use aft_storage::io::{IoConfig, IoEngine};
 use aft_storage::latency::{LatencyMode, LatencyModel, LatencyProfile};
 use aft_storage::SharedStorage;
-use aft_types::{AftError, AftResult, SharedClock, SystemClock};
+use aft_types::{AftError, AftResult, Key, SharedClock, SystemClock, TransactionId, Value};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -89,6 +91,41 @@ pub trait PhaseHook: Send + Sync + std::fmt::Debug {
     fn deliver(&self, _verb: &str) -> NetFault {
         NetFault::None
     }
+}
+
+/// A node as the origin of its commits: what a dissemination batch tags each
+/// of the node's commit records with, and the node a peer's read of one of
+/// those versions asks when it misses its own data cache ([`Peers`]). Every
+/// node built in the process has its own, so a replacement never answers
+/// for the node it replaced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Origin(NonZeroU32);
+
+impl Origin {
+    fn next() -> Origin {
+        static NEXT: AtomicU32 = AtomicU32::new(1);
+        let next = NonZeroU32::new(NEXT.fetch_add(1, Ordering::Relaxed));
+        Origin(next.expect("fewer than 2^32 nodes in one process"))
+    }
+}
+
+/// Where a read asks a version's origin before storage. A cluster implements
+/// it over its active nodes and hands it to each node it builds
+/// ([`AftNode::join`]); a unit test can fake it. A node that joined none
+/// reads every miss from storage.
+pub trait Peers: Send + Sync {
+    /// The values `origin`'s data cache holds for `wanted`, one answer per
+    /// key and version in order ([`AftNode::peek_cached`] on the origin),
+    /// asked on `reader`'s behalf. `None` when the origin cannot be asked:
+    /// it is not an active node, or its phase hook holds its link to
+    /// `reader` this round ([`PhaseHook::hold`]). An unanswered version is a
+    /// miss, which `reader` reads from storage.
+    fn pull(
+        &self,
+        reader: &AftNode,
+        origin: Origin,
+        wanted: &[(Key, TransactionId)],
+    ) -> Option<Vec<Option<Value>>>;
 }
 
 /// What the network does to one request of a service client
@@ -201,6 +238,10 @@ pub struct AftNode {
     undrained: Mutex<Undrained>,
     /// Set once the phase hook crashed the node.
     crashed: AtomicBool,
+    origin: Origin,
+    /// Where a read miss asks a version's origin, once the node joined a
+    /// cluster.
+    peers: OnceLock<Weak<dyn Peers>>,
 }
 
 impl AftNode {
@@ -234,6 +275,8 @@ impl AftNode {
             rng: Mutex::new(StdRng::seed_from_u64(config.rng_seed)),
             undrained: Mutex::new(Undrained::default()),
             crashed: AtomicBool::new(false),
+            origin: Origin::next(),
+            peers: OnceLock::new(),
             rpc_latency,
             metadata,
             io,
@@ -246,6 +289,24 @@ impl AftNode {
     /// The node's identifier.
     pub fn node_id(&self) -> &str {
         &self.config.node_id
+    }
+
+    /// The node as the origin of its commits.
+    pub fn origin(&self) -> Origin {
+        self.origin
+    }
+
+    /// Sets where a read that misses the data cache asks the version's
+    /// origin before storage. The first call holds. A cluster calls it for
+    /// every node it builds, with a weak handle, so that the nodes do not
+    /// keep their cluster alive.
+    pub fn join(&self, peers: Weak<dyn Peers>) {
+        let _ = self.peers.set(peers);
+    }
+
+    /// Where a read miss asks, while the cluster the node joined is alive.
+    fn peers(&self) -> Option<Arc<dyn Peers>> {
+        self.peers.get().and_then(Weak::upgrade)
     }
 
     /// The node's operational counters.

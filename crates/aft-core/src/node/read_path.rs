@@ -5,32 +5,46 @@
 //! (read-your-writes, §3.5); otherwise Algorithm 1 ([`crate::read`]) picks
 //! the committed version, and the choice joins the read set before the next
 //! key is selected, so a multi-key read is an Atomic Readset (§3.4). Then
-//! *fetch*: a data-cache hit costs no storage call, and every miss of one
-//! request goes to storage together, as one [`IoEngine::get_all`]: a read
-//! charges its caller that call's latency and nothing else. A missed version
-//! is under its own `data/` key, or, where its transaction committed with one
-//! write, inside that transaction's commit record
-//! ([`TransactionRecord::inline`](aft_types::TransactionRecord::inline)): the
-//! read fetches the record once for all of its versions the request missed,
-//! and each value is a slice of the fetched blob. A fetched
-//! payload fills the data cache (`crate::data_cache`, §6.2); a version
-//! deleted under a long reader fails the read with
-//! [`AftError::NoValidVersion`], and the client retries (§5.2.1).
+//! *fetch*, from three places in turn:
 //!
-//! The data cache holds more than what this node committed or fetched: a
-//! peer's write of at most 512 bytes arrives with its commit record in the
-//! dissemination batch that makes it visible here
-//! ([`AftNode::cache_pushed`]), so the first read of it is a cache hit, not
-//! a storage `Get`.
+//! 1. The node's own data cache (`crate::data_cache`, §6.2). A hit costs
+//!    nothing.
+//! 2. The version's *origin*, the peer that committed it, whose data cache
+//!    usually still holds it ([`Peers`]). The select step reads the origin
+//!    in the metadata view that chose the version: a peer's dissemination
+//!    batch names it with each record. The request asks each origin once,
+//!    for all of its misses there, and pays one node-to-node hop
+//!    (`rpc_profile`) if it asked any. The origin answers from its data
+//!    cache without promoting the entries ([`AftNode::peek_cached`]). A
+//!    record committed here or learned from storage (bootstrap, the fault
+//!    manager's recovery) has no origin. An origin that is not active, a
+//!    link that the phase hook holds this round, or a version the origin no
+//!    longer caches answers as a miss. A pull never fails a read.
+//! 3. Storage, for the misses left, together as one [`IoEngine::get_all`]:
+//!    the request pays that call's latency after the hop. A missed version
+//!    is under its own `data/` key, or, where its transaction committed with
+//!    one write, inside that transaction's commit record
+//!    ([`TransactionRecord::inline`](aft_types::TransactionRecord::inline)):
+//!    the read fetches the record once for all of its versions the request
+//!    missed, and each value is a slice of the fetched blob. A version
+//!    deleted under a long reader fails the read with
+//!    [`AftError::NoValidVersion`], and the client retries (§5.2.1).
+//!
+//! A pulled or fetched payload fills the data cache the same way, insert
+//! then look (`fill_data_cache`). Versions are immutable, so a value pulled
+//! from the origin is the one storage holds under that version, and nothing
+//! needs invalidating. No lock of the transaction, the metadata or a cache
+//! stripe is held while a peer is asked.
 //!
 //! [`IoEngine::get_all`]: aft_storage::io::IoEngine::get_all
+//! [`Peers`]: super::Peers
 
 use std::collections::HashMap;
 
 use aft_types::codec::inline_values;
 use aft_types::{AftError, AftResult, Key, KeyVersion, TransactionId, TransactionRecord, Value};
 
-use super::AftNode;
+use super::{AftNode, Origin};
 use crate::read::{select_version_in, VersionChoice};
 
 /// One key's answer: its value, with the committed version it came from
@@ -45,6 +59,8 @@ pub(super) struct Miss {
     /// Whether the version's value is inside its commit record
     /// ([`TransactionRecord::inline`]) rather than under its own `data/` key.
     inline: bool,
+    /// The peer that committed the version, asked before storage.
+    origin: Option<Origin>,
 }
 
 /// What the select step of a read decided for one key.
@@ -53,12 +69,13 @@ enum Selected {
     Buffered(Value),
     /// No visible version (the NULL version of §3.2).
     Null,
-    /// The committed version Algorithm 1 chose, and whether its record
-    /// carries its value, looked up in the metadata view that chose it: a
-    /// sweep may drop the record before the fetch.
+    /// The committed version Algorithm 1 chose, whether its record carries
+    /// its value and which peer committed it, looked up in the metadata view
+    /// that chose it: a sweep may drop the record before the fetch.
     Version {
         version: TransactionId,
         inline: bool,
+        origin: Option<Origin>,
     },
 }
 
@@ -111,7 +128,9 @@ impl AftNode {
     /// read set remains an Atomic Readset. Each choice is recorded in the
     /// read set as it is made, before any payload is fetched. Selection is
     /// in-memory work; the expensive part is fetching the chosen versions'
-    /// payloads that the data cache does not hold. Those storage keys go out
+    /// payloads that the data cache does not hold. Each version's origin is
+    /// asked first ([`Peers`](super::Peers)), once per origin with all of its
+    /// versions. The storage keys of the versions no origin answered go out
     /// as one [`IoEngine::get_all`]: one `Get` for one key. A version of an
     /// inline record has no `data/` key: its miss fetches the record, once
     /// for all of the record's keys the request missed, decodes it once and
@@ -144,13 +163,17 @@ impl AftNode {
         let mut out: Vec<Option<Read>> = vec![None; keys.len()];
         let mut misses = Vec::new();
         for (at, key) in keys.iter().enumerate() {
-            let (version, inline) = match self.select(txid, key)? {
+            let (version, inline, origin) = match self.select(txid, key)? {
                 Selected::Buffered(value) => {
                     out[at] = Some((value, None));
                     continue;
                 }
                 Selected::Null => continue,
-                Selected::Version { version, inline } => (version, inline),
+                Selected::Version {
+                    version,
+                    inline,
+                    origin,
+                } => (version, inline, origin),
             };
             if let Some(value) = self.data_cache.get(key, &version) {
                 self.stats.record_read_from_data_cache();
@@ -160,14 +183,15 @@ impl AftNode {
                     at,
                     version,
                     inline,
+                    origin,
                 });
             }
         }
         Ok((out, misses))
     }
 
-    /// Fetches every miss of one read in one storage read and completes
-    /// `out` with their values.
+    /// Completes `out` with the values of every miss of one read: those the
+    /// versions' origins answer, then the rest in one storage read.
     pub(super) fn fetch(
         &self,
         txid: &TransactionId,
@@ -175,6 +199,7 @@ impl AftNode {
         mut out: Vec<Option<Read>>,
         misses: Vec<Miss>,
     ) -> AftResult<Vec<Option<Read>>> {
+        let misses = self.pull(keys, &mut out, misses);
         if misses.is_empty() {
             return Ok(out);
         }
@@ -239,11 +264,82 @@ impl AftNode {
                 VersionChoice::NoValidVersion => Err(self.no_valid_version(txid, key)),
                 VersionChoice::Version(version) => {
                     let inline = view.record(&version).is_some_and(|record| record.inline);
+                    let origin = view.origin(&version);
                     txn.reads.record(key.clone(), version);
-                    Ok(Selected::Version { version, inline })
+                    Ok(Selected::Version {
+                        version,
+                        inline,
+                        origin,
+                    })
                 }
             }
         })?
+    }
+
+    /// Asks each missed version's origin for it, once per origin with all of
+    /// the request's versions there, and completes `out` with what the
+    /// origins answer; returns the misses left for storage. A version with
+    /// no origin, or committed here, is left; so is every version of an
+    /// origin that cannot be asked or no longer caches it. The request pays
+    /// one node-to-node hop if any origin was asked. No lock is held.
+    fn pull(&self, keys: &[Key], out: &mut [Option<Read>], misses: Vec<Miss>) -> Vec<Miss> {
+        // The origins in the order the request first misses on them, each
+        // with the indices of its misses.
+        let mut asks: Vec<(Origin, Vec<usize>)> = Vec::new();
+        for (i, miss) in misses.iter().enumerate() {
+            let Some(origin) = miss.origin.filter(|origin| *origin != self.origin) else {
+                continue;
+            };
+            match asks.iter_mut().find(|(o, _)| *o == origin) {
+                Some((_, at)) => at.push(i),
+                None => asks.push((origin, vec![i])),
+            }
+        }
+        let peers = match self.peers() {
+            Some(peers) if !asks.is_empty() => peers,
+            _ => return misses,
+        };
+        let mut pulled: Vec<Option<Value>> = vec![None; misses.len()];
+        let mut asked = false;
+        for (origin, at) in asks {
+            let wanted: Vec<(Key, TransactionId)> = at
+                .iter()
+                .map(|&i| (keys[misses[i].at].clone(), misses[i].version))
+                .collect();
+            let Some(answers) = peers.pull(self, origin, &wanted) else {
+                continue;
+            };
+            asked = true;
+            for (i, answer) in at.into_iter().zip(answers) {
+                pulled[i] = answer;
+            }
+        }
+        if asked {
+            self.rpc();
+        }
+        let mut left = Vec::new();
+        for (miss, value) in misses.into_iter().zip(pulled) {
+            let Some(value) = value else {
+                left.push(miss);
+                continue;
+            };
+            let key = &keys[miss.at];
+            self.stats.record_read_from_peer();
+            self.fill_data_cache(key, miss.version, &value);
+            out[miss.at] = Some((value, Some(miss.version)));
+        }
+        left
+    }
+
+    /// The origin's side of a pull ([`Peers::pull`](super::Peers::pull)):
+    /// the value this node's data cache holds for each key's version, in
+    /// order, looked up without promoting the entries. A version it never
+    /// cached, evicted or swept is `None`.
+    pub fn peek_cached(&self, wanted: &[(Key, TransactionId)]) -> Vec<Option<Value>> {
+        wanted
+            .iter()
+            .map(|(key, version)| self.data_cache.peek(key, version))
+            .collect()
     }
 
     /// The *fetched* step of a read: the payload storage returned for the
@@ -273,16 +369,15 @@ impl AftNode {
         }
     }
 
-    /// Caches a payload a read just fetched from storage. The read set names
-    /// the version from its selection on, but a local GC sweep whose
-    /// snapshot of the read sets predates that record — or one that ran
-    /// after the reading transaction ended — may have dropped the version
-    /// (with its record, or retired alone) and evicted a cache entry that
-    /// was not there yet; an entry inserted after that could never be
-    /// selected again nor swept. Hence insert, then look: if the version is
-    /// gone the entry goes too, and a sweep that drops the version after the
-    /// look evicts the entry itself. A payload a peer pushed with its commit record
-    /// ([`AftNode::cache_pushed`]) enters the same way.
+    /// Caches a payload a read just pulled from the version's origin or
+    /// fetched from storage. The read set names the version from its
+    /// selection on, but a local GC sweep whose snapshot of the read sets
+    /// predates that record — or one that ran after the reading transaction
+    /// ended — may have dropped the version (with its record, or retired
+    /// alone) and evicted a cache entry that was not there yet; an entry
+    /// inserted after that could never be selected again nor swept. Hence
+    /// insert, then look: if the version is gone the entry goes too, and a
+    /// sweep that drops the version after the look evicts the entry itself.
     pub(super) fn fill_data_cache(&self, key: &Key, version: TransactionId, value: &Value) {
         self.data_cache.insert(key.clone(), version, value.clone());
         if !self.metadata.view().holds(key, &version) {

@@ -8,9 +8,11 @@ fn peer_commits_become_visible_unless_superseded() {
         TransactionId::new(9_999, Uuid::from_u128(1)),
         vec![Key::new("peer-key")],
     ));
-    let fresh = node.receive_peer_commits(std::slice::from_ref(&peer_new));
+    let origin = Some(test_node().origin());
+    let fresh = node.receive_peer_commits(&[(Arc::clone(&peer_new), origin)]);
     assert_eq!(fresh, [Arc::clone(&peer_new)]);
     assert!(node.metadata().is_committed(&peer_new.id));
+    assert_eq!(node.metadata().view().origin(&peer_new.id), origin);
 
     // An older peer commit of the same key is superseded and ignored, and
     // a repeated one is known.
@@ -18,7 +20,7 @@ fn peer_commits_become_visible_unless_superseded() {
         TransactionId::new(10, Uuid::from_u128(2)),
         vec![Key::new("peer-key")],
     ));
-    let fresh = node.receive_peer_commits(&[Arc::clone(&peer_old), peer_new]);
+    let fresh = node.receive_peer_commits(&[(Arc::clone(&peer_old), None), (peer_new, None)]);
     assert!(fresh.is_empty());
     assert!(!node.metadata().is_committed(&peer_old.id));
 }

@@ -447,3 +447,104 @@ fn get_all_fails_cleanly_when_global_gc_deletes_a_batched_version() {
     assert_eq!(calls.calls(aft_storage::OpKind::BatchGet), 1, "one read");
     assert_eq!(calls.calls(aft_storage::OpKind::Get), 0);
 }
+
+/// Peers that answer from a list of nodes and log each lookup: the origin
+/// and how many versions it was asked for. An origin not in the list is
+/// down.
+#[derive(Default)]
+struct LoggedPeers {
+    nodes: Vec<Arc<AftNode>>,
+    asked: Mutex<Vec<(Origin, usize)>>,
+}
+
+impl Peers for LoggedPeers {
+    fn pull(
+        &self,
+        _reader: &AftNode,
+        origin: Origin,
+        wanted: &[(Key, TransactionId)],
+    ) -> Option<Vec<Option<Value>>> {
+        self.asked.lock().push((origin, wanted.len()));
+        let node = self.nodes.iter().find(|node| node.origin() == origin)?;
+        Some(node.peek_cached(wanted))
+    }
+}
+
+#[test]
+fn a_miss_asks_each_origin_once_and_storage_for_what_is_left() {
+    // Origin `a` committed a0 and a1 together and a2 alone, origin `b`
+    // committed b0 and has since evicted it, and origin `gone` committed g0
+    // and is down. The reader learns the records with their origins, and
+    // one `GetAll` of the five keys asks each origin once, in the order it
+    // first misses on them, with all of its versions there. The two
+    // unanswered versions go to storage in one call, after one hop.
+    let storage = aft_storage::make_backend(BackendConfig::test(BackendKind::Memory));
+    let clock = aft_types::clock::TickingClock::shared(1_000, 1);
+    let node = |config: NodeConfig| AftNode::with_clock(config, storage.clone(), clock.clone());
+    let [a, b, gone] =
+        ["a", "b", "gone"].map(|id| node(NodeConfig::test().with_node_id(id)).unwrap());
+    let hop = aft_storage::latency::LatencyProfile::new(1_000.0, 1_000.0);
+    let reader = node(NodeConfig {
+        rpc_profile: hop,
+        ..NodeConfig::test().with_node_id("reader")
+    })
+    .unwrap();
+    let a01 = commit_writes(&a, &[("a0", "x0"), ("a1", "x1")]);
+    commit_writes(&a, &[("a2", "x2")]);
+    let b0 = commit_writes(&b, &[("b0", "y0")]);
+    commit_writes(&gone, &[("g0", "z0")]);
+    b.data_cache().evict(&Key::new("b0"), &b0);
+    for origin in [&a, &b, &gone] {
+        let tag = Some(origin.origin());
+        let drained = origin.drain_recent_commits().records;
+        let tagged: Vec<_> = drained.into_iter().map(|record| (record, tag)).collect();
+        assert_eq!(reader.receive_peer_commits(&tagged).len(), tagged.len());
+    }
+    let peers = Arc::new(LoggedPeers {
+        nodes: vec![Arc::clone(&a), Arc::clone(&b)],
+        ..LoggedPeers::default()
+    });
+    let weak: std::sync::Weak<LoggedPeers> = Arc::downgrade(&peers);
+    reader.join(weak);
+
+    let keys = ["a0", "b0", "a1", "g0", "a2"].map(Key::new);
+    let t = reader.start_transaction();
+    let before = storage.stats().snapshot();
+    let (read, cost) = aft_storage::latency::measure_cost(|| reader.get_all(&t, &keys).unwrap());
+    let calls = storage.stats().snapshot().delta_since(&before);
+    let values = ["x0", "y0", "x1", "z0", "x2"].map(|v| Some(val(v)));
+    assert_eq!(read, values);
+    assert_eq!(
+        *peers.asked.lock(),
+        [(a.origin(), 3), (b.origin(), 1), (gone.origin(), 1)]
+    );
+    assert_eq!(calls.calls(aft_storage::OpKind::BatchGet), 1);
+    assert_eq!(calls.total_calls(), 1);
+    assert_eq!(
+        cost,
+        Duration::from_millis(2),
+        "the request's hop and the pull's"
+    );
+    let stats = reader.stats().snapshot();
+    assert_eq!((stats.reads_from_peers, stats.reads_from_storage), (3, 2));
+    // A pulled value fills the reader's cache under its own version, and
+    // the origin's entry is only peeked.
+    assert_eq!(
+        reader.data_cache().peek(&Key::new("a0"), &a01),
+        Some(val("x0"))
+    );
+
+    // A version the reader committed, or learned with no origin, asks no
+    // one; neither does a request that hits its cache.
+    peers.asked.lock().clear();
+    let mine = commit_writes(&reader, &[("r0", "w0")]);
+    reader.data_cache().evict(&Key::new("r0"), &mine);
+    let (read, cost) = aft_storage::latency::measure_cost(|| {
+        reader
+            .get_all(&t, &[Key::new("r0"), Key::new("a0")])
+            .unwrap()
+    });
+    assert_eq!(read, [Some(val("w0")), Some(val("x0"))]);
+    assert!(peers.asked.lock().is_empty());
+    assert_eq!(cost, Duration::from_millis(1), "the request's hop alone");
+}

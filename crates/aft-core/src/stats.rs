@@ -21,6 +21,7 @@ pub struct NodeStats {
     reads_from_write_buffer: AtomicU64,
     reads_from_data_cache: AtomicU64,
     reads_from_storage: AtomicU64,
+    reads_from_peers: AtomicU64,
     no_valid_version_aborts: AtomicU64,
     gc_transactions_deleted: AtomicU64,
 }
@@ -53,6 +54,7 @@ impl NodeStats {
         record_read_from_write_buffer, reads_from_write_buffer => reads_from_write_buffer;
         record_read_from_data_cache, reads_from_data_cache => reads_from_data_cache;
         record_read_from_storage, reads_from_storage => reads_from_storage;
+        record_read_from_peer, reads_from_peers => reads_from_peers;
         record_no_valid_version, no_valid_version_aborts => no_valid_version_aborts;
     }
 
@@ -77,6 +79,7 @@ impl NodeStats {
             reads_from_write_buffer: self.reads_from_write_buffer(),
             reads_from_data_cache: self.reads_from_data_cache(),
             reads_from_storage: self.reads_from_storage(),
+            reads_from_peers: self.reads_from_peers(),
             no_valid_version_aborts: self.no_valid_version_aborts(),
         }
     }
@@ -95,6 +98,9 @@ pub struct NodeStatsSnapshot {
     pub reads_from_data_cache: u64,
     /// Reads that fetched the payload from storage.
     pub reads_from_storage: u64,
+    /// Reads that missed the data cache and took the payload from the data
+    /// cache of the node that committed the version.
+    pub reads_from_peers: u64,
     /// Reads that found no valid version (client must retry, §3.6).
     pub no_valid_version_aborts: u64,
 }

@@ -182,11 +182,6 @@ impl WriteBuffer {
         }
     }
 
-    /// Number of shards in the transaction table.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard(&self, uuid: &Uuid) -> &Mutex<HashMap<Uuid, ActiveTransaction>> {
         // The UUID is already uniformly random; fold it instead of re-hashing.
         let folded = uuid.as_u128() as u64 ^ (uuid.as_u128() >> 64) as u64;
@@ -382,7 +377,7 @@ mod tests {
     #[test]
     fn sharded_table_spreads_and_finds_transactions() {
         let buffer = WriteBuffer::with_shards(4);
-        assert_eq!(buffer.shard_count(), 4);
+        assert_eq!(buffer.shards.len(), 4);
         let ids: Vec<TransactionId> = (0..64).map(|i| tid(i, 0x1000 + i as u128)).collect();
         for id in &ids {
             buffer.begin(*id);
@@ -408,7 +403,7 @@ mod tests {
         }
         assert!(buffer.is_empty());
         // Zero shards clamps to one.
-        assert_eq!(WriteBuffer::with_shards(0).shard_count(), 1);
+        assert_eq!(WriteBuffer::with_shards(0).shards.len(), 1);
     }
 
     #[test]

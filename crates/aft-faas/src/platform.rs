@@ -76,12 +76,6 @@ impl PlatformConfig {
         self
     }
 
-    /// Sets the concurrency limit.
-    pub fn with_concurrency_limit(mut self, limit: usize) -> Self {
-        self.concurrency_limit = limit;
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -124,11 +118,6 @@ impl FaasPlatform {
     /// between two writes poll [`FailureInjector::should_crash_midway`] on it.
     pub fn injector(&self) -> &FailureInjector {
         &self.injector
-    }
-
-    /// Number of functions currently executing.
-    pub fn active_invocations(&self) -> u64 {
-        self.active.load(Ordering::Relaxed)
     }
 
     fn acquire_slot(&self) -> SlotGuard<'_> {
@@ -284,7 +273,7 @@ mod tests {
         let out = platform.invoke(|| Ok(21 * 2)).unwrap();
         assert_eq!(out, 42);
         assert_eq!(platform.stats().invocations(), 1);
-        assert_eq!(platform.active_invocations(), 0);
+        assert_eq!(platform.active.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -396,7 +385,10 @@ mod tests {
 
     #[test]
     fn concurrency_limit_bounds_parallel_invocations() {
-        let platform = FaasPlatform::new(PlatformConfig::test().with_concurrency_limit(2));
+        let platform = FaasPlatform::new(PlatformConfig {
+            concurrency_limit: 2,
+            ..PlatformConfig::test()
+        });
         let barrier = Arc::new(std::sync::Barrier::new(4));
         let max_seen = Arc::new(AtomicU64::new(0));
         std::thread::scope(|scope| {
@@ -408,7 +400,7 @@ mod tests {
                     barrier.wait();
                     platform
                         .invoke(|| {
-                            let now = platform.active_invocations();
+                            let now = platform.active.load(Ordering::Relaxed);
                             max_seen.fetch_max(now, Ordering::SeqCst);
                             std::thread::sleep(std::time::Duration::from_millis(20));
                             Ok(())

@@ -102,12 +102,6 @@ impl RetryConfig {
         }
     }
 
-    /// Overrides the attempt budget (clamped to ≥ 1).
-    pub fn with_max_attempts(mut self, max_attempts: u32) -> Self {
-        self.max_attempts = max_attempts.max(1);
-        self
-    }
-
     /// The backoff charged before retrying after attempt `attempt` (1-based)
     /// failed.
     pub fn backoff_for(&self, attempt: u32) -> Duration {
@@ -269,12 +263,6 @@ impl IoEngine {
     /// The engine's storage backend.
     pub fn storage(&self) -> &SharedStorage {
         &self.storage
-    }
-
-    /// How many requests of one batch are in flight together: the in-flight
-    /// window, the size of a wave.
-    pub fn overlap_window(&self) -> usize {
-        self.window
     }
 
     /// Point-in-time engine counters.
@@ -580,7 +568,7 @@ mod tests {
     #[test]
     fn submit_round_trips_through_a_memory_backend() {
         let engine = IoEngine::new(InMemoryStore::shared(), IoConfig::pipelined());
-        assert!(engine.overlap_window() > 1);
+        assert!(engine.window > 1);
         let put = engine.execute(StorageRequest::Put("k".into(), val("v")));
         assert!(put.is_ok());
         let got = engine.execute(StorageRequest::Get("k".into()));
@@ -593,7 +581,7 @@ mod tests {
     #[test]
     fn sequential_config_is_a_window_of_one() {
         let engine = IoEngine::new(InMemoryStore::shared(), IoConfig::sequential());
-        assert_eq!(engine.overlap_window(), 1);
+        assert_eq!(engine.window, 1);
         engine
             .execute(StorageRequest::Put("k".into(), val("v")))
             .unwrap();
@@ -662,7 +650,7 @@ mod tests {
         };
         let storage = s3(profile, LatencyMode::Virtual, 3);
         let engine = IoEngine::new(storage, IoConfig::pipelined().with_max_in_flight(2));
-        assert_eq!(engine.overlap_window(), 2);
+        assert_eq!(engine.window, 2);
         let ((), cost) = measure_cost(|| engine.put_all(items(6)).unwrap());
         assert!(
             cost >= Duration::from_millis(29) && cost <= Duration::from_millis(32),
@@ -809,10 +797,7 @@ mod tests {
             };
             let backend = Recording::new(make_backend(config));
             let engine = IoEngine::new(backend.clone(), IoConfig::pipelined());
-            assert!(
-                engine.overlap_window() > 1,
-                "{kind}: overlap comes from deferral"
-            );
+            assert!(engine.window > 1, "{kind}: overlap comes from deferral");
             engine.put_all(items(4)).unwrap();
             engine.execute(StorageRequest::Get("k0".into())).unwrap();
             engine
@@ -960,11 +945,6 @@ mod tests {
         assert_eq!(retry.backoff_for(3), Duration::from_millis(2));
         assert_eq!(retry.backoff_for(10), Duration::from_millis(20), "capped");
         assert_eq!(RetryConfig::disabled().max_attempts, 1);
-        assert_eq!(
-            RetryConfig::default().with_max_attempts(0).max_attempts,
-            1,
-            "clamped"
-        );
     }
 
     #[test]

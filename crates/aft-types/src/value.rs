@@ -44,14 +44,6 @@ impl TaggedValue {
             payload,
         }
     }
-
-    /// Approximate metadata overhead in bytes on top of the raw payload.
-    pub fn metadata_overhead(&self) -> usize {
-        // timestamp + uuid
-        let id = 8 + 16;
-        let keys: usize = self.cowritten.iter().map(|k| k.len() + 4).sum();
-        id + keys + 4
-    }
 }
 
 /// One period of the payload pattern: byte `i` of a payload is `i % 251`.
@@ -82,7 +74,6 @@ pub fn payload_of_size(size: usize) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::uuid::Uuid;
 
     #[test]
     fn payload_has_requested_size() {
@@ -105,21 +96,6 @@ mod tests {
         }
         let (a, b) = (payload_of_size(64), payload_of_size(64));
         assert_ne!(a.as_ptr(), b.as_ptr());
-    }
-
-    #[test]
-    fn tagged_value_overhead_is_metadata_only() {
-        let tv = TaggedValue::new(
-            TransactionId::new(1, Uuid::from_u128(2)),
-            vec![Key::new("k"), Key::new("longer-key")],
-            payload_of_size(4096),
-        );
-        let overhead = tv.metadata_overhead();
-        assert!(overhead > 0);
-        assert!(
-            overhead < 200,
-            "paper reports ~70 bytes of metadata; ours is {overhead}"
-        );
     }
 
     #[test]

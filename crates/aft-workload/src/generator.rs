@@ -97,11 +97,6 @@ impl WorkloadConfig {
         self.value_size = value_size;
         self
     }
-
-    /// Total IOs per request.
-    pub fn total_ios(&self) -> usize {
-        self.functions * (self.reads_per_function + self.writes_per_function)
-    }
 }
 
 /// The operations one function performs.
@@ -206,6 +201,11 @@ impl WorkloadGenerator {
 mod tests {
     use super::*;
 
+    /// Total IOs per request.
+    fn total_ios(config: &WorkloadConfig) -> usize {
+        config.functions * (config.reads_per_function + config.writes_per_function)
+    }
+
     #[test]
     fn standard_workload_matches_the_paper() {
         let config = WorkloadConfig::standard();
@@ -213,14 +213,14 @@ mod tests {
         assert_eq!(config.reads_per_function, 2);
         assert_eq!(config.writes_per_function, 1);
         assert_eq!(config.value_size, 4096);
-        assert_eq!(config.total_ios(), 6);
+        assert_eq!(total_ios(&config), 6);
     }
 
     #[test]
     fn read_write_ratio_sweep_produces_ten_ios() {
         for pct in [0u32, 20, 40, 60, 80, 100] {
             let config = WorkloadConfig::read_write_ratio(pct);
-            assert_eq!(config.total_ios(), 10, "at {pct}% reads");
+            assert_eq!(total_ios(&config), 10, "at {pct}% reads");
             let reads = config.functions * config.reads_per_function;
             assert_eq!(reads as u32, pct / 10, "at {pct}% reads");
         }
@@ -231,7 +231,7 @@ mod tests {
         for n in 1..=10 {
             let config = WorkloadConfig::transaction_length(n);
             assert_eq!(config.functions, n);
-            assert_eq!(config.total_ios(), 3 * n);
+            assert_eq!(total_ios(&config), 3 * n);
         }
     }
 

@@ -135,18 +135,30 @@
 //!   one `Get` on a data-cache miss and no call on a hit, on every row, and
 //!   each records the version it chose in the read set. Recorded on top of
 //!   commit 7cd5bda, while the two still had separate implementations.
-//! * The *pushed read*: on a 3-node memory cluster, a peer's write of at
-//!   most 512 bytes arrives with its commit record in a maintenance round's
-//!   dissemination batch, so a node's first read of it bills no call; a
-//!   1 KiB write is over that bound and bills one `Get`. Recorded on top of
-//!   commit ef41f17, when batches began to carry payloads.
+//! * The *pulled read*: on a 3-node memory cluster, a maintenance round's
+//!   dissemination batch brings a peer's commit record tagged with its
+//!   origin, and a node's first read of the record's versions asks that
+//!   origin's data cache, so it bills no call: a 256 B and a 1 KiB write
+//!   each bill none, and an 8-key `GetAll` of two 4 × 16 KiB commits bills
+//!   none where it billed one `BatchGet`. The same read bills one call when
+//!   the origin no longer caches the versions (evicted, or swept after an
+//!   overwrite the reader has not learned), when the origin was killed or
+//!   replaced, when the phase hook holds the link in the latest round, and
+//!   on a node that learned the record from storage (its bootstrap), which
+//!   knows no origin. The 256 B row was recorded on top of
+//!   commit ef41f17, when batches began to carry payloads of at most 512 B
+//!   (the 1 KiB write then billed one `Get`); every row was re-recorded on
+//!   top of commit b23c21d, when reads began to ask the origin and batches
+//!   stopped carrying payloads.
 //! * The *raced record*: a maintenance round runs while a commit's record is
 //!   durable and its commit still under way. The fault manager leaves the
-//!   record to its node's next drain, which pushes its payload, so a peer's
-//!   first read of it bills no call. Recorded on top of commit 53bd8a4,
-//!   when the scan stopped recovering records a live node still holds; the
-//!   scan had fetched the record and handed it to every node without its
-//!   payload, and the peer's read billed one `Get`.
+//!   record to its node's next drain, which tags it with its origin, so a
+//!   peer's first read of it bills no call. Recorded on top of commit
+//!   53bd8a4, when the scan stopped recovering records a live node still
+//!   holds; the scan had fetched the record and handed it to every node
+//!   without its payload, and the peer's read billed one `Get`. On top of
+//!   commit b23c21d the payload stopped riding the drain's batch: the peer's
+//!   read asks the origin.
 //! * The *small transaction*: two 256 B writes commit as one `Put` of their
 //!   inline record on every row (a `SET` on Redis), a miss on either version
 //!   or on both is one `Get` of that record, and the global GC deletes that
@@ -388,9 +400,9 @@ fn a_one_key_read_bills_one_get_on_a_miss_and_none_on_a_hit() {
 #[test]
 fn a_peers_small_write_reaches_the_reader_with_its_record() {
     // Node A commits a value; after one maintenance round, node B reads it.
-    // A 256 B value rode the round's dissemination batch with its commit
-    // record and B reads it from its data cache; a 1 KiB value is over the
-    // push bound, so B's first read is a storage `Get`.
+    // The round's batch names A as the record's origin, and B's miss asks
+    // A's data cache before storage, whatever the value's size: a 256 B and
+    // a 1 KiB write each bill no call.
     let storage = make_backend(BackendConfig::test(BackendKind::Memory));
     let cluster = Cluster::with_clock(
         ClusterConfig::test(3),
@@ -400,8 +412,8 @@ fn a_peers_small_write_reaches_the_reader_with_its_record() {
     .unwrap();
     let nodes = cluster.active_nodes();
     let (a, b) = (&nodes[0], &nodes[1]);
-    for (size, gets) in [(256, 0), (1024, 1)] {
-        let key = Key::new(format!("pushed-{size}"));
+    for size in [256, 1024] {
+        let key = Key::new(format!("pulled-{size}"));
         let value = Bytes::from(vec![b'p'; size]);
         let txn = a.start_transaction();
         a.put(&txn, key.clone(), value.clone()).unwrap();
@@ -413,9 +425,116 @@ fn a_peers_small_write_reaches_the_reader_with_its_record() {
         let read = b.get_versioned(&reader, &key).unwrap();
         let calls = storage.stats().snapshot().delta_since(&before);
         assert_eq!(read, Some((value, Some(id))), "{size} B");
-        assert_eq!(calls.calls(OpKind::Get), gets, "{size} B");
-        assert_eq!(calls.total_calls(), gets, "{size} B");
+        assert_eq!(calls.calls(OpKind::Get), 0, "{size} B");
+        assert_eq!(calls.total_calls(), 0, "{size} B");
         b.abort(&reader).unwrap();
+    }
+}
+
+/// A 16 KiB value, as `svc-large` writes.
+fn value_16k(tag: u8) -> Bytes {
+    Bytes::from(vec![tag; 16 * 1024])
+}
+
+/// The storage calls of an 8-key `GetAll`, on `node`, of the keys two
+/// 4 × 16 KiB commits wrote: each value must read back.
+fn get_all_calls(
+    storage: &aft::storage::SharedStorage,
+    node: &aft::core::AftNode,
+    keys: &[Key],
+) -> u64 {
+    let before = storage.stats().snapshot();
+    let reader = node.start_transaction();
+    let read = node.get_all(&reader, keys).unwrap();
+    node.abort(&reader).unwrap();
+    assert!(read
+        .iter()
+        .all(|v| v.as_ref().is_some_and(|v| v.len() == 16 * 1024)));
+    storage
+        .stats()
+        .snapshot()
+        .delta_since(&before)
+        .total_calls()
+}
+
+#[test]
+fn a_large_get_all_asks_the_origin_once_and_storage_for_what_it_lost() {
+    // `svc-large`'s read: node A commits 4 × 16 KiB twice, a round runs, and
+    // node B reads the 8 keys in one `GetAll`. A's data cache holds all 8
+    // versions, so the read bills no call (one `BatchGet` when batches
+    // carried no origin). It bills one `BatchGet` when A no longer holds
+    // them: evicted, or swept after an overwrite B has not learned, or A
+    // killed, or replaced; when the phase hook holds the link from A to B in
+    // the latest round; and on a node that learned the records from
+    // storage, which knows no origin though A is alive.
+    let keys: Vec<Key> = (0..8).map(|i| Key::new(format!("large-{i}"))).collect();
+    let cases = [
+        "cached",
+        "evicted",
+        "swept",
+        "killed",
+        "replaced",
+        "held",
+        "bootstrap",
+    ];
+    for case in cases {
+        let storage = make_backend(BackendConfig::test(BackendKind::Memory));
+        let mut config = ClusterConfig::test(3);
+        if case == "held" {
+            config.node_template.phase_hook = Some(Arc::new(HoldFromRound(1)));
+        }
+        let cluster =
+            Cluster::with_clock(config, storage.clone(), TickingClock::shared(1, 1)).unwrap();
+        let nodes = cluster.active_nodes();
+        let (a, b) = (&nodes[0], &nodes[1]);
+        let commit = |keys: &[Key], tag: u8| {
+            let txn = a.start_transaction();
+            for key in keys {
+                a.put(&txn, key.clone(), value_16k(tag)).unwrap();
+            }
+            a.commit(&txn).unwrap()
+        };
+        let ids = [commit(&keys[..4], b'x'), commit(&keys[4..], b'x')];
+        cluster.run_maintenance_round().unwrap();
+        let mut reader = Arc::clone(b);
+        match case {
+            "evicted" => {
+                for (i, key) in keys.iter().enumerate() {
+                    a.data_cache().evict(key, &ids[i / 4]);
+                }
+            }
+            "swept" => {
+                commit(&keys[..4], b'y');
+                commit(&keys[4..], b'y');
+                assert_eq!(a.run_local_gc().deleted, 2, "{case}");
+            }
+            "killed" => assert!(cluster.kill_node(a.node_id())),
+            "replaced" => {
+                assert!(cluster.kill_node(a.node_id()));
+                assert_eq!(cluster.replace_failed_nodes().unwrap(), 1);
+            }
+            "held" => {
+                cluster.run_maintenance_round().unwrap();
+            }
+            "bootstrap" => reader = cluster.add_node().unwrap(),
+            _ => {}
+        }
+        let calls = if case == "cached" { 0 } else { 1 };
+        assert_eq!(get_all_calls(&storage, &reader, &keys), calls, "{case}");
+    }
+}
+
+/// A phase hook that holds every link from its round on.
+#[derive(Debug)]
+struct HoldFromRound(u64);
+
+impl PhaseHook for HoldFromRound {
+    fn at(&self, _node_id: &str, _phase: CommitPhase) -> AftResult<()> {
+        Ok(())
+    }
+
+    fn hold(&self, round: u64, _sender: &str, _receiver: &str) -> bool {
+        round >= self.0
     }
 }
 
@@ -445,8 +564,8 @@ fn a_record_durable_during_a_round_reaches_peers_with_its_drain() {
     // Node A's commit writes its record, and a maintenance round runs before
     // the commit returns. The scan lists the record, but A still holds it
     // for its next drain, so nothing is recovered: the next round's
-    // dissemination brings it to both peers, new to each, with its 256 B
-    // payload, and a peer's first read of it bills no call.
+    // dissemination brings it to both peers, new to each, tagged with A, and
+    // a peer's first read of it asks A and bills no call.
     let storage = make_backend(BackendConfig::test(BackendKind::Memory));
     let hook = Arc::new(RoundBeforeBroadcast::default());
     let mut config = ClusterConfig::test(3);
@@ -480,11 +599,7 @@ fn a_record_durable_during_a_round_reaches_peers_with_its_drain() {
     for peer in peers {
         let what = peer.node_id();
         assert!(peer.metadata().is_committed(&id), "{what}");
-        assert_eq!(
-            peer.data_cache().peek(&key, &id),
-            Some(value.clone()),
-            "{what}"
-        );
+        assert_eq!(peer.metadata().view().origin(&id), Some(a.origin()));
         let before = storage.stats().snapshot();
         let reader = peer.start_transaction();
         let read = peer.get_versioned(&reader, &key).unwrap();

@@ -11,10 +11,16 @@
 //! key's newest acknowledged write (the checker's model, not AFT's
 //! metadata), and storage must hold no data whose commit record is gone,
 //! nor an overwritten version no node and not the fault manager still
-//! holds. No node fails, so the fault manager must recover no commit. It runs over the memory row and over Redis, where one GC `DEL`
-//! spans the transactions of a slot group. A seed replays the script
-//! exactly; with `--nocapture` it prints how many overwritten versions its
-//! last round left for a later one.
+//! holds. No node fails, so the fault manager must recover no commit. It
+//! runs over the memory row and over Redis, where one GC `DEL` spans the
+//! transactions of a slot group, and over the memory row with a data cache
+//! of 4 KiB a node and values past `INLINE_BYTES` (1 KiB) in every second
+//! write: most reads there miss, and a miss on a version a peer committed
+//! asks that peer, whose own small cache and sweeps have often dropped the
+//! version since, so the read goes on to storage. A seed replays
+//! the script exactly; with `--nocapture` it prints how many overwritten
+//! versions its last round left for a later one, and how many reads each
+//! source answered.
 
 use std::collections::{HashMap, HashSet};
 
@@ -52,8 +58,9 @@ fn key(i: usize) -> Key {
 }
 
 /// Each committer's requests: read one key, write one to three, read one
-/// of the writes back, over a Zipf(1) key space.
-fn requests(seed: u64) -> Vec<Vec<Request>> {
+/// of the writes back, over a Zipf(1) key space. Every second write is of
+/// a value past `INLINE_BYTES` when `large`.
+fn requests(seed: u64, large: bool) -> Vec<Vec<Request>> {
     let rng = &mut StdRng::seed_from_u64(seed);
     let zipf = ZipfGenerator::new(KEYS, 1.0);
     let mut request = || {
@@ -62,7 +69,10 @@ fn requests(seed: u64) -> Vec<Vec<Request>> {
             .map(|_| key(zipf.sample(rng)))
             .collect();
         let back = Op::Read(writes[rng.gen_range(0..writes.len())].clone());
-        let writes = writes.into_iter().map(Op::Write);
+        let writes = writes.into_iter().enumerate().map(|(i, key)| match i % 2 {
+            0 if large => Op::WriteLarge(key),
+            _ => Op::Write(key),
+        });
         [read].into_iter().chain(writes).chain([back]).collect()
     };
     (0..COMMITTERS)
@@ -92,24 +102,43 @@ fn superseded_set(cache: &MetadataCache) -> Vec<TransactionId> {
 
 #[test]
 fn maintenance_racing_commits_keeps_supersedence_and_storage_consistent() {
-    race_maintenance(InMemoryStore::shared());
+    race_maintenance(InMemoryStore::shared(), None);
 }
 
 /// On Redis one GC `DEL` carries every collected key of a slot group.
 #[test]
 fn maintenance_racing_commits_keeps_storage_consistent_on_redis() {
-    race_maintenance(make_backend(BackendConfig::test(BackendKind::Redis)));
+    race_maintenance(make_backend(BackendConfig::test(BackendKind::Redis)), None);
 }
 
-fn race_maintenance(raw: SharedStorage) {
+/// A read that misses asks the version's origin, a peer whose 4 KiB cache
+/// evicts on most commits and whose sweeps drop overwritten versions: both
+/// the peer's answer and the storage read after a peer's miss must hold.
+#[test]
+fn reads_pulled_from_sweeping_evicting_origins_are_clean() {
+    let sources = race_maintenance(InMemoryStore::shared(), Some(4 * 1024));
+    let (peers, storage) = sources;
+    assert!(peers > 0, "no read was answered by the version's origin");
+    assert!(storage > 0, "no read went to storage");
+}
+
+/// Runs the race over `raw`, with a data cache of `cache_bytes` a node and
+/// large values in every second write (the default cache and small values
+/// when `None`), and returns how many reads the versions' origins and
+/// storage answered.
+fn race_maintenance(raw: SharedStorage, cache_bytes: Option<usize>) -> (u64, u64) {
+    let large = cache_bytes.is_some();
     let seed = test_seed();
     let mut config = ClusterConfig::test(3);
     config.node_template.rng_seed = 0xAF71 ^ seed.wrapping_mul(0xC2B2);
+    if let Some(bytes) = cache_bytes {
+        config.node_template.data_cache_bytes = bytes;
+    }
     let cluster = Cluster::with_clock(config, raw.clone(), TickingClock::shared(1, 1)).unwrap();
 
     let run = sim::run(
         &cluster,
-        requests(0x5EED ^ seed.wrapping_mul(0x9E37)),
+        requests(0x5EED ^ seed.wrapping_mul(0x9E37), large),
         &mut Seeded::new(seed.wrapping_mul(0xD1B5), None),
     );
     assert_eq!(run.anomalies, 0, "the history checker found read anomalies");
@@ -200,8 +229,17 @@ fn race_maintenance(raw: SharedStorage) {
         );
         held += 1;
     }
+    let reads = nodes.iter().map(|node| node.stats().snapshot());
+    let (peers, storage) = reads.fold((0, 0), |(peers, storage), read| {
+        (
+            peers + read.reads_from_peers,
+            storage + read.reads_from_storage,
+        )
+    });
     println!(
-        "seed {seed}, {}: {held} overwritten versions still held",
+        "seed {seed}, {}: {held} overwritten versions still held; reads \
+         answered by origins {peers}, by storage {storage}",
         raw.name()
     );
+    (peers, storage)
 }
