@@ -28,7 +28,9 @@ use std::time::Duration;
 use aft_storage::io::{IoConfig, IoEngine};
 use aft_storage::latency::{LatencyMode, LatencyModel, LatencyProfile};
 use aft_storage::SharedStorage;
-use aft_types::{AftError, AftResult, Key, SharedClock, SystemClock, TransactionId, Value};
+use aft_types::{
+    fnv1a, seeded_stream, AftError, AftResult, Key, SharedClock, SystemClock, TransactionId, Value,
+};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -162,7 +164,8 @@ pub struct NodeConfig {
     /// AFT's overhead in Figure 2), charged on the virtual clock; zero for
     /// unit tests.
     pub rpc_profile: LatencyProfile,
-    /// Seed for the node's RNG (transaction UUIDs, latency sampling).
+    /// Seed of the node's transaction UUIDs and, on a stream of its own
+    /// keyed by the node id, of its RPC latency draws.
     pub rng_seed: u64,
     /// The node's storage I/O window: how many requests of one batch (a
     /// commit's data writes, a read's misses) overlap in a wave.
@@ -233,6 +236,9 @@ pub struct AftNode {
     data_cache: DataCache,
     stats: Arc<NodeStats>,
     rpc_latency: Arc<LatencyModel>,
+    /// RPC hops drawn so far: the next one's index on the node's RPC stream.
+    rpc_draws: AtomicU64,
+    /// The stream transaction UUIDs are drawn from, and only they.
     rng: Mutex<StdRng>,
     /// Commits made on this node that no drain has handed out yet (§4, §4.2).
     undrained: Mutex<Undrained>,
@@ -273,6 +279,7 @@ impl AftNode {
             commit_flushes: AtomicU64::new(0),
             stats: NodeStats::new_shared(),
             rng: Mutex::new(StdRng::seed_from_u64(config.rng_seed)),
+            rpc_draws: AtomicU64::new(0),
             undrained: Mutex::new(Undrained::default()),
             crashed: AtomicBool::new(false),
             origin: Origin::next(),
@@ -369,12 +376,16 @@ impl AftNode {
         answer
     }
 
+    /// Charges one client→shim hop, drawn from the node's RPC stream: the
+    /// node's seed, its id and how many hops it drew before.
     fn rpc(&self) {
         if self.config.rpc_profile.median_us > 0.0 {
-            // Sample under the RNG lock, sleep outside it — concurrent client
-            // requests to the same node must not serialise on the sampler.
+            let n = self.rpc_draws.fetch_add(1, Ordering::Relaxed);
+            let stream = fnv1a(self.config.node_id.bytes());
+            let mut rng = seeded_stream(self.config.rng_seed, stream, n);
+            let profile = &self.config.rpc_profile;
             self.rpc_latency
-                .apply_with(&self.config.rpc_profile, &self.rng, 0);
+                .finish(self.rpc_latency.draw(profile, &mut rng, 0));
         }
     }
 }

@@ -9,7 +9,7 @@
 //! between their writes.
 //!
 //! Invocation `n`'s fate is drawn from its own stream of the injector's seed
-//! ([`fault_stream`]), against the rates of a [`FaasChaos`]: a function of the
+//! ([`seeded_stream`]), against the rates of a [`FaasChaos`]: a function of the
 //! seed and `n` alone, so a seed replays the platform's failures whatever
 //! else the run asks. `aft_workload::sim::Seeded` draws its storage, network
 //! and partition answers from the same streams, each leg under a salt of its
@@ -17,22 +17,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use aft_types::seeded_stream;
+use rand::Rng;
 
 /// The faas leg's salt: decorrelates its stream from the other legs drawn
 /// from the same seed.
 const FAAS_SALT: u64 = 0xFAA5_0000_F417_0001;
-
-/// The stream answer `index` of the fault leg salted `salt` draws from under
-/// `seed`: SplitMix-style mixing, so an answer depends on its seed, leg and
-/// index alone, never on the order legs are asked in.
-pub fn fault_stream(seed: u64, salt: u64, index: u64) -> StdRng {
-    let stream = (seed ^ salt)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(index.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    StdRng::seed_from_u64(stream)
-}
 
 /// Where, relative to the function body, an injected failure strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,7 +109,7 @@ impl FailureInjector {
         if c.is_quiet() {
             return None;
         }
-        let draw: f64 = fault_stream(self.seed, FAAS_SALT, index).gen_range(0.0..1.0);
+        let draw: f64 = seeded_stream(self.seed, FAAS_SALT, index).gen_range(0.0..1.0);
         let point = if draw < c.before_body {
             FailurePoint::BeforeBody
         } else if draw < c.before_body + c.after_body {

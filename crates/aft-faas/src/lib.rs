@@ -27,7 +27,7 @@ pub mod retry;
 pub mod stats;
 
 pub use composition::{Composition, InvocationInfo};
-pub use failure::{fault_stream, FaasChaos, FailureInjector, FailurePoint};
+pub use failure::{FaasChaos, FailureInjector, FailurePoint};
 pub use platform::{FaasPlatform, PlatformConfig};
 pub use retry::{RequestOutcome, RetryPolicy};
 pub use stats::{PlatformStats, PlatformStatsSnapshot};

@@ -14,10 +14,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use aft_storage::latency::{LatencyMode, LatencyModel, LatencyProfile, Permit, Permits};
-use aft_types::{AftError, AftResult};
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use aft_types::{seeded_stream, AftError, AftResult};
+use rand::Rng;
 
 use crate::composition::{Composition, InvocationInfo};
 use crate::failure::{FaasChaos, FailureInjector, FailurePoint};
@@ -39,7 +37,8 @@ pub struct PlatformConfig {
     pub concurrency_limit: usize,
     /// Fault pressure applied to every invocation, drawn from `seed`.
     pub chaos: FaasChaos,
-    /// RNG seed, of the latency draws and of the failure injector.
+    /// Seed of the failure injector's fates and, on a stream of their own,
+    /// of each invocation's cold-start coin and latency draws.
     pub seed: u64,
 }
 
@@ -83,11 +82,16 @@ impl PlatformConfig {
     }
 }
 
+/// The latency leg's salt: decorrelates invocation `n`'s latency stream
+/// from its fate, which the injector draws from the same seed.
+const LATENCY_SALT: u64 = 0xFAA5_0000_1A7E_0001;
+
 /// The simulated FaaS platform.
 pub struct FaasPlatform {
     config: PlatformConfig,
     latency: Arc<LatencyModel>,
-    rng: Mutex<StdRng>,
+    /// Invocations so far: the next one's index on the latency stream.
+    invocations: AtomicU64,
     injector: FailureInjector,
     stats: Arc<PlatformStats>,
     active: AtomicU64,
@@ -100,7 +104,7 @@ impl FaasPlatform {
     pub fn new(config: PlatformConfig) -> Arc<Self> {
         Arc::new(FaasPlatform {
             latency: LatencyModel::new(LatencyMode::Virtual, 1.0),
-            rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
+            invocations: AtomicU64::new(0),
             injector: FailureInjector::new(config.seed, config.chaos),
             stats: PlatformStats::new_shared(),
             active: AtomicU64::new(0),
@@ -135,24 +139,21 @@ impl FaasPlatform {
     pub fn invoke<T>(&self, body: impl FnOnce() -> AftResult<T>) -> AftResult<T> {
         let _slot = self.acquire_slot();
 
-        let (cold, failure) = {
-            let mut rng = self.rng.lock();
-            let cold = self.config.cold_start_probability > 0.0
-                && rng.gen::<f64>() < self.config.cold_start_probability;
-            drop(rng);
-            (cold, self.injector.decide())
-        };
+        // Invocation `n`'s cold-start coin and overheads come from its own
+        // stream, so a cold start moves no later invocation's draws.
+        let n = self.invocations.fetch_add(1, Ordering::Relaxed);
+        let mut rng = seeded_stream(self.config.seed, LATENCY_SALT, n);
+        let cold = self.config.cold_start_probability > 0.0
+            && rng.gen::<f64>() < self.config.cold_start_probability;
+        let failure = self.injector.decide();
         self.stats.record_invocation();
 
-        // Sample the invocation overheads under the RNG lock but sleep
-        // outside it: concurrent invocations must not serialise on the
-        // sampler.
         if cold {
-            self.latency
-                .apply_with(&self.config.cold_start, &self.rng, 0);
+            let cold_start = self.latency.draw(&self.config.cold_start, &mut rng, 0);
+            self.latency.finish(cold_start);
         }
-        self.latency
-            .apply_with(&self.config.warm_invocation, &self.rng, 0);
+        let warm = self.latency.draw(&self.config.warm_invocation, &mut rng, 0);
+        self.latency.finish(warm);
 
         if failure == Some(FailurePoint::BeforeBody) {
             self.stats.record_injected_failure();

@@ -57,7 +57,9 @@ use aft_storage::io::RetryConfig;
 use aft_storage::latency::charge;
 use aft_types::clock::TickingClock;
 use aft_types::wire::{decode_response, WireRequest, WireResponse, WireStats};
-use aft_types::{AftError, AftResult, Key, SharedClock, SystemClock, TransactionId, Uuid, Value};
+use aft_types::{
+    seeded_stream, AftError, AftResult, Key, SharedClock, SystemClock, TransactionId, Uuid, Value,
+};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,6 +68,10 @@ use crate::buffer::KEEP_CAPACITY;
 use crate::frame::{read_frame_into, request_frame};
 use crate::pipe::Pipe;
 use crate::server::{PipeServer, ServerShared};
+
+/// The overload backoff's salt: decorrelates its jitter stream from the
+/// client's UUIDs, which are drawn from the same seed.
+const JITTER_SALT: u64 = 0xAF7_0000_B0FF_0001;
 
 /// Tuning of an [`AftClient`]; built with [`AftClient::builder`].
 #[derive(Debug, Clone)]
@@ -141,7 +147,8 @@ impl ClientBuilder {
         self
     }
 
-    /// Seed for transaction UUIDs (distinct clients should use distinct
+    /// Seed for transaction UUIDs and, on a stream of its own, for the
+    /// overload backoff's jitter (distinct clients should use distinct
     /// seeds).
     pub fn rng_seed(mut self, rng_seed: u64) -> Self {
         self.config.rng_seed = rng_seed;
@@ -479,7 +486,11 @@ pub struct AftClient {
     next_request: AtomicU64,
     next_slot: AtomicUsize,
     clock: SharedClock,
+    /// The stream transaction UUIDs are drawn from, and only they.
     rng: Mutex<StdRng>,
+    /// Overload backoffs drawn so far: the next one's index on the
+    /// client's jitter stream.
+    backoff_draws: AtomicU64,
     txns: Mutex<HashMap<Uuid, LocalTxn>>,
     stats: ClientStats,
 }
@@ -519,6 +530,7 @@ impl AftClient {
             next_slot: AtomicUsize::new(0),
             clock,
             rng: Mutex::new(StdRng::seed_from_u64(config.rng_seed)),
+            backoff_draws: AtomicU64::new(0),
             txns: Mutex::new(HashMap::new()),
             stats: ClientStats::default(),
             config,
@@ -683,7 +695,9 @@ impl AftClient {
     }
 
     /// One decorrelated-jitter backoff step: `sleep = min(cap,
-    /// uniform(base, prev * 3))`, drawn from the client's seeded RNG. Each
+    /// uniform(base, prev * 3))`, drawn from the client's jitter stream (its
+    /// seed under a salt of its own, counted by backoff), so a retry moves
+    /// no transaction UUID. Each
     /// step's sleep depends on the *previous draw* rather than the attempt
     /// number, so concurrent clients' retry schedules diverge instead of
     /// synchronizing.
@@ -695,10 +709,9 @@ impl AftClient {
             .max(Duration::from_micros(50));
         let cap = self.config.retry.max_backoff.max(base);
         let upper = prev.saturating_mul(3).max(base + Duration::from_nanos(1));
-        let nanos = {
-            let mut rng = self.rng.lock();
-            rng.gen_range(base.as_nanos()..=upper.as_nanos())
-        };
+        let n = self.backoff_draws.fetch_add(1, Ordering::Relaxed);
+        let mut rng = seeded_stream(self.config.rng_seed, JITTER_SALT, n);
+        let nanos = rng.gen_range(base.as_nanos()..=upper.as_nanos());
         Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX)).min(cap)
     }
 }

@@ -11,8 +11,13 @@
 //!    notoriously long tail, which drives the 99th-percentile whiskers in
 //!    Figures 2–6).
 //!
-//! A [`LatencyModel`] is a log-normal-ish sampler described by a median and a
-//! p99 target, scaled by a factor. `LatencyMode::Virtual` disables sleeping
+//! A [`LatencyProfile`] is a log-normal-ish distribution described by a
+//! median and a p99 target; a [`LatencyModel`] scales its draws by a factor
+//! and applies them. Every draw is a function of its own call: the caller
+//! hands [`LatencyModel::draw`] that call's stream
+//! ([`aft_types::seeded_stream`]), keyed by what the call is on (a store's
+//! key, a node, a platform's invocation) and counted along it, so a call
+//! added or removed anywhere else moves no draw. `LatencyMode::Virtual` disables sleeping
 //! entirely and charges the would-have-slept time to the calling thread
 //! instead ([`measure_cost`]); seated at a [`Turns`] table, those charges
 //! are the threads' clocks in one deterministic virtual-time loop, which is
@@ -528,21 +533,22 @@ impl LatencyModel {
         self.scale
     }
 
-    /// Samples (and scales) a latency without applying it. Callers that keep
-    /// their RNG behind a lock use this to sample while holding the lock and
-    /// then call [`finish`](LatencyModel::finish) after releasing it, so that
-    /// the simulated service never serialises concurrent requests on its RNG.
-    pub fn sample<R: Rng + ?Sized>(
+    /// Draws one latency from `profile` for a payload of `payload_bytes`,
+    /// scaled, without applying it: the caller waits it out with
+    /// [`finish`](LatencyModel::finish). `rng` is the call's own stream
+    /// ([`aft_types::seeded_stream`]), so the draw depends on that call
+    /// alone, and no lock is held for it.
+    pub fn draw(
         &self,
         profile: &LatencyProfile,
-        rng: &mut R,
+        rng: &mut impl Rng,
         payload_bytes: usize,
     ) -> Duration {
         let us = profile.sample_us(rng, payload_bytes) * self.scale;
         Duration::from_nanos((us * 1000.0) as u64)
     }
 
-    /// Charges a previously sampled duration to the calling thread and, in
+    /// Charges a drawn duration to the calling thread and, in
     /// `Sleep` mode, sleeps for it.
     ///
     /// Inside a [`capture_deferred`] scope the sleep is suppressed and the
@@ -566,80 +572,6 @@ impl LatencyModel {
         if !pass_seat(duration) && self.mode == LatencyMode::Sleep {
             sleep_calibrated(duration);
         }
-    }
-
-    /// Samples from `profile` using an RNG behind a mutex, holding the lock
-    /// only for the sample, then charges/sleeps outside the lock.
-    pub fn apply_with<R: Rng>(
-        &self,
-        profile: &LatencyProfile,
-        rng: &parking_lot::Mutex<R>,
-        payload_bytes: usize,
-    ) {
-        let duration = {
-            let mut rng = rng.lock();
-            self.sample(profile, &mut *rng, payload_bytes)
-        };
-        self.finish(duration)
-    }
-}
-
-/// A lock-striped latency sampler: one seeded RNG per stripe, so concurrent
-/// requests to a simulated service sample latency without serialising on a
-/// single RNG mutex. Stripe selection follows the same `hash(key) → stripe`
-/// mapping as the data plane, keeping runs reproducible for a fixed key set.
-pub struct StripedSampler {
-    model: Arc<LatencyModel>,
-    rngs: Box<[parking_lot::Mutex<rand::rngs::StdRng>]>,
-}
-
-impl StripedSampler {
-    /// Creates a sampler over `model` with `stripes` independent RNGs seeded
-    /// deterministically from `seed`.
-    pub fn new(model: Arc<LatencyModel>, seed: u64, stripes: usize) -> Self {
-        use rand::SeedableRng;
-        let stripes = stripes.max(1);
-        StripedSampler {
-            model,
-            rngs: (0..stripes)
-                .map(|i| {
-                    parking_lot::Mutex::new(rand::rngs::StdRng::seed_from_u64(
-                        seed.wrapping_add(i as u64),
-                    ))
-                })
-                .collect(),
-        }
-    }
-
-    /// The underlying latency model.
-    pub fn model(&self) -> &Arc<LatencyModel> {
-        &self.model
-    }
-
-    /// Number of RNG stripes.
-    pub fn stripes(&self) -> usize {
-        self.rngs.len()
-    }
-
-    /// Samples from `profile` on the RNG of `stripe` (held only for the
-    /// sample) *without* applying the latency: the caller charges it with
-    /// [`LatencyModel::finish`] once the lock is released.
-    pub fn sample(
-        &self,
-        profile: &LatencyProfile,
-        stripe: usize,
-        payload_bytes: usize,
-    ) -> Duration {
-        let mut rng = self.rngs[stripe % self.rngs.len()].lock();
-        self.model.sample(profile, &mut *rng, payload_bytes)
-    }
-}
-
-impl std::fmt::Debug for StripedSampler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StripedSampler")
-            .field("stripes", &self.rngs.len())
-            .finish_non_exhaustive()
     }
 }
 
@@ -728,11 +660,11 @@ mod tests {
         assert!(large > small + 900.0, "100KB should cost ~990us more");
     }
 
-    /// Samples from `profile` on an RNG seeded with `seed` and applies it,
-    /// as a backend's call does; returns what it charged.
+    /// Draws from `profile` on an RNG seeded with `seed` and applies it, as
+    /// a backend's call does; returns what it charged.
     fn apply(model: &LatencyModel, profile: &LatencyProfile, seed: u64) -> Duration {
-        let rng = Mutex::new(StdRng::seed_from_u64(seed));
-        measure_cost(|| model.apply_with(profile, &rng, 0)).1
+        let mut rng = StdRng::seed_from_u64(seed);
+        measure_cost(|| model.finish(model.draw(profile, &mut rng, 0))).1
     }
 
     #[test]
@@ -770,29 +702,6 @@ mod tests {
         let model = LatencyModel::disabled();
         let profile = LatencyProfile::new(1_000.0, 2_000.0);
         assert_eq!(apply(&model, &profile, 3), Duration::ZERO);
-    }
-
-    #[test]
-    fn striped_sampler_records_into_the_shared_model() {
-        let model = LatencyModel::new(LatencyMode::Virtual, 1.0);
-        let sampler = StripedSampler::new(Arc::clone(&model), 9, 4);
-        assert_eq!(sampler.stripes(), 4);
-        let profile = LatencyProfile::new(1_000.0, 1_000.0);
-        let ((), charged) = measure_cost(|| {
-            for stripe in 0..8 {
-                let sample = sampler.sample(&profile, stripe, 0);
-                let ((), applied) = measure_cost(|| sampler.model().finish(sample));
-                assert!(applied >= Duration::from_micros(900));
-            }
-        });
-        assert!(charged >= Duration::from_millis(7));
-    }
-
-    #[test]
-    fn striped_sampler_clamps_zero_stripes() {
-        let sampler = StripedSampler::new(LatencyModel::disabled(), 1, 0);
-        assert_eq!(sampler.stripes(), 1);
-        assert_eq!(sampler.sample(&LatencyProfile::ZERO, 5, 0), Duration::ZERO);
     }
 
     #[test]

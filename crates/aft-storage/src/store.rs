@@ -1,38 +1,46 @@
 //! The simulated key-value service, written once.
 //!
 //! [`SimStore`] is a [`ShardedMap`] behind the accounting and latency of one
-//! [`Service`] row. Every call is billed in [`StorageStats`], samples its
-//! latency on the RNG of its key's stripe (held only for the sample) and
-//! charges it outside every lock, so concurrent requests never serialise on
-//! the simulator. The calls of one batch are issued together and the caller
-//! waits for the slowest: a batch charges the *maximum* of its samples, not
-//! their sum (sequential charging survives only in
+//! [`Service`] row. Every call is billed in [`StorageStats`] and draws its
+//! latency from its key's own stream ([`seeded_stream`] at the key's
+//! [`fnv1a`] hash): the draw of a key's `n`th call depends on the store's
+//! seed, the key and `n` alone, so a call on one key moves no other key's
+//! latency. The counts are kept per stripe (a lock held only to count) and
+//! the latency is charged outside every lock, so concurrent requests never
+//! serialise on the simulator. The calls of one batch are issued together
+//! and the caller waits for the slowest: a batch charges the *maximum* of
+//! its draws, not their sum (sequential charging survives only in
 //! [`SequentialEngine`](crate::SequentialEngine)). Where a row's multi-key
 //! call may carry keys of one hash slot only (Redis), a batch is split by
 //! [`slot_tag`] — the group of transactions whose UUIDs end in one byte —
 //! before it is cut to the call's limit, and a key alone in its slot goes
-//! out as the single-key call. A call whose profile is
-//! free — every call of the memory row — takes no hash, no RNG lock and no
-//! latency bookkeeping.
+//! out as the single-key call. A call whose profile is free — every call of
+//! the memory row — takes no hash, no lock and no count.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use aft_types::{slot_tag, AftResult, Value};
+use aft_types::{fnv1a, seeded_stream, slot_tag, AftResult, Value};
+use parking_lot::Mutex;
 
 use crate::counters::{OpKind, StorageStats};
 use crate::engine::StorageEngine;
-use crate::latency::{LatencyModel, LatencyProfile, StripedSampler};
+use crate::latency::{LatencyModel, LatencyProfile};
 use crate::profiles::{MultiKeyCall, Service};
-use crate::sharded::{stripe_of, ShardedMap};
+use crate::sharded::ShardedMap;
 
 /// One simulated storage service: the engine behind every [`Service`] row.
 #[derive(Debug)]
 pub struct SimStore {
     service: Service,
     map: ShardedMap,
-    sampler: StripedSampler,
+    latency: Arc<LatencyModel>,
+    seed: u64,
+    /// How many calls have drawn on each key, by the key's hash, split into
+    /// stripes by that hash: the next call's index on the key's stream. A
+    /// delete drops the key's count.
+    draws: Box<[Mutex<HashMap<u64, u64>>]>,
     stats: Arc<StorageStats>,
 }
 
@@ -55,15 +63,18 @@ impl SimStore {
     }
 
     /// An empty store simulating `service`: `stripes` placement stripes
-    /// (clamped to ≥ 1), each with its own lock and its own latency RNG
-    /// seeded `seed + stripe`. [`make_backend`](crate::make_backend) passes
-    /// the row's own [`Service::stripes`].
+    /// (clamped to ≥ 1), each with its own lock and its own map of draw
+    /// counts. Each key's latency stream is seeded from `seed`.
+    /// [`make_backend`](crate::make_backend) passes the row's own
+    /// [`Service::stripes`].
     pub fn of(service: Service, latency: Arc<LatencyModel>, seed: u64, stripes: usize) -> Self {
         let map = ShardedMap::new(stripes);
         SimStore {
             service,
-            sampler: StripedSampler::new(latency, seed, map.stripe_count()),
+            draws: (0..map.stripe_count()).map(|_| Mutex::default()).collect(),
             map,
+            latency,
+            seed,
             stats: StorageStats::new_shared(),
         }
     }
@@ -83,26 +94,50 @@ impl SimStore {
         self.map.is_empty()
     }
 
-    /// Samples one call's latency on the RNG of `key`'s stripe.
-    fn sample(&self, profile: &LatencyProfile, key: &str, bytes: usize) -> Duration {
+    /// The counts of the stripe that key hash `stream` falls in.
+    fn draws(&self, stream: u64) -> &Mutex<HashMap<u64, u64>> {
+        &self.draws[(stream % self.draws.len() as u64) as usize]
+    }
+
+    /// Draws one call's latency: the next draw on `key`'s stream.
+    fn draw(&self, profile: &LatencyProfile, key: &str, bytes: usize) -> Duration {
         if profile.is_free() {
             return Duration::ZERO;
         }
-        let stripe = stripe_of(key, self.sampler.stripes());
-        self.sampler.sample(profile, stripe, bytes)
+        let stream = fnv1a(key.bytes());
+        let n = {
+            let mut draws = self.draws(stream).lock();
+            let count = draws.entry(stream).or_insert(0);
+            *count += 1;
+            *count - 1
+        };
+        let mut rng = seeded_stream(self.seed, stream, n);
+        self.latency.draw(profile, &mut rng, bytes)
+    }
+
+    /// Drops the counts of `keys`, which a call of `profile` deleted: a key
+    /// written again later starts its stream over.
+    fn forget<'k>(&self, profile: &LatencyProfile, keys: impl IntoIterator<Item = &'k str>) {
+        if profile.is_free() {
+            return;
+        }
+        for key in keys {
+            let stream = fnv1a(key.bytes());
+            self.draws(stream).lock().remove(&stream);
+        }
     }
 
     /// Waits out (sleeps, records or defers) the slowest of the calls issued
     /// together.
     fn wait(&self, slowest: Option<Duration>) {
         if let Some(duration) = slowest.filter(|d| !d.is_zero()) {
-            self.sampler.model().finish(duration);
+            self.latency.finish(duration);
         }
     }
 
-    /// Samples and waits out one call of `profile` on `key`.
+    /// Draws and waits out one call of `profile` on `key`.
     pub(crate) fn charge(&self, profile: &LatencyProfile, key: &str, bytes: usize) {
-        self.wait(Some(self.sample(profile, key, bytes)));
+        self.wait(Some(self.draw(profile, key, bytes)));
     }
 
     /// The blob at `key`, its bytes counted as read.
@@ -220,7 +255,7 @@ impl StorageEngine for SimStore {
                     values[i] = self.read(&keys[i]);
                     bytes += values[i].as_ref().map_or(0, |v| v.len());
                 }
-                self.sample(&profile, &keys[chunk[0]], bytes)
+                self.draw(&profile, &keys[chunk[0]], bytes)
             });
         self.wait(calls.max());
         Ok(values)
@@ -246,7 +281,7 @@ impl StorageEngine for SimStore {
                     .iter()
                     .map(|&i| (items[i].0.as_str(), Some(items[i].1.clone())));
                 self.apply(&call, writes);
-                self.sample(&profile, &items[chunk[0]].0, bytes)
+                self.draw(&profile, &items[chunk[0]].0, bytes)
             });
         self.wait(calls.max());
         Ok(())
@@ -254,8 +289,10 @@ impl StorageEngine for SimStore {
 
     fn delete(&self, key: &str) -> AftResult<()> {
         self.stats.record_call(OpKind::Delete);
-        self.charge(&self.service.profile.delete, key, 0);
+        let profile = self.service.profile.delete;
+        self.charge(&profile, key, 0);
         self.map.remove(key);
+        self.forget(&profile, [key]);
         Ok(())
     }
 
@@ -266,8 +303,11 @@ impl StorageEngine for SimStore {
             .into_iter()
             .map(|chunk| {
                 let profile = self.bill(kind, &call, chunk.len(), lone);
-                self.apply(&call, chunk.iter().map(|&i| (keys[i].as_str(), None)));
-                self.sample(&profile, &keys[chunk[0]], 0)
+                let carried = || chunk.iter().map(|&i| keys[i].as_str());
+                self.apply(&call, carried().map(|key| (key, None)));
+                let drawn = self.draw(&profile, &keys[chunk[0]], 0);
+                self.forget(&profile, carried());
+                drawn
             });
         self.wait(calls.max());
         Ok(())

@@ -28,6 +28,8 @@
 //!   synchronisation for correctness; timestamps only provide relative
 //!   freshness, and ties are broken by UUID.
 //! * [`AftError`] — the error type used across the workspace.
+//! * [`seeded_stream`] and [`fnv1a`] — the seeded draws every simulated
+//!   fault and latency takes, each a function of its own call.
 
 pub mod clock;
 pub mod codec;
@@ -49,6 +51,9 @@ pub use txid::{Timestamp, TransactionId};
 pub use uuid::Uuid;
 pub use value::{payload_of_size, TaggedValue, Value};
 pub use wire::{WireRequest, WireResponse, WireStats};
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Storage key prefix under which AFT stores key-version data blobs.
 pub const DATA_PREFIX: &str = "data";
@@ -83,6 +88,20 @@ pub fn slot_tag(storage_key: &str) -> &str {
         }
         _ => storage_key,
     }
+}
+
+/// The RNG that draw `index` of stream `stream` takes its numbers from under
+/// `seed`: SplitMix-style mixing, so a draw depends on its seed, stream and
+/// index alone, never on the order streams are drawn from. A fault leg's
+/// stream is its salt; a simulated latency's is its key's [`fnv1a`] hash, a
+/// node's id or a platform's salt, and its index counts the draws before it
+/// on that stream (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
+/// 3", SC 2011).
+pub fn seeded_stream(seed: u64, stream: u64, index: u64) -> StdRng {
+    let mixed = (seed ^ stream)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(index.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    StdRng::seed_from_u64(mixed)
 }
 
 /// 64-bit FNV-1a over `bytes`. Its specification fixes it, unlike std's

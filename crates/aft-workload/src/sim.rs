@@ -52,7 +52,7 @@ use aft_core::api::AftApi;
 use aft_core::bootstrap::{fetch_commit_records, warm_metadata_cache_pipelined};
 use aft_core::{is_superseded, AftNode, MetadataCache, NetFault, PhaseHook};
 use aft_faas::FailurePoint::{AfterBody, BeforeBody, MidBody};
-use aft_faas::{fault_stream, FailureInjector, FailurePoint};
+use aft_faas::{FailureInjector, FailurePoint};
 use aft_net::{AftClient, AftServer};
 use aft_storage::io::{IoConfig, IoEngine};
 use aft_storage::{
@@ -61,8 +61,8 @@ use aft_storage::{
 use aft_types::clock::TickingClock;
 use aft_types::codec::inline_values;
 use aft_types::{
-    fnv1a, AftError, AftResult, CommitPhase, Key, KeyVersion, SharedClock, TransactionId,
-    TransactionRecord, Uuid,
+    fnv1a, seeded_stream, AftError, AftResult, CommitPhase, Key, KeyVersion, SharedClock,
+    TransactionId, TransactionRecord, Uuid,
 };
 use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
@@ -185,7 +185,7 @@ pub trait Schedule {
 /// a call or parks.
 ///
 /// The stepper and each leg draw from the seed under a salt of their own. A
-/// leg draws its answer `n` from its own stream ([`fault_stream`]), so each
+/// leg draws its answer `n` from its own stream ([`seeded_stream`]), so each
 /// answer is a function of the seed, the leg and `n` alone: one seed
 /// replays every leg, whatever order storage, the disseminator and the
 /// clients ask in.
@@ -323,7 +323,7 @@ impl Schedule for Seeded {
             return Cut::Pass;
         }
         self.calls += 1;
-        let mut rng = fault_stream(self.seed, STORAGE_SALT, self.calls - 1);
+        let mut rng = seeded_stream(self.seed, STORAGE_SALT, self.calls - 1);
         if rng.gen_range(0.0..1.0) < self.transients {
             let applied = rng.gen_bool(0.5);
             Cut::Transient { applied }
@@ -344,13 +344,13 @@ impl Schedule for Seeded {
         // pairs hash the same bytes, and a recorded seed cuts the same links
         // on every toolchain.
         let link = fnv1a(pair.iter().flat_map(|name| name.bytes().chain([0xFF])));
-        let mut rng = fault_stream(self.seed, PARTITION_SALT, link);
+        let mut rng = seeded_stream(self.seed, PARTITION_SALT, link);
         rng.gen_range(0.0..1.0) < self.cut
     }
 
     fn deliver(&mut self, _: &str) -> NetFault {
         self.requests += 1;
-        let mut rng = fault_stream(self.seed, NET_SALT, self.requests - 1);
+        let mut rng = seeded_stream(self.seed, NET_SALT, self.requests - 1);
         match rng.gen_range(0.0..1.0) {
             draw if draw < self.resets && rng.gen_bool(0.5) => NetFault::ResetAfterSend,
             draw if draw < self.resets => NetFault::ResetBeforeSend,
