@@ -211,7 +211,7 @@ impl NodeConfig {
         self
     }
 
-    /// Sets the RNG seed.
+    /// Sets the seed of the UUIDs and the RPC draws.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.rng_seed = seed;
         self

@@ -326,6 +326,26 @@ fn ensure_transaction_is_idempotent() {
 }
 
 #[test]
+fn an_rpc_hop_moves_no_transaction_id() {
+    // A peer pull charges the reader one hop. Whether one comes first must
+    // not change the ids the node mints after it.
+    let ids = |hops: usize| {
+        let config = NodeConfig {
+            rpc_profile: aft_storage::latency::LatencyProfile::new(1_000.0, 5_000.0),
+            ..NodeConfig::test()
+        };
+        let storage: SharedStorage = InMemoryStore::shared();
+        let clock = aft_types::clock::TickingClock::shared(1_000, 1);
+        let node = AftNode::with_clock(config, storage, clock).unwrap();
+        for _ in 0..hops {
+            node.rpc();
+        }
+        (0..4).map(|_| node.start_transaction()).collect::<Vec<_>>()
+    };
+    assert_eq!(ids(0), ids(1));
+}
+
+#[test]
 fn a_commit_charges_nothing_but_storage() {
     use aft_storage::io::IoConfig;
     use aft_storage::latency::{measure_cost, LatencyProfile};

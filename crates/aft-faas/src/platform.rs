@@ -75,7 +75,7 @@ impl PlatformConfig {
         self
     }
 
-    /// Sets the RNG seed.
+    /// Sets the seed of the fates and the latency draws.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self

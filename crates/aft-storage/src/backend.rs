@@ -57,7 +57,8 @@ pub struct BackendConfig {
     /// Global latency scale factor (1.0 = the calibrated full-scale values;
     /// the harness typically uses 0.02–0.1 to compress wall-clock time).
     pub scale: f64,
-    /// RNG seed for the backend's latency sampler.
+    /// Seed of the backend's latency draws: every key's stream is drawn
+    /// under it.
     pub seed: u64,
 }
 
@@ -80,7 +81,7 @@ impl BackendConfig {
         }
     }
 
-    /// Overrides the RNG seed.
+    /// Overrides the seed of the latency draws.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -91,6 +92,11 @@ impl BackendConfig {
 /// [`BackendKind`] meets its [`Service`] row: the shared [`SimStore`] over
 /// that row, placed on the row's own stripes.
 pub fn make_backend(config: BackendConfig) -> SharedStorage {
+    Arc::new(sim_store(config))
+}
+
+/// The store [`make_backend`] shares.
+fn sim_store(config: BackendConfig) -> SimStore {
     let latency = LatencyModel::new(config.mode, config.scale);
     let service = match config.kind {
         BackendKind::Memory => Service::MEMORY,
@@ -98,7 +104,7 @@ pub fn make_backend(config: BackendConfig) -> SharedStorage {
         BackendKind::DynamoDb => Service::DYNAMODB,
         BackendKind::Redis => Service::REDIS,
     };
-    Arc::new(SimStore::of(service, latency, config.seed, service.stripes))
+    SimStore::of(service, latency, config.seed, service.stripes)
 }
 
 #[cfg(test)]
@@ -173,9 +179,9 @@ mod tests {
     fn make_backend_places_each_row_on_its_own_stripes() {
         use crate::io::{IoConfig, IoEngine, StorageRequest};
         use crate::latency::measure_cost;
-        // Every call draws its latency from the RNG of its key's stripe, so a
-        // fixed script charges the same costs, request by request, as a twin
-        // store only if both place keys on the same number of stripes.
+        // Each built row is placed on its own stripe count, and draws its
+        // latencies from the configured seed and mode: a fixed script
+        // charges the same costs, request by request, as a twin store.
         let keys = |n: usize| (0..n).map(|i| format!("k{i}"));
         let script: Vec<StorageRequest> = keys(64)
             .map(|k| StorageRequest::Put(k, Bytes::from_static(b"v")))
@@ -194,18 +200,20 @@ mod tests {
             (BackendKind::DynamoDb, Service::DYNAMODB, 16),
             (BackendKind::Redis, Service::REDIS, 2),
         ] {
-            let built = make_backend(BackendConfig {
+            let built = sim_store(BackendConfig {
                 mode: LatencyMode::Virtual,
                 ..BackendConfig::simulated(kind, 1.0).with_seed(seed)
             });
+            assert_eq!(built.stripe_count(), service.stripes, "{kind}");
+            assert_eq!(service.stripes, stripes, "{kind}");
             let model = LatencyModel::new(LatencyMode::Virtual, 1.0);
             let twin = Arc::new(SimStore::of(service, model, seed, stripes));
-            let costs = charged(built);
+            let costs = charged(Arc::new(built));
             assert!(
                 costs.iter().all(|c| !c.is_zero()),
                 "{kind}: every call charges"
             );
-            assert_eq!(costs, charged(twin), "{kind} on {stripes} stripes");
+            assert_eq!(costs, charged(twin), "{kind}");
         }
     }
 

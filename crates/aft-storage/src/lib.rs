@@ -23,9 +23,11 @@
 //!   Placement is a fact of the row ([`Service::stripes`]: 16 is
 //!   [`DEFAULT_STRIPES`]). A batch larger than its call's limit is several
 //!   calls; the calls of one batch are issued together and charged as the
-//!   slowest, and each call draws its latency from the RNG of its (first)
-//!   key's placement stripe — one lock and one RNG, seeded `seed + stripe`,
-//!   per stripe. Redis's multi-key calls may not span hash slots: its
+//!   slowest, and each call draws its latency from its (first) key's own
+//!   stream (a listing's prefix is its key): draw `n` of the key's [`aft_types::fnv1a`] hash under the
+//!   store's seed ([`aft_types::seeded_stream`]), where `n` counts the
+//!   store's earlier calls on that key. A call on one key therefore moves
+//!   no other key's latency. Redis's multi-key calls may not span hash slots: its
 //!   batches split by [`aft_types::slot_tag`] first — the last byte of the
 //!   transaction UUID, so one slot holds 256ths of the transactions — and
 //!   one transaction's keys share a call, a GC `DEL` carries every

@@ -155,7 +155,8 @@ pub struct Service {
     pub batch_put: Option<MultiKeyCall>,
     /// The multi-key delete call; `None` means one delete call per key.
     pub batch_delete: Option<MultiKeyCall>,
-    /// Placement stripes: one lock and one latency RNG each.
+    /// Placement stripes: each locks its keys and, apart, their latency
+    /// draw counts.
     pub stripes: usize,
 }
 

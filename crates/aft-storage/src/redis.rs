@@ -37,7 +37,7 @@
 //! counts are not the paper's.
 //!
 //! A shard is a placement stripe of the shared [`SimStore`](crate::SimStore):
-//! one lock, one latency RNG. An atomic call holds the locks of every stripe
+//! one lock on its keys. An atomic call holds the locks of every stripe
 //! it touches while it lands.
 
 #[cfg(test)]

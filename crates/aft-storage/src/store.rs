@@ -350,6 +350,63 @@ impl StorageEngine for SimStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::latency::{measure_cost, LatencyMode};
+
+    /// What each call of a fixed script on keys `k1`..`k16` charges, on a
+    /// Virtual-mode store of `service`: single-key puts, gets and deletes,
+    /// and a batch of each kind. With `extra`, a listing of `ckptmeta/` and
+    /// a read of `k0` come first.
+    fn script_costs(service: Service, extra: bool) -> Vec<Duration> {
+        let model = LatencyModel::new(LatencyMode::Virtual, 1.0);
+        let store = SimStore::of(service, model, 7, service.stripes);
+        if extra {
+            store.list_prefix("ckptmeta/").unwrap();
+            store.get("k0").unwrap();
+        }
+        let keys: Vec<String> = (1..=16).map(|i| format!("k{i}")).collect();
+        let value = Value::from_static(b"v");
+        let items = || keys.iter().map(|k| (k.clone(), value.clone())).collect();
+        let mut costs = Vec::new();
+        let mut cost = |call: &dyn Fn() -> AftResult<()>| costs.push(measure_cost(call).1);
+        for key in &keys {
+            cost(&|| store.put(key, value.clone()));
+            cost(&|| store.get(key).map(drop));
+        }
+        cost(&|| store.put_batch(items()));
+        cost(&|| store.get_batch(&keys).map(drop));
+        cost(&|| store.delete_batch(&keys[..8]));
+        for key in &keys[8..] {
+            cost(&|| store.delete(key));
+        }
+        costs
+    }
+
+    #[test]
+    fn calls_on_one_key_move_no_other_keys_latency() {
+        for service in [Service::S3, Service::DYNAMODB, Service::REDIS] {
+            let costs = script_costs(service, false);
+            assert!(costs.iter().all(|c| !c.is_zero()), "{}", service.name);
+            assert_eq!(costs, script_costs(service, true), "{}", service.name);
+        }
+    }
+
+    #[test]
+    fn first_draws_across_keys_follow_the_profile() {
+        // Each key's first call is draw 0 of its own stream; over many keys
+        // those draws have the profile's median and tail, as one stream's
+        // draws do.
+        let model = LatencyModel::new(LatencyMode::Virtual, 1.0);
+        let store = SimStore::of(Service::S3, model, 7, Service::S3.stripes);
+        let profile = LatencyProfile::new(1_000.0, 5_000.0);
+        let mut draws: Vec<f64> = (0..5_000)
+            .map(|i| store.draw(&profile, &format!("data/k{i}"), 0))
+            .map(|draw| draw.as_secs_f64() * 1e6)
+            .collect();
+        draws.sort_by(f64::total_cmp);
+        let (median, p99) = (draws[2_500], draws[4_950]);
+        assert!((median - 1_000.0).abs() < 150.0, "median {median} µs");
+        assert!((p99 - 5_000.0).abs() < 1_750.0, "p99 {p99} µs");
+    }
 
     #[test]
     fn one_call_is_whether_a_batch_is_cut_into_one_call() {
