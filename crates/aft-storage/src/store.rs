@@ -95,7 +95,7 @@ impl SimStore {
     }
 
     /// The counts of the stripe that key hash `stream` falls in.
-    fn draws(&self, stream: u64) -> &Mutex<HashMap<u64, u64>> {
+    fn draws_of(&self, stream: u64) -> &Mutex<HashMap<u64, u64>> {
         &self.draws[(stream % self.draws.len() as u64) as usize]
     }
 
@@ -106,7 +106,7 @@ impl SimStore {
         }
         let stream = fnv1a(key.bytes());
         let n = {
-            let mut draws = self.draws(stream).lock();
+            let mut draws = self.draws_of(stream).lock();
             let count = draws.entry(stream).or_insert(0);
             *count += 1;
             *count - 1
@@ -123,7 +123,7 @@ impl SimStore {
         }
         for key in keys {
             let stream = fnv1a(key.bytes());
-            self.draws(stream).lock().remove(&stream);
+            self.draws_of(stream).lock().remove(&stream);
         }
     }
 
