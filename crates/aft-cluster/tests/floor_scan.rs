@@ -122,7 +122,7 @@ fn a_failed_nodes_commit_that_lands_after_the_round_that_found_it_failed_is_reco
 fn a_failed_scan_leaves_the_reports_it_took_to_the_next() {
     // While set, every attempt of every call is dropped.
     static DROPPING: AtomicBool = AtomicBool::new(false);
-    let hook = |_| match DROPPING.load(Ordering::Relaxed) {
+    let hook = |_: &str, _| match DROPPING.load(Ordering::Relaxed) {
         true => Cut::Transient { applied: false },
         false => Cut::Pass,
     };

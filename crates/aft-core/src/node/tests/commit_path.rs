@@ -160,7 +160,7 @@ fn a_failed_spill_leaves_its_keys_to_the_commit() {
     use aft_storage::{Cut, CutStore};
     // While set, every attempt of every call is dropped.
     static DROPPING: AtomicBool = AtomicBool::new(false);
-    let hook = |_| match DROPPING.load(Ordering::Relaxed) {
+    let hook = |_: &str, _| match DROPPING.load(Ordering::Relaxed) {
         true => Cut::Transient { applied: false },
         false => Cut::Pass,
     };

@@ -24,7 +24,7 @@ pub(crate) struct Latch {
 }
 
 impl CutHook for Latch {
-    fn cut(&self, units: usize) -> Cut {
+    fn cut(&self, _: &str, units: usize) -> Cut {
         let mut state = self.state.lock().unwrap();
         if state.0 && units > 0 {
             let name = std::thread::current().name().unwrap_or("").to_owned();

@@ -85,7 +85,7 @@ fn sequential_pings_wake_neither_the_loop_nor_another_caller() {
 struct ReadThreads(Mutex<Vec<String>>);
 
 impl CutHook for ReadThreads {
-    fn cut(&self, units: usize) -> Cut {
+    fn cut(&self, _: &str, units: usize) -> Cut {
         if units == 0 {
             let name = std::thread::current().name().unwrap_or("").to_owned();
             self.0.lock().unwrap().push(name);

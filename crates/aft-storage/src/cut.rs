@@ -6,8 +6,10 @@
 //! storage write leaves a store from which every acknowledged commit is
 //! recovered and no read set fractures. [`CutStore`] reaches those states
 //! live: it wraps any engine and asks its [`CutHook`] how every call ends,
-//! reads and listings included. The hook is told how many *units* the call
-//! has — the parts the service applies independently:
+//! reads and listings included. The hook is told the call's key — a
+//! single-key call's key, a batch's first key, a listing's prefix: the key
+//! the simulated store draws the call's latency at — and how many *units*
+//! the call has, the parts the service applies independently:
 //!
 //! * a read or a listing has none: it lands nothing;
 //! * a write the service applies all-or-nothing (a Redis `MSET` or `DEL`
@@ -60,14 +62,14 @@ pub enum Cut {
 
 /// Where a [`CutStore`] takes its cuts.
 pub trait CutHook: Send + Sync {
-    /// How a call of `units` ends: 0 for a read or a listing, which only a
-    /// transient cuts.
-    fn cut(&self, units: usize) -> Cut;
+    /// How a call on `key` of `units` ends: 0 for a read or a listing,
+    /// which only a transient cuts.
+    fn cut(&self, key: &str, units: usize) -> Cut;
 }
 
-impl<F: Fn(usize) -> Cut + Send + Sync> CutHook for F {
-    fn cut(&self, units: usize) -> Cut {
-        self(units)
+impl<F: Fn(&str, usize) -> Cut + Send + Sync> CutHook for F {
+    fn cut(&self, key: &str, units: usize) -> Cut {
+        self(key, units)
     }
 }
 
@@ -121,20 +123,22 @@ impl CutStore {
         )))
     }
 
-    /// Runs one read or listing through the hook.
-    fn read<T>(&self, run: impl FnOnce() -> AftResult<T>) -> AftResult<T> {
+    /// Runs one read or listing on `key` through the hook.
+    fn read<T>(&self, key: &str, run: impl FnOnce() -> AftResult<T>) -> AftResult<T> {
         self.live()?;
-        match self.hook.cut(0) {
+        match self.hook.cut(key, 0) {
             Cut::Transient { applied } => self.transient(applied, run),
             Cut::Pass | Cut::Crash(_) | Cut::Fail(_) => run(),
         }
     }
 
-    /// Runs one write call of `units` through the hook: `land` applies the
-    /// items of the units that land. Units are ordered by their first item,
-    /// so a cut names the same items however the caller ordered them.
+    /// Runs one write call on `key` of `units` through the hook: `land`
+    /// applies the items of the units that land. Units are ordered by their
+    /// first item, so a cut names the same items however the caller ordered
+    /// them.
     fn write<T: Ord>(
         &self,
+        key: &str,
         mut units: Vec<Vec<T>>,
         land: impl FnOnce(Vec<T>) -> AftResult<()>,
     ) -> AftResult<()> {
@@ -143,7 +147,7 @@ impl CutStore {
             return land(Vec::new());
         }
         units.sort();
-        let (applied, crash) = match self.hook.cut(units.len()) {
+        let (applied, crash) = match self.hook.cut(key, units.len()) {
             Cut::Pass => return land(units.into_iter().flatten().collect()),
             Cut::Transient { applied } => {
                 return self.transient(applied, || land(units.into_iter().flatten().collect()))
@@ -169,36 +173,45 @@ impl CutStore {
     }
 }
 
+/// A batch call's key: its first, as the simulated store draws it.
+fn first(keys: &[String]) -> &str {
+    keys.first().map_or("", String::as_str)
+}
+
 impl StorageEngine for CutStore {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
 
     fn get(&self, key: &str) -> AftResult<Option<Value>> {
-        self.read(|| self.inner.get(key))
+        self.read(key, || self.inner.get(key))
     }
 
     fn get_batch(&self, keys: &[String]) -> AftResult<Vec<Option<Value>>> {
-        self.read(|| self.inner.get_batch(keys))
+        self.read(first(keys), || self.inner.get_batch(keys))
     }
 
     fn put(&self, key: &str, value: Value) -> AftResult<()> {
         let land = |_| self.inner.put(key, value);
-        self.write(vec![vec![key]], land)
+        self.write(key, vec![vec![key]], land)
     }
 
     fn put_batch(&self, items: Vec<(String, Value)>) -> AftResult<()> {
+        let key = items
+            .first()
+            .map(|(key, _)| key.clone())
+            .unwrap_or_default();
         let keys: Vec<&str> = items.iter().map(|(key, _)| key.as_str()).collect();
         let units = if self.inner.writes_atomically(&keys) {
             vec![items]
         } else {
             items.into_iter().map(|item| vec![item]).collect()
         };
-        self.write(units, |items| self.inner.put_batch(items))
+        self.write(&key, units, |items| self.inner.put_batch(items))
     }
 
     fn delete(&self, key: &str) -> AftResult<()> {
-        self.write(vec![vec![key]], |_| self.inner.delete(key))
+        self.write(key, vec![vec![key]], |_| self.inner.delete(key))
     }
 
     fn delete_batch(&self, keys: &[String]) -> AftResult<()> {
@@ -212,7 +225,7 @@ impl StorageEngine for CutStore {
         } else {
             keys.iter().map(|key| vec![key.clone()]).collect()
         };
-        self.write(units, |keys| self.inner.delete_batch(&keys))
+        self.write(first(keys), units, |keys| self.inner.delete_batch(&keys))
     }
 
     fn delete_call(&self) -> MultiKeyCall {
@@ -220,11 +233,11 @@ impl StorageEngine for CutStore {
     }
 
     fn list_prefix(&self, prefix: &str) -> AftResult<Vec<String>> {
-        self.read(|| self.inner.list_prefix(prefix))
+        self.read(prefix, || self.inner.list_prefix(prefix))
     }
 
     fn list_prefix_after(&self, prefix: &str, after: &str) -> AftResult<Vec<String>> {
-        self.read(|| self.inner.list_prefix_after(prefix, after))
+        self.read(prefix, || self.inner.list_prefix_after(prefix, after))
     }
 
     fn supports_batch_get(&self) -> bool {
@@ -263,7 +276,7 @@ mod tests {
     struct Cuts(Mutex<(Vec<Cut>, Vec<usize>)>);
 
     impl CutHook for Cuts {
-        fn cut(&self, units: usize) -> Cut {
+        fn cut(&self, _: &str, units: usize) -> Cut {
             let (cuts, asked) = &mut *self.0.lock();
             asked.push(units);
             if cuts.is_empty() {
@@ -333,6 +346,34 @@ mod tests {
             store.delete("lone").unwrap();
             assert_eq!(hook.0.lock().1, [units, units, 1, 1], "{kind}");
         }
+    }
+
+    #[test]
+    fn each_call_names_the_key_the_store_draws_its_latency_at() {
+        // A single-key call its key, a batch its first key (as the caller
+        // ordered it), a listing its prefix.
+        let asked = Arc::new(Mutex::new(Vec::new()));
+        let hook = {
+            let asked = Arc::clone(&asked);
+            move |key: &str, _| {
+                asked.lock().push(key.to_owned());
+                Cut::Pass
+            }
+        };
+        let store = CutStore::new(
+            make_backend(BackendConfig::test(BackendKind::Memory)),
+            Arc::new(hook),
+        );
+        let keys = ["b".to_owned(), "a".to_owned()];
+        store.put("p", Value::new()).unwrap();
+        store.put_batch(abc().into_iter().rev().collect()).unwrap();
+        store.get("g").unwrap();
+        store.get_batch(&keys).unwrap();
+        store.list_prefix("l/").unwrap();
+        store.list_prefix_after("m/", "m/0").unwrap();
+        store.delete("d").unwrap();
+        store.delete_batch(&keys).unwrap();
+        assert_eq!(*asked.lock(), ["p", "c", "g", "b", "l/", "m/", "d", "b"]);
     }
 
     fn abc() -> Vec<(String, Value)> {

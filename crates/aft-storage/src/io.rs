@@ -889,12 +889,14 @@ mod tests {
         // fault's retry passes: 32 puts are 48 calls and 16 retries, and
         // the listing after them is one more fault and one more retry.
         let calls = AtomicUsize::new(0);
-        let backend = cut(move |_| match calls.fetch_add(1, Ordering::Relaxed) {
-            i if i % 3 == 0 => Cut::Transient {
-                applied: i % 2 == 0,
+        let backend = cut(
+            move |_: &str, _| match calls.fetch_add(1, Ordering::Relaxed) {
+                i if i % 3 == 0 => Cut::Transient {
+                    applied: i % 2 == 0,
+                },
+                _ => Cut::Pass,
             },
-            _ => Cut::Pass,
-        });
+        );
         let engine = IoEngine::new(backend, IoConfig::pipelined());
         let puts: Vec<_> = (0..32)
             .map(|i| StorageRequest::Put(format!("k{i}"), val("v")))
@@ -911,7 +913,7 @@ mod tests {
         use aft_types::AftError;
         // Every operation fails: the budget exhausts and the typed error
         // propagates — no panic, no untyped failure.
-        let backend = cut(|_| Cut::Transient { applied: false });
+        let backend = cut(|_: &str, _| Cut::Transient { applied: false });
         let engine = IoEngine::new(backend, IoConfig::pipelined());
         match engine.execute(StorageRequest::Put("k".into(), val("v"))) {
             Err(AftError::StorageTransient(_)) => {}
@@ -927,7 +929,7 @@ mod tests {
         // Zero-latency inner store, every attempt failing, 4 attempts: the
         // only cost is the three backoff steps (0.5 + 1 + 2 ms with the
         // default policy).
-        let backend = cut(|_| Cut::Transient { applied: false });
+        let backend = cut(|_: &str, _| Cut::Transient { applied: false });
         let engine = IoEngine::new(backend, IoConfig::sequential());
         let (result, cost) = measure_cost(|| engine.execute(StorageRequest::Get("k".into())));
         assert!(result.is_err());

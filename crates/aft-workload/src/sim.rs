@@ -158,9 +158,9 @@ pub trait Schedule {
     fn step(&mut self, options: &[Step]) -> Step;
     /// An invocation's fate: `None` runs it clean.
     fn fate(&mut self) -> Option<FailurePoint>;
-    /// How a storage call of `units` independently applied units ends, 0
-    /// for a read or a listing ([`CutStore`]).
-    fn cut(&mut self, units: usize) -> Cut;
+    /// How a storage call on `key` of `units` independently applied units
+    /// ends, 0 for a read or a listing ([`CutStore`]).
+    fn cut(&mut self, key: &str, units: usize) -> Cut;
     /// What `node` does at `phase`; [`Answer::Park`] only if `parkable`.
     fn phase(&mut self, node: &str, phase: CommitPhase, parkable: bool) -> Answer;
     /// Whether the batch `sender` sends `receiver` in dissemination round
@@ -188,18 +188,21 @@ pub trait Schedule {
 /// leg draws its answer `n` from its own stream ([`seeded_stream`]), so each
 /// answer is a function of the seed, the leg and `n` alone: one seed
 /// replays every leg, whatever order storage, the disseminator and the
-/// clients ask in.
+/// clients ask in. The storage leg keeps a stream per key, as the simulated
+/// store's latencies do: a call's answer is a function of the seed, its key
+/// and the trial's earlier calls on that key, so a call on one key moves no
+/// other key's faults.
 pub struct Seeded {
     rng: StdRng,
     injector: Option<Arc<FailureInjector>>,
     kill: Option<Kill>,
     /// The seed every fault leg draws from.
     seed: u64,
-    /// The storage leg: its rate, whether it is on, and the calls it has
-    /// answered while it was.
+    /// The storage leg: its rate, whether it is on, and how many calls it
+    /// has answered on each key while it was, by the key's hash.
     transients: f64,
     storage_faults: bool,
-    calls: u64,
+    draws: HashMap<u64, u64>,
     /// The net leg: its rates of resets and of late answers, how late, and
     /// the requests it has answered.
     resets: f64,
@@ -215,9 +218,9 @@ pub struct Seeded {
 /// The stepper's salt: decorrelates its stream from the nodes' UUID streams,
 /// which a deployment often starts from the same seed.
 const STEPPER_SALT: u64 = 0x57E9;
-/// The storage leg's salt. Zero, so seeds recorded by earlier storage-only
-/// chaos reports still replay.
-const STORAGE_SALT: u64 = 0;
+/// The storage leg's salt, mixed into each key's hash: decorrelates a key's
+/// faults from its latencies, which the store draws at the hash alone.
+const STORAGE_SALT: u64 = 0x5704_A6E0_FA17_5A17;
 /// The net leg's salt.
 const NET_SALT: u64 = 0x4E45_545F_4641_554C;
 /// The partition leg's salt.
@@ -244,7 +247,7 @@ impl Seeded {
             seed,
             transients: 0.0,
             storage_faults: false,
-            calls: 0,
+            draws: HashMap::new(),
             resets: 0.0,
             delays: 0.0,
             delay: Duration::ZERO,
@@ -256,8 +259,8 @@ impl Seeded {
 
     /// Fails a storage call made while storage faults are on
     /// ([`Seeded::storage_faults`]) transiently at `rate`, half of them
-    /// after the call applied: call `n` draws from the storage leg's stream
-    /// `n`.
+    /// after the call applied: the `n`th such call on a key draws `n` from
+    /// that key's stream.
     pub fn transients(mut self, rate: f64) -> Self {
         self.transients = rate;
         self
@@ -318,12 +321,14 @@ impl Schedule for Seeded {
         self.injector.as_deref().and_then(FailureInjector::decide)
     }
 
-    fn cut(&mut self, _: usize) -> Cut {
+    fn cut(&mut self, key: &str, _: usize) -> Cut {
         if !self.storage_faults {
             return Cut::Pass;
         }
-        self.calls += 1;
-        let mut rng = seeded_stream(self.seed, STORAGE_SALT, self.calls - 1);
+        let stream = STORAGE_SALT ^ fnv1a(key.bytes());
+        let count = self.draws.entry(stream).or_insert(0);
+        *count += 1;
+        let mut rng = seeded_stream(self.seed, stream, *count - 1);
         if rng.gen_range(0.0..1.0) < self.transients {
             let applied = rng.gen_bool(0.5);
             Cut::Transient { applied }
@@ -515,7 +520,7 @@ impl Schedule for Exhaustive {
     /// failing, then a transient dropping it, then one landing it first,
     /// while the kind's budget lasts. A read is never cut: the I/O engine
     /// retries a transient at once, so the retry reads what a pass would.
-    fn cut(&mut self, units: usize) -> Cut {
+    fn cut(&mut self, _: &str, units: usize) -> Cut {
         if units == 0 {
             return Cut::Pass;
         }
@@ -657,8 +662,8 @@ impl<S> std::fmt::Debug for Shared<S> {
 }
 
 impl<S: Schedule + Send> CutHook for Shared<S> {
-    fn cut(&self, units: usize) -> Cut {
-        Schedule::cut(&mut &*self, units)
+    fn cut(&self, key: &str, units: usize) -> Cut {
+        Schedule::cut(&mut &*self, key, units)
     }
 }
 
@@ -693,9 +698,9 @@ impl<S: Schedule> Schedule for &Shared<S> {
         self.ask(S::fate, |fate| fate.map(Answered::Fate))
     }
 
-    fn cut(&mut self, units: usize) -> Cut {
+    fn cut(&mut self, key: &str, units: usize) -> Cut {
         let log = |cut| (cut != Cut::Pass).then_some(Answered::Cut(units, cut));
-        self.ask(|s| s.cut(units), log)
+        self.ask(|s| s.cut(key, units), log)
     }
 
     fn phase(&mut self, node: &str, phase: CommitPhase, parkable: bool) -> Answer {
@@ -1505,7 +1510,8 @@ mod tests {
         let (mut first, mut second) = (every_leg(11), every_leg(11));
         // One leg after another, then all three legs interleaved in the
         // reverse order: each leg answers the same.
-        let cuts: Vec<Cut> = (0..100).map(|_| first.cut(1)).collect();
+        let key = |i: usize| format!("k{}", i % 7);
+        let cuts: Vec<Cut> = (0..100).map(|i| first.cut(&key(i), 1)).collect();
         let delivered: Vec<NetFault> = (0..100).map(|_| first.deliver("get")).collect();
         let held: Vec<bool> = pairs.iter().map(|(a, b)| first.hold(2, a, b)).collect();
         let (mut cut_after, mut delivered_after) = (Vec::new(), Vec::new());
@@ -1513,7 +1519,7 @@ mod tests {
             let (a, b) = &pairs[i % pairs.len()];
             assert_eq!(second.hold(2, b, a), held[i % pairs.len()], "{a}, {b}");
             delivered_after.push(second.deliver("commit"));
-            cut_after.push(second.cut(3));
+            cut_after.push(second.cut(&key(i), 3));
         }
         assert_eq!(cut_after, cuts);
         assert_eq!(delivered_after, delivered);
@@ -1527,30 +1533,71 @@ mod tests {
         assert_ne!(cuts, resets, "salts decorrelate the legs");
     }
 
+    /// The storage leg's answer to each call of a fixed script on keys
+    /// `k1`..`k16` through a [`CutStore`] over the memory row: single-key
+    /// puts, gets and deletes, and a batch of each kind. With `extra`, a
+    /// listing of `ckptmeta/` and a read of `k0` come first.
+    fn script_cuts(extra: bool) -> Vec<Cut> {
+        use aft_storage::StorageEngine;
+        let mut schedule = Seeded::new(7, None).transients(0.3);
+        schedule.storage_faults(true);
+        let answers = Arc::new(Mutex::new(Vec::new()));
+        let asked = (Mutex::new(schedule), Arc::clone(&answers));
+        let hook = move |key: &str, units| {
+            let cut = asked.0.lock().cut(key, units);
+            asked.1.lock().push(cut);
+            cut
+        };
+        let memory = make_backend(BackendConfig::test(BackendKind::Memory));
+        let store = CutStore::new(memory, Arc::new(hook));
+        if extra {
+            let _ = store.list_prefix("ckptmeta/");
+            let _ = store.get("k0");
+            answers.lock().clear();
+        }
+        let keys: Vec<String> = (1..=16).map(|i| format!("k{i}")).collect();
+        let value = aft_types::Value::from_static(b"v");
+        for key in &keys {
+            let _ = store.put(key, value.clone());
+            let _ = store.get(key);
+        }
+        let _ = store.put_batch(keys.iter().map(|k| (k.clone(), value.clone())).collect());
+        let _ = store.get_batch(&keys);
+        let _ = store.delete_batch(&keys[..8]);
+        for key in &keys[8..] {
+            let _ = store.delete(key);
+        }
+        let cuts = answers.lock().clone();
+        cuts
+    }
+
     #[test]
-    fn storage_schedule_is_bit_compatible_with_the_legacy_planner() {
-        // The storage leg's salt is zero, so a seed recorded by the first
-        // storage-only chaos reports replays the same storage schedule. This
-        // pins the stream derivation.
+    fn calls_on_one_key_move_no_other_keys_faults() {
+        let cuts = script_cuts(false);
+        assert!(cuts.contains(&Cut::Pass), "{cuts:?}");
+        assert!(cuts.iter().any(|cut| *cut != Cut::Pass), "{cuts:?}");
+        assert_eq!(cuts, script_cuts(true));
+    }
+
+    #[test]
+    fn the_storage_leg_fails_calls_at_its_rate() {
+        // Ten calls on each of 400 keys: about a fifth fail, about half of
+        // those after the call applied.
         let mut schedule = Seeded::new(42, None).transients(0.2);
         schedule.storage_faults(true);
-        let legacy = |op_index: u64| {
-            let stream = 42u64
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(op_index.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-            let mut rng = StdRng::seed_from_u64(stream);
-            let draw: f64 = rng.gen_range(0.0..1.0);
-            if draw < 0.2 {
-                Cut::Transient {
-                    applied: rng.gen_bool(0.5),
-                }
-            } else {
-                Cut::Pass
-            }
-        };
-        for i in 0..500 {
-            assert_eq!(schedule.cut(1), legacy(i));
-        }
+        let cuts: Vec<Cut> = (0..4_000)
+            .map(|i| schedule.cut(&format!("data/k{}", i % 400), 1))
+            .collect();
+        let failed = cuts.iter().filter(|cut| **cut != Cut::Pass).count();
+        let applied = cuts
+            .iter()
+            .filter(|cut| **cut == Cut::Transient { applied: true });
+        assert!((700..900).contains(&failed), "{failed} of 4000 failed");
+        let applied = applied.count();
+        assert!(
+            (300..500).contains(&applied),
+            "{applied} of {failed} applied"
+        );
     }
 
     #[test]
@@ -1610,7 +1657,7 @@ mod tests {
         schedule.storage_faults(true);
         for round in 0..100 {
             assert_eq!(schedule.deliver("ping"), NetFault::None);
-            assert_eq!(schedule.cut(1), Cut::Pass);
+            assert_eq!(schedule.cut("k", 1), Cut::Pass);
             assert!(!schedule.hold(round, "a", "b"));
             assert_eq!(schedule.fate(), None);
         }
@@ -1629,8 +1676,8 @@ mod tests {
             // Storage's and the nodes' hooks, then the stepper's `&Shared`.
             let asked = &mut &*shared;
             let answers = [
-                CutHook::cut(&*shared, 2) != Cut::Pass,
-                asked.cut(0) != Cut::Pass,
+                CutHook::cut(&*shared, a, 2) != Cut::Pass,
+                asked.cut(b, 0) != Cut::Pass,
                 PhaseHook::hold(&*shared, round, a, b),
                 asked.hold(round, b, a),
                 PhaseHook::deliver(&*shared, "commit") != NetFault::None,
