@@ -9,6 +9,11 @@
 //! record, [`TransactionRecord::inline`]), and any transaction without one
 //! is simply not committed (clients retry).
 //!
+//! The replay fetches each record whole, and an inline record carries its
+//! transaction's values: a replacement node starts its data cache with the
+//! values of the versions the replay leaves readable, so its first read of
+//! one costs no storage call.
+//!
 //! A bootstrap is one full replay of the commit set, and the global GC
 //! (§5.2) is what bounds it: a round deletes every superseded transaction's
 //! record once no active node holds it, so a replacement reads the newest
@@ -22,8 +27,8 @@
 use std::sync::Arc;
 
 use aft_storage::io::{IoEngine, StorageRequest};
-use aft_types::codec::decode_keyed_commit_record;
-use aft_types::{AftResult, TransactionRecord};
+use aft_types::codec::{decode_keyed_commit_record, inline_values};
+use aft_types::{AftResult, Key, TransactionId, TransactionRecord, Value};
 
 use crate::metadata::MetadataCache;
 
@@ -52,6 +57,16 @@ pub fn fetch_commit_records(
     keys: &[String],
     mut on_record: impl FnMut(TransactionRecord),
 ) -> AftResult<u64> {
+    fetch_stored_records(io, keys, |record, _| on_record(record))
+}
+
+/// [`fetch_commit_records`], handing `on_record` each record with the blob
+/// it was decoded from.
+fn fetch_stored_records(
+    io: &IoEngine,
+    keys: &[String],
+    mut on_record: impl FnMut(TransactionRecord, &Value),
+) -> AftResult<u64> {
     let mut bytes_read = 0;
     for wave in keys.chunks(COMMIT_FETCH_WAVE) {
         let blobs = io.get_all(wave.to_vec())?;
@@ -59,7 +74,7 @@ pub fn fetch_commit_records(
             let Some(blob) = blob else { continue };
             bytes_read += blob.len() as u64;
             if let Ok(record) = decode_keyed_commit_record(key, &blob) {
-                on_record(record);
+                on_record(record, &blob);
             }
         }
     }
@@ -75,16 +90,33 @@ pub fn fetch_commit_records(
 ///
 /// Returns the number of records loaded.
 pub fn warm_metadata_cache_pipelined(io: &IoEngine, metadata: &MetadataCache) -> AftResult<usize> {
+    replay(io, metadata).map(|(loaded, _)| loaded)
+}
+
+/// [`warm_metadata_cache_pipelined`], returning with the count the values
+/// the inline records it read carry, each with its key and version, for
+/// the versions `metadata` holds once the replay is done: slices of the
+/// fetched blobs, which a node's data cache starts with.
+pub(crate) fn replay(
+    io: &IoEngine,
+    metadata: &MetadataCache,
+) -> AftResult<(usize, Vec<(Key, TransactionId, Value)>)> {
     let keys = io
         .execute(StorageRequest::List(TransactionRecord::storage_prefix()))?
         .into_keys();
-    let mut loaded = 0;
-    fetch_commit_records(io, &keys, |record| {
+    let (mut loaded, mut carried) = (0, Vec::new());
+    fetch_stored_records(io, &keys, |record, blob| {
+        if record.inline {
+            let values = inline_values(blob).into_iter().flatten().flatten();
+            carried.extend(values.map(|(key, value)| (Key::new(key), record.id, value)));
+        }
         if metadata.insert(Arc::new(record)) {
             loaded += 1;
         }
     })?;
-    Ok(loaded)
+    let view = metadata.view();
+    carried.retain(|(key, id, _)| view.holds(key, id));
+    Ok((loaded, carried))
 }
 
 #[cfg(test)]

@@ -428,9 +428,11 @@ impl DataCache {
     }
 
     /// Looks up the payload cached for version `tid` of `key` without
-    /// counting as a use: the entry keeps its place on its list. A node
-    /// reads what it pushes to its peers this way, so the push leaves its
-    /// own cache's order as its reads made it.
+    /// counting as a use: the entry keeps its place on its list. An origin
+    /// answers a peer's pull this way
+    /// ([`AftNode::peek_cached`](crate::AftNode::peek_cached)), so serving
+    /// its peers' read misses leaves its own cache's order as its reads
+    /// made it.
     pub fn peek(&self, key: &Key, tid: &TransactionId) -> Option<Value> {
         if self.is_disabled() {
             return None;

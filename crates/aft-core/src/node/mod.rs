@@ -264,17 +264,21 @@ impl AftNode {
     ) -> AftResult<Arc<Self>> {
         let io = IoEngine::new(storage.clone(), config.io);
         let metadata = MetadataCache::new();
+        let data_cache = DataCache::new(config.data_cache_bytes);
         if config.bootstrap {
             // A replacement torn here fails its construction; the cluster
             // keeps the failed entry and retries it.
             if let Some(hook) = &config.phase_hook {
                 hook.at(&config.node_id, CommitPhase::DuringBootstrap)?;
             }
-            crate::bootstrap::warm_metadata_cache_pipelined(&io, &metadata)?;
+            let (_, carried) = crate::bootstrap::replay(&io, &metadata)?;
+            for (key, version, value) in carried {
+                data_cache.insert(key, version, value);
+            }
         }
         let rpc_latency = LatencyModel::new(LatencyMode::Virtual, 1.0);
         Ok(Arc::new(AftNode {
-            data_cache: DataCache::new(config.data_cache_bytes),
+            data_cache,
             buffer: WriteBuffer::new(),
             commit_flushes: AtomicU64::new(0),
             stats: NodeStats::new_shared(),

@@ -105,6 +105,28 @@ fn bootstrap_recovers_committed_state() {
 }
 
 #[test]
+fn a_replacements_first_read_of_an_inline_version_costs_no_storage_call() {
+    // Both commits are inline records, which the replacement's replay
+    // fetched whole: its data cache starts with their values.
+    let storage: SharedStorage = InMemoryStore::shared();
+    let clock = aft_types::clock::TickingClock::shared(1_000, 1);
+    let node = AftNode::with_clock(NodeConfig::test(), storage.clone(), clock.clone()).unwrap();
+    commit_writes(&node, &[("a", "1"), ("b", "2")]);
+    commit_writes(&node, &[("a", "3")]);
+    drop(node);
+    let replacement = AftNode::with_clock(NodeConfig::test(), storage.clone(), clock).unwrap();
+    let reads = || {
+        let stats = storage.stats();
+        stats.calls(aft_storage::OpKind::Get) + stats.calls(aft_storage::OpKind::BatchGet)
+    };
+    let before = reads();
+    let t = replacement.start_transaction();
+    assert_eq!(replacement.get(&t, &Key::new("a")).unwrap(), Some(val("3")));
+    assert_eq!(replacement.get(&t, &Key::new("b")).unwrap(), Some(val("2")));
+    assert_eq!(reads(), before, "both reads hit the data cache");
+}
+
+#[test]
 fn bootstrap_loads_every_commit_however_long_the_history() {
     // Every commit wrote its own key, so all of them are live: a node
     // that warmed only part of the commit set would answer `None` for a
