@@ -32,8 +32,8 @@
 //! loopback connections against one server and holds them resident while a
 //! small active subset keeps pinging: the server's reactor threads must
 //! own every socket (zero per-connection reader threads, checked via
-//! `/proc/self/task`), per-connection resident memory must stay flat, and
-//! tail latency must not collapse with the full fleet connected. It runs on
+//! `/proc/self/task`), the bytes the server holds per connection must stay
+//! flat, and tail latency must not collapse with the full fleet connected. It runs on
 //! the wall clock, as the client sweep does.
 //!
 //! The report's sheets are `points` (a row per client count), `chaos`,
@@ -78,8 +78,9 @@ const RESET_RATE: f64 = 0.08;
 const DELAY_RATE: f64 = 0.04;
 /// A scale point's ping p99 above this is a latency collapse.
 const CONN_P99_COLLAPSE_MS: f64 = 250.0;
-/// Resident bytes per connection above this is per-connection memory growth.
-const CONN_RSS_CAP_BYTES: f64 = 64.0 * 1024.0;
+/// Bytes the server holds per open connection above this is per-connection
+/// memory growth.
+const CONN_HELD_CAP_BYTES: f64 = 64.0 * 1024.0;
 
 /// Configuration of the service sweep.
 #[derive(Debug, Clone)]
@@ -157,7 +158,7 @@ const CHECKS: [&str; 10] = [
     "0 reader threads",
     "the reactors own every connection",
     "ping p99 <= 250 ms",
-    "rss per connection <= 65536 B",
+    "held bytes per connection <= 65536 B",
 ];
 
 /// The `points` sheet's columns, a row per client count: requests per
@@ -197,9 +198,11 @@ const CHAOS_COLUMNS: &[&str] = &[
 /// the ping latency quantiles and pings measured with the fleet resident;
 /// the per-connection reader threads alive (the reactors must own every
 /// socket), the process's threads and their change since server-up (zero
-/// standalone, noisy under parallel tests); the resident-memory growth while
-/// opening the fleet (floored at 0) and per connection; and the reactors'
-/// frames decoded, connections owned and pooled frame buffers.
+/// standalone, noisy under parallel tests); the bytes the server holds for
+/// its open connections (`EventSnapshot::conn_bytes`: each one's slab slot,
+/// its session's buffers and the pooled frame buffers) in all and per
+/// connection; and the reactors' frames decoded, connections owned and
+/// pooled frame buffers.
 const CONN_COLUMNS: &[&str] = &[
     "p50_ms",
     "p99_ms",
@@ -207,8 +210,8 @@ const CONN_COLUMNS: &[&str] = &[
     "reader_threads",
     "threads_total",
     "threads_delta",
-    "rss_delta_bytes",
-    "rss_per_conn_bytes",
+    "held_bytes",
+    "held_per_conn_bytes",
     "frames_read",
     "conns_open",
     "pooled_buffers",
@@ -229,8 +232,8 @@ const SERVER_COLUMNS: &[&str] = &[
 /// fault is injected; answers to `Ping` and `Stats`; a chaos leg that
 /// resets in the lost-ack window; and at every scale point, no reader
 /// thread, every connection on the reactors, ping p99 within
-/// `CONN_P99_COLLAPSE_MS` and resident bytes per connection within
-/// `CONN_RSS_CAP_BYTES`.
+/// `CONN_P99_COLLAPSE_MS` and the bytes the server holds per connection
+/// within `CONN_HELD_CAP_BYTES`.
 pub fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
     let (points, chaos) = (report.sheet("points"), report.sheet("chaos"));
     let (conns, server) = (report.sheet("conn_scale"), report.sheet("server"));
@@ -253,7 +256,7 @@ pub fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
         conns.each("reader_threads", zero),
         owned,
         conns.each("p99_ms", |ms| ms <= CONN_P99_COLLAPSE_MS),
-        conns.each("rss_per_conn_bytes", |b| b <= CONN_RSS_CAP_BYTES),
+        conns.each("held_per_conn_bytes", |b| b <= CONN_HELD_CAP_BYTES),
     ];
     CHECKS.into_iter().zip(verdicts).collect()
 }
@@ -277,19 +280,6 @@ fn proc_threads() -> u64 {
                 .and_then(|n| n.parse().ok())
         })
         .unwrap_or(0)
-}
-
-/// Resident set size in bytes (`/proc/self/statm` field 2, pages).
-fn proc_rss_bytes() -> i64 {
-    std::fs::read_to_string("/proc/self/statm")
-        .ok()
-        .and_then(|statm| {
-            statm
-                .split_whitespace()
-                .nth(1)
-                .and_then(|pages| pages.parse::<i64>().ok())
-        })
-        .map_or(0, |pages| pages * 4096)
 }
 
 /// Threads named `aft-net-rd*` — the thread-per-connection model's reader
@@ -346,10 +336,10 @@ fn raw_ping(stream: &mut TcpStream) -> io::Result<Duration> {
 }
 
 /// One point of the connection-scale leg: a fresh server, `connections`
-/// raw sockets opened and proven live (one ping each), threads and RSS
-/// sampled with the fleet resident, then an active subset pings for the
-/// latency distribution while the rest idle. Returns the point's
-/// `conn_scale` row.
+/// raw sockets opened and proven live (one ping each), threads sampled with
+/// the fleet resident, then an active subset pings for the latency
+/// distribution while the rest idle, and the bytes the server holds for the
+/// fleet are read. Returns the point's `conn_scale` row.
 fn run_conn_point(config: &ServiceConfig, connections: usize) -> Vec<f64> {
     // One node and no background maintenance: `Ping` never reaches
     // storage, so the point measures the I/O core itself.
@@ -363,7 +353,6 @@ fn run_conn_point(config: &ServiceConfig, connections: usize) -> Vec<f64> {
     let addr = server.local_addr();
 
     let threads_before = proc_threads();
-    let rss_before = proc_rss_bytes();
 
     // Open the fleet; one ping per connection proves the loop registered
     // and serves it before anything is counted.
@@ -375,8 +364,6 @@ fn run_conn_point(config: &ServiceConfig, connections: usize) -> Vec<f64> {
     let reader_threads = reader_thread_count();
     let threads_total = proc_threads();
     let threads_delta = threads_total as i64 - threads_before as i64;
-    let rss_delta_bytes = (proc_rss_bytes() - rss_before).max(0);
-    let rss_per_conn_bytes = rss_delta_bytes as f64 / connections.max(1) as f64;
 
     // Active subset: keeps pinging with the full fleet resident, a few
     // driver threads multiplexing the subset.
@@ -413,8 +400,8 @@ fn run_conn_point(config: &ServiceConfig, connections: usize) -> Vec<f64> {
         reader_threads as f64,
         threads_total as f64,
         threads_delta as f64,
-        rss_delta_bytes as f64,
-        rss_per_conn_bytes,
+        snapshot.conn_bytes as f64,
+        snapshot.conn_bytes as f64 / connections.max(1) as f64,
         snapshot.frames_read as f64,
         snapshot.conns_open as f64,
         snapshot.pooled_buffers as f64,
@@ -646,6 +633,16 @@ mod tests {
     }
 
     #[test]
+    fn the_server_counts_what_it_holds_for_each_connection() {
+        // Each resident connection holds at least its slab slot, and far
+        // less than the bound.
+        let held = report()
+            .sheet("conn_scale")
+            .value(&["48"], "held_per_conn_bytes");
+        assert!(held > 0.0 && held <= CONN_HELD_CAP_BYTES, "{held} B");
+    }
+
+    #[test]
     fn the_chaos_sheet_is_a_function_of_its_seed() {
         assert_eq!(*report().sheet("chaos"), chaos_leg(&ServiceConfig::tiny()));
     }
@@ -653,7 +650,7 @@ mod tests {
     #[test]
     fn check_names_carry_their_bounds() {
         assert!(CHECKS[8].contains(&format!("{CONN_P99_COLLAPSE_MS}")));
-        assert!(CHECKS[9].contains(&format!("{CONN_RSS_CAP_BYTES}")));
+        assert!(CHECKS[9].contains(&format!("{CONN_HELD_CAP_BYTES}")));
     }
 
     #[test]
@@ -697,7 +694,7 @@ mod tests {
                 sheet.set(&["48"], "p99_ms", CONN_P99_COLLAPSE_MS + 1.0)
             }),
             (CHECKS[9], &|sheet| {
-                sheet.set(&["48"], "rss_per_conn_bytes", CONN_RSS_CAP_BYTES + 1.0)
+                sheet.set(&["48"], "held_per_conn_bytes", CONN_HELD_CAP_BYTES + 1.0)
             }),
         ];
         assert_plants(report(), "conn_scale", &conns);

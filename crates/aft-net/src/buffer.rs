@@ -85,6 +85,11 @@ impl BufferPool {
         self.free.lock().buffers.len()
     }
 
+    /// The summed capacity of the buffers in the free list.
+    pub(crate) fn pooled_bytes(&self) -> usize {
+        self.free.lock().bytes
+    }
+
     /// (fresh allocations, pool reuses) so far.
     pub(crate) fn counters(&self) -> (u64, u64) {
         (

@@ -314,7 +314,7 @@ impl Reactor {
         {
             return;
         }
-        let session = Session::open(&self.shared);
+        let session = Session::open(&self.shared, std::mem::size_of::<(u64, Option<Conn>)>());
         self.slab.insert(Conn {
             stream,
             session,

@@ -150,7 +150,6 @@ impl FrameDecoder {
     }
 
     /// Bytes of buffer the decoder holds, pending or not.
-    #[cfg(test)]
     pub(crate) fn capacity(&self) -> usize {
         self.buf.capacity()
     }

@@ -39,7 +39,7 @@ impl Pipe {
     /// Opens a connection to `shared`'s server.
     pub(crate) fn open(shared: &Arc<ServerShared>) -> Pipe {
         Pipe {
-            session: Mutex::new(Some(Session::open(shared))),
+            session: Mutex::new(Some(Session::open(shared, std::mem::size_of::<Pipe>()))),
             shared: Arc::clone(shared),
         }
     }

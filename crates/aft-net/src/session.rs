@@ -18,10 +18,15 @@
 //! * an EOF with answers owed is a *half-open* connection: it is
 //!   [`Verdict::Finished`] once they are written. A garbage frame gets one
 //!   error frame and closes the read side the same way; what follows it is
-//!   ignored. EOF mid-frame and broken framing are [`Verdict::Reset`].
+//!   ignored. EOF mid-frame and broken framing are [`Verdict::Reset`];
+//! * it counts what it holds for its connection into the server's
+//!   [`EventSnapshot::conn_bytes`](crate::EventSnapshot::conn_bytes): its
+//!   driver's entry for it and its buffers' capacity, updated as they grow
+//!   or shrink and dropped when it closes.
 
 use std::collections::VecDeque;
 use std::io::IoSlice;
+use std::mem::size_of;
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed};
 
 use aft_types::wire::{decode_request, WireRequest, WireResponse};
@@ -75,21 +80,48 @@ pub(crate) struct Session {
     read_open: bool,
     /// Queuing is suspended on a full queue; reads with it.
     paused: bool,
+    /// The bytes of its driver's entry for it, and what it last counted
+    /// into the server's held bytes: that entry and its buffers' capacity.
+    entry: usize,
+    held: usize,
 }
 
 impl Session {
-    /// A fresh connection's session, counted open.
-    pub(crate) fn open(shared: &ServerShared) -> Session {
+    /// A fresh connection's session, counted open, that its driver keeps
+    /// in an entry of `entry` bytes.
+    pub(crate) fn open(shared: &ServerShared, entry: usize) -> Session {
         shared.stats.record_accept();
         shared.event_stats.conns_open.fetch_add(1, Relaxed);
-        Session {
+        let mut session = Session {
             decoder: FrameDecoder::new(),
             out: Outbox::default(),
             pending: VecDeque::new(),
             queued: 0,
             read_open: true,
             paused: false,
+            entry,
+            held: 0,
+        };
+        session.account(&shared.event_stats);
+        session
+    }
+
+    /// Brings the server's held bytes up to what this session holds now.
+    fn account(&mut self, events: &EventStats) {
+        let held = self.entry
+            + self.decoder.capacity()
+            + self.out.held()
+            + self.pending.capacity() * size_of::<(u64, Work)>();
+        if held > self.held {
+            events
+                .held_bytes
+                .fetch_add((held - self.held) as u64, Relaxed);
+        } else if held < self.held {
+            events
+                .held_bytes
+                .fetch_sub((self.held - held) as u64, Relaxed);
         }
+        self.held = held;
     }
 
     /// Takes bytes the peer sent; once the read side closed they are
@@ -99,6 +131,7 @@ impl Session {
         events.bytes_read.fetch_add(bytes.len() as u64, Relaxed);
         if self.read_open {
             self.decoder.push(bytes);
+            self.account(events);
         }
     }
 
@@ -141,6 +174,7 @@ impl Session {
                 }
             }
         }
+        self.account(&shared.event_stats);
         self.verdict()
     }
 
@@ -229,6 +263,7 @@ impl Session {
             return None;
         }
         self.out.push(frame, &shared.event_stats);
+        self.account(&shared.event_stats);
         Some(self.queued == 0)
     }
 
@@ -252,6 +287,7 @@ impl Session {
         let events = &shared.event_stats;
         events.bytes_written.fetch_add(written as u64, Relaxed);
         self.out.advance(written, events, &shared.pool);
+        self.account(events);
     }
 
     /// Whether the read side is still open.
@@ -285,9 +321,11 @@ impl Session {
     /// Counts the connection closed and drops whatever it still queued for
     /// writing.
     pub(crate) fn close(mut self, shared: &ServerShared) {
+        let events = &shared.event_stats;
         shared.stats.record_close();
-        self.out.discard(&shared.event_stats, &shared.pool);
-        shared.event_stats.conns_open.fetch_sub(1, Relaxed);
+        self.out.discard(events, &shared.pool);
+        events.conns_open.fetch_sub(1, Relaxed);
+        events.held_bytes.fetch_sub(self.held as u64, Relaxed);
     }
 }
 
@@ -299,11 +337,19 @@ struct Outbox {
     pos: usize,
     /// Unflushed bytes across `frames`.
     bytes: usize,
+    /// The capacity of `frames`' buffers.
+    capacity: usize,
 }
 
 impl Outbox {
+    /// The bytes its queue and its frames' buffers hold.
+    fn held(&self) -> usize {
+        self.frames.capacity() * size_of::<Vec<u8>>() + self.capacity
+    }
+
     fn push(&mut self, frame: Vec<u8>, events: &EventStats) {
         self.bytes += frame.len();
+        self.capacity += frame.capacity();
         events.buffered_bytes.fetch_add(frame.len() as u64, Relaxed);
         self.frames.push_back(frame);
     }
@@ -324,6 +370,7 @@ impl Outbox {
             self.pos = 0;
             if let Some(frame) = self.frames.pop_front() {
                 events.frames_written.fetch_add(1, Relaxed);
+                self.capacity -= frame.capacity();
                 pool.give(frame);
             }
         }
@@ -332,7 +379,7 @@ impl Outbox {
     /// Drops everything queued (the connection is gone).
     fn discard(&mut self, events: &EventStats, pool: &BufferPool) {
         events.buffered_bytes.fetch_sub(self.bytes as u64, Relaxed);
-        (self.bytes, self.pos) = (0, 0);
+        (self.bytes, self.pos, self.capacity) = (0, 0, 0);
         self.frames.drain(..).for_each(|frame| pool.give(frame));
     }
 }
@@ -400,7 +447,7 @@ mod tests {
         cuts: &[usize],
         eof: bool,
     ) -> (Vec<u8>, Verdict) {
-        let mut session = Session::open(shared);
+        let mut session = Session::open(shared, 0);
         let mut jobs = VecDeque::new();
         let (mut verdict, mut at) = (Verdict::Open, 0);
         for end in cuts.iter().copied().chain([wire.len()]) {
@@ -438,7 +485,7 @@ mod tests {
     #[test]
     fn a_decoder_that_took_an_8_mib_frame_sheds_back_to_the_keep_bound() {
         let shared = server();
-        let mut session = Session::open(&shared);
+        let mut session = Session::open(&shared, 0);
         let mut jobs = Vec::new();
         let mut arrive = |session: &mut Session, values: usize, size: usize| {
             let writes = (0..values)
@@ -464,6 +511,38 @@ mod tests {
         assert!(arrive(&mut session, 4, 16 << 10) > 64 << 10);
         assert_eq!(session.decoder.capacity(), KEEP_CAPACITY);
         assert_eq!(jobs.len(), 2, "both commits decoded");
+    }
+
+    #[test]
+    fn a_session_counts_what_it_holds_until_it_closes() {
+        // Its entry at once, then its decoder's and outbox's capacity as
+        // they grow; closing takes it all back, and the frames it wrote
+        // wait in the pool for the next connection.
+        let shared = server();
+        let held = || shared.event_stats.snapshot(&shared.pool).conn_bytes;
+        let mut session = Session::open(&shared, 100);
+        assert_eq!(held(), 100);
+        let mut jobs = VecDeque::new();
+        session.receive(&shared, &burst(false));
+        session.decode(&shared, false, &mut |id, work| jobs.push_back((id, work)));
+        let decoder = session.decoder.capacity() as u64;
+        assert!(decoder > 0);
+        assert_eq!(held(), 100 + decoder);
+        while let Some((id, work)) = jobs.pop_front() {
+            let response = shared.run_job(None, work, Duration::ZERO);
+            session.answer(&shared, id, &response).unwrap();
+        }
+        assert!(held() > 100 + decoder + session.out.bytes as u64);
+        let mut slices = [IoSlice::new(&[]); WRITE_BATCH];
+        let unsent: usize = session.unsent(&mut slices).iter().map(|s| s.len()).sum();
+        session.wrote(&shared, unsent);
+        assert_eq!(
+            held(),
+            session.held as u64 + shared.pool.pooled_bytes() as u64
+        );
+        session.close(&shared);
+        assert_eq!(held(), shared.pool.pooled_bytes() as u64);
+        assert!(held() > 0, "the written frames are pooled");
     }
 
     #[test]

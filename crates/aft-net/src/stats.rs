@@ -103,6 +103,9 @@ pub(crate) struct EventStats {
     pub(crate) writev_calls: AtomicU64,
     pub(crate) pauses: AtomicU64,
     pub(crate) buffered_bytes: AtomicU64,
+    /// What the open sessions hold, as each last counted itself
+    /// (`Session::account`).
+    pub(crate) held_bytes: AtomicU64,
 }
 
 /// Point-in-time view of the server's socket I/O counters, exposed through
@@ -130,6 +133,11 @@ pub struct EventSnapshot {
     pub buffered_bytes: u64,
     /// Frame buffers sitting warm in the pool.
     pub pooled_buffers: u64,
+    /// Bytes the server holds for its open connections right now: each
+    /// one's entry in its driver (a reactor's slab slot), the capacity of
+    /// the buffers its session holds, and the frame buffers pooled for
+    /// them all.
+    pub conn_bytes: u64,
     /// Fresh frame-buffer allocations ever made.
     pub buffer_allocations: u64,
     /// Frame buffers served from the pool instead of the allocator.
@@ -149,6 +157,7 @@ impl EventStats {
             pauses: self.pauses.load(Ordering::Relaxed),
             buffered_bytes: self.buffered_bytes.load(Ordering::Relaxed),
             pooled_buffers: pool.pooled() as u64,
+            conn_bytes: self.held_bytes.load(Ordering::Relaxed) + pool.pooled_bytes() as u64,
             buffer_allocations,
             buffer_reuses,
         }
