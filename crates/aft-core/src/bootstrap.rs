@@ -93,14 +93,14 @@ pub fn warm_metadata_cache_pipelined(io: &IoEngine, metadata: &MetadataCache) ->
     replay(io, metadata).map(|(loaded, _)| loaded)
 }
 
+/// A value an inline record carries, with its key and version.
+pub(crate) type Carried = (Key, TransactionId, Value);
+
 /// [`warm_metadata_cache_pipelined`], returning with the count the values
 /// the inline records it read carry, each with its key and version, for
 /// the versions `metadata` holds once the replay is done: slices of the
 /// fetched blobs, which a node's data cache starts with.
-pub(crate) fn replay(
-    io: &IoEngine,
-    metadata: &MetadataCache,
-) -> AftResult<(usize, Vec<(Key, TransactionId, Value)>)> {
+pub(crate) fn replay(io: &IoEngine, metadata: &MetadataCache) -> AftResult<(usize, Vec<Carried>)> {
     let keys = io
         .execute(StorageRequest::List(TransactionRecord::storage_prefix()))?
         .into_keys();

@@ -62,6 +62,17 @@ use super::AftNode;
 /// transaction that spilled nothing and whose inline record encodes to at
 /// most this many bytes commits with that one write, and has no `data/`
 /// keys. Two 256 B writes fit; two 1 KiB writes do not.
+///
+/// Raising it is blocked on storage, not on the commit path. An inline
+/// record stays stored while any of its versions is its key's newest, and
+/// its overwritten values stay with it. At 256 KiB, with the data cache
+/// charging a slice its own length, the benchmark's `svc-large` workload
+/// went from 2.03 to 1.02 storage calls a transaction, but its store held
+/// 107 MiB where it held 65.5 and its peak RSS rose a third, past the
+/// benchmark's 10% bound. Rewriting a record once 3 of its 4 values are
+/// dead would hold 75 MiB but write 16% more bytes, past the write
+/// amplification bound. What would unblock it is a way to free an inline
+/// record's dead values without rewriting its live ones.
 pub const INLINE_BYTES: usize = 1024;
 
 /// A node's commit-flush counters, in the shape `benchmark/` reads them.

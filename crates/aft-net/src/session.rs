@@ -112,15 +112,9 @@ impl Session {
             + self.decoder.capacity()
             + self.out.held()
             + self.pending.capacity() * size_of::<(u64, Work)>();
-        if held > self.held {
-            events
-                .held_bytes
-                .fetch_add((held - self.held) as u64, Relaxed);
-        } else if held < self.held {
-            events
-                .held_bytes
-                .fetch_sub((self.held - held) as u64, Relaxed);
-        }
+        // A shrink adds the difference's two's complement: the sum wraps.
+        let change = (held as u64).wrapping_sub(self.held as u64);
+        events.held_bytes.fetch_add(change, Relaxed);
         self.held = held;
     }
 
