@@ -20,9 +20,9 @@
 //!   error frame and closes the read side the same way; what follows it is
 //!   ignored. EOF mid-frame and broken framing are [`Verdict::Reset`];
 //! * it counts what it holds for its connection into the server's
-//!   [`EventSnapshot::conn_bytes`](crate::EventSnapshot::conn_bytes): its
-//!   driver's entry for it and its buffers' capacity, updated as they grow
-//!   or shrink and dropped when it closes.
+//!   [`EventSnapshot::conn_bytes`](crate::EventSnapshot::conn_bytes): the
+//!   entry it is kept in (a reactor's slab slot, a pipe) and its buffers'
+//!   capacity, updated as they grow or shrink and dropped when it closes.
 
 use std::collections::VecDeque;
 use std::io::IoSlice;
@@ -80,15 +80,15 @@ pub(crate) struct Session {
     read_open: bool,
     /// Queuing is suspended on a full queue; reads with it.
     paused: bool,
-    /// The bytes of its driver's entry for it, and what it last counted
-    /// into the server's held bytes: that entry and its buffers' capacity.
+    /// The bytes of the entry it is kept in, and what it last counted into
+    /// the server's held bytes: that entry and its buffers' capacity.
     entry: usize,
     held: usize,
 }
 
 impl Session {
-    /// A fresh connection's session, counted open, that its driver keeps
-    /// in an entry of `entry` bytes.
+    /// A fresh connection's session, counted open, kept in an entry of
+    /// `entry` bytes.
     pub(crate) fn open(shared: &ServerShared, entry: usize) -> Session {
         shared.stats.record_accept();
         shared.event_stats.conns_open.fetch_add(1, Relaxed);

@@ -133,9 +133,9 @@ pub struct EventSnapshot {
     pub buffered_bytes: u64,
     /// Frame buffers sitting warm in the pool.
     pub pooled_buffers: u64,
-    /// Bytes the server holds for its open connections right now: each
-    /// one's entry in its driver (a reactor's slab slot), the capacity of
-    /// the buffers its session holds, and the frame buffers pooled for
+    /// Bytes the server holds for its open connections right now: the
+    /// entry each is kept in (a reactor's slab slot, a pipe), the capacity
+    /// of the buffers its session holds, and the frame buffers pooled for
     /// them all.
     pub conn_bytes: u64,
     /// Fresh frame-buffer allocations ever made.
