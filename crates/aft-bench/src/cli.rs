@@ -8,14 +8,14 @@
 //! aft-bench trajectory [--check]
 //! ```
 //!
-//! Every experiment of the evaluation is one [`Experiment`] in [`REGISTRY`].
+//! Every experiment of the evaluation is one `Experiment` in `REGISTRY`.
 //! Each writes a `BENCH_*.json` report (`--out`, default in the registry),
 //! checks a gate over it (`--skip-gate` for exploration runs; CI keeps it
 //! on), and derives every random choice from one seed (`--seed`, default in
 //! the experiment's configuration) so that a failure replays — the driver
 //! prints the exact command. `figures` is the paper's Figures 2–10 and
 //! Table 2, each with its shape check; the other five are this
-//! repository's own sweeps. Every experiment returns a [`Report`], packaged
+//! repository's own sweeps. Every experiment returns a `Report`, packaged
 //! one way (`Outcome::report`): the driver prints a table per sheet and a
 //! line per named check, writes the report's document and gates on the
 //! checks. `fig8_service` mixes clocks: its chaos leg is virtual, its other
@@ -39,7 +39,7 @@ use crate::{dissemination, experiments, history, overload, recovery, service};
 /// numbers are charged, never slept: deterministic per seed and independent
 /// of the host. Wall-clock numbers depend on the host and its load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Clock {
+pub(crate) enum Clock {
     /// `LatencyMode::Virtual` (or a manually advanced `MockClock`).
     Virtual,
     /// Real sleeps, real sockets.
@@ -50,7 +50,7 @@ pub enum Clock {
 
 impl Clock {
     /// `"virtual"` / `"wall"`, as reports and `list` print it.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Clock::Virtual => "virtual",
             Clock::Wall => "wall",
@@ -62,32 +62,32 @@ impl Clock {
 /// A flag one experiment declares beyond `--out`/`--seed`/
 /// `--skip-gate`. Every such flag takes a value.
 #[derive(Debug)]
-pub struct Flag {
+pub(crate) struct Flag {
     /// The flag as typed, e.g. `--mode`.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// The value's placeholder in usage text, e.g. `LABEL`.
-    pub value: &'static str,
+    pub(crate) value: &'static str,
     /// One line of help.
-    pub about: &'static str,
+    pub(crate) about: &'static str,
 }
 
 /// What an experiment hands the driver.
 #[derive(Debug)]
-pub struct Outcome {
+pub(crate) struct Outcome {
     /// The seed the run derived everything from (the `--seed` override or
     /// the configuration's default).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// What the run was sized to; the driver adds the experiment's name,
     /// mode, seed and clock.
-    pub banner: String,
+    pub(crate) banner: String,
     /// What the run measured and how it is checked: the driver prints a
     /// table per sheet and a line per check, writes the report's document
     /// and gates on its checks.
-    pub report: Report,
+    pub(crate) report: Report,
     /// Values of the experiment's own flags that narrow a failing gate's
     /// replay to what failed (fig10: the failing cell's `--mode`); each
     /// overrides the value given on the command line.
-    pub replay: Vec<(&'static str, String)>,
+    pub(crate) replay: Vec<(&'static str, String)>,
 }
 
 impl Outcome {
@@ -103,25 +103,25 @@ impl Outcome {
 }
 
 /// One entry of the registry.
-pub struct Experiment {
+pub(crate) struct Experiment {
     /// The name typed on the command line.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// One line saying what it measures.
-    pub about: &'static str,
+    pub(crate) about: &'static str,
     /// The clock its numbers are on.
-    pub clock: Clock,
+    pub(crate) clock: Clock,
     /// Default report file name.
-    pub report: &'static str,
+    pub(crate) report: &'static str,
     /// The experiment's own flags.
-    pub flags: &'static [Flag],
+    pub(crate) flags: &'static [Flag],
     /// Sizes the sweep from the arguments, runs it, packages the result.
     /// `Err` means an argument's value was unusable.
-    pub run: fn(&Args) -> Result<Outcome, String>,
+    pub(crate) run: fn(&Args) -> Result<Outcome, String>,
 }
 
 /// Every experiment, in the order `all` runs them: the paper's figures
 /// first, then this repository's own sweeps.
-pub const REGISTRY: &[Experiment] = &[
+pub(crate) const REGISTRY: &[Experiment] = &[
     Experiment {
         name: "figures",
         about: "Figures 2-10 and Table 2 of the paper, each with its shape check",
@@ -180,7 +180,7 @@ const USAGE: &str = "usage: aft-bench <experiment> [--out PATH] [--seed N] [--sk
 
 /// What `aft-bench list` prints: every experiment with its clock, default
 /// report and own flags.
-pub fn list() -> String {
+pub(crate) fn list() -> String {
     let mut out = String::new();
     for e in REGISTRY {
         out.push_str(&format!(
@@ -199,21 +199,21 @@ pub fn list() -> String {
 
 /// The parsed command line, as every experiment receives it.
 #[derive(Debug, Clone)]
-pub struct Args {
+pub(crate) struct Args {
     /// The size mode from the environment.
-    pub env: BenchEnv,
+    pub(crate) env: BenchEnv,
     /// `--out PATH`: where to write the report instead of the default.
-    pub out: Option<String>,
+    pub(crate) out: Option<String>,
     /// `--seed N`: overrides the configuration's base seed.
-    pub seed: Option<u64>,
+    pub(crate) seed: Option<u64>,
     /// `--skip-gate`: report without a verdict.
-    pub skip_gate: bool,
+    pub(crate) skip_gate: bool,
     flags: Vec<(&'static str, String)>,
 }
 
 impl Args {
     /// The value given for an experiment flag (the last, if repeated).
-    pub fn flag(&self, name: &str) -> Option<&str> {
+    pub(crate) fn flag(&self, name: &str) -> Option<&str> {
         let given = self.flags.iter().rev().find(|(n, _)| *n == name);
         given.map(|(_, value)| value.as_str())
     }
@@ -227,7 +227,10 @@ fn declared<'a>(experiments: &'a [Experiment], flag: &str) -> Option<&'a Flag> {
 /// Parses `argv` (without the program name) into the experiments it names —
 /// one, or the whole registry for `all` — and their arguments. Errors are
 /// usage errors.
-pub fn parse(argv: &[String], env: BenchEnv) -> Result<(&'static [Experiment], Args), String> {
+pub(crate) fn parse(
+    argv: &[String],
+    env: BenchEnv,
+) -> Result<(&'static [Experiment], Args), String> {
     let (name, rest) = argv.split_first().ok_or("no experiment named")?;
     let experiments = match REGISTRY.iter().find(|e| e.name == name) {
         Some(one) => std::slice::from_ref(one),

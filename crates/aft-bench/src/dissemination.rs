@@ -51,31 +51,31 @@ use crate::report::{ensure, percentile_ms, Report, Sheet, Verdict};
 
 /// Configuration of the dissemination sweep.
 #[derive(Debug, Clone)]
-pub struct DisseminationBenchConfig {
+pub(crate) struct DisseminationBenchConfig {
     /// Cluster sizes to sweep (virtual-clock in-process nodes).
-    pub node_counts: Vec<usize>,
+    pub(crate) node_counts: Vec<usize>,
     /// Dissemination rounds per cell.
-    pub rounds: usize,
+    pub(crate) rounds: usize,
     /// Commits issued per round, spread round-robin across the nodes.
-    pub commits_per_round: usize,
+    pub(crate) commits_per_round: usize,
     /// Virtual milliseconds per dissemination interval.
-    pub interval_ms: u64,
+    pub(crate) interval_ms: u64,
     /// Cluster size of the partition leg.
-    pub partition_nodes: usize,
+    pub(crate) partition_nodes: usize,
     /// Fraction of edges the partition leg cuts.
-    pub cut_fraction: f64,
+    pub(crate) cut_fraction: f64,
     /// Partition window in rounds, from the leg's first.
-    pub cut_rounds: u64,
+    pub(crate) cut_rounds: u64,
     /// Extra rounds the partition leg may take to drain its retries.
-    pub heal_budget: usize,
+    pub(crate) heal_budget: usize,
     /// Base seed (node uuids and the edge-cut schedule).
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl DisseminationBenchConfig {
     /// The full sweep: 16 → 100 nodes, with the partition leg on a 64-node
     /// cluster.
-    pub fn standard() -> Self {
+    pub(crate) fn standard() -> Self {
         DisseminationBenchConfig {
             node_counts: vec![16, 32, 64, 100],
             rounds: 8,
@@ -91,7 +91,7 @@ impl DisseminationBenchConfig {
 
     /// The CI configuration: 16, 32 and 64 nodes with a 16-node partition
     /// leg, fast enough for every PR.
-    pub fn fast() -> Self {
+    pub(crate) fn fast() -> Self {
         DisseminationBenchConfig {
             node_counts: vec![16, 32, 64],
             rounds: 4,
@@ -159,7 +159,7 @@ const CHECKS: [&str; 6] = [
 /// flat's at ≥ 16 nodes and ≥ 10× below at ≥ 64, with a row at 64 nodes or
 /// more; lag p50 at least one interval and p99 within 3; and a partition
 /// leg that cut a delivery, drained its retry queues and lost no commit.
-pub fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
+pub(crate) fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
     let (cells, legs) = (report.sheet("cells"), report.sheet("partition"));
     let sizes: BTreeSet<usize> = cells.keys().filter_map(|row| row[0].parse().ok()).collect();
     let has = |nodes: &usize, path: &str| {
@@ -420,7 +420,7 @@ fn run_partition_leg(nodes: usize, config: &DisseminationBenchConfig) -> Vec<f64
 
 /// Runs the full sweep and returns its report: the `cells` sheet, flat
 /// then sweep at each size, and the `partition` sheet.
-pub fn fig12_dissemination(config: &DisseminationBenchConfig) -> Report {
+pub(crate) fn fig12_dissemination(config: &DisseminationBenchConfig) -> Report {
     let mut cells = Sheet::new(
         "cells",
         "fig12_dissemination — commit-metadata dissemination: the sweep vs flat by cluster size",

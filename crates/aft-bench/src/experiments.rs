@@ -36,7 +36,7 @@ use crate::setup::{self, aft_label, maintenance, virtual_backend, BenchEnv};
 
 /// The default seed: Figure 2's pipelined legs keep the seed the
 /// `fig2_pipelined` experiment had.
-pub const DEFAULT_SEED: u64 = 0xF162;
+pub(crate) const DEFAULT_SEED: u64 = 0xF162;
 
 /// Runs `requests` requests from each of `clients` clients in virtual
 /// time, with `timers` between them.
@@ -68,7 +68,7 @@ fn latency_values(result: &RunResult) -> Vec<f64> {
 
 /// Runs every figure at the size `env` picks, every seed derived from
 /// `seed`.
-pub fn figures(env: &BenchEnv, seed: u64) -> Report {
+pub(crate) fn figures(env: &BenchEnv, seed: u64) -> Report {
     let mut sheets = fig2_io_latency(env, seed);
     sheets.extend(fig3_and_table2(env, seed));
     sheets.push(fig4_caching_skew(env, seed));
@@ -98,7 +98,7 @@ pub fn figures(env: &BenchEnv, seed: u64) -> Report {
 /// (`fig2`); then, per backend, a node whose storage I/O goes one round trip
 /// at a time against one that overlaps it (`fig2_pipelined`, built by
 /// [`crate::pipelined`]).
-pub fn fig2_io_latency(env: &BenchEnv, seed: u64) -> Vec<Sheet> {
+pub(crate) fn fig2_io_latency(env: &BenchEnv, seed: u64) -> Vec<Sheet> {
     let mut sheet = Sheet::new(
         "fig2",
         "Figure 2 — IO latency: 1/5/10 writes",
@@ -171,7 +171,7 @@ pub fn fig2_io_latency(env: &BenchEnv, seed: u64) -> Vec<Sheet> {
 /// transaction mode), and the anomalies every row's client history shows.
 /// FR counts every read anomaly but read-your-writes (a read no writer
 /// explains included).
-pub fn fig3_and_table2(env: &BenchEnv, seed: u64) -> Vec<Sheet> {
+pub(crate) fn fig3_and_table2(env: &BenchEnv, seed: u64) -> Vec<Sheet> {
     // Fast, still enough interleaved requests for every Plain row to show
     // both anomalies: at 50 requests a client, S3's RYW count is small
     // enough (1-7 over seeds 1-16) to read 0 on some seed.
@@ -256,7 +256,7 @@ pub fn fig3_and_table2(env: &BenchEnv, seed: u64) -> Vec<Sheet> {
 
 /// Figure 4: AFT over DynamoDB and Redis with and without the data cache,
 /// and DynamoDB's transaction mode, at Zipf coefficients 1.0 / 1.5 / 2.0.
-pub fn fig4_caching_skew(env: &BenchEnv, seed: u64) -> Sheet {
+pub(crate) fn fig4_caching_skew(env: &BenchEnv, seed: u64) -> Sheet {
     let mut sheet = Sheet::new(
         "fig4",
         "Figure 4 — read caching and data skew",
@@ -301,7 +301,7 @@ pub fn fig4_caching_skew(env: &BenchEnv, seed: u64) -> Sheet {
 /// Figure 5: latency of 10-IO transactions as the share of reads sweeps from
 /// 0% to 100%, for AFT over DynamoDB and Redis, with storage calls per
 /// request.
-pub fn fig5_rw_ratio(env: &BenchEnv, seed: u64) -> Sheet {
+pub(crate) fn fig5_rw_ratio(env: &BenchEnv, seed: u64) -> Sheet {
     let mut sheet = Sheet::new(
         "fig5",
         "Figure 5 — read/write ratio (10 IOs per transaction)",
@@ -338,7 +338,7 @@ pub fn fig5_rw_ratio(env: &BenchEnv, seed: u64) -> Sheet {
 
 /// Figure 6: latency as the composition grows from 1 to 10 functions (3 IOs
 /// per function), for AFT over DynamoDB and Redis.
-pub fn fig6_txn_length(env: &BenchEnv, seed: u64) -> Sheet {
+pub(crate) fn fig6_txn_length(env: &BenchEnv, seed: u64) -> Sheet {
     let mut sheet = Sheet::new(
         "fig6",
         "Figure 6 — transaction length (functions per request)",
@@ -364,7 +364,7 @@ pub fn fig6_txn_length(env: &BenchEnv, seed: u64) -> Sheet {
 
 /// Figure 7: throughput of one AFT node as closed-loop clients are added,
 /// over DynamoDB and Redis (Zipf 1.5).
-pub fn fig7_single_node(env: &BenchEnv, seed: u64) -> Sheet {
+pub(crate) fn fig7_single_node(env: &BenchEnv, seed: u64) -> Sheet {
     let mut sheet = Sheet::new(
         "fig7",
         "Figure 7 — single-node throughput vs clients (Zipf 1.5)",
@@ -398,7 +398,7 @@ pub fn fig7_single_node(env: &BenchEnv, seed: u64) -> Sheet {
 /// Figure 8: throughput of 1–8 nodes with 40 clients each, against the
 /// ideal line (the one-node throughput times the node count), over DynamoDB
 /// and Redis.
-pub fn fig8_distributed(env: &BenchEnv, seed: u64) -> Sheet {
+pub(crate) fn fig8_distributed(env: &BenchEnv, seed: u64) -> Sheet {
     let mut sheet = Sheet::new(
         "fig8",
         "Figure 8 — distributed throughput vs nodes (40 clients/node)",
@@ -446,7 +446,7 @@ pub fn fig8_distributed(env: &BenchEnv, seed: u64) -> Sheet {
 
 /// Figure 9: throughput of one node with and without global garbage
 /// collection, the transactions it deleted and the data versions left.
-pub fn fig9_gc(env: &BenchEnv, seed: u64) -> Sheet {
+pub(crate) fn fig9_gc(env: &BenchEnv, seed: u64) -> Sheet {
     let mut sheet = Sheet::new(
         "fig9",
         "Figure 9 — garbage collection overhead (Zipf 1.5, 1 node, 40 clients)",
@@ -491,7 +491,7 @@ pub fn fig9_gc(env: &BenchEnv, seed: u64) -> Sheet {
 /// Figure 10: throughput, second by second, of a 4-node cluster as one node
 /// is killed and a replacement joins after a delay (container download and
 /// cache warm-up).
-pub fn fig10_fault_tolerance(env: &BenchEnv, seed: u64) -> Sheet {
+pub(crate) fn fig10_fault_tolerance(env: &BenchEnv, seed: u64) -> Sheet {
     let mut sheet = Sheet::new(
         "fig10",
         "Figure 10 — throughput across a node failure (4 nodes)",
@@ -564,7 +564,7 @@ const CHECKS: [Check; 10] = [
 ];
 
 /// Every figure's check, in figure order: `(figure, verdict)`.
-pub fn check(report: &Report) -> Vec<(&'static str, Verdict)> {
+pub(crate) fn check(report: &Report) -> Vec<(&'static str, Verdict)> {
     CHECKS
         .iter()
         .map(|&(name, check)| (name, check(report)))
@@ -603,7 +603,7 @@ fn margins(report: &Report) -> Sheet {
 ///   DynamoDB Sequential's;
 /// - `fig2_pipelined`: on every backend the pipelined p50 commit is below
 ///   1.05× the sequential one (the gate `fig2_pipelined` had).
-pub fn check_fig2(report: &Report) -> Verdict {
+pub(crate) fn check_fig2(report: &Report) -> Verdict {
     let fig2 = report.sheet("fig2");
     let median = |config: &str| fig2.value(&[config, "10"], "median_ms");
     for (a, b) in [
@@ -620,7 +620,7 @@ pub fn check_fig2(report: &Report) -> Verdict {
 /// Plain S3, since the shim batches a request's writes into one commit and
 /// serves repeat reads from its cache, and AFT over DynamoDB is faster than
 /// DynamoDB's transaction mode. Clauses: both orderings of the medians.
-pub fn check_fig3(fig3: &Sheet) -> Verdict {
+pub(crate) fn check_fig3(fig3: &Sheet) -> Verdict {
     let median = |config: &str, backend: &str| fig3.value(&[config, backend], "median_ms");
     let s3 = below("AFT", median("AFT", "S3"), "Plain", median("Plain", "S3"));
     s3.map_err(|e| format!("S3 median ms: {e}"))?;
@@ -638,7 +638,7 @@ pub fn check_fig3(fig3: &Sheet) -> Verdict {
 /// show FR, since each function's `TransactGetItems` is atomic alone; AFT
 /// shows none. Clauses: AFT 0/0; every Plain row RYW > 0 and FR > 0;
 /// DynamoDB (Serializable) RYW 0 and FR > 0.
-pub fn check_table2(table2: &Sheet) -> Verdict {
+pub(crate) fn check_table2(table2: &Sheet) -> Verdict {
     for row in table2.keys() {
         let (name, level) = (row[0].as_str(), row[1].as_str());
         let ryw = table2.value(&[name, level], "ryw");
@@ -667,7 +667,7 @@ pub fn check_table2(table2: &Sheet) -> Verdict {
 /// *Departure:* the cache's hit rate reads 100% at every Zipf, where the
 /// paper's rises with skew: the 256 MiB cache holds all 50 000 keys of
 /// 4 KiB, so nothing is evicted.
-pub fn check_fig4(fig4: &Sheet) -> Verdict {
+pub(crate) fn check_fig4(fig4: &Sheet) -> Verdict {
     let median = |config: &str, zipf: &str| fig4.value(&[config, zipf], "median_ms");
     let txns = |zipf| median("DynamoDB Txns", zipf);
     below("Zipf 1.0", txns("1.0"), "Zipf 1.5", txns("1.5"))
@@ -693,7 +693,7 @@ pub fn check_fig4(fig4: &Sheet) -> Verdict {
 /// `node/commit_path.rs`), a round trip §6.1.2's implementation could not
 /// save, so its write-heavy end is cheaper than the paper's and the column
 /// is nearly flat.
-pub fn check_fig5(fig5: &Sheet) -> Verdict {
+pub(crate) fn check_fig5(fig5: &Sheet) -> Verdict {
     for config in ["AFT-D Caching", "AFT-R Caching"] {
         let median = |reads| fig5.value(&[config, reads], "median_ms");
         below("100% reads", median("100"), "0%", median("0"))
@@ -706,7 +706,7 @@ pub fn check_fig5(fig5: &Sheet) -> Verdict {
 /// number of functions in a request, each adding an invocation and its
 /// IOs. Clauses: on both backends the median rises with every step of the
 /// sweep, and 10 functions cost at least 5× one.
-pub fn check_fig6(fig6: &Sheet) -> Verdict {
+pub(crate) fn check_fig6(fig6: &Sheet) -> Verdict {
     for config in ["AFT-D Caching", "AFT-R Caching"] {
         let median = |n: &str| fig6.value(&[config, n], "median_ms");
         let steps = ["1", "2", "4", "6", "8", "10"];
@@ -735,7 +735,7 @@ pub fn check_fig6(fig6: &Sheet) -> Verdict {
 /// here a Fig. 8 point falls short of ideal only through reads of versions
 /// committed at other nodes: a hop to the committing node, or a storage read
 /// where that node no longer caches the version.
-pub fn linear(sheet: &Sheet, what: &str) -> Verdict {
+pub(crate) fn linear(sheet: &Sheet, what: &str) -> Verdict {
     let mut first: Option<(&str, f64)> = None;
     for row in sheet.keys() {
         let tps = sheet.value(&[&row[0], &row[1]], "throughput_tps");
@@ -756,7 +756,7 @@ pub fn linear(sheet: &Sheet, what: &str) -> Verdict {
 /// transactions about as fast as they commit. Clauses: throughput with GC
 /// is above 95% of without; GC deletes transactions; it leaves fewer live
 /// data versions than no GC.
-pub fn check_fig9(fig9: &Sheet) -> Verdict {
+pub(crate) fn check_fig9(fig9: &Sheet) -> Verdict {
     let on = |column| fig9.value(&["GC enabled"], column);
     let off = |column| fig9.value(&["GC disabled"], column);
     let tps = "throughput_tps";
@@ -778,7 +778,7 @@ pub fn check_fig9(fig9: &Sheet) -> Verdict {
 /// *Departure:* the dip. A node has no capacity in virtual time, so three
 /// nodes serve the 100 clients as fast as four and throughput shows no
 /// step at the kill; the check asserts that the failure loses nothing.
-pub fn check_fig10(fig10: &Sheet) -> Verdict {
+pub(crate) fn check_fig10(fig10: &Sheet) -> Verdict {
     let rows: Vec<(&[String], f64, f64, f64)> = fig10
         .keys()
         .map(|row| {

@@ -43,28 +43,28 @@ use crate::setup::virtual_backend;
 
 /// Configuration of the recovery-against-history sweep.
 #[derive(Debug, Clone)]
-pub struct HistoryBenchConfig {
+pub(crate) struct HistoryBenchConfig {
     /// History sizes to sweep (commits before the tail).
-    pub sizes: Vec<usize>,
+    pub(crate) sizes: Vec<usize>,
     /// Live key-set size: what the GC leaves is bounded by this, not by the
     /// history's length.
-    pub keys: usize,
+    pub(crate) keys: usize,
     /// Commits between two maintenance rounds of the `gc` history, and
     /// after its last one: the tail a bootstrap finds uncollected.
-    pub tail: usize,
+    pub(crate) tail: usize,
     /// Bootstrap measurements per (backend, size) cell; p50/p99 are over
     /// these.
-    pub trials: usize,
+    pub(crate) trials: usize,
     /// Backend profiles to sweep.
-    pub backends: Vec<BackendKind>,
+    pub(crate) backends: Vec<BackendKind>,
     /// Base RNG seed (backend latency sampling).
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl HistoryBenchConfig {
     /// The full sweep: 10k → 1M commits across the three evaluated
     /// backends.
-    pub fn standard() -> Self {
+    pub(crate) fn standard() -> Self {
         HistoryBenchConfig {
             sizes: vec![10_000, 100_000, 1_000_000],
             keys: 512,
@@ -77,7 +77,7 @@ impl HistoryBenchConfig {
 
     /// The CI configuration: a 2k → 10k sweep on one backend, enough to
     /// show the separation without minutes of committing.
-    pub fn fast() -> Self {
+    pub(crate) fn fast() -> Self {
         HistoryBenchConfig {
             sizes: vec![2_000, 10_000],
             keys: 128,
@@ -156,7 +156,7 @@ struct Sweep<'a> {
 /// the largest history to the smallest: the `gc` recovery p50 grows by at
 /// most 3× (recovery cost tracks the live key-set, not the history), and at
 /// the largest history it is below the `no_gc` p50.
-pub fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
+pub(crate) fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
     let cells = report.sheet("cells");
     let size = |row: &&[String]| row[1].parse::<f64>().unwrap_or(f64::NAN);
     let mut backends: Vec<&str> = cells.keys().map(|row| row[0].as_str()).collect();
@@ -382,7 +382,7 @@ fn run_cell(backend: BackendKind, history: usize, config: &HistoryBenchConfig) -
 
 /// Runs the full sweep and returns its report: one `cells` sheet, in
 /// (backend, history size) order.
-pub fn fig13_history(config: &HistoryBenchConfig) -> Report {
+pub(crate) fn fig13_history(config: &HistoryBenchConfig) -> Report {
     let mut cells = Sheet::new(
         "cells",
         "fig13_history — recovery cost against history, with and without GC",

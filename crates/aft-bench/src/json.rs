@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub(crate) enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
@@ -28,17 +28,17 @@ pub enum Json {
 
 impl Json {
     /// Builds an object from key/value pairs.
-    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
+    pub(crate) fn obj(pairs: Vec<(&str, Json)>) -> Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
     }
 
     /// Builds a string value.
-    pub fn str(s: impl Into<String>) -> Json {
+    pub(crate) fn str(s: impl Into<String>) -> Json {
         Json::Str(s.into())
     }
 
     /// The value at `key` if this is an object containing it.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -46,7 +46,7 @@ impl Json {
     }
 
     /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
             _ => None,
@@ -54,7 +54,7 @@ impl Json {
     }
 
     /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
@@ -62,7 +62,7 @@ impl Json {
     }
 
     /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
+    pub(crate) fn as_array(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
@@ -70,7 +70,7 @@ impl Json {
     }
 
     /// Renders the value as pretty-printed JSON.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);
         out.push('\n');
@@ -137,7 +137,7 @@ impl Json {
     /// Parses a JSON document. Accepts the full JSON grammar for the value
     /// kinds in [`Json`]; a duplicate object key keeps the first
     /// occurrence's position but takes the last occurrence's value.
-    pub fn parse(text: &str) -> Result<Json, String> {
+    pub(crate) fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
         let value = parse_value(bytes, &mut pos)?;

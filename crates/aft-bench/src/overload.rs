@@ -89,26 +89,26 @@ const DELAY_RATE: f64 = 0.03;
 
 /// Configuration of the overload sweep. Durations are virtual time.
 #[derive(Debug, Clone)]
-pub struct OverloadConfig {
+pub(crate) struct OverloadConfig {
     /// Offered-load multipliers over measured capacity, in sweep order.
-    pub multipliers: Vec<f64>,
+    pub(crate) multipliers: Vec<f64>,
     /// Closed-loop clients in the capacity phase.
-    pub capacity_clients: usize,
+    pub(crate) capacity_clients: usize,
     /// Length of the capacity phase.
-    pub capacity_duration: Duration,
+    pub(crate) capacity_duration: Duration,
     /// Length of each sweep point and of the chaos leg.
-    pub point_duration: Duration,
+    pub(crate) point_duration: Duration,
     /// Paced generator threads at 1× (scaled up with the multiplier).
-    pub base_threads: usize,
+    pub(crate) base_threads: usize,
     /// Server admission limit (queue depth; the protection under test).
-    pub admission_limit: usize,
+    pub(crate) admission_limit: usize,
     /// Base seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl OverloadConfig {
     /// The full sweep: 1×/2×/4×/8× offered load.
-    pub fn standard() -> Self {
+    pub(crate) fn standard() -> Self {
         OverloadConfig {
             multipliers: vec![1.0, 2.0, 4.0, 8.0],
             capacity_clients: 8,
@@ -126,7 +126,7 @@ impl OverloadConfig {
     }
 
     /// The CI sweep: 1× and 4×, shorter legs.
-    pub fn fast() -> Self {
+    pub(crate) fn fast() -> Self {
         OverloadConfig {
             multipliers: vec![1.0, 4.0],
             capacity_clients: 6,
@@ -138,7 +138,7 @@ impl OverloadConfig {
 
     /// The unit tests' and the trajectory's sweep: three threads at 1×,
     /// twelve at 4×, and an admission limit between them.
-    pub fn tiny() -> Self {
+    pub(crate) fn tiny() -> Self {
         OverloadConfig {
             multipliers: vec![1.0, 4.0],
             capacity_clients: 3,
@@ -213,7 +213,7 @@ const CHAOS_COLUMNS: &[&str] = &[
 /// 4× or more; there, p999 within `P999_CAP_MS`, goodput at least
 /// `GOODPUT_FLOOR` of the sweep's peak, and a protection that tripped; and
 /// a chaos leg that delivered resets.
-pub fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
+pub(crate) fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
     let capacity = report.sheet("capacity");
     let (points, chaos) = (report.sheet("points"), report.sheet("chaos"));
     let saturated: Vec<&[String]> = points
@@ -431,7 +431,7 @@ fn generate(
 }
 
 /// Runs the capacity phase, the paced sweep, and the chaos leg.
-pub fn fig11_overload(config: &OverloadConfig) -> Report {
+pub(crate) fn fig11_overload(config: &OverloadConfig) -> Report {
     // Capacity phase: closed loop, self-clocked below the admission limit,
     // so the measured rate is the deployment's sustainable throughput.
     let clients = config.capacity_clients;

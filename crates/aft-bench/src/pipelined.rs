@@ -31,7 +31,7 @@ use crate::setup::virtual_backend;
 
 /// The `fig2_pipelined` sheet: a sequential and a pipelined leg of
 /// `transactions` commits and reads per evaluated backend.
-pub fn sheet(transactions: usize, seed: u64) -> Sheet {
+pub(crate) fn sheet(transactions: usize, seed: u64) -> Sheet {
     let mut sheet = Sheet::new(
         "fig2_pipelined",
         "Figure 2 — sequential vs pipelined storage I/O per backend",
@@ -54,7 +54,7 @@ pub fn sheet(transactions: usize, seed: u64) -> Sheet {
 
 /// Figure 2's pipelining clause: on every backend the pipelined p50 commit
 /// is below 1.05× the sequential one (the gate `fig2_pipelined` had).
-pub fn check(sheet: &Sheet) -> Verdict {
+pub(crate) fn check(sheet: &Sheet) -> Verdict {
     for kind in BackendKind::EVALUATED {
         let p50 = |mode| sheet.value(&[kind.label(), mode], "p50_commit_ms");
         let (seq, pipe) = (p50("sequential"), p50("pipelined"));

@@ -78,7 +78,7 @@ use crate::setup::{settled_verdict, virtual_backend};
 /// call exhaustively. Each mode's discriminant is its place on the matrix's
 /// original six-mode axis, which seeds its cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultMode {
+pub(crate) enum FaultMode {
     /// Network faults: clients reach the cluster through the aft-net
     /// service layer, and the schedule resets their connections (before
     /// the send, and after it in the lost-ack window) and delays
@@ -106,14 +106,14 @@ pub enum FaultMode {
 
 impl FaultMode {
     /// Every mode, in report order.
-    pub const ALL: [FaultMode; 3] = [
+    pub(crate) const ALL: [FaultMode; 3] = [
         FaultMode::Network,
         FaultMode::CrossLayer,
         FaultMode::Partition,
     ];
 
     /// A short label for reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             FaultMode::Network => "network_resets",
             FaultMode::CrossLayer => "cross_layer",
@@ -122,7 +122,7 @@ impl FaultMode {
     }
 
     /// Parses a report label back into a mode (the `--mode` flag).
-    pub fn from_label(label: &str) -> Option<FaultMode> {
+    pub(crate) fn from_label(label: &str) -> Option<FaultMode> {
         FaultMode::ALL.iter().copied().find(|m| m.label() == label)
     }
 
@@ -159,31 +159,31 @@ impl FaultMode {
 
 /// Configuration of the recovery matrix.
 #[derive(Debug, Clone)]
-pub struct RecoveryConfig {
+pub(crate) struct RecoveryConfig {
     /// Fault modes (matrix axis 1).
-    pub fault_modes: Vec<FaultMode>,
+    pub(crate) fault_modes: Vec<FaultMode>,
     /// Commit-phase kill points (matrix axis 2).
-    pub kill_points: Vec<CommitPhase>,
+    pub(crate) kill_points: Vec<CommitPhase>,
     /// Backend profiles (matrix axis 3).
-    pub backends: Vec<BackendKind>,
+    pub(crate) backends: Vec<BackendKind>,
     /// Seeded trials per cell; recovery p50/p99 are computed over these.
-    pub trials: usize,
+    pub(crate) trials: usize,
     /// Logical client requests per trial (acknowledged commits target).
-    pub requests_per_trial: usize,
+    pub(crate) requests_per_trial: usize,
     /// Clients per trial, each with one request open at a time; the stepper
     /// interleaves their calls.
-    pub clients: usize,
+    pub(crate) clients: usize,
     /// Cluster size per trial (one node gets killed).
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Base RNG seed; each (cell, trial) derives its own.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl RecoveryConfig {
     /// The full matrix: 3 fault modes (network, cross-layer and metadata
     /// partition) × 4 kill points (the 3 commit phases plus the bootstrap)
     /// × the 3 evaluated backends = 36 cells, 3 trials each.
-    pub fn standard() -> Self {
+    pub(crate) fn standard() -> Self {
         RecoveryConfig {
             fault_modes: FaultMode::ALL.to_vec(),
             kill_points: every_kill_point().collect(),
@@ -199,7 +199,7 @@ impl RecoveryConfig {
     /// The CI configuration: the same ≥ 9-cell guarantee (3 fault modes × 4
     /// kill points) with one backend and fewer trials, so the chaos gate
     /// stays well under a minute.
-    pub fn fast() -> Self {
+    pub(crate) fn fast() -> Self {
         RecoveryConfig {
             trials: 2,
             requests_per_trial: 32,
@@ -211,7 +211,7 @@ impl RecoveryConfig {
     /// The tier-1 matrix: every fault mode and kill point over the memory
     /// row, one trial of 16 requests from 2 clients per cell. Its counts are
     /// exact and sit in the trajectory ([`crate::trajectory`]).
-    pub fn tiny() -> Self {
+    pub(crate) fn tiny() -> Self {
         RecoveryConfig {
             trials: 1,
             requests_per_trial: 16,
@@ -248,49 +248,49 @@ fn every_kill_point() -> impl Iterator<Item = CommitPhase> {
 
 /// What one trial observed (all invariant counters must end at zero).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TrialResult {
+pub(crate) struct TrialResult {
     /// Commits acknowledged to clients.
-    pub acknowledged: usize,
+    pub(crate) acknowledged: usize,
     /// Commit records durable in storage (ground truth, includes silent
     /// commits whose ack died with their node).
-    pub durable_commits: usize,
+    pub(crate) durable_commits: usize,
     /// Commits the fault manager recovered from storage during the drive.
-    pub recovered_commits: u64,
+    pub(crate) recovered_commits: u64,
     /// Nodes replaced by standbys.
-    pub replaced_nodes: usize,
+    pub(crate) replaced_nodes: usize,
     /// Read anomalies the history checker found in what clients saw
     /// (fractured reads, read-your-writes violations, reads no writer
     /// explains). Must be zero.
-    pub anomalies: u64,
+    pub(crate) anomalies: u64,
     /// The load's step at which the first attempt with an anomaly made its
     /// last call.
-    pub first_anomaly_step: Option<u64>,
+    pub(crate) first_anomaly_step: Option<u64>,
     /// Requests acknowledged more than once: an after-body retry commits a
     /// request again under a fresh id. Reported, not gated.
-    pub duplicate_requests: u64,
+    pub(crate) duplicate_requests: u64,
     /// Keys whose newest acknowledged write the recovered cluster does not
     /// serve. Must be zero.
-    pub lost_acks: usize,
+    pub(crate) lost_acks: usize,
     /// (record, node) pairs where a durable commit is missing from an active
     /// node's metadata after recovery. Must be zero.
-    pub unrecovered: usize,
+    pub(crate) unrecovered: usize,
     /// Whether recovery converged within its round budget.
-    pub converged: bool,
+    pub(crate) converged: bool,
     /// Maintenance rounds the recovery drive took to converge, the two
     /// quiet confirmation rounds included.
-    pub recovery_rounds: u64,
+    pub(crate) recovery_rounds: u64,
     /// Transient-fault retries absorbed by the I/O engines.
-    pub io_retries: u64,
+    pub(crate) io_retries: u64,
     /// Whole-transaction retries performed by clients.
-    pub client_retries: u64,
+    pub(crate) client_retries: u64,
     /// Faults every armed layer injected: every answer of the schedule but
     /// the kill, so a batch counts once a round it is held, whatever it
     /// carried.
-    pub faults_injected: u64,
+    pub(crate) faults_injected: u64,
     /// API calls the backend billed over the load and the recovery drive,
     /// every [`OpKind`](aft_storage::OpKind) summed; the verification's
     /// reads are not counted.
-    pub storage_calls: u64,
+    pub(crate) storage_calls: u64,
 }
 
 /// One counter of a [`TrialResult`].
@@ -360,7 +360,7 @@ const INVARIANTS: [(&str, &str, f64); 4] = [
 ];
 
 /// fig10's checks: the matrix's coverage, then [`cell_checks`].
-pub fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
+pub(crate) fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
     let cells = report.sheet("cells");
     let distinct = |at| {
         cells
@@ -384,7 +384,7 @@ pub fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
 /// first failing cell, an anomalous one with its first anomalous step. A
 /// single-mode replay (`aft-bench fig10_recovery --mode ...`) gates on these
 /// alone: its restricted matrix can never meet the coverage check.
-pub fn cell_checks(report: &Report) -> Vec<(&'static str, Verdict)> {
+pub(crate) fn cell_checks(report: &Report) -> Vec<(&'static str, Verdict)> {
     let cells = report.sheet("cells");
     let first_step = |row: &[String]| match cells.value(row, "first_anomaly_step") {
         step if step.is_nan() => String::new(),
@@ -648,7 +648,7 @@ fn drive_recovery(cluster: &Cluster, max_rounds: usize) -> RecoveryOutcome {
 }
 
 /// Runs the full matrix and returns its report.
-pub fn fig10_recovery(config: &RecoveryConfig) -> Report {
+pub(crate) fn fig10_recovery(config: &RecoveryConfig) -> Report {
     let mut cells = cells_sheet();
     for &fault_mode in &config.fault_modes {
         for &kill_point in &config.kill_points {

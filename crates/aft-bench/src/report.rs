@@ -14,9 +14,9 @@ use crate::json::Json;
 
 /// One table of an experiment: label columns, then numeric columns.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Sheet {
+pub(crate) struct Sheet {
     /// The report key, e.g. `fig3` or `cells`.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     title: &'static str,
     labels: &'static [&'static str],
     values: Vec<&'static str>,
@@ -54,13 +54,13 @@ impl Sheet {
 
     /// The `column` value of the row labelled `labels`; NaN, which fails
     /// every comparison, where there is none.
-    pub fn value<S: AsRef<str>>(&self, labels: &[S], column: &str) -> f64 {
+    pub(crate) fn value<S: AsRef<str>>(&self, labels: &[S], column: &str) -> f64 {
         let at = self.at(labels, column);
         at.map_or(f64::NAN, |(row, column)| self.rows[row].1[column])
     }
 
     /// The `column` values summed over every row.
-    pub fn sum(&self, column: &str) -> f64 {
+    pub(crate) fn sum(&self, column: &str) -> f64 {
         self.keys().map(|labels| self.value(labels, column)).sum()
     }
 
@@ -76,7 +76,7 @@ impl Sheet {
     }
 
     /// The rows' labels, in order.
-    pub fn keys(&self) -> impl Iterator<Item = &[String]> {
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &[String]> {
         self.rows.iter().map(|(labels, _)| labels.as_slice())
     }
 
@@ -97,7 +97,7 @@ impl Sheet {
     /// a rule, then a line per row. A value prints as milliseconds in a
     /// `_ms` column, whole if it is whole, else to two decimals; no value
     /// prints as `-`.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let headers = self.labels.iter().chain(&self.values);
         let mut lines = vec![headers.map(|h| h.to_string()).collect::<Vec<_>>()];
         for (labels, values) in &self.rows {
@@ -147,24 +147,24 @@ impl Sheet {
 }
 
 /// One check's verdict: `Err` names its first failing clause.
-pub type Verdict = Result<(), String>;
+pub(crate) type Verdict = Result<(), String>;
 
 /// What an experiment measured, and how it is checked.
 #[derive(Debug, Clone)]
-pub struct Report {
+pub(crate) struct Report {
     /// The experiment's name in the registry, e.g. `figures`.
-    pub experiment: &'static str,
+    pub(crate) experiment: &'static str,
     /// The sheets, each named once.
-    pub sheets: Vec<Sheet>,
+    pub(crate) sheets: Vec<Sheet>,
     /// The checks the gate runs over the sheets: each check's name and
     /// verdict, in order.
-    pub checks: fn(&Report) -> Vec<(&'static str, Verdict)>,
+    pub(crate) checks: fn(&Report) -> Vec<(&'static str, Verdict)>,
 }
 
 impl Report {
     /// The sheet named `name`. Panics if there is none: every check reads
     /// sheets its experiment always writes.
-    pub fn sheet(&self, name: &str) -> &Sheet {
+    pub(crate) fn sheet(&self, name: &str) -> &Sheet {
         let sheet = self.sheets.iter().find(|s| s.name == name);
         sheet.unwrap_or_else(|| panic!("no sheet {name}"))
     }
@@ -176,13 +176,13 @@ impl Report {
     }
 
     /// Every check's verdict, in order.
-    pub fn verdicts(&self) -> Vec<(&'static str, Verdict)> {
+    pub(crate) fn verdicts(&self) -> Vec<(&'static str, Verdict)> {
         (self.checks)(self)
     }
 
     /// The gate: every check passes. A failure names each failing check and
     /// its first failing clause.
-    pub fn gate(&self) -> Verdict {
+    pub(crate) fn gate(&self) -> Verdict {
         let verdicts = self.verdicts().into_iter();
         let failed: Vec<String> = verdicts
             .filter_map(|(check, v)| v.err().map(|e| format!("{check}: {e}")))
@@ -192,7 +192,7 @@ impl Report {
 
     /// The report's document: the experiment, each check's verdict, then
     /// each sheet.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let checks = self.verdicts().into_iter().map(|(check, verdict)| {
             let verdict = verdict.map_or_else(|e| format!("failed: {e}"), |()| "ok".to_owned());
             Json::obj(vec![
@@ -293,7 +293,7 @@ pub(crate) fn margin(check: impl FnOnce() -> Verdict) -> f64 {
 }
 
 /// Formats a millisecond value the way the paper's figures label them.
-pub fn ms(value: f64) -> String {
+pub(crate) fn ms(value: f64) -> String {
     if value >= 100.0 {
         format!("{value:.0}")
     } else if value >= 10.0 {

@@ -84,28 +84,28 @@ const CONN_HELD_CAP_BYTES: f64 = 64.0 * 1024.0;
 
 /// Configuration of the service sweep.
 #[derive(Debug, Clone)]
-pub struct ServiceConfig {
+pub(crate) struct ServiceConfig {
     /// Concurrent client threads per point of the sweep.
-    pub client_counts: Vec<usize>,
+    pub(crate) client_counts: Vec<usize>,
     /// Requests each client issues per point.
-    pub requests_per_client: usize,
+    pub(crate) requests_per_client: usize,
     /// Clients in the chaos leg, seated in virtual time.
-    pub chaos_clients: usize,
+    pub(crate) chaos_clients: usize,
     /// Requests per client in the chaos leg.
-    pub chaos_requests: usize,
+    pub(crate) chaos_requests: usize,
     /// Concurrent resident connections per point of the scale leg.
-    pub conn_counts: Vec<usize>,
+    pub(crate) conn_counts: Vec<usize>,
     /// Connections that keep pinging while the rest of the fleet idles.
-    pub conn_active: usize,
+    pub(crate) conn_active: usize,
     /// Pings each active connection issues during the measured phase.
-    pub conn_pings: usize,
+    pub(crate) conn_pings: usize,
     /// Base seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl ServiceConfig {
     /// The full sweep: 1→16 clients, 150 requests each.
-    pub fn standard() -> Self {
+    pub(crate) fn standard() -> Self {
         ServiceConfig {
             client_counts: vec![1, 2, 4, 8, 16],
             requests_per_client: 150,
@@ -120,7 +120,7 @@ impl ServiceConfig {
 
     /// The CI sweep: same invariants, sub-minute runtime. Still climbs to
     /// 512 resident connections so the scale invariants run on every push.
-    pub fn fast() -> Self {
+    pub(crate) fn fast() -> Self {
         ServiceConfig {
             client_counts: vec![1, 4, 8],
             requests_per_client: 40,
@@ -133,7 +133,7 @@ impl ServiceConfig {
     }
 
     /// The unit tests' and the trajectory's size.
-    pub fn tiny() -> Self {
+    pub(crate) fn tiny() -> Self {
         ServiceConfig {
             client_counts: vec![1, 4],
             requests_per_client: 8,
@@ -234,7 +234,7 @@ const SERVER_COLUMNS: &[&str] = &[
 /// thread, every connection on the reactors, ping p99 within
 /// `CONN_P99_COLLAPSE_MS` and the bytes the server holds per connection
 /// within `CONN_HELD_CAP_BYTES`.
-pub fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
+pub(crate) fn checks(report: &Report) -> Vec<(&'static str, Verdict)> {
     let (points, chaos) = (report.sheet("points"), report.sheet("chaos"));
     let (conns, server) = (report.sheet("conn_scale"), report.sheet("server"));
     let zero = |n| n == 0.0;
@@ -451,7 +451,7 @@ fn served(seed: u64) -> (Arc<Cluster>, AftServer, Arc<AftClient>) {
 }
 
 /// Runs the sweep, the chaos leg and the connection-scale leg.
-pub fn fig8_service(config: &ServiceConfig) -> Report {
+pub(crate) fn fig8_service(config: &ServiceConfig) -> Report {
     // Clean sweep: a fresh deployment per point, so points are independent.
     let mut points = Sheet::new(
         "points",
@@ -537,7 +537,7 @@ pub fn fig8_service(config: &ServiceConfig) -> Report {
 /// network faults drawn from the leg's seeded schedule, maintenance on a
 /// timer; then the checker grades every call the SDK made and what the
 /// cluster serves. Returns the `chaos` sheet.
-pub fn chaos_leg(config: &ServiceConfig) -> Sheet {
+pub(crate) fn chaos_leg(config: &ServiceConfig) -> Sheet {
     let delay = Duration::from_millis(1);
     let schedule = Seeded::new(config.seed ^ 0xC4A05, None).resets(RESET_RATE, DELAY_RATE, delay);
     let schedule = Shared::new(schedule);

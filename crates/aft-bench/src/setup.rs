@@ -15,7 +15,7 @@ use aft_workload::{AftDriver, DynamoTxnDriver, PlainDriver, Timer};
 /// intra-AZ round trip plus request handling, the source of the ~6 ms fixed
 /// overhead between "DynamoDB Batch" and "AFT Batch" in Figure 2 once the
 /// commit-record write is added.
-pub const SHIM_RPC_PROFILE: LatencyProfile = LatencyProfile {
+pub(crate) const SHIM_RPC_PROFILE: LatencyProfile = LatencyProfile {
     median_us: 1_200.0,
     p99_us: 4_000.0,
     per_kb_us: 0.4,
@@ -25,7 +25,7 @@ pub const SHIM_RPC_PROFILE: LatencyProfile = LatencyProfile {
 #[derive(Debug, Clone, Copy)]
 pub struct BenchEnv {
     /// Whether the fast (smoke-test) mode is active.
-    pub fast: bool,
+    pub(crate) fast: bool,
 }
 
 impl BenchEnv {
@@ -37,19 +37,19 @@ impl BenchEnv {
 
     /// [`Self::from_env`] over any variable lookup. Fast mode is on for any
     /// `AFT_BENCH_FAST` value except unset, empty and `0`.
-    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
+    pub(crate) fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
         let fast = var("AFT_BENCH_FAST").is_some_and(|v| !v.is_empty() && v != "0");
         BenchEnv { fast }
     }
 
     /// The environment of the harness's own unit tests: fast mode.
-    pub fn test() -> Self {
+    pub(crate) fn test() -> Self {
         BenchEnv { fast: true }
     }
 
     /// Picks an experiment's size — a count, a duration, a whole sweep
     /// configuration — by mode: `fast` in fast mode, `normal` otherwise.
-    pub fn sized<T>(&self, normal: T, fast: T) -> T {
+    pub(crate) fn sized<T>(&self, normal: T, fast: T) -> T {
         if self.fast {
             fast
         } else {
@@ -61,7 +61,7 @@ impl BenchEnv {
 /// A `kind` backend on the virtual clock at full scale — what every seeded
 /// experiment runs over: calibrated latencies are charged to the caller,
 /// never slept, so an experiment costs seconds and repeats exactly.
-pub fn virtual_backend(kind: BackendKind, seed: u64) -> SharedStorage {
+pub(crate) fn virtual_backend(kind: BackendKind, seed: u64) -> SharedStorage {
     aft_storage::make_backend(BackendConfig {
         mode: LatencyMode::Virtual,
         ..BackendConfig::simulated(kind, 1.0).with_seed(seed)
@@ -70,7 +70,7 @@ pub fn virtual_backend(kind: BackendKind, seed: u64) -> SharedStorage {
 
 /// The node configuration of the figures: the shim's RPC hop, and a 256 MiB
 /// data cache or none.
-pub fn node_template(caching: bool) -> NodeConfig {
+pub(crate) fn node_template(caching: bool) -> NodeConfig {
     NodeConfig {
         data_cache_bytes: if caching { 256 * 1024 * 1024 } else { 0 },
         rpc_profile: SHIM_RPC_PROFILE,
@@ -80,7 +80,7 @@ pub fn node_template(caching: bool) -> NodeConfig {
 
 /// A figure's single AFT node over `storage`, its timestamps from its
 /// callers' seats ([`SeatClock`]).
-pub fn node(storage: SharedStorage, caching: bool, seed: u64) -> Arc<AftNode> {
+pub(crate) fn node(storage: SharedStorage, caching: bool, seed: u64) -> Arc<AftNode> {
     let config = node_template(caching).with_seed(seed);
     AftNode::with_clock(config, storage, SeatClock::shared())
         .expect("node construction only fails on storage errors")
@@ -89,7 +89,12 @@ pub fn node(storage: SharedStorage, caching: bool, seed: u64) -> Arc<AftNode> {
 /// A figure's `nodes`-node cluster over `storage`, its timestamps from its
 /// callers' seats ([`SeatClock`]). Its maintenance runs where the figure's
 /// loop says, never in the background.
-pub fn cluster(storage: SharedStorage, nodes: usize, caching: bool, gc: bool) -> Arc<Cluster> {
+pub(crate) fn cluster(
+    storage: SharedStorage,
+    nodes: usize,
+    caching: bool,
+    gc: bool,
+) -> Arc<Cluster> {
     let config = cluster_config(nodes, caching, gc);
     Cluster::with_clock(config, storage, SeatClock::shared()).expect("cluster construction")
 }
@@ -108,7 +113,7 @@ fn cluster_config(nodes: usize, caching: bool, gc: bool) -> ClusterConfig {
 
 /// A cluster's maintenance round every second of virtual time, the paper's
 /// multicast period (§4): the timer of every virtual loop over a cluster.
-pub fn maintenance(cluster: &Cluster) -> Timer<'_> {
+pub(crate) fn maintenance(cluster: &Cluster) -> Timer<'_> {
     let round = move |_| {
         let _ = cluster.run_maintenance_round();
     };
@@ -116,28 +121,28 @@ pub fn maintenance(cluster: &Cluster) -> Timer<'_> {
 }
 
 /// The simulated AWS-Lambda-like FaaS platform, on the virtual clock.
-pub fn platform() -> Arc<FaasPlatform> {
+pub(crate) fn platform() -> Arc<FaasPlatform> {
     FaasPlatform::new(PlatformConfig::aws_like())
 }
 
 /// The retry policy the simulated clients use.
-pub fn retry() -> RetryPolicy {
+pub(crate) fn retry() -> RetryPolicy {
     RetryPolicy::with_attempts(8)
 }
 
 /// An AFT driver over a fresh single node on a fresh virtual backend.
-pub fn aft_driver(kind: BackendKind, caching: bool, seed: u64) -> AftDriver {
+pub(crate) fn aft_driver(kind: BackendKind, caching: bool, seed: u64) -> AftDriver {
     let node = node(virtual_backend(kind, seed), caching, seed ^ 0xA57);
     AftDriver::single_node(node, platform(), retry()).with_label(aft_label(kind, caching))
 }
 
 /// A Plain driver over a fresh virtual backend.
-pub fn plain_driver(kind: BackendKind, seed: u64) -> PlainDriver {
+pub(crate) fn plain_driver(kind: BackendKind, seed: u64) -> PlainDriver {
     PlainDriver::new(virtual_backend(kind, seed), platform(), retry())
 }
 
 /// A DynamoDB-transaction-mode driver over a fresh virtual table.
-pub fn dynamo_txn_driver(seed: u64) -> DynamoTxnDriver {
+pub(crate) fn dynamo_txn_driver(seed: u64) -> DynamoTxnDriver {
     let latency = aft_storage::LatencyModel::new(LatencyMode::Virtual, 1.0);
     let table = aft_storage::SimDynamo::new(latency, seed);
     DynamoTxnDriver::new(table.transaction_mode(), platform(), retry())
@@ -147,7 +152,7 @@ pub fn dynamo_txn_driver(seed: u64) -> DynamoTxnDriver {
 /// stops `cluster`'s background maintenance, runs one quiet round, reads
 /// every key the `history` wrote back through a routed node, and grades
 /// the history against that final read ([`history::check`]).
-pub fn settled_verdict(cluster: &Cluster, history: &[Attempt]) -> Verdict {
+pub(crate) fn settled_verdict(cluster: &Cluster, history: &[Attempt]) -> Verdict {
     cluster.shutdown();
     cluster
         .run_maintenance_round()
@@ -159,7 +164,7 @@ pub fn settled_verdict(cluster: &Cluster, history: &[Attempt]) -> Verdict {
 }
 
 /// The label used for AFT configurations in the figures ("AFT-D Caching" etc.).
-pub fn aft_label(kind: BackendKind, caching: bool) -> String {
+pub(crate) fn aft_label(kind: BackendKind, caching: bool) -> String {
     let backend = match kind {
         BackendKind::DynamoDb => "AFT-D",
         BackendKind::Redis => "AFT-R",

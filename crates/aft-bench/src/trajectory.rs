@@ -11,26 +11,26 @@
 //!   `data/` keys storage holds after them, on each of the four service rows
 //!   — what `storage_ops_per_txn` and `storage_write_amp` are made of, what
 //!   a read-only transaction costs, and what the global GC leaves behind;
-//! * the tiny `fig10_recovery` matrix ([`RecoveryConfig::tiny`]): its
+//! * the tiny `fig10_recovery` matrix (`RecoveryConfig::tiny`): its
 //!   recovered commits, its absorbed (retried) storage faults, its requests
 //!   acknowledged and acknowledged twice, the storage calls it billed and
 //!   the faults it injected, each a column sum of its report's `cells`
 //!   sheet — so storage calls per acknowledged request is a ratio of two
 //!   exact counts;
-//! * the paper's figures at the test size ([`crate::experiments`]): Table
+//! * the paper's figures at the test size (`experiments`): Table
 //!   2's RYW and FR cells on its five rows, and Figure 9's deleted
 //!   transactions and live data versions with GC on and off;
 //! * Figure 2's pipelined table at 40 transactions a leg
-//!   ([`pipelined::sheet`]): each backend and mode's p50 and p99 commit
+//!   (`pipelined::sheet`): each backend and mode's p50 and p99 commit
 //!   charge, p50 read charge and storage API calls;
-//! * the tiny `fig11_overload` sweep ([`OverloadConfig::tiny`]): the
+//! * the tiny `fig11_overload` sweep (`OverloadConfig::tiny`): the
 //!   server's admission rejections and queue-age sheds, the chaos leg's
 //!   resets and deduplicated commits, the commits, and the server's requests
 //!   per commit, each from its report's cells; and `fig8_service`'s chaos
-//!   leg at its tiny size ([`ServiceConfig::tiny`]): its resets,
+//!   leg at its tiny size (`ServiceConfig::tiny`): its resets,
 //!   deduplicated and acknowledged commits, and requests per commit, each
 //!   from its `chaos` sheet;
-//! * the piped large script ([`piped_large_script`]): the server's fresh
+//! * the piped large script (`piped_large_script`): the server's fresh
 //!   frame-buffer allocations and pool reuses over `svc-large`-shaped
 //!   transactions, what `aft-net.event.buffer_reuse_share` is made of;
 //! * the eleven small scopes tier-1 walks whole ([`sim::walk`]): the
@@ -75,7 +75,7 @@ use crate::service::{chaos_leg, ServiceConfig};
 use crate::setup::BenchEnv;
 
 /// The trajectory's file name, at the repository root.
-pub const REPORT: &str = "BENCH_trajectory.json";
+pub(crate) const REPORT: &str = "BENCH_trajectory.json";
 
 /// The service rows the golden script runs on, in row order.
 const GOLDEN_ROWS: [BackendKind; 4] = [
@@ -86,7 +86,7 @@ const GOLDEN_ROWS: [BackendKind; 4] = [
 ];
 
 /// The call kinds [`golden_script`] counts, in the order it returns them.
-pub const GOLDEN_OPS: [OpKind; 7] = [
+pub(crate) const GOLDEN_OPS: [OpKind; 7] = [
     OpKind::Get,
     OpKind::BatchGet,
     OpKind::Put,
@@ -108,7 +108,7 @@ fn next(state: &mut u64) -> u64 {
 /// What one run of [`golden_script`] billed and left behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GoldenRun {
-    /// The calls of each [`GOLDEN_OPS`] kind, in that order.
+    /// The calls of each `GOLDEN_OPS` kind, in that order.
     pub calls: [u64; 7],
     /// The bytes every write call handed the store
     /// ([`StorageStatsSnapshot::bytes_written`](aft_storage::StorageStatsSnapshot::bytes_written)).
@@ -196,7 +196,7 @@ pub fn golden_script(kind: BackendKind) -> GoldenRun {
 /// transactions of `svc-large`'s shape, each a `GetAll` of the eight keys and
 /// a commit of four of them. The server's fresh frame-buffer allocations and
 /// pool reuses.
-pub fn piped_large_script() -> (u64, u64) {
+pub(crate) fn piped_large_script() -> (u64, u64) {
     let storage = make_backend(BackendConfig::test(BackendKind::Memory));
     let cluster = Cluster::with_clock(ClusterConfig::test(1), storage, TickingClock::shared(1, 1))
         .expect("a cluster over memory");
@@ -570,7 +570,7 @@ fn append(path: &Path) -> Result<String, String> {
 
 /// `aft-bench trajectory [--check]` over the trajectory at `path`; returns
 /// the exit status (2 for a wrong command line).
-pub fn main(argv: &[String], path: &Path) -> i32 {
+pub(crate) fn main(argv: &[String], path: &Path) -> i32 {
     let result = match argv {
         [] => append(path),
         [flag] if flag == "--check" => check(path),

@@ -151,7 +151,10 @@ impl FaultManager {
 
     /// Ingests commit records from the unpruned broadcast stream, under one
     /// lock of the view.
-    pub fn observe_commits(&self, records: impl IntoIterator<Item = Arc<TransactionRecord>>) {
+    pub(crate) fn observe_commits(
+        &self,
+        records: impl IntoIterator<Item = Arc<TransactionRecord>>,
+    ) {
         let mut newest = None;
         self.metadata.insert_all(
             records
@@ -167,7 +170,7 @@ impl FaultManager {
     /// Drains `node` for a dissemination round: observes its records, takes
     /// its commit floor, and returns the records, unpruned, for the multicast
     /// (§4.2). From here on the manager watches the node.
-    pub fn drain_node(&self, node: &Arc<AftNode>) -> Vec<Arc<TransactionRecord>> {
+    pub(crate) fn drain_node(&self, node: &Arc<AftNode>) -> Vec<Arc<TransactionRecord>> {
         let drain = node.drain_recent_commits();
         self.observe_commits(drain.records.iter().cloned());
         let mut floor = self.floor.lock();
@@ -180,7 +183,7 @@ impl FaultManager {
     /// round drained since the last scan for its undrained commits. The
     /// cluster calls this for every node it builds, so one that dies before
     /// its first round is covered too.
-    pub fn watch(&self, node: &Arc<AftNode>) {
+    pub(crate) fn watch(&self, node: &Arc<AftNode>) {
         self.floor.lock().watch(node, false);
     }
 

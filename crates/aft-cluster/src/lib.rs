@@ -46,7 +46,6 @@ pub use dissemination::{broadcast_round, BroadcastStats, Disseminator};
 pub use fault_manager::{FaultManager, ScanOutcome};
 pub use global_gc::{GlobalGc, GlobalGcOutcome};
 pub use membership::{NodeRegistry, NodeState};
-pub use router::RoundRobinRouter;
 
 /// Tests of [`broadcast_round`], under the `broadcast::tests` path they have
 /// had since a module of that name held the function: the names the suite

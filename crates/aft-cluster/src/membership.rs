@@ -65,7 +65,7 @@ impl NodeRegistry {
     }
 
     /// Changes a node's state; returns false if the node is unknown.
-    pub fn set_state(&self, node_id: &str, state: NodeState) -> bool {
+    pub(crate) fn set_state(&self, node_id: &str, state: NodeState) -> bool {
         match self.members.write().get_mut(node_id) {
             Some(member) => {
                 member.state = state;
@@ -77,7 +77,7 @@ impl NodeRegistry {
 
     /// Removes a node from the registry entirely (it will never come back
     /// under this identity).
-    pub fn deregister(&self, node_id: &str) -> bool {
+    pub(crate) fn deregister(&self, node_id: &str) -> bool {
         self.members.write().remove(node_id).is_some()
     }
 
@@ -111,7 +111,7 @@ impl NodeRegistry {
     }
 
     /// All registered nodes regardless of state, sorted by node id.
-    pub fn all_nodes(&self) -> Vec<(Arc<AftNode>, NodeState)> {
+    pub(crate) fn all_nodes(&self) -> Vec<(Arc<AftNode>, NodeState)> {
         let members = self.members.read();
         let mut all: Vec<_> = members
             .values()

@@ -14,14 +14,14 @@ use aft_types::{AftError, AftResult};
 use crate::membership::NodeRegistry;
 
 /// A round-robin router over the registry's active nodes.
-pub struct RoundRobinRouter {
+pub(crate) struct RoundRobinRouter {
     registry: Arc<NodeRegistry>,
     next: AtomicUsize,
 }
 
 impl RoundRobinRouter {
     /// Creates a router over `registry`.
-    pub fn new(registry: Arc<NodeRegistry>) -> Self {
+    pub(crate) fn new(registry: Arc<NodeRegistry>) -> Self {
         RoundRobinRouter {
             registry,
             next: AtomicUsize::new(0),
@@ -33,7 +33,7 @@ impl RoundRobinRouter {
     /// Returns [`AftError::Unavailable`] when no node is active — clients
     /// treat that as a retryable condition, matching the behaviour of a load
     /// balancer with an empty backend pool.
-    pub fn route(&self) -> AftResult<Arc<AftNode>> {
+    pub(crate) fn route(&self) -> AftResult<Arc<AftNode>> {
         let active = self.registry.active_nodes();
         if active.is_empty() {
             return Err(AftError::Unavailable(
@@ -42,11 +42,6 @@ impl RoundRobinRouter {
         }
         let index = self.next.fetch_add(1, Ordering::Relaxed) % active.len();
         Ok(Arc::clone(&active[index]))
-    }
-
-    /// The registry this router draws from.
-    pub fn registry(&self) -> &Arc<NodeRegistry> {
-        &self.registry
     }
 }
 

@@ -35,10 +35,10 @@ use crate::metadata::MetadataCache;
 /// Wave size for commit-record fetches: one engine in-flight window per
 /// wave bounds memory for huge commit sets while keeping every read in a
 /// wave concurrent.
-pub const COMMIT_FETCH_WAVE: usize = 256;
+pub(crate) const COMMIT_FETCH_WAVE: usize = 256;
 
 /// Fetches and decodes the commit records stored under `keys`, one
-/// [`IoEngine::get_all`] per wave of [`COMMIT_FETCH_WAVE`] keys, and calls
+/// [`IoEngine::get_all`] per wave of `COMMIT_FETCH_WAVE` keys, and calls
 /// `on_record` for each record found. Each blob is decoded with the key it
 /// was read from, which names its transaction
 /// ([`decode_keyed_commit_record`]), in either of the forms it is stored

@@ -54,7 +54,7 @@
 //! stripe an independent cache over `capacity / stripes` bytes — so every
 //! cached version of a key lives in one stripe (succession needs to see them
 //! together) and concurrent readers of different keys never serialise on one
-//! mutex. Small caches (below [`MIN_STRIPE_BYTES`] per stripe) collapse to a
+//! mutex. Small caches (below `MIN_STRIPE_BYTES` per stripe) collapse to a
 //! single stripe and are byte-exact: one list pair over the whole capacity,
 //! so tests and tiny configurations can predict every eviction.
 
@@ -65,11 +65,11 @@ use aft_types::{Key, TransactionId, Value};
 use parking_lot::Mutex;
 
 /// Maximum stripe count for a data cache.
-pub const MAX_CACHE_STRIPES: usize = 16;
+pub(crate) const MAX_CACHE_STRIPES: usize = 16;
 
 /// Minimum per-stripe capacity; caches smaller than `2 * MIN_STRIPE_BYTES`
 /// use a single stripe.
-pub const MIN_STRIPE_BYTES: usize = 1024 * 1024;
+pub(crate) const MIN_STRIPE_BYTES: usize = 1024 * 1024;
 
 /// The share of a stripe's bytes its protected segment may hold, in percent.
 pub const PROTECTED_PERCENT: usize = 80;
@@ -374,8 +374,8 @@ impl Stripe {
 impl DataCache {
     /// Creates a cache bounded to `capacity_bytes` of value buffers. A capacity of
     /// zero disables caching entirely (every lookup misses). The stripe
-    /// count scales with capacity: one stripe per [`MIN_STRIPE_BYTES`], at
-    /// most [`MAX_CACHE_STRIPES`].
+    /// count scales with capacity: one stripe per `MIN_STRIPE_BYTES`, at
+    /// most `MAX_CACHE_STRIPES`.
     pub fn new(capacity_bytes: usize) -> Self {
         let stripes = (capacity_bytes / MIN_STRIPE_BYTES).clamp(1, MAX_CACHE_STRIPES);
         Self::striped(capacity_bytes, stripes)
@@ -402,7 +402,7 @@ impl DataCache {
     }
 
     /// Returns true if the cache can never hold anything.
-    pub fn is_disabled(&self) -> bool {
+    pub(crate) fn is_disabled(&self) -> bool {
         self.capacity_bytes == 0
     }
 

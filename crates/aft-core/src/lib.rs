@@ -35,7 +35,7 @@ pub mod node;
 pub mod read;
 pub mod stats;
 pub mod supersede;
-pub mod write_buffer;
+mod write_buffer;
 
 pub use api::{AftApi, CommitOutcome};
 pub use data_cache::DataCache;
@@ -47,7 +47,6 @@ pub use node::{
 pub use read::{select_version, ReadSet};
 pub use stats::{NodeStats, NodeStatsSnapshot};
 pub use supersede::is_superseded;
-pub use write_buffer::{ActiveTransaction, WriteBuffer};
 
 // The commit flush's unit tests, under the module name they run as.
 #[cfg(test)]

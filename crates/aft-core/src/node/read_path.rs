@@ -131,17 +131,18 @@ impl AftNode {
     /// payloads that the data cache does not hold. Each version's origin is
     /// asked first ([`Peers`](super::Peers)), once per origin with all of its
     /// versions. The storage keys of the versions no origin answered go out
-    /// as one [`IoEngine::get_all`]: one `Get` for one key. A version of an
-    /// inline record has no `data/` key: its miss fetches the record, once
-    /// for all of the record's keys the request missed, decodes it once and
-    /// slices the value out of it. Which of the two a version is, the select
-    /// step reads in the metadata view that chose the version: a local sweep
-    /// may drop the record before the fetch, and a lookup then would send
-    /// the read to a `data/` key the version never had. A service with a
-    /// multi-key read call serves several in one call (memory) or one per
-    /// 100 keys (DynamoDB's `BatchGetItem`). One without it (S3, Redis) gets
-    /// one `Get` per miss, issued together. Either way the round trips
-    /// overlap instead of summing.
+    /// as one [`IoEngine::get_all`](aft_storage::IoEngine::get_all): one
+    /// `Get` for one key. A version of an inline record has no `data/` key:
+    /// its miss fetches the record, once for all of the record's keys the
+    /// request missed, decodes it once and slices the value out of it.
+    /// Which of the two a version is, the select step reads in the metadata
+    /// view that chose the version: a local sweep may drop the record before
+    /// the fetch, and a lookup then would send the read to a `data/` key the
+    /// version never had. A service with a multi-key read call serves
+    /// several in one call (memory) or one per 100 keys (DynamoDB's
+    /// `BatchGetItem`). One without it (S3, Redis) gets one `Get` per miss,
+    /// issued together. Either way the round trips overlap instead of
+    /// summing.
     ///
     /// If a chosen version is gone by the time it is fetched (global GC
     /// racing a long transaction, §5.2.1), the whole call returns

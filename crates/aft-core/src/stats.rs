@@ -60,7 +60,7 @@ impl NodeStats {
 
     /// Adds a local GC sweep's removed transactions to the
     /// `gc_transactions_deleted` counter.
-    pub fn record_gc_deleted(&self, transactions: usize) {
+    pub(crate) fn record_gc_deleted(&self, transactions: usize) {
         self.gc_transactions_deleted
             .fetch_add(transactions as u64, Ordering::Relaxed);
     }

@@ -21,12 +21,12 @@ use crate::read::ReadSet;
 
 /// Per-transaction in-flight state: buffered writes and the read set.
 #[derive(Debug)]
-pub struct ActiveTransaction {
+pub(crate) struct ActiveTransaction {
     /// The transaction's ID as of `StartTransaction` (start timestamp + UUID);
     /// the final commit timestamp is assigned at commit time.
-    pub id: TransactionId,
+    pub(crate) id: TransactionId,
     /// Buffered writes: the most recent value written for each key.
-    pub writes: BTreeMap<Key, Value>,
+    pub(crate) writes: BTreeMap<Key, Value>,
     /// Keys whose buffered value already sits at its storage key: a spill
     /// carrying it landed and the key was not written since. A spill or the
     /// commit writes every other key.
@@ -35,14 +35,14 @@ pub struct ActiveTransaction {
     /// that an abort must delete.
     spilled: HashSet<Key>,
     /// The versions read so far (Algorithm 1's `R`).
-    pub reads: ReadSet,
+    pub(crate) reads: ReadSet,
     /// Total bytes of the writes not yet durable.
     buffered_bytes: usize,
 }
 
 impl ActiveTransaction {
     /// Creates the in-flight state for a new transaction.
-    pub fn new(id: TransactionId) -> Self {
+    pub(crate) fn new(id: TransactionId) -> Self {
         ActiveTransaction {
             id,
             writes: BTreeMap::new(),
@@ -55,7 +55,7 @@ impl ActiveTransaction {
 
     /// Buffers a write, replacing any previous buffered value for the key
     /// (read-your-writes always sees the latest buffered value).
-    pub fn buffer_write(&mut self, key: Key, value: Value) {
+    pub(crate) fn buffer_write(&mut self, key: Key, value: Value) {
         let was_durable = !self.durable.is_empty() && self.durable.remove(&key);
         self.buffered_bytes += value.len();
         if let Some(old) = self.writes.insert(key, value) {
@@ -66,18 +66,13 @@ impl ActiveTransaction {
     }
 
     /// The buffered value for `key`, if the transaction has written it.
-    pub fn buffered_value(&self, key: &Key) -> Option<Value> {
+    pub(crate) fn buffered_value(&self, key: &Key) -> Option<Value> {
         self.writes.get(key).cloned()
     }
 
     /// Bytes of payload buffered and not yet durable (spilled data excluded).
-    pub fn buffered_bytes(&self) -> usize {
+    pub(crate) fn buffered_bytes(&self) -> usize {
         self.buffered_bytes
-    }
-
-    /// The transaction's write set so far (buffered and spilled keys).
-    pub fn write_set(&self) -> impl Iterator<Item = &Key> {
-        self.writes.keys()
     }
 
     /// The buffered writes not yet durable at their storage keys.
@@ -92,7 +87,7 @@ impl ActiveTransaction {
     /// key whose spilled value is still its latest is already at the storage
     /// key its commit record will name (a data key carries only the UUID), so
     /// it is not written again.
-    pub fn storage_items(&self) -> Vec<(String, Value)> {
+    pub(crate) fn storage_items(&self) -> Vec<(String, Value)> {
         self.not_durable()
             .map(|(key, value)| {
                 let storage_key = KeyVersion::new(key.clone(), self.id).storage_key();
@@ -107,7 +102,7 @@ impl ActiveTransaction {
     /// [`confirm_spill`](ActiveTransaction::confirm_spill) says the spill
     /// landed. The buffered values are retained so read-your-writes still
     /// sees them.
-    pub fn begin_spill(&mut self) -> Vec<(Key, Value)> {
+    pub(crate) fn begin_spill(&mut self) -> Vec<(Key, Value)> {
         let items: Vec<(Key, Value)> = self
             .not_durable()
             .map(|(key, value)| (key.clone(), value.clone()))
@@ -120,7 +115,7 @@ impl ActiveTransaction {
     /// Records that a spill of `written` landed: each key whose buffered
     /// value is still the one spilled is durable, and its bytes no longer
     /// count as buffered.
-    pub fn confirm_spill(&mut self, written: &[(Key, Value)]) {
+    pub(crate) fn confirm_spill(&mut self, written: &[(Key, Value)]) {
         for (key, value) in written {
             if self.writes.get(key) == Some(value) && self.durable.insert(key.clone()) {
                 self.buffered_bytes -= value.len();
@@ -130,13 +125,13 @@ impl ActiveTransaction {
 
     /// Whether a spill has tried to write any of the transaction's versions
     /// to their storage keys.
-    pub fn has_spilled(&self) -> bool {
+    pub(crate) fn has_spilled(&self) -> bool {
         !self.spilled.is_empty()
     }
 
     /// The storage keys of every version this transaction has (or may have)
     /// written to storage — used to clean up after an abort.
-    pub fn spilled_storage_keys(&self) -> Vec<String> {
+    pub(crate) fn spilled_storage_keys(&self) -> Vec<String> {
         self.spilled
             .iter()
             .map(|k| KeyVersion::new(k.clone(), self.id).storage_key())
@@ -145,7 +140,7 @@ impl ActiveTransaction {
 }
 
 /// Default shard count for the in-flight transaction table.
-pub const DEFAULT_TXN_SHARDS: usize = 16;
+pub(crate) const DEFAULT_TXN_SHARDS: usize = 16;
 
 /// The Atomic Write Buffer: all in-flight transactions on one AFT node,
 /// keyed by their UUID so that a retried function can continue a transaction
@@ -157,7 +152,7 @@ pub const DEFAULT_TXN_SHARDS: usize = 16;
 /// global mutex. Whole-buffer queries (`len`, `versions_read`) visit
 /// every shard; they run off the hot path (GC sweeps, test assertions).
 #[derive(Debug)]
-pub struct WriteBuffer {
+pub(crate) struct WriteBuffer {
     shards: Box<[Mutex<HashMap<Uuid, ActiveTransaction>>]>,
 }
 
@@ -169,12 +164,12 @@ impl Default for WriteBuffer {
 
 impl WriteBuffer {
     /// Creates an empty write buffer with the default shard count.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WriteBuffer::default()
     }
 
     /// Creates an empty write buffer with an explicit shard count (≥ 1).
-    pub fn with_shards(shards: usize) -> Self {
+    pub(crate) fn with_shards(shards: usize) -> Self {
         WriteBuffer {
             shards: (0..shards.max(1))
                 .map(|_| Mutex::new(HashMap::new()))
@@ -189,14 +184,14 @@ impl WriteBuffer {
     }
 
     /// Registers a new in-flight transaction.
-    pub fn begin(&self, id: TransactionId) {
+    pub(crate) fn begin(&self, id: TransactionId) {
         self.shard(&id.uuid)
             .lock()
             .insert(id.uuid, ActiveTransaction::new(id));
     }
 
     /// Runs `f` with mutable access to the transaction's in-flight state.
-    pub fn with_txn<T>(
+    pub(crate) fn with_txn<T>(
         &self,
         id: &TransactionId,
         f: impl FnOnce(&mut ActiveTransaction) -> T,
@@ -210,7 +205,7 @@ impl WriteBuffer {
 
     /// Removes and returns the transaction's in-flight state (commit or
     /// abort takes ownership of it).
-    pub fn take(&self, id: &TransactionId) -> AftResult<ActiveTransaction> {
+    pub(crate) fn take(&self, id: &TransactionId) -> AftResult<ActiveTransaction> {
         self.shard(&id.uuid)
             .lock()
             .remove(&id.uuid)
@@ -218,18 +213,13 @@ impl WriteBuffer {
     }
 
     /// Returns true if the transaction is currently in flight.
-    pub fn contains(&self, id: &TransactionId) -> bool {
+    pub(crate) fn contains(&self, id: &TransactionId) -> bool {
         self.shard(&id.uuid).lock().contains_key(&id.uuid)
     }
 
     /// Number of in-flight transactions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Returns true if no transactions are in flight.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().is_empty())
     }
 
     /// Every transaction some in-flight transaction has read a version of —
@@ -240,7 +230,7 @@ impl WriteBuffer {
     /// already-visited shard mid-pass may be missed; that race existed with
     /// the single-lock table too (a transaction could begin right after the
     /// pass) and is benign — the GC only needs a point-in-time answer.
-    pub fn versions_read(&self) -> HashSet<TransactionId> {
+    pub(crate) fn versions_read(&self) -> HashSet<TransactionId> {
         let mut read = HashSet::new();
         for shard in &self.shards {
             for txn in shard.lock().values() {
@@ -273,7 +263,7 @@ mod tests {
         assert_eq!(txn.buffered_bytes(), 2, "overwrites reclaim the old bytes");
         assert_eq!(txn.buffered_value(&Key::new("k")).unwrap(), val("hi"));
         assert!(txn.buffered_value(&Key::new("other")).is_none());
-        assert_eq!(txn.write_set().count(), 1);
+        assert_eq!(txn.writes.len(), 1);
     }
 
     #[test]
@@ -329,7 +319,7 @@ mod tests {
     fn write_buffer_lifecycle() {
         let buffer = WriteBuffer::new();
         let id = tid(10, 99);
-        assert!(buffer.is_empty());
+        assert_eq!(buffer.len(), 0);
         buffer.begin(id);
         assert!(buffer.contains(&id));
         assert_eq!(buffer.len(), 1);
@@ -401,7 +391,7 @@ mod tests {
         for id in &ids {
             buffer.take(id).unwrap();
         }
-        assert!(buffer.is_empty());
+        assert_eq!(buffer.len(), 0);
         // Zero shards clamps to one.
         assert_eq!(WriteBuffer::with_shards(0).shards.len(), 1);
     }

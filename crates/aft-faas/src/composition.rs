@@ -28,7 +28,7 @@ pub struct InvocationInfo {
 }
 
 /// One function body: takes the request context and invocation info.
-pub type StepFn<C> = Arc<dyn Fn(&mut C, &InvocationInfo) -> AftResult<()> + Send + Sync>;
+pub(crate) type StepFn<C> = Arc<dyn Fn(&mut C, &InvocationInfo) -> AftResult<()> + Send + Sync>;
 
 /// A linear composition of functions making up one logical request.
 #[derive(Clone)]

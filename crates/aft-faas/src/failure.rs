@@ -69,7 +69,7 @@ impl FaasChaos {
     }
 
     /// True if this pressure can never fail anything.
-    pub fn is_quiet(&self) -> bool {
+    pub(crate) fn is_quiet(&self) -> bool {
         self.before_body <= 0.0 && self.after_body <= 0.0 && self.mid_body <= 0.0
     }
 }

@@ -43,7 +43,7 @@ impl RetryPolicy {
     }
 
     /// Whether an error from an attempt warrants another try.
-    pub fn should_retry(&self, error: &AftError, attempt: u32) -> bool {
+    pub(crate) fn should_retry(&self, error: &AftError, attempt: u32) -> bool {
         attempt + 1 < self.attempts() && error.is_retryable()
     }
 }

@@ -21,32 +21,32 @@ impl PlatformStats {
     }
 
     /// Records one function invocation (cold or warm).
-    pub fn record_invocation(&self) {
+    pub(crate) fn record_invocation(&self) {
         self.invocations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one injected function failure.
-    pub fn record_injected_failure(&self) {
+    pub(crate) fn record_injected_failure(&self) {
         self.injected_failures.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one attempt at executing a logical request.
-    pub fn record_request_attempt(&self) {
+    pub(crate) fn record_request_attempt(&self) {
         self.request_attempts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a logical request that eventually completed.
-    pub fn record_request_completed(&self) {
+    pub(crate) fn record_request_completed(&self) {
         self.requests_completed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a logical request that exhausted its retries.
-    pub fn record_request_failed(&self) {
+    pub(crate) fn record_request_failed(&self) {
         self.requests_failed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Updates the peak concurrency watermark.
-    pub fn observe_concurrency(&self, current: u64) {
+    pub(crate) fn observe_concurrency(&self, current: u64) {
         self.peak_concurrency.fetch_max(current, Ordering::Relaxed);
     }
 

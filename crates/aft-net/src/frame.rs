@@ -2,10 +2,10 @@
 //!
 //! A frame always leaves in one buffer, so it costs one write syscall and,
 //! under `TCP_NODELAY`, one segment: [`request_frame`] and
-//! [`response_frame`] encode a message straight into a buffer whose first
+//! `response_frame` encode a message straight into a buffer whose first
 //! four bytes are reserved for the prefix, and [`write_frame`] assembles an
 //! already-encoded payload the same way. The blocking [`read_frame`] works
-//! over any `Read`; [`read_frame_into`] reads into a reused buffer (the
+//! over any `Read`; `read_frame_into` reads into a reused buffer (the
 //! client SDK's, behind a `BufReader`). The
 //! event-driven server instead feeds whatever bytes the socket had into a
 //! [`FrameDecoder`], which accumulates partial frames across arbitrarily
@@ -46,7 +46,7 @@ pub fn request_frame(buf: &mut Vec<u8>, request_id: u64, request: &WireRequest) 
 
 /// Encodes a response as one wire frame into `buf`, reusing its
 /// allocation: the payload is encoded once, in place, and never copied.
-pub fn response_frame(
+pub(crate) fn response_frame(
     buf: &mut Vec<u8>,
     request_id: u64,
     response: &WireResponse,
@@ -184,7 +184,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 
 /// Reads one frame's payload into `payload`, reusing its allocation:
 /// `Ok(false)` on a clean end of stream, as [`read_frame`]'s `None`.
-pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<bool> {
+pub(crate) fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<bool> {
     payload.clear();
     let mut len_buf = [0u8; 4];
     // Distinguish "closed between frames" from "closed mid-frame": read the

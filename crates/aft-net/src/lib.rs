@@ -44,4 +44,4 @@ pub mod stats;
 
 pub use client::{AftClient, ClientBuilder, ClientConfig, ClientStatsSnapshot};
 pub use server::{AftServer, PipeServer, ServerBuilder, ServerConfig};
-pub use stats::{EventSnapshot, ServiceStats};
+pub use stats::EventSnapshot;

@@ -1,5 +1,5 @@
 //! Server counters, in the `NodeStats` atomic style: what the `Stats` verb
-//! answers ([`ServiceStats`]) and what
+//! answers (`ServiceStats`) and what
 //! [`AftServer::event_snapshot`](crate::AftServer::event_snapshot) reads
 //! ([`EventSnapshot`]). Each has a reader outside its own tests: the
 //! experiments' sheets, `benchmark/`'s per-layer metrics, or a test that
@@ -14,7 +14,7 @@ use crate::buffer::BufferPool;
 /// Monotonic counters of one serving endpoint. Cheap to bump from any
 /// thread; snapshotted into a [`WireStats`] for the `Stats` verb.
 #[derive(Debug, Default)]
-pub struct ServiceStats {
+pub(crate) struct ServiceStats {
     connections_accepted: AtomicU64,
     connections_active: AtomicU64,
     requests: AtomicU64,
@@ -27,56 +27,51 @@ pub struct ServiceStats {
 
 impl ServiceStats {
     /// Records an accepted connection.
-    pub fn record_accept(&self) {
+    pub(crate) fn record_accept(&self) {
         self.connections_accepted.fetch_add(1, Ordering::Relaxed);
         self.connections_active.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a connection teardown.
-    pub fn record_close(&self) {
+    pub(crate) fn record_close(&self) {
         self.connections_active.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Records one executed request.
-    pub fn record_request(&self) {
+    pub(crate) fn record_request(&self) {
         self.requests.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records an applied (non-duplicate) commit.
-    pub fn record_commit(&self) {
+    pub(crate) fn record_commit(&self) {
         self.commits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a duplicate commit acknowledged from the dedup ledger.
-    pub fn record_duplicate_commit(&self) {
+    pub(crate) fn record_duplicate_commit(&self) {
         self.duplicate_commits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records an error response.
-    pub fn record_error(&self) {
+    pub(crate) fn record_error(&self) {
         self.errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a request rejected at admission because the server's queue
     /// was over its admission limit (the request never executed).
-    pub fn record_overload_rejection(&self) {
+    pub(crate) fn record_overload_rejection(&self) {
         self.overload_rejections.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a queued request shed before execution because it exceeded
     /// the queue-age deadline (the request never executed).
-    pub fn record_shed(&self) {
+    pub(crate) fn record_shed(&self) {
         self.shed_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Duplicate commits acknowledged so far.
-    pub fn duplicate_commits(&self) -> u64 {
-        self.duplicate_commits.load(Ordering::Relaxed)
     }
 
     /// Point-in-time snapshot; `active_nodes` comes from the cluster
     /// registry, which the stats object does not own.
-    pub fn snapshot(&self, active_nodes: u64) -> WireStats {
+    pub(crate) fn snapshot(&self, active_nodes: u64) -> WireStats {
         WireStats {
             connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
             connections_active: self.connections_active.load(Ordering::Relaxed),

@@ -93,17 +93,17 @@ impl StorageStats {
     }
 
     /// Records one API call of the given kind.
-    pub fn record_call(&self, op: OpKind) {
+    pub(crate) fn record_call(&self, op: OpKind) {
         self.calls[op.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records bytes returned to the caller.
-    pub fn record_read_bytes(&self, n: usize) {
+    pub(crate) fn record_read_bytes(&self, n: usize) {
         self.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Records bytes accepted from the caller.
-    pub fn record_written_bytes(&self, n: usize) {
+    pub(crate) fn record_written_bytes(&self, n: usize) {
         self.bytes_written.fetch_add(n as u64, Ordering::Relaxed);
     }
 

@@ -14,7 +14,7 @@
 //! * a read or a listing has none: it lands nothing;
 //! * a write the service applies all-or-nothing (a Redis `MSET` or `DEL`
 //!   within one slot, [`MultiKeyCall::atomic`]) is one unit;
-//! * a per-item write (the memory row's [`MultiKeyCall::FREE`], DynamoDB's
+//! * a per-item write (the memory row's `MultiKeyCall::FREE`, DynamoDB's
 //!   `BatchWriteItem`) has one unit per key, and so does a write batch the
 //!   service does not apply in one atomic call;
 //! * a single-key write is one unit.

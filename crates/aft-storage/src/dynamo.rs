@@ -26,7 +26,7 @@ use crate::profiles::Service;
 use crate::store::SimStore;
 
 /// The real service's limit on items per transactional call.
-pub const DYNAMO_TRANSACT_LIMIT: usize = 100;
+pub(crate) const DYNAMO_TRANSACT_LIMIT: usize = 100;
 
 /// One `TransactWriteItems` / `TransactGetItems` round trip.
 const TRANSACT: LatencyProfile = LatencyProfile::new(6_500.0, 22_000.0).with_per_kb(20.0);
@@ -69,7 +69,7 @@ impl SimDynamo {
     /// `TransactWriteItems`: writes all items atomically, aborting with a
     /// conflict error if any item is part of another in-flight transactional
     /// call.
-    pub fn transact_write(&self, items: Vec<(String, Value)>) -> AftResult<()> {
+    pub(crate) fn transact_write(&self, items: Vec<(String, Value)>) -> AftResult<()> {
         let keys: Vec<String> = items.iter().map(|(k, _)| k.clone()).collect();
         let payload = items.iter().map(|(_, v)| v.len()).sum();
         self.transact(OpKind::TransactWrite, &keys, payload, || {
@@ -82,7 +82,7 @@ impl SimDynamo {
     /// `TransactGetItems`: reads all keys atomically, aborting with a
     /// conflict error if any key is part of another in-flight transactional
     /// call.
-    pub fn transact_read(&self, keys: &[String]) -> AftResult<Vec<Option<Value>>> {
+    pub(crate) fn transact_read(&self, keys: &[String]) -> AftResult<Vec<Option<Value>>> {
         self.transact(OpKind::TransactRead, keys, 0, || {
             keys.iter().map(|k| self.store.read(k)).collect()
         })

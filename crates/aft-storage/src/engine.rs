@@ -103,7 +103,7 @@ pub trait StorageEngine: Send + Sync {
     }
 
     /// Consulted by nothing: the I/O engine runs every backend's calls
-    /// inside [`crate::latency::capture_deferred`], so a latency applied
+    /// inside `latency::capture_deferred`, so a latency applied
     /// through [`crate::LatencyModel`] is always deferred to the waiter. The
     /// method is still declared because `benchmark/`'s storage wrapper
     /// overrides it; it goes with the next change to that workspace.

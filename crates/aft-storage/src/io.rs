@@ -16,7 +16,7 @@
 //!   and wait for all of it, the barrier callers place between a
 //!   transaction's data writes and its commit-record append.
 //! * **Submitter-run I/O.** Every request runs on the calling thread under
-//!   [`capture_deferred`]: the data-plane effect applies immediately, the
+//!   `capture_deferred`: the data-plane effect applies immediately, the
 //!   sampled delay is *not* slept, and the engine notes when the completion
 //!   is due. That holds for every backend, so the engine owns no thread.
 //! * **Waves.** A request, or a fan-out batch, runs as waves of at most
@@ -193,7 +193,7 @@ impl StorageResponse {
     }
 
     /// The values of a `GetBatch` response; empty for any other kind.
-    pub fn into_values(self) -> Vec<Option<Value>> {
+    pub(crate) fn into_values(self) -> Vec<Option<Value>> {
         match self {
             StorageResponse::Values(values) => values,
             _ => Vec::new(),

@@ -88,7 +88,7 @@ pub fn measure_cost<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 ///
 /// In `Virtual` mode nothing sleeps anyway, so the deferred duration is zero
 /// and completions are immediate; the charge still reports the sampled cost.
-pub fn capture_deferred<T>(f: impl FnOnce() -> T) -> (T, DeferredCost) {
+pub(crate) fn capture_deferred<T>(f: impl FnOnce() -> T) -> (T, DeferredCost) {
     let saved_charge = OP_CHARGE_NS.with(|c| c.replace(0));
     let saved_deferred = DEFERRED_NS.with(|c| c.replace(0));
     let was_active = DEFER_ACTIVE.with(|a| a.replace(true));
@@ -106,7 +106,7 @@ pub fn capture_deferred<T>(f: impl FnOnce() -> T) -> (T, DeferredCost) {
 }
 
 /// Adds `duration` to the current thread's charge: what a caller of
-/// [`capture_deferred`] waited for once the operation completed. Inside a
+/// `capture_deferred` waited for once the operation completed. Inside a
 /// [`Seat::scope`] the seat's clock advances by it too.
 pub fn charge(duration: Duration) {
     OP_CHARGE_NS.with(|c| c.set(c.get().saturating_add(duration.as_nanos() as u64)));
@@ -133,7 +133,7 @@ fn pass_seat(duration: Duration) -> bool {
 /// holding a seat advances its clock with [`Seat::sleep`] or, inside
 /// [`Seat::scope`], wherever `Sleep` mode would sleep: every
 /// [`LatencyModel::finish`] and every [`charge`] outside a
-/// [`capture_deferred`] scope. It then waits until its seat is the earliest
+/// `capture_deferred` scope. It then waits until its seat is the earliest
 /// again. A seat waiting for one of [`Permits`] is out of the turn order
 /// until a release hands it one. A run of seated threads is therefore one
 /// interleaving, fixed by the clocks alone, and nothing sleeps.
@@ -408,12 +408,12 @@ impl Drop for Permit<'_> {
 
 /// The cost of one operation run under [`capture_deferred`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeferredCost {
+pub(crate) struct DeferredCost {
     /// Total simulated latency the operation sampled (both modes).
-    pub charged: Duration,
+    pub(crate) charged: Duration,
     /// The part of `charged` whose sleep was suppressed and must be applied
     /// by the caller (zero in `Virtual` mode).
-    pub deferred: Duration,
+    pub(crate) deferred: Duration,
 }
 
 /// How sampled latencies are applied.
@@ -468,7 +468,7 @@ impl LatencyProfile {
 
     /// True if every sample is zero whatever the payload: a call with this
     /// profile needs no RNG draw and charges nothing.
-    pub fn is_free(&self) -> bool {
+    pub(crate) fn is_free(&self) -> bool {
         self.median_us <= 0.0 && self.per_kb_us <= 0.0
     }
 
@@ -482,7 +482,7 @@ impl LatencyProfile {
 
     /// Samples one latency (in microseconds, unscaled) for a payload of
     /// `payload_bytes`.
-    pub fn sample_us<R: Rng + ?Sized>(&self, rng: &mut R, payload_bytes: usize) -> f64 {
+    pub(crate) fn sample_us<R: Rng + ?Sized>(&self, rng: &mut R, payload_bytes: usize) -> f64 {
         if self.median_us <= 0.0 {
             return self.per_kb_us * (payload_bytes as f64 / 1024.0);
         }
@@ -551,7 +551,7 @@ impl LatencyModel {
     /// Charges a drawn duration to the calling thread and, in
     /// `Sleep` mode, sleeps for it.
     ///
-    /// Inside a [`capture_deferred`] scope the sleep is suppressed and the
+    /// Inside a `capture_deferred` scope the sleep is suppressed and the
     /// duration is handed to the scope instead, so the I/O engine can apply
     /// the latency as a completion deadline rather than by blocking here.
     ///

@@ -18,7 +18,7 @@
 //!   | [`Service::MEMORY`] ([`InMemoryStore`]) | free | any number of keys, free | any number of keys, free | any number of keys, free | no: it models no real service | 16 |
 //!   | [`Service::S3`] | 14–40 ms median, very heavy write tail | none: one GET per key | none: one PUT per key | `DeleteObjects`, ≤ 1 000 keys, at the delete profile | no | 16 |
 //!   | [`Service::DYNAMODB`] | 2.5–6 ms | `BatchGetItem`, ≤ 100 keys, a `GetItem` + 20 µs/item | `BatchWriteItem`, ≤ 25 items, base + 350 µs/item | `BatchWriteItem`, ≤ 25 keys, at its base | no: applied per item | 16 |
-//!   | [`Service::REDIS`] | 0.5–2 ms | none: one GET per key | `MSET`, ≤ 16 keys of one slot, base + 60 µs/key | `DEL`, ≤ 16 keys of one slot, base + 60 µs/key | yes: `MSET` and `DEL` within one slot | its 2 shards |
+//!   | `Service::REDIS` | 0.5–2 ms | none: one GET per key | `MSET`, ≤ 16 keys of one slot, base + 60 µs/key | `DEL`, ≤ 16 keys of one slot, base + 60 µs/key | yes: `MSET` and `DEL` within one slot | its 2 shards |
 //!
 //!   Placement is a fact of the row ([`Service::stripes`]: 16 is
 //!   [`DEFAULT_STRIPES`]). A batch larger than its call's limit is several

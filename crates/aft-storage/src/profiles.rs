@@ -21,23 +21,23 @@ use crate::latency::LatencyProfile;
 use crate::sharded::DEFAULT_STRIPES;
 
 /// The real DynamoDB's `BatchWriteItem` limit (puts and deletes alike).
-pub const DYNAMO_BATCH_LIMIT: usize = 25;
+pub(crate) const DYNAMO_BATCH_LIMIT: usize = 25;
 
 /// The real DynamoDB's `BatchGetItem` limit.
-pub const DYNAMO_BATCH_GET_LIMIT: usize = 100;
+pub(crate) const DYNAMO_BATCH_GET_LIMIT: usize = 100;
 
 /// The real S3's `DeleteObjects` limit.
-pub const S3_DELETE_OBJECTS_LIMIT: usize = 1000;
+pub(crate) const S3_DELETE_OBJECTS_LIMIT: usize = 1000;
 
 /// Redis shards, matching the paper's deployment ("cluster mode with 2
 /// shards", §6).
-pub const DEFAULT_REDIS_SHARDS: usize = 2;
+pub(crate) const DEFAULT_REDIS_SHARDS: usize = 2;
 
 /// Most keys one Redis `MSET` or `DEL` carries. At this size an `MSET` costs
 /// about one `SET`'s p99 (650 + 16 × 60 µs); a larger write, such as a
 /// preload's 500-key commit, is several calls issued together rather than
 /// one call that grows with the batch.
-pub const REDIS_MULTI_KEY_LIMIT: usize = 16;
+pub(crate) const REDIS_MULTI_KEY_LIMIT: usize = 16;
 
 /// Latency of the four single-key calls every service has.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,7 +89,7 @@ pub struct MultiKeyCall {
 impl MultiKeyCall {
     /// A call that carries any number of keys for free (the memory row). It
     /// models no real service, so it claims no atomicity.
-    pub const FREE: MultiKeyCall = MultiKeyCall {
+    pub(crate) const FREE: MultiKeyCall = MultiKeyCall {
         limit: usize::MAX,
         base: LatencyProfile::ZERO,
         per_item_us: 0.0,
@@ -237,7 +237,7 @@ impl Service {
     /// on exactly one of its shards, and multi-key calls (`MSET`, `DEL`) only
     /// within one hash slot. AFT reads versions of different transactions,
     /// which share no slot, so the row has no multi-key read.
-    pub const REDIS: Service = Service {
+    pub(crate) const REDIS: Service = Service {
         name: "redis",
         profile: ServiceProfile {
             read: LatencyProfile::new(500.0, 1_400.0).with_per_kb(4.0),

@@ -1,4 +1,4 @@
-//! The Redis row, [`Service::REDIS`](crate::Service::REDIS).
+//! The Redis row, `Service::REDIS`.
 //!
 //! The evaluation uses Redis in cluster mode with two shards (§6). The
 //! properties the figures depend on are:
@@ -20,7 +20,7 @@
 //! AFT's data still spreads over any cluster of up to 256 primaries. The
 //! row offers `MSET` and multi-key `DEL` ([`MSET`](crate::profiles::MSET),
 //! [`DEL`](crate::profiles::DEL), at most
-//! [`REDIS_MULTI_KEY_LIMIT`](crate::profiles::REDIS_MULTI_KEY_LIMIT) keys a
+//! `REDIS_MULTI_KEY_LIMIT` keys a
 //! call), and a batch goes out as one call per slot. Within one slot, Redis
 //! applies an `MSET` or `DEL` all-or-nothing, so an AFT commit of up to 15
 //! keys is one `MSET` carrying its data and, last, its record: §3.3's "no

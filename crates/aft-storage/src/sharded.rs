@@ -111,7 +111,7 @@ impl ShardedMap {
 
     /// Returns the keys starting with `prefix` that sort strictly after
     /// `after`, in lexicographic order; each stripe is ranged, not scanned.
-    pub fn keys_with_prefix_after(&self, prefix: &str, after: &str) -> Vec<String> {
+    pub(crate) fn keys_with_prefix_after(&self, prefix: &str, after: &str) -> Vec<String> {
         let start = if after < prefix {
             Bound::Included(prefix)
         } else {

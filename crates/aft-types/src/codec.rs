@@ -80,7 +80,7 @@ impl Writer {
 
     /// A writer that appends after `buf`'s current contents (a reserved
     /// frame header, say), keeping its allocation.
-    pub fn appending(buf: Vec<u8>) -> Self {
+    pub(crate) fn appending(buf: Vec<u8>) -> Self {
         Writer { buf }
     }
 
@@ -90,22 +90,22 @@ impl Writer {
     }
 
     /// Appends a single byte.
-    pub fn put_u8(&mut self, v: u8) {
+    pub(crate) fn put_u8(&mut self, v: u8) {
         self.buf.put_u8(v);
     }
 
     /// Appends a little-endian u32.
-    pub fn put_u32(&mut self, v: u32) {
+    pub(crate) fn put_u32(&mut self, v: u32) {
         self.buf.put_u32_le(v);
     }
 
     /// Appends a little-endian u64.
-    pub fn put_u64(&mut self, v: u64) {
+    pub(crate) fn put_u64(&mut self, v: u64) {
         self.buf.put_u64_le(v);
     }
 
     /// Appends a little-endian u128.
-    pub fn put_u128(&mut self, v: u128) {
+    pub(crate) fn put_u128(&mut self, v: u128) {
         self.buf.put_u128_le(v);
     }
 
@@ -117,18 +117,18 @@ impl Writer {
     }
 
     /// Appends a length-prefixed byte string.
-    pub fn put_bytes(&mut self, v: &[u8]) {
+    pub(crate) fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
         self.buf.put_slice(v);
     }
 
     /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
+    pub(crate) fn put_str(&mut self, v: &str) {
         self.put_bytes(v.as_bytes());
     }
 
     /// Appends a transaction ID (timestamp then uuid).
-    pub fn put_tid(&mut self, id: &TransactionId) {
+    pub(crate) fn put_tid(&mut self, id: &TransactionId) {
         self.put_u64(id.timestamp);
         self.put_u128(id.uuid.as_u128());
     }
@@ -140,7 +140,7 @@ impl Writer {
 
     /// Finishes the writer and returns its buffer, including whatever it
     /// was [`appending`](Writer::appending) to.
-    pub fn into_vec(self) -> Vec<u8> {
+    pub(crate) fn into_vec(self) -> Vec<u8> {
         self.buf
     }
 
@@ -182,24 +182,24 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a single byte.
-    pub fn get_u8(&mut self) -> AftResult<u8> {
+    pub(crate) fn get_u8(&mut self) -> AftResult<u8> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a little-endian u32.
-    pub fn get_u32(&mut self) -> AftResult<u32> {
+    pub(crate) fn get_u32(&mut self) -> AftResult<u32> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes(b.try_into().expect("slice is 4 bytes")))
     }
 
     /// Reads a little-endian u64.
-    pub fn get_u64(&mut self) -> AftResult<u64> {
+    pub(crate) fn get_u64(&mut self) -> AftResult<u64> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("slice is 8 bytes")))
     }
 
     /// Reads a little-endian u128.
-    pub fn get_u128(&mut self) -> AftResult<u128> {
+    pub(crate) fn get_u128(&mut self) -> AftResult<u128> {
         let b = self.take(16)?;
         Ok(u128::from_le_bytes(
             b.try_into().expect("slice is 16 bytes"),
@@ -236,19 +236,19 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a length-prefixed byte string.
-    pub fn get_bytes(&mut self) -> AftResult<Vec<u8>> {
+    pub(crate) fn get_bytes(&mut self) -> AftResult<Vec<u8>> {
         let len = self.get_u32()? as usize;
         Ok(self.take(len)?.to_vec())
     }
 
     /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> AftResult<String> {
+    pub(crate) fn get_str(&mut self) -> AftResult<String> {
         let raw = self.get_bytes()?;
         String::from_utf8(raw).map_err(|e| AftError::Codec(format!("invalid utf-8: {e}")))
     }
 
     /// Reads a transaction ID.
-    pub fn get_tid(&mut self) -> AftResult<TransactionId> {
+    pub(crate) fn get_tid(&mut self) -> AftResult<TransactionId> {
         let timestamp = self.get_u64()?;
         let uuid = Uuid::from_u128(self.get_u128()?);
         Ok(TransactionId { timestamp, uuid })
@@ -260,7 +260,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Fails unless every byte of input has been consumed.
-    pub fn expect_end(&self) -> AftResult<()> {
+    pub(crate) fn expect_end(&self) -> AftResult<()> {
         if self.remaining() != 0 {
             return Err(AftError::Codec(format!(
                 "{} trailing bytes after decoded value",

@@ -46,7 +46,7 @@ pub use clock::{Clock, MockClock, SharedClock, SystemClock};
 pub use error::{AftError, AftResult};
 pub use key::{Key, KeyVersion};
 pub use phase::CommitPhase;
-pub use record::{TransactionRecord, TransactionStatus, WriteSet};
+pub use record::{TransactionRecord, WriteSet};
 pub use txid::{Timestamp, TransactionId};
 pub use uuid::Uuid;
 pub use value::{payload_of_size, TaggedValue, Value};
@@ -56,11 +56,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Storage key prefix under which AFT stores key-version data blobs.
-pub const DATA_PREFIX: &str = "data";
+pub(crate) const DATA_PREFIX: &str = "data";
 
 /// Storage key prefix under which AFT stores commit records (the Transaction
 /// Commit Set of §3.1/§3.3).
-pub const COMMIT_PREFIX: &str = "commit";
+pub(crate) const COMMIT_PREFIX: &str = "commit";
 
 /// The part of a storage key that picks its hash slot on a sharded store:
 /// the last two hex digits of the writing transaction's 32-hex-digit UUID,

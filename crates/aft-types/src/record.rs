@@ -68,32 +68,6 @@ impl<'a> IntoIterator for &'a WriteSet {
     }
 }
 
-/// Lifecycle of a transaction as tracked by an AFT node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TransactionStatus {
-    /// The transaction has started and may still issue reads and writes.
-    Running,
-    /// CommitTransaction was called; data blobs are being persisted but the
-    /// commit record is not yet durable. Not visible to other transactions.
-    Committing,
-    /// The commit record is durable; the transaction's writes are visible.
-    Committed,
-    /// The transaction was aborted; its buffered writes were discarded.
-    Aborted,
-}
-
-impl fmt::Display for TransactionStatus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            TransactionStatus::Running => "running",
-            TransactionStatus::Committing => "committing",
-            TransactionStatus::Committed => "committed",
-            TransactionStatus::Aborted => "aborted",
-        };
-        f.write_str(s)
-    }
-}
-
 /// A committed transaction's entry in the Transaction Commit Set.
 ///
 /// The record in memory holds keys only. Where a version's value is in
@@ -325,11 +299,5 @@ mod tests {
     #[test]
     fn id_from_storage_key_rejects_data_keys() {
         assert!(TransactionRecord::id_from_storage_key("data/k/000_1").is_err());
-    }
-
-    #[test]
-    fn status_display() {
-        assert_eq!(TransactionStatus::Running.to_string(), "running");
-        assert_eq!(TransactionStatus::Committed.to_string(), "committed");
     }
 }

@@ -20,7 +20,7 @@
 //!
 //! The body reuses the [`codec`](crate::codec) primitives (length-prefixed
 //! strings and byte blobs, little-endian integers), and every decode
-//! verifies the version byte first and [`Reader::expect_end`] last, so
+//! verifies the version byte first and `Reader::expect_end` last, so
 //! truncated frames and trailing garbage are both rejected.
 //!
 //! The verb set mirrors Table 1 plus operability: `Get` / `GetAll` /

@@ -46,7 +46,7 @@ impl AnomalyFlags {
 
 /// One event a tagged request observed.
 #[derive(Debug, Clone)]
-pub enum TaggedEvent {
+pub(crate) enum TaggedEvent {
     /// The request wrote `key` (tagged with its own ID).
     Write(Key),
     /// The request read `key` and observed the given tagged value (or nothing).
@@ -64,7 +64,7 @@ pub struct TaggedObservation {
     /// The ID this request tagged its own writes with.
     pub own_tag: TransactionId,
     /// Events in the order they happened.
-    pub events: Vec<TaggedEvent>,
+    pub(crate) events: Vec<TaggedEvent>,
 }
 
 impl TaggedObservation {

@@ -129,16 +129,6 @@ impl TransactionPlan {
         keys.dedup();
         keys
     }
-
-    /// Total reads in the plan.
-    pub fn total_reads(&self) -> usize {
-        self.functions.iter().map(|f| f.reads.len()).sum()
-    }
-
-    /// Total writes in the plan.
-    pub fn total_writes(&self) -> usize {
-        self.functions.iter().map(|f| f.writes.len()).sum()
-    }
 }
 
 /// Generates transaction plans from a [`WorkloadConfig`].
@@ -240,8 +230,6 @@ mod tests {
         let mut generator = WorkloadGenerator::new(WorkloadConfig::standard(), 7);
         let plan = generator.next_plan();
         assert_eq!(plan.functions.len(), 2);
-        assert_eq!(plan.total_reads(), 4);
-        assert_eq!(plan.total_writes(), 2);
         assert_eq!(plan.value_size, 4096);
         assert!(plan.write_set().len() <= 2);
         for function in &plan.functions {

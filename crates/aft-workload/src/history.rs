@@ -47,7 +47,7 @@ pub type Read = Option<(Value, Option<TransactionId>)>;
 
 /// One micro-op of an attempt, in the order its call returned.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MicroOp {
+pub(crate) enum MicroOp {
     /// `r k`: what a read of the key returned.
     Read(Key, Read),
     /// `w k v`: a buffered write.
@@ -73,7 +73,7 @@ pub struct Attempt {
     /// The logical request this attempt ran, when the caller names one.
     pub request: Option<u64>,
     /// Reads and writes, in order.
-    pub ops: Vec<MicroOp>,
+    pub(crate) ops: Vec<MicroOp>,
     /// How it ended.
     pub outcome: Outcome,
 }

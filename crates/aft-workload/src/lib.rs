@@ -16,7 +16,7 @@
 //! * [`history`] — the client-side history checker: an [`aft_core::api::AftApi`]
 //!   recorder and the oracle that grades every row of Table 2 from what
 //!   clients saw.
-//! * [`histogram`] — latency recording (median / p99).
+//! * `histogram` — latency recording (median / p99).
 //! * [`runner`] — the closed-loop multi-client experiment runners: on the
 //!   wall clock, and in virtual time for every figure.
 //! * [`sim`] — the stepper: clients as lists of micro-ops, maintenance
@@ -27,7 +27,7 @@
 pub mod anomaly;
 pub mod drivers;
 pub mod generator;
-pub mod histogram;
+mod histogram;
 pub mod history;
 pub mod runner;
 pub mod sim;

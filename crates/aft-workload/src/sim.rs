@@ -72,7 +72,7 @@ use crate::history::{self, Attempt, FinalRead, History, Recorder, Verdict};
 
 /// One step in this many is a maintenance round, so multicast, GC and
 /// fault-manager scans run *under load*, as in the paper (§4).
-pub const MAINTENANCE_ONE_IN: u32 = 8;
+pub(crate) const MAINTENANCE_ONE_IN: u32 = 8;
 
 /// One micro-op of a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,7 +177,7 @@ pub trait Schedule {
     }
 }
 
-/// A sampled schedule: a round one step in [`MAINTENANCE_ONE_IN`], else a
+/// A sampled schedule: a round one step in `MAINTENANCE_ONE_IN`, else a
 /// uniformly drawn busy client, from one seeded `StdRng`, the fates
 /// `injector` draws, the one kill [`Seeded::kill`] plans, and the answers of
 /// the fault legs [`Seeded::transients`], [`Seeded::resets`] and
